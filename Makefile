@@ -3,8 +3,7 @@
 GO ?= go
 
 .PHONY: build check check-race check-deep lint fuzz chaos cluster-soak \
-	bench bench-json serve serve-smoke bench-serve-json bench-tsqr \
-	bench-update bench-tcec clean
+	bench serve serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -19,10 +18,14 @@ lint:
 		echo "staticcheck skipped: not installed"; \
 	fi
 
-# Tier-1 verification: everything must build and pass.
+# Tier-1 verification: everything must build and pass. benchmark/ is its own
+# module, so `./...` from the root never compiles it: vet and test it by
+# name, or a rename in internal/ breaks the benchmark silently.
 check:
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Tier-2 verification: vet plus the full suite under the race detector
 # (the packed GEMM parallelizes over C tiles; this is the gate for it).
@@ -79,53 +82,10 @@ serve:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Kernel-layer benchmarks with allocation accounting.
+# The repository's one benchmark (BENCHMARK.json, benchmark/README.md): four
+# workloads, end-to-end metrics plus the per-layer budget, as JSON on stdout.
 bench:
-	$(GO) test -run '^$$' -bench 'Gemm|Trsm|Engines|TrackSpecials' -benchmem ./internal/blas ./internal/tcsim
-
-# Machine-readable benchmark report (BENCH_1.json).
-bench-json:
-	$(GO) run ./cmd/tcqr-bench -out BENCH_1.json
-
-# Serving-layer benchmark report (BENCH_6.json): JSON vs binary-frame
-# encodings of the cold, cache-hit, and coalesced paths, swept across
-# GOMAXPROCS 1/4/8 to expose the sharded hot path's multicore scaling.
-bench-serve-json:
-	$(GO) run ./cmd/tcqr-bench -out BENCH_6.json -bench 'Serve' -procs 1,4,8 \
-		-notes "procs above num_cpu oversubscribe a single core; compare scaling against num_cpu, not the -cpu label" \
-		./internal/serve
-
-# Incremental-update benchmark report (BENCH_9.json): row-block QR append /
-# downdate against refactorizing the stacked matrix at 4096×256 (the ≥10×
-# gate holds at the 16-row block; the 64-row point records how the win decays
-# toward n/k for fatter appends), plus the restart-rewarm hit-solve path,
-# which must serve without a single cold factorization.
-bench-update:
-	$(GO) run ./cmd/tcqr-bench -out BENCH_9.json -bench 'UpdateVsRefactorize|RewarmedHitSolve' \
-		-notes "UpdateAppend vs Refactorize at the same post-append shape gates the >=10x claim at the 16-row block; RewarmedHitSolve serves from a spill-rewarmed cache with zero backend factorizations" \
-		. ./internal/serve
-
-# Error-corrected engine benchmark report (BENCH_10.json): tc vs tc-ec vs
-# bf16 vs fp32 GEMM cost at 512³ (Engines), plus the end-to-end
-# factorization at the quick paper shape (TcEcFactorize). The factorize
-# metrics carry the acceptance evidence: plain tc trips the panel quality
-# gate (precision-escalations > 0) where tc-ec records zero at fp32-order
-# backward error, and both keep fp32-panel-escalations = 0 — the hot path
-# never leaves the tensor-core simulant. See DESIGN.md §16.
-bench-tcec:
-	$(GO) run ./cmd/tcqr-bench -out BENCH_10.json -bench 'Engines|TcEcFactorize' \
-		-notes "tc-ec software cost is 3-4x tc (three packed fp16 passes per GEMM plus the operand split); the win is accuracy: at the 512x128 bench shape TcEcFactorize/tc trips the panel quality gate on all 4 panels (precision-escalations=4, backward-err ~2e-4 pre-recovery) where TcEcFactorize/tc-ec records precision-escalations=0 at fp32-order backward-err ~1e-7, and fp32-panel-escalations=0 for both proves recovery stays on the tensor-core simulant" \
-		./internal/tcsim .
-
-# TSQR benchmark report (BENCH_7.json): parallel row-blocked factorization
-# vs the Workers=1 identical-bits schedule vs the serial RGS baseline,
-# swept across GOMAXPROCS 1/4/8. On a single-core box every proc count
-# shares one core, so the parallel path cannot beat serial there; the gate
-# is zero serial regression, not a speedup number.
-bench-tsqr:
-	$(GO) run ./cmd/tcqr-bench -out BENCH_7.json -bench 'TSQR' -procs 1,4,8 \
-		-notes "procs above num_cpu oversubscribe a single core; on such boxes parallel TSQR cannot beat the serial baseline and the gate is zero serial regression plus bit-identical factors" \
-		./internal/tsqr
+	$(GO) run -C benchmark .
 
 clean:
 	$(GO) clean ./...

@@ -172,7 +172,7 @@ func BenchmarkFig7_TCAblation(b *testing.B) {
 	}{
 		{"TC-on-on", Config{Cutoff: 48, TensorCoreInPanel: true}, perfmodel.QRConfig{Panel: perfmodel.PanelCAQR, TCUpdate: true, TCPanel: true}},
 		{"TC-off-on", Config{Cutoff: 48}, perfmodel.QRConfig{Panel: perfmodel.PanelCAQR, TCUpdate: true}},
-		{"TC-off-off", Config{Cutoff: 48, DisableTensorCore: true}, perfmodel.QRConfig{Panel: perfmodel.PanelCAQR}},
+		{"TC-off-off", Config{Cutoff: 48, Engine: EngineFP32}, perfmodel.QRConfig{Panel: perfmodel.PanelCAQR}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -271,8 +271,8 @@ func BenchmarkTcEcFactorize(b *testing.B) {
 		cfg  Config
 	}{
 		{"tc", Config{Cutoff: 32, TensorCoreInPanel: true, OnHazard: HazardFallback}},
-		{"tc-ec", Config{Cutoff: 32, UseTCEC: true, TensorCoreInPanel: true, OnHazard: HazardFallback}},
-		{"fp32", Config{Cutoff: 32, DisableTensorCore: true}},
+		{"tc-ec", Config{Cutoff: 32, Engine: EngineTCEC, TensorCoreInPanel: true, OnHazard: HazardFallback}},
+		{"fp32", Config{Cutoff: 32, Engine: EngineFP32}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

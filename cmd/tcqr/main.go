@@ -27,6 +27,7 @@ import (
 	"tcqr/internal/accuracy"
 	"tcqr/internal/dense"
 	"tcqr/internal/matgen"
+	"tcqr/internal/tcsim"
 )
 
 func main() {
@@ -39,28 +40,20 @@ func main() {
 	dist := flag.String("dist", "geometric", "singular value distribution: geometric, arithmetic, cluster2, uniform, normal")
 	rank := flag.Int("rank", 16, "truncation rank (with -op lowrank)")
 	seed := flag.Int64("seed", 1, "random seed (with -gen)")
-	noTC := flag.Bool("no-tensorcore", false, "disable the simulated neural engine (plain FP32; same as -engine fp32)")
-	engine := flag.String("engine", "fp16", "simulated engine: fp16 (plain TensorCore), tc-ec (error-corrected, fp32-grade accuracy at 3x GEMMs), bf16, fp32")
+	engine := flag.String("engine", tcsim.KindTC.String(), fmt.Sprintf("simulated engine, one of %v", tcsim.Kinds()))
 	reortho := flag.Bool("reortho", false, "re-orthogonalize the Q factor")
 	onHazard := flag.String("on-hazard", "fail", "numerical hazard policy: fail (typed error) or fallback (recovery ladder)")
 	noScale := flag.Bool("no-scaling", false, "disable the §3.5 column scaling overflow safeguard")
 	flag.Parse()
 
+	eng, err := tcsim.ParseKind(*engine)
+	if err != nil {
+		fatalf("-engine: %v", err)
+	}
 	cfg := tcqr.Config{
-		DisableTensorCore:    *noTC,
+		Engine:               eng,
 		ReOrthogonalize:      *reortho,
 		DisableColumnScaling: *noScale,
-	}
-	switch *engine {
-	case "", "fp16":
-	case "tc-ec":
-		cfg.UseTCEC = true
-	case "bf16":
-		cfg.UseBFloat16 = true
-	case "fp32":
-		cfg.DisableTensorCore = true
-	default:
-		fatalf("unknown -engine %q (want fp16, tc-ec, bf16 or fp32)", *engine)
 	}
 	switch *onHazard {
 	case "fail":

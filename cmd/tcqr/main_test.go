@@ -1,11 +1,14 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"tcqr/internal/tcsim"
 )
 
 func writeTemp(t *testing.T, content string) string {
@@ -130,7 +133,22 @@ func TestMalformedInputExitsNonZero(t *testing.T) {
 		t.Errorf("stderr should mention the flag, got: %q", msg)
 	}
 
-	// Healthy run still exits 0.
+	// Unknown engine: the error lists the valid names from the engine table.
+	code, msg = runMain(t, "-op", "qr", "-gen", "-m", "8", "-n", "4", "-engine", "fp8")
+	if code == 0 {
+		t.Fatal("bogus -engine exited 0")
+	}
+	if !strings.Contains(msg, "-engine") || !strings.Contains(msg, fmt.Sprint(tcsim.Kinds())) {
+		t.Errorf("stderr should name the flag and list %s, got: %q", fmt.Sprint(tcsim.Kinds()), msg)
+	}
+
+	// Healthy runs exit 0: every table engine by its flag name, and the
+	// default.
+	for _, k := range tcsim.Kinds() {
+		if code, msg = runMain(t, "-op", "qr", "-gen", "-m", "64", "-n", "16", "-cond", "10", "-engine", k.String()); code != 0 {
+			t.Fatalf("-engine %s exited %d: %s", k, code, msg)
+		}
+	}
 	if code, msg = runMain(t, "-op", "qr", "-gen", "-m", "64", "-n", "16", "-cond", "10"); code != 0 {
 		t.Fatalf("healthy run exited %d: %s", code, msg)
 	}

@@ -100,6 +100,7 @@ import (
 	"tcqr/internal/faultinject"
 	"tcqr/internal/metrics"
 	"tcqr/internal/serve"
+	"tcqr/internal/tcsim"
 )
 
 func main() {
@@ -111,7 +112,7 @@ func main() {
 		cacheBytes   = flag.Int64("cache-max-bytes", 0, "factorization cache byte budget on top of the entry cap (0 = entries only)")
 		cacheDir     = flag.String("cache-dir", "", "persist factorizations to this directory (write-behind spill; rewarm on restart; empty disables)")
 		spillBytes   = flag.Int64("spill-max-bytes", 0, "on-disk byte budget of -cache-dir, oldest files deleted first (0 = unbounded)")
-		engine       = flag.String("engine", "", "default engine for requests that name none: fp16, tc-ec (error-corrected TensorCore), bf16, fp32 (empty = fp16)")
+		engine       = flag.String("engine", "", fmt.Sprintf("default engine for requests that name none, one of %v (empty = %v)", tcsim.Kinds(), tcsim.KindTC))
 		window       = flag.Duration("window", 2*time.Millisecond, "solve coalescing window (0 disables)")
 		maxBatch     = flag.Int("max-batch", 32, "max solves coalesced into one multi-RHS call")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
@@ -168,12 +169,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Reject a bad -engine at startup: deferring it to serve-time would 400
-	// every engine-less request for the daemon's whole lifetime.
-	switch *engine {
-	case "", "fp16", "tc-ec", "bf16", "fp32":
-	default:
-		fatal(logger, "unknown -engine", "engine", *engine, "want", "fp16, tc-ec, bf16 or fp32")
+	defaultEngine, err := tcsim.ParseKind(*engine)
+	if err != nil {
+		fatal(logger, "bad -engine", "err", err)
 	}
 
 	if *faultSpec != "" {
@@ -224,7 +222,7 @@ func main() {
 		SpillMaxBytes:     *spillBytes,
 		Window:            *window,
 		MaxBatch:          *maxBatch,
-		DefaultEngine:     *engine,
+		DefaultEngine:     defaultEngine,
 		DefaultDeadline:   *deadline,
 		Logger:            logger,
 		Retry:             serve.RetryPolicy{MaxAttempts: *retryAttempts},

@@ -47,17 +47,26 @@ const DefaultPanelTol = 1e-5
 // rungs (CholQR2, MGS, Householder) that are strictly more robust than
 // first are appended after it. A Householder start has no rungs above it.
 //
-// When first runs its GEMMs on a plain fp16 TensorCore, the same panel on
-// the error-corrected engine (tc-ec, Ootomo–Yokota) is inserted directly
-// after it: a precision-driven breakdown — κ(A)²·2⁻¹¹ ≳ 1 collapsing the
-// Gram matrix, a dependent column the fp16 rounding manufactured — then
+// When first runs its GEMMs on a neural engine, the same panel is inserted
+// directly after it on every on-device engine of the recovery order
+// (tcsim.Kind.Recovery) with a smaller unit roundoff — today exactly one
+// rung, the plain fp16 TensorCore's error-corrected twin (tc-ec,
+// Ootomo–Yokota): a precision-driven breakdown — κ(A)²·2⁻¹¹ ≳ 1 collapsing
+// the Gram matrix, a dependent column the fp16 rounding manufactured — then
 // recovers at fp32-grade accuracy while staying on the tensor-core
-// simulant, instead of paying the full fp32 panel fallback.
+// simulant, instead of paying the full fp32 panel fallback. Plain fp32 is
+// not an engine rung: the algorithm rungs below are the fp32 panels.
 func NewLadder(first Panel, report *hazard.Report) *Ladder {
 	l := &Ladder{Rungs: []Panel{first}, Report: report}
-	if ec, ok := errorCorrectedRung(first); ok {
-		l.Rungs = append(l.Rungs, ec)
-		l.Tol = DefaultPanelTol
+	if ep, ok := first.(enginePanel); ok && ep.gemmEngine() != nil {
+		if cur, ok := tcsim.KindNamed(ep.gemmEngine().Name()); ok {
+			for _, k := range cur.Recovery(false) {
+				if k.Neural() && k.UnitRoundoff() < cur.UnitRoundoff() {
+					l.Rungs = append(l.Rungs, ep.withEngine(k.New(true)))
+					l.Tol = DefaultPanelTol
+				}
+			}
+		}
 	}
 	switch first.(type) {
 	case CholQRPanel, *CholQRPanel:
@@ -72,43 +81,23 @@ func NewLadder(first Panel, report *hazard.Report) *Ladder {
 	return l
 }
 
-// errorCorrectedRung returns a copy of first with its engine upgraded to
-// the error-corrected TensorCore, for the panels that carry an engine and
-// whose engine has a corrected counterpart (tcsim.ErrorCorrected — today,
-// exactly the plain fp16 TensorCore). Everything else has no such rung:
-// fp32 panels cannot be made more accurate by it, and a bf16/tc-ec first
-// rung is already past it on the ladder.
-// panelEngine reports the neural engine a rung runs its GEMMs on, nil for
-// the pure-fp32 panels (which the quality gate therefore never judges).
-func panelEngine(p Panel) tcsim.Engine {
-	switch p := p.(type) {
-	case *CAQRPanel:
-		return p.Engine
-	case CholQRPanel:
-		return p.Engine
-	case *CholQRPanel:
-		return p.Engine
-	}
-	return nil
+// enginePanel is a Panel that carries an engine: all the ladder needs to
+// know to re-run the same algorithm on another engine and to tell the
+// engine-bearing rungs (which the quality gate judges) from the pure-fp32
+// ones (gemmEngine() == nil, the floor the gate is calibrated against).
+type enginePanel interface {
+	Panel
+	gemmEngine() tcsim.Engine
+	withEngine(tcsim.Engine) Panel
 }
 
-func errorCorrectedRung(first Panel) (Panel, bool) {
-	switch p := first.(type) {
-	case *CAQRPanel:
-		if ec, ok := tcsim.ErrorCorrected(p.Engine); ok {
-			return &CAQRPanel{Engine: ec, RowBlock: p.RowBlock}, true
-		}
-	case CholQRPanel:
-		if ec, ok := tcsim.ErrorCorrected(p.Engine); ok {
-			return CholQRPanel{Engine: ec}, true
-		}
-	case *CholQRPanel:
-		if ec, ok := tcsim.ErrorCorrected(p.Engine); ok {
-			return &CholQRPanel{Engine: ec}, true
-		}
-	}
-	return nil, false
+func (p *CAQRPanel) gemmEngine() tcsim.Engine { return p.Engine }
+func (p *CAQRPanel) withEngine(e tcsim.Engine) Panel {
+	return &CAQRPanel{Engine: e, RowBlock: p.RowBlock}
 }
+
+func (p CholQRPanel) gemmEngine() tcsim.Engine        { return p.Engine }
+func (p CholQRPanel) withEngine(e tcsim.Engine) Panel { return CholQRPanel{Engine: e} }
 
 // Name implements Panel.
 func (l *Ladder) Name() string {
@@ -138,7 +127,7 @@ func (l *Ladder) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 		// Quality gate: an engine-bearing rung must also deliver the
 		// backward error the gate demands; half-precision arithmetic at its
 		// error floor escalates as a precision-loss hazard.
-		if err == nil && l.Tol > 0 && panelEngine(p) != nil {
+		if ep, ok := p.(enginePanel); ok && ep.gemmEngine() != nil && err == nil && l.Tol > 0 {
 			if be := accuracy.BackwardError(a, q, r); be > l.Tol {
 				kind = hazard.KindPrecisionLoss
 				err = fmt.Errorf("gram: %s backward error %.2e exceeds the %.0e quality gate: %w",

@@ -17,7 +17,6 @@ import (
 // path (factorize + solve), the cache-hit path (solve against a warm
 // factorization — the "factor once, apply many times" payoff the cache
 // exists for), and the coalesced path at increasing client concurrency.
-// cmd/tcqr-bench packages these into BENCH_3.json.
 
 const benchRows, benchCols = 1024, 256
 

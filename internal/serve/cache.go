@@ -20,8 +20,8 @@ func CacheKey(a *tcqr.Matrix, cfg tcqr.Config) string {
 
 // configFingerprint encodes every Config field into a short stable string.
 func configFingerprint(c tcqr.Config) string {
-	return fmt.Sprintf("e%d%d%d%d-p%d-c%d-r%d%d-h%d",
-		b2i(c.DisableTensorCore), b2i(c.UseBFloat16), b2i(c.UseTCEC), b2i(c.TensorCoreInPanel),
+	return fmt.Sprintf("e%d%d-p%d-c%d-r%d%d-h%d",
+		int(c.Engine), b2i(c.TensorCoreInPanel),
 		int(c.Panel), c.Cutoff,
 		b2i(c.ReOrthogonalize), b2i(c.DisableColumnScaling),
 		int(c.OnHazard))

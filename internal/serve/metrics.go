@@ -382,34 +382,10 @@ func normalizeHazardKind(kind string) string {
 	return "other"
 }
 
-// panelLabel names a requested panel algorithm for the panel counter.
-func panelLabel(p tcqr.PanelAlgorithm) string {
-	switch p {
-	case tcqr.PanelCAQR:
-		return "caqr"
-	case tcqr.PanelHouseholder:
-		return "householder"
-	case tcqr.PanelCholQR:
-		return "cholqr"
-	case tcqr.PanelMGS:
-		return "mgs"
-	}
-	return "other"
-}
-
-// engineLabel maps a tcsim engine Name() to its wire vocabulary: tc for the
-// simulated fp16 TensorCore, tc-ec for its error-corrected (Ootomo split)
-// variant, bf16 for the bfloat16 engine, fp32 for plain SGEMM.
+// engineLabel maps a tcsim engine Name() to the engine= label of its kind.
 func engineLabel(name string) string {
-	switch name {
-	case "TC-GEMM":
-		return "tc"
-	case "TCEC-GEMM":
-		return "tc-ec"
-	case "BF16-GEMM":
-		return "bf16"
-	case "SGEMM":
-		return "fp32"
+	if k, ok := tcsim.KindNamed(name); ok {
+		return k.Label()
 	}
 	return "other"
 }

@@ -83,13 +83,11 @@ type Options struct {
 	// MaxStreamSessions caps concurrently open chunked-upload sessions;
 	// begins past the cap are rejected with 429 (0 = 16).
 	MaxStreamSessions int
-	// DefaultEngine is the wire engine name ("fp16", "tc-ec", "bf16",
-	// "fp32") applied to requests that leave Config.engine unset ("" = the
-	// library default, fp16). A request that names an engine always wins —
-	// the default changes what "unset" means, not what clients may ask for.
-	// Invalid names surface as bad_input on the first request that relies
-	// on the default.
-	DefaultEngine string
+	// DefaultEngine is applied to requests that leave Config.engine unset
+	// (zero value = the library default, fp16). A request that names an
+	// engine always wins — the default changes what "unset" means, not what
+	// clients may ask for.
+	DefaultEngine tcqr.Engine
 	// Backend routes compute; nil = LibraryBackend. Tests install counting
 	// or delaying backends here.
 	Backend Backend
@@ -233,14 +231,15 @@ func New(opts Options) *Server {
 func (s *Server) Cache() *FactorCache { return s.cache }
 
 // reqConfig translates a request's wire config, filling an unset engine
-// with the server's DefaultEngine before the enum check: the substitution
-// happens ahead of CacheKey derivation, so a defaulted request and an
-// explicit one asking for the same engine share a cache entry.
+// with the server's DefaultEngine: the substitution happens ahead of
+// CacheKey derivation, so a defaulted request and an explicit one asking
+// for the same engine share a cache entry.
 func (s *Server) reqConfig(w WireConfig) (tcqr.Config, error) {
+	cfg, err := w.config()
 	if w.Engine == "" {
-		w.Engine = s.opts.DefaultEngine
+		cfg.Engine = s.opts.DefaultEngine
 	}
-	return w.config()
+	return cfg, err
 }
 
 // CoalescerStats exposes the coalescer counters (tests assert one multi-RHS
@@ -498,7 +497,7 @@ func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *t
 		}
 		rc.rep.RecordTiming("queue", wait)
 		if src == SourceMiss {
-			s.metrics.panels.With(panelLabel(cfg.Panel)).Inc()
+			s.metrics.panels.With(cfg.Panel.String()).Inc()
 		}
 		return ferr
 	})

@@ -37,7 +37,7 @@ import (
 // torn files are quarantined, never served.
 const (
 	spillMagic     = "TCQS"
-	spillVersion   = 1
+	spillVersion   = 2 // v2: the meta embeds tcqr.Config (engine by name); v1 spelled it as booleans
 	spillHeaderLen = 20
 	spillExt       = ".tcqs"
 	spillQuarExt   = ".quarantine"
@@ -46,23 +46,13 @@ const (
 // spillMeta is the JSON section of a spill file. The meta — not the file
 // name — is authoritative for the entry's identity.
 type spillMeta struct {
-	Key              string `json:"key"`
-	Epoch            uint64 `json:"epoch"`
-	Rows             int    `json:"rows"`
-	Cols             int    `json:"cols"`
-	Reorthogonalized bool   `json:"reorthogonalized,omitempty"`
-	HasScales        bool   `json:"has_scales,omitempty"`
-	Config           struct {
-		DisableTensorCore    bool `json:"no_tc,omitempty"`
-		UseBFloat16          bool `json:"bf16,omitempty"`
-		UseTCEC              bool `json:"tc_ec,omitempty"`
-		TensorCoreInPanel    bool `json:"tc_panel,omitempty"`
-		Panel                int  `json:"panel,omitempty"`
-		Cutoff               int  `json:"cutoff,omitempty"`
-		ReOrthogonalize      bool `json:"reorth,omitempty"`
-		DisableColumnScaling bool `json:"no_scaling,omitempty"`
-		OnHazard             int  `json:"on_hazard,omitempty"`
-	} `json:"config"`
+	Key              string      `json:"key"`
+	Epoch            uint64      `json:"epoch"`
+	Rows             int         `json:"rows"`
+	Cols             int         `json:"cols"`
+	Reorthogonalized bool        `json:"reorthogonalized,omitempty"`
+	HasScales        bool        `json:"has_scales,omitempty"`
+	Config           tcqr.Config `json:"config"`
 }
 
 // SpillStats is a snapshot of the spill tier counters.
@@ -449,15 +439,7 @@ func encodeSpillEntry(e *Entry) ([]byte, error) {
 	meta.Cols = e.A.Cols
 	meta.Reorthogonalized = e.F.Reorthogonalized
 	meta.HasScales = len(e.F.ColumnScales) > 0
-	meta.Config.DisableTensorCore = e.Config.DisableTensorCore
-	meta.Config.UseBFloat16 = e.Config.UseBFloat16
-	meta.Config.UseTCEC = e.Config.UseTCEC
-	meta.Config.TensorCoreInPanel = e.Config.TensorCoreInPanel
-	meta.Config.Panel = int(e.Config.Panel)
-	meta.Config.Cutoff = e.Config.Cutoff
-	meta.Config.ReOrthogonalize = e.Config.ReOrthogonalize
-	meta.Config.DisableColumnScaling = e.Config.DisableColumnScaling
-	meta.Config.OnHazard = int(e.Config.OnHazard)
+	meta.Config = e.Config
 	mj, err := json.Marshal(meta)
 	if err != nil {
 		return nil, err
@@ -561,15 +543,5 @@ func decodeSpillEntry(buf []byte) (*Entry, error) {
 			f.ColumnScales[i] = float32(s)
 		}
 	}
-	var cfg tcqr.Config
-	cfg.DisableTensorCore = meta.Config.DisableTensorCore
-	cfg.UseBFloat16 = meta.Config.UseBFloat16
-	cfg.UseTCEC = meta.Config.UseTCEC
-	cfg.TensorCoreInPanel = meta.Config.TensorCoreInPanel
-	cfg.Panel = tcqr.PanelAlgorithm(meta.Config.Panel)
-	cfg.Cutoff = meta.Config.Cutoff
-	cfg.ReOrthogonalize = meta.Config.ReOrthogonalize
-	cfg.DisableColumnScaling = meta.Config.DisableColumnScaling
-	cfg.OnHazard = tcqr.HazardPolicy(meta.Config.OnHazard)
-	return &Entry{Key: meta.Key, Epoch: meta.Epoch, A: a, F: f, Config: cfg}, nil
+	return &Entry{Key: meta.Key, Epoch: meta.Epoch, A: a, F: f, Config: meta.Config}, nil
 }

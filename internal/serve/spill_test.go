@@ -121,8 +121,8 @@ func TestSpillWriteRemoveRewarm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := makeEntry(t, 10, 32, 8, "mkey1-e000-p0-c0-r00-h0", 0)
-	e2 := makeEntry(t, 11, 32, 8, "mkey2-e000-p0-c0-r00-h0", 0)
+	e1 := makeEntry(t, 10, 32, 8, "mkey1-e00-p0-c0-r00-h0", 0)
+	e2 := makeEntry(t, 11, 32, 8, "mkey2-e00-p0-c0-r00-h0", 0)
 	sp.Enqueue(e1)
 	sp.Enqueue(e2)
 	sp.Remove(e1.Key)
@@ -481,7 +481,7 @@ func TestSpillChaosSoak(t *testing.T) {
 }
 
 // BenchmarkRewarmedHitSolve measures the warm-solve latency against an entry
-// adopted from disk at startup (BENCH_9.json): a rewarmed entry must serve
+// adopted from disk at startup: a rewarmed entry must serve
 // at cache-hit speed with zero cold factorizations — the whole point of the
 // spill tier is that a restart costs disk reads, not a factorize stampede.
 func BenchmarkRewarmedHitSolve(b *testing.B) {

@@ -10,6 +10,7 @@ import (
 	"tcqr"
 	"tcqr/internal/faultinject"
 	"tcqr/internal/hazard"
+	"tcqr/internal/tcsim"
 )
 
 // This file is the JSON wire vocabulary of the daemon: request/response
@@ -80,28 +81,12 @@ type WireConfig struct {
 // config translates the wire form, rejecting unknown enum strings.
 func (w WireConfig) config() (tcqr.Config, error) {
 	var cfg tcqr.Config
-	switch w.Engine {
-	case "", "fp16":
-	case "tc-ec":
-		cfg.UseTCEC = true
-	case "bf16":
-		cfg.UseBFloat16 = true
-	case "fp32":
-		cfg.DisableTensorCore = true
-	default:
-		return cfg, errBadInput(fmt.Sprintf("unknown engine %q (want fp16, tc-ec, bf16 or fp32)", w.Engine))
+	var err error
+	if cfg.Engine, err = tcsim.ParseKind(w.Engine); err != nil {
+		return cfg, errBadInput(err.Error())
 	}
-	switch w.Panel {
-	case "", "caqr":
-		cfg.Panel = tcqr.PanelCAQR
-	case "householder":
-		cfg.Panel = tcqr.PanelHouseholder
-	case "cholqr":
-		cfg.Panel = tcqr.PanelCholQR
-	case "mgs":
-		cfg.Panel = tcqr.PanelMGS
-	default:
-		return cfg, errBadInput(fmt.Sprintf("unknown panel %q (want caqr, householder, cholqr or mgs)", w.Panel))
+	if cfg.Panel, err = tcqr.ParsePanel(w.Panel); err != nil {
+		return cfg, errBadInput(err.Error())
 	}
 	if w.Cutoff < 0 {
 		return cfg, errBadInput(fmt.Sprintf("cutoff %d < 0", w.Cutoff))

@@ -21,7 +21,7 @@ type BFloat16 struct {
 	// the extreme top of the float32 range).
 	TrackSpecials bool
 
-	stats Stats
+	counters
 }
 
 // bfHook rounds packed GEMM panels through bfloat16. The RoundCount wrapper
@@ -47,10 +47,4 @@ func (e *BFloat16) Gemm(tA, tB blas.Transpose, alpha float32, a, b *dense.M32, b
 }
 
 // Name implements Engine.
-func (e *BFloat16) Name() string { return "BF16-GEMM" }
-
-// Stats returns a snapshot of the accumulated counters.
-func (e *BFloat16) Stats() Stats { return snapshot(&e.stats) }
-
-// ResetStats zeroes the counters.
-func (e *BFloat16) ResetStats() { reset(&e.stats) }
+func (e *BFloat16) Name() string { return kinds[KindBF16].gemm }

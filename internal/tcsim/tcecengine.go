@@ -49,7 +49,7 @@ type TCEC struct {
 	// an operand-loss event).
 	TrackSpecials bool
 
-	stats Stats
+	counters
 }
 
 // SplitF32 is the operand split the engine applies at pack time: hi is x
@@ -115,22 +115,4 @@ func (e *TCEC) Gemm(tA, tB blas.Transpose, alpha float32, a, b *dense.M32, beta 
 }
 
 // Name implements Engine.
-func (e *TCEC) Name() string { return "TCEC-GEMM" }
-
-// Stats returns a snapshot of the accumulated counters.
-func (e *TCEC) Stats() Stats { return snapshot(&e.stats) }
-
-// ResetStats zeroes the counters.
-func (e *TCEC) ResetStats() { reset(&e.stats) }
-
-// ErrorCorrected returns the error-corrected counterpart of an engine: the
-// plain fp16 TensorCore upgrades to TCEC (same TrackSpecials setting); every
-// other engine — including TCEC itself — has none. The recovery ladders use
-// this to slot an accuracy-recovery rung between a failed TensorCore rung
-// and the fp32 fallbacks without hard-coding engine types.
-func ErrorCorrected(e Engine) (Engine, bool) {
-	if t, ok := e.(*TensorCore); ok {
-		return &TCEC{TrackSpecials: t.TrackSpecials}, true
-	}
-	return nil, false
-}
+func (e *TCEC) Name() string { return kinds[KindTCEC].gemm }

@@ -17,12 +17,15 @@
 // products are exact and whose additions round in binary32 — the same
 // pipeline as the hardware, with a fixed deterministic accumulation order.
 //
-// Engines:
+// Engines (one Kind each; the table in kind.go is the repository's only
+// copy of their names, roundoffs and recovery order):
 //
 //   - TensorCore: the half-precision unit described above (TC-GEMM).
+//   - TCEC: the error-corrected TensorCore, three TC passes per GEMM.
+//   - BFloat16: bfloat16 operands, float32 accumulation.
 //   - FP32: plain float32 GEMM (cuBLAS SGEMM stand-in).
 //
-// Both satisfy the Engine interface consumed by internal/rgs, internal/gram
+// All satisfy the Engine interface consumed by internal/rgs, internal/gram
 // and internal/lls, so every algorithm in the repository can be run with the
 // neural engine enabled or disabled, which is exactly the ablation in
 // Figure 7 of the paper.
@@ -59,7 +62,7 @@ type Stats struct {
 // FP32 is the plain single-precision engine (the paper's SGEMM baseline).
 // The zero value is ready to use.
 type FP32 struct {
-	stats Stats
+	counters
 }
 
 // Gemm implements Engine using float32 arithmetic throughout.
@@ -70,13 +73,7 @@ func (e *FP32) Gemm(tA, tB blas.Transpose, alpha float32, a, b *dense.M32, beta 
 }
 
 // Name implements Engine.
-func (e *FP32) Name() string { return "SGEMM" }
-
-// Stats returns a snapshot of the accumulated counters.
-func (e *FP32) Stats() Stats { return snapshot(&e.stats) }
-
-// ResetStats zeroes the counters.
-func (e *FP32) ResetStats() { reset(&e.stats) }
+func (e *FP32) Name() string { return kinds[KindFP32].gemm }
 
 // TensorCore is the simulated neural engine: fp16 operands, fp32
 // accumulation. The zero value is ready to use.
@@ -87,7 +84,7 @@ type TensorCore struct {
 	// overflow.
 	TrackSpecials bool
 
-	stats Stats
+	counters
 }
 
 // tcHook rounds packed GEMM panels through binary16. A package-level value
@@ -114,13 +111,7 @@ func (e *TensorCore) Gemm(tA, tB blas.Transpose, alpha float32, a, b *dense.M32,
 }
 
 // Name implements Engine.
-func (e *TensorCore) Name() string { return "TC-GEMM" }
-
-// Stats returns a snapshot of the accumulated counters.
-func (e *TensorCore) Stats() Stats { return snapshot(&e.stats) }
-
-// ResetStats zeroes the counters.
-func (e *TensorCore) ResetStats() { reset(&e.stats) }
+func (e *TensorCore) Name() string { return kinds[KindTC].gemm }
 
 // gemmFault evaluates the "tcsim.gemm" failpoint after an engine has
 // written c. A corrupt rule poisons c's first element with NaN — the
@@ -149,18 +140,23 @@ func recordCall(engine string, s *Stats, tA blas.Transpose, a *dense.M32, tB bla
 	observeGemm(engine, m, n, k)
 }
 
-func snapshot(s *Stats) Stats {
+// counters is the work accounting every engine embeds.
+type counters struct{ stats Stats }
+
+// Stats returns a snapshot of the accumulated counters.
+func (c *counters) Stats() Stats {
 	return Stats{
-		Calls:     atomic.LoadInt64(&s.Calls),
-		Flops:     atomic.LoadInt64(&s.Flops),
-		Overflows: atomic.LoadInt64(&s.Overflows),
-		Underflow: atomic.LoadInt64(&s.Underflow),
+		Calls:     atomic.LoadInt64(&c.stats.Calls),
+		Flops:     atomic.LoadInt64(&c.stats.Flops),
+		Overflows: atomic.LoadInt64(&c.stats.Overflows),
+		Underflow: atomic.LoadInt64(&c.stats.Underflow),
 	}
 }
 
-func reset(s *Stats) {
-	atomic.StoreInt64(&s.Calls, 0)
-	atomic.StoreInt64(&s.Flops, 0)
-	atomic.StoreInt64(&s.Overflows, 0)
-	atomic.StoreInt64(&s.Underflow, 0)
+// ResetStats zeroes the counters.
+func (c *counters) ResetStats() {
+	atomic.StoreInt64(&c.stats.Calls, 0)
+	atomic.StoreInt64(&c.stats.Flops, 0)
+	atomic.StoreInt64(&c.stats.Overflows, 0)
+	atomic.StoreInt64(&c.stats.Underflow, 0)
 }

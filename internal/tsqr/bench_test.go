@@ -11,7 +11,7 @@ import (
 // TSQR performs the same ~2mn² leading-order work plus the O(n³·blocks)
 // tree, so rates are directly comparable across the three benchmarks.
 //
-// BENCH_7.json sweeps these at -procs 1,4,8. On a single-core host the
+// Sweep these with -cpu 1,4,8. On a single-core host the
 // parallel rows cannot beat the serial ones (they oversubscribe one core);
 // the acceptance gate there is bit-identical factors and zero regression
 // of the serial path, per ISSUE 7.

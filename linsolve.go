@@ -54,24 +54,10 @@ func SolveLinearSystem(a *Matrix, b []float64, cfg Config) (*LinearSolveResult, 
 	}
 	a32 := dense.ToF32(a)
 	rep := &hazard.Report{}
-	f, err := luFactor(a32, cfg)
-	if err != nil && cfg.OnHazard == HazardFallback {
-		// LU has no column scaling, so build the ladder without that rung.
-		lcfg := cfg
-		lcfg.DisableColumnScaling = false
-		for _, r := range engineLadder(lcfg, err) {
-			rep.Record(hazard.Event{
-				Kind:   classify(err),
-				Stage:  "lu",
-				Detail: err.Error(),
-				Action: r.action,
-			})
-			f, err = luFactor(a32, r.cfg)
-			if err == nil {
-				break
-			}
-		}
-	}
+	// LU has no column scaling, so only the engine rungs apply.
+	f, err := withFallback(cfg, "lu", rep, engineRungs, func(c Config) (*lu.Factorization, error) {
+		return luFactor(a32, c)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -90,12 +76,9 @@ func SolveLinearSystem(a *Matrix, b []float64, cfg Config) (*LinearSolveResult, 
 // the factors are finite and classifying failures with the typed hazard
 // errors.
 func luFactor(a32 *Matrix32, cfg Config) (*lu.Factorization, error) {
-	engine, st := cfg.engineFor(true)
+	engine := cfg.Engine.New(true)
 	f, err := lu.Factor(a32, lu.Options{Engine: engine})
-	var overflows int64
-	if st != nil {
-		overflows = st.Stats().Overflows
-	}
+	overflows := engine.Stats().Overflows
 	if err != nil {
 		if overflows > 0 {
 			return nil, fmt.Errorf("tcqr: after %d fp16 overflow events: %w: %w", overflows, ErrOverflow, err)

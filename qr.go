@@ -59,21 +59,9 @@ func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
 		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
-	f, err := factorizeOnce(a, cfg, rep)
-	if err != nil && cfg.OnHazard == HazardFallback {
-		for _, r := range engineLadder(cfg, err) {
-			rep.Record(hazard.Event{
-				Kind:   classify(err),
-				Stage:  "factorize",
-				Detail: err.Error(),
-				Action: r.action,
-			})
-			f, err = factorizeOnce(a, r.cfg, rep)
-			if err == nil {
-				break
-			}
-		}
-	}
+	f, err := withFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
+		return factorizeOnce(a, c, rep)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -83,15 +71,31 @@ func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
 
 // factorizeOnce runs one rung of the engine ladder: build the engine and
 // panel for cfg, factor, collect statistics, and verify the factors are
-// finite. Engine overflow with finite factors is recorded as a
+// finite. One engine instance serves the split GEMMs and — under
+// TensorCoreInPanel — the panel, so its counters cover all of the
+// factorization's engine work and panel-side overflows are classified like
+// any other. Engine overflow with finite factors is recorded as a
 // detection-only event; overflow followed by a failure or non-finite factors
-// becomes an error wrapping ErrOverflow.
+// becomes an error wrapping ErrOverflow. Engines always track
+// overflow/underflow events — the hazard layer needs them to classify
+// failures, and counting is fused into the GEMM packing pass so it is nearly
+// free.
 func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization, error) {
-	opts, st := cfg.options(rep)
-	res, err := rgs.Factor(a, opts)
-	var stats tcsim.Stats
-	if st != nil {
-		stats = st.Stats()
+	engine := cfg.Engine.New(true)
+	var panelEngine tcsim.Engine
+	if cfg.TensorCoreInPanel && cfg.Engine.Neural() {
+		panelEngine = engine
+	}
+	res, err := rgs.Factor(a, rgs.Options{
+		Engine:          engine,
+		Panel:           cfg.panelFor(panelEngine, rep),
+		Cutoff:          cfg.Cutoff,
+		DisableScaling:  cfg.DisableColumnScaling,
+		ReOrthogonalize: cfg.ReOrthogonalize,
+	})
+	var stats tcsim.Stats // EngineStats is the neural-engine work: none on plain fp32
+	if cfg.Engine.Neural() {
+		stats = engine.Stats()
 	}
 	if err != nil {
 		if stats.Overflows > 0 {
@@ -136,32 +140,48 @@ type rung struct {
 	action string
 }
 
+// withFallback runs attempt on cfg and, under HazardFallback, again on each
+// rung of ladder(cfg, err) until one succeeds, recording every retry in rep.
+func withFallback[T any](cfg Config, stage string, rep *hazard.Report,
+	ladder func(Config, error) []rung, attempt func(Config) (T, error)) (T, error) {
+	out, err := attempt(cfg)
+	if err == nil || cfg.OnHazard != HazardFallback {
+		return out, err
+	}
+	for _, r := range ladder(cfg, err) {
+		rep.Record(hazard.Event{
+			Kind:   classify(err),
+			Stage:  stage,
+			Detail: err.Error(),
+			Action: r.action,
+		})
+		if out, err = attempt(r.cfg); err == nil {
+			break
+		}
+	}
+	return out, err
+}
+
 // engineLadder builds the recovery sequence for cfg given the error that
-// tripped the fallback. Rungs accumulate: once scaling is re-enabled it
-// stays on for every later rung. A plain-TC configuration first retries on
-// the error-corrected TensorCore (tc-ec) — fp32-grade accuracy while still
-// on the tensor-core simulant — except when the trigger was fp16 overflow:
-// tc-ec splits into fp16 halves and shares the fp16 exponent range, so it
-// cannot fix what bfloat16 or FP32 can. The precedence order in engineFor
-// (UseBFloat16 > UseTCEC) means later rungs simply layer on top.
+// tripped the fallback: column scaling back on if it was off (and it stays
+// on for every later rung), then the engine rungs.
 func engineLadder(cfg Config, err error) []rung {
 	var out []rung
-	c := cfg
-	if c.DisableColumnScaling {
-		c.DisableColumnScaling = false
-		out = append(out, rung{c, "retry with column scaling"})
+	if cfg.DisableColumnScaling {
+		cfg.DisableColumnScaling = false
+		out = append(out, rung{cfg, "retry with column scaling"})
 	}
-	if !c.DisableTensorCore && !c.UseBFloat16 && !c.UseTCEC && !errors.Is(err, ErrOverflow) {
-		c.UseTCEC = true
-		out = append(out, rung{c, "retry with error-corrected tensorcore engine"})
-	}
-	if !c.DisableTensorCore && !c.UseBFloat16 {
-		c.UseBFloat16 = true
-		out = append(out, rung{c, "retry with bfloat16 engine"})
-	}
-	if !c.DisableTensorCore {
-		c.DisableTensorCore = true
-		out = append(out, rung{c, "retry with fp32 engine"})
+	return append(out, engineRungs(cfg, err)...)
+}
+
+// engineRungs is the engine half of the ladder: cfg on each engine of
+// cfg.Engine's recovery order (tcsim.Kind.Recovery, which skips the
+// fp16-range engines after an fp16 overflow).
+func engineRungs(cfg Config, err error) []rung {
+	var out []rung
+	for _, k := range cfg.Engine.Recovery(errors.Is(err, ErrOverflow)) {
+		cfg.Engine = k
+		out = append(out, rung{cfg, "retry with " + k.RungName() + " engine"})
 	}
 	return out
 }
@@ -217,12 +237,3 @@ func (f *Factorization) inner() *rgs.Result {
 	f.view.CompareAndSwap(nil, r)
 	return f.view.Load()
 }
-
-// compile-time checks that both engines satisfy the internal interface the
-// Config wiring relies on.
-var (
-	_ tcsim.Engine = (*tcsim.TensorCore)(nil)
-	_ tcsim.Engine = (*tcsim.BFloat16)(nil)
-	_ tcsim.Engine = (*tcsim.TCEC)(nil)
-	_ tcsim.Engine = (*tcsim.FP32)(nil)
-)

@@ -28,7 +28,7 @@ import (
 //
 // Unlike Factorize, the raw sketch GEMM has no column-scaling safeguard:
 // inputs whose elements exceed the binary16 range (±65504) must be scaled
-// by the caller before sketching, or run with DisableTensorCore.
+// by the caller before sketching, or run with EngineBF16 or EngineFP32.
 func RandomizedLowRank(a *Matrix32, rank, oversample, powerIters int, rng *rand.Rand, cfg Config) (*LowRankApprox, error) {
 	m, n := a.Rows, a.Cols
 	if rank < 1 {
@@ -42,7 +42,7 @@ func RandomizedLowRank(a *Matrix32, rank, oversample, powerIters int, rng *rand.
 		return nil, fmt.Errorf("tcqr: rank+oversample = %d exceeds min dimension of %dx%d", k, m, n)
 	}
 
-	engine, _ := cfg.engineFor(false)
+	engine := cfg.Engine.New(false)
 
 	// Sketch: Y = A·Ω with a Gaussian Ω (n×k).
 	omega := dense.New[float32](n, k)

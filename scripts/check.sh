@@ -21,6 +21,12 @@ fi
 echo "== go test -race =="
 go test -race ./...
 
+# benchmark/ is its own module, so `./...` above never compiles it; vet and
+# test it by name so a rename in internal/ cannot break it silently.
+echo "== benchmark module =="
+go -C benchmark vet ./...
+go -C benchmark test ./...
+
 # internal/serve and internal/tcsim hold two fuzz targets each, so those
 # runs name their target; the single-target packages keep the unambiguous
 # -fuzz=. form.
@@ -43,7 +49,7 @@ done
 # already; this named pass makes its verdict visible on its own line: the
 # engine accuracy ordering, the escalation property (strictly fewer fp32
 # escalations at equal backward error), and the engine-GEMM hot-path
-# assertions. See DESIGN.md §16 and `make bench-tcec`.
+# assertions. See DESIGN.md §16.
 echo "== tc-ec battery =="
 go test -race -run 'TcEc|Ladder|CholQREngine' . ./internal/tcsim ./internal/gram
 

@@ -50,9 +50,9 @@ type TSQRInfo struct {
 // factors tree-reduced with sign canonicalization, explicit Q recovered by
 // batched GEMM (see internal/tsqr).
 //
-// Numerical differences from Factorize: all GEMMs run in FP32 (the
-// half-precision engine ablations do not apply, so EngineStats stays zero
-// and fp16 overflow hazards cannot occur), and R carries a non-negative
+// Numerical differences from Factorize: all GEMMs run in FP32 (cfg.Engine
+// and cfg.TensorCoreInPanel do not apply, so EngineStats stays zero and
+// fp16 overflow hazards cannot occur), and R carries a non-negative
 // diagonal by construction. Panel selection, column scaling, and the
 // breakdown escalation ladder are shared with the serial path. The result
 // backs solves exactly like a serial Factorization.
@@ -64,21 +64,13 @@ func FactorizeTall(a *Matrix32, opt TallOptions, cfg Config) (*Factorization, er
 		return nil, fmt.Errorf("tcqr: matrix is %dx%d; TSQR requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
-	f, err := factorizeTallOnce(a, opt, cfg, rep)
-	if err != nil && cfg.OnHazard == HazardFallback && cfg.DisableColumnScaling {
-		// The TSQR pipeline is already all-FP32, so of the serial engine
-		// ladder only the column-scaling rung can change its outcome; the
-		// panel escalation ladder ran inside each block via panelFor.
-		rep.Record(hazard.Event{
-			Kind:   classify(err),
-			Stage:  "factorize",
-			Detail: err.Error(),
-			Action: "retry with column scaling",
-		})
-		c := cfg
-		c.DisableColumnScaling = false
-		f, err = factorizeTallOnce(a, opt, c, rep)
-	}
+	// The TSQR pipeline is all-FP32, so its ladder is the FP32 engine's:
+	// only the column-scaling rung can change the outcome. The panel
+	// escalation ladder runs inside each block via panelFor.
+	cfg.Engine = EngineFP32
+	f, err := withFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
+		return factorizeTallOnce(a, opt, c, rep)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -99,7 +91,7 @@ func factorizeTallOnce(a *Matrix32, opt TallOptions, cfg Config, rep *hazard.Rep
 	topts := tsqr.Options{
 		BlockRows: opt.BlockRows,
 		Workers:   opt.Workers,
-		Panel:     cfg.panelFor(rep),
+		Panel:     cfg.panelFor(nil, rep),
 	}
 	res, err := tsqr.Factor(w, topts)
 	if err != nil {

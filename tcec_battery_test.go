@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tcqr/internal/gram"
@@ -34,9 +35,9 @@ func TestEngineLadderConstruction(t *testing.T) {
 	}{
 		{"tc-breakdown", Config{}, breakdown, []string{tcec, bf16, fp32}},
 		{"tc-overflow", Config{}, overflow, []string{bf16, fp32}},
-		{"tcec-breakdown", Config{UseTCEC: true}, breakdown, []string{bf16, fp32}},
-		{"bf16-breakdown", Config{UseBFloat16: true}, breakdown, []string{fp32}},
-		{"fp32-breakdown", Config{DisableTensorCore: true}, breakdown, nil},
+		{"tcec-breakdown", Config{Engine: EngineTCEC}, breakdown, []string{bf16, fp32}},
+		{"bf16-breakdown", Config{Engine: EngineBF16}, breakdown, []string{fp32}},
+		{"fp32-breakdown", Config{Engine: EngineFP32}, breakdown, nil},
 		{"unscaled-overflow", Config{DisableColumnScaling: true}, overflow, []string{scaling, bf16, fp32}},
 		{"unscaled-breakdown", Config{DisableColumnScaling: true}, breakdown, []string{scaling, tcec, bf16, fp32}},
 	}
@@ -51,8 +52,8 @@ func TestEngineLadderConstruction(t *testing.T) {
 				t.Fatalf("ladder actions %v, want %v", got, c.want)
 			}
 			for _, r := range rungs {
-				if r.action == tcec && !r.cfg.UseTCEC {
-					t.Errorf("tc-ec rung does not set UseTCEC: %+v", r.cfg)
+				if r.action == tcec && r.cfg.Engine != EngineTCEC {
+					t.Errorf("tc-ec rung does not select EngineTCEC: %+v", r.cfg)
 				}
 			}
 		})
@@ -119,7 +120,7 @@ func TestTcEcPanelEscalationBattery(t *testing.T) {
 	// The all-fp32 reference: equal backward error (same order), reached
 	// here with zero fp32 panel work. Run after the snapshot so its SGEMMs
 	// don't pollute the hot-path assertion.
-	fRef, err := Factorize(a, Config{DisableTensorCore: true})
+	fRef, err := Factorize(a, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatalf("fp32 reference failed: %v", err)
 	}
@@ -129,7 +130,7 @@ func TestTcEcPanelEscalationBattery(t *testing.T) {
 	}
 }
 
-// TestTcEcConfigFactorize pins the UseTCEC top-level engine end to end: the
+// TestTcEcConfigFactorize pins the EngineTCEC top-level engine end to end: the
 // factorization's engine GEMM work runs entirely on the error-corrected
 // simulant (observer proof), and its backward error matches the fp32
 // engine's to within a small factor — on a matrix where the plain TC engine
@@ -149,7 +150,7 @@ func TestTcEcConfigFactorize(t *testing.T) {
 
 	// Cutoff 32 < 96 columns forces recursion, so the top-level engine does
 	// the inter-panel projection GEMMs.
-	f, err := Factorize(a, Config{UseTCEC: true, Cutoff: 32})
+	f, err := Factorize(a, Config{Engine: EngineTCEC, Cutoff: 32})
 	if err != nil {
 		t.Fatalf("tc-ec factorization failed: %v", err)
 	}
@@ -157,10 +158,10 @@ func TestTcEcConfigFactorize(t *testing.T) {
 	ec, tc := calls["TCEC-GEMM"], calls["TC-GEMM"]
 	mu.Unlock()
 	if ec == 0 {
-		t.Error("no TCEC-GEMM calls observed; UseTCEC did not reach the engine")
+		t.Error("no TCEC-GEMM calls observed; EngineTCEC did not reach the engine")
 	}
 	if tc != 0 {
-		t.Errorf("%d plain TC-GEMM calls under UseTCEC; engine selection leaked", tc)
+		t.Errorf("%d plain TC-GEMM calls under EngineTCEC; engine selection leaked", tc)
 	}
 	if f.EngineStats.GemmCalls != ec {
 		t.Errorf("EngineStats.GemmCalls = %d, observer saw %d", f.EngineStats.GemmCalls, ec)
@@ -170,7 +171,7 @@ func TestTcEcConfigFactorize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plain TC factorization failed: %v", err)
 	}
-	fFP, err := Factorize(a, Config{DisableTensorCore: true, Cutoff: 32})
+	fFP, err := Factorize(a, Config{Engine: EngineFP32, Cutoff: 32})
 	if err != nil {
 		t.Fatalf("fp32 factorization failed: %v", err)
 	}
@@ -181,5 +182,31 @@ func TestTcEcConfigFactorize(t *testing.T) {
 	}
 	if beEC > 8*beFP {
 		t.Errorf("tc-ec backward error %g exceeds 8× fp32 %g", beEC, beFP)
+	}
+}
+
+// TestEngineStatsCoverPanelEngineWork: one engine instance serves the split
+// GEMMs and, under TensorCoreInPanel, the panel — so EngineStats must count
+// exactly the TC-GEMM calls a process-wide observer sees, with the ablation
+// on or off. (With a separate panel engine the 1024×256 ablation run
+// reported 2 calls of 46.)
+func TestEngineStatsCoverPanelEngineWork(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	a := ToFloat32(matgen.WithCond(rng, 1024, 256, 100, matgen.Geometric))
+	for _, inPanel := range []bool{false, true} {
+		var observed atomic.Int64
+		unobserve := tcsim.RegisterGemmObserver(func(engine string, m, n, k int) {
+			if engine == "TC-GEMM" {
+				observed.Add(1)
+			}
+		})
+		f, err := Factorize(a, Config{TensorCoreInPanel: inPanel})
+		unobserve()
+		if err != nil {
+			t.Fatalf("TensorCoreInPanel=%v: %v", inPanel, err)
+		}
+		if got, want := f.EngineStats.GemmCalls, observed.Load(); got != want || want == 0 {
+			t.Errorf("TensorCoreInPanel=%v: EngineStats.GemmCalls = %d, observer saw %d TC-GEMM calls", inPanel, got, want)
+		}
 	}
 }

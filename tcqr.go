@@ -23,7 +23,8 @@
 // round-to-nearest-even (saturating to ±Inf past 65504, the hazard column
 // scaling protects against) and products are accumulated in float32,
 // exactly the V100 TensorCore contract. Every algorithm can also run with
-// the engine disabled (plain float32 GEMM) for the paper's ablations.
+// the engine disabled (Config.Engine = EngineFP32, plain float32 GEMM) for
+// the paper's ablations.
 //
 // Matrices are column-major with a leading-dimension stride, so LAPACK
 // conventions transliterate directly. User-facing data is float64
@@ -32,10 +33,11 @@
 package tcqr
 
 import (
+	"fmt"
+
 	"tcqr/internal/dense"
 	"tcqr/internal/gram"
 	"tcqr/internal/hazard"
-	"tcqr/internal/rgs"
 	"tcqr/internal/tcsim"
 )
 
@@ -90,30 +92,67 @@ const (
 	PanelMGS
 )
 
+var panelNames = [...]string{
+	PanelCAQR:        "caqr",
+	PanelHouseholder: "householder",
+	PanelCholQR:      "cholqr",
+	PanelMGS:         "mgs",
+}
+
+// String returns the wire/flag/metrics name of the panel algorithm, "other"
+// for a value outside the enum.
+func (p PanelAlgorithm) String() string {
+	if p < 0 || int(p) >= len(panelNames) {
+		return "other"
+	}
+	return panelNames[p]
+}
+
+// ParsePanel resolves a panel name; "" is the default, PanelCAQR.
+func ParsePanel(name string) (PanelAlgorithm, error) {
+	if name == "" {
+		return PanelCAQR, nil
+	}
+	for p, n := range panelNames {
+		if n == name {
+			return PanelAlgorithm(p), nil
+		}
+	}
+	return PanelCAQR, fmt.Errorf("unknown panel %q (want one of %v)", name, panelNames)
+}
+
+// Engine selects the simulated device the split GEMMs run on. Its String
+// is the flag and wire name (fp16, tc-ec, bf16, fp32).
+type Engine = tcsim.Kind
+
+const (
+	// EngineTC is the simulated fp16 TensorCore (the default): binary16
+	// operands, float32 accumulation.
+	EngineTC = tcsim.KindTC
+	// EngineTCEC is the error-corrected TensorCore (Ootomo–Yokota, arXiv
+	// 2203.03341; see tcsim.TCEC): fp32-grade accuracy (~2⁻²² vs ~2⁻¹¹) at
+	// 3× the TC GEMM count while staying on the tensor-core simulant. The
+	// exponent range is still fp16's, so the §3.5 overflow hazard — and the
+	// column-scaling safeguard — apply unchanged.
+	EngineTCEC = tcsim.KindTCEC
+	// EngineBF16 is a TPU-style bfloat16 engine (§2.1 of the paper): ~10×
+	// coarser resolution but the full float32 exponent range, so fp16-style
+	// overflow cannot occur.
+	EngineBF16 = tcsim.KindBF16
+	// EngineFP32 runs the split GEMMs in plain float32 instead of a
+	// simulated neural engine (the Figure 7 ablation).
+	EngineFP32 = tcsim.KindFP32
+)
+
 // Config controls the RGSQRF factorization. The zero value is the paper's
 // recommended configuration: neural engine enabled, CAQR panel, cutoff 128,
 // column scaling on.
 type Config struct {
-	// DisableTensorCore runs the split GEMMs in plain float32 instead of
-	// the simulated neural engine (the Figure 7 ablation).
-	DisableTensorCore bool
-	// UseBFloat16 swaps the FP16 TensorCore for a TPU-style bfloat16
-	// engine (§2.1 of the paper): ~10× coarser resolution but the full
-	// float32 exponent range, so fp16-style overflow cannot occur.
-	// Ignored when DisableTensorCore is set.
-	UseBFloat16 bool
-	// UseTCEC swaps the plain fp16 TensorCore for the error-corrected
-	// engine (Ootomo–Yokota, arXiv 2203.03341): every fp32 operand is
-	// split into an fp16 hi half plus a 2¹¹-shifted residual and the GEMM
-	// runs as three TensorCore passes, recovering fp32-grade accuracy
-	// (~2⁻²² elementwise vs ~2⁻¹¹) at 3× the TC GEMM count while staying
-	// on the tensor-core simulant. The exponent range is still fp16's, so
-	// the §3.5 overflow hazard — and the column-scaling safeguard — apply
-	// unchanged. Precedence: DisableTensorCore > UseBFloat16 > UseTCEC.
-	UseTCEC bool
+	// Engine selects the simulated device (zero value: the fp16 TensorCore).
+	Engine Engine
 	// TensorCoreInPanel additionally routes the panel's internal GEMMs
 	// through the neural engine (the paper found this trades accuracy for
-	// almost no speed and leaves it off).
+	// almost no speed and leaves it off). No effect under EngineFP32.
 	TensorCoreInPanel bool
 	// Panel selects the panel algorithm at the recursion cutoff.
 	Panel PanelAlgorithm
@@ -127,83 +166,33 @@ type Config struct {
 	// OnHazard selects the response to detected numerical hazards. The zero
 	// value (HazardFail) returns a typed error as soon as a hazard would
 	// corrupt the result; HazardFallback recovers instead — escalating panel
-	// algorithms on breakdown and retrying with column scaling, a bfloat16
-	// engine, and finally plain FP32 on overflow — recording every step in
-	// the result's Hazards.
+	// algorithms on breakdown and retrying with column scaling, then on the
+	// later engines of the recovery order — recording every step in the
+	// result's Hazards.
 	OnHazard HazardPolicy
-}
-
-// statser is satisfied by the engines that report work statistics.
-type statser interface{ Stats() tcsim.Stats }
-
-// options translates the public Config into the internal rgs.Options,
-// materializing the engine so its statistics can be reported. Engines always
-// track overflow/underflow events — the hazard layer needs them to classify
-// failures, and counting is fused into the GEMM packing pass so it is nearly
-// free. When rep is non-nil and the policy is HazardFallback, the panel is
-// wrapped in the gram escalation ladder reporting to rep.
-func (c Config) options(rep *hazard.Report) (rgs.Options, statser) {
-	engine, st := c.engineFor(true)
-	return rgs.Options{
-		Engine:          engine,
-		Panel:           c.panelFor(rep),
-		Cutoff:          c.Cutoff,
-		DisableScaling:  c.DisableColumnScaling,
-		ReOrthogonalize: c.ReOrthogonalize,
-	}, st
-}
-
-// engineFor materializes the engine c selects, honouring the precedence
-// DisableTensorCore > UseBFloat16 > UseTCEC > TensorCore, together with a
-// stats view for the engines that report work counters. Shared by the
-// factorize, linear-solve and randomized-low-rank paths so every entry
-// point resolves the engine identically.
-func (c Config) engineFor(trackSpecials bool) (tcsim.Engine, statser) {
-	switch {
-	case c.DisableTensorCore:
-		return &tcsim.FP32{}, nil
-	case c.UseBFloat16:
-		b := &tcsim.BFloat16{TrackSpecials: trackSpecials}
-		return b, b
-	case c.UseTCEC:
-		t := &tcsim.TCEC{TrackSpecials: trackSpecials}
-		return t, t
-	default:
-		t := &tcsim.TensorCore{TrackSpecials: trackSpecials}
-		return t, t
-	}
-}
-
-// panelEngine materializes the engine the panel's internal GEMMs run on:
-// nil (plain fp32) unless the TensorCoreInPanel ablation is requested, in
-// which case it follows the same precedence as engineFor.
-func (c Config) panelEngine() tcsim.Engine {
-	if !c.TensorCoreInPanel || c.DisableTensorCore {
-		return nil
-	}
-	e, _ := c.engineFor(true)
-	return e
 }
 
 // panelFor materializes the panel factorizer for c, wrapped in the gram
 // escalation ladder (reporting to rep) under HazardFallback. Shared by the
-// serial RGSQRF path (options) and the parallel TSQR path (FactorizeTall),
-// so both select panels identically. TensorCoreInPanel applies to the CAQR
-// panel (the paper's ablation) and to CholQR (whose Gram matrix is the most
-// GEMM-friendly spot in the repertoire); under HazardFallback an
-// engine-bearing plain-TC panel additionally gets the tc-ec recovery rung
-// and the ladder's backward-error quality gate.
-func (c Config) panelFor(rep *hazard.Report) gram.Panel {
+// serial RGSQRF path (factorizeOnce) and the parallel TSQR path
+// (FactorizeTall), so both select panels identically. engine is what the
+// panel's internal GEMMs run on: nil (plain fp32 kernels) unless the
+// TensorCoreInPanel ablation hands it the factorization's own neural
+// engine. It applies to the CAQR panel (the paper's ablation) and to CholQR
+// (whose Gram matrix is the most GEMM-friendly spot in the repertoire);
+// under HazardFallback an engine-bearing panel additionally gets the
+// ladder's more-accurate-engine rungs and backward-error quality gate.
+func (c Config) panelFor(engine tcsim.Engine, rep *hazard.Report) gram.Panel {
 	var panel gram.Panel
 	switch c.Panel {
 	case PanelHouseholder:
 		panel = &gram.HouseholderPanel{}
 	case PanelCholQR:
-		panel = gram.CholQRPanel{Engine: c.panelEngine()}
+		panel = gram.CholQRPanel{Engine: engine}
 	case PanelMGS:
 		panel = gram.MGSPanel{}
 	default:
-		panel = &gram.CAQRPanel{Engine: c.panelEngine()}
+		panel = &gram.CAQRPanel{Engine: engine}
 	}
 	if c.OnHazard == HazardFallback {
 		panel = gram.NewLadder(panel, rep)

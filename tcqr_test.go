@@ -64,7 +64,7 @@ func TestFactorizeAblations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := Factorize(a, Config{Cutoff: 32, DisableTensorCore: true})
+	fp, err := Factorize(a, Config{Cutoff: 32, Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,9 +274,9 @@ func TestFactorizeRejectsWide(t *testing.T) {
 	}
 }
 
-func TestUseBFloat16(t *testing.T) {
+func TestEngineBF16(t *testing.T) {
 	a := testMatrix(9, 384, 128, 100)
-	bf, err := Factorize(a, Config{Cutoff: 32, UseBFloat16: true})
+	bf, err := Factorize(a, Config{Cutoff: 32, Engine: EngineBF16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,17 +291,6 @@ func TestUseBFloat16(t *testing.T) {
 	if bf.BackwardError(a) < fp16.BackwardError(a) {
 		t.Errorf("BF16 error (%g) should exceed FP16 error (%g)",
 			bf.BackwardError(a), fp16.BackwardError(a))
-	}
-	// DisableTensorCore wins over UseBFloat16.
-	plain, err := Factorize(a, Config{Cutoff: 32, UseBFloat16: true, DisableTensorCore: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.EngineStats.GemmCalls != 0 {
-		t.Error("FP32 run should not report engine stats")
-	}
-	if plain.BackwardError(a) > 1e-5 {
-		t.Errorf("FP32 backward error %g", plain.BackwardError(a))
 	}
 }
 
@@ -338,7 +327,7 @@ func TestSolveLinearSystem(t *testing.T) {
 		t.Error("growth factor missing")
 	}
 	// FP32 engine converges in fewer (or equal) refinement steps.
-	resFP, err := SolveLinearSystem(a, b, Config{DisableTensorCore: true})
+	resFP, err := SolveLinearSystem(a, b, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +336,7 @@ func TestSolveLinearSystem(t *testing.T) {
 	}
 	// BFloat16 engine also reaches double precision, with more iterations
 	// than FP16 (coarser factors precondition worse).
-	resBF, err := SolveLinearSystem(a, b, Config{UseBFloat16: true})
+	resBF, err := SolveLinearSystem(a, b, Config{Engine: EngineBF16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,5 +426,22 @@ func TestRayleighRitz(t *testing.T) {
 	}
 	if _, err := RayleighRitz(NewMatrix32(5, 0), apply); err == nil {
 		t.Error("empty basis must be rejected")
+	}
+}
+
+func TestPanelNamesRoundTrip(t *testing.T) {
+	for _, p := range []PanelAlgorithm{PanelCAQR, PanelHouseholder, PanelCholQR, PanelMGS} {
+		if got, err := ParsePanel(p.String()); err != nil || got != p {
+			t.Errorf("ParsePanel(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	if p, err := ParsePanel(""); err != nil || p != PanelCAQR {
+		t.Errorf(`ParsePanel("") = %v, %v; want the default caqr`, p, err)
+	}
+	if _, err := ParsePanel("lu"); err == nil {
+		t.Error("unknown panel name accepted")
+	}
+	if got := PanelAlgorithm(99).String(); got != "other" {
+		t.Errorf("out-of-range panel prints %q, want other", got)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // BenchmarkUpdateVsRefactorize is the acceptance benchmark for the
-// incremental update path (BENCH_9.json): appending a row block to a cached
+// incremental update path: appending a row block to a cached
 // 4096×256 factorization via the O(m·n·k + n²·(k+n)) Householder update,
 // against refactorizing the stacked matrix from scratch at O(m·n²). The
 // asymptotic win is ~n/k, so the acceptance gate (≥10× at 4096×256) is

@@ -39,7 +39,7 @@ func TestUpdateAppendRowsMatchesRefactorize(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"fp32", Config{DisableTensorCore: true}},
+		{"fp32", Config{Engine: EngineFP32}},
 		{"tensorcore", Config{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -83,7 +83,7 @@ func TestUpdateAppendRowsMatchesRefactorize(t *testing.T) {
 
 func TestUpdateAppendRowRank1(t *testing.T) {
 	a := testMatrix(7, 120, 32, 50)
-	f, err := Factorize(a, Config{DisableTensorCore: true})
+	f, err := Factorize(a, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestUpdateAppendRowRank1(t *testing.T) {
 	for j := range row {
 		row[j] = float32(j) - 15.5
 	}
-	up, err := UpdateAppendRow(f, row, Config{DisableTensorCore: true})
+	up, err := UpdateAppendRow(f, row, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestUpdateAppendRowRank1(t *testing.T) {
 // appends, each building on the previous update, must stay at factorization
 // accuracy (no drift compounding across epochs).
 func TestUpdateAppendChain(t *testing.T) {
-	cfg := Config{DisableTensorCore: true}
+	cfg := Config{Engine: EngineFP32}
 	a := testMatrix(11, 200, 48, 20)
 	f, err := Factorize(a, cfg)
 	if err != nil {
@@ -141,7 +141,7 @@ func TestUpdateRemoveRowsMatchesRefactorize(t *testing.T) {
 	a := testMatrix(21, 200, 40, 10)
 	v := randBlock(22, 30, 40, 1)
 	full := stack(a, v)
-	cfg := Config{DisableTensorCore: true}
+	cfg := Config{Engine: EngineFP32}
 	f, err := Factorize(full, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestUpdateRemoveRowsMatchesRefactorize(t *testing.T) {
 // TestUpdateRoundTrip appends a block and immediately downdates it; the
 // result must factor the original matrix.
 func TestUpdateRoundTrip(t *testing.T) {
-	cfg := Config{DisableTensorCore: true}
+	cfg := Config{Engine: EngineFP32}
 	a := testMatrix(31, 150, 24, 10)
 	f, err := Factorize(a, cfg)
 	if err != nil {
@@ -192,7 +192,7 @@ func TestUpdateRoundTrip(t *testing.T) {
 
 func TestUpdateValidation(t *testing.T) {
 	a := testMatrix(41, 60, 12, 10)
-	f, err := Factorize(a, Config{DisableTensorCore: true})
+	f, err := Factorize(a, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestUpdateValidation(t *testing.T) {
 // under HazardFail that is a typed non-finite error.
 func TestUpdateAppendOverflowTyped(t *testing.T) {
 	a := testMatrix(51, 80, 8, 10)
-	f, err := Factorize(a, Config{DisableTensorCore: true})
+	f, err := Factorize(a, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,14 +253,14 @@ func TestDowndateBreakdown(t *testing.T) {
 	a.Set(0, 0, 1)
 	a.Set(1, 1, 1e-3)
 	a.Set(2, 1, 10)
-	f, err := Factorize(a, Config{DisableTensorCore: true})
+	f, err := Factorize(a, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := UpdateRemoveRows(f, 1, Config{OnHazard: HazardFail}); !errors.Is(err, ErrBreakdown) {
 		t.Fatalf("breakdown downdate under HazardFail: %v", err)
 	}
-	down, err := UpdateRemoveRows(f, 1, Config{OnHazard: HazardFallback, DisableTensorCore: true})
+	down, err := UpdateRemoveRows(f, 1, Config{OnHazard: HazardFallback, Engine: EngineFP32})
 	if err != nil {
 		t.Fatalf("breakdown downdate under HazardFallback: %v", err)
 	}
@@ -287,7 +287,7 @@ func TestDowndateBreakdown(t *testing.T) {
 // TestUpdateSolveWithFactor proves an updated factorization backs the
 // library solver exactly like a fresh one (the serving /v1/update contract).
 func TestUpdateSolveWithFactor(t *testing.T) {
-	cfg := Config{DisableTensorCore: true}
+	cfg := Config{Engine: EngineFP32}
 	a := testMatrix(61, 160, 24, 10)
 	v := randBlock(62, 16, 24, 1)
 	f, err := Factorize(a, cfg)
