@@ -28,16 +28,20 @@ check:
 	$(GO) -C benchmark test ./...
 
 # Tier-2 verification: vet plus the full suite under the race detector
-# (the packed GEMM parallelizes over C tiles; this is the gate for it).
+# (the packed GEMM parallelizes over C tiles; this is the gate for it), then
+# the pool's scheduling-sensitive tests three more times: a precondition that
+# can tear shows up as a flake, and one pass hides a flake.
 check-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run 'Pool|AwaitIdle' ./internal/serve
 
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial
-# equivalence, and the serving decode paths. internal/serve and
-# internal/tcsim hold two targets each, so those runs name their target; the
-# single-target packages keep the unambiguous -fuzz=. form.
+# equivalence, and the serving decode paths (FuzzStreamFrameDecode fuzzes
+# every endpoint's request decode, not only stream-append's). internal/serve
+# and internal/tcsim hold two targets each, so those runs name their target;
+# the single-target packages keep the unambiguous -fuzz=. form.
 fuzz:
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/f16
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/bf16

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"tcqr/internal/dense"
 )
@@ -176,27 +175,13 @@ func (e Event) String() string {
 	return s
 }
 
-// Timing is one named pipeline stage duration recorded in a Report. The
-// serving layer uses these for its Server-Timing breakdown (queue wait,
-// factorize, solve, encode); they ride in the same request-scoped Report
-// that carries the hazard events, so there is exactly one per-request
-// instrumentation object threaded through the pipeline.
-type Timing struct {
-	// Stage names the pipeline stage ("queue", "factorize", "solve",
-	// "encode", ...).
-	Stage string
-	// D is the wall-clock duration the stage took.
-	D time.Duration
-}
-
 // Report accumulates hazard events. The zero value is ready to use; all
 // methods are safe for concurrent use (the CAQR tile tree factors panels
 // from multiple goroutines) and safe on a nil receiver, so hazard-oblivious
 // callers can simply pass nil.
 type Report struct {
-	mu      sync.Mutex
-	events  []Event
-	timings []Timing
+	mu     sync.Mutex
+	events []Event
 }
 
 // Record appends an event. No-op on a nil receiver.
@@ -237,35 +222,6 @@ func (r *Report) Len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return len(r.events)
-}
-
-// RecordTiming appends a named stage duration. No-op on a nil receiver.
-func (r *Report) RecordTiming(stage string, d time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.timings = append(r.timings, Timing{Stage: stage, D: d})
-	r.mu.Unlock()
-}
-
-// Timings returns a copy of the recorded stage durations in record order.
-func (r *Report) Timings() []Timing {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Timing(nil), r.timings...)
-}
-
-// TimeStage runs fn and records its wall-clock duration under stage. The
-// duration is recorded even when fn panics, so a request-scoped Report
-// still accounts for a stage that died.
-func (r *Report) TimeStage(stage string, fn func()) {
-	start := time.Now()
-	defer func() { r.RecordTiming(stage, time.Since(start)) }()
-	fn()
 }
 
 // CheckVec returns ErrNonFinite (wrapped with the offending index) if x

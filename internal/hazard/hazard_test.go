@@ -6,7 +6,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"tcqr/internal/dense"
 )
@@ -134,52 +133,5 @@ func TestCheckMatrix(t *testing.T) {
 	}
 	if MatrixFinite(a) {
 		t.Error("Inf matrix reported finite")
-	}
-}
-
-func TestReportTimings(t *testing.T) {
-	var nilRep *Report
-	nilRep.RecordTiming("queue", time.Millisecond) // nil-safe no-op
-	if got := nilRep.Timings(); got != nil {
-		t.Fatalf("nil report returned timings %v", got)
-	}
-
-	rep := &Report{}
-	rep.RecordTiming("queue", 2*time.Millisecond)
-	rep.TimeStage("solve", func() { time.Sleep(time.Millisecond) })
-	ts := rep.Timings()
-	if len(ts) != 2 {
-		t.Fatalf("got %d timings, want 2", len(ts))
-	}
-	if ts[0].Stage != "queue" || ts[0].D != 2*time.Millisecond {
-		t.Fatalf("timing 0 = %+v", ts[0])
-	}
-	if ts[1].Stage != "solve" || ts[1].D <= 0 {
-		t.Fatalf("timing 1 = %+v (TimeStage must measure the closure)", ts[1])
-	}
-	// The returned slice is a snapshot: appending more records must not
-	// mutate what the caller already holds.
-	rep.RecordTiming("encode", time.Microsecond)
-	if len(ts) != 2 {
-		t.Fatalf("snapshot grew to %d entries", len(ts))
-	}
-}
-
-func TestReportTimingsConcurrent(t *testing.T) {
-	rep := &Report{}
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 50; j++ {
-				rep.RecordTiming("stage", time.Nanosecond)
-				_ = rep.Timings()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(rep.Timings()); got != 16*50 {
-		t.Fatalf("got %d timings, want %d", got, 16*50)
 	}
 }

@@ -2,15 +2,21 @@ package serve
 
 import (
 	"bytes"
+	"context"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/bits"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"tcqr/internal/cluster"
 	"tcqr/internal/wirefmt"
 )
 
@@ -114,7 +120,7 @@ func TestBinaryFactorizeSolveRoundTrip(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("binary solve: code=%d body=%q", rec.Code, rec.Body.String())
 	}
-	var bsr binSolveMeta
+	var bsr solveMeta
 	secs := decodeFrameResp(t, rec, &bsr)
 	if len(secs) != 2 || secs[1].Tag != wirefmt.TagVector {
 		t.Fatalf("binary solve frame sections = %d, want [JSON, vector]", len(secs))
@@ -154,7 +160,7 @@ func TestBinarySolveByMatrix(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("binary solve-by-matrix: code=%d body=%q", rec.Code, rec.Body.String())
 	}
-	var meta binSolveMeta
+	var meta solveMeta
 	decodeFrameResp(t, rec, &meta)
 	if meta.Key == "" || meta.Cached {
 		t.Fatalf("solve-by-matrix meta %+v, want a fresh key", meta)
@@ -163,7 +169,7 @@ func TestBinarySolveByMatrix(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("binary solve-by-key after matrix upload: code=%d", rec.Code)
 	}
-	var meta2 binSolveMeta
+	var meta2 solveMeta
 	decodeFrameResp(t, rec, &meta2)
 	if !meta2.Cached {
 		t.Fatalf("second solve should hit the cache: %+v", meta2)
@@ -194,7 +200,7 @@ func TestBinaryLowRankFrame(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("binary lowrank: code=%d body=%q", rec.Code, rec.Body.String())
 	}
-	var meta binLowRankMeta
+	var meta lowRankMeta
 	secs := decodeFrameResp(t, rec, &meta)
 	if len(secs) != 4 || secs[1].Tag != wirefmt.TagMatrix || secs[2].Tag != wirefmt.TagVector || secs[3].Tag != wirefmt.TagMatrix {
 		t.Fatalf("lowrank frame wants [JSON, U, s, V], got %d sections", len(secs))
@@ -213,6 +219,122 @@ func TestBinaryLowRankFrame(t *testing.T) {
 	}
 	if d := maxDiff(secs[3].Float64s(), jlr.V.Data); d != 0 {
 		t.Fatalf("V differs by %g", d)
+	}
+}
+
+// --- one layout statement, both directions ---------------------------------
+
+// TestForwardFrameRoundTrip pins the encoder/decoder pair on the peer-forward
+// path: for every forwarded request shape, the frame bytes are the ones the
+// per-endpoint encode*Forward functions produced before the encoder was
+// unified (goldens captured at that commit; forward section: no deadline,
+// 2 attempts, origin n0), decoding the frame gives the request back, and a
+// forward section with a budget tightens the request's deadline.
+func TestForwardFrameRoundTrip(t *testing.T) {
+	node, err := cluster.New(cluster.Config{SelfID: "n0", Replicas: 1, Members: []cluster.Member{
+		{ID: "n0", Addr: "127.0.0.1:1"}, {ID: "n1", Addr: "127.0.0.1:2"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	mat := func() *WireMatrix { return &WireMatrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 3, 4, 5, 6}} }
+	cfg := WireConfig{Engine: "fp32", Panel: "mgs", Cutoff: 64, Reorthogonalize: true, OnHazard: "fallback"}
+	b := []float64{0.5, -1.5, 2.25}
+	opts := WireSolveOptions{Method: "lsqr", Tol: 1e-9, MaxIterations: 7}
+
+	cases := []struct {
+		name     string
+		endpoint string
+		req      any
+		fresh    func() any
+		deadline func(any) *int64
+		golden   string
+	}{
+		{"factorize", "factorize",
+			&factorizeRequest{Matrix: mat(), Config: cfg, DeadlineMS: 1500},
+			func() any { return new(factorizeRequest) },
+			func(v any) *int64 { return &v.(*factorizeRequest).DeadlineMS },
+			"54435146010300000001000000000000010000000000000000000000850000007b226d6174726978223a6e756c6c2c22636f6e666967223a7b22656e67696e65223a2266703332222c2270616e656c223a226d6773222c226375746f6666223a36342c2272656f7274686f676f6e616c697a65223a747275652c226f6e5f68617a617264223a2266616c6c6261636b227d2c22646561646c696e655f6d73223a313530307d00000002000000030000000200000030000000000000000000f03f00000000000000400000000000000840000000000000104000000000000014400000000000001840040000000000000002000000020000006e30000000000000"},
+		{"solve_by_key", "solve",
+			&solveRequest{Key: "m3x2-abc@4", B: b, Options: opts, DeadlineMS: 900},
+			func() any { return new(solveRequest) },
+			func(v any) *int64 { return &v.(*solveRequest).DeadlineMS },
+			"5443514601030000d800000000000000010000000000000000000000750000007b226b6579223a226d3378322d6162634034222c22636f6e666967223a7b7d2c2262223a6e756c6c2c226f7074696f6e73223a7b226d6574686f64223a226c737172222c22746f6c223a31652d392c226d61785f697465726174696f6e73223a377d2c22646561646c696e655f6d73223a3930307d00000003000000030000000000000018000000000000000000e03f000000000000f8bf0000000000000240040000000000000002000000020000006e30000000000000"},
+		{"solve_by_matrix", "solve",
+			&solveRequest{Matrix: mat(), Config: cfg, B: b, Options: opts},
+			func() any { return new(solveRequest) },
+			func(v any) *int64 { return &v.(*solveRequest).DeadlineMS },
+			"54435146010400004801000000000000010000000000000000000000a70000007b22636f6e666967223a7b22656e67696e65223a2266703332222c2270616e656c223a226d6773222c226375746f6666223a36342c2272656f7274686f676f6e616c697a65223a747275652c226f6e5f68617a617264223a2266616c6c6261636b227d2c2262223a6e756c6c2c226f7074696f6e73223a7b226d6574686f64223a226c737172222c22746f6c223a31652d392c226d61785f697465726174696f6e73223a377d7d0002000000030000000200000030000000000000000000f03f0000000000000040000000000000084000000000000010400000000000001440000000000000184003000000030000000000000018000000000000000000e03f000000000000f8bf0000000000000240040000000000000002000000020000006e30000000000000"},
+		{"update_append", "update",
+			&updateRequest{Key: "m3x2-abc", Append: &WireMatrix{Rows: 1, Cols: 2, Data: []float64{7, 8}}, DeadlineMS: 250},
+			func() any { return new(updateRequest) },
+			func(v any) *int64 { return &v.(*updateRequest).DeadlineMS },
+			"54435146010300008000000000000000010000000000000000000000240000007b226b6579223a226d3378322d616263222c22646561646c696e655f6d73223a3235307d00000000020000000100000002000000100000000000000000001c400000000000002040040000000000000002000000020000006e30000000000000"},
+		{"update_downdate", "update",
+			&updateRequest{Key: "m3x2-abc@2", RemoveRows: 1},
+			func() any { return new(updateRequest) },
+			func(v any) *int64 { return &v.(*updateRequest).DeadlineMS },
+			"54435146010200006000000000000000010000000000000000000000240000007b226b6579223a226d3378322d6162634032222c2272656d6f76655f726f7773223a317d00000000040000000000000002000000020000006e30000000000000"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := json.Marshal(tc.req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame, err := encodeFrame(tc.req, forwardSection(node, context.Background(), 2))
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if got := hex.EncodeToString(frame); got != tc.golden {
+				t.Errorf("forward frame bytes changed:\n got %s\nwant %s", got, tc.golden)
+			}
+			// Encoding borrows the bulk payloads for the metadata marshal; the
+			// request must come back whole (a failed forward is served locally).
+			if after, _ := json.Marshal(tc.req); !bytes.Equal(after, want) {
+				t.Errorf("encodeFrame changed the request: %s, was %s", after, want)
+			}
+			got := tc.fresh()
+			if _, aerr := decodeFrame(tc.endpoint, frame, got); aerr != nil {
+				t.Fatalf("decode: %s", aerr.msg)
+			}
+			if gj, _ := json.Marshal(got); !bytes.Equal(gj, want) {
+				t.Errorf("decode(encode(req)) = %s, want %s", gj, want)
+			}
+
+			// A 400 ms forward budget folds into the deadline: it tightens a
+			// looser or absent one and leaves a tighter one alone.
+			frame, err = encodeFrame(tc.req, wirefmt.ForwardSection(400, 1, "n0"))
+			if err != nil {
+				t.Fatalf("encode with budget: %v", err)
+			}
+			got = tc.fresh()
+			if _, aerr := decodeFrame(tc.endpoint, frame, got); aerr != nil {
+				t.Fatalf("decode with budget: %s", aerr.msg)
+			}
+			folded := *tc.deadline(tc.req)
+			if folded == 0 || folded > 400 {
+				folded = 400
+			}
+			if d := *tc.deadline(got); d != folded {
+				t.Errorf("folded deadline = %d ms, want %d", d, folded)
+			}
+			*tc.deadline(got) = *tc.deadline(tc.req)
+			if gj, _ := json.Marshal(got); !bytes.Equal(gj, want) {
+				t.Errorf("budgeted decode changed more than the deadline: %s, want %s", gj, want)
+			}
+		})
+	}
+
+	// The encoder refuses a matrix whose shape the frame's u32 dims cannot
+	// hold, rather than shipping its truncation (4294967297x1 would read as
+	// 1x1 on the far side).
+	if bits.UintSize == 64 {
+		one := int64(1) // not a constant: 1<<32 must compile on 32-bit hosts
+		_, err := encodeFrame(&updateRequest{Key: "k", Append: &WireMatrix{Rows: int(one<<32 + 1), Cols: 1, Data: []float64{1}}})
+		if err == nil {
+			t.Error("encodeFrame accepted a 4294967297x1 append block")
+		}
 	}
 }
 
@@ -359,7 +481,7 @@ func TestMixedEncodingCoalescing(t *testing.T) {
 				t.Errorf("binary solve: code=%d body=%q", rec.Code, rec.Body.String())
 				return
 			}
-			var meta binSolveMeta
+			var meta solveMeta
 			secs := decodeFrameResp(t, rec, &meta)
 			batched[half+i] = meta.Batched
 			if d := maxDiff(secs[1].Float64s(), xTrue); d > 1e-8 {
@@ -513,5 +635,34 @@ func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 		t.Logf("race build: skipping pooled-byte margin (race mode drops 1/4 of Pool.Puts)")
 	} else if binBytes+3000 >= jsonBytes {
 		t.Fatalf("binary cache-hit solve allocates %d heap bytes/request vs %d for JSON; the zero-copy path has regressed", binBytes, jsonBytes)
+	}
+}
+
+// TestFrameLayoutTableMatchesDesignDoc holds DESIGN.md §12's per-endpoint
+// section table to the layouts the code states: every row below is rendered
+// from the request and response types themselves and must appear in the
+// document verbatim.
+func TestFrameLayoutTableMatchesDesignDoc(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ep := range []struct {
+		path      string
+		req, resp any
+	}{
+		{"/v1/factorize", new(factorizeRequest), new(factorizeResponse)},
+		{"/v1/solve", new(solveRequest), new(solveResponse)},
+		{"/v1/update", new(updateRequest), new(updateResponse)},
+		{"/v1/lowrank", new(lowRankRequest), new(lowRankResponse)},
+		{"/v1/factorize/stream/begin", new(streamBeginRequest), new(streamBeginResponse)},
+		{"/v1/factorize/stream/append", new(streamAppendRequest), new(streamAppendResponse)},
+		{"/v1/factorize/stream/commit", new(streamCommitRequest), new(factorizeResponse)},
+		{"/v1/factorize/stream/abort", new(streamAbortRequest), new(streamAbortResponse)},
+	} {
+		row := fmt.Sprintf("| `%s` | `%v` | `%v` |", ep.path, layoutOf(ep.req), layoutOf(ep.resp))
+		if !bytes.Contains(doc, []byte(row)) {
+			t.Errorf("DESIGN.md §12 lacks the row the code states:\n%s", row)
+		}
 	}
 }

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"math"
 	"net/http"
 	"time"
@@ -13,8 +12,9 @@ import (
 )
 
 // This file is the serve side of the cluster tier (DESIGN.md §14): the
-// route-or-serve-local decision for keyed requests, peer-forward frame
-// building, response relay, and the replica fan-out after a local miss.
+// route-or-serve-local decision for keyed requests, the forward section a
+// peer-bound frame ends with, response relay, and the replica fan-out after
+// a local miss.
 // internal/cluster deals in opaque frames and peer state; this file owns the
 // request vocabulary, so the split keeps the import direction one-way.
 //
@@ -38,88 +38,67 @@ import (
 // served_remote or served_local_fallback — the accounting invariant the
 // chaos soak asserts.
 
-// maybeForwardFactorize routes a factorize-shaped request (one-shot
-// /v1/factorize). It returns true when the response has been written (a
-// relayed peer answer); false means the caller serves locally.
-func (s *Server) maybeForwardFactorize(w http.ResponseWriter, rc *reqScope, ctx context.Context, req *factorizeRequest, a *tcqr.Matrix, key string) bool {
-	cands, forward := s.clusterRoute(rc, key, true, false)
-	if !forward {
+// route says how an endpoint's keyed request travels the cluster tier.
+type route struct {
+	path string // the peer endpoint the request is forwarded to
+	key  string // the cache key whose owners serve it
+	// cold marks cold compute (factorize, update): degraded peers are
+	// skipped. Solves are cache-tier work, which degraded peers keep serving.
+	cold bool
+	// keyOnly marks a request that cannot be served from its own payload (a
+	// by-key solve, an update): see clusterRoute and tryCandidates for what
+	// that changes.
+	keyOnly bool
+}
+
+// forward is the route stage of every keyed endpoint. It returns true when
+// the response has been written (a relayed peer answer); false means the
+// caller serves locally. The forwarded frame is req through the same encoder
+// that writes responses, plus a forward section; req must already have
+// passed the endpoint's validation — a peer is never sent what this node
+// would have rejected.
+func (s *Server) forward(w http.ResponseWriter, rc *reqScope, ctx context.Context, rt route, req any) bool {
+	cands, routed := s.clusterRoute(rc, rt)
+	if !routed {
 		return false
 	}
-	frame, err := encodeFactorizeForward(s.cluster, ctx, req, a, len(cands))
+	frame, err := encodeFrame(req, forwardSection(s.cluster, ctx, len(cands)))
 	if err != nil {
 		s.cluster.NoteServedLocalFallback()
 		return false
 	}
-	handled := s.forwardToCandidates(w, rc, ctx, cands, nil, "/v1/factorize", frame, false)
-	wirefmt.PutBuffer(frame)
-	return handled
+	defer wirefmt.PutBuffer(frame)
+	if s.tryCandidates(w, rc, ctx, cands, rt, frame) {
+		return true
+	}
+	// A keyOnly request that reached this point is not resident here
+	// (clusterRoute would have called it a local hit), so falling through to
+	// the local 404 is a guaranteed failure. It gets a last-resort reserve
+	// first: every peer, owner or not, regardless of probed state — a
+	// down-marked owner (the mark may be a transient probe glitch) or a
+	// non-owner coordinator that computed the entry as a local fallback is
+	// worth one more attempt each.
+	if rt.keyOnly && s.tryCandidates(w, rc, ctx, s.cluster.Peers(), rt, frame) {
+		return true
+	}
+	// Every routed request terminates exactly once in served_remote or
+	// served_local_fallback.
+	s.cluster.NoteServedLocalFallback()
+	return false
 }
 
-// maybeForwardSolve routes a solve request (by key or by matrix; a is nil
-// for solve-by-key). Same contract as maybeForwardFactorize.
-func (s *Server) maybeForwardSolve(w http.ResponseWriter, rc *reqScope, ctx context.Context, req *solveRequest, a *tcqr.Matrix, key string) bool {
-	// Solves are cache-tier work: degraded peers keep serving them (a
-	// degraded owner that misses answers 503, which reads as try-next).
-	cands, forward := s.clusterRoute(rc, key, false, req.Key != "")
-	if !forward {
-		return false
-	}
-	frame, err := encodeSolveForward(s.cluster, ctx, req, a, len(cands))
-	if err != nil {
-		s.cluster.NoteServedLocalFallback()
-		return false
-	}
-	// A by-key request this node cannot serve locally gets a last-resort
-	// reserve: every peer, owner or not, regardless of probed state. Falling
-	// through to the local 404 is a guaranteed failure, so a down-marked
-	// owner (the mark may be a transient probe glitch) or a non-owner
-	// coordinator that computed the entry as a local fallback is worth one
-	// more attempt each.
-	var reserve []cluster.Member
-	if req.Key != "" && !s.cache.Peek(key) {
-		reserve = s.cluster.Peers()
-	}
-	handled := s.forwardToCandidates(w, rc, ctx, cands, reserve, "/v1/solve", frame, req.Key != "")
-	wirefmt.PutBuffer(frame)
-	return handled
-}
-
-// maybeForwardUpdate routes an update request: updates must run on a node
-// holding the key's series (the epoch chain is node-local state), so a node
-// without the series routes to the base key's owners exactly like a by-key
-// solve it cannot answer. Same contract as maybeForwardSolve.
-func (s *Server) maybeForwardUpdate(w http.ResponseWriter, rc *reqScope, ctx context.Context, req *updateRequest) bool {
-	cands, forward := s.clusterRoute(rc, req.Key, true, true)
-	if !forward {
-		return false
-	}
-	frame, err := encodeUpdateForward(s.cluster, ctx, req, len(cands))
-	if err != nil {
-		s.cluster.NoteServedLocalFallback()
-		return false
-	}
-	var reserve []cluster.Member
-	if !s.cache.Peek(req.Key) {
-		reserve = s.cluster.Peers()
-	}
-	handled := s.forwardToCandidates(w, rc, ctx, cands, reserve, "/v1/update", frame, true)
-	wirefmt.PutBuffer(frame)
-	return handled
-}
-
-// clusterRoute makes the routing decision for key. forward=false means serve
-// locally (the decision has been counted); forward=true hands back the
+// clusterRoute makes the routing decision for rt.key. routed=false means
+// serve locally (the decision has been counted); routed=true hands back the
 // candidate owners to try, in preference order, already filtered by peer
-// state (cold factorize work skips degraded peers; everything skips down
-// ones). An empty candidate list with forward=true still counts as a routed
-// request — the caller falls through to served_local_fallback.
+// state (cold work skips degraded peers; everything skips down ones). An
+// empty candidate list with routed=true still counts as a routed request —
+// the caller falls through to served_local_fallback.
 //
-// keyOnly marks a by-key solve: the request cannot be served from its own
-// payload, so owning the key without holding the entry (the cache Peek above
-// already missed) is no reason to stay local — the node routes to the other
-// owners like any non-owner would.
-func (s *Server) clusterRoute(rc *reqScope, key string, cold, keyOnly bool) ([]cluster.Member, bool) {
+// A keyOnly request cannot be served from its own payload, so owning the key
+// without holding the entry (the cache Peek below already missed) is no
+// reason to stay local — the node routes to the other owners like any
+// non-owner would.
+func (s *Server) clusterRoute(rc *reqScope, rt route) (cands []cluster.Member, routed bool) {
 	n := s.cluster
 	if n == nil {
 		return nil, false
@@ -128,15 +107,15 @@ func (s *Server) clusterRoute(rc *reqScope, key string, cold, keyOnly bool) ([]c
 		n.NoteRoute(cluster.DecisionForwardedIn)
 		return nil, false
 	}
-	if s.cache.Peek(key) {
+	if s.cache.Peek(rt.key) {
 		n.NoteRoute(cluster.DecisionLocalHit)
 		return nil, false
 	}
 	// Ownership hashes the base key: every epoch of an updated series maps
 	// to the same owners, so updates and solves-by-key stay co-located no
 	// matter which key form the client sends.
-	owners := n.Owners(baseKey(key))
-	if !keyOnly {
+	owners := n.Owners(baseKey(rt.key))
+	if !rt.keyOnly {
 		for _, m := range owners {
 			if n.IsSelf(m) {
 				n.NoteRoute(cluster.DecisionLocalOwner)
@@ -145,74 +124,53 @@ func (s *Server) clusterRoute(rc *reqScope, key string, cold, keyOnly bool) ([]c
 		}
 	}
 	n.NoteRoute(cluster.DecisionForward)
-	cands := make([]cluster.Member, 0, len(owners))
+	cands = make([]cluster.Member, 0, len(owners))
 	for _, m := range owners {
-		if !n.IsSelf(m) && n.Usable(m, cold) {
+		if !n.IsSelf(m) && n.Usable(m, rt.cold) {
 			cands = append(cands, m)
 		}
 	}
 	return cands, true
 }
 
-// forwardToCandidates tries each candidate in order and relays the first
-// usable answer; when the first pass fails it makes one pass over reserve
-// (the last-resort owner list — empty except for by-key solves the local
-// cache cannot answer). Returns false after exhausting both, with the
-// fallback counted: the caller serves locally. Every call terminates exactly
-// once in served_remote or served_local_fallback.
-func (s *Server) forwardToCandidates(w http.ResponseWriter, rc *reqScope, ctx context.Context, cands, reserve []cluster.Member, path string, frame []byte, keyOnly bool) bool {
-	if s.tryCandidates(w, rc, ctx, cands, path, frame, keyOnly) {
-		return true
-	}
-	if len(reserve) > 0 && s.tryCandidates(w, rc, ctx, reserve, path, frame, keyOnly) {
-		return true
-	}
-	s.cluster.NoteServedLocalFallback()
-	return false
-}
-
 // tryCandidates attempts each candidate once and relays the first usable
 // answer. Transport errors (the peer is marked down inside Forward), 5xx,
-// and 429 try the next candidate; for solve-by-key a 404 does too — a
+// and 429 try the next candidate; for a keyOnly request a 404 does too — a
 // replica missing the entry is not authoritative while another owner might
 // hold it.
-func (s *Server) tryCandidates(w http.ResponseWriter, rc *reqScope, ctx context.Context, cands []cluster.Member, path string, frame []byte, keyOnly bool) bool {
+func (s *Server) tryCandidates(w http.ResponseWriter, rc *reqScope, ctx context.Context, cands []cluster.Member, rt route, frame []byte) bool {
 	for _, m := range cands {
 		if ctx.Err() != nil {
 			break
 		}
 		t0 := time.Now()
-		res, err := s.cluster.Forward(ctx, m, path, frame, rc.frameResp)
-		rc.rep.RecordTiming("forward", time.Since(t0))
+		res, err := s.cluster.Forward(ctx, m, rt.path, frame, rc.frameResp)
+		rc.stages.add(stageForward, time.Since(t0))
 		if err != nil {
 			continue
 		}
 		if res.Status >= 500 || res.Status == http.StatusTooManyRequests {
 			continue
 		}
-		if keyOnly && res.Status == http.StatusNotFound {
+		if rt.keyOnly && res.Status == http.StatusNotFound {
 			continue
 		}
 		s.cluster.NoteServedRemote()
-		rc.relay(w, res, m.ID)
+		// The peer's buffered response goes out through the request's normal
+		// finish path (stage clock, response counters, structured log). Error
+		// accounting stays with the node that served the request; the
+		// coordinator only counts the response status.
+		if res.ContentType != "" {
+			rc.respCT = res.ContentType
+		}
+		if res.RetryAfter != "" {
+			w.Header().Set("Retry-After", res.RetryAfter)
+		}
+		w.Header().Set(cluster.ServedByHeader, m.ID)
+		rc.finish(w, res.Status, res.Body)
 		return true
 	}
 	return false
-}
-
-// relay writes a peer's buffered response through the request's normal
-// finish path (stage timings, response counters, structured log). Error
-// accounting stays with the node that served the request; the coordinator
-// only counts the response status.
-func (rc *reqScope) relay(w http.ResponseWriter, res *cluster.ForwardResult, peerID string) {
-	if res.ContentType != "" {
-		rc.respCT = res.ContentType
-	}
-	if res.RetryAfter != "" {
-		w.Header().Set("Retry-After", res.RetryAfter)
-	}
-	w.Header().Set(cluster.ServedByHeader, peerID)
-	rc.finish(w, res.Status, res.Body)
 }
 
 // clusterReplicate fans a freshly computed factorization out to the key's
@@ -237,32 +195,19 @@ func (s *Server) clusterReplicate(key string, a *tcqr.Matrix, wcfg WireConfig) {
 			// Replica deliveries are factorize frames: replication is
 			// deterministic recompute on the replica (bit-identical factors —
 			// the determinism contract), not factor shipping.
-			frame, err = encodeFactorizeForward(n, context.Background(),
-				&factorizeRequest{Config: wcfg}, a, 1)
+			frame, err = encodeFrame(&factorizeRequest{
+				Matrix: &WireMatrix{Rows: a.Rows, Cols: a.Cols, Data: colMajorData(a)},
+				Config: wcfg,
+			}, forwardSection(n, context.Background(), 1))
 			if err != nil {
 				return
 			}
 		}
 		n.Replicate(m, "/v1/factorize", frame)
 	}
-	// The frame is not pooled here: Replicate and the handoff queue retain
-	// copies asynchronously, so recycling the encode buffer under them would
-	// hand a torn frame to a peer.
-}
-
-// encodeFactorizeForward builds the peer-forward frame for a
-// factorize-shaped request: [JSON meta, matrix, forward].
-func encodeFactorizeForward(n *cluster.Node, ctx context.Context, req *factorizeRequest, a *tcqr.Matrix, attempts int) ([]byte, error) {
-	meta, err := json.Marshal(factorizeRequest{Config: req.Config, DeadlineMS: req.DeadlineMS})
-	if err != nil {
-		return nil, err
-	}
-	secs := []wirefmt.Section{
-		wirefmt.JSONSection(meta),
-		wirefmt.MatrixSection(a.Rows, a.Cols, colMajorData(a)),
-		forwardSection(n, ctx, attempts),
-	}
-	return encodeForwardFrame(secs)
+	// The frame is not returned to the pool: Replicate and the handoff queue
+	// retain copies asynchronously, so recycling the encode buffer under them
+	// would hand a torn frame to a peer.
 }
 
 // colMajorData returns a's elements as a tight column-major slice (uploaded
@@ -278,60 +223,6 @@ func colMajorData(a *tcqr.Matrix) []float64 {
 	return out
 }
 
-// encodeSolveForward builds the peer-forward frame for a solve request:
-// [JSON meta, b, forward] by key, [JSON meta, matrix, b, forward] by matrix.
-func encodeSolveForward(n *cluster.Node, ctx context.Context, req *solveRequest, a *tcqr.Matrix, attempts int) ([]byte, error) {
-	meta, err := json.Marshal(solveRequest{
-		Key:        req.Key,
-		Config:     req.Config,
-		Options:    req.Options,
-		DeadlineMS: req.DeadlineMS,
-	})
-	if err != nil {
-		return nil, err
-	}
-	secs := make([]wirefmt.Section, 0, 4)
-	secs = append(secs, wirefmt.JSONSection(meta))
-	if a != nil {
-		secs = append(secs, wirefmt.MatrixSection(a.Rows, a.Cols, colMajorData(a)))
-	}
-	secs = append(secs, wirefmt.VectorSection(req.B), forwardSection(n, ctx, attempts))
-	return encodeForwardFrame(secs)
-}
-
-// encodeUpdateForward builds the peer-forward frame for an update request:
-// [JSON meta, append block?, forward].
-func encodeUpdateForward(n *cluster.Node, ctx context.Context, req *updateRequest, attempts int) ([]byte, error) {
-	meta, err := json.Marshal(updateRequest{
-		Key:        req.Key,
-		RemoveRows: req.RemoveRows,
-		DeadlineMS: req.DeadlineMS,
-	})
-	if err != nil {
-		return nil, err
-	}
-	secs := make([]wirefmt.Section, 0, 3)
-	secs = append(secs, wirefmt.JSONSection(meta))
-	if req.Append != nil {
-		secs = append(secs, wirefmt.MatrixSection(req.Append.Rows, req.Append.Cols, req.Append.Data))
-	}
-	secs = append(secs, forwardSection(n, ctx, attempts))
-	return encodeForwardFrame(secs)
-}
-
-func encodeForwardFrame(secs []wirefmt.Section) ([]byte, error) {
-	sz, err := wirefmt.FrameLen(secs...)
-	if err != nil {
-		return nil, err
-	}
-	out, err := wirefmt.AppendFrame(wirefmt.GetBuffer(sz), secs...)
-	if err != nil {
-		wirefmt.PutBuffer(out)
-		return nil, err
-	}
-	return out, nil
-}
-
 // forwardSection stamps the remaining deadline budget and attempt count into
 // a TagForward section (the receiver folds the deadline into its own).
 func forwardSection(n *cluster.Node, ctx context.Context, attempts int) wirefmt.Section {
@@ -345,9 +236,6 @@ func forwardSection(n *cluster.Node, ctx context.Context, attempts int) wirefmt.
 			ms = math.MaxUint32
 		}
 		deadlineMS = uint32(ms)
-	}
-	if attempts < 0 {
-		attempts = 0
 	}
 	if attempts > wirefmt.MaxForwardAttempts {
 		attempts = wirefmt.MaxForwardAttempts

@@ -9,10 +9,12 @@ import (
 	"net"
 	"net/http"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"tcqr/internal/cluster"
+	"tcqr/internal/metrics"
 )
 
 // --- multi-node harness ----------------------------------------------------
@@ -46,16 +48,20 @@ func startCluster(t *testing.T, nNodes, replicas int) *clusterHarness {
 		h.members = append(h.members, cluster.Member{ID: fmt.Sprintf("n%d", i), Addr: ln.Addr().String()})
 	}
 	for i := 0; i < nNodes; i++ {
+		// One registry per node, shared by its cluster and serve halves the
+		// way tcqrd wires them: /metrics shows the tcqrd_cluster_* families.
+		reg := metrics.NewRegistry()
 		node, err := cluster.New(cluster.Config{
 			SelfID:        h.members[i].ID,
 			Members:       h.members,
 			Replicas:      replicas,
 			ProbeInterval: harnessProbe,
+			Registry:      reg,
 		})
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		srv := New(Options{Workers: 2, Window: 0, Cluster: node})
+		srv := New(Options{Workers: 2, Window: 0, Cluster: node, Registry: reg})
 		hs := &http.Server{Handler: srv.Handler()}
 		go hs.Serve(lns[i])
 		h.nodes = append(h.nodes, node)
@@ -232,6 +238,89 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	if st.ServedRemote == 0 || st.ServedLocalFallback != 0 {
 		t.Errorf("stats = %+v: want remote serves and no fallbacks on a healthy cluster", st)
 	}
+}
+
+// routeCounters scrapes node's /metrics for every route-decision and
+// served-outcome series, as rendered.
+func (h *clusterHarness) routeCounters(node int) string {
+	h.t.Helper()
+	resp, err := h.client.Get(h.bases[node] + "/metrics")
+	if err != nil {
+		h.t.Fatalf("GET /metrics via node %d: %v", node, err)
+	}
+	defer resp.Body.Close()
+	text, err := io.ReadAll(resp.Body)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	var out []string
+	for _, line := range strings.Split(string(text), "\n") {
+		if strings.HasPrefix(line, "tcqrd_cluster_route_total") || strings.HasPrefix(line, "tcqrd_cluster_served_") {
+			out = append(out, line)
+		}
+	}
+	if len(out) == 0 {
+		h.t.Fatalf("node %d renders no cluster route counters", node)
+	}
+	return strings.Join(out, "\n")
+}
+
+// TestClusterUpdateValidatesBeforeRouting: an update is validated where it
+// arrives, before the routing decision — a malformed append block posted to a
+// node that does not hold the series is that node's 400, never a forwarded
+// frame. The first block below is the one that used to get through: its row
+// count wraps to 1 in the frame's u32 dims, so the owner saw a well-formed
+// 1x1 block and appended it to the 1-column series.
+func TestClusterUpdateValidatesBeforeRouting(t *testing.T) {
+	h := startCluster(t, 2, 1)
+	const m = 24
+	var key string
+	for seed := uint64(1); seed < 64 && key == ""; seed++ {
+		if k, servedBy := h.factorize(0, clusterMat(seed, m, 1)); servedBy == "n1" {
+			key = k
+		}
+	}
+	if key == "" {
+		t.Fatal("no key owned by n1 in 64 seeds")
+	}
+
+	before := [2]string{h.routeCounters(0), h.routeCounters(1)}
+	for _, bad := range []map[string]any{
+		{"rows": int64(1)<<32 + 1, "cols": 1, "data": []float64{3}},
+		{"rows": 2, "cols": 1, "data": []float64{1, 2, 3}},
+		{"rows": 0, "cols": 1, "data": []float64{}},
+	} {
+		var env envelope
+		code, hdr := h.post(0, "/v1/update", map[string]any{"key": key, "append": bad}, nil, &env)
+		if code != 400 || env.Error.Code != "bad_input" {
+			t.Errorf("append %v via non-owner: status %d code %q, want 400 bad_input", bad, code, env.Error.Code)
+		}
+		if by := hdr.Get(cluster.ServedByHeader); by != "" {
+			t.Errorf("append %v was answered by %q; want the receiving node's own rejection", bad, by)
+		}
+	}
+	for i, was := range before {
+		if now := h.routeCounters(i); now != was {
+			t.Errorf("n%d route counters moved on rejected updates:\n%s\nwere:\n%s", i, now, was)
+		}
+	}
+	if e, ok := h.srvs[1].cache.Get(key); !ok || e.A.Rows != m || e.Epoch != 0 {
+		t.Errorf("series on its owner changed: resident %v, entry %+v", ok, e)
+	} else {
+		h.srvs[1].cache.Release(e)
+	}
+
+	// A well-formed block takes the same path and is forwarded to the owner.
+	var ur struct {
+		Rows  int    `json:"rows"`
+		Epoch uint64 `json:"epoch"`
+	}
+	code, hdr := h.post(0, "/v1/update", map[string]any{"key": key, "append": wireMat(1, 1, []float64{3})}, nil, &ur)
+	if code != 200 || ur.Rows != m+1 || ur.Epoch != 1 || hdr.Get(cluster.ServedByHeader) != "n1" {
+		t.Errorf("valid append via non-owner: status %d rows %d epoch %d served by %q; want 200, %d rows, epoch 1, n1",
+			code, ur.Rows, ur.Epoch, hdr.Get(cluster.ServedByHeader), m+1)
+	}
+	assertInvariant(t, h.nodes[0])
 }
 
 func TestClusterForwardedRequestIsNotReforwarded(t *testing.T) {

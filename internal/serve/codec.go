@@ -1,0 +1,350 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"mime"
+	"net/http"
+	"strings"
+	"time"
+
+	"tcqr/internal/faultinject"
+	"tcqr/internal/wirefmt"
+)
+
+// This file is the daemon's codec layer: content negotiation between the
+// JSON contract and the binary frame codec (internal/wirefmt), the one
+// decoder every endpoint's request passes through, the one frame encoder
+// behind responses and peer forwards, and the pooled-buffer lifecycle that
+// lets a cache-hit solve run without per-request heap growth. What a given
+// body looks like as a frame is not decided here: each type in wire.go states
+// its own layout (frameLayout) and both directions read that statement.
+//
+// Negotiation rules (DESIGN.md §12): a request IS binary when its
+// Content-Type is application/x-tcqr-frame; a response IS binary when the
+// Accept header names that type explicitly, or is absent on a binary
+// request. Accept wildcards keep selecting JSON — existing clients that send
+// Accept: */* must keep receiving the byte-for-byte JSON contract. Error
+// responses are always the JSON envelope regardless of encoding: an error
+// body is tiny, and a client that cannot parse the frame it asked about
+// must still be able to read why.
+
+// Wire encoding labels for the tcqrd_wire_* metric families.
+const (
+	encJSON   = "json"
+	encBinary = "binary"
+)
+
+// isFrameRequest reports whether the request body is a binary frame.
+func isFrameRequest(r *http.Request) bool {
+	ct := r.Header.Get("Content-Type")
+	if ct == "" {
+		return false
+	}
+	mt, _, err := mime.ParseMediaType(ct)
+	if err != nil {
+		return strings.EqualFold(strings.TrimSpace(ct), wirefmt.ContentType)
+	}
+	return strings.EqualFold(mt, wirefmt.ContentType)
+}
+
+// wantsFrameResponse reports whether the success response should be a binary
+// frame: an explicit Accept for the frame type, or a binary request with no
+// Accept preference at all.
+func wantsFrameResponse(r *http.Request, frameReq bool) bool {
+	accept := r.Header.Get("Accept")
+	if accept == "" {
+		return frameReq
+	}
+	for _, part := range strings.Split(accept, ",") {
+		mt, _, err := mime.ParseMediaType(strings.TrimSpace(part))
+		if err == nil && strings.EqualFold(mt, wirefmt.ContentType) {
+			return true
+		}
+	}
+	return false
+}
+
+// bulkField is one bulk payload of a request or response body: the member
+// that rides as a float section in a frame and as an ordinary JSON member
+// otherwise. Exactly one of mat and vec is set.
+type bulkField struct {
+	name string // JSON member name
+	// mat is a matrix section. Decoding copies it out of the frame: matrices
+	// outlive the request (factorization cache, upload session, published
+	// epoch) and the pooled frame buffer must not.
+	mat **WireMatrix
+	// vec is a vector section. Decoding binds it as a zero-copy view of the
+	// frame, so the frame buffer must live as long as the request does.
+	vec      *[]float64
+	optional bool // the frame may omit the section
+}
+
+// frameLayout is a body type's statement of its binary frame: the value
+// carried by the leading JSON metadata section, then the bulk sections in
+// order. For a request the metadata is the request itself (a frame is
+// rejected when its metadata also fills a bulk member); a response with bulk
+// payloads embeds a metadata struct so no bulk key ever appears in the JSON
+// section.
+type frameLayout struct {
+	meta any
+	bulk []bulkField
+	// deadline is the request's deadline_ms, which a peer forward's remaining
+	// budget tightens (nil: the endpoint is never forwarded).
+	deadline *int64
+}
+
+// framed is implemented by the body types that carry bulk payloads.
+type framed interface{ frame() frameLayout }
+
+func layoutOf(v any) frameLayout {
+	if f, ok := v.(framed); ok {
+		return f.frame()
+	}
+	return frameLayout{meta: v}
+}
+
+// String renders the layout the way error messages and DESIGN.md §12 spell
+// it: [JSON meta, matrix?, b].
+func (l frameLayout) String() string {
+	var sb strings.Builder
+	sb.WriteString("[JSON meta")
+	for _, f := range l.bulk {
+		sb.WriteString(", " + f.name)
+		if f.optional {
+			sb.WriteByte('?')
+		}
+	}
+	sb.WriteByte(']')
+	return sb.String()
+}
+
+func (f bulkField) tag() wirefmt.Tag {
+	if f.mat != nil {
+		return wirefmt.TagMatrix
+	}
+	return wirefmt.TagVector
+}
+
+func (f bulkField) get() (*WireMatrix, []float64) {
+	if f.mat != nil {
+		return *f.mat, nil
+	}
+	return nil, *f.vec
+}
+
+func (f bulkField) set(m *WireMatrix, vec []float64) {
+	if f.mat != nil {
+		*f.mat = m
+	} else {
+		*f.vec = vec
+	}
+}
+
+// decodeJSON decodes a JSON document strictly: unknown fields and trailing
+// data are errors, and the reader is size-capped by the caller.
+func decodeJSON(r io.Reader, v any) *apiError {
+	// Failpoint: an injected decode error surfaces as 400 bad_input,
+	// indistinguishable from a real malformed body (and, like one, is never
+	// retried by the server).
+	if err := faultinject.Fire(siteWireDecode); err != nil {
+		return errBadInput("malformed JSON body: " + err.Error())
+	}
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return errBadInput("malformed JSON body: " + err.Error())
+	}
+	if dec.More() {
+		return errBadInput("trailing data after JSON body")
+	}
+	return nil
+}
+
+// decodeRequest is the decode stage of every endpoint: it fills v from the
+// request body in whichever encoding admit negotiated. A frame body is read
+// into a pooled buffer; when v ends up viewing it (a vector section) the
+// buffer is parked on rc until the response is written, otherwise it is
+// recycled here.
+func (rc *reqScope) decodeRequest(r *http.Request, v any) *apiError {
+	if !rc.binReq {
+		return decodeJSON(r.Body, v)
+	}
+	hint := int(r.ContentLength)
+	if hint <= 0 {
+		hint = 16 << 10
+	}
+	buf := bytes.NewBuffer(wirefmt.GetBuffer(hint))
+	if _, err := io.Copy(buf, r.Body); err != nil {
+		wirefmt.PutBuffer(buf.Bytes())
+		return errBadInput("reading frame body: " + err.Error())
+	}
+	body := buf.Bytes()
+	aliased, aerr := decodeFrame(rc.endpoint, body, v)
+	if aerr == nil && aliased {
+		rc.bodyBuf = body
+	} else {
+		wirefmt.PutBuffer(body)
+	}
+	return aerr
+}
+
+// decodeFrame maps a frame — [JSON meta, bulk sections…] plus the trailing
+// forward section a peer appends (see cluster.go) — onto v, following v's
+// own layout. The metadata is decoded under the same strict contract, and
+// through the same failpoint, as a JSON body. It reports whether v now views
+// body (see bulkField.vec): the caller must then keep body alive until
+// nothing can read v.
+func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError) {
+	var scratch [wirefmt.MaxSections]wirefmt.Section
+	secs, err := wirefmt.Decode(body, scratch[:0])
+	if err != nil {
+		return false, errBadInput(err.Error())
+	}
+	if len(secs) == 0 || secs[0].Tag != wirefmt.TagJSON {
+		return false, errBadInput("frame must start with a JSON metadata section")
+	}
+	l := layoutOf(v)
+	metaBytes := secs[0].Raw
+	if len(metaBytes) == 0 {
+		metaBytes = []byte("{}")
+	}
+	if aerr := decodeJSON(bytes.NewReader(metaBytes), l.meta); aerr != nil {
+		return false, aerr
+	}
+	for _, f := range l.bulk {
+		if m, vec := f.get(); m != nil || len(vec) != 0 {
+			return false, errBadInput(fmt.Sprintf("%s frame metadata must not carry the %q field; send it as a binary section", endpoint, f.name))
+		}
+	}
+	rest := secs[1:]
+	var fwd *wirefmt.Section
+	if n := len(rest); n > 0 && rest[n-1].Tag == wirefmt.TagForward {
+		rest, fwd = rest[:n-1], &rest[n-1]
+	}
+	for _, f := range l.bulk {
+		switch {
+		case len(rest) > 0 && rest[0].Tag == f.tag():
+			if f.mat != nil {
+				f.set(&WireMatrix{
+					Rows: int(rest[0].A),
+					Cols: int(rest[0].B),
+					Data: append([]float64(nil), rest[0].Float64s()...),
+				}, nil)
+			} else {
+				f.set(nil, rest[0].Float64s())
+				aliased = true
+			}
+			rest = rest[1:]
+		case !f.optional:
+			return false, errBadInput(fmt.Sprintf("%s frame needs %v sections", endpoint, l))
+		}
+	}
+	if len(rest) != 0 {
+		return false, errBadInput(fmt.Sprintf("%s frame needs %v sections", endpoint, l))
+	}
+	// A forwarded request must not outlive the coordinator waiting on it: the
+	// forward section's remaining budget tightens the request's own deadline.
+	if fwd != nil && fwd.A != 0 && l.deadline != nil {
+		if *l.deadline == 0 || int64(fwd.A) < *l.deadline {
+			*l.deadline = int64(fwd.A)
+		}
+	}
+	return aliased, nil
+}
+
+// ok encodes v (timed as the encode stage) in the negotiated encoding — v's
+// frame (see encodeFrame) or its JSON document — and finishes the response.
+// An encode failure is returned for fail to answer instead.
+func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
+	t0 := time.Now()
+	// Failpoint: an injected encode failure takes the same 500 path as a
+	// real serialization error. It is not retried — the compute already
+	// succeeded, and replaying it for an encode fault would double-count
+	// work — but it does feed the degradation breaker. Both encodings pass
+	// through it.
+	err := faultinject.Fire(siteWireEncode)
+	if err != nil {
+		return err
+	}
+	var body []byte
+	if rc.frameResp {
+		body, err = encodeFrame(v)
+		defer wirefmt.PutBuffer(body)
+	} else {
+		var buf bytes.Buffer
+		err = json.NewEncoder(&buf).Encode(v)
+		body = buf.Bytes()
+	}
+	if err != nil {
+		return &apiError{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
+	}
+	rc.stages.add(stageEncode, time.Since(t0))
+	if rc.frameResp {
+		rc.s.metrics.hotWireRespBinary.Inc()
+		rc.respCT = wirefmt.ContentType
+	} else {
+		rc.s.metrics.hotWireRespJSON.Inc()
+	}
+	rc.s.brk.recordSuccess()
+	rc.finish(w, http.StatusOK, body)
+	return nil
+}
+
+// encodeFrame writes v as one frame in a pooled buffer (release it with
+// wirefmt.PutBuffer): the JSON metadata section, v's bulk sections in layout
+// order — an absent optional one is skipped — then tail.
+func encodeFrame(v any, tail ...wirefmt.Section) ([]byte, error) {
+	l := layoutOf(v)
+	var (
+		scratch [wirefmt.MaxSections]wirefmt.Section
+		held    [wirefmt.MaxSections]struct {
+			m   *WireMatrix
+			vec []float64
+		}
+	)
+	// The bulk payloads leave v while the metadata is marshaled, so that a
+	// request — which is its own metadata — renders without them.
+	for i, f := range l.bulk {
+		held[i].m, held[i].vec = f.get()
+		f.set(nil, nil)
+	}
+	metaJSON, err := json.Marshal(l.meta)
+	for i, f := range l.bulk {
+		f.set(held[i].m, held[i].vec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	secs := append(scratch[:0], wirefmt.JSONSection(metaJSON))
+	for i, f := range l.bulk {
+		m := held[i].m
+		switch {
+		case f.vec != nil:
+			secs = append(secs, wirefmt.VectorSection(held[i].vec))
+		case m != nil:
+			// MatrixSection narrows to the frame's u32 dims; a shape that does
+			// not survive that must fail here, not arrive as a smaller matrix.
+			if int64(uint32(m.Rows)) != int64(m.Rows) || int64(uint32(m.Cols)) != int64(m.Cols) {
+				return nil, fmt.Errorf("serve: %s is %dx%d, beyond the frame format's dimensions", f.name, m.Rows, m.Cols)
+			}
+			secs = append(secs, wirefmt.MatrixSection(m.Rows, m.Cols, m.Data))
+		case !f.optional:
+			return nil, fmt.Errorf("serve: %T frame needs its %s section", v, f.name)
+		}
+	}
+	secs = append(secs, tail...)
+	n, err := wirefmt.FrameLen(secs...)
+	if err != nil {
+		return nil, err
+	}
+	buf := wirefmt.GetBuffer(n)
+	out, err := wirefmt.AppendFrame(buf, secs...)
+	if err != nil {
+		wirefmt.PutBuffer(buf)
+		return nil, err
+	}
+	return out, nil
+}

@@ -81,3 +81,14 @@ func degradedError(rem time.Duration) *apiError {
 		retryAfter: secs,
 	}
 }
+
+// degradedReject returns the rejection for cold compute while the breaker
+// is tripped, or nil when the server is healthy.
+func (s *Server) degradedReject() *apiError {
+	rem, deg := s.brk.degraded()
+	if !deg {
+		return nil
+	}
+	s.brk.rejected.Add(1)
+	return degradedError(rem)
+}

@@ -1,0 +1,149 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+	"time"
+
+	"tcqr"
+)
+
+// reqConfig translates a request's wire config, filling an unset engine
+// with the server's DefaultEngine: the substitution happens ahead of
+// CacheKey derivation, so a defaulted request and an explicit one asking
+// for the same engine share a cache entry.
+func (s *Server) reqConfig(w WireConfig) (tcqr.Config, error) {
+	cfg, err := w.config()
+	if w.Engine == "" {
+		cfg.Engine = s.opts.DefaultEngine
+	}
+	return cfg, err
+}
+
+// requestContext derives the request's compute deadline: the client's
+// deadline_ms when given, the server default otherwise, whichever is
+// sooner.
+func (s *Server) requestContext(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
+	d := s.opts.DefaultDeadline
+	if deadlineMS > 0 {
+		if cd := time.Duration(deadlineMS) * time.Millisecond; cd < d {
+			d = cd
+		}
+	}
+	return context.WithTimeout(r.Context(), d)
+}
+
+// resolveMatrix validates an uploaded matrix against the size cap.
+func (s *Server) resolveMatrix(wm *WireMatrix) (*tcqr.Matrix, *apiError) {
+	a, err := wm.matrix()
+	if err != nil {
+		return nil, classifyError(err)
+	}
+	// matrix() guarantees Rows*Cols == len(Data), so the product is an exact
+	// int; the int64 widening keeps this cap overflow-proof regardless.
+	if n := int64(a.Rows) * int64(a.Cols); n > int64(s.opts.MaxElements) {
+		return nil, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("matrix has %d elements; the server caps uploads at %d", n, s.opts.MaxElements)}
+	}
+	return a, nil
+}
+
+// factorEntry runs GetOrFactor through the pool under the retry policy,
+// charging queue and (on non-hit sources) factorize stage time plus the
+// panel counter for factorizations actually performed. While the server is
+// degraded only the cache answers: a resident factorization is served as a
+// hit, anything cold is rejected with 503 + Retry-After.
+func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
+	if rem, deg := s.brk.degraded(); deg {
+		if e, ok := s.cache.Get(key); ok {
+			return e, SourceHit, nil
+		}
+		s.brk.rejected.Add(1)
+		return nil, 0, degradedError(rem)
+	}
+	var (
+		entry *Entry
+		src   Source
+	)
+	err := s.retryDo(ctx, rc, "factorize", func(actx context.Context) error {
+		var ferr error
+		took, perr := rc.onPool(actx, func() {
+			entry, src, ferr = s.cache.GetOrFactor(key, a, cfg)
+		})
+		if perr != nil {
+			return perr
+		}
+		if src != SourceHit {
+			rc.stages.add(stageFactorize, took)
+		}
+		if src == SourceMiss {
+			s.metrics.panels.With(cfg.Panel.String()).Inc()
+		}
+		return ferr
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	// A miss that ran through the parallel TSQR pipeline carries per-stage
+	// timings; fold them into the tcqrd_tsqr_* families exactly once (hits
+	// and shared waiters reuse a factorization someone else already counted).
+	if src == SourceMiss && entry.F != nil && entry.F.TSQR != nil {
+		s.metrics.observeTSQR(entry.F.TSQR)
+	}
+	return entry, src, nil
+}
+
+func (s *Server) serveFactorize(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
+	var req factorizeRequest
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
+	}
+	a, aerr := s.resolveMatrix(req.Matrix)
+	if aerr != nil {
+		return aerr
+	}
+	rc.rows, rc.cols = a.Rows, a.Cols
+	cfg, err := s.reqConfig(req.Config)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := s.requestContext(r, req.DeadlineMS)
+	defer cancel()
+	key := CacheKey(a, cfg)
+	rc.key = key
+	if s.forward(w, rc, ctx, route{path: "/v1/factorize", key: key, cold: true}, &req) {
+		return nil
+	}
+	return s.factorizeReply(w, rc, ctx, key, a, cfg, req.Config)
+}
+
+// factorizeReply is the shared tail of the one-shot and the streamed
+// factorize: factor (or find) the entry under key, re-home a fresh one to
+// the key's owners, and answer with the factorizeResponse.
+func (s *Server) factorizeReply(w http.ResponseWriter, rc *reqScope, ctx context.Context, key string, a *tcqr.Matrix, cfg tcqr.Config, wcfg WireConfig) error {
+	entry, src, err := s.factorEntry(ctx, rc, key, a, cfg)
+	if err != nil {
+		return err
+	}
+	defer s.cache.Release(entry)
+	if src == SourceMiss {
+		s.clusterReplicate(key, a, wcfg)
+	}
+	f := entry.F
+	return rc.ok(w, &factorizeResponse{
+		Key:              key,
+		Rows:             a.Rows,
+		Cols:             a.Cols,
+		Cached:           src == SourceHit,
+		Shared:           src == SourceShared,
+		Reorthogonalized: f.Reorthogonalized,
+		EngineStats: wireEngineStats{
+			GemmCalls:  f.EngineStats.GemmCalls,
+			Flops:      f.EngineStats.Flops,
+			Overflows:  f.EngineStats.Overflows,
+			Underflows: f.EngineStats.Underflows,
+		},
+		Hazards: rc.noteHazards(f.Hazards),
+	})
+}

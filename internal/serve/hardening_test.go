@@ -152,13 +152,14 @@ func TestAwaitIdleWaitsForDequeuedTask(t *testing.T) {
 		const workers, n = 2, 6
 		p := NewPool(workers, 16)
 		release := make(chan struct{})
-		var finished atomic.Int64
+		var entered, finished atomic.Int64
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				_, _ = p.Do(context.Background(), func() {
+					entered.Add(1)
 					<-release
 					time.Sleep(50 * time.Microsecond)
 					finished.Add(1)
@@ -169,11 +170,17 @@ func TestAwaitIdleWaitsForDequeuedTask(t *testing.T) {
 		// for that stable state, then drain and release. The workers' next
 		// dequeues now race AwaitIdle's polling — exactly the window where
 		// the old queued-before-inFlight ordering reported idle early.
-		for {
-			st := p.Stats()
-			if st.InFlight == workers && st.Queued == n-workers {
-				break
-			}
+		//
+		// The state is read in an order that cannot tear. Stats loads Queued
+		// and InFlight separately, so "InFlight == 2 && Queued == 4" can hold
+		// across the two loads while only five goroutines have submitted (the
+		// sixth then meets BeginDrain and never runs). Once both workers are
+		// inside fn, though, nothing dequeues until release, and Queued only
+		// grows: reaching n-workers means every submission is in.
+		for entered.Load() != workers {
+			runtime.Gosched()
+		}
+		for p.Stats().Queued != n-workers {
 			runtime.Gosched()
 		}
 		p.BeginDrain()

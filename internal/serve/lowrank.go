@@ -1,0 +1,56 @@
+package serve
+
+import (
+	"context"
+	"net/http"
+
+	"tcqr"
+)
+
+func (s *Server) serveLowRank(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
+	var req lowRankRequest
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
+	}
+	a, aerr := s.resolveMatrix(req.Matrix)
+	if aerr != nil {
+		return aerr
+	}
+	rc.rows, rc.cols = a.Rows, a.Cols
+	cfg, err := s.reqConfig(req.Config)
+	if err != nil {
+		return err
+	}
+	ctx, cancel := s.requestContext(r, req.DeadlineMS)
+	defer cancel()
+	// Low-rank results are never cached, so degraded mode has nothing to
+	// serve here: the whole pipeline is suspended until the cooldown ends.
+	if de := s.degradedReject(); de != nil {
+		return de
+	}
+	var res *tcqr.LowRankApprox
+	err = s.retryDo(ctx, rc, "solve", func(actx context.Context) error {
+		var lerr error
+		took, perr := rc.onPool(actx, func() {
+			res, lerr = s.backend.LowRank(tcqr.ToFloat32(a), req.Rank, cfg)
+		})
+		if perr != nil {
+			return perr
+		}
+		rc.stages.add(stageSolve, took)
+		return lerr
+	})
+	if err != nil {
+		return err
+	}
+	sing := make([]float64, len(res.S))
+	for i, v := range res.S {
+		sing[i] = float64(v)
+	}
+	return rc.ok(w, &lowRankResponse{
+		U:           fromMatrix(res.U),
+		S:           sing,
+		V:           fromMatrix(res.V),
+		lowRankMeta: lowRankMeta{Rank: res.Rank, Hazards: rc.noteHazards(res.Hazards)},
+	})
+}

@@ -31,11 +31,7 @@ type serverMetrics struct {
 	wireRequests  *metrics.CounterVec // by endpoint and encoding
 	wireResponses *metrics.CounterVec // by encoding
 
-	// hot holds per-endpoint pre-resolved counters for the request fast
-	// path: CounterVec.With takes a read lock per call, which is measurable
-	// contention at the 64-client target, so admit() resolves the series
-	// once at construction and bumps plain atomic counters per request.
-	hot               map[string]hotCounters
+	// Pre-resolved counters for the response fast path (see hotCounters).
 	hotWireRespJSON   *metrics.Counter
 	hotWireRespBinary *metrics.Counter
 
@@ -81,7 +77,10 @@ type serverMetrics struct {
 	unobserveFault func() // detaches the fault-injection observer
 }
 
-// hotCounters is one endpoint's pre-resolved fast-path counter series.
+// hotCounters is one endpoint's pre-resolved fast-path counter series:
+// CounterVec.With takes a read lock per call, which is measurable contention
+// at the 64-client target, so each endpoint resolves its series once, when it
+// is mounted, and admit bumps plain atomic counters per request.
 type hotCounters struct {
 	requests   *metrics.Counter // tcqrd_requests_total{endpoint}
 	wireJSON   *metrics.Counter // tcqrd_wire_requests_total{endpoint,json}
@@ -149,15 +148,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			"Updates aborted by compute errors (the prior epoch stayed published)."),
 		updateRows: reg.Counter("tcqrd_update_rows_total",
 			"Rows appended or removed across all published updates."),
-	}
-	m.hot = make(map[string]hotCounters, 8)
-	for _, ep := range []string{"factorize", "solve", "update", "lowrank",
-		"stream_begin", "stream_append", "stream_commit", "stream_abort"} {
-		m.hot[ep] = hotCounters{
-			requests:   m.requests.With(ep),
-			wireJSON:   m.wireRequests.With(ep, encJSON),
-			wireBinary: m.wireRequests.With(ep, encBinary),
-		}
 	}
 	m.hotWireRespJSON = m.wireResponses.With(encJSON)
 	m.hotWireRespBinary = m.wireResponses.With(encBinary)
@@ -308,6 +298,14 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	return m
 }
 
+func (m *serverMetrics) endpointCounters(ep string) hotCounters {
+	return hotCounters{
+		requests:   m.requests.With(ep),
+		wireJSON:   m.wireRequests.With(ep, encJSON),
+		wireBinary: m.wireRequests.With(ep, encBinary),
+	}
+}
+
 // close detaches the engine and fault observers so a retired Server stops
 // accumulating process-global traffic.
 func (m *serverMetrics) close() {
@@ -318,22 +316,6 @@ func (m *serverMetrics) close() {
 	if m.unobserveFault != nil {
 		m.unobserveFault()
 		m.unobserveFault = nil
-	}
-}
-
-// observeStages folds a request's stage timings into the latency histograms,
-// one observation per stage (repeated stages summed, mirroring the
-// Server-Timing header).
-func (m *serverMetrics) observeStages(timings []hazard.Timing) {
-	if len(timings) == 0 {
-		return
-	}
-	sums := make(map[string]time.Duration, 4)
-	for _, t := range timings {
-		sums[t.Stage] += t.D
-	}
-	for stage, d := range sums {
-		m.stageSeconds.With(stage).ObserveDuration(d)
 	}
 }
 

@@ -211,42 +211,36 @@ func TestNormalizeHazardKindBoundsVocabulary(t *testing.T) {
 }
 
 func TestServerTimingHeaderContract(t *testing.T) {
-	// Absent when no timings were recorded.
-	if got := serverTimingHeader(nil); got != "" {
-		t.Errorf("empty timings rendered %q, want empty", got)
+	// Absent when no stage was charged.
+	var none stageClock
+	if got := none.header(); got != "" {
+		t.Errorf("empty clock rendered %q, want empty", got)
 	}
 
-	// Repeated stages are summed into one metric.
-	sum := serverTimingHeader([]hazard.Timing{
-		{Stage: "queue", D: 1 * time.Millisecond},
-		{Stage: "queue", D: 2 * time.Millisecond},
-	})
-	if sum != "queue;dur=3.000" {
+	// A stage charged twice is summed into one metric.
+	var twice stageClock
+	twice.add(stageQueue, 1*time.Millisecond)
+	twice.add(stageQueue, 2*time.Millisecond)
+	if sum := twice.header(); sum != "queue;dur=3.000" {
 		t.Errorf("summed header = %q, want queue;dur=3.000", sum)
 	}
 
-	// Order is deterministic (canonical queue/factorize/solve/encode) no
-	// matter the record order; unknown stages sort last.
-	got := serverTimingHeader([]hazard.Timing{
-		{Stage: "encode", D: time.Millisecond},
-		{Stage: "custom", D: time.Millisecond},
-		{Stage: "solve", D: time.Millisecond},
-		{Stage: "queue", D: time.Millisecond},
-		{Stage: "factorize", D: time.Millisecond},
-	})
-	wantOrder := []string{"queue", "factorize", "solve", "encode", "custom"}
-	var idx []int
-	for _, stage := range wantOrder {
-		i := strings.Index(got, stage+";dur=")
-		if i < 0 {
-			t.Fatalf("stage %q missing from %q", stage, got)
-		}
-		idx = append(idx, i)
+	// Order is the stages' declaration order no matter the charge order, a
+	// stage charged zero time is still reported, and the text is exactly the
+	// "name;dur=ms" list clients and the benchmark parse.
+	var all stageClock
+	for _, st := range []stage{stageForward, stageEncode, stageUpdate, stageSolve, stageQueue, stageFactorize} {
+		all.add(st, time.Duration(st)*time.Millisecond)
 	}
-	for i := 1; i < len(idx); i++ {
-		if idx[i] < idx[i-1] {
-			t.Fatalf("stages out of canonical order in %q", got)
-		}
+	want := "queue;dur=0.000, factorize;dur=1.000, solve;dur=2.000, encode;dur=3.000, update;dur=4.000, forward;dur=5.000"
+	if got := all.header(); got != want {
+		t.Errorf("header = %q, want %q", got, want)
+	}
+	var part stageClock
+	part.add(stageSolve, 912*time.Microsecond)
+	part.add(stageQueue, 2301*time.Microsecond)
+	if got := part.header(); got != "queue;dur=2.301, solve;dur=0.912" {
+		t.Errorf("header = %q, want queue;dur=2.301, solve;dur=0.912", got)
 	}
 
 	// A request with no recorded stages must not carry the header at all.

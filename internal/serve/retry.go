@@ -2,8 +2,11 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"time"
+
+	"tcqr/internal/hazard"
 )
 
 // RetryPolicy bounds how the server retries transient internal failures —
@@ -174,3 +177,40 @@ func (r *retrier) do(ctx context.Context, fn func() error) error {
 	}
 }
 
+// retryDo runs one compute stage under the server's retry policy. Each
+// attempt optionally runs under its own StageTimeout-derived context; an
+// attempt killed by the stage bound while the request itself is still alive
+// is lifted to errStageTimeout, which is retryable — a wedged attempt does
+// not doom a request with deadline budget left. Every retry is recorded in
+// the request's hazard report (KindTransient) and the retry metrics; a
+// transient failure that survives the whole policy bumps the exhausted
+// counter on its way to becoming a 500.
+func (s *Server) retryDo(ctx context.Context, rc *reqScope, stage string, fn func(ctx context.Context) error) error {
+	rt := newRetrier(s.opts.Retry)
+	rt.onRetry = func(attempt int, err error, d time.Duration) {
+		s.metrics.retryAttempts.With(rc.endpoint).Inc()
+		s.metrics.retryBackoff.ObserveDuration(d)
+		rc.rep.Record(hazard.Event{
+			Kind:   hazard.KindTransient,
+			Stage:  stage,
+			Detail: fmt.Sprintf("attempt %d: %v", attempt, err),
+			Action: fmt.Sprintf("retry after %s", d.Round(10*time.Microsecond)),
+		})
+	}
+	err := rt.do(ctx, func() error {
+		actx, cancel := ctx, context.CancelFunc(func() {})
+		if s.opts.StageTimeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, s.opts.StageTimeout)
+		}
+		defer cancel()
+		aerr := fn(actx)
+		if aerr != nil && actx.Err() != nil && ctx.Err() == nil {
+			aerr = errStageTimeout
+		}
+		return aerr
+	})
+	if err != nil && retryable(err) {
+		s.metrics.retryExhausted.With(rc.endpoint).Inc()
+	}
+	return err
+}

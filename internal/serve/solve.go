@@ -1,0 +1,128 @@
+package serve
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net/http"
+
+	"tcqr/internal/hazard"
+)
+
+func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
+	// Over the binary protocol the right-hand side is a zero-copy view into
+	// the pooled frame buffer: no per-request copy of b on the cache-hit fast
+	// path. The buffer is released after the response unless the solve was
+	// abandoned on deadline (the detached batch still reads the view).
+	var req solveRequest
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
+	}
+	opts, err := req.Options.options()
+	if err != nil {
+		return err
+	}
+	ctx, cancel := s.requestContext(r, req.DeadlineMS)
+	defer cancel()
+
+	var (
+		entry *Entry
+		src   Source
+	)
+	switch {
+	case req.Key != "" && req.Matrix != nil:
+		return errBadInput("give key or matrix, not both")
+	case req.Key != "":
+		// A cached factorization keeps the config it was built with; a
+		// config riding alongside a key would be silently ignored, so
+		// reject it (mirroring the key+matrix conflict above).
+		if req.Config != (WireConfig{}) {
+			return errBadInput("config cannot accompany key: the cached factorization's config applies (re-send the matrix to factorize under a different config)")
+		}
+		// Route before the local lookup: a non-owner without the entry
+		// forwards to the owners; exhausted candidates fall through to the
+		// local (404) answer as the served_local_fallback outcome.
+		if s.forward(w, rc, ctx, route{path: "/v1/solve", key: req.Key, keyOnly: true}, &req) {
+			return nil
+		}
+		e, found := s.cache.Get(req.Key)
+		if !found {
+			return errUnknownKey(req.Key)
+		}
+		entry, src = e, SourceHit
+	case req.Matrix != nil:
+		a, aerr := s.resolveMatrix(req.Matrix)
+		if aerr != nil {
+			return aerr
+		}
+		cfg, cerr := s.reqConfig(req.Config)
+		if cerr != nil {
+			return cerr
+		}
+		key := CacheKey(a, cfg)
+		// Solves are cache-tier work: degraded peers keep serving them (a
+		// degraded owner that misses answers 503, which reads as try-next).
+		if s.forward(w, rc, ctx, route{path: "/v1/solve", key: key}, &req) {
+			return nil
+		}
+		var ferr error
+		entry, src, ferr = s.factorEntry(ctx, rc, key, a, cfg)
+		if ferr != nil {
+			return ferr
+		}
+		if src == SourceMiss {
+			// A solve that factored locally re-homes the entry to its owners
+			// (replica fan-out / hinted handoff), exactly like a factorize.
+			s.clusterReplicate(key, a, req.Config)
+		}
+	default:
+		return errBadInput("missing key or matrix")
+	}
+	// The reference acquired above (Get or GetOrFactor) pins the entry —
+	// and, under epoch-versioned updates, the exact epoch this request
+	// resolved — for the whole solve, so concurrent updates and evictions
+	// can never free or swap the factors mid-read.
+	defer s.cache.Release(entry)
+	rc.key = entry.Key
+	rc.rows, rc.cols = entry.A.Rows, entry.A.Cols
+
+	if len(req.B) != entry.A.Rows {
+		return errBadInput(fmt.Sprintf("b holds %d elements; the matrix has %d rows", len(req.B), entry.A.Rows))
+	}
+	if err := hazard.CheckVec("b", req.B); err != nil {
+		return err
+	}
+
+	var out solveOutcome
+	serr := s.retryDo(ctx, rc, "solve", func(actx context.Context) error {
+		out = s.coal.Submit(actx, entry, opts, req.B)
+		if errors.Is(out.err, ErrDeadline) {
+			// The request abandoned its batch, but the batch still runs and
+			// will read every waiter's b — including our zero-copy view into
+			// the pooled frame buffer. Leak the buffer to the collector
+			// rather than recycling memory a flusher is about to read. This
+			// sticks even if a later retry attempt succeeds: the abandoned
+			// batch from the timed-out attempt may still be in flight.
+			rc.bodyBuf = nil
+		}
+		return out.err
+	})
+	if serr != nil {
+		return serr
+	}
+	rc.stages.add(stageQueue, out.queueWait)
+	rc.stages.add(stageSolve, out.solveTime)
+	rc.batched = out.batched
+	return rc.ok(w, &solveResponse{
+		X: out.x,
+		solveMeta: solveMeta{
+			Iterations: out.iterations,
+			Converged:  out.converged,
+			Optimality: out.optimality,
+			Key:        entry.Key,
+			Cached:     src == SourceHit,
+			Batched:    out.batched,
+			Hazards:    rc.noteHazards(out.hazards),
+		},
+	})
+}

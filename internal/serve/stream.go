@@ -11,7 +11,6 @@ import (
 
 	"tcqr"
 	"tcqr/internal/faultinject"
-	"tcqr/internal/wirefmt"
 )
 
 // This file is the chunked-upload path of /v1/factorize (DESIGN.md §13): a
@@ -23,9 +22,10 @@ import (
 //	POST /v1/factorize/stream/commit  {session}             -> factorizeResponse
 //	POST /v1/factorize/stream/abort   {session}             -> {session, aborted}
 //
-// Append accepts the same two encodings as the one-shot endpoints: JSON with
-// a "block" matrix, or a binary frame [JSON meta, matrix section] over
-// internal/wirefmt. Either way the row data is copied into the session before
+// All four accept the same two encodings as the one-shot endpoints (begin,
+// commit and abort are pure metadata, so their frame is the single JSON
+// section); append is JSON with a "block" matrix, or a binary frame [JSON
+// meta, matrix section] over internal/wirefmt. Either way the row data is copied into the session before
 // the handler returns — a binary append's pooled frame buffer is released
 // inside the handler, never parked in the registry, so an abandoned session
 // can at worst leak its own float64 copy to the collector, not a pooled
@@ -228,112 +228,74 @@ func (ss *streamSession) assemble() *tcqr.Matrix {
 	return tcqr.FromColMajor(ss.rows, ss.cols, data)
 }
 
-func (s *Server) handleStreamBegin(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_begin")
-	if !ok {
-		return
-	}
+func (s *Server) serveStreamBegin(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
 	var req streamBeginRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
 	}
 	if req.Cols <= 0 {
-		rc.fail(w, errBadInput(fmt.Sprintf("cols is %d; a session needs at least 1 column", req.Cols)))
-		return
+		return errBadInput(fmt.Sprintf("cols is %d; a session needs at least 1 column", req.Cols))
 	}
 	if int64(req.Cols) > int64(s.opts.MaxElements) {
-		rc.fail(w, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
-			msg: fmt.Sprintf("cols %d exceeds the %d-element upload cap", req.Cols, s.opts.MaxElements)})
-		return
+		return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("cols %d exceeds the %d-element upload cap", req.Cols, s.opts.MaxElements)}
 	}
 	cfg, err := s.reqConfig(req.Config)
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return err
 	}
 	ss, aerr := s.streams.begin(cfg, req.Config, req.Cols, time.Now())
 	if aerr != nil {
-		rc.fail(w, aerr)
-		return
+		return aerr
 	}
 	rc.key = ss.id
 	s.metrics.streamBegun.Inc()
-	rc.ok(w, streamBeginResponse{Session: ss.id, TTLMS: s.opts.StreamTTL.Milliseconds()})
+	return rc.ok(w, &streamBeginResponse{Session: ss.id, TTLMS: s.opts.StreamTTL.Milliseconds()})
 }
 
-func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_append")
-	if !ok {
-		return
-	}
+func (s *Server) serveStreamAppend(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
+	// A binary append's row block is copied out of the frame during decode
+	// (the session outlives the request) and the pooled buffer released there
+	// — an abandoned session never holds a pooled wire buffer.
 	var req streamAppendRequest
-	if rc.binReq {
-		// The row block is copied out of the frame during decode (the session
-		// outlives the request), so the pooled buffer is released here — an
-		// abandoned session never holds a pooled wire buffer.
-		body, aerr := readFrameBody(r)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		preq, aerr := decodeStreamAppendFrame(body, nil)
-		wirefmt.PutBuffer(body)
-		if aerr != nil {
-			rc.fail(w, aerr)
-			return
-		}
-		req = *preq
-	} else if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
 	}
 	rc.key = req.Session
 	if req.Session == "" {
-		rc.fail(w, errBadInput("missing session"))
-		return
+		return errBadInput("missing session")
 	}
 	blk, err := req.Block.matrix()
 	if err != nil {
-		rc.fail(w, classifyError(err))
-		return
+		return err
 	}
 	// Failpoint: an injected append failure surfaces as a 500 after decode,
 	// with the session left untouched — the client's natural move (retry the
 	// chunk) is also the correct one.
 	if ferr := faultinject.Fire(siteStreamAppend); ferr != nil {
-		rc.fail(w, classifyError(ferr))
-		return
+		return ferr
 	}
 	ss, aerr := s.streams.append(req.Session, blk.Rows, blk.Cols, req.Block.Data, s.opts.MaxElements, time.Now())
 	if aerr != nil {
-		rc.fail(w, aerr)
-		return
+		return aerr
 	}
 	s.metrics.streamAppends.Inc()
 	rc.rows, rc.cols = ss.rows, ss.cols
-	rc.ok(w, streamAppendResponse{Session: ss.id, Rows: ss.rows, Blocks: len(ss.blocks)})
+	return rc.ok(w, &streamAppendResponse{Session: ss.id, Rows: ss.rows, Blocks: len(ss.blocks)})
 }
 
-func (s *Server) handleStreamCommit(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_commit")
-	if !ok {
-		return
-	}
+func (s *Server) serveStreamCommit(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
 	var req streamCommitRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
 	}
 	rc.key = req.Session
 	if req.Session == "" {
-		rc.fail(w, errBadInput("missing session"))
-		return
+		return errBadInput("missing session")
 	}
 	ss, aerr := s.streams.take(req.Session, time.Now())
 	if aerr != nil {
-		rc.fail(w, aerr)
-		return
+		return aerr
 	}
 	// Commit consumes the session whatever happens next (like a one-shot
 	// request body): count it now so the lifecycle invariant begun ==
@@ -341,8 +303,7 @@ func (s *Server) handleStreamCommit(w http.ResponseWriter, r *http.Request) {
 	// a client whose commit 500s restarts the upload.
 	s.metrics.streamCommitted.Inc()
 	if ss.rows == 0 {
-		rc.fail(w, errBadInput(fmt.Sprintf("session %q holds no rows; append at least one block before commit", req.Session)))
-		return
+		return errBadInput(fmt.Sprintf("session %q holds no rows; append at least one block before commit", req.Session))
 	}
 	a := ss.assemble()
 	rc.rows, rc.cols = a.Rows, a.Cols
@@ -350,59 +311,27 @@ func (s *Server) handleStreamCommit(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	// From here the streamed matrix is indistinguishable from a one-shot
 	// upload: same key derivation, same cache/pool/retry/degraded pipeline,
-	// same response envelope.
+	// same replica fan-out, same response envelope. Only routing differs: the
+	// commit always runs locally — sessions are node-local state.
 	key := CacheKey(a, ss.cfg)
 	rc.key = key
-	entry, src, ferr := s.factorEntry(ctx, rc, key, a, ss.cfg)
-	if ferr != nil {
-		rc.fail(w, classifyError(ferr))
-		return
-	}
-	if src == SourceMiss {
-		// A streamed factorization re-homes to the key's owners exactly like
-		// a one-shot one (the commit itself always runs locally — sessions
-		// are node-local state).
-		s.clusterReplicate(key, a, ss.wcfg)
-	}
-	f := entry.F
-	rc.ok(w, factorizeResponse{
-		Key:              key,
-		Rows:             a.Rows,
-		Cols:             a.Cols,
-		Cached:           src == SourceHit,
-		Shared:           src == SourceShared,
-		Reorthogonalized: f.Reorthogonalized,
-		EngineStats: wireEngineStats{
-			GemmCalls:  f.EngineStats.GemmCalls,
-			Flops:      f.EngineStats.Flops,
-			Overflows:  f.EngineStats.Overflows,
-			Underflows: f.EngineStats.Underflows,
-		},
-		Hazards: rc.noteHazards(f.Hazards),
-	})
+	return s.factorizeReply(w, rc, ctx, key, a, ss.cfg, ss.wcfg)
 }
 
-func (s *Server) handleStreamAbort(w http.ResponseWriter, r *http.Request) {
-	rc, ok := s.admit(w, r, "stream_abort")
-	if !ok {
-		return
-	}
+func (s *Server) serveStreamAbort(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
 	var req streamAbortRequest
-	if err := decodeJSON(r.Body, &req); err != nil {
-		rc.fail(w, classifyError(err))
-		return
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
 	}
 	rc.key = req.Session
 	if req.Session == "" {
-		rc.fail(w, errBadInput("missing session"))
-		return
+		return errBadInput("missing session")
 	}
 	if _, aerr := s.streams.take(req.Session, time.Now()); aerr != nil {
-		rc.fail(w, aerr)
-		return
+		return aerr
 	}
 	s.metrics.streamAborted.Inc()
-	rc.ok(w, streamAbortResponse{Session: req.Session, Aborted: true})
+	return rc.ok(w, &streamAbortResponse{Session: req.Session, Aborted: true})
 }
 
 // streamReaper is the background TTL sweep, started by New and stopped by

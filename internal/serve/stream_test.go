@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"net/http"
 	"strconv"
 	"strings"
@@ -191,6 +192,41 @@ func TestStreamBinaryAppend(t *testing.T) {
 	if one.Key != fr.Key || !one.Cached {
 		t.Fatalf("binary-streamed key %q (one-shot %q, cached %v); want identical key and a cache hit",
 			fr.Key, one.Key, one.Cached)
+	}
+
+	// The metadata-only stream endpoints speak the frame codec like every
+	// other endpoint: a whole conversation as frames — begin and commit are
+	// [JSON meta], answered in kind — lands on the same key.
+	rec := postFrame(t, h, "/v1/factorize/stream/begin", frameBody(t, map[string]any{"cols": n}), "")
+	if rec.Code != 200 {
+		t.Fatalf("frame begin status %d: %s", rec.Code, rec.Body.String())
+	}
+	var fbr streamBeginReply
+	decodeFrameResp(t, rec, &fbr)
+	rec = postFrame(t, h, "/v1/factorize/stream/append",
+		frameBody(t, map[string]any{"session": fbr.Session}, wirefmt.MatrixSection(m, n, data)), "")
+	if rec.Code != 200 {
+		t.Fatalf("frame append status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec = postFrame(t, h, "/v1/factorize/stream/commit", frameBody(t, map[string]any{"session": fbr.Session}), "")
+	if rec.Code != 200 {
+		t.Fatalf("frame commit status %d: %s", rec.Code, rec.Body.String())
+	}
+	var ffr factorizeReply
+	decodeFrameResp(t, rec, &ffr)
+	if ffr.Key != fr.Key || !ffr.Cached {
+		t.Fatalf("all-frame upload key %q cached %v; want a cache hit on %q", ffr.Key, ffr.Cached, fr.Key)
+	}
+	if got := s.metrics.wireRequests.Snapshot()["stream_commit,binary"]; got != 1 {
+		t.Fatalf("stream_commit binary requests counted %d, want 1", got)
+	}
+
+	// A commit holds its cache reference only for the length of the request,
+	// like a one-shot factorize: with every request finished, emptying the
+	// cache strands nothing.
+	s.cache.Reset()
+	if live := s.cache.Stats().RetiredLive; live != 0 {
+		t.Fatalf("%d entries still pinned after every request finished", live)
 	}
 }
 
@@ -437,11 +473,15 @@ func TestStreamReaperLifecycle(t *testing.T) {
 	}
 }
 
-// FuzzStreamFrameDecode throws raw bytes at the binary append decoder: it
-// must never panic, every accepted frame must carry a structurally valid row
-// block (the shape invariants the session registry relies on), and every
-// rejection must be a client-class apiError — a hostile chunk can never take
-// the 500 path, trip the degradation breaker, or corrupt a session.
+// FuzzStreamFrameDecode throws the same raw bytes at every endpoint's frame
+// decode (the name is from when only stream-append had one; the seed corpus
+// is that era's, still the richest in near-valid frames). Whatever the
+// request type, decoding must never panic, every rejection must be a
+// client-class apiError — a hostile frame can never take the 500 path, trip
+// the degradation breaker, or corrupt a session — and every accepted frame
+// must have bound each required bulk section to a structurally valid
+// payload (the shape invariants the handlers and the session registry rely
+// on) and must survive re-encoding unchanged.
 func FuzzStreamFrameDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a frame"))
@@ -465,23 +505,57 @@ func FuzzStreamFrameDecode(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		req, aerr := decodeStreamAppendFrame(body, nil)
-		if aerr != nil {
-			if aerr.status < 400 || aerr.status >= 500 {
-				t.Fatalf("decode rejection carries server-class status %d (%s)", aerr.status, aerr.msg)
+		for endpoint, newReq := range map[string]func() any{
+			"factorize":     func() any { return new(factorizeRequest) },
+			"solve":         func() any { return new(solveRequest) },
+			"update":        func() any { return new(updateRequest) },
+			"lowrank":       func() any { return new(lowRankRequest) },
+			"stream_begin":  func() any { return new(streamBeginRequest) },
+			"stream_append": func() any { return new(streamAppendRequest) },
+			"stream_commit": func() any { return new(streamCommitRequest) },
+			"stream_abort":  func() any { return new(streamAbortRequest) },
+		} {
+			req := newReq()
+			_, aerr := decodeFrame(endpoint, body, req)
+			if aerr != nil {
+				if aerr.status < 400 || aerr.status >= 500 {
+					t.Fatalf("%s: decode rejection carries server-class status %d (%s)", endpoint, aerr.status, aerr.msg)
+				}
+				continue
 			}
-			return
-		}
-		if req.Block == nil {
-			t.Fatal("accepted frame without a row block")
-		}
-		// matrix() is the gate the append handler applies before the registry
-		// sees the block: an accepted frame either passes it or is rejected
-		// with a client error, never a panic.
-		if blk, err := req.Block.matrix(); err == nil {
-			if blk.Rows <= 0 || blk.Cols <= 0 || len(req.Block.Data) != blk.Rows*blk.Cols {
-				t.Fatalf("validated block has inconsistent shape %dx%d with %d elements",
-					blk.Rows, blk.Cols, len(req.Block.Data))
+			for _, fld := range layoutOf(req).bulk {
+				m, _ := fld.get()
+				if fld.mat == nil {
+					continue
+				}
+				if m == nil {
+					if !fld.optional {
+						t.Fatalf("%s: accepted frame without its %s section", endpoint, fld.name)
+					}
+					continue
+				}
+				// matrix() is the gate every handler applies before anything
+				// else sees the block: an accepted frame either passes it or is
+				// rejected with a client error, never a panic.
+				if blk, err := m.matrix(); err == nil {
+					if blk.Rows <= 0 || blk.Cols <= 0 || len(m.Data) != blk.Rows*blk.Cols {
+						t.Fatalf("%s: validated %s has inconsistent shape %dx%d with %d elements",
+							endpoint, fld.name, blk.Rows, blk.Cols, len(m.Data))
+					}
+				}
+			}
+			frame, err := encodeFrame(req)
+			if err != nil {
+				t.Fatalf("%s: accepted request does not re-encode: %v", endpoint, err)
+			}
+			again := newReq()
+			if _, aerr := decodeFrame(endpoint, frame, again); aerr != nil {
+				t.Fatalf("%s: re-encoded request rejected: %s", endpoint, aerr.msg)
+			}
+			// Compared as frames: float payloads may hold NaNs, which no
+			// value comparison calls equal.
+			if frame2, err := encodeFrame(again); err != nil || !bytes.Equal(frame, frame2) {
+				t.Fatalf("%s: round trip changed the request (%v):\n got %+v\nwant %+v", endpoint, err, again, req)
 			}
 		}
 	})

@@ -1,0 +1,152 @@
+package serve
+
+import (
+	"context"
+	"fmt"
+	"net/http"
+
+	"tcqr"
+	"tcqr/internal/faultinject"
+)
+
+// serveUpdate is POST /v1/update: an incremental mutation of the cached
+// factorization behind a key — append a row block or downdate trailing rows
+// — published as the next epoch of the key's series. The update runs on the
+// library's O(n²·(k+n)) update path, not a refactorization; in-flight
+// solves keep the epoch they pinned and the old entry is freed only when
+// its references drain.
+func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
+	var req updateRequest
+	if aerr := rc.decodeRequest(r, &req); aerr != nil {
+		return aerr
+	}
+	if req.Key == "" {
+		return errBadInput("missing key")
+	}
+	if (req.Append != nil) == (req.RemoveRows != 0) {
+		return errBadInput("give append or remove_rows, exactly one")
+	}
+	if req.RemoveRows < 0 {
+		return errBadInput("remove_rows must be positive")
+	}
+	rc.key = req.Key
+	var v64 *tcqr.Matrix
+	if req.Append != nil {
+		var aerr *apiError
+		if v64, aerr = s.resolveMatrix(req.Append); aerr != nil {
+			return aerr
+		}
+	}
+	ctx, cancel := s.requestContext(r, req.DeadlineMS)
+	defer cancel()
+	// Updates must run where the series lives (the epoch chain is node-local
+	// state): a node without it routes to the base key's owners exactly like
+	// a by-key solve it cannot answer.
+	if s.forward(w, rc, ctx, route{path: "/v1/update", key: req.Key, cold: true, keyOnly: true}, &req) {
+		return nil
+	}
+	// Updates are cold compute: degraded mode sheds them like any other
+	// factorization work.
+	if de := s.degradedReject(); de != nil {
+		return de
+	}
+	old, berr := s.cache.BeginUpdate(req.Key)
+	if berr != nil {
+		return errUnknownKey(req.Key)
+	}
+	// Shape checks against the pinned epoch, before any compute.
+	if v64 != nil {
+		if v64.Cols != old.A.Cols {
+			s.cache.AbortUpdate(old)
+			return errBadInput(fmt.Sprintf("append block has %d columns; the factorization has %d", v64.Cols, old.A.Cols))
+		}
+		if n := int64(old.A.Rows+v64.Rows) * int64(old.A.Cols); n > int64(s.opts.MaxElements) {
+			s.cache.AbortUpdate(old)
+			return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+				msg: fmt.Sprintf("updated matrix would have %d elements; the server caps matrices at %d", n, s.opts.MaxElements)}
+		}
+	}
+	var (
+		v  *tcqr.Matrix32
+		nf *tcqr.Factorization
+	)
+	if v64 != nil {
+		v = tcqr.ToFloat32(v64)
+	}
+	uerr := s.retryDo(ctx, rc, "update", func(actx context.Context) error {
+		var ierr error
+		took, perr := rc.onPool(actx, func() {
+			// Failpoint: an injected error here aborts the update after the
+			// epoch was pinned — the recovery path that must leave the
+			// current epoch published and the series unlocked.
+			ierr = faultinject.Fire(siteUpdateApply)
+			if ierr == nil {
+				if v != nil {
+					nf, ierr = s.updater.UpdateAppendRows(old.F, v, old.Config)
+				} else {
+					nf, ierr = s.updater.UpdateRemoveRows(old.F, req.RemoveRows, old.Config)
+				}
+			}
+		})
+		if perr != nil {
+			return perr
+		}
+		rc.stages.add(stageUpdate, took)
+		return ierr
+	})
+	if uerr != nil {
+		s.cache.AbortUpdate(old)
+		s.metrics.updateFailed.Inc()
+		return uerr
+	}
+	// Rebuild the refinement matrix for the new epoch (solves need A at
+	// full precision) and publish atomically.
+	var na *tcqr.Matrix
+	if v64 != nil {
+		na = appendRows64(old.A, v64)
+		s.metrics.updateApplied.With("append").Inc()
+	} else {
+		na = dropRows64(old.A, req.RemoveRows)
+		s.metrics.updateApplied.With("downdate").Inc()
+	}
+	s.metrics.updateRows.Add(int64(absInt(na.Rows - old.A.Rows)))
+	ne := s.cache.PublishUpdate(old, na, nf)
+	defer s.cache.Release(ne)
+	rc.key = ne.Key
+	rc.rows, rc.cols = na.Rows, na.Cols
+	return rc.ok(w, &updateResponse{
+		Key:     ne.Key,
+		BaseKey: baseKey(ne.Key),
+		Epoch:   ne.Epoch,
+		Rows:    na.Rows,
+		Cols:    na.Cols,
+		Hazards: rc.noteHazards(nf.Hazards),
+	})
+}
+
+// appendRows64 stacks v under a (both tight or strided column-major).
+func appendRows64(a, v *tcqr.Matrix) *tcqr.Matrix {
+	out := tcqr.NewMatrix(a.Rows+v.Rows, a.Cols)
+	for j := 0; j < a.Cols; j++ {
+		col := out.Col(j)
+		copy(col, a.Data[j*a.Stride:j*a.Stride+a.Rows])
+		copy(col[a.Rows:], v.Data[j*v.Stride:j*v.Stride+v.Rows])
+	}
+	return out
+}
+
+// dropRows64 copies a without its trailing k rows.
+func dropRows64(a *tcqr.Matrix, k int) *tcqr.Matrix {
+	out := tcqr.NewMatrix(a.Rows-k, a.Cols)
+	for j := 0; j < a.Cols; j++ {
+		copy(out.Col(j), a.Data[j*a.Stride:j*a.Stride+out.Rows])
+	}
+	return out
+}
+
+func absInt(n int) int {
+	if n < 0 {
+		return -n
+	}
+	return n
+}

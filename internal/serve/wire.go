@@ -1,22 +1,23 @@
 package serve
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"tcqr"
-	"tcqr/internal/faultinject"
 	"tcqr/internal/hazard"
 	"tcqr/internal/tcsim"
 )
 
-// This file is the JSON wire vocabulary of the daemon: request/response
-// bodies for the three compute endpoints, the serialized form of the typed
-// hazard events (so clients see what the PR 2 fallback ladder did), and the
-// error envelope with its HTTP status mapping.
+// This file is the wire vocabulary of the daemon: request/response bodies
+// for every endpoint, the serialized form of the typed hazard events (so
+// clients see what the PR 2 fallback ladder did), and the error envelope with
+// its HTTP status mapping. A body type is also the only statement of its own
+// binary frame layout: a type with bulk float payloads says so in its frame
+// method, and codec.go's one decoder and one encoder read that statement for
+// client requests, responses and peer forwards alike. A type without a frame
+// method is pure metadata — its frame is the single JSON section.
 
 // WireMatrix carries a dense matrix over JSON in the library's column-major
 // convention: Data[i + j*Rows] is element (i, j).
@@ -48,8 +49,8 @@ func (w *WireMatrix) matrix() (*tcqr.Matrix, error) {
 }
 
 // fromMatrix converts a library matrix to its wire form (tight copy).
-func fromMatrix(m *tcqr.Matrix32) WireMatrix {
-	out := WireMatrix{Rows: m.Rows, Cols: m.Cols, Data: make([]float64, 0, m.Rows*m.Cols)}
+func fromMatrix(m *tcqr.Matrix32) *WireMatrix {
+	out := &WireMatrix{Rows: m.Rows, Cols: m.Cols, Data: make([]float64, 0, m.Rows*m.Cols)}
 	for j := 0; j < m.Cols; j++ {
 		for _, v := range m.Col(j) {
 			out.Data = append(out.Data, float64(v))
@@ -190,6 +191,11 @@ type factorizeRequest struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
+func (r *factorizeRequest) frame() frameLayout {
+	return frameLayout{meta: r, deadline: &r.DeadlineMS,
+		bulk: []bulkField{{name: "matrix", mat: &r.Matrix}}}
+}
+
 // factorizeResponse reports the cached factorization. Key addresses it in
 // subsequent /v1/solve requests without re-uploading the matrix.
 type factorizeResponse struct {
@@ -215,10 +221,22 @@ type solveRequest struct {
 	DeadlineMS int64            `json:"deadline_ms,omitempty"`
 }
 
-// solveResponse is one least squares solution. Batched reports how many
-// concurrent requests shared the underlying multi-RHS call (1 = solo).
+func (r *solveRequest) frame() frameLayout {
+	return frameLayout{meta: r, deadline: &r.DeadlineMS,
+		bulk: []bulkField{{name: "matrix", mat: &r.Matrix, optional: true}, {name: "b", vec: &r.B}}}
+}
+
+// solveResponse is one least squares solution: x, then the metadata (which
+// is the whole JSON section of a binary response — x rides as a vector
+// section).
 type solveResponse struct {
-	X          []float64    `json:"x"`
+	X []float64 `json:"x"`
+	solveMeta
+}
+
+// solveMeta is solveResponse without its bulk payload. Batched reports how
+// many concurrent requests shared the underlying multi-RHS call (1 = solo).
+type solveMeta struct {
 	Iterations int          `json:"iterations"`
 	Converged  bool         `json:"converged"`
 	Optimality float64      `json:"optimality"`
@@ -226,6 +244,10 @@ type solveResponse struct {
 	Cached     bool         `json:"cached"`
 	Batched    int          `json:"batched"`
 	Hazards    []WireHazard `json:"hazards,omitempty"`
+}
+
+func (r *solveResponse) frame() frameLayout {
+	return frameLayout{meta: &r.solveMeta, bulk: []bulkField{{name: "x", vec: &r.X}}}
 }
 
 // updateRequest is the body of POST /v1/update: an incremental mutation of
@@ -239,6 +261,11 @@ type updateRequest struct {
 	Append     *WireMatrix `json:"append,omitempty"`
 	RemoveRows int         `json:"remove_rows,omitempty"`
 	DeadlineMS int64       `json:"deadline_ms,omitempty"`
+}
+
+func (r *updateRequest) frame() frameLayout {
+	return frameLayout{meta: r, deadline: &r.DeadlineMS,
+		bulk: []bulkField{{name: "append", mat: &r.Append, optional: true}}}
 }
 
 // updateResponse reports the newly published epoch. Subsequent solves by
@@ -276,6 +303,10 @@ type streamAppendRequest struct {
 	Block   *WireMatrix `json:"block,omitempty"`
 }
 
+func (r *streamAppendRequest) frame() frameLayout {
+	return frameLayout{meta: r, bulk: []bulkField{{name: "block", mat: &r.Block}}}
+}
+
 // streamAppendResponse acknowledges one accepted block with the session's
 // accumulated shape.
 type streamAppendResponse struct {
@@ -310,13 +341,30 @@ type lowRankRequest struct {
 	DeadlineMS int64       `json:"deadline_ms,omitempty"`
 }
 
-// lowRankResponse carries the truncated SVD factors.
+func (r *lowRankRequest) frame() frameLayout {
+	return frameLayout{meta: r, deadline: &r.DeadlineMS,
+		bulk: []bulkField{{name: "matrix", mat: &r.Matrix}}}
+}
+
+// lowRankResponse carries the truncated SVD factors, then the metadata (the
+// JSON section of a binary response; U, s and V ride as sections, in that
+// order).
 type lowRankResponse struct {
-	U       WireMatrix   `json:"u"`
-	S       []float64    `json:"s"`
-	V       WireMatrix   `json:"v"`
+	U *WireMatrix `json:"u"`
+	S []float64   `json:"s"`
+	V *WireMatrix `json:"v"`
+	lowRankMeta
+}
+
+// lowRankMeta is lowRankResponse without its bulk payloads.
+type lowRankMeta struct {
 	Rank    int          `json:"rank"`
 	Hazards []WireHazard `json:"hazards,omitempty"`
+}
+
+func (r *lowRankResponse) frame() frameLayout {
+	return frameLayout{meta: &r.lowRankMeta,
+		bulk: []bulkField{{name: "u", mat: &r.U}, {name: "s", vec: &r.S}, {name: "v", mat: &r.V}}}
 }
 
 // errorBody is the uniform error envelope: every non-2xx response carries
@@ -356,6 +404,11 @@ func errBadInput(msg string) *apiError {
 	return &apiError{status: http.StatusBadRequest, code: "bad_input", msg: msg}
 }
 
+func errUnknownKey(key string) *apiError {
+	return &apiError{status: http.StatusNotFound, code: "unknown_key",
+		msg: fmt.Sprintf("no cached factorization for key %q (it may have been evicted; re-send the matrix)", key)}
+}
+
 // classifyError maps any error escaping the compute pipeline to an
 // apiError: library input-validation errors become bad_input (the client
 // sent unusable data), numerical hazards under the fail policy become
@@ -384,26 +437,6 @@ func classifyError(err error) *apiError {
 		return &apiError{status: http.StatusUnprocessableEntity, code: "numerical_hazard", msg: err.Error()}
 	}
 	return &apiError{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
-}
-
-// decodeJSON decodes a request body strictly: unknown fields and trailing
-// data are errors, and the reader is size-capped by the caller.
-func decodeJSON(r io.Reader, v any) error {
-	// Failpoint: an injected decode error surfaces as 400 bad_input,
-	// indistinguishable from a real malformed body (and, like one, is never
-	// retried by the server).
-	if err := faultinject.Fire(siteWireDecode); err != nil {
-		return errBadInput("malformed JSON body: " + err.Error())
-	}
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return errBadInput("malformed JSON body: " + err.Error())
-	}
-	if dec.More() {
-		return errBadInput("trailing data after JSON body")
-	}
-	return nil
 }
 
 // compile-time check: the public Hazard alias and the internal event type

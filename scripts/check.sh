@@ -20,6 +20,9 @@ fi
 
 echo "== go test -race =="
 go test -race ./...
+# The pool's scheduling-sensitive tests again, three times: a precondition
+# that can tear shows up as a flake, and one pass hides a flake.
+go test -race -count=3 -run 'Pool|AwaitIdle' ./internal/serve
 
 # benchmark/ is its own module, so `./...` above never compiles it; vet and
 # test it by name so a rename in internal/ cannot break it silently.
@@ -40,6 +43,8 @@ for target in FuzzTcEcSplitRoundTrip FuzzGemmTcEcVsFP32; do
 done
 echo "== fuzz smoke ./internal/tsqr =="
 go test -run '^$' -fuzz '^FuzzTSQRBlockVsSerial$' -fuzztime 10s ./internal/tsqr
+# FuzzStreamFrameDecode fuzzes every endpoint's request decode, not only
+# stream-append's.
 for target in FuzzRetryPolicy FuzzStreamFrameDecode; do
 	echo "== fuzz smoke ./internal/serve ($target) =="
 	go test -run '^$' -fuzz "^$target\$" -fuzztime 10s ./internal/serve
