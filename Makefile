@@ -2,6 +2,11 @@
 
 GO ?= go
 
+# The tests that hold the library pipeline to one of each stage; named so
+# they can run under -race on their own (the multi-RHS path records hazards
+# from concurrent columns into one hazard.Report).
+PIPELINE_TESTS = TestTallEnvelopeMatchesSerial|TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod
+
 .PHONY: build check check-race check-deep lint fuzz chaos cluster-soak \
 	bench serve serve-smoke clean
 
@@ -20,10 +25,12 @@ lint:
 
 # Tier-1 verification: everything must build and pass. benchmark/ is its own
 # module, so `./...` from the root never compiles it: vet and test it by
-# name, or a rename in internal/ breaks the benchmark silently.
+# name, or a rename in internal/ breaks the benchmark silently. The pipeline
+# tests run once more under the race detector.
 check:
 	$(GO) vet ./...
 	$(GO) test ./...
+	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
@@ -35,6 +42,7 @@ check-race:
 	$(GO) vet ./...
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'Pool|AwaitIdle' ./internal/serve
+	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial

@@ -99,6 +99,39 @@ func runSmoke(base string) int {
 	s.check(maxBatched >= 2, "concurrent same-key solves coalesced",
 		"largest batch was %d; expected >= 2 (is the daemon running with -window 0?)", maxBatched)
 
+	// A batch honours the request's refinement method: the same
+	// "method":"none" solve alone, then twice at once, must come back
+	// unrefined (0 iterations) and identical — the answer may not depend on
+	// who else was in the coalescing window.
+	type noneOut struct {
+		X          []float64 `json:"x"`
+		Iterations int       `json:"iterations"`
+		Batched    int       `json:"batched"`
+	}
+	noneBody := map[string]any{"key": key, "b": matVec(mat, outs[0].wantX),
+		"options": map[string]any{"method": "none"}}
+	var alone noneOut
+	code, err = s.post("/v1/solve", noneBody, &alone)
+	s.check(err == nil && code == 200 && alone.Batched == 1 && alone.Iterations == 0,
+		"solo method=none solve is unrefined",
+		"code=%d batched=%d iterations=%d err=%v", code, alone.Batched, alone.Iterations, err)
+	var pair [2]noneOut
+	for i := range pair {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if code, err := s.post("/v1/solve", noneBody, &pair[i]); err != nil || code != 200 {
+				pair[i].Batched = -1
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i, o := range pair {
+		s.check(o.Batched == 2 && o.Iterations == 0 && maxAbsDiff(o.X, alone.X) == 0,
+			fmt.Sprintf("coalesced method=none solve %d matches the solo answer", i),
+			"batched=%d iterations=%d max |x-x_solo| = %g", o.Batched, o.Iterations, maxAbsDiff(o.X, alone.X))
+	}
+
 	// Binary wire protocol (DESIGN.md §12): the same warm solve served as a
 	// zero-copy frame, content negotiation across mixed encodings, and the
 	// JSON error envelope on a malformed frame.

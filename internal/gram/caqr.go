@@ -113,34 +113,46 @@ func (p *CAQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 	}
 	q = a.Clone()
 	r = dense.New[float32](n, n)
-	p.factorInPlace(q, r)
+	// Width reduction mirrors the outer RGSQRF with the panel's own (FP32 by
+	// default) engine. The tile tree never fails: breakdown shows as a zero
+	// or non-finite R diagonal, checked on the assembled factor below.
+	_ = Recurse(q, r, TileCols, p.engine(), func(w, r *dense.M32) error {
+		p.tileTree(w, r)
+		return nil
+	})
 	if err := checkFullRank("CAQR", r); err != nil {
 		return nil, nil, err
 	}
 	return q, r, nil
 }
 
-// factorInPlace turns w into Q and fills r (n×n, pre-zeroed upper written).
-func (p *CAQRPanel) factorInPlace(w, r *dense.M32) {
+// Recurse is Algorithm 1 of the paper operating in place: w (m×n) holds A on
+// entry and Q on exit; r is the n×n block of R being produced (its strict
+// lower triangle is never written). Split the columns in half, factor the
+// left half, form R12 = Q1ᵀ·A2 and the update A2 ← A2 − Q1·R12 with two
+// GEMMs on e (these two lines carry ~half of all flops and are what a neural
+// engine accelerates), factor the updated right half. At width <= cutoff the
+// leaf takes over; a leaf error aborts the recursion and propagates up.
+//
+// This is the only copy of the recursion: RGSQRF runs it with the panel
+// factorizer as leaf, the CAQR panel runs it below that with the tile tree
+// as leaf.
+func Recurse(w, r *dense.M32, cutoff int, e tcsim.Engine, leaf func(w, r *dense.M32) error) error {
 	n := w.Cols
-	if n <= TileCols {
-		p.tileTree(w, r)
-		return
+	if n <= cutoff {
+		return leaf(w, r)
 	}
-	// Width reduction by the recursive Gram-Schmidt split, mirroring the
-	// outer RGSQRF but with the panel's own (FP32 by default) engine.
-	h := n / 2
 	m := w.Rows
+	h := n / 2
 	w1 := w.View(0, 0, m, h)
 	w2 := w.View(0, h, m, n-h)
-	r11 := r.View(0, 0, h, h)
 	r12 := r.View(0, h, h, n-h)
-	r22 := r.View(h, h, n-h, n-h)
-	p.factorInPlace(w1, r11)
-	e := p.engine()
+	if err := Recurse(w1, r.View(0, 0, h, h), cutoff, e, leaf); err != nil {
+		return err
+	}
 	e.Gemm(blas.Trans, blas.NoTrans, 1, w1, w2, 0, r12)
 	e.Gemm(blas.NoTrans, blas.NoTrans, -1, w1, r12, 1, w2)
-	p.factorInPlace(w2, r22)
+	return Recurse(w2, r.View(h, h, n-h, n-h), cutoff, e, leaf)
 }
 
 // tileTree runs the Eq. 8 pipeline on a width ≤ TileCols panel:

@@ -38,6 +38,7 @@ func MGS[T dense.Float](a *dense.Matrix[T], r *dense.Matrix[T]) {
 		panic("gram: MGS R must be n×n")
 	}
 	r.Zero()
+	rows := make([]T, n)
 	for k := 0; k < n; k++ {
 		qk := a.Col(k)
 		nrm := blas.Nrm2(qk)
@@ -51,7 +52,7 @@ func MGS[T dense.Float](a *dense.Matrix[T], r *dense.Matrix[T]) {
 		}
 		trail := a.View(0, k+1, m, n-k-1)
 		// R(k, k+1:n) = qkᵀ · A(:, k+1:n); A(:, k+1:n) -= qk · R(k, k+1:n).
-		row := make([]T, n-k-1)
+		row := rows[:n-k-1]
 		blas.Gemv(blas.Trans, 1, trail, qk, 0, row)
 		for j, v := range row {
 			r.Set(k, k+1+j, v)

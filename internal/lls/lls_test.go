@@ -336,7 +336,11 @@ func TestSolveMulti(t *testing.T) {
 	a := matgen.WithCond(rng, 400, 96, 1e3, matgen.Cluster2)
 	const nrhs = 7
 	b := matgen.Normal(rng, 400, nrhs)
-	sol, err := SolveMulti(a, b, SolveOptions{QR: rgs.Options{Cutoff: 32}, Tol: 1e-12})
+	f, err := rgs.Factor(dense.ToF32(a), rgs.Options{Cutoff: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := SolveMultiWithFactor(f, a, b, SolveOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +363,7 @@ func TestSolveMulti(t *testing.T) {
 		}
 	}
 	// Shape validation.
-	if _, err := SolveMulti(a, dense.New[float64](3, 2), SolveOptions{}); err == nil {
+	if _, err := SolveMultiWithFactor(f, a, dense.New[float64](3, 2), SolveOptions{}); err == nil {
 		t.Error("row mismatch not rejected")
 	}
 }

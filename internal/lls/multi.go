@@ -28,8 +28,8 @@ func DirectQRMulti[T dense.Float](a *dense.Matrix[T], b *dense.Matrix[T]) *dense
 	return x
 }
 
-// MultiSolution is the result of SolveMulti: one column of X per column of
-// B, with per-column refinement metadata.
+// MultiSolution is the result of SolveMultiWithFactor: one column of X per
+// column of B, with per-column refinement metadata.
 type MultiSolution struct {
 	X          *dense.M64
 	Iterations []int
@@ -37,23 +37,13 @@ type MultiSolution struct {
 	Factor     *rgs.Result
 }
 
-// SolveMulti runs the paper's pipeline for many right-hand sides: one
-// RGSQRF factorization amortized over all columns of B, then independent
-// CGLS refinements running concurrently (each column's Krylov iteration is
-// independent given the shared preconditioner R).
-func SolveMulti(a *dense.M64, b *dense.M64, opts SolveOptions) (*MultiSolution, error) {
-	a32 := dense.ToF32(a)
-	f, err := rgs.Factor(a32, opts.QR)
-	if err != nil {
-		return nil, err
-	}
-	return SolveMultiWithFactor(f, a, b, opts)
-}
-
-// SolveMultiWithFactor is SolveMulti over a precomputed factorization (the
-// entry point the public fallback ladder uses, so a recovered factorization
-// can be amortized over all right-hand sides). Per-column CGLS hazards are
-// recorded in opts.Hazards; the Report is safe for the concurrent columns.
+// SolveMultiWithFactor runs the paper's pipeline for many right-hand sides
+// over one precomputed factorization (the entry point the public fallback
+// ladder uses, so a recovered factorization is amortized over all columns of
+// B): independent per-column refinements with opts.Method running
+// concurrently — each column's iteration is independent given the shared
+// preconditioner R. Per-column hazards are recorded in opts.Hazards; the
+// Report is safe for the concurrent columns.
 func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveOptions) (*MultiSolution, error) {
 	if b == nil || b.Rows != a.Rows {
 		rows := -1
@@ -68,7 +58,6 @@ func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveO
 	if err := hazard.CheckMatrix("B", b); err != nil {
 		return nil, fmt.Errorf("lls: %w", err)
 	}
-	r64 := f.R64()
 
 	nrhs := b.Cols
 	out := &MultiSolution{
@@ -77,6 +66,7 @@ func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveO
 		Converged:  make([]bool, nrhs),
 		Factor:     f,
 	}
+	errs := make([]error, nrhs)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for j := 0; j < nrhs; j++ {
@@ -84,12 +74,21 @@ func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveO
 		sem <- struct{}{}
 		go func(j int) {
 			defer func() { <-sem; wg.Done() }()
-			res := RefineCGLS(a, b.Col(j), r64, opts)
+			res, err := refineColumn(f, a, b.Col(j), opts)
+			if err != nil {
+				errs[j] = err
+				return
+			}
 			copy(out.X.Col(j), res.X)
 			out.Iterations[j] = res.Iterations
 			out.Converged[j] = res.Converged
 		}(j)
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
 	return out, nil
 }

@@ -147,6 +147,18 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 	if err := hazard.CheckVec("b", b); err != nil {
 		return nil, fmt.Errorf("lls: %w", err)
 	}
+	res, err := refineColumn(f, a, b, opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Solution{X: res.X, Iterations: res.Iterations, Converged: res.Converged, GradNorms: res.GradNorms, Factor: f}, nil
+}
+
+// refineColumn is the one per-column refiner: it solves min ‖Ax − b‖ for a
+// single validated right-hand side with opts.Method over the factorization
+// f. SolveWithFactor runs it once, SolveMultiWithFactor once per column, so
+// a right-hand side gets the same answer alone or in a block.
+func refineColumn(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*IterResult, error) {
 	switch opts.Method {
 	case MethodDirect:
 		b32 := make([]float32, len(b))
@@ -158,16 +170,13 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 		for i, v := range x32 {
 			x[i] = float64(v)
 		}
-		return &Solution{X: x, Converged: true, Factor: f}, nil
+		return &IterResult{X: x, Converged: true}, nil
 	case MethodRefine:
-		res := RefineQR(f, a, b, opts.Tol, opts.MaxIter)
-		return fromIter(res, f), nil
+		return RefineQR(f, a, b, opts.Tol, opts.MaxIter), nil
 	case MethodLSQR:
-		res := LSQR(a, b, f.R64(), opts.Tol, opts.MaxIter)
-		return fromIter(res, f), nil
+		return LSQR(a, b, f.R64(), opts.Tol, opts.MaxIter), nil
 	case MethodCGLS:
-		res := RefineCGLS(a, b, f.R64(), opts)
-		return fromIter(res, f), nil
+		return RefineCGLS(a, b, f.R64(), opts), nil
 	}
 	return nil, fmt.Errorf("lls: unknown method %d", opts.Method)
 }
@@ -176,8 +185,7 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 // stagnation and divergence are recorded in opts.Hazards, and when
 // opts.FallbackLSQR is set a hazardous non-converged CGLS run is retried
 // with preconditioned LSQR (keeping whichever result reached the smaller
-// final gradient norm). It is shared by the single- and multi-RHS solvers;
-// r64 is the float64 preconditioner.
+// final gradient norm). r64 is the float64 preconditioner.
 func RefineCGLS(a *dense.M64, b []float64, r64 *dense.M64, opts SolveOptions) *IterResult {
 	res := CGLS(a, b, r64, opts.Tol, opts.MaxIter)
 	if !res.Stagnated && !res.Diverged {
@@ -219,8 +227,4 @@ func finalNorm(norms []float64) float64 {
 		return math.Inf(1)
 	}
 	return norms[len(norms)-1]
-}
-
-func fromIter(r *IterResult, f *rgs.Result) *Solution {
-	return &Solution{X: r.X, Iterations: r.Iterations, Converged: r.Converged, GradNorms: r.GradNorms, Factor: f}
 }

@@ -12,12 +12,14 @@
 //     computed Q a second time restores orthogonality to working precision
 //     for ill-conditioned inputs.
 //
-// The recursion is Algorithm 1 verbatim: split the columns in half, factor
-// the left half, form R12 = Q1ᵀ·A2 and the update A2 ← A2 − Q1·R12 with two
-// GEMMs (these two lines carry ~half of all flops and are what the engine
-// accelerates), factor the updated right half, assemble. At the cutoff
-// width the panel factorizer takes over (CAQR by default, Householder for
-// the Figure 6 ablation).
+// The recursion is Algorithm 1 verbatim (gram.Recurse, shared with the CAQR
+// panel's own width reduction): split the columns in half, factor the left
+// half, form R12 = Q1ᵀ·A2 and the update A2 ← A2 − Q1·R12 with two GEMMs,
+// factor the updated right half, assemble. At the cutoff width the panel
+// factorizer takes over (CAQR by default, Householder for the Figure 6
+// ablation). The safeguards are one envelope (FactorWith) around whatever
+// kernel factors the matrix — the recursion here, Direct TSQR for the
+// tall-skinny path.
 package rgs
 
 import (
@@ -127,44 +129,11 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("rgs: %w", err)
 	}
-	w := a.Clone()
-
-	var scales []float32
-	if !opts.DisableScaling {
-		scales = scaleColumns(w)
-	}
-
-	r := dense.New[float32](n, n)
-	if err := recurse(w, r, &opts); err != nil {
-		return nil, err
-	}
-
-	if scales != nil {
-		// A·P = Q·(R·P) was factored; recover R for A by unscaling the
-		// columns of R. Powers of two make this exact.
-		for j := 0; j < n; j++ {
-			if scales[j] != 1 {
-				blas.Scal(1/scales[j], r.Col(j)[:j+1])
-			}
-		}
-	}
-
-	res := &Result{Q: w, R: r, ColumnScales: scales}
-	if opts.ReOrthogonalize {
-		if err := reorthogonalize(res, &opts); err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// recurse is Algorithm 1 operating in place: w (m×n) holds A on entry and Q
-// on exit; r is the n×n block of R being produced. A panel breakdown aborts
-// the recursion and propagates up as a typed error.
-func recurse(w, r *dense.M32, opts *Options) error {
-	n := w.Cols
-	if n <= opts.cutoff() {
-		q, rr, err := opts.panel().Factor(w)
+	// The kernel is Algorithm 1 in place on the envelope's working copy, the
+	// panel factorizer taking over at the cutoff width.
+	panel := opts.panel()
+	leaf := func(w, r *dense.M32) error {
+		q, rr, err := panel.Factor(w)
 		if err != nil {
 			return err
 		}
@@ -172,67 +141,72 @@ func recurse(w, r *dense.M32, opts *Options) error {
 		r.CopyFrom(rr)
 		return nil
 	}
-	m := w.Rows
-	h := n / 2
-	w1 := w.View(0, 0, m, h)
-	w2 := w.View(0, h, m, n-h)
-	r11 := r.View(0, 0, h, h)
-	r12 := r.View(0, h, h, n-h)
-	r22 := r.View(h, h, n-h, n-h)
-
-	if err := recurse(w1, r11, opts); err != nil {
-		return err
-	}
-	e := opts.engine()
-	// R12 = Q1ᵀ·A2 and A2 ← A2 − Q1·R12: the two neural-engine GEMMs.
-	e.Gemm(blas.Trans, blas.NoTrans, 1, w1, w2, 0, r12)
-	e.Gemm(blas.NoTrans, blas.NoTrans, -1, w1, r12, 1, w2)
-	return recurse(w2, r22, opts)
+	return FactorWith(a, opts.DisableScaling, opts.ReOrthogonalize, func(w *dense.M32) (q, r *dense.M32, err error) {
+		r = dense.New[float32](w.Cols, w.Cols)
+		return w, r, gram.Recurse(w, r, opts.cutoff(), opts.engine(), leaf)
+	})
 }
 
-// reorthogonalize applies the Section 3.3 second pass to res in place.
-func reorthogonalize(res *Result, opts *Options) error {
-	n := res.R.Rows
-	// Factor Q = Q₂·R₂ with the same engine/panel (scaling unnecessary: the
-	// columns of Q are already within a rounding error of unit norm).
-	second := Options{
-		Engine:         opts.Engine,
-		Panel:          opts.Panel,
-		Cutoff:         opts.Cutoff,
-		DisableScaling: true,
+// Kernel is a QR factorization the safeguard envelope wraps: it may
+// overwrite w, and returns Q (the shape of w) and R (upper triangular, hard
+// zeros below the diagonal).
+type Kernel func(w *dense.M32) (q, r *dense.M32, err error)
+
+// FactorWith runs kernel inside the paper's two safeguards, which are the
+// same whatever the kernel (Factor passes the Algorithm 1 recursion, the
+// tall-skinny path passes Direct TSQR): clone a, scale its columns by powers
+// of two unless disableScaling (Section 3.5), factor, unscale R exactly,
+// and under reOrthogonalize factor the computed Q a second time and fold
+// R ← R₂·R (Section 3.3). a is validated by the caller and not modified.
+func FactorWith(a *dense.M32, disableScaling, reOrthogonalize bool, kernel Kernel) (*Result, error) {
+	w := a.Clone()
+	var scales []float32
+	if !disableScaling {
+		scales = scaleColumns(w)
 	}
-	r2 := dense.New[float32](n, n)
-	if err := recurse(res.Q, r2, &second); err != nil { // res.Q becomes Q₂ in place
-		return err
+	q, r, err := kernel(w)
+	if err != nil {
+		return nil, err
+	}
+	// A·P = Q·(R·P) was factored; recover R for A by unscaling the columns
+	// of R. Powers of two make this exact (and positive, so a kernel's sign
+	// convention on the diagonal survives).
+	for j, s := range scales {
+		if s != 1 {
+			blas.Scal(1/s, r.Col(j)[:j+1])
+		}
+	}
+	res := &Result{Q: q, R: r, ColumnScales: scales}
+	if !reOrthogonalize {
+		return res, nil
 	}
 
-	// R ← R₂·R. R₂ is within rounding of the identity, so this triangular
-	// product barely perturbs R; run it in FP32 (the paper keeps safeguard
-	// arithmetic out of the half-precision unit).
+	// "Twice is enough": factor Q = Q₂·R₂ with the same kernel (scaling
+	// unnecessary: the columns of Q are already within a rounding error of
+	// unit norm), then R ← R₂·R. R₂ is within rounding of the identity, so
+	// this triangular product barely perturbs R; run it in FP32 (the paper
+	// keeps safeguard arithmetic out of the half-precision unit).
+	q2, r2, err := kernel(q)
+	if err != nil {
+		return nil, err
+	}
+	n := r.Cols
 	newR := dense.New[float32](n, n)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, r2, res.R, 0, newR)
-	// Enforce exact triangularity (the product of uppers is upper up to
-	// rounding of explicitly stored zeros — both factors store hard zeros,
-	// so the strict lower triangle is exactly zero already; this is a cheap
-	// invariant check in disguise).
+	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, r2, r, 0, newR)
+	// Both factors store hard zeros below the diagonal, so the strict lower
+	// triangle of the product is exactly zero unless a factor is non-finite
+	// (0·Inf): a cheap invariant check in disguise.
 	for j := 0; j < n; j++ {
 		col := newR.Col(j)
 		for i := j + 1; i < n; i++ {
 			if col[i] != 0 {
-				return fmt.Errorf("rgs: re-orthogonalization broke triangularity at (%d,%d): %w", i, j, hazard.ErrBreakdown)
+				return nil, fmt.Errorf("rgs: re-orthogonalization broke triangularity at (%d,%d): %w", i, j, hazard.ErrBreakdown)
 			}
 		}
 	}
-	res.R = newR
-	res.Reorthogonalized = true
-	return nil
+	res.Q, res.R, res.Reorthogonalized = q2, newR, true
+	return res, nil
 }
-
-// ScaleColumns applies the Section 3.5 power-of-two column scaling to w in
-// place and returns the applied scales — exported for pipelines (TSQR) that
-// run the safeguard outside Factor. Unscale R afterwards exactly as Factor
-// does: divide column j of R by scales[j].
-func ScaleColumns(w *dense.M32) []float32 { return scaleColumns(w) }
 
 // scaleColumns scales every column of w by a power of two so that its
 // largest magnitude lands in [1, 2) — comfortably inside the binary16 range

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"tcqr"
-	"tcqr/internal/accuracy"
 	"tcqr/internal/faultinject"
 	"tcqr/internal/metrics"
 )
@@ -74,10 +73,12 @@ type coalesceShard struct {
 }
 
 // Coalescer batches solve requests that arrive within Window of each other
-// against the same cached factorization (and compatible solve options) into
-// a single SolveLeastSquaresMulti-shaped call: one GEMM-shaped refinement
-// pass instead of N independent solves — exactly the tall-skinny multi-RHS
-// shape the factorization is fastest at. A batch flushes when its window
+// against the same cached factorization (and identical solve options) into
+// a single SolveLeastSquaresMulti-shaped call. A batch is N per-column
+// refinements — the same refinement, with the request's method, a solo
+// request runs, so the answer does not depend on who else was in the window —
+// run concurrently under one pool slot and one cache pin; what it saves is
+// admission and scheduling, not arithmetic. A batch flushes when its window
 // timer fires or when it reaches MaxBatch, whichever is first. Window <= 0
 // disables coalescing (every request solves solo, still through the pool).
 //
@@ -270,11 +271,10 @@ func (c *Coalescer) execute(bt *batch) {
 		for j, w := range bt.waiters {
 			out := solveOutcome{batched: k, queueWait: start.Sub(w.at), solveTime: solveTime, err: serr}
 			if serr == nil {
-				x := append([]float64(nil), res.X.Col(j)...)
-				out.x = x
+				out.x = append([]float64(nil), res.X.Col(j)...)
 				out.iterations = res.Iterations[j]
 				out.converged = res.Converged[j]
-				out.optimality = accuracy.LLSOptimality(bt.entry.A, x, w.b)
+				out.optimality = res.Optimality[j]
 				out.hazards = res.Hazards
 			}
 			w.ch <- out

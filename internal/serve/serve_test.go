@@ -398,6 +398,76 @@ func TestCoalescingOneMultiSolveCall(t *testing.T) {
 	}
 }
 
+// TestCoalescedSolveHonoursMethod: a response must not depend on who else
+// was in the coalescing window. The batched path used to refine every column
+// with CGLS whatever the request said, so N concurrent "method":"none"
+// solves came back refined (iterations > 0) and different from the same
+// request served alone. MaxBatch == N makes the batch deterministic.
+func TestCoalescedSolveHonoursMethod(t *testing.T) {
+	const clients = 3
+	s := New(Options{Workers: 2, Window: 10 * time.Second, MaxBatch: clients})
+	h := s.Handler()
+	m, n := 96, 24
+	data := testMatrix(6, m, n, 1)
+	var fr factorizeReply
+	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 {
+		t.Fatalf("factorize: code=%d", code)
+	}
+	xTrue := make([]float64, n)
+	for j := range xTrue {
+		xTrue[j] = float64(j+1) / 10
+	}
+	body := map[string]any{"key": fr.Key, "b": matVecData(m, n, data, xTrue),
+		"options": map[string]any{"method": "none"}}
+
+	// The solo answer, through a server that cannot batch.
+	solo := New(Options{Workers: 2, MaxBatch: 1})
+	if code, _ := post(t, solo.Handler(), "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, nil); code != 200 {
+		t.Fatalf("solo factorize: code=%d", code)
+	}
+	var want solveReply
+	if code, _ := post(t, solo.Handler(), "/v1/solve", body, &want); code != 200 || want.Batched != 1 {
+		t.Fatalf("solo solve: code=%d batched=%d", code, want.Batched)
+	}
+	if want.Iterations != 0 {
+		t.Fatalf("solo method=none ran %d refinement iterations, want 0", want.Iterations)
+	}
+
+	replies := make([]solveReply, clients)
+	codes := make([]int, clients)
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i], _ = post(t, h, "/v1/solve", body, &replies[i])
+		}(i)
+	}
+	wg.Wait()
+	for i, r := range replies {
+		if codes[i] != 200 {
+			t.Fatalf("solve %d: code=%d", i, codes[i])
+		}
+		if r.Batched != clients {
+			t.Fatalf("solve %d reports batched=%d, want %d", i, r.Batched, clients)
+		}
+		if r.Iterations != 0 {
+			t.Errorf("solve %d: batched method=none ran %d refinement iterations, want 0", i, r.Iterations)
+		}
+		if len(r.X) != len(want.X) {
+			t.Fatalf("solve %d: %d unknowns, want %d", i, len(r.X), len(want.X))
+		}
+		for j := range r.X {
+			if math.Float64bits(r.X[j]) != math.Float64bits(want.X[j]) {
+				t.Fatalf("solve %d: batched x[%d] = %v, solo %v", i, j, r.X[j], want.X[j])
+			}
+		}
+		if math.Float64bits(r.Optimality) != math.Float64bits(want.Optimality) || r.Converged != want.Converged {
+			t.Errorf("solve %d: optimality/converged %g/%v, solo %g/%v", i, r.Optimality, r.Converged, want.Optimality, want.Converged)
+		}
+	}
+}
+
 func TestCoalescingIncompatibleOptionsDoNotBatch(t *testing.T) {
 	be := &countingBackend{inner: LibraryBackend{}}
 	s := New(Options{Workers: 2, Backend: be, Window: 50 * time.Millisecond, MaxBatch: 8})

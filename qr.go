@@ -52,15 +52,23 @@ type Factorization struct {
 // HazardFallback the computation retries along the fallback ladder and
 // reports what happened in Factorization.Hazards.
 func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
+	return factorizeLadder(a, cfg, "RGSQRF", factorizeOnce)
+}
+
+// factorizeLadder is the shared entry of Factorize and FactorizeTall:
+// validate a, run once down the engine ladder of cfg, and attach the
+// recorded hazards. algo names the algorithm in the shape error.
+func factorizeLadder(a *Matrix32, cfg Config, algo string,
+	once func(*Matrix32, Config, *hazard.Report) (*Factorization, error)) (*Factorization, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
 	}
 	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
+		return nil, fmt.Errorf("tcqr: matrix is %dx%d; %s requires m >= n: %w", a.Rows, a.Cols, algo, ErrShape)
 	}
 	rep := &hazard.Report{}
-	f, err := withFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
-		return factorizeOnce(a, c, rep)
+	f, err := withEngineFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
+		return once(a, c, rep)
 	})
 	if err != nil {
 		return nil, err
@@ -103,7 +111,31 @@ func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization,
 		}
 		return nil, err
 	}
-	f := &Factorization{
+	f, err := wrapFactors(res, stats)
+	if err == nil && stats.Overflows > 0 {
+		rep.Record(hazard.Event{
+			Kind:   hazard.KindOverflow,
+			Stage:  "engine",
+			Detail: fmt.Sprintf("%d fp16 overflow events during operand rounding", stats.Overflows),
+			Action: "factors finite; no action",
+		})
+	}
+	return f, err
+}
+
+// wrapFactors is the shared tail of one factorization attempt, serial or
+// tall: present the internal result as a Factorization carrying the engine
+// statistics, refusing non-finite factors (blamed on fp16 overflow when the
+// engine counted any).
+func wrapFactors(res *rgs.Result, stats tcsim.Stats) (*Factorization, error) {
+	if !hazard.MatrixFinite(res.Q) || !hazard.MatrixFinite(res.R) {
+		if stats.Overflows > 0 {
+			return nil, fmt.Errorf("tcqr: factors are non-finite after %d fp16 overflow events: %w: %w",
+				stats.Overflows, ErrOverflow, ErrNonFinite)
+		}
+		return nil, fmt.Errorf("tcqr: factors are non-finite: %w", ErrNonFinite)
+	}
+	return &Factorization{
 		Q:                res.Q,
 		R:                res.R,
 		ColumnScales:     res.ColumnScales,
@@ -114,23 +146,39 @@ func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization,
 			Overflows:  stats.Overflows,
 			Underflows: stats.Underflow,
 		},
+	}, nil
+}
+
+// attempt is one rung of a recovery ladder as withFallback runs it: the
+// action string recorded when it is tried, and the closure that tries it.
+type attempt[T any] struct {
+	action string
+	try    func() (T, error)
+}
+
+// withFallback is the one ladder runner (engine retries, update and downdate
+// recovery): it runs first and, under HazardFallback, each rung of
+// ladder(err) in order until one succeeds, recording every retry in rep
+// under stage. The ladder is built from the first failure — the engine rungs
+// depend on whether it was an overflow.
+func withFallback[T any](policy HazardPolicy, stage string, rep *hazard.Report,
+	first func() (T, error), ladder func(error) []attempt[T]) (T, error) {
+	out, err := first()
+	if err == nil || policy != HazardFallback {
+		return out, err
 	}
-	if !hazard.MatrixFinite(f.Q) || !hazard.MatrixFinite(f.R) {
-		if stats.Overflows > 0 {
-			return nil, fmt.Errorf("tcqr: factors are non-finite after %d fp16 overflow events: %w: %w",
-				stats.Overflows, ErrOverflow, ErrNonFinite)
-		}
-		return nil, fmt.Errorf("tcqr: factors are non-finite: %w", ErrNonFinite)
-	}
-	if stats.Overflows > 0 {
+	for _, r := range ladder(err) {
 		rep.Record(hazard.Event{
-			Kind:   hazard.KindOverflow,
-			Stage:  "engine",
-			Detail: fmt.Sprintf("%d fp16 overflow events during operand rounding", stats.Overflows),
-			Action: "factors finite; no action",
+			Kind:   classify(err),
+			Stage:  stage,
+			Detail: err.Error(),
+			Action: r.action,
 		})
+		if out, err = r.try(); err == nil {
+			break
+		}
 	}
-	return f, nil
+	return out, err
 }
 
 // rung is one step of the engine fallback ladder: a modified configuration
@@ -140,26 +188,19 @@ type rung struct {
 	action string
 }
 
-// withFallback runs attempt on cfg and, under HazardFallback, again on each
-// rung of ladder(cfg, err) until one succeeds, recording every retry in rep.
-func withFallback[T any](cfg Config, stage string, rep *hazard.Report,
-	ladder func(Config, error) []rung, attempt func(Config) (T, error)) (T, error) {
-	out, err := attempt(cfg)
-	if err == nil || cfg.OnHazard != HazardFallback {
-		return out, err
-	}
-	for _, r := range ladder(cfg, err) {
-		rep.Record(hazard.Event{
-			Kind:   classify(err),
-			Stage:  stage,
-			Detail: err.Error(),
-			Action: r.action,
+// withEngineFallback is withFallback over configurations: try runs on cfg
+// and then on each rung of ladder(cfg, err).
+func withEngineFallback[T any](cfg Config, stage string, rep *hazard.Report,
+	ladder func(Config, error) []rung, try func(Config) (T, error)) (T, error) {
+	return withFallback(cfg.OnHazard, stage, rep,
+		func() (T, error) { return try(cfg) },
+		func(err error) []attempt[T] {
+			var out []attempt[T]
+			for _, r := range ladder(cfg, err) {
+				out = append(out, attempt[T]{r.action, func() (T, error) { return try(r.cfg) }})
+			}
+			return out
 		})
-		if out, err = attempt(r.cfg); err == nil {
-			break
-		}
-	}
-	return out, err
 }
 
 // engineLadder builds the recovery sequence for cfg given the error that

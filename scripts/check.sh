@@ -23,6 +23,10 @@ go test -race ./...
 # The pool's scheduling-sensitive tests again, three times: a precondition
 # that can tear shows up as a flake, and one pass hides a flake.
 go test -race -count=3 -run 'Pool|AwaitIdle' ./internal/serve
+# The library-pipeline tests by name, so their verdict has its own line: one
+# envelope behind Factorize and FactorizeTall, one refiner behind single and
+# batched solves (whose concurrent columns share one hazard.Report).
+go test -race -run 'TestTallEnvelopeMatchesSerial|TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod' . ./internal/serve
 
 # benchmark/ is its own module, so `./...` above never compiles it; vet and
 # test it by name so a rename in internal/ cannot break it silently.

@@ -80,6 +80,18 @@ func (o SolveOptions) method() lls.Method {
 	}
 }
 
+// refine maps the public options onto the internal refiner's, recording
+// refinement hazards in rep.
+func (o SolveOptions) refine(rep *hazard.Report) lls.SolveOptions {
+	return lls.SolveOptions{
+		Method:       o.method(),
+		Tol:          o.Tol,
+		MaxIter:      o.MaxIterations,
+		FallbackLSQR: o.OnHazard == HazardFallback,
+		Hazards:      rep,
+	}
+}
+
 // qrConfig is the factorization config with the solve-level hazard policy
 // folded in: asking for fallback at the solve level enables it in the QR
 // stage too.
@@ -111,13 +123,7 @@ func SolveLeastSquares(a *Matrix, b []float64, opts SolveOptions) (*LeastSquares
 // new right-hand side (one QR amortized over many solves).
 func SolveLeastSquaresWithFactor(f *Factorization, a *Matrix, b []float64, opts SolveOptions) (*LeastSquaresResult, error) {
 	rep := &hazard.Report{}
-	sol, err := lls.SolveWithFactor(f.inner(), a, b, lls.SolveOptions{
-		Method:       opts.method(),
-		Tol:          opts.Tol,
-		MaxIter:      opts.MaxIterations,
-		FallbackLSQR: opts.OnHazard == HazardFallback,
-		Hazards:      rep,
-	})
+	sol, err := lls.SolveWithFactor(f.inner(), a, b, opts.refine(rep))
 	if err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
 	}
@@ -127,16 +133,24 @@ func SolveLeastSquaresWithFactor(f *Factorization, a *Matrix, b []float64, opts 
 		Converged:     sol.Converged,
 		Optimality:    accuracy.LLSOptimality(a, sol.X, b),
 		Factorization: f,
-		Hazards:       append(append([]Hazard(nil), f.Hazards...), rep.Events()...),
+		Hazards:       f.withHazards(rep),
 	}, nil
 }
 
+// withHazards lists the factorization's hazards followed by the refinement
+// events in rep.
+func (f *Factorization) withHazards(rep *hazard.Report) []Hazard {
+	return append(append([]Hazard(nil), f.Hazards...), rep.Events()...)
+}
+
 // MultiResult is the outcome of SolveLeastSquaresMulti: column j of X
-// minimizes ‖A·X[:,j] − B[:,j]‖.
+// minimizes ‖A·X[:,j] − B[:,j]‖, with the same per-column figures a
+// LeastSquaresResult reports for a single right-hand side.
 type MultiResult struct {
 	X          *Matrix
 	Iterations []int
 	Converged  []bool
+	Optimality []float64
 	// Factorization is the shared RGSQRF factor (one QR amortized over
 	// all right-hand sides — the economics behind Figure 8's pipeline).
 	Factorization *Factorization
@@ -147,7 +161,7 @@ type MultiResult struct {
 
 // SolveLeastSquaresMulti solves min ‖A·X − B‖ column-wise: one
 // neural-engine factorization shared by every right-hand side, with the
-// CGLS refinements running concurrently.
+// per-column refinements running concurrently.
 func SolveLeastSquaresMulti(a *Matrix, b *Matrix, opts SolveOptions) (*MultiResult, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
@@ -161,28 +175,29 @@ func SolveLeastSquaresMulti(a *Matrix, b *Matrix, opts SolveOptions) (*MultiResu
 
 // SolveLeastSquaresMultiWithFactor reuses an existing factorization of A for
 // a block of right-hand sides: the batched analogue of
-// SolveLeastSquaresWithFactor, and the call a request coalescer should make
-// for solves that share a cached factorization (one GEMM-shaped refinement
-// pass instead of N independent solves). The refinement method is CGLS with
-// the LSQR fallback under opts.OnHazard == HazardFallback; hazards recorded
-// during the factorization propagate into the result ahead of the
-// refinement's own events.
+// SolveLeastSquaresWithFactor, and the call a request coalescer makes for
+// solves that share a cached factorization. Every column runs the same
+// per-column refinement a single solve runs (opts.Method, the LSQR fallback
+// under opts.OnHazard == HazardFallback), concurrently, so column j equals
+// SolveLeastSquaresWithFactor on B[:,j] bit for bit; hazards recorded during
+// the factorization propagate into the result ahead of the refinement's own
+// events.
 func SolveLeastSquaresMultiWithFactor(f *Factorization, a *Matrix, b *Matrix, opts SolveOptions) (*MultiResult, error) {
 	rep := &hazard.Report{}
-	sol, err := lls.SolveMultiWithFactor(f.inner(), a, b, lls.SolveOptions{
-		Tol:          opts.Tol,
-		MaxIter:      opts.MaxIterations,
-		FallbackLSQR: opts.OnHazard == HazardFallback,
-		Hazards:      rep,
-	})
+	sol, err := lls.SolveMultiWithFactor(f.inner(), a, b, opts.refine(rep))
 	if err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
+	}
+	optimality := make([]float64, b.Cols)
+	for j := range optimality {
+		optimality[j] = accuracy.LLSOptimality(a, sol.X.Col(j), b.Col(j))
 	}
 	return &MultiResult{
 		X:             sol.X,
 		Iterations:    sol.Iterations,
 		Converged:     sol.Converged,
+		Optimality:    optimality,
 		Factorization: f,
-		Hazards:       append(append([]Hazard(nil), f.Hazards...), rep.Events()...),
+		Hazards:       f.withHazards(rep),
 	}, nil
 }

@@ -53,31 +53,18 @@ func UpdateAppendRows(f *Factorization, v *Matrix32, cfg Config) (*Factorization
 	if err := checkUpdateInputs(f, v); err != nil {
 		return nil, err
 	}
-	rep := &hazard.Report{}
-	nf, err := appendOnce(f, v, false)
-	if err != nil && cfg.OnHazard == HazardFallback {
-		rep.Record(hazard.Event{
-			Kind:   classify(err),
-			Stage:  "update",
-			Detail: err.Error(),
-			Action: "retry update with column scaling",
+	return recoverUpdate(cfg, "update",
+		func() (*Factorization, error) { return appendOnce(f, v, false) },
+		func(error) []attempt[*Factorization] {
+			return []attempt[*Factorization]{
+				{"retry update with column scaling", func() (*Factorization, error) {
+					return appendOnce(f, v, true)
+				}},
+				{"refactorize appended matrix from scratch", func() (*Factorization, error) {
+					return Factorize(stackRows(reconstructRows(f, f.Q.Rows), v), cfg)
+				}},
+			}
 		})
-		nf, err = appendOnce(f, v, true)
-		if err != nil {
-			rep.Record(hazard.Event{
-				Kind:   classify(err),
-				Stage:  "update",
-				Detail: err.Error(),
-				Action: "refactorize appended matrix from scratch",
-			})
-			nf, err = refactorizeAppended(f, v, cfg, rep)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	nf.Hazards = rep.Events()
-	return nf, nil
 }
 
 // UpdateAppendRow is the rank-1 convenience wrapper: append a single row.
@@ -117,21 +104,29 @@ func UpdateRemoveRows(f *Factorization, k int, cfg Config) (*Factorization, erro
 		return nil, fmt.Errorf("tcqr: removing %d of %d rows leaves fewer rows than the %d columns: %w",
 			k, m, n, ErrShape)
 	}
-	rep := &hazard.Report{}
-	nf, err := downdateOnce(f, k)
-	if err != nil && cfg.OnHazard == HazardFallback {
-		rep.Record(hazard.Event{
-			Kind:   classify(err),
-			Stage:  "downdate",
-			Detail: err.Error(),
-			Action: "refactorize remaining rows from scratch",
+	return recoverUpdate(cfg, "downdate",
+		func() (*Factorization, error) { return downdateOnce(f, k) },
+		func(error) []attempt[*Factorization] {
+			return []attempt[*Factorization]{
+				{"refactorize remaining rows from scratch", func() (*Factorization, error) {
+					return Factorize(reconstructRows(f, m-k), cfg)
+				}},
+			}
 		})
-		nf, err = refactorizeRemaining(f, k, cfg, rep)
-	}
+}
+
+// recoverUpdate runs an update or downdate down its recovery ladder (built
+// only once first has failed). The result's Hazards are the ladder's own
+// events followed by those of the rung that produced it (a refactorize rung
+// brings the full factorization ladder's).
+func recoverUpdate(cfg Config, stage string, first func() (*Factorization, error),
+	ladder func(error) []attempt[*Factorization]) (*Factorization, error) {
+	rep := &hazard.Report{}
+	nf, err := withFallback(cfg.OnHazard, stage, rep, first, ladder)
 	if err != nil {
 		return nil, err
 	}
-	nf.Hazards = rep.Events()
+	nf.Hazards = append(rep.Events(), nf.Hazards...)
 	return nf, nil
 }
 
@@ -458,47 +453,23 @@ func downdateOnce(f *Factorization, k int) (*Factorization, error) {
 	return nf, nil
 }
 
-// refactorizeAppended is the last append rung: reconstruct [Q·R; V] in
-// float32 and run the full factorization ladder on it.
-func refactorizeAppended(f *Factorization, v *Matrix32, cfg Config, rep *hazard.Report) (*Factorization, error) {
-	m, n := f.Q.Rows, f.Q.Cols
-	k := v.Rows
-	a := reconstructRows(f, 0, m)
-	full := dense.New[float32](m+k, n)
+// stackRows returns [a; v] in a fresh matrix.
+func stackRows(a, v *Matrix32) *Matrix32 {
+	m, n := a.Rows, a.Cols
+	full := dense.New[float32](m+v.Rows, n)
 	for j := 0; j < n; j++ {
 		col := full.Col(j)
 		copy(col, a.Col(j))
 		copy(col[m:], v.Col(j))
 	}
-	nf, err := Factorize(full, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range nf.Hazards {
-		rep.Record(h)
-	}
-	return nf, nil
+	return full
 }
 
-// refactorizeRemaining is the downdate fallback rung: reconstruct Q₁·R and
-// run the full factorization ladder on it.
-func refactorizeRemaining(f *Factorization, k int, cfg Config, rep *hazard.Report) (*Factorization, error) {
-	a := reconstructRows(f, 0, f.Q.Rows-k)
-	nf, err := Factorize(a, cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, h := range nf.Hazards {
-		rep.Record(h)
-	}
-	return nf, nil
-}
-
-// reconstructRows rebuilds rows [i0, i0+rows) of A = Q·R in float32 via a
-// float64 GEMM.
-func reconstructRows(f *Factorization, i0, rows int) *Matrix32 {
+// reconstructRows rebuilds the leading rows of A = Q·R in float32 via a
+// float64 GEMM: what the refactorize rungs factor from scratch.
+func reconstructRows(f *Factorization, rows int) *Matrix32 {
 	n := f.Q.Cols
-	qd := dense.ToF64(f.Q).View(i0, 0, rows, n)
+	qd := dense.ToF64(f.Q).View(0, 0, rows, n)
 	rd := dense.ToF64(f.R)
 	ad := dense.New[float64](rows, n)
 	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, qd, rd, 0, ad)
