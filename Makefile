@@ -7,6 +7,10 @@ GO ?= go
 # from concurrent columns into one hazard.Report).
 PIPELINE_TESTS = TestTallEnvelopeMatchesSerial|TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod
 
+# The tests that hold the daemon to one cold-factorization path: a served
+# factor is tcqr.Factorize's, bit for bit, and no flag selects another.
+ONE_PATH_TESTS = TestServedFactorsAreLibraryFactors|TestFlagsMatchUsageComment
+
 .PHONY: build check check-race check-deep lint fuzz chaos cluster-soak \
 	bench serve serve-smoke clean
 
@@ -26,11 +30,12 @@ lint:
 # Tier-1 verification: everything must build and pass. benchmark/ is its own
 # module, so `./...` from the root never compiles it: vet and test it by
 # name, or a rename in internal/ breaks the benchmark silently. The pipeline
-# tests run once more under the race detector.
+# and one-path tests run once more under the race detector.
 check:
 	$(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
+	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
@@ -43,6 +48,7 @@ check-race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'Pool|AwaitIdle' ./internal/serve
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
+	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial

@@ -30,9 +30,10 @@
 //	      [-retry-attempts 3] [-stage-timeout 0]
 //	      [-degrade-threshold 5] [-degrade-cooldown 10s]
 //	      [-stream-ttl 2m] [-max-stream-sessions 16]
-//	      [-tsqr-min-rows 2048] [-tsqr-workers N] [-tsqr-block-rows 512]
 //	      [-node-id a] [-peers a=h:p,b=h:p,...] [-replicas 2]
 //	      [-probe-interval 1s] [-fault-spec schedule]
+//	tcqrd [-smoke url] [-smoke-fault url] [-smoke-update url]
+//	      [-smoke-cluster] [-version]
 //
 // -peers turns the daemon into one member of a tcqrd cluster (DESIGN.md §14):
 // keys are sharded over a consistent-hash ring, keyed requests are forwarded
@@ -126,9 +127,6 @@ func main() {
 
 		streamTTL      = flag.Duration("stream-ttl", 0, "idle deadline of a chunked-upload session before it is reaped (0 = default 2m)")
 		streamSessions = flag.Int("max-stream-sessions", 0, "max concurrently open chunked-upload sessions (0 = default 16)")
-		tsqrMinRows    = flag.Int("tsqr-min-rows", 0, "min rows for routing a factorization through the parallel TSQR pipeline (0 = default 2048, negative disables)")
-		tsqrWorkers    = flag.Int("tsqr-workers", 0, "concurrent TSQR block factorizations (0 = GOMAXPROCS; scheduling only, never changes bits)")
-		tsqrBlockRows  = flag.Int("tsqr-block-rows", 0, "TSQR canonical row-block height (0 = library default; part of the numerical identity)")
 
 		nodeID        = flag.String("node-id", "", "this node's cluster member id (required with -peers)")
 		peers         = flag.String("peers", "", "static cluster membership as id=host:port,... including this node (empty = single-node)")
@@ -233,11 +231,6 @@ func main() {
 		MaxStreamSessions: *streamSessions,
 		Registry:          reg,
 		Cluster:           node,
-		Backend: serve.LibraryBackend{
-			TSQRMinRows:   *tsqrMinRows,
-			TSQRWorkers:   *tsqrWorkers,
-			TSQRBlockRows: *tsqrBlockRows,
-		},
 	})
 
 	ln, err := net.Listen("tcp", *addr)

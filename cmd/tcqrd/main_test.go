@@ -2,8 +2,11 @@ package main
 
 import (
 	"fmt"
+	"go/parser"
+	"go/token"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -27,5 +30,59 @@ func TestBadEngineFlagFailsStartup(t *testing.T) {
 	}
 	if !strings.Contains(string(out), fmt.Sprint(tcsim.Kinds())) {
 		t.Errorf("startup error should list %s, got:\n%s", fmt.Sprint(tcsim.Kinds()), out)
+	}
+}
+
+// TestFlagsMatchUsageComment: the flags main() registers are exactly the
+// flags the package comment's usage block names, so a knob cannot be added
+// or removed without its documentation following — and none is a -tsqr-*
+// route selector (the daemon has one cold-factorization path). The test
+// binary re-executes itself with -h and reads the flag package's listing.
+func TestFlagsMatchUsageComment(t *testing.T) {
+	if os.Getenv("TCQRD_MAIN_TEST") != "" {
+		os.Args = []string{"tcqrd", "-h"}
+		main()
+		os.Exit(0)
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=TestFlagsMatchUsageComment")
+	cmd.Env = append(os.Environ(), "TCQRD_MAIN_TEST=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("tcqrd -h: %v; output:\n%s", err, out)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([a-z][a-z-]*)( |$)`).FindAllStringSubmatch(string(out), -1) {
+		registered[m[1]] = true // skips the test binary's own -test.* flags
+	}
+	if len(registered) == 0 {
+		t.Fatalf("no flags parsed from -h output:\n%s", out)
+	}
+
+	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, usage, ok := strings.Cut(file.Doc.Text(), "Usage:\n")
+	if !ok {
+		t.Fatal("main.go's package comment has no Usage: block")
+	}
+	usage, _, _ = strings.Cut(usage, "\n\n-") // the block ends where the per-flag prose starts
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\[-([a-z][a-z-]*)`).FindAllStringSubmatch(usage, -1) {
+		documented[m[1]] = true
+	}
+
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("flag -%s is registered but missing from main.go's usage block", name)
+		}
+		if strings.HasPrefix(name, "tsqr-") {
+			t.Errorf("flag -%s selects a second factorization path", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("main.go's usage block names -%s, which is not a flag", name)
+		}
 	}
 }

@@ -233,9 +233,7 @@ func runSmoke(base string) int {
 
 	// Chunked upload (DESIGN.md §13): stream a tall-skinny matrix as three
 	// binary row-block frames, commit, and verify the key is exactly what a
-	// one-shot upload of the same matrix gets — then solve against it. The
-	// shape clears the default TSQR routing threshold, so this also drives
-	// the parallel factorization pipeline end to end.
+	// one-shot upload of the same matrix gets — then solve against it.
 	tm, tn := 2048, 16
 	tall := smokeMatrix(tm, tn, 1)
 	tallData := tall["data"].([]float64)
@@ -320,23 +318,27 @@ func runSmoke(base string) int {
 
 	// Engine selection end-to-end: a factorize that names the error-corrected
 	// engine must run its GEMMs on the tensor-core simulant under the tc-ec
-	// label — the scrape below asserts that exact series moved, proving the
+	// label — engine_stats and the scrape below both assert it, proving the
 	// hot path stayed on the simulated device rather than falling back to
-	// fp32.
-	// Cutoff 8 (< the 24 columns) forces recursion above the panel, so the
-	// inter-panel projection GEMMs actually reach the engine.
-	ecMat := smokeMatrix(96, 24, 1)
+	// fp32. The matrix is tall-skinny, and 256 columns is wide enough to
+	// split, so the projection GEMMs reach the engine: the engine a request
+	// names factors it at every shape.
+	ecMat := smokeMatrix(2048, 256, 1)
 	var ecr, fpr struct {
-		Key     string `json:"key"`
-		Hazards []any  `json:"hazards"`
+		Key         string `json:"key"`
+		Hazards     []any  `json:"hazards"`
+		EngineStats struct {
+			GemmCalls int64 `json:"gemm_calls"`
+		} `json:"engine_stats"`
 	}
 	code, err = s.post("/v1/factorize",
-		map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "tc-ec", "cutoff": 8}}, &ecr)
-	s.check(err == nil && code == 200 && ecr.Key != "" && len(ecr.Hazards) == 0,
-		"tc-ec factorize succeeds with no hazards",
-		"code=%d key=%q hazards=%d err=%v", code, ecr.Key, len(ecr.Hazards), err)
+		map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "tc-ec"}}, &ecr)
+	s.check(err == nil && code == 200 && ecr.Key != "" && len(ecr.Hazards) == 0 && ecr.EngineStats.GemmCalls > 0,
+		"tall tc-ec factorize runs its GEMMs on the requested engine with no hazards",
+		"code=%d key=%q hazards=%d engine_stats.gemm_calls=%d err=%v",
+		code, ecr.Key, len(ecr.Hazards), ecr.EngineStats.GemmCalls, err)
 	code, err = s.post("/v1/factorize",
-		map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "fp16", "cutoff": 8}}, &fpr)
+		map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "fp16"}}, &fpr)
 	s.check(err == nil && code == 200 && fpr.Key != "" && ecr.Key != fpr.Key,
 		"tc-ec factorize keys apart from the fp16 one at equal config",
 		"engine missing from the cache-key fingerprint: tc-ec=%q fp16=%q err=%v", ecr.Key, fpr.Key, err)
@@ -356,9 +358,6 @@ func runSmoke(base string) int {
 		"tcqrd_engine_gemm_calls_total",
 		"tcqrd_wire_requests_total",
 		"tcqrd_wire_responses_total",
-		"tcqrd_tsqr_factorize_total",
-		"tcqrd_tsqr_stage_seconds_bucket",
-		"tcqrd_tsqr_blocks_bucket",
 		"tcqrd_stream_sessions",
 		"tcqrd_stream_begun_total",
 		"tcqrd_stream_committed_total",
@@ -382,10 +381,6 @@ func runSmoke(base string) int {
 		"metrics counted binary-encoded requests", "no non-zero encoding=binary sample")
 	s.check(metricLabelAbove(text, "tcqrd_wire_responses_total", `encoding="binary"`, 0),
 		"metrics counted binary-encoded responses", "no non-zero encoding=binary sample")
-	s.check(metricAbove(text, "tcqrd_tsqr_factorize_total", 0),
-		"metrics counted TSQR factorizations", "tcqrd_tsqr_factorize_total is zero — routing never fired")
-	s.check(metricLabelAbove(text, "tcqrd_tsqr_stage_seconds_count", `stage="block_factor"`, 0),
-		"metrics timed TSQR block factorization", "no block_factor stage observation")
 	s.check(metricAbove(text, "tcqrd_stream_begun_total", 0) &&
 		metricAbove(text, "tcqrd_stream_committed_total", 0) &&
 		metricAbove(text, "tcqrd_stream_appends_total", 2),

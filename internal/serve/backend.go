@@ -13,9 +13,12 @@
 //   - a bounded worker pool with admission control: queue-depth limit,
 //     per-request deadlines, typed backpressure errors, graceful drain
 //     (pool.go);
-//   - HTTP handlers exposing /v1/factorize, /v1/solve, /v1/lowrank,
-//     /healthz and /statz with hazard-aware JSON responses and a
-//     Server-Timing stage breakdown (server.go, wire.go).
+//   - HTTP handlers for /v1/factorize (and its /stream/* upload), /v1/solve,
+//     /v1/update, /v1/lowrank, /healthz, /statz and /metrics: one request
+//     pipeline behind a JSON and a binary-frame codec (server.go, codec.go,
+//     wire.go, stages.go), a handler file per endpoint family;
+//   - a write-behind disk spill tier with restart rewarm (spill.go) and the
+//     cluster routing seam (cluster.go).
 //
 // The package holds no HTTP listener of its own; cmd/tcqrd wires the
 // Handler into net/http and owns the process lifecycle.
@@ -55,51 +58,13 @@ type Updater interface {
 	UpdateRemoveRows(f *tcqr.Factorization, k int, cfg tcqr.Config) (*tcqr.Factorization, error)
 }
 
-// DefaultTSQRMinRows is the row count at which LibraryBackend starts routing
-// cold factorizations through the parallel Direct TSQR pipeline. Below it the
-// serial call is cheap enough that block scheduling overhead dominates.
-const DefaultTSQRMinRows = 2048
-
 // LibraryBackend routes every call straight to package tcqr; it is the
-// production backend. The zero value behaves like the pre-TSQR backend with
-// default routing: tall-skinny factorizations (at least DefaultTSQRMinRows
-// rows and a 4:1 aspect ratio) take the parallel Direct TSQR pipeline,
-// everything else the serial path.
-type LibraryBackend struct {
-	// TSQRMinRows is the minimum row count for TSQR routing (0 =
-	// DefaultTSQRMinRows; negative disables TSQR entirely).
-	TSQRMinRows int
-	// TSQRWorkers bounds concurrent block factorizations (<= 0 = GOMAXPROCS).
-	// Scheduling only — never changes result bits.
-	TSQRWorkers int
-	// TSQRBlockRows is the canonical TSQR partition height (0 = the library
-	// default). Part of the numerical identity of routed results.
-	TSQRBlockRows int
-}
-
-// routeTSQR reports whether a rows×cols factorization takes the parallel
-// pipeline. The predicate is a pure function of shape and configuration, so a
-// given matrix always factors through the same path — the content-addressed
-// cache key stays an honest identity for the resulting factorization.
-func (b LibraryBackend) routeTSQR(rows, cols int) bool {
-	if b.TSQRMinRows < 0 {
-		return false
-	}
-	min := b.TSQRMinRows
-	if min == 0 {
-		min = DefaultTSQRMinRows
-	}
-	return rows >= min && rows >= 4*cols
-}
+// production backend. Every cold factorization is tcqr.Factorize under the
+// request's Config, so a cache key names one factor on every node.
+type LibraryBackend struct{}
 
 // Factorize implements Backend.
-func (b LibraryBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
-	if a != nil && b.routeTSQR(a.Rows, a.Cols) {
-		return tcqr.FactorizeTall(a, tcqr.TallOptions{
-			BlockRows: b.TSQRBlockRows,
-			Workers:   b.TSQRWorkers,
-		}, cfg)
-	}
+func (LibraryBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
 	return tcqr.Factorize(a, cfg)
 }
 

@@ -256,14 +256,14 @@ func TestMetamorphicNoSilentGarbage(t *testing.T) {
 }
 
 // TestStreamChaosSoak is the chunked-upload soak: 64 concurrent clients each
-// run full begin/append/commit conversations over tall-skinny matrices that
-// route through the parallel TSQR pipeline, while a seeded schedule injects
-// faults into the TSQR leaves (tsqr.block.factor), the reduction tree
-// (tsqr.tree.reduce), and the append handler (serve.stream.append). The
-// invariants: every request gets exactly one legal response, a 200 commit is
-// a real factorization (solvable by key to the right answer), no stream
-// session leaks — open sessions drain to zero and the lifecycle counters
-// balance — and the server drains to idle. Run under -race.
+// run full begin/append/commit conversations over tall-skinny matrices,
+// while a seeded schedule injects faults into the cold factorization
+// (serve.cache.factorize), the append handler (serve.stream.append) and the
+// request decoder (serve.wire.decode). The invariants: every request gets
+// exactly one legal response, a 200 commit is a real factorization (solvable
+// by key to the right answer), no stream session leaks — open sessions drain
+// to zero and the lifecycle counters balance — and the server drains to idle.
+// Run under -race.
 func TestStreamChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stream chaos soak skipped in -short mode")
@@ -272,22 +272,24 @@ func TestStreamChaosSoak(t *testing.T) {
 		clients  = 64
 		iters    = 4
 		matrices = 5
-		m, n     = 96, 8 // routed: 96 >= 32 min rows, 96 >= 4*8; 6 blocks of 16
+		m, n     = 96, 8
 	)
 	s := New(Options{
 		Workers:    4,
 		QueueDepth: 512,
 		Retry:      fastRetry(3),
-		// The breaker stays generous: injected TSQR faults are 500-class by
-		// design, and this test wants sustained traffic, not cache-only mode.
+		// The breaker stays generous: injected factorize faults are 500-class
+		// by design, and this test wants sustained traffic, not cache-only mode.
 		DegradeThreshold: -1,
-		Backend:          LibraryBackend{TSQRMinRows: 32, TSQRBlockRows: 16},
 	})
 	defer s.Close()
 	h := s.Handler()
+	// 96x8 sits below the recursion cutoff, so tcsim.gemm never fires here;
+	// serve.cache.factorize is the site every cold commit reaches. 0.37 keeps
+	// the per-attempt failure rate this soak has always run at: one fault
+	// among 6 leaves at 0.05 and 5 tree nodes at 0.03, 1 - 0.95^6 * 0.97^5.
 	arm(t, "seed=777"+
-		";tsqr.block.factor=error@p=0.05"+
-		";tsqr.tree.reduce=error@p=0.03"+
+		";serve.cache.factorize=error@p=0.37"+
 		";serve.stream.append=error@p=0.05"+
 		";serve.wire.decode=error@p=0.03")
 
@@ -316,6 +318,7 @@ func TestStreamChaosSoak(t *testing.T) {
 		mu       sync.Mutex
 		byStatus = map[int]int64{}
 		requests int64
+		solved   int64 // 200 commits whose key then solved to the right answer
 	)
 	note := func(code int) {
 		mu.Lock()
@@ -379,13 +382,17 @@ func TestStreamChaosSoak(t *testing.T) {
 				if code != 200 {
 					continue
 				}
-				// A 200 commit is a real TSQR factorization: solve by key.
+				// A 200 commit is a real factorization: solve by key.
 				var sr solveReply
 				code, _ = post(t, h, "/v1/solve", map[string]any{"key": fr.Key, "b": fx.b}, &sr)
 				note(code)
 				if code == 200 {
 					if d := maxDiff(sr.X, fx.x); d > 1e-5 {
 						t.Errorf("client %d iter %d: 200 solve with wrong answer (err %g)", c, it, d)
+					} else {
+						mu.Lock()
+						solved++
+						mu.Unlock()
 					}
 				} else if !legalChaosStatus[code] {
 					t.Errorf("client %d iter %d: solve status %d", c, it, code)
@@ -407,10 +414,10 @@ func TestStreamChaosSoak(t *testing.T) {
 	if faultinject.InjectedTotal() == 0 {
 		t.Fatal("fault schedule never fired")
 	}
-	// The TSQR pipeline actually served traffic (faults did not push
-	// everything onto an untested path).
-	if s.metrics.tsqrFactorize.Value() == 0 {
-		t.Fatal("no commit routed through the TSQR pipeline")
+	// Cold factorizations actually served traffic (faults did not turn
+	// every commit into a 500).
+	if misses := s.cache.Stats().Misses; misses == 0 || solved == 0 {
+		t.Fatalf("cache misses %d, commits solved by key %d: want both > 0", misses, solved)
 	}
 
 	// No leaked sessions: everything begun was committed, aborted, or is

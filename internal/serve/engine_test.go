@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -95,10 +97,13 @@ func TestDefaultEngineSharesCacheEntry(t *testing.T) {
 	}
 }
 
-// TestRewarmQuarantinesV1SpillFile: a TCQS v1 file spelled the engine as
-// three booleans. There is no legacy reader — decoding its meta with the v2
-// struct would silently yield a default-engine entry — so rewarm must
-// quarantine and count it, never adopt it.
+// TestRewarmQuarantinesV1SpillFile: files of both retired TCQS versions.
+// A v1 file spelled the engine as three booleans — decoding its meta with
+// today's struct would silently yield a default-engine entry. A v2 file has
+// today's layout, but for shapes the daemon used to route through TSQR it
+// holds a TSQR factor under a key that now denotes the RGSQRF factor. There
+// is no legacy reader for either, so rewarm must quarantine and count the
+// file, never adopt it.
 func TestRewarmQuarantinesV1SpillFile(t *testing.T) {
 	e := makeEntry(t, 8, 32, 8, "mv1file", 0)
 	v1, err := wirefmt.AppendFrame(make([]byte, spillHeaderLen),
@@ -114,22 +119,108 @@ func TestRewarmQuarantinesV1SpillFile(t *testing.T) {
 	binary.LittleEndian.PutUint32(v1[8:12], crc32.ChecksumIEEE(v1[spillHeaderLen:]))
 	binary.LittleEndian.PutUint64(v1[12:20], uint64(len(v1)-spillHeaderLen))
 
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sp, err := NewSpillTier(dir, 0)
+	// The header checksum covers the payload only, so a current file with
+	// its version byte set back is a v2 file valid in every other respect.
+	v2, err := encodeSpillEntry(e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sp.Close()
-	if got := sp.Rewarm(); len(got) != 0 {
-		t.Fatalf("rewarmed %d entries from a v1 file (config %+v)", len(got), got[0].Config)
+	v2[4] = 2
+
+	for _, tc := range []struct {
+		name string
+		file []byte
+	}{{"v1 meta", v1}, {"v2 header", v2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			sp, err := NewSpillTier(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sp.Close()
+			if got := sp.Rewarm(); len(got) != 0 {
+				t.Fatalf("rewarmed %d entries (config %+v)", len(got), got[0].Config)
+			}
+			if st := sp.Stats(); st.Loads != 1 || st.Quarantined != 1 || st.Rewarmed != 0 {
+				t.Fatalf("rewarm stats %+v, want 1 load, 1 quarantined, 0 rewarmed", st)
+			}
+			if q := spillFiles(t, dir, "*"+spillQuarExt); len(q) != 1 {
+				t.Fatalf("quarantine files %v, want exactly 1", q)
+			}
+		})
 	}
-	if st := sp.Stats(); st.Loads != 1 || st.Quarantined != 1 || st.Rewarmed != 0 {
-		t.Fatalf("rewarm stats %+v, want 1 load, 1 quarantined, 0 rewarmed", st)
+}
+
+// factorBits flattens the numerical identity of a factorization — Q, R and
+// the column scales — to its float32 bit patterns.
+func factorBits(f *tcqr.Factorization) []uint32 {
+	var out []uint32
+	for _, m := range []*tcqr.Matrix32{f.Q, f.R} {
+		for j := 0; j < m.Cols; j++ {
+			for _, x := range m.Data[j*m.Stride : j*m.Stride+m.Rows] {
+				out = append(out, math.Float32bits(x))
+			}
+		}
 	}
-	if q := spillFiles(t, dir, "*"+spillQuarExt); len(q) != 1 {
-		t.Fatalf("quarantine files %v, want exactly 1", q)
+	for _, x := range f.ColumnScales {
+		out = append(out, math.Float32bits(x))
+	}
+	return out
+}
+
+// TestServedFactorsAreLibraryFactors: the factor /v1/factorize caches under
+// a key is, bit for bit, tcqr.Factorize of the request's matrix under the
+// request's config — at every shape, tall-skinny included, and on every
+// engine — and engine_stats reports that run's GEMMs. Replicas recompute a
+// key's factor from the same call, so anything else in the path (a second
+// kernel chosen by shape, a knob outside the cache fingerprint) would let
+// two nodes hold different bits under one key. At 2048x256, wide enough to
+// split so the engine GEMMs run, the four engines' keys must hold four
+// different factors.
+func TestServedFactorsAreLibraryFactors(t *testing.T) {
+	s := New(Options{Workers: 2})
+	defer s.Close()
+	h := s.Handler()
+	for si, shape := range [][2]int{{64, 16}, {2048, 16}, {2048, 256}, {512, 512}} {
+		m, n := shape[0], shape[1]
+		data := testMatrix(uint64(90+si), m, n, 1)
+		a := tcqr.FromColMajor(m, n, data)
+		var served [][]uint32
+		for _, k := range tcsim.Kinds() {
+			var fr factorizeResponse
+			code, _ := post(t, h, "/v1/factorize", map[string]any{
+				"matrix": wireMat(m, n, data), "config": map[string]any{"engine": k.String()}}, &fr)
+			if code != 200 || fr.Cached {
+				t.Fatalf("%dx%d %v: status %d cached=%v, want a cold 200", m, n, k, code, fr.Cached)
+			}
+			want, err := tcqr.Factorize(tcqr.ToFloat32(a), tcqr.Config{Engine: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, ok := s.cache.Get(fr.Key)
+			if !ok {
+				t.Fatalf("%dx%d %v: key %q not cached", m, n, k, fr.Key)
+			}
+			got := factorBits(e.F)
+			s.cache.Release(e)
+			if !slices.Equal(got, factorBits(want)) {
+				t.Errorf("%dx%d %v: cached factor differs from tcqr.Factorize", m, n, k)
+			}
+			if fr.EngineStats.GemmCalls != want.EngineStats.GemmCalls {
+				t.Errorf("%dx%d %v: engine_stats.gemm_calls = %d, library ran %d",
+					m, n, k, fr.EngineStats.GemmCalls, want.EngineStats.GemmCalls)
+			}
+			if m == 2048 && n == 256 {
+				for i, other := range served {
+					if slices.Equal(got, other) {
+						t.Errorf("2048x256: %v and %v keys hold the same factor", tcsim.Kinds()[i], k)
+					}
+				}
+				served = append(served, got)
+			}
+		}
 	}
 }

@@ -85,12 +85,6 @@ func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *t
 	if err != nil {
 		return nil, 0, err
 	}
-	// A miss that ran through the parallel TSQR pipeline carries per-stage
-	// timings; fold them into the tcqrd_tsqr_* families exactly once (hits
-	// and shared waiters reuse a factorization someone else already counted).
-	if src == SourceMiss && entry.F != nil && entry.F.TSQR != nil {
-		s.metrics.observeTSQR(entry.F.TSQR)
-	}
 	return entry, src, nil
 }
 

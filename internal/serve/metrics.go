@@ -3,7 +3,6 @@ package serve
 import (
 	"time"
 
-	"tcqr"
 	"tcqr/internal/faultinject"
 	"tcqr/internal/hazard"
 	"tcqr/internal/metrics"
@@ -37,14 +36,6 @@ type serverMetrics struct {
 
 	stageSeconds *metrics.HistogramVec // queue/factorize/solve/encode
 	batchSize    *metrics.Histogram    // coalesced batch sizes
-
-	// TSQR pipeline instrumentation: per-stage wall time of every parallel
-	// factorization actually performed (cache misses only), plus its leaf
-	// block count — the shape signal that says whether routing thresholds
-	// match real traffic.
-	tsqrStageSeconds *metrics.HistogramVec // block_factor/tree_reduce/q_recover
-	tsqrFactorize    *metrics.Counter
-	tsqrBlocks       *metrics.Histogram
 
 	// Chunked-upload session lifecycle counters. begun = committed + aborted
 	// + reaped + currently-open is the leak invariant the hardening and chaos
@@ -126,12 +117,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			"Requests received, by API endpoint and wire encoding.", "endpoint", "encoding"),
 		wireResponses: reg.CounterVec("tcqrd_wire_responses_total",
 			"Successful responses written, by wire encoding.", "encoding"),
-		tsqrStageSeconds: reg.HistogramVec("tcqrd_tsqr_stage_seconds",
-			"Parallel TSQR pipeline stage wall time per factorization.", metrics.LatencyBuckets, "stage"),
-		tsqrFactorize: reg.Counter("tcqrd_tsqr_factorize_total",
-			"Factorizations computed through the parallel TSQR pipeline."),
-		tsqrBlocks: reg.Histogram("tcqrd_tsqr_blocks",
-			"Leaf row-block count of each TSQR factorization.", metrics.SizeBuckets),
 		streamBegun: reg.Counter("tcqrd_stream_begun_total",
 			"Chunked-upload sessions opened."),
 		streamCommitted: reg.Counter("tcqrd_stream_committed_total",
@@ -317,22 +302,6 @@ func (m *serverMetrics) close() {
 		m.unobserveFault()
 		m.unobserveFault = nil
 	}
-}
-
-// observeTSQR folds one parallel factorization's stage timings into the
-// tcqrd_tsqr_* families: the block-factor stage is the sum of per-block wall
-// times (total compute spent in leaves, comparable across worker counts),
-// tree_reduce and q_recover are single wall measurements.
-func (m *serverMetrics) observeTSQR(info *tcqr.TSQRInfo) {
-	m.tsqrFactorize.Inc()
-	m.tsqrBlocks.Observe(float64(info.Blocks))
-	var blockSum time.Duration
-	for _, d := range info.BlockFactor {
-		blockSum += d
-	}
-	m.tsqrStageSeconds.With("block_factor").ObserveDuration(blockSum)
-	m.tsqrStageSeconds.With("tree_reduce").ObserveDuration(info.Reduce)
-	m.tsqrStageSeconds.With("q_recover").ObserveDuration(info.Recover)
 }
 
 // noteHazard counts one wire hazard, normalizing the kind to the bounded

@@ -5,8 +5,8 @@ package serve
 // grammar). Each is a single atomic nil-check unless a fault schedule is
 // armed. Sites outside this package: gram.ladder.rung (forces a panel-rung
 // breakdown, driving the escalation ladder), tcsim.gemm (delays or corrupts
-// an engine GEMM result), tsqr.block.factor / tsqr.tree.reduce (fail one
-// leaf factorization or one reduction node of the parallel TSQR pipeline),
+// an engine GEMM result), tsqr.block.factor / tsqr.tree.reduce (library only:
+// a leaf or a reduction node of FactorizeTall, which no request reaches),
 // and the cluster tier's cluster.route / cluster.replicate / cluster.probe /
 // cluster.handoff (fail a peer forward, a replica fan-out delivery, a health
 // probe, or a handoff hint delivery — the schedule TestClusterChaosSoak

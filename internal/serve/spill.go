@@ -36,8 +36,12 @@ import (
 // leave a torn file (no fsync), which is why every load is checksummed and
 // torn files are quarantined, never served.
 const (
-	spillMagic     = "TCQS"
-	spillVersion   = 2 // v2: the meta embeds tcqr.Config (engine by name); v1 spelled it as booleans
+	spillMagic = "TCQS"
+	// v3 keeps v2's layout (the meta embeds tcqr.Config, engine by name; v1
+	// spelled it as booleans) and retires v2's files: for tall-skinny shapes
+	// they hold a retired second kernel's factors under keys that now denote
+	// RGSQRF factors. No legacy reader for either: rewarm quarantines them.
+	spillVersion   = 3
 	spillHeaderLen = 20
 	spillExt       = ".tcqs"
 	spillQuarExt   = ".quarantine"

@@ -362,88 +362,6 @@ func TestStreamBeginRetryAfterDerived(t *testing.T) {
 	}
 }
 
-// TestStreamTSQRRouting closes the loop on the tentpole: a tall-skinny matrix
-// streamed through chunked upload routes through the parallel TSQR pipeline
-// on commit, and the tcqrd_tsqr_* families record its block/stage shape.
-func TestStreamTSQRRouting(t *testing.T) {
-	s := New(Options{
-		Workers: 2,
-		Backend: LibraryBackend{TSQRMinRows: 32, TSQRBlockRows: 16},
-	})
-	defer s.Close()
-	h := s.Handler()
-	const m, n = 96, 8
-	data := testMatrix(64, m, n, 1)
-
-	fr := streamUpload(t, h, nil, n, rowChunks(t, m, n, data, 32, 32, 32))
-	if fr.Rows != m || fr.Cached {
-		t.Fatalf("commit reply %+v, want cold %dx%d factorization", fr, m, n)
-	}
-	if got := s.metrics.tsqrFactorize.Value(); got != 1 {
-		t.Fatalf("tcqrd_tsqr_factorize_total = %d, want 1 (routing predicate missed a %dx%d matrix)", got, m, n)
-	}
-	// 96 rows / 16 block rows = 6 leaves.
-	if c := s.metrics.tsqrBlocks.Count(); c != 1 {
-		t.Fatalf("tsqr blocks histogram count = %d", c)
-	}
-	if max := s.metrics.tsqrBlocks.Max(); max != 6 {
-		t.Errorf("tsqr blocks = %g, want 6", max)
-	}
-	for _, stage := range []string{"block_factor", "tree_reduce", "q_recover"} {
-		if s.metrics.tsqrStageSeconds.With(stage).Count() != 1 {
-			t.Errorf("tcqrd_tsqr_stage_seconds{stage=%q} has no observation", stage)
-		}
-	}
-
-	// The cache hit on re-upload does not double-count the pipeline.
-	var one factorizeReply
-	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &one); code != 200 {
-		t.Fatalf("one-shot status %d", code)
-	}
-	if !one.Cached || one.Key != fr.Key {
-		t.Fatalf("one-shot after streamed TSQR commit: cached=%v key match=%v", one.Cached, one.Key == fr.Key)
-	}
-	if got := s.metrics.tsqrFactorize.Value(); got != 1 {
-		t.Errorf("cache hit bumped tcqrd_tsqr_factorize_total to %d", got)
-	}
-
-	// TSQR factorizations back solves like any other.
-	x := make([]float64, n)
-	for j := range x {
-		x[j] = 1 + float64(j)/2
-	}
-	var sr solveReply
-	if code, _ := post(t, h, "/v1/solve", map[string]any{"key": fr.Key, "b": matVecData(m, n, data, x)}, &sr); code != 200 {
-		t.Fatalf("solve by TSQR key: status %d", code)
-	}
-	if d := maxDiff(sr.X, x); d > 1e-5 {
-		t.Errorf("solve against TSQR factorization: max error %g", d)
-	}
-}
-
-// TestTSQRRoutingPredicate pins the backend routing boundary directly.
-func TestTSQRRoutingPredicate(t *testing.T) {
-	cases := []struct {
-		b          LibraryBackend
-		rows, cols int
-		want       bool
-	}{
-		{LibraryBackend{}, DefaultTSQRMinRows, 8, true},
-		{LibraryBackend{}, DefaultTSQRMinRows - 1, 8, false},
-		{LibraryBackend{}, DefaultTSQRMinRows, DefaultTSQRMinRows / 4, true},
-		{LibraryBackend{}, DefaultTSQRMinRows, DefaultTSQRMinRows/4 + 1, false}, // not tall-skinny enough
-		{LibraryBackend{TSQRMinRows: 32}, 32, 8, true},
-		{LibraryBackend{TSQRMinRows: 32}, 31, 7, false},
-		{LibraryBackend{TSQRMinRows: -1}, 1 << 20, 4, false}, // disabled
-	}
-	for _, tc := range cases {
-		if got := tc.b.routeTSQR(tc.rows, tc.cols); got != tc.want {
-			t.Errorf("routeTSQR(%d, %d) with min %d = %v, want %v",
-				tc.rows, tc.cols, tc.b.TSQRMinRows, got, tc.want)
-		}
-	}
-}
-
 // TestStreamReaperLifecycle checks the background sweep end to end with a
 // tiny TTL: an abandoned begin-without-commit session disappears on its own,
 // its counters account for it, and no session survives Close.

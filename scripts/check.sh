@@ -27,6 +27,9 @@ go test -race -count=3 -run 'Pool|AwaitIdle' ./internal/serve
 # envelope behind Factorize and FactorizeTall, one refiner behind single and
 # batched solves (whose concurrent columns share one hazard.Report).
 go test -race -run 'TestTallEnvelopeMatchesSerial|TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod' . ./internal/serve
+# The daemon's one cold-factorization path: a served factor is
+# tcqr.Factorize's, bit for bit, and no flag selects another.
+go test -race -run 'TestServedFactorsAreLibraryFactors|TestFlagsMatchUsageComment' ./internal/serve ./cmd/tcqrd
 
 # benchmark/ is its own module, so `./...` above never compiles it; vet and
 # test it by name so a rename in internal/ cannot break it silently.
