@@ -11,8 +11,8 @@ PIPELINE_TESTS = TestTallEnvelopeMatchesSerial|TestMultiMatchesSinglePerMethod|T
 # factor is tcqr.Factorize's, bit for bit, and no flag selects another.
 ONE_PATH_TESTS = TestServedFactorsAreLibraryFactors|TestFlagsMatchUsageComment
 
-.PHONY: build check check-race check-deep lint fuzz chaos cluster-soak \
-	bench serve serve-smoke clean
+.PHONY: build check check-race check-deep check-exhaustive lint fuzz chaos \
+	cluster-soak bench serve serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -30,9 +30,12 @@ lint:
 # Tier-1 verification: everything must build and pass. benchmark/ is its own
 # module, so `./...` from the root never compiles it: vet and test it by
 # name, or a rename in internal/ breaks the benchmark silently. The pipeline
-# and one-path tests run once more under the race detector.
+# and one-path tests run once more under the race detector. The arm64 vet
+# type-checks every *_other.go fallback of the amd64 assembly (and the tests
+# beside them), which no native build compiles; it needs no arm64 machine.
 check:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	$(GO) test ./...
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
@@ -85,10 +88,18 @@ chaos:
 cluster-soak:
 	$(GO) test -race -run 'TestClusterChaosSoak' -v ./internal/serve
 
-# Deep verification: race gate, fuzz smoke, cluster soak, and the daemon
-# end-to-end smoke (what scripts/check.sh runs). Tier-1 `check` stays fast;
-# this one takes ~a minute.
-check-deep: check-race fuzz cluster-soak serve-smoke
+# The bit-identity proof of the vector rounding kernels (binary16 round,
+# round+count and tc-ec residual in internal/f16; bfloat16 round and
+# round+count in internal/bf16): all 2^32 float32 patterns through each
+# kernel and its scalar loop, one to two minutes on two cores. Tier-1 runs a
+# 2^22-pattern stride of the same test.
+check-exhaustive:
+	$(GO) test -run '^TestExhaustiveVectorMatchesScalar$$' -v ./internal/f16 ./internal/bf16 -exhaustive
+
+# Deep verification: race gate, the exhaustive kernel sweeps, fuzz smoke,
+# cluster soak, and the daemon end-to-end smoke (what scripts/check.sh runs).
+# Tier-1 `check` stays fast; this one takes a few minutes.
+check-deep: check-race check-exhaustive fuzz cluster-soak serve-smoke
 
 # Run the factorization-serving daemon on its default port.
 serve:

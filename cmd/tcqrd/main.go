@@ -98,6 +98,7 @@ import (
 	"time"
 
 	"tcqr/internal/cluster"
+	"tcqr/internal/cpufeat"
 	"tcqr/internal/faultinject"
 	"tcqr/internal/metrics"
 	"tcqr/internal/serve"
@@ -145,7 +146,7 @@ func main() {
 	flag.Parse()
 
 	if *showVersion {
-		fmt.Printf("tcqrd %s %s\n", version, runtime.Version())
+		fmt.Printf("tcqrd %s %s kernels=%s\n", version, runtime.Version(), cpufeat.Kernels())
 		return
 	}
 	if *smoke != "" {
@@ -244,7 +245,8 @@ func main() {
 		}
 	}
 	info(logger, "listening", "addr", bound, "workers", *workers, "queue", *queue,
-		"cache", *cacheEntries, "window", (*window).String(), "max_batch", *maxBatch)
+		"cache", *cacheEntries, "window", (*window).String(), "max_batch", *maxBatch,
+		"kernels", cpufeat.Kernels())
 
 	if *debugAddr != "" {
 		dln, err := net.Listen("tcp", *debugAddr)

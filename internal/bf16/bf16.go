@@ -56,11 +56,32 @@ func (h BFloat16) Float32() float32 {
 // Round performs the round trip float32 → bfloat16 → float32.
 func Round(x float32) float32 { return FromFloat32(x).Float32() }
 
-// RoundSlice writes Round(src[i]) into dst[i]. dst and src may alias.
+// vecLen is the length of the prefix of an n-element slice that the vector
+// kernels take: the whole multiples of eight, or nothing without them.
+func vecLen(n int) int {
+	if useVector {
+		return n &^ 7
+	}
+	return 0
+}
+
+// RoundSlice writes Round(src[i]) into dst[i]. dst and src may be the same
+// slice (not partially overlapping ones). On amd64 with AVX2 the whole
+// multiples of eight go through the kernels of round_amd64.s and the tail
+// through the scalar loop; the two return the same bits for every input,
+// NaN payloads included, as internal/f16's pair does and for the same reason.
 func RoundSlice(dst, src []float32) {
 	if len(dst) != len(src) {
 		panic("bf16: RoundSlice length mismatch")
 	}
+	n := vecLen(len(src))
+	if n > 0 {
+		roundVec(&dst[0], &src[0], n)
+	}
+	roundScalar(dst[n:], src[n:])
+}
+
+func roundScalar(dst, src []float32) {
 	for i, v := range src {
 		dst[i] = Round(v)
 	}
@@ -74,6 +95,14 @@ func RoundInPlace(x []float32) { RoundSlice(x, x) }
 // the rounding pass. (bfloat16 spans the full float32 exponent range, so
 // nothing can flush to zero and no underflow count is needed.)
 func RoundInPlaceCount(x []float32) (overflow int64) {
+	n := vecLen(len(x))
+	if n > 0 {
+		overflow = roundCountVec(&x[0], n)
+	}
+	return overflow + roundCountScalar(x[n:])
+}
+
+func roundCountScalar(x []float32) (overflow int64) {
 	for i, v := range x {
 		h := FromFloat32(v)
 		x[i] = h.Float32()

@@ -4,11 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"tcqr/internal/roundtest"
 )
 
 // TestRoundInPlaceCountMatchesSeparatePasses: the fused round+count pass
 // must produce exactly RoundSlice's values and an overflow tally identical
-// to an Overflows scan, including at the very top of the float32 range.
+// to an Overflows scan, including at the very top of the float32 range and
+// on the roundtest.Classes table.
 func TestRoundInPlaceCountMatchesSeparatePasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	x := make([]float32, 4096)
@@ -25,6 +28,11 @@ func TestRoundInPlaceCountMatchesSeparatePasses(t *testing.T) {
 		default:
 			x[i] = float32(rng.NormFloat64())
 		}
+	}
+	// The hard cases by name, after the random draw: ties, the saturation
+	// edge, subnormals, and NaNs of every payload shape.
+	for _, b := range roundtest.Classes {
+		x = append(x, math.Float32frombits(b))
 	}
 	var wantOv int64
 	for _, v := range x {

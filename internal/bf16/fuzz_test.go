@@ -3,6 +3,8 @@ package bf16
 import (
 	"math"
 	"testing"
+
+	"tcqr/internal/roundtest"
 )
 
 // refRoundBF is an independent float64 reference for the bfloat16 rounding
@@ -33,9 +35,39 @@ func refRoundBF(x float32) float64 {
 	return sign * r
 }
 
+// elementwise holds the slice entry points to the per-element scalar
+// functions FuzzBF16RoundTrip checks against the reference: Round for the
+// values, Overflows for the count.
+var elementwise = []roundtest.Kernel{
+	{
+		Name:     "RoundInPlace",
+		Dispatch: roundtest.Uncounted(RoundInPlace),
+		Scalar: roundtest.Uncounted(func(x []float32) {
+			for i, v := range x {
+				x[i] = Round(v)
+			}
+		}),
+	},
+	{
+		Name:     "RoundInPlaceCount",
+		Dispatch: func(x []float32) (int64, int64) { return RoundInPlaceCount(x), 0 },
+		Scalar: func(x []float32) (overflow, _ int64) {
+			for i, v := range x {
+				if Overflows(v) {
+					overflow++
+				}
+				x[i] = Round(v)
+			}
+			return overflow, 0
+		},
+	},
+}
+
 // FuzzBF16RoundTrip cross-checks the float32 → bfloat16 → float32 round
 // trip against the float64 reference above, plus idempotence, the overflow
-// classifier, and the fused RoundInPlaceCount overflow counter.
+// classifier, and the fused RoundInPlaceCount overflow counter, and then
+// sends the same value through the slice kernels at each of the eight
+// vector lanes.
 func FuzzBF16RoundTrip(f *testing.F) {
 	seeds := []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1,
@@ -87,6 +119,10 @@ func FuzzBF16RoundTrip(f *testing.F) {
 		}
 		if !math.IsNaN(want) && float64(buf[0]) != want {
 			t.Fatalf("RoundInPlaceCount rounded %v to %v, want %v", x, buf[0], want)
+		}
+
+		for _, k := range elementwise {
+			roundtest.Lanes(t, k, x)
 		}
 	})
 }

@@ -2,6 +2,8 @@
 
 package blas
 
+import "tcqr/internal/cpufeat"
+
 // AVX micro-kernels for the packed GEMM. They compute a full micro-tile
 // accumulator block from packed panels:
 //
@@ -26,10 +28,6 @@ func gemmKernel16x4F32(kb int, ap, bp, out *float32)
 //go:noescape
 func gemmKernel8x4F64(kb int, ap, bp, out *float64)
 
-// cpuHasAVX reports whether the CPU and OS support AVX (CPUID feature flag
-// plus XGETBV confirmation that the OS saves YMM state).
-func cpuHasAVX() bool
-
 // useAVXKernels gates the assembly micro-kernels; when false the generic
 // scalar 4×4 kernel runs everywhere.
-var useAVXKernels = cpuHasAVX()
+var useAVXKernels = cpufeat.AVX

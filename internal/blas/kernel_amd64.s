@@ -2,28 +2,6 @@
 
 #include "textflag.h"
 
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	// Need OSXSAVE (ECX bit 27) and AVX (ECX bit 28).
-	ANDL $0x18000000, CX
-	CMPL CX, $0x18000000
-	JNE  noavx
-	// XCR0 bits 1 and 2: OS saves XMM and YMM state.
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX
-	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
-	RET
-
-noavx:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func gemmKernel16x4F32(kb int, ap, bp, out *float32)
 //
 // ap: kb quads of 16 floats (one micro-panel column per k index)

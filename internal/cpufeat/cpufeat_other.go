@@ -1,0 +1,6 @@
+//go:build !amd64
+
+package cpufeat
+
+// No vector kernels exist off amd64: every feature is the constant false.
+const AVX, AVX2, F16C = false, false, false

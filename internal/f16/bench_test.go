@@ -3,6 +3,8 @@ package f16
 import (
 	"math/rand"
 	"testing"
+
+	"tcqr/internal/roundtest"
 )
 
 func benchData(n int) []float32 {
@@ -52,3 +54,8 @@ func BenchmarkRoundSlice(b *testing.B) {
 		RoundSlice(dst, x)
 	}
 }
+
+// BenchmarkRoundInPlace: {round, round+count, residual} × {vector, scalar} at
+// the two packed-slab sizes the GEMM hooks (BenchmarkRoundSlice above, like
+// the benchmark probe's f16.round_gelem_s, streams from memory instead).
+func BenchmarkRoundInPlace(b *testing.B) { roundtest.Bench(b, sliceKernels, useVector) }

@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"tcqr/internal/roundtest"
 )
 
 // TestRoundInPlaceCountMatchesSeparatePasses: the fused round+count pass
 // must produce exactly RoundInPlace's values and CountSpecials' tallies,
 // across ordinary values, overflow/underflow magnitudes, infinities, NaNs,
-// and signed zeros.
+// signed zeros, and the roundtest.Classes table.
 func TestRoundInPlaceCountMatchesSeparatePasses(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	x := make([]float32, 4096)
@@ -32,6 +34,11 @@ func TestRoundInPlaceCountMatchesSeparatePasses(t *testing.T) {
 		default:
 			x[i] = float32(rng.NormFloat64())
 		}
+	}
+	// The hard cases by name, after the random draw: ties, the saturation
+	// edge, subnormals, and NaNs of every payload shape.
+	for _, b := range roundtest.Classes {
+		x = append(x, math.Float32frombits(b))
 	}
 	wantOv, wantUf := CountSpecials(x)
 	want := append([]float32(nil), x...)

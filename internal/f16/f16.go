@@ -96,14 +96,25 @@ func FromFloat32(x float32) Float16 {
 	}
 }
 
-// FromFloat64 converts a float64 to binary16. The double rounding through
-// float32 is harmless here because float32 has more than twice the precision
-// of binary16 only in the mantissa sense; to stay bit-exact we convert
-// directly when the value is exactly representable in float32 and fall back
-// to the two-step path otherwise. In practice the GEMM simulator only ever
-// converts float32 data; this helper exists for the float64 front ends.
+// FromFloat64 converts x to binary16 with a single round-to-nearest-even.
+// It narrows to float32 first, but with round-to-odd (truncate, then set the
+// last bit if anything was lost), not to nearest: a nearest rounding can land
+// exactly on a binary16 tie that x was only close to, and FromFloat32 would
+// then break the tie the wrong way (1 + 2⁻¹¹ + 2⁻³⁰ must give 0x3c01, not
+// 0x3c00). An odd last bit keeps the intermediate off every tie and on the
+// side of it x was on; that needs two bits more than binary16's 11, and
+// float32 has 24. The GEMM simulator only ever converts float32 data; this
+// helper exists for the float64 front ends.
 func FromFloat64(x float64) Float16 {
-	return FromFloat32(float32(x))
+	f := float32(x)
+	if float64(f) != x && x == x { // inexact, not NaN
+		b := math.Float32bits(f)
+		if math.Abs(float64(f)) > math.Abs(x) {
+			b-- // rounded away from zero (possibly to Inf): step back
+		}
+		f = math.Float32frombits(b | 1)
+	}
+	return FromFloat32(f)
 }
 
 // Float32 converts h back to float32 exactly (every binary16 value is

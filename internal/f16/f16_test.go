@@ -233,6 +233,55 @@ func TestFromFloat64(t *testing.T) {
 	if FromFloat16RoundTrip := FromFloat64(0.1); FromFloat16RoundTrip != FromFloat32(0.1) {
 		t.Error("FromFloat64(0.1) disagrees with FromFloat32")
 	}
+	// Values a float64 → float32 → binary16 double rounding gets wrong: the
+	// float32 step lands exactly on a binary16 tie (or on the overflow
+	// threshold) and the second rounding then goes the other way.
+	cases := []struct {
+		name string
+		in   float64
+		want Float16
+	}{
+		{"just above the tie at 1", 1 + 0x1p-11 + 0x1p-30, 0x3c01},
+		{"its negative", -(1 + 0x1p-11 + 0x1p-30), 0xbc01},
+		{"just below the tie at 1", 1 + 0x1p-11 - 0x1p-30, 0x3c00},
+		{"the tie itself goes to even", 1 + 0x1p-11, 0x3c00},
+		{"subnormal range, just above 2.5 units", 0x1p-24 * (2.5 + 0x1p-30), 0x0003},
+		{"subnormal range, the tie at 2.5 units", 0x1p-24 * 2.5, 0x0002},
+		{"just below the overflow threshold", 65520 - 0x1p-30, 0x7bff},
+		{"the overflow threshold", 65520, 0x7c00},
+		{"below half the smallest subnormal", 0x1p-25 - 0x1p-70, 0x0000},
+		{"just above half the smallest subnormal", 0x1p-25 + 0x1p-70, 0x0001},
+		{"beyond float32 range, negative", -1e300, 0xfc00},
+		{"below float32 range keeps its sign", -1e-300, 0x8000},
+		{"-Inf", math.Inf(-1), 0xfc00},
+	}
+	for _, c := range cases {
+		got := FromFloat64(c.in)
+		if got != c.want {
+			t.Errorf("%s: FromFloat64(%b) = %#04x, want %#04x", c.name, c.in, got, c.want)
+		}
+		if ref := refRound16(c.in); got.Float64() != ref || math.Signbit(got.Float64()) != math.Signbit(ref) {
+			t.Errorf("%s: FromFloat64(%b) = %v, reference rounds to %v", c.name, c.in, got.Float64(), ref)
+		}
+	}
+	if !FromFloat64(math.NaN()).IsNaN() {
+		t.Error("FromFloat64(NaN) is not a NaN")
+	}
+	// Every midpoint between adjacent finite binary16 magnitudes (and the
+	// overflow threshold past the last), nudged by one part in 2⁴⁰ either
+	// way: closer to the tie than float32 can tell.
+	for h := Float16(0); h <= 0x7bff; h++ {
+		mid := (h.Float64() + 65536) / 2
+		if h < 0x7bff {
+			mid = (h.Float64() + (h + 1).Float64()) / 2
+		}
+		for _, x := range []float64{mid * (1 - 0x1p-40), mid, mid * (1 + 0x1p-40), -mid * (1 + 0x1p-40)} {
+			got, ref := FromFloat64(x).Float64(), refRound16(x)
+			if got != ref || math.Signbit(got) != math.Signbit(ref) {
+				t.Fatalf("FromFloat64(%b) = %v, reference rounds to %v (midpoint above %#04x)", x, got, ref, uint16(h))
+			}
+		}
+	}
 }
 
 func TestEpsConstant(t *testing.T) {

@@ -3,15 +3,17 @@ package f16
 import (
 	"math"
 	"testing"
+
+	"tcqr/internal/roundtest"
 )
 
 // refRound16 is an independent float64 reference for the binary16 rounding
-// in FromFloat32: round-to-nearest-even onto the binary16 grid, saturating
+// in FromFloat32 and FromFloat64 (every float32 is a float64, so one
+// reference serves both): round-to-nearest-even onto the binary16 grid, saturating
 // to ±Inf past MaxValue = 65504 and flushing gradually through subnormals
 // (spacing 2^-24) to signed zero. It shares no code with the bit-twiddling
 // implementation under test.
-func refRound16(x float32) float64 {
-	v := float64(x)
+func refRound16(v float64) float64 {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return v
 	}
@@ -34,9 +36,40 @@ func refRound16(x float32) float64 {
 	return sign * r
 }
 
+// elementwise holds the slice entry points to the per-element scalar
+// functions FuzzF16RoundTrip checks against the reference: Round for the
+// values, Overflows and Underflows for the counts.
+var elementwise = []roundtest.Kernel{
+	{
+		Name:     "RoundInPlace",
+		Dispatch: roundtest.Uncounted(RoundInPlace),
+		Scalar: roundtest.Uncounted(func(x []float32) {
+			for i, v := range x {
+				x[i] = Round(v)
+			}
+		}),
+	},
+	{
+		Name:     "RoundInPlaceCount",
+		Dispatch: RoundInPlaceCount,
+		Scalar: func(x []float32) (overflow, underflow int64) {
+			for i, v := range x {
+				if Overflows(v) {
+					overflow++
+				} else if Underflows(v) {
+					underflow++
+				}
+				x[i] = Round(v)
+			}
+			return overflow, underflow
+		},
+	},
+}
+
 // FuzzF16RoundTrip cross-checks the float32 → binary16 → float32 round trip
 // against the float64 reference above, plus the idempotence and classifier
-// invariants the TensorCore simulator relies on.
+// invariants the TensorCore simulator relies on, and then sends the same
+// value through the slice kernels at each of the eight vector lanes.
 func FuzzF16RoundTrip(f *testing.F) {
 	seeds := []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1,
@@ -58,7 +91,7 @@ func FuzzF16RoundTrip(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, x float32) {
 		got := float64(Round(x))
-		want := refRound16(x)
+		want := refRound16(float64(x))
 		if math.IsNaN(want) {
 			if !math.IsNaN(got) {
 				t.Fatalf("Round(NaN input %x) = %v, want NaN", math.Float32bits(x), got)
@@ -86,6 +119,10 @@ func FuzzF16RoundTrip(f *testing.F) {
 		}
 		if h.IsFinite() && math.Abs(got) > MaxValue {
 			t.Fatalf("finite half %v above MaxValue", got)
+		}
+
+		for _, k := range elementwise {
+			roundtest.Lanes(t, k, x)
 		}
 	})
 }

@@ -21,9 +21,15 @@ func benchPair(m, n, k int) (*dense.M32, *dense.M32, *dense.M32) {
 	return a, b, dense.New[float32](m, n)
 }
 
-// BenchmarkEngines compares the software cost of the engines: the
-// TensorCore path pays for two fp16 rounding passes per call; on the real
-// device the same rounding is what makes it *faster*.
+// BenchmarkEngines compares the software cost of the engines. The simulated
+// half-precision engines pay for operand rounding at pack time, and blocking
+// re-rounds: op(B) once per row of macro-tiles, op(A) once per column — one
+// pass over each operand at this 512³ shape, five matrix-sizes' worth per
+// 2048×512 least squares solve. With the vector kernels of internal/f16 and
+// internal/bf16 that is a few percent of the product, so TC and BF16 should
+// read close to SGEMM and TC-EC near a third of it (three passes); on a host
+// without them (scalar rounding) TC reads at under half of SGEMM. On the
+// real device the same rounding is what makes the engine *faster*.
 func BenchmarkEngines(b *testing.B) {
 	a, bb, c := benchPair(512, 512, 512)
 	for _, e := range []Engine{&FP32{}, &TensorCore{}, &BFloat16{}, &TCEC{}} {

@@ -10,6 +10,7 @@ import (
 	"tcqr/internal/dense"
 	"tcqr/internal/f16"
 	"tcqr/internal/matgen"
+	"tcqr/internal/roundtest"
 )
 
 // gemmRef64 computes op(A)·op(B) elementwise in float64 (NoTrans only —
@@ -93,7 +94,7 @@ func TestTcEcAccuracySweep(t *testing.T) {
 	}{
 		{"unit", 1, 16},
 		{"up6", 0x1p6, 16},
-		{"top-edge", 0x1p12, 16},      // products ~2¹², hi halves near saturation
+		{"top-edge", 0x1p12, 16},     // products ~2¹², hi halves near saturation
 		{"down10", 0x1p-10, 16},      // residuals still land fp16-normal after the shift
 		{"subnormal-hi", 0x1p-18, 0}, // hi halves fp16-subnormal; shifted residuals too
 		{"subnormal-lo", 0x1p-26, 0}, // TC flushes the operands outright; tc-ec keeps bits
@@ -150,8 +151,13 @@ func TestTcEcExactOnFp16Inputs(t *testing.T) {
 	const m, k, n = 32, 48, 24
 	a := randScaled(rng, m, k, 1)
 	b := randScaled(rng, k, n, 1)
-	f16.RoundInPlace(a.Data)
-	f16.RoundInPlace(b.Data)
+	// Per-element scalar rounding: the reference must not share the slice
+	// kernels with the engines under test.
+	for _, m := range []*dense.M32{a, b} {
+		for i, v := range m.Data {
+			m.Data[i] = f16.Round(v)
+		}
+	}
 	cTC := dense.New[float32](m, n)
 	cEC := dense.New[float32](m, n)
 	(&TensorCore{}).Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, cTC)
@@ -271,4 +277,29 @@ func TestSplitF32(t *testing.T) {
 			t.Errorf("SplitF32(%g): shifted residual %g overflows fp16", x, lo*0x1p11)
 		}
 	}
+}
+
+// residualKernel holds the vectorized pack hook of the correction passes,
+// f16.ResidualInPlace, to the engine's own per-element definition: the lo
+// half of SplitF32, shifted by 2¹¹ and rounded through binary16 by the
+// scalar f16.Round. FuzzTcEcSplitRoundTrip drives the same pair.
+var residualKernel = roundtest.Kernel{
+	Name:     "residual-vs-SplitF32",
+	Dispatch: roundtest.Uncounted(f16.ResidualInPlace),
+	Scalar: roundtest.Uncounted(func(x []float32) {
+		for i, v := range x {
+			_, lo := SplitF32(v)
+			x[i] = f16.Round(lo * 0x1p11)
+		}
+	}),
+}
+
+// TestResidualKernelMatchesSplitF32: the slice kernel the lo hook calls and
+// the scalar SplitF32 definition agree bit for bit — at every short length
+// and start offset over the hard-case table, and over the 2²²-pattern stride
+// of the float32 bit space (internal/f16 sweeps all 2³² against its own
+// scalar loop under -exhaustive).
+func TestResidualKernelMatchesSplitF32(t *testing.T) {
+	roundtest.Layouts(t, residualKernel)
+	roundtest.Sweep(t, residualKernel, false)
 }

@@ -69,23 +69,17 @@ func SplitF32(x float32) (hi, lo float32) {
 	return hi, x - hi
 }
 
-// roundLoInPlace rewrites a packed panel with the fp16-rounded, 2¹¹-shifted
-// residual halves: p[i] ← fl16((x − fl16(x))·2¹¹). Zero padding stays zero
-// (its residual is zero), so packed tails never contribute.
-func roundLoInPlace(p []float32) {
-	for i, x := range p {
-		_, lo := SplitF32(x)
-		p[i] = f16.ToFloat32Fast(f16.FromFloat32(lo * 0x1p11))
-	}
-}
-
-// loHook packs the residual halves. A package-level value so the hot path
-// never allocates a closure. The correction passes never track specials, so
-// RoundCount only has to preserve the rounding behaviour.
+// loHook packs the residual halves: f16.ResidualInPlace rewrites a packed
+// panel with lo' = fl16(lo·2¹¹), lo as SplitF32 defines it (the slice kernel
+// is vectorized; SplitF32 stays the scalar definition the tests hold it to).
+// Zero padding stays zero, so packed tails never contribute. A package-level
+// value so the hot path never allocates a closure. The correction passes
+// never track specials, so RoundCount only has to preserve the rounding
+// behaviour.
 var loHook = blas.PackHook[float32]{
-	Round: roundLoInPlace,
+	Round: f16.ResidualInPlace,
 	RoundCount: func(panel []float32) (overflow, underflow int64) {
-		roundLoInPlace(panel)
+		f16.ResidualInPlace(panel)
 		return 0, 0
 	},
 }

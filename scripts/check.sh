@@ -7,6 +7,10 @@ cd "$(dirname "$0")/.."
 
 echo "== go vet =="
 go vet ./...
+# Type-check the non-amd64 fallbacks of the assembly kernels (*_other.go) and
+# the tests beside them; no native build compiles them. Needs no arm64 host.
+echo "== go vet (GOARCH=arm64) =="
+GOARCH=arm64 go vet ./...
 
 # staticcheck is optional tooling: run it when the developer has it
 # installed, skip (loudly) when not, so the check never depends on a
@@ -30,6 +34,12 @@ go test -race -run 'TestTallEnvelopeMatchesSerial|TestMultiMatchesSinglePerMetho
 # The daemon's one cold-factorization path: a served factor is
 # tcqr.Factorize's, bit for bit, and no flag selects another.
 go test -race -run 'TestServedFactorsAreLibraryFactors|TestFlagsMatchUsageComment' ./internal/serve ./cmd/tcqrd
+
+# The vector rounding kernels against their scalar loops on all 2^32 float32
+# patterns, counts included (tier-1 runs a 2^22-pattern stride of the same
+# test): the proof behind "any replica, any CPU, same bits". See DESIGN.md §7.
+echo "== exhaustive kernel sweeps =="
+go test -run '^TestExhaustiveVectorMatchesScalar$' -v ./internal/f16 ./internal/bf16 -exhaustive
 
 # benchmark/ is its own module, so `./...` above never compiles it; vet and
 # test it by name so a rename in internal/ cannot break it silently.
