@@ -24,8 +24,9 @@ import (
 //   - each survivor's forwarding accounting balances:
 //     routed == served_remote + served_local_fallback.
 //
-// scripts/check.sh runs it as the cluster tier's CI gate; the in-process
-// twin with fault injection is TestClusterChaosSoak in internal/serve.
+// scripts/serve_smoke.sh runs it last (`make serve-smoke`, part of `make
+// check-deep`); the in-process twin with fault injection is
+// TestClusterChaosSoak in internal/serve.
 func runClusterSmoke() int {
 	const (
 		nodes    = 3

@@ -76,7 +76,9 @@
 // -smoke-update drives the incremental-update path against a running daemon:
 // factorize, append rows through /v1/update, solve by the bare key (newest
 // epoch) and by the pinned epoch key, downdate, and check the update metric
-// families; point the daemon at a -cache-dir first to smoke restart rewarm.
+// families. Its epoch checks are relative to where it finds the series, so
+// running it, restarting the daemon on the same -cache-dir and running it
+// again smokes restart rewarm (scripts/serve_smoke.sh does).
 // -smoke-cluster needs no daemon at all: it boots three in-process nodes on
 // ephemeral ports, drives keyed traffic through them, kills one mid-wave,
 // and exits non-zero unless every response survives and the forwarding
@@ -301,6 +303,10 @@ func main() {
 		}
 		node.Close()
 	}
+	// The spill tier is write-behind: let it finish the files it still has
+	// queued, or a restart on the same -cache-dir rewarms an older epoch than
+	// the one the last response named.
+	srv.Close()
 	info(logger, "drained cleanly")
 }
 

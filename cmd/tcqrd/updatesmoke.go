@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"time"
 
 	"tcqr/internal/wirefmt"
@@ -13,9 +15,13 @@ import (
 // daemon: factorize, append rows through /v1/update (JSON and binary
 // frames), solve against the bare base key (newest epoch) and an explicit
 // epoch-pinned key, downdate back to the original shape, and verify the
-// error paths and the tcqrd_update_* metric families. Run the daemon with
-// -cache-dir and re-run this smoke after a restart to additionally exercise
-// rewarm (the first factorize then reports cached=true).
+// error paths and the tcqrd_update_* metric families. Every epoch check is
+// relative to the epoch the bare key resolves when the run starts: 0 on a
+// fresh daemon, and the epoch the previous run left the series at when the
+// daemon was restarted on the same -cache-dir in between — which is how
+// scripts/serve_smoke.sh exercises rewarm (a continued series additionally
+// requires /statz to report rewarmed entries). The run leaves the series at
+// the original matrix, three epochs on, and prints where it found and left it.
 func runUpdateSmoke(base string) int {
 	s := &smoker{base: base, client: &http.Client{Timeout: 60 * time.Second}}
 
@@ -37,8 +43,46 @@ func runUpdateSmoke(base string) int {
 	s.check(err == nil && code == 200 && fr.Key != "",
 		"factorize succeeds with a key", "code=%d key=%q err=%v", code, fr.Key, err)
 	baseKey := fr.Key
+	epochKey := func(e uint64) string {
+		if e == 0 {
+			return baseKey
+		}
+		return baseKey + "@" + strconv.FormatUint(e, 10)
+	}
 
-	// Append a row block (JSON): epoch 1 publishes under key@1.
+	// Where is the series? The bare key names its newest epoch, and every
+	// run leaves it factoring the original matrix.
+	xTrue := make([]float64, n)
+	for j := range xTrue {
+		xTrue[j] = float64(j%5) - 2
+	}
+	b0 := matVec(mat, xTrue)
+	var sr struct {
+		X   []float64 `json:"x"`
+		Key string    `json:"key"`
+	}
+	var e0 uint64
+	code, err = s.post("/v1/solve", map[string]any{"key": baseKey, "b": b0}, &sr)
+	if i := strings.LastIndexByte(sr.Key, '@'); i >= 0 {
+		e0, _ = strconv.ParseUint(sr.Key[i+1:], 10, 64)
+	}
+	s.check(err == nil && code == 200 && sr.Key == epochKey(e0) && maxAbsDiff(sr.X, xTrue) < 1e-6,
+		"bare-key solve finds the series at the original matrix",
+		"code=%d key=%q diff=%g err=%v", code, sr.Key, maxAbsDiff(sr.X, xTrue), err)
+	fmt.Printf("update smoke: series found at epoch %d\n", e0)
+	if e0 > 0 {
+		var st struct {
+			Cache struct {
+				Rewarmed int64 `json:"rewarmed"`
+			} `json:"cache"`
+		}
+		code, err = s.get("/statz", &st)
+		s.check(err == nil && code == 200 && st.Cache.Rewarmed > 0,
+			"a continued series was rewarmed from the spill tier",
+			"code=%d rewarmed=%d err=%v", code, st.Cache.Rewarmed, err)
+	}
+
+	// Append a row block (JSON): the next epoch publishes under key@N.
 	blockRows := 8
 	block := smokeMatrix(blockRows, n, 1)
 	var ur struct {
@@ -49,25 +93,17 @@ func runUpdateSmoke(base string) int {
 		Cols    int    `json:"cols"`
 	}
 	code, err = s.post("/v1/update", map[string]any{"key": baseKey, "append": block}, &ur)
-	s.check(err == nil && code == 200 && ur.Epoch == 1 && ur.Key == baseKey+"@1" &&
+	s.check(err == nil && code == 200 && ur.Epoch == e0+1 && ur.Key == epochKey(e0+1) &&
 		ur.BaseKey == baseKey && ur.Rows == m+blockRows && ur.Cols == n,
-		"append update publishes epoch 1",
+		"append update publishes the next epoch",
 		"code=%d key=%q epoch=%d rows=%d err=%v", code, ur.Key, ur.Epoch, ur.Rows, err)
 
 	// Solving by the bare base key resolves the newest epoch, and the
 	// response names the exact epoch it ran against.
 	full := stackWire(mat, block)
-	xTrue := make([]float64, n)
-	for j := range xTrue {
-		xTrue[j] = float64(j%5) - 2
-	}
 	b := matVec(full, xTrue)
-	var sr struct {
-		X   []float64 `json:"x"`
-		Key string    `json:"key"`
-	}
 	code, err = s.post("/v1/solve", map[string]any{"key": baseKey, "b": b}, &sr)
-	s.check(err == nil && code == 200 && sr.Key == baseKey+"@1",
+	s.check(err == nil && code == 200 && sr.Key == epochKey(e0+1),
 		"bare-key solve resolves the new epoch", "code=%d key=%q err=%v", code, sr.Key, err)
 	if code == 200 {
 		s.check(maxAbsDiff(sr.X, xTrue) < 1e-6, "post-update solve is accurate",
@@ -75,12 +111,20 @@ func runUpdateSmoke(base string) int {
 	}
 
 	// The versioned key pins exactly that epoch.
-	code, err = s.post("/v1/solve", map[string]any{"key": baseKey + "@1", "b": b}, &sr)
-	s.check(err == nil && code == 200 && sr.Key == baseKey+"@1" && maxAbsDiff(sr.X, xTrue) < 1e-6,
-		"epoch-pinned solve answers from epoch 1",
+	code, err = s.post("/v1/solve", map[string]any{"key": epochKey(e0 + 1), "b": b}, &sr)
+	s.check(err == nil && code == 200 && sr.Key == epochKey(e0+1) && maxAbsDiff(sr.X, xTrue) < 1e-6,
+		"epoch-pinned solve answers from the new epoch",
 		"code=%d key=%q diff=%g err=%v", code, sr.Key, maxAbsDiff(sr.X, xTrue), err)
 
-	// Binary frame append: [JSON meta, block] publishes epoch 2.
+	// A request that carries its own matrix is answered from that matrix,
+	// under its own key: the content hash is also the series' bare key, and
+	// the series has moved on to the appended matrix.
+	code, err = s.post("/v1/solve", map[string]any{"matrix": mat, "b": b0}, &sr)
+	s.check(err == nil && code == 200 && sr.Key == baseKey && maxAbsDiff(sr.X, xTrue) < 1e-6,
+		"inline solve of the original matrix ignores the newer epoch",
+		"code=%d key=%q diff=%g err=%v", code, sr.Key, maxAbsDiff(sr.X, xTrue), err)
+
+	// Binary frame append: [JSON meta, block] publishes the epoch after.
 	meta, _ := json.Marshal(map[string]any{"key": baseKey})
 	blockData := wireData(block)
 	frame, ferr := wirefmt.AppendFrame(nil, wirefmt.JSONSection(meta),
@@ -94,20 +138,20 @@ func runUpdateSmoke(base string) int {
 	if err == nil {
 		err = json.Unmarshal(body, &ur2)
 	}
-	s.check(err == nil && code == 200 && ur2.Epoch == 2 && ur2.Rows == m+2*blockRows,
-		"binary-frame append publishes epoch 2",
+	s.check(err == nil && code == 200 && ur2.Epoch == e0+2 && ur2.Rows == m+2*blockRows,
+		"binary-frame append publishes the epoch after",
 		"code=%d epoch=%d rows=%d err=%v", code, ur2.Epoch, ur2.Rows, err)
 
-	// Downdate both appended blocks: epoch 3 factors the original matrix.
+	// Downdate both appended blocks: the third epoch of this run factors
+	// the original matrix again.
 	code, err = s.post("/v1/update", map[string]any{"key": baseKey, "remove_rows": 2 * blockRows}, &ur)
-	s.check(err == nil && code == 200 && ur.Epoch == 3 && ur.Rows == m,
-		"downdate publishes epoch 3 at the original shape",
+	s.check(err == nil && code == 200 && ur.Epoch == e0+3 && ur.Rows == m,
+		"downdate publishes the third epoch at the original shape",
 		"code=%d epoch=%d rows=%d err=%v", code, ur.Epoch, ur.Rows, err)
-	b0 := matVec(mat, xTrue)
 	code, err = s.post("/v1/solve", map[string]any{"key": baseKey, "b": b0}, &sr)
-	s.check(err == nil && code == 200 && maxAbsDiff(sr.X, xTrue) < 1e-6,
+	s.check(err == nil && code == 200 && sr.Key == epochKey(e0+3) && maxAbsDiff(sr.X, xTrue) < 1e-6,
 		"post-downdate solve matches the original matrix",
-		"code=%d diff=%g err=%v", code, maxAbsDiff(sr.X, xTrue), err)
+		"code=%d key=%q diff=%g err=%v", code, sr.Key, maxAbsDiff(sr.X, xTrue), err)
 
 	// Error contract: unknown key is 404, append+remove together is 400.
 	var errBody struct {
@@ -140,6 +184,7 @@ func runUpdateSmoke(base string) int {
 		fmt.Println("update smoke: FAILED")
 		return 1
 	}
+	fmt.Printf("update smoke: series left at epoch %d\n", e0+3)
 	fmt.Println("update smoke: all checks passed")
 	return 0
 }

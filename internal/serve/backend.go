@@ -8,8 +8,8 @@
 //     Factorize call (cache.go);
 //   - a request coalescer that batches solves arriving within a short window
 //     against the same cached factorization into a single multi-RHS call —
-//     the solo refinement run once per request, under one pool slot and one
-//     cache pin (coalesce.go);
+//     the solo refinement run once per request, under one pool slot
+//     (coalesce.go);
 //   - a bounded worker pool with admission control: queue-depth limit,
 //     per-request deadlines, typed backpressure errors, graceful drain
 //     (pool.go);

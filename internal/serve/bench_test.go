@@ -167,7 +167,7 @@ func BenchmarkServeCoalescedSolve(b *testing.B) {
 // BenchmarkServeCoalescedSolveBinary is the binary-frame twin of the wave
 // benchmark: every client ships (and receives) frames, so the wave's cost is
 // pure batching plus the multi-RHS solve with no JSON float work. Run with
-// -cpu 1,4,8 to observe multicore scaling of the sharded hot path.
+// -cpu 1,4,8 to observe how the hot path scales with cores.
 func BenchmarkServeCoalescedSolveBinary(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {

@@ -7,7 +7,6 @@ import (
 
 	"tcqr"
 	"tcqr/internal/faultinject"
-	"tcqr/internal/metrics"
 )
 
 // CacheKey derives the content-addressed cache key for factoring a under
@@ -37,10 +36,18 @@ func b2i(b bool) int {
 // Epoch-versioned keys (/v1/update): a factorization enters the cache at
 // epoch 0 under its bare content-hash key; every applied update publishes a
 // new immutable entry under base@N. A bare base key always resolves to the
-// newest epoch; a versioned key pins exactly one epoch, so an in-flight
-// solve that resolved an entry keeps computing against it — and reports its
-// exact epoch key — no matter how many updates land meanwhile. CacheKey
+// newest epoch when a request names it (solve by key, update); a versioned
+// key names exactly one epoch. A request that carries its own matrix derives
+// the bare key from the content, and that lookup is exact: the bare key then
+// means "this matrix", never "whatever the series has become". CacheKey
 // output never contains '@', so the split below is unambiguous.
+//
+// Lifetime: an Entry is immutable once published. Leaving the index
+// (eviction, supersession by a newer epoch, Reset) never mutates it, so
+// whoever holds the pointer keeps reading the same factors — and reports the
+// exact epoch key it resolved — for as long as it likes, and the collector
+// frees the entry when the last holder lets go. Callers owe the cache
+// nothing after a lookup returns.
 
 // versionedKey renders the cache key of epoch e in base's series.
 func versionedKey(base string, epoch uint64) string {
@@ -76,15 +83,9 @@ type Entry struct {
 	Config tcqr.Config
 	bytes  int64
 
-	// Intrusive exact-LRU list links and the reference-counted lifecycle,
-	// all guarded by the cache mutex. refs counts outstanding acquisitions
-	// (Get, GetOrFactor, update pins, coalescer batches); an entry evicted
-	// or retired while referenced stays intact until its last holder
-	// releases it — eviction only ever frees drained entries.
+	// Intrusive exact-LRU list links: the index's own bookkeeping, guarded
+	// by the cache mutex and never read by an entry's holders.
 	prev, next *Entry
-	refs       int64
-	resident   bool
-	retired    bool
 }
 
 // sizeBytes estimates the resident size of the entry (A at 8 bytes/element,
@@ -122,9 +123,6 @@ type CacheStats struct {
 	Updates int64 `json:"updates"`
 	// Retired counts entries retired because a newer epoch superseded them.
 	Retired int64 `json:"retired"`
-	// RetiredLive is the number of retired or evicted entries still pinned
-	// by outstanding references (drains to zero when their solves finish).
-	RetiredLive int64 `json:"retired_live"`
 	// Rewarmed counts entries adopted from the disk spill tier at startup.
 	Rewarmed int64 `json:"rewarmed"`
 }
@@ -140,18 +138,14 @@ type CacheStats struct {
 // past memory while tiny entries are evicted needlessly.
 //
 // Every lookup and insert runs under one mutex with an intrusive
-// doubly-linked LRU list, giving O(1) exact-LRU promotion and eviction
-// (PR 6's lock-free hit path traded exactness for a lock-free touch; with
-// refcounted lifecycles and epoch publication the lock is required for
-// correctness, and at ms-scale solve costs it is not measurable — see
-// DESIGN.md §15).
+// doubly-linked LRU list, giving O(1) exact-LRU promotion and eviction;
+// epoch publication needs the lock for correctness, and at ms-scale solve
+// costs it is not measurable — see DESIGN.md §15.
 type FactorCache struct {
 	maxEntries int
 	maxBytes   int64 // 0 = unbounded
 	backend    Backend
 	spill      *SpillTier // optional write-behind disk tier (nil = off)
-
-	hits metrics.Striped
 
 	mu       sync.Mutex
 	upd      sync.Cond // waits for per-series update serialization
@@ -160,12 +154,12 @@ type FactorCache struct {
 	lru      lruList
 	count    int
 	bytes    int64
+	hits     int64
 	misses   int64
 	evicted  int64
 	shared   int64
 	updates  int64
 	retired  int64
-	retLive  int64
 	rewarmed int64
 	inflight map[string]*flight
 }
@@ -258,83 +252,61 @@ func (c *FactorCache) SetByteBudget(n int64) {
 // begins.
 func (c *FactorCache) attachSpill(sp *SpillTier) { c.spill = sp }
 
-// lookupLocked resolves key: a bare base key resolves through its series to
-// the newest epoch; a versioned key pins exactly that epoch.
-func (c *FactorCache) lookupLocked(key string) *Entry {
-	if s, ok := c.series[key]; ok && s.current != nil {
+// lookupLocked resolves key. By key (exact false), a bare base key resolves
+// through its series to the newest epoch and a versioned key to exactly that
+// epoch. A content-derived key (exact true) resolves to the entry stored
+// under it and nothing else: after an update the series' newest epoch factors
+// a different matrix than the one the key was hashed from.
+func (c *FactorCache) lookupLocked(key string, exact bool) *Entry {
+	if s := c.series[key]; !exact && s != nil && s.current != nil {
 		return s.current
 	}
 	return c.entries[key]
 }
 
-// Get returns the cached entry for key, if present, promoting it to most
-// recently used and acquiring a reference: the caller must Release the
-// entry when done with it.
-func (c *FactorCache) Get(key string) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.lookupLocked(key)
-	if e == nil {
-		return nil, false
-	}
-	c.lru.moveFront(e)
-	e.refs++
-	c.hits.Inc()
-	return e, true
-}
-
-// Peek reports whether key is resolvable without promoting it, acquiring
-// it, or counting a hit. The cluster router uses it: a routing decision
-// must not read as cache traffic.
-func (c *FactorCache) Peek(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lookupLocked(key) != nil
-}
-
-// Acquire adds a reference to e (the coalescer pins its batch's entry so a
-// deadline-abandoned handler releasing its own reference cannot let
-// eviction drain an entry a flush is about to read).
-func (c *FactorCache) Acquire(e *Entry) {
-	if e == nil {
-		return
-	}
-	c.mu.Lock()
-	e.refs++
-	c.mu.Unlock()
-}
-
-// Release drops one reference. The last release of a retired (superseded or
-// evicted-while-referenced) entry finalizes it.
-func (c *FactorCache) Release(e *Entry) {
-	if e == nil {
-		return
-	}
-	c.mu.Lock()
-	e.refs--
-	if e.refs <= 0 && e.retired {
-		e.retired = false
-		c.retLive--
-	}
-	c.mu.Unlock()
-}
-
-// GetOrFactor returns the entry for key, factoring a under cfg on a miss.
-// Concurrent misses for the same key are deduplicated: one caller factors
-// (SourceMiss), the rest wait for its result (SourceShared). The caller
-// must pass the same (a, cfg) it derived key from, and must Release the
-// returned entry when done with it.
-func (c *FactorCache) GetOrFactor(key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
-	if e, ok := c.Get(key); ok {
-		return e, SourceHit, nil
-	}
-	c.mu.Lock()
-	// Re-check under the lock: a leader may have inserted between the
-	// first probe and here.
-	if e := c.lookupLocked(key); e != nil {
+// hitLocked is the counted lookup: a found entry is promoted to most recently
+// used. c.mu must be held.
+func (c *FactorCache) hitLocked(key string, exact bool) *Entry {
+	e := c.lookupLocked(key, exact)
+	if e != nil {
 		c.lru.moveFront(e)
-		e.refs++
-		c.hits.Inc()
+		c.hits++
+	}
+	return e
+}
+
+func (c *FactorCache) hit(key string, exact bool) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.hitLocked(key, exact)
+	return e, e != nil
+}
+
+// Get returns the cached entry a client-named key resolves to (bare key →
+// newest epoch), if present, promoting it to most recently used.
+func (c *FactorCache) Get(key string) (*Entry, bool) { return c.hit(key, false) }
+
+// GetExact is Get for a key derived from the request's own matrix: the
+// cache-only half of GetOrFactor.
+func (c *FactorCache) GetExact(key string) (*Entry, bool) { return c.hit(key, true) }
+
+// Peek reports whether key is resolvable (exactly, or by key as Get does)
+// without promoting it or counting a hit. The cluster router uses it: a
+// routing decision must not read as cache traffic.
+func (c *FactorCache) Peek(key string, exact bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.lookupLocked(key, exact) != nil
+}
+
+// GetOrFactor returns the entry stored under key, factoring a under cfg on a
+// miss. Concurrent misses for the same key are deduplicated: one caller
+// factors (SourceMiss), the rest wait for its result (SourceShared). The
+// caller must pass the same (a, cfg) it derived key from; the lookup is
+// exact, so the returned entry always factors a.
+func (c *FactorCache) GetOrFactor(key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
+	c.mu.Lock()
+	if e := c.hitLocked(key, true); e != nil {
 		c.mu.Unlock()
 		return e, SourceHit, nil
 	}
@@ -342,9 +314,6 @@ func (c *FactorCache) GetOrFactor(key string, a *tcqr.Matrix, cfg tcqr.Config) (
 		c.shared++
 		c.mu.Unlock()
 		<-fl.done
-		if fl.entry != nil {
-			c.Acquire(fl.entry)
-		}
 		return fl.entry, SourceShared, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
@@ -381,7 +350,6 @@ func (c *FactorCache) GetOrFactor(key string, a *tcqr.Matrix, cfg tcqr.Config) (
 	c.mu.Lock()
 	delete(c.inflight, key)
 	if fl.entry != nil {
-		fl.entry.refs = 1 // the leader's own acquisition
 		c.insertLocked(fl.entry)
 	}
 	c.mu.Unlock()
@@ -392,10 +360,12 @@ func (c *FactorCache) GetOrFactor(key string, a *tcqr.Matrix, cfg tcqr.Config) (
 	return fl.entry, SourceMiss, fl.err
 }
 
-// BeginUpdate pins the newest epoch of key's series for an update and locks
-// the series against concurrent updates (they serialize here; solves are
-// never blocked). The returned entry is acquired — the caller must finish
-// with exactly one of PublishUpdate or AbortUpdate.
+// BeginUpdate returns the newest epoch of key's series and latches the
+// series against concurrent updates (they serialize here; solves are never
+// blocked). The caller must finish with exactly one of PublishUpdate or
+// AbortUpdate, which release the latch; until then the evictor passes over
+// the returned entry, because evicting it would drop the latch with the
+// series record.
 func (c *FactorCache) BeginUpdate(key string) (*Entry, error) {
 	base := baseKey(key)
 	c.mu.Lock()
@@ -407,19 +377,16 @@ func (c *FactorCache) BeginUpdate(key string) (*Entry, error) {
 		}
 		if !s.updating {
 			s.updating = true
-			e := s.current
-			e.refs++
-			return e, nil
+			return s.current, nil
 		}
 		c.upd.Wait()
 	}
 }
 
 // PublishUpdate atomically publishes the updated factorization as the next
-// epoch of old's series and retires old: the new entry becomes the target
-// of every subsequent bare-key lookup, while solves already pinning old
-// keep it alive through their references. Returns the new entry, acquired
-// for the caller (Release when done).
+// epoch of old's series and drops old from the index: the new entry becomes
+// the target of every subsequent bare-key lookup, while requests that
+// already resolved old keep reading it. Returns the new entry.
 func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factorization) *Entry {
 	base := baseKey(old.Key)
 	ne := &Entry{
@@ -428,23 +395,17 @@ func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factoriz
 		A:      a,
 		F:      f,
 		Config: old.Config,
-		refs:   1,
 	}
 	ne.bytes = ne.sizeBytes()
 	c.mu.Lock()
-	if s := c.series[base]; s != nil {
-		s.updating = false
-	}
-	if old.resident {
-		c.removeLocked(old, removeRetire)
+	// The latch is still held, so the series record survives the removal.
+	if c.entries[old.Key] == old {
+		c.removeLocked(old)
+		c.retired++
 	}
 	c.insertLocked(ne)
+	c.unlatchLocked(base)
 	c.updates++
-	old.refs-- // the BeginUpdate pin
-	if old.refs <= 0 && old.retired {
-		old.retired = false
-		c.retLive--
-	}
 	c.mu.Unlock()
 	c.upd.Broadcast()
 	if c.spill != nil {
@@ -453,20 +414,26 @@ func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factoriz
 	return ne
 }
 
-// AbortUpdate unlocks the series after a failed update and drops the
-// BeginUpdate pin; the current epoch stays published.
+// AbortUpdate releases the series latch after a failed update; the current
+// epoch stays published.
 func (c *FactorCache) AbortUpdate(old *Entry) {
 	c.mu.Lock()
-	if s := c.series[baseKey(old.Key)]; s != nil {
-		s.updating = false
-	}
-	old.refs--
-	if old.refs <= 0 && old.retired {
-		old.retired = false
-		c.retLive--
-	}
+	c.unlatchLocked(baseKey(old.Key))
 	c.mu.Unlock()
 	c.upd.Broadcast()
+}
+
+// unlatchLocked clears base's update latch. A series record with no entry
+// left (Reset emptied the index mid-update) existed only to hold the latch.
+func (c *FactorCache) unlatchLocked(base string) {
+	s := c.series[base]
+	if s == nil {
+		return
+	}
+	s.updating = false
+	if s.current == nil {
+		delete(c.series, base)
+	}
 }
 
 // AdoptRewarmed inserts an entry loaded from the disk spill tier (daemon
@@ -489,16 +456,6 @@ func (c *FactorCache) AdoptRewarmed(e *Entry) bool {
 	return true
 }
 
-// removeReason distinguishes the counters bumped when an entry leaves the
-// index.
-type removeReason int
-
-const (
-	removeEvict removeReason = iota
-	removeRetire
-	removeReset
-)
-
 // insertLocked adds an entry to the index, the LRU list, and its series,
 // then evicts past the entry/byte bounds. c.mu must be held.
 func (c *FactorCache) insertLocked(e *Entry) {
@@ -509,7 +466,6 @@ func (c *FactorCache) insertLocked(e *Entry) {
 		return
 	}
 	c.entries[e.Key] = e
-	e.resident = true
 	c.lru.pushFront(e)
 	c.count++
 	c.bytes += e.bytes
@@ -519,72 +475,76 @@ func (c *FactorCache) insertLocked(e *Entry) {
 		s = &series{}
 		c.series[base] = s
 	}
-	s.current = e
+	// The series moves forwards only: re-factorizing a superseded epoch 0
+	// caches it under its bare key beside base@N, for content-keyed requests,
+	// without rolling by-key readers back.
+	if s.current == nil || e.Epoch > s.current.Epoch {
+		s.current = e
+	}
 	for c.count > c.maxEntries || (c.maxBytes > 0 && c.bytes > c.maxBytes) {
+		// Never evict the entry being inserted (a single entry above the byte
+		// budget stays resident; the alternative is caching nothing) nor the
+		// entry an in-flight update was begun on (its series record holds the
+		// update latch): the cache runs over its bound until the next insert
+		// rather than letting a second update start beside the first.
 		victim := c.lru.tail
-		// Never evict the entry being inserted: a single entry above the
-		// byte budget stays resident (the alternative is caching nothing).
-		for victim == e {
+		for victim != nil && (victim == e || c.updatingLocked(victim)) {
 			victim = victim.prev
 		}
 		if victim == nil {
 			return
 		}
-		c.removeLocked(victim, removeEvict)
+		c.removeLocked(victim)
+		c.evicted++
 	}
 }
 
-// removeLocked detaches an entry from the index, list, and series. A still-
-// referenced entry is marked retired and stays intact (and readable by its
-// holders) until the last reference drains; eviction never frees or mutates
-// an entry mid-solve. c.mu must be held.
-func (c *FactorCache) removeLocked(e *Entry, why removeReason) {
+// updatingLocked reports whether e is the entry an in-flight update of its
+// series was begun on.
+func (c *FactorCache) updatingLocked(e *Entry) bool {
+	s := c.series[baseKey(e.Key)]
+	return s != nil && s.updating && s.current == e
+}
+
+// removeLocked detaches an entry from the index, list, and series (the
+// caller counts it as an eviction or a retirement); what the entry's holders
+// read is not touched. c.mu must be held.
+func (c *FactorCache) removeLocked(e *Entry) {
 	delete(c.entries, e.Key)
 	c.lru.remove(e)
-	e.resident = false
 	c.count--
 	c.bytes -= e.bytes
-	switch why {
-	case removeEvict:
-		c.evicted++
-	case removeRetire:
-		c.retired++
-	}
 	base := baseKey(e.Key)
 	if s := c.series[base]; s != nil && s.current == e {
-		if why == removeRetire {
-			// PublishUpdate is about to install the successor; keep the
-			// series (and its updating latch) alive.
-			s.current = nil
-		} else {
+		// By-key readers fall back to a resident epoch-0 sibling (nil when
+		// there is none). The record outlives its last entry only while an
+		// update holds its latch: PublishUpdate installs the successor next.
+		s.current = c.entries[base]
+		if s.current == nil && !s.updating {
 			delete(c.series, base)
 		}
 	}
 	if c.spill != nil {
 		c.spill.Remove(e.Key)
 	}
-	if e.refs > 0 {
-		e.retired = true
-		c.retLive++
-	}
 }
 
 // Reset empties the cache (benchmarks use it to measure the cold path).
 // Counters other than Entries/Bytes are preserved; the spill tier is left
-// untouched.
+// untouched, and so is the latch of a series with an update in flight.
 func (c *FactorCache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, e := range c.entries {
 		delete(c.entries, e.Key)
 		c.lru.remove(e)
-		e.resident = false
-		if e.refs > 0 && !e.retired {
-			e.retired = true
-			c.retLive++
+	}
+	for base, s := range c.series {
+		s.current = nil
+		if !s.updating {
+			delete(c.series, base)
 		}
 	}
-	c.series = make(map[string]*series)
 	c.count = 0
 	c.bytes = 0
 }
@@ -596,13 +556,12 @@ func (c *FactorCache) Stats() CacheStats {
 	return CacheStats{
 		Entries:            c.count,
 		Bytes:              c.bytes,
-		Hits:               c.hits.Load(),
+		Hits:               c.hits,
 		Misses:             c.misses,
 		Evictions:          c.evicted,
 		SingleflightShared: c.shared,
 		Updates:            c.updates,
 		Retired:            c.retired,
-		RetiredLive:        c.retLive,
 		Rewarmed:           c.rewarmed,
 	}
 }

@@ -107,7 +107,10 @@ func (s *Server) clusterRoute(rc *reqScope, rt route) (cands []cluster.Member, r
 		n.NoteRoute(cluster.DecisionForwardedIn)
 		return nil, false
 	}
-	if s.cache.Peek(rt.key) {
+	// A request that carries its own matrix is a local hit only on the entry
+	// stored under its content key; a keyOnly request resolves as Get does,
+	// the bare key to the newest epoch.
+	if s.cache.Peek(rt.key, !rt.keyOnly) {
 		n.NoteRoute(cluster.DecisionLocalHit)
 		return nil, false
 	}

@@ -171,7 +171,7 @@ func (h *clusterHarness) awaitReplicated(key string, timeout time.Duration) {
 	deadline := time.Now().Add(timeout)
 	for _, owner := range h.nodes[0].Owners(key) {
 		srv := h.srvByID(owner.ID)
-		for !srv.cache.Peek(key) {
+		for !srv.cache.Peek(key, true) {
 			if time.Now().After(deadline) {
 				h.t.Fatalf("owner %s never received key %s", owner.ID, key)
 			}
@@ -222,10 +222,10 @@ func TestClusterForwardsToOwner(t *testing.T) {
 			}
 			sawRemote = true
 			// The owner, not the coordinator, must hold the entry.
-			if !h.srvByID(owner.ID).cache.Peek(key) {
+			if !h.srvByID(owner.ID).cache.Peek(key, true) {
 				t.Errorf("owner %s does not hold forwarded key %s", owner.ID, key)
 			}
-			if h.srvs[0].cache.Peek(key) {
+			if h.srvs[0].cache.Peek(key, true) {
 				t.Errorf("coordinator cached forwarded key %s", key)
 			}
 		}
@@ -306,8 +306,6 @@ func TestClusterUpdateValidatesBeforeRouting(t *testing.T) {
 	}
 	if e, ok := h.srvs[1].cache.Get(key); !ok || e.A.Rows != m || e.Epoch != 0 {
 		t.Errorf("series on its owner changed: resident %v, entry %+v", ok, e)
-	} else {
-		h.srvs[1].cache.Release(e)
 	}
 
 	// A well-formed block takes the same path and is forwarded to the owner.
@@ -350,7 +348,7 @@ func TestClusterForwardedRequestIsNotReforwarded(t *testing.T) {
 			t.Errorf("forward-marked request was counted as routed (%d -> %d)", routedBefore, got)
 		}
 		// Loop-guard semantics: the non-owner computed and cached locally.
-		if !h.srvs[0].cache.Peek(key) {
+		if !h.srvs[0].cache.Peek(key, true) {
 			t.Error("forward-marked request did not populate the local cache")
 		}
 		return
@@ -419,7 +417,7 @@ func TestClusterReplicationConverges(t *testing.T) {
 	for key := range keys {
 		for _, owner := range h.nodes[0].Owners(key) {
 			srv := h.srvByID(owner.ID)
-			for !srv.cache.Peek(key) {
+			for !srv.cache.Peek(key, true) {
 				if time.Now().After(deadline) {
 					t.Fatalf("replica %s never received key %s", owner.ID, key)
 				}

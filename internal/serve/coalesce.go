@@ -9,7 +9,6 @@ import (
 
 	"tcqr"
 	"tcqr/internal/faultinject"
-	"tcqr/internal/metrics"
 )
 
 // CoalescerStats is a snapshot of the coalescer counters.
@@ -53,23 +52,9 @@ type batch struct {
 	entry   *Entry
 	opts    tcqr.SolveOptions
 	fp      string
-	shard   *coalesceShard
 	waiters []*solveWaiter
 	timer   *time.Timer
 	flushed bool
-}
-
-// coalesceShards is the shard count of the pending-batch map: a power of
-// two sized so that at the target concurrency (64 clients across 8 cores)
-// unrelated fingerprints rarely contend on one shard lock.
-const coalesceShards = 16
-
-// coalesceShard is one slice of the pending map with its own lock, padded
-// so neighboring shard locks do not share a cache line.
-type coalesceShard struct {
-	mu      sync.Mutex
-	pending map[string]*batch
-	_       [40]byte
 }
 
 // Coalescer batches solve requests that arrive within Window of each other
@@ -77,16 +62,15 @@ type coalesceShard struct {
 // a single SolveLeastSquaresMulti-shaped call. A batch is N per-column
 // refinements — the same refinement, with the request's method, a solo
 // request runs, so the answer does not depend on who else was in the window —
-// run concurrently under one pool slot and one cache pin; what it saves is
-// admission and scheduling, not arithmetic. A batch flushes when its window
-// timer fires or when it reaches MaxBatch, whichever is first. Window <= 0
-// disables coalescing (every request solves solo, still through the pool).
+// run concurrently under one pool slot; what it saves is admission and
+// scheduling, not arithmetic. A batch flushes when its window timer fires or
+// when it reaches MaxBatch, whichever is first. Window <= 0 disables
+// coalescing (every request solves solo, still through the pool).
 //
-// The pending map is sharded by fingerprint and the counters are striped or
-// atomic, so concurrent submissions against different factorizations never
-// serialize on a global lock — requests for the same fingerprint contend
-// only on their own shard, which is exactly the pair that must rendezvous
-// to batch.
+// One mutex guards the pending map: it is held for a map lookup and an
+// append, against solves that take milliseconds. A batch holds its *Entry,
+// which is immutable, so a flush reads the factors its requests resolved no
+// matter what the cache has done with the key since.
 type Coalescer struct {
 	window   time.Duration
 	maxBatch int
@@ -98,21 +82,14 @@ type Coalescer struct {
 	// it to the batch-size histogram). Set before serving begins; not
 	// synchronized.
 	onFlush func(size int)
-	// retain/release, when set, pin a batch's entry for the batch's own
-	// lifetime (the server wires them to the cache refcount). A handler
-	// abandoned on deadline releases its reference and returns, but the
-	// detached flush still reads entry.F/entry.A — without the batch's own
-	// pin, an eviction or update retirement could drain the entry first.
-	// Set before serving begins; not synchronized.
-	retain  func(*Entry)
-	release func(*Entry)
 
-	shards [coalesceShards]coalesceShard
+	mu      sync.Mutex
+	pending map[string]*batch // solve fingerprint -> open batch
 
-	batches     metrics.Striped
-	batchedReqs metrics.Striped
-	multiCalls  metrics.Striped
-	singleCalls metrics.Striped
+	batches     atomic.Int64
+	batchedReqs atomic.Int64
+	multiCalls  atomic.Int64
+	singleCalls atomic.Int64
 	maxSeen     atomic.Int64
 }
 
@@ -125,31 +102,19 @@ func NewCoalescer(window time.Duration, maxBatch int, be Backend, run func(fn fu
 	if run == nil {
 		run = func(fn func()) error { fn(); return nil }
 	}
-	c := &Coalescer{
+	return &Coalescer{
 		window:   window,
 		maxBatch: maxBatch,
 		backend:  be,
 		run:      run,
+		pending:  make(map[string]*batch),
 	}
-	for i := range c.shards {
-		c.shards[i].pending = make(map[string]*batch)
-	}
-	return c
 }
 
 // solveFingerprint keys batch compatibility: requests may share a multi-RHS
 // call only when the refinement would be configured identically.
 func solveFingerprint(key string, opts tcqr.SolveOptions) string {
 	return fmt.Sprintf("%s|m%d-t%g-i%d-h%d", key, int(opts.Method), opts.Tol, opts.MaxIterations, int(opts.OnHazard))
-}
-
-// shardFor maps a fingerprint to its shard (FNV-1a over the string).
-func (c *Coalescer) shardFor(fp string) *coalesceShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(fp); i++ {
-		h = (h ^ uint32(fp[i])) * 16777619
-	}
-	return &c.shards[h&(coalesceShards-1)]
 }
 
 // Submit parks a solve for entry until its batch flushes and returns this
@@ -159,27 +124,19 @@ func (c *Coalescer) Submit(ctx context.Context, entry *Entry, opts tcqr.SolveOpt
 	w := &solveWaiter{b: b, at: time.Now(), ch: make(chan solveOutcome, 1)}
 
 	if c.window <= 0 || c.maxBatch == 1 {
-		bt := &batch{entry: entry, opts: opts, waiters: []*solveWaiter{w}, flushed: true}
-		if c.retain != nil {
-			c.retain(entry)
-		}
-		c.execute(bt)
+		c.execute(&batch{entry: entry, opts: opts, waiters: []*solveWaiter{w}, flushed: true})
 	} else {
 		fp := solveFingerprint(entry.Key, opts)
-		sh := c.shardFor(fp)
-		sh.mu.Lock()
-		bt := sh.pending[fp]
+		c.mu.Lock()
+		bt := c.pending[fp]
 		if bt == nil {
-			bt = &batch{entry: entry, opts: opts, fp: fp, shard: sh}
-			if c.retain != nil {
-				c.retain(entry)
-			}
+			bt = &batch{entry: entry, opts: opts, fp: fp}
 			bt.timer = time.AfterFunc(c.window, func() { c.flush(bt) })
-			sh.pending[fp] = bt
+			c.pending[fp] = bt
 		}
 		bt.waiters = append(bt.waiters, w)
 		full := len(bt.waiters) >= c.maxBatch
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		if full {
 			c.flush(bt)
 		}
@@ -193,21 +150,20 @@ func (c *Coalescer) Submit(ctx context.Context, entry *Entry, opts tcqr.SolveOpt
 	}
 }
 
-// flush detaches the batch from its shard's pending map (idempotently — the
-// window timer and the batch-full path can race) and executes it.
+// flush detaches the batch from the pending map (idempotently — the window
+// timer and the batch-full path can race) and executes it.
 func (c *Coalescer) flush(bt *batch) {
-	sh := bt.shard
-	sh.mu.Lock()
+	c.mu.Lock()
 	if bt.flushed {
-		sh.mu.Unlock()
+		c.mu.Unlock()
 		return
 	}
 	bt.flushed = true
-	delete(sh.pending, bt.fp)
+	delete(c.pending, bt.fp)
 	if bt.timer != nil {
 		bt.timer.Stop()
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	go c.execute(bt)
 }
 
@@ -215,16 +171,11 @@ func (c *Coalescer) flush(bt *batch) {
 // a solo request, a single SolveMultiWithFactor for a coalesced one — and
 // distributes per-column outcomes to the waiters.
 func (c *Coalescer) execute(bt *batch) {
-	// The batch's own entry pin (taken at batch creation) drops only after
-	// the flush has finished reading the factors and distributing outcomes.
-	if c.release != nil {
-		defer c.release(bt.entry)
-	}
 	k := len(bt.waiters)
 	if c.onFlush != nil {
 		c.onFlush(k)
 	}
-	c.batches.Inc()
+	c.batches.Add(1)
 	if k > 1 {
 		c.batchedReqs.Add(int64(k))
 	}
@@ -248,7 +199,7 @@ func (c *Coalescer) execute(bt *batch) {
 		if k == 1 {
 			w := bt.waiters[0]
 			res, serr := c.backend.SolveWithFactor(bt.entry.F, bt.entry.A, w.b, bt.opts)
-			c.singleCalls.Inc()
+			c.singleCalls.Add(1)
 			out := solveOutcome{batched: 1, queueWait: start.Sub(w.at), solveTime: time.Since(start), err: serr}
 			if serr == nil {
 				out.x = res.X
@@ -266,7 +217,7 @@ func (c *Coalescer) execute(bt *batch) {
 			copy(rhs.Col(j), w.b)
 		}
 		res, serr := c.backend.SolveMultiWithFactor(bt.entry.F, bt.entry.A, rhs, bt.opts)
-		c.multiCalls.Inc()
+		c.multiCalls.Add(1)
 		solveTime := time.Since(start)
 		for j, w := range bt.waiters {
 			out := solveOutcome{batched: k, queueWait: start.Sub(w.at), solveTime: solveTime, err: serr}
@@ -310,15 +261,12 @@ func (c *Coalescer) Stats() CoalescerStats {
 // parked requests must complete, not hang for a window that may never be
 // serviced).
 func (c *Coalescer) PendingFlush() {
-	var bts []*batch
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for _, bt := range sh.pending {
-			bts = append(bts, bt)
-		}
-		sh.mu.Unlock()
+	c.mu.Lock()
+	bts := make([]*batch, 0, len(c.pending))
+	for _, bt := range c.pending {
+		bts = append(bts, bt)
 	}
+	c.mu.Unlock()
 	for _, bt := range bts {
 		c.flush(bt)
 	}

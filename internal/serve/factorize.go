@@ -56,7 +56,7 @@ func (s *Server) resolveMatrix(wm *WireMatrix) (*tcqr.Matrix, *apiError) {
 // hit, anything cold is rejected with 503 + Retry-After.
 func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
 	if rem, deg := s.brk.degraded(); deg {
-		if e, ok := s.cache.Get(key); ok {
+		if e, ok := s.cache.GetExact(key); ok {
 			return e, SourceHit, nil
 		}
 		s.brk.rejected.Add(1)
@@ -120,7 +120,6 @@ func (s *Server) factorizeReply(w http.ResponseWriter, rc *reqScope, ctx context
 	if err != nil {
 		return err
 	}
-	defer s.cache.Release(entry)
 	if src == SourceMiss {
 		s.clusterReplicate(key, a, wcfg)
 	}

@@ -210,9 +210,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("tcqrd_update_retired_total",
 		"Entries retired because a newer epoch superseded them.",
 		func() int64 { return s.cache.Stats().Retired })
-	reg.GaugeFunc("tcqrd_update_retired_live",
-		"Retired or evicted entries still pinned by in-flight requests.",
-		func() float64 { return float64(s.cache.Stats().RetiredLive) })
 	reg.CounterFunc("tcqrd_cache_rewarmed_total",
 		"Entries adopted from the disk spill tier at startup.",
 		func() int64 { return s.cache.Stats().Rewarmed })

@@ -213,8 +213,6 @@ func New(opts Options) *Server {
 		_, err := s.pool.Do(context.Background(), fn)
 		return err
 	})
-	s.coal.retain = s.cache.Acquire
-	s.coal.release = s.cache.Release
 	s.metrics = newServerMetrics(opts.Registry, s)
 	s.coal.onFlush = func(size int) { s.metrics.batchSize.Observe(float64(size)) }
 	s.streams.reaped = func(n int) { s.metrics.streamReaped.Add(int64(n)) }

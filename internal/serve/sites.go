@@ -35,8 +35,8 @@ const (
 	// session is resolved but before the row block is accepted; error faults
 	// surface as 500s and leave the session intact for a client retry.
 	siteStreamAppend = "serve.stream.append"
-	// siteUpdateApply fires inside /v1/update between pinning the current
-	// epoch and computing the updated factorization; error faults abort the
+	// siteUpdateApply fires inside /v1/update between latching the series
+	// and computing the updated factorization; error faults abort the
 	// update (the current epoch stays published, the series unlocks).
 	siteUpdateApply = "serve.update.apply"
 	// siteSpillWrite fires in the spill writer after encoding, modeling a

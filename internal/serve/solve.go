@@ -78,11 +78,8 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 	default:
 		return errBadInput("missing key or matrix")
 	}
-	// The reference acquired above (Get or GetOrFactor) pins the entry —
-	// and, under epoch-versioned updates, the exact epoch this request
-	// resolved — for the whole solve, so concurrent updates and evictions
-	// can never free or swap the factors mid-read.
-	defer s.cache.Release(entry)
+	// entry is immutable: the solve reads the exact epoch this request
+	// resolved no matter what updates and evictions do to the index meanwhile.
 	rc.key = entry.Key
 	rc.rows, rc.cols = entry.A.Rows, entry.A.Cols
 

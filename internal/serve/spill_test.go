@@ -411,7 +411,6 @@ func TestSpillChaosSoak(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	waitRetiredDrained(t, s1.Cache())
 	s1.spill.Flush()
 	s1.Close()
 	faultinject.Disarm()

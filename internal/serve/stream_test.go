@@ -220,14 +220,6 @@ func TestStreamBinaryAppend(t *testing.T) {
 	if got := s.metrics.wireRequests.Snapshot()["stream_commit,binary"]; got != 1 {
 		t.Fatalf("stream_commit binary requests counted %d, want 1", got)
 	}
-
-	// A commit holds its cache reference only for the length of the request,
-	// like a one-shot factorize: with every request finished, emptying the
-	// cache strands nothing.
-	s.cache.Reset()
-	if live := s.cache.Stats().RetiredLive; live != 0 {
-		t.Fatalf("%d entries still pinned after every request finished", live)
-	}
 }
 
 // TestStreamValidation covers the refusal matrix of the stream endpoints.

@@ -13,8 +13,7 @@ import (
 // factorization behind a key — append a row block or downdate trailing rows
 // — published as the next epoch of the key's series. The update runs on the
 // library's O(n²·(k+n)) update path, not a refactorization; in-flight
-// solves keep the epoch they pinned and the old entry is freed only when
-// its references drain.
+// solves keep reading the epoch they resolved (entries are immutable).
 func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
 	var req updateRequest
 	if aerr := rc.decodeRequest(r, &req); aerr != nil {
@@ -54,7 +53,7 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 	if berr != nil {
 		return errUnknownKey(req.Key)
 	}
-	// Shape checks against the pinned epoch, before any compute.
+	// Shape checks against the epoch being updated, before any compute.
 	if v64 != nil {
 		if v64.Cols != old.A.Cols {
 			s.cache.AbortUpdate(old)
@@ -77,7 +76,7 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 		var ierr error
 		took, perr := rc.onPool(actx, func() {
 			// Failpoint: an injected error here aborts the update after the
-			// epoch was pinned — the recovery path that must leave the
+			// series was latched — the recovery path that must leave the
 			// current epoch published and the series unlocked.
 			ierr = faultinject.Fire(siteUpdateApply)
 			if ierr == nil {
@@ -111,7 +110,6 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 	}
 	s.metrics.updateRows.Add(int64(absInt(na.Rows - old.A.Rows)))
 	ne := s.cache.PublishUpdate(old, na, nf)
-	defer s.cache.Release(ne)
 	rc.key = ne.Key
 	rc.rows, rc.cols = na.Rows, na.Cols
 	return rc.ok(w, &updateResponse{

@@ -34,25 +34,6 @@ func stackData(m, n int, data []float64, em int, extra []float64) []float64 {
 	return out
 }
 
-// waitRetiredDrained polls until every retired entry has been released.
-// Responses are delivered before a batch's own entry pin is dropped (the
-// coalescer releases it in a deferred call after fan-out), so RetiredLive
-// may transiently read non-zero right after the last client returns.
-func waitRetiredDrained(t *testing.T, c *FactorCache) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cs := c.Stats()
-		if cs.RetiredLive == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("retired entries still pinned after drain: %+v", cs)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
 // epochOf parses the epoch out of a response key (bare base key = epoch 0).
 func epochOf(t *testing.T, key string) uint64 {
 	t.Helper()
@@ -136,7 +117,7 @@ func TestUpdateAppendAndDowndateEndToEnd(t *testing.T) {
 	}
 
 	cs := s.Cache().Stats()
-	if cs.Updates != 2 || cs.Retired != 2 || cs.RetiredLive != 0 || cs.Entries != 1 {
+	if cs.Updates != 2 || cs.Retired != 2 || cs.Entries != 1 {
 		t.Fatalf("cache stats after two updates: %+v", cs)
 	}
 }
@@ -241,19 +222,16 @@ func TestUpdateApplyFaultLeavesEpochPublished(t *testing.T) {
 	}
 }
 
-// --- cache: byte budget, exact LRU, refcounts -------------------------------
+// --- cache: byte budget, exact LRU, entry lifetime ---------------------------
 
-// cacheEntryFor factors one matrix through the cache and releases the
-// caller's reference, returning its key.
+// cacheEntryFor factors one matrix through the cache, returning its key.
 func cacheEntryFor(t *testing.T, c *FactorCache, seed uint64, m, n int) string {
 	t.Helper()
 	a := tcqr.FromColMajor(m, n, testMatrix(seed, m, n, 1))
 	key := CacheKey(a, tcqr.Config{})
-	e, _, err := c.GetOrFactor(key, a, tcqr.Config{})
-	if err != nil {
+	if _, _, err := c.GetOrFactor(key, a, tcqr.Config{}); err != nil {
 		t.Fatalf("GetOrFactor(%dx%d): %v", m, n, err)
 	}
-	c.Release(e)
 	return key
 }
 
@@ -317,10 +295,8 @@ func TestCacheExactLRUOrder(t *testing.T) {
 	keyB := cacheEntryFor(t, c, 22, 32, 8)
 	keyC := cacheEntryFor(t, c, 23, 32, 8)
 
-	if e, ok := c.Get(keyA); !ok {
+	if _, ok := c.Get(keyA); !ok {
 		t.Fatalf("A missing before eviction")
-	} else {
-		c.Release(e)
 	}
 	keyD := cacheEntryFor(t, c, 24, 32, 8) // LRU order is now B < C < A < D
 
@@ -328,47 +304,91 @@ func TestCacheExactLRUOrder(t *testing.T) {
 		t.Fatalf("B survived; exact LRU must evict the least recently used entry")
 	}
 	for _, k := range []string{keyA, keyC, keyD} {
-		e, ok := c.Get(k)
-		if !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Fatalf("entry %s wrongly evicted", k)
 		}
-		c.Release(e)
 	}
 	if cs := c.Stats(); cs.Evictions != 1 {
 		t.Fatalf("evictions = %d, want exactly 1", cs.Evictions)
 	}
 }
 
-// TestEvictedEntryStaysReadableUntilReleased: eviction of a referenced entry
-// must not free it — the holder keeps solving against it, and the entry is
-// finalized only when the last reference drains.
+// TestEvictedEntryStaysReadableUntilReleased: an entry is immutable once
+// published. Whichever way it leaves the index — eviction, supersession by a
+// newer epoch, Reset — whoever holds the pointer keeps reading the same bits
+// and keeps solving against them; nothing is owed to the cache for that.
 func TestEvictedEntryStaysReadableUntilReleased(t *testing.T) {
-	c := NewFactorCache(1, LibraryBackend{})
-	keyA := cacheEntryFor(t, c, 31, 48, 8)
-	a, ok := c.Get(keyA)
-	if !ok {
-		t.Fatalf("A missing")
+	const m, n = 48, 8
+	be := LibraryBackend{}
+	leave := map[string]func(t *testing.T, c *FactorCache, key string){
+		"eviction": func(t *testing.T, c *FactorCache, key string) {
+			cacheEntryFor(t, c, 32, m, n)
+			if cs := c.Stats(); cs.Evictions != 1 {
+				t.Fatalf("stats after the evicting insert: %+v", cs)
+			}
+		},
+		"supersession": func(t *testing.T, c *FactorCache, key string) {
+			old, err := c.BeginUpdate(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nf, err := be.UpdateRemoveRows(old.F, 4, old.Config)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.PublishUpdate(old, dropRows64(old.A, 4), nf)
+			if cs := c.Stats(); cs.Retired != 1 {
+				t.Fatalf("stats after the superseding update: %+v", cs)
+			}
+		},
+		"Reset": func(t *testing.T, c *FactorCache, key string) { c.Reset() },
 	}
-	// Inserting B evicts A while we hold it.
-	cacheEntryFor(t, c, 32, 48, 8)
-	cs := c.Stats()
-	if cs.Evictions != 1 || cs.RetiredLive != 1 {
-		t.Fatalf("stats after evicting a referenced entry: %+v", cs)
+	xTrue := make([]float64, n)
+	for j := range xTrue {
+		xTrue[j] = float64(j) - 3
 	}
-	if a.F == nil || a.A == nil || len(a.A.Data) == 0 {
-		t.Fatalf("evicted-but-referenced entry was freed")
-	}
-	c.Release(a)
-	if cs := c.Stats(); cs.RetiredLive != 0 {
-		t.Fatalf("RetiredLive did not drain after release: %+v", cs)
+	for name, fn := range leave {
+		t.Run(name, func(t *testing.T) {
+			c := NewFactorCache(1, be)
+			key := cacheEntryFor(t, c, 31, m, n)
+			held, ok := c.Get(key)
+			if !ok {
+				t.Fatalf("A missing")
+			}
+			bits := entryBits(held)
+			b := matVecData(m, n, testMatrix(31, m, n, 1), xTrue)
+			before, err := be.SolveWithFactor(held.F, held.A, b, tcqr.SolveOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			fn(t, c, key)
+
+			if c.Peek(key, true) {
+				t.Fatalf("the entry is still indexed under %s; the test exercised nothing", key)
+			}
+			if got := entryBits(held); got != bits {
+				t.Fatalf("held entry changed after leaving the index: bits %x, were %x", got, bits)
+			}
+			after, err := be.SolveWithFactor(held.F, held.A, b, tcqr.SolveOptions{})
+			if err != nil {
+				t.Fatalf("solve against the held entry: %v", err)
+			}
+			if d := maxDiff(after.X, before.X); d != 0 {
+				t.Fatalf("held entry solves differently after leaving the index (by %g)", d)
+			}
+			if d := maxDiff(after.X, xTrue); d > 1e-6 {
+				t.Fatalf("held entry solves wrong by %g", d)
+			}
+		})
 	}
 }
 
 // TestConcurrentSolveUpdateEvictRefcounts churns solves, updates, and
 // cache-evicting factorizations against a two-entry cache under the race
 // detector. The invariants are structural: every response is a legal status,
-// nothing hangs, and when the dust settles every retired entry has drained
-// (RetiredLive == 0).
+// nothing hangs, and when the dust settles the cache's books balance — the
+// index holds what the counters say entered and has not yet left.
 func TestConcurrentSolveUpdateEvictRefcounts(t *testing.T) {
 	s := New(Options{Workers: 4, CacheEntries: 2, Window: 200 * time.Microsecond, MaxBatch: 4})
 	defer s.Close()
@@ -435,7 +455,16 @@ func TestConcurrentSolveUpdateEvictRefcounts(t *testing.T) {
 	}()
 	wg.Wait()
 
-	waitRetiredDrained(t, s.Cache())
+	// Every entry came in through a miss or an update and went out through
+	// an eviction or a retirement; the bound holds now that no update is in
+	// flight to run it over.
+	cs := s.Cache().Stats()
+	if in, out := cs.Misses+cs.Updates, cs.Evictions+cs.Retired; int64(cs.Entries) != in-out {
+		t.Fatalf("cache books do not balance: %d entries, %d in, %d out: %+v", cs.Entries, in, out, cs)
+	}
+	if cs.Entries < 1 || cs.Entries > 2 {
+		t.Fatalf("cache holds %d entries, bound is 2: %+v", cs.Entries, cs)
+	}
 }
 
 // TestEpochConsistencyUnderConcurrentUpdates is the epoch-versioning
@@ -540,7 +569,6 @@ func TestEpochConsistencyUnderConcurrentUpdates(t *testing.T) {
 	if cs.Updates != int64(epochs) {
 		t.Fatalf("published %d epochs, want %d: %+v", cs.Updates, epochs, cs)
 	}
-	waitRetiredDrained(t, s.Cache())
 }
 
 // --- binary frame update ----------------------------------------------------
@@ -588,5 +616,169 @@ func TestUpdateBinaryFrame(t *testing.T) {
 	}
 	if rec.Code != 400 || er.Error.Code != "bad_input" {
 		t.Fatalf("meta-append frame: code=%d error=%+v, want 400 bad_input", rec.Code, er.Error)
+	}
+}
+
+// --- content keys vs. series keys -------------------------------------------
+
+// TestContentKeyedRequestsIgnoreNewerEpochs: a request that carries its own
+// matrix is answered from that matrix. Its cache key is the content hash,
+// which is also the bare key of the series the matrix once started — and
+// after an update the series' newest epoch factors something else. Both
+// shapes of the defect are pinned: an update chain that lands back on the
+// same row count (the request used to be answered from the wrong matrix,
+// silently) and one that changes it (the request used to be refused). By
+// key, the bare key still means the newest epoch.
+func TestContentKeyedRequestsIgnoreNewerEpochs(t *testing.T) {
+	const m, n, k = 48, 8, 6
+	data := testMatrix(900, m, n, 1)
+	block := testMatrix(901, k, n, 1)
+	xTrue := make([]float64, n)
+	for j := range xTrue {
+		xTrue[j] = float64(j%4) - 1.5
+	}
+	b := matVecData(m, n, data, xTrue)
+
+	cases := []struct {
+		name    string
+		updates []map[string]any
+		rows    int       // rows of the newest epoch
+		newest  []float64 // its matrix
+	}{
+		{"same row count", []map[string]any{{"remove_rows": k}, {"append": wireMat(k, n, block)}},
+			m, stackData(m-k, n, dropRows64(tcqr.FromColMajor(m, n, data), k).Data, k, block)},
+		{"changed row count", []map[string]any{{"append": wireMat(k, n, block)}},
+			m + k, stackData(m, n, data, k, block)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Options{Workers: 2})
+			defer s.Close()
+			h := s.Handler()
+			var fr factorizeReply
+			if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 {
+				t.Fatalf("factorize: code=%d", code)
+			}
+			base := fr.Key
+			newest := base
+			for _, u := range tc.updates {
+				u["key"] = base
+				var ur updateReply
+				if code, _ := post(t, h, "/v1/update", u, &ur); code != 200 {
+					t.Fatalf("update %v: code=%d", u, code)
+				}
+				newest = ur.Key
+			}
+
+			// Inline solve: answered from A, under A's own key, by a fresh
+			// factorization (epoch 0 left the index when epoch 1 superseded it).
+			var sr solveReply
+			code, _ := post(t, h, "/v1/solve", map[string]any{"matrix": wireMat(m, n, data), "b": b}, &sr)
+			if code != 200 || sr.Key != base || sr.Cached {
+				t.Fatalf("inline solve after updates: code=%d key=%q cached=%v, want a cold 200 under %q", code, sr.Key, sr.Cached, base)
+			}
+			if d := maxDiff(sr.X, xTrue); d > 1e-6 {
+				t.Fatalf("inline solve answered from another matrix: max|x - x*| = %g (key %q)", d, sr.Key)
+			}
+			// Inline factorize: finds the entry the solve just cached, and
+			// describes A, not the newest epoch.
+			if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 ||
+				fr.Key != base || !fr.Cached || fr.Rows != m {
+				t.Fatalf("inline factorize after updates: code=%d reply=%+v", code, fr)
+			}
+
+			// By key, the bare key is still the series: re-caching epoch 0
+			// beside it rolled nobody back.
+			bNew := matVecData(tc.rows, n, tc.newest, xTrue)
+			code, _ = post(t, h, "/v1/solve", map[string]any{"key": base, "b": bNew}, &sr)
+			if code != 200 || sr.Key != newest || !sr.Cached {
+				t.Fatalf("bare-key solve: code=%d key=%q cached=%v, want a hit on %q", code, sr.Key, sr.Cached, newest)
+			}
+			if d := maxDiff(sr.X, xTrue); d > 1e-4 {
+				t.Fatalf("bare-key solve wrong by %g", d)
+			}
+			var ur updateReply
+			if code, _ := post(t, h, "/v1/update", map[string]any{"key": base, "remove_rows": 1}, &ur); code != 200 ||
+				ur.Epoch != epochOf(t, newest)+1 || ur.Rows != tc.rows-1 {
+				t.Fatalf("update by bare key: code=%d reply=%+v, want epoch %d with %d rows", code, ur, epochOf(t, newest)+1, tc.rows-1)
+			}
+		})
+	}
+}
+
+// TestUpdateSurvivesEvictionPressure: the update latch lives in the series
+// record, so evicting the entry an update was begun on would drop the latch
+// and let a second update of the same series run beside the first — both
+// publishing "epoch 1", one of them lost. With a one-entry cache and the
+// first update parked inside its apply step, a factorization of another
+// matrix must not evict the latched entry (the cache runs one over its bound
+// instead), and the second update must queue behind the first.
+func TestUpdateSurvivesEvictionPressure(t *testing.T) {
+	s := New(Options{Workers: 2, CacheEntries: 1})
+	defer s.Close()
+	h := s.Handler()
+	const m, n = 48, 8
+	data := testMatrix(910, m, n, 1)
+	blk1, blk2 := testMatrix(911, 6, n, 1), testMatrix(912, 12, n, 1)
+
+	var fr factorizeReply
+	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 {
+		t.Fatalf("factorize A: code=%d", code)
+	}
+	base := fr.Key
+
+	arm(t, "seed=1;serve.update.apply=delay(300ms)@once=1")
+	var first updateReply
+	var firstCode int
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		firstCode, _ = post(t, h, "/v1/update", map[string]any{"key": base, "append": wireMat(6, n, blk1)}, &first)
+	}()
+	c := s.Cache()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		sr := c.series[base]
+		latched := sr != nil && sr.updating
+		c.mu.Unlock()
+		if latched {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the first update never latched its series")
+		}
+	}
+
+	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, testMatrix(913, m, n, 1))}, nil); code != 200 {
+		t.Fatalf("factorize B: code=%d", code)
+	}
+	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 || !fr.Cached {
+		t.Fatalf("factorize A during its update: code=%d cached=%v, want a hit (the latched entry must not be evicted)", code, fr.Cached)
+	}
+	var second updateReply
+	code, _ := post(t, h, "/v1/update", map[string]any{"key": base, "append": wireMat(12, n, blk2)}, &second)
+	<-done
+
+	if firstCode != 200 || first.Key != base+"@1" || first.Rows != m+6 {
+		t.Fatalf("first update: code=%d reply=%+v, want %s with %d rows", firstCode, first, base+"@1", m+6)
+	}
+	if code != 200 || second.Key != base+"@2" || second.Rows != m+18 {
+		t.Fatalf("second update: code=%d reply=%+v, want %s with %d rows (it must apply on top of the first)", code, second, base+"@2", m+18)
+	}
+	if cs := c.Stats(); cs.Updates != 2 || cs.Entries != 1 {
+		t.Fatalf("cache after the two updates: %+v, want 2 updates and the bound restored", cs)
+	}
+	xTrue := make([]float64, n)
+	for j := range xTrue {
+		xTrue[j] = float64(j) - 2
+	}
+	full := stackData(m+6, n, stackData(m, n, data, 6, blk1), 12, blk2)
+	var sr solveReply
+	code, _ = post(t, h, "/v1/solve", map[string]any{"key": base, "b": matVecData(m+18, n, full, xTrue)}, &sr)
+	if code != 200 || sr.Key != base+"@2" {
+		t.Fatalf("bare-key solve after both updates: code=%d key=%q", code, sr.Key)
+	}
+	if d := maxDiff(sr.X, xTrue); d > 1e-4 {
+		t.Fatalf("solve after both updates wrong by %g: an update was lost", d)
 	}
 }

@@ -269,7 +269,7 @@ func (r *updateRequest) frame() frameLayout {
 }
 
 // updateResponse reports the newly published epoch. Subsequent solves by
-// the bare base key resolve it automatically; the versioned key pins it.
+// the bare base key resolve it automatically; the versioned key names it.
 type updateResponse struct {
 	Key     string       `json:"key"`
 	BaseKey string       `json:"base_key"`

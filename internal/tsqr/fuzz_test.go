@@ -17,7 +17,17 @@ import (
 // partition, either both paths fail with a typed hazard or the TSQR
 // factors reconstruct A, are orthogonal, and the sign-canonicalized R
 // agrees with the serial R to factorization accuracy.
+//
+// Backward error and orthogonality are differential: TSQR must come within
+// serialFactor times what the serial factorization achieves on the same
+// draw, over the floor tol. A fixed bound alone is wrong for the draws the
+// fuzzer finds first — a square Gaussian with max|r_ii|/min|r_ii| ~ 1e4
+// loses orthogonality to 2e-2 on the serial path too (the input under
+// testdata/fuzz: m = n = 32, one block, both paths read 0.0207) — and the
+// property this target is named for is "no worse than serial", not "well
+// conditioned". ROADMAP item 3(i) replaces the floor with the derived bound.
 func FuzzTSQRBlockVsSerial(f *testing.F) {
+	const serialFactor = 4
 	f.Add(int64(1), uint16(100), uint8(8), uint16(32))
 	f.Add(int64(2), uint16(500), uint8(31), uint16(64))
 	f.Add(int64(3), uint16(64), uint8(64), uint16(1))
@@ -46,11 +56,13 @@ func FuzzTSQRBlockVsSerial(f *testing.F) {
 		if res.Blocks < 1 || res.Blocks > m {
 			t.Fatalf("implausible block count %d for %d rows", res.Blocks, m)
 		}
-		if be := accuracy.BackwardError(a, res.Q, res.R); be > tol {
-			t.Errorf("m=%d n=%d rb=%d: backward error %g > %g", m, n, rb, be, tol)
+		beMax := tol + serialFactor*accuracy.BackwardError(a, serial.Q, serial.R)
+		if be := accuracy.BackwardError(a, res.Q, res.R); !(be <= beMax) {
+			t.Errorf("m=%d n=%d rb=%d: backward error %g > %g", m, n, rb, be, beMax)
 		}
-		if oe := accuracy.OrthoError(res.Q); oe > tol {
-			t.Errorf("m=%d n=%d rb=%d: orthogonality error %g > %g", m, n, rb, oe, tol)
+		oeMax := tol + serialFactor*accuracy.OrthoError(serial.Q)
+		if oe := accuracy.OrthoError(res.Q); !(oe <= oeMax) {
+			t.Errorf("m=%d n=%d rb=%d: orthogonality error %g > %g", m, n, rb, oe, oeMax)
 		}
 		if !accuracy.UpperTriangular(res.R) {
 			t.Errorf("m=%d n=%d rb=%d: R not upper triangular", m, n, rb)

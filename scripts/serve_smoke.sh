@@ -2,11 +2,15 @@
 # End-to-end smoke test of the tcqrd daemon: build it, start it on an
 # ephemeral port, drive it with its own -smoke client (factorize, cache hit,
 # coalesced solves, hazard fallback/fail, malformed input, /statz, /metrics),
-# scrape /metrics independently with curl, and shut it down. A second pass
-# restarts the daemon with -fault-spec armed and drives the failure contract
-# (injected 500, degraded 503 with Retry-After, cache-only serving, fault
-# metrics). Exits non-zero if the daemon fails to start, any API response
-# deviates from the contract, the metrics scrape is missing traffic, or the
+# scrape /metrics independently with curl, drive the /v1/update contract with
+# -smoke-update, and shut it down. The daemon spills to a -cache-dir, so a
+# restart on the same directory followed by a second -smoke-update run
+# exercises rewarm: the series must be found at the epoch the first run left
+# it. A third daemon is started with -fault-spec armed and drives the failure
+# contract (injected 500, degraded 503 with Retry-After, cache-only serving,
+# fault metrics); -smoke-cluster, which boots its own three in-process nodes,
+# runs last. Exits non-zero if a daemon fails to start, any API response
+# deviates from the contract, a metrics scrape is missing traffic, or a
 # daemon does not drain cleanly on SIGTERM. Run from the repository root;
 # `make serve-smoke` wraps this.
 set -eu
@@ -25,25 +29,63 @@ trap cleanup EXIT INT TERM
 echo "== build tcqrd =="
 go build -o "$workdir/tcqrd" ./cmd/tcqrd
 
+# start_daemon name flags...: starts a daemon on an ephemeral port, logging to
+# $workdir/<name>.log, and leaves its address in $addr and pid in $daemon_pid.
+start_daemon() {
+	name=$1
+	shift
+	rm -f "$workdir/$name.addr"
+	"$workdir/tcqrd" -addr 127.0.0.1:0 -addr-file "$workdir/$name.addr" \
+		-deadline 30s "$@" >"$workdir/$name.log" 2>&1 &
+	daemon_pid=$!
+	i=0
+	while [ ! -s "$workdir/$name.addr" ]; do
+		i=$((i + 1))
+		if [ "$i" -gt 100 ] || ! kill -0 "$daemon_pid" 2>/dev/null; then
+			echo "$name daemon failed to start:" >&2
+			cat "$workdir/$name.log" >&2
+			exit 1
+		fi
+		sleep 0.1
+	done
+	addr=$(cat "$workdir/$name.addr")
+	echo "$name daemon listening on $addr"
+}
+
+# drain_daemon name: SIGTERM, then require a clean exit. The daemon's own
+# drain budget is 10s; if it hangs past 15s the watchdog kills it and wait
+# reports the non-zero status.
+drain_daemon() {
+	kill -TERM "$daemon_pid"
+	(sleep 15 && kill -9 "$daemon_pid" 2>/dev/null) &
+	watchdog=$!
+	if wait "$daemon_pid"; then
+		drain_status=0
+	else
+		drain_status=$?
+	fi
+	kill "$watchdog" 2>/dev/null || true
+	daemon_pid=""
+	if [ "$drain_status" -ne 0 ]; then
+		echo "$1 daemon exited uncleanly (status $drain_status):" >&2
+		cat "$workdir/$1.log" >&2
+		exit 1
+	fi
+}
+
+# update_smoke out: runs -smoke-update against $addr, keeping its output.
+update_smoke() {
+	if ! "$workdir/tcqrd" -smoke-update "http://$addr" >"$1"; then
+		cat "$1"
+		exit 1
+	fi
+	cat "$1"
+}
+
 # A long coalescing window makes the smoke client's concurrent solves batch
 # deterministically (they all arrive well within 250ms of each other).
 echo "== start daemon =="
-"$workdir/tcqrd" -addr 127.0.0.1:0 -addr-file "$workdir/addr" \
-	-window 250ms -deadline 30s >"$workdir/daemon.log" 2>&1 &
-daemon_pid=$!
-
-i=0
-while [ ! -s "$workdir/addr" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ] || ! kill -0 "$daemon_pid" 2>/dev/null; then
-		echo "daemon failed to start:" >&2
-		cat "$workdir/daemon.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-addr=$(cat "$workdir/addr")
-echo "daemon listening on $addr"
+start_daemon first -window 250ms -cache-dir "$workdir/factors"
 
 echo "== run smoke client =="
 "$workdir/tcqrd" -smoke "http://$addr"
@@ -131,24 +173,33 @@ else
 	exit 1
 fi
 
+echo "== run update smoke client =="
+update_smoke "$workdir/update1.txt"
+
 echo "== graceful drain =="
-kill -TERM "$daemon_pid"
-# Watchdog: the daemon's own drain budget is 10s; if it hangs past 15s the
-# watchdog kills it and wait reports the non-zero status below.
-(sleep 15 && kill -9 "$daemon_pid" 2>/dev/null) &
-watchdog=$!
-if wait "$daemon_pid"; then
-	drain_status=0
+drain_daemon first
+
+# --- restart pass -----------------------------------------------------------
+# The same -cache-dir under a new process: the update series must be rewarmed
+# at the epoch the first run left it (the client itself requires /statz to
+# report rewarmed entries once it finds a continued series), and a second
+# three-epoch run must continue from there.
+echo "== restart on the same cache dir =="
+start_daemon restarted -window 250ms -cache-dir "$workdir/factors"
+
+echo "== run update smoke client again =="
+update_smoke "$workdir/update2.txt"
+left=$(sed -n 's/^update smoke: series left at epoch //p' "$workdir/update1.txt")
+found=$(sed -n 's/^update smoke: series found at epoch //p' "$workdir/update2.txt")
+if [ -n "$left" ] && [ "$left" -gt 0 ] && [ "$found" = "$left" ]; then
+	echo "ok   restart resumed the series at epoch $found"
 else
-	drain_status=$?
-fi
-kill "$watchdog" 2>/dev/null || true
-daemon_pid=""
-if [ "$drain_status" -ne 0 ]; then
-	echo "daemon exited uncleanly (status $drain_status):" >&2
-	cat "$workdir/daemon.log" >&2
+	echo "FAIL first run left the series at epoch '$left', the restarted daemon resumed at '$found'" >&2
 	exit 1
 fi
+
+echo "== restarted drain =="
+drain_daemon restarted
 
 # --- fault-armed pass -------------------------------------------------------
 # A second daemon with the failpoint registry armed (the schedule must match
@@ -159,33 +210,18 @@ fi
 # while degraded; the independent scrape then confirms the daemon actually
 # injected faults.
 echo "== start fault-armed daemon =="
-"$workdir/tcqrd" -addr 127.0.0.1:0 -addr-file "$workdir/addr2" \
+start_daemon fault-armed \
 	-fault-spec "seed=7;serve.cache.factorize=error@every=2" \
-	-retry-attempts 1 -degrade-threshold 1 -degrade-cooldown 5m \
-	-window 0 -deadline 30s >"$workdir/daemon2.log" 2>&1 &
-daemon_pid=$!
-
-i=0
-while [ ! -s "$workdir/addr2" ]; do
-	i=$((i + 1))
-	if [ "$i" -gt 100 ] || ! kill -0 "$daemon_pid" 2>/dev/null; then
-		echo "fault-armed daemon failed to start:" >&2
-		cat "$workdir/daemon2.log" >&2
-		exit 1
-	fi
-	sleep 0.1
-done
-addr2=$(cat "$workdir/addr2")
-echo "fault-armed daemon listening on $addr2"
+	-retry-attempts 1 -degrade-threshold 1 -degrade-cooldown 5m -window 0
 
 echo "== run fault smoke client =="
-"$workdir/tcqrd" -smoke-fault "http://$addr2"
+"$workdir/tcqrd" -smoke-fault "http://$addr"
 
 echo "== scrape fault metrics =="
 if command -v curl >/dev/null 2>&1; then
-	curl -fsS "http://$addr2/metrics" >"$workdir/metrics2.txt"
+	curl -fsS "http://$addr/metrics" >"$workdir/metrics2.txt"
 else
-	wget -qO "$workdir/metrics2.txt" "http://$addr2/metrics"
+	wget -qO "$workdir/metrics2.txt" "http://$addr/metrics"
 fi
 for family in tcqrd_fault_injected_total tcqrd_degraded_entered_total; do
 	if metric_above "$family" "$workdir/metrics2.txt"; then
@@ -198,20 +234,11 @@ for family in tcqrd_fault_injected_total tcqrd_degraded_entered_total; do
 done
 
 echo "== fault-armed drain =="
-kill -TERM "$daemon_pid"
-(sleep 15 && kill -9 "$daemon_pid" 2>/dev/null) &
-watchdog=$!
-if wait "$daemon_pid"; then
-	drain_status=0
-else
-	drain_status=$?
-fi
-kill "$watchdog" 2>/dev/null || true
-daemon_pid=""
-if [ "$drain_status" -ne 0 ]; then
-	echo "fault-armed daemon exited uncleanly (status $drain_status):" >&2
-	cat "$workdir/daemon2.log" >&2
-	exit 1
-fi
+drain_daemon fault-armed
+
+# --- cluster pass -----------------------------------------------------------
+# Needs no daemon: three in-process nodes, one killed mid-wave.
+echo "== run cluster smoke client =="
+"$workdir/tcqrd" -smoke-cluster
 
 echo "SERVE SMOKE OK"
