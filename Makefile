@@ -57,13 +57,15 @@ check-race: lint
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial
 # equivalence, and the serving decode paths (FuzzStreamFrameDecode fuzzes
-# every endpoint's request decode, not only stream-append's). internal/serve
-# and internal/tcsim hold two targets each, so those runs name their target;
-# the single-target packages keep the unambiguous -fuzz=. form.
+# every endpoint's request decode, not only stream-append's), and the vector
+# level-2 kernels against the Go loops, bit for bit. internal/blas,
+# internal/serve and internal/tcsim hold two targets each, so those runs name
+# their target; the single-target packages keep the unambiguous -fuzz=. form.
 fuzz:
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/f16
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/bf16
-	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/blas
+	$(GO) test -run '^$$' -fuzz '^FuzzGemmPackedVsReference$$' -fuzztime 10s ./internal/blas
+	$(GO) test -run '^$$' -fuzz '^FuzzLevel2VectorVsGeneric$$' -fuzztime 10s ./internal/blas
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/wirefmt
 	$(GO) test -run '^$$' -fuzz '^FuzzTcEcSplitRoundTrip$$' -fuzztime 10s ./internal/tcsim
 	$(GO) test -run '^$$' -fuzz '^FuzzGemmTcEcVsFP32$$' -fuzztime 10s ./internal/tcsim
@@ -104,11 +106,13 @@ check-exhaustive:
 # already ran, each for one reason: chaos and cluster-soak are the verbose,
 # seeded soak verdicts DESIGN.md §11/§14/§15 point operators at, and the
 # tc-ec battery below puts the engine accuracy ordering and the escalation
-# property (DESIGN.md §16) on a line of their own. Tier-1 `check` stays fast;
-# this one takes several minutes.
+# property (DESIGN.md §16) on a line of their own. The last line runs every
+# kernel-layer benchmark once, so benchmark code cannot rot unseen. Tier-1
+# `check` stays fast; this one takes several minutes.
 check-deep: lint check-race check-exhaustive check-benchmark fuzz chaos \
 		cluster-soak serve-smoke
 	$(GO) test -race -run 'TcEc|Ladder|CholQREngine' . ./internal/tcsim ./internal/gram
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/gram ./internal/lls
 
 # Run the factorization-serving daemon on its default port.
 serve:

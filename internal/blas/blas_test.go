@@ -418,3 +418,107 @@ func TestTrmmAllVariants(t *testing.T) {
 		}
 	}
 }
+
+// The three scans below are Nrm2, Asum and Iamax as they stood when |v| was
+// "if v < 0 { v = -v }", kept as the oracle for the branch-free abs.
+
+func oldNrm2[T dense.Float](x []T) T {
+	var scale, ssq T = 0, 1
+	for _, v := range x {
+		if v == 0 {
+			continue
+		}
+		a := v
+		if a < 0 {
+			a = -a
+		}
+		if scale < a {
+			r := scale / a
+			ssq = 1 + ssq*r*r
+			scale = a
+		} else {
+			r := a / scale
+			ssq += r * r
+		}
+	}
+	return scale * T(math.Sqrt(float64(ssq)))
+}
+
+func oldAsum[T dense.Float](x []T) T {
+	var s T
+	for _, v := range x {
+		if v < 0 {
+			s -= v
+		} else {
+			s += v
+		}
+	}
+	return s
+}
+
+func oldIamax[T dense.Float](x []T) int {
+	best, bi := T(-1), -1
+	for i, v := range x {
+		if v < 0 {
+			v = -v
+		}
+		if v > best {
+			best, bi = v, i
+		}
+	}
+	return bi
+}
+
+// TestAbsScansBitIdentical holds the branch-free scans to the branching
+// ones: the same bits on every input whose result is not NaN, and NaN where
+// the old loop gives NaN (the sign of a NaN is not part of the contract:
+// math.Abs clears it, -v flipped it only for v < 0, which a NaN is not).
+func TestAbsScansBitIdentical(t *testing.T) {
+	absScansBitIdentical[float32](t)
+	absScansBitIdentical[float64](t)
+}
+
+func absScansBitIdentical[T dense.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	negZero := T(math.Copysign(0, -1))
+	specials := []T{0, negZero, T(math.Inf(1)), T(math.Inf(-1)), T(math.NaN()),
+		T(math.SmallestNonzeroFloat32), -T(math.SmallestNonzeroFloat32), T(math.MaxFloat32), -T(math.MaxFloat32)}
+	same := func(what string, got, want T) {
+		t.Helper()
+		if want != want {
+			if got == got {
+				t.Fatalf("%T %s = %v, branching loop gives NaN", T(0), what, got)
+			}
+			return
+		}
+		if bitsOf(got) != bitsOf(want) {
+			t.Fatalf("%T %s = %x (%v), branching loop %x (%v)", T(0), what, bitsOf(got), got, bitsOf(want), want)
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		x := make([]T, rng.Intn(40))
+		for i := range x {
+			x[i] = T(rng.NormFloat64() * math.Ldexp(1, rng.Intn(40)-20))
+		}
+		// A third of the trials get a few special values; an all-negative and
+		// an all-zero vector come up through the scale and sign draws below.
+		for n := rng.Intn(4) * (trial % 3 / 2); n > 0 && len(x) > 0; n-- {
+			x[rng.Intn(len(x))] = specials[rng.Intn(len(specials))]
+		}
+		switch trial % 50 {
+		case 0:
+			for i := range x {
+				x[i] = -T(math.Abs(float64(x[i])))
+			}
+		case 1:
+			for i := range x {
+				x[i] = negZero
+			}
+		}
+		same("Nrm2", Nrm2(x), oldNrm2(x))
+		same("Asum", Asum(x), oldAsum(x))
+		if got, want := Iamax(x), oldIamax(x); got != want {
+			t.Fatalf("%T Iamax = %d, branching loop %d on %v", T(0), got, want, x)
+		}
+	}
+}

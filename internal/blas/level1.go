@@ -6,6 +6,12 @@ import (
 	"tcqr/internal/dense"
 )
 
+// abs is |v| without a branch: on fresh data "if v < 0 { v = -v }" is a coin
+// flip per element, and the mispredicts cost more than the scan. The detour
+// through float64 is exact in both precisions, so the scans below return the
+// bits the branching form did — except that a NaN result may differ in sign.
+func abs[T dense.Float](v T) T { return T(math.Abs(float64(v))) }
+
 // Dot returns xᵀy accumulated in the native precision.
 func Dot[T dense.Float](x, y []T) T {
 	if len(x) != len(y) {
@@ -25,10 +31,7 @@ func Nrm2[T dense.Float](x []T) T {
 		if v == 0 {
 			continue
 		}
-		a := v
-		if a < 0 {
-			a = -a
-		}
+		a := abs(v)
 		if scale < a {
 			r := scale / a
 			ssq = 1 + ssq*r*r
@@ -45,11 +48,7 @@ func Nrm2[T dense.Float](x []T) T {
 func Asum[T dense.Float](x []T) T {
 	var s T
 	for _, v := range x {
-		if v < 0 {
-			s -= v
-		} else {
-			s += v
-		}
+		s += abs(v)
 	}
 	return s
 }
@@ -79,10 +78,7 @@ func Scal[T dense.Float](alpha T, x []T) {
 func Iamax[T dense.Float](x []T) int {
 	best, bi := T(-1), -1
 	for i, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
+		if v = abs(v); v > best {
 			best, bi = v, i
 		}
 	}

@@ -23,10 +23,87 @@ func Gemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, beta 
 		return
 	}
 	if tA == NoTrans {
-		gemvNoTrans(alpha, a, x, y)
+		gemvN(alpha, a, x, y)
 		return
 	}
-	gemvTrans(alpha, a, x, y)
+	gemvT(alpha, a, x, y)
+}
+
+// window is a.View(i, j, r, c) by value, for handing part of a matrix back
+// to a Go loop without allocating. Element (i, j) must exist, or i = j = 0.
+func window[T dense.Float](a *dense.Matrix[T], i, j, r, c int) dense.Matrix[T] {
+	return dense.Matrix[T]{Rows: r, Cols: c, Stride: a.Stride, Data: a.Data[i+j*a.Stride:]}
+}
+
+// gemvN computes y += α·A·x. In float64 on an AVX2 host the whole multiples
+// of eight columns go through gemvN8F64, which folds eight column updates
+// into one pass over y — per y[i] the additions of two successive four-column
+// blocks of gemvNoTrans. Everything else is handed back to gemvNoTrans on a
+// window whose first column is a multiple of eight, so its blocks fall where
+// they would on the whole matrix: the column tail, the rows the kernel did
+// not store (the row tail, and everything from the first NaN result on), and
+// any eight columns holding a zero coefficient, since gemvNoTrans skips such
+// a column and adding v·0 is not a no-op.
+func gemvN[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
+	j := 0
+	if a64, ok := any(a).(*dense.M64); ok && useVectorLevel2 && a.Rows >= 4 {
+		j = gemvNoTransF64(float64(alpha), a64, any(x).([]float64), any(y).([]float64))
+	}
+	if j < a.Cols {
+		tail := window(a, 0, j, a.Rows, a.Cols-j)
+		gemvNoTrans(alpha, &tail, x[j:], y)
+	}
+}
+
+// gemvNoTransF64 is the vector part of gemvN: it consumes the whole multiples
+// of eight columns of a, which has at least four rows, and returns how many
+// columns that was.
+func gemvNoTransF64(alpha float64, a *dense.M64, x, y []float64) int {
+	j := 0
+	for ; j+8 <= a.Cols; j += 8 {
+		var coef [8]float64
+		zero := false
+		for k := range coef {
+			coef[k] = alpha * x[j+k]
+			zero = zero || coef[k] == 0
+		}
+		done := 0
+		if !zero {
+			done = gemvN8F64(a.Rows, &a.Data[j*a.Stride], a.Stride, &coef, &y[0])
+		}
+		if done < a.Rows {
+			rest := window(a, done, j, a.Rows-done, 8)
+			gemvNoTrans(alpha, &rest, x[j:j+8], y[done:])
+		}
+	}
+	return j
+}
+
+// gemvT computes y += α·Aᵀ·x. On an AVX2 host the whole multiples of eight
+// columns go through gemvT8F64 / gemvT8F32 — eight of gemvTrans's sequential
+// dot products at once, columns in the lanes — and gemvTrans takes the
+// remaining columns and any eight whose result holds a NaN.
+func gemvT[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
+	j := 0
+	if useVectorLevel2 && a.Rows > 0 {
+		for ; j+8 <= a.Cols; j += 8 {
+			ok := false
+			switch a := any(a).(type) {
+			case *dense.M64:
+				ok = gemvT8F64(a.Rows, &a.Data[j*a.Stride], a.Stride, &any(x).([]float64)[0], float64(alpha), &any(y).([]float64)[j])
+			case *dense.M32:
+				ok = gemvT8F32(a.Rows, &a.Data[j*a.Stride], a.Stride, &any(x).([]float32)[0], float32(alpha), &any(y).([]float32)[j])
+			}
+			if !ok {
+				blk := window(a, 0, j, a.Rows, 8)
+				gemvTrans(alpha, &blk, x, y[j:j+8])
+			}
+		}
+	}
+	if j < a.Cols {
+		tail := window(a, 0, j, a.Rows, a.Cols-j)
+		gemvTrans(alpha, &tail, x, y[j:])
+	}
 }
 
 // gemvNoTrans computes y += α·A·x four columns at a time. The blocked inner
@@ -113,10 +190,23 @@ func Ger[T dense.Float](alpha T, x, y []T, a *dense.Matrix[T]) {
 		if yj == 0 {
 			continue
 		}
-		col := a.Col(j)
-		for i, v := range x {
-			col[i] += v * yj
-		}
+		colUpdate(a.Col(j), x, yj)
+	}
+}
+
+// colUpdate computes y[i] += x[i]·t for i < len(x), the column update under
+// Ger and the column-sweep GEMM. In float32 on an AVX2 host colUpdateF32 takes
+// the elements up to the tail, or up to the first NaN result; the Go loop
+// takes the rest.
+func colUpdate[T dense.Float](y, x []T, t T) {
+	done := 0
+	if x32, ok := any(x).([]float32); ok && useVectorLevel2 && len(x) >= 8 {
+		y32 := any(y).([]float32)[:len(x)]
+		done = colUpdateF32(len(x), &x32[0], float32(t), &y32[0])
+	}
+	y = y[done:]
+	for i, v := range x[done:] {
+		y[i] += v * t
 	}
 }
 

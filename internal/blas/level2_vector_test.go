@@ -1,0 +1,441 @@
+package blas
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"tcqr/internal/dense"
+)
+
+// The tests in this file hold the AVX2 level-2 kernels (level2_amd64.s) to
+// their contract: the dispatching entry points return the bits the Go loops
+// return, on every input. Nothing switches the kernels off, so the tests get
+// the Go side by calling it: gemvNoTrans and gemvTrans are the loops the
+// dispatchers fall back to, and refGer / refGemmCols below are Ger's and
+// gemmCols's loops as they stood before colUpdate existed. Off amd64 both
+// sides are the Go loops and the tests pass trivially.
+
+// goGemv is Gemv with the Go loops called directly.
+func goGemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, beta T, y []T) {
+	if beta == 0 {
+		for i := range y {
+			y[i] = 0
+		}
+	} else if beta != 1 {
+		Scal(beta, y)
+	}
+	if alpha == 0 {
+		return
+	}
+	if tA == NoTrans {
+		gemvNoTrans(alpha, a, x, y)
+		return
+	}
+	gemvTrans(alpha, a, x, y)
+}
+
+// refGer is Ger's loop before the column update moved into colUpdate.
+func refGer[T dense.Float](alpha T, x, y []T, a *dense.Matrix[T]) {
+	if alpha == 0 {
+		return
+	}
+	for j := 0; j < a.Cols; j++ {
+		yj := alpha * y[j]
+		if yj == 0 {
+			continue
+		}
+		col := a.Col(j)
+		for i, v := range x {
+			col[i] += v * yj
+		}
+	}
+}
+
+// refGemmCols is the NoTrans-A half of gemmCols (the half GemmBatch runs in
+// the tile tree) before the column update moved into colUpdate.
+func refGemmCols[T dense.Float](tB Transpose, alpha T, a, b *dense.Matrix[T], beta T, c *dense.Matrix[T]) {
+	scaleCols(c, beta, 0, c.Cols)
+	for l := 0; l < a.Cols; l++ {
+		al := a.Col(l)
+		for j := 0; j < c.Cols; j++ {
+			var t T
+			if tB == NoTrans {
+				t = alpha * b.At(l, j)
+			} else {
+				t = alpha * b.At(j, l)
+			}
+			if t == 0 {
+				continue
+			}
+			cj := c.Col(j)
+			for i, v := range al {
+				cj[i] += v * t
+			}
+		}
+	}
+}
+
+// bitsOf returns the IEEE bit pattern of v, widened to 64 bits.
+func bitsOf[T dense.Float](v T) uint64 {
+	if f, ok := any(v).(float32); ok {
+		return uint64(math.Float32bits(f))
+	}
+	return math.Float64bits(float64(v))
+}
+
+// sameBits fails the test at the first element whose bits differ.
+func sameBits[T dense.Float](t *testing.T, what string, got, want []T) {
+	t.Helper()
+	for i := range want {
+		if bitsOf(got[i]) != bitsOf(want[i]) {
+			t.Fatalf("%s: element %d = %x (%g), Go loop %x (%g)", what, i, bitsOf(got[i]), got[i], bitsOf(want[i]), want[i])
+		}
+	}
+}
+
+// level2Gen turns fuzz bytes into matrices and vectors: one byte per element
+// chooses its class (normal, subnormal, ±0, ±Inf, quiet NaN with a payload,
+// a magnitude whose products and sums overflow, one whose products
+// underflow), its sign and its exponent; the element count supplies the
+// mantissa. The bytes are read round and round.
+type level2Gen struct {
+	classes []byte
+	n       uint32
+}
+
+func genValue[T dense.Float](g *level2Gen) T {
+	b := byte(0)
+	if len(g.classes) > 0 {
+		b = g.classes[int(g.n)%len(g.classes)]
+	}
+	g.n++
+	h := g.n * 2654435761
+	frac := 1 + float64(h>>9)/(1<<23) // in [1, 2), 23 bits: exact in both precisions
+	sign := 1.0
+	if b&0x80 != 0 {
+		sign = -1
+	}
+	_, f32 := any(T(0)).(float32)
+	maxExp, minExp := 1023, -1022
+	if f32 {
+		maxExp, minExp = 127, -126
+	}
+	switch b & 0x0f {
+	case 8:
+		return T(sign * math.Ldexp(frac, minExp-1-int(b>>4&7))) // subnormal
+	case 9:
+		return T(sign * 0)
+	case 10:
+		return T(math.Inf(int(sign)))
+	case 11: // quiet NaN, payload from the element count, either sign
+		if f32 {
+			return T(math.Float32frombits(0x7fc00000 | uint32(b&0x80)<<24 | h>>10))
+		}
+		return T(math.Float64frombits(0x7ff8000000000000 | uint64(b&0x80)<<56 | uint64(h)<<8))
+	case 12, 13:
+		return T(sign * math.Ldexp(frac, maxExp-int(b>>4&3))) // products and sums overflow, equal ones cancel
+	case 14, 15:
+		return T(sign * math.Ldexp(frac, minExp+int(b>>4&3))) // products underflow
+	}
+	return T(sign * math.Ldexp(frac, int(b>>4&7)-4))
+}
+
+// poison fills the storage a view does not own: a NaN there shows up in the
+// result if a kernel reads past a column, and a changed bit pattern shows up
+// in the whole-backing comparison if it writes there.
+func poison[T dense.Float]() T { return T(math.Float32frombits(0x7fc0dead)) }
+
+// genMat builds an r×c view with leading dimension r+pad whose first element
+// sits off elements into its backing array, which is returned as well.
+func genMat[T dense.Float](g *level2Gen, r, c, pad, off int) (*dense.Matrix[T], []T) {
+	stride := max(1, r+pad)
+	backing := make([]T, off+stride*c+1)
+	for i := range backing {
+		backing[i] = poison[T]()
+	}
+	a := &dense.Matrix[T]{Rows: r, Cols: c, Stride: stride, Data: backing[off : off+stride*c]}
+	for j := 0; j < c; j++ {
+		col := a.Col(j)
+		for i := range col {
+			col[i] = genValue[T](g)
+		}
+	}
+	return a, backing
+}
+
+func genVec[T dense.Float](g *level2Gen, n, off int) []T {
+	backing := make([]T, off+n)
+	for i := range backing {
+		backing[i] = genValue[T](g)
+	}
+	return backing[off:]
+}
+
+// cloneMat copies a view together with its backing array.
+func cloneMat[T dense.Float](a *dense.Matrix[T], backing []T, off int) (*dense.Matrix[T], []T) {
+	b := append([]T(nil), backing...)
+	return &dense.Matrix[T]{Rows: a.Rows, Cols: a.Cols, Stride: a.Stride, Data: b[off : off+len(a.Data)]}, b
+}
+
+// level2Case runs every dispatching level-2 entry point and its Go loop on
+// one generated problem and compares bits: Gemv N and T (r×c), Ger (r×c) and
+// the column-sweep GEMM C(r×c) += A(r×k)·op(B), NN and NT.
+func level2Case[T dense.Float](t *testing.T, what string, g *level2Gen, r, c, k, pad, off int, alpha, beta T) {
+	t.Helper()
+	a, aBack := genMat[T](g, r, c, pad, off)
+	for _, tA := range []Transpose{NoTrans, Trans} {
+		yr, xr := r, c
+		if tA == Trans {
+			yr, xr = c, r
+		}
+		x := genVec[T](g, xr, off)
+		got := genVec[T](g, yr, (off+1)%4)
+		want := append([]T(nil), got...)
+		Gemv(tA, alpha, a, x, beta, got)
+		goGemv(tA, alpha, a, x, beta, want)
+		sameBits(t, what+" gemv", got, want)
+	}
+
+	x, y := genVec[T](g, r, off), genVec[T](g, c, 1)
+	want, wantBack := cloneMat(a, aBack, off)
+	Ger(alpha, x, y, a)
+	refGer(alpha, x, y, want)
+	sameBits(t, what+" ger", aBack, wantBack)
+
+	if r == 0 || c == 0 {
+		return
+	}
+	left, _ := genMat[T](g, r, k, pad, off)
+	for _, tB := range []Transpose{NoTrans, Trans} {
+		br, bc := k, c
+		if tB == Trans {
+			br, bc = c, k
+		}
+		b, _ := genMat[T](g, br, bc, 1, 0)
+		cm, cBack := genMat[T](g, r, c, pad, (off+3)%8)
+		want, wantBack := cloneMat(cm, cBack, (off+3)%8)
+		GemmBatch(NoTrans, tB, alpha, []*dense.Matrix[T]{left}, []*dense.Matrix[T]{b}, beta, []*dense.Matrix[T]{cm})
+		if alpha == 0 {
+			scaleCols(want, beta, 0, c)
+		} else {
+			refGemmCols(tB, alpha, left, b, beta, want)
+		}
+		sameBits(t, what+" gemm", cBack, wantBack)
+	}
+}
+
+// level2Scalars are the α and β the fuzz target and the tests draw from.
+var level2Scalars = [4]float64{0, 1, -1, -2.5}
+
+// FuzzLevel2VectorVsGeneric drives the vector kernels against the Go loops
+// over fuzzer-chosen shapes, strides, offsets, α/β and per-element value
+// classes, and compares bits. The committed seed corpus walks every row tail
+// and every column tail 0…7 past the vector bodies.
+func FuzzLevel2VectorVsGeneric(f *testing.F) {
+	f.Add(uint8(40), uint8(16), uint8(3), uint8(0), uint8(0), uint8(5), []byte{0, 0x81, 0x32})
+	f.Add(uint8(7), uint8(9), uint8(1), uint8(2), uint8(1), uint8(0x0d), []byte{11, 10, 0x89, 0x8a, 0x8b, 0, 1, 12, 0x8c})
+	f.Fuzz(func(t *testing.T, rows, cols, inner, pad, off, ab uint8, classes []byte) {
+		r, c, k := int(rows)%80, int(cols)%40, 1+int(inner)%9
+		alpha, beta := level2Scalars[ab&3], level2Scalars[ab>>2&3]
+		g := &level2Gen{classes: classes}
+		level2Case[float64](t, "f64", g, r, c, k, int(pad)%5, int(off)%8, alpha, beta)
+		level2Case[float32](t, "f32", g, r, c, k, int(pad)%5, int(off)%8, float32(alpha), float32(beta))
+	})
+}
+
+// TestLevel2VectorBitIdentical is the deterministic sweep of the same
+// comparison: every row count 0…71 against column counts across the
+// eight-column passes, with random classes, so each kernel's main loop, each
+// of its row tails and each column tail runs under go test.
+func TestLevel2VectorBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for r := 0; r < 72; r++ {
+		for _, c := range []int{0, 1, 3, 4, 7, 8, 9, 12, 15, 16, 17, 23, 31, 32} {
+			classes := make([]byte, 64+rng.Intn(64))
+			rng.Read(classes)
+			if r%3 != 0 {
+				// Mostly finite: an all-classes draw turns every result NaN
+				// within a few columns and stops exercising rounding.
+				for i := range classes {
+					if rng.Intn(24) != 0 {
+						classes[i] &^= 0x08
+					}
+				}
+			}
+			ab := rng.Intn(16)
+			g := &level2Gen{classes: classes}
+			alpha, beta := level2Scalars[ab&3], level2Scalars[ab>>2&3]
+			level2Case[float64](t, "f64", g, r, c, 1+rng.Intn(9), rng.Intn(4), rng.Intn(8), alpha, beta)
+			level2Case[float32](t, "f32", g, r, c, 1+rng.Intn(9), rng.Intn(4), rng.Intn(8), float32(alpha), float32(beta))
+		}
+	}
+}
+
+// TestLevel2NaNHandedBack pins the one thing rounding does not: which NaN
+// survives when two meet. x86 returns the first operand of an add or a
+// multiply whose operands are both NaN, and the operand order of a compiled
+// Go loop changes with the build mode, so the kernels store no NaN at all and
+// hand the block to the Go loop instead. Two to five distinct NaNs (and the
+// Inf·0 that makes the default one) are dropped at random places of an
+// otherwise finite problem, often enough that every pair of positions within
+// a pass meets. A kernel that stored its own NaN would still pass here in a
+// build whose Go loops happen to share its operand order; it fails under
+// -race and under the fuzzer's instrumentation, which is where the first
+// version of the kernels was caught.
+func TestLevel2NaNHandedBack(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 4000; trial++ {
+		r, c := 1+rng.Intn(45), 1+rng.Intn(19)
+		classes := make([]byte, 97)
+		for i := range classes {
+			classes[i] = byte(rng.Intn(256)) & 0x87
+		}
+		// Three to five special bytes; the generator reads the slice round
+		// and round, and 97 is prime, so they land on different elements of
+		// A, x and y in every trial.
+		for n := 3 + rng.Intn(3); n > 0; n-- {
+			classes[rng.Intn(len(classes))] = byte(rng.Intn(256))&0x80 | []byte{11, 11, 11, 10, 9}[rng.Intn(5)]
+		}
+		alpha := 1.0
+		if trial%8 == 7 {
+			alpha = math.Float64frombits(0x7ff8000000a1fa00) // α·x[j] has an order too
+		}
+		g := &level2Gen{classes: classes}
+		level2Case[float64](t, "f64", g, r, c, 1+rng.Intn(4), rng.Intn(2), rng.Intn(2), alpha, 1)
+		level2Case[float32](t, "f32", g, r, c, 1+rng.Intn(4), rng.Intn(2), rng.Intn(2), float32(alpha), 1)
+	}
+}
+
+// TestGerBitIdentical is TestGemvBlockedBitIdentical for Ger: identical to
+// the loop it replaced down to the last bit, across shapes that reach every
+// loop of the column-update kernel, zero coefficients (whose columns are
+// skipped, not given ±0), signed zeros and non-finite entries.
+func TestGerBitIdentical(t *testing.T) {
+	gerBitIdentical[float32](t)
+	gerBitIdentical[float64](t)
+}
+
+func gerBitIdentical[T dense.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	shapes := []struct{ m, n int }{
+		{1, 1}, {3, 2}, {7, 3}, {8, 4}, {9, 5}, {31, 6}, {32, 7}, {33, 8},
+		{40, 9}, {47, 3}, {100, 31}, {256, 31}, {259, 5},
+	}
+	for _, s := range shapes {
+		for trial := 0; trial < 4; trial++ {
+			// A view with a gap between columns, as MGS passes its trail.
+			parent := randMatT[T](rng, s.m+3, s.n+1)
+			a := parent.View(1, 1, s.m, s.n)
+			x, y := make([]T, s.m), make([]T, s.n)
+			for i := range x {
+				x[i] = T(rng.NormFloat64())
+			}
+			for i := range y {
+				y[i] = T(rng.NormFloat64())
+			}
+			alpha := T(1)
+			switch trial {
+			case 1:
+				for i := 0; i < len(y); i += 3 {
+					y[i] = 0
+				}
+			case 2:
+				for i := range y {
+					if i%2 == 0 {
+						y[i] = T(math.Copysign(0, -1))
+					}
+				}
+				x[0] = T(math.Inf(1))
+				a.Set(s.m-1, s.n-1, T(math.NaN()))
+				a.Set(0, s.n-1, T(math.Inf(-1)))
+			case 3:
+				alpha = -2.5
+			}
+			want := parent.Clone()
+			Ger(alpha, x, y, a)
+			refGer(alpha, x, y, want.View(1, 1, s.m, s.n))
+			sameBits(t, "ger", parent.Data, want.Data)
+		}
+	}
+}
+
+// TestGemmBatchBitIdentical is the same pin for the column-sweep GEMM under
+// GemmBatch, at the tile tree's shape (tall Q times a small square factor)
+// and around it, NN and NT.
+func TestGemmBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	shapes := []struct{ m, n, k int }{
+		{1, 1, 1}, {7, 3, 2}, {8, 4, 4}, {33, 5, 9}, {64, 8, 8}, {100, 31, 31}, {256, 32, 32}, {271, 32, 32},
+	}
+	for _, tB := range []Transpose{NoTrans, Trans} {
+		for _, s := range shapes {
+			for trial := 0; trial < 4; trial++ {
+				const batch = 3
+				as, bs, cs, wants := make([]*dense.M32, batch), make([]*dense.M32, batch), make([]*dense.M32, batch), make([]*dense.M32, batch)
+				for p := range as {
+					as[p] = randMatT[float32](rng, s.m, s.k)
+					bs[p] = randMatT[float32](rng, s.k, s.n)
+					if tB == Trans {
+						bs[p] = randMatT[float32](rng, s.n, s.k)
+					}
+					cs[p] = randMatT[float32](rng, s.m, s.n)
+					switch trial {
+					case 1:
+						for i := 0; i < len(bs[p].Data); i += 3 {
+							bs[p].Data[i] = 0
+						}
+					case 2:
+						for i := 0; i < len(bs[p].Data); i += 2 {
+							bs[p].Data[i] = float32(math.Copysign(0, -1))
+						}
+						as[p].Data[0] = float32(math.Inf(1))
+						cs[p].Data[len(cs[p].Data)-1] = float32(math.NaN())
+					}
+					wants[p] = cs[p].Clone()
+				}
+				alpha, beta := float32(1), float32(0)
+				if trial == 3 {
+					alpha, beta = -2.5, 0.5
+				}
+				GemmBatch(NoTrans, tB, alpha, as, bs, beta, cs)
+				for p := range as {
+					refGemmCols(tB, alpha, as[p], bs[p], beta, wants[p])
+					sameBits(t, "gemm batch", cs[p].Data, wants[p].Data)
+				}
+			}
+		}
+	}
+}
+
+// TestLevel2NoAllocs holds the dispatch to zero allocations: the type switch
+// must not box a slice and the hand-back windows must stay on the stack, on
+// a whole matrix and on a view alike.
+func TestLevel2NoAllocs(t *testing.T) {
+	level2NoAllocs[float32](t)
+	level2NoAllocs[float64](t)
+}
+
+func level2NoAllocs[T dense.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	parent := randMatT[T](rng, 70, 21) // odd sizes: every hand-back runs
+	for name, a := range map[string]*dense.Matrix[T]{"matrix": parent, "view": parent.View(3, 2, 61, 19)} {
+		xr, xc := make([]T, a.Rows), make([]T, a.Cols)
+		for i := range xr {
+			xr[i] = 1
+		}
+		for i := range xc {
+			xc[i] = T(i % 5) // zero coefficients: the skip path too
+		}
+		yr, yc := make([]T, a.Rows), make([]T, a.Cols)
+		for op, fn := range map[string]func(){
+			"gemv N": func() { Gemv(NoTrans, 1, a, xc, 1, yr) },
+			"gemv T": func() { Gemv(Trans, 1, a, xr, 0, yc) },
+			"ger":    func() { Ger(-1, xr, xc, a) },
+		} {
+			if n := testing.AllocsPerRun(10, fn); n != 0 {
+				t.Errorf("%T %s on a %s: %v allocs per call, want 0", T(0), op, name, n)
+			}
+		}
+	}
+}

@@ -40,10 +40,7 @@ func gemmCols[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], b
 				if t == 0 {
 					continue
 				}
-				cj := c.Col(j)
-				for i, v := range al {
-					cj[i] += v * t
-				}
+				colUpdate(c.Col(j), al, t)
 			}
 		}
 	case tA == Trans && tB == NoTrans:
@@ -68,10 +65,7 @@ func gemmCols[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], b
 				if t == 0 {
 					continue
 				}
-				cj := c.Col(j)
-				for i, v := range al {
-					cj[i] += v * t
-				}
+				colUpdate(c.Col(j), al, t)
 			}
 		}
 	default: // Trans, Trans

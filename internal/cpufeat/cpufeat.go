@@ -6,19 +6,20 @@
 // feature is the constant false, so the scalar Go code is all there is.
 //
 // Three readers, each at its own init: internal/blas runs the AVX GEMM
-// micro-kernels when AVX is set, internal/f16 the binary16 rounding kernels
-// when AVX2 and F16C are, internal/bf16 the bfloat16 kernel when AVX2 is.
-// None of them can be overridden — by flag, environment variable or test —
-// because the vector and scalar paths are bit-identical by contract and the
-// tests prove it by calling both.
+// micro-kernels when AVX is set and the level-2 kernels (float64 Gemv,
+// float32 transposed Gemv and column update) when AVX2 is, internal/f16 the
+// binary16 rounding kernels when AVX2 and F16C are, internal/bf16 the
+// bfloat16 kernel when AVX2 is. None of them can be overridden — by flag,
+// environment variable or test — because the vector and scalar paths are
+// bit-identical by contract and the tests prove it by calling both.
 package cpufeat
 
 // Kernels names the kernel set this process runs, for build-info surfaces:
-// "avx2+f16c" (AVX GEMM micro-kernels, vector binary16 and bfloat16
-// rounding), "avx2" (the same without the binary16 kernels, on the rare
-// CPU that has AVX2 but hides F16C), "avx" (AVX micro-kernels, scalar
-// rounding) or "scalar" (portable Go throughout). Whatever the answer the
-// results are the same bits; only the speed differs.
+// "avx2+f16c" (AVX GEMM micro-kernels, vector level-2 loops, vector binary16
+// and bfloat16 rounding), "avx2" (the same without the binary16 kernels, on
+// the rare CPU that has AVX2 but hides F16C), "avx" (AVX micro-kernels,
+// scalar level-2 loops and rounding) or "scalar" (portable Go throughout).
+// Whatever the answer the results are the same bits; only the speed differs.
 func Kernels() string {
 	switch {
 	case AVX2 && F16C:

@@ -224,29 +224,62 @@ func (r *Report) Len() int {
 	return len(r.events)
 }
 
+// finite reports whether every element of x is finite, without a branch per
+// element: v − v is exactly 0 for every finite v and NaN for ±Inf or NaN, so
+// four running sums of it stay 0 until a non-finite element turns one NaN,
+// and NaN compares unequal to 0. ~4× faster than per-element IsNaN/IsInf
+// calls, and it runs over every input and over full factors on every
+// factorization and update.
+func finite[T dense.Float](x []T) bool {
+	var s0, s1, s2, s3 T
+	i := 0
+	for ; i+4 <= len(x); i += 4 {
+		s0 += x[i] - x[i]
+		s1 += x[i+1] - x[i+1]
+		s2 += x[i+2] - x[i+2]
+		s3 += x[i+3] - x[i+3]
+	}
+	for ; i < len(x); i++ {
+		s0 += x[i] - x[i]
+	}
+	return s0+s1+s2+s3 == 0
+}
+
+// firstNonFinite returns the index of the first NaN or Inf in x, or -1. Only
+// a slice that fails the finite scan is walked element by element.
+func firstNonFinite[T dense.Float](x []T) int {
+	if finite(x) {
+		return -1
+	}
+	for i, v := range x {
+		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+			return i
+		}
+	}
+	return -1
+}
+
 // CheckVec returns ErrNonFinite (wrapped with the offending index) if x
 // holds a NaN or Inf.
 func CheckVec[T dense.Float](name string, x []T) error {
-	for i, v := range x {
-		if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-			return fmt.Errorf("%s[%d] = %v: %w", name, i, v, ErrNonFinite)
-		}
+	if i := firstNonFinite(x); i >= 0 {
+		return fmt.Errorf("%s[%d] = %v: %w", name, i, x[i], ErrNonFinite)
 	}
 	return nil
 }
 
 // CheckMatrix validates a factorization input: it must be non-nil, have at
 // least one row and column, and contain only finite values. The returned
-// errors wrap ErrEmpty / ErrNonFinite.
+// errors wrap ErrEmpty / ErrNonFinite, the latter naming the first offender
+// in column-major order.
 func CheckMatrix[T dense.Float](name string, a *dense.Matrix[T]) error {
 	if a == nil || a.Rows == 0 || a.Cols == 0 {
 		return fmt.Errorf("%s is empty: %w", name, ErrEmpty)
 	}
 	for j := 0; j < a.Cols; j++ {
-		for i, v := range a.Col(j) {
-			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
-				return fmt.Errorf("%s(%d,%d) = %v: %w", name, i, j, v, ErrNonFinite)
-			}
+		col := a.Col(j)
+		if i := firstNonFinite(col); i >= 0 {
+			return fmt.Errorf("%s(%d,%d) = %v: %w", name, i, j, col[i], ErrNonFinite)
 		}
 	}
 	return nil
@@ -256,15 +289,7 @@ func CheckMatrix[T dense.Float](name string, a *dense.Matrix[T]) error {
 // CheckMatrix it has no opinion on emptiness — an empty matrix is finite.
 func MatrixFinite[T dense.Float](a *dense.Matrix[T]) bool {
 	for j := 0; j < a.Cols; j++ {
-		// v − v is exactly 0 for every finite v and NaN for ±Inf or NaN, so
-		// the column scan stays branch-free; a NaN accumulator compares
-		// unequal to 0. ~4× faster than per-element IsNaN/IsInf calls, and
-		// this runs over full factors on every factorization and update.
-		var s T
-		for _, v := range a.Col(j) {
-			s += v - v
-		}
-		if s != 0 {
+		if !finite(a.Col(j)) {
 			return false
 		}
 	}

@@ -135,3 +135,103 @@ func TestCheckMatrix(t *testing.T) {
 		t.Error("Inf matrix reported finite")
 	}
 }
+
+// oldCheckMatrix is CheckMatrix's element-by-element scan as it stood before
+// the branch-free column scan; the new one must return its errors verbatim.
+func oldCheckMatrix[T dense.Float](name string, a *dense.Matrix[T]) error {
+	for j := 0; j < a.Cols; j++ {
+		for i, v := range a.Col(j) {
+			if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+				return fmt.Errorf("%s(%d,%d) = %v: %w", name, i, j, v, ErrNonFinite)
+			}
+		}
+	}
+	return nil
+}
+
+// TestCheckMatrixNamesFirstOffender places NaN and ±Inf where the four-lane
+// scan could go wrong — first and last element, each lane of the unrolled
+// body, the tail past it, two in one column, one in a later column of a view
+// — and requires the old scan's error, word for word: the first offender in
+// column-major order, with its value.
+func TestCheckMatrixNamesFirstOffender(t *testing.T) {
+	checkMatrixNamesFirstOffender[float32](t)
+	checkMatrixNamesFirstOffender[float64](t)
+}
+
+func checkMatrixNamesFirstOffender[T dense.Float](t *testing.T) {
+	nan, pinf, ninf := T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1))
+	type at struct {
+		i, j int
+		v    T
+	}
+	const rows, cols = 11, 3 // two four-lane turns and a three-element tail
+	cases := [][]at{
+		{},
+		{{0, 0, nan}},
+		{{rows - 1, cols - 1, pinf}},
+		{{1, 0, ninf}}, {{2, 1, nan}}, {{3, 2, pinf}}, {{4, 0, ninf}}, // every lane
+		{{8, 1, nan}}, {{9, 1, pinf}}, {{10, 1, ninf}}, // the tail
+		{{9, 0, nan}, {2, 0, pinf}},  // two in one column: the earlier row wins
+		{{0, 2, nan}, {10, 1, ninf}}, // two columns: the earlier column wins
+		{{3, 0, pinf}, {7, 0, ninf}}, // +Inf and −Inf in one lane's running sum
+	}
+	for _, view := range []bool{false, true} {
+		for ci, c := range cases {
+			parent := dense.New[T](rows+2, cols+1)
+			for i := range parent.Data {
+				parent.Data[i] = T(i%7) - 3
+			}
+			var a *dense.Matrix[T]
+			if view {
+				// The view's gaps hold non-finite values the scan must not read.
+				for j := 0; j <= cols; j++ {
+					parent.Set(0, j, nan)
+					parent.Set(rows+1, j, pinf)
+				}
+				for i := range parent.Col(0) {
+					parent.Set(i, 0, ninf)
+				}
+				a = parent.View(1, 1, rows, cols)
+			} else {
+				a = parent.View(0, 0, rows, cols).Clone()
+			}
+			for _, p := range c {
+				a.Set(p.i, p.j, p.v)
+			}
+			got, want := CheckMatrix("A", a), oldCheckMatrix("A", a)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Errorf("%T view=%v case %d: CheckMatrix = %v, element scan = %v", T(0), view, ci, got, want)
+			}
+			if got != nil && !errors.Is(got, ErrNonFinite) {
+				t.Errorf("%T case %d: %v does not wrap ErrNonFinite", T(0), ci, got)
+			}
+			if MatrixFinite(a) != (want == nil) {
+				t.Errorf("%T view=%v case %d: MatrixFinite = %v, element scan says %v", T(0), view, ci, MatrixFinite(a), want)
+			}
+			for j := 0; j < a.Cols; j++ {
+				gv, wv := CheckVec("x", a.Col(j)), error(nil)
+				for i, v := range a.Col(j) {
+					if f := float64(v); math.IsNaN(f) || math.IsInf(f, 0) {
+						wv = fmt.Errorf("x[%d] = %v: %w", i, v, ErrNonFinite)
+						break
+					}
+				}
+				if (gv == nil) != (wv == nil) || (gv != nil && gv.Error() != wv.Error()) {
+					t.Errorf("%T view=%v case %d column %d: CheckVec = %v, element scan = %v", T(0), view, ci, j, gv, wv)
+				}
+			}
+		}
+	}
+	// The largest finite magnitudes are finite: v − v is 0, not an overflow.
+	big := dense.New[T](5, 1)
+	for i := range big.Data {
+		big.Data[i] = T(math.MaxFloat32)
+		if i%2 == 1 {
+			big.Data[i] = -big.Data[i]
+		}
+	}
+	if err := CheckMatrix("A", big); err != nil {
+		t.Errorf("%T: largest finite values rejected: %v", T(0), err)
+	}
+}

@@ -221,11 +221,9 @@ func scaleColumns(w *dense.M32) []float32 {
 		col := w.Col(j)
 		var mx float32
 		for _, v := range col {
-			a := v
-			if a < 0 {
-				a = -a
-			}
-			if a > mx {
+			// math.Abs, not a sign test: a branch on the sign of fresh data
+			// mispredicts every other element.
+			if a := float32(math.Abs(float64(v))); a > mx {
 				mx = a
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tcqr/internal/accuracy"
+	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 	"tcqr/internal/f16"
 	"tcqr/internal/gram"
@@ -298,5 +299,73 @@ func TestHazardsReturnTypedErrors(t *testing.T) {
 	}
 	if res.Q.HasNaN() {
 		t.Error("recovered Q contains NaN")
+	}
+}
+
+// oldScaleColumns is scaleColumns as it stood when |v| was a sign test, kept
+// as the oracle for the branch-free scan.
+func oldScaleColumns(w *dense.M32) []float32 {
+	scales := make([]float32, w.Cols)
+	for j := range scales {
+		scales[j] = 1
+		col := w.Col(j)
+		var mx float32
+		for _, v := range col {
+			a := v
+			if a < 0 {
+				a = -a
+			}
+			if a > mx {
+				mx = a
+			}
+		}
+		if mx == 0 || math.IsInf(float64(mx), 0) || math.IsNaN(float64(mx)) {
+			continue
+		}
+		e := math.Floor(math.Log2(float64(mx)))
+		s := float32(math.Exp2(-e))
+		if s != 1 {
+			blas.Scal(s, col)
+			scales[j] = s
+		}
+	}
+	return scales
+}
+
+// TestScaleColumnsBitIdentical: the same scales and the same scaled bits as
+// the branching scan, on columns that are all negative, zero, subnormal,
+// huge, or hold a NaN or an Inf anywhere (which the scan must skip over or
+// stop on exactly as before).
+func TestScaleColumnsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(62))
+	specials := []float32{0, float32(math.Copysign(0, -1)), float32(math.Inf(1)), float32(math.Inf(-1)),
+		float32(math.NaN()), math.SmallestNonzeroFloat32, -math.MaxFloat32, 65504, -1, 1}
+	for trial := 0; trial < 300; trial++ {
+		m, n := 1+rng.Intn(37), 1+rng.Intn(9)
+		w := dense.New[float32](m, n)
+		for j := 0; j < n; j++ {
+			scale := math.Ldexp(1, rng.Intn(60)-30)
+			for i, col := 0, w.Col(j); i < m; i++ {
+				col[i] = float32(rng.NormFloat64() * scale)
+				if j%4 == 1 {
+					col[i] = -float32(math.Abs(float64(col[i])))
+				}
+				if j%4 == 2 && rng.Intn(4) == 0 {
+					col[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+		}
+		want := w.Clone()
+		gotScales, wantScales := scaleColumns(w), oldScaleColumns(want)
+		for j := range wantScales {
+			if math.Float32bits(gotScales[j]) != math.Float32bits(wantScales[j]) {
+				t.Fatalf("trial %d column %d: scale %g, branching scan %g", trial, j, gotScales[j], wantScales[j])
+			}
+		}
+		for i := range want.Data {
+			if math.Float32bits(w.Data[i]) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("trial %d element %d: %x, branching scan %x", trial, i, math.Float32bits(w.Data[i]), math.Float32bits(want.Data[i]))
+			}
+		}
 	}
 }

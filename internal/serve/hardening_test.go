@@ -234,13 +234,17 @@ func TestSolveKeyWithConfigRejected(t *testing.T) {
 // frame buffer inside the handler, an abandoned session can never hold a
 // wirefmt pool buffer hostage.
 func TestStreamAbandonedSessionsReaped(t *testing.T) {
-	s := New(Options{Workers: 1, StreamTTL: 25 * time.Millisecond})
+	// Expiry runs on the clock the test hands the registry, not the wall
+	// clock: the TTL is long enough that the background reaper never fires.
+	const ttl = time.Hour
+	s := New(Options{Workers: 1, StreamTTL: ttl})
 	defer s.Close()
 	h := s.Handler()
+	t0 := time.Now() // every session below expires after t0+ttl
 
 	// Three sessions: one abandoned mid-upload (with a binary append, so the
 	// pooled-buffer path is exercised), one abandoned right after begin, one
-	// kept alive by appends past the others' expiry.
+	// kept alive by an append past the others' expiry.
 	begin := func() string {
 		t.Helper()
 		var br streamBeginReply
@@ -256,18 +260,19 @@ func TestStreamAbandonedSessionsReaped(t *testing.T) {
 	if rec := postFrame(t, h, "/v1/factorize/stream/append", body, "application/json"); rec.Code != 200 {
 		t.Fatalf("binary append status %d: %s", rec.Code, rec.Body.String())
 	}
+	if code, _ := post(t, h, "/v1/factorize/stream/append",
+		map[string]any{"session": live, "block": wireMat(2, 2, []float64{1, 2, 3, 4})}, nil); code != 200 {
+		t.Fatalf("live append status %d", code)
+	}
 
-	// Keep the live session's deadline fresh until the abandoned two expire.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.streams.len() > 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("abandoned sessions not reaped; %d still open", s.streams.len())
-		}
-		if code, _ := post(t, h, "/v1/factorize/stream/append",
-			map[string]any{"session": live, "block": wireMat(1, 2, []float64{5, 6})}, nil); code != 200 {
-			t.Fatalf("live append status %d", code)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// An append at t0+ttl finds the live session still open and moves its
+	// deadline to t0+2·ttl; the sweep at t0+1.5·ttl then expires exactly the
+	// abandoned two.
+	if _, aerr := s.streams.append(live, 1, 2, []float64{5, 6}, s.opts.MaxElements, t0.Add(ttl)); aerr != nil {
+		t.Fatalf("live append at t0+ttl: %v", aerr)
+	}
+	if n := s.streams.reapExpired(t0.Add(3 * ttl / 2)); n != 2 || s.streams.len() != 1 {
+		t.Fatalf("sweep at t0+1.5·ttl reaped %d, %d still open; want 2 and 1", n, s.streams.len())
 	}
 	if got := s.metrics.streamReaped.Value(); got != 2 {
 		t.Errorf("reaped counter = %d, want 2", got)
