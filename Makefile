@@ -48,11 +48,11 @@ check-benchmark:
 
 # Tier-2 verification: the full suite under the race detector (the packed
 # GEMM parallelizes over C tiles; this is the gate for it), then the pool's
-# scheduling-sensitive tests three more times: a precondition that can tear
-# shows up as a flake, and one pass hides a flake.
+# and the coalescer's scheduling-sensitive tests three more times: a
+# precondition that can tear shows up as a flake, and one pass hides a flake.
 check-race: lint
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'Pool|AwaitIdle' ./internal/serve
+	$(GO) test -race -count=3 -run 'Coalesc|Pool|AwaitIdle' ./internal/serve
 
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial
@@ -107,12 +107,12 @@ check-exhaustive:
 # seeded soak verdicts DESIGN.md §11/§14/§15 point operators at, and the
 # tc-ec battery below puts the engine accuracy ordering and the escalation
 # property (DESIGN.md §16) on a line of their own. The last line runs every
-# kernel-layer benchmark once, so benchmark code cannot rot unseen. Tier-1
-# `check` stays fast; this one takes several minutes.
+# kernel-layer and serving benchmark once, so benchmark code cannot rot
+# unseen. Tier-1 `check` stays fast; this one takes several minutes.
 check-deep: lint check-race check-exhaustive check-benchmark fuzz chaos \
 		cluster-soak serve-smoke
 	$(GO) test -race -run 'TcEc|Ladder|CholQREngine' . ./internal/tcsim ./internal/gram
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/gram ./internal/lls
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/blas ./internal/gram ./internal/lls ./internal/serve
 
 # Run the factorization-serving daemon on its default port.
 serve:

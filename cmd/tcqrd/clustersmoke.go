@@ -72,7 +72,6 @@ func runClusterSmoke() int {
 			Workers:      2,
 			QueueDepth:   64,
 			CacheEntries: 64,
-			Window:       0,
 			Registry:     reg,
 			Cluster:      node,
 		})

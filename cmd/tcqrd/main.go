@@ -3,8 +3,8 @@
 //
 //	POST /v1/factorize  — factor a matrix (content-hash cached, singleflight)
 //	POST /v1/solve      — least squares against a cached factorization;
-//	                      concurrent same-matrix solves coalesce into one
-//	                      multi-RHS call
+//	                      same-matrix solves that queue behind busy workers
+//	                      coalesce into one multi-RHS call
 //	POST /v1/update     — append rows to (or downdate rows from) a cached
 //	                      factorization incrementally, publishing a new
 //	                      epoch key@N while in-flight solves keep theirs
@@ -24,7 +24,7 @@
 //	tcqrd [-addr :8723] [-workers N] [-queue 64] [-cache 32]
 //	      [-cache-max-bytes 0] [-cache-dir path] [-spill-max-bytes 0]
 //	      [-engine fp16|tc-ec|bf16|fp32]
-//	      [-window 2ms] [-max-batch 32] [-deadline 30s]
+//	      [-max-batch 32] [-deadline 30s]
 //	      [-drain-timeout 10s] [-addr-file path]
 //	      [-log-level info] [-debug-addr host:port]
 //	      [-retry-attempts 3] [-stage-timeout 0]
@@ -117,8 +117,7 @@ func main() {
 		cacheDir     = flag.String("cache-dir", "", "persist factorizations to this directory (write-behind spill; rewarm on restart; empty disables)")
 		spillBytes   = flag.Int64("spill-max-bytes", 0, "on-disk byte budget of -cache-dir, oldest files deleted first (0 = unbounded)")
 		engine       = flag.String("engine", "", fmt.Sprintf("default engine for requests that name none, one of %v (empty = %v)", tcsim.Kinds(), tcsim.KindTC))
-		window       = flag.Duration("window", 2*time.Millisecond, "solve coalescing window (0 disables)")
-		maxBatch     = flag.Int("max-batch", 32, "max solves coalesced into one multi-RHS call")
+		maxBatch     = flag.Int("max-batch", 32, "max solves coalesced into one multi-RHS call while they wait for a worker (1 forbids batching)")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening")
@@ -221,7 +220,6 @@ func main() {
 		CacheMaxBytes:     *cacheBytes,
 		CacheDir:          *cacheDir,
 		SpillMaxBytes:     *spillBytes,
-		Window:            *window,
 		MaxBatch:          *maxBatch,
 		DefaultEngine:     defaultEngine,
 		DefaultDeadline:   *deadline,
@@ -247,7 +245,7 @@ func main() {
 		}
 	}
 	info(logger, "listening", "addr", bound, "workers", *workers, "queue", *queue,
-		"cache", *cacheEntries, "window", (*window).String(), "max_batch", *maxBatch,
+		"cache", *cacheEntries, "max_batch", *maxBatch,
 		"kernels", cpufeat.Kernels())
 
 	if *debugAddr != "" {

@@ -36,8 +36,11 @@ func TestBadEngineFlagFailsStartup(t *testing.T) {
 // TestFlagsMatchUsageComment: the flags main() registers are exactly the
 // flags the package comment's usage block names, so a knob cannot be added
 // or removed without its documentation following — and none is a -tsqr-*
-// route selector (the daemon has one cold-factorization path). The test
-// binary re-executes itself with -h and reads the flag package's listing.
+// route selector (the daemon has one cold-factorization path). The count is
+// pinned so a new knob has to argue its way in (-window was the last to go:
+// solves coalesce while they wait for a worker, there is no timer to set).
+// The test binary re-executes itself with -h and reads the flag package's
+// listing.
 func TestFlagsMatchUsageComment(t *testing.T) {
 	if os.Getenv("TCQRD_MAIN_TEST") != "" {
 		os.Args = []string{"tcqrd", "-h"}
@@ -54,8 +57,8 @@ func TestFlagsMatchUsageComment(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^  -([a-z][a-z-]*)( |$)`).FindAllStringSubmatch(string(out), -1) {
 		registered[m[1]] = true // skips the test binary's own -test.* flags
 	}
-	if len(registered) == 0 {
-		t.Fatalf("no flags parsed from -h output:\n%s", out)
+	if len(registered) != 30 {
+		t.Fatalf("%d flags parsed from -h output, want 30:\n%s", len(registered), out)
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)

@@ -50,9 +50,79 @@ func runSmoke(base string) int {
 	s.check(err == nil && code == 200 && fr.Cached,
 		"repeat factorize is a cache hit", "code=%d cached=%v err=%v", code, fr.Cached, err)
 
-	// Concurrent solves by key against known right-hand sides: every column
-	// must come back accurate, and with the daemon's coalescing window open
-	// at least some must share a multi-RHS call.
+	// A "method":"none" solve on the idle daemon: it must ride alone and come
+	// back unrefined. The coalesced pair below has to match it bit for bit.
+	type noneOut struct {
+		X          []float64 `json:"x"`
+		Iterations int       `json:"iterations"`
+		Batched    int       `json:"batched"`
+	}
+	noneX := make([]float64, n)
+	for j := range noneX {
+		noneX[j] = float64(j % 5)
+	}
+	noneBody := map[string]any{"key": key, "b": matVec(mat, noneX),
+		"options": map[string]any{"method": "none"}}
+	var alone noneOut
+	code, err = s.post("/v1/solve", noneBody, &alone)
+	s.check(err == nil && code == 200 && alone.Batched == 1 && alone.Iterations == 0,
+		"solo method=none solve is unrefined",
+		"code=%d batched=%d iterations=%d err=%v", code, alone.Batched, alone.Iterations, err)
+
+	// Coalescing. The daemon has no window to wait out: a batch gathers
+	// exactly while it waits for a worker, so the client makes the workers
+	// busy. The daemon under smoke runs one (scripts/serve_smoke.sh passes
+	// -workers 1); the slowest request the client has — the cold 2048x256
+	// tc-ec factorize, whose answer is checked further down — holds it, and
+	// once /statz shows that factorization running the solves sent next park
+	// behind it. The matrix is tall-skinny, and 256 columns is wide enough to
+	// split, so the projection GEMMs reach the engine: the engine a request
+	// names factors it at every shape.
+	ecMat := smokeMatrix(2048, 256, 1)
+	var ecr, fpr struct {
+		Key         string `json:"key"`
+		Hazards     []any  `json:"hazards"`
+		EngineStats struct {
+			GemmCalls int64 `json:"gemm_calls"`
+		} `json:"engine_stats"`
+	}
+	var (
+		ecCode int
+		ecErr  error
+		ecDone = make(chan struct{})
+	)
+	go func() {
+		defer close(ecDone)
+		ecCode, ecErr = s.post("/v1/factorize",
+			map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "tc-ec"}}, &ecr)
+	}()
+	var pz struct {
+		Pool struct {
+			Workers  int   `json:"workers"`
+			InFlight int64 `json:"in_flight"`
+		} `json:"pool"`
+	}
+poll:
+	for pz.Pool.InFlight < 1 {
+		if code, err = s.get("/statz", &pz); err != nil || code != 200 {
+			break
+		}
+		select {
+		case <-ecDone: // over before it was ever seen running; the check below says so
+			break poll
+		case <-time.After(time.Millisecond):
+		}
+	}
+	s.check(pz.Pool.Workers == 1 && pz.Pool.InFlight >= 1,
+		"the tall factorize holds the daemon's one worker",
+		"pool.workers=%d pool.in_flight=%d: the coalescing checks below need the daemon started with -workers 1 and its worker busy",
+		pz.Pool.Workers, pz.Pool.InFlight)
+
+	// Eight solves by key against known right-hand sides plus the
+	// method=none solve twice, all parked behind the held worker: every
+	// column must come back accurate, the eight must share a multi-RHS call,
+	// and the pair must be one batch of two that matches the solo answer —
+	// the answer may not depend on who else rode in the batch.
 	const clients = 8
 	type solveOut struct {
 		code    int
@@ -63,6 +133,7 @@ func runSmoke(base string) int {
 		wantX   []float64
 	}
 	outs := make([]solveOut, clients)
+	var pair [2]noneOut
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -82,6 +153,15 @@ func runSmoke(base string) int {
 				timing: hdr.Get("Server-Timing"), wantX: xTrue}
 		}(i)
 	}
+	for i := range pair {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if code, err := s.post("/v1/solve", noneBody, &pair[i]); err != nil || code != 200 {
+				pair[i].Batched = -1
+			}
+		}(i)
+	}
 	wg.Wait()
 	maxBatched := 0
 	for i, o := range outs {
@@ -97,39 +177,12 @@ func runSmoke(base string) int {
 		}
 	}
 	s.check(maxBatched >= 2, "concurrent same-key solves coalesced",
-		"largest batch was %d; expected >= 2 (is the daemon running with -window 0?)", maxBatched)
-
-	// A batch honours the request's refinement method: the same
-	// "method":"none" solve alone, then twice at once, must come back
-	// unrefined (0 iterations) and identical — the answer may not depend on
-	// who else was in the coalescing window.
-	type noneOut struct {
-		X          []float64 `json:"x"`
-		Iterations int       `json:"iterations"`
-		Batched    int       `json:"batched"`
-	}
-	noneBody := map[string]any{"key": key, "b": matVec(mat, outs[0].wantX),
-		"options": map[string]any{"method": "none"}}
-	var alone noneOut
-	code, err = s.post("/v1/solve", noneBody, &alone)
-	s.check(err == nil && code == 200 && alone.Batched == 1 && alone.Iterations == 0,
-		"solo method=none solve is unrefined",
-		"code=%d batched=%d iterations=%d err=%v", code, alone.Batched, alone.Iterations, err)
-	var pair [2]noneOut
-	for i := range pair {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if code, err := s.post("/v1/solve", noneBody, &pair[i]); err != nil || code != 200 {
-				pair[i].Batched = -1
-			}
-		}(i)
-	}
-	wg.Wait()
+		"largest batch was %d; expected >= 2 (solves batch while they wait for a worker: did the tall factorize finish before the burst arrived?)", maxBatched)
 	for i, o := range pair {
 		s.check(o.Batched == 2 && o.Iterations == 0 && maxAbsDiff(o.X, alone.X) == 0,
 			fmt.Sprintf("coalesced method=none solve %d matches the solo answer", i),
-			"batched=%d iterations=%d max |x-x_solo| = %g", o.Batched, o.Iterations, maxAbsDiff(o.X, alone.X))
+			"batched=%d iterations=%d max |x-x_solo| = %g (batched=1 means the pair did not park behind the tall factorize together)",
+			o.Batched, o.Iterations, maxAbsDiff(o.X, alone.X))
 	}
 
 	// Binary wire protocol (DESIGN.md §12): the same warm solve served as a
@@ -316,23 +369,13 @@ func runSmoke(base string) int {
 		"code=%d cache.hits=%d multi=%d timing[solve].count=%d err=%v",
 		code, statz.Cache.Hits, statz.Coalescer.MultiSolveCalls, statz.Timing["solve"].Count, err)
 
-	// Engine selection end-to-end: a factorize that names the error-corrected
-	// engine must run its GEMMs on the tensor-core simulant under the tc-ec
-	// label — engine_stats and the scrape below both assert it, proving the
-	// hot path stayed on the simulated device rather than falling back to
-	// fp32. The matrix is tall-skinny, and 256 columns is wide enough to
-	// split, so the projection GEMMs reach the engine: the engine a request
-	// names factors it at every shape.
-	ecMat := smokeMatrix(2048, 256, 1)
-	var ecr, fpr struct {
-		Key         string `json:"key"`
-		Hazards     []any  `json:"hazards"`
-		EngineStats struct {
-			GemmCalls int64 `json:"gemm_calls"`
-		} `json:"engine_stats"`
-	}
-	code, err = s.post("/v1/factorize",
-		map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "tc-ec"}}, &ecr)
+	// Engine selection end-to-end: the factorize that held the worker above
+	// named the error-corrected engine, so it must have run its GEMMs on the
+	// tensor-core simulant under the tc-ec label — engine_stats and the scrape
+	// below both assert it, proving the hot path stayed on the simulated
+	// device rather than falling back to fp32.
+	<-ecDone
+	code, err = ecCode, ecErr
 	s.check(err == nil && code == 200 && ecr.Key != "" && len(ecr.Hazards) == 0 && ecr.EngineStats.GemmCalls > 0,
 		"tall tc-ec factorize runs its GEMMs on the requested engine with no hazards",
 		"code=%d key=%q hazards=%d engine_stats.gemm_calls=%d err=%v",

@@ -56,16 +56,7 @@ const DefaultMaxIter = 200
 // Iteration stops when ‖s_k‖ <= tol·‖s_0‖ (s is the preconditioned
 // gradient) or after maxIter iterations.
 func CGLS(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *IterResult {
-	return CGLSOperator(AsOperator(a), b, r, tol, maxIter)
-}
-
-// CGLSOperator is CGLS for matrix-free operators (Section 2.2: iterative
-// solvers only need A·v and Aᵀ·v, which makes them the method of choice
-// for large sparse problems). The preconditioner r, when present, is still
-// a dense triangular factor — typically from a QR of a dense sketch or of
-// a densified subproblem.
-func CGLSOperator(op Operator, b []float64, r *dense.M64, tol float64, maxIter int) *IterResult {
-	m, n := op.Dims()
+	m, n := a.Rows, a.Cols
 	if len(b) != m {
 		panic(fmt.Sprintf("lls: rhs length %d, want %d", len(b), m))
 	}
@@ -82,7 +73,7 @@ func CGLSOperator(op Operator, b []float64, r *dense.M64, tol float64, maxIter i
 	x := make([]float64, n)
 	res := append([]float64(nil), b...) // residual r_k = b − A·x
 	s := make([]float64, n)             // preconditioned gradient R⁻ᵀ·Aᵀ·r
-	op.ApplyTranspose(s, res)
+	blas.Gemv(blas.Trans, 1, a, res, 0, s)
 	if r != nil {
 		blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, r, s)
 	}
@@ -111,7 +102,7 @@ func CGLSOperator(op Operator, b []float64, r *dense.M64, tol float64, maxIter i
 		if r != nil {
 			blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, t)
 		}
-		op.Apply(q, t)
+		blas.Gemv(blas.NoTrans, 1, a, t, 0, q)
 		delta := dot64(q, q)
 		if delta == 0 {
 			break
@@ -119,7 +110,7 @@ func CGLSOperator(op Operator, b []float64, r *dense.M64, tol float64, maxIter i
 		alpha := gamma / delta
 		blas.Axpy(alpha, t, x)
 		blas.Axpy(-alpha, q, res)
-		op.ApplyTranspose(s, res)
+		blas.Gemv(blas.Trans, 1, a, res, 0, s)
 		if r != nil {
 			blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, r, s)
 		}

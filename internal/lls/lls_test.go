@@ -9,7 +9,6 @@ import (
 	"tcqr/internal/dense"
 	"tcqr/internal/matgen"
 	"tcqr/internal/rgs"
-	"tcqr/internal/sparse"
 	"tcqr/internal/tcsim"
 )
 
@@ -368,61 +367,13 @@ func TestSolveMulti(t *testing.T) {
 	}
 }
 
-func TestCGLSOperatorSparse(t *testing.T) {
-	// A sparse overdetermined system solved matrix-free, checked against
-	// the dense solver on the same data (Section 2.2's use case).
-	rng := rand.New(rand.NewSource(50))
-	rows, cols := 300, 60
-	var trips []sparse.Triplet
-	ad := dense.New[float64](rows, cols)
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if rng.Float64() < 0.1 || i == j { // diagonal band keeps full rank
-				v := rng.NormFloat64()
-				if i == j {
-					v += 3
-				}
-				trips = append(trips, sparse.Triplet{Row: i, Col: j, Val: v})
-				ad.Set(i, j, v)
-			}
-		}
-	}
-	sp, err := sparse.FromTriplets(rows, cols, trips)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, rows)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	spRes := CGLSOperator(sp, b, nil, 1e-12, 2000)
-	dRes := CGLS(ad, b, nil, 1e-12, 2000)
-	if !spRes.Converged || !dRes.Converged {
-		t.Fatalf("convergence: sparse=%v dense=%v", spRes.Converged, dRes.Converged)
-	}
-	for i := range spRes.X {
-		if math.Abs(spRes.X[i]-dRes.X[i]) > 1e-8 {
-			t.Fatalf("x[%d]: sparse %v vs dense %v", i, spRes.X[i], dRes.X[i])
-		}
-	}
-	// LSQR operator path agrees too.
-	lRes := LSQROperator(sp, b, nil, 1e-12, 2000)
-	if !lRes.Converged {
-		t.Fatal("LSQR operator did not converge")
-	}
-	if opt := accuracy.LLSOptimality(ad, lRes.X, b); opt > 1e-7 {
-		t.Errorf("LSQR operator optimality %g", opt)
-	}
-}
-
 func TestCGLSOperatorWithDensePreconditioner(t *testing.T) {
-	// A sparse ill-conditioned operator preconditioned by the R factor of
-	// a *densified* copy put through RGSQRF — the paper's preconditioning
-	// idea transplanted to the matrix-free setting.
+	// An ill-conditioned system preconditioned by the R factor of its own
+	// fp16-engine RGSQRF — the paper's preconditioning idea — against plain
+	// CGLS on the same data.
 	rng := rand.New(rand.NewSource(51))
 	rows, cols := 400, 48
 	a := matgen.WithCond(rng, rows, cols, 1e4, matgen.Geometric)
-	// Densified → fp16-engine QR → R.
 	f, err := rgs.Factor(dense.ToF32(a), rgs.Options{Cutoff: 16})
 	if err != nil {
 		t.Fatal(err)
@@ -432,11 +383,10 @@ func TestCGLSOperatorWithDensePreconditioner(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	op := AsOperator(a)
-	pre := CGLSOperator(op, b, r64, 1e-12, 200)
-	plain := CGLSOperator(op, b, nil, 1e-12, 2000)
+	pre := CGLS(a, b, r64, 1e-12, 200)
+	plain := CGLS(a, b, nil, 1e-12, 2000)
 	if !pre.Converged {
-		t.Fatal("preconditioned operator CGLS did not converge")
+		t.Fatal("preconditioned CGLS did not converge")
 	}
 	if plain.Converged && plain.Iterations <= pre.Iterations {
 		t.Errorf("preconditioning should cut iterations: %d vs %d", plain.Iterations, pre.Iterations)

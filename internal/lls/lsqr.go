@@ -16,12 +16,7 @@ import (
 // the unpreconditioned solver. Stopping mirrors CGLS: the estimate of
 // ‖Bᵀr_k‖ must fall to tol times its initial value.
 func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *IterResult {
-	return LSQROperator(AsOperator(a), b, r, tol, maxIter)
-}
-
-// LSQROperator is LSQR for matrix-free operators (see CGLSOperator).
-func LSQROperator(op Operator, b []float64, r *dense.M64, tol float64, maxIter int) *IterResult {
-	m, n := op.Dims()
+	m, n := a.Rows, a.Cols
 	if len(b) != m {
 		panic(fmt.Sprintf("lls: rhs length %d, want %d", len(b), m))
 	}
@@ -37,10 +32,10 @@ func LSQROperator(op Operator, b []float64, r *dense.M64, tol float64, maxIter i
 		if r != nil {
 			blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, t)
 		}
-		op.Apply(out, t)
+		blas.Gemv(blas.NoTrans, 1, a, t, 0, out)
 	}
 	applyBT := func(u []float64, out []float64) { // out = R⁻ᵀ·Aᵀ·u
-		op.ApplyTranspose(out, u)
+		blas.Gemv(blas.Trans, 1, a, u, 0, out)
 		if r != nil {
 			blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, r, out)
 		}

@@ -6,10 +6,10 @@
 //   - a content-hash-keyed LRU factorization cache with singleflight
 //     deduplication, so concurrent solves against the same matrix share one
 //     Factorize call (cache.go);
-//   - a request coalescer that batches solves arriving within a short window
-//     against the same cached factorization into a single multi-RHS call —
-//     the solo refinement run once per request, under one pool slot
-//     (coalesce.go);
+//   - a request coalescer that batches solves waiting for a worker against
+//     the same cached factorization into a single multi-RHS call — the solo
+//     refinement run once per request, under one pool slot; the pool queue is
+//     the coalescing window, there is no timer (coalesce.go);
 //   - a bounded worker pool with admission control: queue-depth limit,
 //     per-request deadlines, typed backpressure errors, graceful drain
 //     (pool.go);

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"tcqr/internal/wirefmt"
 )
@@ -22,8 +21,8 @@ const benchRows, benchCols = 1024, 256
 
 // benchServer returns a server plus pre-marshaled factorize and solve
 // request bodies for the benchmark matrix.
-func benchServer(window time.Duration, maxBatch int) (*Server, http.Handler, []byte, []byte) {
-	s := New(Options{Window: window, MaxBatch: maxBatch})
+func benchServer(maxBatch int) (*Server, http.Handler, []byte, []byte) {
+	s := New(Options{MaxBatch: maxBatch})
 	h := s.Handler()
 	data := testMatrix(1234, benchRows, benchCols, 1)
 	x := make([]float64, benchCols)
@@ -104,7 +103,7 @@ func benchPostFrame(b *testing.B, h http.Handler, path string, body []byte) {
 // cache is emptied every iteration, so each solve pays for a fresh
 // factorization.
 func BenchmarkServeColdFactorizeSolve1024x256(b *testing.B) {
-	s, h, fbody, sbody := benchServer(0, 1)
+	s, h, fbody, sbody := benchServer(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Cache().Reset()
@@ -117,7 +116,7 @@ func BenchmarkServeColdFactorizeSolve1024x256(b *testing.B) {
 // reuses the factorization cached in benchServer. The ISSUE acceptance bar
 // is ≥5× lower latency than the cold benchmark above.
 func BenchmarkServeCacheHitSolve1024x256(b *testing.B) {
-	_, h, _, sbody := benchServer(0, 1)
+	_, h, _, sbody := benchServer(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPost(b, h, "/v1/solve", sbody)
@@ -128,7 +127,7 @@ func BenchmarkServeCacheHitSolve1024x256(b *testing.B) {
 // cache-hit benchmark above: zero-copy b decode, pooled buffers, frame
 // response. The ISSUE acceptance bar is well under 1ms/op at this shape.
 func BenchmarkServeCacheHitSolveBinary1024x256(b *testing.B) {
-	_, h, _, sbody := benchServer(0, 1)
+	_, h, _, sbody := benchServer(1)
 	frame := benchBinSolveBody(sbody)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -137,17 +136,13 @@ func BenchmarkServeCacheHitSolveBinary1024x256(b *testing.B) {
 }
 
 // BenchmarkServeCoalescedSolve measures one wave of `clients` concurrent
-// same-key solves per iteration; with MaxBatch == clients each wave flushes
-// as a single multi-RHS call, so ns/op is the latency of serving the whole
-// wave.
+// same-key solves per iteration: the first arrivals take the idle workers and
+// the rest share one multi-RHS call behind them, so ns/op is the latency of
+// serving the whole wave.
 func BenchmarkServeCoalescedSolve(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			window := 2 * time.Millisecond
-			if clients == 1 {
-				window = 0
-			}
-			_, h, _, sbody := benchServer(window, clients)
+			_, h, _, sbody := benchServer(clients)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var wg sync.WaitGroup
@@ -171,11 +166,7 @@ func BenchmarkServeCoalescedSolve(b *testing.B) {
 func BenchmarkServeCoalescedSolveBinary(b *testing.B) {
 	for _, clients := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			window := 2 * time.Millisecond
-			if clients == 1 {
-				window = 0
-			}
-			_, h, _, sbody := benchServer(window, clients)
+			_, h, _, sbody := benchServer(clients)
 			frame := benchBinSolveBody(sbody)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

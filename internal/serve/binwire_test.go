@@ -14,7 +14,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"tcqr/internal/cluster"
 	"tcqr/internal/wirefmt"
@@ -436,11 +435,11 @@ func TestWireEncodingMetrics(t *testing.T) {
 // --- mixed-encoding coalescing ---------------------------------------------
 
 // TestMixedEncodingCoalescing parks JSON and binary solves for the same
-// factorization in one window and checks they flush as a single multi-RHS
-// batch: the wire encoding must be invisible to the coalescer.
+// factorization behind held workers and checks they flush as a single
+// multi-RHS batch: the wire encoding must be invisible to the coalescer.
 func TestMixedEncodingCoalescing(t *testing.T) {
 	be := &countingBackend{inner: LibraryBackend{}}
-	s := New(Options{Workers: 4, Window: 50 * time.Millisecond, MaxBatch: 8, Backend: be})
+	s := New(Options{Workers: 4, Backend: be})
 	h := s.Handler()
 	m, n := 64, 16
 	data := testMatrix(13, m, n, 1)
@@ -456,9 +455,8 @@ func TestMixedEncodingCoalescing(t *testing.T) {
 	}
 	binSolve := frameBody(t, map[string]any{"key": fr.Key}, wirefmt.VectorSection(b))
 
-	// MaxBatch 8 with 4+4 clients: the batch flushes the moment the eighth
-	// waiter parks, so the test never rides on the window timer.
 	const half = 4
+	release := holdWorkers(t, s, be)
 	var wg sync.WaitGroup
 	batched := make([]int, 2*half)
 	for i := 0; i < half; i++ {
@@ -489,6 +487,8 @@ func TestMixedEncodingCoalescing(t *testing.T) {
 			}
 		}(i)
 	}
+	waitParked(t, s, 1, 2*half)
+	release()
 	wg.Wait()
 
 	if got := be.solveMulti.Load(); got != 1 {

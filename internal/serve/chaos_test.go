@@ -42,7 +42,6 @@ func TestChaosBattery(t *testing.T) {
 	s := New(Options{
 		Workers:          4,
 		QueueDepth:       512,
-		Window:           300 * time.Microsecond,
 		MaxBatch:         8,
 		Retry:            fastRetry(3),
 		DegradeThreshold: 8,

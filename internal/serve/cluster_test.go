@@ -61,7 +61,7 @@ func startCluster(t *testing.T, nNodes, replicas int) *clusterHarness {
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		srv := New(Options{Workers: 2, Window: 0, Cluster: node, Registry: reg})
+		srv := New(Options{Workers: 2, Cluster: node, Registry: reg})
 		hs := &http.Server{Handler: srv.Handler()}
 		go hs.Serve(lns[i])
 		h.nodes = append(h.nodes, node)

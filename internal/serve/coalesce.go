@@ -2,7 +2,7 @@ package serve
 
 import (
 	"context"
-	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,7 +13,8 @@ import (
 
 // CoalescerStats is a snapshot of the coalescer counters.
 type CoalescerStats struct {
-	// Batches counts flushes (each issues exactly one backend call).
+	// Batches counts flushes that reached the backend (each issues exactly one
+	// backend call; a flush the pool refused is not one).
 	Batches int64 `json:"batches"`
 	// BatchedRequests counts requests that went through batches of size > 1.
 	BatchedRequests int64 `json:"batched_requests"`
@@ -46,45 +47,59 @@ type solveWaiter struct {
 	ch chan solveOutcome // buffered(1): the flusher never blocks on it
 }
 
-// batch accumulates same-factorization solves until the window closes or
-// the batch is full.
+// solveFingerprint keys batch compatibility: requests may share a multi-RHS
+// call only when the refinement would be configured identically. The
+// tolerance is compared by its bits, so a NaN still equals itself and cannot
+// strand a map entry.
+type solveFingerprint struct {
+	key      string
+	method   tcqr.RefineMethod
+	tolBits  uint64
+	maxIters int
+	onHazard tcqr.HazardPolicy
+}
+
+// batch gathers same-fingerprint solves while it waits for a worker.
 type batch struct {
 	entry   *Entry
 	opts    tcqr.SolveOptions
-	fp      string
-	waiters []*solveWaiter
-	timer   *time.Timer
-	flushed bool
+	fp      solveFingerprint
+	waiters []*solveWaiter // appended under Coalescer.mu until sealed, fixed after
 }
 
-// Coalescer batches solve requests that arrive within Window of each other
-// against the same cached factorization (and identical solve options) into
-// a single SolveLeastSquaresMulti-shaped call. A batch is N per-column
-// refinements — the same refinement, with the request's method, a solo
-// request runs, so the answer does not depend on who else was in the window —
-// run concurrently under one pool slot; what it saves is admission and
-// scheduling, not arithmetic. A batch flushes when its window timer fires or
-// when it reaches MaxBatch, whichever is first. Window <= 0 disables
-// coalescing (every request solves solo, still through the pool).
+// Coalescer batches solve requests against the same cached factorization (and
+// identical solve options) into a single SolveLeastSquaresMulti-shaped call.
+// A batch is N per-column refinements — the same refinement, with the
+// request's method, a solo request runs, so the answer does not depend on who
+// else rode along — run concurrently under one pool slot; what it saves is
+// admission and scheduling, not arithmetic.
+//
+// The pool queue is the coalescing window. A solve that finds no open batch
+// for its fingerprint opens one and hands it to the pool at once; the batch
+// stays open to same-fingerprint arrivals for as long as it sits in the queue
+// (or until MaxBatch detaches it), and the worker that dequeues it seals it
+// and runs whoever gathered. An idle pool therefore serves a lone request
+// with no added wait, and a saturated one — the only time sharing a slot
+// saves anything — batches everything that arrives behind the busy workers.
+// MaxBatch 1 forbids batching.
 //
 // One mutex guards the pending map: it is held for a map lookup and an
 // append, against solves that take milliseconds. A batch holds its *Entry,
 // which is immutable, so a flush reads the factors its requests resolved no
 // matter what the cache has done with the key since.
 type Coalescer struct {
-	window   time.Duration
 	maxBatch int
 	backend  Backend
 	// run executes a flush; the server points it at the worker pool so
 	// coalesced batches obey the same admission control as everything else.
 	run func(fn func()) error
-	// onFlush, when set, observes every flushed batch size (the server wires
-	// it to the batch-size histogram). Set before serving begins; not
-	// synchronized.
+	// onFlush, when set, observes the size of every batch that reaches the
+	// backend (the server wires it to the batch-size histogram). Set before
+	// serving begins; not synchronized.
 	onFlush func(size int)
 
 	mu      sync.Mutex
-	pending map[string]*batch // solve fingerprint -> open batch
+	pending map[solveFingerprint]*batch // open batches, each already handed to run
 
 	batches     atomic.Int64
 	batchedReqs atomic.Int64
@@ -95,7 +110,7 @@ type Coalescer struct {
 
 // NewCoalescer builds a coalescer. run executes batch flushes (one call per
 // batch); nil runs flushes inline.
-func NewCoalescer(window time.Duration, maxBatch int, be Backend, run func(fn func()) error) *Coalescer {
+func NewCoalescer(maxBatch int, be Backend, run func(fn func()) error) *Coalescer {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
@@ -103,43 +118,39 @@ func NewCoalescer(window time.Duration, maxBatch int, be Backend, run func(fn fu
 		run = func(fn func()) error { fn(); return nil }
 	}
 	return &Coalescer{
-		window:   window,
 		maxBatch: maxBatch,
 		backend:  be,
 		run:      run,
-		pending:  make(map[string]*batch),
+		pending:  make(map[solveFingerprint]*batch),
 	}
 }
 
-// solveFingerprint keys batch compatibility: requests may share a multi-RHS
-// call only when the refinement would be configured identically.
-func solveFingerprint(key string, opts tcqr.SolveOptions) string {
-	return fmt.Sprintf("%s|m%d-t%g-i%d-h%d", key, int(opts.Method), opts.Tol, opts.MaxIterations, int(opts.OnHazard))
-}
-
-// Submit parks a solve for entry until its batch flushes and returns this
-// request's slice of the result. If ctx expires first the request abandons
-// the batch (the batch still computes; the outcome is discarded).
+// Submit joins the open batch for this solve's fingerprint, or opens one and
+// hands it to the pool, and returns this request's slice of the result. If
+// ctx expires first the request abandons the batch (the batch still computes;
+// the outcome is discarded).
 func (c *Coalescer) Submit(ctx context.Context, entry *Entry, opts tcqr.SolveOptions, b []float64) solveOutcome {
 	w := &solveWaiter{b: b, at: time.Now(), ch: make(chan solveOutcome, 1)}
+	fp := solveFingerprint{key: entry.Key, method: opts.Method, tolBits: math.Float64bits(opts.Tol),
+		maxIters: opts.MaxIterations, onHazard: opts.OnHazard}
 
-	if c.window <= 0 || c.maxBatch == 1 {
-		c.execute(&batch{entry: entry, opts: opts, waiters: []*solveWaiter{w}, flushed: true})
-	} else {
-		fp := solveFingerprint(entry.Key, opts)
-		c.mu.Lock()
-		bt := c.pending[fp]
-		if bt == nil {
-			bt = &batch{entry: entry, opts: opts, fp: fp}
-			bt.timer = time.AfterFunc(c.window, func() { c.flush(bt) })
-			c.pending[fp] = bt
-		}
-		bt.waiters = append(bt.waiters, w)
-		full := len(bt.waiters) >= c.maxBatch
-		c.mu.Unlock()
-		if full {
-			c.flush(bt)
-		}
+	c.mu.Lock()
+	bt := c.pending[fp]
+	opened := bt == nil
+	if opened {
+		bt = &batch{entry: entry, opts: opts, fp: fp}
+		c.pending[fp] = bt
+	}
+	bt.waiters = append(bt.waiters, w)
+	if len(bt.waiters) >= c.maxBatch {
+		delete(c.pending, fp) // full: the next arrival opens its own batch
+	}
+	c.mu.Unlock()
+	if opened {
+		// One goroutine per open batch, alive exactly as long as its pool
+		// task: it blocks in run until a worker has run the flush or the pool
+		// has refused it, so the queue depth bounds how many there are.
+		go c.flush(bt)
 	}
 
 	select {
@@ -150,56 +161,51 @@ func (c *Coalescer) Submit(ctx context.Context, entry *Entry, opts tcqr.SolveOpt
 	}
 }
 
-// flush detaches the batch from the pending map (idempotently — the window
-// timer and the batch-full path can race) and executes it.
-func (c *Coalescer) flush(bt *batch) {
+// seal closes bt to new arrivals and returns everyone who gathered in it.
+// Idempotent; after it bt.waiters is never appended to again.
+func (c *Coalescer) seal(bt *batch) []*solveWaiter {
 	c.mu.Lock()
-	if bt.flushed {
-		c.mu.Unlock()
-		return
+	defer c.mu.Unlock()
+	if c.pending[bt.fp] == bt {
+		delete(c.pending, bt.fp)
 	}
-	bt.flushed = true
-	delete(c.pending, bt.fp)
-	if bt.timer != nil {
-		bt.timer.Stop()
-	}
-	c.mu.Unlock()
-	go c.execute(bt)
+	return bt.waiters
 }
 
-// execute runs one batch through the backend — a single SolveWithFactor for
-// a solo request, a single SolveMultiWithFactor for a coalesced one — and
-// distributes per-column outcomes to the waiters.
-func (c *Coalescer) execute(bt *batch) {
-	k := len(bt.waiters)
-	if c.onFlush != nil {
-		c.onFlush(k)
-	}
-	c.batches.Add(1)
-	if k > 1 {
-		c.batchedReqs.Add(int64(k))
-	}
-	for {
-		cur := c.maxSeen.Load()
-		if int64(k) <= cur || c.maxSeen.CompareAndSwap(cur, int64(k)) {
-			break
-		}
-	}
-
+// flush takes one batch through the pool: the worker that dequeues it seals
+// it, runs it through the backend — a single SolveWithFactor for a lone
+// request, a single SolveMultiWithFactor for a coalesced one — and distributes
+// per-column outcomes to the waiters.
+func (c *Coalescer) flush(bt *batch) {
 	err := c.run(func() {
 		// Failpoint: a delay here simulates a slow flush (every waiter in
-		// the batch sees the latency), an error or panic fails the whole
+		// the batch sees the latency, and the batch, not yet sealed, keeps
+		// gathering arrivals meanwhile), an error or panic fails the whole
 		// batch — the fan-out below delivers it to every waiter.
 		if ferr := faultinject.Fire(siteCoalesceFlush); ferr != nil {
 			panic(ferr)
 		}
-		// Everything before this moment — the coalescing window plus the
-		// pool queue — is this batch's queue wait.
+		waiters := c.seal(bt)
+		k := len(waiters)
+		// Counted here, where the backend call is issued and the size is
+		// final: a flush the pool refuses never gets this far.
+		c.batches.Add(1)
+		if c.onFlush != nil {
+			c.onFlush(k)
+		}
+		for {
+			cur := c.maxSeen.Load()
+			if int64(k) <= cur || c.maxSeen.CompareAndSwap(cur, int64(k)) {
+				break
+			}
+		}
+		// Everything before this moment — the wait for a worker — is this
+		// batch's queue wait.
 		start := time.Now()
 		if k == 1 {
-			w := bt.waiters[0]
-			res, serr := c.backend.SolveWithFactor(bt.entry.F, bt.entry.A, w.b, bt.opts)
+			w := waiters[0]
 			c.singleCalls.Add(1)
+			res, serr := c.backend.SolveWithFactor(bt.entry.F, bt.entry.A, w.b, bt.opts)
 			out := solveOutcome{batched: 1, queueWait: start.Sub(w.at), solveTime: time.Since(start), err: serr}
 			if serr == nil {
 				out.x = res.X
@@ -211,15 +217,16 @@ func (c *Coalescer) execute(bt *batch) {
 			w.ch <- out
 			return
 		}
+		c.multiCalls.Add(1)
+		c.batchedReqs.Add(int64(k))
 		m := bt.entry.A.Rows
 		rhs := tcqr.NewMatrix(m, k)
-		for j, w := range bt.waiters {
+		for j, w := range waiters {
 			copy(rhs.Col(j), w.b)
 		}
 		res, serr := c.backend.SolveMultiWithFactor(bt.entry.F, bt.entry.A, rhs, bt.opts)
-		c.multiCalls.Add(1)
 		solveTime := time.Since(start)
-		for j, w := range bt.waiters {
+		for j, w := range waiters {
 			out := solveOutcome{batched: k, queueWait: start.Sub(w.at), solveTime: solveTime, err: serr}
 			if serr == nil {
 				out.x = append([]float64(nil), res.X.Col(j)...)
@@ -232,12 +239,13 @@ func (c *Coalescer) execute(bt *batch) {
 		}
 	})
 	if err != nil {
-		// The scheduler rejected the whole flush (queue full, draining,
-		// deadline) or the flush panicked partway: every waiter that has not
-		// already received an outcome sees the error. The send is
-		// non-blocking because a waiter whose buffered slot was filled
-		// before a mid-distribution panic keeps its delivered outcome.
-		for _, w := range bt.waiters {
+		// The scheduler rejected the whole flush (queue full, draining) or the
+		// flush panicked partway: seal the batch if no worker did, and every
+		// waiter that has not already received an outcome — the ones that
+		// joined after the leader included — sees the error. The send is
+		// non-blocking because a waiter whose buffered slot was filled before
+		// a mid-distribution panic keeps its delivered outcome.
+		for _, w := range c.seal(bt) {
 			select {
 			case w.ch <- solveOutcome{err: err}:
 			default:
@@ -254,20 +262,5 @@ func (c *Coalescer) Stats() CoalescerStats {
 		MultiSolveCalls:  c.multiCalls.Load(),
 		SingleSolveCalls: c.singleCalls.Load(),
 		MaxBatch:         c.maxSeen.Load(),
-	}
-}
-
-// PendingFlush flushes every pending batch immediately (graceful drain:
-// parked requests must complete, not hang for a window that may never be
-// serviced).
-func (c *Coalescer) PendingFlush() {
-	c.mu.Lock()
-	bts := make([]*batch, 0, len(c.pending))
-	for _, bt := range c.pending {
-		bts = append(bts, bt)
-	}
-	c.mu.Unlock()
-	for _, bt := range bts {
-		c.flush(bt)
 	}
 }

@@ -40,7 +40,7 @@ func driveTraffic(t *testing.T, h http.Handler, m, n int) string {
 }
 
 func TestMetricsEndpointExposesTraffic(t *testing.T) {
-	s := New(Options{Workers: 2, Window: 0})
+	s := New(Options{Workers: 2})
 	defer s.Close()
 	h := s.Handler()
 	driveTraffic(t, h, 96, 32)
@@ -91,7 +91,7 @@ func TestMetricsEndpointExposesTraffic(t *testing.T) {
 // polling /statz and /metrics. Run under -race this is the proof that the
 // stats views never interleave with writers (the PR's snapshotting fix).
 func TestStatzUnderLoad(t *testing.T) {
-	s := New(Options{Workers: 4, Window: 500 * time.Microsecond, MaxBatch: 8})
+	s := New(Options{Workers: 4, MaxBatch: 8})
 	defer s.Close()
 	h := s.Handler()
 	m, n := 48, 6
@@ -168,7 +168,7 @@ func TestStatzUnderLoad(t *testing.T) {
 // asserts that no stats label set grows with request distinctness: error
 // codes, hazard kinds, and response statuses stay bounded vocabularies.
 func TestHazardAndErrorCardinalityBounded(t *testing.T) {
-	s := New(Options{Workers: 1, Window: 0})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	h := s.Handler()
 	for i := 0; i < 1000; i++ {
@@ -244,7 +244,7 @@ func TestServerTimingHeaderContract(t *testing.T) {
 	}
 
 	// A request with no recorded stages must not carry the header at all.
-	s := New(Options{Workers: 1, Window: 0})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	req := httptest.NewRequest(http.MethodGet, "/v1/solve", nil) // 405 before any stage runs
 	rec := httptest.NewRecorder()
@@ -260,7 +260,7 @@ func TestServerTimingHeaderContract(t *testing.T) {
 // TestCoalescerBatchSizeHistogram checks the batch-size histogram sees every
 // flush.
 func TestCoalescerBatchSizeHistogram(t *testing.T) {
-	s := New(Options{Workers: 1, Window: 0})
+	s := New(Options{Workers: 1})
 	defer s.Close()
 	h := s.Handler()
 	driveTraffic(t, h, 32, 4)

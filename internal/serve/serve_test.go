@@ -2,10 +2,15 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,6 +125,9 @@ type countingBackend struct {
 	lowRank    atomic.Int64
 	// gate, when non-nil, blocks Factorize until released (admission tests).
 	gate chan struct{}
+	// solveGate, when non-nil, blocks both solve calls until released (a
+	// batch held mid-run, after its seal).
+	solveGate chan struct{}
 }
 
 func (c *countingBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
@@ -132,17 +140,132 @@ func (c *countingBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Fa
 
 func (c *countingBackend) SolveWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b []float64, opts tcqr.SolveOptions) (*tcqr.LeastSquaresResult, error) {
 	c.solve.Add(1)
+	if c.solveGate != nil {
+		<-c.solveGate
+	}
 	return c.inner.SolveWithFactor(f, a, b, opts)
 }
 
 func (c *countingBackend) SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b *tcqr.Matrix, opts tcqr.SolveOptions) (*tcqr.MultiResult, error) {
 	c.solveMulti.Add(1)
+	if c.solveGate != nil {
+		<-c.solveGate
+	}
 	return c.inner.SolveMultiWithFactor(f, a, b, opts)
 }
 
 func (c *countingBackend) LowRank(a *tcqr.Matrix32, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error) {
 	c.lowRank.Add(1)
 	return c.inner.LowRank(a, rank, cfg)
+}
+
+// parked reports how many batches are open and how many solves wait in them.
+// The coalescing tests line requests up with the pool queue by polling it: a
+// batch is open exactly while it waits for a worker.
+func (c *Coalescer) parked() (batches, waiters int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, bt := range c.pending {
+		waiters += len(bt.waiters)
+	}
+	return len(c.pending), waiters
+}
+
+// waitFor polls cond every millisecond and fails the test with what() if it
+// does not hold within ten seconds.
+func waitFor(t *testing.T, cond func() bool, what func() string) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitParked blocks until exactly `waiters` solves wait in `batches` open
+// batches.
+func waitParked(t *testing.T, s *Server, batches, waiters int) {
+	t.Helper()
+	waitFor(t, func() bool {
+		b, w := s.coal.parked()
+		return b == batches && w == waiters
+	}, func() string {
+		b, w := s.coal.parked()
+		return fmt.Sprintf("%d solves parked in %d batches (have %d in %d; pool=%+v)", waiters, batches, w, b, s.pool.Stats())
+	})
+}
+
+// holdWorkers occupies every one of s's workers with a factorize blocked on
+// a fresh be.gate and returns once all of them are running, so whatever is
+// submitted next waits in the pool queue. release opens the gate and waits
+// for the holders to finish.
+func holdWorkers(t *testing.T, s *Server, be *countingBackend) (release func()) {
+	t.Helper()
+	be.gate = make(chan struct{})
+	h := s.Handler()
+	workers := s.pool.Stats().Workers
+	before := be.factorize.Load()
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if code, _ := post(t, h, "/v1/factorize",
+				map[string]any{"matrix": wireMat(16, 4, testMatrix(uint64(7000+i), 16, 4, 1))}, nil); code != 200 {
+				t.Errorf("holder %d finished with %d, want 200", i, code)
+			}
+		}(i)
+	}
+	waitFor(t, func() bool { return be.factorize.Load() == before+int64(workers) },
+		func() string { return fmt.Sprintf("%d workers to be held: pool=%+v", workers, s.pool.Stats()) })
+	return func() {
+		close(be.gate)
+		wg.Wait()
+	}
+}
+
+// cachedSolveBody factorizes a 64×16 test matrix through h and returns a
+// solve-by-key request body against it.
+func cachedSolveBody(t *testing.T, h http.Handler, seed uint64) map[string]any {
+	t.Helper()
+	m, n := 64, 16
+	data := testMatrix(seed, m, n, 1)
+	var fr factorizeReply
+	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 {
+		t.Fatalf("factorize: code=%d", code)
+	}
+	return map[string]any{"key": fr.Key, "b": matVecData(m, n, data, make([]float64, n))}
+}
+
+// goSolves posts body to /v1/solve from n goroutines at once. wait blocks
+// until every one has answered — anything but 200 fails the test — and
+// returns the replies.
+func goSolves(t *testing.T, h http.Handler, body any, n int) (wait func() []solveReply) {
+	replies := make([]solveReply, n)
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if code, _ := post(t, h, "/v1/solve", body, &replies[i]); code != 200 {
+				t.Errorf("solve %d: code=%d, want 200", i, code)
+			}
+		}(i)
+	}
+	return func() []solveReply {
+		wg.Wait()
+		return replies
+	}
+}
+
+func batchedOf(replies []solveReply) []int {
+	out := make([]int, len(replies))
+	for i, r := range replies {
+		out[i] = r.Batched
+	}
+	return out
 }
 
 func maxDiff(got, want []float64) float64 {
@@ -279,7 +402,7 @@ func TestSingleflightDedup(t *testing.T) {
 // --- solve + coalescing ----------------------------------------------------
 
 func TestSolveByKeyAccuracy(t *testing.T) {
-	s := New(Options{Workers: 2}) // Window 0: solo solves
+	s := New(Options{Workers: 2})
 	h := s.Handler()
 	m, n := 96, 24
 	data := testMatrix(3, m, n, 1)
@@ -341,13 +464,14 @@ func TestSolveByMatrixFactorsInline(t *testing.T) {
 }
 
 // TestCoalescingOneMultiSolveCall is the acceptance test for the coalescer:
-// N concurrent same-key solves must reach the backend as exactly ONE
-// SolveMultiWithFactor call. MaxBatch == N makes the flush deterministic
-// (the Nth arrival flushes; the window only exists as a slow-path backstop).
+// N same-key solves parked behind busy workers must reach the backend as
+// exactly ONE SolveMultiWithFactor call. The batch is lined up with the queue,
+// not a clock: the workers are held, the test waits until all N are parked,
+// then lets a worker go.
 func TestCoalescingOneMultiSolveCall(t *testing.T) {
 	const clients = 4
 	be := &countingBackend{inner: LibraryBackend{}}
-	s := New(Options{Workers: 2, Backend: be, Window: 10 * time.Second, MaxBatch: clients})
+	s := New(Options{Workers: 2, Backend: be})
 	h := s.Handler()
 	m, n := 96, 24
 	data := testMatrix(5, m, n, 1)
@@ -356,6 +480,7 @@ func TestCoalescingOneMultiSolveCall(t *testing.T) {
 		t.Fatalf("factorize: code=%d", code)
 	}
 
+	release := holdWorkers(t, s, be)
 	xs := make([][]float64, clients)
 	replies := make([]solveReply, clients)
 	codes := make([]int, clients)
@@ -373,6 +498,8 @@ func TestCoalescingOneMultiSolveCall(t *testing.T) {
 				map[string]any{"key": fr.Key, "b": matVecData(m, n, data, xTrue)}, &replies[i])
 		}(i)
 	}
+	waitParked(t, s, 1, clients)
+	release()
 	wg.Wait()
 
 	if got := be.solveMulti.Load(); got != 1 {
@@ -393,19 +520,20 @@ func TestCoalescingOneMultiSolveCall(t *testing.T) {
 		}
 	}
 	cst := s.CoalescerStats()
-	if cst.MultiSolveCalls != 1 || cst.BatchedRequests != clients || cst.MaxBatch != clients {
+	if cst.Batches != 1 || cst.MultiSolveCalls != 1 || cst.BatchedRequests != clients || cst.MaxBatch != clients {
 		t.Fatalf("coalescer stats %+v", cst)
 	}
 }
 
 // TestCoalescedSolveHonoursMethod: a response must not depend on who else
-// was in the coalescing window. The batched path used to refine every column
-// with CGLS whatever the request said, so N concurrent "method":"none"
-// solves came back refined (iterations > 0) and different from the same
-// request served alone. MaxBatch == N makes the batch deterministic.
+// rode in the batch. The batched path used to refine every column with CGLS
+// whatever the request said, so N concurrent "method":"none" solves came back
+// refined (iterations > 0) and different from the same request served alone.
+// The batch is N solves parked behind held workers.
 func TestCoalescedSolveHonoursMethod(t *testing.T) {
 	const clients = 3
-	s := New(Options{Workers: 2, Window: 10 * time.Second, MaxBatch: clients})
+	be := &countingBackend{inner: LibraryBackend{}}
+	s := New(Options{Workers: 2, Backend: be})
 	h := s.Handler()
 	m, n := 96, 24
 	data := testMatrix(6, m, n, 1)
@@ -433,6 +561,7 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 		t.Fatalf("solo method=none ran %d refinement iterations, want 0", want.Iterations)
 	}
 
+	release := holdWorkers(t, s, be)
 	replies := make([]solveReply, clients)
 	codes := make([]int, clients)
 	var wg sync.WaitGroup
@@ -443,6 +572,8 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 			codes[i], _ = post(t, h, "/v1/solve", body, &replies[i])
 		}(i)
 	}
+	waitParked(t, s, 1, clients)
+	release()
 	wg.Wait()
 	for i, r := range replies {
 		if codes[i] != 200 {
@@ -468,9 +599,12 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 	}
 }
 
+// TestCoalescingIncompatibleOptionsDoNotBatch holds the workers so both
+// solves are parked at once — on idle workers nothing batches anyway — and
+// checks the fingerprint rule keeps them in two batches.
 func TestCoalescingIncompatibleOptionsDoNotBatch(t *testing.T) {
 	be := &countingBackend{inner: LibraryBackend{}}
-	s := New(Options{Workers: 2, Backend: be, Window: 50 * time.Millisecond, MaxBatch: 8})
+	s := New(Options{Workers: 2, Backend: be, MaxBatch: 8})
 	h := s.Handler()
 	m, n := 64, 16
 	data := testMatrix(6, m, n, 1)
@@ -479,6 +613,7 @@ func TestCoalescingIncompatibleOptionsDoNotBatch(t *testing.T) {
 		t.Fatalf("factorize: code=%d", code)
 	}
 	b := matVecData(m, n, data, make([]float64, n))
+	release := holdWorkers(t, s, be)
 	var wg sync.WaitGroup
 	for _, method := range []string{"cgls", "lsqr"} {
 		wg.Add(1)
@@ -492,19 +627,123 @@ func TestCoalescingIncompatibleOptionsDoNotBatch(t *testing.T) {
 			}
 		}(method)
 	}
+	waitParked(t, s, 2, 2)
+	release()
 	wg.Wait()
 	if got := be.solveMulti.Load(); got != 0 {
 		t.Fatalf("incompatible options were batched together (%d multi calls)", got)
+	}
+	if got := be.solve.Load(); got != 2 {
+		t.Fatalf("backend.SolveWithFactor called %d times, want 2", got)
+	}
+}
+
+// TestCoalescingLateArrivalRidesNextBatch: a batch is sealed by the worker
+// that dequeues it, so a request arriving while it runs opens the next batch
+// instead of joining (or being lost to) the running one.
+func TestCoalescingLateArrivalRidesNextBatch(t *testing.T) {
+	be := &countingBackend{inner: LibraryBackend{}}
+	s := New(Options{Workers: 1, Backend: be})
+	h := s.Handler()
+	body := cachedSolveBody(t, h, 7)
+
+	// The first solve is dequeued at once, sealed alone, and held inside the
+	// backend; the two behind it find no open batch and gather in a new one.
+	be.solveGate = make(chan struct{})
+	first := goSolves(t, h, body, 1)
+	waitFor(t, func() bool { return be.solve.Load() == 1 },
+		func() string { return fmt.Sprintf("the first solve to reach the backend: pool=%+v", s.pool.Stats()) })
+	late := goSolves(t, h, body, 2)
+	waitParked(t, s, 1, 2)
+	close(be.solveGate)
+
+	if got := batchedOf(append(first(), late()...)); !reflect.DeepEqual(got, []int{1, 2, 2}) {
+		t.Fatalf("batched = %v, want [1 2 2]: late arrivals must ride the next batch", got)
+	}
+	if single, multi := be.solve.Load(), be.solveMulti.Load(); single != 1 || multi != 1 {
+		t.Fatalf("backend calls single=%d multi=%d, want 1 and 1", single, multi)
+	}
+}
+
+// TestCoalescingMaxBatchSplitsQueuedArrivals: MaxBatch still bounds a batch
+// that gathers in the queue. MaxBatch+3 arrivals behind held workers make one
+// full batch (detached by its last arrival) and one of 3.
+func TestCoalescingMaxBatchSplitsQueuedArrivals(t *testing.T) {
+	const maxBatch, clients = 4, 7
+	be := &countingBackend{inner: LibraryBackend{}}
+	s := New(Options{Workers: 2, Backend: be, MaxBatch: maxBatch})
+	h := s.Handler()
+	body := cachedSolveBody(t, h, 8)
+
+	release := holdWorkers(t, s, be)
+	solves := goSolves(t, h, body, clients)
+	// The full batch is detached, so only the second is still open; both are
+	// pool tasks.
+	waitParked(t, s, 1, clients-maxBatch)
+	waitFor(t, func() bool { return s.pool.Stats().Queued == 2 },
+		func() string { return fmt.Sprintf("both batches to be queued: pool=%+v", s.pool.Stats()) })
+	release()
+
+	got := batchedOf(solves())
+	sort.Ints(got)
+	if !reflect.DeepEqual(got, []int{3, 3, 3, 4, 4, 4, 4}) {
+		t.Fatalf("batched (sorted) = %v, want a batch of %d and a batch of %d", got, maxBatch, clients-maxBatch)
+	}
+	cst := s.CoalescerStats()
+	if cst.Batches != 2 || cst.MultiSolveCalls != 2 || cst.BatchedRequests != clients || cst.MaxBatch != maxBatch {
+		t.Fatalf("coalescer stats %+v", cst)
+	}
+}
+
+// TestCoalescingDrainCompletesQueuedBatch: a batch is a pool task from birth,
+// so a drain that begins while it waits behind a busy worker needs no flush
+// hook — the workers run it and AwaitIdle waits it out.
+func TestCoalescingDrainCompletesQueuedBatch(t *testing.T) {
+	const clients = 3
+	be := &countingBackend{inner: LibraryBackend{}}
+	s := New(Options{Workers: 1, Backend: be})
+	h := s.Handler()
+	body := cachedSolveBody(t, h, 9)
+
+	release := holdWorkers(t, s, be)
+	solves := goSolves(t, h, body, clients)
+	waitParked(t, s, 1, clients)
+	waitFor(t, func() bool { return s.pool.Stats().Queued == 1 },
+		func() string { return fmt.Sprintf("the batch to be queued: pool=%+v", s.pool.Stats()) })
+
+	s.BeginDrain()
+	if code, _ := post(t, h, "/v1/solve", body, nil); code != 503 {
+		t.Fatalf("solve after BeginDrain: code=%d, want 503", code)
+	}
+	release()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.AwaitIdle(ctx); err != nil {
+		t.Fatalf("AwaitIdle with a batch queued at drain: %v (pool=%+v)", err, s.pool.Stats())
+	}
+	if got := batchedOf(solves()); !reflect.DeepEqual(got, []int{clients, clients, clients}) {
+		t.Fatalf("batched = %v, want every parked solve served in one batch of %d", got, clients)
+	}
+	if b, w := s.coal.parked(); b != 0 || w != 0 {
+		t.Fatalf("%d solves still parked in %d batches after the drain", w, b)
 	}
 }
 
 // --- admission control -----------------------------------------------------
 
 func TestQueueFullRejectsWith429(t *testing.T) {
-	be := &countingBackend{inner: LibraryBackend{}, gate: make(chan struct{})}
+	be := &countingBackend{inner: LibraryBackend{}}
 	s := New(Options{Workers: 1, QueueDepth: 1, Backend: be})
 	h := s.Handler()
 	m, n := 48, 8
+
+	// A cached key and one served solve before the pool is jammed, so the
+	// refused solve below has counters to leave alone.
+	solve := cachedSolveBody(t, h, 19)
+	if code, _ := post(t, h, "/v1/solve", solve, nil); code != 200 {
+		t.Fatalf("solve on an idle pool: code=%d", code)
+	}
+	be.gate = make(chan struct{})
 
 	// Request 1 occupies the only worker (its backend call blocks on the
 	// gate); request 2 fills the depth-1 queue; request 3 must bounce. The
@@ -518,7 +757,7 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 		results <- code
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for be.factorize.Load() < 1 {
+	for be.factorize.Load() < 2 {
 		if time.Now().After(deadline) {
 			t.Fatalf("worker never picked up request 1: pool=%+v", s.pool.Stats())
 		}
@@ -546,14 +785,68 @@ func TestQueueFullRejectsWith429(t *testing.T) {
 		t.Fatalf("429 response missing Retry-After")
 	}
 
+	// A solve bounces the same way, and a flush the pool refused is not a
+	// flush: no batch counted, nothing in the batch-size histogram, nothing
+	// left open for a later arrival to join and hang on.
+	code, _ = post(t, h, "/v1/solve", solve, &er)
+	if code != 429 || er.Error.Code != "overloaded" {
+		t.Fatalf("overflow solve: code=%d error=%+v, want 429 overloaded", code, er.Error)
+	}
+	cst := s.CoalescerStats()
+	if cst.Batches != 1 || cst.Batches != cst.MultiSolveCalls+cst.SingleSolveCalls {
+		t.Fatalf("after a refused flush: %+v, want 1 batch == multi + single calls", cst)
+	}
+	if got := s.metrics.batchSize.Count(); got != 1 {
+		t.Fatalf("batch-size histogram holds %d observations after a refused flush, want 1", got)
+	}
+	if b, w := s.coal.parked(); b != 0 || w != 0 {
+		t.Fatalf("refused flush left %d solves parked in %d batches", w, b)
+	}
+
 	close(be.gate)
 	for i := 0; i < 2; i++ {
 		if code := <-results; code != 200 {
 			t.Fatalf("parked request finished with %d, want 200", code)
 		}
 	}
-	if rej := s.pool.Stats().RejectedFull; rej != 1 {
-		t.Fatalf("pool rejected %d, want 1", rej)
+	if rej := s.pool.Stats().RejectedFull; rej != 2 {
+		t.Fatalf("pool rejected %d, want 2", rej)
+	}
+}
+
+// TestCoalescerRefusedFlushFailsEveryWaiter: when the pool turns a batch away, every
+// solve that gathered in it — the ones that joined after the leader handed
+// it over included — gets the typed error, and the refusal counts as no
+// flush. The run hook stands in for a pool that takes its time to refuse.
+func TestCoalescerRefusedFlushFailsEveryWaiter(t *testing.T) {
+	const clients = 3
+	refuse := make(chan struct{})
+	c := NewCoalescer(8, LibraryBackend{}, func(func()) error {
+		<-refuse
+		return ErrQueueFull
+	})
+	flushed := 0
+	c.onFlush = func(int) { flushed++ }
+	entry := &Entry{Key: "k"}
+	errs := make(chan error, clients)
+	for i := 0; i < clients; i++ {
+		go func() {
+			errs <- c.Submit(context.Background(), entry, tcqr.SolveOptions{}, nil).err
+		}()
+	}
+	waitFor(t, func() bool { _, w := c.parked(); return w == clients },
+		func() string { return "every solve to join the batch" })
+	close(refuse)
+	for i := 0; i < clients; i++ {
+		if err := <-errs; !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("waiter got %v, want ErrQueueFull", err)
+		}
+	}
+	if b, w := c.parked(); b != 0 || w != 0 {
+		t.Fatalf("refused flush left %d solves parked in %d batches", w, b)
+	}
+	if st := c.Stats(); st != (CoalescerStats{}) || flushed != 0 {
+		t.Fatalf("refused flush was counted: stats %+v, %d histogram observations", st, flushed)
 	}
 }
 

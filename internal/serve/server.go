@@ -43,12 +43,9 @@ type Options struct {
 	// SpillMaxBytes bounds the spill tier's on-disk footprint; oldest files
 	// are deleted first (0 = unbounded). Ignored without CacheDir.
 	SpillMaxBytes int64
-	// Window is the coalescing window: same-factorization solves arriving
-	// within it share one multi-RHS call. 0 disables coalescing; tcqrd
-	// defaults it to 2ms.
-	Window time.Duration
-	// MaxBatch caps a coalesced batch; a full batch flushes before its
-	// window closes (0 = 32).
+	// MaxBatch caps a coalesced batch: same-factorization solves that arrive
+	// while one of them waits for a worker share its multi-RHS call, up to
+	// this many (0 = 32; 1 forbids batching).
 	MaxBatch int
 	// DefaultDeadline bounds each request when the client sends no
 	// deadline_ms (0 = 30s).
@@ -209,7 +206,7 @@ func New(opts Options) *Server {
 			}
 		}
 	}
-	s.coal = NewCoalescer(opts.Window, opts.MaxBatch, s.backend, func(fn func()) error {
+	s.coal = NewCoalescer(opts.MaxBatch, s.backend, func(fn func()) error {
 		_, err := s.pool.Do(context.Background(), fn)
 		return err
 	})
@@ -246,17 +243,16 @@ func (s *Server) Close() {
 }
 
 // BeginDrain flips the server to draining: /healthz turns 503, new compute
-// requests are rejected, every parked coalesced batch is flushed so
-// in-flight requests complete promptly, and every open chunked-upload
-// session is reaped (a begin-without-commit client gets unknown_stream and
-// must restart against the replacement instance). On a cluster node the
-// drain is cluster-aware: peers probing the 503 healthz mark this node down
-// and stop forwarding to it, and the node's queued handoff hints get an
-// immediate flush attempt (see also cluster.Node.DrainHandoff for a blocking
-// flush at shutdown). Idempotent.
+// requests are rejected (admitted ones complete: a parked coalesced batch is
+// already a pool task, which AwaitIdle waits out), and every open
+// chunked-upload session is reaped (a begin-without-commit client gets
+// unknown_stream and must restart against the replacement instance). On a
+// cluster node the drain is cluster-aware: peers probing the 503 healthz mark
+// this node down and stop forwarding to it, and the node's queued handoff
+// hints get an immediate flush attempt (see also cluster.Node.DrainHandoff
+// for a blocking flush at shutdown). Idempotent.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
-	s.coal.PendingFlush()
 	s.streams.reapAll()
 	if s.cluster != nil {
 		s.cluster.BeginLeave()

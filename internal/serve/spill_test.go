@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tcqr"
 	"tcqr/internal/faultinject"
@@ -368,7 +367,7 @@ func TestSpillChaosSoak(t *testing.T) {
 		";serve.update.apply=error@p=0.15"+
 		";serve.cache.factorize=error@p=0.05")
 	s1 := New(Options{Workers: 4, CacheEntries: 8, Retry: fastRetry(2), DegradeThreshold: -1,
-		CacheDir: dir, Window: 200 * time.Microsecond, MaxBatch: 4})
+		CacheDir: dir, MaxBatch: 4})
 	h1 := s1.Handler()
 
 	var fr factorizeReply

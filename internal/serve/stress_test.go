@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 // TestStress64ConcurrentClients hammers one server with 64 concurrent
@@ -23,7 +22,6 @@ func TestStress64ConcurrentClients(t *testing.T) {
 	s := New(Options{
 		Workers:    4,
 		QueueDepth: 256,
-		Window:     500 * time.Microsecond,
 		MaxBatch:   16,
 	})
 	h := s.Handler()

@@ -82,10 +82,12 @@ update_smoke() {
 	cat "$1"
 }
 
-# A long coalescing window makes the smoke client's concurrent solves batch
-# deterministically (they all arrive well within 250ms of each other).
+# Solves coalesce while they wait for a worker, so the smoke client batches its
+# concurrent solves by keeping the workers busy: one worker, which the client
+# holds with a slow cold factorize before it sends the burst. Every other
+# daemon below runs the default worker count.
 echo "== start daemon =="
-start_daemon first -window 250ms -cache-dir "$workdir/factors"
+start_daemon first -workers 1 -cache-dir "$workdir/factors"
 
 echo "== run smoke client =="
 "$workdir/tcqrd" -smoke "http://$addr"
@@ -185,7 +187,7 @@ drain_daemon first
 # report rewarmed entries once it finds a continued series), and a second
 # three-epoch run must continue from there.
 echo "== restart on the same cache dir =="
-start_daemon restarted -window 250ms -cache-dir "$workdir/factors"
+start_daemon restarted -cache-dir "$workdir/factors"
 
 echo "== run update smoke client again =="
 update_smoke "$workdir/update2.txt"
@@ -212,7 +214,7 @@ drain_daemon restarted
 echo "== start fault-armed daemon =="
 start_daemon fault-armed \
 	-fault-spec "seed=7;serve.cache.factorize=error@every=2" \
-	-retry-attempts 1 -degrade-threshold 1 -degrade-cooldown 5m -window 0
+	-retry-attempts 1 -degrade-threshold 1 -degrade-cooldown 5m
 
 echo "== run fault smoke client =="
 "$workdir/tcqrd" -smoke-fault "http://$addr"
