@@ -101,8 +101,8 @@ check-exhaustive:
 
 # Deep verification, and the one list of gates (scripts/check.sh execs this
 # target): static analysis, the race gate, the exhaustive kernel sweeps, the
-# benchmark module, fuzz smoke, and the daemon end-to-end smoke (four smoke
-# clients and a restart). Three named passes repeat tests the race gate
+# benchmark module, fuzz smoke, and the daemon end-to-end smoke (one smoke:
+# tcqrd -smoke starts and drives every daemon it checks). Three named passes repeat tests the race gate
 # already ran, each for one reason: chaos and cluster-soak are the verbose,
 # seeded soak verdicts DESIGN.md §11/§14/§15 point operators at, and the
 # tc-ec battery below puts the engine accuracy ordering and the escalation
@@ -118,11 +118,12 @@ check-deep: lint check-race check-exhaustive check-benchmark fuzz chaos \
 serve:
 	$(GO) run ./cmd/tcqrd
 
-# End-to-end smoke of the daemon: build, start on an ephemeral port with a
-# spill directory, drive the API with -smoke (factorize, cache hit, coalesced
-# solves, hazards, bad input) and -smoke-update, drain on SIGTERM, restart on
-# the same directory and run -smoke-update again (rewarm), then the
-# fault-armed -smoke-fault pass and the in-process -smoke-cluster.
+# End-to-end smoke of the daemon, one smoke: build tcqrd and run its -smoke,
+# which re-executes the binary as the daemons each scenario needs (API and
+# update contracts on a spill directory, a restart on that directory, a
+# fault-armed daemon, a three-process cluster losing a node to SIGKILL) and
+# requires exit 0 from every one it SIGTERMs. cmd/tcqrd/scenarios.go is the
+# table.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

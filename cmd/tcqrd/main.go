@@ -32,8 +32,7 @@
 //	      [-stream-ttl 2m] [-max-stream-sessions 16]
 //	      [-node-id a] [-peers a=h:p,b=h:p,...] [-replicas 2]
 //	      [-probe-interval 1s] [-fault-spec schedule]
-//	tcqrd [-smoke url] [-smoke-fault url] [-smoke-update url]
-//	      [-smoke-cluster] [-version]
+//	tcqrd [-smoke] [-version]
 //
 // -peers turns the daemon into one member of a tcqrd cluster (DESIGN.md §14):
 // keys are sharded over a consistent-hash ring, keyed requests are forwarded
@@ -65,24 +64,15 @@
 // arms the deterministic failpoint registry (internal/faultinject) with a
 // seeded fault schedule — a testing facility; never arm it in production.
 //
-// The -smoke flag runs the binary as a client instead: it drives a running
-// daemon through factorize, cache-hit, coalesced-solve, hazard, bad-input
-// and metrics-scrape scenarios, exiting non-zero if any response deviates
-// from the contract (scripts/serve_smoke.sh wires this into CI).
-// -smoke-fault is its failure-path sibling, run against a daemon armed with
-// the specific schedule scripts/serve_smoke.sh passes: it asserts injected
-// 500s, the flip into degraded mode, Retry-After on degraded 503s,
-// cache-only serving, and the fault/degraded metric families.
-// -smoke-update drives the incremental-update path against a running daemon:
-// factorize, append rows through /v1/update, solve by the bare key (newest
-// epoch) and by the pinned epoch key, downdate, and check the update metric
-// families. Its epoch checks are relative to where it finds the series, so
-// running it, restarting the daemon on the same -cache-dir and running it
-// again smokes restart rewarm (scripts/serve_smoke.sh does).
-// -smoke-cluster needs no daemon at all: it boots three in-process nodes on
-// ephemeral ports, drives keyed traffic through them, kills one mid-wave,
-// and exits non-zero unless every response survives and the forwarding
-// accounting invariant holds on the survivors.
+// -smoke runs the binary as its own end-to-end check instead (smoke.go,
+// scenarios.go): it re-executes itself as daemon children on ephemeral ports
+// — one daemon with a spill directory, a restart on that directory, one armed
+// with a fault schedule, and three wired into a cluster of which one is lost
+// to SIGKILL — drives each through its scenario of the API, update, failure
+// and cluster contracts, asserts /metrics, and requires every child it
+// SIGTERMs to drain and exit 0. It prints one line per check and exits
+// non-zero if any fails; scripts/serve_smoke.sh (make serve-smoke) builds the
+// binary and runs it.
 package main
 
 import (
@@ -123,9 +113,7 @@ func main() {
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening")
 		logLevel     = flag.String("log-level", "info", "structured log threshold: debug, info, warn, error, off")
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty disables)")
-		smoke        = flag.String("smoke", "", "run as smoke-test client against this base URL and exit")
-		smokeFault   = flag.String("smoke-fault", "", "run as fault-mode smoke client against this base URL and exit (expects a daemon armed by scripts/serve_smoke.sh)")
-		smokeUpdate  = flag.String("smoke-update", "", "run as update/rewarm smoke client against this base URL and exit (factorize, update, epoch-pinned solves)")
+		smoke        = flag.Bool("smoke", false, "run the end-to-end smoke (starts the daemons it needs from this binary, checks the API, update, restart, fault and cluster contracts) and exit")
 
 		streamTTL      = flag.Duration("stream-ttl", 0, "idle deadline of a chunked-upload session before it is reaped (0 = default 2m)")
 		streamSessions = flag.Int("max-stream-sessions", 0, "max concurrently open chunked-upload sessions (0 = default 16)")
@@ -135,8 +123,7 @@ func main() {
 		replicas      = flag.Int("replicas", 0, "replica owners per key (0 = default 2; clamped to member count)")
 		probeInterval = flag.Duration("probe-interval", 0, "peer health-probe period; also paces handoff delivery (0 = default 1s)")
 
-		showVersion  = flag.Bool("version", false, "print the build version and exit")
-		smokeCluster = flag.Bool("smoke-cluster", false, "run an in-process 3-node cluster smoke (kill one node mid-traffic, assert zero lost responses) and exit")
+		showVersion = flag.Bool("version", false, "print the build version and exit")
 
 		faultSpec     = flag.String("fault-spec", "", "arm the deterministic failpoint registry with this schedule (DESIGN.md §11 grammar; testing only)")
 		retryAttempts = flag.Int("retry-attempts", 0, "max attempts for transient internal failures (0 = default 3, 1 disables retry)")
@@ -150,17 +137,8 @@ func main() {
 		fmt.Printf("tcqrd %s %s kernels=%s\n", version, runtime.Version(), cpufeat.Kernels())
 		return
 	}
-	if *smoke != "" {
-		os.Exit(runSmoke(*smoke))
-	}
-	if *smokeFault != "" {
-		os.Exit(runFaultSmoke(*smokeFault))
-	}
-	if *smokeUpdate != "" {
-		os.Exit(runUpdateSmoke(*smokeUpdate))
-	}
-	if *smokeCluster {
-		os.Exit(runClusterSmoke())
+	if *smoke {
+		os.Exit(runSmoke())
 	}
 
 	logger, err := buildLogger(*logLevel)

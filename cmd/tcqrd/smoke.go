@@ -2,604 +2,483 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"os"
+	"os/exec"
+	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
+	"syscall"
 	"time"
 
 	"tcqr/internal/wirefmt"
 )
 
-// runSmoke drives a running tcqrd through the API contract: factorize
-// (cold, then cached), concurrent solves that should coalesce, a
-// hazard-triggering matrix under both policies, malformed inputs, and the
-// introspection endpoints. It prints one line per check and returns a
-// non-zero exit code if anything deviates. scripts/serve_smoke.sh runs it
-// against a freshly started daemon.
-func runSmoke(base string) int {
-	s := &smoker{base: base, client: &http.Client{Timeout: 60 * time.Second}}
-
-	// Liveness first: nothing else is meaningful if the daemon is down.
-	var health struct {
-		Status string `json:"status"`
-	}
-	code, err := s.get("/healthz", &health)
-	s.check(err == nil && code == 200 && health.Status == "ok",
-		"healthz returns 200 ok", "code=%d status=%q err=%v", code, health.Status, err)
-
-	// Cold factorize, then the identical request again: the second must hit
-	// the cache.
-	m, n := 96, 24
-	mat := smokeMatrix(m, n, 1)
-	var fr struct {
-		Key     string `json:"key"`
-		Cached  bool   `json:"cached"`
-		Hazards []any  `json:"hazards"`
-	}
-	code, err = s.post("/v1/factorize", map[string]any{"matrix": mat}, &fr)
-	s.check(err == nil && code == 200 && fr.Key != "" && !fr.Cached && len(fr.Hazards) == 0,
-		"cold factorize succeeds with a key and no hazards",
-		"code=%d key=%q cached=%v hazards=%d err=%v", code, fr.Key, fr.Cached, len(fr.Hazards), err)
-	key := fr.Key
-	code, err = s.post("/v1/factorize", map[string]any{"matrix": mat}, &fr)
-	s.check(err == nil && code == 200 && fr.Cached,
-		"repeat factorize is a cache hit", "code=%d cached=%v err=%v", code, fr.Cached, err)
-
-	// A "method":"none" solve on the idle daemon: it must ride alone and come
-	// back unrefined. The coalesced pair below has to match it bit for bit.
-	type noneOut struct {
-		X          []float64 `json:"x"`
-		Iterations int       `json:"iterations"`
-		Batched    int       `json:"batched"`
-	}
-	noneX := make([]float64, n)
-	for j := range noneX {
-		noneX[j] = float64(j % 5)
-	}
-	noneBody := map[string]any{"key": key, "b": matVec(mat, noneX),
-		"options": map[string]any{"method": "none"}}
-	var alone noneOut
-	code, err = s.post("/v1/solve", noneBody, &alone)
-	s.check(err == nil && code == 200 && alone.Batched == 1 && alone.Iterations == 0,
-		"solo method=none solve is unrefined",
-		"code=%d batched=%d iterations=%d err=%v", code, alone.Batched, alone.Iterations, err)
-
-	// Coalescing. The daemon has no window to wait out: a batch gathers
-	// exactly while it waits for a worker, so the client makes the workers
-	// busy. The daemon under smoke runs one (scripts/serve_smoke.sh passes
-	// -workers 1); the slowest request the client has — the cold 2048x256
-	// tc-ec factorize, whose answer is checked further down — holds it, and
-	// once /statz shows that factorization running the solves sent next park
-	// behind it. The matrix is tall-skinny, and 256 columns is wide enough to
-	// split, so the projection GEMMs reach the engine: the engine a request
-	// names factors it at every shape.
-	ecMat := smokeMatrix(2048, 256, 1)
-	var ecr, fpr struct {
-		Key         string `json:"key"`
-		Hazards     []any  `json:"hazards"`
-		EngineStats struct {
-			GemmCalls int64 `json:"gemm_calls"`
-		} `json:"engine_stats"`
-	}
-	var (
-		ecCode int
-		ecErr  error
-		ecDone = make(chan struct{})
-	)
-	go func() {
-		defer close(ecDone)
-		ecCode, ecErr = s.post("/v1/factorize",
-			map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "tc-ec"}}, &ecr)
-	}()
-	var pz struct {
-		Pool struct {
-			Workers  int   `json:"workers"`
-			InFlight int64 `json:"in_flight"`
-		} `json:"pool"`
-	}
-poll:
-	for pz.Pool.InFlight < 1 {
-		if code, err = s.get("/statz", &pz); err != nil || code != 200 {
-			break
-		}
-		select {
-		case <-ecDone: // over before it was ever seen running; the check below says so
-			break poll
-		case <-time.After(time.Millisecond):
-		}
-	}
-	s.check(pz.Pool.Workers == 1 && pz.Pool.InFlight >= 1,
-		"the tall factorize holds the daemon's one worker",
-		"pool.workers=%d pool.in_flight=%d: the coalescing checks below need the daemon started with -workers 1 and its worker busy",
-		pz.Pool.Workers, pz.Pool.InFlight)
-
-	// Eight solves by key against known right-hand sides plus the
-	// method=none solve twice, all parked behind the held worker: every
-	// column must come back accurate, the eight must share a multi-RHS call,
-	// and the pair must be one batch of two that matches the solo answer —
-	// the answer may not depend on who else rode in the batch.
-	const clients = 8
-	type solveOut struct {
-		code    int
-		err     error
-		x       []float64
-		batched int
-		timing  string
-		wantX   []float64
-	}
-	outs := make([]solveOut, clients)
-	var pair [2]noneOut
-	var wg sync.WaitGroup
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			xTrue := make([]float64, n)
-			for j := range xTrue {
-				xTrue[j] = float64(i + j%5)
-			}
-			b := matVec(mat, xTrue)
-			var sr struct {
-				X       []float64 `json:"x"`
-				Batched int       `json:"batched"`
-			}
-			code, hdr, err := s.postHdr("/v1/solve", map[string]any{"key": key, "b": b}, &sr)
-			outs[i] = solveOut{code: code, err: err, x: sr.X, batched: sr.Batched,
-				timing: hdr.Get("Server-Timing"), wantX: xTrue}
-		}(i)
-	}
-	for i := range pair {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if code, err := s.post("/v1/solve", noneBody, &pair[i]); err != nil || code != 200 {
-				pair[i].Batched = -1
-			}
-		}(i)
-	}
-	wg.Wait()
-	maxBatched := 0
-	for i, o := range outs {
-		s.check(o.err == nil && o.code == 200, fmt.Sprintf("concurrent solve %d succeeds", i),
-			"code=%d err=%v", o.code, o.err)
-		if o.code == 200 {
-			s.check(maxAbsDiff(o.x, o.wantX) < 1e-6, fmt.Sprintf("solve %d is accurate", i),
-				"max |x-x*| = %g", maxAbsDiff(o.x, o.wantX))
-			s.check(o.timing != "", fmt.Sprintf("solve %d carries Server-Timing", i), "header empty")
-		}
-		if o.batched > maxBatched {
-			maxBatched = o.batched
-		}
-	}
-	s.check(maxBatched >= 2, "concurrent same-key solves coalesced",
-		"largest batch was %d; expected >= 2 (solves batch while they wait for a worker: did the tall factorize finish before the burst arrived?)", maxBatched)
-	for i, o := range pair {
-		s.check(o.Batched == 2 && o.Iterations == 0 && maxAbsDiff(o.X, alone.X) == 0,
-			fmt.Sprintf("coalesced method=none solve %d matches the solo answer", i),
-			"batched=%d iterations=%d max |x-x_solo| = %g (batched=1 means the pair did not park behind the tall factorize together)",
-			o.Batched, o.Iterations, maxAbsDiff(o.X, alone.X))
-	}
-
-	// Binary wire protocol (DESIGN.md §12): the same warm solve served as a
-	// zero-copy frame, content negotiation across mixed encodings, and the
-	// JSON error envelope on a malformed frame.
-	xTrue := make([]float64, n)
-	for j := range xTrue {
-		xTrue[j] = float64(j%7) - 3
-	}
-	bRHS := matVec(mat, xTrue)
-	solveMeta, _ := json.Marshal(map[string]any{"key": key})
-	frame, ferr := wirefmt.AppendFrame(nil, wirefmt.JSONSection(solveMeta), wirefmt.VectorSection(bRHS))
-	s.check(ferr == nil, "solve request encodes as a frame", "err=%v", ferr)
-	body, ct, code, err := s.postRaw("/v1/solve", wirefmt.ContentType, "", frame)
-	s.check(err == nil && code == 200 && ct == wirefmt.ContentType,
-		"binary solve answers 200 with a frame", "code=%d content-type=%q err=%v", code, ct, err)
-	var xBin []float64
-	secs, derr := wirefmt.Decode(body, nil)
-	if derr == nil {
-		if v := wirefmt.FindSection(secs, wirefmt.TagVector); v != nil {
-			xBin = v.Float64s()
-		}
-	}
-	s.check(derr == nil && maxAbsDiff(xBin, xTrue) < 1e-6,
-		"binary solve is accurate", "decode err=%v max |x-x*| = %g", derr, maxAbsDiff(xBin, xTrue))
-
-	// Mixed encodings: a JSON request may ask for a frame response via
-	// Accept, and a binary request may ask for JSON back.
-	jbody, _ := json.Marshal(map[string]any{"key": key, "b": bRHS})
-	_, ct, code, err = s.postRaw("/v1/solve", "application/json", wirefmt.ContentType, jbody)
-	s.check(err == nil && code == 200 && ct == wirefmt.ContentType,
-		"JSON request negotiates a frame response via Accept",
-		"code=%d content-type=%q err=%v", code, ct, err)
-	body, ct, code, err = s.postRaw("/v1/solve", wirefmt.ContentType, "application/json", frame)
-	var jsr struct {
-		X []float64 `json:"x"`
-	}
-	jerr := json.Unmarshal(body, &jsr)
-	s.check(err == nil && code == 200 && ct == "application/json" &&
-		jerr == nil && maxAbsDiff(jsr.X, xTrue) < 1e-6,
-		"binary request negotiates a JSON response via Accept",
-		"code=%d content-type=%q err=%v unmarshal=%v", code, ct, err, jerr)
-
-	// A malformed frame must come back as the usual typed JSON envelope,
-	// never as a frame and never as a 500.
-	body, ct, code, err = s.postRaw("/v1/solve", wirefmt.ContentType, "", []byte("TCQFgarbage"))
-	var benv struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	jerr = json.Unmarshal(body, &benv)
-	s.check(err == nil && code == 400 && strings.HasPrefix(ct, "application/json") &&
-		jerr == nil && benv.Error.Code == "bad_input",
-		"malformed frame returns 400 bad_input as JSON",
-		"code=%d content-type=%q error.code=%q err=%v unmarshal=%v", code, ct, benv.Error.Code, err, jerr)
-
-	// Hazard-triggering matrix: one column far past the binary16 maximum,
-	// column scaling disabled. Fail policy must refuse with a typed
-	// envelope; fallback must recover and say what it did.
-	hazMat := smokeMatrix(m, n, 3e5)
-	hazCfg := map[string]any{"cutoff": 8, "disable_column_scaling": true}
-	var er struct {
-		Error struct {
-			Code string `json:"code"`
-		} `json:"error"`
-	}
-	code, err = s.post("/v1/factorize", map[string]any{"matrix": hazMat, "config": hazCfg}, &er)
-	s.check(err == nil && code == 422 && er.Error.Code == "numerical_hazard",
-		"overflow under fail policy returns 422 numerical_hazard",
-		"code=%d error.code=%q err=%v", code, er.Error.Code, err)
-	hazCfg["on_hazard"] = "fallback"
-	var hr struct {
-		Hazards []struct {
-			Kind   string `json:"kind"`
-			Action string `json:"action"`
-		} `json:"hazards"`
-	}
-	code, err = s.post("/v1/factorize", map[string]any{"matrix": hazMat, "config": hazCfg}, &hr)
-	recovered := false
-	for _, h := range hr.Hazards {
-		if h.Action != "" {
-			recovered = true
-		}
-	}
-	s.check(err == nil && code == 200 && recovered,
-		"overflow under fallback recovers and reports the ladder",
-		"code=%d hazards=%+v err=%v", code, hr.Hazards, err)
-
-	// Malformed inputs must be typed 4xx refusals, never 200 or 500.
-	code, err = s.post("/v1/solve", map[string]any{"key": key, "b": []float64{1, 2, 3}}, &er)
-	s.check(err == nil && code == 400 && er.Error.Code == "bad_input",
-		"short rhs returns 400 bad_input", "code=%d error.code=%q err=%v", code, er.Error.Code, err)
-	code, err = s.post("/v1/solve", map[string]any{"key": "m0-bogus", "b": make([]float64, m)}, &er)
-	s.check(err == nil && code == 404 && er.Error.Code == "unknown_key",
-		"unknown key returns 404 unknown_key", "code=%d error.code=%q err=%v", code, er.Error.Code, err)
-	code, err = s.post("/v1/factorize", map[string]any{"matrix": map[string]any{
-		"rows": 2, "cols": 4, "data": []float64{1, 2, 3, 4, 5, 6, 7, 8}}}, &er)
-	s.check(err == nil && code == 400 && er.Error.Code == "bad_input",
-		"wide matrix returns 400 bad_input", "code=%d error.code=%q err=%v", code, er.Error.Code, err)
-
-	// Chunked upload (DESIGN.md §13): stream a tall-skinny matrix as three
-	// binary row-block frames, commit, and verify the key is exactly what a
-	// one-shot upload of the same matrix gets — then solve against it.
-	tm, tn := 2048, 16
-	tall := smokeMatrix(tm, tn, 1)
-	tallData := tall["data"].([]float64)
-	var br struct {
-		Session string `json:"session"`
-		TTLMS   int64  `json:"ttl_ms"`
-	}
-	code, err = s.post("/v1/factorize/stream/begin", map[string]any{"cols": tn}, &br)
-	s.check(err == nil && code == 200 && br.Session != "" && br.TTLMS > 0,
-		"stream begin mints a session", "code=%d session=%q ttl_ms=%d err=%v", code, br.Session, br.TTLMS, err)
-	row := 0
-	for ci, h := range []int{1024, 512, 512} {
-		blk := make([]float64, 0, h*tn)
-		for j := 0; j < tn; j++ {
-			blk = append(blk, tallData[j*tm+row:j*tm+row+h]...)
-		}
-		row += h
-		meta, _ := json.Marshal(map[string]any{"session": br.Session})
-		chunk, cerr := wirefmt.AppendFrame(nil, wirefmt.JSONSection(meta), wirefmt.MatrixSection(h, tn, blk))
-		s.check(cerr == nil, fmt.Sprintf("chunk %d encodes as a frame", ci), "err=%v", cerr)
-		abody, _, acode, aerr := s.postRaw("/v1/factorize/stream/append", wirefmt.ContentType, "application/json", chunk)
-		var ar struct {
-			Rows   int `json:"rows"`
-			Blocks int `json:"blocks"`
-		}
-		uerr := json.Unmarshal(abody, &ar)
-		s.check(aerr == nil && acode == 200 && uerr == nil && ar.Rows == row && ar.Blocks == ci+1,
-			fmt.Sprintf("binary append %d accepted", ci),
-			"code=%d rows=%d blocks=%d err=%v unmarshal=%v", acode, ar.Rows, ar.Blocks, aerr, uerr)
-	}
-	var cr struct {
-		Key    string `json:"key"`
-		Rows   int    `json:"rows"`
-		Cached bool   `json:"cached"`
-	}
-	code, err = s.post("/v1/factorize/stream/commit", map[string]any{"session": br.Session}, &cr)
-	s.check(err == nil && code == 200 && cr.Key != "" && cr.Rows == tm && !cr.Cached,
-		"stream commit factorizes the assembled matrix",
-		"code=%d key=%q rows=%d cached=%v err=%v", code, cr.Key, cr.Rows, cr.Cached, err)
-	var tfr struct {
-		Key    string `json:"key"`
-		Cached bool   `json:"cached"`
-	}
-	code, err = s.post("/v1/factorize", map[string]any{"matrix": tall}, &tfr)
-	s.check(err == nil && code == 200 && tfr.Cached && tfr.Key == cr.Key,
-		"one-shot upload of the streamed matrix is a cache hit on the same key",
-		"code=%d key=%q streamed=%q cached=%v err=%v", code, tfr.Key, cr.Key, tfr.Cached, err)
-	xTall := make([]float64, tn)
-	for j := range xTall {
-		xTall[j] = float64(j%3) + 1
-	}
-	var tsr struct {
-		X []float64 `json:"x"`
-	}
-	code, err = s.post("/v1/solve", map[string]any{"key": cr.Key, "b": matVec(tall, xTall)}, &tsr)
-	s.check(err == nil && code == 200 && maxAbsDiff(tsr.X, xTall) < 1e-5,
-		"solve against the streamed factorization is accurate",
-		"code=%d max |x-x*| = %g err=%v", code, maxAbsDiff(tsr.X, xTall), err)
-	// A committed session is consumed: the id must no longer resolve.
-	code, err = s.post("/v1/factorize/stream/commit", map[string]any{"session": br.Session}, &er)
-	s.check(err == nil && code == 404 && er.Error.Code == "unknown_stream",
-		"committed session is consumed", "code=%d error.code=%q err=%v", code, er.Error.Code, err)
-
-	// Introspection: /statz must reflect the traffic above.
-	var statz struct {
-		Cache struct {
-			Hits int64 `json:"hits"`
-		} `json:"cache"`
-		Coalescer struct {
-			MultiSolveCalls int64 `json:"multi_solve_calls"`
-		} `json:"coalescer"`
-		Timing map[string]struct {
-			Count int64 `json:"count"`
-		} `json:"timing"`
-	}
-	code, err = s.get("/statz", &statz)
-	s.check(err == nil && code == 200 && statz.Cache.Hits >= 1 &&
-		statz.Coalescer.MultiSolveCalls >= 1 && statz.Timing["solve"].Count >= 1,
-		"statz reflects cache hits, coalesced calls and stage timings",
-		"code=%d cache.hits=%d multi=%d timing[solve].count=%d err=%v",
-		code, statz.Cache.Hits, statz.Coalescer.MultiSolveCalls, statz.Timing["solve"].Count, err)
-
-	// Engine selection end-to-end: the factorize that held the worker above
-	// named the error-corrected engine, so it must have run its GEMMs on the
-	// tensor-core simulant under the tc-ec label — engine_stats and the scrape
-	// below both assert it, proving the hot path stayed on the simulated
-	// device rather than falling back to fp32.
-	<-ecDone
-	code, err = ecCode, ecErr
-	s.check(err == nil && code == 200 && ecr.Key != "" && len(ecr.Hazards) == 0 && ecr.EngineStats.GemmCalls > 0,
-		"tall tc-ec factorize runs its GEMMs on the requested engine with no hazards",
-		"code=%d key=%q hazards=%d engine_stats.gemm_calls=%d err=%v",
-		code, ecr.Key, len(ecr.Hazards), ecr.EngineStats.GemmCalls, err)
-	code, err = s.post("/v1/factorize",
-		map[string]any{"matrix": ecMat, "config": map[string]any{"engine": "fp16"}}, &fpr)
-	s.check(err == nil && code == 200 && fpr.Key != "" && ecr.Key != fpr.Key,
-		"tc-ec factorize keys apart from the fp16 one at equal config",
-		"engine missing from the cache-key fingerprint: tc-ec=%q fp16=%q err=%v", ecr.Key, fpr.Key, err)
-
-	// /metrics must serve Prometheus text reflecting the same traffic:
-	// serve, hazard, and engine families present, with non-zero request and
-	// cache-hit counters.
-	text, code, err := s.getText("/metrics")
-	s.check(err == nil && code == 200, "metrics returns 200", "code=%d err=%v", code, err)
-	for _, family := range []string{
-		"tcqrd_requests_total",
-		"tcqrd_responses_total",
-		"tcqrd_cache_hits_total",
-		"tcqrd_stage_duration_seconds_bucket",
-		"tcqrd_coalescer_batch_size_bucket",
-		"tcqrd_hazards_total",
-		"tcqrd_engine_gemm_calls_total",
-		"tcqrd_wire_requests_total",
-		"tcqrd_wire_responses_total",
-		"tcqrd_stream_sessions",
-		"tcqrd_stream_begun_total",
-		"tcqrd_stream_committed_total",
-		"tcqrd_stream_appends_total",
-	} {
-		s.check(strings.Contains(text, family),
-			fmt.Sprintf("metrics exposes %s", family), "family missing from exposition")
-	}
-	s.check(metricAbove(text, "tcqrd_requests_total", 0),
-		"metrics counted requests", "every tcqrd_requests_total series is zero")
-	s.check(metricAbove(text, "tcqrd_cache_hits_total", 0),
-		"metrics counted cache hits", "tcqrd_cache_hits_total is zero")
-	s.check(metricAbove(text, "tcqrd_hazards_total", 0),
-		"metrics counted hazards", "every tcqrd_hazards_total series is zero")
-	s.check(metricAbove(text, "tcqrd_engine_gemm_calls_total", 0),
-		"metrics counted engine GEMM calls", "every tcqrd_engine_gemm_calls_total series is zero")
-	s.check(metricLabelAbove(text, "tcqrd_engine_gemm_calls_total", `engine="tc-ec"`, 0),
-		"metrics counted tc-ec engine GEMM calls",
-		`no non-zero engine="tc-ec" sample — the tc-ec factorize left the simulant`)
-	s.check(metricLabelAbove(text, "tcqrd_wire_requests_total", `encoding="binary"`, 0),
-		"metrics counted binary-encoded requests", "no non-zero encoding=binary sample")
-	s.check(metricLabelAbove(text, "tcqrd_wire_responses_total", `encoding="binary"`, 0),
-		"metrics counted binary-encoded responses", "no non-zero encoding=binary sample")
-	s.check(metricAbove(text, "tcqrd_stream_begun_total", 0) &&
-		metricAbove(text, "tcqrd_stream_committed_total", 0) &&
-		metricAbove(text, "tcqrd_stream_appends_total", 2),
-		"metrics counted the chunked upload lifecycle",
-		"stream begun/committed/appends counters do not reflect the upload")
-
-	if s.failed {
-		fmt.Fprintln(os.Stderr, "SMOKE FAILED")
+// runSmoke is the end-to-end check that the binary it is compiled into keeps
+// the daemon's contract. For each row of smokeScenarios it re-executes that
+// binary as daemon children on ephemeral loopback ports, with exactly the
+// flags the row declares, drives them through the row's checks, and SIGTERMs
+// them: every child must drain and exit 0 within 15 s. One line is printed
+// per check. The exit code is non-zero if a check failed or a child did not
+// start or did not exit cleanly (its log tail is printed). The temp directory
+// holding the children's logs and spill files is removed on every way out;
+// SIGINT or SIGTERM to the driver cancels ctx, which kills the children and
+// fails the request in flight, so that way out is the ordinary one.
+func runSmoke() int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	bin, err := os.Executable()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smoke:", err)
 		return 1
 	}
-	fmt.Println("SMOKE OK")
+	dir, err := os.MkdirTemp("", "tcqrd-smoke-")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "smoke:", err)
+		return 1
+	}
+	defer os.RemoveAll(dir)
+	s := &smoker{ctx: ctx, bin: bin, dir: dir, client: &http.Client{Timeout: 60 * time.Second}}
+	for _, sc := range smokeScenarios {
+		fmt.Printf("== %s ==\n", sc.name)
+		ds := s.start(sc)
+		for _, run := range sc.checks {
+			if !s.failed {
+				run(s, ds)
+			}
+		}
+		for _, d := range ds {
+			d.stop()
+		}
+		if s.failed {
+			fmt.Fprintf(os.Stderr, "SERVE SMOKE FAILED in scenario %q (interrupted: %v)\n", sc.name, ctx.Err() != nil)
+			return 1
+		}
+	}
+	fmt.Println("SERVE SMOKE OK")
 	return 0
 }
 
-// metricAbove reports whether any sample line of the named family (exact
-// name or name{labels}) has a value strictly greater than min.
-func metricAbove(exposition, name string, min float64) bool {
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, name) {
-			continue
-		}
-		rest := line[len(name):]
-		if strings.HasPrefix(rest, "{") {
-			if i := strings.Index(rest, "} "); i >= 0 {
-				rest = rest[i+1:]
-			} else {
-				continue
-			}
-		} else if !strings.HasPrefix(rest, " ") {
-			continue // a longer family name sharing the prefix
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
-		if err == nil && v > min {
-			return true
-		}
-	}
-	return false
+// scenario is one row of the smoke: the daemons it needs, each given as the
+// flags it is started with beyond -addr, and the checks that drive them, in
+// order. In a flag value $dir is the smoke's temp directory, $id the child's
+// cluster member id and $peers the -peers list naming every child of the row.
+type scenario struct {
+	name    string
+	daemons [][]string
+	checks  []func(*smoker, []*daemon)
 }
 
-// metricLabelAbove reports whether any sample line of the named family whose
-// label set contains labelSub has a value strictly greater than min.
-func metricLabelAbove(exposition, name, labelSub string, min float64) bool {
-	for _, line := range strings.Split(exposition, "\n") {
-		if !strings.HasPrefix(line, name+"{") || !strings.Contains(line, labelSub) {
-			continue
-		}
-		i := strings.Index(line, "} ")
-		if i < 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(line[i+1:]), 64)
-		if err == nil && v > min {
-			return true
-		}
+// childArgs renders the command line of child i of a row whose children
+// listen on addrs.
+func childArgs(flags []string, dir string, i int, addrs []string) []string {
+	peers := make([]string, len(addrs))
+	for j, a := range addrs {
+		peers[j] = fmt.Sprintf("n%d=%s", j, a)
 	}
-	return false
+	r := strings.NewReplacer("$dir", dir, "$id", fmt.Sprintf("n%d", i), "$peers", strings.Join(peers, ","))
+	args := []string{"-addr", addrs[i]}
+	for _, f := range flags {
+		args = append(args, r.Replace(f))
+	}
+	return args
 }
 
-// smoker carries the HTTP plumbing and the running pass/fail state.
+// smoker carries what the scenarios share: the children's binary and
+// directory, the HTTP client, the pass/fail state, and the epoch the update
+// checks left their series at (the restart scenario must find it there).
 type smoker struct {
-	base   string
-	client *http.Client
-	failed bool
+	ctx       context.Context
+	bin, dir  string
+	client    *http.Client
+	failed    bool
+	epochLeft uint64
 }
 
-func (s *smoker) check(ok bool, what, detailFormat string, args ...any) {
+// check prints one verdict line; detail is printed only on failure.
+func (s *smoker) check(ok bool, what string, detail ...any) {
 	if ok {
 		fmt.Printf("ok   %s\n", what)
 		return
 	}
 	s.failed = true
-	fmt.Fprintf(os.Stderr, "FAIL %s: %s\n", what, fmt.Sprintf(detailFormat, args...))
+	if s.ctx.Err() == nil { // once interrupted, every check fails for that reason alone
+		fmt.Fprintf(os.Stderr, "FAIL %s: %s", what, fmt.Sprintln(detail...))
+	}
 }
 
-func (s *smoker) get(path string, out any) (int, error) {
-	resp, err := s.client.Get(s.base + path)
-	if err != nil {
-		return 0, err
-	}
-	return decodeResp(resp, out)
+// daemon is one tcqrd child process.
+type daemon struct {
+	s      *smoker
+	name   string // "<row> daemon <id>", for the lifecycle lines
+	id     string // its $id: n0, n1, ...
+	base   string // http://host:port
+	log    string // file holding its stdout and stderr
+	cmd    *exec.Cmd
+	done   chan struct{} // closed once Wait has returned
+	exit   error         // Wait's verdict; read after done
+	killed bool          // SIGKILLed by its scenario: there is no drain to check
 }
 
-// getText fetches a non-JSON endpoint (the Prometheus exposition) raw.
-func (s *smoker) getText(path string) (string, int, error) {
-	resp, err := s.client.Get(s.base + path)
-	if err != nil {
-		return "", 0, err
+// start launches the row's children and waits until each answers /healthz.
+// The kernel picks the ports and the listeners holding them are closed again
+// before the children bind: a row's -peers list has to name every address
+// before any child starts.
+func (s *smoker) start(sc scenario) []*daemon {
+	addrs := make([]string, len(sc.daemons))
+	lns := make([]net.Listener, len(sc.daemons))
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			for _, held := range lns[:i] {
+				held.Close()
+			}
+			s.check(false, sc.name+" daemons get a free port each", err)
+			return nil
+		}
+		lns[i], addrs[i] = ln, ln.Addr().String()
 	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return string(data), resp.StatusCode, err
+	for _, ln := range lns {
+		ln.Close()
+	}
+	var ds []*daemon
+	for i, flags := range sc.daemons {
+		id := fmt.Sprintf("n%d", i)
+		d := &daemon{s: s, name: sc.name + " daemon " + id, id: id, base: "http://" + addrs[i],
+			log: filepath.Join(s.dir, sc.name+"-"+id+".log"), done: make(chan struct{})}
+		logFile, err := os.Create(d.log)
+		if err == nil {
+			d.cmd = exec.CommandContext(s.ctx, s.bin, childArgs(flags, s.dir, i, addrs)...)
+			d.cmd.Stdout, d.cmd.Stderr = logFile, logFile
+			err = d.cmd.Start()
+			logFile.Close()
+		}
+		if err != nil {
+			s.check(false, d.name+" starts", err)
+			return ds
+		}
+		go func() {
+			d.exit = d.cmd.Wait()
+			close(d.done)
+		}()
+		ds = append(ds, d)
+	}
+	for _, d := range ds {
+		s.check(d.awaitHealthy(), d.name+" answers /healthz", "\n"+d.logTail())
+	}
+	return ds
 }
 
-// postRaw sends body verbatim under the given Content-Type (and Accept when
-// non-empty) and returns the raw response body, its Content-Type, and the
-// status code — the plumbing for binary-frame requests.
-func (s *smoker) postRaw(path, contentType, accept string, body []byte) ([]byte, string, int, error) {
-	req, err := http.NewRequest(http.MethodPost, s.base+path, bytes.NewReader(body))
-	if err != nil {
-		return nil, "", 0, err
+// awaitHealthy polls /healthz until it answers 200, the child exits, or 10 s
+// pass.
+func (d *daemon) awaitHealthy() bool {
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); {
+		if d.get("/healthz").is(200) {
+			return true
+		}
+		select {
+		case <-d.done:
+			return false
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	req.Header.Set("Content-Type", contentType)
+	return false
+}
+
+// stop SIGTERMs the child and requires exit 0 within 15 s: the daemon's own
+// drain budget is 10 s, and one that hangs past it is killed and reported.
+// A child that died on its own before this fails the same check.
+func (d *daemon) stop() {
+	if d.killed {
+		return
+	}
+	_ = d.cmd.Process.Signal(syscall.SIGTERM) // fails only if it has exited, which done reports
+	select {
+	case <-d.done:
+	case <-time.After(15 * time.Second):
+		d.kill()
+		d.exit = fmt.Errorf("no exit within 15s of SIGTERM (%v after SIGKILL)", d.exit)
+	}
+	d.s.check(d.exit == nil, d.name+" drained and exited 0 on SIGTERM", d.exit, "\n"+d.logTail())
+}
+
+// kill is kill -9: no drain, no handoff, no spill flush.
+func (d *daemon) kill() {
+	_ = d.cmd.Process.Kill()
+	<-d.done
+	d.killed = true
+}
+
+// logTail returns the last lines the child wrote.
+func (d *daemon) logTail() string {
+	data, _ := os.ReadFile(d.log) // an unreadable log prints as an empty tail
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	if len(lines) > 80 {
+		lines = lines[len(lines)-80:]
+	}
+	return "log tail of " + d.name + ":\n" + strings.Join(lines, "\n")
+}
+
+// obj is a JSON request body.
+type obj = map[string]any
+
+// reply is one HTTP answer: status, headers and raw body, plus every field
+// the smoke reads from any endpoint's JSON, decoded when the body is JSON.
+// One request fills the few fields its endpoint sends.
+type reply struct {
+	code int
+	hdr  http.Header
+	raw  []byte
+	err  error
+
+	Status     string    `json:"status"`
+	Key        string    `json:"key"`
+	BaseKey    string    `json:"base_key"`
+	Cached     bool      `json:"cached"`
+	Epoch      uint64    `json:"epoch"`
+	Rows       int       `json:"rows"`
+	Cols       int       `json:"cols"`
+	Blocks     int       `json:"blocks"`
+	X          []float64 `json:"x"`
+	Iterations int       `json:"iterations"`
+	Batched    int       `json:"batched"`
+	Session    string    `json:"session"`
+	TTLMS      int64     `json:"ttl_ms"`
+	Hazards    []struct {
+		Action string `json:"action"`
+	} `json:"hazards"`
+	EngineStats struct {
+		GemmCalls int64 `json:"gemm_calls"`
+	} `json:"engine_stats"`
+	Error struct {
+		Code string `json:"code"`
+	} `json:"error"`
+}
+
+// statz is what the smoke reads from /statz (its "hazards" is a map where an
+// API answer's is a list, so it cannot share reply).
+type statz struct {
+	Pool struct {
+		Workers  int   `json:"workers"`
+		InFlight int64 `json:"in_flight"`
+	} `json:"pool"`
+	Cache struct {
+		Hits     int64 `json:"hits"`
+		Rewarmed int64 `json:"rewarmed"`
+	} `json:"cache"`
+	Coalescer struct {
+		MultiSolveCalls int64 `json:"multi_solve_calls"`
+	} `json:"coalescer"`
+	Timing map[string]struct {
+		Count int64 `json:"count"`
+	} `json:"timing"`
+}
+
+// is reports whether the exchange completed with this status.
+func (r *reply) is(code int) bool { return r.err == nil && r.code == code }
+
+// fails reports whether the answer is the typed JSON error envelope.
+func (r *reply) fails(code int, errCode string) bool {
+	return r.is(code) && r.Error.Code == errCode && strings.HasPrefix(r.hdr.Get("Content-Type"), "application/json")
+}
+
+// String is the failure detail of a check on r.
+func (r *reply) String() string {
+	body := r.raw
+	if len(body) > 200 {
+		body = append(body[:200:200], "..."...)
+	}
+	return fmt.Sprintf("code=%d err=%v content-type=%q body=%q", r.code, r.err, r.hdr.Get("Content-Type"), body)
+}
+
+// vector decodes a binary-frame answer's vector section (nil if it has none).
+func (r *reply) vector() []float64 {
+	secs, err := wirefmt.Decode(r.raw, nil)
+	if v := wirefmt.FindSection(secs, wirefmt.TagVector); err == nil && v != nil {
+		return v.Float64s()
+	}
+	return nil
+}
+
+// do sends one request; contentType and accept are omitted when empty. A
+// JSON answer is decoded into out, or into the reply itself when out is nil.
+func (d *daemon) do(method, path, contentType, accept string, body []byte, out any) *reply {
+	r := &reply{}
+	if out == nil {
+		out = r
+	}
+	req, err := http.NewRequestWithContext(d.s.ctx, method, d.base+path, bytes.NewReader(body))
+	if err != nil {
+		r.err = err
+		return r
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
-	resp, err := s.client.Do(req)
+	resp, err := d.s.client.Do(req)
 	if err != nil {
-		return nil, "", 0, err
+		r.err = err
+		return r
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	return data, resp.Header.Get("Content-Type"), resp.StatusCode, err
+	r.code, r.hdr = resp.StatusCode, resp.Header
+	r.raw, r.err = io.ReadAll(resp.Body)
+	if r.err == nil && strings.HasPrefix(r.hdr.Get("Content-Type"), "application/json") {
+		r.err = json.Unmarshal(r.raw, out)
+	}
+	return r
 }
 
-func (s *smoker) post(path string, body any, out any) (int, error) {
-	code, _, err := s.postHdr(path, body, out)
-	return code, err
+func (d *daemon) get(path string) *reply { return d.do(http.MethodGet, path, "", "", nil, nil) }
+
+func (d *daemon) statz() (*reply, statz) {
+	var z statz
+	return d.do(http.MethodGet, "/statz", "", "", nil, &z), z
 }
 
-func (s *smoker) postHdr(path string, body any, out any) (int, http.Header, error) {
+func (d *daemon) post(path string, body obj) *reply { return d.postAccept(path, "", body) }
+
+// postAccept is post asking for the answer in the accept encoding.
+func (d *daemon) postAccept(path, accept string, body obj) *reply {
 	buf, err := json.Marshal(body)
 	if err != nil {
-		return 0, nil, err
+		return &reply{err: err}
 	}
-	resp, err := s.client.Post(s.base+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return 0, nil, err
-	}
-	hdr := resp.Header
-	code, err := decodeResp(resp, out)
-	return code, hdr, err
+	return d.do(http.MethodPost, path, "application/json", accept, buf, nil)
 }
 
-func decodeResp(resp *http.Response, out any) (int, error) {
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+// postFrame sends meta and the float sections as one binary frame.
+func (d *daemon) postFrame(path, accept string, meta obj, secs ...wirefmt.Section) *reply {
+	mj, err := json.Marshal(meta)
 	if err != nil {
-		return resp.StatusCode, err
+		return &reply{err: err}
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("undecodable body %q: %w", truncate(data), err)
+	frame, err := wirefmt.AppendFrame(nil, append([]wirefmt.Section{wirefmt.JSONSection(mj)}, secs...)...)
+	if err != nil {
+		return &reply{err: err}
+	}
+	return d.do(http.MethodPost, path, wirefmt.ContentType, accept, frame, nil)
+}
+
+// metricLabelAbove reports whether any sample of the named family (exact
+// name, or name{labels}) whose series contains labelSub has a value strictly
+// greater than min.
+func metricLabelAbove(exposition, name, labelSub string, min float64) bool {
+	for _, v := range metricValues(exposition, name, labelSub) {
+		if v > min {
+			return true
 		}
 	}
-	return resp.StatusCode, nil
+	return false
 }
 
-func truncate(b []byte) string {
-	if len(b) > 200 {
-		return string(b[:200]) + "..."
-	}
-	return string(b)
+// metricAbove is metricLabelAbove over every sample of the family.
+func metricAbove(exposition, name string, min float64) bool {
+	return metricLabelAbove(exposition, name, "", min)
 }
 
-// smokeMatrix builds a deterministic column-major m×n wire matrix with
-// entries in [-0.5, 0.5); the last column is multiplied by lastColScale
-// (3e5 puts it far past the binary16 maximum of 65504, the §3.5 hazard).
-func smokeMatrix(m, n int, lastColScale float64) map[string]any {
-	seed := uint64(0x9E3779B97F4A7C15)
-	next := func() float64 {
-		seed = seed*6364136223846793005 + 1442695040888963407
-		return float64(seed>>11)/float64(uint64(1)<<53) - 0.5
+// metricValues returns the value of every sample line of the named family
+// whose series (name plus label set) contains labelSub.
+func metricValues(exposition, name, labelSub string) []float64 {
+	var vals []float64
+	for _, line := range strings.Split(exposition, "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if i < 0 {
+			continue
+		}
+		series := line[:i]
+		if series != name && !(strings.HasPrefix(series, name+"{") && strings.HasSuffix(series, "}")) {
+			continue // a comment, or a longer family name sharing the prefix
+		}
+		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil && strings.Contains(series, labelSub) {
+			vals = append(vals, v)
+		}
 	}
+	return vals
+}
+
+// wantMetric is one assertion on a /metrics scrape: some sample of family
+// whose labels contain label exceeds above.
+type wantMetric struct {
+	what, family, label string
+	above               float64
+}
+
+// scrape fetches d's /metrics and checks every want against the one text.
+func (s *smoker) scrape(d *daemon, wants ...wantMetric) string {
+	r := d.get("/metrics")
+	s.check(r.is(200), "metrics returns 200", r)
+	text := string(r.raw)
+	for _, w := range wants {
+		s.check(metricLabelAbove(text, w.family, w.label, w.above), w.what,
+			"no sample of", w.family, w.label, "above", w.above)
+	}
+	return text
+}
+
+// wireMatrix is the API's column-major matrix.
+type wireMatrix struct {
+	Rows int       `json:"rows"`
+	Cols int       `json:"cols"`
+	Data []float64 `json:"data"`
+}
+
+// smokeMatrix builds a deterministic m×n matrix with entries in [-0.5, 0.5);
+// distinct seeds or shapes give distinct content hashes, so distinct keys.
+func smokeMatrix(m, n int, seed uint64) wireMatrix {
+	state := seed*0x9E3779B97F4A7C15 + 1
 	data := make([]float64, m*n)
 	for i := range data {
-		data[i] = next()
+		state = state*6364136223846793005 + 1442695040888963407
+		data[i] = float64(state>>11)/float64(uint64(1)<<53) - 0.5
 	}
-	for i := (n - 1) * m; i < n*m; i++ {
-		data[i] *= lastColScale
+	return wireMatrix{Rows: m, Cols: n, Data: data}
+}
+
+// mulVec computes A·x.
+func (a wireMatrix) mulVec(x []float64) []float64 {
+	b := make([]float64, a.Rows)
+	for j := 0; j < a.Cols; j++ {
+		for i := 0; i < a.Rows; i++ {
+			b[i] += a.Data[j*a.Rows+i] * x[j]
+		}
 	}
-	return map[string]any{"rows": m, "cols": n, "data": data}
+	return b
+}
+
+// stack returns a on top of below (equal column counts).
+func (a wireMatrix) stack(below wireMatrix) wireMatrix {
+	rows := a.Rows + below.Rows
+	out := wireMatrix{Rows: rows, Cols: a.Cols, Data: make([]float64, rows*a.Cols)}
+	for j := 0; j < a.Cols; j++ {
+		copy(out.Data[j*rows:], a.Data[j*a.Rows:(j+1)*a.Rows])
+		copy(out.Data[j*rows+a.Rows:], below.Data[j*below.Rows:(j+1)*below.Rows])
+	}
+	return out
+}
+
+// ramp is a known solution vector: x[j] = j mod period + offset.
+func ramp(n, period int, offset float64) []float64 {
+	x := make([]float64, n)
+	for j := range x {
+		x[j] = float64(j%period) + offset
+	}
+	return x
 }
 
 func maxAbsDiff(got, want []float64) float64 {
 	if len(got) != len(want) {
-		return float64(len(got) - len(want)) // force a visible failure
+		return math.Inf(1) // fails every tolerance
 	}
 	d := 0.0
 	for i := range got {
@@ -612,18 +491,4 @@ func maxAbsDiff(got, want []float64) float64 {
 		}
 	}
 	return d
-}
-
-// matVec computes A·x for a wire matrix (column-major data).
-func matVec(mat map[string]any, x []float64) []float64 {
-	m := mat["rows"].(int)
-	n := mat["cols"].(int)
-	data := mat["data"].([]float64)
-	b := make([]float64, m)
-	for j := 0; j < n; j++ {
-		for i := 0; i < m; i++ {
-			b[i] += data[j*m+i] * x[j]
-		}
-	}
-	return b
 }

@@ -437,8 +437,8 @@ func (n *Node) Hint(m Member, path string, frame []byte) { n.handoff.add(m, path
 // --- stats -----------------------------------------------------------------
 
 // Stats is a point-in-time snapshot of the node's cluster counters, used by
-// the chaos soak and the -smoke-cluster mode to assert the forwarding
-// accounting invariant: Routed == ServedRemote + ServedLocalFallback.
+// the chaos soak to assert the forwarding accounting invariant:
+// Routed == ServedRemote + ServedLocalFallback.
 type Stats struct {
 	Routed              int64
 	ServedRemote        int64

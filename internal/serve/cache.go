@@ -386,7 +386,9 @@ func (c *FactorCache) BeginUpdate(key string) (*Entry, error) {
 // PublishUpdate atomically publishes the updated factorization as the next
 // epoch of old's series and drops old from the index: the new entry becomes
 // the target of every subsequent bare-key lookup, while requests that
-// already resolved old keep reading it. Returns the new entry.
+// already resolved old keep reading it. old's spill file outlives it: the
+// spill writer deletes it once the new entry's file is durable (spill.go).
+// Returns the new entry.
 func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factorization) *Entry {
 	base := baseKey(old.Key)
 	ne := &Entry{
@@ -496,6 +498,9 @@ func (c *FactorCache) insertLocked(e *Entry) {
 		}
 		c.removeLocked(victim)
 		c.evicted++
+		if c.spill != nil {
+			c.spill.Remove(victim.Key)
+		}
 	}
 }
 
@@ -507,8 +512,9 @@ func (c *FactorCache) updatingLocked(e *Entry) bool {
 }
 
 // removeLocked detaches an entry from the index, list, and series (the
-// caller counts it as an eviction or a retirement); what the entry's holders
-// read is not touched. c.mu must be held.
+// caller counts it as an eviction, and removes its spill file, or as a
+// retirement, whose file waits for the successor's); what the entry's
+// holders read is not touched. c.mu must be held.
 func (c *FactorCache) removeLocked(e *Entry) {
 	delete(c.entries, e.Key)
 	c.lru.remove(e)
@@ -523,9 +529,6 @@ func (c *FactorCache) removeLocked(e *Entry) {
 		if s.current == nil && !s.updating {
 			delete(c.series, base)
 		}
-	}
-	if c.spill != nil {
-		c.spill.Remove(e.Key)
 	}
 }
 

@@ -200,9 +200,12 @@ func New(opts Options) *Server {
 			s.cache.attachSpill(sp)
 			// Rewarm synchronously, before the first request: a bounced
 			// daemon serves by-key cache hits immediately instead of
-			// stampeding cold factorizes.
+			// stampeding cold factorizes. A file the cache declines (a stale
+			// epoch beside a newer one) would be declined at every restart.
 			for _, e := range sp.Rewarm() {
-				s.cache.AdoptRewarmed(e)
+				if !s.cache.AdoptRewarmed(e) {
+					sp.Remove(e.Key)
+				}
 			}
 		}
 	}

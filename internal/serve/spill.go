@@ -20,8 +20,15 @@ import (
 // bounced daemon rewarms its factor cache from disk instead of inviting a
 // factorize stampede. Writes are behind the serving path: publication
 // (initial factorize or update epoch) enqueues the entry to a single writer
-// goroutine; eviction and retirement enqueue removals. The request path
-// never waits on disk.
+// goroutine; eviction enqueues a removal. The request path never waits on
+// disk.
+//
+// Invariant: a series' newest durable epoch is deleted only after a newer
+// epoch's rename succeeded. Retiring epoch N therefore queues nothing; the
+// writer deletes N's file once N+1's is in place, so a write that is shed,
+// fails, or is cut short by a crash leaves the series at its last durable
+// epoch instead of with no file at all. A crash between that rename and the
+// delete leaves both; rewarm adopts the newer and deletes the other.
 //
 // One entry is one file, <dir>/<n>.tcqs:
 //
@@ -68,7 +75,8 @@ type SpillStats struct {
 	// Dropped counts enqueue attempts shed because the write-behind queue
 	// was full (write-behind never blocks the serving path).
 	Dropped int64 `json:"dropped"`
-	// Removes counts files deleted because their entry was evicted/retired.
+	// Removes counts files deleted because their entry was evicted, or
+	// superseded by a durable newer epoch.
 	Removes int64 `json:"removes"`
 	// Evictions counts files deleted to keep the tier under -spill-max-bytes.
 	Evictions int64 `json:"evictions"`
@@ -93,9 +101,10 @@ type spillOp struct {
 
 // spillFile tracks one on-disk file for budget accounting.
 type spillFile struct {
-	name string
-	size int64
-	seq  int64 // insertion order; lowest evicts first under the byte budget
+	name  string
+	size  int64
+	seq   int64 // insertion order; lowest evicts first under the byte budget
+	epoch uint64
 }
 
 // SpillTier is the write-behind disk tier behind a FactorCache.
@@ -153,8 +162,9 @@ func (sp *SpillTier) Enqueue(e *Entry) {
 	}
 }
 
-// Remove schedules deletion of key's spill file (entry evicted or retired).
-// Called under the cache lock, so it must not touch the disk itself.
+// Remove schedules deletion of key's spill file (entry evicted, or declined
+// at rewarm). Called under the cache lock, so it must not touch the disk
+// itself.
 func (sp *SpillTier) Remove(key string) {
 	select {
 	case sp.queue <- spillOp{removeKey: key}:
@@ -280,9 +290,20 @@ func (sp *SpillTier) write(e *Entry) {
 		sp.bytesOnDisk -= old.size
 	}
 	sp.seq++
-	sp.files[e.Key] = spillFile{name: spillFileName(e.Key), size: int64(len(buf)), seq: sp.seq}
+	sp.files[e.Key] = spillFile{name: spillFileName(e.Key), size: int64(len(buf)), seq: sp.seq, epoch: e.Epoch}
 	sp.bytesOnDisk += int64(len(buf))
-	victims := sp.overBudgetLocked(e.Key)
+	// e is durable: only now do the older epochs of its series go.
+	victims := make([]spillFile, 0, 2) // the usual one predecessor stays off the heap
+	base := baseKey(e.Key)
+	for k, f := range sp.files {
+		if f.epoch < e.Epoch && baseKey(k) == base {
+			delete(sp.files, k)
+			sp.bytesOnDisk -= f.size
+			sp.removes++
+			victims = append(victims, f)
+		}
+	}
+	victims = append(victims, sp.overBudgetLocked(e.Key)...)
 	sp.mu.Unlock()
 	for _, v := range victims {
 		os.Remove(filepath.Join(sp.dir, v.name))
@@ -323,7 +344,7 @@ func (sp *SpillTier) overBudgetLocked(keep string) []spillFile {
 // <name>.quarantine so the next restart does not retry them), and sweeps
 // tmp orphans. Runs synchronously at daemon startup, before serving.
 // Entries are returned oldest-epoch-last so the cache adopts the newest
-// epoch of each series as current.
+// epoch of each series as current; the caller Removes the ones it declines.
 func (sp *SpillTier) Rewarm() []*Entry {
 	names, err := os.ReadDir(sp.dir)
 	if err != nil {
@@ -371,7 +392,7 @@ func (sp *SpillTier) Rewarm() []*Entry {
 		}
 		sp.mu.Lock()
 		sp.seq++
-		sp.files[e.Key] = spillFile{name: name, size: size, seq: sp.seq}
+		sp.files[e.Key] = spillFile{name: name, size: size, seq: sp.seq, epoch: e.Epoch}
 		sp.bytesOnDisk += size
 		sp.rewarmed++
 		sp.mu.Unlock()

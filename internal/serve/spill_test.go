@@ -350,6 +350,112 @@ func TestServerRewarmQuarantinesTornFile(t *testing.T) {
 	}
 }
 
+// TestSpillKeepsPredecessorUntilSuccessorIsDurable: the spill file of epoch N
+// is deleted only after epoch N+1's file is in place. With the write of
+// epoch 1 failing (the failpoint tears it, as a crash would), a restart must
+// rewarm epoch 0 and serve the bare key from it; it rewarmed nothing when
+// the removal of epoch 0 was queued ahead of the write. The clean path still
+// ends with one file per series.
+func TestSpillKeepsPredecessorUntilSuccessorIsDurable(t *testing.T) {
+	m, n, k := 64, 16, 8
+	data := testMatrix(940, m, n, 1)
+	xTrue := make([]float64, n)
+	for j := range xTrue {
+		xTrue[j] = float64(j%3) - 1
+	}
+	// run factorizes and appends k rows on a server over dir, shuts it down
+	// cleanly, and returns the base key and the first tier's final stats.
+	run := func(dir string) (string, SpillStats) {
+		s1 := New(Options{Workers: 2, CacheDir: dir})
+		h1 := s1.Handler()
+		var fr factorizeReply
+		if code, _ := post(t, h1, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 {
+			t.Fatalf("factorize: code=%d", code)
+		}
+		var ur updateReply
+		if code, _ := post(t, h1, "/v1/update",
+			map[string]any{"key": fr.Key, "append": wireMat(k, n, testMatrix(941, k, n, 1))}, &ur); code != 200 || ur.Epoch != 1 {
+			t.Fatalf("update: code=%d reply=%+v", code, ur)
+		}
+		s1.spill.Flush()
+		st := s1.spill.Stats()
+		s1.Close()
+		return fr.Key, st
+	}
+
+	dir := t.TempDir()
+	arm(t, "seed=5;serve.spill.write=error@once=2")
+	base, st := run(dir)
+	faultinject.Disarm()
+	if st.Writes != 1 || st.WriteErrors != 1 || st.Removes != 0 || st.Files != 1 {
+		t.Fatalf("spill stats after the failed epoch-1 write: %+v, want epoch 0's file kept", st)
+	}
+	be := &countingBackend{inner: LibraryBackend{}}
+	s2 := New(Options{Workers: 2, Backend: be, CacheDir: dir})
+	defer s2.Close()
+	if cs := s2.Cache().Stats(); cs.Rewarmed != 1 || cs.Entries != 1 {
+		t.Fatalf("cache after rewarm: %+v, want the last durable epoch", cs)
+	}
+	var sr solveReply
+	code, _ := post(t, s2.Handler(), "/v1/solve",
+		map[string]any{"key": base, "b": matVecData(m, n, data, xTrue)}, &sr)
+	if code != 200 || !sr.Cached || sr.Key != base || maxDiff(sr.X, xTrue) > 1e-6 {
+		t.Fatalf("bare-key solve after restart: code=%d cached=%v key=%q, want 200 from %q", code, sr.Cached, sr.Key, base)
+	}
+	if got := be.factorize.Load(); got != 0 {
+		t.Fatalf("rewarm cost %d backend factorizations, want 0", got)
+	}
+
+	clean := t.TempDir()
+	_, st = run(clean)
+	names := spillFiles(t, clean, "*"+spillExt)
+	if st.Writes != 2 || st.Removes != 1 || st.Files != 1 || len(names) != 1 || !strings.Contains(names[0], "@1") {
+		t.Fatalf("clean path: stats %+v files %v, want just the @1 epoch", st, names)
+	}
+}
+
+// TestRewarmRemovesStaleSiblings: a crash between epoch 1's rename and epoch
+// 0's delete leaves both files. Rewarm adopts the newer, and deletes the
+// older with its byte accounting instead of re-reading and declining it at
+// every restart.
+func TestRewarmRemovesStaleSiblings(t *testing.T) {
+	dir := t.TempDir()
+	base := "mstale-e00-p0-c0-r00-h0"
+	var sizes [2]int64
+	for epoch := range sizes {
+		e := makeEntry(t, uint64(950+epoch), 32+epoch, 8, versionedKey(base, uint64(epoch)), uint64(epoch))
+		buf, err := encodeSpillEntry(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), buf, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		sizes[epoch] = int64(len(buf))
+	}
+
+	s1 := New(Options{Workers: 1, CacheDir: dir})
+	s1.spill.Flush()
+	st := s1.spill.Stats()
+	cs := s1.Cache().Stats()
+	s1.Close()
+	if st.Loads != 2 || cs.Rewarmed != 1 || cs.Entries != 1 {
+		t.Fatalf("first restart: spill %+v cache %+v, want 2 loads and the newer epoch adopted", st, cs)
+	}
+	if st.Files != 1 || st.BytesOnDisk != sizes[1] {
+		t.Fatalf("stale sibling still accounted: %+v, want 1 file of %d bytes", st, sizes[1])
+	}
+	if names := spillFiles(t, dir, "*"+spillExt); len(names) != 1 || !strings.Contains(names[0], "@1") {
+		t.Fatalf("on-disk files after rewarm: %v, want just the @1 epoch", names)
+	}
+
+	s2 := New(Options{Workers: 1, CacheDir: dir})
+	defer s2.Close()
+	if st := s2.spill.Stats(); st.Loads != 1 || st.Rewarmed != 1 {
+		t.Fatalf("second restart re-read the stale file: %+v", st)
+	}
+}
+
 // TestSpillChaosSoak (make chaos) churns factorize/update/solve traffic with
 // spill writes and update applies randomly faulted, then restarts over the
 // same directory and asserts crash consistency: every file the rewarm pass
