@@ -58,10 +58,12 @@ check-race: lint
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial
 # equivalence, and the serving decode paths (FuzzStreamFrameDecode fuzzes
 # every endpoint's request decode, not only stream-append's), and the vector
-# level-2 kernels against the Go loops, bit for bit. internal/blas,
-# internal/serve and internal/tcsim hold two targets each, so those runs name
-# their target; the single-target packages keep the unambiguous -fuzz=. form.
+# level-2 kernels against the Go loops, bit for bit, and the content hash's
+# view-equals-clone invariant. internal/blas, internal/serve and
+# internal/tcsim hold two targets each, so those runs name their target; the
+# single-target packages keep the unambiguous -fuzz=. form.
 fuzz:
+	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/dense
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/f16
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/bf16
 	$(GO) test -run '^$$' -fuzz '^FuzzGemmPackedVsReference$$' -fuzztime 10s ./internal/blas

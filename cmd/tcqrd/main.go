@@ -14,8 +14,8 @@
 //	GET  /metrics       — Prometheus text exposition of every counter,
 //	                      gauge, and latency histogram
 //
-// Responses carry a Server-Timing header (queue, factorize, solve, encode)
-// and serialize every numerical hazard the fallback ladder detected or
+// Responses carry a Server-Timing header (decode, key, queue, factorize,
+// solve, encode, …) and serialize every numerical hazard the fallback ladder detected or
 // recovered from. SIGINT/SIGTERM drain gracefully: in-flight and parked
 // requests complete, new ones get 503.
 //

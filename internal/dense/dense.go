@@ -8,6 +8,7 @@ package dense
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Float is the scalar constraint for all generic numerical kernels in this
@@ -168,38 +169,76 @@ func ToF32(m *M64) *M32 {
 	return out
 }
 
-// Hash64 returns a 64-bit FNV-1a hash of the matrix contents: the shape
-// followed by every element in column-major order (stride padding is not
-// hashed, so a view and its tight-stride clone hash identically). Elements
-// are hashed through their exact float64 bit pattern, so a float32 matrix
-// hashes equal to its float64 widening; callers keying caches across
-// precisions must add their own type tag. A nil matrix hashes as empty.
+// Hash64 returns a 64-bit content hash of the matrix: the shape, then every
+// element in column-major order (stride padding is not hashed, so a view and
+// its tight-stride clone hash identically). Elements are hashed through their
+// exact float64 bit pattern, so a float32 matrix hashes equal to its float64
+// widening (callers keying caches across precisions must add their own type
+// tag) and -0 hashes apart from +0. A nil matrix hashes as empty.
+//
+// The hash reads a word at a time into four independent lanes — row i of a
+// column feeds lane i mod 4, the rows past the last whole group of four feed
+// lanes 0, 1, 2 — so four multiply chains overlap and the loop runs at memory
+// speed. Each step is a bijection of its lane for a fixed word and of the
+// word for a fixed lane, and the lanes' fold and the final avalanche are
+// bijections too, so two matrices of one shape that differ in exactly one
+// element never collide. Beyond that it is a non-cryptographic hash: a name
+// for the contents, not a proof of them. Whoever must not confuse two
+// matrices compares them.
 func (m *Matrix[T]) Hash64() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xff
-			h *= prime
-			x >>= 8
+	var rows, cols int
+	if m != nil {
+		rows, cols = m.Rows, m.Cols
+	}
+	h0 := hashStep(hashSeed0, uint64(rows))
+	h1 := hashStep(hashSeed1, uint64(cols))
+	h2, h3 := uint64(hashSeed2), uint64(hashSeed3)
+	for j := 0; rows > 0 && j < cols; j++ {
+		col := m.Col(j)
+		for len(col) >= 4 {
+			h0 = hashStep(h0, math.Float64bits(float64(col[0])))
+			h1 = hashStep(h1, math.Float64bits(float64(col[1])))
+			h2 = hashStep(h2, math.Float64bits(float64(col[2])))
+			h3 = hashStep(h3, math.Float64bits(float64(col[3])))
+			col = col[4:]
+		}
+		switch len(col) {
+		case 3:
+			h2 = hashStep(h2, math.Float64bits(float64(col[2])))
+			fallthrough
+		case 2:
+			h1 = hashStep(h1, math.Float64bits(float64(col[1])))
+			fallthrough
+		case 1:
+			h0 = hashStep(h0, math.Float64bits(float64(col[0])))
 		}
 	}
-	if m == nil {
-		mix(0)
-		mix(0)
-		return h
-	}
-	mix(uint64(m.Rows))
-	mix(uint64(m.Cols))
-	for j := 0; j < m.Cols; j++ {
-		for _, v := range m.Col(j) {
-			mix(math.Float64bits(float64(v)))
-		}
-	}
+	h := bits.RotateLeft64(h0, 1) + bits.RotateLeft64(h1, 7) + bits.RotateLeft64(h2, 12) + bits.RotateLeft64(h3, 18)
+	h ^= h >> 33
+	h *= hashMulB
+	h ^= h >> 29
+	h *= hashMulC
+	h ^= h >> 32
 	return h
+}
+
+// The multipliers are odd (so multiplication is invertible mod 2^64) with
+// about half their bits set; the seeds are non-zero (zero is the step's fixed
+// point under zero words) and keep the four lanes of an all-zero matrix apart.
+const (
+	hashMulA = 0x9E3779B185EBCA87
+	hashMulB = 0xC2B2AE3D27D4EB4F
+	hashMulC = 0x165667B19E3779F9
+
+	hashSeed0 = 0x60EA27EEADC0B5D6
+	hashSeed1 = 0xC2B2AE3D27D4EB4F
+	hashSeed2 = 0x165667B19E3779F9
+	hashSeed3 = 0x61C8864E7A143579
+)
+
+// hashStep folds word x into lane h.
+func hashStep(h, x uint64) uint64 {
+	return bits.RotateLeft64(h+x*hashMulB, 31) * hashMulA
 }
 
 // HasNaN reports whether any element of m is NaN or infinite.

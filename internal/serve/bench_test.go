@@ -183,3 +183,74 @@ func BenchmarkServeCoalescedSolveBinary(b *testing.B) {
 		})
 	}
 }
+
+// --- the cold tall-skinny frame request ---------------------------------------
+//
+// The shape the benchmark's serve-cold-tall workload sends: a binary /v1/solve
+// carrying a 4096×128 matrix (4 MiB of float64) nobody has seen, so the
+// request pays body read, frame decode, content hash, factorization and
+// solve. Each request is a new row rotation of one matrix: a new key, the
+// same answer.
+
+const coldRows, coldCols = 4096, 128
+
+// coldTall is the matrix, the right-hand side A·x it is solved against, and
+// the frame reused across rotations.
+type coldTall struct {
+	data, b []float64
+	rotA    []float64
+	rotB    []float64
+	frame   []byte
+}
+
+func newColdTall() *coldTall {
+	c := &coldTall{data: testMatrix(4096128, coldRows, coldCols, 1)}
+	x := make([]float64, coldCols)
+	for j := range x {
+		x[j] = float64(j%11) - 5
+	}
+	c.b = matVecData(coldRows, coldCols, c.data, x)
+	c.rotA = make([]float64, len(c.data))
+	c.rotB = make([]float64, coldRows)
+	return c
+}
+
+// rotated returns the solve frame for the matrix and b rotated down by r
+// rows. The frame is rebuilt in place: it is only valid until the next call.
+func (c *coldTall) rotated(tb testing.TB, r int) []byte {
+	rot := func(dst, src []float64) {
+		copy(dst, src[len(src)-r:])
+		copy(dst[r:], src[:len(src)-r])
+	}
+	for j := 0; j < coldCols; j++ {
+		rot(c.rotA[j*coldRows:(j+1)*coldRows], c.data[j*coldRows:(j+1)*coldRows])
+	}
+	rot(c.rotB, c.b)
+	var err error
+	c.frame, err = wirefmt.AppendFrame(c.frame[:0], wirefmt.JSONSection([]byte("{}")),
+		wirefmt.MatrixSection(coldRows, coldCols, c.rotA), wirefmt.VectorSection(c.rotB))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c.frame
+}
+
+// BenchmarkServeColdTallFrame4096x128 is the in-process referee for the
+// inbound half of a cold request (the benchmark's serve-cold-tall drives the
+// same request through a daemon): B/op is what the request allocates, the
+// client's frame assembly excluded.
+func BenchmarkServeColdTallFrame4096x128(b *testing.B) {
+	s := New(Options{})
+	defer s.Close()
+	h := s.Handler()
+	c := newColdTall()
+	b.ReportAllocs()
+	b.SetBytes(int64(8 * coldRows * coldCols))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		frame := c.rotated(b, 1+37*i%(coldRows-1))
+		b.StartTimer()
+		benchPostFrame(b, h, "/v1/solve", frame)
+	}
+}

@@ -12,8 +12,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tcqr/internal/cluster"
 	"tcqr/internal/wirefmt"
@@ -635,6 +637,117 @@ func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 		t.Logf("race build: skipping pooled-byte margin (race mode drops 1/4 of Pool.Puts)")
 	} else if binBytes+3000 >= jsonBytes {
 		t.Fatalf("binary cache-hit solve allocates %d heap bytes/request vs %d for JSON; the zero-copy path has regressed", binBytes, jsonBytes)
+	}
+}
+
+// spyBody is a request body that remembers where the server asked for its
+// first bytes to be put: the start of the buffer the frame was read into.
+type spyBody struct {
+	r   *bytes.Reader
+	dst []byte
+}
+
+func (s *spyBody) Read(p []byte) (int, error) {
+	if s.dst == nil && len(p) > 0 {
+		s.dst = p
+	}
+	return s.r.Read(p)
+}
+
+// postSpiedFrame posts frame to /v1/solve with a declared length and returns
+// the response with the buffer the server read the frame into.
+func postSpiedFrame(t *testing.T, h http.Handler, frame []byte) (*httptest.ResponseRecorder, []byte) {
+	t.Helper()
+	body := &spyBody{r: bytes.NewReader(frame)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/solve", body)
+	req.ContentLength = int64(len(frame))
+	req.Header.Set("Content-Type", wirefmt.ContentType)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != 200 {
+		t.Fatalf("solve: code=%d body=%q", rec.Code, rec.Body.String())
+	}
+	return rec, body.dst[:cap(body.dst)]
+}
+
+// TestColdFrameSolveAllocBytes holds the two halves of the adopt rule
+// (decodeFrame). A frame too large for wirefmt's pool is read once, into a
+// buffer of exactly its size, and the cached matrix keeps that buffer: a
+// cold 4096×128 solve allocates at most 3.6× its 4 MiB matrix payload (the
+// frame, the float32 narrowing, Q, and the factorization's workspace; it was
+// 6.3× with the read buffer regrown and the matrix copied out of it). A frame
+// the pool will recycle is still copied out of: nothing cached may view it.
+func TestColdFrameSolveAllocBytes(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+
+	c := newColdTall()
+	const payload = 8 * coldRows * coldCols
+	postSpiedFrame(t, h, c.rotated(t, 1)) // warm: pools, lazily built tables
+	const iters = 3
+	var total uint64
+	for i := 0; i < iters; i++ {
+		frame := c.rotated(t, 2+i)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec, buf := postSpiedFrame(t, h, frame)
+		runtime.ReadMemStats(&after)
+		total += after.TotalAlloc - before.TotalAlloc
+		var meta solveMeta
+		decodeFrameResp(t, rec, &meta)
+		e, ok := s.cache.Get(meta.Key)
+		if !ok {
+			t.Fatalf("cold solve %d left no entry under %q", i, meta.Key)
+		}
+		if len(buf) != len(frame) {
+			t.Fatalf("a %d-byte frame was read into a %d-byte buffer", len(frame), len(buf))
+		}
+		if lo, hi, at := uintptr(unsafe.Pointer(&buf[0])), uintptr(unsafe.Pointer(&buf[len(buf)-1])), uintptr(unsafe.Pointer(&e.A.Data[0])); at < lo || at > hi {
+			t.Fatalf("cold solve %d copied its matrix out of a frame buffer nothing will reuse", i)
+		}
+	}
+	perReq := total / iters
+	t.Logf("cold %dx%d frame solve: %d bytes allocated per request, %.2fx the matrix payload", coldRows, coldCols, perReq, float64(perReq)/payload)
+	// Race builds skip the byte gate, not the adoption check above: the race
+	// runtime drops a quarter of sync.Pool.Puts, so the factorization's pooled
+	// workspace is randomly reallocated.
+	if raceEnabled {
+		t.Logf("race build: skipping the byte gate (race mode drops 1/4 of Pool.Puts)")
+	} else if perReq > payload*36/10 {
+		t.Fatalf("cold frame solve allocates %d bytes per request, %.2fx its %d-byte matrix payload; the gate is 3.6x",
+			perReq, float64(perReq)/payload, payload)
+	}
+
+	// Under the pool cap: poison the buffer the frame was read into once the
+	// request is over, as its next user would. The cached entry must not care.
+	m, n := 64, 16
+	data := testMatrix(21, m, n, 1)
+	b := matVecData(m, n, data, make([]float64, n))
+	for i := range b {
+		b[i] += float64(i%5) - 2
+	}
+	small := frameBody(t, map[string]any{}, wirefmt.MatrixSection(m, n, data), wirefmt.VectorSection(b))
+	rec, buf := postSpiedFrame(t, h, small)
+	var first solveMeta
+	x1 := append([]float64(nil), decodeFrameResp(t, rec, &first)[1].Float64s()...)
+	if wirefmt.TooLargeToPool(buf) {
+		t.Fatalf("test plumbing: a %d-byte frame landed in an unpoolable %d-byte buffer", len(small), cap(buf))
+	}
+	for i := range buf {
+		buf[i] = 0xFF
+	}
+	rec = postFrame(t, h, "/v1/solve", frameBody(t, map[string]any{"key": first.Key}, wirefmt.VectorSection(b)), "")
+	var byKey solveMeta
+	x2 := decodeFrameResp(t, rec, &byKey)[1].Float64s()
+	if rec.Code != 200 || !byKey.Cached || !slices.Equal(x1, x2) {
+		t.Fatalf("solve by key after the frame buffer was reused: code=%d meta %+v; x differs: %v", rec.Code, byKey, !slices.Equal(x1, x2))
+	}
+	rec = postFrame(t, h, "/v1/solve", small, "")
+	var again solveMeta
+	decodeFrameResp(t, rec, &again)
+	if again.Key != first.Key || !again.Cached || s.cache.Stats().KeyCollisions != 0 {
+		t.Fatalf("the same frame again: meta %+v, %d collisions; the cached matrix changed under its key", again, s.cache.Stats().KeyCollisions)
 	}
 }
 

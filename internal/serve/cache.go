@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 
@@ -10,9 +11,12 @@ import (
 )
 
 // CacheKey derives the content-addressed cache key for factoring a under
-// cfg: the 64-bit content hash of the matrix (shape + every element) plus a
-// fingerprint of every Config field the factorization depends on. Two
-// requests get the same key exactly when Factorize would do identical work.
+// cfg: the 64-bit content hash of the matrix (shape + every element, see
+// dense.Matrix.Hash64) plus a fingerprint of every Config field the
+// factorization depends on. Two requests that would make Factorize do
+// identical work get the same key. The converse is a 64-bit non-cryptographic
+// hash's word and no more: the key is a name, not a proof, and every lookup
+// that resolves one for a matrix compares the matrix (GetOrFactor).
 func CacheKey(a *tcqr.Matrix, cfg tcqr.Config) string {
 	return fmt.Sprintf("m%016x-%s", a.Hash64(), configFingerprint(cfg))
 }
@@ -65,6 +69,51 @@ func baseKey(key string) string {
 		return key[:i]
 	}
 	return key
+}
+
+// Verified content addressing: a content key names an entry, the entry's A
+// proves it. When the name is taken by another matrix — a hash collision,
+// chance or crafted — the request resolves under the next salted name,
+// key~1 … key~maxKeySalt, each verified the same way; with all of them taken
+// by other matrices it is factored and answered but not cached. A salted name
+// is an ordinary key from then on (its own update series, its own spill
+// file); CacheKey output never contains '~'.
+const maxKeySalt = 3
+
+func saltedKey(key string, salt int) string {
+	if salt == 0 {
+		return key
+	}
+	return fmt.Sprintf("%s~%d", key, salt)
+}
+
+// ownerKey is the part of key that cluster ownership hashes: the content key
+// without salt or epoch, so a collided matrix and every epoch of its series
+// live on the owners its content-keyed requests route to.
+func ownerKey(key string) string {
+	if i := strings.IndexAny(key, "~@"); i >= 0 {
+		return key[:i]
+	}
+	return key
+}
+
+// sameMatrix reports whether a and b have one shape and the same bits in
+// every element: -0 is not +0 here and a NaN equals itself, which is what
+// "the matrix this key was derived from" means (dense.Equal says the
+// opposite on both). About 0.1 ms per MB.
+func sameMatrix(a, b *tcqr.Matrix) bool {
+	if a.Rows != b.Rows || a.Cols != b.Cols {
+		return false
+	}
+	for j := 0; j < a.Cols; j++ {
+		ca, cb := a.Col(j), b.Col(j)
+		for i, v := range ca {
+			if math.Float64bits(v) != math.Float64bits(cb[i]) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Entry is one cached factorization together with the float64 matrix it
@@ -125,6 +174,9 @@ type CacheStats struct {
 	Retired int64 `json:"retired"`
 	// Rewarmed counts entries adopted from the disk spill tier at startup.
 	Rewarmed int64 `json:"rewarmed"`
+	// KeyCollisions counts content-keyed lookups that found their name held
+	// by a different matrix and moved on to the next salted name.
+	KeyCollisions int64 `json:"key_collisions"`
 }
 
 // FactorCache is a content-hash-keyed exact-LRU cache of factorizations
@@ -161,6 +213,7 @@ type FactorCache struct {
 	updates  int64
 	retired  int64
 	rewarmed int64
+	collided int64
 	inflight map[string]*flight
 }
 
@@ -213,8 +266,10 @@ func (l *lruList) moveFront(e *Entry) {
 	l.pushFront(e)
 }
 
-// flight is one in-progress factorization that followers wait on.
+// flight is one in-progress factorization of a that followers carrying the
+// same matrix wait on.
 type flight struct {
+	a     *tcqr.Matrix
 	done  chan struct{}
 	entry *Entry
 	err   error
@@ -264,31 +319,80 @@ func (c *FactorCache) lookupLocked(key string, exact bool) *Entry {
 	return c.entries[key]
 }
 
-// hitLocked is the counted lookup: a found entry is promoted to most recently
-// used. c.mu must be held.
-func (c *FactorCache) hitLocked(key string, exact bool) *Entry {
-	e := c.lookupLocked(key, exact)
+// Get returns the cached entry a client-named key resolves to (bare key →
+// newest epoch), if present, counting a hit and promoting it to most recently
+// used. The client named the entry; nothing is compared.
+func (c *FactorCache) Get(key string) (*Entry, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.lookupLocked(key, false)
 	if e != nil {
 		c.lru.moveFront(e)
 		c.hits++
 	}
-	return e
-}
-
-func (c *FactorCache) hit(key string, exact bool) (*Entry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.hitLocked(key, exact)
 	return e, e != nil
 }
 
-// Get returns the cached entry a client-named key resolves to (bare key →
-// newest epoch), if present, promoting it to most recently used.
-func (c *FactorCache) Get(key string) (*Entry, bool) { return c.hit(key, false) }
+// GetExact is the cache-only half of GetOrFactor: the entry that key, derived
+// from a, names for a — verified, so through the salted names when another
+// matrix holds the plain one — or false.
+func (c *FactorCache) GetExact(key string, a *tcqr.Matrix) (*Entry, bool) {
+	_, e, _ := c.resolve(key, a, nil)
+	return e, e != nil
+}
 
-// GetExact is Get for a key derived from the request's own matrix: the
-// cache-only half of GetOrFactor.
-func (c *FactorCache) GetExact(key string) (*Entry, bool) { return c.hit(key, true) }
+// resolve walks key's salted names to the first that is a's or nobody's and
+// returns it: with the entry stored there (a hit, counted and promoted), or
+// with the flight factoring a there (joined, counted as shared), or — the
+// name was free — with lead, registered under it and counted as a miss when
+// lead is non-nil. Every name held by another matrix is a counted collision,
+// and name "" means all of them were. The comparisons run outside the lock:
+// an entry's and a flight's matrix are immutable, and half a millisecond per
+// 4 MB is long to hold up every other lookup.
+func (c *FactorCache) resolve(key string, a *tcqr.Matrix, lead *flight) (name string, e *Entry, fl *flight) {
+	for salt := 0; salt <= maxKeySalt; salt++ {
+		name = saltedKey(key, salt)
+		c.mu.Lock()
+		e = c.lookupLocked(name, true)
+		if lead != nil {
+			fl = c.inflight[name]
+		}
+		if e == nil && fl == nil {
+			if lead != nil {
+				c.inflight[name] = lead
+				c.misses++
+			}
+			c.mu.Unlock()
+			return name, nil, lead
+		}
+		c.mu.Unlock()
+		var same bool
+		if e != nil {
+			same = sameMatrix(e.A, a)
+		} else {
+			same = sameMatrix(fl.a, a)
+		}
+		c.mu.Lock()
+		switch {
+		case !same:
+			c.collided++
+		case e != nil:
+			// An entry evicted since the lookup above has lost its list links;
+			// it still answers this request.
+			if c.entries[name] == e {
+				c.lru.moveFront(e)
+			}
+			c.hits++
+		default:
+			c.shared++
+		}
+		c.mu.Unlock()
+		if same {
+			return name, e, fl
+		}
+	}
+	return "", nil, nil
+}
 
 // Peek reports whether key is resolvable (exactly, or by key as Get does)
 // without promoting it or counting a hit. The cluster router uses it: a
@@ -299,65 +403,71 @@ func (c *FactorCache) Peek(key string, exact bool) bool {
 	return c.lookupLocked(key, exact) != nil
 }
 
-// GetOrFactor returns the entry stored under key, factoring a under cfg on a
-// miss. Concurrent misses for the same key are deduplicated: one caller
-// factors (SourceMiss), the rest wait for its result (SourceShared). The
-// caller must pass the same (a, cfg) it derived key from; the lookup is
-// exact, so the returned entry always factors a.
+// GetOrFactor returns the entry that factors a under cfg, factoring it on a
+// miss; key must be CacheKey(a, cfg). Concurrent misses are deduplicated: one
+// caller factors (SourceMiss), the rest wait for its result (SourceShared).
+// The returned entry's A is a bit for bit — an entry or a flight that holds
+// key for another matrix is a counted collision, and the request resolves
+// under the next salted name (so Entry.Key, not key, is what addresses the
+// result afterwards). With every name taken the matrix is factored and
+// answered uncached: the entry has no key and lives as long as its holder.
 func (c *FactorCache) GetOrFactor(key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
-	c.mu.Lock()
-	if e := c.hitLocked(key, true); e != nil {
-		c.mu.Unlock()
+	lead := &flight{a: a, done: make(chan struct{})}
+	name, e, fl := c.resolve(key, a, lead)
+	switch {
+	case e != nil:
 		return e, SourceHit, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
-		c.shared++
+	case name == "":
+		c.mu.Lock()
+		c.misses++
 		c.mu.Unlock()
+		c.factor(lead, "", cfg)
+		return lead.entry, SourceMiss, lead.err
+	case fl != lead:
 		<-fl.done
 		return fl.entry, SourceShared, fl.err
 	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.misses++
-	c.mu.Unlock()
 
 	// Leader path: factor outside the lock (this is the expensive call the
-	// whole cache exists to amortize). A panicking backend is converted to
-	// an error rather than unwinding: the flight must always resolve, or
-	// every singleflight follower parked on fl.done would hang forever.
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				fl.err = fmt.Errorf("serve: panic during factorize: %v", r)
-			}
-		}()
-		// Failpoint: a panic here is recovered into fl.err exactly like a
-		// panicking backend, an error poisons this flight only (the next
-		// request retries the factorization — errors are never cached).
-		if err := faultinject.Fire(siteCacheFactorize); err != nil {
-			fl.err = err
-			return
-		}
-		f, err := c.backend.Factorize(tcqr.ToFloat32(a), cfg)
-		if err == nil {
-			fl.entry = &Entry{Key: key, A: a, F: f, Config: cfg}
-			fl.entry.bytes = fl.entry.sizeBytes()
-		} else {
-			fl.err = err
-		}
-	}()
-
+	// whole cache exists to amortize).
+	c.factor(lead, name, cfg)
 	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.entry != nil {
-		c.insertLocked(fl.entry)
+	delete(c.inflight, name)
+	if lead.entry != nil {
+		c.insertLocked(lead.entry)
 	}
 	c.mu.Unlock()
-	close(fl.done)
-	if fl.entry != nil && c.spill != nil {
-		c.spill.Enqueue(fl.entry)
+	close(lead.done)
+	if lead.entry != nil && c.spill != nil {
+		c.spill.Enqueue(lead.entry)
 	}
-	return fl.entry, SourceMiss, fl.err
+	return lead.entry, SourceMiss, lead.err
+}
+
+// factor runs fl's factorization and fills in its entry, keyed name, or its
+// error. A panicking backend is converted to an error rather than unwinding:
+// the flight must always resolve, or every singleflight follower parked on
+// fl.done would hang forever.
+func (c *FactorCache) factor(fl *flight, name string, cfg tcqr.Config) {
+	defer func() {
+		if r := recover(); r != nil {
+			fl.err = fmt.Errorf("serve: panic during factorize: %v", r)
+		}
+	}()
+	// Failpoint: a panic here is recovered into fl.err exactly like a
+	// panicking backend, an error poisons this flight only (the next
+	// request retries the factorization — errors are never cached).
+	if err := faultinject.Fire(siteCacheFactorize); err != nil {
+		fl.err = err
+		return
+	}
+	f, err := c.backend.Factorize(tcqr.ToFloat32(fl.a), cfg)
+	if err != nil {
+		fl.err = err
+		return
+	}
+	fl.entry = &Entry{Key: name, A: fl.a, F: f, Config: cfg}
+	fl.entry.bytes = fl.entry.sizeBytes()
 }
 
 // BeginUpdate returns the newest epoch of key's series and latches the
@@ -566,5 +676,6 @@ func (c *FactorCache) Stats() CacheStats {
 		Updates:            c.updates,
 		Retired:            c.retired,
 		Rewarmed:           c.rewarmed,
+		KeyCollisions:      c.collided,
 	}
 }

@@ -114,10 +114,11 @@ func (s *Server) clusterRoute(rc *reqScope, rt route) (cands []cluster.Member, r
 		n.NoteRoute(cluster.DecisionLocalHit)
 		return nil, false
 	}
-	// Ownership hashes the base key: every epoch of an updated series maps
-	// to the same owners, so updates and solves-by-key stay co-located no
-	// matter which key form the client sends.
-	owners := n.Owners(baseKey(rt.key))
+	// Ownership hashes the content key alone: every epoch of an updated
+	// series, and a matrix that resolved under a salted name, map to the
+	// owners the content-keyed request was routed to, so updates and
+	// solves-by-key stay co-located no matter which key form the client sends.
+	owners := n.Owners(ownerKey(rt.key))
 	if !rt.keyOnly {
 		for _, m := range owners {
 			if n.IsSelf(m) {

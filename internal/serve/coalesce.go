@@ -48,11 +48,13 @@ type solveWaiter struct {
 }
 
 // solveFingerprint keys batch compatibility: requests may share a multi-RHS
-// call only when the refinement would be configured identically. The
-// tolerance is compared by its bits, so a NaN still equals itself and cannot
-// strand a map entry.
+// call only when they resolved the same entry — the pointer, not its key: a
+// name can pass to another matrix once its entry is evicted (cache.go), and
+// an uncached entry has none — and the refinement would be configured
+// identically. The tolerance is compared by its bits, so a NaN still equals
+// itself and cannot strand a map entry.
 type solveFingerprint struct {
-	key      string
+	entry    *Entry
 	method   tcqr.RefineMethod
 	tolBits  uint64
 	maxIters int
@@ -131,7 +133,7 @@ func NewCoalescer(maxBatch int, be Backend, run func(fn func()) error) *Coalesce
 // the outcome is discarded).
 func (c *Coalescer) Submit(ctx context.Context, entry *Entry, opts tcqr.SolveOptions, b []float64) solveOutcome {
 	w := &solveWaiter{b: b, at: time.Now(), ch: make(chan solveOutcome, 1)}
-	fp := solveFingerprint{key: entry.Key, method: opts.Method, tolBits: math.Float64bits(opts.Tol),
+	fp := solveFingerprint{entry: entry, method: opts.Method, tolBits: math.Float64bits(opts.Tol),
 		maxIters: opts.MaxIterations, onHazard: opts.OnHazard}
 
 	c.mu.Lock()

@@ -72,9 +72,10 @@ func wantsFrameResponse(r *http.Request, frameReq bool) bool {
 // otherwise. Exactly one of mat and vec is set.
 type bulkField struct {
 	name string // JSON member name
-	// mat is a matrix section. Decoding copies it out of the frame: matrices
-	// outlive the request (factorization cache, upload session, published
-	// epoch) and the pooled frame buffer must not.
+	// mat is a matrix section. Matrices outlive the request (factorization
+	// cache, upload session, published epoch) and a pooled frame buffer must
+	// not, so decoding copies the section out of one — and lets the matrix
+	// keep a buffer the pool will never see again (decodeFrame's adopt rule).
 	mat **WireMatrix
 	// vec is a vector section. Decoding binds it as a zero-copy view of the
 	// frame, so the frame buffer must live as long as the request does.
@@ -167,21 +168,19 @@ func decodeJSON(r io.Reader, v any) *apiError {
 // request body in whichever encoding admit negotiated. A frame body is read
 // into a pooled buffer; when v ends up viewing it (a vector section) the
 // buffer is parked on rc until the response is written, otherwise it is
-// recycled here.
+// recycled here — a no-op for a buffer too large to pool, which is what lets
+// a matrix section keep one (decodeFrame).
 func (rc *reqScope) decodeRequest(r *http.Request, v any) *apiError {
+	t0 := time.Now()
+	defer func() { rc.stages.add(stageDecode, time.Since(t0)) }()
 	if !rc.binReq {
 		return decodeJSON(r.Body, v)
 	}
-	hint := int(r.ContentLength)
-	if hint <= 0 {
-		hint = 16 << 10
-	}
-	buf := bytes.NewBuffer(wirefmt.GetBuffer(hint))
-	if _, err := io.Copy(buf, r.Body); err != nil {
-		wirefmt.PutBuffer(buf.Bytes())
+	body, err := readBody(r)
+	if err != nil {
+		wirefmt.PutBuffer(body)
 		return errBadInput("reading frame body: " + err.Error())
 	}
-	body := buf.Bytes()
 	aliased, aerr := decodeFrame(rc.endpoint, body, v)
 	if aerr == nil && aliased {
 		rc.bodyBuf = body
@@ -191,12 +190,38 @@ func (rc *reqScope) decodeRequest(r *http.Request, v any) *apiError {
 	return aerr
 }
 
+// readBody reads the whole request body into a wirefmt buffer. A declared
+// length (admit has held it to MaxBodyBytes) is read into a buffer of exactly
+// that size: a reader that grows as it goes must see spare room to learn it
+// has reached the end, and the body's last Read rarely carries EOF with it,
+// so a buffer sized to the body used to be reallocated at twice the size and
+// copied at the very end. A body of unknown length starts at the pool's
+// default and grows.
+func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 {
+		buf := wirefmt.GetBuffer(int(n))[:n]
+		_, err := io.ReadFull(r.Body, buf)
+		return buf, err
+	}
+	buf := bytes.NewBuffer(wirefmt.GetBuffer(16 << 10))
+	_, err := buf.ReadFrom(r.Body)
+	return buf.Bytes(), err
+}
+
 // decodeFrame maps a frame — [JSON meta, bulk sections…] plus the trailing
 // forward section a peer appends (see cluster.go) — onto v, following v's
 // own layout. The metadata is decoded under the same strict contract, and
 // through the same failpoint, as a JSON body. It reports whether v now views
 // body (see bulkField.vec): the caller must then keep body alive until
 // nothing can read v.
+//
+// The adopt rule: a matrix section views body instead of copying out of it
+// when body is too large for wirefmt's pool — nothing will ever recycle it,
+// it is garbage once the request ends anyway — and the section is more than
+// half of it, so what the matrix pins beyond its own bytes (the rest of the
+// frame: headers, metadata, b) is less than the matrix again, and for the
+// frames this is for (one big matrix and a vector) under one percent.
+// Anything smaller keeps the copy and the pool.
 func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError) {
 	var scratch [wirefmt.MaxSections]wirefmt.Section
 	secs, err := wirefmt.Decode(body, scratch[:0])
@@ -228,11 +253,11 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 		switch {
 		case len(rest) > 0 && rest[0].Tag == f.tag():
 			if f.mat != nil {
-				f.set(&WireMatrix{
-					Rows: int(rest[0].A),
-					Cols: int(rest[0].B),
-					Data: append([]float64(nil), rest[0].Float64s()...),
-				}, nil)
+				data := rest[0].Float64s()
+				if !wirefmt.TooLargeToPool(body) || 2*len(rest[0].Raw) <= cap(body) {
+					data = append([]float64(nil), data...)
+				}
+				f.set(&WireMatrix{Rows: int(rest[0].A), Cols: int(rest[0].B), Data: data}, nil)
 			} else {
 				f.set(nil, rest[0].Float64s())
 				aliased = true

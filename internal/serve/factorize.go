@@ -49,14 +49,26 @@ func (s *Server) resolveMatrix(wm *WireMatrix) (*tcqr.Matrix, *apiError) {
 	return a, nil
 }
 
+// contentKey derives the cache key of a request that carries its matrix,
+// charged to the key stage.
+func (rc *reqScope) contentKey(a *tcqr.Matrix, cfg tcqr.Config) string {
+	t0 := time.Now()
+	key := CacheKey(a, cfg)
+	rc.stages.add(stageKey, time.Since(t0))
+	return key
+}
+
 // factorEntry runs GetOrFactor through the pool under the retry policy,
-// charging queue and (on non-hit sources) factorize stage time plus the
-// panel counter for factorizations actually performed. While the server is
+// charging queue and key (a hit) or factorize (anything else) stage time plus
+// the panel counter for factorizations actually performed. While the server is
 // degraded only the cache answers: a resident factorization is served as a
 // hit, anything cold is rejected with 503 + Retry-After.
 func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
 	if rem, deg := s.brk.degraded(); deg {
-		if e, ok := s.cache.GetExact(key); ok {
+		t0 := time.Now()
+		e, ok := s.cache.GetExact(key, a)
+		rc.stages.add(stageKey, time.Since(t0))
+		if ok {
 			return e, SourceHit, nil
 		}
 		s.brk.rejected.Add(1)
@@ -74,7 +86,11 @@ func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *t
 		if perr != nil {
 			return perr
 		}
-		if src != SourceHit {
+		// A hit's time on the worker is the comparison of a with the entry's
+		// matrix.
+		if src == SourceHit {
+			rc.stages.add(stageKey, took)
+		} else {
 			rc.stages.add(stageFactorize, took)
 		}
 		if src == SourceMiss {
@@ -104,7 +120,7 @@ func (s *Server) serveFactorize(rc *reqScope, w http.ResponseWriter, r *http.Req
 	}
 	ctx, cancel := s.requestContext(r, req.DeadlineMS)
 	defer cancel()
-	key := CacheKey(a, cfg)
+	key := rc.contentKey(a, cfg)
 	rc.key = key
 	if s.forward(w, rc, ctx, route{path: "/v1/factorize", key: key, cold: true}, &req) {
 		return nil
@@ -123,9 +139,12 @@ func (s *Server) factorizeReply(w http.ResponseWriter, rc *reqScope, ctx context
 	if src == SourceMiss {
 		s.clusterReplicate(key, a, wcfg)
 	}
+	// The entry's own key addresses it from here on: key itself, unless that
+	// name was another matrix's (a salted name, or none for an uncached one).
+	rc.key = entry.Key
 	f := entry.F
 	return rc.ok(w, &factorizeResponse{
-		Key:              key,
+		Key:              entry.Key,
 		Rows:             a.Rows,
 		Cols:             a.Cols,
 		Cached:           src == SourceHit,

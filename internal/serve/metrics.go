@@ -34,7 +34,7 @@ type serverMetrics struct {
 	hotWireRespJSON   *metrics.Counter
 	hotWireRespBinary *metrics.Counter
 
-	stageSeconds *metrics.HistogramVec // queue/factorize/solve/encode
+	stageSeconds *metrics.HistogramVec // by stage (stageNames)
 	batchSize    *metrics.Histogram    // coalesced batch sizes
 
 	// Chunked-upload session lifecycle counters. begun = committed + aborted
@@ -204,6 +204,9 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("tcqrd_cache_singleflight_shared_total",
 		"Requests that piggybacked on another request's in-flight factorization.",
 		func() int64 { return s.cache.Stats().SingleflightShared })
+	reg.CounterFunc("tcqrd_cache_key_collisions_total",
+		"Content-keyed lookups that found their key naming a different matrix and resolved under a salted key.",
+		func() int64 { return s.cache.Stats().KeyCollisions })
 	reg.CounterFunc("tcqrd_update_epochs_total",
 		"Epochs published through /v1/update.",
 		func() int64 { return s.cache.Stats().Updates })

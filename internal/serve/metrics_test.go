@@ -80,7 +80,7 @@ func TestMetricsEndpointExposesTraffic(t *testing.T) {
 	if !strings.Contains(text, `tcqrd_engine_gemm_calls_total{engine="tc"`) {
 		t.Errorf("no tc engine GEMM calls recorded:\n%s", text)
 	}
-	for _, stage := range []string{"queue", "factorize", "solve", "encode"} {
+	for _, stage := range []string{"decode", "key", "queue", "factorize", "solve", "encode"} {
 		if !strings.Contains(text, fmt.Sprintf(`tcqrd_stage_duration_seconds_count{stage=%q} `, stage)) {
 			t.Errorf("stage %q missing from latency histograms", stage)
 		}
@@ -229,10 +229,10 @@ func TestServerTimingHeaderContract(t *testing.T) {
 	// stage charged zero time is still reported, and the text is exactly the
 	// "name;dur=ms" list clients and the benchmark parse.
 	var all stageClock
-	for _, st := range []stage{stageForward, stageEncode, stageUpdate, stageSolve, stageQueue, stageFactorize} {
+	for _, st := range []stage{stageForward, stageEncode, stageKey, stageUpdate, stageSolve, stageQueue, stageDecode, stageFactorize} {
 		all.add(st, time.Duration(st)*time.Millisecond)
 	}
-	want := "queue;dur=0.000, factorize;dur=1.000, solve;dur=2.000, encode;dur=3.000, update;dur=4.000, forward;dur=5.000"
+	want := "decode;dur=0.000, key;dur=1.000, queue;dur=2.000, factorize;dur=3.000, solve;dur=4.000, encode;dur=5.000, update;dur=6.000, forward;dur=7.000"
 	if got := all.header(); got != want {
 		t.Errorf("header = %q, want %q", got, want)
 	}

@@ -425,11 +425,15 @@ func TestSolveByKeyAccuracy(t *testing.T) {
 		t.Fatalf("solution error %g > 1e-6 (optimality %g)", d, sr.Optimality)
 	}
 	st := hdr.Get("Server-Timing")
-	if !strings.Contains(st, "queue;dur=") || !strings.Contains(st, "solve;dur=") || !strings.Contains(st, "encode;dur=") {
-		t.Fatalf("Server-Timing %q missing queue/solve/encode stages", st)
+	if !strings.Contains(st, "decode;dur=") || !strings.Contains(st, "queue;dur=") || !strings.Contains(st, "solve;dur=") || !strings.Contains(st, "encode;dur=") {
+		t.Fatalf("Server-Timing %q missing decode/queue/solve/encode stages", st)
+	}
+	// A solve by key hashes nothing and compares nothing.
+	if strings.Contains(st, "key;dur=") {
+		t.Fatalf("Server-Timing %q charges a key stage to a solve by key", st)
 	}
 	// The stages must appear in canonical pipeline order.
-	if qi, si := strings.Index(st, "queue;"), strings.Index(st, "solve;"); qi > si {
+	if di, qi, si := strings.Index(st, "decode;"), strings.Index(st, "queue;"), strings.Index(st, "solve;"); di > qi || qi > si {
 		t.Fatalf("Server-Timing %q out of order", st)
 	}
 }
@@ -1103,7 +1107,7 @@ func TestStatzShape(t *testing.T) {
 	if statz.Pool.Workers != 2 || statz.Pool.Completed < 1 {
 		t.Fatalf("pool stats %+v", statz.Pool)
 	}
-	for _, stage := range []string{"queue", "factorize", "solve", "encode"} {
+	for _, stage := range []string{"decode", "key", "queue", "factorize", "solve", "encode"} {
 		agg, ok := statz.Timing[stage]
 		if !ok || agg.Count < 1 {
 			t.Fatalf("timing stage %q missing or empty: %+v", stage, statz.Timing)

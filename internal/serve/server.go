@@ -365,6 +365,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 	if s.draining.Load() {
 		return rc, ErrDraining
 	}
+	// A declared length over the cap is refused on the declaration: the frame
+	// decoder sizes its buffer from it, and the reader below only caps what
+	// is read.
+	if r.ContentLength > s.opts.MaxBodyBytes {
+		return rc, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+			msg: fmt.Sprintf("request body of %d bytes exceeds the server's %d-byte cap", r.ContentLength, s.opts.MaxBodyBytes)}
+	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	return rc, nil
 }

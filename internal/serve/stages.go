@@ -14,7 +14,12 @@ import (
 type stage uint8
 
 const (
-	stageQueue stage = iota
+	// stageDecode is the body read plus the frame or JSON decode; stageKey is
+	// the content hash of a request that carries its matrix plus, on a hit,
+	// the comparison of that matrix with the entry's.
+	stageDecode stage = iota
+	stageKey
+	stageQueue
 	stageFactorize
 	stageSolve
 	stageEncode
@@ -23,7 +28,7 @@ const (
 	numStages
 )
 
-var stageNames = [numStages]string{"queue", "factorize", "solve", "encode", "update", "forward"}
+var stageNames = [numStages]string{"decode", "key", "queue", "factorize", "solve", "encode", "update", "forward"}
 
 // stageClock is one request's stage breakdown: a duration per stage, summed
 // when a stage is charged twice (a solve that factored waits in the queue
@@ -34,7 +39,7 @@ type stageClock struct {
 	d [numStages]time.Duration
 	// charged has bit st set once stage st was charged: a stage that took
 	// zero time is still reported, one that never ran is not.
-	charged uint8
+	charged uint16
 }
 
 func (c *stageClock) add(st stage, d time.Duration) {

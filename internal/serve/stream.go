@@ -313,7 +313,7 @@ func (s *Server) serveStreamCommit(rc *reqScope, w http.ResponseWriter, r *http.
 	// upload: same key derivation, same cache/pool/retry/degraded pipeline,
 	// same replica fan-out, same response envelope. Only routing differs: the
 	// commit always runs locally — sessions are node-local state.
-	key := CacheKey(a, ss.cfg)
+	key := rc.contentKey(a, ss.cfg)
 	rc.key = key
 	return s.factorizeReply(w, rc, ctx, key, a, ss.cfg, ss.wcfg)
 }

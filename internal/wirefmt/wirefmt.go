@@ -382,10 +382,16 @@ func GetBuffer(sizeHint int) []byte {
 	return b[:0]
 }
 
+// TooLargeToPool reports whether b is over the pool's capacity bound: such a
+// buffer never came out of the pool and PutBuffer will not put it in, so it
+// belongs to whoever still views it and the collector frees it after them.
+func TooLargeToPool(b []byte) bool { return cap(b) > maxPooledBuf }
+
 // PutBuffer recycles a buffer obtained from GetBuffer. Callers must not
-// retain views into b (including Float64s results) after releasing it.
+// retain views into b (including Float64s results) after releasing it,
+// unless TooLargeToPool(b): then this is a no-op.
 func PutBuffer(b []byte) {
-	if b == nil || cap(b) > maxPooledBuf {
+	if b == nil || TooLargeToPool(b) {
 		return
 	}
 	b = b[:0]

@@ -67,10 +67,12 @@ func ToFloat64(a *Matrix32) *Matrix { return dense.ToF64(a) }
 
 // MatrixHash64 returns a 64-bit content hash of a device matrix (shape plus
 // every element, column-major), suitable as a factorization-cache key: two
-// matrices hash equal exactly when Factorize would see identical inputs.
-// Equivalent to a.Hash64(); see dense.Matrix.Hash64 for the hashing
-// contract. Serving layers should combine it with a fingerprint of the
-// Config used, since the factorization depends on both.
+// matrices Factorize would see as identical inputs hash equal. It is a fast
+// non-cryptographic hash — a name for the contents, not a proof of them — so
+// a cache that must never confuse two matrices compares them on a hit, as
+// the serving layer does. Equivalent to a.Hash64(); see dense.Matrix.Hash64
+// for the hashing contract. Serving layers should combine it with a
+// fingerprint of the Config used, since the factorization depends on both.
 func MatrixHash64(a *Matrix32) uint64 { return a.Hash64() }
 
 // PanelAlgorithm selects the panel factorizer used below the recursion
