@@ -5,23 +5,26 @@ GO ?= go
 # The tests that hold the library pipeline to one of each stage; named so
 # they can run under -race on their own (the multi-RHS path records hazards
 # from concurrent columns into one hazard.Report).
-PIPELINE_TESTS = TestTallEnvelopeMatchesSerial|TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod
+PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod
 
 # The tests that hold the daemon to one cold-factorization path: a served
 # factor is tcqr.Factorize's, bit for bit, and no flag selects another.
 ONE_PATH_TESTS = TestServedFactorsAreLibraryFactors|TestFlagsMatchUsageComment
 
 .PHONY: build check check-race check-deep check-exhaustive check-benchmark \
-	lint fuzz chaos cluster-soak bench serve serve-smoke clean
+	lint reach fuzz chaos cluster-soak bench serve serve-smoke clean
 
 build:
 	$(GO) build ./...
 
-# Static analysis: vet always, staticcheck when installed (it is optional
-# tooling; the lint target must not depend on a network fetch). The arm64 vet
-# type-checks every *_other.go fallback of the amd64 assembly (and the tests
-# beside them), which no native build compiles; it needs no arm64 machine.
-lint:
+# Static analysis: gofmt and vet always, staticcheck when installed (it is
+# optional tooling; the lint target must not depend on a network fetch). The
+# arm64 vet type-checks every *_other.go fallback of the amd64 assembly (and
+# the tests beside them), which no native build compiles; it needs no arm64
+# machine.
+lint: reach
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
@@ -29,6 +32,17 @@ lint:
 	else \
 		echo "staticcheck skipped: not installed"; \
 	fi
+
+# Every package of the main module must be in the dependency closure of a
+# command, an example or the benchmark module (`go list -deps` reads only the
+# checkout): a package nothing runs is deleted, not kept. internal/roundtest
+# is the one exception, a helper only tests import.
+reach:
+	@reached=$$({ $(GO) list -deps ./cmd/... ./examples/... && $(GO) -C benchmark list -deps ./...; } | sort -u); \
+	orphans=$$($(GO) list ./... | grep -vx 'tcqr/internal/roundtest' | \
+		while read -r p; do echo "$$reached" | grep -qx "$$p" || echo "$$p"; done); \
+	if [ -n "$$orphans" ]; then \
+		echo "reach: no command, example or benchmark imports:"; echo "$$orphans"; exit 1; fi
 
 # Tier-1 verification: everything must build and pass. The pipeline and
 # one-path tests run once more under the race detector, which the tier-1 pass

@@ -128,7 +128,7 @@ func BenchmarkFig5_OrthoPerformance(b *testing.B) {
 	a := benchMatrix(b, 512, 128, 1e3, matgen.Geometric)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Orthonormalize(a, Config{Cutoff: 32}); err != nil {
+		if _, err := Factorize(a, Config{Cutoff: 32, ReOrthogonalize: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

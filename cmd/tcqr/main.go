@@ -1,18 +1,27 @@
-// Command tcqr is a small driver around the public tcqr API: it factors,
-// solves, orthonormalizes or low-rank-approximates a matrix on the
-// simulated neural engine and reports the accuracy metrics the paper uses.
+// Command tcqr is a small driver around the public tcqr API: it runs one of
+// six operations on a matrix on the simulated neural engine and reports the
+// accuracy metrics the paper uses:
+//
+//	qr        RGSQRF factorization: backward error, orthogonality, engine work
+//	solve     least squares by RGSQRF + refinement (Algorithm 3)
+//	linsolve  square linear system by TC-LU + iterative refinement
+//	ortho     orthonormal basis with re-orthogonalization (Section 3.3)
+//	lowrank   truncated QR-SVD approximation (Section 3.4)
+//	cond      condition-number estimate from the QR-SVD spectrum
 //
 // The matrix is either generated (-gen with -m/-n/-cond/-dist) or read
-// from a CSV file of rows (-in file.csv). For solves, the right-hand side
-// is the last CSV column or a generated consistent system.
+// from a CSV file of rows (-in file.csv). For solve and linsolve, the
+// right-hand side is the last CSV column or a generated consistent system.
 //
 // Examples:
 //
-//	tcqr -op qr    -gen -m 2048 -n 512 -cond 1e4 -dist geometric
-//	tcqr -op solve -gen -m 4096 -n 512 -cond 1e6 -dist cluster2
-//	tcqr -op ortho -gen -m 2048 -n 256 -cond 1e6
-//	tcqr -op lowrank -gen -m 8192 -n 256 -rank 32
-//	tcqr -op solve -in data.csv
+//	tcqr -op qr       -gen -m 2048 -n 512 -cond 1e4 -dist geometric
+//	tcqr -op solve    -gen -m 4096 -n 512 -cond 1e6 -dist cluster2
+//	tcqr -op linsolve -gen -m 512 -n 512 -cond 1e3
+//	tcqr -op ortho    -gen -m 2048 -n 256 -cond 1e6
+//	tcqr -op lowrank  -gen -m 8192 -n 256 -rank 32
+//	tcqr -op cond     -gen -m 400 -n 400 -cond 1e5
+//	tcqr -op solve    -in data.csv
 package main
 
 import (

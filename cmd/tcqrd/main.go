@@ -156,6 +156,9 @@ func main() {
 		if err := faultinject.Arm(*faultSpec); err != nil {
 			fatal(logger, "bad -fault-spec", "err", err)
 		}
+		if err := serve.CheckFaultSites(faultinject.Sites()); err != nil {
+			fatal(logger, "bad -fault-spec", "err", err)
+		}
 		// Loud on purpose: an armed registry injects failures into production
 		// traffic, so the fact (and the exact sites) must be in the log.
 		warn(logger, "fault injection armed", "sites", faultinject.Sites())

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"go/parser"
 	"go/token"
@@ -9,7 +10,10 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"tcqr/internal/faultinject"
+	"tcqr/internal/serve"
 	"tcqr/internal/tcsim"
 )
 
@@ -184,5 +188,41 @@ tcqrd_stage_duration_seconds_sum{stage="solve"} 1.5e-3
 	}
 	if got := metricValues(expo, "tcqrd_requests_total", ""); len(got) != 2 || got[0] != 3 || got[1] != 0 {
 		t.Errorf("metricValues(tcqrd_requests_total) = %v, want [3 0]", got)
+	}
+}
+
+// TestUnknownFaultSiteFailsStartup: a -fault-spec naming a site no daemon can
+// fire — a typo, or a site that exists only in a package no request reaches —
+// stops the daemon before it listens and lists the valid sites, instead of
+// arming a rule that never fires. The smoke's own schedule must pass the same
+// check.
+func TestUnknownFaultSiteFailsStartup(t *testing.T) {
+	if spec := os.Getenv("TCQRD_MAIN_TEST_FAULT_SPEC"); spec != "" {
+		os.Args = []string{"tcqrd", "-addr", "127.0.0.1:0", "-fault-spec", spec}
+		main()
+		os.Exit(0)
+	}
+	for _, site := range []string{"no.such.site", "tsqr.block.factor"} {
+		// The deadline only matters to a daemon that wrongly starts serving.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=TestUnknownFaultSiteFailsStartup")
+		cmd.Env = append(os.Environ(), "TCQRD_MAIN_TEST_FAULT_SPEC="+site+"=error")
+		out, err := cmd.CombinedOutput()
+		if _, ok := err.(*exec.ExitError); !ok {
+			t.Fatalf("tcqrd -fault-spec %s=error: err=%v, want a non-zero exit; output:\n%s", site, err, out)
+		}
+		for _, want := range []string{site, "serve.cache.factorize", "cluster.route", "gram.ladder.rung", "tcsim.gemm"} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("startup error for site %s should name %s, got:\n%s", site, want, out)
+			}
+		}
+	}
+	defer faultinject.Disarm()
+	if err := faultinject.Arm(faultSmokeSpec); err != nil {
+		t.Fatal(err)
+	}
+	if err := serve.CheckFaultSites(faultinject.Sites()); err != nil {
+		t.Errorf("the smoke's fault schedule does not pass the startup check: %v", err)
 	}
 }

@@ -23,16 +23,6 @@ func BackwardError(a, q, r *dense.M32) float64 {
 	return dense.NormFro(qr) / dense.NormFro(a64)
 }
 
-// BackwardError64 is the float64-input variant.
-func BackwardError64(a, q, r *dense.M64) float64 {
-	qr := dense.New[float64](a.Rows, a.Cols)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, q, r, 0, qr)
-	for i := range qr.Data {
-		qr.Data[i] -= a.Data[i]
-	}
-	return dense.NormFro(qr) / dense.NormFro(a)
-}
-
 // OrthoError returns ‖I − QᵀQ‖_F, evaluated in float64.
 func OrthoError(q *dense.M32) float64 { return OrthoError64(dense.ToF64(q)) }
 

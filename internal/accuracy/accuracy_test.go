@@ -89,13 +89,3 @@ func TestUpperTriangular(t *testing.T) {
 		t.Error("tall upper trapezoid not recognized")
 	}
 }
-
-func TestBackwardError64(t *testing.T) {
-	a := dense.New[float64](2, 2)
-	a.SetIdentity()
-	q := a.Clone()
-	r := a.Clone()
-	if be := BackwardError64(a, q, r); be != 0 {
-		t.Errorf("identity backward error %g", be)
-	}
-}

@@ -347,15 +347,6 @@ func TestLevel1(t *testing.T) {
 	if got := Nrm2(x); math.Abs(got-5) > 1e-14 {
 		t.Errorf("Nrm2 = %v", got)
 	}
-	if got := Asum(x); got != 7 {
-		t.Errorf("Asum = %v", got)
-	}
-	if got := Iamax(x); got != 1 {
-		t.Errorf("Iamax = %v", got)
-	}
-	if got := Iamax([]float64{}); got != -1 {
-		t.Errorf("Iamax(empty) = %v", got)
-	}
 	yc := append([]float64(nil), y...)
 	Axpy(2, x, yc)
 	if yc[0] != 7 || yc[1] != -6 || yc[2] != 3 {
@@ -444,33 +435,8 @@ func oldNrm2[T dense.Float](x []T) T {
 	return scale * T(math.Sqrt(float64(ssq)))
 }
 
-func oldAsum[T dense.Float](x []T) T {
-	var s T
-	for _, v := range x {
-		if v < 0 {
-			s -= v
-		} else {
-			s += v
-		}
-	}
-	return s
-}
-
-func oldIamax[T dense.Float](x []T) int {
-	best, bi := T(-1), -1
-	for i, v := range x {
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
-}
-
-// TestAbsScansBitIdentical holds the branch-free scans to the branching
-// ones: the same bits on every input whose result is not NaN, and NaN where
+// TestAbsScansBitIdentical holds the branch-free scan to the branching
+// one: the same bits on every input whose result is not NaN, and NaN where
 // the old loop gives NaN (the sign of a NaN is not part of the contract:
 // math.Abs clears it, -v flipped it only for v < 0, which a NaN is not).
 func TestAbsScansBitIdentical(t *testing.T) {
@@ -516,9 +482,5 @@ func absScansBitIdentical[T dense.Float](t *testing.T) {
 			}
 		}
 		same("Nrm2", Nrm2(x), oldNrm2(x))
-		same("Asum", Asum(x), oldAsum(x))
-		if got, want := Iamax(x), oldIamax(x); got != want {
-			t.Fatalf("%T Iamax = %d, branching loop %d on %v", T(0), got, want, x)
-		}
 	}
 }

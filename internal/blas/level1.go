@@ -44,15 +44,6 @@ func Nrm2[T dense.Float](x []T) T {
 	return scale * T(math.Sqrt(float64(ssq)))
 }
 
-// Asum returns Σ|xᵢ|.
-func Asum[T dense.Float](x []T) T {
-	var s T
-	for _, v := range x {
-		s += abs(v)
-	}
-	return s
-}
-
 // Axpy computes y ← αx + y.
 func Axpy[T dense.Float](alpha T, x, y []T) {
 	if len(x) != len(y) {
@@ -71,16 +62,4 @@ func Scal[T dense.Float](alpha T, x []T) {
 	for i := range x {
 		x[i] *= alpha
 	}
-}
-
-// Iamax returns the index of the element with the largest magnitude, or -1
-// for an empty vector.
-func Iamax[T dense.Float](x []T) int {
-	best, bi := T(-1), -1
-	for i, v := range x {
-		if v = abs(v); v > best {
-			best, bi = v, i
-		}
-	}
-	return bi
 }

@@ -54,14 +54,8 @@ func Potrf[T dense.Float](a *dense.Matrix[T]) error {
 	return nil
 }
 
-// Potrs solves A·X = B in place given the Cholesky factor L from Potrf
+// PotrsVec solves A·x = b in place given the Cholesky factor L from Potrf
 // (stored in the lower triangle of l): forward then backward substitution.
-func Potrs[T dense.Float](l *dense.Matrix[T], b *dense.Matrix[T]) {
-	blas.Trsm(blas.Left, blas.Lower, blas.NoTrans, blas.NonUnit, 1, l, b)
-	blas.Trsm(blas.Left, blas.Lower, blas.Trans, blas.NonUnit, 1, l, b)
-}
-
-// PotrsVec is the single right-hand-side form of Potrs.
 func PotrsVec[T dense.Float](l *dense.Matrix[T], x []T) {
 	blas.Trsv(blas.Lower, blas.NoTrans, blas.NonUnit, l, x)
 	blas.Trsv(blas.Lower, blas.Trans, blas.NonUnit, l, x)

@@ -71,22 +71,6 @@ func TestPotrsSolve(t *testing.T) {
 			t.Fatalf("x[%d] = %v, want %v", i, b[i], xTrue[i])
 		}
 	}
-
-	// Multi-RHS path.
-	bm := dense.New[float64](n, 3)
-	want := dense.New[float64](n, 3)
-	for j := 0; j < 3; j++ {
-		for i := 0; i < n; i++ {
-			want.Set(i, j, rng.NormFloat64())
-		}
-	}
-	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, g, want, 0, bm)
-	Potrs(l, bm)
-	for i := range bm.Data {
-		if math.Abs(bm.Data[i]-want.Data[i]) > 1e-8 {
-			t.Fatalf("multi-rhs mismatch at %d", i)
-		}
-	}
 }
 
 func TestPotrfRejectsIndefinite(t *testing.T) {

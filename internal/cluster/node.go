@@ -93,10 +93,9 @@ type Node struct {
 	probeInterval time.Duration
 	probeTimeout  time.Duration
 
-	leaving atomic.Bool
-	stop    chan struct{}
-	done    sync.WaitGroup
-	closed  sync.Once
+	stop   chan struct{}
+	done   sync.WaitGroup
+	closed sync.Once
 
 	handoff *handoffQueue
 }
@@ -250,15 +249,9 @@ func (n *Node) setState(id string, s State) {
 	}
 }
 
-// BeginLeave flags the node as leaving (cluster-aware drain) and kicks an
-// immediate handoff flush attempt so queued hints escape before shutdown.
-func (n *Node) BeginLeave() {
-	n.leaving.Store(true)
-	n.handoff.kick()
-}
-
-// Leaving reports whether BeginLeave has been called.
-func (n *Node) Leaving() bool { return n.leaving.Load() }
+// BeginLeave starts a cluster-aware drain: it kicks an immediate handoff
+// flush attempt so queued hints escape before shutdown.
+func (n *Node) BeginLeave() { n.handoff.kick() }
 
 // DrainHandoff synchronously attempts to deliver every queued hint until ctx
 // expires, returning the number left undelivered.

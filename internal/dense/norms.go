@@ -25,38 +25,6 @@ func NormFro[T Float](m *Matrix[T]) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// NormOne returns the maximum absolute column sum of m.
-func NormOne[T Float](m *Matrix[T]) float64 {
-	var best float64
-	for j := 0; j < m.Cols; j++ {
-		var s float64
-		for _, v := range m.Col(j) {
-			s += math.Abs(float64(v))
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// NormInf returns the maximum absolute row sum of m.
-func NormInf[T Float](m *Matrix[T]) float64 {
-	sums := make([]float64, m.Rows)
-	for j := 0; j < m.Cols; j++ {
-		for i, v := range m.Col(j) {
-			sums[i] += math.Abs(float64(v))
-		}
-	}
-	var best float64
-	for _, s := range sums {
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
 // NormMax returns the largest absolute element of m.
 func NormMax[T Float](m *Matrix[T]) float64 {
 	var best float64

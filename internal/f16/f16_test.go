@@ -201,15 +201,6 @@ func TestVectorHelpers(t *testing.T) {
 			t.Errorf("RoundSlice[%d] = %v, want %v", i, dst[i], want)
 		}
 	}
-	enc := make([]Float16, len(src))
-	dec := make([]float32, len(src))
-	Encode(enc, src)
-	Decode(dec, enc)
-	for i := range dec {
-		if dec[i] != dst[i] {
-			t.Errorf("Encode/Decode[%d] = %v, want %v", i, dec[i], dst[i])
-		}
-	}
 	ov, uf := CountSpecials(src)
 	if ov != 2 || uf != 1 {
 		t.Errorf("CountSpecials = (%d, %d), want (2, 1)", ov, uf)

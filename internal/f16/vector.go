@@ -118,26 +118,6 @@ func residualScalar(x []float32) {
 	}
 }
 
-// Encode converts src to raw binary16 values.
-func Encode(dst []Float16, src []float32) {
-	if len(dst) != len(src) {
-		panic("f16: Encode length mismatch")
-	}
-	for i, v := range src {
-		dst[i] = FromFloat32(v)
-	}
-}
-
-// Decode converts raw binary16 values back to float32.
-func Decode(dst []float32, src []Float16) {
-	if len(dst) != len(src) {
-		panic("f16: Decode length mismatch")
-	}
-	for i, h := range src {
-		dst[i] = toF32Table[h]
-	}
-}
-
 // CountSpecials scans x after binary16 rounding and reports how many
 // elements overflowed to infinity and how many nonzero elements flushed to
 // zero. It is used by the column-scaling safeguard diagnostics.

@@ -290,25 +290,25 @@ func TestSpecErrors(t *testing.T) {
 	bad := []string{
 		"",
 		"   ",
-		"seed=42",                    // no sites
-		"seed=nope;x=error",          // bad seed
-		"x",                          // not site=rule
-		"=error",                     // empty site
-		"x=explode",                  // unknown action
-		"x=delay",                    // delay without duration
-		"x=delay(fast)",              // bad duration
-		"x=delay(-1ms)",              // negative duration
-		"x=error@",                   // empty trigger
-		"x=error@p",                  // not key=value
-		"x=error@p=0",                // p out of range
-		"x=error@p=1.5",              // p out of range
-		"x=error@every=0",            // every < 1
-		"x=error@once=0",             // once < 1
-		"x=error@count=0",            // count < 1
-		"x=error@wat=1",              // unknown trigger
-		"x=error@once=1,every=2",     // mutually exclusive
-		"x=error;x=panic",            // duplicate site
-		"x=error(oops",               // unclosed argument
+		"seed=42",                // no sites
+		"seed=nope;x=error",      // bad seed
+		"x",                      // not site=rule
+		"=error",                 // empty site
+		"x=explode",              // unknown action
+		"x=delay",                // delay without duration
+		"x=delay(fast)",          // bad duration
+		"x=delay(-1ms)",          // negative duration
+		"x=error@",               // empty trigger
+		"x=error@p",              // not key=value
+		"x=error@p=0",            // p out of range
+		"x=error@p=1.5",          // p out of range
+		"x=error@every=0",        // every < 1
+		"x=error@once=0",         // once < 1
+		"x=error@count=0",        // count < 1
+		"x=error@wat=1",          // unknown trigger
+		"x=error@once=1,every=2", // mutually exclusive
+		"x=error;x=panic",        // duplicate site
+		"x=error(oops",           // unclosed argument
 	}
 	for _, spec := range bad {
 		if err := Arm(spec); err == nil {

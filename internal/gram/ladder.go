@@ -108,6 +108,10 @@ func (l *Ladder) Name() string {
 	return "ladder(" + strings.Join(names, "->") + ")"
 }
 
+// SiteLadderRung is the failpoint each rung evaluates after factoring
+// cleanly (internal/faultinject): an injected error reads as a breakdown.
+const SiteLadderRung = "gram.ladder.rung"
+
 // Factor implements Panel: the first rung that factors a cleanly wins.
 func (l *Ladder) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 	if len(l.Rungs) == 0 {
@@ -119,7 +123,7 @@ func (l *Ladder) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 		// even when it factored cleanly, driving the escalation path on
 		// matrices that would not trip it naturally.
 		if err == nil {
-			if ferr := faultinject.Fire("gram.ladder.rung"); ferr != nil {
+			if ferr := faultinject.Fire(SiteLadderRung); ferr != nil {
 				err = fmt.Errorf("gram: injected rung failure: %v: %w", ferr, hazard.ErrBreakdown)
 			}
 		}

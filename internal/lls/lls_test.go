@@ -292,31 +292,6 @@ func TestCGLSZeroRHS(t *testing.T) {
 	}
 }
 
-func TestDirectQRMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(40))
-	a := matgen.WithCond(rng, 200, 40, 100, matgen.Arithmetic)
-	const nrhs = 5
-	xTrue := matgen.Normal(rng, 40, nrhs)
-	b := dense.New[float64](200, nrhs)
-	blasGemmHelper(a, xTrue, b)
-	x := DirectQRMulti(a, b)
-	if x.Rows != 40 || x.Cols != nrhs {
-		t.Fatalf("X shape %dx%d", x.Rows, x.Cols)
-	}
-	for i := range x.Data {
-		if math.Abs(x.Data[i]-xTrue.Data[i]) > 1e-9 {
-			t.Fatalf("X[%d] = %v, want %v", i, x.Data[i], xTrue.Data[i])
-		}
-	}
-	// Column-wise agreement with the single-RHS path.
-	x0 := DirectQR(a, b.Col(0))
-	for i := range x0 {
-		if math.Abs(x0[i]-x.At(i, 0)) > 1e-12 {
-			t.Fatalf("multi vs single mismatch at %d", i)
-		}
-	}
-}
-
 func blasGemmHelper(a, x, b *dense.M64) {
 	for j := 0; j < x.Cols; j++ {
 		col := b.Col(j)

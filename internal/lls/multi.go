@@ -5,28 +5,10 @@ import (
 	"runtime"
 	"sync"
 
-	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
-	"tcqr/internal/house"
 	"tcqr/internal/rgs"
 )
-
-// DirectQRMulti solves min ‖A·X − B‖ column-wise with a single Householder
-// factorization (the LAPACK xGELS pattern): factor once, apply Qᵀ to all
-// right-hand sides, then one triangular solve with multiple RHS.
-func DirectQRMulti[T dense.Float](a *dense.Matrix[T], b *dense.Matrix[T]) *dense.Matrix[T] {
-	m, n := a.Rows, a.Cols
-	if b.Rows != m {
-		panic(fmt.Sprintf("lls: B has %d rows, want %d", b.Rows, m))
-	}
-	qr := house.Factor(a, 0)
-	w := b.Clone()
-	house.Ormqr(blas.Trans, qr.Factored, qr.Tau, w, 0)
-	x := w.View(0, 0, n, b.Cols).Clone()
-	blas.Trsm(blas.Left, blas.Upper, blas.NoTrans, blas.NonUnit, 1, qr.Factored.View(0, 0, n, n), x)
-	return x
-}
 
 // MultiSolution is the result of SolveMultiWithFactor: one column of X per
 // column of B, with per-column refinement metadata.

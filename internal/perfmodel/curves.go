@@ -79,9 +79,6 @@ var (
 
 // Device constants of the V100 PCIe card used in the paper.
 const (
-	// PeakTCTFLOPS is the best TC-GEMM rate observed in Table 3; the paper
-	// quotes RGSQRF's 36.6 TFLOPS as 37.4% of this peak.
-	PeakTCTFLOPS = 97.82
 	// MemBandwidth is the HBM2 bandwidth in bytes/second used for the
 	// bandwidth-bound stages (GEMV, TRSV, panel passes).
 	MemBandwidth = 900e9
@@ -92,10 +89,6 @@ const (
 	// (V100: 14 TFLOPS FP32 vs 7 TFLOPS FP64, and twice the bytes).
 	DoubleFactor = 2.0
 )
-
-// DGeqrf returns the modelled cuSOLVER DGEQRF throughput (half the FP32
-// rate).
-func DGeqrf(k float64) float64 { return SGeqrf.At(k) / DoubleFactor }
 
 // SOrmqr returns the modelled SORMQR (blocked reflector application)
 // throughput. Calibrated equal to the SGEQRF rate, which reproduces the

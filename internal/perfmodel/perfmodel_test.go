@@ -269,10 +269,6 @@ func TestFlopHelpers(t *testing.T) {
 	if RGSFlops(10, 5) != 500 {
 		t.Error("RGSFlops")
 	}
-	// Double precision half the single rate.
-	if math.Abs(DGeqrf(16384)-SGeqrf.At(16384)/2) > 1e-12 {
-		t.Error("DGeqrf rate")
-	}
 }
 
 func TestTimeBreakdown(t *testing.T) {

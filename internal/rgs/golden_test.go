@@ -1,0 +1,77 @@
+package rgs
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"tcqr/internal/dense"
+	"tcqr/internal/gram"
+	"tcqr/internal/matgen"
+)
+
+// bitsHash is FNV-1a over the Float32bits of x, little-endian.
+func bitsHash(x []float32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestFactorBitsGolden pins the bits Factor returns — Q, R and ColumnScales
+// — across the safeguards (column scaling on/off, second pass on/off) and
+// two panels, on a matrix whose column norms spread over three decades (so
+// the scales are not all 1) and whose width is three times the cutoff (so
+// the Algorithm 1 recursion and its engine GEMMs run, not only a panel).
+// Reordering one operation of the factorization moves the hashes; they were
+// recorded at the parent of the commit that folded the safeguards into
+// Factor, so they also prove that fold changed no bit.
+func TestFactorBitsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64; other ports may fuse multiply-adds in the Go loops")
+	}
+	type bits struct{ q, r, scales uint64 }
+	golden := map[string]bits{
+		"caqr/noscale=false/reorth=false": {0x112bc7016e4f8f5b, 0x6f83308cb604d403, 0x12f6ef4b7b913ae7},
+		"caqr/noscale=false/reorth=true":  {0x38bd7de825929029, 0xef223383309b5580, 0x12f6ef4b7b913ae7},
+		"caqr/noscale=true/reorth=false":  {0xba7b5c4b34d8b639, 0x51e27c573b2399c1, 0xcbf29ce484222325},
+		"caqr/noscale=true/reorth=true":   {0xd8aa07593666d311, 0x9ae901aef26f33c8, 0xcbf29ce484222325},
+		"mgs/noscale=false/reorth=false":  {0x7cc99fc8a9212cb6, 0xa56537515c326474, 0x12f6ef4b7b913ae7},
+		"mgs/noscale=false/reorth=true":   {0x24a671128da89e80, 0x886b5c61366a21ed, 0x12f6ef4b7b913ae7},
+		"mgs/noscale=true/reorth=false":   {0xaa4d181e1118de1, 0x783929d7afbf6dd3, 0xcbf29ce484222325},
+		"mgs/noscale=true/reorth=true":    {0x65cbc4059a43c816, 0x27447e46365a2a67, 0xcbf29ce484222325},
+	}
+	a := dense.ToF32(matgen.BadlyScaled(rand.New(rand.NewSource(33)), 480, 96, 3))
+	panels := []struct {
+		name  string
+		panel gram.Panel
+	}{{"caqr", &gram.CAQRPanel{}}, {"mgs", gram.MGSPanel{}}}
+	for _, p := range panels {
+		for _, noScale := range []bool{false, true} {
+			for _, reorth := range []bool{false, true} {
+				name := fmt.Sprintf("%s/noscale=%v/reorth=%v", p.name, noScale, reorth)
+				t.Run(name, func(t *testing.T) {
+					res, err := Factor(a, Options{Panel: p.panel, Cutoff: 32, DisableScaling: noScale, ReOrthogonalize: reorth})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (res.ColumnScales == nil) != noScale || res.Reorthogonalized != reorth {
+						t.Fatalf("scales nil = %v, reorthogonalized = %v", res.ColumnScales == nil, res.Reorthogonalized)
+					}
+					got := bits{bitsHash(res.Q.Data), bitsHash(res.R.Data), bitsHash(res.ColumnScales)}
+					if got != golden[name] {
+						t.Errorf("factor bits moved: got {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
+							got.q, got.r, got.scales, golden[name].q, golden[name].r, golden[name].scales)
+					}
+				})
+			}
+		}
+	}
+}

@@ -17,9 +17,7 @@
 // half, form R12 = Q1ᵀ·A2 and the update A2 ← A2 − Q1·R12 with two GEMMs,
 // factor the updated right half, assemble. At the cutoff width the panel
 // factorizer takes over (CAQR by default, Householder for the Figure 6
-// ablation). The safeguards are one envelope (FactorWith) around whatever
-// kernel factors the matrix — the recursion here, Direct TSQR for the
-// tall-skinny path.
+// ablation). Factor wraps the recursion in the two safeguards.
 package rgs
 
 import (
@@ -113,11 +111,15 @@ func (f *Result) R64() *dense.M64 {
 	return f.r64.Load()
 }
 
-// Factor computes the RGSQRF factorization of a (m×n, m >= n). The input is
-// not modified. Hazards are typed: a NaN/Inf input returns an error wrapping
-// hazard.ErrNonFinite, and a panel breakdown (zero or dependent column,
-// non-SPD Gram matrix) one wrapping hazard.ErrBreakdown — unless the
-// configured Panel is a gram.Ladder, which recovers by escalation.
+// Factor computes the RGSQRF factorization of a (m×n, m >= n) inside the
+// paper's two safeguards: clone a, scale its columns by powers of two unless
+// DisableScaling (Section 3.5), factor, unscale R exactly, and under
+// ReOrthogonalize factor the computed Q a second time and fold R ← R₂·R
+// (Section 3.3). The input is not modified. Hazards are typed: a NaN/Inf
+// input returns an error wrapping hazard.ErrNonFinite, and a panel breakdown
+// (zero or dependent column, non-SPD Gram matrix) one wrapping
+// hazard.ErrBreakdown — unless the configured Panel is a gram.Ladder, which
+// recovers by escalation.
 func Factor(a *dense.M32, opts Options) (*Result, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -129,68 +131,37 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("rgs: %w", err)
 	}
-	// The kernel is Algorithm 1 in place on the envelope's working copy, the
-	// panel factorizer taking over at the cutoff width.
-	panel := opts.panel()
-	leaf := func(w, r *dense.M32) error {
-		q, rr, err := panel.Factor(w)
-		if err != nil {
-			return err
-		}
-		w.CopyFrom(q)
-		r.CopyFrom(rr)
-		return nil
-	}
-	return FactorWith(a, opts.DisableScaling, opts.ReOrthogonalize, func(w *dense.M32) (q, r *dense.M32, err error) {
-		r = dense.New[float32](w.Cols, w.Cols)
-		return w, r, gram.Recurse(w, r, opts.cutoff(), opts.engine(), leaf)
-	})
-}
-
-// Kernel is a QR factorization the safeguard envelope wraps: it may
-// overwrite w, and returns Q (the shape of w) and R (upper triangular, hard
-// zeros below the diagonal).
-type Kernel func(w *dense.M32) (q, r *dense.M32, err error)
-
-// FactorWith runs kernel inside the paper's two safeguards, which are the
-// same whatever the kernel (Factor passes the Algorithm 1 recursion, the
-// tall-skinny path passes Direct TSQR): clone a, scale its columns by powers
-// of two unless disableScaling (Section 3.5), factor, unscale R exactly,
-// and under reOrthogonalize factor the computed Q a second time and fold
-// R ← R₂·R (Section 3.3). a is validated by the caller and not modified.
-func FactorWith(a *dense.M32, disableScaling, reOrthogonalize bool, kernel Kernel) (*Result, error) {
 	w := a.Clone()
 	var scales []float32
-	if !disableScaling {
+	if !opts.DisableScaling {
 		scales = scaleColumns(w)
 	}
-	q, r, err := kernel(w)
+	r, err := opts.recurse(w)
 	if err != nil {
 		return nil, err
 	}
 	// A·P = Q·(R·P) was factored; recover R for A by unscaling the columns
-	// of R. Powers of two make this exact (and positive, so a kernel's sign
+	// of R. Powers of two make this exact (and positive, so the panel's sign
 	// convention on the diagonal survives).
 	for j, s := range scales {
 		if s != 1 {
 			blas.Scal(1/s, r.Col(j)[:j+1])
 		}
 	}
-	res := &Result{Q: q, R: r, ColumnScales: scales}
-	if !reOrthogonalize {
+	res := &Result{Q: w, R: r, ColumnScales: scales}
+	if !opts.ReOrthogonalize {
 		return res, nil
 	}
 
-	// "Twice is enough": factor Q = Q₂·R₂ with the same kernel (scaling
-	// unnecessary: the columns of Q are already within a rounding error of
-	// unit norm), then R ← R₂·R. R₂ is within rounding of the identity, so
-	// this triangular product barely perturbs R; run it in FP32 (the paper
-	// keeps safeguard arithmetic out of the half-precision unit).
-	q2, r2, err := kernel(q)
+	// "Twice is enough": factor Q = Q₂·R₂ in place (scaling unnecessary: the
+	// columns of Q are already within a rounding error of unit norm), then
+	// R ← R₂·R. R₂ is within rounding of the identity, so this triangular
+	// product barely perturbs R; run it in FP32 (the paper keeps safeguard
+	// arithmetic out of the half-precision unit).
+	r2, err := opts.recurse(w)
 	if err != nil {
 		return nil, err
 	}
-	n := r.Cols
 	newR := dense.New[float32](n, n)
 	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, r2, r, 0, newR)
 	// Both factors store hard zeros below the diagonal, so the strict lower
@@ -204,8 +175,26 @@ func FactorWith(a *dense.M32, disableScaling, reOrthogonalize bool, kernel Kerne
 			}
 		}
 	}
-	res.Q, res.R, res.Reorthogonalized = q2, newR, true
+	res.R, res.Reorthogonalized = newR, true
 	return res, nil
+}
+
+// recurse runs Algorithm 1 in place on w — Q overwrites it — and returns R
+// (upper triangular, hard zeros below the diagonal), the panel factorizer
+// taking over at the cutoff width.
+func (o *Options) recurse(w *dense.M32) (*dense.M32, error) {
+	panel := o.panel()
+	r := dense.New[float32](w.Cols, w.Cols)
+	err := gram.Recurse(w, r, o.cutoff(), o.engine(), func(w, r *dense.M32) error {
+		q, rr, err := panel.Factor(w)
+		if err != nil {
+			return err
+		}
+		w.CopyFrom(q)
+		r.CopyFrom(rr)
+		return nil
+	})
+	return r, err
 }
 
 // scaleColumns scales every column of w by a power of two so that its

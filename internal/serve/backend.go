@@ -28,7 +28,7 @@ import (
 	"tcqr"
 )
 
-// Backend abstracts the five library calls the serving core makes, so tests
+// Backend abstracts the six library calls the serving core makes, so tests
 // and benchmarks can count, delay, or fake them. The coalescing acceptance
 // test, for example, asserts that N concurrent same-matrix solves reach
 // SolveMultiWithFactor exactly once.
@@ -43,16 +43,8 @@ type Backend interface {
 	SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b *tcqr.Matrix, opts tcqr.SolveOptions) (*tcqr.MultiResult, error)
 	// LowRank computes a truncated QR-SVD approximation (tcqr.LowRank).
 	LowRank(a *tcqr.Matrix32, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error)
-}
-
-// Updater is the optional backend capability behind /v1/update: incremental
-// append/downdate of a cached factorization. It is a separate interface —
-// not new Backend methods — so existing Backend fakes keep compiling; a
-// backend that does not implement it gets the library implementation
-// (LibraryBackend) for updates while keeping its own factorize/solve paths.
-type Updater interface {
-	// UpdateAppendRows appends a row block to a factorization
-	// (tcqr.UpdateAppendRows).
+	// UpdateAppendRows appends a row block to a cached factorization, the
+	// append half of /v1/update (tcqr.UpdateAppendRows).
 	UpdateAppendRows(f *tcqr.Factorization, v *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error)
 	// UpdateRemoveRows downdates the trailing k rows (tcqr.UpdateRemoveRows).
 	UpdateRemoveRows(f *tcqr.Factorization, k int, cfg tcqr.Config) (*tcqr.Factorization, error)
@@ -83,12 +75,12 @@ func (LibraryBackend) LowRank(a *tcqr.Matrix32, rank int, cfg tcqr.Config) (*tcq
 	return tcqr.LowRank(a, rank, cfg)
 }
 
-// UpdateAppendRows implements Updater.
+// UpdateAppendRows implements Backend.
 func (LibraryBackend) UpdateAppendRows(f *tcqr.Factorization, v *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
 	return tcqr.UpdateAppendRows(f, v, cfg)
 }
 
-// UpdateRemoveRows implements Updater.
+// UpdateRemoveRows implements Backend.
 func (LibraryBackend) UpdateRemoveRows(f *tcqr.Factorization, k int, cfg tcqr.Config) (*tcqr.Factorization, error) {
 	return tcqr.UpdateRemoveRows(f, k, cfg)
 }

@@ -10,13 +10,18 @@ import (
 	"tcqr/internal/faultinject"
 )
 
-// arm installs a fault schedule for one test and disarms it on cleanup.
+// arm installs a fault schedule for one test and disarms it on cleanup. Every
+// schedule the serving tests arm must pass the daemon's startup check, or it
+// could not be reproduced with tcqrd -fault-spec.
 func arm(t *testing.T, spec string) {
 	t.Helper()
 	if err := faultinject.Arm(spec); err != nil {
 		t.Fatalf("Arm(%q): %v", spec, err)
 	}
 	t.Cleanup(faultinject.Disarm)
+	if err := CheckFaultSites(faultinject.Sites()); err != nil {
+		t.Fatalf("Arm(%q): %v", spec, err)
+	}
 }
 
 // fastRetry is a retry policy quick enough for tests: full attempts, tiny

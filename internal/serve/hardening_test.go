@@ -125,8 +125,9 @@ func TestServerSurvivesBackendPanic(t *testing.T) {
 	}
 }
 
-// panicBackend panics on every compute call.
-type panicBackend struct{}
+// panicBackend panics on every compute call but the update pair, which no
+// request reaches without a factor to update.
+type panicBackend struct{ LibraryBackend }
 
 func (panicBackend) Factorize(*tcqr.Matrix32, tcqr.Config) (*tcqr.Factorization, error) {
 	panic("factorize exploded")

@@ -275,8 +275,9 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		m.gemmCalls.With(lbl, flopsBucket(flops)).Inc()
 		m.gemmFlops.With(lbl).Add(flops)
 	})
-	// Site and action are both code-defined vocabularies (fault specs only
-	// arm sites that exist in source), so the label set stays bounded.
+	// Site and action are both code-defined vocabularies (tcqrd refuses a
+	// -fault-spec naming a site outside CheckFaultSites' list), so the label
+	// set stays bounded.
 	m.unobserveFault = faultinject.RegisterObserver(func(ev faultinject.Event) {
 		m.faultInjected.With(ev.Site, ev.Action.String()).Inc()
 	})

@@ -172,9 +172,6 @@ func (p *Pool) Do(ctx context.Context, fn func()) (time.Duration, error) {
 // BeginDrain stops admitting new work. Idempotent.
 func (p *Pool) BeginDrain() { p.draining.Store(true) }
 
-// Draining reports whether the pool has begun draining.
-func (p *Pool) Draining() bool { return p.draining.Load() }
-
 // AwaitIdle blocks until the queue is empty and no task is running, or ctx
 // expires. Call BeginDrain first so the queue can only shrink.
 func (p *Pool) AwaitIdle(ctx context.Context) error {

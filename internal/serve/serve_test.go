@@ -159,6 +159,14 @@ func (c *countingBackend) LowRank(a *tcqr.Matrix32, rank int, cfg tcqr.Config) (
 	return c.inner.LowRank(a, rank, cfg)
 }
 
+func (c *countingBackend) UpdateAppendRows(f *tcqr.Factorization, v *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
+	return c.inner.UpdateAppendRows(f, v, cfg)
+}
+
+func (c *countingBackend) UpdateRemoveRows(f *tcqr.Factorization, k int, cfg tcqr.Config) (*tcqr.Factorization, error) {
+	return c.inner.UpdateRemoveRows(f, k, cfg)
+}
+
 // parked reports how many batches are open and how many solves wait in them.
 // The coalescing tests line requests up with the pool queue by polling it: a
 // batch is open exactly while it waits for a worker.

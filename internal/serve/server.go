@@ -106,7 +106,6 @@ type Options struct {
 type Server struct {
 	opts     Options
 	backend  Backend
-	updater  Updater
 	cache    *FactorCache
 	spill    *SpillTier
 	coal     *Coalescer
@@ -181,14 +180,6 @@ func New(opts Options) *Server {
 	}
 	s.cache = NewFactorCache(opts.CacheEntries, s.backend)
 	s.cache.SetByteBudget(opts.CacheMaxBytes)
-	// Updates route through the backend when it implements the optional
-	// Updater capability, and fall back to the library implementation so a
-	// counting/faking Backend still serves /v1/update.
-	if up, ok := s.backend.(Updater); ok {
-		s.updater = up
-	} else {
-		s.updater = LibraryBackend{}
-	}
 	if opts.CacheDir != "" {
 		sp, err := NewSpillTier(opts.CacheDir, opts.SpillMaxBytes)
 		if err != nil {
@@ -261,9 +252,6 @@ func (s *Server) BeginDrain() {
 		s.cluster.BeginLeave()
 	}
 }
-
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // AwaitIdle blocks until the worker pool has no queued or running work, or
 // ctx expires. Call after the HTTP server has stopped accepting requests.

@@ -1,16 +1,22 @@
 package serve
 
+import (
+	"fmt"
+	"slices"
+	"strings"
+
+	"tcqr/internal/cluster"
+	"tcqr/internal/gram"
+	"tcqr/internal/tcsim"
+)
+
 // Failpoint site names threaded through the serving stack (see
 // internal/faultinject and DESIGN.md §11 for the naming scheme and spec
 // grammar). Each is a single atomic nil-check unless a fault schedule is
-// armed. Sites outside this package: gram.ladder.rung (forces a panel-rung
-// breakdown, driving the escalation ladder), tcsim.gemm (delays or corrupts
-// an engine GEMM result), tsqr.block.factor / tsqr.tree.reduce (library only:
-// a leaf or a reduction node of FactorizeTall, which no request reaches),
-// and the cluster tier's cluster.route / cluster.replicate / cluster.probe /
-// cluster.handoff (fail a peer forward, a replica fan-out delivery, a health
-// probe, or a handoff hint delivery — the schedule TestClusterChaosSoak
-// arms; see DESIGN.md §14).
+// armed. Sites a request reaches outside this package are listed in
+// CheckFaultSites; tsqr.block.factor / tsqr.tree.reduce exist in source
+// (internal/tsqr, which only the benchmark's kernel probe runs) but no daemon
+// can fire them, so CheckFaultSites rejects them like a typo.
 const (
 	// sitePoolEnqueue fires in Pool.Do before a task enters the queue;
 	// error faults surface as 500s from the submitting request.
@@ -47,3 +53,34 @@ const (
 	// the file as a read error without quarantining it.
 	siteSpillLoad = "serve.spill.load"
 )
+
+// faultSites is every failpoint a daemon process can fire: this package's,
+// the cluster tier's (the schedule TestClusterChaosSoak arms; DESIGN.md §14),
+// and the two the library evaluates under a request — gram.SiteLadderRung
+// forces a panel-rung breakdown, tcsim.SiteGemm delays or corrupts an engine
+// GEMM result.
+var faultSites = []string{
+	sitePoolEnqueue, sitePoolDequeue, siteCacheFactorize, siteCoalesceFlush,
+	siteWireDecode, siteWireEncode, siteStreamAppend, siteUpdateApply,
+	siteSpillWrite, siteSpillLoad,
+	cluster.SiteRoute, cluster.SiteReplicate, cluster.SiteProbe, cluster.SiteHandoff,
+	gram.SiteLadderRung, tcsim.SiteGemm,
+}
+
+// CheckFaultSites reports the armed site names no daemon can fire, with the
+// valid ones listed. faultinject.Arm takes any name — a site is a string its
+// package owns — so a typo in -fault-spec would otherwise arm silently and
+// never fire; tcqrd calls this on faultinject.Sites() at startup.
+func CheckFaultSites(armed []string) error {
+	var unknown []string
+	for _, s := range armed {
+		if !slices.Contains(faultSites, s) {
+			unknown = append(unknown, s)
+		}
+	}
+	if len(unknown) == 0 {
+		return nil
+	}
+	return fmt.Errorf("unknown failpoint site %s (valid sites: %s)",
+		strings.Join(unknown, ", "), strings.Join(faultSites, " "))
+}

@@ -81,9 +81,9 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 			ierr = faultinject.Fire(siteUpdateApply)
 			if ierr == nil {
 				if v != nil {
-					nf, ierr = s.updater.UpdateAppendRows(old.F, v, old.Config)
+					nf, ierr = s.backend.UpdateAppendRows(old.F, v, old.Config)
 				} else {
-					nf, ierr = s.updater.UpdateRemoveRows(old.F, req.RemoveRows, old.Config)
+					nf, ierr = s.backend.UpdateRemoveRows(old.F, req.RemoveRows, old.Config)
 				}
 			}
 		})

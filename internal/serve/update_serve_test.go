@@ -426,7 +426,7 @@ func TestConcurrentSolveUpdateEvictRefcounts(t *testing.T) {
 			}
 		}(g)
 	}
-	// Updater: append-then-remove pairs keep the series churning through
+	// The update client: append-then-remove pairs keep the series churning through
 	// epochs; 404 when the evictor won the race for the series entry.
 	wg.Add(1)
 	go func() {

@@ -113,13 +113,15 @@ func (e *TensorCore) Gemm(tA, tB blas.Transpose, alpha float32, a, b *dense.M32,
 // Name implements Engine.
 func (e *TensorCore) Name() string { return kinds[KindTC].gemm }
 
-// gemmFault evaluates the "tcsim.gemm" failpoint after an engine has
-// written c. A corrupt rule poisons c's first element with NaN — the
+// SiteGemm is the failpoint every engine GEMM evaluates (internal/faultinject).
+const SiteGemm = "tcsim.gemm"
+
+// gemmFault evaluates the SiteGemm failpoint after an engine has written c. A corrupt rule poisons c's first element with NaN — the
 // hazard-detection battery's job is to catch exactly this class of silent
 // engine fault; delay and panic rules behave as at any other site. Disarmed
 // it costs one atomic load per GEMM.
 func gemmFault(c *dense.M32) {
-	faultinject.Corrupt("tcsim.gemm", func() {
+	faultinject.Corrupt(SiteGemm, func() {
 		if len(c.Data) > 0 {
 			c.Data[0] = float32(math.NaN())
 		}

@@ -243,52 +243,3 @@ func TestEngineErrorMagnitudes(t *testing.T) {
 		t.Errorf("TC error %g implausibly large", errTC)
 	}
 }
-
-func TestHalfStorageRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	m := randM32(rng, 17, 9)
-	h := EncodeHalf(m)
-	if h.Bytes() != 17*9*2 {
-		t.Errorf("Bytes = %d", h.Bytes())
-	}
-	dec := h.Decode()
-	for i := range dec.Data {
-		if dec.Data[i] != f16.Round(m.Data[i]) {
-			t.Fatalf("decode[%d] = %v, want %v", i, dec.Data[i], f16.Round(m.Data[i]))
-		}
-	}
-	// Re-encoding is exact (idempotent rounding).
-	h2 := EncodeHalf(dec)
-	for i := range h2.Data {
-		if h2.Data[i] != h.Data[i] {
-			t.Fatal("re-encode changed bits")
-		}
-	}
-}
-
-func TestGemmHalfMatchesGemm(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	a := randM32(rng, 12, 8)
-	b := randM32(rng, 8, 10)
-	var tc TensorCore
-	want := dense.New[float32](12, 10)
-	tc.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, want)
-	got := dense.New[float32](12, 10)
-	tc.GemmHalf(blas.NoTrans, blas.NoTrans, 1, EncodeHalf(a), EncodeHalf(b), 0, got)
-	for i := range got.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("GemmHalf[%d] = %v, want %v (must be bit-identical)", i, got.Data[i], want.Data[i])
-		}
-	}
-	// Stats counted.
-	if tc.Stats().Calls != 2 {
-		t.Errorf("calls %d", tc.Stats().Calls)
-	}
-	// Dimension mismatch panics.
-	defer func() {
-		if recover() == nil {
-			t.Error("mismatched GemmHalf must panic")
-		}
-	}()
-	tc.GemmHalf(blas.NoTrans, blas.NoTrans, 1, EncodeHalf(a), EncodeHalf(a), 0, got)
-}

@@ -21,6 +21,14 @@
 // non-negative (Q absorbs the flips), so TSQR and the serial factorization
 // produce the same canonical R regardless of the per-block sign
 // conventions their panels happened to choose.
+//
+// # Why this package is still here
+//
+// No factorization the library, the CLI or the daemon runs reaches it: every
+// request factors through rgs.Factor and the tile tree of gram.CAQRPanel. Its
+// one importer is the benchmark's kernel probe (benchmark/probe.go, the
+// tsqr.factor_ms and tsqr.vs_rgs_ratio rows), and benchmark/ changes only in
+// a [benchmark] PR; it goes with those rows (ROADMAP item 8(a)).
 package tsqr
 
 import (

@@ -61,11 +61,6 @@ func (l *LowRankApprox) Error(a *Matrix32) float64 {
 	return l.full.TruncationError(a, l.Rank)
 }
 
-// Reconstruct materializes the rank-Rank approximation as a dense matrix.
-func (l *LowRankApprox) Reconstruct() *Matrix32 {
-	return svd.ReconstructRank(l.full.U, l.full.S, l.full.V, l.Rank)
-}
-
 // SingularValues computes all n singular values of a by QR-SVD (no
 // truncation), useful for spectrum inspection.
 func SingularValues(a *Matrix32, cfg Config) ([]float32, error) {
@@ -78,4 +73,23 @@ func SingularValues(a *Matrix32, cfg Config) ([]float32, error) {
 		return nil, err
 	}
 	return t.S, nil
+}
+
+// ConditionNumber estimates κ₂(A) = σ₁/σ_n of a tall matrix through the
+// QR-SVD pipeline. The estimate inherits the half-precision engine's
+// accuracy (a few times 1e-3 relative), which is ample for deciding
+// whether refinement or re-orthogonalization safeguards are needed.
+func ConditionNumber(a *Matrix32, cfg Config) (float64, error) {
+	s, err := SingularValues(a, cfg)
+	if err != nil {
+		return 0, err
+	}
+	n := len(s)
+	if n == 0 {
+		return 0, fmt.Errorf("tcqr: empty matrix")
+	}
+	if s[n-1] <= 0 {
+		return 0, fmt.Errorf("tcqr: matrix is numerically rank deficient (σ_min = %g)", s[n-1])
+	}
+	return float64(s[0]) / float64(s[n-1]), nil
 }

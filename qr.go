@@ -30,10 +30,6 @@ type Factorization struct {
 	// factorization and, under HazardFallback, every recovery taken (panel
 	// escalations, engine retries). Empty for a clean run.
 	Hazards []Hazard
-	// TSQR reports the block/tree shape and per-stage timings when the
-	// factorization ran through the parallel Direct TSQR pipeline
-	// (FactorizeTall); nil for serial factorizations.
-	TSQR *TSQRInfo
 
 	// view memoizes the internal solver view (see inner): the view itself
 	// caches derived data — notably R widened to float64 — that must persist
@@ -52,23 +48,15 @@ type Factorization struct {
 // HazardFallback the computation retries along the fallback ladder and
 // reports what happened in Factorization.Hazards.
 func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
-	return factorizeLadder(a, cfg, "RGSQRF", factorizeOnce)
-}
-
-// factorizeLadder is the shared entry of Factorize and FactorizeTall:
-// validate a, run once down the engine ladder of cfg, and attach the
-// recorded hazards. algo names the algorithm in the shape error.
-func factorizeLadder(a *Matrix32, cfg Config, algo string,
-	once func(*Matrix32, Config, *hazard.Report) (*Factorization, error)) (*Factorization, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
 	}
 	if a.Rows < a.Cols {
-		return nil, fmt.Errorf("tcqr: matrix is %dx%d; %s requires m >= n: %w", a.Rows, a.Cols, algo, ErrShape)
+		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
 	f, err := withEngineFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
-		return once(a, c, rep)
+		return factorizeOnce(a, c, rep)
 	})
 	if err != nil {
 		return nil, err
@@ -84,10 +72,10 @@ func factorizeLadder(a *Matrix32, cfg Config, algo string,
 // factorization's engine work and panel-side overflows are classified like
 // any other. Engine overflow with finite factors is recorded as a
 // detection-only event; overflow followed by a failure or non-finite factors
-// becomes an error wrapping ErrOverflow. Engines always track
-// overflow/underflow events — the hazard layer needs them to classify
-// failures, and counting is fused into the GEMM packing pass so it is nearly
-// free.
+// becomes an error wrapping ErrOverflow, and non-finite factors are refused
+// either way. Engines always track overflow/underflow events — the hazard
+// layer needs them to classify failures, and counting is fused into the GEMM
+// packing pass so it is nearly free.
 func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization, error) {
 	engine := cfg.Engine.New(true)
 	var panelEngine tcsim.Engine
@@ -111,29 +99,20 @@ func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization,
 		}
 		return nil, err
 	}
-	f, err := wrapFactors(res, stats)
-	if err == nil && stats.Overflows > 0 {
-		rep.Record(hazard.Event{
-			Kind:   hazard.KindOverflow,
-			Stage:  "engine",
-			Detail: fmt.Sprintf("%d fp16 overflow events during operand rounding", stats.Overflows),
-			Action: "factors finite; no action",
-		})
-	}
-	return f, err
-}
-
-// wrapFactors is the shared tail of one factorization attempt, serial or
-// tall: present the internal result as a Factorization carrying the engine
-// statistics, refusing non-finite factors (blamed on fp16 overflow when the
-// engine counted any).
-func wrapFactors(res *rgs.Result, stats tcsim.Stats) (*Factorization, error) {
 	if !hazard.MatrixFinite(res.Q) || !hazard.MatrixFinite(res.R) {
 		if stats.Overflows > 0 {
 			return nil, fmt.Errorf("tcqr: factors are non-finite after %d fp16 overflow events: %w: %w",
 				stats.Overflows, ErrOverflow, ErrNonFinite)
 		}
 		return nil, fmt.Errorf("tcqr: factors are non-finite: %w", ErrNonFinite)
+	}
+	if stats.Overflows > 0 {
+		rep.Record(hazard.Event{
+			Kind:   hazard.KindOverflow,
+			Stage:  "engine",
+			Detail: fmt.Sprintf("%d fp16 overflow events during operand rounding", stats.Overflows),
+			Action: "factors finite; no action",
+		})
 	}
 	return &Factorization{
 		Q:                res.Q,
@@ -240,18 +219,6 @@ func classify(err error) HazardKind {
 	default:
 		return hazard.KindNonFinite
 	}
-}
-
-// Orthonormalize returns an orthonormal basis for the columns of a,
-// applying re-orthogonalization so the result is orthogonal to working
-// precision regardless of κ(A) — the Section 3.3 application.
-func Orthonormalize(a *Matrix32, cfg Config) (*Matrix32, error) {
-	cfg.ReOrthogonalize = true
-	f, err := Factorize(a, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return f.Q, nil
 }
 
 // BackwardError returns ‖A − QR‖_F/‖A‖_F of the factorization against the

@@ -143,7 +143,7 @@ func (f *Factorization) withHazards(rep *hazard.Report) []Hazard {
 	return append(append([]Hazard(nil), f.Hazards...), rep.Events()...)
 }
 
-// MultiResult is the outcome of SolveLeastSquaresMulti: column j of X
+// MultiResult is the outcome of SolveLeastSquaresMultiWithFactor: column j of X
 // minimizes ‖A·X[:,j] − B[:,j]‖, with the same per-column figures a
 // LeastSquaresResult reports for a single right-hand side.
 type MultiResult struct {
@@ -157,20 +157,6 @@ type MultiResult struct {
 	// Hazards lists factorization hazards followed by per-column refinement
 	// hazards.
 	Hazards []Hazard
-}
-
-// SolveLeastSquaresMulti solves min ‖A·X − B‖ column-wise: one
-// neural-engine factorization shared by every right-hand side, with the
-// per-column refinements running concurrently.
-func SolveLeastSquaresMulti(a *Matrix, b *Matrix, opts SolveOptions) (*MultiResult, error) {
-	if err := hazard.CheckMatrix("A", a); err != nil {
-		return nil, fmt.Errorf("tcqr: %w", err)
-	}
-	f, err := Factorize(ToFloat32(a), opts.qrConfig())
-	if err != nil {
-		return nil, err
-	}
-	return SolveLeastSquaresMultiWithFactor(f, a, b, opts)
 }
 
 // SolveLeastSquaresMultiWithFactor reuses an existing factorization of A for

@@ -12,8 +12,8 @@
 //   - SolveLeastSquares: the least squares pipeline of Algorithm 3 — a
 //     half-precision QR used as a right preconditioner for CGLS, reaching
 //     double-precision optimality in a handful of iterations;
-//   - Orthonormalize: orthogonalization with "twice is enough"
-//     re-orthogonalization;
+//   - Config.ReOrthogonalize: orthogonalization with "twice is enough"
+//     re-orthogonalization (Section 3.3);
 //   - LowRank: optimal low-rank approximation by truncated QR-SVD
 //     (Section 3.4).
 //
@@ -61,19 +61,6 @@ func FromColMajor(r, c int, data []float64) *Matrix {
 
 // ToFloat32 narrows a float64 matrix to the device precision.
 func ToFloat32(a *Matrix) *Matrix32 { return dense.ToF32(a) }
-
-// ToFloat64 widens a float32 matrix back to float64.
-func ToFloat64(a *Matrix32) *Matrix { return dense.ToF64(a) }
-
-// MatrixHash64 returns a 64-bit content hash of a device matrix (shape plus
-// every element, column-major), suitable as a factorization-cache key: two
-// matrices Factorize would see as identical inputs hash equal. It is a fast
-// non-cryptographic hash — a name for the contents, not a proof of them — so
-// a cache that must never confuse two matrices compares them on a hit, as
-// the serving layer does. Equivalent to a.Hash64(); see dense.Matrix.Hash64
-// for the hashing contract. Serving layers should combine it with a
-// fingerprint of the Config used, since the factorization depends on both.
-func MatrixHash64(a *Matrix32) uint64 { return a.Hash64() }
 
 // PanelAlgorithm selects the panel factorizer used below the recursion
 // cutoff — the Figure 6 ablation of the paper.
@@ -175,10 +162,8 @@ type Config struct {
 }
 
 // panelFor materializes the panel factorizer for c, wrapped in the gram
-// escalation ladder (reporting to rep) under HazardFallback. Shared by the
-// serial RGSQRF path (factorizeOnce) and the parallel TSQR path
-// (FactorizeTall), so both select panels identically. engine is what the
-// panel's internal GEMMs run on: nil (plain fp32 kernels) unless the
+// escalation ladder (reporting to rep) under HazardFallback. engine is what
+// the panel's internal GEMMs run on: nil (plain fp32 kernels) unless the
 // TensorCoreInPanel ablation hands it the factorization's own neural
 // engine. It applies to the CAQR panel (the paper's ablation) and to CholQR
 // (whose Gram matrix is the most GEMM-friendly spot in the repertoire);

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tcqr/internal/accuracy"
+	"tcqr/internal/dense"
 	"tcqr/internal/matgen"
 )
 
@@ -26,7 +27,7 @@ func TestMatrixConstructors(t *testing.T) {
 		t.Fatal("FromColMajor layout")
 	}
 	f32 := ToFloat32(w)
-	back := ToFloat64(f32)
+	back := dense.ToF64(f32)
 	for i := range back.Data {
 		if back.Data[i] != w.Data[i] {
 			t.Fatal("precision round trip")
@@ -94,10 +95,11 @@ func TestFactorizeAblations(t *testing.T) {
 
 func TestOrthonormalize(t *testing.T) {
 	a := testMatrix(3, 512, 128, 1e5)
-	q, err := Orthonormalize(a, Config{Cutoff: 32})
+	two, err := Factorize(a, Config{Cutoff: 32, ReOrthogonalize: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	q := two.Q
 	if oe := accuracy.OrthoError(q); oe > 0.05 {
 		t.Errorf("orthogonality after reortho %g", oe)
 	}
@@ -192,14 +194,10 @@ func TestLowRank(t *testing.T) {
 	if e := lr.Error(a); e > eOpt*1.02+1e-3 {
 		t.Errorf("rank-16 error %g vs optimal %g", e, eOpt)
 	}
-	// Reconstruct has the right shape and is close to A for high rank.
+	// The full-rank approximation is close to A.
 	full, err := LowRank(a, 64, Config{Cutoff: 32})
 	if err != nil {
 		t.Fatal(err)
-	}
-	rec := full.Reconstruct()
-	if rec.Rows != 1024 || rec.Cols != 64 {
-		t.Fatal("reconstruct shape")
 	}
 	if e := full.Error(a); e > 5e-3 {
 		t.Errorf("full-rank error %g", e)
@@ -352,7 +350,11 @@ func TestSolveLeastSquaresMulti(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	a := matgen.WithCond(rng, 384, 96, 1e2, matgen.Arithmetic)
 	b := matgen.Normal(rng, 384, 4)
-	res, err := SolveLeastSquaresMulti(a, b, SolveOptions{QR: Config{Cutoff: 32}})
+	f, err := Factorize(ToFloat32(a), Config{Cutoff: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := SolveLeastSquaresMultiWithFactor(f, a, b, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,63 +374,6 @@ func TestSolveLeastSquaresMulti(t *testing.T) {
 	}
 }
 
-func TestSymmetricEigen(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	// A = U·diag(λ)·Uᵀ with known spectrum.
-	lambda := []float64{-2, 0.5, 1, 3, 10}
-	u := matgen.HaarOrthonormal(rng, 5, 5)
-	a := NewMatrix(5, 5)
-	for i := 0; i < 5; i++ {
-		for j := 0; j < 5; j++ {
-			var s float64
-			for k := 0; k < 5; k++ {
-				s += u.At(i, k) * lambda[k] * u.At(j, k)
-			}
-			a.Set(i, j, s)
-		}
-	}
-	dec, err := SymmetricEigen(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range lambda {
-		if math.Abs(dec.Values[i]-want) > 1e-10 {
-			t.Errorf("λ_%d = %v, want %v", i, dec.Values[i], want)
-		}
-	}
-	if dec.Vectors.Rows != 5 || dec.Vectors.Cols != 5 {
-		t.Error("vectors shape")
-	}
-}
-
-func TestRayleighRitz(t *testing.T) {
-	// Diagonal operator; basis = leading coordinate directions: Ritz
-	// values must equal the corresponding eigenvalues exactly.
-	q := NewMatrix32(10, 3)
-	q.Set(0, 0, 1)
-	q.Set(1, 1, 1)
-	q.Set(2, 2, 1)
-	diag := []float64{9, 7, 5, 1, 1, 1, 1, 1, 1, 1}
-	apply := func(dst, src []float64) {
-		for i := range dst {
-			dst[i] = diag[i] * src[i]
-		}
-	}
-	ritz, err := RayleighRitz(q, apply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{9, 7, 5}
-	for i := range want {
-		if math.Abs(ritz[i]-want[i]) > 1e-12 {
-			t.Errorf("ritz[%d] = %v, want %v", i, ritz[i], want[i])
-		}
-	}
-	if _, err := RayleighRitz(NewMatrix32(5, 0), apply); err == nil {
-		t.Error("empty basis must be rejected")
-	}
-}
-
 func TestPanelNamesRoundTrip(t *testing.T) {
 	for _, p := range []PanelAlgorithm{PanelCAQR, PanelHouseholder, PanelCholQR, PanelMGS} {
 		if got, err := ParsePanel(p.String()); err != nil || got != p {
@@ -443,5 +388,25 @@ func TestPanelNamesRoundTrip(t *testing.T) {
 	}
 	if got := PanelAlgorithm(99).String(); got != "other" {
 		t.Errorf("out-of-range panel prints %q, want other", got)
+	}
+}
+
+func TestConditionNumber(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	a := ToFloat32(matgen.WithCond(rng, 512, 64, 1e3, matgen.Geometric))
+	kappa, err := ConditionNumber(a, Config{Cutoff: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kappa < 0.8e3 || kappa > 1.3e3 {
+		t.Errorf("κ estimate %g, want ≈1e3", kappa)
+	}
+	// Rank-deficient input reports an error.
+	z := NewMatrix32(10, 3)
+	for i := 0; i < 10; i++ {
+		z.Set(i, 0, 1)
+	}
+	if _, err := ConditionNumber(z, Config{}); err == nil {
+		t.Error("rank-deficient matrix should error")
 	}
 }

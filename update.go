@@ -67,22 +67,6 @@ func UpdateAppendRows(f *Factorization, v *Matrix32, cfg Config) (*Factorization
 		})
 }
 
-// UpdateAppendRow is the rank-1 convenience wrapper: append a single row.
-func UpdateAppendRow(f *Factorization, row []float32, cfg Config) (*Factorization, error) {
-	if f == nil || f.R == nil {
-		return nil, fmt.Errorf("tcqr: update of a nil factorization: %w", ErrEmpty)
-	}
-	if len(row) != f.R.Cols {
-		return nil, fmt.Errorf("tcqr: appended row has %d elements; factorization has %d columns: %w",
-			len(row), f.R.Cols, ErrShape)
-	}
-	v := NewMatrix32(1, len(row))
-	for j, x := range row {
-		v.Set(0, j, x)
-	}
-	return UpdateAppendRows(f, v, cfg)
-}
-
 // UpdateRemoveRows returns the factorization of A with its trailing k rows
 // removed, given f = Q·R of A. The inputs are not modified.
 //

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tcqr/internal/accuracy"
+	"tcqr/internal/dense"
 )
 
 // randBlock builds a k×n append block (k may be smaller than n, which
@@ -87,17 +88,13 @@ func TestUpdateAppendRowRank1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := make([]float32, 32)
-	for j := range row {
-		row[j] = float32(j) - 15.5
+	v := NewMatrix32(1, 32)
+	for j := 0; j < 32; j++ {
+		v.Set(0, j, float32(j)-15.5)
 	}
-	up, err := UpdateAppendRow(f, row, Config{Engine: EngineFP32})
+	up, err := UpdateAppendRows(f, v, Config{Engine: EngineFP32})
 	if err != nil {
 		t.Fatal(err)
-	}
-	v := NewMatrix32(1, 32)
-	for j, x := range row {
-		v.Set(0, j, x)
 	}
 	full := stack(a, v)
 	if be := up.BackwardError(full); be > 1e-5 {
@@ -210,9 +207,6 @@ func TestUpdateValidation(t *testing.T) {
 	if _, err := UpdateAppendRows(f, bad, Config{}); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("non-finite block: %v", err)
 	}
-	if _, err := UpdateAppendRow(f, make([]float32, 5), Config{}); !errors.Is(err, ErrShape) {
-		t.Errorf("short row: %v", err)
-	}
 	if _, err := UpdateRemoveRows(f, 0, Config{}); !errors.Is(err, ErrShape) {
 		t.Errorf("zero downdate: %v", err)
 	}
@@ -298,7 +292,7 @@ func TestUpdateSolveWithFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full64 := ToFloat64(stack(a, v))
+	full64 := dense.ToF64(stack(a, v))
 	b := make([]float64, full64.Rows)
 	for i := range b {
 		b[i] = math.Sin(float64(i))
