@@ -71,11 +71,14 @@ check-race: lint
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial
 # equivalence, and the serving decode paths (FuzzStreamFrameDecode fuzzes
-# every endpoint's request decode, not only stream-append's), and the vector
-# level-2 kernels against the Go loops, bit for bit, and the content hash's
-# view-equals-clone invariant. internal/blas, internal/serve and
-# internal/tcsim hold two targets each, so those runs name their target; the
-# single-target packages keep the unambiguous -fuzz=. form.
+# every endpoint's request decode, not only stream-append's; FuzzSpillDecode
+# the spill-file loader), and the vector level-2 kernels against the Go
+# loops, bit for bit, and the content hash's view-equals-clone invariant.
+# internal/blas, internal/serve and internal/tcsim hold several targets each,
+# so those runs name their target; the single-target packages keep the
+# unambiguous -fuzz=. form. A spill file is hundreds of bytes and the
+# fuzzer's minimizer is quadratic in that, so FuzzSpillDecode caps it:
+# uncapped, the first interesting input takes the rest of the ten seconds.
 fuzz:
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/dense
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/f16
@@ -88,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTSQRBlockVsSerial$$' -fuzztime 10s ./internal/tsqr
 	$(GO) test -run '^$$' -fuzz '^FuzzRetryPolicy$$' -fuzztime 10s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamFrameDecode$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzSpillDecode$$' -fuzztime 10s -fuzzminimizetime 200ms ./internal/serve
 
 # Chaos/soak battery under the race detector: 64 concurrent clients against
 # a seeded fault schedule (panics, delays, decode errors at every failpoint

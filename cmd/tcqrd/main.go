@@ -27,7 +27,7 @@
 //	      [-max-batch 32] [-deadline 30s]
 //	      [-drain-timeout 10s] [-addr-file path]
 //	      [-log-level info] [-debug-addr host:port]
-//	      [-retry-attempts 3] [-stage-timeout 0]
+//	      [-retry-attempts 3]
 //	      [-degrade-threshold 5] [-degrade-cooldown 10s]
 //	      [-stream-ttl 2m] [-max-stream-sessions 16]
 //	      [-node-id a] [-peers a=h:p,b=h:p,...] [-replicas 2]
@@ -56,7 +56,7 @@
 // serving net/http/pprof under /debug/pprof/ — kept off the public API
 // listener so profiling endpoints are never exposed to API clients.
 //
-// -retry-attempts, -stage-timeout, -degrade-threshold and -degrade-cooldown
+// -retry-attempts, -degrade-threshold and -degrade-cooldown
 // tune the failure policy (DESIGN.md §11): transient internal failures are
 // retried with exponential backoff, and a streak of internal failures flips
 // the daemon into degraded cache-only mode, where cold factorizations get
@@ -127,7 +127,6 @@ func main() {
 
 		faultSpec     = flag.String("fault-spec", "", "arm the deterministic failpoint registry with this schedule (DESIGN.md §11 grammar; testing only)")
 		retryAttempts = flag.Int("retry-attempts", 0, "max attempts for transient internal failures (0 = default 3, 1 disables retry)")
-		stageTimeout  = flag.Duration("stage-timeout", 0, "per-attempt compute stage timeout (0 disables)")
 		degradeAfter  = flag.Int("degrade-threshold", 0, "consecutive internal failures before degraded (cache-only) mode (0 = default 5, negative disables)")
 		degradeCool   = flag.Duration("degrade-cooldown", 0, "how long degraded mode lasts once entered (0 = default 10s)")
 	)
@@ -206,7 +205,6 @@ func main() {
 		DefaultDeadline:   *deadline,
 		Logger:            logger,
 		Retry:             serve.RetryPolicy{MaxAttempts: *retryAttempts},
-		StageTimeout:      *stageTimeout,
 		DegradeThreshold:  *degradeAfter,
 		DegradeCooldown:   *degradeCool,
 		StreamTTL:         *streamTTL,

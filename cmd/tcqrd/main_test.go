@@ -68,8 +68,8 @@ func TestFlagsMatchUsageComment(t *testing.T) {
 		os.Exit(0)
 	}
 	registered := registeredFlags(t)
-	if len(registered) != 27 {
-		t.Fatalf("%d flags parsed from -h output, want 27: %v", len(registered), registered)
+	if len(registered) != 26 {
+		t.Fatalf("%d flags parsed from -h output, want 26: %v", len(registered), registered)
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)

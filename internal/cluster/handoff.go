@@ -39,7 +39,10 @@ func newHandoffQueue(n *Node, cap int) *handoffQueue {
 	return &handoffQueue{n: n, cap: cap, kickC: make(chan struct{}, 1)}
 }
 
-// add queues one hint, dropping (and counting) when the queue is full.
+// add queues one hint, dropping (and counting) when the queue is full. The
+// queue keeps frame itself, not a copy: the caller must not write to it again
+// (Replicate's goroutine already holds it past the caller's return, so no
+// caller recycles it).
 func (h *handoffQueue) add(owner Member, path string, frame []byte) {
 	h.mu.Lock()
 	if len(h.q) >= h.cap {
@@ -47,8 +50,7 @@ func (h *handoffQueue) add(owner Member, path string, frame []byte) {
 		h.n.m.handoffDropped.Inc()
 		return
 	}
-	// The frame is copied: callers recycle encode buffers after handing off.
-	h.q = append(h.q, hint{owner: owner, path: path, frame: append([]byte(nil), frame...)})
+	h.q = append(h.q, hint{owner: owner, path: path, frame: frame})
 	h.mu.Unlock()
 	h.n.m.handoffQueued.Inc()
 }

@@ -424,7 +424,8 @@ func (n *Node) Replicate(m Member, path string, frame []byte) {
 	}()
 }
 
-// Hint queues a frame for hinted handoff to its owner; see handoff.go.
+// Hint queues a frame for hinted handoff to its owner; see handoff.go. The
+// queue retains frame: the caller gives it up.
 func (n *Node) Hint(m Member, path string, frame []byte) { n.handoff.add(m, path, frame) }
 
 // --- stats -----------------------------------------------------------------

@@ -280,26 +280,6 @@ func TestHandoffQueueOverflowDrops(t *testing.T) {
 	}
 }
 
-func TestHandoffFrameCopied(t *testing.T) {
-	// The queue must copy the frame: callers recycle encode buffers.
-	var got atomic.Value
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		buf := make([]byte, 16)
-		n, _ := r.Body.Read(buf)
-		got.Store(string(buf[:n]))
-		fmt.Fprint(w, `{}`)
-	}))
-	defer ts.Close()
-	n := newTestNode(t, hostport(t, ts))
-	frame := []byte("original")
-	n.Hint(Member{ID: "peer", Addr: hostport(t, ts)}, "/v1/factorize", frame)
-	copy(frame, "CLOBBERD")
-	n.handoff.deliverPass(context.Background())
-	if got.Load().(string) != "original" {
-		t.Fatalf("delivered frame = %q, want the pre-clobber copy", got.Load())
-	}
-}
-
 func TestDrainHandoffDeliversEverything(t *testing.T) {
 	var hits atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

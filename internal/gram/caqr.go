@@ -199,18 +199,16 @@ func (p *CAQRPanel) tileTree(w, r *dense.M32) {
 	}
 	wg.Wait()
 
-	// Step 3: recurse on the stacked R factors.
-	q2 := stack.Clone()
-	rTop := dense.New[float32](n, n)
-	p.tileTree(q2, rTop)
-	r.CopyFrom(rTop)
+	// Step 3: recurse on the stacked R factors, in place: the stack becomes
+	// the recursion's Q and r receives its R.
+	p.tileTree(stack, r)
 
 	// Step 4: batched GEMM Q_i ← Q_i · Q2_i. The multiplication cannot run
 	// in place, so stage each tile product in a scratch buffer.
 	q2Blocks := make([]*dense.M32, nt)
 	scratch := make([]*dense.M32, nt)
 	for i := 0; i < nt; i++ {
-		q2Blocks[i] = q2.View(i*n, 0, n, n)
+		q2Blocks[i] = stack.View(i*n, 0, n, n)
 		scratch[i] = dense.New[float32](tileQ[i].Rows, n)
 	}
 	if e := p.engine(); e == defaultFP32 {

@@ -205,7 +205,7 @@ func TestMetamorphicNoSilentGarbage(t *testing.T) {
 	}
 	legalCodes := map[string]bool{
 		"bad_input": true, "numerical_hazard": true, "internal": true,
-		"degraded": true, "overloaded": true, "deadline": true, "stage_timeout": true,
+		"degraded": true, "overloaded": true, "deadline": true,
 	}
 	for _, sched := range schedules {
 		if sched == "" {

@@ -209,9 +209,9 @@ func (s *Server) clusterReplicate(key string, a *tcqr.Matrix, wcfg WireConfig) {
 		}
 		n.Replicate(m, "/v1/factorize", frame)
 	}
-	// The frame is not returned to the pool: Replicate and the handoff queue
-	// retain copies asynchronously, so recycling the encode buffer under them
-	// would hand a torn frame to a peer.
+	// The frame is not returned to the pool: Replicate's goroutines and the
+	// handoff queue keep this very slice after we return, so recycling the
+	// encode buffer under them would hand a torn frame to a peer.
 }
 
 // colMajorData returns a's elements as a tight column-major slice (uploaded

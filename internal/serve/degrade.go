@@ -8,7 +8,7 @@ import (
 )
 
 // breaker is the degraded-mode circuit: a run of consecutive internal
-// failures (recovered panics, injected faults, stage-timeout exhaustion —
+// failures (recovered panics, injected faults —
 // anything that surfaces as a 500 after the retry policy gave up) trips the
 // server into a cooldown during which it serves from the factorization
 // cache only. Cache hits — solves by key, re-factorizes of resident

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -36,16 +37,12 @@ func TestEngineKindsThroughServe(t *testing.T) {
 			fingerprints[fp] = cfg
 
 			e.Config = cfg
-			buf, err := encodeSpillEntry(e)
-			if err != nil {
-				t.Fatalf("encode %+v: %v", cfg, err)
-			}
-			got, err := decodeSpillEntry(buf)
+			got, err := decodeSpillEntry(spillBytes(t, e))
 			if err != nil {
 				t.Fatalf("decode %+v: %v", cfg, err)
 			}
-			if got.Config != cfg {
-				t.Errorf("spill round trip: got %+v want %+v", got.Config, cfg)
+			if diff := sameEntryBits(got, e); diff != "" {
+				t.Errorf("spill round trip under %+v: %s", cfg, diff)
 			}
 		}
 		if got := engineLabel(k.New(false).Name()); got != k.Label() {
@@ -97,43 +94,63 @@ func TestDefaultEngineSharesCacheEntry(t *testing.T) {
 	}
 }
 
-// TestRewarmQuarantinesV1SpillFile: files of both retired TCQS versions.
-// A v1 file spelled the engine as three booleans — decoding its meta with
-// today's struct would silently yield a default-engine entry. A v2 file has
-// today's layout, but for shapes the daemon used to route through TSQR it
-// holds a TSQR factor under a key that now denotes the RGSQRF factor. There
-// is no legacy reader for either, so rewarm must quarantine and count the
-// file, never adopt it.
+// legacySpillFile renders e in the layout TCQS v1–v3 shared: a 20-byte
+// header (magic, version, crc32 and length of the payload) ahead of a
+// wirefmt frame of the meta and A, Q, R as float64 matrix sections.
+func legacySpillFile(t *testing.T, version byte, meta []byte, e *Entry) []byte {
+	t.Helper()
+	f64 := func(m *tcqr.Matrix32) []float64 {
+		out := make([]float64, 0, m.Rows*m.Cols)
+		for j := 0; j < m.Cols; j++ {
+			for _, x := range m.Col(j) {
+				out = append(out, float64(x))
+			}
+		}
+		return out
+	}
+	const headerLen = 20
+	file, err := wirefmt.AppendFrame(make([]byte, headerLen),
+		wirefmt.JSONSection(meta),
+		wirefmt.MatrixSection(e.A.Rows, e.A.Cols, colMajorData(e.A)),
+		wirefmt.MatrixSection(e.F.Q.Rows, e.F.Q.Cols, f64(e.F.Q)),
+		wirefmt.MatrixSection(e.F.R.Rows, e.F.R.Cols, f64(e.F.R)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(file, spillMagic)
+	file[4] = version
+	binary.LittleEndian.PutUint32(file[8:12], crc32.ChecksumIEEE(file[headerLen:]))
+	binary.LittleEndian.PutUint64(file[12:20], uint64(len(file)-headerLen))
+	return file
+}
+
+// TestRewarmQuarantinesV1SpillFile: files of every retired TCQS version,
+// each valid by its own version's rules. A v1 file spelled the engine as
+// three booleans — decoding its meta with today's struct would silently
+// yield a default-engine entry. A v2 file has today's meta, but for shapes
+// the daemon used to route through TSQR it holds a TSQR factor under a key
+// that now denotes the RGSQRF factor. A v3 file is a v2 file under another
+// version byte. There is no legacy reader for any of them, so rewarm must
+// quarantine and count the file, never adopt it.
 func TestRewarmQuarantinesV1SpillFile(t *testing.T) {
 	e := makeEntry(t, 8, 32, 8, "mv1file", 0)
-	v1, err := wirefmt.AppendFrame(make([]byte, spillHeaderLen),
-		wirefmt.JSONSection([]byte(`{"key":"mv1file","epoch":0,"rows":32,"cols":8,"config":{"bf16":true}}`)),
-		wirefmt.MatrixSection(32, 8, colMajorData(e.A)),
-		wirefmt.MatrixSection(32, 8, widen32(e.F.Q)),
-		wirefmt.MatrixSection(8, 8, widen32(e.F.R)))
+	meta, err := json.Marshal(spillMeta{Key: e.Key, Rows: 32, Cols: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(v1, spillMagic)
-	v1[4] = 1
-	binary.LittleEndian.PutUint32(v1[8:12], crc32.ChecksumIEEE(v1[spillHeaderLen:]))
-	binary.LittleEndian.PutUint64(v1[12:20], uint64(len(v1)-spillHeaderLen))
-
-	// The header checksum covers the payload only, so a current file with
-	// its version byte set back is a v2 file valid in every other respect.
-	v2, err := encodeSpillEntry(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2[4] = 2
-
 	for _, tc := range []struct {
-		name string
-		file []byte
-	}{{"v1 meta", v1}, {"v2 header", v2}} {
+		name    string
+		version byte
+		meta    []byte
+	}{
+		{"v1 meta", 1, []byte(`{"key":"mv1file","epoch":0,"rows":32,"cols":8,"config":{"bf16":true}}`)},
+		{"v2 header", 2, meta},
+		{"v3 frame", 3, meta},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), tc.file, 0o644); err != nil {
+			file := legacySpillFile(t, tc.version, tc.meta, e)
+			if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), file, 0o644); err != nil {
 				t.Fatal(err)
 			}
 			sp, err := NewSpillTier(dir, 0)

@@ -78,9 +78,9 @@ func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *t
 		entry *Entry
 		src   Source
 	)
-	err := s.retryDo(ctx, rc, "factorize", func(actx context.Context) error {
+	err := s.retryDo(ctx, rc, "factorize", func() error {
 		var ferr error
-		took, perr := rc.onPool(actx, func() {
+		took, perr := rc.onPool(ctx, func() {
 			entry, src, ferr = s.cache.GetOrFactor(key, a, cfg)
 		})
 		if perr != nil {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"net/http"
 
 	"tcqr"
@@ -29,9 +28,9 @@ func (s *Server) serveLowRank(rc *reqScope, w http.ResponseWriter, r *http.Reque
 		return de
 	}
 	var res *tcqr.LowRankApprox
-	err = s.retryDo(ctx, rc, "solve", func(actx context.Context) error {
+	err = s.retryDo(ctx, rc, "solve", func() error {
 		var lerr error
-		took, perr := rc.onPool(actx, func() {
+		took, perr := rc.onPool(ctx, func() {
 			res, lerr = s.backend.LowRank(tcqr.ToFloat32(a), req.Rank, cfg)
 		})
 		if perr != nil {

@@ -73,15 +73,6 @@ func (p RetryPolicy) backoff(retry int) time.Duration {
 	return time.Duration(d)
 }
 
-// errStageTimeout reports an attempt that exceeded the per-stage bound
-// while its request still had deadline budget. It classifies as a 500-class
-// internal failure, which makes it retryable: the next attempt gets a fresh
-// stage window. Shared and immutable — fail only reads apiError fields.
-var errStageTimeout = &apiError{
-	status: http.StatusInternalServerError, code: "stage_timeout",
-	msg: "serve: compute attempt exceeded the per-stage timeout",
-}
-
 // retryable reports whether err is a transient internal failure worth
 // retrying. The classification rides on the wire mapping: exactly the
 // errors that would surface as 500 internal — recovered panics, injected
@@ -177,15 +168,14 @@ func (r *retrier) do(ctx context.Context, fn func() error) error {
 	}
 }
 
-// retryDo runs one compute stage under the server's retry policy. Each
-// attempt optionally runs under its own StageTimeout-derived context; an
-// attempt killed by the stage bound while the request itself is still alive
-// is lifted to errStageTimeout, which is retryable — a wedged attempt does
-// not doom a request with deadline budget left. Every retry is recorded in
-// the request's hazard report (KindTransient) and the retry metrics; a
-// transient failure that survives the whole policy bumps the exhausted
-// counter on its way to becoming a 500.
-func (s *Server) retryDo(ctx context.Context, rc *reqScope, stage string, fn func(ctx context.Context) error) error {
+// retryDo runs one compute stage under the server's retry policy. An attempt
+// is never cut short on its own clock: a closure the pool has started keeps
+// running after Pool.Do gives up on it, so a second attempt beside it would
+// race it for the results both capture. Every retry is recorded in the
+// request's hazard report (KindTransient) and the retry metrics; a transient
+// failure that survives the whole policy bumps the exhausted counter on its
+// way to becoming a 500.
+func (s *Server) retryDo(ctx context.Context, rc *reqScope, stage string, fn func() error) error {
 	rt := newRetrier(s.opts.Retry)
 	rt.onRetry = func(attempt int, err error, d time.Duration) {
 		s.metrics.retryAttempts.With(rc.endpoint).Inc()
@@ -197,18 +187,7 @@ func (s *Server) retryDo(ctx context.Context, rc *reqScope, stage string, fn fun
 			Action: fmt.Sprintf("retry after %s", d.Round(10*time.Microsecond)),
 		})
 	}
-	err := rt.do(ctx, func() error {
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if s.opts.StageTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, s.opts.StageTimeout)
-		}
-		defer cancel()
-		aerr := fn(actx)
-		if aerr != nil && actx.Err() != nil && ctx.Err() == nil {
-			aerr = errStageTimeout
-		}
-		return aerr
-	})
+	err := rt.do(ctx, fn)
 	if err != nil && retryable(err) {
 		s.metrics.retryExhausted.With(rc.endpoint).Inc()
 	}

@@ -30,7 +30,6 @@ func TestRetryableClassification(t *testing.T) {
 	}{
 		{nil, false},
 		{fmt.Errorf("serve: panic in pool task: boom"), true}, // generic -> 500 internal
-		{errStageTimeout, true},
 		{ErrQueueFull, false},
 		{ErrDraining, false},
 		{ErrDeadline, false},

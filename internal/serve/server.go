@@ -65,10 +65,6 @@ type Options struct {
 	DegradeThreshold int
 	// DegradeCooldown is how long a degraded trip lasts (0 = 10s).
 	DegradeCooldown time.Duration
-	// StageTimeout bounds each compute attempt independently of the request
-	// deadline, so one wedged attempt can be retried while the request still
-	// has budget (0 = disabled).
-	StageTimeout time.Duration
 	// StreamTTL is the idle deadline of a chunked-upload session: a session
 	// with no append or commit for this long is reaped, and its buffered row
 	// blocks released (0 = 2m).

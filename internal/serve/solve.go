@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -91,8 +90,8 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 	}
 
 	var out solveOutcome
-	serr := s.retryDo(ctx, rc, "solve", func(actx context.Context) error {
-		out = s.coal.Submit(actx, entry, opts, req.B)
+	serr := s.retryDo(ctx, rc, "solve", func() error {
+		out = s.coal.Submit(ctx, entry, opts, req.B)
 		if errors.Is(out.err, ErrDeadline) {
 			// The request abandoned its batch, but the batch still runs and
 			// will read every waiter's b — including our zero-copy view into

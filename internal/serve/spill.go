@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,7 +16,6 @@ import (
 
 	"tcqr"
 	"tcqr/internal/faultinject"
-	"tcqr/internal/wirefmt"
 )
 
 // The spill tier persists published cache entries under -cache-dir so a
@@ -30,32 +32,39 @@ import (
 // epoch instead of with no file at all. A crash between that rename and the
 // delete leaves both; rewarm adopts the newer and deletes the other.
 //
-// One entry is one file, <dir>/<n>.tcqs:
+// One entry is one file, <dir>/<n>.tcqs, little-endian throughout:
 //
-//	magic "TCQS" | version u8 | reserved u8×3 | crc32 (IEEE, payload) u32 |
-//	payload length u64 | payload
+//	magic "TCQS" | version u8 | reserved u8×3 | meta length u64 |
+//	body length u64 | JSON spillMeta, zero-padded to 8 |
+//	A float64[rows·cols] | Q float32[rows·cols] | R float32[cols·cols] |
+//	column scales float32[cols] if has_scales | crc32 (IEEE) u32
 //
-// The payload is a wirefmt frame: [JSON spillMeta, A (f64 matrix),
-// Q (widened f64 matrix), R (widened f64 matrix), column scales (vector,
-// optional)]. Files are written to a .tmp sibling and atomically renamed
-// into place, so a crash mid-write leaves a tmp orphan (swept at rewarm),
-// never a half-written .tcqs — but a power loss after rename can still
-// leave a torn file (no fsync), which is why every load is checksummed and
-// torn files are quarantined, never served.
+// The matrices are column-major at the width they have in memory, every
+// shape comes from the meta, and the checksum covers every byte before it.
+// This file owns the layout: encodeSpillEntry and decodeSpillEntry are its
+// only writer and reader. Files are written to a .tmp sibling and atomically
+// renamed into place, so a crash mid-write leaves a tmp orphan (swept at
+// rewarm), never a half-written .tcqs — but a power loss after rename can
+// still leave a torn file (no fsync), which is why every load is checksummed
+// and torn files are quarantined, never served.
 const (
 	spillMagic = "TCQS"
-	// v3 keeps v2's layout (the meta embeds tcqr.Config, engine by name; v1
-	// spelled it as booleans) and retires v2's files: for tall-skinny shapes
-	// they hold a retired second kernel's factors under keys that now denote
-	// RGSQRF factors. No legacy reader for either: rewarm quarantines them.
-	spillVersion   = 3
-	spillHeaderLen = 20
+	// There is no legacy reader: rewarm quarantines a file of any other
+	// version and the factor cache refactorizes on demand. v1 spelled the
+	// engine as booleans, v2 held a retired second kernel's factors under
+	// keys that now denote RGSQRF factors, v3 wrapped a wirefmt frame of
+	// float64 sections.
+	spillVersion   = 4
+	spillHeaderLen = 24
 	spillExt       = ".tcqs"
 	spillQuarExt   = ".quarantine"
+	// spillChunk is the writer's one buffer: bytes collect in it and reach
+	// the file and the running checksum a chunk at a time.
+	spillChunk = 64 << 10
 )
 
-// spillMeta is the JSON section of a spill file. The meta — not the file
-// name — is authoritative for the entry's identity.
+// spillMeta is the JSON part of a spill file. The meta — not the file
+// name — is authoritative for the entry's identity and for every shape.
 type spillMeta struct {
 	Key              string      `json:"key"`
 	Epoch            uint64      `json:"epoch"`
@@ -256,28 +265,31 @@ func (sp *SpillTier) process(op spillOp) {
 	}
 }
 
-// write encodes and persists one entry, then enforces the byte budget.
+// write streams one entry to its file, then enforces the byte budget.
 func (sp *SpillTier) write(e *Entry) {
-	buf, err := encodeSpillEntry(e)
 	final := filepath.Join(sp.dir, spillFileName(e.Key))
+	tmp := final + ".tmp"
+	var size int64
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		size, err = encodeSpillEntry(f, e)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
 	if err == nil {
 		// Failpoint: models a crash (power loss after rename, before the
 		// data blocks hit disk) by leaving a torn file at the final name —
 		// exactly what the checksummed rewarm pass must quarantine.
-		if ferr := faultinject.Fire(siteSpillWrite); ferr != nil {
-			os.WriteFile(final, buf[:len(buf)/2], 0o644)
-			err = ferr
+		if err = faultinject.Fire(siteSpillWrite); err != nil {
+			os.Truncate(tmp, size/2)
+			os.Rename(tmp, final)
+		} else {
+			err = os.Rename(tmp, final)
 		}
 	}
-	if err == nil {
-		tmp := final + ".tmp"
-		err = os.WriteFile(tmp, buf, 0o644)
-		if err == nil {
-			err = os.Rename(tmp, final)
-			if err != nil {
-				os.Remove(tmp)
-			}
-		}
+	if err != nil {
+		os.Remove(tmp) // no-op after the failpoint's rename
 	}
 	sp.mu.Lock()
 	if err != nil {
@@ -290,8 +302,8 @@ func (sp *SpillTier) write(e *Entry) {
 		sp.bytesOnDisk -= old.size
 	}
 	sp.seq++
-	sp.files[e.Key] = spillFile{name: spillFileName(e.Key), size: int64(len(buf)), seq: sp.seq, epoch: e.Epoch}
-	sp.bytesOnDisk += int64(len(buf))
+	sp.files[e.Key] = spillFile{name: spillFileName(e.Key), size: size, seq: sp.seq, epoch: e.Epoch}
+	sp.bytesOnDisk += size
 	// e is durable: only now do the older epochs of its series go.
 	victims := make([]spillFile, 0, 2) // the usual one predecessor stays off the heap
 	base := baseKey(e.Key)
@@ -385,11 +397,7 @@ func (sp *SpillTier) Rewarm() []*Entry {
 			os.Rename(path, path+spillQuarExt)
 			continue
 		}
-		info, ierr := de.Info()
 		size := int64(len(buf))
-		if ierr == nil {
-			size = info.Size()
-		}
 		sp.mu.Lock()
 		sp.seq++
 		sp.files[e.Key] = spillFile{name: name, size: size, seq: sp.seq, epoch: e.Epoch}
@@ -427,146 +435,166 @@ func spillFileName(key string) string {
 	return b.String() + spillExt
 }
 
-// widen32 returns m's elements as a tight column-major float64 slice.
-func widen32(m *tcqr.Matrix32) []float64 {
-	out := make([]float64, m.Rows*m.Cols)
-	for j := 0; j < m.Cols; j++ {
-		col := m.Data[j*m.Stride : j*m.Stride+m.Rows]
-		dst := out[j*m.Rows : (j+1)*m.Rows]
-		for i, x := range col {
-			dst[i] = float64(x)
-		}
+// spillBodyLen is the byte length of the matrices of a rows×cols entry. The
+// caller has bounded rows·cols and cols·cols, so the sum cannot overflow.
+func spillBodyLen(rows, cols int64, hasScales bool) int64 {
+	n := 8*rows*cols + 4*rows*cols + 4*cols*cols
+	if hasScales {
+		n += 4 * cols
 	}
-	return out
+	return n
 }
 
-// narrow64 rebuilds a float32 matrix from a widened column-major payload
-// (exact: the payload was widened from float32).
-func narrow64(rows, cols int, data []float64) *tcqr.Matrix32 {
-	m := tcqr.NewMatrix32(rows, cols)
-	for j := 0; j < cols; j++ {
-		col := m.Col(j)
-		src := data[j*rows : (j+1)*rows]
-		for i, x := range src {
-			col[i] = float32(x)
+// pad8 rounds n up to a multiple of 8.
+func pad8(n int64) int64 { return (n + 7) &^ 7 }
+
+// putFloats writes col a buffer's worth per Write: put converts a run of it
+// into b, bw's own free space (the AvailableBuffer idiom). It stops at bw's
+// first error, which bufio keeps for the encoder's Flush to return: a failed
+// flush frees no room, so retrying would never end.
+func putFloats[T float32 | float64](bw *bufio.Writer, col []T, size int, put func(b []byte, run []T)) {
+	for len(col) > 0 {
+		if bw.Available() < size && bw.Flush() != nil {
+			return
 		}
+		b := bw.AvailableBuffer()
+		k := min(len(col), cap(b)/size)
+		put(b[:size*k], col[:k])
+		if _, err := bw.Write(b[:size*k]); err != nil {
+			return
+		}
+		col = col[k:]
 	}
-	return m
 }
 
-// encodeSpillEntry renders the full spill file (header + checksummed
-// wirefmt payload) for e.
-func encodeSpillEntry(e *Entry) ([]byte, error) {
-	var meta spillMeta
-	meta.Key = e.Key
-	meta.Epoch = e.Epoch
-	meta.Rows = e.A.Rows
-	meta.Cols = e.A.Cols
-	meta.Reorthogonalized = e.F.Reorthogonalized
-	meta.HasScales = len(e.F.ColumnScales) > 0
-	meta.Config = e.Config
+// putFloat64s and putFloat32s store run as little-endian bit patterns.
+func putFloat64s(b []byte, run []float64) {
+	for i, x := range run {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+}
+
+func putFloat32s(b []byte, run []float32) {
+	for i, x := range run {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(x))
+	}
+}
+
+// encodeSpillEntry streams e's spill file to w and returns its length. What
+// it allocates — the meta and one spillChunk buffer — does not grow with the
+// entry. bufio.Writer keeps the first write error and returns it from Flush.
+func encodeSpillEntry(w io.Writer, e *Entry) (int64, error) {
+	a, q, r := e.A, e.F.Q, e.F.R
+	meta := spillMeta{
+		Key:              e.Key,
+		Epoch:            e.Epoch,
+		Rows:             a.Rows,
+		Cols:             a.Cols,
+		Reorthogonalized: e.F.Reorthogonalized,
+		HasScales:        len(e.F.ColumnScales) > 0,
+		Config:           e.Config,
+	}
 	mj, err := json.Marshal(meta)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	secs := []wirefmt.Section{
-		wirefmt.JSONSection(mj),
-		wirefmt.MatrixSection(e.A.Rows, e.A.Cols, colMajorData(e.A)),
-		wirefmt.MatrixSection(e.F.Q.Rows, e.F.Q.Cols, widen32(e.F.Q)),
-		wirefmt.MatrixSection(e.F.R.Rows, e.F.R.Cols, widen32(e.F.R)),
+	metaLen := int64(len(mj))
+	bodyLen := spillBodyLen(int64(a.Rows), int64(a.Cols), meta.HasScales)
+
+	crc := crc32.NewIEEE()
+	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), spillChunk)
+	var hdr [spillHeaderLen]byte
+	copy(hdr[0:4], spillMagic)
+	hdr[4] = spillVersion
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(metaLen))
+	binary.LittleEndian.PutUint64(hdr[16:24], uint64(bodyLen))
+	bw.Write(hdr[:])
+	bw.Write(mj)
+	var zero [8]byte
+	bw.Write(zero[:pad8(metaLen)-metaLen])
+	for j := 0; j < a.Cols; j++ {
+		putFloats(bw, a.Col(j), 8, putFloat64s)
 	}
-	if meta.HasScales {
-		scales := make([]float64, len(e.F.ColumnScales))
-		for i, s := range e.F.ColumnScales {
-			scales[i] = float64(s)
-		}
-		secs = append(secs, wirefmt.VectorSection(scales))
+	for j := 0; j < q.Cols; j++ {
+		putFloats(bw, q.Col(j), 4, putFloat32s)
 	}
-	n, err := wirefmt.FrameLen(secs...)
-	if err != nil {
-		return nil, err
+	for j := 0; j < r.Cols; j++ {
+		putFloats(bw, r.Col(j), 4, putFloat32s)
 	}
-	buf := make([]byte, spillHeaderLen, spillHeaderLen+n)
-	buf, err = wirefmt.AppendFrame(buf, secs...)
-	if err != nil {
-		return nil, err
+	putFloats(bw, e.F.ColumnScales, 4, putFloat32s)
+	if err := bw.Flush(); err != nil {
+		return 0, err
 	}
-	copy(buf[0:4], spillMagic)
-	buf[4] = spillVersion
-	payload := buf[spillHeaderLen:]
-	binary.LittleEndian.PutUint32(buf[8:12], crc32.ChecksumIEEE(payload))
-	binary.LittleEndian.PutUint64(buf[12:20], uint64(len(payload)))
-	return buf, nil
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
+	if _, err := w.Write(sum[:]); err != nil {
+		return 0, err
+	}
+	return spillHeaderLen + pad8(metaLen) + bodyLen + 4, nil
+}
+
+// getFloat64s fills dst from the little-endian bit patterns at the head of
+// src and returns the rest of src.
+func getFloat64s(dst []float64, src []byte) []byte {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+	}
+	return src[8*len(dst):]
+}
+
+func getFloat32s(dst []float32, src []byte) []byte {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+	return src[4*len(dst):]
 }
 
 // decodeSpillEntry validates and decodes one spill file. Any mismatch —
-// magic, version, length, checksum, frame structure — is an error; the
-// caller quarantines the file.
+// magic, version, a length, the checksum, the meta — is an error; the caller
+// quarantines the file. Nothing is allocated for a matrix until the lengths
+// the file declares, and the shapes its meta declares, have been shown to
+// add up to exactly the bytes that are there.
 func decodeSpillEntry(buf []byte) (*Entry, error) {
-	if len(buf) < spillHeaderLen || string(buf[0:4]) != spillMagic {
+	if len(buf) < spillHeaderLen+4 || string(buf[0:4]) != spillMagic {
 		return nil, fmt.Errorf("spill: bad magic")
 	}
 	if buf[4] != spillVersion {
 		return nil, fmt.Errorf("spill: unsupported version %d", buf[4])
 	}
-	want := binary.LittleEndian.Uint64(buf[12:20])
-	payload := buf[spillHeaderLen:]
-	if uint64(len(payload)) != want {
-		return nil, fmt.Errorf("spill: torn file: %d payload bytes, header says %d", len(payload), want)
+	size := int64(len(buf))
+	metaLen := binary.LittleEndian.Uint64(buf[8:16])
+	bodyLen := binary.LittleEndian.Uint64(buf[16:24])
+	if metaLen > uint64(size) || bodyLen > uint64(size) ||
+		spillHeaderLen+pad8(int64(metaLen))+int64(bodyLen)+4 != size {
+		return nil, fmt.Errorf("spill: torn file: %d bytes, header says %d of meta and %d of body", size, metaLen, bodyLen)
 	}
-	if crc := crc32.ChecksumIEEE(payload); crc != binary.LittleEndian.Uint32(buf[8:12]) {
+	if crc := crc32.ChecksumIEEE(buf[:size-4]); crc != binary.LittleEndian.Uint32(buf[size-4:]) {
 		return nil, fmt.Errorf("spill: checksum mismatch")
 	}
-	secs, err := wirefmt.Decode(payload, nil)
-	if err != nil {
-		return nil, err
-	}
-	js := wirefmt.FindSection(secs, wirefmt.TagJSON)
-	if js == nil {
-		return nil, fmt.Errorf("spill: missing meta section")
-	}
 	var meta spillMeta
-	if err := json.Unmarshal(js.Raw, &meta); err != nil {
-		return nil, err
+	if err := json.Unmarshal(buf[spillHeaderLen:spillHeaderLen+int64(metaLen)], &meta); err != nil {
+		return nil, fmt.Errorf("spill: meta: %w", err)
 	}
-	if meta.Key == "" || meta.Rows <= 0 || meta.Cols <= 0 {
+	rows, cols, body := int64(meta.Rows), int64(meta.Cols), int64(bodyLen)
+	if meta.Key == "" || rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("spill: invalid meta")
 	}
-	var mats []*wirefmt.Section
-	var vec *wirefmt.Section
-	for i := range secs {
-		switch secs[i].Tag {
-		case wirefmt.TagMatrix:
-			mats = append(mats, &secs[i])
-		case wirefmt.TagVector:
-			vec = &secs[i]
-		}
+	// Divisions, so the products below cannot overflow.
+	if rows > body/12/cols || cols > body/4/cols || spillBodyLen(rows, cols, meta.HasScales) != body {
+		return nil, fmt.Errorf("spill: meta declares a %dx%d entry, the body holds %d bytes", rows, cols, body)
 	}
-	if len(mats) != 3 {
-		return nil, fmt.Errorf("spill: want 3 matrix sections, got %d", len(mats))
-	}
-	aSec, qSec, rSec := mats[0], mats[1], mats[2]
-	if int(aSec.A) != meta.Rows || int(aSec.B) != meta.Cols {
-		return nil, fmt.Errorf("spill: A section %dx%d, meta says %dx%d", aSec.A, aSec.B, meta.Rows, meta.Cols)
-	}
-	if int(qSec.A) != meta.Rows || int(qSec.B) != meta.Cols || int(rSec.A) != meta.Cols || int(rSec.B) != meta.Cols {
-		return nil, fmt.Errorf("spill: factor sections %dx%d / %dx%d inconsistent with %dx%d",
-			qSec.A, qSec.B, rSec.A, rSec.B, meta.Rows, meta.Cols)
-	}
-	a := tcqr.FromColMajor(meta.Rows, meta.Cols, append([]float64(nil), aSec.Float64s()...))
+	a := tcqr.NewMatrix(meta.Rows, meta.Cols)
 	f := &tcqr.Factorization{
-		Q:                narrow64(meta.Rows, meta.Cols, qSec.Float64s()),
-		R:                narrow64(meta.Cols, meta.Cols, rSec.Float64s()),
+		Q:                tcqr.NewMatrix32(meta.Rows, meta.Cols),
+		R:                tcqr.NewMatrix32(meta.Cols, meta.Cols),
 		Reorthogonalized: meta.Reorthogonalized,
 	}
+	rest := getFloat64s(a.Data, buf[size-4-body:size-4])
+	rest = getFloat32s(f.Q.Data, rest)
+	rest = getFloat32s(f.R.Data, rest)
 	if meta.HasScales {
-		if vec == nil || int(vec.A) != meta.Cols {
-			return nil, fmt.Errorf("spill: missing or misshapen scales section")
-		}
 		f.ColumnScales = make([]float32, meta.Cols)
-		for i, s := range vec.Float64s() {
-			f.ColumnScales[i] = float32(s)
-		}
+		getFloat32s(f.ColumnScales, rest)
 	}
 	return &Entry{Key: meta.Key, Epoch: meta.Epoch, A: a, F: f, Config: meta.Config}, nil
 }

@@ -3,11 +3,13 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +20,7 @@ import (
 
 // makeEntry factors one deterministic matrix into a cache entry (tier-level
 // spill tests build entries directly, without a cache).
-func makeEntry(t *testing.T, seed uint64, m, n int, key string, epoch uint64) *Entry {
+func makeEntry(t testing.TB, seed uint64, m, n int, key string, epoch uint64) *Entry {
 	t.Helper()
 	a := tcqr.FromColMajor(m, n, testMatrix(seed, m, n, 1))
 	f, err := LibraryBackend{}.Factorize(tcqr.ToFloat32(a), tcqr.Config{})
@@ -28,6 +30,47 @@ func makeEntry(t *testing.T, seed uint64, m, n int, key string, epoch uint64) *E
 	e := &Entry{Key: key, Epoch: epoch, A: a, F: f}
 	e.bytes = e.sizeBytes()
 	return e
+}
+
+// spillBytes renders e's spill file in memory.
+func spillBytes(t testing.TB, e *Entry) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := encodeSpillEntry(&buf, e)
+	if err != nil {
+		t.Fatalf("encode %s: %v", e.Key, err)
+	}
+	if n != int64(buf.Len()) {
+		t.Fatalf("encode %s: reported %d bytes, wrote %d", e.Key, n, buf.Len())
+	}
+	return buf.Bytes()
+}
+
+// sameEntryBits reports the first difference between two entries' identity,
+// shapes or bit patterns (A by Float64bits; Q, R and the column scales by
+// Float32bits, so NaN payloads and signed zeros count), or "".
+func sameEntryBits(got, want *Entry) string {
+	if got.Key != want.Key || got.Epoch != want.Epoch {
+		return fmt.Sprintf("identity %q@%d, want %q@%d", got.Key, got.Epoch, want.Key, want.Epoch)
+	}
+	if got.Config != want.Config || got.F.Reorthogonalized != want.F.Reorthogonalized {
+		return fmt.Sprintf("config %+v reortho=%v, want %+v reortho=%v",
+			got.Config, got.F.Reorthogonalized, want.Config, want.F.Reorthogonalized)
+	}
+	if got.A.Rows != want.A.Rows || got.A.Cols != want.A.Cols {
+		return fmt.Sprintf("A is %dx%d, want %dx%d", got.A.Rows, got.A.Cols, want.A.Rows, want.A.Cols)
+	}
+	for j := 0; j < want.A.Cols; j++ {
+		for i := 0; i < want.A.Rows; i++ {
+			if math.Float64bits(got.A.At(i, j)) != math.Float64bits(want.A.At(i, j)) {
+				return fmt.Sprintf("A[%d,%d] not bit-identical", i, j)
+			}
+		}
+	}
+	if !slices.Equal(factorBits(got.F), factorBits(want.F)) {
+		return "Q, R or the column scales not bit-identical"
+	}
+	return ""
 }
 
 func spillFiles(t *testing.T, dir, pattern string) []string {
@@ -41,74 +84,64 @@ func spillFiles(t *testing.T, dir, pattern string) []string {
 
 // --- format round trip ------------------------------------------------------
 
-// TestSpillEntryRoundTrip pins the spill file format: header, checksum, and
-// a payload that reconstructs the entry exactly (A bit-identical, the f32
-// factors exact through the f64 widening, scales and config preserved).
+// TestSpillEntryRoundTrip: a spilled entry comes back bit for bit — A, the
+// float32 factors at the width they have, scales, identity and config — its
+// file is the matrices plus a few hundred bytes, and every corruption class
+// fails closed.
 func TestSpillEntryRoundTrip(t *testing.T) {
 	e := makeEntry(t, 1, 48, 12, "mdeadbeef-test@3", 3)
 	e.Config = tcqr.Config{Cutoff: 16, ReOrthogonalize: true, OnHazard: tcqr.HazardFallback}
+	e.F.Reorthogonalized = true
 	e.F.ColumnScales = make([]float32, 12)
 	for i := range e.F.ColumnScales {
 		e.F.ColumnScales[i] = float32(i + 1)
 	}
-	buf, err := encodeSpillEntry(e)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
+	// Values a float conversion would not carry: a signalling-NaN payload
+	// and a negative zero in a float32 factor.
+	e.F.Q.Set(3, 2, math.Float32frombits(0x7fa00001))
+	e.F.R.Set(0, 5, float32(math.Copysign(0, -1)))
+	buf := spillBytes(t, e)
 	got, err := decodeSpillEntry(buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if got.Key != e.Key || got.Epoch != e.Epoch {
-		t.Fatalf("identity: got %q@%d, want %q@%d", got.Key, got.Epoch, e.Key, e.Epoch)
+	if diff := sameEntryBits(got, e); diff != "" {
+		t.Fatalf("round trip: %s", diff)
 	}
-	for j := 0; j < e.A.Cols; j++ {
-		for i := 0; i < e.A.Rows; i++ {
-			if math.Float64bits(got.A.At(i, j)) != math.Float64bits(e.A.At(i, j)) {
-				t.Fatalf("A[%d,%d] not bit-identical", i, j)
-			}
-		}
+
+	// A strided view spills as the tight matrix it denotes.
+	wide := tcqr.NewMatrix(e.A.Rows+5, e.A.Cols)
+	view := wide.View(2, 0, e.A.Rows, e.A.Cols)
+	view.CopyFrom(e.A)
+	strided := *e
+	strided.A = view
+	if !bytes.Equal(spillBytes(t, &strided), buf) {
+		t.Errorf("a strided A spills to different bytes than its tight copy")
 	}
-	for j := 0; j < e.F.Q.Cols; j++ {
-		for i := 0; i < e.F.Q.Rows; i++ {
-			if got.F.Q.At(i, j) != e.F.Q.At(i, j) {
-				t.Fatalf("Q[%d,%d] changed through the round trip", i, j)
-			}
-		}
-	}
-	for j := 0; j < e.F.R.Cols; j++ {
-		for i := 0; i < e.F.R.Rows; i++ {
-			if got.F.R.At(i, j) != e.F.R.At(i, j) {
-				t.Fatalf("R[%d,%d] changed through the round trip", i, j)
-			}
-		}
-	}
-	for i, s := range e.F.ColumnScales {
-		if got.F.ColumnScales[i] != s {
-			t.Fatalf("scale %d: got %g want %g", i, got.F.ColumnScales[i], s)
-		}
-	}
-	if got.Config != e.Config {
-		t.Fatalf("config: got %+v want %+v", got.Config, e.Config)
+
+	big := makeEntry(t, 2, 2048, 128, "mbig", 0)
+	m, n := int64(2048), int64(128)
+	matrices := 8*m*n + 4*m*n + 4*n*n + 4*int64(len(big.F.ColumnScales))
+	if over := int64(len(spillBytes(t, big))) - matrices; over < 0 || over > 512 {
+		t.Errorf("2048x128 file carries %d bytes of header, meta and checksum beyond its matrices, want 0..512", over)
 	}
 
 	// Every corruption class must fail closed, never half-decode.
 	for _, tc := range []struct {
 		name string
-		mut  func(b []byte)
+		mut  func(b []byte) []byte
 	}{
-		{"magic", func(b []byte) { b[0] = 'X' }},
-		{"version", func(b []byte) { b[4] = 99 }},
-		{"payload bit", func(b []byte) { b[spillHeaderLen+8] ^= 1 }},
+		{"magic", func(b []byte) []byte { b[0] = 'X'; return b }},
+		{"version", func(b []byte) []byte { b[4] = 99; return b }},
+		{"meta bit", func(b []byte) []byte { b[spillHeaderLen+8] ^= 1; return b }},
+		{"torn", func(b []byte) []byte { return b[:len(b)/2] }},
+		{"one byte short", func(b []byte) []byte { return b[:len(b)-1] }},
+		{"one byte long", func(b []byte) []byte { return append(b, 0) }},
+		{"header only", func(b []byte) []byte { return b[:spillHeaderLen] }},
 	} {
-		bad := append([]byte(nil), buf...)
-		tc.mut(bad)
-		if _, err := decodeSpillEntry(bad); err == nil {
+		if _, err := decodeSpillEntry(tc.mut(bytes.Clone(buf))); err == nil {
 			t.Errorf("%s corruption decoded cleanly", tc.name)
 		}
-	}
-	if _, err := decodeSpillEntry(buf[:len(buf)/2]); err == nil {
-		t.Errorf("torn file decoded cleanly")
 	}
 }
 
@@ -151,11 +184,7 @@ func TestSpillByteBudgetEvictsOldestFiles(t *testing.T) {
 	dir := t.TempDir()
 	// One 32x8 spill file is ~3KB; a 2-file budget forces the oldest out.
 	e1 := makeEntry(t, 20, 32, 8, "mbudget1-x", 0)
-	buf, err := encodeSpillEntry(e1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := NewSpillTier(dir, int64(len(buf))*2+64)
+	sp, err := NewSpillTier(dir, int64(len(spillBytes(t, e1)))*2+64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,10 +453,7 @@ func TestRewarmRemovesStaleSiblings(t *testing.T) {
 	var sizes [2]int64
 	for epoch := range sizes {
 		e := makeEntry(t, uint64(950+epoch), 32+epoch, 8, versionedKey(base, uint64(epoch)), uint64(epoch))
-		buf, err := encodeSpillEntry(e)
-		if err != nil {
-			t.Fatal(err)
-		}
+		buf := spillBytes(t, e)
 		if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), buf, 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 
@@ -72,9 +71,9 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 	if v64 != nil {
 		v = tcqr.ToFloat32(v64)
 	}
-	uerr := s.retryDo(ctx, rc, "update", func(actx context.Context) error {
+	uerr := s.retryDo(ctx, rc, "update", func() error {
 		var ierr error
-		took, perr := rc.onPool(actx, func() {
+		took, perr := rc.onPool(ctx, func() {
 			// Failpoint: an injected error here aborts the update after the
 			// series was latched — the recovery path that must leave the
 			// current epoch published and the series unlocked.
