@@ -47,11 +47,15 @@ reach:
 # Tier-1 verification: everything must build and pass. The pipeline and
 # one-path tests run once more under the race detector, which the tier-1 pass
 # itself does not use (check-race runs the whole suite under it, so it names
-# neither again).
+# neither again). The level-2 bit-identity and allocation tests and the
+# refinement's run once more at one, two and four processors: the float64
+# Gemv is split between the caller and helpers only from two up, and its bits
+# and its zero allocations must not depend on that.
 check: lint check-benchmark
 	$(GO) test ./...
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
+	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs' ./internal/blas ./internal/lls
 
 # benchmark/ is its own module, so `./...` from the root never compiles it:
 # vet and test it by name, or a rename in internal/ breaks the benchmark

@@ -6,7 +6,9 @@ import (
 	"tcqr/internal/dense"
 )
 
-// Gemv computes y ← α·op(A)·x + β·y.
+// Gemv computes y ← α·op(A)·x + β·y. A float64 product on a large enough A
+// is split into chunks of y that the caller and parked helpers share
+// (gemvParallel), with the bits of the serial product.
 func Gemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, beta T, y []T) {
 	r, c := opShape(tA, a)
 	if len(x) != c || len(y) != r {
@@ -21,6 +23,12 @@ func Gemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, beta 
 	}
 	if alpha == 0 {
 		return
+	}
+	if a64, ok := any(a).(*dense.M64); ok {
+		if chunk, helpers := gemvSplit(tA, a.Rows, a.Cols); helpers > 0 {
+			gemvParallel(tA, float64(alpha), a64, any(x).([]float64), any(y).([]float64), chunk, helpers)
+			return
+		}
 	}
 	if tA == NoTrans {
 		gemvN(alpha, a, x, y)
@@ -270,8 +278,13 @@ func Trsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 // pass evaluated strictly left to right — every x[i] sees exactly the
 // subtraction sequence of four successive reference column sweeps. A zero
 // solved component falls back to per-column sweeps for its block, because
-// the reference loop skips zero columns entirely.
+// the reference loop skips zero columns entirely. In float64 on an AVX2 host
+// trsvUpperNoTransF64 solves instead.
 func trsvUpperNoTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
+	if a64, ok := any(a).(*dense.M64); ok && useVectorLevel2 {
+		trsvUpperNoTransF64(diag, a64, any(x).([]float64))
+		return
+	}
 	n := a.Rows
 	j := n - 1
 	for ; j >= 3; j -= 4 {
@@ -348,8 +361,13 @@ func trsvUpperNoTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
 // columns share one pass over the solved prefix with four independent
 // accumulator chains; each chain then finishes inside the 4×4 corner in the
 // same ascending element order, so every component is the bit-identical
-// sequential dot of the reference loop.
+// sequential dot of the reference loop. In float64 on an AVX2 host
+// trsvUpperTransF64 solves instead.
 func trsvUpperTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
+	if a64, ok := any(a).(*dense.M64); ok && useVectorLevel2 {
+		trsvUpperTransF64(diag, a64, any(x).([]float64))
+		return
+	}
 	n := a.Rows
 	j := 0
 	for ; j+4 <= n; j += 4 {
@@ -393,6 +411,112 @@ func trsvUpperTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
 	for ; j < n; j++ {
 		col := a.Col(j)
 		var s T
+		for i := 0; i < j; i++ {
+			s += col[i] * x[i]
+		}
+		x[j] -= s
+		if diag == NonUnit {
+			x[j] /= col[j]
+		}
+	}
+}
+
+// trsvUpperNoTransF64 is trsvUpperNoTrans with AVX2: eight columns j, j−1,
+// …, j−7 per block, from the last column down. The corner solves the block's
+// eight components in Go in reference order; gemvN8F64 then folds the eight
+// column updates into one pass over the head x[0:j−7], with the columns
+// walked by a negative stride and coefficients −x_k, since y + a·(−x) is
+// y − a·x bit for bit. A zero component (the reference skips its column) or
+// a NaN result hands the head rows to the Go loop, and the n mod 8 columns
+// left at the front run the reference loop. Every loop in Go here has the
+// reference's shape, so where two NaNs meet the same one survives.
+func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
+	j := a.Rows - 1
+	for ; j >= 7; j -= 8 {
+		lo := j - 7
+		var xs, coef [8]float64
+		zero := false
+		for k := range xs {
+			col := a.Col(j - k)
+			if diag == NonUnit {
+				x[j-k] /= col[j-k]
+			}
+			xk := x[j-k]
+			xs[k], coef[k] = xk, -xk
+			if xk == 0 {
+				zero = true
+				continue
+			}
+			for i := lo; i < j-k; i++ {
+				x[i] -= col[i] * xk
+			}
+		}
+		done := 0
+		if !zero && lo >= 4 {
+			done = gemvN8F64(lo, &a.Data[j*a.Stride], -a.Stride, &coef, &x[0])
+		}
+		for k, xk := range xs {
+			if xk == 0 {
+				continue
+			}
+			col := a.Col(j - k)
+			for i := done; i < lo; i++ {
+				x[i] -= col[i] * xk
+			}
+		}
+	}
+	for ; j >= 0; j-- {
+		col := a.Col(j)
+		if diag == NonUnit {
+			x[j] /= col[j]
+		}
+		xj := x[j]
+		if xj == 0 {
+			continue
+		}
+		for i := 0; i < j; i++ {
+			x[i] -= col[i] * xj
+		}
+	}
+}
+
+// trsvUpperTransF64 is trsvUpperTrans with AVX2: eight columns j…j+7 per
+// block. gemvT8F64 computes their dot products with the solved head x[0:j],
+// each the reference's sequential sum from +0 (which never reaches −0, so
+// adding it to a zeroed y is exact); the corner continues each sum over the
+// block's own components in Go in reference order. A NaN among the eight
+// sums hands them to the Go loop, and the n mod 8 columns left at the end run
+// the reference loop, all in the reference's shape as in
+// trsvUpperNoTransF64.
+func trsvUpperTransF64(diag Diag, a *dense.M64, x []float64) {
+	n := a.Rows
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		var s [8]float64
+		if j > 0 && !gemvT8F64(j, &a.Data[j*a.Stride], a.Stride, &x[0], 1, &s[0]) {
+			for k := range s {
+				col := a.Col(j + k)
+				var sk float64
+				for i := 0; i < j; i++ {
+					sk += col[i] * x[i]
+				}
+				s[k] = sk
+			}
+		}
+		for k, sk := range s {
+			col := a.Col(j + k)
+			for i := j; i < j+k; i++ {
+				sk += col[i] * x[i]
+			}
+			x[j+k] -= sk
+			if diag == NonUnit {
+				x[j+k] /= col[j+k]
+			}
+		}
+	}
+	for ; j < n; j++ {
+		col := a.Col(j)
+		var s float64
 		for i := 0; i < j; i++ {
 			s += col[i] * x[i]
 		}

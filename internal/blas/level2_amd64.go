@@ -6,9 +6,12 @@ import "tcqr/internal/cpufeat"
 
 // AVX2 kernels for the level-2 loops the solvers spend their time in: the
 // two float64 matrix-vector products of a refinement iteration (CGLS, LSQR)
-// and the float32 transposed product and column update of the MGS tile and
-// of the batched tile GEMM. The contract is Float64bits/Float32bits equality
-// with the Go loops of level2.go on every input, and it rests on two rules.
+// and its two float64 triangular solves (Upper NoTrans and Upper Trans Trsv,
+// whose head updates and head dot products are gemvN8F64, walking eight
+// columns backwards by a negative stride, and gemvT8F64), and the float32
+// transposed product and column update of the MGS tile and of the batched
+// tile GEMM. The contract is Float64bits/Float32bits equality with the Go
+// loops of level2.go on every input, and it rests on two rules.
 //
 // Rounding: multiply and add stay separate instructions, never FMA, and
 // every output element sees the operations of the Go loop in the Go loop's
@@ -26,7 +29,10 @@ import "tcqr/internal/cpufeat"
 // every build because the Go loop produced it.
 //
 // The kernels take a pointer and the leading dimension, so they run on views
-// as they stand (unaligned loads throughout), and allocate nothing.
+// as they stand (unaligned loads throughout), and allocate nothing. Whether a
+// float64 Gemv is split between the caller and helpers (parallel.go) is
+// decided above them: each chunk calls them on its window as the serial
+// product would.
 
 // useVectorLevel2 selects the kernels of level2_amd64.s, decided once at
 // init. Nothing overrides it: the tests reach the Go loops by calling them.
@@ -35,7 +41,8 @@ var useVectorLevel2 = cpufeat.AVX2
 // gemvN8F64 folds eight columns of a into y four rows at a time, over the
 // whole multiples of four in rows: each y[i] sees the additions of the Go
 // loop's two successive four-column blocks with the coefficients coef, none
-// of which may be zero. It stops before the first four rows whose result
+// of which may be zero. The columns are a, a+stride, …, a+7·stride, and
+// stride may be negative. It stops before the first four rows whose result
 // holds a NaN and returns the number of rows it stored.
 //
 //go:noescape

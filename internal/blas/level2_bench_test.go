@@ -13,14 +13,18 @@ import (
 // repository's workloads run them, each beside a sibling that calls the Go
 // loop directly, so one
 //
-//	go test -run '^$' -bench 'Gemv64Shapes|MGSTileWalk|Nrm2Fresh|GemmBatchBodies' -benchmem ./internal/blas
+//	go test -run '^$' -bench 'Gemv64Shapes|MGSTileWalk|Nrm2Fresh|GemmBatchBodies' -benchmem -cpu 1,2 ./internal/blas
 //
 // prints vector beside scalar on any host (on a host without AVX2 the two
-// lines are the same code). All of them must report 0 allocs/op.
+// lines are the same code), and the split Gemv beside the caller alone. All
+// of them must report 0 allocs/op.
 
 // BenchmarkGemv64Shapes: the refinement's two products. 1024×256 is
 // serve-hit's cached solve (2 MB, L2-resident), 2048×512 lls-dense (8 MB,
-// L3), 4096×128 serve-cold-tall.
+// L3), 4096×128 serve-cold-tall. "split" is Gemv, which from gemvSplitMin
+// and two processors up shares the product with parked helpers (compare
+// split-2 with vector-2), "vector" the same kernels on the caller alone, "go"
+// the Go loops.
 func BenchmarkGemv64Shapes(b *testing.B) {
 	for _, s := range []struct{ m, n int }{{1024, 256}, {2048, 512}, {4096, 128}} {
 		a := benchM64(s.m, s.n)
@@ -36,7 +40,7 @@ func BenchmarkGemv64Shapes(b *testing.B) {
 			for _, impl := range []struct {
 				name string
 				gemv func(Transpose, float64, *dense.M64, []float64, float64, []float64)
-			}{{"vector", Gemv[float64]}, {"go", goGemv[float64]}} {
+			}{{"split", Gemv[float64]}, {"vector", serialGemv[float64]}, {"go", goGemv[float64]}} {
 				b.Run(fmt.Sprintf("%s/%dx%d/%s", name, s.m, s.n, impl.name), func(b *testing.B) {
 					b.SetBytes(int64(s.m) * int64(s.n) * 8)
 					for i := 0; i < b.N; i++ {

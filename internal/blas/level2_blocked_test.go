@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -44,12 +45,16 @@ func refGemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, be
 // blocked Gemv: identical results to the reference loop down to the last
 // bit, across shapes that exercise the block body and every tail length,
 // zero coefficients (which must skip columns, not add ±0), and non-finite
-// matrix entries.
+// matrix entries. The last four shapes sit on both sides of gemvSplitMin,
+// the larger ones with a row and a column tail in their last chunk, so from
+// two processors up (go test -cpu 1,2,4) the split Gemv is held to the same
+// bits.
 func TestGemvBlockedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct{ m, n int }{
 		{1, 1}, {3, 2}, {7, 3}, {8, 4}, {16, 5}, {5, 6}, {33, 7}, {64, 8},
 		{129, 9}, {100, 31}, {256, 64}, {1024, 48},
+		{4096, 127}, {4096, 128}, {4099, 131}, {2049, 263},
 	}
 	for _, tA := range []Transpose{NoTrans, Trans} {
 		for _, s := range shapes {
@@ -177,58 +182,108 @@ func refTrsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[
 // TestTrsvBlockedBitIdentical pins the blocked Upper NoTrans/Trans Trsv
 // kernels to the reference substitution down to the last bit, including
 // blocks where a solved component lands exactly on zero (the reference
-// skips those columns, so v·0 must never be added).
+// skips those columns, so v·0 must never be added). From n = 16 on it also
+// plants one special value at each of the eight positions of one vector
+// block (the second from where the substitution starts, so it has a head and
+// a solved part on both sides): a zero solved component of either sign, an
+// Inf or a NaN right-hand side, and an Inf or a NaN in that column of A.
 func TestTrsvBlockedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 129, 256} {
+	upper := func(n int) (*dense.M64, []float64) {
+		a := dense.New[float64](n, n)
+		for j := 0; j < n; j++ {
+			col := a.Col(j)
+			for i := 0; i <= j; i++ {
+				col[i] = rng.NormFloat64()
+			}
+			// A well-scaled diagonal keeps the substitution finite.
+			col[j] = 2 + rng.Float64()
+		}
+		x0 := make([]float64, n)
+		for i := range x0 {
+			x0[i] = rng.NormFloat64()
+		}
+		return a, x0
+	}
+	// solveToZero makes component c of the solution ±0: its right-hand side
+	// is v and nothing couples it to the components solved before it.
+	solveToZero := func(tA Transpose, a *dense.M64, x0 []float64, c int, v float64) {
+		x0[c] = v
+		if tA == NoTrans {
+			for j := c + 1; j < a.Cols; j++ {
+				a.Col(j)[c] = 0
+			}
+			return
+		}
+		clear(a.Col(c)[:c])
+	}
+	plants := []string{"zero", "-zero", "inf b", "nan b", "inf A", "nan A"}
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 64, 129, 256, 257, 511, 512, 513} {
 		for _, tA := range []Transpose{NoTrans, Trans} {
 			for _, diag := range []Diag{NonUnit, Unit} {
-				for trial := 0; trial < 3; trial++ {
-					a := dense.New[float64](n, n)
-					for j := 0; j < n; j++ {
-						col := a.Col(j)
-						for i := 0; i <= j; i++ {
-							col[i] = rng.NormFloat64()
-						}
-						// A well-scaled diagonal keeps the substitution finite.
-						col[j] = 2 + rng.Float64()
-					}
-					x0 := make([]float64, n)
-					for i := range x0 {
-						x0[i] = rng.NormFloat64()
-					}
+				for trial := 0; trial < 4; trial++ {
+					a, x0 := upper(n)
 					switch trial {
 					case 1: // force zero solved components inside block bodies
 						for i := 0; i < n; i += 3 {
-							x0[i] = 0
-							if tA == NoTrans {
-								// Zero rhs rows solve to zero when the columns to
-								// their right contribute nothing.
-								for j := i + 1; j < n; j++ {
-									a.Col(j)[i] = 0
-								}
-							}
+							solveToZero(tA, a, x0, i, 0)
 						}
 					case 2: // non-finite strictly-upper entries propagate identically
 						if n > 4 {
 							a.Col(n - 1)[0] = math.Inf(1)
 							a.Col(n - 2)[1] = math.NaN()
 						}
-					}
-					got := append([]float64(nil), x0...)
-					want := append([]float64(nil), x0...)
-					Trsv(Upper, tA, diag, a, got)
-					refTrsv(Upper, tA, diag, a, want)
-					for i := range got {
-						if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-							t.Fatalf("%v n=%d diag=%v trial %d: x[%d] = %x (%g), reference %x (%g)",
-								tA, n, diag, trial, i,
-								math.Float64bits(got[i]), got[i],
-								math.Float64bits(want[i]), want[i])
+					case 3: // every component solves to −0: a skipped column added as ±0 shows
+						for i := range x0 {
+							x0[i] = math.Copysign(0, -1)
 						}
+					}
+					trsvSameBits(t, fmt.Sprintf("%v n=%d diag=%v trial %d", tA, n, diag, trial), tA, diag, a, x0)
+				}
+				if n < 16 {
+					continue
+				}
+				lo := 8
+				if tA == NoTrans {
+					lo = n - 16
+				}
+				for c := lo; c < lo+8; c++ {
+					for _, plant := range plants {
+						a, x0 := upper(n)
+						switch plant {
+						case "zero":
+							solveToZero(tA, a, x0, c, 0)
+						case "-zero":
+							solveToZero(tA, a, x0, c, math.Copysign(0, -1))
+						case "inf b":
+							x0[c] = math.Inf(1)
+						case "nan b":
+							x0[c] = math.NaN()
+						case "inf A":
+							a.Col(c)[0] = math.Inf(-1)
+						case "nan A":
+							a.Col(c)[c/2] = math.NaN()
+						}
+						trsvSameBits(t, fmt.Sprintf("%v n=%d diag=%v %s at column %d", tA, n, diag, plant, c), tA, diag, a, x0)
 					}
 				}
 			}
+		}
+	}
+}
+
+// trsvSameBits solves with Trsv and with refTrsv from x0 and fails at the
+// first component whose bits differ.
+func trsvSameBits(t *testing.T, what string, tA Transpose, diag Diag, a *dense.M64, x0 []float64) {
+	t.Helper()
+	got := append([]float64(nil), x0...)
+	want := append([]float64(nil), x0...)
+	Trsv(Upper, tA, diag, a, got)
+	refTrsv(Upper, tA, diag, a, want)
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: x[%d] = %x (%g), reference %x (%g)", what, i,
+				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 		}
 	}
 }

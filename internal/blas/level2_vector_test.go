@@ -1,8 +1,11 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"tcqr/internal/dense"
@@ -33,6 +36,40 @@ func goGemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, bet
 		return
 	}
 	gemvTrans(alpha, a, x, y)
+}
+
+// serialGemv is Gemv on the caller alone: the vector kernels without the
+// split.
+func serialGemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, beta T, y []T) {
+	if beta == 0 {
+		clear(y)
+	} else if beta != 1 {
+		Scal(beta, y)
+	}
+	if alpha == 0 {
+		return
+	}
+	if tA == NoTrans {
+		gemvN(alpha, a, x, y)
+		return
+	}
+	gemvT(alpha, a, x, y)
+}
+
+// splitGemv is Gemv with the split forced: chunk rows (NoTrans) or columns
+// (Trans) per chunk, up to helpers helpers, at any size and processor count.
+// An empty A, which Gemv never splits, goes to serialGemv.
+func splitGemv(tA Transpose, alpha float64, a *dense.M64, x []float64, beta float64, y []float64, chunk, helpers int) {
+	if alpha == 0 || a.Rows == 0 || a.Cols == 0 {
+		serialGemv(tA, alpha, a, x, beta, y)
+		return
+	}
+	if beta == 0 {
+		clear(y)
+	} else if beta != 1 {
+		Scal(beta, y)
+	}
+	gemvParallel(tA, alpha, a, x, y, chunk, helpers)
 }
 
 // refGer is Ger's loop before the column update moved into colUpdate.
@@ -225,13 +262,54 @@ func level2Case[T dense.Float](t *testing.T, what string, g *level2Gen, r, c, k,
 	}
 }
 
+// level2Case64 runs the float64 paths that have no float32 twin on one
+// generated problem and compares bits: Gemv split into chunks of chunk rows
+// or columns shared with up to helpers helpers (forced at any size, so small
+// shapes reach every chunk and every tail) against the Go loops, and the
+// Upper NoTrans/Trans Trsv on an r×r triangle against refTrsv. Where two
+// NaNs meet, which one survives is a property of a loop's shape: the split
+// keeps the serial Gemv's, whose Go loops are not refGemv's shape, and the
+// vector Trsv runs every Go loop in refTrsv's shape.
+func level2Case64(t *testing.T, what string, g *level2Gen, r, c, pad, off, chunk, helpers int, diag Diag, alpha, beta float64) {
+	t.Helper()
+	a, _ := genMat[float64](g, r, c, pad, off)
+	for _, tA := range []Transpose{NoTrans, Trans} {
+		yr, xr := r, c
+		if tA == Trans {
+			yr, xr = c, r
+		}
+		x := genVec[float64](g, xr, off)
+		got := genVec[float64](g, yr, (off+1)%4)
+		want := append([]float64(nil), got...)
+		splitGemv(tA, alpha, a, x, beta, got, chunk, helpers)
+		goGemv(tA, alpha, a, x, beta, want)
+		sameBits(t, fmt.Sprintf("%s gemv %v split by %d", what, tA, chunk), got, want)
+	}
+	if !useVectorLevel2 {
+		// The four-column Go blocks that solve without AVX2 are not in
+		// refTrsv's shape; TestTrsvBlockedBitIdentical holds them to it.
+		return
+	}
+	tri, _ := genMat[float64](g, r, r, pad, off)
+	for _, tA := range []Transpose{NoTrans, Trans} {
+		got := genVec[float64](g, r, off)
+		want := append([]float64(nil), got...)
+		Trsv(Upper, tA, diag, tri, got)
+		refTrsv(Upper, tA, diag, tri, want)
+		sameBits(t, fmt.Sprintf("%s trsv %v diag %v", what, tA, diag), got, want)
+	}
+}
+
 // level2Scalars are the α and β the fuzz target and the tests draw from.
 var level2Scalars = [4]float64{0, 1, -1, -2.5}
 
 // FuzzLevel2VectorVsGeneric drives the vector kernels against the Go loops
 // over fuzzer-chosen shapes, strides, offsets, α/β and per-element value
 // classes, and compares bits. The committed seed corpus walks every row tail
-// and every column tail 0…7 past the vector bodies.
+// and every column tail 0…7 past the vector bodies. The float64 split Gemv
+// runs beside the serial one at the same shape with a fuzzer-chosen chunk of
+// 8 to 32 and one to three helpers, and the vector Trsv on a triangle of the
+// row count.
 func FuzzLevel2VectorVsGeneric(f *testing.F) {
 	f.Add(uint8(40), uint8(16), uint8(3), uint8(0), uint8(0), uint8(5), []byte{0, 0x81, 0x32})
 	f.Add(uint8(7), uint8(9), uint8(1), uint8(2), uint8(1), uint8(0x0d), []byte{11, 10, 0x89, 0x8a, 0x8b, 0, 1, 12, 0x8c})
@@ -241,6 +319,7 @@ func FuzzLevel2VectorVsGeneric(f *testing.F) {
 		g := &level2Gen{classes: classes}
 		level2Case[float64](t, "f64", g, r, c, k, int(pad)%5, int(off)%8, alpha, beta)
 		level2Case[float32](t, "f32", g, r, c, k, int(pad)%5, int(off)%8, float32(alpha), float32(beta))
+		level2Case64(t, "f64", g, r, c, int(pad)%5, int(off)%8, 8*(1+int(inner)%4), 1+int(pad)%3, Diag(ab>>4&1), alpha, beta)
 	})
 }
 
@@ -268,6 +347,7 @@ func TestLevel2VectorBitIdentical(t *testing.T) {
 			alpha, beta := level2Scalars[ab&3], level2Scalars[ab>>2&3]
 			level2Case[float64](t, "f64", g, r, c, 1+rng.Intn(9), rng.Intn(4), rng.Intn(8), alpha, beta)
 			level2Case[float32](t, "f32", g, r, c, 1+rng.Intn(9), rng.Intn(4), rng.Intn(8), float32(alpha), float32(beta))
+			level2Case64(t, "f64", g, r, c, rng.Intn(4), rng.Intn(8), 8*(1+rng.Intn(4)), 1+rng.Intn(3), Diag(rng.Intn(2)), alpha, beta)
 		}
 	}
 }
@@ -304,6 +384,7 @@ func TestLevel2NaNHandedBack(t *testing.T) {
 		g := &level2Gen{classes: classes}
 		level2Case[float64](t, "f64", g, r, c, 1+rng.Intn(4), rng.Intn(2), rng.Intn(2), alpha, 1)
 		level2Case[float32](t, "f32", g, r, c, 1+rng.Intn(4), rng.Intn(2), rng.Intn(2), float32(alpha), 1)
+		level2Case64(t, "f64", g, r, c, rng.Intn(2), rng.Intn(2), 8*(1+rng.Intn(2)), 1+rng.Intn(3), Diag(rng.Intn(2)), alpha, 1)
 	}
 }
 
@@ -410,10 +491,76 @@ func TestGemmBatchBitIdentical(t *testing.T) {
 
 // TestLevel2NoAllocs holds the dispatch to zero allocations: the type switch
 // must not box a slice and the hand-back windows must stay on the stack, on
-// a whole matrix and on a view alike.
+// a whole matrix and on a view alike. The split Gemv (split-size matrices and
+// views) and the vector Trsv are held to it at two processors or more:
+// testing.AllocsPerRun runs at one, where nothing splits, so they are counted
+// by allocsPerCall, helpers included.
 func TestLevel2NoAllocs(t *testing.T) {
 	level2NoAllocs[float32](t)
 	level2NoAllocs[float64](t)
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	rng := rand.New(rand.NewSource(46))
+	// A goroutine that parks takes a sudog from its processor's cache, and the
+	// runtime allocates one whenever that cache and the central one are empty,
+	// until every processor's cache has filled: hundreds at four processors.
+	// Fill them first on small forced splits, which park as often for less.
+	small := randMat(rng, 64, 40)
+	xs, ys := make([]float64, 40), make([]float64, 64)
+	for i := range xs {
+		xs[i] = 1
+	}
+	for i := 0; i < 2000; i++ {
+		splitGemv(NoTrans, 1, small, xs, 0, ys, 8, runtime.GOMAXPROCS(0)-1)
+	}
+	parent := randMat(rng, 4102, 133)
+	for name, a := range map[string]*dense.M64{"matrix": randMat(rng, 4096, 128), "view": parent.View(3, 2, 4097, 129)} {
+		if _, helpers := gemvSplit(NoTrans, a.Rows, a.Cols); helpers == 0 {
+			t.Fatalf("a %dx%d %s does not split", a.Rows, a.Cols, name)
+		}
+		xr, xc := make([]float64, a.Rows), make([]float64, a.Cols)
+		for i := range xr {
+			xr[i] = 1
+		}
+		for i := range xc {
+			xc[i] = float64(i % 5)
+		}
+		yr, yc := make([]float64, a.Rows), make([]float64, a.Cols)
+		for op, fn := range map[string]func(){
+			"gemv N": func() { Gemv(NoTrans, 1, a, xc, 1, yr) },
+			"gemv T": func() { Gemv(Trans, 1, a, xr, 0, yc) },
+		} {
+			if n := allocsPerCall(100, fn); n != 0 {
+				t.Errorf("split %s on a %s: %v allocs per call, want 0", op, name, n)
+			}
+		}
+	}
+	tri := randMat(rng, 515, 515).View(1, 2, 513, 513)
+	for i := 0; i < tri.Rows; i++ {
+		tri.Set(i, i, 2)
+	}
+	x := make([]float64, tri.Rows)
+	for _, tA := range []Transpose{NoTrans, Trans} {
+		if n := allocsPerCall(100, func() { Trsv(Upper, tA, NonUnit, tri, x) }); n != 0 {
+			t.Errorf("trsv %v: %v allocs per call, want 0", tA, n)
+		}
+	}
+}
+
+// allocsPerCall is testing.AllocsPerRun at the current GOMAXPROCS: the mean
+// number of heap allocations, anywhere in the process, per call of f after a
+// warm-up that starts the helpers and fills the job free list.
+func allocsPerCall(runs int, f func()) uint64 {
+	for i := 0; i < 10; i++ {
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 func level2NoAllocs[T dense.Float](t *testing.T) {
@@ -437,5 +584,67 @@ func level2NoAllocs[T dense.Float](t *testing.T) {
 				t.Errorf("%T %s on a %s: %v allocs per call, want 0", T(0), op, name, n)
 			}
 		}
+	}
+}
+
+// TestGemvSplitConcurrentBitIdentical has four callers split small products
+// at once, over and over, so that jobs are recycled while helpers still hold
+// them, helpers are woken late or not at all and callers wait for chunks a
+// helper claimed: under -race this is the test of gemvJob's lifetime.
+func TestGemvSplitConcurrentBitIdentical(t *testing.T) {
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(48 + c)))
+			for i := 0; i < 200; i++ {
+				r, k := 1+rng.Intn(70), 1+rng.Intn(40)
+				a := randMat(rng, r, k)
+				tA, xn, yn := NoTrans, k, r
+				if i%2 == 1 {
+					tA, xn, yn = Trans, r, k
+				}
+				x, got := make([]float64, xn), make([]float64, yn)
+				for j := range x {
+					x[j] = rng.NormFloat64()
+				}
+				want := make([]float64, yn)
+				splitGemv(tA, 1, a, x, 0, got, 8*(1+rng.Intn(2)), 1+rng.Intn(3))
+				goGemv(tA, 1, a, x, 0, want)
+				for j := range want {
+					if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+						t.Errorf("caller %d call %d: %v %dx%d y[%d] = %g, serial %g", c, i, tA, r, k, j, got[j], want[j])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestGemvSplitNeedsTwoProcs: on one processor a split-size Gemv is the
+// serial code. gemvSplit says so before anything shared is touched (the job
+// free list, the counters and the helpers are all behind it), and the calls
+// start no helper and no goroutine.
+func TestGemvSplitNeedsTwoProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, s := range []struct{ m, n int }{{1024, 256}, {2048, 512}, {4096, 128}, {1 << 16, 8}} {
+		for _, tA := range []Transpose{NoTrans, Trans} {
+			if chunk, helpers := gemvSplit(tA, s.m, s.n); chunk != 0 || helpers != 0 {
+				t.Errorf("%v %dx%d on one processor: chunk %d, %d helpers", tA, s.m, s.n, chunk, helpers)
+			}
+		}
+	}
+	a := randMat(rand.New(rand.NewSource(47)), 4096, 128)
+	x, y := make([]float64, 4096), make([]float64, 128)
+	helpers, goroutines := gemvHelpers.Load(), runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		Gemv(Trans, 1, a, x, 0, y)
+		Gemv(NoTrans, 1, a, y, 0, x)
+	}
+	if h, g := gemvHelpers.Load(), runtime.NumGoroutine(); h != helpers || g != goroutines {
+		t.Errorf("one processor: helpers %d -> %d, goroutines %d -> %d", helpers, h, goroutines, g)
 	}
 }

@@ -93,6 +93,22 @@ func TestMGSBeatsCGSOnIllConditioned(t *testing.T) {
 	}
 }
 
+// TestGramSchmidtAllocationsIndependentOfWidth: MGS and CGS allocate per
+// call, not per column (each column's trail or head was a heap-allocated
+// view), so a 256×32 tile, the CAQR tile, costs what a 256×8 one does.
+func TestGramSchmidtAllocationsIndependentOfWidth(t *testing.T) {
+	for name, gs := range map[string]func(a, r *dense.M32){"MGS": MGS[float32], "CGS": CGS[float32]} {
+		allocs := map[int]float64{}
+		for _, n := range []int{8, 32} {
+			a, r := randPanel(5, 256, n), dense.New[float32](n, n)
+			allocs[n] = testing.AllocsPerRun(10, func() { gs(a, r) })
+		}
+		if allocs[8] != allocs[32] {
+			t.Errorf("%s allocates %v times on a 256×8 tile and %v on a 256×32 one", name, allocs[8], allocs[32])
+		}
+	}
+}
+
 func TestMGSZeroColumn(t *testing.T) {
 	a := randPanel(4, 50, 4)
 	for i := 0; i < 50; i++ {

@@ -50,14 +50,16 @@ func MGS[T dense.Float](a *dense.Matrix[T], r *dense.Matrix[T]) {
 		if k == n-1 {
 			break
 		}
-		trail := a.View(0, k+1, m, n-k-1)
 		// R(k, k+1:n) = qkᵀ · A(:, k+1:n); A(:, k+1:n) -= qk · R(k, k+1:n).
+		// The trail is a window by value: a.View would heap-allocate one per
+		// column.
+		trail := dense.Matrix[T]{Rows: m, Cols: n - k - 1, Stride: a.Stride, Data: a.Data[(k+1)*a.Stride:]}
 		row := rows[:n-k-1]
-		blas.Gemv(blas.Trans, 1, trail, qk, 0, row)
+		blas.Gemv(blas.Trans, 1, &trail, qk, 0, row)
 		for j, v := range row {
 			r.Set(k, k+1+j, v)
 		}
-		blas.Ger(-1, qk, row, trail)
+		blas.Ger(-1, qk, row, &trail)
 	}
 }
 
@@ -78,10 +80,10 @@ func CGS[T dense.Float](a *dense.Matrix[T], r *dense.Matrix[T]) {
 		if k > 0 {
 			// R(0:k, k) = Q(:, 0:k)ᵀ·a_k, then a_k -= Q(:, 0:k)·R(0:k, k),
 			// both against the ORIGINAL a_k (that is what makes it CGS).
-			head := a.View(0, 0, m, k)
+			head := dense.Matrix[T]{Rows: m, Cols: k, Stride: a.Stride, Data: a.Data}
 			rk := r.Col(k)[:k]
-			blas.Gemv(blas.Trans, 1, head, ak, 0, rk)
-			blas.Gemv(blas.NoTrans, -1, head, rk, 1, ak)
+			blas.Gemv(blas.Trans, 1, &head, ak, 0, rk)
+			blas.Gemv(blas.NoTrans, -1, &head, rk, 1, ak)
 		}
 		nrm := blas.Nrm2(ak)
 		r.Set(k, k, nrm)

@@ -27,12 +27,16 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 		maxIter = DefaultMaxIter
 	}
 
+	tmpM := make([]float64, m)
+	tmpN := make([]float64, n)
+	tmpT := make([]float64, n) // R⁻¹·v inside applyB
+
 	applyB := func(v []float64, out []float64) { // out = A·R⁻¹·v
-		t := append([]float64(nil), v...)
+		copy(tmpT, v)
 		if r != nil {
-			blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, t)
+			blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, tmpT)
 		}
-		blas.Gemv(blas.NoTrans, 1, a, t, 0, out)
+		blas.Gemv(blas.NoTrans, 1, a, tmpT, 0, out)
 	}
 	applyBT := func(u []float64, out []float64) { // out = R⁻ᵀ·Aᵀ·u
 		blas.Gemv(blas.Trans, 1, a, u, 0, out)
@@ -43,10 +47,13 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 
 	u := append([]float64(nil), b...)
 	beta := blas.Nrm2(u)
-	out := &IterResult{X: make([]float64, n)}
+	// GradNorms has room for DefaultMaxIter iterations, so up to there what
+	// LSQR allocates does not grow with how many it runs (maxIter comes off
+	// the wire, so it does not size an allocation).
+	out := &IterResult{X: make([]float64, n), GradNorms: make([]float64, 0, min(maxIter, DefaultMaxIter)+1)}
 	if beta == 0 {
 		out.Converged = true
-		out.GradNorms = []float64{0}
+		out.GradNorms = append(out.GradNorms, 0)
 		return out
 	}
 	blas.Scal(1/beta, u)
@@ -55,7 +62,7 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 	alpha := blas.Nrm2(v)
 	if alpha == 0 {
 		out.Converged = true
-		out.GradNorms = []float64{0}
+		out.GradNorms = append(out.GradNorms, 0)
 		return out
 	}
 	blas.Scal(1/alpha, v)
@@ -64,10 +71,8 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 	y := make([]float64, n)
 	phiBar, rhoBar := beta, alpha
 	grad0 := alpha * beta // ‖Bᵀb‖ estimate
-	out.GradNorms = []float64{grad0}
+	out.GradNorms = append(out.GradNorms, grad0)
 
-	tmpM := make([]float64, m)
-	tmpN := make([]float64, n)
 	for k := 0; k < maxIter; k++ {
 		// β·u = B·v − α·u
 		applyB(v, tmpM)
