@@ -50,12 +50,15 @@ reach:
 # neither again). The level-2 bit-identity and allocation tests and the
 # refinement's run once more at one, two and four processors: the float64
 # Gemv is split between the caller and helpers only from two up, and its bits
-# and its zero allocations must not depend on that.
+# and its zero allocations must not depend on that. So do the packed GEMM's
+# goldens, kernel-family, determinism and allocation tests: it splits the rows
+# of a small output between workers and packs op(B) on all of them.
 check: lint check-benchmark
 	$(GO) test ./...
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs' ./internal/blas ./internal/lls
+	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
 
 # benchmark/ is its own module, so `./...` from the root never compiles it:
 # vet and test it by name, or a rename in internal/ breaks the benchmark

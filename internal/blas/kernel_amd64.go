@@ -4,30 +4,60 @@ package blas
 
 import "tcqr/internal/cpufeat"
 
-// AVX micro-kernels for the packed GEMM. They compute a full micro-tile
-// accumulator block from packed panels:
+// Assembly micro-kernels for the packed GEMM. Each computes a micro-tile
 //
-//	out[r + s·MR] = Σ_l ap[l·MR+r] · bp[l·NR+s]
+//	acc[r + s·mr] = Σ_l ap[l·mr+r] · bp[l·4+s]
 //
-// vectorizing over r (rows of C), so each C element still accumulates its k
-// terms sequentially in ascending order with one rounding per multiply and
-// one per add — exactly the arithmetic of the scalar kernel and of the
-// original column-sweep code. FMA is deliberately not used: a fused
-// multiply-add would skip the intermediate rounding and make results differ
-// between the assembly and pure-Go paths (and change the simulated engines'
-// float32 accumulation semantics). α/β application and edge masking happen
-// in Go during write-back.
+// from packed panels, vectorizing over r (rows of C), so each C element
+// accumulates its k terms from +0 sequentially in ascending order with one
+// rounding per add — the arithmetic of the Go kernel.
+//
+// The float32 kernels come in two heights, 16×4 on YMM (AVX) and 32×4 on ZMM
+// (AVX-512F). Both round every product (VMULPS, then VADDPS): a fused
+// multiply-add would give other bits wherever a product is inexact.
+//
+// A full tile is stored by the kernel: α and β are applied in registers with
+// writeTile's operations (a product rounded, then a sum), so a stored result
+// is writeTile's bits. The kernel stores nothing when any result of the tile
+// is NaN (the level-2 rule, level2_amd64.go) and reports it; the caller then
+// recomputes the tile into an accumulator block and folds it with writeTile,
+// which is also the path of every edge tile.
+//
+// The float64 kernel is 8×4 on YMM, mul+add, and leaves the write-back to
+// writeTile.
 
-// gemmKernel16x4F32 accumulates a 16×4 float32 tile over kb packed quads.
+// tile16x4F32 computes a 16×4 float32 tile over kb packed groups and writes it
+// to c (columns ldc floats apart) as mode says (tileAcc … tileAxpby). It
+// returns false, having stored nothing, if mode is not tileAcc and a result
+// is NaN.
 //
 //go:noescape
-func gemmKernel16x4F32(kb int, ap, bp, out *float32)
+func tile16x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) (ok bool)
+
+// tile32x4F32 is tile16x4F32 at 32×4, on ZMM registers.
+//
+//go:noescape
+func tile32x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) (ok bool)
 
 // gemmKernel8x4F64 accumulates an 8×4 float64 tile over kb packed quads.
 //
 //go:noescape
 func gemmKernel8x4F64(kb int, ap, bp, out *float64)
 
-// useAVXKernels gates the assembly micro-kernels; when false the generic
-// scalar 4×4 kernel runs everywhere.
-var useAVXKernels = cpufeat.AVX
+// f32Kernel is the family of every float32 GEMM: ZMM on AVX-512F, else YMM
+// on AVX, else Go. useAVXKernels gates the float64 kernel. Both are decided
+// once at init from CPUID.
+var (
+	f32Kernel     = f32Family(cpufeat.AVX, cpufeat.AVX512F)
+	useAVXKernels = cpufeat.AVX
+)
+
+func f32Family(avx, avx512f bool) kernel {
+	switch {
+	case avx512f:
+		return kernelZMM
+	case avx:
+		return kernelYMM
+	}
+	return kernelGo
+}

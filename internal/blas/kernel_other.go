@@ -3,9 +3,16 @@
 package blas
 
 // Non-amd64 platforms use the generic scalar micro-kernel everywhere.
-const useAVXKernels = false
+const (
+	f32Kernel     = kernelGo
+	useAVXKernels = false
+)
 
-func gemmKernel16x4F32(kb int, ap, bp, out *float32) {
+func tile16x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) bool {
+	panic("blas: AVX kernel called on non-amd64 platform")
+}
+
+func tile32x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) bool {
 	panic("blas: AVX kernel called on non-amd64 platform")
 }
 

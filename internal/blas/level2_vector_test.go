@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"tcqr/internal/dense"
 )
@@ -501,18 +502,6 @@ func TestLevel2NoAllocs(t *testing.T) {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
 	rng := rand.New(rand.NewSource(46))
-	// A goroutine that parks takes a sudog from its processor's cache, and the
-	// runtime allocates one whenever that cache and the central one are empty,
-	// until every processor's cache has filled: hundreds at four processors.
-	// Fill them first on small forced splits, which park as often for less.
-	small := randMat(rng, 64, 40)
-	xs, ys := make([]float64, 40), make([]float64, 64)
-	for i := range xs {
-		xs[i] = 1
-	}
-	for i := 0; i < 2000; i++ {
-		splitGemv(NoTrans, 1, small, xs, 0, ys, 8, runtime.GOMAXPROCS(0)-1)
-	}
 	parent := randMat(rng, 4102, 133)
 	for name, a := range map[string]*dense.M64{"matrix": randMat(rng, 4096, 128), "view": parent.View(3, 2, 4097, 129)} {
 		if _, helpers := gemvSplit(NoTrans, a.Rows, a.Cols); helpers == 0 {
@@ -549,11 +538,13 @@ func TestLevel2NoAllocs(t *testing.T) {
 
 // allocsPerCall is testing.AllocsPerRun at the current GOMAXPROCS: the mean
 // number of heap allocations, anywhere in the process, per call of f after a
-// warm-up that starts the helpers and fills the job free list.
+// warm-up that starts the helpers and fills the job free lists, and
+// fillParkCaches.
 func allocsPerCall(runs int, f func()) uint64 {
 	for i := 0; i < 10; i++ {
 		f()
 	}
+	fillParkCaches()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -561,6 +552,38 @@ func allocsPerCall(runs int, f func()) uint64 {
 	}
 	runtime.ReadMemStats(&after)
 	return (after.Mallocs - before.Mallocs) / uint64(runs)
+}
+
+// fillParkCaches puts the runtime's goroutine-parking records in steady state
+// at the current GOMAXPROCS, so that an allocation test which parks
+// goroutines counts the code's allocations and not the runtime's. A goroutine
+// that parks on a channel takes a record (a sudog) from its processor's cache,
+// which holds at most 128, or from the central cache, and the runtime
+// allocates one only when both are empty. A GC empties the central cache and
+// a GOMAXPROCS change the caches of the processors it removes; until the
+// records in circulation exceed what the other processors' caches can hold,
+// callers that park on one processor and resume on another keep the runtime
+// allocating. This parks twice that many goroutines at once and releases
+// them, which leaves as many records in circulation; nothing between it and
+// the measurement may start a GC.
+func fillParkCaches() {
+	runtime.GC()
+	n := 256 * runtime.GOMAXPROCS(0)
+	var started, done sync.WaitGroup
+	started.Add(n)
+	done.Add(n)
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			started.Done()
+			<-release
+			done.Done()
+		}()
+	}
+	started.Wait()
+	time.Sleep(time.Millisecond) // every goroutine reaches its receive
+	close(release)
+	done.Wait()
 }
 
 func level2NoAllocs[T dense.Float](t *testing.T) {
@@ -639,12 +662,12 @@ func TestGemvSplitNeedsTwoProcs(t *testing.T) {
 	}
 	a := randMat(rand.New(rand.NewSource(47)), 4096, 128)
 	x, y := make([]float64, 4096), make([]float64, 128)
-	helpers, goroutines := gemvHelpers.Load(), runtime.NumGoroutine()
+	helpers, goroutines := helpersStarted.Load(), runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
 		Gemv(Trans, 1, a, x, 0, y)
 		Gemv(NoTrans, 1, a, y, 0, x)
 	}
-	if h, g := gemvHelpers.Load(), runtime.NumGoroutine(); h != helpers || g != goroutines {
+	if h, g := helpersStarted.Load(), runtime.NumGoroutine(); h != helpers || g != goroutines {
 		t.Errorf("one processor: helpers %d -> %d, goroutines %d -> %d", helpers, h, goroutines, g)
 	}
 }

@@ -11,11 +11,11 @@ import (
 //
 // Large products run through a GotoBLAS-style packed kernel: panels of op(A)
 // and op(B) are packed into contiguous cache-sized slabs (both transpose
-// flags are resolved at pack time, so the inner loop is always NN) and an
-// unrolled 4×4 register-tiled micro-kernel sweeps 2-D tiles of C. Work is
-// parallelized over those C tiles; each tile is owned by exactly one task
-// and accumulates its k-slabs in a fixed ascending order, so results are
-// bit-identical for any GOMAXPROCS. Small products use the column-sweep
+// flags are resolved at pack time, so the inner loop is always NN) and a
+// register-tiled micro-kernel sweeps 2-D tiles of C. op(B) is packed once per
+// call and shared; the C tiles are parallel tasks, each owned by exactly one
+// task and accumulating its k-slabs in a fixed ascending order, so results
+// are bit-identical for any GOMAXPROCS. Small products use the column-sweep
 // reference kernel, serially.
 func Gemm[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], beta T, c *dense.Matrix[T]) {
 	gemmHooked(tA, tB, alpha, a, b, beta, c, nil, nil, false)
@@ -53,7 +53,7 @@ func gemmHooked[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T],
 		return ov, uf
 	}
 	if useBlocked(m, n, k) {
-		return gemmBlocked(tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
+		return gemmBlocked(gemmKernel[T](), tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
 	}
 	return gemmSmall(tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
 }
@@ -62,7 +62,7 @@ func gemmHooked[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T],
 // outputs waste micro-tile lanes on padding, and tiny products are dominated
 // by packing traffic; both go to the reference kernel.
 func useBlocked(m, n, k int) bool {
-	return m >= scalarMR && n >= scalarNR && m*n*k >= gemmBlockedMinFlops
+	return m >= scalarMR && n >= kernelNR && m*n*k >= gemmBlockedMinFlops
 }
 
 // hookCountOnly runs a hook's RoundCount over a scratch copy of every column
@@ -120,94 +120,173 @@ func hookedCopy[T dense.Float](h *PackHook[T], src *dense.Matrix[T], buf []T, hd
 	return hdr, ov, uf
 }
 
-// gemmJob carries one blocked GEMM invocation through parallelTasks. Task t
-// owns the C macro-tile (t mod mTiles, t div mTiles) — a gemmMC×gemmNC
-// rectangle — packs its own operand slabs into pooled buffers, and sweeps
-// the full k range in ascending slab order. Tiles are disjoint, so any
-// number of workers produces identical bits.
+// gemmJob carries one blocked GEMM through runTasks.
+//
+// The GEMM takes the columns of op(B) in blocks — all n unless one k-slab of
+// them is larger than gemmBMax — and each block's k-slabs in groups — one
+// group unless the block's op(B) is larger than gemmBMax — and runs each group
+// in two parallel phases. packing: task t packs columns
+// [(t mod packPer)·packCols, …) of the block in slab s0 + t div packPer, into
+// one buffer every tile task then reads, and the hook rounds (and counts) each
+// element of B exactly once. Then tiles: task t owns the C macro-tile
+// (t mod mTiles, t div mTiles) of the block, packs its rows of op(A) for each
+// slab and sweeps the group's slabs in ascending order. Tiles are disjoint and
+// every C element takes its slabs in the same order whatever the blocking and
+// tiling, so any number of workers produces identical bits.
 type gemmJob[T dense.Float] struct {
+	packing      bool // the phase: pack op(B), or compute C macro-tiles
+	kern         kernel
 	tA, tB       Transpose
 	alpha, beta  T
 	a, b, c      *dense.Matrix[T]
 	m, n, k      int
 	mc, nc, kc   int
-	mr, nr       int
 	mTiles       int
 	hookA, hookB *PackHook[T]
 	count        bool
 	ov, uf       int64 // atomic
+
+	bp                []T // packed op(B) of the block in slabs [s0, s1); slab s at (s−s0)·kc·nPad
+	j0, jn            int // the block: columns [j0, j0+jn) of op(B) and C
+	nPad              int // jn rounded up to kernelNR
+	s0, s1            int
+	packCols, packPer int // columns per packing task, packing tasks per slab
 }
 
-func (g *gemmJob[T]) runTask(task int) {
-	pb := getPackBuf[T]()
-	icIdx := task % g.mTiles
-	jcIdx := task / g.mTiles
-	i0 := icIdx * g.mc
-	ib := min(g.mc, g.m-i0)
-	j0 := jcIdx * g.nc
-	jb := min(g.nc, g.n-j0)
-	aPanels := (ib + g.mr - 1) / g.mr
-	bPanels := (jb + g.nr - 1) / g.nr
-	bufA := pb.growA(aPanels * g.mr * g.kc)
-	bufB := pb.growB(bPanels * g.nr * g.kc)
-	var ov, uf int64
-	for p0 := 0; p0 < g.k; p0 += g.kc {
-		kb := min(g.kc, g.k-p0)
-		bb := bufB[:bPanels*g.nr*kb]
-		packBPanel(bb, g.b, g.tB, p0, j0, kb, jb, g.nr)
-		if g.hookB != nil {
-			// Each op(B) block is re-packed once per row of macro-tiles;
-			// counting only on the first row tallies every element once.
-			if g.count && icIdx == 0 && g.hookB.RoundCount != nil {
-				o, u := g.hookB.RoundCount(bb)
-				ov += o
-				uf += u
-			} else {
-				g.hookB.Round(bb)
-			}
-		}
-		aa := bufA[:aPanels*g.mr*kb]
-		packAPanel(aa, g.a, g.tA, i0, p0, ib, kb, g.mr)
-		if g.hookA != nil {
-			// Symmetrically, op(A) blocks recur once per column of
-			// macro-tiles; count on the first column only.
-			if g.count && jcIdx == 0 && g.hookA.RoundCount != nil {
-				o, u := g.hookA.RoundCount(aa)
-				ov += o
-				uf += u
-			} else {
-				g.hookA.Round(aa)
-			}
-		}
-		gemmMacro(aa, bb, g.alpha, g.beta, g.c, i0, ib, j0, jb, kb, g.mr, g.nr, p0 == 0)
+// gemmBMax is the most elements of packed op(B) held at once, unless one
+// k-slab of a gemmNC-column block is larger: 2^20 elements (4 MB of float32,
+// 8 MB of float64). It takes every factorization GEMM of a 2048×512 or a
+// 4096×128 least-squares solve in one group of slabs and one block of columns
+// (the largest op(B) is the 2048×256 one of the 256×256×2048 R12). A
+// variable, like the blocking parameters, so tests can force several groups
+// and blocks on small inputs.
+var gemmBMax = 1 << 20
+
+// packTaskElems is about how many elements of op(B) one packing task packs:
+// 64 columns of a 256-deep slab, so the 2048×256 op(B) of the 256×256×2048
+// R12 is 32 tasks and a 64×64 op(B) is one, which the caller packs alone.
+const packTaskElems = 1 << 14
+
+func (g *gemmJob[T]) runTask(t int) {
+	if g.packing {
+		g.packB(t)
+	} else {
+		g.tile(t)
 	}
+}
+
+// slab returns the first k index and the depth of k-slab s and its packed
+// op(B), whose kernelNR-column micro-panel q starts at q·kernelNR·kb.
+func (g *gemmJob[T]) slab(s int) (p0, kb int, bp []T) {
+	p0 = s * g.kc
+	kb = min(g.kc, g.k-p0)
+	off := (s - g.s0) * g.kc * g.nPad
+	return p0, kb, g.bp[off : off+kb*g.nPad]
+}
+
+func (g *gemmJob[T]) packB(t int) {
+	p0, kb, bp := g.slab(g.s0 + t/g.packPer)
+	j := t % g.packPer * g.packCols // a multiple of kernelNR, from the block's first column
+	jb := min(g.packCols, g.jn-j)
+	dst := bp[j*kb : (j+(jb+kernelNR-1)/kernelNR*kernelNR)*kb]
+	packBPanel(dst, g.b, g.tB, p0, g.j0+j, kb, jb)
+	if g.hookB != nil {
+		g.round(g.hookB, dst, g.count)
+	}
+}
+
+func (g *gemmJob[T]) tile(t int) {
+	mr := g.kern.mr()
+	icIdx, jcIdx := t%g.mTiles, t/g.mTiles
+	i0, j := icIdx*g.mc, jcIdx*g.nc
+	ib, jb := min(g.mc, g.m-i0), min(g.nc, g.jn-j)
+	aPanels := (ib + mr - 1) / mr
+	pb := getPackBuf[T]()
+	bufA := pb.growA(aPanels * mr * g.kc)
+	for s := g.s0; s < g.s1; s++ {
+		p0, kb, bp := g.slab(s)
+		aa := bufA[:aPanels*mr*kb]
+		packAPanel(aa, g.a, g.tA, i0, p0, ib, kb, mr)
+		if g.hookA != nil {
+			// op(A) rows are packed once per column of macro-tiles; counting
+			// on the first column of C only tallies every element once.
+			g.round(g.hookA, aa, g.count && g.j0+j == 0)
+		}
+		gemmMacro(g.kern, aa, bp[j*kb:], g.alpha, g.beta, g.c, i0, ib, g.j0+j, jb, kb, p0 == 0)
+	}
+	putPackBuf(pb)
+}
+
+// round applies a hook to a packed panel, adding its counts to the job's
+// when count is set and the hook can count.
+func (g *gemmJob[T]) round(h *PackHook[T], panel []T, count bool) {
+	if !count || h.RoundCount == nil {
+		h.Round(panel)
+		return
+	}
+	ov, uf := h.RoundCount(panel)
 	if ov != 0 {
 		atomic.AddInt64(&g.ov, ov)
 	}
 	if uf != 0 {
 		atomic.AddInt64(&g.uf, uf)
 	}
-	putPackBuf(pb)
 }
 
-func gemmBlocked[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], beta T, c *dense.Matrix[T], m, n, k int, hookA, hookB *PackHook[T], count bool) (int64, int64) {
+func gemmBlocked[T dense.Float](kern kernel, tA, tB Transpose, alpha T, a, b *dense.Matrix[T], beta T, c *dense.Matrix[T], m, n, k int, hookA, hookB *PackHook[T], count bool) (int64, int64) {
+	const nr = kernelNR
 	job := getGemmJob[T]()
 	*job = gemmJob[T]{
-		tA: tA, tB: tB,
-		alpha: alpha, beta: beta,
-		a: a, b: b, c: c,
-		m: m, n: n, k: k,
-		mc: gemmMC, nc: gemmNC, kc: gemmKC,
-		hookA: hookA, hookB: hookB,
-		count: count,
+		kern: kern, tA: tA, tB: tB, alpha: alpha, beta: beta,
+		a: a, b: b, c: c, m: m, n: n, k: k,
+		nc: max(nr, gemmNC/nr*nr), kc: gemmKC,
+		hookA: hookA, hookB: hookB, count: count,
 	}
-	job.mr, job.nr = kernelDims[T]()
+	block := n
+	if job.kc*((n+nr-1)/nr*nr) > gemmBMax {
+		block = max(job.nc, gemmBMax/job.kc/job.nc*job.nc)
+	}
+	nTiles := (block + job.nc - 1) / job.nc
+	job.mc = splitMC(m, nTiles, kern.mr(), maxWorkers())
 	job.mTiles = (m + job.mc - 1) / job.mc
-	nTiles := (n + job.nc - 1) / job.nc
-	parallelTasks(job.mTiles*nTiles, job)
+	job.packCols = max(nr, packTaskElems/job.kc/nr*nr)
+	slabs := (k + job.kc - 1) / job.kc
+	pb := getPackBuf[T]()
+	for j0 := 0; j0 < n; j0 += block {
+		job.j0, job.jn = j0, min(block, n-j0)
+		job.nPad = (job.jn + nr - 1) / nr * nr
+		job.packPer = (job.jn + job.packCols - 1) / job.packCols
+		group := max(1, gemmBMax/(job.kc*job.nPad))
+		job.bp = pb.growB(min(group, slabs) * job.kc * job.nPad)
+		for s0 := 0; s0 < slabs; s0 += group {
+			job.s0, job.s1 = s0, min(slabs, s0+group)
+			job.packing = true
+			parallelTasks((job.s1-job.s0)*job.packPer, job)
+			job.packing = false
+			parallelTasks(job.mTiles*((job.jn+job.nc-1)/job.nc), job)
+		}
+	}
 	ov, uf := job.ov, job.uf
+	putPackBuf(pb)
 	putGemmJob(job)
 	return ov, uf
+}
+
+// splitMC returns the macro-tile height for an m-row output with nTiles
+// macro-tile columns on workers workers: gemmMC, unless that leaves a worker
+// without a macro-tile, in which case the rows are cut into one strip per
+// worker and column, each a multiple of mr. Which task owns a row never
+// changes the row's bits. The 128×128×2048 TensorCore R12 and the CAQR
+// panel's 64×64×2048 float32 R12 are one macro-tile each at gemmMC; split,
+// their rows of BenchmarkEngineShapes in internal/tcsim (tc-r12-128x128x2048,
+// fp32-r12-64x64x2048) take 1.54 and 0.52 ms at -cpu 2 against 2.58 and 0.80
+// unsplit (medians of six alternating runs on a busy 2-vCPU AVX-512 VM).
+func splitMC(m, nTiles, mr, workers int) int {
+	if (m+gemmMC-1)/gemmMC*nTiles >= workers {
+		return gemmMC
+	}
+	strips := (workers + nTiles - 1) / nTiles
+	return min(gemmMC, max(mr, ((m+strips-1)/strips+mr-1)/mr*mr))
 }
 
 // Syrk computes the symmetric rank-k update. With t == NoTrans it forms

@@ -6,41 +6,22 @@ import (
 	"tcqr/internal/dense"
 )
 
-// Micro-tile dimensions of the register-blocked inner kernels. The scalar
-// fallback kernel uses 4×4 (sixteen accumulators in registers); the AVX
-// assembly kernels widen the row dimension to one-or-two vector registers
-// (16×4 for float32, 8×4 for float64). Both pack formats below are laid out
-// so every kernel reads its panels with unit stride regardless of the
-// original transpose flags.
+// Micro-tile dimensions of the register-blocked inner kernels. Every kernel
+// computes mr rows by kernelNR = 4 columns of C; mr is the family's (kernel.mr:
+// 4 for the Go kernel, 8 for float64 YMM, 16 for float32 YMM, 32 for float32
+// ZMM). Both pack formats below are laid out so every kernel reads its panels
+// with unit stride regardless of the original transpose flags.
 const (
-	scalarMR = 4  // rows of C per scalar micro-tile
-	scalarNR = 4  // cols of C per scalar micro-tile
-	maxMR    = 16 // largest mr of any kernel (sizes edge-tile scratch)
-	maxNR    = 4  // largest nr of any kernel
+	scalarMR = 4  // rows of C per Go micro-tile
+	kernelNR = 4  // cols of C per micro-tile, every kernel
+	maxMR    = 32 // largest mr of any kernel (sizes edge-tile scratch)
 )
-
-// kernelDims reports the micro-tile shape used for element type T: the AVX
-// shapes when the assembly kernels are usable for T (exactly float32/float64
-// on a CPU with AVX), the scalar 4×4 shape otherwise. microTile dispatches
-// with the same type switch, so packing and kernel always agree.
-func kernelDims[T dense.Float]() (mr, nr int) {
-	if useAVXKernels {
-		var z T
-		switch any(z).(type) {
-		case float32:
-			return 16, 4
-		case float64:
-			return 8, 4
-		}
-	}
-	return scalarMR, scalarNR
-}
 
 // Cache-blocking parameters of the packed GEMM. They are variables, not
 // constants, so tests can shrink them to force multi-block control flow on
 // small inputs; production code never mutates them. The defaults size the
 // packed A block (gemmMC·gemmKC elements) for L2 and a packed B micro-panel
-// (nr·gemmKC) for L1.
+// (kernelNR·gemmKC) for L1.
 var (
 	gemmMC = 128 // rows of the packed A block (C tile height)
 	gemmKC = 256 // depth of one packed slab (k-blocking)
@@ -91,8 +72,8 @@ func (pb *packBuf[T]) growB(n int) []T {
 var (
 	packPool32 = sync.Pool{New: func() any { return new(packBuf[float32]) }}
 	packPool64 = sync.Pool{New: func() any { return new(packBuf[float64]) }}
-	jobPool32  = sync.Pool{New: func() any { return new(gemmJob[float32]) }}
-	jobPool64  = sync.Pool{New: func() any { return new(gemmJob[float64]) }}
+	gemmJobs32 = make(freeList[gemmJob[float32]], 8)
+	gemmJobs64 = make(freeList[gemmJob[float64]], 8)
 )
 
 func getPackBuf[T dense.Float]() *packBuf[T] {
@@ -121,21 +102,23 @@ func getGemmJob[T dense.Float]() *gemmJob[T] {
 	var z T
 	switch any(z).(type) {
 	case float32:
-		return any(jobPool32.Get()).(*gemmJob[T])
+		return any(gemmJobs32.get()).(*gemmJob[T])
 	case float64:
-		return any(jobPool64.Get()).(*gemmJob[T])
+		return any(gemmJobs64.get()).(*gemmJob[T])
 	default:
 		return new(gemmJob[T])
 	}
 }
 
+// putGemmJob clears j, so a pooled job holds no caller's matrices, and
+// recycles it.
 func putGemmJob[T dense.Float](j *gemmJob[T]) {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		jobPool32.Put(any(j).(*gemmJob[float32]))
-	case float64:
-		jobPool64.Put(any(j).(*gemmJob[float64]))
+	*j = gemmJob[T]{}
+	switch j := any(j).(type) {
+	case *gemmJob[float32]:
+		gemmJobs32.put(j)
+	case *gemmJob[float64]:
+		gemmJobs64.put(j)
 	}
 }
 
@@ -182,17 +165,32 @@ func packAPanel[T dense.Float](dst []T, a *dense.Matrix[T], tA Transpose, i0, p0
 	}
 }
 
-// packBPanel packs op(B)[p0:p0+kb, j0:j0+jb] into dst as nr-column
+// packBPanel packs op(B)[p0:p0+kb, j0:j0+jb] into dst as kernelNR-column
 // micro-panels: panel q holds columns [q·nr, q·nr+nr) of the block in
 // k-major order, nr consecutive elements per k index. Columns past the block
 // edge are zero-filled.
-func packBPanel[T dense.Float](dst []T, b *dense.Matrix[T], tB Transpose, p0, j0, kb, jb, nr int) {
+func packBPanel[T dense.Float](dst []T, b *dense.Matrix[T], tB Transpose, p0, j0, kb, jb int) {
+	const nr = kernelNR
 	panels := (jb + nr - 1) / nr
 	if tB == NoTrans {
 		for q := 0; q < panels; q++ {
 			base := q * nr * kb
 			c0 := j0 + q*nr
 			cols := min(nr, jb-q*nr)
+			if cols == nr {
+				// Four columns at once: four read streams, one sequential
+				// write stream.
+				s0 := b.Col(c0)[p0 : p0+kb]
+				s1 := b.Col(c0 + 1)[p0 : p0+kb]
+				s2 := b.Col(c0 + 2)[p0 : p0+kb]
+				s3 := b.Col(c0 + 3)[p0 : p0+kb]
+				d := dst[base : base+nr*kb]
+				for l := range s0 {
+					d4 := d[l*nr : l*nr+nr : l*nr+nr]
+					d4[0], d4[1], d4[2], d4[3] = s0[l], s1[l], s2[l], s3[l]
+				}
+				continue
+			}
 			for s := 0; s < cols; s++ {
 				src := b.Col(c0 + s)[p0 : p0+kb]
 				for l, v := range src {

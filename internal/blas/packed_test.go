@@ -1,12 +1,15 @@
 package blas
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"tcqr/internal/dense"
+	"tcqr/internal/f16"
 )
 
 // withBlockConfig shrinks the cache-blocking parameters so small test
@@ -128,26 +131,172 @@ func TestGemmBlockedStrided(t *testing.T) {
 }
 
 // TestGemmWorkerCountDeterminism: the blocked kernel must produce identical
-// bits regardless of GOMAXPROCS, because tile ownership and k-slab order are
-// fixed by the problem shape alone.
+// bits — and, hooked, the same overflow/underflow counts — at any GOMAXPROCS,
+// because tile ownership and k-slab order are fixed by the problem shape
+// alone. The cases cut the work every way the packed GEMM does: many
+// macro-tiles and slabs under shrunk blocking, with op(B) packed in groups of
+// two slabs, or in blocks of 48 columns one slab at a time; the row split of
+// an output with fewer macro-tiles than workers (one 128-row tile, and one
+// 64-row tile, at the default gemmMC); and the trailing update's shape. Each
+// runs at one to four processors, plain and through the binary16 hook.
 func TestGemmWorkerCountDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(9))
-	a := randMatT[float32](rng, 150, 90)
-	b := randMatT[float32](rng, 90, 130)
-	c0 := randMatT[float32](rng, 150, 130)
-	c1 := c0.Clone()
-	withBlockConfig(t, 32, 16, 24, 1, func() {
-		old := runtime.GOMAXPROCS(1)
-		Gemm(NoTrans, NoTrans, 1.25, a, b, 0.5, c0)
-		runtime.GOMAXPROCS(8)
-		Gemm(NoTrans, NoTrans, 1.25, a, b, 0.5, c1)
-		runtime.GOMAXPROCS(old)
-	})
-	for i := range c0.Data {
-		if c0.Data[i] != c1.Data[i] {
-			t.Fatalf("GOMAXPROCS changed result at %d: %v vs %v", i, c0.Data[i], c1.Data[i])
+	for _, tc := range []struct {
+		name    string
+		m, n, k int
+		tA      Transpose
+		bMax    int // gemmBMax under shrunk blocking (kc 16, nc 24); 0: the default blocking
+	}{
+		{"tiles", 150, 130, 90, NoTrans, 2 * 16 * 132}, // two slabs of the 130-column op(B)
+		{"tiles-trans", 150, 130, 90, Trans, 2 * 16 * 132},
+		{"column-blocks", 150, 130, 90, Trans, 16 * 48},
+		{"row-split", 128, 128, 600, Trans, 0},
+		{"row-split-narrow", 64, 64, 700, Trans, 0},
+		{"update", 700, 128, 128, NoTrans, 0},
+	} {
+		ar, ac := tc.m, tc.k
+		if tc.tA == Trans {
+			ar, ac = ac, ar
+		}
+		a := specialsMat32(rng, ar, ac)
+		b := specialsMat32(rng, tc.k, tc.n)
+		c0 := randMatT[float32](rng, tc.m, tc.n)
+		wantOv, wantUf := f16Counts(a, b)
+		for _, hooked := range []bool{false, true} {
+			var first []float32
+			for procs := 1; procs <= 4; procs++ {
+				runtime.GOMAXPROCS(procs)
+				c := c0.Clone()
+				var ov, uf int64
+				run := func() {
+					if hooked {
+						ov, uf = GemmHooked(tc.tA, NoTrans, 1.25, a, b, 0.5, c, &f16Hook, &f16Hook, true)
+					} else {
+						Gemm(tc.tA, NoTrans, 1.25, a, b, 0.5, c)
+					}
+				}
+				if tc.bMax != 0 {
+					withBlockConfig(t, 32, 16, 24, 1, func() {
+						defer func(v int) { gemmBMax = v }(gemmBMax)
+						gemmBMax = tc.bMax
+						run()
+					})
+				} else {
+					run()
+				}
+				what := fmt.Sprintf("%s hooked=%v at %d procs", tc.name, hooked, procs)
+				if hooked && (ov != wantOv || uf != wantUf) {
+					t.Errorf("%s: counted %d overflows, %d underflows; the operands hold %d, %d", what, ov, uf, wantOv, wantUf)
+				}
+				if first == nil {
+					first = c.Data
+					continue
+				}
+				sameBits(t, what+" against 1 proc", c.Data, first)
+			}
 		}
 	}
+}
+
+// TestGemmConcurrentDeterminism has four callers run packed GEMMs and
+// GemmBatches at once, over and over, on the one set of parked helpers and
+// pooled jobs, so that helpers are woken late or not at all, callers wait for
+// tasks a helper claimed and jobs are recycled while a helper still holds
+// them: under -race this is the test of the shared runner with the GEMM's
+// jobs. Every result must equal the same call made alone.
+func TestGemmConcurrentDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	type call struct {
+		a, b, c0, want *dense.M32
+		tA             Transpose
+		hooked, batch  bool
+	}
+	rng := rand.New(rand.NewSource(15))
+	calls := make([]call, 24)
+	for i := range calls {
+		m, n, k := 8+rng.Intn(150), 8+rng.Intn(70), 8+rng.Intn(300)
+		cl := call{tA: Transpose(i % 2), hooked: i%3 == 1, batch: i%6 == 5}
+		if cl.batch {
+			cl.tA = NoTrans
+		}
+		ar, ac := m, k
+		if cl.tA == Trans {
+			ar, ac = ac, ar
+		}
+		cl.a, cl.b, cl.c0 = randMatT[float32](rng, ar, ac), randMatT[float32](rng, k, n), randMatT[float32](rng, m, n)
+		cl.want = cl.c0.Clone()
+		concurrentCall(cl.tA, cl.a, cl.b, cl.want, cl.hooked, cl.batch)
+		calls[i] = cl
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				for i := range calls {
+					cl := &calls[(i+g*7)%len(calls)]
+					c := cl.c0.Clone()
+					concurrentCall(cl.tA, cl.a, cl.b, c, cl.hooked, cl.batch)
+					for j := range c.Data {
+						if math.Float32bits(c.Data[j]) != math.Float32bits(cl.want.Data[j]) {
+							t.Errorf("caller %d: call %d element %d = %g, alone %g", g, i, j, c.Data[j], cl.want.Data[j])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// concurrentCall is one call of TestGemmConcurrentDeterminism: a Gemm, a
+// hooked one or a GemmBatch of the output's two row halves.
+func concurrentCall(tA Transpose, a, b, c *dense.M32, hooked, batch bool) {
+	switch {
+	case batch:
+		h := c.Rows / 2
+		as := []*dense.M32{a.View(0, 0, h, a.Cols), a.View(h, 0, a.Rows-h, a.Cols)}
+		cs := []*dense.M32{c.View(0, 0, h, c.Cols), c.View(h, 0, c.Rows-h, c.Cols)}
+		GemmBatch(NoTrans, NoTrans, -1.5, as, []*dense.M32{b, b}, 0.5, cs)
+	case hooked:
+		GemmHooked(tA, NoTrans, -1.5, a, b, 0.5, c, &f16Hook, &f16Hook, true)
+	default:
+		Gemm(tA, NoTrans, -1.5, a, b, 0.5, c)
+	}
+}
+
+// f16Hook rounds packed panels through binary16 like the TensorCore engine's
+// hook.
+var f16Hook = PackHook[float32]{Round: f16.RoundInPlace, RoundCount: f16.RoundInPlaceCount}
+
+// specialsMat32 is a normal matrix with an eighth of its entries replaced by
+// values that overflow binary16 (past 65504) or flush to zero in it.
+func specialsMat32(rng *rand.Rand, rows, cols int) *dense.M32 {
+	m := randMatT[float32](rng, rows, cols)
+	for i := range m.Data {
+		switch rng.Intn(16) {
+		case 0:
+			m.Data[i] *= 1e6
+		case 1:
+			m.Data[i] *= 1e-9
+		}
+	}
+	return m
+}
+
+// f16Counts is what f16Hook counts over every element of a and b once.
+func f16Counts(ms ...*dense.M32) (ov, uf int64) {
+	for _, m := range ms {
+		for j := 0; j < m.Cols; j++ {
+			o, u := f16.RoundInPlaceCount(append([]float32(nil), m.Col(j)...))
+			ov += o
+			uf += u
+		}
+	}
+	return ov, uf
 }
 
 // TestGemmHookedCountsExactlyOnce: blocking re-packs each operand panel many
@@ -194,44 +343,8 @@ func TestGemmHookedCountsExactlyOnce(t *testing.T) {
 }
 
 // nf32 is a named float32 type: it satisfies dense.Float but is deliberately
-// invisible to the AVX type switch, so Gemm[nf32] runs the scalar 4×4 kernel.
+// invisible to the kernel selection, so Gemm[nf32] runs the Go 4×4 kernel.
 type nf32 float32
-
-// TestScalarKernelMatchesAVX verifies the documented bit-identity between
-// the assembly and pure-Go kernel paths: both accumulate each C element's k
-// terms in ascending order with one rounding per multiply and per add, so
-// the same float32 inputs must give the same bits.
-func TestScalarKernelMatchesAVX(t *testing.T) {
-	if !useAVXKernels {
-		t.Skip("AVX kernels not in use on this machine")
-	}
-	rng := rand.New(rand.NewSource(10))
-	m, n, k := 61, 43, 57
-	a := randMatT[float32](rng, m, k)
-	b := randMatT[float32](rng, k, n)
-	c := randMatT[float32](rng, m, n)
-	an := dense.New[nf32](m, k)
-	bn := dense.New[nf32](k, n)
-	cn := dense.New[nf32](m, n)
-	for i := range a.Data {
-		an.Data[i] = nf32(a.Data[i])
-	}
-	for i := range b.Data {
-		bn.Data[i] = nf32(b.Data[i])
-	}
-	for i := range c.Data {
-		cn.Data[i] = nf32(c.Data[i])
-	}
-	withBlockConfig(t, 32, 16, 24, 1, func() {
-		Gemm(NoTrans, NoTrans, 1.5, a, b, 0.5, c)
-		Gemm(NoTrans, NoTrans, 1.5, an, bn, 0.5, cn)
-	})
-	for i := range c.Data {
-		if c.Data[i] != float32(cn.Data[i]) {
-			t.Fatalf("scalar and AVX kernels disagree at %d: %v vs %v", i, c.Data[i], cn.Data[i])
-		}
-	}
-}
 
 // TestSyrkLargeMatchesGemm exercises the blocked Syrk path (n well past the
 // 64-column block size, so off-diagonal rectangles go through the packed

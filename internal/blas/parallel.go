@@ -2,7 +2,6 @@ package blas
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"tcqr/internal/dense"
@@ -11,10 +10,10 @@ import (
 // maxWorkers reports the degree of parallelism used by level-3 kernels.
 func maxWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// parallelRange splits [0, n) into contiguous chunks of at least minChunk
-// and runs fn on each chunk, possibly concurrently. Chunk boundaries depend
-// only on n and minChunk, so output ownership (and therefore the result) is
-// deterministic.
+// parallelRange splits [0, n) into contiguous chunks of at least minChunk,
+// one per worker at most, and runs fn on each chunk, possibly concurrently
+// (runTasks). Every chunk owns its part of the output, so the result does not
+// depend on the chunking.
 func parallelRange(n, minChunk int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
@@ -32,101 +31,48 @@ func parallelRange(n, minChunk int, fn func(lo, hi int)) {
 		return
 	}
 	size := (n + chunks - 1) / chunks
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	parallelTasks((n+size-1)/size, &rangeJob{fn: fn, n: n, size: size})
 }
 
-// taskRunner is the work interface of parallelTasks. It is an interface
-// rather than a func value so pooled job structs can be dispatched without
-// any per-call closure allocation — the packed GEMM's zero-allocation hot
-// path depends on this.
+// rangeJob is one parallelRange call: task t is the chunk [t·size, t·size+size)
+// of [0, n).
+type rangeJob struct {
+	fn      func(lo, hi int)
+	n, size int
+}
+
+func (j *rangeJob) runTask(t int) {
+	lo := t * j.size
+	j.fn(lo, min(lo+j.size, j.n))
+}
+
+// taskRunner is the work interface of runTasks. It is an interface rather
+// than a func value so pooled job structs (gemvJob, gemmJob, batchJob) can be
+// dispatched without any per-call closure allocation; parallelRange, whose
+// callers pass a closure anyway, allocates its rangeJob.
 type taskRunner interface {
 	runTask(task int)
 }
 
-// parallelTasks runs tasks 0..n-1, each exactly once, on up to GOMAXPROCS
-// workers pulling from an atomic counter. The task decomposition is fixed by
-// the caller and every task owns disjoint output, so results do not depend
-// on the number of workers or the scheduling order; with a single worker no
-// goroutines are spawned and nothing is allocated.
+// parallelTasks runs tasks 0..n-1 of r, each exactly once, on the caller and
+// up to GOMAXPROCS−1 parked helpers. The decomposition is the caller's and
+// every task owns disjoint output, so results do not depend on the number of
+// workers or on who runs which task; with one processor or one task the
+// caller runs them all and nothing shared is touched.
 func parallelTasks(n int, r taskRunner) {
-	if n <= 0 {
-		return
-	}
-	workers := maxWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for t := 0; t < n; t++ {
-			r.runTask(t)
-		}
-		return
-	}
-	var next int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				t := int(atomic.AddInt64(&next, 1)) - 1
-				if t >= n {
-					return
-				}
-				r.runTask(t)
-			}
-		}()
-	}
-	wg.Wait()
+	runTasks(n, min(maxWorkers(), n)-1, r)
 }
 
-// gemvJob is one float64 Gemv split into fixed chunks of y: the caller runs
-// chunks together with whichever parked helpers get a core, each claiming the
-// next chunk from one counter. Two other shapes were measured and rejected
-// (DESIGN.md §7): a goroutine per chunk per call (parallelRange) allocates,
-// and a caller that hands the work to one helper and waits for it leaves its
-// own core idle until the helper is scheduled.
-//
-// Lifetime: refs counts the caller plus every helper a wake-up reached. A
-// helper may be scheduled only after the caller has returned; it then finds
-// no chunk left, and because it still holds a reference the job has not been
-// recycled under it. The last reference returns the job to gemvJobs.
+// gemvJob is one float64 Gemv split into fixed chunks of y, run by runTasks.
 type gemvJob struct {
-	tA     Transpose
-	alpha  float64
-	a      dense.M64 // by value: keeping the caller's pointer would make it escape
-	x, y   []float64
-	chunk  int          // rows (NoTrans) or columns (Trans) per chunk, a multiple of eight
-	chunks int          // chunks in the call
-	next   atomic.Int64 // the next chunk to claim
-	left   atomic.Int64 // chunks not yet finished
-	refs   atomic.Int32
-	fin    chan struct{} // the helper that finishes the last chunk wakes the caller
+	tA    Transpose
+	alpha float64
+	a     dense.M64 // by value: keeping the caller's pointer would make it escape
+	x, y  []float64
+	chunk int // rows (NoTrans) or columns (Trans) per chunk, a multiple of eight
 }
 
-var (
-	// gemvJobs holds released jobs for reuse, as many as callers have split at
-	// once, up to eight. It is a channel and not a sync.Pool because a pool is
-	// emptied by every GC cycle, and a refinement that allocates between its
-	// products would then allocate a job again after each cycle.
-	gemvJobs = make(chan *gemvJob, 8)
-	// gemvWake is unbuffered, so a non-blocking send reaches a helper only if
-	// one is parked in its receive: a busy helper is skipped, never waited for.
-	gemvWake    = make(chan *gemvJob)
-	gemvHelpers atomic.Int32 // helpers started; they live as long as the process
-)
+var gemvJobs = make(freeList[gemvJob], 8)
 
 // gemvSplitMin is the smallest A, in elements, whose float64 Gemv is split.
 // The 4096×128 row of BenchmarkGemv64Shapes (serve-cold-tall's A, 4 MB,
@@ -164,33 +110,112 @@ func gemvSplit(tA Transpose, r, c int) (chunk, helpers int) {
 }
 
 // gemvParallel computes y += α·op(A)·x in chunks of chunk rows (NoTrans) or
-// columns (Trans), a multiple of eight, on the caller and up to helpers parked
-// helpers. Each chunk runs the serial kernels on its window of A, and they
-// give every element of y exactly the operations they give it on the whole
-// matrix, so the bits depend neither on the chunking nor on who runs which
-// chunk.
-func gemvParallel(tA Transpose, alpha float64, a *dense.M64, x, y []float64, chunk, helpers int) {
-	var job *gemvJob
-	select {
-	case job = <-gemvJobs:
-	default:
-		job = &gemvJob{fin: make(chan struct{}, 1)}
+// columns (Trans), a multiple of eight, on the caller and up to nHelpers
+// parked helpers. Each chunk runs the serial kernels on its window of A, and
+// they give every element of y exactly the operations they give it on the
+// whole matrix, so the bits depend neither on the chunking nor on who runs
+// which chunk.
+func gemvParallel(tA Transpose, alpha float64, a *dense.M64, x, y []float64, chunk, nHelpers int) {
+	job := gemvJobs.get()
+	job.tA, job.alpha, job.a, job.x, job.y, job.chunk = tA, alpha, *a, x, y, chunk
+	runTasks((len(y)+chunk-1)/chunk, nHelpers, job)
+	*job = gemvJob{}
+	gemvJobs.put(job)
+}
+
+func (j *gemvJob) runTask(c int) {
+	lo := c * j.chunk
+	hi := min(lo+j.chunk, len(j.y))
+	if j.tA == NoTrans {
+		w := window(&j.a, lo, 0, hi-lo, j.a.Cols)
+		gemvN(j.alpha, &w, j.x, j.y[lo:hi])
+	} else {
+		w := window(&j.a, 0, lo, j.a.Rows, hi-lo)
+		gemvT(j.alpha, &w, j.x, j.y[lo:hi])
 	}
-	job.tA, job.alpha, job.a, job.x, job.y = tA, alpha, *a, x, y
-	job.chunk, job.chunks = chunk, (len(y)+chunk-1)/chunk
+}
+
+// freeList recycles pooled job structs, as many as callers use at once, up to
+// its capacity. Every list here holds eight: a job is in use only for one
+// call, so eight covers up to eight concurrent callers, and a job released
+// past that is left to the GC. It is a buffered channel and not a sync.Pool
+// because a pool is emptied by every GC cycle, and a caller that allocates
+// between its calls would then allocate a job again after each cycle.
+type freeList[J any] chan *J
+
+func (f freeList[J]) get() *J {
+	select {
+	case j := <-f:
+		return j
+	default:
+		return new(J)
+	}
+}
+
+func (f freeList[J]) put(j *J) {
+	select {
+	case f <- j:
+	default: // the list is full
+	}
+}
+
+// taskJob is one runTasks call: the caller runs tasks together with whichever
+// parked helpers get a core, each claiming the next task from one counter.
+// Two other shapes were measured and rejected (DESIGN.md §7): a goroutine per
+// task per call allocates, and a caller that hands the work to one helper and
+// waits for it leaves its own core idle until the helper is scheduled.
+//
+// Lifetime: refs counts the caller plus every helper a wake-up reached. A
+// helper may be scheduled only after the caller has returned; it then finds
+// no task left, and because it still holds a reference the job has not been
+// recycled under it. The last reference returns the job to taskJobs. The
+// runner r is touched only by whoever claimed a task, and every claimed task
+// has finished before the caller returns, so the caller may recycle r at once.
+type taskJob struct {
+	r    taskRunner
+	n    int
+	next atomic.Int64 // the next task to claim
+	left atomic.Int64 // tasks not yet finished
+	refs atomic.Int32
+	fin  chan struct{} // the helper that finishes the last task wakes the caller
+}
+
+var (
+	taskJobs = make(freeList[taskJob], 8)
+	// wake is unbuffered, so a non-blocking send reaches a helper only if one
+	// is parked in its receive: a busy helper is skipped, never waited for.
+	wake           = make(chan *taskJob)
+	helpersStarted atomic.Int32 // they live as long as the process
+)
+
+// runTasks runs tasks 0..n-1 of r on the caller and up to nHelpers parked
+// helpers, starting helpers on first use. It allocates nothing once a job is
+// in the free list.
+func runTasks(n, nHelpers int, r taskRunner) {
+	if nHelpers <= 0 {
+		for t := 0; t < n; t++ {
+			r.runTask(t)
+		}
+		return
+	}
+	job := taskJobs.get()
+	if job.fin == nil {
+		job.fin = make(chan struct{}, 1)
+	}
+	job.r, job.n = r, n
 	job.next.Store(0)
-	job.left.Store(int64(job.chunks))
+	job.left.Store(int64(n))
 	job.refs.Store(1)
-	for h := gemvHelpers.Load(); h < int32(helpers); h = gemvHelpers.Load() {
-		if gemvHelpers.CompareAndSwap(h, h+1) {
-			go gemvHelper()
+	for h := helpersStarted.Load(); h < int32(nHelpers); h = helpersStarted.Load() {
+		if helpersStarted.CompareAndSwap(h, h+1) {
+			go helper()
 		}
 	}
 	woke := 0
-	for ; woke < helpers; woke++ {
+	for ; woke < nHelpers; woke++ {
 		job.refs.Add(1)
 		select {
-		case gemvWake <- job:
+		case wake <- job:
 			continue
 		default:
 		}
@@ -199,19 +224,19 @@ func gemvParallel(tA Transpose, alpha float64, a *dense.M64, x, y []float64, chu
 	}
 	if woke > 0 {
 		// A woken helper waits in this processor's run-next slot, where an idle
-		// processor steals it only after a back-off (tens of µs on this host).
-		// Yielding runs the helper here at once and puts the caller on the
-		// global queue, which an idle processor takes from without one.
+		// processor steals it only after a back-off (tens of µs on a 2-vCPU
+		// VM). Yielding runs the helper here at once and puts the caller on
+		// the global queue, which an idle processor takes from without one.
 		runtime.Gosched()
 	}
 	if !job.work() {
-		<-job.fin // a helper holds the last chunk
+		<-job.fin // a helper holds the last task
 	}
 	job.release()
 }
 
-func gemvHelper() {
-	for job := range gemvWake {
+func helper() {
+	for job := range wake {
 		if job.work() {
 			job.fin <- struct{}{}
 		}
@@ -219,35 +244,24 @@ func gemvHelper() {
 	}
 }
 
-// work runs chunks until none is left to claim and reports whether it
+// work runs tasks until none is left to claim and reports whether it
 // finished the last one.
-func (j *gemvJob) work() (last bool) {
+func (j *taskJob) work() (last bool) {
 	for {
-		c := int(j.next.Add(1)) - 1
-		if c >= j.chunks {
+		t := int(j.next.Add(1)) - 1
+		if t >= j.n {
 			return false
 		}
-		lo := c * j.chunk
-		hi := min(lo+j.chunk, len(j.y))
-		if j.tA == NoTrans {
-			w := window(&j.a, lo, 0, hi-lo, j.a.Cols)
-			gemvN(j.alpha, &w, j.x, j.y[lo:hi])
-		} else {
-			w := window(&j.a, 0, lo, j.a.Rows, hi-lo)
-			gemvT(j.alpha, &w, j.x, j.y[lo:hi])
-		}
+		j.r.runTask(t)
 		if j.left.Add(-1) == 0 {
 			return true
 		}
 	}
 }
 
-func (j *gemvJob) release() {
+func (j *taskJob) release() {
 	if j.refs.Add(-1) == 0 {
-		j.a, j.x, j.y = dense.M64{}, nil, nil
-		select {
-		case gemvJobs <- j:
-		default: // eight are kept already
-		}
+		j.r = nil
+		taskJobs.put(j)
 	}
 }

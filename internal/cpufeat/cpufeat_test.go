@@ -8,12 +8,13 @@ import (
 )
 
 func TestFeaturesConsistent(t *testing.T) {
-	if (AVX2 || F16C) && !AVX {
-		t.Errorf("AVX2=%v F16C=%v without AVX: the YMM-state check must gate all three", AVX2, F16C)
+	if (AVX2 || F16C || AVX512F) && !AVX {
+		t.Errorf("AVX2=%v F16C=%v AVX512F=%v without AVX: the YMM-state check must gate all of them", AVX2, F16C, AVX512F)
 	}
 	want := map[string]bool{"avx2+f16c": AVX2 && F16C, "avx2": AVX2 && !F16C, "avx": AVX && !AVX2, "scalar": !AVX}
-	if !want[Kernels()] {
-		t.Errorf("Kernels() = %q with AVX=%v AVX2=%v F16C=%v", Kernels(), AVX, AVX2, F16C)
+	base, zmm := strings.CutSuffix(Kernels(), "+avx512f")
+	if !want[base] || zmm != AVX512F {
+		t.Errorf("Kernels() = %q with AVX=%v AVX2=%v F16C=%v AVX512F=%v", Kernels(), AVX, AVX2, F16C, AVX512F)
 	}
 	if runtime.GOARCH != "amd64" && Kernels() != "scalar" {
 		t.Errorf("Kernels() = %q on %s, want scalar", Kernels(), runtime.GOARCH)
@@ -44,7 +45,7 @@ func TestProbeMatchesKernel(t *testing.T) {
 	if flags == nil {
 		t.Skip("no flags line in /proc/cpuinfo")
 	}
-	for name, got := range map[string]bool{"avx": AVX, "avx2": AVX2, "f16c": F16C} {
+	for name, got := range map[string]bool{"avx": AVX, "avx2": AVX2, "f16c": F16C, "avx512f": AVX512F} {
 		if got != flags[name] {
 			t.Errorf("%s: probe says %v, /proc/cpuinfo says %v", name, got, flags[name])
 		}

@@ -74,4 +74,23 @@ func TestFactorBitsGolden(t *testing.T) {
 			}
 		}
 	}
+
+	// At 480×96 with cutoff 32 the engine GEMMs are too small for most of the
+	// packed kernel's paths. At 1024×256 and the default cutoff the top R12 is
+	// 128×128×1024, whose rows the packed GEMM splits between workers from two
+	// processors up, and the trailing update is 1024×128×128 in full 32×4
+	// tiles that the kernel stores itself (on an AVX-512 host). The hashes
+	// were recorded at the parent of the commit that added those paths.
+	t.Run("default/1024x256", func(t *testing.T) {
+		a := dense.ToF32(matgen.BadlyScaled(rand.New(rand.NewSource(34)), 1024, 256, 3))
+		res, err := Factor(a, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := bits{bitsHash(res.Q.Data), bitsHash(res.R.Data), bitsHash(res.ColumnScales)}
+		if want := (bits{0x31463714487f720a, 0x31edf590d2210571, 0xa43a7b15c9f0a2b2}); got != want {
+			t.Errorf("factor bits moved: got {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
+				got.q, got.r, got.scales, want.q, want.r, want.scales)
+		}
+	})
 }

@@ -4,7 +4,10 @@ package tcsim
 
 import (
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
@@ -12,21 +15,62 @@ import (
 
 // TestEngineGemmAllocationFree: after pool warmup, an engine GEMM call must
 // not allocate — operand rounding happens in pooled pack buffers, not in
-// freshly allocated matrix copies. (Skipped under -race: the detector's
-// instrumentation allocates.)
+// freshly allocated matrix copies, and the packed GEMM's tasks run on the
+// caller and parked helpers, not on goroutines started per call. It counts
+// with runtime.MemStats at one, two and four processors (testing.AllocsPerRun
+// would pin one, where no helper is involved), after fillParkCaches. Skipped
+// under -race: the detector's instrumentation allocates.
 func TestEngineGemmAllocationFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(31))
-	a := specialsMat(rng, 128, 96)
+	a := specialsMat(rng, 512, 96)
 	b := specialsMat(rng, 96, 112)
-	c := dense.New[float32](128, 112)
+	c := dense.New[float32](512, 112)
 	engines := []Engine{&FP32{}, &TensorCore{}, &TensorCore{TrackSpecials: true}, &BFloat16{TrackSpecials: true}, &TCEC{}, &TCEC{TrackSpecials: true}}
-	for _, e := range engines {
-		e.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c) // warm the pools
-		n := testing.AllocsPerRun(10, func() {
-			e.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
-		})
-		if n != 0 {
-			t.Errorf("%s: %v allocs per Gemm, want 0", e.Name(), n)
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, e := range engines {
+			for i := 0; i < 10; i++ { // warm the pools
+				e.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
+			}
+			fillParkCaches()
+			const runs = 40
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				e.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
+			}
+			runtime.ReadMemStats(&after)
+			if n := (after.Mallocs - before.Mallocs) / runs; n != 0 {
+				t.Errorf("%s at %d procs: %v allocs per Gemm, want 0", e.Name(), procs, n)
+			}
 		}
 	}
+}
+
+// fillParkCaches puts the runtime's goroutine-parking records in steady state
+// at the current GOMAXPROCS, as internal/blas's test helper of the same name
+// does: a goroutine that parks on a channel takes a record from its
+// processor's cache (at most 128) or the central one, and the runtime
+// allocates one only when both are empty; a GC empties the central cache. It
+// parks 256 goroutines per processor at once and releases them, which leaves
+// more records in circulation than the other processors' caches can hold.
+func fillParkCaches() {
+	runtime.GC()
+	n := 256 * runtime.GOMAXPROCS(0)
+	var started, done sync.WaitGroup
+	started.Add(n)
+	done.Add(n)
+	release := make(chan struct{})
+	for i := 0; i < n; i++ {
+		go func() {
+			started.Done()
+			<-release
+			done.Done()
+		}()
+	}
+	started.Wait()
+	time.Sleep(time.Millisecond) // every goroutine reaches its receive
+	close(release)
+	done.Wait()
 }
