@@ -3,9 +3,9 @@
 GO ?= go
 
 # The tests that hold the library pipeline to one of each stage; named so
-# they can run under -race on their own (the multi-RHS path records hazards
-# from concurrent columns into one hazard.Report).
-PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod
+# they can run under -race on their own (the multi-RHS path refines its
+# columns concurrently, each into a hazard.Report of its own).
+PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod|TestCoalescedSolveCarriesOnlyItsOwnHazards
 
 # The tests that hold the daemon to one cold-factorization path: a served
 # factor is tcqr.Factorize's, bit for bit, and no flag selects another.
@@ -77,10 +77,11 @@ check-race: lint
 
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial
-# equivalence, and the serving decode paths (FuzzStreamFrameDecode fuzzes
-# every endpoint's request decode, not only stream-append's; FuzzSpillDecode
-# the spill-file loader), and the vector level-2 kernels against the Go
-# loops, bit for bit, and the content hash's view-equals-clone invariant.
+# equivalence, and the serving decode paths (FuzzRequestDecode fuzzes every
+# endpoint's request through both the frame and the JSON decoder, so it gets
+# twenty seconds; FuzzSpillDecode the spill-file loader), and the vector
+# level-2 kernels against the Go loops, bit for bit, and the content hash's
+# view-equals-clone invariant.
 # internal/blas, internal/serve and internal/tcsim hold several targets each,
 # so those runs name their target; the single-target packages keep the
 # unambiguous -fuzz=. form. A spill file is hundreds of bytes and the
@@ -96,8 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzTcEcSplitRoundTrip$$' -fuzztime 10s ./internal/tcsim
 	$(GO) test -run '^$$' -fuzz '^FuzzGemmTcEcVsFP32$$' -fuzztime 10s ./internal/tcsim
 	$(GO) test -run '^$$' -fuzz '^FuzzTSQRBlockVsSerial$$' -fuzztime 10s ./internal/tsqr
-	$(GO) test -run '^$$' -fuzz '^FuzzRetryPolicy$$' -fuzztime 10s ./internal/serve
-	$(GO) test -run '^$$' -fuzz '^FuzzStreamFrameDecode$$' -fuzztime 10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestDecode$$' -fuzztime 20s ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzSpillDecode$$' -fuzztime 10s -fuzzminimizetime 200ms ./internal/serve
 
 # Chaos/soak battery under the race detector: 64 concurrent clients against

@@ -27,7 +27,6 @@
 //	      [-max-batch 32] [-deadline 30s]
 //	      [-drain-timeout 10s] [-addr-file path]
 //	      [-log-level info] [-debug-addr host:port]
-//	      [-retry-attempts 3]
 //	      [-degrade-threshold 5] [-degrade-cooldown 10s]
 //	      [-stream-ttl 2m] [-max-stream-sessions 16]
 //	      [-node-id a] [-peers a=h:p,b=h:p,...] [-replicas 2]
@@ -56,11 +55,11 @@
 // serving net/http/pprof under /debug/pprof/ — kept off the public API
 // listener so profiling endpoints are never exposed to API clients.
 //
-// -retry-attempts, -degrade-threshold and -degrade-cooldown
-// tune the failure policy (DESIGN.md §11): transient internal failures are
-// retried with exponential backoff, and a streak of internal failures flips
-// the daemon into degraded cache-only mode, where cold factorizations get
-// 503 with a Retry-After header until the cooldown expires. -fault-spec
+// -degrade-threshold and -degrade-cooldown tune the failure policy
+// (DESIGN.md §11): a failed compute is one attempt and one 500, and a streak
+// of internal failures flips the daemon into degraded cache-only mode, where
+// cold factorizations get 503 with a Retry-After header until the cooldown
+// expires. -fault-spec
 // arms the deterministic failpoint registry (internal/faultinject) with a
 // seeded fault schedule — a testing facility; never arm it in production.
 //
@@ -125,10 +124,9 @@ func main() {
 
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 
-		faultSpec     = flag.String("fault-spec", "", "arm the deterministic failpoint registry with this schedule (DESIGN.md §11 grammar; testing only)")
-		retryAttempts = flag.Int("retry-attempts", 0, "max attempts for transient internal failures (0 = default 3, 1 disables retry)")
-		degradeAfter  = flag.Int("degrade-threshold", 0, "consecutive internal failures before degraded (cache-only) mode (0 = default 5, negative disables)")
-		degradeCool   = flag.Duration("degrade-cooldown", 0, "how long degraded mode lasts once entered (0 = default 10s)")
+		faultSpec    = flag.String("fault-spec", "", "arm the deterministic failpoint registry with this schedule (DESIGN.md §11 grammar; testing only)")
+		degradeAfter = flag.Int("degrade-threshold", 0, "consecutive internal failures before degraded (cache-only) mode (0 = default 5, negative disables)")
+		degradeCool  = flag.Duration("degrade-cooldown", 0, "how long degraded mode lasts once entered (0 = default 10s)")
 	)
 	flag.Parse()
 
@@ -204,7 +202,6 @@ func main() {
 		DefaultEngine:     defaultEngine,
 		DefaultDeadline:   *deadline,
 		Logger:            logger,
-		Retry:             serve.RetryPolicy{MaxAttempts: *retryAttempts},
 		DegradeThreshold:  *degradeAfter,
 		DegradeCooldown:   *degradeCool,
 		StreamTTL:         *streamTTL,

@@ -59,8 +59,8 @@ func registeredFlags(t *testing.T) map[string]bool {
 // flags the package comment's usage block names, so a knob cannot be added
 // or removed without its documentation following — and none is a -tsqr-*
 // route selector (the daemon has one cold-factorization path). The count is
-// pinned so a new knob has to argue its way in (the three -smoke-* client
-// flags were the last to go: -smoke starts the daemons it checks).
+// pinned so a new knob has to argue its way in (the retry knob was the last
+// to go: a failed compute is one attempt).
 func TestFlagsMatchUsageComment(t *testing.T) {
 	if os.Getenv("TCQRD_MAIN_TEST") != "" {
 		os.Args = []string{"tcqrd", "-h"}
@@ -68,8 +68,8 @@ func TestFlagsMatchUsageComment(t *testing.T) {
 		os.Exit(0)
 	}
 	registered := registeredFlags(t)
-	if len(registered) != 26 {
-		t.Fatalf("%d flags parsed from -h output, want 26: %v", len(registered), registered)
+	if len(registered) != 25 {
+		t.Fatalf("%d flags parsed from -h output, want 25: %v", len(registered), registered)
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)

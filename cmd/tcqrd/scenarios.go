@@ -14,11 +14,10 @@ import (
 // faultSmokeSpec fails every second cold factorization. With the flags the
 // fault row sets beside it, faultChecks walks the daemon through every
 // failure-policy state deterministically: the first factorize (hit 1) passes
-// and warms the cache; the second (hit 2) is injected and, with retry
-// disabled and a degrade threshold of 1, surfaces as a 500 that flips the
-// daemon into degraded mode; the 5m cooldown keeps it there for the rest of
-// the row, so cold factorizations get 503 + Retry-After while the warm entry
-// keeps serving.
+// and warms the cache; the second (hit 2) is injected and, with a degrade
+// threshold of 1, surfaces as a 500 that flips the daemon into degraded
+// mode; the 5m cooldown keeps it there for the rest of the row, so cold
+// factorizations get 503 + Retry-After while the warm entry keeps serving.
 const faultSmokeSpec = "seed=7;serve.cache.factorize=error@every=2"
 
 // smokeScenarios is the smoke: what runSmoke starts and drives, top to
@@ -33,7 +32,7 @@ var smokeScenarios = []scenario{
 	{"restart", [][]string{{"-cache-dir", "$dir/factors"}},
 		[]func(*smoker, []*daemon){updateChecks}},
 	{"fault", [][]string{{"-fault-spec", faultSmokeSpec,
-		"-retry-attempts", "1", "-degrade-threshold", "1", "-degrade-cooldown", "5m"}},
+		"-degrade-threshold", "1", "-degrade-cooldown", "5m"}},
 		[]func(*smoker, []*daemon){faultChecks}},
 	{"cluster", [][]string{clusterFlags, clusterFlags, clusterFlags},
 		[]func(*smoker, []*daemon){clusterChecks}},
@@ -388,8 +387,8 @@ func faultChecks(s *smoker, ds []*daemon) {
 	s.check(r.is(200) && r.Key != "", "warm-up factorize succeeds (fault hit 1 passes)", r)
 	keyA := r.Key
 
-	// Hit 2 fires. Retry is disabled, so the injected failure surfaces as a
-	// typed 500 — and trips the degrade threshold of 1.
+	// Hit 2 fires: the injected failure surfaces as a typed 500 — and trips
+	// the degrade threshold of 1.
 	r = d.post("/v1/factorize", obj{"matrix": smokeMatrix(m, n, 2)})
 	s.check(r.fails(500, "internal"), "injected factorize fault surfaces as 500 internal", r)
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tcqr/internal/matgen"
@@ -287,8 +288,9 @@ func TestSolveWithFactorPropagatesLadderHazards(t *testing.T) {
 	if err != nil {
 		t.Fatalf("multi-RHS solve with recovered factor: %v", err)
 	}
-	if len(multi.Hazards) < len(f.Hazards) {
-		t.Fatalf("multi-RHS solve carries %d hazards, factorization recorded %d",
-			len(multi.Hazards), len(f.Hazards))
+	for j, hs := range multi.Hazards {
+		if len(hs) < len(f.Hazards) || !slices.Equal(hs[:len(f.Hazards)], f.Hazards) {
+			t.Fatalf("multi-RHS column %d carries hazards %v, want the factorization's %v first", j, hs, f.Hazards)
+		}
 	}
 }

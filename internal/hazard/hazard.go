@@ -101,11 +101,6 @@ const (
 	KindStagnation
 	// KindDivergence: refinement residuals grew past the divergence guard.
 	KindDivergence
-	// KindTransient: a transient internal failure in the serving layer — a
-	// recovered compute panic or an injected fault — that was retried or
-	// degraded around rather than surfaced as a numerical result. Recorded
-	// so a request's report shows every recovery, not only numerical ones.
-	KindTransient
 	// KindPrecisionLoss: a structurally successful factorization failed its
 	// backward-error quality gate (half-precision arithmetic at its error
 	// floor) and was escalated to a higher-precision rung.
@@ -127,8 +122,6 @@ func (k Kind) String() string {
 		return "stagnation"
 	case KindDivergence:
 		return "divergence"
-	case KindTransient:
-		return "transient"
 	case KindPrecisionLoss:
 		return "precision-loss"
 	}
@@ -147,7 +140,6 @@ func Kinds() []Kind {
 		KindRankDeficient,
 		KindStagnation,
 		KindDivergence,
-		KindTransient,
 		KindPrecisionLoss,
 	}
 }

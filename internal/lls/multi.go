@@ -16,7 +16,10 @@ type MultiSolution struct {
 	X          *dense.M64
 	Iterations []int
 	Converged  []bool
-	Factor     *rgs.Result
+	// Hazards[j] lists the refinement events of column j alone, in the order
+	// a solo SolveWithFactor of B[:,j] records them.
+	Hazards [][]hazard.Event
+	Factor  *rgs.Result
 }
 
 // SolveMultiWithFactor runs the paper's pipeline for many right-hand sides
@@ -24,8 +27,9 @@ type MultiSolution struct {
 // ladder uses, so a recovered factorization is amortized over all columns of
 // B): independent per-column refinements with opts.Method running
 // concurrently — each column's iteration is independent given the shared
-// preconditioner R. Per-column hazards are recorded in opts.Hazards; the
-// Report is safe for the concurrent columns.
+// preconditioner R. Each column records into a Report of its own, returned
+// in Hazards, so what one column reports does not depend on the others in
+// the block; opts.Hazards is not written.
 func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveOptions) (*MultiSolution, error) {
 	if b == nil || b.Rows != a.Rows {
 		rows := -1
@@ -46,6 +50,7 @@ func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveO
 		X:          dense.New[float64](a.Cols, nrhs),
 		Iterations: make([]int, nrhs),
 		Converged:  make([]bool, nrhs),
+		Hazards:    make([][]hazard.Event, nrhs),
 		Factor:     f,
 	}
 	errs := make([]error, nrhs)
@@ -56,7 +61,9 @@ func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveO
 		sem <- struct{}{}
 		go func(j int) {
 			defer func() { <-sem; wg.Done() }()
-			res, err := refineColumn(f, a, b.Col(j), opts)
+			col := opts
+			col.Hazards = &hazard.Report{}
+			res, err := refineColumn(f, a, b.Col(j), col)
 			if err != nil {
 				errs[j] = err
 				return
@@ -64,6 +71,7 @@ func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveO
 			copy(out.X.Col(j), res.X)
 			out.Iterations[j] = res.Iterations
 			out.Converged[j] = res.Converged
+			out.Hazards[j] = col.Hazards.Events()
 		}(j)
 	}
 	wg.Wait()

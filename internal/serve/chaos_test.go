@@ -22,8 +22,8 @@ import (
 
 // legalChaosStatus are the statuses a request may legally see while faults
 // are being injected: success, client-class rejections, numerical refusal,
-// backpressure, exhausted-retry internals, degraded/draining 503s, and
-// deadline 504s.
+// backpressure, internals from injected faults (one 500 per failed compute),
+// degraded/draining 503s, and deadline 504s.
 var legalChaosStatus = map[int]bool{
 	200: true, 400: true, 404: true, 413: true, 422: true,
 	429: true, 500: true, 503: true, 504: true,
@@ -43,7 +43,6 @@ func TestChaosBattery(t *testing.T) {
 		Workers:          4,
 		QueueDepth:       512,
 		MaxBatch:         8,
-		Retry:            fastRetry(3),
 		DegradeThreshold: 8,
 		DegradeCooldown:  200 * time.Millisecond,
 	})
@@ -213,7 +212,7 @@ func TestMetamorphicNoSilentGarbage(t *testing.T) {
 		} else {
 			arm(t, sched)
 		}
-		s := New(Options{Workers: 2, Retry: fastRetry(2), DegradeThreshold: -1})
+		s := New(Options{Workers: 2, DegradeThreshold: -1})
 		for _, mc := range cases {
 			x := make([]float64, n)
 			for j := range x {
@@ -276,7 +275,6 @@ func TestStreamChaosSoak(t *testing.T) {
 	s := New(Options{
 		Workers:    4,
 		QueueDepth: 512,
-		Retry:      fastRetry(3),
 		// The breaker stays generous: injected factorize faults are 500-class
 		// by design, and this test wants sustained traffic, not cache-only mode.
 		DegradeThreshold: -1,
@@ -285,7 +283,7 @@ func TestStreamChaosSoak(t *testing.T) {
 	h := s.Handler()
 	// 96x8 sits below the recursion cutoff, so tcsim.gemm never fires here;
 	// serve.cache.factorize is the site every cold commit reaches. 0.37 keeps
-	// the per-attempt failure rate this soak has always run at: one fault
+	// the per-commit failure rate this soak has always run at: one fault
 	// among 6 leaves at 0.05 and 5 tree nodes at 0.03, 1 - 0.95^6 * 0.97^5.
 	arm(t, "seed=777"+
 		";serve.cache.factorize=error@p=0.37"+

@@ -27,7 +27,7 @@ type CoalescerStats struct {
 }
 
 // solveOutcome is what one coalesced request gets back: its own column of
-// the batched solution plus the shared hazard record.
+// the batched solution and its own column's hazards.
 type solveOutcome struct {
 	x          []float64
 	iterations int
@@ -235,7 +235,7 @@ func (c *Coalescer) flush(bt *batch) {
 				out.iterations = res.Iterations[j]
 				out.converged = res.Converged[j]
 				out.optimality = res.Optimality[j]
-				out.hazards = res.Hazards
+				out.hazards = res.Hazards[j]
 			}
 			w.ch <- out
 		}

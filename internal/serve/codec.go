@@ -148,8 +148,7 @@ func (f bulkField) set(m *WireMatrix, vec []float64) {
 // data are errors, and the reader is size-capped by the caller.
 func decodeJSON(r io.Reader, v any) *apiError {
 	// Failpoint: an injected decode error surfaces as 400 bad_input,
-	// indistinguishable from a real malformed body (and, like one, is never
-	// retried by the server).
+	// indistinguishable from a real malformed body.
 	if err := faultinject.Fire(siteWireDecode); err != nil {
 		return errBadInput("malformed JSON body: " + err.Error())
 	}
@@ -286,10 +285,8 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 	t0 := time.Now()
 	// Failpoint: an injected encode failure takes the same 500 path as a
-	// real serialization error. It is not retried — the compute already
-	// succeeded, and replaying it for an encode fault would double-count
-	// work — but it does feed the degradation breaker. Both encodings pass
-	// through it.
+	// real serialization error, and feeds the degradation breaker. Both
+	// encodings pass through it.
 	err := faultinject.Fire(siteWireEncode)
 	if err != nil {
 		return err

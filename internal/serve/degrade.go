@@ -8,14 +8,13 @@ import (
 )
 
 // breaker is the degraded-mode circuit: a run of consecutive internal
-// failures (recovered panics, injected faults —
-// anything that surfaces as a 500 after the retry policy gave up) trips the
-// server into a cooldown during which it serves from the factorization
-// cache only. Cache hits — solves by key, re-factorizes of resident
-// matrices — proceed normally; anything that would need a cold
-// factorization (or the uncached /v1/lowrank pipeline) is rejected with
-// 503, a "degraded" error code, and a Retry-After covering the remaining
-// cooldown. Any success resets the streak; the cooldown expires on the
+// failures (recovered panics, injected faults — anything that surfaces as a
+// 500, one per failed request) trips the server into a cooldown during which
+// it serves from the factorization cache only. Cache hits — solves by key,
+// re-factorizes of resident matrices — proceed normally; anything that would
+// need a cold factorization (or the uncached /v1/lowrank pipeline) is
+// rejected with 503, a "degraded" error code, and a Retry-After covering the
+// remaining cooldown. Any success resets the streak; the cooldown expires on the
 // clock. This is what keeps a poisoned pool or a repeatedly tripping
 // engine from grinding every request through doomed compute while still
 // answering the traffic the cache can carry.

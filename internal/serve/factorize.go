@@ -58,11 +58,11 @@ func (rc *reqScope) contentKey(a *tcqr.Matrix, cfg tcqr.Config) string {
 	return key
 }
 
-// factorEntry runs GetOrFactor through the pool under the retry policy,
-// charging queue and key (a hit) or factorize (anything else) stage time plus
-// the panel counter for factorizations actually performed. While the server is
-// degraded only the cache answers: a resident factorization is served as a
-// hit, anything cold is rejected with 503 + Retry-After.
+// factorEntry runs GetOrFactor through the pool, charging queue and key (a
+// hit) or factorize (anything else) stage time plus the panel counter for
+// factorizations actually performed. While the server is degraded only the
+// cache answers: a resident factorization is served as a hit, anything cold
+// is rejected with 503 + Retry-After.
 func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
 	if rem, deg := s.brk.degraded(); deg {
 		t0 := time.Now()
@@ -77,29 +77,26 @@ func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *t
 	var (
 		entry *Entry
 		src   Source
+		ferr  error
 	)
-	err := s.retryDo(ctx, rc, "factorize", func() error {
-		var ferr error
-		took, perr := rc.onPool(ctx, func() {
-			entry, src, ferr = s.cache.GetOrFactor(key, a, cfg)
-		})
-		if perr != nil {
-			return perr
-		}
-		// A hit's time on the worker is the comparison of a with the entry's
-		// matrix.
-		if src == SourceHit {
-			rc.stages.add(stageKey, took)
-		} else {
-			rc.stages.add(stageFactorize, took)
-		}
-		if src == SourceMiss {
-			s.metrics.panels.With(cfg.Panel.String()).Inc()
-		}
-		return ferr
+	took, err := rc.onPool(ctx, func() {
+		entry, src, ferr = s.cache.GetOrFactor(key, a, cfg)
 	})
 	if err != nil {
 		return nil, 0, err
+	}
+	// A hit's time on the worker is the comparison of a with the entry's
+	// matrix.
+	if src == SourceHit {
+		rc.stages.add(stageKey, took)
+	} else {
+		rc.stages.add(stageFactorize, took)
+	}
+	if src == SourceMiss {
+		s.metrics.panels.With(cfg.Panel.String()).Inc()
+	}
+	if ferr != nil {
+		return nil, 0, ferr
 	}
 	return entry, src, nil
 }

@@ -24,12 +24,6 @@ func arm(t *testing.T, spec string) {
 	}
 }
 
-// fastRetry is a retry policy quick enough for tests: full attempts, tiny
-// deterministic backoff.
-func fastRetry(attempts int) RetryPolicy {
-	return RetryPolicy{MaxAttempts: attempts, BaseDelay: 200 * time.Microsecond, Jitter: -1}
-}
-
 // --- satellite: the pool dequeue window ------------------------------------
 
 // TestPoolDequeuePanicCannotStrandAwaitIdle drives a panic into the window
@@ -76,74 +70,30 @@ func TestPoolDequeueErrorSurfacesToSubmitter(t *testing.T) {
 	}
 }
 
-// --- retry through the serving pipeline ------------------------------------
+// --- the failure contract --------------------------------------------------
 
-// TestServerRetriesTransientFaultToSuccess arms two injected factorize
-// failures: the third attempt succeeds, so the client sees a clean 200 whose
-// hazard list records both retried transients, and the retry metrics count
-// the two attempts.
-func TestServerRetriesTransientFaultToSuccess(t *testing.T) {
-	s := New(Options{Workers: 2, Retry: fastRetry(3)})
-	defer s.Close()
-	h := s.Handler()
-	arm(t, "seed=3;serve.cache.factorize=error@count=2")
-
-	var fr factorizeReply
-	code, _ := post(t, h, "/v1/factorize",
-		map[string]any{"matrix": wireMat(32, 8, testMatrix(1, 32, 8, 1))}, &fr)
-	if code != 200 {
-		t.Fatalf("factorize with 2 injected failures and 3 attempts: code=%d, want 200", code)
-	}
-	transients := 0
-	for _, hz := range fr.Hazards {
-		if hz.Kind == "transient" {
-			transients++
-		}
-	}
-	if transients != 2 {
-		t.Fatalf("hazards %+v: want exactly 2 transient entries", fr.Hazards)
-	}
-	var buf strings.Builder
-	_ = s.Metrics().WriteText(&buf)
-	txt := buf.String()
-	for _, want := range []string{
-		`tcqrd_retry_attempts_total{endpoint="factorize"} 2`,
-		`tcqrd_fault_injected_total{site="serve.cache.factorize",action="error"} 2`,
-	} {
-		if !strings.Contains(txt, want) {
-			t.Errorf("metrics missing %q", want)
-		}
-	}
-}
-
-// TestServerRetryExhaustionSurfaces500 arms a permanent factorize fault:
-// after every attempt fails, the client gets a 500 whose envelope carries
-// the retried-transient history, and the exhausted counter increments.
-func TestServerRetryExhaustionSurfaces500(t *testing.T) {
-	s := New(Options{Workers: 2, Retry: fastRetry(3), DegradeThreshold: -1})
+// TestFailedComputeIsOneAttemptOne500: a factorize whose compute fails is
+// attempted once and answered with one 500 internal. The arithmetic is
+// deterministic — a panic or error on a matrix recurs on the same matrix — so
+// the server does not replay it: the failpoint fires exactly once, and the
+// envelope carries no hazards (nothing numerical happened).
+func TestFailedComputeIsOneAttemptOne500(t *testing.T) {
+	s := New(Options{Workers: 2, DegradeThreshold: -1})
 	defer s.Close()
 	h := s.Handler()
 	arm(t, "seed=3;serve.cache.factorize=error")
 
-	var env envelope
+	var env map[string]map[string]any
 	code, _ := post(t, h, "/v1/factorize",
 		map[string]any{"matrix": wireMat(32, 8, testMatrix(2, 32, 8, 1))}, &env)
-	if code != 500 || env.Error.Code != "internal" {
-		t.Fatalf("code=%d error=%+v, want 500 internal", code, env.Error)
+	if code != 500 || env["error"]["code"] != "internal" {
+		t.Fatalf("code=%d body=%v, want 500 internal", code, env)
 	}
-	transients := 0
-	for _, hz := range env.Error.Hazards {
-		if hz.Kind == "transient" {
-			transients++
-		}
+	if ev := faultinject.Events(); len(ev) != 1 || ev[0].Site != siteCacheFactorize {
+		t.Fatalf("fault events %v, want exactly one %s firing", ev, siteCacheFactorize)
 	}
-	if transients != 2 {
-		t.Fatalf("error hazards %+v: want the 2 retried transients in the envelope", env.Error.Hazards)
-	}
-	var buf strings.Builder
-	_ = s.Metrics().WriteText(&buf)
-	if !strings.Contains(buf.String(), `tcqrd_retry_exhausted_total{endpoint="factorize"} 1`) {
-		t.Errorf("metrics missing the exhausted-retry counter:\n%s", buf.String())
+	if hz, ok := env["error"]["hazards"]; ok {
+		t.Fatalf("500 envelope carries hazards %v, want none", hz)
 	}
 }
 
@@ -152,7 +102,7 @@ func TestServerRetryExhaustionSurfaces500(t *testing.T) {
 // work) and is attributed to the internal error code.
 func TestEncodeFaultIsInternalNotRetried(t *testing.T) {
 	be := &countingBackend{inner: LibraryBackend{}}
-	s := New(Options{Workers: 2, Retry: fastRetry(3), Backend: be})
+	s := New(Options{Workers: 2, Backend: be})
 	defer s.Close()
 	h := s.Handler()
 	arm(t, "seed=1;serve.wire.encode=error@once=1")
@@ -177,7 +127,6 @@ func TestEncodeFaultIsInternalNotRetried(t *testing.T) {
 func TestDegradedModeServesCacheRejectsCold(t *testing.T) {
 	s := New(Options{
 		Workers:          2,
-		Retry:            fastRetry(1), // no retries: each failure counts immediately
 		DegradeThreshold: 2,
 		DegradeCooldown:  time.Minute,
 	})
@@ -259,7 +208,7 @@ func TestDegradedModeServesCacheRejectsCold(t *testing.T) {
 // TestDegradedModeExpires: the cooldown ends on the clock and cold compute
 // resumes.
 func TestDegradedModeExpires(t *testing.T) {
-	s := New(Options{Workers: 2, Retry: fastRetry(1), DegradeThreshold: 1, DegradeCooldown: 50 * time.Millisecond})
+	s := New(Options{Workers: 2, DegradeThreshold: 1, DegradeCooldown: 50 * time.Millisecond})
 	defer s.Close()
 	h := s.Handler()
 
@@ -293,7 +242,7 @@ func TestDegradedModeExpires(t *testing.T) {
 func TestServeFaultScheduleIsSeedDeterministic(t *testing.T) {
 	const spec = "seed=99;serve.wire.decode=error@every=4;serve.cache.factorize=error@p=0.4;serve.pool.enqueue=delay(100us)@p=0.3"
 	run := func() []faultinject.Event {
-		s := New(Options{Workers: 1, Retry: fastRetry(2), DegradeThreshold: -1})
+		s := New(Options{Workers: 1, DegradeThreshold: -1})
 		defer s.Close()
 		h := s.Handler()
 		arm(t, spec)

@@ -27,20 +27,19 @@ func (s *Server) serveLowRank(rc *reqScope, w http.ResponseWriter, r *http.Reque
 	if de := s.degradedReject(); de != nil {
 		return de
 	}
-	var res *tcqr.LowRankApprox
-	err = s.retryDo(ctx, rc, "solve", func() error {
-		var lerr error
-		took, perr := rc.onPool(ctx, func() {
-			res, lerr = s.backend.LowRank(tcqr.ToFloat32(a), req.Rank, cfg)
-		})
-		if perr != nil {
-			return perr
-		}
-		rc.stages.add(stageSolve, took)
-		return lerr
+	var (
+		res  *tcqr.LowRankApprox
+		lerr error
+	)
+	took, err := rc.onPool(ctx, func() {
+		res, lerr = s.backend.LowRank(tcqr.ToFloat32(a), req.Rank, cfg)
 	})
 	if err != nil {
 		return err
+	}
+	rc.stages.add(stageSolve, took)
+	if lerr != nil {
+		return lerr
 	}
 	sing := make([]float64, len(res.S))
 	for i, v := range res.S {

@@ -59,10 +59,7 @@ type serverMetrics struct {
 	gemmCalls *metrics.CounterVec // by engine kind and flops bucket
 	gemmFlops *metrics.CounterVec // by engine kind
 
-	faultInjected  *metrics.CounterVec // by failpoint site and action
-	retryAttempts  *metrics.CounterVec // by endpoint
-	retryExhausted *metrics.CounterVec // by endpoint
-	retryBackoff   *metrics.Histogram  // backoff slept before each retry
+	faultInjected *metrics.CounterVec // by failpoint site and action
 
 	unobserve      func() // detaches the engine GEMM observer
 	unobserveFault func() // detaches the fault-injection observer
@@ -107,12 +104,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			"Engine GEMM floating-point operations, by engine kind.", "engine"),
 		faultInjected: reg.CounterVec("tcqrd_fault_injected_total",
 			"Faults injected by the failpoint registry, by site and action.", "site", "action"),
-		retryAttempts: reg.CounterVec("tcqrd_retry_attempts_total",
-			"Retries of transient internal failures, by endpoint.", "endpoint"),
-		retryExhausted: reg.CounterVec("tcqrd_retry_exhausted_total",
-			"Requests whose transient failure survived every retry, by endpoint.", "endpoint"),
-		retryBackoff: reg.Histogram("tcqrd_retry_backoff_seconds",
-			"Backoff slept before each retry of a transient failure.", metrics.LatencyBuckets),
 		wireRequests: reg.CounterVec("tcqrd_wire_requests_total",
 			"Requests received, by API endpoint and wire encoding.", "endpoint", "encoding"),
 		wireResponses: reg.CounterVec("tcqrd_wire_responses_total",

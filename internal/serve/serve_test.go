@@ -7,9 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,6 +20,7 @@ import (
 	"time"
 
 	"tcqr"
+	"tcqr/internal/matgen"
 )
 
 // --- test plumbing ---------------------------------------------------------
@@ -608,6 +611,79 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 		if math.Float64bits(r.Optimality) != math.Float64bits(want.Optimality) || r.Converged != want.Converged {
 			t.Errorf("solve %d: optimality/converged %g/%v, solo %g/%v", i, r.Optimality, r.Converged, want.Optimality, want.Converged)
 		}
+	}
+}
+
+// TestCoalescedSolveCarriesOnlyItsOwnHazards: a batched request reports the
+// hazards of its own refinement, not its batchmates'. A b whose CGLS diverges
+// at an unreachable tolerance and a zero b, which converges at once and
+// records nothing alone, ride one batch behind held workers. The zero b's
+// reply used to carry the other column's divergence, so the response and
+// tcqrd_hazards_total depended on who rode along. Every reply must equal the
+// same request served alone: x, iterations, optimality and hazards.
+func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	const m, n = 512, 64
+	a := matgen.WithCond(rng, m, n, 1e3, matgen.Geometric)
+	opts := map[string]any{"tol": 1e-30}
+	bs := [][]float64{matgen.Normal(rng, m, 1).Col(0), make([]float64, m)}
+	factorize := func(h http.Handler) string {
+		var fr factorizeReply
+		if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, a.Data)}, &fr); code != 200 {
+			t.Fatalf("factorize: code=%d", code)
+		}
+		return fr.Key
+	}
+
+	solo := New(Options{Workers: 2, MaxBatch: 1})
+	defer solo.Close()
+	key := factorize(solo.Handler())
+	want := make([]solveReply, len(bs))
+	for i, b := range bs {
+		if code, _ := post(t, solo.Handler(), "/v1/solve", map[string]any{"key": key, "b": b, "options": opts}, &want[i]); code != 200 {
+			t.Fatalf("solo solve %d: code=%d", i, code)
+		}
+	}
+	if len(want[0].Hazards) == 0 || len(want[1].Hazards) != 0 {
+		t.Fatalf("solo hazards %v and %v: want the first b to diverge and the zero b to record nothing", want[0].Hazards, want[1].Hazards)
+	}
+
+	be := &countingBackend{inner: LibraryBackend{}}
+	s := New(Options{Workers: 2, Backend: be})
+	defer s.Close()
+	h := s.Handler()
+	factorize(h)
+	release := holdWorkers(t, s, be)
+	got := make([]solveReply, len(bs))
+	var wg sync.WaitGroup
+	for i, b := range bs {
+		wg.Add(1)
+		go func(i int, b []float64) {
+			defer wg.Done()
+			if code, _ := post(t, h, "/v1/solve", map[string]any{"key": key, "b": b, "options": opts}, &got[i]); code != 200 {
+				t.Errorf("batched solve %d: code=%d", i, code)
+			}
+		}(i, b)
+	}
+	waitParked(t, s, 1, len(bs))
+	release()
+	wg.Wait()
+	for i, r := range got {
+		if r.Batched != len(bs) {
+			t.Fatalf("solve %d reports batched=%d, want %d", i, r.Batched, len(bs))
+		}
+		if !slices.Equal(r.Hazards, want[i].Hazards) {
+			t.Errorf("solve %d: batched hazards %v, solo %v", i, r.Hazards, want[i].Hazards)
+		}
+		if r.Iterations != want[i].Iterations || math.Float64bits(r.Optimality) != math.Float64bits(want[i].Optimality) {
+			t.Errorf("solve %d: batched iterations/optimality %d/%g, solo %d/%g", i, r.Iterations, r.Optimality, want[i].Iterations, want[i].Optimality)
+		}
+		if !slices.EqualFunc(r.X, want[i].X, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Errorf("solve %d: batched x differs from solo", i)
+		}
+	}
+	if div := s.metrics.hazards.Snapshot()["divergence"]; div != 1 {
+		t.Errorf("tcqrd_hazards_total{kind=divergence} = %d, want 1 (one diverging request)", div)
 	}
 }
 

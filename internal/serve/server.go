@@ -15,7 +15,6 @@ import (
 
 	"tcqr"
 	"tcqr/internal/cluster"
-	"tcqr/internal/hazard"
 	"tcqr/internal/metrics"
 	"tcqr/internal/wirefmt"
 )
@@ -54,11 +53,6 @@ type Options struct {
 	MaxBodyBytes int64
 	// MaxElements caps rows*cols of an uploaded matrix (0 = 8Mi elements).
 	MaxElements int
-	// Retry bounds automatic retries of transient internal failures —
-	// recovered compute panics and injected faults — before a 500 is
-	// surfaced. Zero fields select the production defaults documented on
-	// RetryPolicy.
-	Retry RetryPolicy
 	// DegradeThreshold is the number of consecutive internal failures that
 	// trips degraded (cache-only) serving (0 = 5; negative disables the
 	// breaker).
@@ -153,7 +147,6 @@ func New(opts Options) *Server {
 	if opts.MaxStreamSessions <= 0 {
 		opts.MaxStreamSessions = 16
 	}
-	opts.Retry = opts.Retry.withDefaults()
 	if opts.Backend == nil {
 		opts.Backend = LibraryBackend{}
 	}
@@ -291,14 +284,13 @@ func (s *Server) endpoint(name string, serve func(*reqScope, http.ResponseWriter
 }
 
 // reqScope carries one request's instrumentation through the pipeline: the
-// stage clock, the hazard report, the identifiers the structured log line
-// wants (filled in as the handler learns them), and the terminal-status
-// bookkeeping shared by ok and fail.
+// stage clock, the identifiers the structured log line wants (filled in as
+// the handler learns them), and the terminal-status bookkeeping shared by ok
+// and fail.
 type reqScope struct {
 	s        *Server
 	endpoint string
 	method   string
-	rep      hazard.Report
 	stages   stageClock
 	start    time.Time
 
@@ -321,7 +313,6 @@ type reqScope struct {
 	batched     int
 	errCode     string
 	hazardKinds []string
-	repCounted  bool
 }
 
 // admit is the common front door of the compute endpoints: method check,
@@ -360,17 +351,9 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 	return rc, nil
 }
 
-// noteHazards serializes the request's report events (the transient failures
-// the retry layer recorded, in the order they happened) followed by the
-// result's hazard list, folding all of them into the per-kind hazard and
-// per-action recovery counters. The report is drained at most once per
-// request, so an ok that noted it and then failed to encode cannot
-// double-count through fail.
+// noteHazards serializes the result's hazard list, folding every event into
+// the per-kind hazard and per-action recovery counters.
 func (rc *reqScope) noteHazards(hs []tcqr.Hazard) []WireHazard {
-	if !rc.repCounted {
-		rc.repCounted = true
-		hs = append(rc.rep.Events(), hs...)
-	}
 	ws := wireHazards(hs)
 	for _, h := range ws {
 		rc.s.metrics.noteHazard(h)
@@ -380,13 +363,10 @@ func (rc *reqScope) noteHazards(hs []tcqr.Hazard) []WireHazard {
 }
 
 // fail encodes the uniform error envelope for e and finishes the response.
-// Internal (500-class) failures feed the degradation breaker; transient
-// events the retry layer recorded on the way down ride in the envelope so a
-// failed request still shows what was attempted.
+// Internal (500-class) failures feed the degradation breaker.
 func (rc *reqScope) fail(w http.ResponseWriter, e *apiError) {
 	rc.errCode = e.code
 	rc.s.metrics.errors.With(e.code).Inc()
-	hz := append(rc.noteHazards(nil), e.hazards...)
 	if e.status == http.StatusInternalServerError && rc.s.brk.recordFailure() {
 		if rc.s.log != nil {
 			rc.s.log.Warn("entering degraded mode",
@@ -394,7 +374,7 @@ func (rc *reqScope) fail(w http.ResponseWriter, e *apiError) {
 				slog.Duration("cooldown", rc.s.opts.DegradeCooldown))
 		}
 	}
-	body, _ := json.Marshal(errorBody{Error: errorDetail{Code: e.code, Message: e.msg, Hazards: hz}})
+	body, _ := json.Marshal(errorBody{Error: errorDetail{Code: e.code, Message: e.msg}})
 	if e.status == http.StatusTooManyRequests || e.status == http.StatusServiceUnavailable {
 		ra := "1"
 		if e.retryAfter > 0 {

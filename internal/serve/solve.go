@@ -89,22 +89,16 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 		return err
 	}
 
-	var out solveOutcome
-	serr := s.retryDo(ctx, rc, "solve", func() error {
-		out = s.coal.Submit(ctx, entry, opts, req.B)
+	out := s.coal.Submit(ctx, entry, opts, req.B)
+	if out.err != nil {
 		if errors.Is(out.err, ErrDeadline) {
 			// The request abandoned its batch, but the batch still runs and
 			// will read every waiter's b — including our zero-copy view into
 			// the pooled frame buffer. Leak the buffer to the collector
-			// rather than recycling memory a flusher is about to read. This
-			// sticks even if a later retry attempt succeeds: the abandoned
-			// batch from the timed-out attempt may still be in flight.
+			// rather than recycling memory a flusher is about to read.
 			rc.bodyBuf = nil
 		}
 		return out.err
-	})
-	if serr != nil {
-		return serr
 	}
 	rc.stages.add(stageQueue, out.queueWait)
 	rc.stages.add(stageSolve, out.solveTime)

@@ -310,7 +310,7 @@ func (s *Server) serveStreamCommit(rc *reqScope, w http.ResponseWriter, r *http.
 	ctx, cancel := s.requestContext(r, req.DeadlineMS)
 	defer cancel()
 	// From here the streamed matrix is indistinguishable from a one-shot
-	// upload: same key derivation, same cache/pool/retry/degraded pipeline,
+	// upload: same key derivation, same cache/pool/degraded pipeline,
 	// same replica fan-out, same response envelope. Only routing differs: the
 	// commit always runs locally — sessions are node-local state.
 	key := rc.contentKey(a, ss.cfg)

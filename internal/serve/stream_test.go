@@ -383,16 +383,16 @@ func TestStreamReaperLifecycle(t *testing.T) {
 	}
 }
 
-// FuzzStreamFrameDecode throws the same raw bytes at every endpoint's frame
-// decode (the name is from when only stream-append had one; the seed corpus
-// is that era's, still the richest in near-valid frames). Whatever the
-// request type, decoding must never panic, every rejection must be a
-// client-class apiError — a hostile frame can never take the 500 path, trip
-// the degradation breaker, or corrupt a session — and every accepted frame
-// must have bound each required bulk section to a structurally valid
-// payload (the shape invariants the handlers and the session registry rely
-// on) and must survive re-encoding unchanged.
-func FuzzStreamFrameDecode(f *testing.F) {
+// FuzzRequestDecode throws the same raw bytes at both decoders of every
+// endpoint's request: the frame decode and the strict JSON decode. Whatever
+// the request type and codec, decoding must never panic, and every rejection
+// must be a client-class apiError — a hostile body can never take the 500
+// path, trip the degradation breaker, or corrupt a session. Every matrix an
+// accepted body carries must either pass matrix(), the gate every handler
+// applies before anything else sees it, with a consistent shape, or be
+// rejected by it as bad input. An accepted frame must also have bound each
+// required bulk section and must survive re-encoding unchanged.
+func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a frame"))
 	valid, _ := wirefmt.AppendFrame(nil,
@@ -413,6 +413,23 @@ func FuzzStreamFrameDecode(f *testing.F) {
 		f.Add(valid[:len(valid)-3]) // truncated bulk section
 		f.Add(valid[:9])            // truncated header
 	}
+	for _, body := range []string{
+		`{"matrix":{"rows":3,"cols":2,"data":[1,1,1,1,2,3]},"config":{"engine":"tc-ec","cutoff":8},"deadline_ms":50}`,
+		`{"key":"k","b":[1,2,3],"options":{"method":"lsqr","tol":1e-12,"on_hazard":"fallback"}}`,
+		`{"key":"k@1","append":{"rows":1,"cols":2,"data":[1,4]}}`,
+		`{"key":"k","remove_rows":1}`,
+		`{"matrix":{"rows":3,"cols":2,"data":[1,1,1,1,2,3]},"rank":1}`,
+		`{"cols":2,"config":{"panel":"mgs"}}`,
+		`{"session":"abc","block":{"rows":1,"cols":2,"data":[1,2]}}`,
+		`{"session":"abc","deadline_ms":5}`,
+		`{"matrix":{"rows":4294967296,"cols":4294967296,"data":[]}}`,
+		`{"matrix":{"rows":2,"cols":-1,"data":[1,2]}}`,
+		`{"b":[1e400]}`,
+		`{"key":"k","unknown":1}`,
+		`{"key":"k"} {}`,
+	} {
+		f.Add([]byte(body))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		for endpoint, newReq := range map[string]func() any{
@@ -425,34 +442,12 @@ func FuzzStreamFrameDecode(f *testing.F) {
 			"stream_commit": func() any { return new(streamCommitRequest) },
 			"stream_abort":  func() any { return new(streamAbortRequest) },
 		} {
+			jreq := newReq()
+			checkDecoded(t, endpoint+" json", jreq, decodeJSON(bytes.NewReader(body), jreq), false)
 			req := newReq()
 			_, aerr := decodeFrame(endpoint, body, req)
-			if aerr != nil {
-				if aerr.status < 400 || aerr.status >= 500 {
-					t.Fatalf("%s: decode rejection carries server-class status %d (%s)", endpoint, aerr.status, aerr.msg)
-				}
+			if !checkDecoded(t, endpoint+" frame", req, aerr, true) {
 				continue
-			}
-			for _, fld := range layoutOf(req).bulk {
-				m, _ := fld.get()
-				if fld.mat == nil {
-					continue
-				}
-				if m == nil {
-					if !fld.optional {
-						t.Fatalf("%s: accepted frame without its %s section", endpoint, fld.name)
-					}
-					continue
-				}
-				// matrix() is the gate every handler applies before anything
-				// else sees the block: an accepted frame either passes it or is
-				// rejected with a client error, never a panic.
-				if blk, err := m.matrix(); err == nil {
-					if blk.Rows <= 0 || blk.Cols <= 0 || len(m.Data) != blk.Rows*blk.Cols {
-						t.Fatalf("%s: validated %s has inconsistent shape %dx%d with %d elements",
-							endpoint, fld.name, blk.Rows, blk.Cols, len(m.Data))
-					}
-				}
 			}
 			frame, err := encodeFrame(req)
 			if err != nil {
@@ -469,4 +464,43 @@ func FuzzStreamFrameDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkDecoded holds one decode of a fuzzed body to the decoders' contract
+// and reports whether req was accepted: a rejection is client-class, and each
+// matrix an accepted request carries passes matrix() with a consistent shape
+// or fails it as bad input. A frame must also bind every required matrix
+// section (sections); JSON leaves a missing one to the handler's matrix().
+func checkDecoded(t *testing.T, label string, req any, aerr *apiError, sections bool) bool {
+	t.Helper()
+	if aerr != nil {
+		if aerr.status < 400 || aerr.status >= 500 {
+			t.Fatalf("%s: decode rejection carries server-class status %d (%s)", label, aerr.status, aerr.msg)
+		}
+		return false
+	}
+	for _, fld := range layoutOf(req).bulk {
+		if fld.mat == nil {
+			continue
+		}
+		m, _ := fld.get()
+		if m == nil {
+			if sections && !fld.optional {
+				t.Fatalf("%s: accepted frame without its %s section", label, fld.name)
+			}
+			continue
+		}
+		blk, err := m.matrix()
+		if err != nil {
+			if st := classifyError(err).status; st != 400 {
+				t.Fatalf("%s: %s rejected with status %d, want 400: %v", label, fld.name, st, err)
+			}
+			continue
+		}
+		if blk.Rows <= 0 || blk.Cols <= 0 || len(m.Data) != blk.Rows*blk.Cols {
+			t.Fatalf("%s: validated %s has inconsistent shape %dx%d with %d elements",
+				label, fld.name, blk.Rows, blk.Cols, len(m.Data))
+		}
+	}
+	return true
 }

@@ -65,37 +65,34 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 		}
 	}
 	var (
-		v  *tcqr.Matrix32
-		nf *tcqr.Factorization
+		v    *tcqr.Matrix32
+		nf   *tcqr.Factorization
+		uerr error
 	)
 	if v64 != nil {
 		v = tcqr.ToFloat32(v64)
 	}
-	uerr := s.retryDo(ctx, rc, "update", func() error {
-		var ierr error
-		took, perr := rc.onPool(ctx, func() {
-			// Failpoint: an injected error here aborts the update after the
-			// series was latched — the recovery path that must leave the
-			// current epoch published and the series unlocked.
-			ierr = faultinject.Fire(siteUpdateApply)
-			if ierr == nil {
-				if v != nil {
-					nf, ierr = s.backend.UpdateAppendRows(old.F, v, old.Config)
-				} else {
-					nf, ierr = s.backend.UpdateRemoveRows(old.F, req.RemoveRows, old.Config)
-				}
+	took, err := rc.onPool(ctx, func() {
+		// Failpoint: an injected error here aborts the update after the
+		// series was latched — the recovery path that must leave the
+		// current epoch published and the series unlocked.
+		uerr = faultinject.Fire(siteUpdateApply)
+		if uerr == nil {
+			if v != nil {
+				nf, uerr = s.backend.UpdateAppendRows(old.F, v, old.Config)
+			} else {
+				nf, uerr = s.backend.UpdateRemoveRows(old.F, req.RemoveRows, old.Config)
 			}
-		})
-		if perr != nil {
-			return perr
 		}
-		rc.stages.add(stageUpdate, took)
-		return ierr
 	})
-	if uerr != nil {
+	if err == nil {
+		rc.stages.add(stageUpdate, took)
+		err = uerr
+	}
+	if err != nil {
 		s.cache.AbortUpdate(old)
 		s.metrics.updateFailed.Inc()
-		return uerr
+		return err
 	}
 	// Rebuild the refinement matrix for the new epoch (solves need A at
 	// full precision) and publish atomically.

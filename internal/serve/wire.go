@@ -379,19 +379,15 @@ type errorDetail struct {
 	// too_large, method_not_allowed, not_found, internal.
 	Code    string `json:"code"`
 	Message string `json:"message"`
-	// Hazards carries the typed events recorded before the request failed
-	// (present on numerical_hazard responses when available).
-	Hazards []WireHazard `json:"hazards,omitempty"`
 }
 
 // apiError is an error with a wire code and HTTP status. The handlers build
 // every failure out of these so the envelope and status mapping stay in one
 // place.
 type apiError struct {
-	status  int
-	code    string
-	msg     string
-	hazards []WireHazard
+	status int
+	code   string
+	msg    string
 	// retryAfter, when > 0, overrides the Retry-After header on 429/503
 	// responses (seconds). Degraded-mode rejections set it to the remaining
 	// cooldown so clients back off for the right interval.

@@ -133,14 +133,14 @@ func SolveLeastSquaresWithFactor(f *Factorization, a *Matrix, b []float64, opts 
 		Converged:     sol.Converged,
 		Optimality:    accuracy.LLSOptimality(a, sol.X, b),
 		Factorization: f,
-		Hazards:       f.withHazards(rep),
+		Hazards:       f.withHazards(rep.Events()),
 	}, nil
 }
 
 // withHazards lists the factorization's hazards followed by the refinement
-// events in rep.
-func (f *Factorization) withHazards(rep *hazard.Report) []Hazard {
-	return append(append([]Hazard(nil), f.Hazards...), rep.Events()...)
+// events of one right-hand side.
+func (f *Factorization) withHazards(events []Hazard) []Hazard {
+	return append(append([]Hazard(nil), f.Hazards...), events...)
 }
 
 // MultiResult is the outcome of SolveLeastSquaresMultiWithFactor: column j of X
@@ -154,9 +154,10 @@ type MultiResult struct {
 	// Factorization is the shared RGSQRF factor (one QR amortized over
 	// all right-hand sides — the economics behind Figure 8's pipeline).
 	Factorization *Factorization
-	// Hazards lists factorization hazards followed by per-column refinement
-	// hazards.
-	Hazards []Hazard
+	// Hazards[j] lists the factorization's hazards followed by column j's
+	// refinement hazards — what SolveLeastSquaresWithFactor reports for
+	// B[:,j] alone.
+	Hazards [][]Hazard
 }
 
 // SolveLeastSquaresMultiWithFactor reuses an existing factorization of A for
@@ -165,18 +166,18 @@ type MultiResult struct {
 // solves that share a cached factorization. Every column runs the same
 // per-column refinement a single solve runs (opts.Method, the LSQR fallback
 // under opts.OnHazard == HazardFallback), concurrently, so column j equals
-// SolveLeastSquaresWithFactor on B[:,j] bit for bit; hazards recorded during
-// the factorization propagate into the result ahead of the refinement's own
-// events.
+// SolveLeastSquaresWithFactor on B[:,j] bit for bit, its hazards included:
+// the factorization's, then those of column j's own refinement.
 func SolveLeastSquaresMultiWithFactor(f *Factorization, a *Matrix, b *Matrix, opts SolveOptions) (*MultiResult, error) {
-	rep := &hazard.Report{}
-	sol, err := lls.SolveMultiWithFactor(f.inner(), a, b, opts.refine(rep))
+	sol, err := lls.SolveMultiWithFactor(f.inner(), a, b, opts.refine(nil))
 	if err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
 	}
 	optimality := make([]float64, b.Cols)
+	hazards := make([][]Hazard, b.Cols)
 	for j := range optimality {
 		optimality[j] = accuracy.LLSOptimality(a, sol.X.Col(j), b.Col(j))
+		hazards[j] = f.withHazards(sol.Hazards[j])
 	}
 	return &MultiResult{
 		X:             sol.X,
@@ -184,6 +185,6 @@ func SolveLeastSquaresMultiWithFactor(f *Factorization, a *Matrix, b *Matrix, op
 		Converged:     sol.Converged,
 		Optimality:    optimality,
 		Factorization: f,
-		Hazards:       f.withHazards(rep),
+		Hazards:       hazards,
 	}, nil
 }
