@@ -23,7 +23,6 @@
 //
 //	tcqrd [-addr :8723] [-workers N] [-queue 64] [-cache 32]
 //	      [-cache-max-bytes 0] [-cache-dir path] [-spill-max-bytes 0]
-//	      [-engine fp16|tc-ec|bf16|fp32]
 //	      [-max-batch 32] [-deadline 30s]
 //	      [-drain-timeout 10s] [-addr-file path]
 //	      [-log-level info] [-debug-addr host:port]
@@ -93,7 +92,6 @@ import (
 	"tcqr/internal/faultinject"
 	"tcqr/internal/metrics"
 	"tcqr/internal/serve"
-	"tcqr/internal/tcsim"
 )
 
 func main() {
@@ -105,7 +103,6 @@ func main() {
 		cacheBytes   = flag.Int64("cache-max-bytes", 0, "factorization cache byte budget on top of the entry cap (0 = entries only)")
 		cacheDir     = flag.String("cache-dir", "", "persist factorizations to this directory (write-behind spill; rewarm on restart; empty disables)")
 		spillBytes   = flag.Int64("spill-max-bytes", 0, "on-disk byte budget of -cache-dir, oldest files deleted first (0 = unbounded)")
-		engine       = flag.String("engine", "", fmt.Sprintf("default engine for requests that name none, one of %v (empty = %v)", tcsim.Kinds(), tcsim.KindTC))
 		maxBatch     = flag.Int("max-batch", 32, "max solves coalesced into one multi-RHS call while they wait for a worker (1 forbids batching)")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
@@ -142,11 +139,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tcqrd: %v\n", err)
 		os.Exit(2)
-	}
-
-	defaultEngine, err := tcsim.ParseKind(*engine)
-	if err != nil {
-		fatal(logger, "bad -engine", "err", err)
 	}
 
 	if *faultSpec != "" {
@@ -199,7 +191,6 @@ func main() {
 		CacheDir:          *cacheDir,
 		SpillMaxBytes:     *spillBytes,
 		MaxBatch:          *maxBatch,
-		DefaultEngine:     defaultEngine,
 		DefaultDeadline:   *deadline,
 		Logger:            logger,
 		DegradeThreshold:  *degradeAfter,

@@ -14,28 +14,7 @@ import (
 
 	"tcqr/internal/faultinject"
 	"tcqr/internal/serve"
-	"tcqr/internal/tcsim"
 )
-
-// TestBadEngineFlagFailsStartup: an unknown -engine stops the daemon before
-// it listens, naming the valid engines from the same table as the wire 400.
-// The test binary re-executes itself to run the real main().
-func TestBadEngineFlagFailsStartup(t *testing.T) {
-	if os.Getenv("TCQRD_MAIN_TEST") != "" {
-		os.Args = []string{"tcqrd", "-addr", "127.0.0.1:0", "-engine", "fp8"}
-		main()
-		os.Exit(0)
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=TestBadEngineFlagFailsStartup")
-	cmd.Env = append(os.Environ(), "TCQRD_MAIN_TEST=1")
-	out, err := cmd.CombinedOutput()
-	if _, ok := err.(*exec.ExitError); !ok {
-		t.Fatalf("tcqrd -engine fp8: err=%v, want a non-zero exit; output:\n%s", err, out)
-	}
-	if !strings.Contains(string(out), fmt.Sprint(tcsim.Kinds())) {
-		t.Errorf("startup error should list %s, got:\n%s", fmt.Sprint(tcsim.Kinds()), out)
-	}
-}
 
 // registeredFlags returns the flags main() registers: the test binary
 // re-executes itself into TestFlagsMatchUsageComment's child branch, which
@@ -59,8 +38,8 @@ func registeredFlags(t *testing.T) map[string]bool {
 // flags the package comment's usage block names, so a knob cannot be added
 // or removed without its documentation following — and none is a -tsqr-*
 // route selector (the daemon has one cold-factorization path). The count is
-// pinned so a new knob has to argue its way in (the retry knob was the last
-// to go: a failed compute is one attempt).
+// pinned so a new knob has to argue its way in (the -engine default was the
+// last to go: a request's engine is the one it names, on every node).
 func TestFlagsMatchUsageComment(t *testing.T) {
 	if os.Getenv("TCQRD_MAIN_TEST") != "" {
 		os.Args = []string{"tcqrd", "-h"}
@@ -68,8 +47,8 @@ func TestFlagsMatchUsageComment(t *testing.T) {
 		os.Exit(0)
 	}
 	registered := registeredFlags(t)
-	if len(registered) != 25 {
-		t.Fatalf("%d flags parsed from -h output, want 25: %v", len(registered), registered)
+	if len(registered) != 24 {
+		t.Fatalf("%d flags parsed from -h output, want 24: %v", len(registered), registered)
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)

@@ -220,7 +220,7 @@ func TestSolveHazardsSurface(t *testing.T) {
 func isTypedHazard(err error) bool {
 	for _, sentinel := range []error{
 		ErrNonFinite, ErrEmpty, ErrShape, ErrBreakdown,
-		ErrOverflow, ErrStagnation, ErrDivergence, ErrPrecisionLoss,
+		ErrOverflow, ErrStagnation, ErrDivergence,
 	} {
 		if errors.Is(err, sentinel) {
 			return true

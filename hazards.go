@@ -29,12 +29,6 @@ var (
 	// ErrDivergence reports a refinement iteration whose gradient norm grew
 	// persistently instead of shrinking.
 	ErrDivergence = hazard.ErrDivergence
-	// ErrPrecisionLoss reports a factorization that succeeded structurally
-	// but failed its backward-error quality gate — half-precision arithmetic
-	// at its error floor where the configuration promises fp32-grade
-	// accuracy. Under HazardFallback the ladder escalates to the
-	// error-corrected TensorCore engine before any fp32 fallback.
-	ErrPrecisionLoss = hazard.ErrPrecisionLoss
 )
 
 // HazardPolicy decides what a detected numerical hazard does to a
@@ -69,5 +63,4 @@ const (
 	HazardRankDeficient = hazard.KindRankDeficient
 	HazardStagnation    = hazard.KindStagnation
 	HazardDivergence    = hazard.KindDivergence
-	HazardPrecisionLoss = hazard.KindPrecisionLoss
 )

@@ -8,6 +8,7 @@ import (
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
+	"tcqr/internal/house"
 	"tcqr/internal/tcsim"
 )
 
@@ -66,35 +67,19 @@ func checkFinite(name string, q, r *dense.M32) error {
 
 // CAQRPanel is the communication-avoiding Gram-Schmidt panel of Section
 // 3.1.3. Panels wider than TileCols are reduced by the same
-// split-project-update recursion as the outer algorithm (with GEMMs through
-// Engine), and width-TileCols panels run the tile tree of Eq. 8.
+// split-project-update recursion as the outer algorithm (with fp32 GEMMs:
+// the paper keeps the TensorCore out of the panel, Figure 7), and
+// width-TileCols panels run the tile tree of Eq. 8.
 type CAQRPanel struct {
-	// Engine performs the panel's matrix multiplications. The paper keeps
-	// TensorCore OFF in the panel ("little gain in speed" for a loss of
-	// accuracy — Figure 7); a nil Engine defaults to FP32 accordingly.
-	Engine tcsim.Engine
 	// RowBlock overrides TileRows (for tests); 0 uses TileRows.
 	RowBlock int
 }
 
-// Name implements Panel: "CAQR", engine-qualified when the ablation routes
-// the panel's GEMMs through a neural engine, so ladder escalation events
-// distinguish the TensorCore, error-corrected, and fp32 CAQR rungs.
-func (p *CAQRPanel) Name() string {
-	if p.Engine == nil {
-		return "CAQR"
-	}
-	return "CAQR[" + p.Engine.Name() + "]"
-}
+// Name implements Panel.
+func (p *CAQRPanel) Name() string { return "CAQR" }
 
-func (p *CAQRPanel) engine() tcsim.Engine {
-	if p.Engine != nil {
-		return p.Engine
-	}
-	return defaultFP32
-}
-
-var defaultFP32 = &tcsim.FP32{}
+// panelFP32 runs the width reduction's GEMMs.
+var panelFP32 = &tcsim.FP32{}
 
 func (p *CAQRPanel) rowBlock() int {
 	if p.RowBlock > 0 {
@@ -113,10 +98,10 @@ func (p *CAQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 	}
 	q = a.Clone()
 	r = dense.New[float32](n, n)
-	// Width reduction mirrors the outer RGSQRF with the panel's own (FP32 by
-	// default) engine. The tile tree never fails: breakdown shows as a zero
-	// or non-finite R diagonal, checked on the assembled factor below.
-	_ = Recurse(q, r, TileCols, p.engine(), func(w, r *dense.M32) error {
+	// Width reduction mirrors the outer RGSQRF on fp32 GEMMs. The tile tree
+	// never fails: breakdown shows as a zero or non-finite R diagonal, checked
+	// on the assembled factor below.
+	_ = Recurse(q, r, TileCols, panelFP32, func(w, r *dense.M32) error {
 		p.tileTree(w, r)
 		return nil
 	})
@@ -211,33 +196,17 @@ func (p *CAQRPanel) tileTree(w, r *dense.M32) {
 		q2Blocks[i] = stack.View(i*n, 0, n, n)
 		scratch[i] = dense.New[float32](tileQ[i].Rows, n)
 	}
-	if e := p.engine(); e == defaultFP32 {
-		// The common path is exactly cuBLAS batched SGEMM.
-		blas.GemmBatch(blas.NoTrans, blas.NoTrans, 1, tileQ, q2Blocks, 0, scratch)
-	} else {
-		// Ablation path (TensorCore in the panel): the batch runs through
-		// the configured engine, one concurrent GEMM per tile.
-		var bw sync.WaitGroup
-		for i := 0; i < nt; i++ {
-			bw.Add(1)
-			go func(i int) {
-				defer bw.Done()
-				e.Gemm(blas.NoTrans, blas.NoTrans, 1, tileQ[i], q2Blocks[i], 0, scratch[i])
-			}(i)
-		}
-		bw.Wait()
-	}
+	// The batch is exactly cuBLAS batched SGEMM.
+	blas.GemmBatch(blas.NoTrans, blas.NoTrans, 1, tileQ, q2Blocks, 0, scratch)
 	for i := 0; i < nt; i++ {
 		tileQ[i].CopyFrom(scratch[i]) // step 5: w now holds the panel Q
 	}
 }
 
 // HouseholderPanel adapts blocked Householder QR (the cuSOLVER SGEQRF
-// baseline) to the Panel interface — the right bar of Figure 6.
-type HouseholderPanel struct {
-	// NB is the Householder block size; 0 uses the package default.
-	NB int
-}
+// baseline, block size house.DefaultBlockSize) to the Panel interface — the
+// right bar of Figure 6.
+type HouseholderPanel struct{}
 
 // Name implements Panel.
 func (p *HouseholderPanel) Name() string { return "SGEQRF" }
@@ -247,11 +216,13 @@ func (p *HouseholderPanel) Name() string { return "SGEQRF" }
 // the terminal rung of the fallback ladder; only non-finite factors are
 // rejected.
 func (p *HouseholderPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	qr := housePanelFactor(a, p.NB)
-	if err := checkFinite("SGEQRF", qr.q, qr.r); err != nil {
+	f := a.Clone()
+	tau := house.Geqrf(f, house.DefaultBlockSize)
+	q, r = house.Orgqr(f, tau, house.DefaultBlockSize), house.ExtractR(f)
+	if err := checkFinite("SGEQRF", q, r); err != nil {
 		return nil, nil, err
 	}
-	return qr.q, qr.r, nil
+	return q, r, nil
 }
 
 // MGSPanel is the plain single-tile modified Gram-Schmidt panel, included
@@ -267,24 +238,6 @@ func (MGSPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 	r = dense.New[float32](a.Cols, a.Cols)
 	MGS(q, r)
 	if err := checkFullRank("MGS", r); err != nil {
-		return nil, nil, err
-	}
-	return q, r, nil
-}
-
-// CGSPanel is the classical Gram-Schmidt panel (worst-case orthogonality
-// ∝ κ², per Giraud et al. as cited in §3.6).
-type CGSPanel struct{}
-
-// Name implements Panel.
-func (CGSPanel) Name() string { return "CGS" }
-
-// Factor implements Panel.
-func (CGSPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	q = a.Clone()
-	r = dense.New[float32](a.Cols, a.Cols)
-	CGS(q, r)
-	if err := checkFullRank("CGS", r); err != nil {
 		return nil, nil, err
 	}
 	return q, r, nil

@@ -7,7 +7,6 @@ import (
 	"tcqr/internal/chol"
 	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
-	"tcqr/internal/tcsim"
 )
 
 // CholQR computes a QR factorization via the Gram matrix: G = AᵀA,
@@ -22,28 +21,12 @@ import (
 // The input is not modified. Returns an error when the Gram matrix is not
 // numerically positive definite.
 func CholQR(a *dense.M32) (q, r *dense.M32, err error) {
-	return cholQRWith(a, nil)
-}
-
-// cholQRWith is CholQR with the Gram matrix optionally formed on a neural
-// engine: e == nil keeps the historical bit-exact fp32 Syrk; otherwise
-// G = AᵀA runs through e (a full GEMM rather than the symmetric rank-k
-// update — the engines only speak GEMM, and Potrf reads the lower triangle
-// either way). Forming the Gram matrix is where CholQR concentrates its
-// precision demand (κ² in the working precision), so this is exactly the
-// spot where the engine choice decides the breakdown threshold: κ ≲ 2^5.5
-// on the fp16 TensorCore, fp32-grade on tc-ec.
-func cholQRWith(a *dense.M32, e tcsim.Engine) (q, r *dense.M32, err error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		return nil, nil, fmt.Errorf("gram: CholQR requires m >= n, got %dx%d", m, n)
 	}
 	g := dense.New[float32](n, n)
-	if e != nil {
-		e.Gemm(blas.Trans, blas.NoTrans, 1, a, a, 0, g)
-	} else {
-		blas.Syrk(blas.Lower, blas.Trans, 1, a, 0, g)
-	}
+	blas.Syrk(blas.Lower, blas.Trans, 1, a, 0, g)
 	// Cholesky gives G = L·Lᵀ; R = Lᵀ. A non-SPD Gram matrix is the CholQR
 	// breakdown mode (κ² overwhelmed float32, or the panel is rank
 	// deficient); report it as a typed breakdown so the fallback ladder can
@@ -82,28 +65,15 @@ func CholQR2(a *dense.M32) (q, r *dense.M32, err error) {
 
 // CholQRPanel adapts CholQR to the Panel interface for ablations. Cholesky
 // breakdown surfaces as an error wrapping hazard.ErrBreakdown, which the
-// fallback ladder escalates — through the error-corrected engine rung when
-// the panel carried a plain TensorCore — to CholQR2 → MGS → Householder.
-type CholQRPanel struct {
-	// Engine forms the Gram matrix G = AᵀA. CholQR is the panel where the
-	// engine's precision bites hardest — breakdown at κ(A)² · u_engine ≳ 1 —
-	// so this is the knob the TensorCoreInPanel ablation and the tc-ec
-	// accuracy-recovery rung turn. A nil Engine keeps the historical plain
-	// fp32 Syrk (the zero value is unchanged).
-	Engine tcsim.Engine
-}
+// fallback ladder escalates to CholQR2 → MGS → Householder.
+type CholQRPanel struct{}
 
 // Name implements Panel.
-func (p CholQRPanel) Name() string {
-	if p.Engine == nil {
-		return "CholQR"
-	}
-	return "CholQR[" + p.Engine.Name() + "]"
-}
+func (CholQRPanel) Name() string { return "CholQR" }
 
 // Factor implements Panel.
-func (p CholQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	q, r, err = cholQRWith(a, p.Engine)
+func (CholQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
+	q, r, err = CholQR(a)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -47,14 +47,6 @@ var (
 	// ErrDivergence reports a refinement iteration whose residual grew
 	// persistently instead of shrinking.
 	ErrDivergence = errors.New("refinement diverged")
-	// ErrPrecisionLoss reports a factorization whose measured backward error
-	// exceeded the quality gate: the computation succeeded structurally but
-	// the engine's arithmetic lost more accuracy than the configuration
-	// promises (a half-precision panel at its ~2⁻¹¹ error floor, against an
-	// fp32-grade gate). The fallback ladder answers it by escalating to a
-	// higher-precision rung — the error-corrected TensorCore before any
-	// fp32 fallback.
-	ErrPrecisionLoss = errors.New("precision loss beyond tolerance")
 )
 
 // Policy decides what a detected hazard does to the computation.
@@ -101,10 +93,6 @@ const (
 	KindStagnation
 	// KindDivergence: refinement residuals grew past the divergence guard.
 	KindDivergence
-	// KindPrecisionLoss: a structurally successful factorization failed its
-	// backward-error quality gate (half-precision arithmetic at its error
-	// floor) and was escalated to a higher-precision rung.
-	KindPrecisionLoss
 )
 
 // String names the kind.
@@ -122,8 +110,6 @@ func (k Kind) String() string {
 		return "stagnation"
 	case KindDivergence:
 		return "divergence"
-	case KindPrecisionLoss:
-		return "precision-loss"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -140,7 +126,6 @@ func Kinds() []Kind {
 		KindRankDeficient,
 		KindStagnation,
 		KindDivergence,
-		KindPrecisionLoss,
 	}
 }
 

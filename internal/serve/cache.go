@@ -22,9 +22,12 @@ func CacheKey(a *tcqr.Matrix, cfg tcqr.Config) string {
 }
 
 // configFingerprint encodes every Config field into a short stable string.
+// The 0 after the engine is where earlier builds wrote a panel-engine flag
+// that was 0 for every config the wire could express: keeping it keeps the
+// keys they issued, and the spill files they wrote, resolving.
 func configFingerprint(c tcqr.Config) string {
-	return fmt.Sprintf("e%d%d-p%d-c%d-r%d%d-h%d",
-		int(c.Engine), b2i(c.TensorCoreInPanel),
+	return fmt.Sprintf("e%d0-p%d-c%d-r%d%d-h%d",
+		int(c.Engine),
 		int(c.Panel), c.Cutoff,
 		b2i(c.ReOrthogonalize), b2i(c.DisableColumnScaling),
 		int(c.OnHazard))

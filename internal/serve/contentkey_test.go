@@ -258,7 +258,7 @@ func TestInlineSolveIsNeverAnsweredFromAnotherMatrix(t *testing.T) {
 	h := s.Handler()
 	m, n := 64, 8
 	other, mine := tightMatrix(5, m, n), tightMatrix(6, m, n)
-	cfg, err := s.reqConfig(WireConfig{})
+	cfg, err := WireConfig{}.config()
 	if err != nil {
 		t.Fatal(err)
 	}

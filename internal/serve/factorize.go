@@ -9,18 +9,6 @@ import (
 	"tcqr"
 )
 
-// reqConfig translates a request's wire config, filling an unset engine
-// with the server's DefaultEngine: the substitution happens ahead of
-// CacheKey derivation, so a defaulted request and an explicit one asking
-// for the same engine share a cache entry.
-func (s *Server) reqConfig(w WireConfig) (tcqr.Config, error) {
-	cfg, err := w.config()
-	if w.Engine == "" {
-		cfg.Engine = s.opts.DefaultEngine
-	}
-	return cfg, err
-}
-
 // requestContext derives the request's compute deadline: the client's
 // deadline_ms when given, the server default otherwise, whichever is
 // sooner.
@@ -111,7 +99,7 @@ func (s *Server) serveFactorize(rc *reqScope, w http.ResponseWriter, r *http.Req
 		return aerr
 	}
 	rc.rows, rc.cols = a.Rows, a.Cols
-	cfg, err := s.reqConfig(req.Config)
+	cfg, err := req.Config.config()
 	if err != nil {
 		return err
 	}

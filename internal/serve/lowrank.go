@@ -16,7 +16,7 @@ func (s *Server) serveLowRank(rc *reqScope, w http.ResponseWriter, r *http.Reque
 		return aerr
 	}
 	rc.rows, rc.cols = a.Rows, a.Cols
-	cfg, err := s.reqConfig(req.Config)
+	cfg, err := req.Config.config()
 	if err != nil {
 		return err
 	}

@@ -66,11 +66,6 @@ type Options struct {
 	// MaxStreamSessions caps concurrently open chunked-upload sessions;
 	// begins past the cap are rejected with 429 (0 = 16).
 	MaxStreamSessions int
-	// DefaultEngine is applied to requests that leave Config.engine unset
-	// (zero value = the library default, fp16). A request that names an
-	// engine always wins — the default changes what "unset" means, not what
-	// clients may ask for.
-	DefaultEngine tcqr.Engine
 	// Backend routes compute; nil = LibraryBackend. Tests install counting
 	// or delaying backends here.
 	Backend Backend

@@ -54,7 +54,7 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 		if aerr != nil {
 			return aerr
 		}
-		cfg, cerr := s.reqConfig(req.Config)
+		cfg, cerr := req.Config.config()
 		if cerr != nil {
 			return cerr
 		}

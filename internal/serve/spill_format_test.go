@@ -3,12 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"syscall"
 	"testing"
 	"time"
@@ -39,12 +41,12 @@ func goldenSpillEntry() *Entry {
 	q.Set(1, 1, math.Float32frombits(1))                  // smallest subnormal
 	r.Set(0, 2, math.Float32frombits(0x7fa00001))         // signalling NaN
 	return &Entry{
-		Key:   "mgolden-e02-p1-c64-r11-h1@7",
+		Key:   "mgolden-e20-p1-c64-r11-h1@7",
 		Epoch: 7,
 		A:     a,
 		F: &tcqr.Factorization{Q: q, R: r, Reorthogonalized: true,
 			ColumnScales: []float32{0.5, 2, 1024}},
-		Config: tcqr.Config{Engine: tcqr.EngineBF16, TensorCoreInPanel: true, Panel: tcqr.PanelHouseholder,
+		Config: tcqr.Config{Engine: tcqr.EngineBF16, Panel: tcqr.PanelHouseholder,
 			Cutoff: 64, ReOrthogonalize: true, DisableColumnScaling: true, OnHazard: tcqr.HazardFallback},
 	}
 }
@@ -77,6 +79,70 @@ func TestSpillGoldenV4(t *testing.T) {
 		if _, err := decodeSpillEntry(bad); err == nil {
 			t.Errorf("byte %d of %d corrupted, still decodes", i, len(file))
 		}
+	}
+}
+
+// panelFlagSpillFile is a spill file an earlier build's daemon wrote for an
+// 8x3 factorize under {"engine":"tc-ec","panel":"mgs","cutoff":2,
+// "reorthogonalize":true,"on_hazard":"fallback"}. Its meta's config carries
+// the panel-engine flag, false, as every file of those builds does; today's
+// Config no longer has the field.
+const panelFlagSpillFile = "testdata/entry_v4_panelflag.tcqs"
+
+// TestSpillFileWithPanelFlagRewarms: a server started on a directory holding
+// that file rewarms it under its stored key, holding the factor
+// tcqr.Factorize computes today bit for bit, and the same factorize request
+// resolves to that key as a cache hit.
+func TestSpillFileWithPanelFlagRewarms(t *testing.T) {
+	const key = "m91ffb5cf2cf1084e-e10-p3-c2-r10-h1"
+	file, err := os.ReadFile(panelFlagSpillFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta struct{ Config map[string]json.RawMessage }
+	if err := json.Unmarshal(file[spillHeaderLen:spillHeaderLen+binary.LittleEndian.Uint64(file[8:16])], &meta); err != nil {
+		t.Fatal(err)
+	}
+	today, err := json.Marshal(tcqr.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var retired []string
+	for name, v := range meta.Config {
+		if !bytes.Contains(today, []byte(`"`+name+`":`)) && string(v) == "false" {
+			retired = append(retired, name)
+		}
+	}
+	if len(retired) != 1 || len(meta.Config) != bytes.Count(today, []byte(`":`))+1 {
+		t.Fatalf("%s: config %v, want today's fields plus one retired false flag", panelFlagSpillFile, meta.Config)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, spillFileName(key)), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, CacheDir: dir})
+	defer s.Close()
+	if st := s.spill.Stats(); st.Rewarmed != 1 || st.Quarantined != 0 {
+		t.Fatalf("rewarm stats %+v, want 1 rewarmed, 0 quarantined", st)
+	}
+	e, ok := s.cache.Get(key)
+	if !ok {
+		t.Fatalf("key %s not rewarmed", key)
+	}
+	want, err := tcqr.Factorize(tcqr.ToFloat32(e.A), e.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(factorBits(e.F), factorBits(want)) || e.F.Reorthogonalized != want.Reorthogonalized {
+		t.Error("the rewarmed factor differs from tcqr.Factorize under the stored config")
+	}
+	var fr factorizeReply
+	code, _ := post(t, s.Handler(), "/v1/factorize", map[string]any{
+		"matrix": wireMat(e.A.Rows, e.A.Cols, colMajorData(e.A)),
+		"config": map[string]any{"engine": "tc-ec", "panel": "mgs", "cutoff": 2, "reorthogonalize": true, "on_hazard": "fallback"},
+	}, &fr)
+	if code != 200 || fr.Key != key || !fr.Cached {
+		t.Errorf("factorize of the file's matrix: %d key %q cached=%v, want 200 %s cached", code, fr.Key, fr.Cached, key)
 	}
 }
 
@@ -135,6 +201,11 @@ func FuzzSpillDecode(f *testing.F) {
 		resealSpill(huge)
 		f.Add(huge)
 	}
+	panelFlag, err := os.ReadFile(panelFlagSpillFile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(panelFlag)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sealed := bytes.Clone(data)

@@ -240,7 +240,7 @@ func (s *Server) serveStreamBegin(rc *reqScope, w http.ResponseWriter, r *http.R
 		return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 			msg: fmt.Sprintf("cols %d exceeds the %d-element upload cap", req.Cols, s.opts.MaxElements)}
 	}
-	cfg, err := s.reqConfig(req.Config)
+	cfg, err := req.Config.config()
 	if err != nil {
 		return err
 	}

@@ -7,9 +7,9 @@ import "fmt"
 // the Engine.Name() strings, construction, the unit roundoffs and the
 // recovery order all live in the table below, and every layer above — the
 // public Config, the serving wire format, cache keys, spill files, metrics,
-// both recovery ladders — reads it instead of keeping its own copy.
+// the engine recovery ladder — reads it instead of keeping its own copy.
 //
-// The declaration order is the escalation order of the recovery ladders:
+// The declaration order is the escalation order of the recovery ladder:
 // the fp16 TensorCore, then its error-corrected variant (fp32-grade accuracy,
 // still the fp16 exponent range), then bfloat16 (coarser, but the float32
 // exponent range), then plain fp32. The zero value is the paper's engine.

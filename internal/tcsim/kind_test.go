@@ -44,7 +44,7 @@ func TestKindTable(t *testing.T) {
 	}
 }
 
-// TestKindRecovery pins the escalation order both ladders derive from.
+// TestKindRecovery pins the escalation order the engine ladder derives from.
 func TestKindRecovery(t *testing.T) {
 	for _, c := range []struct {
 		k        Kind

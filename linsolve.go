@@ -55,7 +55,7 @@ func SolveLinearSystem(a *Matrix, b []float64, cfg Config) (*LinearSolveResult, 
 	a32 := dense.ToF32(a)
 	rep := &hazard.Report{}
 	// LU has no column scaling, so only the engine rungs apply.
-	f, err := withEngineFallback(cfg, "lu", rep, engineRungs, func(c Config) (*lu.Factorization, error) {
+	f, err := withConfigFallback(cfg, "lu", rep, engineRungs, func(c Config) (*lu.Factorization, error) {
 		return luFactor(a32, c)
 	})
 	if err != nil {

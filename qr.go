@@ -55,7 +55,7 @@ func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
 		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
-	f, err := withEngineFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
+	f, err := withConfigFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
 		return factorizeOnce(a, c, rep)
 	})
 	if err != nil {
@@ -67,24 +67,18 @@ func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
 
 // factorizeOnce runs one rung of the engine ladder: build the engine and
 // panel for cfg, factor, collect statistics, and verify the factors are
-// finite. One engine instance serves the split GEMMs and — under
-// TensorCoreInPanel — the panel, so its counters cover all of the
-// factorization's engine work and panel-side overflows are classified like
-// any other. Engine overflow with finite factors is recorded as a
-// detection-only event; overflow followed by a failure or non-finite factors
-// becomes an error wrapping ErrOverflow, and non-finite factors are refused
-// either way. Engines always track overflow/underflow events — the hazard
-// layer needs them to classify failures, and counting is fused into the GEMM
-// packing pass so it is nearly free.
+// finite. The engine runs the split GEMMs, so its counters cover all of the
+// factorization's engine work. Engine overflow with finite factors is
+// recorded as a detection-only event; overflow followed by a failure or
+// non-finite factors becomes an error wrapping ErrOverflow, and non-finite
+// factors are refused either way. Engines always track overflow/underflow
+// events — the hazard layer needs them to classify failures, and counting is
+// fused into the GEMM packing pass so it is nearly free.
 func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization, error) {
 	engine := cfg.Engine.New(true)
-	var panelEngine tcsim.Engine
-	if cfg.TensorCoreInPanel && cfg.Engine.Neural() {
-		panelEngine = engine
-	}
 	res, err := rgs.Factor(a, rgs.Options{
 		Engine:          engine,
-		Panel:           cfg.panelFor(panelEngine, rep),
+		Panel:           cfg.panelFor(rep),
 		Cutoff:          cfg.Cutoff,
 		DisableScaling:  cfg.DisableColumnScaling,
 		ReOrthogonalize: cfg.ReOrthogonalize,
@@ -167,9 +161,9 @@ type rung struct {
 	action string
 }
 
-// withEngineFallback is withFallback over configurations: try runs on cfg
+// withConfigFallback is withFallback over configurations: try runs on cfg
 // and then on each rung of ladder(cfg, err).
-func withEngineFallback[T any](cfg Config, stage string, rep *hazard.Report,
+func withConfigFallback[T any](cfg Config, stage string, rep *hazard.Report,
 	ladder func(Config, error) []rung, try func(Config) (T, error)) (T, error) {
 	return withFallback(cfg.OnHazard, stage, rep,
 		func() (T, error) { return try(cfg) },
@@ -214,8 +208,6 @@ func classify(err error) HazardKind {
 		return hazard.KindOverflow
 	case errors.Is(err, ErrBreakdown):
 		return hazard.KindBreakdown
-	case errors.Is(err, ErrPrecisionLoss):
-		return hazard.KindPrecisionLoss
 	default:
 		return hazard.KindNonFinite
 	}

@@ -137,12 +137,10 @@ const (
 // recommended configuration: neural engine enabled, CAQR panel, cutoff 128,
 // column scaling on.
 type Config struct {
-	// Engine selects the simulated device (zero value: the fp16 TensorCore).
+	// Engine selects the simulated device the split GEMMs run on (zero value:
+	// the fp16 TensorCore). The panel always runs in fp32, as the paper
+	// recommends (Figure 7).
 	Engine Engine
-	// TensorCoreInPanel additionally routes the panel's internal GEMMs
-	// through the neural engine (the paper found this trades accuracy for
-	// almost no speed and leaves it off). No effect under EngineFP32.
-	TensorCoreInPanel bool
 	// Panel selects the panel algorithm at the recursion cutoff.
 	Panel PanelAlgorithm
 	// Cutoff is the recursion cutoff width (0 = 128, the paper's choice).
@@ -161,25 +159,19 @@ type Config struct {
 	OnHazard HazardPolicy
 }
 
-// panelFor materializes the panel factorizer for c, wrapped in the gram
-// escalation ladder (reporting to rep) under HazardFallback. engine is what
-// the panel's internal GEMMs run on: nil (plain fp32 kernels) unless the
-// TensorCoreInPanel ablation hands it the factorization's own neural
-// engine. It applies to the CAQR panel (the paper's ablation) and to CholQR
-// (whose Gram matrix is the most GEMM-friendly spot in the repertoire);
-// under HazardFallback an engine-bearing panel additionally gets the
-// ladder's more-accurate-engine rungs and backward-error quality gate.
-func (c Config) panelFor(engine tcsim.Engine, rep *hazard.Report) gram.Panel {
+// panelFor materializes the fp32 panel factorizer for c, wrapped in the gram
+// escalation ladder (reporting to rep) under HazardFallback.
+func (c Config) panelFor(rep *hazard.Report) gram.Panel {
 	var panel gram.Panel
 	switch c.Panel {
 	case PanelHouseholder:
 		panel = &gram.HouseholderPanel{}
 	case PanelCholQR:
-		panel = gram.CholQRPanel{Engine: engine}
+		panel = gram.CholQRPanel{}
 	case PanelMGS:
 		panel = gram.MGSPanel{}
 	default:
-		panel = &gram.CAQRPanel{Engine: engine}
+		panel = &gram.CAQRPanel{}
 	}
 	if c.OnHazard == HazardFallback {
 		panel = gram.NewLadder(panel, rep)
