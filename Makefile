@@ -52,13 +52,17 @@ reach:
 # Gemv is split between the caller and helpers only from two up, and its bits
 # and its zero allocations must not depend on that. So do the packed GEMM's
 # goldens, kernel-family, determinism and allocation tests: it splits the rows
-# of a small output between workers and packs op(B) on all of them.
+# of a small output between workers and packs op(B) on all of them. And the
+# CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
+# kernel, its bits and its allocation count must not depend on how many
+# processors take them.
 check: lint check-benchmark
 	$(GO) test ./...
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
+	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 
 # benchmark/ is its own module, so `./...` from the root never compiles it:
 # vet and test it by name, or a rename in internal/ breaks the benchmark

@@ -6,7 +6,8 @@ import "tcqr/internal/dense"
 // triples, mirroring cuBLAS gemmBatched, which the CAQR panel uses to apply
 // the tree of small Q factors (step 4 of Eq. 8 in the paper). The problems
 // are parallel tasks (runTasks) on the caller and the parked helpers, each
-// run serially by the column-sweep kernel.
+// run serially: a float32 NoTrans/NoTrans one by the register-blocked kernel
+// (gemmNNF32), any other by the column-sweep kernel, with the same bits.
 func GemmBatch[T dense.Float](tA, tB Transpose, alpha T, a, b []*dense.Matrix[T], beta T, c []*dense.Matrix[T]) {
 	if len(a) != len(b) || len(a) != len(c) {
 		panic("blas: GemmBatch batch size mismatch")
@@ -16,7 +17,7 @@ func GemmBatch[T dense.Float](tA, tB Transpose, alpha T, a, b []*dense.Matrix[T]
 	}
 	job := getBatchJob[T]()
 	*job = batchJob[T]{tA: tA, tB: tB, alpha: alpha, beta: beta, as: a, bs: b, cs: c}
-	parallelTasks(len(a), job)
+	ParallelTasks(len(a), job)
 	putBatchJob(job)
 }
 
@@ -27,13 +28,17 @@ type batchJob[T dense.Float] struct {
 	as, bs, cs  []*dense.Matrix[T]
 }
 
-func (g *batchJob[T]) runTask(i int) {
+func (g *batchJob[T]) RunTask(i int) {
 	m, n, k := checkGemm(g.tA, g.tB, g.as[i], g.bs[i], g.cs[i])
 	if m == 0 || n == 0 {
 		return
 	}
 	if g.alpha == 0 || k == 0 {
 		scaleCols(g.cs[i], g.beta, 0, n)
+		return
+	}
+	if c32, ok := any(g.cs[i]).(*dense.M32); ok && tileKernel != kernelGo && g.tA == NoTrans && g.tB == NoTrans {
+		gemmNNF32(float32(g.alpha), any(g.as[i]).(*dense.M32), any(g.bs[i]).(*dense.M32), float32(g.beta), c32, m, n, k)
 		return
 	}
 	gemmCols(g.tA, g.tB, g.alpha, g.as[i], g.bs[i], g.beta, g.cs[i], 0, n, k, m)

@@ -19,7 +19,7 @@ func Dot[T dense.Float](x, y []T) T {
 	}
 	var s T
 	for i, v := range x {
-		s += v * y[i]
+		s += T(v * y[i])
 	}
 	return s
 }
@@ -34,11 +34,11 @@ func Nrm2[T dense.Float](x []T) T {
 		a := abs(v)
 		if scale < a {
 			r := scale / a
-			ssq = 1 + ssq*r*r
+			ssq = 1 + T(ssq*r*r)
 			scale = a
 		} else {
 			r := a / scale
-			ssq += r * r
+			ssq += T(r * r)
 		}
 	}
 	return scale * T(math.Sqrt(float64(ssq)))
@@ -62,4 +62,38 @@ func Scal[T dense.Float](alpha T, x []T) {
 	for i := range x {
 		x[i] *= alpha
 	}
+}
+
+// ScalTo computes y ← αx, Scal's product, leaving x as it is. In float32 on
+// an AVX2 host scaleF32 computes it eight elements at a time.
+func ScalTo[T dense.Float](alpha T, x, y []T) {
+	if len(x) != len(y) {
+		panic("blas: scalto length mismatch")
+	}
+	if x32, ok := any(x).([]float32); ok && useVectorLevel2 && len(x) > 0 {
+		scaleF32(len(x), &x32[0], float32(alpha), &any(y).([]float32)[0])
+		return
+	}
+	for i, v := range x {
+		y[i] = v * alpha
+	}
+}
+
+// Amax returns the largest |x[i]|, from +0 and skipping NaN (+0 for an
+// empty or all-NaN x). In float32 on an AVX2 host amaxF32 takes the
+// multiples of eight: a maximum of values that are not NaN does not depend on
+// the order it is taken in, so the bits are the loop's.
+func Amax[T dense.Float](x []T) T {
+	var mx T
+	if x32, ok := any(x).([]float32); ok && useVectorLevel2 && len(x) >= 8 {
+		n := len(x) &^ 7
+		mx = T(amaxF32(n, &x32[0]))
+		x = x[n:]
+	}
+	for _, v := range x {
+		if a := abs(v); a > mx {
+			mx = a
+		}
+	}
+	return mx
 }

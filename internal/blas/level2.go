@@ -136,7 +136,7 @@ func gemvNoTrans[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
 		c2 := a.Col(j + 2)[:len(y)]
 		c3 := a.Col(j + 3)[:len(y)]
 		for i := range y {
-			y[i] = y[i] + c0[i]*x0 + c1[i]*x1 + c2[i]*x2 + c3[i]*x3
+			y[i] = y[i] + T(c0[i]*x0) + T(c1[i]*x1) + T(c2[i]*x2) + T(c3[i]*x3)
 		}
 	}
 	gemvNoTransRef(alpha, a, x[j:], y, j)
@@ -151,7 +151,7 @@ func gemvNoTransRef[T dense.Float](alpha T, a *dense.Matrix[T], xs, y []T, j0 in
 		}
 		col := a.Col(j0 + k)
 		for i, v := range col {
-			y[i] += v * xj
+			y[i] += T(v * xj)
 		}
 	}
 }
@@ -170,18 +170,18 @@ func gemvTrans[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
 		c3 := a.Col(j + 3)[:len(x)]
 		var s0, s1, s2, s3 T
 		for i, xv := range x {
-			s0 += c0[i] * xv
-			s1 += c1[i] * xv
-			s2 += c2[i] * xv
-			s3 += c3[i] * xv
+			s0 += T(c0[i] * xv)
+			s1 += T(c1[i] * xv)
+			s2 += T(c2[i] * xv)
+			s3 += T(c3[i] * xv)
 		}
-		y[j] += alpha * s0
-		y[j+1] += alpha * s1
-		y[j+2] += alpha * s2
-		y[j+3] += alpha * s3
+		y[j] += T(alpha * s0)
+		y[j+1] += T(alpha * s1)
+		y[j+2] += T(alpha * s2)
+		y[j+3] += T(alpha * s3)
 	}
 	for ; j < a.Cols; j++ {
-		y[j] += alpha * Dot(a.Col(j), x)
+		y[j] += T(alpha * Dot(a.Col(j), x))
 	}
 }
 
@@ -214,7 +214,7 @@ func colUpdate[T dense.Float](y, x []T, t T) {
 	}
 	y = y[done:]
 	for i, v := range x[done:] {
-		y[i] += v * t
+		y[i] += T(v * t)
 	}
 }
 

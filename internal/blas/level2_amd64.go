@@ -9,15 +9,22 @@ import "tcqr/internal/cpufeat"
 // and its two float64 triangular solves (Upper NoTrans and Upper Trans Trsv,
 // whose head updates and head dot products are gemvN8F64, walking eight
 // columns backwards by a negative stride, and gemvT8F64), and the float32
-// transposed product and column update of the MGS tile and of the batched
-// tile GEMM. The contract is Float64bits/Float32bits equality with the Go
-// loops of level2.go on every input, and it rests on two rules.
+// transposed product and column update of Gemv and Ger, which the Go loop of
+// gram.MGS calls (the MGS tile of the CAQR panel has a fused kernel of its
+// own, tile_amd64.go, held to the same rules and to that loop's bits). The
+// contract is Float64bits/Float32bits equality with the Go loops of
+// level2.go on every input, and it rests on three rules.
 //
-// Rounding: multiply and add stay separate instructions, never FMA, and
-// every output element sees the operations of the Go loop in the Go loop's
-// order. IEEE addition and multiplication are commutative bit for bit on
-// everything but a pair of NaNs, so which operand is named first does not
-// matter — until two NaNs meet.
+// Rounding: multiply and add stay separate instructions, never FMA, so each
+// product is rounded where the Go loop rounds it. (The Go loops themselves
+// write float32(x*y) + z, not x*y + z, at every such site: the conversion
+// keeps a compiler that fuses multiply-adds, as the arm64 one does, from
+// changing what the oracle means.)
+//
+// Order: every output element sees the operations of the Go loop in the Go
+// loop's order. IEEE addition and multiplication are commutative bit for
+// bit on everything but a pair of NaNs, so which operand is named first does
+// not matter — until two NaNs meet.
 //
 // NaN: when both operands are NaN, x86 returns the first, and which operand
 // the compiled Go loop names first is the register allocator's choice: it

@@ -13,7 +13,7 @@ import (
 // repository's workloads run them, each beside a sibling that calls the Go
 // loop directly, so one
 //
-//	go test -run '^$' -bench 'Gemv64Shapes|MGSTileWalk|Nrm2Fresh|GemmBatchBodies' -benchmem -cpu 1,2 ./internal/blas
+//	go test -run '^$' -bench 'Gemv64Shapes|MGSTile|Nrm2Fresh|GemmBatchBodies' -benchmem -cpu 1,2 ./internal/blas
 //
 // prints vector beside scalar on any host (on a host without AVX2 the two
 // lines are the same code), and the split Gemv beside the caller alone. All
@@ -99,6 +99,39 @@ func BenchmarkMGSTileWalk256x32(b *testing.B) {
 	}
 }
 
+// BenchmarkMGSTile256x32 factors one 256×32 float32 tile, copied into place
+// from a fixed matrix on every iteration: "vector" is MGSTile, the fused tile
+// kernel gram.MGS dispatches to, "go" the Go loop of gram.MGS (goMGS), the
+// level-1 and level-2 calls the tile walk above times without the norms and
+// the scaling.
+func BenchmarkMGSTile256x32(b *testing.B) {
+	const m, n = 256, 32
+	src := benchM(m, n)
+	a, r := dense.New[float32](m, n), dense.New[float32](n, n)
+	work := make([]float32, MGSTileWork(m))
+	for _, impl := range []struct {
+		name string
+		mgs  func()
+	}{
+		{"vector", func() { r.Zero(); MGSTile(src, a, r, work) }},
+		{"go", func() { a.CopyFrom(src); goMGS(a, r) }},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.SetBytes(2 * m * n * n * 4)
+			for i := 0; i < b.N; i++ {
+				impl.mgs()
+			}
+		})
+	}
+}
+
+// goMGS is gram.MGS's Go loop: per column Nrm2, Scal, then the trail's
+// transposed product and rank-1 update.
+func goMGS(a, r *dense.M32) {
+	r.Zero()
+	goMGSFrom(a, r, 0, 0)
+}
+
 // BenchmarkNrm2FreshColumns takes the norm of 4096 different 256-element
 // float32 columns per iteration (a 1 Mi-element array, 4 MB): data the branch
 // predictor has not seen, which is what a factorization's columns are. On
@@ -126,9 +159,10 @@ func BenchmarkNrm2FreshColumns(b *testing.B) {
 }
 
 // BenchmarkGemmBatchBodies8x256x32 runs the eight tile products of a
-// 2048-row tile tree level, Q_i(256×32)·Q2_i(32×32), through gemmCols one
-// after the other: the per-problem body of GemmBatch without its goroutines,
-// whose allocations would hide an allocation here.
+// 2048-row tile tree level, Q_i(256×32)·Q2_i(32×32), one after the other
+// through the per-problem body of GemmBatch without its task runner:
+// "vector" is the register-blocked kernel gemmNNF32, "go" the column sweep
+// as it stood before colUpdate.
 func BenchmarkGemmBatchBodies8x256x32(b *testing.B) {
 	const batch, m, n = 8, 256, 32
 	as, bs, cs := make([]*dense.M32, batch), make([]*dense.M32, batch), make([]*dense.M32, batch)
@@ -139,7 +173,7 @@ func BenchmarkGemmBatchBodies8x256x32(b *testing.B) {
 		name string
 		gemm func(a, bb, c *dense.M32)
 	}{
-		{"vector", func(a, bb, c *dense.M32) { gemmCols(NoTrans, NoTrans, 1, a, bb, 0, c, 0, n, n, m) }},
+		{"vector", func(a, bb, c *dense.M32) { gemmNNF32(1, a, bb, 0, c, m, n, n) }},
 		{"go", func(a, bb, c *dense.M32) { refGemmCols(NoTrans, 1, a, bb, 0, c) }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {

@@ -218,7 +218,8 @@ func cloneMat[T dense.Float](a *dense.Matrix[T], backing []T, off int) (*dense.M
 
 // level2Case runs every dispatching level-2 entry point and its Go loop on
 // one generated problem and compares bits: Gemv N and T (r×c), Ger (r×c) and
-// the column-sweep GEMM C(r×c) += A(r×k)·op(B), NN and NT.
+// the GemmBatch body C(r×c) += A(r×k)·op(B), NN and NT, with each tile
+// family the host runs.
 func level2Case[T dense.Float](t *testing.T, what string, g *level2Gen, r, c, k, pad, off int, alpha, beta T) {
 	t.Helper()
 	a, aBack := genMat[T](g, r, c, pad, off)
@@ -253,13 +254,18 @@ func level2Case[T dense.Float](t *testing.T, what string, g *level2Gen, r, c, k,
 		b, _ := genMat[T](g, br, bc, 1, 0)
 		cm, cBack := genMat[T](g, r, c, pad, (off+3)%8)
 		want, wantBack := cloneMat(cm, cBack, (off+3)%8)
-		GemmBatch(NoTrans, tB, alpha, []*dense.Matrix[T]{left}, []*dense.Matrix[T]{b}, beta, []*dense.Matrix[T]{cm})
 		if alpha == 0 {
 			scaleCols(want, beta, 0, c)
 		} else {
 			refGemmCols(tB, alpha, left, b, beta, want)
 		}
-		sameBits(t, what+" gemm", cBack, wantBack)
+		for _, kern := range hostTileKernels() {
+			got, gotBack := cloneMat(cm, cBack, (off+3)%8)
+			withTileKernel(kern, func() {
+				GemmBatch(NoTrans, tB, alpha, []*dense.Matrix[T]{left}, []*dense.Matrix[T]{b}, beta, []*dense.Matrix[T]{got})
+			})
+			sameBits(t, what+" "+tileKernelNames[kern]+" gemm", gotBack, wantBack)
+		}
 	}
 }
 
@@ -301,6 +307,91 @@ func level2Case64(t *testing.T, what string, g *level2Gen, r, c, pad, off, chunk
 	}
 }
 
+// goMGSFrom is gram.MGS's Go loop from step k — from its start if j == k,
+// else from trail column j — the oracle MGSTile hands back to.
+func goMGSFrom(a, r *dense.M32, k, j int) {
+	m, n := a.Rows, a.Cols
+	rows := make([]float32, n)
+	for ; k < n; k, j = k+1, k+1 {
+		qk := a.Col(k)
+		if j == k {
+			nrm := Nrm2(qk)
+			r.Set(k, k, nrm)
+			if nrm == 0 {
+				continue
+			}
+			Scal(1/nrm, qk)
+			j = k + 1
+		}
+		if k == n-1 {
+			break
+		}
+		trail := window(a, 0, j, m, n-j)
+		y := rows[:n-j]
+		Gemv(Trans, 1, &trail, qk, 0, y)
+		for i, v := range y {
+			r.Set(k, j+i, v)
+		}
+		Ger(-1, qk, y, &trail)
+	}
+}
+
+// mgsCase factors one generated r×c tile (c ≤ MGSTileMaxCols, r ≥ c) by
+// MGSTile from a strided view into a contiguous tile, with each tile family
+// the host runs, the Go loop taking over where it hands back, and by the Go
+// loop alone, and compares Q and R bits.
+func mgsCase(t *testing.T, g *level2Gen, r, c, pad, off int) {
+	t.Helper()
+	src, srcBack := genMat[float32](g, r, c, pad, off)
+	want, _ := cloneMat(src, srcBack, off)
+	wantR := dense.New[float32](c, c)
+	goMGSFrom(want, wantR, 0, 0)
+	before := append([]float32(nil), srcBack...)
+	for _, kern := range hostTileKernels() {
+		name := tileKernelNames[kern]
+		got, gotR := dense.New[float32](r, c), dense.New[float32](c, c)
+		var k, j int
+		withTileKernel(kern, func() { k, j = MGSTile(src, got, gotR, make([]float32, MGSTileWork(r))) })
+		goMGSFrom(got, gotR, k, j)
+		for jj := 0; jj < c; jj++ {
+			sameBits(t, fmt.Sprintf("%s mgs %dx%d Q column %d (kernel stopped at %d, %d)", name, r, c, jj, k, j), got.Col(jj), want.Col(jj))
+		}
+		sameBits(t, fmt.Sprintf("%s mgs %dx%d R", name, r, c), gotR.Data, wantR.Data)
+		sameBits(t, name+" mgs source", srcBack, before)
+	}
+}
+
+// TestAmaxScalToBitIdentical holds Amax and ScalTo in float32 — the scan and
+// the scaled copy of rgs's column scaling — to their Go loops, twenty times
+// over every length to 100 (each tail past the 32- and 8-element kernel
+// loops) and the
+// value classes of level2Gen: NaNs a maximum must skip, infinities, signed
+// zeros, subnormals and products that overflow or underflow.
+func TestAmaxScalToBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 2020; trial++ {
+		n := trial % 101
+		classes := make([]byte, 1+rng.Intn(40))
+		rng.Read(classes)
+		g := &level2Gen{classes: classes}
+		x := genVec[float32](g, n, rng.Intn(4))
+		var want float32
+		for _, v := range x {
+			if a := float32(math.Abs(float64(v))); a > want {
+				want = a
+			}
+		}
+		sameBits(t, fmt.Sprintf("amax of %d", n), []float32{Amax(x)}, []float32{want})
+		alpha := float32(math.Ldexp(1, rng.Intn(60)-30))
+		got, wantY := make([]float32, n), make([]float32, n)
+		for i, v := range x {
+			wantY[i] = v * alpha
+		}
+		ScalTo(alpha, x, got)
+		sameBits(t, fmt.Sprintf("scalto of %d", n), got, wantY)
+	}
+}
+
 // level2Scalars are the α and β the fuzz target and the tests draw from.
 var level2Scalars = [4]float64{0, 1, -1, -2.5}
 
@@ -309,8 +400,9 @@ var level2Scalars = [4]float64{0, 1, -1, -2.5}
 // classes, and compares bits. The committed seed corpus walks every row tail
 // and every column tail 0…7 past the vector bodies. The float64 split Gemv
 // runs beside the serial one at the same shape with a fuzzer-chosen chunk of
-// 8 to 32 and one to three helpers, and the vector Trsv on a triangle of the
-// row count.
+// 8 to 32 and one to three helpers, the vector Trsv on a triangle of the row
+// count, and the MGS tile kernel, in each family the host runs, on the rows
+// and up to 32 of the columns.
 func FuzzLevel2VectorVsGeneric(f *testing.F) {
 	f.Add(uint8(40), uint8(16), uint8(3), uint8(0), uint8(0), uint8(5), []byte{0, 0x81, 0x32})
 	f.Add(uint8(7), uint8(9), uint8(1), uint8(2), uint8(1), uint8(0x0d), []byte{11, 10, 0x89, 0x8a, 0x8b, 0, 1, 12, 0x8c})
@@ -321,6 +413,9 @@ func FuzzLevel2VectorVsGeneric(f *testing.F) {
 		level2Case[float64](t, "f64", g, r, c, k, int(pad)%5, int(off)%8, alpha, beta)
 		level2Case[float32](t, "f32", g, r, c, k, int(pad)%5, int(off)%8, float32(alpha), float32(beta))
 		level2Case64(t, "f64", g, r, c, int(pad)%5, int(off)%8, 8*(1+int(inner)%4), 1+int(pad)%3, Diag(ab>>4&1), alpha, beta)
+		if c := min(int(cols)%(MGSTileMaxCols+1), r); c > 0 {
+			mgsCase(t, g, r, c, int(pad)%5, int(off)%8)
+		}
 	})
 }
 
@@ -442,17 +537,24 @@ func gerBitIdentical[T dense.Float](t *testing.T) {
 	}
 }
 
-// TestGemmBatchBitIdentical is the same pin for the column-sweep GEMM under
-// GemmBatch, at the tile tree's shape (tall Q times a small square factor)
-// and around it, NN and NT.
+// TestGemmBatchBitIdentical is the same pin for the GEMM under GemmBatch, at
+// the tile tree's shapes (tall Q times a small square factor: 256 and 488
+// rows, widths 32 and 24) and around them, NN and NT, with each tile family
+// the host runs. The NN body runs the register-blocked kernels of the
+// family: full and partial row blocks and column groups,
+// zero coefficients (trial 1, and the upper triangular factor of trial 4,
+// the tile tree's), signed zeros with an Inf in A and a NaN in C (trial 2),
+// and β = 1 or any other β, where a zero coefficient sends its eight columns
+// to gemmCols (trials 3 and 5).
 func TestGemmBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	shapes := []struct{ m, n, k int }{
 		{1, 1, 1}, {7, 3, 2}, {8, 4, 4}, {33, 5, 9}, {64, 8, 8}, {100, 31, 31}, {256, 32, 32}, {271, 32, 32},
+		{488, 24, 24}, {40, 17, 20}, {16, 8, 70},
 	}
 	for _, tB := range []Transpose{NoTrans, Trans} {
 		for _, s := range shapes {
-			for trial := 0; trial < 4; trial++ {
+			for trial := 0; trial < 6; trial++ {
 				const batch = 3
 				as, bs, cs, wants := make([]*dense.M32, batch), make([]*dense.M32, batch), make([]*dense.M32, batch), make([]*dense.M32, batch)
 				for p := range as {
@@ -473,17 +575,45 @@ func TestGemmBatchBitIdentical(t *testing.T) {
 						}
 						as[p].Data[0] = float32(math.Inf(1))
 						cs[p].Data[len(cs[p].Data)-1] = float32(math.NaN())
+					case 4:
+						for i := range bs[p].Data {
+							if tB == NoTrans && i%s.k > i/s.k || tB == Trans && i%s.n < i/s.n {
+								bs[p].Data[i] = 0 // upper triangular op(B)
+							}
+						}
+					case 5:
+						// β = 1 over −0 in C and every third column of op(B)
+						// zero: a −0 survives only if no product is added.
+						for i := range bs[p].Data {
+							if tB == NoTrans && i/s.k%3 == 0 || tB == Trans && i%s.n%3 == 0 {
+								bs[p].Data[i] = 0
+							}
+						}
+						for i := 0; i < len(cs[p].Data); i += 5 {
+							cs[p].Data[i] = float32(math.Copysign(0, -1))
+						}
 					}
 					wants[p] = cs[p].Clone()
 				}
 				alpha, beta := float32(1), float32(0)
-				if trial == 3 {
+				switch trial {
+				case 3:
 					alpha, beta = -2.5, 0.5
+				case 5:
+					beta = 1
 				}
-				GemmBatch(NoTrans, tB, alpha, as, bs, beta, cs)
 				for p := range as {
 					refGemmCols(tB, alpha, as[p], bs[p], beta, wants[p])
-					sameBits(t, "gemm batch", cs[p].Data, wants[p].Data)
+				}
+				for _, kern := range hostTileKernels() {
+					got := make([]*dense.M32, batch)
+					for p := range cs {
+						got[p] = cs[p].Clone()
+					}
+					withTileKernel(kern, func() { GemmBatch(NoTrans, tB, alpha, as, bs, beta, got) })
+					for p := range as {
+						sameBits(t, tileKernelNames[kern]+" gemm batch", got[p].Data, wants[p].Data)
+					}
 				}
 			}
 		}

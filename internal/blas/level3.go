@@ -167,7 +167,7 @@ var gemmBMax = 1 << 20
 // R12 is 32 tasks and a 64×64 op(B) is one, which the caller packs alone.
 const packTaskElems = 1 << 14
 
-func (g *gemmJob[T]) runTask(t int) {
+func (g *gemmJob[T]) RunTask(t int) {
 	if g.packing {
 		g.packB(t)
 	} else {
@@ -261,9 +261,9 @@ func gemmBlocked[T dense.Float](kern kernel, tA, tB Transpose, alpha T, a, b *de
 		for s0 := 0; s0 < slabs; s0 += group {
 			job.s0, job.s1 = s0, min(slabs, s0+group)
 			job.packing = true
-			parallelTasks((job.s1-job.s0)*job.packPer, job)
+			ParallelTasks((job.s1-job.s0)*job.packPer, job)
 			job.packing = false
-			parallelTasks(job.mTiles*((job.jn+job.nc-1)/job.nc), job)
+			ParallelTasks(job.mTiles*((job.jn+job.nc-1)/job.nc), job)
 		}
 	}
 	ov, uf := job.ov, job.uf

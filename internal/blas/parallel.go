@@ -31,7 +31,7 @@ func parallelRange(n, minChunk int, fn func(lo, hi int)) {
 		return
 	}
 	size := (n + chunks - 1) / chunks
-	parallelTasks((n+size-1)/size, &rangeJob{fn: fn, n: n, size: size})
+	ParallelTasks((n+size-1)/size, &rangeJob{fn: fn, n: n, size: size})
 }
 
 // rangeJob is one parallelRange call: task t is the chunk [t·size, t·size+size)
@@ -41,25 +41,26 @@ type rangeJob struct {
 	n, size int
 }
 
-func (j *rangeJob) runTask(t int) {
+func (j *rangeJob) RunTask(t int) {
 	lo := t * j.size
 	j.fn(lo, min(lo+j.size, j.n))
 }
 
-// taskRunner is the work interface of runTasks. It is an interface rather
-// than a func value so pooled job structs (gemvJob, gemmJob, batchJob) can be
-// dispatched without any per-call closure allocation; parallelRange, whose
-// callers pass a closure anyway, allocates its rangeJob.
-type taskRunner interface {
-	runTask(task int)
+// TaskRunner is the work interface of runTasks. It is an interface rather
+// than a func value so pooled job structs (gemvJob, gemmJob, batchJob, and
+// the CAQR tile tree's levels in internal/gram) can be dispatched without any
+// per-call closure allocation; parallelRange, whose callers pass a closure
+// anyway, allocates its rangeJob.
+type TaskRunner interface {
+	RunTask(task int)
 }
 
-// parallelTasks runs tasks 0..n-1 of r, each exactly once, on the caller and
+// ParallelTasks runs tasks 0..n-1 of r, each exactly once, on the caller and
 // up to GOMAXPROCS−1 parked helpers. The decomposition is the caller's and
 // every task owns disjoint output, so results do not depend on the number of
 // workers or on who runs which task; with one processor or one task the
 // caller runs them all and nothing shared is touched.
-func parallelTasks(n int, r taskRunner) {
+func ParallelTasks(n int, r TaskRunner) {
 	runTasks(n, min(maxWorkers(), n)-1, r)
 }
 
@@ -123,7 +124,7 @@ func gemvParallel(tA Transpose, alpha float64, a *dense.M64, x, y []float64, chu
 	gemvJobs.put(job)
 }
 
-func (j *gemvJob) runTask(c int) {
+func (j *gemvJob) RunTask(c int) {
 	lo := c * j.chunk
 	hi := min(lo+j.chunk, len(j.y))
 	if j.tA == NoTrans {
@@ -172,7 +173,7 @@ func (f freeList[J]) put(j *J) {
 // runner r is touched only by whoever claimed a task, and every claimed task
 // has finished before the caller returns, so the caller may recycle r at once.
 type taskJob struct {
-	r    taskRunner
+	r    TaskRunner
 	n    int
 	next atomic.Int64 // the next task to claim
 	left atomic.Int64 // tasks not yet finished
@@ -191,10 +192,10 @@ var (
 // runTasks runs tasks 0..n-1 of r on the caller and up to nHelpers parked
 // helpers, starting helpers on first use. It allocates nothing once a job is
 // in the free list.
-func runTasks(n, nHelpers int, r taskRunner) {
+func runTasks(n, nHelpers int, r TaskRunner) {
 	if nHelpers <= 0 {
 		for t := 0; t < n; t++ {
-			r.runTask(t)
+			r.RunTask(t)
 		}
 		return
 	}
@@ -252,7 +253,7 @@ func (j *taskJob) work() (last bool) {
 		if t >= j.n {
 			return false
 		}
-		j.r.runTask(t)
+		j.r.RunTask(t)
 		if j.left.Add(-1) == 0 {
 			return true
 		}

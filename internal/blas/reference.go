@@ -4,7 +4,8 @@ import "tcqr/internal/dense"
 
 // This file holds the straightforward column-sweep GEMM that predates the
 // packed kernel. It is kept for three jobs: small problems where packing
-// costs more than it saves, the per-problem bodies of GemmBatch, and as the
+// costs more than it saves, the per-problem bodies of GemmBatch (and the
+// fallback and oracle of their register-blocked kernel, tile.go), and as the
 // golden reference the property tests cross-check the packed kernel against.
 
 // scaleCols scales columns [j0, j1) of c by beta, with the BLAS convention
@@ -48,11 +49,11 @@ func gemmCols[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], b
 			bj := b.Col(j)
 			cj := c.Col(j)
 			for i := 0; i < m; i++ {
-				s := alpha * Dot(a.Col(i), bj)
+				s := T(alpha * Dot(a.Col(i), bj))
 				if beta == 0 {
 					cj[i] = s
 				} else {
-					cj[i] = beta*cj[i] + s
+					cj[i] = T(beta*cj[i]) + s
 				}
 			}
 		}
@@ -75,12 +76,12 @@ func gemmCols[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], b
 				col := a.Col(i)
 				var s T
 				for l, v := range col {
-					s += v * b.At(j, l)
+					s += T(v * b.At(j, l))
 				}
 				if beta == 0 {
 					cj[i] = alpha * s
 				} else {
-					cj[i] = beta*cj[i] + alpha*s
+					cj[i] = T(beta*cj[i]) + T(alpha*s)
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package gram
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
@@ -101,8 +100,9 @@ func (p *CAQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 	// Width reduction mirrors the outer RGSQRF on fp32 GEMMs. The tile tree
 	// never fails: breakdown shows as a zero or non-finite R diagonal, checked
 	// on the assembled factor below.
+	t := &tileTree{rb: p.rowBlock()}
 	_ = Recurse(q, r, TileCols, panelFP32, func(w, r *dense.M32) error {
-		p.tileTree(w, r)
+		t.factor(w, r, 0)
 		return nil
 	})
 	if err := checkFullRank("CAQR", r); err != nil {
@@ -121,86 +121,170 @@ func (p *CAQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 //
 // This is the only copy of the recursion: RGSQRF runs it with the panel
 // factorizer as leaf, the CAQR panel runs it below that with the tile tree
-// as leaf.
+// as leaf. The views of every split live in one block per call, one split's
+// views per level of the recursion.
 func Recurse(w, r *dense.M32, cutoff int, e tcsim.Engine, leaf func(w, r *dense.M32) error) error {
+	depth := 0
+	for n := w.Cols; n > cutoff; n -= n / 2 {
+		depth++
+	}
+	return recurse(w, r, cutoff, e, leaf, make([]splitViews, max(1, depth)))
+}
+
+// splitViews are the views of one split: the two halves of w, and R11, R12
+// and R22.
+type splitViews [5]dense.M32
+
+func recurse(w, r *dense.M32, cutoff int, e tcsim.Engine, leaf func(w, r *dense.M32) error, vs []splitViews) error {
 	n := w.Cols
 	if n <= cutoff {
 		return leaf(w, r)
 	}
 	m := w.Rows
 	h := n / 2
-	w1 := w.View(0, 0, m, h)
-	w2 := w.View(0, h, m, n-h)
-	r12 := r.View(0, h, h, n-h)
-	if err := Recurse(w1, r.View(0, 0, h, h), cutoff, e, leaf); err != nil {
+	v := &vs[0]
+	v[0], v[1] = view(w, 0, 0, m, h), view(w, 0, h, m, n-h)
+	v[2], v[3], v[4] = view(r, 0, 0, h, h), view(r, 0, h, h, n-h), view(r, h, h, n-h, n-h)
+	w1, w2, r12 := &v[0], &v[1], &v[3]
+	if err := recurse(w1, &v[2], cutoff, e, leaf, vs[1:]); err != nil {
 		return err
 	}
 	e.Gemm(blas.Trans, blas.NoTrans, 1, w1, w2, 0, r12)
 	e.Gemm(blas.NoTrans, blas.NoTrans, -1, w1, r12, 1, w2)
-	return Recurse(w2, r.View(h, h, n-h, n-h), cutoff, e, leaf)
+	return recurse(w2, &v[4], cutoff, e, leaf, vs[1:])
 }
 
-// tileTree runs the Eq. 8 pipeline on a width ≤ TileCols panel:
-//
-//  1. split the rows into tiles and MGS-factor each tile concurrently
-//     (threadblocks in shared memory);
-//  2. stack the tile R factors;
-//  3. recurse on the stack until it fits in one tile;
-//  4. apply the recursion's Q to each tile's Q with a batched GEMM;
-//  5. reinterpret the result as the panel's QR.
-func (p *CAQRPanel) tileTree(w, r *dense.M32) {
-	m, n := w.Rows, w.Cols
-	rb := p.rowBlock()
-	if rb < n {
-		rb = n
+// view is a.View(i, j, r, c) by value, for headers kept in a workspace.
+func view(a *dense.M32, i, j, r, c int) dense.M32 {
+	if r == 0 || c == 0 {
+		return dense.M32{Rows: r, Cols: c, Stride: a.Stride}
 	}
-	if m <= rb+n {
-		// Base case: a single threadblock suffices (the paper recurses
-		// "until the number of rows is below 256").
-		MGS(w, r)
+	off := i + j*a.Stride
+	return dense.M32{Rows: r, Cols: c, Stride: a.Stride, Data: a.Data[off : off+(c-1)*a.Stride+r]}
+}
+
+// tileTree is the memory of the tile trees of one CAQRPanel.Factor call,
+// sized by its first leaf and reused by the others (every leaf of a
+// power-of-two width has the same shape): per tree level the contiguous tile
+// copies and the stacked R factors, the level's headers and GemmBatch
+// arguments, and one MGS work area that each level and the base case use in
+// turn. Nothing in it is allocated per tile.
+type tileTree struct {
+	rb     int
+	m, n   int // the leaf shape the memory is laid out for
+	floats []float32
+	work   []float32 // the MGS work area, the tail of floats
+	levels []tileLevel
+	mats   []dense.M32
+	ptrs   []*dense.M32
+}
+
+// tileLevel is one level of the tree: the panel w cut into nt tiles of rb
+// rows, the last one taking the remainder.
+type tileLevel struct {
+	w              *dense.M32
+	rb, nt         int
+	tiles, rows    []dense.M32 // Q_i contiguous; the panel rows of tile i
+	blocks         []dense.M32 // block i of the stack: R_i, then Q2_i
+	stack          dense.M32
+	tileData, work []float32
+	as, bs, cs     []*dense.M32
+}
+
+// plan walks the levels of an m×n tree and reports what they need: levels,
+// floats of tiles and stacks, the MGS work area and the tiles.
+func (t *tileTree) plan(m, n int) (levels, floats, work, tiles int) {
+	rb := max(t.rb, n)
+	for ; m > rb+n; m = m / rb * n {
+		nt := m / rb
+		levels++
+		tiles += nt
+		floats += m*n + nt*n*n
+		work = max(work, nt*mgsWork(rb, n)+(m-nt*rb)*blas.MGSTileWork(1))
+	}
+	return levels, floats, max(work, mgsWork(m, n)), tiles
+}
+
+// layout sizes the memory for m×n leaves: one allocation per slice, however
+// many levels and tiles the tree has.
+func (t *tileTree) layout(m, n int) {
+	if t.m == m && t.n == n {
 		return
 	}
-	// Step 1: tile boundaries. Every tile gets rb rows; the remainder is
-	// folded into the last tile so every tile has at least rb rows.
-	nt := m / rb
-	bounds := make([]int, nt+1)
-	for i := 0; i < nt; i++ {
-		bounds[i] = i * rb
+	levels, floats, work, tiles := t.plan(m, n)
+	t.m, t.n = m, n
+	t.floats = make([]float32, max(1, floats+work))
+	t.work = t.floats[floats:]
+	t.levels = make([]tileLevel, max(1, levels))
+	t.mats = make([]dense.M32, max(1, 3*tiles))
+	t.ptrs = make([]*dense.M32, max(1, 3*tiles))
+	rb, f, h := max(t.rb, n), 0, 0
+	for d := 0; m > rb+n; m, d = m/rb*n, d+1 {
+		nt := m / rb
+		lv := &t.levels[d]
+		lv.rb, lv.nt = rb, nt
+		lv.tileData, f = t.floats[f:f+m*n], f+m*n
+		lv.stack = dense.M32{Rows: nt * n, Cols: n, Stride: nt * n, Data: t.floats[f : f+nt*n*n]}
+		f += nt * n * n
+		lv.tiles, lv.rows, lv.blocks = t.mats[h:h+nt], t.mats[h+nt:h+2*nt], t.mats[h+2*nt:h+3*nt]
+		lv.as, lv.bs, lv.cs = t.ptrs[h:h+nt], t.ptrs[h+nt:h+2*nt], t.ptrs[h+2*nt:h+3*nt]
+		h += 3 * nt
+		for i := 0; i < nt; i++ {
+			lv.blocks[i] = view(&lv.stack, i*n, 0, n, n)
+			lv.as[i], lv.bs[i], lv.cs[i] = &lv.tiles[i], &lv.blocks[i], &lv.rows[i]
+		}
+		lv.work = t.work
 	}
-	bounds[nt] = m
+}
 
-	tileQ := make([]*dense.M32, nt)
-	stack := dense.New[float32](nt*n, n) // step 2: stacked R factors
-	var wg sync.WaitGroup
-	for i := 0; i < nt; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			tile := w.View(bounds[i], 0, bounds[i+1]-bounds[i], n)
-			ri := stack.View(i*n, 0, n, n)
-			MGS(tile, ri) // tile becomes Q_i in place
-			tileQ[i] = tile
-		}(i)
+// factor runs the Eq. 8 pipeline on a width ≤ TileCols panel w at tree level
+// d:
+//
+//  1. split the rows into tiles and MGS-factor each, Q_i into a contiguous
+//     copy and R_i into the stack (threadblocks in shared memory), as tasks
+//     of the blas runner;
+//  2. recurse on the stack of R factors until it fits in one tile;
+//  3. apply the recursion's Q to each tile's Q with one batched GEMM, whose
+//     products write the panel's Q straight from the tile copies.
+func (t *tileTree) factor(w, r *dense.M32, d int) {
+	m, n := w.Rows, w.Cols
+	if d == 0 {
+		t.layout(m, n)
 	}
-	wg.Wait()
-
-	// Step 3: recurse on the stacked R factors, in place: the stack becomes
-	// the recursion's Q and r receives its R.
-	p.tileTree(stack, r)
-
-	// Step 4: batched GEMM Q_i ← Q_i · Q2_i. The multiplication cannot run
-	// in place, so stage each tile product in a scratch buffer.
-	q2Blocks := make([]*dense.M32, nt)
-	scratch := make([]*dense.M32, nt)
-	for i := 0; i < nt; i++ {
-		q2Blocks[i] = stack.View(i*n, 0, n, n)
-		scratch[i] = dense.New[float32](tileQ[i].Rows, n)
+	if m <= max(t.rb, n)+n {
+		// Base case: a single threadblock suffices (the paper recurses
+		// "until the number of rows is below 256").
+		mgsTile(w, w, r, t.work)
+		return
 	}
+	lv := &t.levels[d]
+	lv.w = w
+	for i := 0; i < lv.nt; i++ {
+		rows := lv.tileRows(i)
+		lv.tiles[i] = dense.M32{Rows: rows, Cols: n, Stride: rows, Data: lv.tileData[i*lv.rb*n : (i*lv.rb+rows)*n]}
+		lv.rows[i] = view(w, i*lv.rb, 0, rows, n)
+	}
+	blas.ParallelTasks(lv.nt, lv)
+	t.factor(&lv.stack, r, d+1)
 	// The batch is exactly cuBLAS batched SGEMM.
-	blas.GemmBatch(blas.NoTrans, blas.NoTrans, 1, tileQ, q2Blocks, 0, scratch)
-	for i := 0; i < nt; i++ {
-		tileQ[i].CopyFrom(scratch[i]) // step 5: w now holds the panel Q
+	blas.GemmBatch(blas.NoTrans, blas.NoTrans, 1, lv.as, lv.bs, 0, lv.cs)
+}
+
+// tileRows is the height of tile i: rb, and the remainder folded into the
+// last tile so every tile has at least rb rows.
+func (lv *tileLevel) tileRows(i int) int {
+	if i == lv.nt-1 {
+		return lv.w.Rows - i*lv.rb
 	}
+	return lv.rb
+}
+
+// RunTask factors tile i of the level: panel rows into the tile copy, R_i
+// into block i of the stack, on its own part of the MGS work area.
+func (lv *tileLevel) RunTask(i int) {
+	n := lv.w.Cols
+	per := mgsWork(lv.rb, n)
+	mgsTile(&lv.rows[i], &lv.tiles[i], &lv.blocks[i], lv.work[i*per:i*per+mgsWork(lv.tileRows(i), n)])
 }
 
 // HouseholderPanel adapts blocked Householder QR (the cuSOLVER SGEQRF

@@ -81,16 +81,32 @@ func TestFactorBitsGolden(t *testing.T) {
 	// processors up, and the trailing update is 1024×128×128 in full 32×4
 	// tiles that the kernel stores itself (on an AVX-512 host). The hashes
 	// were recorded at the parent of the commit that added those paths.
-	t.Run("default/1024x256", func(t *testing.T) {
-		a := dense.ToF32(matgen.BadlyScaled(rand.New(rand.NewSource(34)), 1024, 256, 3))
-		res, err := Factor(a, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := bits{bitsHash(res.Q.Data), bitsHash(res.R.Data), bitsHash(res.ColumnScales)}
-		if want := (bits{0x31463714487f720a, 0x31edf590d2210571, 0xa43a7b15c9f0a2b2}); got != want {
-			t.Errorf("factor bits moved: got {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
-				got.q, got.r, got.scales, want.q, want.r, want.scales)
-		}
-	})
+	//
+	// At 4096×128 the whole factorization is one CAQR panel whose tile tree
+	// has two levels (16 tiles, then a 512×32 stack of 2), serve-cold-tall's
+	// shape; at 1000×96 the last tile of each tree is 488 rows, the ragged
+	// tile. Those two hashes were recorded at the parent of the commit that
+	// gave the tile tree its fused MGS kernel and workspace.
+	for _, c := range []struct {
+		m, n int
+		seed int64
+		want bits
+	}{
+		{1024, 256, 34, bits{0x31463714487f720a, 0x31edf590d2210571, 0xa43a7b15c9f0a2b2}},
+		{4096, 128, 35, bits{0x6ccf566d400db7fa, 0x4e7994dee4210bf0, 0x8660b206ad989549}},
+		{1000, 96, 36, bits{0xdf2e61eddc98fde9, 0x14a8ab017ca79c43, 0xe2f44fbb773ef39d}},
+	} {
+		t.Run(fmt.Sprintf("default/%dx%d", c.m, c.n), func(t *testing.T) {
+			a := dense.ToF32(matgen.BadlyScaled(rand.New(rand.NewSource(c.seed)), c.m, c.n, 3))
+			res, err := Factor(a, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := bits{bitsHash(res.Q.Data), bitsHash(res.R.Data), bitsHash(res.ColumnScales)}
+			if got != c.want {
+				t.Errorf("factor bits moved: got {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
+					got.q, got.r, got.scales, c.want.q, c.want.r, c.want.scales)
+			}
+		})
+	}
 }

@@ -131,10 +131,13 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("rgs: %w", err)
 	}
-	w := a.Clone()
+	var w *dense.M32
 	var scales []float32
-	if !opts.DisableScaling {
-		scales = scaleColumns(w)
+	if opts.DisableScaling {
+		w = a.Clone()
+	} else {
+		w = dense.New[float32](m, n)
+		scales = scaleColumnsInto(w, a)
 	}
 	r, err := opts.recurse(w)
 	if err != nil {
@@ -203,28 +206,29 @@ func (o *Options) recurse(w *dense.M32) (*dense.M32, error) {
 // 2-norms; with max element < 2 the column norm is at most 2√m, and
 // 2√m ≪ 65504 for every m this library targets). Returns the applied
 // scales.
-func scaleColumns(w *dense.M32) []float32 {
-	scales := make([]float32, w.Cols)
+func scaleColumns(w *dense.M32) []float32 { return scaleColumnsInto(w, w) }
+
+// scaleColumnsInto is scaleColumns reading a and writing the scaled columns
+// to w (a itself, or a matrix of its shape): one sweep per column, the scan
+// and then the scaled copy while the column is in cache, so Factor needs no
+// separate clone of a.
+func scaleColumnsInto(w, a *dense.M32) []float32 {
+	scales := make([]float32, a.Cols)
 	for j := range scales {
 		scales[j] = 1
-		col := w.Col(j)
-		var mx float32
-		for _, v := range col {
-			// math.Abs, not a sign test: a branch on the sign of fresh data
-			// mispredicts every other element.
-			if a := float32(math.Abs(float64(v))); a > mx {
-				mx = a
-			}
+		src, dst := a.Col(j), w.Col(j)
+		mx := blas.Amax(src) // NaN is skipped; an Inf keeps the column as it is
+		s := float32(1)
+		if mx != 0 && !math.IsInf(float64(mx), 0) {
+			e := math.Floor(math.Log2(float64(mx)))
+			s = float32(math.Exp2(-e)) // mx·s in [1, 2)
 		}
-		if mx == 0 || math.IsInf(float64(mx), 0) || math.IsNaN(float64(mx)) {
+		if s == 1 {
+			copy(dst, src)
 			continue
 		}
-		e := math.Floor(math.Log2(float64(mx)))
-		s := float32(math.Exp2(-e)) // mx·s in [1, 2)
-		if s != 1 {
-			blas.Scal(s, col)
-			scales[j] = s
-		}
+		blas.ScalTo(s, src, dst)
+		scales[j] = s
 	}
 	return scales
 }
