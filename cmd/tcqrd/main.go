@@ -26,7 +26,6 @@
 //	      [-max-batch 32] [-deadline 30s]
 //	      [-drain-timeout 10s] [-addr-file path]
 //	      [-log-level info] [-debug-addr host:port]
-//	      [-degrade-threshold 5] [-degrade-cooldown 10s]
 //	      [-stream-ttl 2m] [-max-stream-sessions 16]
 //	      [-node-id a] [-peers a=h:p,b=h:p,...] [-replicas 2]
 //	      [-probe-interval 1s] [-fault-spec schedule]
@@ -37,8 +36,8 @@
 // to their owner nodes over the binary wire protocol, fresh factorizations
 // fan out to -replicas owners, and node loss is absorbed by replica reads
 // plus hinted handoff. -node-id names this node's entry in the member list;
-// -probe-interval paces the peer health probes that fold degraded/down peers
-// out of routing. README.md has a 3-node localhost quickstart.
+// -probe-interval paces the peer health probes that take down peers out of
+// routing. README.md has a 3-node localhost quickstart.
 //
 // -cache-dir turns on the write-behind persistence tier: every published
 // factorization (initial or updated epoch) spills to a checksummed file
@@ -54,13 +53,10 @@
 // serving net/http/pprof under /debug/pprof/ — kept off the public API
 // listener so profiling endpoints are never exposed to API clients.
 //
-// -degrade-threshold and -degrade-cooldown tune the failure policy
-// (DESIGN.md §11): a failed compute is one attempt and one 500, and a streak
-// of internal failures flips the daemon into degraded cache-only mode, where
-// cold factorizations get 503 with a Retry-After header until the cooldown
-// expires. -fault-spec
-// arms the deterministic failpoint registry (internal/faultinject) with a
-// seeded fault schedule — a testing facility; never arm it in production.
+// A failed compute is one attempt and one 500, and the next request is
+// served as if it never happened (DESIGN.md §11). -fault-spec arms the
+// deterministic failpoint registry (internal/faultinject) with a seeded fault
+// schedule — a testing facility; never arm it in production.
 //
 // -smoke runs the binary as its own end-to-end check instead (smoke.go,
 // scenarios.go): it re-executes itself as daemon children on ephemeral ports
@@ -121,9 +117,7 @@ func main() {
 
 		showVersion = flag.Bool("version", false, "print the build version and exit")
 
-		faultSpec    = flag.String("fault-spec", "", "arm the deterministic failpoint registry with this schedule (DESIGN.md §11 grammar; testing only)")
-		degradeAfter = flag.Int("degrade-threshold", 0, "consecutive internal failures before degraded (cache-only) mode (0 = default 5, negative disables)")
-		degradeCool  = flag.Duration("degrade-cooldown", 0, "how long degraded mode lasts once entered (0 = default 10s)")
+		faultSpec = flag.String("fault-spec", "", "arm the deterministic failpoint registry with this schedule (DESIGN.md §11 grammar; testing only)")
 	)
 	flag.Parse()
 
@@ -193,8 +187,6 @@ func main() {
 		MaxBatch:          *maxBatch,
 		DefaultDeadline:   *deadline,
 		Logger:            logger,
-		DegradeThreshold:  *degradeAfter,
-		DegradeCooldown:   *degradeCool,
 		StreamTTL:         *streamTTL,
 		MaxStreamSessions: *streamSessions,
 		Registry:          reg,

@@ -17,6 +17,20 @@ func benchM(r, c int) *dense.M32 {
 }
 
 func benchGemm(b *testing.B, tA, tB Transpose, m, n, k int) {
+	benchGemmWith(b, tA, tB, m, n, k, func(a, bb, c *dense.M32) { Gemm(tA, tB, 1, a, bb, 0, c) })
+}
+
+// benchGemmFamilies runs benchGemm once per float32 kernel family the host
+// runs, each forced through gemmWith, so the families read side by side.
+func benchGemmFamilies(b *testing.B, tA, tB Transpose, m, n, k int) {
+	for _, kern := range hostF32Kernels() {
+		b.Run(kernelNames[kern], func(b *testing.B) {
+			benchGemmWith(b, tA, tB, m, n, k, func(a, bb, c *dense.M32) { gemmWith(kern, tA, tB, 1, a, bb, 0, c, nil, nil) })
+		})
+	}
+}
+
+func benchGemmWith(b *testing.B, tA, tB Transpose, m, n, k int, gemm func(a, bb, c *dense.M32)) {
 	b.Helper()
 	var a, bb *dense.M32
 	if tA == NoTrans {
@@ -33,7 +47,7 @@ func benchGemm(b *testing.B, tA, tB Transpose, m, n, k int) {
 	b.SetBytes(int64(2 * m * n * k)) // flop count proxy for MB/s ≈ GFLOPS/2
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Gemm(tA, tB, 1, a, bb, 0, c)
+		gemm(a, bb, c)
 	}
 }
 
@@ -41,11 +55,13 @@ func BenchmarkGemmNN256(b *testing.B) { benchGemm(b, NoTrans, NoTrans, 256, 256,
 func BenchmarkGemmTN256(b *testing.B) { benchGemm(b, Trans, NoTrans, 256, 256, 256) }
 func BenchmarkGemmNT256(b *testing.B) { benchGemm(b, NoTrans, Trans, 256, 256, 256) }
 
-// BenchmarkGemmProjectionShape is the RGSQRF R12 shape at quick scale.
-func BenchmarkGemmProjectionShape(b *testing.B) { benchGemm(b, Trans, NoTrans, 128, 128, 2048) }
+// BenchmarkGemmProjectionShape is the RGSQRF R12 shape at quick scale, once
+// per float32 kernel family.
+func BenchmarkGemmProjectionShape(b *testing.B) { benchGemmFamilies(b, Trans, NoTrans, 128, 128, 2048) }
 
-// BenchmarkGemmUpdateShape is the trailing-update shape at quick scale.
-func BenchmarkGemmUpdateShape(b *testing.B) { benchGemm(b, NoTrans, NoTrans, 2048, 128, 128) }
+// BenchmarkGemmUpdateShape is the trailing-update shape at quick scale, once
+// per float32 kernel family.
+func BenchmarkGemmUpdateShape(b *testing.B) { benchGemmFamilies(b, NoTrans, NoTrans, 2048, 128, 128) }
 
 func BenchmarkTrsmLeftUpper(b *testing.B) {
 	n, rhs := 256, 64

@@ -100,29 +100,33 @@ func BenchmarkMGSTileWalk256x32(b *testing.B) {
 }
 
 // BenchmarkMGSTile256x32 factors one 256×32 float32 tile, copied into place
-// from a fixed matrix on every iteration: "vector" is MGSTile, the fused tile
-// kernel gram.MGS dispatches to, "go" the Go loop of gram.MGS (goMGS), the
+// from a fixed matrix on every iteration: "ymm" and "zmm" are MGSTile, the
+// fused tile kernel gram.MGS dispatches to, with tileKernel forced to each
+// vector family the host runs; "go" is the Go loop of gram.MGS (goMGS), the
 // level-1 and level-2 calls the tile walk above times without the norms and
 // the scaling.
 func BenchmarkMGSTile256x32(b *testing.B) {
 	const m, n = 256, 32
 	src := benchM(m, n)
 	a, r := dense.New[float32](m, n), dense.New[float32](n, n)
-	work := make([]float32, MGSTileWork(m))
-	for _, impl := range []struct {
-		name string
-		mgs  func()
-	}{
-		{"vector", func() { r.Zero(); MGSTile(src, a, r, work) }},
-		{"go", func() { a.CopyFrom(src); goMGS(a, r) }},
-	} {
-		b.Run(impl.name, func(b *testing.B) {
-			b.SetBytes(2 * m * n * n * 4)
-			for i := 0; i < b.N; i++ {
-				impl.mgs()
-			}
+	var work []float32
+	run := func(b *testing.B, mgs func()) {
+		b.SetBytes(2 * m * n * n * 4)
+		for i := 0; i < b.N; i++ {
+			mgs()
+		}
+	}
+	for _, kern := range hostTileKernels()[1:] {
+		b.Run(tileKernelNames[kern], func(b *testing.B) {
+			withTileKernel(kern, func() {
+				if w := MGSTileWork(m); len(work) < w {
+					work = make([]float32, w)
+				}
+				run(b, func() { r.Zero(); MGSTile(src, a, r, work) })
+			})
 		})
 	}
+	b.Run("go", func(b *testing.B) { run(b, func() { a.CopyFrom(src); goMGS(a, r) }) })
 }
 
 // goMGS is gram.MGS's Go loop: per column Nrm2, Scal, then the trail's
@@ -160,29 +164,30 @@ func BenchmarkNrm2FreshColumns(b *testing.B) {
 
 // BenchmarkGemmBatchBodies8x256x32 runs the eight tile products of a
 // 2048-row tile tree level, Q_i(256×32)·Q2_i(32×32), one after the other
-// through the per-problem body of GemmBatch without its task runner:
-// "vector" is the register-blocked kernel gemmNNF32, "go" the column sweep
-// as it stood before colUpdate.
+// through the per-problem body of GemmBatch without its task runner: "ymm"
+// and "zmm" are the register-blocked kernel gemmNNF32 with tileKernel forced
+// to each vector family the host runs, "go" the column sweep as it stood
+// before colUpdate.
 func BenchmarkGemmBatchBodies8x256x32(b *testing.B) {
 	const batch, m, n = 8, 256, 32
 	as, bs, cs := make([]*dense.M32, batch), make([]*dense.M32, batch), make([]*dense.M32, batch)
 	for p := range as {
 		as[p], bs[p], cs[p] = benchM(m, n), benchM(n, n), dense.New[float32](m, n)
 	}
-	for _, impl := range []struct {
-		name string
-		gemm func(a, bb, c *dense.M32)
-	}{
-		{"vector", func(a, bb, c *dense.M32) { gemmNNF32(1, a, bb, 0, c, m, n, n) }},
-		{"go", func(a, bb, c *dense.M32) { refGemmCols(NoTrans, 1, a, bb, 0, c) }},
-	} {
-		b.Run(impl.name, func(b *testing.B) {
-			b.SetBytes(batch * (2*m*n + n*n) * 4)
-			for i := 0; i < b.N; i++ {
-				for p := range as {
-					impl.gemm(as[p], bs[p], cs[p])
-				}
+	run := func(b *testing.B, gemm func(a, bb, c *dense.M32)) {
+		b.SetBytes(batch * (2*m*n + n*n) * 4)
+		for i := 0; i < b.N; i++ {
+			for p := range as {
+				gemm(as[p], bs[p], cs[p])
 			}
+		}
+	}
+	for _, kern := range hostTileKernels()[1:] {
+		b.Run(tileKernelNames[kern], func(b *testing.B) {
+			withTileKernel(kern, func() {
+				run(b, func(a, bb, c *dense.M32) { gemmNNF32(1, a, bb, 0, c, m, n, n) })
+			})
 		})
 	}
+	b.Run("go", func(b *testing.B) { run(b, func(a, bb, c *dense.M32) { refGemmCols(NoTrans, 1, a, bb, 0, c) }) })
 }

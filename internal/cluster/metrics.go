@@ -61,7 +61,7 @@ func newNodeMetrics(reg *metrics.Registry) *nodeMetrics {
 		forwardErrors: reg.Counter("tcqrd_cluster_forward_errors_total",
 			"Peer forward attempts that failed in transport (or by injected fault)."),
 		peerState: reg.GaugeVec("tcqrd_cluster_peer_state",
-			"Probed peer liveness: 2=up, 1=degraded, 0=down.", "peer"),
+			"Probed peer liveness: 2=up, 0=down.", "peer"),
 		probes: reg.CounterVec("tcqrd_cluster_probes_total",
 			"Peer health probes, by result.", "result"),
 		replicate: reg.CounterVec("tcqrd_cluster_replicate_total",

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -27,29 +26,24 @@ const ForwardHeader = "X-Tcqr-Forwarded"
 // can tell which node actually served a forwarded request.
 const ServedByHeader = "X-Tcqr-Served-By"
 
-// State is a peer's last probed liveness.
+// State is a peer's last probed liveness. tcqrd_cluster_peer_state exports
+// the value, so the values are the ones earlier builds exported — 2 for up,
+// 0 for down, with the 1 of a retired third state unused — and a dashboard
+// written against them reads the same.
 type State int32
 
 const (
 	// StateDown: unreachable or failing — skipped for every forward.
-	StateDown State = iota
-	// StateDegraded: alive but in degraded mode (PR 5 breaker open). A
-	// degraded peer sheds cold factorize work but keeps serving its cache
-	// tier, so solves still route to it.
-	StateDegraded
-	// StateUp: healthy.
-	StateUp
+	StateDown State = 0
+	// StateUp: answering its health probe.
+	StateUp State = 2
 )
 
 func (s State) String() string {
-	switch s {
-	case StateUp:
+	if s == StateUp {
 		return "up"
-	case StateDegraded:
-		return "degraded"
-	default:
-		return "down"
 	}
+	return "down"
 }
 
 // Config configures a cluster node.
@@ -218,18 +212,8 @@ func (n *Node) PeerState(id string) State {
 }
 
 // Usable reports whether a forward to m may succeed: Up peers take
-// anything; Degraded peers take cache-tier work but shed cold factorize
-// (cold=true); Down peers take nothing.
-func (n *Node) Usable(m Member, cold bool) bool {
-	switch n.PeerState(m.ID) {
-	case StateUp:
-		return true
-	case StateDegraded:
-		return !cold
-	default:
-		return false
-	}
-}
+// anything, Down peers nothing.
+func (n *Node) Usable(m Member) bool { return n.PeerState(m.ID) == StateUp }
 
 // MarkDown records a transport failure observed outside the prober (a failed
 // forward), so subsequent requests skip the peer until a probe revives it.
@@ -283,8 +267,9 @@ func (n *Node) probeLoop() {
 }
 
 // probe GETs one peer's /healthz and folds the answer into routing state:
-// 200+"ok" → Up, 200+"degraded" → Degraded (PR 5 keeps /healthz at 200 while
-// the breaker is open), anything else → Down.
+// 200 → Up, anything else → Down. The body is not read for meaning: a peer
+// of an earlier build whose 200 reports status degraded is up, and the 503s
+// it sends for cold work are tried-next like any other 5xx.
 func (n *Node) probe(p *peer) {
 	if err := faultinject.Fire(SiteProbe); err != nil {
 		n.m.probes.With("error").Inc()
@@ -305,19 +290,11 @@ func (n *Node) probe(p *peer) {
 		n.setState(p.member.ID, StateDown)
 		return
 	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
+	_, _ = io.Copy(io.Discard, io.LimitReader(resp.Body, 4<<10))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		n.m.probes.With("down").Inc()
 		n.setState(p.member.ID, StateDown)
-		return
-	}
-	var health struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(body, &health); err == nil && health.Status == "degraded" {
-		n.m.probes.With("degraded").Inc()
-		n.setState(p.member.ID, StateDegraded)
 		return
 	}
 	n.m.probes.With("ok").Inc()
@@ -330,7 +307,6 @@ func (n *Node) probe(p *peer) {
 type ForwardResult struct {
 	Status      int
 	ContentType string
-	RetryAfter  string
 	Body        []byte
 }
 
@@ -383,7 +359,6 @@ func (n *Node) post(ctx context.Context, m Member, path string, frame []byte, ac
 	return &ForwardResult{
 		Status:      resp.StatusCode,
 		ContentType: resp.Header.Get("Content-Type"),
-		RetryAfter:  resp.Header.Get("Retry-After"),
 		Body:        body,
 	}, nil
 }
@@ -396,8 +371,8 @@ const replicateTimeout = 10 * time.Second
 // Replicate asynchronously delivers a factorize frame to a replica owner
 // (read-your-writes holds on the computing node; replicas converge via this
 // fan-out). Delivery failures fall back to the handoff queue, which retries
-// until the owner is reachable, so a momentarily down or degraded replica
-// still converges.
+// until the owner is reachable, so a momentarily down replica still
+// converges.
 func (n *Node) Replicate(m Member, path string, frame []byte) {
 	n.done.Add(1)
 	go func() {

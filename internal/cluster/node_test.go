@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -72,10 +71,13 @@ func TestProbeStateTransitions(t *testing.T) {
 		t.Fatalf("after ok probe: %v", got)
 	}
 
-	status.Store(`{"status":"degraded"}`)
+	// An earlier build answers 200 with status degraded while its breaker is
+	// open: the body is not read, so that peer is up.
+	const earlierBuildStatus = `degraded`
+	status.Store(`{"status":"` + earlierBuildStatus + `"}`)
 	n.probe(p)
-	if got := n.PeerState("peer"); got != StateDegraded {
-		t.Fatalf("after degraded probe: %v", got)
+	if got := n.PeerState("peer"); got != StateUp {
+		t.Fatalf("after 200 degraded-body probe: %v, want up", got)
 	}
 
 	code.Store(http.StatusServiceUnavailable)
@@ -110,25 +112,21 @@ func TestUsable(t *testing.T) {
 	peer := Member{ID: "peer"}
 	self := Member{ID: "self"}
 	cases := []struct {
-		state      State
-		cold, want bool
+		state State
+		want  bool
 	}{
-		{StateUp, true, true},
-		{StateUp, false, true},
-		{StateDegraded, true, false}, // degraded sheds cold factorize work
-		{StateDegraded, false, true}, // but keeps serving its cache tier
-		{StateDown, true, false},
-		{StateDown, false, false},
+		{StateUp, true},
+		{StateDown, false},
 	}
 	for _, c := range cases {
 		n.setState("peer", c.state)
-		if got := n.Usable(peer, c.cold); got != c.want {
-			t.Errorf("Usable(%v, cold=%v) = %v, want %v", c.state, c.cold, got, c.want)
+		if got := n.Usable(peer); got != c.want {
+			t.Errorf("Usable(%v) = %v, want %v", c.state, got, c.want)
 		}
 	}
 	// Self is always usable (the local-owner decision never consults peers,
 	// but the invariant should hold anyway).
-	if !n.Usable(self, true) {
+	if !n.Usable(self) {
 		t.Error("self not usable")
 	}
 }
@@ -137,7 +135,6 @@ func TestForwardSetsLoopGuardAndRelaysStatus(t *testing.T) {
 	var gotForwarded atomic.Value
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotForwarded.Store(r.Header.Get(ForwardHeader))
-		w.Header().Set("Retry-After", "7")
 		w.WriteHeader(http.StatusTooManyRequests)
 		fmt.Fprint(w, `{"error":{"code":"busy"}}`)
 	}))
@@ -151,7 +148,7 @@ func TestForwardSetsLoopGuardAndRelaysStatus(t *testing.T) {
 	if gotForwarded.Load().(string) != "self" {
 		t.Fatalf("loop-guard header = %q, want self", gotForwarded.Load())
 	}
-	if res.Status != http.StatusTooManyRequests || res.RetryAfter != "7" {
+	if res.Status != http.StatusTooManyRequests {
 		t.Fatalf("result = %+v", res)
 	}
 	// A non-2xx response is still a successful transport: the peer stays Up
@@ -321,19 +318,12 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestStateString(t *testing.T) {
-	if StateUp.String() != "up" || StateDegraded.String() != "degraded" || StateDown.String() != "down" {
+	if StateUp.String() != "up" || StateDown.String() != "down" {
 		t.Error("state strings drifted from the metric documentation")
 	}
-}
-
-// healthzDoc keeps the probe's healthz contract honest if serve ever changes
-// its payload shape: status must be a top-level string field.
-func TestProbeParsesServeHealthzShape(t *testing.T) {
-	doc := `{"status":"degraded","draining":false}`
-	var health struct {
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal([]byte(doc), &health); err != nil || health.Status != "degraded" {
-		t.Fatalf("healthz parse: %v status=%q", err, health.Status)
+	// tcqrd_cluster_peer_state exports the value; earlier builds exported
+	// these two, and dashboards read them.
+	if StateUp != 2 || StateDown != 0 {
+		t.Errorf("StateUp = %d, StateDown = %d; the exported values are 2 and 0", StateUp, StateDown)
 	}
 }

@@ -1,9 +1,8 @@
 // Package cluster is the tcqrd sharded cache tier: a consistent-hash ring
 // over the content-hash cache key (serve.CacheKey — DESIGN.md §14), a peer
 // client that forwards /v1/factorize and /v1/solve over internal/wirefmt
-// binary frames, liveness probing against each peer's /healthz (folding the
-// PR 5 degraded mode into routing: a degraded peer sheds cold factorize work
-// but keeps serving its cache tier), and a hinted-handoff queue that re-homes
+// binary frames, liveness probing against each peer's /healthz (a peer is up
+// or down), and a hinted-handoff queue that re-homes
 // keys to their owner when forwarding fails.
 //
 // The package deliberately deals in opaque HTTP bodies and frames — request

@@ -53,9 +53,9 @@ func TestGaugeVecCardinalityBound(t *testing.T) {
 
 func TestGaugeVecExposition(t *testing.T) {
 	reg := NewRegistry()
-	v := reg.GaugeVec("tcqrd_cluster_peer_state", "Peer liveness (2=up,1=degraded,0=down).", "peer")
+	v := reg.GaugeVec("tcqrd_cluster_peer_state", "Peer liveness (2=up, 0=down).", "peer")
 	v.With("n1").Set(2)
-	v.With("n2").Set(1)
+	v.With("n2").Set(0)
 
 	var sb strings.Builder
 	if err := reg.WriteText(&sb); err != nil {
@@ -65,7 +65,7 @@ func TestGaugeVecExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE tcqrd_cluster_peer_state gauge",
 		`tcqrd_cluster_peer_state{peer="n1"} 2`,
-		`tcqrd_cluster_peer_state{peer="n2"} 1`,
+		`tcqrd_cluster_peer_state{peer="n2"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q:\n%s", want, text)

@@ -336,14 +336,6 @@ func (c *FactorCache) Get(key string) (*Entry, bool) {
 	return e, e != nil
 }
 
-// GetExact is the cache-only half of GetOrFactor: the entry that key, derived
-// from a, names for a — verified, so through the salted names when another
-// matrix holds the plain one — or false.
-func (c *FactorCache) GetExact(key string, a *tcqr.Matrix) (*Entry, bool) {
-	_, e, _ := c.resolve(key, a, nil)
-	return e, e != nil
-}
-
 // resolve walks key's salted names to the first that is a's or nobody's and
 // returns it: with the entry stored there (a hit, counted and promoted), or
 // with the flight factoring a there (joined, counted as shared), or — the

@@ -42,9 +42,6 @@ import (
 type route struct {
 	path string // the peer endpoint the request is forwarded to
 	key  string // the cache key whose owners serve it
-	// cold marks cold compute (factorize, update): degraded peers are
-	// skipped. Solves are cache-tier work, which degraded peers keep serving.
-	cold bool
 	// keyOnly marks a request that cannot be served from its own payload (a
 	// by-key solve, an update): see clusterRoute and tryCandidates for what
 	// that changes.
@@ -89,9 +86,8 @@ func (s *Server) forward(w http.ResponseWriter, rc *reqScope, ctx context.Contex
 
 // clusterRoute makes the routing decision for rt.key. routed=false means
 // serve locally (the decision has been counted); routed=true hands back the
-// candidate owners to try, in preference order, already filtered by peer
-// state (cold work skips degraded peers; everything skips down ones). An
-// empty candidate list with routed=true still counts as a routed request —
+// candidate owners to try, in preference order, down peers already skipped.
+// An empty candidate list with routed=true still counts as a routed request —
 // the caller falls through to served_local_fallback.
 //
 // A keyOnly request cannot be served from its own payload, so owning the key
@@ -130,7 +126,7 @@ func (s *Server) clusterRoute(rc *reqScope, rt route) (cands []cluster.Member, r
 	n.NoteRoute(cluster.DecisionForward)
 	cands = make([]cluster.Member, 0, len(owners))
 	for _, m := range owners {
-		if !n.IsSelf(m) && n.Usable(m, rt.cold) {
+		if !n.IsSelf(m) && n.Usable(m) {
 			cands = append(cands, m)
 		}
 	}
@@ -166,9 +162,6 @@ func (s *Server) tryCandidates(w http.ResponseWriter, rc *reqScope, ctx context.
 		// coordinator only counts the response status.
 		if res.ContentType != "" {
 			rc.respCT = res.ContentType
-		}
-		if res.RetryAfter != "" {
-			w.Header().Set("Retry-After", res.RetryAfter)
 		}
 		w.Header().Set(cluster.ServedByHeader, m.ID)
 		rc.finish(w, res.Status, res.Body)

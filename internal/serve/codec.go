@@ -285,8 +285,7 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 	t0 := time.Now()
 	// Failpoint: an injected encode failure takes the same 500 path as a
-	// real serialization error, and feeds the degradation breaker. Both
-	// encodings pass through it.
+	// real serialization error. Both encodings pass through it.
 	err := faultinject.Fire(siteWireEncode)
 	if err != nil {
 		return err
@@ -310,7 +309,6 @@ func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 	} else {
 		rc.s.metrics.hotWireRespJSON.Inc()
 	}
-	rc.s.brk.recordSuccess()
 	rc.finish(w, http.StatusOK, body)
 	return nil
 }

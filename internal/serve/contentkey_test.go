@@ -53,14 +53,14 @@ func TestContentKeyCollisionIsAMiss(t *testing.T) {
 	if e, src, _ := c.GetOrFactor(key, a2.Clone(), cfg); e != e2 || src != SourceHit {
 		t.Fatalf("colliding matrix now resolves %q (source %d)", e.Key, src)
 	}
-	if e, ok := c.GetExact(key, a2); !ok || e != e2 {
-		t.Fatalf("GetExact for the colliding matrix = %v, %v", e, ok)
+	if _, e, _ := c.resolve(key, a2, nil); e != e2 {
+		t.Fatalf("resolve for the colliding matrix = %v", e)
 	}
 	if e, ok := c.Get(e2.Key); !ok || e != e2 {
 		t.Fatalf("Get(%q) = %v, %v", e2.Key, e, ok)
 	}
-	if _, ok := c.GetExact(key, tightMatrix(3, 8, 2)); ok {
-		t.Fatal("GetExact answered a matrix nobody factored")
+	if _, e, _ := c.resolve(key, tightMatrix(3, 8, 2), nil); e != nil {
+		t.Fatal("resolve answered a matrix nobody factored")
 	}
 
 	// The sign of a zero is part of the matrix: -0 and +0 are equal as numbers

@@ -48,20 +48,8 @@ func (rc *reqScope) contentKey(a *tcqr.Matrix, cfg tcqr.Config) string {
 
 // factorEntry runs GetOrFactor through the pool, charging queue and key (a
 // hit) or factorize (anything else) stage time plus the panel counter for
-// factorizations actually performed. While the server is degraded only the
-// cache answers: a resident factorization is served as a hit, anything cold
-// is rejected with 503 + Retry-After.
+// factorizations actually performed.
 func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
-	if rem, deg := s.brk.degraded(); deg {
-		t0 := time.Now()
-		e, ok := s.cache.GetExact(key, a)
-		rc.stages.add(stageKey, time.Since(t0))
-		if ok {
-			return e, SourceHit, nil
-		}
-		s.brk.rejected.Add(1)
-		return nil, 0, degradedError(rem)
-	}
 	var (
 		entry *Entry
 		src   Source
@@ -107,7 +95,7 @@ func (s *Server) serveFactorize(rc *reqScope, w http.ResponseWriter, r *http.Req
 	defer cancel()
 	key := rc.contentKey(a, cfg)
 	rc.key = key
-	if s.forward(w, rc, ctx, route{path: "/v1/factorize", key: key, cold: true}, &req) {
+	if s.forward(w, rc, ctx, route{path: "/v1/factorize", key: key}, &req) {
 		return nil
 	}
 	return s.factorizeReply(w, rc, ctx, key, a, cfg, req.Config)

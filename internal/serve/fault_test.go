@@ -2,11 +2,12 @@ package serve
 
 import (
 	"context"
-	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"tcqr"
 	"tcqr/internal/faultinject"
 )
 
@@ -78,7 +79,7 @@ func TestPoolDequeueErrorSurfacesToSubmitter(t *testing.T) {
 // the server does not replay it: the failpoint fires exactly once, and the
 // envelope carries no hazards (nothing numerical happened).
 func TestFailedComputeIsOneAttemptOne500(t *testing.T) {
-	s := New(Options{Workers: 2, DegradeThreshold: -1})
+	s := New(Options{Workers: 2})
 	defer s.Close()
 	h := s.Handler()
 	arm(t, "seed=3;serve.cache.factorize=error")
@@ -118,117 +119,68 @@ func TestEncodeFaultIsInternalNotRetried(t *testing.T) {
 	}
 }
 
-// --- degraded mode ---------------------------------------------------------
+// poisonBackend is the library, except that Factorize panics on every
+// matrix with poisonRows rows and counts those calls.
+type poisonBackend struct {
+	LibraryBackend
+	poisonRows int
+	poisoned   atomic.Int64
+}
 
-// TestDegradedModeServesCacheRejectsCold is the degraded-mode acceptance
-// test: after the breaker trips, cache hits (solve by key, re-factorize of a
-// resident matrix) still serve 200 while cold factorizations and lowrank
-// get 503 + code "degraded" + a Retry-After covering the cooldown.
-func TestDegradedModeServesCacheRejectsCold(t *testing.T) {
-	s := New(Options{
-		Workers:          2,
-		DegradeThreshold: 2,
-		DegradeCooldown:  time.Minute,
-	})
+func (b *poisonBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
+	if a.Rows == b.poisonRows {
+		b.poisoned.Add(1)
+		panic("poison matrix")
+	}
+	return b.LibraryBackend.Factorize(a, cfg)
+}
+
+// TestRepeatedFailuresDoNotShedOtherRequests: a 500 says nothing about the
+// next request. One client sending one poison matrix over and over gets one
+// 500 and one backend call per request, and every other request — a cold
+// factorize, an update of a resident series, a low-rank — is served as if
+// those failures never happened.
+func TestRepeatedFailuresDoNotShedOtherRequests(t *testing.T) {
+	be := &poisonBackend{poisonRows: 40}
+	s := New(Options{Workers: 2, Backend: be})
 	defer s.Close()
 	h := s.Handler()
 
-	// Warm the cache while healthy.
-	warm := testMatrix(10, 48, 12, 1)
+	const m, n = 48, 12
+	warm := testMatrix(10, m, n, 1)
 	var fr factorizeReply
-	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(48, 12, warm)}, &fr); code != 200 {
+	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, warm)}, &fr); code != 200 {
 		t.Fatalf("warm factorize: code=%d", code)
 	}
 
-	// Two injected internal failures trip the threshold-2 breaker.
-	arm(t, "seed=5;serve.cache.factorize=error")
-	for i := 0; i < 2; i++ {
-		code, _ := post(t, h, "/v1/factorize",
-			map[string]any{"matrix": wireMat(48, 12, testMatrix(uint64(20+i), 48, 12, 1))}, nil)
-		if code != 500 {
-			t.Fatalf("tripping request %d: code=%d, want 500", i, code)
+	poison := map[string]any{"matrix": wireMat(40, n, testMatrix(11, 40, n, 1))}
+	for i := 1; i <= 6; i++ {
+		var env envelope
+		if code, _ := post(t, h, "/v1/factorize", poison, &env); code != 500 || env.Error.Code != "internal" {
+			t.Fatalf("poison request %d: code=%d error=%+v, want 500 internal", i, code, env.Error)
+		}
+		if got := be.poisoned.Load(); got != int64(i) {
+			t.Fatalf("after poison request %d: %d backend calls, want %d", i, got, i)
 		}
 	}
-	faultinject.Disarm()
 
-	// Cold factorize: rejected with 503 degraded + Retry-After.
 	var env envelope
-	code, hdr := post(t, h, "/v1/factorize",
-		map[string]any{"matrix": wireMat(48, 12, testMatrix(30, 48, 12, 1))}, &env)
-	if code != 503 || env.Error.Code != "degraded" {
-		t.Fatalf("cold factorize while degraded: code=%d error=%+v, want 503 degraded", code, env.Error)
+	if code, _ := post(t, h, "/v1/factorize",
+		map[string]any{"matrix": wireMat(m, n, testMatrix(12, m, n, 1))}, &env); code != 200 {
+		t.Fatalf("cold factorize after the poison: code=%d error=%+v, want 200", code, env.Error)
 	}
-	ra, err := strconv.Atoi(hdr.Get("Retry-After"))
-	if err != nil || ra < 1 || ra > 60 {
-		t.Fatalf("Retry-After %q, want an integer in [1, 60]", hdr.Get("Retry-After"))
+	var ur updateReply
+	if code, _ := post(t, h, "/v1/update",
+		map[string]any{"key": fr.Key, "append": wireMat(4, n, testMatrix(13, 4, n, 1))}, &ur); code != 200 || ur.Epoch != 1 {
+		t.Fatalf("update after the poison: code=%d reply=%+v, want 200 at epoch 1", code, ur)
 	}
-
-	// Lowrank is uncached compute: also rejected.
 	if code, _ := post(t, h, "/v1/lowrank",
-		map[string]any{"matrix": wireMat(48, 12, warm), "rank": 4}, nil); code != 503 {
-		t.Fatalf("lowrank while degraded: code=%d, want 503", code)
-	}
-
-	// Cache hits still serve: solve by key and re-factorize of the warm matrix.
-	x := make([]float64, 12)
-	for i := range x {
-		x[i] = float64(i + 1)
-	}
-	var sr solveReply
-	if code, _ := post(t, h, "/v1/solve",
-		map[string]any{"key": fr.Key, "b": matVecData(48, 12, warm, x)}, &sr); code != 200 {
-		t.Fatalf("solve by key while degraded: code=%d, want 200", code)
-	}
-	if d := maxDiff(sr.X, x); d > 1e-6 {
-		t.Fatalf("degraded cache-hit solve wrong by %g", d)
-	}
-	var fr2 factorizeReply
-	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(48, 12, warm)}, &fr2); code != 200 || !fr2.Cached {
-		t.Fatalf("re-factorize of resident matrix while degraded: code=%d cached=%v, want 200 cached", code, fr2.Cached)
-	}
-
-	// Liveness: /healthz stays 200 (the process serves cache traffic), but
-	// reports the restriction; /statz mirrors it.
-	var hz map[string]string
-	if code := get(t, h, "/healthz", &hz); code != 200 || hz["status"] != "degraded" {
-		t.Fatalf("healthz while degraded: code=%d status=%q, want 200 degraded", code, hz["status"])
-	}
-	var st statzResponse
-	if code := get(t, h, "/statz", &st); code != 200 || !st.Degraded {
-		t.Fatalf("statz while degraded: code=%d degraded=%v", code, st.Degraded)
-	}
-	var buf strings.Builder
-	_ = s.Metrics().WriteText(&buf)
-	txt := buf.String()
-	if !strings.Contains(txt, "tcqrd_degraded 1") || !strings.Contains(txt, "tcqrd_degraded_entered_total 1") {
-		t.Errorf("metrics missing degraded gauge/counter:\n%s", txt)
-	}
-}
-
-// TestDegradedModeExpires: the cooldown ends on the clock and cold compute
-// resumes.
-func TestDegradedModeExpires(t *testing.T) {
-	s := New(Options{Workers: 2, DegradeThreshold: 1, DegradeCooldown: 50 * time.Millisecond})
-	defer s.Close()
-	h := s.Handler()
-
-	arm(t, "seed=5;serve.cache.factorize=error@once=1")
-	if code, _ := post(t, h, "/v1/factorize",
-		map[string]any{"matrix": wireMat(32, 8, testMatrix(40, 32, 8, 1))}, nil); code != 500 {
-		t.Fatalf("tripping request: want 500")
-	}
-	if code, _ := post(t, h, "/v1/factorize",
-		map[string]any{"matrix": wireMat(32, 8, testMatrix(41, 32, 8, 1))}, nil); code != 503 {
-		t.Fatalf("while degraded: want 503")
-	}
-	time.Sleep(80 * time.Millisecond)
-	if code, _ := post(t, h, "/v1/factorize",
-		map[string]any{"matrix": wireMat(32, 8, testMatrix(41, 32, 8, 1))}, nil); code != 200 {
-		t.Fatalf("after cooldown: want 200")
+		map[string]any{"matrix": wireMat(m, n, warm), "rank": 4}, nil); code != 200 {
+		t.Fatalf("lowrank after the poison: code=%d, want 200", code)
 	}
 	var hz map[string]string
 	if code := get(t, h, "/healthz", &hz); code != 200 || hz["status"] != "ok" {
-		t.Fatalf("healthz after cooldown: code=%d status=%q", code, hz["status"])
+		t.Fatalf("healthz after the poison: code=%d status=%q, want 200 ok", code, hz["status"])
 	}
 }
 
@@ -242,7 +194,7 @@ func TestDegradedModeExpires(t *testing.T) {
 func TestServeFaultScheduleIsSeedDeterministic(t *testing.T) {
 	const spec = "seed=99;serve.wire.decode=error@every=4;serve.cache.factorize=error@p=0.4;serve.pool.enqueue=delay(100us)@p=0.3"
 	run := func() []faultinject.Event {
-		s := New(Options{Workers: 1, DegradeThreshold: -1})
+		s := New(Options{Workers: 1})
 		defer s.Close()
 		h := s.Handler()
 		arm(t, spec)

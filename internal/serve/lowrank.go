@@ -22,11 +22,6 @@ func (s *Server) serveLowRank(rc *reqScope, w http.ResponseWriter, r *http.Reque
 	}
 	ctx, cancel := s.requestContext(r, req.DeadlineMS)
 	defer cancel()
-	// Low-rank results are never cached, so degraded mode has nothing to
-	// serve here: the whole pipeline is suspended until the cooldown ends.
-	if de := s.degradedReject(); de != nil {
-		return de
-	}
 	var (
 		res  *tcqr.LowRankApprox
 		lerr error

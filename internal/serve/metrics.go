@@ -139,20 +139,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			}
 			return 0
 		})
-	reg.GaugeFunc("tcqrd_degraded",
-		"1 while the server is in degraded (cache-only) mode, 0 otherwise.",
-		func() float64 {
-			if _, deg := s.brk.degraded(); deg {
-				return 1
-			}
-			return 0
-		})
-	reg.CounterFunc("tcqrd_degraded_entered_total",
-		"Times the degradation breaker tripped into cache-only serving.",
-		func() int64 { return s.brk.entered.Load() })
-	reg.CounterFunc("tcqrd_degraded_rejected_total",
-		"Cold compute requests rejected with 503 while degraded.",
-		func() int64 { return s.brk.rejected.Load() })
 
 	reg.GaugeFunc("tcqrd_stream_sessions",
 		"Chunked-upload sessions currently open.",

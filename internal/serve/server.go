@@ -53,12 +53,6 @@ type Options struct {
 	MaxBodyBytes int64
 	// MaxElements caps rows*cols of an uploaded matrix (0 = 8Mi elements).
 	MaxElements int
-	// DegradeThreshold is the number of consecutive internal failures that
-	// trips degraded (cache-only) serving (0 = 5; negative disables the
-	// breaker).
-	DegradeThreshold int
-	// DegradeCooldown is how long a degraded trip lasts (0 = 10s).
-	DegradeCooldown time.Duration
 	// StreamTTL is the idle deadline of a chunked-upload session: a session
 	// with no append or commit for this long is reaped, and its buffered row
 	// blocks released (0 = 2m).
@@ -99,7 +93,6 @@ type Server struct {
 	cluster  *cluster.Node
 	start    time.Time
 	draining atomic.Bool
-	brk      *breaker
 	metrics  *serverMetrics
 	log      *slog.Logger
 
@@ -130,12 +123,6 @@ func New(opts Options) *Server {
 	if opts.MaxElements <= 0 {
 		opts.MaxElements = 8 << 20
 	}
-	if opts.DegradeThreshold == 0 {
-		opts.DegradeThreshold = 5
-	}
-	if opts.DegradeCooldown <= 0 {
-		opts.DegradeCooldown = 10 * time.Second
-	}
 	if opts.StreamTTL <= 0 {
 		opts.StreamTTL = 2 * time.Minute
 	}
@@ -157,10 +144,6 @@ func New(opts Options) *Server {
 		start:      time.Now(),
 		log:        opts.Logger,
 		reaperStop: make(chan struct{}),
-	}
-	s.brk = &breaker{cooldown: opts.DegradeCooldown}
-	if opts.DegradeThreshold > 0 {
-		s.brk.threshold = int64(opts.DegradeThreshold)
 	}
 	s.cache = NewFactorCache(opts.CacheEntries, s.backend)
 	s.cache.SetByteBudget(opts.CacheMaxBytes)
@@ -358,17 +341,11 @@ func (rc *reqScope) noteHazards(hs []tcqr.Hazard) []WireHazard {
 }
 
 // fail encodes the uniform error envelope for e and finishes the response.
-// Internal (500-class) failures feed the degradation breaker.
+// A failure leaves no state behind: the next request is served as if it
+// never happened.
 func (rc *reqScope) fail(w http.ResponseWriter, e *apiError) {
 	rc.errCode = e.code
 	rc.s.metrics.errors.With(e.code).Inc()
-	if e.status == http.StatusInternalServerError && rc.s.brk.recordFailure() {
-		if rc.s.log != nil {
-			rc.s.log.Warn("entering degraded mode",
-				slog.String("trigger_code", e.code),
-				slog.Duration("cooldown", rc.s.opts.DegradeCooldown))
-		}
-	}
 	body, _ := json.Marshal(errorBody{Error: errorDetail{Code: e.code, Message: e.msg}})
 	if e.status == http.StatusTooManyRequests || e.status == http.StatusServiceUnavailable {
 		ra := "1"

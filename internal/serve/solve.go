@@ -59,8 +59,6 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 			return cerr
 		}
 		key := rc.contentKey(a, cfg)
-		// Solves are cache-tier work: degraded peers keep serving them (a
-		// degraded owner that misses answers 503, which reads as try-next).
 		if s.forward(w, rc, ctx, route{path: "/v1/solve", key: key}, &req) {
 			return nil
 		}

@@ -14,13 +14,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, `{"status":"draining"}`)
 		return
 	}
-	// Degraded is still 200: the process is alive and serving cache hits, so
-	// load balancers must not eject it — clients discover the restriction
-	// through per-request 503s with Retry-After.
-	if _, deg := s.brk.degraded(); deg {
-		fmt.Fprintln(w, `{"status":"degraded"}`)
-		return
-	}
 	fmt.Fprintln(w, `{"status":"ok"}`)
 }
 
@@ -39,7 +32,6 @@ type statzTiming struct {
 type statzResponse struct {
 	UptimeSeconds float64                `json:"uptime_seconds"`
 	Draining      bool                   `json:"draining"`
-	Degraded      bool                   `json:"degraded"`
 	Requests      map[string]int64       `json:"requests"`
 	Errors        map[string]int64       `json:"errors"`
 	Cache         CacheStats             `json:"cache"`
@@ -54,11 +46,9 @@ type statzResponse struct {
 // snapshots — every map is a private copy, so encoding can never interleave
 // with writers.
 func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	_, degraded := s.brk.degraded()
 	resp := statzResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Draining:      s.draining.Load(),
-		Degraded:      degraded,
 		Requests:      s.metrics.requests.Snapshot(),
 		Errors:        s.metrics.errors.Snapshot(),
 		Hazards:       s.metrics.hazards.Snapshot(),

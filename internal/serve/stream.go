@@ -34,7 +34,7 @@ import (
 // Commit assembles the column-major matrix, derives the same content-hash
 // CacheKey a one-shot upload of the identical matrix would get, and runs the
 // standard factorEntry pipeline — so a streamed factorization is cached,
-// singleflighted, degraded-mode-gated, and solvable-by-key exactly like a
+// singleflighted, and solvable-by-key exactly like a
 // one-shot one.
 //
 // Sessions are deadline-bounded: each begin stamps an expiry (Options.
@@ -310,7 +310,7 @@ func (s *Server) serveStreamCommit(rc *reqScope, w http.ResponseWriter, r *http.
 	ctx, cancel := s.requestContext(r, req.DeadlineMS)
 	defer cancel()
 	// From here the streamed matrix is indistinguishable from a one-shot
-	// upload: same key derivation, same cache/pool/degraded pipeline,
+	// upload: same key derivation, same cache/pool pipeline,
 	// same replica fan-out, same response envelope. Only routing differs: the
 	// commit always runs locally — sessions are node-local state.
 	key := rc.contentKey(a, ss.cfg)

@@ -387,7 +387,7 @@ func TestStreamReaperLifecycle(t *testing.T) {
 // endpoint's request: the frame decode and the strict JSON decode. Whatever
 // the request type and codec, decoding must never panic, and every rejection
 // must be a client-class apiError — a hostile body can never take the 500
-// path, trip the degradation breaker, or corrupt a session. Every matrix an
+// path or corrupt a session. Every matrix an
 // accepted body carries must either pass matrix(), the gate every handler
 // applies before anything else sees it, with a consistent shape, or be
 // rejected by it as bad input. An accepted frame must also have bound each

@@ -40,13 +40,8 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 	// Updates must run where the series lives (the epoch chain is node-local
 	// state): a node without it routes to the base key's owners exactly like
 	// a by-key solve it cannot answer.
-	if s.forward(w, rc, ctx, route{path: "/v1/update", key: req.Key, cold: true, keyOnly: true}, &req) {
+	if s.forward(w, rc, ctx, route{path: "/v1/update", key: req.Key, keyOnly: true}, &req) {
 		return nil
-	}
-	// Updates are cold compute: degraded mode sheds them like any other
-	// factorization work.
-	if de := s.degradedReject(); de != nil {
-		return de
 	}
 	old, berr := s.cache.BeginUpdate(req.Key)
 	if berr != nil {

@@ -177,7 +177,7 @@ func TestUpdateValidation(t *testing.T) {
 // path must leave the current epoch published, the series unlocked, and the
 // failure counted.
 func TestUpdateApplyFaultLeavesEpochPublished(t *testing.T) {
-	s := New(Options{Workers: 2, DegradeThreshold: -1})
+	s := New(Options{Workers: 2})
 	defer s.Close()
 	h := s.Handler()
 	m, n := 48, 12

@@ -389,8 +389,8 @@ type apiError struct {
 	code   string
 	msg    string
 	// retryAfter, when > 0, overrides the Retry-After header on 429/503
-	// responses (seconds). Degraded-mode rejections set it to the remaining
-	// cooldown so clients back off for the right interval.
+	// responses (seconds). Only the stream-begin 429 sets it, to when the
+	// earliest open session expires.
 	retryAfter int
 }
 
