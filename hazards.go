@@ -23,12 +23,6 @@ var (
 	// ErrOverflow reports fp16 overflow in the simulated neural engine — the
 	// §3.5 catastrophe that column scaling exists to prevent.
 	ErrOverflow = hazard.ErrOverflow
-	// ErrStagnation reports a refinement iteration that stopped making
-	// progress before reaching its tolerance.
-	ErrStagnation = hazard.ErrStagnation
-	// ErrDivergence reports a refinement iteration whose gradient norm grew
-	// persistently instead of shrinking.
-	ErrDivergence = hazard.ErrDivergence
 )
 
 // HazardPolicy decides what a detected numerical hazard does to a
@@ -40,11 +34,13 @@ const (
 	// result into a typed error: the computation stops at the first
 	// breakdown, overflow, or non-finite value instead of returning garbage.
 	HazardFail = hazard.Fail
-	// HazardFallback enables the recovery ladder: engine overflow retries
-	// with column scaling, then a bfloat16 engine, then plain FP32; panel
-	// breakdown escalates CholQR → CholQR2 → MGS → Householder; CGLS
-	// stagnation or divergence re-solves with preconditioned LSQR. Every
-	// recovery is recorded in the result's Hazards.
+	// HazardFallback enables the recovery ladder: a failed factorization is
+	// refactored whole with column scaling, then after a breakdown on the MGS
+	// and Householder panels, then on the later engines of the recovery order
+	// (after an fp16 overflow: bfloat16, then plain FP32); CGLS stagnation or
+	// divergence re-solves with preconditioned LSQR. Every recovery is
+	// recorded in the result's Hazards, and a recovered factorization is the
+	// plain Factorize of the configuration its last recovery names.
 	HazardFallback = hazard.Fallback
 )
 
@@ -57,10 +53,9 @@ type HazardKind = hazard.Kind
 
 // The hazard classes the pipeline distinguishes.
 const (
-	HazardNonFinite     = hazard.KindNonFinite
-	HazardOverflow      = hazard.KindOverflow
-	HazardBreakdown     = hazard.KindBreakdown
-	HazardRankDeficient = hazard.KindRankDeficient
-	HazardStagnation    = hazard.KindStagnation
-	HazardDivergence    = hazard.KindDivergence
+	HazardNonFinite  = hazard.KindNonFinite
+	HazardOverflow   = hazard.KindOverflow
+	HazardBreakdown  = hazard.KindBreakdown
+	HazardStagnation = hazard.KindStagnation
+	HazardDivergence = hazard.KindDivergence
 )

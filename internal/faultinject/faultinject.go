@@ -16,13 +16,13 @@
 //
 //	serve.pool.enqueue     serve.pool.dequeue    serve.cache.factorize
 //	serve.coalesce.flush   serve.wire.decode     serve.wire.encode
-//	serve.stream.append    gram.ladder.rung      tcsim.gemm
+//	serve.stream.append    tcsim.gemm
 //	tsqr.block.factor      tsqr.tree.reduce
 //	cluster.route          cluster.replicate     cluster.probe
 //	cluster.handoff
 //
 // The package deliberately depends on nothing in the repository (std only),
-// so any layer — hazard ladder, engine simulator, serving pool — can thread
+// so any layer — engine simulator, TSQR tree, serving pool — can thread
 // a site without an import cycle.
 package faultinject
 

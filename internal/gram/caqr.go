@@ -26,9 +26,8 @@ const (
 //
 // Factor reports numerical breakdown — a zero or linearly dependent column,
 // a non-SPD Gram matrix, a non-finite factor — as an error wrapping
-// hazard.ErrBreakdown instead of returning a corrupt factorization. The
-// Ladder panel turns such errors into escalation along a chain of
-// progressively more robust factorizers.
+// hazard.ErrBreakdown instead of returning a corrupt factorization; the
+// caller decides whether to retry with a more robust panel.
 type Panel interface {
 	Factor(a *dense.M32) (q, r *dense.M32, err error)
 	Name() string
@@ -297,8 +296,8 @@ func (p *HouseholderPanel) Name() string { return "SGEQRF" }
 
 // Factor implements Panel. Householder QR has no Gram-Schmidt breakdown
 // mode — a rank-deficient panel still yields an orthonormal Q — so it is
-// the terminal rung of the fallback ladder; only non-finite factors are
-// rejected.
+// the last panel rung of the Factorize recovery ladder; only non-finite
+// factors are rejected.
 func (p *HouseholderPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 	f := a.Clone()
 	tau := house.Geqrf(f, house.DefaultBlockSize)

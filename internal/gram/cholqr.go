@@ -29,8 +29,8 @@ func CholQR(a *dense.M32) (q, r *dense.M32, err error) {
 	blas.Syrk(blas.Lower, blas.Trans, 1, a, 0, g)
 	// Cholesky gives G = L·Lᵀ; R = Lᵀ. A non-SPD Gram matrix is the CholQR
 	// breakdown mode (κ² overwhelmed float32, or the panel is rank
-	// deficient); report it as a typed breakdown so the fallback ladder can
-	// escalate.
+	// deficient); report it as a typed breakdown, which the Factorize ladder
+	// answers with a more robust panel.
 	if err := chol.Potrf(g); err != nil {
 		return nil, nil, fmt.Errorf("gram: CholQR: Gram matrix not SPD (κ² too large for float32, or rank deficient): %v: %w", err, hazard.ErrBreakdown)
 	}
@@ -48,7 +48,8 @@ func CholQR(a *dense.M32) (q, r *dense.M32, err error) {
 
 // CholQR2 is CholQR followed by a second pass on Q (the standard fix that
 // restores orthogonality when the first pass survives): A = Q₁R₁,
-// Q₁ = Q₂R₂ ⇒ A = Q₂(R₂R₁).
+// Q₁ = Q₂R₂ ⇒ A = Q₂(R₂R₁). It cannot rescue a first pass that broke down,
+// so it is no recovery rung; the orthomethods experiment measures it.
 func CholQR2(a *dense.M32) (q, r *dense.M32, err error) {
 	q1, r1, err := CholQR(a)
 	if err != nil {
@@ -64,8 +65,7 @@ func CholQR2(a *dense.M32) (q, r *dense.M32, err error) {
 }
 
 // CholQRPanel adapts CholQR to the Panel interface for ablations. Cholesky
-// breakdown surfaces as an error wrapping hazard.ErrBreakdown, which the
-// fallback ladder escalates to CholQR2 → MGS → Householder.
+// breakdown surfaces as an error wrapping hazard.ErrBreakdown.
 type CholQRPanel struct{}
 
 // Name implements Panel.
@@ -78,27 +78,6 @@ func (CholQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 		return nil, nil, err
 	}
 	if err := checkFullRank("CholQR", r); err != nil {
-		return nil, nil, err
-	}
-	return q, r, nil
-}
-
-// CholQR2Panel adapts CholQR2 — CholeskyQR with the orthogonality-restoring
-// second pass — to the Panel interface. It is the second rung of the panel
-// fallback ladder: when plain CholQR survives but its Q has lost
-// orthogonality, the second pass restores it to working precision.
-type CholQR2Panel struct{}
-
-// Name implements Panel.
-func (CholQR2Panel) Name() string { return "CholQR2" }
-
-// Factor implements Panel.
-func (CholQR2Panel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	q, r, err = CholQR2(a)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := checkFullRank("CholQR2", r); err != nil {
 		return nil, nil, err
 	}
 	return q, r, nil

@@ -41,12 +41,6 @@ var (
 	// ErrOverflow reports fp16 overflow in the simulated engine — the §3.5
 	// catastrophe that column scaling exists to prevent.
 	ErrOverflow = errors.New("fp16 overflow in neural engine")
-	// ErrStagnation reports a refinement iteration that stopped making
-	// progress before reaching its tolerance.
-	ErrStagnation = errors.New("refinement stagnated")
-	// ErrDivergence reports a refinement iteration whose residual grew
-	// persistently instead of shrinking.
-	ErrDivergence = errors.New("refinement diverged")
 )
 
 // Policy decides what a detected hazard does to the computation.
@@ -57,11 +51,10 @@ const (
 	// the computation stops at the first breakdown, overflow, or non-finite
 	// value instead of returning garbage.
 	Fail Policy = iota
-	// Fallback enables the recovery ladder: engine overflow retries with
-	// column scaling, then a bfloat16 engine, then plain FP32; panel
-	// breakdown escalates along CholQR → CholQR2 → MGS → Householder; CGLS
-	// stagnation re-solves with LSQR. Every recovery is recorded in the
-	// Report.
+	// Fallback enables the recovery ladder: a failed factorization is
+	// refactored with column scaling, then after a breakdown on the MGS and
+	// Householder panels, then on the later engines; CGLS stagnation
+	// re-solves with LSQR. Every recovery is recorded in the Report.
 	Fallback
 )
 
@@ -87,8 +80,6 @@ const (
 	// KindBreakdown: a panel factorizer broke down (non-SPD Gram matrix,
 	// zero/dependent column, non-finite factor).
 	KindBreakdown
-	// KindRankDeficient: a zero diagonal in R revealed dependent columns.
-	KindRankDeficient
 	// KindStagnation: refinement stopped improving before its tolerance.
 	KindStagnation
 	// KindDivergence: refinement residuals grew past the divergence guard.
@@ -104,8 +95,6 @@ func (k Kind) String() string {
 		return "fp16-overflow"
 	case KindBreakdown:
 		return "breakdown"
-	case KindRankDeficient:
-		return "rank-deficient"
 	case KindStagnation:
 		return "stagnation"
 	case KindDivergence:
@@ -123,7 +112,6 @@ func Kinds() []Kind {
 		KindNonFinite,
 		KindOverflow,
 		KindBreakdown,
-		KindRankDeficient,
 		KindStagnation,
 		KindDivergence,
 	}
@@ -133,13 +121,13 @@ func Kinds() []Kind {
 type Event struct {
 	// Kind classifies the hazard.
 	Kind Kind
-	// Stage names where it was detected ("factorize", "panel", "cgls", ...).
+	// Stage names where it was detected ("factorize", "engine", "cgls", ...).
 	Stage string
 	// Detail describes the trigger ("23 fp16 overflows", "CholQR: Gram
 	// matrix not SPD at column 7", ...).
 	Detail string
-	// Action records the response ("retry with column scaling", "escalate
-	// to MGS", "fallback to LSQR", "fail"). Empty means detection only.
+	// Action records the response ("retry with column scaling", "retry
+	// with mgs panel", "fallback to LSQR"). Empty means detection only.
 	Action string
 }
 

@@ -18,12 +18,11 @@ func TestPolicyAndKindStrings(t *testing.T) {
 		t.Errorf("unknown policy: %q", s)
 	}
 	want := map[Kind]string{
-		KindNonFinite:     "non-finite",
-		KindOverflow:      "fp16-overflow",
-		KindBreakdown:     "breakdown",
-		KindRankDeficient: "rank-deficient",
-		KindStagnation:    "stagnation",
-		KindDivergence:    "divergence",
+		KindNonFinite:  "non-finite",
+		KindOverflow:   "fp16-overflow",
+		KindBreakdown:  "breakdown",
+		KindStagnation: "stagnation",
+		KindDivergence: "divergence",
 	}
 	for k, name := range want {
 		if k.String() != name {

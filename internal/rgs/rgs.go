@@ -118,8 +118,8 @@ func (f *Result) R64() *dense.M64 {
 // (Section 3.3). The input is not modified. Hazards are typed: a NaN/Inf
 // input returns an error wrapping hazard.ErrNonFinite, and a panel breakdown
 // (zero or dependent column, non-SPD Gram matrix) one wrapping
-// hazard.ErrBreakdown — unless the configured Panel is a gram.Ladder, which
-// recovers by escalation.
+// hazard.ErrBreakdown. Recovery is the caller's: tcqr.Factorize refactors the
+// whole matrix on a sturdier configuration.
 func Factor(a *dense.M32, opts Options) (*Result, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -201,7 +201,8 @@ func (o *Options) recurse(w *dense.M32) (*dense.M32, error) {
 }
 
 // scaleColumns scales every column of w by a power of two so that its
-// largest magnitude lands in [1, 2) — comfortably inside the binary16 range
+// largest magnitude lands in [1, 2) (or, for a column below 2⁻¹²⁷, as near
+// as a finite float32 scale takes it) — comfortably inside the binary16 range
 // regardless of the later orthogonal transformations (which preserve column
 // 2-norms; with max element < 2 the column norm is at most 2√m, and
 // 2√m ≪ 65504 for every m this library targets). Returns the applied
@@ -220,8 +221,10 @@ func scaleColumnsInto(w, a *dense.M32) []float32 {
 		mx := blas.Amax(src) // NaN is skipped; an Inf keeps the column as it is
 		s := float32(1)
 		if mx != 0 && !math.IsInf(float64(mx), 0) {
+			// mx·s in [1, 2), except below 2⁻¹²⁷, where s stops at 2¹²⁷ (the
+			// largest finite float32 power of two) and mx·s stays below 1.
 			e := math.Floor(math.Log2(float64(mx)))
-			s = float32(math.Exp2(-e)) // mx·s in [1, 2)
+			s = float32(math.Exp2(min(-e, 127)))
 		}
 		if s == 1 {
 			copy(dst, src)

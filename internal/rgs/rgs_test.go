@@ -281,16 +281,11 @@ func TestHazardsReturnTypedErrors(t *testing.T) {
 	if _, err := Factor(z, Options{Cutoff: 8}); !errors.Is(err, hazard.ErrBreakdown) {
 		t.Errorf("zero matrix: got %v, want an error wrapping hazard.ErrBreakdown", err)
 	}
-	// The gram.Ladder panel recovers the same input by escalating to
-	// Householder (which factors rank-deficient panels happily), recording
-	// the escalations.
-	rep := &hazard.Report{}
-	res, err := Factor(z, Options{Cutoff: 8, Panel: gram.NewLadder(&gram.CAQRPanel{}, rep)})
+	// The Householder panel, the last panel rung of the Factorize ladder,
+	// factors the same input: it has no Gram-Schmidt breakdown mode.
+	res, err := Factor(z, Options{Cutoff: 8, Panel: &gram.HouseholderPanel{}})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !rep.Any() {
-		t.Error("ladder recovery should record escalation events")
 	}
 	for _, v := range res.R.Data {
 		if v != 0 {
@@ -367,5 +362,28 @@ func TestScaleColumnsBitIdentical(t *testing.T) {
 				t.Fatalf("trial %d element %d: %x, branching scan %x", trial, i, math.Float32bits(w.Data[i]), math.Float32bits(want.Data[i]))
 			}
 		}
+	}
+}
+
+// TestScaleColumnsClampsTinyColumns: below 2⁻¹²⁷ the power of two that lifts
+// a column's max into [1, 2) is past the float32 range, so the scale stops at
+// 2¹²⁷ and the scaled column stays finite; a column at exactly 2⁻¹²⁷ reaches
+// 1 as before.
+func TestScaleColumnsClampsTinyColumns(t *testing.T) {
+	w := dense.New[float32](2, 3)
+	copy(w.Col(0), []float32{1e-40, -3e-41})
+	copy(w.Col(1), []float32{0x1p-127, 0})
+	copy(w.Col(2), []float32{0, -math.SmallestNonzeroFloat32})
+	scales := scaleColumns(w)
+	for j, s := range scales {
+		if s != 0x1p127 {
+			t.Errorf("column %d: scale %g, want 2^127", j, s)
+		}
+	}
+	if !hazard.MatrixFinite(w) {
+		t.Fatalf("scaled columns are not finite: %v", w.Data)
+	}
+	if got := w.At(0, 1); got != 1 {
+		t.Errorf("column at 2^-127 scaled to %g, want 1", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"tcqr/internal/cluster"
-	"tcqr/internal/gram"
 	"tcqr/internal/tcsim"
 )
 
@@ -56,15 +55,14 @@ const (
 
 // faultSites is every failpoint a daemon process can fire: this package's,
 // the cluster tier's (the schedule TestClusterChaosSoak arms; DESIGN.md §14),
-// and the two the library evaluates under a request — gram.SiteLadderRung
-// forces a panel-rung breakdown, tcsim.SiteGemm delays or corrupts an engine
-// GEMM result.
+// and the one the library evaluates under a request — tcsim.SiteGemm delays
+// or corrupts an engine GEMM result.
 var faultSites = []string{
 	sitePoolEnqueue, sitePoolDequeue, siteCacheFactorize, siteCoalesceFlush,
 	siteWireDecode, siteWireEncode, siteStreamAppend, siteUpdateApply,
 	siteSpillWrite, siteSpillLoad,
 	cluster.SiteRoute, cluster.SiteReplicate, cluster.SiteProbe, cluster.SiteHandoff,
-	gram.SiteLadderRung, tcsim.SiteGemm,
+	tcsim.SiteGemm,
 }
 
 // CheckFaultSites reports the armed site names no daemon can fire, with the

@@ -427,9 +427,7 @@ func classifyError(err error) *apiError {
 		errors.Is(err, tcqr.ErrShape):
 		return &apiError{status: http.StatusBadRequest, code: "bad_input", msg: err.Error()}
 	case errors.Is(err, tcqr.ErrOverflow),
-		errors.Is(err, tcqr.ErrBreakdown),
-		errors.Is(err, tcqr.ErrStagnation),
-		errors.Is(err, tcqr.ErrDivergence):
+		errors.Is(err, tcqr.ErrBreakdown):
 		return &apiError{status: http.StatusUnprocessableEntity, code: "numerical_hazard", msg: err.Error()}
 	}
 	return &apiError{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}

@@ -71,7 +71,7 @@ type Options struct {
 	// (<= 0 = GOMAXPROCS). Scheduling only — never changes result bits.
 	Workers int
 	// Panel factors each block and each reduction node (nil = the FP32
-	// CAQR panel). Wrap it in gram.NewLadder for breakdown escalation.
+	// CAQR panel).
 	Panel gram.Panel
 }
 
@@ -134,11 +134,10 @@ type Result struct {
 
 // Factor computes the Direct TSQR factorization of a (m×n, m >= n). The
 // input is not modified. Panel breakdowns (zero or dependent columns)
-// propagate as errors wrapping hazard.ErrBreakdown — tagged with the block
-// or tree node that hit them — unless opts.Panel is a gram.Ladder, which
-// escalates instead. A panicking panel (or an armed panic failpoint) is
-// contained and surfaced as a breakdown error rather than tearing down the
-// worker group.
+// propagate as errors wrapping hazard.ErrBreakdown, tagged with the block
+// or tree node that hit them. A panicking panel (or an armed panic
+// failpoint) is contained and surfaced as a breakdown error rather than
+// tearing down the worker group.
 //
 // Finiteness of the input is NOT validated here (the public tcqr wrapper
 // does); non-finite inputs yield non-finite factors or breakdown errors.

@@ -27,8 +27,8 @@ type Factorization struct {
 	// engine was disabled).
 	EngineStats EngineStats
 	// Hazards lists every numerical hazard detected during the
-	// factorization and, under HazardFallback, every recovery taken (panel
-	// escalations, engine retries). Empty for a clean run.
+	// factorization and, under HazardFallback, every recovery taken (scaling,
+	// panel and engine retries). Empty for a clean run.
 	Hazards []Hazard
 
 	// view memoizes the internal solver view (see inner): the view itself
@@ -46,7 +46,8 @@ type Factorization struct {
 // overflow, panel breakdown — follow cfg.OnHazard: under HazardFail they
 // return errors wrapping ErrOverflow / ErrBreakdown / ErrNonFinite, under
 // HazardFallback the computation retries along the fallback ladder and
-// reports what happened in Factorization.Hazards.
+// reports what happened in Factorization.Hazards. A recovered factorization
+// is exactly Factorize(a, c) for the Config c of the rung that produced it.
 func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
@@ -65,8 +66,8 @@ func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
 	return f, nil
 }
 
-// factorizeOnce runs one rung of the engine ladder: build the engine and
-// panel for cfg, factor, collect statistics, and verify the factors are
+// factorizeOnce runs one rung of the factorization ladder: build the engine
+// and panel for cfg, factor, collect statistics, and verify the factors are
 // finite. The engine runs the split GEMMs, so its counters cover all of the
 // factorization's engine work. Engine overflow with finite factors is
 // recorded as a detection-only event; overflow followed by a failure or
@@ -78,7 +79,7 @@ func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization,
 	engine := cfg.Engine.New(true)
 	res, err := rgs.Factor(a, rgs.Options{
 		Engine:          engine,
-		Panel:           cfg.panelFor(rep),
+		Panel:           cfg.gramPanel(),
 		Cutoff:          cfg.Cutoff,
 		DisableScaling:  cfg.DisableColumnScaling,
 		ReOrthogonalize: cfg.ReOrthogonalize,
@@ -129,11 +130,11 @@ type attempt[T any] struct {
 	try    func() (T, error)
 }
 
-// withFallback is the one ladder runner (engine retries, update and downdate
+// withFallback is the one ladder runner (factorization, update and downdate
 // recovery): it runs first and, under HazardFallback, each rung of
 // ladder(err) in order until one succeeds, recording every retry in rep
-// under stage. The ladder is built from the first failure — the engine rungs
-// depend on whether it was an overflow.
+// under stage. The ladder is built from the first failure — the panel and
+// engine rungs depend on whether it was an overflow.
 func withFallback[T any](policy HazardPolicy, stage string, rep *hazard.Report,
 	first func() (T, error), ladder func(error) []attempt[T]) (T, error) {
 	out, err := first()
@@ -154,8 +155,8 @@ func withFallback[T any](policy HazardPolicy, stage string, rep *hazard.Report,
 	return out, err
 }
 
-// rung is one step of the engine fallback ladder: a modified configuration
-// and the action string recorded when it is tried.
+// rung is one step of a configuration ladder: a modified configuration and
+// the action string recorded when it is tried.
 type rung struct {
 	cfg    Config
 	action string
@@ -176,14 +177,22 @@ func withConfigFallback[T any](cfg Config, stage string, rep *hazard.Report,
 		})
 }
 
-// engineLadder builds the recovery sequence for cfg given the error that
-// tripped the fallback: column scaling back on if it was off (and it stays
-// on for every later rung), then the engine rungs.
+// engineLadder builds the Factorize recovery sequence for cfg given the
+// error that tripped the fallback. Rungs accumulate: each keeps what the
+// rungs before it changed. Column scaling goes back on if it was off; after a
+// breakdown (not an overflow, which no panel causes) each panel sturdier
+// than cfg.Panel follows; then the engine rungs, on the last of those panels.
 func engineLadder(cfg Config, err error) []rung {
 	var out []rung
 	if cfg.DisableColumnScaling {
 		cfg.DisableColumnScaling = false
 		out = append(out, rung{cfg, "retry with column scaling"})
+	}
+	if classify(err) == hazard.KindBreakdown {
+		for _, p := range cfg.Panel.sturdier() {
+			cfg.Panel = p
+			out = append(out, rung{cfg, "retry with " + p.String() + " panel"})
+		}
 	}
 	return append(out, engineRungs(cfg, err)...)
 }

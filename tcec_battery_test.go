@@ -11,16 +11,24 @@ import (
 	"tcqr/internal/tcsim"
 )
 
-// TestEngineLadderConstruction pins the error-aware engine ladder: the
-// tc-ec rung appears for precision-class failures on a plain-TC
-// configuration and only there — never after an fp16 overflow (tc-ec shares
-// the fp16 exponent range and cannot fix one), never when the configuration
-// already left the plain TensorCore.
+// TestEngineLadderConstruction pins the Factorize recovery ladder row by
+// row. Rungs accumulate: column scaling first when it was off; after a
+// breakdown, each panel sturdier than the configured one (MGS, then
+// Householder; none after Householder); then the engine rungs on the last
+// panel. The tc-ec rung appears for breakdowns on a plain-TC configuration
+// and only there — never after an fp16 overflow (tc-ec shares the fp16
+// exponent range and cannot fix one), and an overflow gets no panel rungs
+// (no panel causes one). Every rung changes the configuration: none reruns
+// the attempt before it.
 func TestEngineLadderConstruction(t *testing.T) {
 	breakdown := fmt.Errorf("panel: %w", ErrBreakdown)
 	overflow := fmt.Errorf("engine: %w", ErrOverflow)
+	// factorizeOnce wraps a breakdown under overflow in both sentinels.
+	overflowBreakdown := fmt.Errorf("engine: %w: %w", ErrOverflow, breakdown)
 	const (
 		scaling = "retry with column scaling"
+		mgs     = "retry with mgs panel"
+		house   = "retry with householder panel"
 		tcec    = "retry with error-corrected tensorcore engine"
 		bf16    = "retry with bfloat16 engine"
 		fp32    = "retry with fp32 engine"
@@ -31,13 +39,20 @@ func TestEngineLadderConstruction(t *testing.T) {
 		err  error
 		want []string
 	}{
-		{"tc-breakdown", Config{}, breakdown, []string{tcec, bf16, fp32}},
+		{"tc-breakdown", Config{}, breakdown, []string{mgs, house, tcec, bf16, fp32}},
 		{"tc-overflow", Config{}, overflow, []string{bf16, fp32}},
-		{"tcec-breakdown", Config{Engine: EngineTCEC}, breakdown, []string{bf16, fp32}},
-		{"bf16-breakdown", Config{Engine: EngineBF16}, breakdown, []string{fp32}},
-		{"fp32-breakdown", Config{Engine: EngineFP32}, breakdown, nil},
+		{"tc-overflow-breakdown", Config{}, overflowBreakdown, []string{bf16, fp32}},
+		{"tcec-breakdown", Config{Engine: EngineTCEC}, breakdown, []string{mgs, house, bf16, fp32}},
+		{"bf16-breakdown", Config{Engine: EngineBF16}, breakdown, []string{mgs, house, fp32}},
+		{"fp32-breakdown", Config{Engine: EngineFP32}, breakdown, []string{mgs, house}},
 		{"unscaled-overflow", Config{DisableColumnScaling: true}, overflow, []string{scaling, bf16, fp32}},
-		{"unscaled-breakdown", Config{DisableColumnScaling: true}, breakdown, []string{scaling, tcec, bf16, fp32}},
+		{"unscaled-breakdown", Config{DisableColumnScaling: true}, breakdown, []string{scaling, mgs, house, tcec, bf16, fp32}},
+		{"cholqr-breakdown", Config{Panel: PanelCholQR}, breakdown, []string{mgs, house, tcec, bf16, fp32}},
+		{"cholqr-overflow", Config{Panel: PanelCholQR}, overflow, []string{bf16, fp32}},
+		{"mgs-breakdown", Config{Panel: PanelMGS}, breakdown, []string{house, tcec, bf16, fp32}},
+		{"mgs-overflow", Config{Panel: PanelMGS}, overflow, []string{bf16, fp32}},
+		{"householder-breakdown", Config{Panel: PanelHouseholder}, breakdown, []string{tcec, bf16, fp32}},
+		{"householder-overflow", Config{Panel: PanelHouseholder}, overflow, []string{bf16, fp32}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -49,10 +64,32 @@ func TestEngineLadderConstruction(t *testing.T) {
 			if fmt.Sprint(got) != fmt.Sprint(c.want) {
 				t.Fatalf("ladder actions %v, want %v", got, c.want)
 			}
+			prev := c.cfg
 			for _, r := range rungs {
-				if r.action == tcec && r.cfg.Engine != EngineTCEC {
-					t.Errorf("tc-ec rung does not select EngineTCEC: %+v", r.cfg)
+				if r.cfg == prev {
+					t.Errorf("rung %q reruns the configuration before it: %+v", r.action, r.cfg)
 				}
+				if r.cfg.DisableColumnScaling {
+					t.Errorf("rung %q runs without column scaling", r.action)
+				}
+				switch r.action {
+				case mgs:
+					if r.cfg.Panel != PanelMGS || r.cfg.Engine != c.cfg.Engine {
+						t.Errorf("mgs rung runs %+v", r.cfg)
+					}
+				case house:
+					if r.cfg.Panel != PanelHouseholder || r.cfg.Engine != c.cfg.Engine {
+						t.Errorf("householder rung runs %+v", r.cfg)
+					}
+				case tcec:
+					if r.cfg.Engine != EngineTCEC {
+						t.Errorf("tc-ec rung does not select EngineTCEC: %+v", r.cfg)
+					}
+				}
+				if r.cfg.Engine != c.cfg.Engine && r.cfg.Panel != prev.Panel {
+					t.Errorf("engine rung %q changed the panel: %+v after %+v", r.action, r.cfg, prev)
+				}
+				prev = r.cfg
 			}
 		})
 	}

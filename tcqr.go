@@ -37,7 +37,6 @@ import (
 
 	"tcqr/internal/dense"
 	"tcqr/internal/gram"
-	"tcqr/internal/hazard"
 	"tcqr/internal/tcsim"
 )
 
@@ -74,8 +73,7 @@ const (
 	PanelHouseholder
 	// PanelCholQR is Cholesky QR (Gram matrix + Potrf), the related-work
 	// baseline of §3.6 — fastest, but breaks down once κ(A)² overwhelms
-	// float32. Under HazardFallback a breakdown escalates to CholQR2, then
-	// MGS, then Householder.
+	// float32.
 	PanelCholQR
 	// PanelMGS is the plain single-tile modified Gram-Schmidt panel.
 	PanelMGS
@@ -152,31 +150,37 @@ type Config struct {
 	DisableColumnScaling bool
 	// OnHazard selects the response to detected numerical hazards. The zero
 	// value (HazardFail) returns a typed error as soon as a hazard would
-	// corrupt the result; HazardFallback recovers instead — escalating panel
-	// algorithms on breakdown and retrying with column scaling, then on the
-	// later engines of the recovery order — recording every step in the
-	// result's Hazards.
+	// corrupt the result; HazardFallback recovers instead — refactoring the
+	// whole matrix under column scaling, then after a breakdown on the
+	// sturdier panels, then on the later engines of the recovery order —
+	// recording every step in the result's Hazards.
 	OnHazard HazardPolicy
 }
 
-// panelFor materializes the fp32 panel factorizer for c, wrapped in the gram
-// escalation ladder (reporting to rep) under HazardFallback.
-func (c Config) panelFor(rep *hazard.Report) gram.Panel {
-	var panel gram.Panel
+// gramPanel materializes the fp32 panel factorizer for c.
+func (c Config) gramPanel() gram.Panel {
 	switch c.Panel {
 	case PanelHouseholder:
-		panel = &gram.HouseholderPanel{}
+		return &gram.HouseholderPanel{}
 	case PanelCholQR:
-		panel = gram.CholQRPanel{}
+		return gram.CholQRPanel{}
 	case PanelMGS:
-		panel = gram.MGSPanel{}
-	default:
-		panel = &gram.CAQRPanel{}
+		return gram.MGSPanel{}
 	}
-	if c.OnHazard == HazardFallback {
-		panel = gram.NewLadder(panel, rep)
+	return &gram.CAQRPanel{}
+}
+
+// sturdier returns the panels strictly more robust than p, in the order the
+// HazardFallback ladder tries them after a breakdown: MGS, then Householder,
+// which has no Gram-Schmidt breakdown mode and so nothing after it.
+func (p PanelAlgorithm) sturdier() []PanelAlgorithm {
+	switch p {
+	case PanelHouseholder:
+		return nil
+	case PanelMGS:
+		return []PanelAlgorithm{PanelHouseholder}
 	}
-	return panel
+	return []PanelAlgorithm{PanelMGS, PanelHouseholder}
 }
 
 // EngineStats reports the work the simulated neural engine performed during
