@@ -5,7 +5,7 @@ GO ?= go
 # The tests that hold the library pipeline to one of each stage; named so
 # they can run under -race on their own (the multi-RHS path refines its
 # columns concurrently, each into a hazard.Report of its own).
-PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod|TestCoalescedSolveCarriesOnlyItsOwnHazards
+PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod|TestCoalescedSolveCarriesOnlyItsOwnHazards|TestSolveOnHazardOptionChangesNothing
 
 # The tests that hold the daemon to one cold-factorization path: a served
 # factor is tcqr.Factorize's, bit for bit, and no flag selects another.

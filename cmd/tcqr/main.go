@@ -141,7 +141,7 @@ func main() {
 		if b == nil {
 			fatalf("solve needs a right-hand side (last CSV column)")
 		}
-		sol, err := tcqr.SolveLeastSquares(a, b, tcqr.SolveOptions{QR: cfg, OnHazard: cfg.OnHazard})
+		sol, err := tcqr.SolveLeastSquares(a, b, tcqr.SolveOptions{QR: cfg})
 		check(err)
 		fmt.Printf("least squares solve of %dx%d system\n", a.Rows, a.Cols)
 		fmt.Printf("refinement iterations:  %d (converged: %v)\n", sol.Iterations, sol.Converged)

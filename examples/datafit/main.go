@@ -109,11 +109,13 @@ func main() {
 	fmt.Printf("  typed failure              : %v\n\n", err)
 
 	// The same broken configuration under HazardFallback: the library
-	// retries with scaling re-enabled and reports what it did.
+	// refactors with scaling re-enabled and reports what it did. The
+	// refinement then cannot reach the 1e-9 tolerance on this nearly
+	// degenerate basis; it keeps CGLS's best iterate and reports that too
+	// ("keep best iterate").
 	solRec, err := tcqr.SolveLeastSquares(a, b, tcqr.SolveOptions{
-		QR:       tcqr.Config{DisableColumnScaling: true, Cutoff: cutoff},
-		Tol:      1e-9,
-		OnHazard: tcqr.HazardFallback,
+		QR:  tcqr.Config{DisableColumnScaling: true, Cutoff: cutoff, OnHazard: tcqr.HazardFallback},
+		Tol: 1e-9,
 	})
 	if err != nil {
 		log.Fatal(err)

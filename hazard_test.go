@@ -282,8 +282,7 @@ func TestSolveHazardsSurface(t *testing.T) {
 	// Broken QR config under Fallback: the solve result must carry the
 	// recorded engine retry.
 	sol, err := SolveLeastSquares(p.A, p.B, SolveOptions{
-		QR:       Config{Cutoff: 32, DisableColumnScaling: true},
-		OnHazard: HazardFallback,
+		QR: Config{Cutoff: 32, DisableColumnScaling: true, OnHazard: HazardFallback},
 	})
 	if err != nil {
 		t.Fatalf("fallback solve failed: %v", err)
@@ -351,7 +350,7 @@ func TestSolveWithFactorPropagatesLadderHazards(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res, err := SolveLeastSquaresWithFactor(f, a64, b, SolveOptions{OnHazard: HazardFallback})
+	res, err := SolveLeastSquaresWithFactor(f, a64, b, SolveOptions{})
 	if err != nil {
 		t.Fatalf("solve with recovered factor: %v", err)
 	}
@@ -371,7 +370,7 @@ func TestSolveWithFactorPropagatesLadderHazards(t *testing.T) {
 	rhs := NewMatrix(m, 2)
 	copy(rhs.Col(0), b)
 	copy(rhs.Col(1), b)
-	multi, err := SolveLeastSquaresMultiWithFactor(f, a64, rhs, SolveOptions{OnHazard: HazardFallback})
+	multi, err := SolveLeastSquaresMultiWithFactor(f, a64, rhs, SolveOptions{})
 	if err != nil {
 		t.Fatalf("multi-RHS solve with recovered factor: %v", err)
 	}

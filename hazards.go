@@ -26,7 +26,8 @@ var (
 )
 
 // HazardPolicy decides what a detected numerical hazard does to a
-// computation; it is set via Config.OnHazard and SolveOptions.OnHazard.
+// factorization, update or linear solve; it is set via Config.OnHazard, the
+// one hazard knob (a least squares solve takes it from SolveOptions.QR).
 type HazardPolicy = hazard.Policy
 
 const (
@@ -37,10 +38,11 @@ const (
 	// HazardFallback enables the recovery ladder: a failed factorization is
 	// refactored whole with column scaling, then after a breakdown on the MGS
 	// and Householder panels, then on the later engines of the recovery order
-	// (after an fp16 overflow: bfloat16, then plain FP32); CGLS stagnation or
-	// divergence re-solves with preconditioned LSQR. Every recovery is
+	// (after an fp16 overflow: bfloat16, then plain FP32). Every recovery is
 	// recorded in the result's Hazards, and a recovered factorization is the
 	// plain Factorize of the configuration its last recovery names.
+	// Refinement has no rung: CGLS stagnation or divergence keeps the best
+	// iterate and is recorded under either policy.
 	HazardFallback = hazard.Fallback
 )
 

@@ -79,10 +79,11 @@ func Fig8(sc Scale) *Fig8Result {
 		rng := rand.New(rand.NewSource(sc.Seed))
 		a := p.generate(rng, sc.LLSM, sc.LLSN)
 		prob := matgen.NewLLSProblem(rng, a, 0.1)
-		sol, err := lls.Solve(prob.A, prob.B, lls.SolveOptions{
-			QR:  rgs.Options{Cutoff: sc.Cutoff},
-			Tol: 1e-12,
-		})
+		f, err := rgs.Factor(dense.ToF32(prob.A), rgs.Options{Cutoff: sc.Cutoff})
+		if err != nil {
+			panic(err)
+		}
+		sol, err := lls.SolveWithFactor(f, prob.A, prob.B, lls.SolveOptions{Tol: 1e-12})
 		if err != nil {
 			panic(err)
 		}

@@ -53,8 +53,9 @@ const (
 	Fail Policy = iota
 	// Fallback enables the recovery ladder: a failed factorization is
 	// refactored with column scaling, then after a breakdown on the MGS and
-	// Householder panels, then on the later engines; CGLS stagnation
-	// re-solves with LSQR. Every recovery is recorded in the Report.
+	// Householder panels, then on the later engines. Every recovery is
+	// recorded in the Report. Refinement hazards are detection only under
+	// either policy.
 	Fallback
 )
 
@@ -127,7 +128,7 @@ type Event struct {
 	// matrix not SPD at column 7", ...).
 	Detail string
 	// Action records the response ("retry with column scaling", "retry
-	// with mgs panel", "fallback to LSQR"). Empty means detection only.
+	// with mgs panel", "keep best iterate"). Empty means detection only.
 	Action string
 }
 
@@ -140,10 +141,11 @@ func (e Event) String() string {
 	return s
 }
 
-// Report accumulates hazard events. The zero value is ready to use; all
-// methods are safe for concurrent use (the CAQR tile tree factors panels
-// from multiple goroutines) and safe on a nil receiver, so hazard-oblivious
-// callers can simply pass nil.
+// Report accumulates hazard events. The zero value is ready to use; its
+// methods are safe on a nil receiver, so hazard-oblivious callers can simply
+// pass nil, and safe for concurrent use, although every recorder today runs
+// on the goroutine that owns the Report (a ladder runner, or one refined
+// column).
 type Report struct {
 	mu     sync.Mutex
 	events []Event
@@ -167,26 +169,6 @@ func (r *Report) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// Any reports whether at least one hazard was recorded.
-func (r *Report) Any() bool {
-	if r == nil {
-		return false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events) > 0
-}
-
-// Len returns the number of recorded events.
-func (r *Report) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
 }
 
 // finite reports whether every element of x is finite, without a branch per

@@ -18,6 +18,16 @@ func problem(seed int64, m, n int, cond float64, dist matgen.Dist, resNorm float
 	return matgen.NewLLSProblem(rng, a, resNorm)
 }
 
+// factor narrows A to float32 and factors it with RGSQRF.
+func factor(t *testing.T, a *dense.M64, opts rgs.Options) *rgs.Result {
+	t.Helper()
+	f, err := rgs.Factor(dense.ToF32(a), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestDirectQRFloat64(t *testing.T) {
 	p := problem(1, 200, 50, 1e3, matgen.Geometric, 0.5)
 	x := DirectQR(p.A, p.B)
@@ -60,7 +70,8 @@ func TestFigure9Ordering(t *testing.T) {
 	p := problem(4, 512, 128, 1e3, matgen.Cluster2, 0.2)
 
 	// RGSQRF direct (half precision factors).
-	sol, err := Solve(p.A, p.B, SolveOptions{Method: MethodDirect, QR: rgs.Options{Cutoff: 32}})
+	f := factor(t, p.A, rgs.Options{Cutoff: 32})
+	sol, err := SolveWithFactor(f, p.A, p.B, SolveOptions{Method: MethodDirect})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +94,7 @@ func TestFigure9Ordering(t *testing.T) {
 	optD := accuracy.LLSOptimality(p.A, DirectQR(p.A, p.B), p.B)
 
 	// RGSQRF+CGLS.
-	solC, err := Solve(p.A, p.B, SolveOptions{QR: rgs.Options{Cutoff: 32}})
+	solC, err := SolveWithFactor(f, p.A, p.B, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +119,8 @@ func TestFigure9Ordering(t *testing.T) {
 func TestCGLSIterationsGrowWithCond(t *testing.T) {
 	iters := func(cond float64) int {
 		p := problem(5, 512, 128, cond, matgen.Geometric, 0.1)
-		sol, err := Solve(p.A, p.B, SolveOptions{QR: rgs.Options{Cutoff: 32}, Tol: 1e-12})
+		f := factor(t, p.A, rgs.Options{Cutoff: 32})
+		sol, err := SolveWithFactor(f, p.A, p.B, SolveOptions{Tol: 1e-12})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +178,8 @@ func TestRefineQRConverges(t *testing.T) {
 	// CGLS approach. Ask for a tolerance above that floor and check both
 	// the convergence and the stall.
 	p := problem(8, 400, 100, 1e2, matgen.Arithmetic, 0.2)
-	sol, err := Solve(p.A, p.B, SolveOptions{Method: MethodRefine, QR: rgs.Options{Cutoff: 32}, Tol: 1e-5})
+	f := factor(t, p.A, rgs.Options{Cutoff: 32})
+	sol, err := SolveWithFactor(f, p.A, p.B, SolveOptions{Method: MethodRefine, Tol: 1e-5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,11 +192,11 @@ func TestRefineQRConverges(t *testing.T) {
 	// The stall: demanding double-precision accuracy must NOT converge,
 	// while CGLS on the same problem does. This is the paper's motivation
 	// for the Krylov refinement.
-	stall := RefineQR(sol.Factor, p.A, p.B, 1e-12, 100)
+	stall := RefineQR(f, p.A, p.B, 1e-12, 100)
 	if stall.Converged {
 		t.Error("classical refinement unexpectedly reached double precision")
 	}
-	cg := CGLS(p.A, p.B, dense.ToF64(sol.Factor.R), 1e-12, 100)
+	cg := CGLS(p.A, p.B, dense.ToF64(f.R), 1e-12, 100)
 	if !cg.Converged {
 		t.Error("CGLS should reach double precision where refinement stalls")
 	}
@@ -258,11 +271,13 @@ func TestSolveEngineMatters(t *testing.T) {
 	// With the FP32 engine, the R factor preconditions better, so CGLS
 	// should need no more iterations than with the TC engine.
 	p := problem(12, 512, 128, 1e4, matgen.Geometric, 0.1)
-	tcSol, err := Solve(p.A, p.B, SolveOptions{QR: rgs.Options{Cutoff: 32, Engine: &tcsim.TensorCore{}}, Tol: 1e-12})
+	tcF := factor(t, p.A, rgs.Options{Cutoff: 32, Engine: &tcsim.TensorCore{}})
+	tcSol, err := SolveWithFactor(tcF, p.A, p.B, SolveOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fpSol, err := Solve(p.A, p.B, SolveOptions{QR: rgs.Options{Cutoff: 32, Engine: &tcsim.FP32{}}, Tol: 1e-12})
+	fpF := factor(t, p.A, rgs.Options{Cutoff: 32, Engine: &tcsim.FP32{}})
+	fpSol, err := SolveWithFactor(fpF, p.A, p.B, SolveOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +342,7 @@ func TestSolveMulti(t *testing.T) {
 		}
 	}
 	// Matches the single-RHS pipeline on column 0 (same factor, same CGLS).
-	single, err := SolveWithFactor(sol.Factor, a, b.Col(0), SolveOptions{Tol: 1e-12})
+	single, err := SolveWithFactor(f, a, b.Col(0), SolveOptions{Tol: 1e-12})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,15 +19,14 @@ type MultiSolution struct {
 	// Hazards[j] lists the refinement events of column j alone, in the order
 	// a solo SolveWithFactor of B[:,j] records them.
 	Hazards [][]hazard.Event
-	Factor  *rgs.Result
 }
 
-// SolveMultiWithFactor runs the paper's pipeline for many right-hand sides
-// over one precomputed factorization (the entry point the public fallback
-// ladder uses, so a recovered factorization is amortized over all columns of
-// B): independent per-column refinements with opts.Method running
-// concurrently — each column's iteration is independent given the shared
-// preconditioner R. Each column records into a Report of its own, returned
+// SolveMultiWithFactor refines many right-hand sides over one precomputed
+// factorization (so one factorization, recovered or not, is amortized over
+// all columns of B): independent per-column refinements with opts.Method
+// running concurrently — each column's iteration is independent given the
+// shared preconditioner R, and column j is SolveWithFactor on B[:,j] bit for
+// bit. Each column records into a Report of its own, returned
 // in Hazards, so what one column reports does not depend on the others in
 // the block; opts.Hazards is not written.
 func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveOptions) (*MultiSolution, error) {
@@ -51,7 +50,6 @@ func SolveMultiWithFactor(f *rgs.Result, a *dense.M64, b *dense.M64, opts SolveO
 		Iterations: make([]int, nrhs),
 		Converged:  make([]bool, nrhs),
 		Hazards:    make([][]hazard.Event, nrhs),
-		Factor:     f,
 	}
 	errs := make([]error, nrhs)
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))

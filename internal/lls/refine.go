@@ -62,7 +62,7 @@ func RefineQR(f *rgs.Result, a *dense.M64, b []float64, tol float64, maxIter int
 	return out
 }
 
-// Method selects the refinement engine used by Solve.
+// Method selects the refinement engine used by SolveWithFactor.
 type Method int
 
 const (
@@ -92,51 +92,31 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// SolveOptions configures Solve.
+// SolveOptions configures SolveWithFactor and SolveMultiWithFactor.
 type SolveOptions struct {
-	// QR configures the RGSQRF factorization (engine, panel, safeguards).
-	QR rgs.Options
 	// Method selects the refinement engine (default CGLS).
 	Method Method
 	// Tol is the relative refinement tolerance (default DefaultTol).
 	Tol float64
 	// MaxIter caps refinement iterations (default DefaultMaxIter).
 	MaxIter int
-	// FallbackLSQR re-solves with preconditioned LSQR when CGLS stagnates
-	// or diverges before converging — the refinement rung of the hazard
-	// fallback ladder.
-	FallbackLSQR bool
 	// Hazards, when non-nil, receives an event for every detected
-	// refinement hazard (stagnation, divergence) and every fallback taken.
+	// refinement hazard (stagnation, divergence).
 	Hazards *hazard.Report
 }
 
-// Solution is the result of the full RGSQRF-accelerated least squares
-// pipeline.
+// Solution is the result of refining one right-hand side over an RGSQRF
+// factorization.
 type Solution struct {
 	X          []float64
 	Iterations int
 	Converged  bool
 	GradNorms  []float64
-	// Factor is the RGSQRF factorization used (for reuse across multiple
-	// right-hand sides).
-	Factor *rgs.Result
 }
 
-// Solve runs the paper's full pipeline on a float64 problem: narrow A to
-// float32, factor it with the TensorCore-accelerated RGSQRF, then refine
-// min ‖Ax − b‖ to double precision with the selected method.
-func Solve(a *dense.M64, b []float64, opts SolveOptions) (*Solution, error) {
-	a32 := dense.ToF32(a)
-	f, err := rgs.Factor(a32, opts.QR)
-	if err != nil {
-		return nil, err
-	}
-	return SolveWithFactor(f, a, b, opts)
-}
-
-// SolveWithFactor is Solve with a precomputed factorization (amortizing one
-// QR over many right-hand sides).
+// SolveWithFactor refines min ‖Ax − b‖ to double precision with the
+// selected method over a precomputed float32 RGSQRF factorization f of A
+// (one QR amortized over many right-hand sides).
 func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*Solution, error) {
 	if f.Q.Rows != a.Rows || f.Q.Cols != a.Cols {
 		return nil, fmt.Errorf("lls: factorization is %dx%d but A is %dx%d: %w", f.Q.Rows, f.Q.Cols, a.Rows, a.Cols, hazard.ErrShape)
@@ -151,7 +131,7 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 	if err != nil {
 		return nil, err
 	}
-	return &Solution{X: res.X, Iterations: res.Iterations, Converged: res.Converged, GradNorms: res.GradNorms, Factor: f}, nil
+	return &Solution{X: res.X, Iterations: res.Iterations, Converged: res.Converged, GradNorms: res.GradNorms}, nil
 }
 
 // refineColumn is the one per-column refiner: it solves min ‖Ax − b‖ for a
@@ -181,11 +161,11 @@ func refineColumn(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (
 	return nil, fmt.Errorf("lls: unknown method %d", opts.Method)
 }
 
-// RefineCGLS runs the Algorithm 3 CGLS refinement with hazard detection:
-// stagnation and divergence are recorded in opts.Hazards, and when
-// opts.FallbackLSQR is set a hazardous non-converged CGLS run is retried
-// with preconditioned LSQR (keeping whichever result reached the smaller
-// final gradient norm). r64 is the float64 preconditioner.
+// RefineCGLS runs the Algorithm 3 CGLS refinement with hazard detection: a
+// run that stagnates or diverges keeps its best iterate (CGLS's own guard)
+// and records one event in opts.Hazards. It never re-solves, so its answer
+// is CGLS's whatever the caller's hazard policy. r64 is the float64
+// preconditioner.
 func RefineCGLS(a *dense.M64, b []float64, r64 *dense.M64, opts SolveOptions) *IterResult {
 	res := CGLS(a, b, r64, opts.Tol, opts.MaxIter)
 	if !res.Stagnated && !res.Diverged {
@@ -197,18 +177,7 @@ func RefineCGLS(a *dense.M64, b []float64, r64 *dense.M64, opts SolveOptions) *I
 	}
 	detail := fmt.Sprintf("CGLS %s after %d iterations (grad %.3g, best %.3g)",
 		errName, res.Iterations, res.GradNorms[len(res.GradNorms)-1], minNorm(res.GradNorms))
-	if !opts.FallbackLSQR || res.Converged {
-		opts.Hazards.Record(hazard.Event{Kind: kind, Stage: "cgls", Detail: detail, Action: "keep best iterate"})
-		return res
-	}
-	opts.Hazards.Record(hazard.Event{Kind: kind, Stage: "cgls", Detail: detail, Action: "fallback to LSQR"})
-	alt := LSQR(a, b, r64, opts.Tol, opts.MaxIter)
-	if alt.Converged || finalNorm(alt.GradNorms) < minNorm(res.GradNorms) {
-		alt.Stagnated, alt.Diverged = res.Stagnated, res.Diverged
-		return alt
-	}
-	// LSQR did no better; keep the CGLS best iterate.
-	opts.Hazards.Record(hazard.Event{Kind: kind, Stage: "lsqr", Detail: "LSQR fallback did not improve", Action: "keep CGLS best iterate"})
+	opts.Hazards.Record(hazard.Event{Kind: kind, Stage: "cgls", Detail: detail, Action: "keep best iterate"})
 	return res
 }
 
@@ -220,11 +189,4 @@ func minNorm(norms []float64) float64 {
 		}
 	}
 	return best
-}
-
-func finalNorm(norms []float64) float64 {
-	if len(norms) == 0 {
-		return math.Inf(1)
-	}
-	return norms[len(norms)-1]
 }

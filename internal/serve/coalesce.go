@@ -58,7 +58,6 @@ type solveFingerprint struct {
 	method   tcqr.RefineMethod
 	tolBits  uint64
 	maxIters int
-	onHazard tcqr.HazardPolicy
 }
 
 // batch gathers same-fingerprint solves while it waits for a worker.
@@ -134,7 +133,7 @@ func NewCoalescer(maxBatch int, be Backend, run func(fn func()) error) *Coalesce
 func (c *Coalescer) Submit(ctx context.Context, entry *Entry, opts tcqr.SolveOptions, b []float64) solveOutcome {
 	w := &solveWaiter{b: b, at: time.Now(), ch: make(chan solveOutcome, 1)}
 	fp := solveFingerprint{entry: entry, method: opts.Method, tolBits: math.Float64bits(opts.Tol),
-		maxIters: opts.MaxIterations, onHazard: opts.OnHazard}
+		maxIters: opts.MaxIterations}
 
 	c.mu.Lock()
 	bt := c.pending[fp]

@@ -687,6 +687,81 @@ func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
 	}
 }
 
+// TestSolveOnHazardOptionChangesNothing: options.on_hazard is accepted and
+// inert. A solve's answer depends only on its factor, b, method, tol and
+// max_iterations, so a solve with "on_hazard":"fallback" answers exactly as
+// one without it, and the two share a batch. The refinement used to re-solve
+// with LSQR under "fallback", and the fingerprint kept the two apart. Any
+// other value is still a 400.
+func TestSolveOnHazardOptionChangesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	const m, n = 256, 32
+	a := matgen.WithCond(rng, m, n, 1e3, matgen.Geometric)
+	b := matgen.Normal(rng, m, 1).Col(0)
+	be := &countingBackend{inner: LibraryBackend{}}
+	s := New(Options{Workers: 2, Backend: be})
+	defer s.Close()
+	h := s.Handler()
+	var fr factorizeReply
+	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, a.Data)}, &fr); code != 200 {
+		t.Fatalf("factorize: code=%d", code)
+	}
+	bodies := []map[string]any{
+		{"key": fr.Key, "b": b},
+		{"key": fr.Key, "b": b, "options": map[string]any{"on_hazard": "fallback"}},
+	}
+	same := func(what string, got, want solveReply) {
+		t.Helper()
+		if !slices.EqualFunc(got.X, want.X, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+			t.Errorf("%s: x differs", what)
+		}
+		if got.Iterations != want.Iterations || got.Converged != want.Converged ||
+			math.Float64bits(got.Optimality) != math.Float64bits(want.Optimality) {
+			t.Errorf("%s: iterations/converged/optimality %d/%v/%g, want %d/%v/%g", what,
+				got.Iterations, got.Converged, got.Optimality, want.Iterations, want.Converged, want.Optimality)
+		}
+		if !slices.Equal(got.Hazards, want.Hazards) {
+			t.Errorf("%s: hazards %v, want %v", what, got.Hazards, want.Hazards)
+		}
+	}
+
+	solo := make([]solveReply, len(bodies))
+	for i, body := range bodies {
+		if code, _ := post(t, h, "/v1/solve", body, &solo[i]); code != 200 || solo[i].Batched != 1 {
+			t.Fatalf("solo solve %d: code=%d batched=%d", i, code, solo[i].Batched)
+		}
+	}
+	same("solo on_hazard=fallback", solo[1], solo[0])
+
+	release := holdWorkers(t, s, be)
+	got := make([]solveReply, len(bodies))
+	var wg sync.WaitGroup
+	for i, body := range bodies {
+		wg.Add(1)
+		go func(i int, body map[string]any) {
+			defer wg.Done()
+			if code, _ := post(t, h, "/v1/solve", body, &got[i]); code != 200 {
+				t.Errorf("batched solve %d: code=%d", i, code)
+			}
+		}(i, body)
+	}
+	waitParked(t, s, 1, len(bodies))
+	release()
+	wg.Wait()
+	for i, r := range got {
+		if r.Batched != len(bodies) {
+			t.Errorf("solve %d reports batched=%d, want %d", i, r.Batched, len(bodies))
+		}
+		same(fmt.Sprintf("batched solve %d", i), r, solo[0])
+	}
+
+	var er envelope
+	if code, _ := post(t, h, "/v1/solve", map[string]any{"key": fr.Key, "b": b,
+		"options": map[string]any{"on_hazard": "retry"}}, &er); code != 400 || er.Error.Code != "bad_input" {
+		t.Errorf("on_hazard=retry: %d %q, want 400 bad_input", code, er.Error.Code)
+	}
+}
+
 // TestCoalescingIncompatibleOptionsDoNotBatch holds the workers so both
 // solves are parked at once — on idle workers nothing batches anyway — and
 // checks the fingerprint rule keeps them in two batches.

@@ -113,7 +113,10 @@ type WireSolveOptions struct {
 	Tol float64 `json:"tol,omitempty"`
 	// MaxIterations caps refinement (0 = library default).
 	MaxIterations int `json:"max_iterations,omitempty"`
-	// OnHazard selects the hazard policy: "fail" (default) or "fallback".
+	// OnHazard is accepted for older clients and selects nothing: it must be
+	// "", "fail" or "fallback" (anything else is 400 bad_input), and the
+	// refinement never re-solves under either. The hazard policy is
+	// config.on_hazard, which governs the factorization.
 	OnHazard string `json:"on_hazard,omitempty"`
 }
 
@@ -136,11 +139,9 @@ func (w WireSolveOptions) options() (tcqr.SolveOptions, error) {
 	}
 	opts.Tol = w.Tol
 	opts.MaxIterations = w.MaxIterations
-	pol, err := wirePolicy(w.OnHazard)
-	if err != nil {
+	if _, err := wirePolicy(w.OnHazard); err != nil {
 		return opts, err
 	}
-	opts.OnHazard = pol
 	return opts, nil
 }
 

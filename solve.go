@@ -42,14 +42,17 @@ type LeastSquaresResult struct {
 	// SolveLeastSquaresWithFactor for further right-hand sides).
 	Factorization *Factorization
 	// Hazards lists every numerical hazard detected across the pipeline —
-	// factorization hazards first, then refinement hazards (CGLS stagnation
-	// or divergence, LSQR fallbacks). Empty for a clean run.
+	// factorization hazards first (with the recoveries of Config.OnHazard),
+	// then refinement hazards (CGLS stagnation or divergence, detection
+	// only). Empty for a clean run.
 	Hazards []Hazard
 }
 
-// SolveOptions configures SolveLeastSquares.
+// SolveOptions configures SolveLeastSquares. The refinement never re-solves:
+// a solve's X, Iterations, Converged, Optimality and refinement hazards
+// depend only on the factorization, b, Method, Tol and MaxIterations.
 type SolveOptions struct {
-	// QR configures the factorization stage.
+	// QR configures the factorization stage, its hazard policy included.
 	QR Config
 	// Method selects the refinement engine (default RefineCGLS).
 	Method RefineMethod
@@ -58,13 +61,6 @@ type SolveOptions struct {
 	Tol float64
 	// MaxIterations caps refinement (0 = 200, the paper's stress limit).
 	MaxIterations int
-	// OnHazard selects the response to numerical hazards across the whole
-	// pipeline. HazardFallback enables the recovery ladder in the
-	// factorization stage (as if QR.OnHazard were set) and re-solves with
-	// preconditioned LSQR when CGLS stagnates or diverges. The zero value
-	// (HazardFail) detects and reports but returns typed errors when the
-	// result would be corrupt.
-	OnHazard HazardPolicy
 }
 
 func (o SolveOptions) method() lls.Method {
@@ -84,35 +80,23 @@ func (o SolveOptions) method() lls.Method {
 // refinement hazards in rep.
 func (o SolveOptions) refine(rep *hazard.Report) lls.SolveOptions {
 	return lls.SolveOptions{
-		Method:       o.method(),
-		Tol:          o.Tol,
-		MaxIter:      o.MaxIterations,
-		FallbackLSQR: o.OnHazard == HazardFallback,
-		Hazards:      rep,
+		Method:  o.method(),
+		Tol:     o.Tol,
+		MaxIter: o.MaxIterations,
+		Hazards: rep,
 	}
-}
-
-// qrConfig is the factorization config with the solve-level hazard policy
-// folded in: asking for fallback at the solve level enables it in the QR
-// stage too.
-func (o SolveOptions) qrConfig() Config {
-	cfg := o.QR
-	if o.OnHazard == HazardFallback {
-		cfg.OnHazard = HazardFallback
-	}
-	return cfg
 }
 
 // SolveLeastSquares solves min ‖Ax − b‖₂ for a tall full-column-rank A
 // using the paper's pipeline: narrow A to float32, factor it with the
 // neural-engine RGSQRF, then refine to double precision. Malformed inputs
-// (NaN/Inf, empty, mismatched shapes) return typed errors; numerical
-// hazards follow opts.OnHazard.
+// (NaN/Inf, empty, mismatched shapes) return typed errors; factorization
+// hazards follow opts.QR.OnHazard.
 func SolveLeastSquares(a *Matrix, b []float64, opts SolveOptions) (*LeastSquaresResult, error) {
 	if err := hazard.CheckMatrix("A", a); err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
 	}
-	f, err := Factorize(ToFloat32(a), opts.qrConfig())
+	f, err := Factorize(ToFloat32(a), opts.QR)
 	if err != nil {
 		return nil, err
 	}
@@ -164,8 +148,8 @@ type MultiResult struct {
 // a block of right-hand sides: the batched analogue of
 // SolveLeastSquaresWithFactor, and the call a request coalescer makes for
 // solves that share a cached factorization. Every column runs the same
-// per-column refinement a single solve runs (opts.Method, the LSQR fallback
-// under opts.OnHazard == HazardFallback), concurrently, so column j equals
+// per-column refinement a single solve runs (opts.Method, Tol and
+// MaxIterations), concurrently, so column j equals
 // SolveLeastSquaresWithFactor on B[:,j] bit for bit, its hazards included:
 // the factorization's, then those of column j's own refinement.
 func SolveLeastSquaresMultiWithFactor(f *Factorization, a *Matrix, b *Matrix, opts SolveOptions) (*MultiResult, error) {
