@@ -53,7 +53,7 @@ func Axpy[T dense.Float](alpha T, x, y []T) {
 		return
 	}
 	for i, v := range x {
-		y[i] += alpha * v
+		y[i] += T(alpha * v)
 	}
 }
 

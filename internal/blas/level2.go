@@ -45,13 +45,12 @@ func window[T dense.Float](a *dense.Matrix[T], i, j, r, c int) dense.Matrix[T] {
 
 // gemvN computes y += α·A·x. In float64 on an AVX2 host the whole multiples
 // of eight columns go through gemvN8F64, which folds eight column updates
-// into one pass over y — per y[i] the additions of two successive four-column
-// blocks of gemvNoTrans. Everything else is handed back to gemvNoTrans on a
-// window whose first column is a multiple of eight, so its blocks fall where
-// they would on the whole matrix: the column tail, the rows the kernel did
-// not store (the row tail, and everything from the first NaN result on), and
-// any eight columns holding a zero coefficient, since gemvNoTrans skips such
-// a column and adding v·0 is not a no-op.
+// into one pass over y — per y[i] the additions of eight successive column
+// sweeps of gemvNoTrans. Everything else is handed back to gemvNoTrans on a
+// window: the column tail, the rows the kernel did not store (the row tail,
+// and everything from the first NaN result on), and any eight columns
+// holding a zero coefficient, since gemvNoTrans skips such a column and
+// adding v·0 is not a no-op.
 func gemvN[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
 	j := 0
 	if a64, ok := any(a).(*dense.M64); ok && useVectorLevel2 && a.Rows >= 4 {
@@ -114,73 +113,24 @@ func gemvT[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
 	}
 }
 
-// gemvNoTrans computes y += α·A·x four columns at a time. The blocked inner
-// loop folds four column updates into one pass over y, evaluated strictly
-// left to right, so every y[i] sees exactly the same addition sequence as
-// four successive single-column sweeps — results are bit-identical to the
-// reference loop (the same policy the assembly GEMM kernels follow: more
-// instruction-level parallelism, never a reassociated accumulation). A zero
-// scaled coefficient falls back to per-column updates because the reference
-// loop skips those columns entirely (adding v·0 is not a no-op for ±0 and
-// non-finite v).
+// gemvNoTrans computes y += α·A·x one column sweep at a time. A column
+// whose scaled coefficient is zero is skipped: adding v·0 is not a no-op for
+// ±0 and non-finite v.
 func gemvNoTrans[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
-	j := 0
-	for ; j+4 <= a.Cols; j += 4 {
-		x0, x1, x2, x3 := alpha*x[j], alpha*x[j+1], alpha*x[j+2], alpha*x[j+3]
-		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
-			gemvNoTransRef(alpha, a, x[j:j+4], y, j)
-			continue
-		}
-		c0 := a.Col(j)[:len(y)]
-		c1 := a.Col(j + 1)[:len(y)]
-		c2 := a.Col(j + 2)[:len(y)]
-		c3 := a.Col(j + 3)[:len(y)]
-		for i := range y {
-			y[i] = y[i] + T(c0[i]*x0) + T(c1[i]*x1) + T(c2[i]*x2) + T(c3[i]*x3)
-		}
-	}
-	gemvNoTransRef(alpha, a, x[j:], y, j)
-}
-
-// gemvNoTransRef is the reference column sweep over columns [j0, j0+len(xs)).
-func gemvNoTransRef[T dense.Float](alpha T, a *dense.Matrix[T], xs, y []T, j0 int) {
-	for k, xv := range xs {
+	for j, xv := range x {
 		xj := alpha * xv
 		if xj == 0 {
 			continue
 		}
-		col := a.Col(j0 + k)
-		for i, v := range col {
+		for i, v := range a.Col(j)[:len(y)] {
 			y[i] += T(v * xj)
 		}
 	}
 }
 
-// gemvTrans computes y += α·Aᵀ·x four columns at a time: four independent
-// dot-product accumulators share one pass over x. Each accumulator runs the
-// same sequential sum as Dot(a.Col(j), x), so per-column results are
-// bit-identical to the reference loop while the four independent chains hide
-// the floating-point add latency that serializes a single running sum.
+// gemvTrans computes y += α·Aᵀ·x, one sequential dot product per column.
 func gemvTrans[T dense.Float](alpha T, a *dense.Matrix[T], x, y []T) {
-	j := 0
-	for ; j+4 <= a.Cols; j += 4 {
-		c0 := a.Col(j)[:len(x)]
-		c1 := a.Col(j + 1)[:len(x)]
-		c2 := a.Col(j + 2)[:len(x)]
-		c3 := a.Col(j + 3)[:len(x)]
-		var s0, s1, s2, s3 T
-		for i, xv := range x {
-			s0 += T(c0[i] * xv)
-			s1 += T(c1[i] * xv)
-			s2 += T(c2[i] * xv)
-			s3 += T(c3[i] * xv)
-		}
-		y[j] += T(alpha * s0)
-		y[j+1] += T(alpha * s1)
-		y[j+2] += T(alpha * s2)
-		y[j+3] += T(alpha * s3)
-	}
-	for ; j < a.Cols; j++ {
+	for j := 0; j < a.Cols; j++ {
 		y[j] += T(alpha * Dot(a.Col(j), x))
 	}
 }
@@ -222,8 +172,9 @@ func colUpdate[T dense.Float](y, x []T, t T) {
 //
 // The two cases on the refinement hot path — Upper/NoTrans back-substitution
 // and Upper/Trans forward elimination, both run twice per CGLS iteration —
-// use blocked kernels that are bit-identical to the reference sweeps (same
-// policy as Gemv: fold work for ILP, never reassociate an accumulation).
+// go through trsvUpperNoTransF64 / trsvUpperTransF64 in float64 on an AVX2
+// host, and through the Go loops trsvUpperNoTrans / trsvUpperTrans otherwise,
+// with the same bits.
 func Trsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T], x []T) {
 	n := a.Rows
 	if a.Cols != n {
@@ -232,39 +183,37 @@ func Trsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 	if len(x) != n {
 		panic("blas: trsv vector length mismatch")
 	}
+	a64, vector := any(a).(*dense.M64)
+	vector = vector && useVectorLevel2
 	// Four effective cases; op(Upper)ᵀ behaves like Lower and vice versa.
 	forward := (uplo == Lower) == (tA == NoTrans)
-	if tA == NoTrans {
-		if forward { // lower, forward substitution (column variant)
-			for j := 0; j < n; j++ {
-				if diag == NonUnit {
-					x[j] /= a.At(j, j)
-				}
-				xj := x[j]
-				if xj == 0 {
-					continue
-				}
-				col := a.Col(j)
-				for i := j + 1; i < n; i++ {
-					x[i] -= col[i] * xj
-				}
+	switch {
+	case tA == NoTrans && forward: // lower, forward substitution (column variant)
+		for j := 0; j < n; j++ {
+			col := a.Col(j)
+			if diag == NonUnit {
+				x[j] /= col[j]
 			}
-		} else { // upper, backward substitution
-			trsvUpperNoTrans(diag, a, x)
+			xj := x[j]
+			if xj == 0 {
+				continue
+			}
+			for i := j + 1; i < n; i++ {
+				x[i] -= T(col[i] * xj)
+			}
 		}
-		return
-	}
-	// Transposed cases use dot products along columns.
-	if forward { // A upper, solving Aᵀx = b forward
+	case tA == NoTrans && vector: // upper, backward substitution
+		trsvUpperNoTransF64(diag, a64, any(x).([]float64))
+	case tA == NoTrans:
+		trsvUpperNoTrans(diag, a, x)
+	case forward && vector: // A upper, solving Aᵀx = b forward
+		trsvUpperTransF64(diag, a64, any(x).([]float64))
+	case forward:
 		trsvUpperTrans(diag, a, x)
-	} else { // A lower, solving Aᵀx = b backward
+	default: // A lower, solving Aᵀx = b backward, by dot products along columns
 		for j := n - 1; j >= 0; j-- {
 			col := a.Col(j)
-			var s T
-			for i := j + 1; i < n; i++ {
-				s += col[i] * x[i]
-			}
-			x[j] -= s
+			x[j] -= Dot(col[j+1:], x[j+1:])
 			if diag == NonUnit {
 				x[j] /= col[j]
 			}
@@ -272,149 +221,33 @@ func Trsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 	}
 }
 
-// trsvUpperNoTrans is blocked backward substitution for an upper triangular
-// A. Four columns are finalized in the reference (descending) order inside a
-// small corner, then their updates to the remaining prefix fold into one
-// pass evaluated strictly left to right — every x[i] sees exactly the
-// subtraction sequence of four successive reference column sweeps. A zero
-// solved component falls back to per-column sweeps for its block, because
-// the reference loop skips zero columns entirely. In float64 on an AVX2 host
-// trsvUpperNoTransF64 solves instead.
+// trsvUpperNoTrans is backward substitution for an upper triangular A, one
+// column sweep at a time from the last: x[j] is solved, then its column
+// leaves the head x[0:j]. A zero component's column is skipped, as in
+// gemvNoTrans.
 func trsvUpperNoTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
-	if a64, ok := any(a).(*dense.M64); ok && useVectorLevel2 {
-		trsvUpperNoTransF64(diag, a64, any(x).([]float64))
-		return
-	}
-	n := a.Rows
-	j := n - 1
-	for ; j >= 3; j -= 4 {
-		c0 := a.Col(j) // columns in reference order: j, j-1, j-2, j-3
-		c1 := a.Col(j - 1)
-		c2 := a.Col(j - 2)
-		c3 := a.Col(j - 3)
-		// Corner: finalize the block's four components exactly as the
-		// reference would, column by column in descending order.
+	for j := a.Rows - 1; j >= 0; j-- {
+		col := a.Col(j)
 		if diag == NonUnit {
-			x[j] /= c0[j]
-		}
-		x0 := x[j]
-		if x0 != 0 {
-			x[j-1] -= c0[j-1] * x0
-			x[j-2] -= c0[j-2] * x0
-			x[j-3] -= c0[j-3] * x0
-		}
-		if diag == NonUnit {
-			x[j-1] /= c1[j-1]
-		}
-		x1 := x[j-1]
-		if x1 != 0 {
-			x[j-2] -= c1[j-2] * x1
-			x[j-3] -= c1[j-3] * x1
-		}
-		if diag == NonUnit {
-			x[j-2] /= c2[j-2]
-		}
-		x2 := x[j-2]
-		if x2 != 0 {
-			x[j-3] -= c2[j-3] * x2
-		}
-		if diag == NonUnit {
-			x[j-3] /= c3[j-3]
-		}
-		x3 := x[j-3]
-		if x0 == 0 || x1 == 0 || x2 == 0 || x3 == 0 {
-			// The reference skips zero columns; replay them one at a time.
-			for k, xv := range [4]T{x0, x1, x2, x3} {
-				if xv == 0 {
-					continue
-				}
-				col := a.Col(j - k)
-				for i := 0; i < j-3; i++ {
-					x[i] -= col[i] * xv
-				}
-			}
-			continue
-		}
-		head := x[:j-3]
-		for i := range head {
-			head[i] = head[i] - c0[i]*x0 - c1[i]*x1 - c2[i]*x2 - c3[i]*x3
-		}
-	}
-	for ; j >= 0; j-- {
-		if diag == NonUnit {
-			x[j] /= a.At(j, j)
+			x[j] /= col[j]
 		}
 		xj := x[j]
 		if xj == 0 {
 			continue
 		}
-		col := a.Col(j)
-		for i := 0; i < j; i++ {
-			x[i] -= col[i] * xj
+		for i, v := range col[:j] {
+			x[i] -= T(v * xj)
 		}
 	}
 }
 
-// trsvUpperTrans is blocked forward elimination for Aᵀx = b with A upper
-// triangular. The reference computes one sequential dot per column — a
-// single floating-point add chain whose latency nothing hides. Here four
-// columns share one pass over the solved prefix with four independent
-// accumulator chains; each chain then finishes inside the 4×4 corner in the
-// same ascending element order, so every component is the bit-identical
-// sequential dot of the reference loop. In float64 on an AVX2 host
-// trsvUpperTransF64 solves instead.
+// trsvUpperTrans is forward elimination for Aᵀx = b with A upper triangular:
+// x[j] loses the sequential dot product of its column with the solved head
+// x[0:j], as in gemvTrans.
 func trsvUpperTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
-	if a64, ok := any(a).(*dense.M64); ok && useVectorLevel2 {
-		trsvUpperTransF64(diag, a64, any(x).([]float64))
-		return
-	}
-	n := a.Rows
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		c0 := a.Col(j)
-		c1 := a.Col(j + 1)
-		c2 := a.Col(j + 2)
-		c3 := a.Col(j + 3)
-		var s0, s1, s2, s3 T
-		head := x[:j]
-		for i, xv := range head {
-			s0 += c0[i] * xv
-			s1 += c1[i] * xv
-			s2 += c2[i] * xv
-			s3 += c3[i] * xv
-		}
-		// Corner: each column's chain continues in ascending order over the
-		// components solved within the block.
-		x[j] -= s0
-		if diag == NonUnit {
-			x[j] /= c0[j]
-		}
-		s1 += c1[j] * x[j]
-		x[j+1] -= s1
-		if diag == NonUnit {
-			x[j+1] /= c1[j+1]
-		}
-		s2 += c2[j] * x[j]
-		s2 += c2[j+1] * x[j+1]
-		x[j+2] -= s2
-		if diag == NonUnit {
-			x[j+2] /= c2[j+2]
-		}
-		s3 += c3[j] * x[j]
-		s3 += c3[j+1] * x[j+1]
-		s3 += c3[j+2] * x[j+2]
-		x[j+3] -= s3
-		if diag == NonUnit {
-			x[j+3] /= c3[j+3]
-		}
-	}
-	for ; j < n; j++ {
+	for j := 0; j < a.Rows; j++ {
 		col := a.Col(j)
-		var s T
-		for i := 0; i < j; i++ {
-			s += col[i] * x[i]
-		}
-		x[j] -= s
+		x[j] -= Dot(col[:j], x[:j])
 		if diag == NonUnit {
 			x[j] /= col[j]
 		}
@@ -448,7 +281,7 @@ func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
 				continue
 			}
 			for i := lo; i < j-k; i++ {
-				x[i] -= col[i] * xk
+				x[i] -= float64(col[i] * xk)
 			}
 		}
 		done := 0
@@ -461,7 +294,7 @@ func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
 			}
 			col := a.Col(j - k)
 			for i := done; i < lo; i++ {
-				x[i] -= col[i] * xk
+				x[i] -= float64(col[i] * xk)
 			}
 		}
 	}
@@ -475,7 +308,7 @@ func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
 			continue
 		}
 		for i := 0; i < j; i++ {
-			x[i] -= col[i] * xj
+			x[i] -= float64(col[i] * xj)
 		}
 	}
 }
@@ -498,7 +331,7 @@ func trsvUpperTransF64(diag Diag, a *dense.M64, x []float64) {
 				col := a.Col(j + k)
 				var sk float64
 				for i := 0; i < j; i++ {
-					sk += col[i] * x[i]
+					sk += float64(col[i] * x[i])
 				}
 				s[k] = sk
 			}
@@ -506,7 +339,7 @@ func trsvUpperTransF64(diag Diag, a *dense.M64, x []float64) {
 		for k, sk := range s {
 			col := a.Col(j + k)
 			for i := j; i < j+k; i++ {
-				sk += col[i] * x[i]
+				sk += float64(col[i] * x[i])
 			}
 			x[j+k] -= sk
 			if diag == NonUnit {
@@ -518,7 +351,7 @@ func trsvUpperTransF64(diag Diag, a *dense.M64, x []float64) {
 		col := a.Col(j)
 		var s float64
 		for i := 0; i < j; i++ {
-			s += col[i] * x[i]
+			s += float64(col[i] * x[i])
 		}
 		x[j] -= s
 		if diag == NonUnit {
@@ -543,10 +376,10 @@ func Trmv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 				if diag == Unit {
 					s = x[i]
 				} else {
-					s = a.At(i, i) * x[i]
+					s = T(a.At(i, i) * x[i])
 				}
 				for j := i + 1; j < n; j++ {
-					s += a.At(i, j) * x[j]
+					s += T(a.At(i, j) * x[j])
 				}
 				x[i] = s
 			}
@@ -556,10 +389,10 @@ func Trmv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 				if diag == Unit {
 					s = x[i]
 				} else {
-					s = a.At(i, i) * x[i]
+					s = T(a.At(i, i) * x[i])
 				}
 				for j := 0; j < i; j++ {
-					s += a.At(i, j) * x[j]
+					s += T(a.At(i, j) * x[j])
 				}
 				x[i] = s
 			}
@@ -573,10 +406,10 @@ func Trmv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 			if diag == Unit {
 				s = x[j]
 			} else {
-				s = col[j] * x[j]
+				s = T(col[j] * x[j])
 			}
 			for i := 0; i < j; i++ {
-				s += col[i] * x[i]
+				s += T(col[i] * x[i])
 			}
 			x[j] = s
 		}
@@ -587,10 +420,10 @@ func Trmv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 			if diag == Unit {
 				s = x[j]
 			} else {
-				s = col[j] * x[j]
+				s = T(col[j] * x[j])
 			}
 			for i := j + 1; i < n; i++ {
-				s += col[i] * x[i]
+				s += T(col[i] * x[i])
 			}
 			x[j] = s
 		}

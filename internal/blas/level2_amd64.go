@@ -16,10 +16,11 @@ import "tcqr/internal/cpufeat"
 // level2.go on every input, and it rests on three rules.
 //
 // Rounding: multiply and add stay separate instructions, never FMA, so each
-// product is rounded where the Go loop rounds it. (The Go loops themselves
-// write float32(x*y) + z, not x*y + z, at every such site: the conversion
-// keeps a compiler that fuses multiply-adds, as the arm64 one does, from
-// changing what the oracle means.)
+// product is rounded where the Go loop rounds it. (The Go loops themselves —
+// every Go loop of this package — write T(x*y) + z, not x*y + z: the
+// conversion keeps a compiler that fuses multiply-adds, as the arm64 one
+// does, from changing what the oracle means. make lint fails on a fused
+// instruction in the package's arm64 listing.)
 //
 // Order: every output element sees the operations of the Go loop in the Go
 // loop's order. IEEE addition and multiplication are commutative bit for
@@ -47,8 +48,8 @@ var useVectorLevel2 = cpufeat.AVX2
 
 // gemvN8F64 folds eight columns of a into y four rows at a time, over the
 // whole multiples of four in rows: each y[i] sees the additions of the Go
-// loop's two successive four-column blocks with the coefficients coef, none
-// of which may be zero. The columns are a, a+stride, …, a+7·stride, and
+// loop's eight successive column sweeps with the coefficients coef, none of
+// which may be zero. The columns are a, a+stride, …, a+7·stride, and
 // stride may be negative. It stops before the first four rows whose result
 // holds a NaN and returns the number of rows it stored.
 //

@@ -9,9 +9,10 @@ import (
 	"tcqr/internal/dense"
 )
 
-// refGemv is the unblocked reference loop the blocked Gemv must reproduce
-// bit for bit: sequential column sweeps (NoTrans) and one sequential dot
-// product per column (Trans), with the zero-coefficient column skip.
+// refGemv is the reference loop Gemv must reproduce bit for bit, written out
+// here rather than taken from level2.go: sequential column sweeps (NoTrans)
+// and one sequential dot product per column (Trans), with the
+// zero-coefficient column skip.
 func refGemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, beta T, y []T) {
 	if beta == 0 {
 		for i := range y {
@@ -41,14 +42,13 @@ func refGemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, be
 	}
 }
 
-// TestGemvBlockedBitIdentical pins the kernel policy for the four-column
-// blocked Gemv: identical results to the reference loop down to the last
-// bit, across shapes that exercise the block body and every tail length,
-// zero coefficients (which must skip columns, not add ±0), and non-finite
-// matrix entries. The last four shapes sit on both sides of gemvSplitMin,
-// the larger ones with a row and a column tail in their last chunk, so from
-// two processors up (go test -cpu 1,2,4) the split Gemv is held to the same
-// bits.
+// TestGemvBlockedBitIdentical pins the kernel policy for Gemv: identical
+// results to the reference loop down to the last bit, across shapes that
+// exercise the eight-column vector body and every tail length, zero
+// coefficients (which must skip columns, not add ±0), and non-finite matrix
+// entries. The last four shapes sit on both sides of gemvSplitMin, the larger
+// ones with a row and a column tail in their last chunk, so from two
+// processors up (go test -cpu 1,2,4) the split Gemv is held to the same bits.
 func TestGemvBlockedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	shapes := []struct{ m, n int }{
@@ -142,8 +142,8 @@ func TestGemvBlockedBitIdenticalF32(t *testing.T) {
 	}
 }
 
-// refTrsv is the unblocked reference substitution the blocked Trsv cases
-// must reproduce bit for bit.
+// refTrsv is the reference substitution Trsv's Upper cases must reproduce
+// bit for bit, written out here rather than taken from level2.go.
 func refTrsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T], x []T) {
 	n := a.Rows
 	if tA == NoTrans && uplo == Upper {
@@ -179,14 +179,15 @@ func refTrsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[
 	panic("refTrsv: case not modeled")
 }
 
-// TestTrsvBlockedBitIdentical pins the blocked Upper NoTrans/Trans Trsv
-// kernels to the reference substitution down to the last bit, including
-// blocks where a solved component lands exactly on zero (the reference
-// skips those columns, so v·0 must never be added). From n = 16 on it also
-// plants one special value at each of the eight positions of one vector
-// block (the second from where the substitution starts, so it has a head and
-// a solved part on both sides): a zero solved component of either sign, an
-// Inf or a NaN right-hand side, and an Inf or a NaN in that column of A.
+// TestTrsvBlockedBitIdentical pins the Upper NoTrans/Trans Trsv — the AVX2
+// kernels in float64 where they run, the Go loops elsewhere — to the
+// reference substitution down to the last bit, including blocks where a
+// solved component lands exactly on zero (the reference skips those columns,
+// so v·0 must never be added). From n = 16 on it also plants one special
+// value at each of the eight positions of one vector block (the second from
+// where the substitution starts, so it has a head and a solved part on both
+// sides): a zero solved component of either sign, an Inf or a NaN right-hand
+// side, and an Inf or a NaN in that column of A.
 func TestTrsvBlockedBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	upper := func(n int) (*dense.M64, []float64) {

@@ -15,10 +15,11 @@ import (
 // The tests in this file hold the AVX2 level-2 kernels (level2_amd64.s) to
 // their contract: the dispatching entry points return the bits the Go loops
 // return, on every input. Nothing switches the kernels off, so the tests get
-// the Go side by calling it: gemvNoTrans and gemvTrans are the loops the
-// dispatchers fall back to, and refGer / refGemmCols below are Ger's and
-// gemmCols's loops as they stood before colUpdate existed. Off amd64 both
-// sides are the Go loops and the tests pass trivially.
+// the Go side by calling it: gemvNoTrans, gemvTrans, trsvUpperNoTrans and
+// trsvUpperTrans are the loops the dispatchers fall back to, and refGer /
+// refGemmCols below are Ger's and gemmCols's loops as they stood before
+// colUpdate existed. Off amd64 both sides are the Go loops and the tests pass
+// trivially.
 
 // goGemv is Gemv with the Go loops called directly.
 func goGemv[T dense.Float](tA Transpose, alpha T, a *dense.Matrix[T], x []T, beta T, y []T) {
@@ -273,10 +274,11 @@ func level2Case[T dense.Float](t *testing.T, what string, g *level2Gen, r, c, k,
 // generated problem and compares bits: Gemv split into chunks of chunk rows
 // or columns shared with up to helpers helpers (forced at any size, so small
 // shapes reach every chunk and every tail) against the Go loops, and the
-// Upper NoTrans/Trans Trsv on an r×r triangle against refTrsv. Where two
-// NaNs meet, which one survives is a property of a loop's shape: the split
-// keeps the serial Gemv's, whose Go loops are not refGemv's shape, and the
-// vector Trsv runs every Go loop in refTrsv's shape.
+// Upper NoTrans/Trans Trsv on an r×r triangle against its Go loops
+// trsvUpperNoTrans / trsvUpperTrans, which arm64 runs in every refinement
+// iteration. Where two NaNs meet, which one survives is a property of a
+// loop's shape: the split keeps the serial Gemv's, and the vector Trsv runs
+// every Go loop in its Go loops' shape.
 func level2Case64(t *testing.T, what string, g *level2Gen, r, c, pad, off, chunk, helpers int, diag Diag, alpha, beta float64) {
 	t.Helper()
 	a, _ := genMat[float64](g, r, c, pad, off)
@@ -292,17 +294,16 @@ func level2Case64(t *testing.T, what string, g *level2Gen, r, c, pad, off, chunk
 		goGemv(tA, alpha, a, x, beta, want)
 		sameBits(t, fmt.Sprintf("%s gemv %v split by %d", what, tA, chunk), got, want)
 	}
-	if !useVectorLevel2 {
-		// The four-column Go blocks that solve without AVX2 are not in
-		// refTrsv's shape; TestTrsvBlockedBitIdentical holds them to it.
-		return
-	}
 	tri, _ := genMat[float64](g, r, r, pad, off)
 	for _, tA := range []Transpose{NoTrans, Trans} {
 		got := genVec[float64](g, r, off)
 		want := append([]float64(nil), got...)
 		Trsv(Upper, tA, diag, tri, got)
-		refTrsv(Upper, tA, diag, tri, want)
+		if tA == NoTrans {
+			trsvUpperNoTrans(diag, tri, want)
+		} else {
+			trsvUpperTrans(diag, tri, want)
+		}
 		sameBits(t, fmt.Sprintf("%s trsv %v diag %v", what, tA, diag), got, want)
 	}
 }

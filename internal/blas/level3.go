@@ -334,11 +334,11 @@ func syrkDiag[T dense.Float](uplo Uplo, t Transpose, alpha T, a *dense.Matrix[T]
 			aj := a.Col(j0 + j)
 			lo, hi := diagRange(uplo, j, jb)
 			for i := lo; i < hi; i++ {
-				s := alpha * Dot(a.Col(j0+i), aj)
+				s := T(alpha * Dot(a.Col(j0+i), aj))
 				if beta == 0 {
 					cj[j0+i] = s
 				} else {
-					cj[j0+i] = beta*cj[j0+i] + s
+					cj[j0+i] = T(beta*cj[j0+i]) + s
 				}
 			}
 		}
@@ -357,11 +357,11 @@ func syrkDiag[T dense.Float](uplo Uplo, t Transpose, alpha T, a *dense.Matrix[T]
 		rowj := buf[j*k : (j+1)*k]
 		lo, hi := diagRange(uplo, j, jb)
 		for i := lo; i < hi; i++ {
-			s := alpha * Dot(buf[i*k:(i+1)*k], rowj)
+			s := T(alpha * Dot(buf[i*k:(i+1)*k], rowj))
 			if beta == 0 {
 				cj[j0+i] = s
 			} else {
-				cj[j0+i] = beta*cj[j0+i] + s
+				cj[j0+i] = T(beta*cj[j0+i]) + s
 			}
 		}
 	}

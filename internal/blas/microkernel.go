@@ -8,161 +8,45 @@ import "tcqr/internal/dense"
 //
 // where ap/bp hold kb quads in the layout produced by packAPanel/packBPanel,
 // c points at the tile's top-left element with leading dimension ldc, and
-// β' is beta on the first k-slab (first == true) and 1 afterwards. The
-// sixteen accumulators live in registers for the whole k loop; k is
-// traversed in ascending order, which fixes the accumulation order
-// independently of blocking and parallelism. rows/cols mask the write-back
-// for edge tiles (the padded lanes are computed and discarded).
+// β' is beta on the first k-slab (first == true) and 1 afterwards. k is
+// traversed in ascending order, each product rounded before it is added
+// (T(a·b): no compiler may fuse the two), which fixes the accumulation order
+// independently of blocking and parallelism. The sixteen accumulators are
+// locals rather than an array, so the compiler may keep them in registers;
+// writeTile folds them into C, masking rows/cols on edge tiles (the padded
+// lanes are computed and discarded).
 func microKernel4x4[T dense.Float](kb int, ap, bp []T, alpha, beta T, c []T, ldc, rows, cols int, first bool) {
 	var c00, c10, c20, c30 T
 	var c01, c11, c21, c31 T
 	var c02, c12, c22, c32 T
 	var c03, c13, c23, c33 T
-	ap = ap[: kb*scalarMR : kb*scalarMR]
-	bp = bp[: kb*kernelNR : kb*kernelNR]
-	for len(ap) >= 2*scalarMR {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		c00 += a0 * b0
-		c10 += a1 * b0
-		c20 += a2 * b0
-		c30 += a3 * b0
-		c01 += a0 * b1
-		c11 += a1 * b1
-		c21 += a2 * b1
-		c31 += a3 * b1
-		c02 += a0 * b2
-		c12 += a1 * b2
-		c22 += a2 * b2
-		c32 += a3 * b2
-		c03 += a0 * b3
-		c13 += a1 * b3
-		c23 += a2 * b3
-		c33 += a3 * b3
-		a0, a1, a2, a3 = ap[4], ap[5], ap[6], ap[7]
-		b0, b1, b2, b3 = bp[4], bp[5], bp[6], bp[7]
-		c00 += a0 * b0
-		c10 += a1 * b0
-		c20 += a2 * b0
-		c30 += a3 * b0
-		c01 += a0 * b1
-		c11 += a1 * b1
-		c21 += a2 * b1
-		c31 += a3 * b1
-		c02 += a0 * b2
-		c12 += a1 * b2
-		c22 += a2 * b2
-		c32 += a3 * b2
-		c03 += a0 * b3
-		c13 += a1 * b3
-		c23 += a2 * b3
-		c33 += a3 * b3
-		ap = ap[2*scalarMR:]
-		bp = bp[2*kernelNR:]
+	for l := 0; l < kb; l++ {
+		a := ap[l*scalarMR : (l+1)*scalarMR]
+		b := bp[l*kernelNR : (l+1)*kernelNR]
+		c00 += T(a[0] * b[0])
+		c10 += T(a[1] * b[0])
+		c20 += T(a[2] * b[0])
+		c30 += T(a[3] * b[0])
+		c01 += T(a[0] * b[1])
+		c11 += T(a[1] * b[1])
+		c21 += T(a[2] * b[1])
+		c31 += T(a[3] * b[1])
+		c02 += T(a[0] * b[2])
+		c12 += T(a[1] * b[2])
+		c22 += T(a[2] * b[2])
+		c32 += T(a[3] * b[2])
+		c03 += T(a[0] * b[3])
+		c13 += T(a[1] * b[3])
+		c23 += T(a[2] * b[3])
+		c33 += T(a[3] * b[3])
 	}
-	if len(ap) >= scalarMR {
-		a0, a1, a2, a3 := ap[0], ap[1], ap[2], ap[3]
-		b0, b1, b2, b3 := bp[0], bp[1], bp[2], bp[3]
-		c00 += a0 * b0
-		c10 += a1 * b0
-		c20 += a2 * b0
-		c30 += a3 * b0
-		c01 += a0 * b1
-		c11 += a1 * b1
-		c21 += a2 * b1
-		c31 += a3 * b1
-		c02 += a0 * b2
-		c12 += a1 * b2
-		c22 += a2 * b2
-		c32 += a3 * b2
-		c03 += a0 * b3
-		c13 += a1 * b3
-		c23 += a2 * b3
-		c33 += a3 * b3
-	}
-
-	if rows == scalarMR && cols == kernelNR {
-		d0 := c[0*ldc : 0*ldc+scalarMR]
-		d1 := c[1*ldc : 1*ldc+scalarMR]
-		d2 := c[2*ldc : 2*ldc+scalarMR]
-		d3 := c[3*ldc : 3*ldc+scalarMR]
-		switch {
-		case !first:
-			d0[0] += alpha * c00
-			d0[1] += alpha * c10
-			d0[2] += alpha * c20
-			d0[3] += alpha * c30
-			d1[0] += alpha * c01
-			d1[1] += alpha * c11
-			d1[2] += alpha * c21
-			d1[3] += alpha * c31
-			d2[0] += alpha * c02
-			d2[1] += alpha * c12
-			d2[2] += alpha * c22
-			d2[3] += alpha * c32
-			d3[0] += alpha * c03
-			d3[1] += alpha * c13
-			d3[2] += alpha * c23
-			d3[3] += alpha * c33
-		case beta == 0:
-			d0[0] = alpha * c00
-			d0[1] = alpha * c10
-			d0[2] = alpha * c20
-			d0[3] = alpha * c30
-			d1[0] = alpha * c01
-			d1[1] = alpha * c11
-			d1[2] = alpha * c21
-			d1[3] = alpha * c31
-			d2[0] = alpha * c02
-			d2[1] = alpha * c12
-			d2[2] = alpha * c22
-			d2[3] = alpha * c32
-			d3[0] = alpha * c03
-			d3[1] = alpha * c13
-			d3[2] = alpha * c23
-			d3[3] = alpha * c33
-		default:
-			d0[0] = beta*d0[0] + alpha*c00
-			d0[1] = beta*d0[1] + alpha*c10
-			d0[2] = beta*d0[2] + alpha*c20
-			d0[3] = beta*d0[3] + alpha*c30
-			d1[0] = beta*d1[0] + alpha*c01
-			d1[1] = beta*d1[1] + alpha*c11
-			d1[2] = beta*d1[2] + alpha*c21
-			d1[3] = beta*d1[3] + alpha*c31
-			d2[0] = beta*d2[0] + alpha*c02
-			d2[1] = beta*d2[1] + alpha*c12
-			d2[2] = beta*d2[2] + alpha*c22
-			d2[3] = beta*d2[3] + alpha*c32
-			d3[0] = beta*d3[0] + alpha*c03
-			d3[1] = beta*d3[1] + alpha*c13
-			d3[2] = beta*d3[2] + alpha*c23
-			d3[3] = beta*d3[3] + alpha*c33
-		}
-		return
-	}
-
-	// Edge tile: stage the accumulators column-major and write the live part.
 	acc := [scalarMR * kernelNR]T{
 		c00, c10, c20, c30,
 		c01, c11, c21, c31,
 		c02, c12, c22, c32,
 		c03, c13, c23, c33,
 	}
-	for s := 0; s < cols; s++ {
-		d := c[s*ldc:]
-		for r := 0; r < rows; r++ {
-			v := alpha * acc[s*scalarMR+r]
-			switch {
-			case !first:
-				d[r] += v
-			case beta == 0:
-				d[r] = v
-			default:
-				d[r] = beta*d[r] + v
-			}
-		}
-	}
+	writeTile(acc[:], scalarMR, alpha, beta, c, ldc, rows, cols, first)
 }
 
 // kernel names one micro-kernel family of the packed GEMM, chosen per call
@@ -272,9 +156,11 @@ func microTile8x4F64(kb int, ap, bp []float64, alpha, beta float64, c []float64,
 	writeTile(acc[:], 8, alpha, beta, c, ldc, rows, cols, first)
 }
 
-// writeTile folds a column-major mr×nr accumulator block into C with the
-// same α/β arithmetic as the scalar kernel's write-back, masking rows/cols
-// on edge tiles.
+// writeTile folds a column-major mr×nr accumulator block into C, masking
+// rows/cols on edge tiles: C + α·acc on a later k-slab, α·acc or β·C + α·acc
+// on the first. Every product is rounded before it is added, and α = 1 and
+// β = 1 skip their multiplication, which changes no bit of a result that is
+// not NaN (1·v = v).
 func writeTile[T dense.Float](acc []T, mr int, alpha, beta T, c []T, ldc, rows, cols int, first bool) {
 	for s := 0; s < cols; s++ {
 		d := c[s*ldc : s*ldc+rows]
@@ -286,7 +172,7 @@ func writeTile[T dense.Float](acc []T, mr int, alpha, beta T, c []T, ldc, rows, 
 			}
 		case !first:
 			for r, v := range as {
-				d[r] += alpha * v
+				d[r] += T(alpha * v)
 			}
 		case beta == 0 && alpha == 1:
 			copy(d, as)
@@ -300,7 +186,7 @@ func writeTile[T dense.Float](acc []T, mr int, alpha, beta T, c []T, ldc, rows, 
 			}
 		default:
 			for r, v := range as {
-				d[r] = beta*d[r] + alpha*v
+				d[r] = T(beta*d[r]) + T(alpha*v)
 			}
 		}
 	}

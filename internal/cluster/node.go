@@ -55,22 +55,19 @@ type Config struct {
 	// Replicas is the ownership fan-out per key (clamped to the member
 	// count; default 2).
 	Replicas int
-	// VNodes is the virtual points per member on the ring (default 64).
-	VNodes int
-	// ProbeInterval is the health-probe period (default 1s); it also paces
-	// handoff delivery attempts.
+	// ProbeInterval is the health-probe period (default 1s); it also bounds
+	// one probe round-trip and paces handoff delivery attempts.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe round-trip (default ProbeInterval).
-	ProbeTimeout time.Duration
 	// HandoffCap bounds the queued hints (default 256; overflow drops).
 	HandoffCap int
 	// Registry receives the tcqrd_cluster_* metric families (nil = private).
 	Registry *metrics.Registry
 	// Logger receives probe transitions and handoff outcomes (nil = silent).
 	Logger *slog.Logger
-	// Client overrides the peer HTTP client (tests; nil = a pooled default).
-	Client *http.Client
 }
+
+// ringVNodes is the number of virtual points per member on the ring.
+const ringVNodes = 64
 
 // Node is one member's view of the cluster: the ring, peer states, the
 // forwarding client, and the handoff queue. Create with New, release with
@@ -85,7 +82,6 @@ type Node struct {
 	m       *nodeMetrics
 
 	probeInterval time.Duration
-	probeTimeout  time.Duration
 
 	stop   chan struct{}
 	done   sync.WaitGroup
@@ -120,35 +116,22 @@ func New(cfg Config) (*Node, error) {
 	if replicas > len(cfg.Members) {
 		replicas = len(cfg.Members)
 	}
-	vnodes := cfg.VNodes
-	if vnodes <= 0 {
-		vnodes = 64
-	}
 	probeInterval := cfg.ProbeInterval
 	if probeInterval <= 0 {
 		probeInterval = time.Second
 	}
-	probeTimeout := cfg.ProbeTimeout
-	if probeTimeout <= 0 {
-		probeTimeout = probeInterval
-	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
+	n := &Node{
+		self:    *self,
+		ring:    newRing(cfg.Members, ringVNodes),
+		replica: replicas,
+		peers:   make(map[string]*peer, len(cfg.Members)),
+		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConnsPerHost: 16,
 			IdleConnTimeout:     30 * time.Second,
-		}}
-	}
-	n := &Node{
-		self:          *self,
-		ring:          newRing(cfg.Members, vnodes),
-		replica:       replicas,
-		peers:         make(map[string]*peer, len(cfg.Members)),
-		client:        client,
+		}},
 		log:           cfg.Logger,
 		m:             newNodeMetrics(cfg.Registry),
 		probeInterval: probeInterval,
-		probeTimeout:  probeTimeout,
 		stop:          make(chan struct{}),
 	}
 	for _, m := range cfg.Members {
@@ -276,7 +259,7 @@ func (n *Node) probe(p *peer) {
 		n.setState(p.member.ID, StateDown)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), n.probeTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), n.probeInterval)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+p.member.Addr+"/healthz", nil)
 	if err != nil {

@@ -168,14 +168,15 @@ func TestAwaitIdleWaitsForDequeuedTask(t *testing.T) {
 			}()
 		}
 		// Both workers are parked on the gate and the rest sit queued: wait
-		// for that stable state, then drain and release. The workers' next
-		// dequeues now race AwaitIdle's polling — exactly the window where
-		// the old queued-before-inFlight ordering reported idle early.
+		// for that stable state, then start AwaitIdle and release. The
+		// workers' next dequeues now race AwaitIdle's polling — exactly the
+		// window where the old queued-before-inFlight ordering reported idle
+		// early.
 		//
 		// The state is read in an order that cannot tear. Stats loads Queued
 		// and InFlight separately, so "InFlight == 2 && Queued == 4" can hold
 		// across the two loads while only five goroutines have submitted (the
-		// sixth then meets BeginDrain and never runs). Once both workers are
+		// sixth then submits behind AwaitIdle's back). Once both workers are
 		// inside fn, though, nothing dequeues until release, and Queued only
 		// grows: reaching n-workers means every submission is in.
 		for entered.Load() != workers {
@@ -184,7 +185,6 @@ func TestAwaitIdleWaitsForDequeuedTask(t *testing.T) {
 		for p.Stats().Queued != n-workers {
 			runtime.Gosched()
 		}
-		p.BeginDrain()
 		idle := make(chan error, 1)
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

@@ -156,9 +156,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	reg.CounterFunc("tcqrd_pool_rejected_queue_full_total",
 		"Submissions rejected because the queue was full (HTTP 429).",
 		func() int64 { return s.pool.Stats().RejectedFull })
-	reg.CounterFunc("tcqrd_pool_rejected_draining_total",
-		"Submissions rejected because the server was draining (HTTP 503).",
-		func() int64 { return s.pool.Stats().RejectedDraining })
 	reg.CounterFunc("tcqrd_pool_expired_in_queue_total",
 		"Queued tasks whose deadline expired before a worker picked them up (HTTP 504).",
 		func() int64 { return s.pool.Stats().Expired })

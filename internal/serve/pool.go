@@ -16,7 +16,8 @@ var (
 	// ErrQueueFull: the bounded queue is at capacity; the client should
 	// back off and retry.
 	ErrQueueFull = errors.New("serve: queue full")
-	// ErrDraining: the server is shutting down and admits no new work.
+	// ErrDraining: the server is shutting down and admits no new work
+	// (Server.BeginDrain; admission refuses the request before the pool).
 	ErrDraining = errors.New("serve: draining")
 	// ErrDeadline: the request's deadline expired before its work started
 	// (work already running is never abandoned mid-GEMM).
@@ -25,14 +26,13 @@ var (
 
 // PoolStats is a snapshot of the worker pool counters.
 type PoolStats struct {
-	Workers          int   `json:"workers"`
-	QueueCapacity    int   `json:"queue_capacity"`
-	Queued           int64 `json:"queued"`
-	InFlight         int64 `json:"in_flight"`
-	Completed        int64 `json:"completed"`
-	RejectedFull     int64 `json:"rejected_queue_full"`
-	RejectedDraining int64 `json:"rejected_draining"`
-	Expired          int64 `json:"expired_in_queue"`
+	Workers       int   `json:"workers"`
+	QueueCapacity int   `json:"queue_capacity"`
+	Queued        int64 `json:"queued"`
+	InFlight      int64 `json:"in_flight"`
+	Completed     int64 `json:"completed"`
+	RejectedFull  int64 `json:"rejected_queue_full"`
+	Expired       int64 `json:"expired_in_queue"`
 }
 
 // Pool is a bounded worker pool with admission control: a fixed number of
@@ -42,15 +42,13 @@ type PoolStats struct {
 // is the only place compute concurrency is created, so GOMAXPROCS-heavy
 // GEMM work cannot be oversubscribed by accepting unbounded requests.
 type Pool struct {
-	tasks    chan *poolTask
-	workers  int
-	draining atomic.Bool
+	tasks   chan *poolTask
+	workers int
 
 	queued    atomic.Int64
 	inFlight  atomic.Int64
 	completed atomic.Int64
 	rejFull   atomic.Int64
-	rejDrain  atomic.Int64
 	expired   atomic.Int64
 }
 
@@ -126,16 +124,12 @@ func (p *Pool) runOne(t *poolTask) {
 // Do submits fn and blocks until it has run, the queue rejects it, or ctx
 // expires while it is still queued. It returns the time fn spent waiting in
 // the queue. If fn panics, the panic is recovered and returned as the error
-// (the worker survives). After a queue-full or draining rejection fn is
-// never run; after a ctx-expiry ErrDeadline, however, a worker that
-// dequeued the task in the same instant may still run fn to completion —
-// its result is discarded, so fn must not assume it never runs once Do has
-// returned an error.
+// (the worker survives). After a queue-full rejection fn is never run;
+// after a ctx-expiry ErrDeadline, however, a worker that dequeued the task
+// in the same instant may still run fn to completion — its result is
+// discarded, so fn must not assume it never runs once Do has returned an
+// error.
 func (p *Pool) Do(ctx context.Context, fn func()) (time.Duration, error) {
-	if p.draining.Load() {
-		p.rejDrain.Add(1)
-		return 0, ErrDraining
-	}
 	if err := ctx.Err(); err != nil {
 		return 0, ErrDeadline
 	}
@@ -169,11 +163,9 @@ func (p *Pool) Do(ctx context.Context, fn func()) (time.Duration, error) {
 	}
 }
 
-// BeginDrain stops admitting new work. Idempotent.
-func (p *Pool) BeginDrain() { p.draining.Store(true) }
-
 // AwaitIdle blocks until the queue is empty and no task is running, or ctx
-// expires. Call BeginDrain first so the queue can only shrink.
+// expires. Stop submitting first (Server.BeginDrain refuses new requests at
+// admission) so the queue can only shrink.
 func (p *Pool) AwaitIdle(ctx context.Context) error {
 	tick := time.NewTicker(5 * time.Millisecond)
 	defer tick.Stop()
@@ -192,13 +184,12 @@ func (p *Pool) AwaitIdle(ctx context.Context) error {
 // Stats returns a snapshot of the pool counters.
 func (p *Pool) Stats() PoolStats {
 	return PoolStats{
-		Workers:          p.workers,
-		QueueCapacity:    cap(p.tasks),
-		Queued:           p.queued.Load(),
-		InFlight:         p.inFlight.Load(),
-		Completed:        p.completed.Load(),
-		RejectedFull:     p.rejFull.Load(),
-		RejectedDraining: p.rejDrain.Load(),
-		Expired:          p.expired.Load(),
+		Workers:       p.workers,
+		QueueCapacity: cap(p.tasks),
+		Queued:        p.queued.Load(),
+		InFlight:      p.inFlight.Load(),
+		Completed:     p.completed.Load(),
+		RejectedFull:  p.rejFull.Load(),
+		Expired:       p.expired.Load(),
 	}
 }
