@@ -66,11 +66,14 @@ reach:
 # of a small output between workers and packs op(B) on all of them. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
-# processors take them.
+# processors take them. The tile-tree workspaces go round a sync.Pool, the
+# one piece of factorization state goroutines share, so concurrent panels of
+# different shapes run ten times under the race detector.
 check: lint check-benchmark
 	$(GO) test ./...
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
+	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram

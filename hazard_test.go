@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"tcqr/internal/hazard"
 	"tcqr/internal/matgen"
 	"tcqr/internal/tcsim"
 )
@@ -378,5 +379,110 @@ func TestSolveWithFactorPropagatesLadderHazards(t *testing.T) {
 		if len(hs) < len(f.Hazards) || !slices.Equal(hs[:len(f.Hazards)], f.Hazards) {
 			t.Fatalf("multi-RHS column %d carries hazards %v, want the factorization's %v first", j, hs, f.Hazards)
 		}
+	}
+}
+
+// TestSolveLeastSquaresNonFiniteInput: SolveLeastSquares narrows A inside
+// the factorization's one sweep, and must reject what the float64 check of A
+// and then the float32 check of its narrowing rejected, with the same error:
+// a NaN, a +Inf, a 1e39 that overflows float32, and a 1e39 ahead of a later
+// NaN (the NaN is named: the float64 check came first), under either
+// policy. A wide matrix's overflow is named before its shape. Factorize of
+// the narrowing names its first ±Inf, as it always did.
+func TestSolveLeastSquaresNonFiniteInput(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	cases := []struct {
+		name string
+		m, n int
+		set  func(a *Matrix)
+	}{
+		{"nan", 200, 16, func(a *Matrix) { a.Set(5, 3, math.NaN()) }},
+		{"+inf", 200, 16, func(a *Matrix) { a.Set(0, 7, math.Inf(1)) }},
+		{"1e39", 200, 16, func(a *Matrix) { a.Set(100, 2, 1e39) }},
+		{"1e39-then-nan", 200, 16, func(a *Matrix) { a.Set(3, 1, -1e39); a.Set(9, 6, math.NaN()) }},
+		{"wide-1e39", 8, 16, func(a *Matrix) { a.Set(2, 11, 1e39) }},
+	}
+	for _, tc := range cases {
+		a := matgen.Normal(rng, tc.m, tc.n)
+		tc.set(a)
+		b := make([]float64, tc.m)
+		// The checks SolveLeastSquares made before it narrowed A itself.
+		want := hazard.CheckMatrix("A", a)
+		if want == nil {
+			want = hazard.CheckMatrix("A", ToFloat32(a))
+		}
+		if want == nil {
+			t.Fatalf("%s: test plumbing: the input is finite", tc.name)
+		}
+		for _, pol := range []HazardPolicy{HazardFail, HazardFallback} {
+			_, err := SolveLeastSquares(a, b, SolveOptions{QR: Config{OnHazard: pol}})
+			if !errors.Is(err, ErrNonFinite) || err.Error() != "tcqr: "+want.Error() {
+				t.Errorf("%s/%v: %v, want tcqr: %v", tc.name, pol, err, want)
+			}
+			a32 := ToFloat32(a)
+			want32 := hazard.CheckMatrix("A", a32)
+			_, err = Factorize(a32, Config{OnHazard: pol})
+			if !errors.Is(err, ErrNonFinite) || err.Error() != "tcqr: "+want32.Error() {
+				t.Errorf("%s/%v: Factorize of the narrowing: %v, want tcqr: %v", tc.name, pol, err, want32)
+			}
+		}
+	}
+}
+
+// TestSolveFallbackFactorIsARungFactor: under HazardFallback a CholQR
+// breakdown inside SolveLeastSquares refactors A, from its float64 values,
+// on the ladder's later rungs. The factor it solves with must be, bit for
+// bit, Factorize(ToFloat32(a), c) under HazardFail for the Config c its last
+// event names, with the hazards Factorize reports, and the solution the one
+// that factor gives.
+func TestSolveFallbackFactorIsARungFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(65))
+	a := matgen.WithCond(rng, 256, 64, 1e8, matgen.Geometric)
+	b := matgen.Normal(rng, 256, 1).Col(0)
+	cfg := Config{Cutoff: 32, Panel: PanelCholQR}
+	_, failErr := Factorize(ToFloat32(a), cfg)
+	if !errors.Is(failErr, ErrBreakdown) {
+		t.Fatalf("CholQR at κ = 1e8: %v, want a breakdown", failErr)
+	}
+	cfg.OnHazard = HazardFallback
+	opts := SolveOptions{QR: cfg}
+	res, err := SolveLeastSquares(a, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := res.Factorization
+	var last string
+	for _, h := range f.Hazards {
+		if h.Action != "" {
+			last = h.Action
+		}
+	}
+	rungs := engineLadder(cfg, failErr)
+	i := slices.IndexFunc(rungs, func(r rung) bool { return r.action == last })
+	if i < 0 {
+		t.Fatalf("last action %q names no rung of the ladder (hazards %v)", last, f.Hazards)
+	}
+	c := rungs[i].cfg
+	c.OnHazard = HazardFail
+	want, err := Factorize(ToFloat32(a), c)
+	if err != nil {
+		t.Fatalf("the rung %q fails on its own: %v", last, err)
+	}
+	if !bitsEqual(f.Q.Data, want.Q.Data) || !bitsEqual(f.R.Data, want.R.Data) || !bitsEqual(f.ColumnScales, want.ColumnScales) {
+		t.Errorf("the recovered factor differs from Factorize(ToFloat32(a), %+v)", c)
+	}
+	recovered, err := Factorize(ToFloat32(a), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(f.Hazards, recovered.Hazards) {
+		t.Errorf("hazards %v, Factorize of the narrowing reports %v", f.Hazards, recovered.Hazards)
+	}
+	again, err := SolveLeastSquaresWithFactor(want, a, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.EqualFunc(res.X, again.X, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+		t.Error("the solution differs from the one the rung's factor gives")
 	}
 }

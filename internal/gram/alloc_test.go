@@ -12,16 +12,16 @@ import (
 )
 
 // TestCAQRPanelAllocationsIndependentOfHeight: a CAQR panel allocates per
-// call — its factors, one workspace for its tile trees, the views of its
-// width reduction — and nothing per tile, per tree level or per column
-// split, so a 1024×32 panel (one level of four tiles) and an 8192×128 one
-// (four leaves of two levels, 32 and then 4 tiles) allocate as often. Each
-// call is counted with runtime.MemStats at two processors, where the tiles
-// and the batched products run on the parked helpers too, after
-// fillParkCaches and one more call, and the shapes compare the median count
-// of eleven calls. The collector is held off meanwhile: a GC cycle empties
-// the runtime's central cache of parking records and the GEMM's pack buffer
-// pools, whose refills would count against the larger panel only because
+// call — its factors and the views of its width reduction; the tile trees'
+// workspace comes from a pool — and nothing per tile, per tree level or per
+// column split, so a 1024×32 panel (one level of four tiles) and an
+// 8192×128 one (four leaves of two levels, 32 and then 4 tiles) allocate as
+// often. Each call is counted with runtime.MemStats at two processors,
+// where the tiles and the batched products run on the parked helpers too,
+// after fillParkCaches and one more call, and the shapes compare the median
+// count of eleven calls. The collector is held off meanwhile: a GC cycle
+// empties the runtime's central cache of parking records and the GEMM's pack
+// buffer pools, whose refills would count against the larger panel only because
 // its garbage starts more cycles; and the median leaves out the odd call in
 // which the runtime still allocates a parking record or a pool's buffer
 // moves between processors. (Not under -race: the detector's runtime

@@ -3,6 +3,7 @@ package gram
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
@@ -23,6 +24,9 @@ const (
 // Panel is a QR factorizer for tall panels (m >= n). Factor returns a fresh
 // orthonormal Q (m×n) and upper-triangular R (n×n); the input is not
 // modified. Implementations are the subject of the Figure 6 panel ablation.
+// The panels of this package factor in place — Q written over the panel, R
+// into the n×n view they are given — and their Factor is a clone and that
+// call; FactorInto is how the recursion runs a panel.
 //
 // Factor reports numerical breakdown — a zero or linearly dependent column,
 // a non-SPD Gram matrix, a non-finite factor — as an error wrapping
@@ -31,6 +35,40 @@ const (
 type Panel interface {
 	Factor(a *dense.M32) (q, r *dense.M32, err error)
 	Name() string
+}
+
+// inPlace is the one implementation of each panel of this package: Q over w,
+// R into the n×n r (its strict lower triangle zeroed), breakdown reported as
+// Factor reports it. On an error w holds no factor.
+type inPlace interface {
+	factorInto(w, r *dense.M32) error
+}
+
+// FactorInto factors the panel w with p in place: Q over w, R into r (n×n,
+// typically a view of a larger R). The panels of this package write there
+// directly; any other Panel — a wrapper that times or counts calls — runs its
+// Factor, and Q and R are copied in.
+func FactorInto(p Panel, w, r *dense.M32) error {
+	if p, ok := p.(inPlace); ok {
+		return p.factorInto(w, r)
+	}
+	q, rr, err := p.Factor(w)
+	if err != nil {
+		return err
+	}
+	w.CopyFrom(q)
+	r.CopyFrom(rr)
+	return nil
+}
+
+// factorCopy runs the in-place factorization into on a clone of a and a new
+// R: Factor for the panels of this package, and CholQR.
+func factorCopy(a *dense.M32, into func(w, r *dense.M32) error) (q, r *dense.M32, err error) {
+	q, r = a.Clone(), dense.New[float32](a.Cols, a.Cols)
+	if err := into(q, r); err != nil {
+		return nil, nil, err
+	}
+	return q, r, nil
 }
 
 // checkFullRank validates the factor a Gram-Schmidt-family panel produced:
@@ -86,28 +124,38 @@ func (p *CAQRPanel) rowBlock() int {
 	return TileRows
 }
 
-// Factor implements Panel. Breakdown — a zero or dependent column anywhere
-// in the tile tree, or a non-finite factor — is reported as an error
-// wrapping hazard.ErrBreakdown.
+// Factor implements Panel.
 func (p *CAQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		return nil, nil, fmt.Errorf("gram: CAQR panel requires m >= n, got %dx%d: %w", m, n, hazard.ErrShape)
+	return factorCopy(a, p.factorInto)
+}
+
+// trees holds tile-tree workspaces between panel calls: the panels of one
+// factorization, and of the factorizations after it, take the one a call
+// before them put back, laid out already for the leaf shape they share.
+var trees = sync.Pool{New: func() any { return new(tileTree) }}
+
+// factorInto is the CAQR panel in place. Breakdown — a zero or dependent
+// column anywhere in the tile tree, or a non-finite factor — is reported as an
+// error wrapping hazard.ErrBreakdown.
+func (p *CAQRPanel) factorInto(w, r *dense.M32) error {
+	if w.Rows < w.Cols {
+		return fmt.Errorf("gram: CAQR panel requires m >= n, got %dx%d: %w", w.Rows, w.Cols, hazard.ErrShape)
 	}
-	q = a.Clone()
-	r = dense.New[float32](n, n)
-	// Width reduction mirrors the outer RGSQRF on fp32 GEMMs. The tile tree
-	// never fails: breakdown shows as a zero or non-finite R diagonal, checked
-	// on the assembled factor below.
-	t := &tileTree{rb: p.rowBlock()}
-	_ = Recurse(q, r, TileCols, panelFP32, func(w, r *dense.M32) error {
+	t := trees.Get().(*tileTree)
+	defer trees.Put(t)
+	if rb := p.rowBlock(); t.rb != rb {
+		*t = tileTree{rb: rb} // laid out at the first leaf
+	}
+	// Width reduction mirrors the outer RGSQRF on fp32 GEMMs, which writes
+	// no block below R's diagonal. The tile tree never fails: breakdown shows
+	// as a zero or non-finite R diagonal, checked on the assembled factor
+	// below.
+	r.Zero()
+	_ = Recurse(w, r, TileCols, panelFP32, func(w, r *dense.M32) error {
 		t.factor(w, r, 0)
 		return nil
 	})
-	if err := checkFullRank("CAQR", r); err != nil {
-		return nil, nil, err
-	}
-	return q, r, nil
+	return checkFullRank("CAQR", r)
 }
 
 // Recurse is Algorithm 1 of the paper operating in place: w (m×n) holds A on
@@ -162,12 +210,13 @@ func view(a *dense.M32, i, j, r, c int) dense.M32 {
 	return dense.M32{Rows: r, Cols: c, Stride: a.Stride, Data: a.Data[off : off+(c-1)*a.Stride+r]}
 }
 
-// tileTree is the memory of the tile trees of one CAQRPanel.Factor call,
-// sized by its first leaf and reused by the others (every leaf of a
-// power-of-two width has the same shape): per tree level the contiguous tile
-// copies and the stacked R factors, the level's headers and GemmBatch
-// arguments, and one MGS work area that each level and the base case use in
-// turn. Nothing in it is allocated per tile.
+// tileTree is the memory of the tile trees of a CAQR panel, sized by a leaf
+// and reused by every leaf of that shape (every leaf of a power-of-two width
+// has the same one), in this panel call and, through trees, in the calls
+// after it: per tree level the contiguous tile copies and the stacked R
+// factors, the level's headers and GemmBatch arguments, and one MGS work area
+// that each level and the base case use in turn. Nothing in it is allocated
+// per tile, and it is laid out again only when the leaf shape changes.
 type tileTree struct {
 	rb     int
 	m, n   int // the leaf shape the memory is laid out for
@@ -294,18 +343,25 @@ type HouseholderPanel struct{}
 // Name implements Panel.
 func (p *HouseholderPanel) Name() string { return "SGEQRF" }
 
-// Factor implements Panel. Householder QR has no Gram-Schmidt breakdown
-// mode — a rank-deficient panel still yields an orthonormal Q — so it is
-// the last panel rung of the Factorize recovery ladder; only non-finite
-// factors are rejected.
+// Factor implements Panel.
 func (p *HouseholderPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	f := a.Clone()
-	tau := house.Geqrf(f, house.DefaultBlockSize)
-	q, r = house.Orgqr(f, tau, house.DefaultBlockSize), house.ExtractR(f)
-	if err := checkFinite("SGEQRF", q, r); err != nil {
-		return nil, nil, err
+	return factorCopy(a, p.factorInto)
+}
+
+// factorInto is the Householder panel in place: the reflectors overwrite w,
+// R is copied out of its upper triangle, and the Q they form is copied back
+// over them. Householder QR has no Gram-Schmidt breakdown mode — a
+// rank-deficient panel still yields an orthonormal Q — so it is the last
+// panel rung of the Factorize recovery ladder; only non-finite factors are
+// rejected.
+func (p *HouseholderPanel) factorInto(w, r *dense.M32) error {
+	tau := house.Geqrf(w, house.DefaultBlockSize)
+	r.Zero()
+	for j := 0; j < r.Cols; j++ {
+		copy(r.Col(j)[:j+1], w.Col(j))
 	}
-	return q, r, nil
+	w.CopyFrom(house.Orgqr(w, tau, house.DefaultBlockSize))
+	return checkFinite("SGEQRF", w, r)
 }
 
 // MGSPanel is the plain single-tile modified Gram-Schmidt panel, included
@@ -316,12 +372,12 @@ type MGSPanel struct{}
 func (MGSPanel) Name() string { return "MGS" }
 
 // Factor implements Panel.
-func (MGSPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	q = a.Clone()
-	r = dense.New[float32](a.Cols, a.Cols)
-	MGS(q, r)
-	if err := checkFullRank("MGS", r); err != nil {
-		return nil, nil, err
-	}
-	return q, r, nil
+func (p MGSPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
+	return factorCopy(a, p.factorInto)
+}
+
+// factorInto is the MGS panel in place.
+func (MGSPanel) factorInto(w, r *dense.M32) error {
+	MGS(w, r)
+	return checkFullRank("MGS", r)
 }

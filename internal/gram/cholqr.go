@@ -21,29 +21,33 @@ import (
 // The input is not modified. Returns an error when the Gram matrix is not
 // numerically positive definite.
 func CholQR(a *dense.M32) (q, r *dense.M32, err error) {
-	m, n := a.Rows, a.Cols
+	return factorCopy(a, cholQRInto)
+}
+
+// cholQRInto is CholQR in place: Q over w, R into the n×n r.
+func cholQRInto(w, r *dense.M32) error {
+	m, n := w.Rows, w.Cols
 	if m < n {
-		return nil, nil, fmt.Errorf("gram: CholQR requires m >= n, got %dx%d", m, n)
+		return fmt.Errorf("gram: CholQR requires m >= n, got %dx%d", m, n)
 	}
 	g := dense.New[float32](n, n)
-	blas.Syrk(blas.Lower, blas.Trans, 1, a, 0, g)
+	blas.Syrk(blas.Lower, blas.Trans, 1, w, 0, g)
 	// Cholesky gives G = L·Lᵀ; R = Lᵀ. A non-SPD Gram matrix is the CholQR
 	// breakdown mode (κ² overwhelmed float32, or the panel is rank
 	// deficient); report it as a typed breakdown, which the Factorize ladder
 	// answers with a more robust panel.
 	if err := chol.Potrf(g); err != nil {
-		return nil, nil, fmt.Errorf("gram: CholQR: Gram matrix not SPD (κ² too large for float32, or rank deficient): %v: %w", err, hazard.ErrBreakdown)
+		return fmt.Errorf("gram: CholQR: Gram matrix not SPD (κ² too large for float32, or rank deficient): %v: %w", err, hazard.ErrBreakdown)
 	}
-	r = dense.New[float32](n, n)
+	r.Zero()
 	for j := 0; j < n; j++ {
 		for i := 0; i <= j; i++ {
 			r.Set(i, j, g.At(j, i)) // transpose the lower factor
 		}
 	}
 	// Q = A·R⁻¹ (right triangular solve).
-	q = a.Clone()
-	blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, r, q)
-	return q, r, nil
+	blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, r, w)
+	return nil
 }
 
 // CholQR2 is CholQR followed by a second pass on Q (the standard fix that
@@ -72,13 +76,14 @@ type CholQRPanel struct{}
 func (CholQRPanel) Name() string { return "CholQR" }
 
 // Factor implements Panel.
-func (CholQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
-	q, r, err = CholQR(a)
-	if err != nil {
-		return nil, nil, err
+func (p CholQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
+	return factorCopy(a, p.factorInto)
+}
+
+// factorInto is the CholQR panel in place.
+func (CholQRPanel) factorInto(w, r *dense.M32) error {
+	if err := cholQRInto(w, r); err != nil {
+		return err
 	}
-	if err := checkFullRank("CholQR", r); err != nil {
-		return nil, nil, err
-	}
-	return q, r, nil
+	return checkFullRank("CholQR", r)
 }

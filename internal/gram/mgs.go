@@ -13,8 +13,9 @@
 // the blas task runner (the threadblocks), the R tree is reduced
 // recursively, and one batched GEMM writes the panel's Q from the tile
 // copies — one pass over the panel per tree level, synchronization only
-// between the tile tasks and the batched GEMM. A Factor call allocates its
-// workspace once; nothing is allocated per tile.
+// between the tile tasks and the batched GEMM. The tree's workspace is laid
+// out once per leaf shape and pooled across panel calls; nothing is
+// allocated per tile.
 package gram
 
 import (

@@ -80,7 +80,9 @@ func CGLS(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 	p := append([]float64(nil), s...)
 	gamma := dot64(s, s)
 	norms0 := sqrt(gamma)
-	out := &IterResult{X: x, GradNorms: []float64{norms0}}
+	// GradNorms has room for DefaultMaxIter iterations, as LSQR's has: sized
+	// once, not grown by append as the iteration runs.
+	out := &IterResult{X: x, GradNorms: append(make([]float64, 0, min(maxIter, DefaultMaxIter)+1), norms0)}
 	if norms0 == 0 {
 		out.Converged = true
 		return out

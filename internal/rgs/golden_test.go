@@ -87,6 +87,10 @@ func TestFactorBitsGolden(t *testing.T) {
 	// shape; at 1000×96 the last tile of each tree is 488 rows, the ragged
 	// tile. Those two hashes were recorded at the parent of the commit that
 	// gave the tile tree its fused MGS kernel and workspace.
+	//
+	// Each shape is factored twice: from the float32 narrowing, and from the
+	// float64 matrix itself, which Factor narrows in its own sweep; both must
+	// give the recorded bits.
 	for _, c := range []struct {
 		m, n int
 		seed int64
@@ -97,15 +101,23 @@ func TestFactorBitsGolden(t *testing.T) {
 		{1000, 96, 36, bits{0xdf2e61eddc98fde9, 0x14a8ab017ca79c43, 0xe2f44fbb773ef39d}},
 	} {
 		t.Run(fmt.Sprintf("default/%dx%d", c.m, c.n), func(t *testing.T) {
-			a := dense.ToF32(matgen.BadlyScaled(rand.New(rand.NewSource(c.seed)), c.m, c.n, 3))
-			res, err := Factor(a, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := bits{bitsHash(res.Q.Data), bitsHash(res.R.Data), bitsHash(res.ColumnScales)}
-			if got != c.want {
-				t.Errorf("factor bits moved: got {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
-					got.q, got.r, got.scales, c.want.q, c.want.r, c.want.scales)
+			a64 := matgen.BadlyScaled(rand.New(rand.NewSource(c.seed)), c.m, c.n, 3)
+			for _, src := range []string{"float32", "float64"} {
+				var res *Result
+				var err error
+				if src == "float32" {
+					res, err = Factor(dense.ToF32(a64), Options{})
+				} else {
+					res, err = Factor(a64, Options{})
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := bits{bitsHash(res.Q.Data), bitsHash(res.R.Data), bitsHash(res.ColumnScales)}
+				if got != c.want {
+					t.Errorf("factor bits moved (%s source): got {%#x, %#x, %#x}, want {%#x, %#x, %#x}",
+						src, got.q, got.r, got.scales, c.want.q, c.want.r, c.want.scales)
+				}
 			}
 		})
 	}

@@ -112,15 +112,19 @@ func (f *Result) R64() *dense.M64 {
 }
 
 // Factor computes the RGSQRF factorization of a (m×n, m >= n) inside the
-// paper's two safeguards: clone a, scale its columns by powers of two unless
-// DisableScaling (Section 3.5), factor, unscale R exactly, and under
-// ReOrthogonalize factor the computed Q a second time and fold R ← R₂·R
-// (Section 3.3). The input is not modified. Hazards are typed: a NaN/Inf
-// input returns an error wrapping hazard.ErrNonFinite, and a panel breakdown
-// (zero or dependent column, non-SPD Gram matrix) one wrapping
-// hazard.ErrBreakdown. Recovery is the caller's: tcqr.Factorize refactors the
-// whole matrix on a sturdier configuration.
-func Factor(a *dense.M32, opts Options) (*Result, error) {
+// paper's two safeguards, in one m×n float32 buffer that becomes Q. One sweep
+// over a narrows each column into the buffer at the width a has (a float64 a
+// needs no float32 copy of its own), checks it, and scales it by a power of
+// two unless DisableScaling (Section 3.5); the recursion and its panels then
+// overwrite the buffer with Q, R is unscaled exactly, and under
+// ReOrthogonalize the computed Q is factored a second time in place and R ←
+// R₂·R (Section 3.3). The input is not modified. Hazards are typed: an input
+// that is not finite in float32 — a NaN, an Inf, or a float64 element beyond
+// the float32 range — returns an *InputError wrapping hazard.ErrNonFinite,
+// and a panel breakdown (zero or dependent column, non-SPD Gram matrix) an
+// error wrapping hazard.ErrBreakdown. Recovery is the caller's:
+// tcqr.Factorize refactors the whole input on a sturdier configuration.
+func Factor[T dense.Float](a *dense.Matrix[T], opts Options) (*Result, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		return nil, fmt.Errorf("rgs: matrix is %dx%d; RGSQRF requires m >= n: %w", m, n, hazard.ErrShape)
@@ -128,16 +132,10 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	if n == 0 {
 		return &Result{Q: dense.New[float32](m, 0), R: dense.New[float32](0, 0)}, nil
 	}
-	if err := hazard.CheckMatrix("A", a); err != nil {
-		return nil, fmt.Errorf("rgs: %w", err)
-	}
-	var w *dense.M32
-	var scales []float32
-	if opts.DisableScaling {
-		w = a.Clone()
-	} else {
-		w = dense.New[float32](m, n)
-		scales = scaleColumnsInto(w, a)
+	w := dense.New[float32](m, n)
+	scales, ok := load(w, a, !opts.DisableScaling)
+	if !ok {
+		return nil, &InputError{CheckInput(a)}
 	}
 	r, err := opts.recurse(w)
 	if err != nil {
@@ -189,51 +187,87 @@ func (o *Options) recurse(w *dense.M32) (*dense.M32, error) {
 	panel := o.panel()
 	r := dense.New[float32](w.Cols, w.Cols)
 	err := gram.Recurse(w, r, o.cutoff(), o.engine(), func(w, r *dense.M32) error {
-		q, rr, err := panel.Factor(w)
-		if err != nil {
-			return err
-		}
-		w.CopyFrom(q)
-		r.CopyFrom(rr)
-		return nil
+		return gram.FactorInto(panel, w, r)
 	})
 	return r, err
 }
 
-// scaleColumns scales every column of w by a power of two so that its
-// largest magnitude lands in [1, 2) (or, for a column below 2⁻¹²⁷, as near
-// as a finite float32 scale takes it) — comfortably inside the binary16 range
-// regardless of the later orthogonal transformations (which preserve column
-// 2-norms; with max element < 2 the column norm is at most 2√m, and
-// 2√m ≪ 65504 for every m this library targets). Returns the applied
-// scales.
-func scaleColumns(w *dense.M32) []float32 { return scaleColumnsInto(w, w) }
+// InputError is Factor's answer to an input no configuration can factor: an
+// element that is not finite in float32. Err is CheckInput's error, naming
+// the first offender.
+type InputError struct{ Err error }
 
-// scaleColumnsInto is scaleColumns reading a and writing the scaled columns
-// to w (a itself, or a matrix of its shape): one sweep per column, the scan
-// and then the scaled copy while the column is in cache, so Factor needs no
-// separate clone of a.
-func scaleColumnsInto(w, a *dense.M32) []float32 {
-	scales := make([]float32, a.Cols)
-	for j := range scales {
-		scales[j] = 1
-		src, dst := a.Col(j), w.Col(j)
-		mx := blas.Amax(src) // NaN is skipped; an Inf keeps the column as it is
-		s := float32(1)
-		if mx != 0 && !math.IsInf(float64(mx), 0) {
-			// mx·s in [1, 2), except below 2⁻¹²⁷, where s stops at 2¹²⁷ (the
-			// largest finite float32 power of two) and mx·s stays below 1.
-			e := math.Floor(math.Log2(float64(mx)))
-			s = float32(math.Exp2(min(-e, 127)))
-		}
-		if s == 1 {
-			copy(dst, src)
-			continue
-		}
-		blas.ScalTo(s, src, dst)
-		scales[j] = s
+func (e *InputError) Error() string { return "rgs: " + e.Err.Error() }
+func (e *InputError) Unwrap() error { return e.Err }
+
+// CheckInput spells out the check Factor's sweep makes, for an error message
+// and for callers that must reject an input before its shape: a must be
+// non-empty, and finite once narrowed to float32. The error wraps
+// hazard.ErrEmpty or hazard.ErrNonFinite and names the first NaN or Inf of a
+// at its own width in column-major order, or else, for a float64 a, the first
+// element beyond the float32 range (as +Inf or -Inf, its float32 value).
+func CheckInput[T dense.Float](a *dense.Matrix[T]) error {
+	if err := hazard.CheckMatrix("A", a); err != nil {
+		return err
 	}
-	return scales
+	if a64, ok := any(a).(*dense.M64); ok {
+		return hazard.CheckMatrix("A", dense.ToF32(a64))
+	}
+	return nil
+}
+
+// load is Factor's sweep over its input, one column at a time while the
+// column is in cache: a float32 column is read where it is, a float64 one is
+// narrowed into w first; the column is checked, and written to w once, scaled
+// by columnScale's power of two when scale is set. It returns the applied
+// scales (nil without scaling), and false at the first column holding an
+// element that is not finite in float32.
+func load[T dense.Float](w *dense.M32, a *dense.Matrix[T], scale bool) ([]float32, bool) {
+	var scales []float32
+	if scale {
+		scales = make([]float32, a.Cols)
+	}
+	for j := range a.Cols {
+		dst := w.Col(j)
+		src, ok := any(a.Col(j)).([]float32)
+		if !ok {
+			for i, v := range a.Col(j) {
+				dst[i] = float32(v)
+			}
+			src = dst
+		}
+		if hazard.CheckVec("A", src) != nil {
+			return nil, false
+		}
+		s := float32(1)
+		if scale {
+			s = columnScale(src)
+			scales[j] = s
+		}
+		if s != 1 || ok {
+			blas.ScalTo(s, src, dst) // by 1, a copy: every element is finite
+		}
+	}
+	return scales, true
+}
+
+// columnScale returns the power of two that brings the largest magnitude of
+// col into [1, 2) (or, for a column below 2⁻¹²⁷, as near as a finite float32
+// scale takes it) — comfortably inside the binary16 range regardless of the
+// later orthogonal transformations (which preserve column 2-norms; with max
+// element < 2 the column norm is at most 2√m, and 2√m ≪ 65504 for every m
+// this library targets). The scale multiplies the float32 elements, after
+// their narrowing: scaling a float64 before it is narrowed would round a
+// float32 subnormal differently.
+func columnScale(col []float32) float32 {
+	mx := blas.Amax(col) // NaN is skipped; an Inf keeps the column as it is
+	if mx == 0 || math.IsInf(float64(mx), 0) {
+		return 1
+	}
+	// mx·s in [1, 2), except below 2⁻¹²⁷, where s stops at 2¹²⁷ (the largest
+	// finite float32 power of two) and mx·s stays below 1.
+	e := math.Floor(math.Log2(float64(mx)))
+	return float32(math.Exp2(min(-e, 127)))
 }
 
 // FlopCount returns the floating point operations RGSQRF performs on an

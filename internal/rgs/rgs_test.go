@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tcqr/internal/accuracy"
@@ -297,6 +298,19 @@ func TestHazardsReturnTypedErrors(t *testing.T) {
 	}
 }
 
+// scaleColumns is the scaling step of Factor's sweep on every column of w,
+// in place, returning the scales.
+func scaleColumns(w *dense.M32) []float32 {
+	scales := make([]float32, w.Cols)
+	for j := range scales {
+		col := w.Col(j)
+		if scales[j] = columnScale(col); scales[j] != 1 {
+			blas.ScalTo(scales[j], col, col)
+		}
+	}
+	return scales
+}
+
 // oldScaleColumns is scaleColumns as it stood when |v| was a sign test, kept
 // as the oracle for the branch-free scan.
 func oldScaleColumns(w *dense.M32) []float32 {
@@ -385,5 +399,53 @@ func TestScaleColumnsClampsTinyColumns(t *testing.T) {
 	}
 	if got := w.At(0, 1); got != 1 {
 		t.Errorf("column at 2^-127 scaled to %g, want 1", got)
+	}
+}
+
+// TestFactorFloat64SourceMatchesNarrowing: Factor narrows a float64 input in
+// its own sweep, and must return what it returns for the float32 narrowing —
+// the same bits, or the same error. The columns sit where narrowing rounds:
+// the float32 subnormals that scaling then lifts (multiplying before
+// narrowing would round them differently), the top of the float32 range,
+// columns that narrow to zero (a breakdown, but for the Householder panel),
+// and past the range, where the narrowing is ±Inf and the error names that
+// element.
+func TestFactorFloat64SourceMatchesNarrowing(t *testing.T) {
+	rng := rand.New(rand.NewSource(63))
+	const m, n = 300, 40
+	mags := []float64{1e-40, 3e-44, 1, 5e37, 1e-46, 1e-300} // the last two narrow to zero
+	for trial := 0; trial < 12; trial++ {
+		a := matgen.Normal(rng, m, n)
+		for j := 0; j < n; j++ {
+			s := mags[(j+trial)%(len(mags)-2*(trial%2))]
+			for i := range a.Col(j) {
+				a.Col(j)[i] *= s
+			}
+		}
+		if trial%4 == 3 {
+			a.Set(rng.Intn(m), 1+rng.Intn(n-1), -1e39)
+		}
+		for _, opts := range []Options{{Cutoff: 16}, {Cutoff: 16, DisableScaling: true}, {Cutoff: 16, Panel: &gram.HouseholderPanel{}}} {
+			got, gotErr := Factor(a, opts)
+			want, wantErr := Factor(dense.ToF32(a), opts)
+			switch {
+			case (gotErr == nil) != (wantErr == nil):
+				t.Fatalf("trial %d %+v: float64 source %v, float32 narrowing %v", trial, opts, gotErr, wantErr)
+			case gotErr != nil:
+				if gotErr.Error() != wantErr.Error() {
+					t.Errorf("trial %d %+v: float64 source %q, float32 narrowing %q", trial, opts, gotErr, wantErr)
+				}
+			case bitsHash(got.Q.Data) != bitsHash(want.Q.Data) || bitsHash(got.R.Data) != bitsHash(want.R.Data) ||
+				bitsHash(got.ColumnScales) != bitsHash(want.ColumnScales):
+				t.Errorf("trial %d %+v: the float64 source factors to other bits than its narrowing", trial, opts)
+			}
+		}
+	}
+	a := matgen.Normal(rng, m, n)
+	a.Set(7, 3, 1e39)
+	_, err := Factor(a, Options{})
+	var in *InputError
+	if !errors.As(err, &in) || !errors.Is(err, hazard.ErrNonFinite) || !strings.Contains(err.Error(), "A(7,3) = +Inf") {
+		t.Errorf("1e39 at (7,3): %v, want an *InputError naming A(7,3) = +Inf", err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -283,10 +284,11 @@ func TestForwardFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			frame, err := encodeFrame(tc.req, forwardSection(node, context.Background(), 2))
+			buf, err := encodeFrame(tc.req, forwardSection(node, context.Background(), 2))
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
+			frame := *buf
 			if got := hex.EncodeToString(frame); got != tc.golden {
 				t.Errorf("forward frame bytes changed:\n got %s\nwant %s", got, tc.golden)
 			}
@@ -305,10 +307,11 @@ func TestForwardFrameRoundTrip(t *testing.T) {
 
 			// A 400 ms forward budget folds into the deadline: it tightens a
 			// looser or absent one and leaves a tighter one alone.
-			frame, err = encodeFrame(tc.req, wirefmt.ForwardSection(400, 1, "n0"))
+			buf, err = encodeFrame(tc.req, wirefmt.ForwardSection(400, 1, "n0"))
 			if err != nil {
 				t.Fatalf("encode with budget: %v", err)
 			}
+			frame = *buf
 			got = tc.fresh()
 			if _, aerr := decodeFrame(tc.endpoint, frame, got); aerr != nil {
 				t.Fatalf("decode with budget: %s", aerr.msg)
@@ -673,10 +676,13 @@ func postSpiedFrame(t *testing.T, h http.Handler, frame []byte) (*httptest.Respo
 // TestColdFrameSolveAllocBytes holds the two halves of the adopt rule
 // (decodeFrame). A frame too large for wirefmt's pool is read once, into a
 // buffer of exactly its size, and the cached matrix keeps that buffer: a
-// cold 4096×128 solve allocates at most 3.6× its 4 MiB matrix payload (the
-// frame, the float32 narrowing, Q, and the factorization's workspace; it was
-// 6.3× with the read buffer regrown and the matrix copied out of it). A frame
-// the pool will recycle is still copied out of: nothing cached may view it.
+// cold 4096×128 solve allocates at most 2.4× its 4 MiB matrix payload. About
+// 2.1× is what it needs: the frame (1×), the float32 narrowing the backend
+// factors (0.5×) and the buffer that becomes Q (0.5×), then R, its float64
+// widening and the refinement's vectors; the panel factors in that buffer and
+// its tile-tree workspace is pooled. It was 6.3× with the read buffer
+// regrown and the matrix copied out of it. A frame the pool will recycle is
+// still copied out of: nothing cached may view it.
 func TestColdFrameSolveAllocBytes(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
@@ -684,16 +690,26 @@ func TestColdFrameSolveAllocBytes(t *testing.T) {
 
 	c := newColdTall()
 	const payload = 8 * coldRows * coldCols
-	postSpiedFrame(t, h, c.rotated(t, 1)) // warm: pools, lazily built tables
-	const iters = 3
-	var total uint64
-	for i := 0; i < iters; i++ {
-		frame := c.rotated(t, 2+i)
+	// Warm the pools and the lazily built tables with the collector held
+	// off, and gate the median request, as the factorization's own
+	// allocation gates do: a cycle empties the GEMM's pack-buffer pools and
+	// the tile-tree pool, and a pooled buffer left in one processor's
+	// private slot is out of reach of the others until each has its own, so
+	// what a request refills depends on when cycles fall and where its
+	// goroutines run (0.1–0.45× more).
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, iters = 3, 5
+	for i := 0; i < warm; i++ {
+		postSpiedFrame(t, h, c.rotated(t, 1+i))
+	}
+	perReq := make([]uint64, iters)
+	for i := range perReq {
+		frame := c.rotated(t, 1+warm+i)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		rec, buf := postSpiedFrame(t, h, frame)
 		runtime.ReadMemStats(&after)
-		total += after.TotalAlloc - before.TotalAlloc
+		perReq[i] = after.TotalAlloc - before.TotalAlloc
 		var meta solveMeta
 		decodeFrameResp(t, rec, &meta)
 		e, ok := s.cache.Get(meta.Key)
@@ -707,16 +723,17 @@ func TestColdFrameSolveAllocBytes(t *testing.T) {
 			t.Fatalf("cold solve %d copied its matrix out of a frame buffer nothing will reuse", i)
 		}
 	}
-	perReq := total / iters
-	t.Logf("cold %dx%d frame solve: %d bytes allocated per request, %.2fx the matrix payload", coldRows, coldCols, perReq, float64(perReq)/payload)
+	slices.Sort(perReq)
+	median := perReq[iters/2]
+	t.Logf("cold %dx%d frame solve: %d bytes allocated per request (median of %d), %.2fx the matrix payload", coldRows, coldCols, median, iters, float64(median)/payload)
 	// Race builds skip the byte gate, not the adoption check above: the race
 	// runtime drops a quarter of sync.Pool.Puts, so the factorization's pooled
 	// workspace is randomly reallocated.
 	if raceEnabled {
 		t.Logf("race build: skipping the byte gate (race mode drops 1/4 of Pool.Puts)")
-	} else if perReq > payload*36/10 {
-		t.Fatalf("cold frame solve allocates %d bytes per request, %.2fx its %d-byte matrix payload; the gate is 3.6x",
-			perReq, float64(perReq)/payload, payload)
+	} else if median > payload*24/10 {
+		t.Fatalf("cold frame solve allocates %d bytes per request, %.2fx its %d-byte matrix payload; the gate is 2.4x",
+			median, float64(median)/payload, payload)
 	}
 
 	// Under the pool cap: poison the buffer the frame was read into once the

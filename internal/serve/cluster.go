@@ -65,7 +65,7 @@ func (s *Server) forward(w http.ResponseWriter, rc *reqScope, ctx context.Contex
 		return false
 	}
 	defer wirefmt.PutBuffer(frame)
-	if s.tryCandidates(w, rc, ctx, cands, rt, frame) {
+	if s.tryCandidates(w, rc, ctx, cands, rt, *frame) {
 		return true
 	}
 	// A keyOnly request that reached this point is not resident here
@@ -75,7 +75,7 @@ func (s *Server) forward(w http.ResponseWriter, rc *reqScope, ctx context.Contex
 	// down-marked owner (the mark may be a transient probe glitch) or a
 	// non-owner coordinator that computed the entry as a local fallback is
 	// worth one more attempt each.
-	if rt.keyOnly && s.tryCandidates(w, rc, ctx, s.cluster.Peers(), rt, frame) {
+	if rt.keyOnly && s.tryCandidates(w, rc, ctx, s.cluster.Peers(), rt, *frame) {
 		return true
 	}
 	// Every routed request terminates exactly once in served_remote or
@@ -188,17 +188,17 @@ func (s *Server) clusterReplicate(key string, a *tcqr.Matrix, wcfg WireConfig) {
 			continue
 		}
 		if frame == nil {
-			var err error
 			// Replica deliveries are factorize frames: replication is
 			// deterministic recompute on the replica (bit-identical factors —
 			// the determinism contract), not factor shipping.
-			frame, err = encodeFrame(&factorizeRequest{
+			buf, err := encodeFrame(&factorizeRequest{
 				Matrix: &WireMatrix{Rows: a.Rows, Cols: a.Cols, Data: colMajorData(a)},
 				Config: wcfg,
 			}, forwardSection(n, context.Background(), 1))
 			if err != nil {
 				return
 			}
+			frame = *buf
 		}
 		n.Replicate(m, "/v1/factorize", frame)
 	}

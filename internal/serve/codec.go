@@ -180,7 +180,7 @@ func (rc *reqScope) decodeRequest(r *http.Request, v any) *apiError {
 		wirefmt.PutBuffer(body)
 		return errBadInput("reading frame body: " + err.Error())
 	}
-	aliased, aerr := decodeFrame(rc.endpoint, body, v)
+	aliased, aerr := decodeFrame(rc.endpoint, *body, v)
 	if aerr == nil && aliased {
 		rc.bodyBuf = body
 	} else {
@@ -196,15 +196,18 @@ func (rc *reqScope) decodeRequest(r *http.Request, v any) *apiError {
 // so a buffer sized to the body used to be reallocated at twice the size and
 // copied at the very end. A body of unknown length starts at the pool's
 // default and grows.
-func readBody(r *http.Request) ([]byte, error) {
+func readBody(r *http.Request) (*[]byte, error) {
 	if n := r.ContentLength; n >= 0 {
-		buf := wirefmt.GetBuffer(int(n))[:n]
-		_, err := io.ReadFull(r.Body, buf)
+		buf := wirefmt.GetBuffer(int(n))
+		*buf = (*buf)[:n]
+		_, err := io.ReadFull(r.Body, *buf)
 		return buf, err
 	}
-	buf := bytes.NewBuffer(wirefmt.GetBuffer(16 << 10))
-	_, err := buf.ReadFrom(r.Body)
-	return buf.Bytes(), err
+	buf := wirefmt.GetBuffer(16 << 10)
+	grown := bytes.NewBuffer(*buf)
+	_, err := grown.ReadFrom(r.Body)
+	*buf = grown.Bytes()
+	return buf, err
 }
 
 // decodeFrame maps a frame — [JSON meta, bulk sections…] plus the trailing
@@ -292,8 +295,11 @@ func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 	}
 	var body []byte
 	if rc.frameResp {
-		body, err = encodeFrame(v)
-		defer wirefmt.PutBuffer(body)
+		var frame *[]byte
+		if frame, err = encodeFrame(v); err == nil {
+			defer wirefmt.PutBuffer(frame)
+			body = *frame
+		}
 	} else {
 		var buf bytes.Buffer
 		err = json.NewEncoder(&buf).Encode(v)
@@ -316,7 +322,7 @@ func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 // encodeFrame writes v as one frame in a pooled buffer (release it with
 // wirefmt.PutBuffer): the JSON metadata section, v's bulk sections in layout
 // order — an absent optional one is skipped — then tail.
-func encodeFrame(v any, tail ...wirefmt.Section) ([]byte, error) {
+func encodeFrame(v any, tail ...wirefmt.Section) (*[]byte, error) {
 	l := layoutOf(v)
 	var (
 		scratch [wirefmt.MaxSections]wirefmt.Section
@@ -361,10 +367,11 @@ func encodeFrame(v any, tail ...wirefmt.Section) ([]byte, error) {
 		return nil, err
 	}
 	buf := wirefmt.GetBuffer(n)
-	out, err := wirefmt.AppendFrame(buf, secs...)
+	out, err := wirefmt.AppendFrame(*buf, secs...)
 	if err != nil {
 		wirefmt.PutBuffer(buf)
 		return nil, err
 	}
-	return out, nil
+	*buf = out
+	return buf, nil
 }

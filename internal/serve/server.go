@@ -278,7 +278,7 @@ type reqScope struct {
 	// batch may still read the zero-copy right-hand side).
 	binReq    bool
 	frameResp bool
-	bodyBuf   []byte
+	bodyBuf   *[]byte
 	respCT    string // response Content-Type; empty selects application/json
 
 	// forwarded marks a request that arrived with the cluster loop-guard

@@ -454,12 +454,12 @@ func FuzzRequestDecode(f *testing.F) {
 				t.Fatalf("%s: accepted request does not re-encode: %v", endpoint, err)
 			}
 			again := newReq()
-			if _, aerr := decodeFrame(endpoint, frame, again); aerr != nil {
+			if _, aerr := decodeFrame(endpoint, *frame, again); aerr != nil {
 				t.Fatalf("%s: re-encoded request rejected: %s", endpoint, aerr.msg)
 			}
 			// Compared as frames: float payloads may hold NaNs, which no
 			// value comparison calls equal.
-			if frame2, err := encodeFrame(again); err != nil || !bytes.Equal(frame, frame2) {
+			if frame2, err := encodeFrame(again); err != nil || !bytes.Equal(*frame, *frame2) {
 				t.Fatalf("%s: round trip changed the request (%v):\n got %+v\nwant %+v", endpoint, err, again, req)
 			}
 		}

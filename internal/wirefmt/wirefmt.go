@@ -369,17 +369,21 @@ const maxPooledBuf = 4 << 20
 
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &b }}
 
-// GetBuffer returns a zero-length byte buffer with capacity at least
-// sizeHint, drawn from a pool. The returned slice's backing array is 8-byte
-// aligned (Go heap allocations of this size class always are), so frames
-// decoded in place support zero-copy float views. Release with PutBuffer.
-func GetBuffer(sizeHint int) []byte {
-	b := *bufPool.Get().(*[]byte)
-	if cap(b) < sizeHint {
-		bufPool.Put(&b)
-		return make([]byte, 0, sizeHint)
+// GetBuffer returns a buffer drawn from a pool: *b has length zero and
+// capacity at least sizeHint, and its backing array is 8-byte aligned (Go
+// heap allocations of this size class always are), so frames decoded in place
+// support zero-copy float views. Reslice or grow *b as needed and release b
+// itself with PutBuffer: the pool keeps the pointer, so a buffer goes round
+// without a new slice header each time.
+func GetBuffer(sizeHint int) *[]byte {
+	b := bufPool.Get().(*[]byte)
+	if cap(*b) < sizeHint {
+		bufPool.Put(b)
+		nb := make([]byte, 0, sizeHint)
+		return &nb
 	}
-	return b[:0]
+	*b = (*b)[:0]
+	return b
 }
 
 // TooLargeToPool reports whether b is over the pool's capacity bound: such a
@@ -388,12 +392,12 @@ func GetBuffer(sizeHint int) []byte {
 func TooLargeToPool(b []byte) bool { return cap(b) > maxPooledBuf }
 
 // PutBuffer recycles a buffer obtained from GetBuffer. Callers must not
-// retain views into b (including Float64s results) after releasing it,
-// unless TooLargeToPool(b): then this is a no-op.
-func PutBuffer(b []byte) {
-	if b == nil || TooLargeToPool(b) {
+// retain views into *b (including Float64s results) after releasing it,
+// unless TooLargeToPool(*b): then this is a no-op. A nil b is a no-op too.
+func PutBuffer(b *[]byte) {
+	if b == nil || TooLargeToPool(*b) {
 		return
 	}
-	b = b[:0]
-	bufPool.Put(&b)
+	*b = (*b)[:0]
+	bufPool.Put(b)
 }

@@ -135,7 +135,7 @@ func TestEncodeIntoPooledBuffer(t *testing.T) {
 	}
 	buf := GetBuffer(n)
 	defer PutBuffer(buf)
-	out, err := AppendFrame(buf, VectorSection(vec))
+	out, err := AppendFrame(*buf, VectorSection(vec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"tcqr/internal/accuracy"
+	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
 	"tcqr/internal/rgs"
 	"tcqr/internal/tcsim"
@@ -49,16 +50,32 @@ type Factorization struct {
 // reports what happened in Factorization.Hazards. A recovered factorization
 // is exactly Factorize(a, c) for the Config c of the rung that produced it.
 func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
-	if err := hazard.CheckMatrix("A", a); err != nil {
-		return nil, fmt.Errorf("tcqr: %w", err)
-	}
-	if a.Rows < a.Cols {
+	return factorize(a, cfg)
+}
+
+// factorize is Factorize on an input of either width: the ladder runner
+// behind Factorize and SolveLeastSquares. Each rung factors a itself, which
+// rgs.Factor narrows, checks and scales in one sweep into the buffer that
+// becomes Q, so a float64 a is factored exactly as its float32 narrowing
+// would be and is never copied whole. The first rung's sweep is the input
+// check: an input it rejects has no rung to fall back on.
+func factorize[T dense.Float](a *dense.Matrix[T], cfg Config) (*Factorization, error) {
+	if a == nil || a.Cols == 0 || a.Rows < a.Cols {
+		// Empty or wide: the checks in the order callers have always seen
+		// them, finiteness before shape.
+		if err := rgs.CheckInput(a); err != nil {
+			return nil, fmt.Errorf("tcqr: %w", err)
+		}
 		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
 	f, err := withConfigFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
 		return factorizeOnce(a, c, rep)
 	})
+	var in *rgs.InputError
+	if errors.As(err, &in) {
+		return nil, fmt.Errorf("tcqr: %w", in.Err)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +92,7 @@ func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
 // factors are refused either way. Engines always track overflow/underflow
 // events — the hazard layer needs them to classify failures, and counting is
 // fused into the GEMM packing pass so it is nearly free.
-func factorizeOnce(a *Matrix32, cfg Config, rep *hazard.Report) (*Factorization, error) {
+func factorizeOnce[T dense.Float](a *dense.Matrix[T], cfg Config, rep *hazard.Report) (*Factorization, error) {
 	engine := cfg.Engine.New(true)
 	res, err := rgs.Factor(a, rgs.Options{
 		Engine:          engine,
@@ -183,6 +200,9 @@ func withConfigFallback[T any](cfg Config, stage string, rep *hazard.Report,
 // breakdown (not an overflow, which no panel causes) each panel sturdier
 // than cfg.Panel follows; then the engine rungs, on the last of those panels.
 func engineLadder(cfg Config, err error) []rung {
+	if errors.As(err, new(*rgs.InputError)) {
+		return nil // no configuration factors a non-finite input
+	}
 	var out []rung
 	if cfg.DisableColumnScaling {
 		cfg.DisableColumnScaling = false

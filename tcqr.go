@@ -72,8 +72,11 @@ const (
 	// PanelHouseholder is the blocked Householder (cuSOLVER SGEQRF) panel.
 	PanelHouseholder
 	// PanelCholQR is Cholesky QR (Gram matrix + Potrf), the related-work
-	// baseline of §3.6 — fastest, but breaks down once κ(A)² overwhelms
-	// float32.
+	// baseline of §3.6. It is all BLAS-3, but its Syrk and right Trsm do
+	// not run on the packed GEMM, so it is the slowest panel here: about
+	// 15 ms on a 2048×128 panel against CAQR's 2.7 ms (the benchmark probe's
+	// gram.cholqr_ms and gram.caqr_ms, 2-vCPU AVX-512 host). It breaks down
+	// once κ(A)² overwhelms float32.
 	PanelCholQR
 	// PanelMGS is the plain single-tile modified Gram-Schmidt panel.
 	PanelMGS
