@@ -21,12 +21,13 @@ build:
 # optional tooling; the lint target must not depend on a network fetch). The
 # arm64 vet type-checks every *_other.go fallback of the amd64 assembly (and
 # the tests beside them), which no native build compiles; it needs no arm64
-# machine. The arm64 listing after it holds internal/blas to one rounding per
-# product on every port: its Go loops are the fallback and the oracle of the
-# vector kernels, and the arm64 compiler fuses an unconverted x*y + z, so a
-# blas function (each generic instantiation, in whichever package compiles
-# it) must hold no FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. The
-# build cache replays the listing, so the step costs about 0.1 s when warm.
+# machine. The arm64 listing after it holds internal/blas and internal/lls to
+# one rounding per product on every port: the blas Go loops are the fallback
+# and the oracle of the vector kernels, the lls refinement's bits are recorded
+# hashes, and the arm64 compiler fuses an unconverted x*y + z, so a blas or
+# lls function (each generic instantiation, in whichever package compiles it)
+# must hold no FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. The build
+# cache replays the listing, so the step costs about 0.1 s when warm.
 lint: reach
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -35,9 +36,9 @@ lint: reach
 	@{ GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... 2>&1 || echo "arm64 build of ./internal/... failed"; } | \
 	awk '/^arm64 build of/ { bad = 1; print } \
 		/^[^ \t]/ && / STEXT / { sym = $$1 } \
-		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^tcqr\/internal\/blas\./ && !seen[sym $$3]++ { \
+		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^tcqr\/internal\/(blas|lls)\./ && !seen[sym $$3]++ { \
 			bad = 1; print "fused multiply-add in " sym " at " $$3 ": " $$4 } \
-		END { if (bad) exit 1; print "internal/blas: no fused multiply-add in the arm64 listing" }'
+		END { if (bad) exit 1; print "internal/blas, internal/lls: no fused multiply-add in the arm64 listing" }'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \

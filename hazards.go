@@ -17,8 +17,8 @@ var (
 	// linear systems).
 	ErrShape = hazard.ErrShape
 	// ErrBreakdown reports a numerical breakdown inside a factorization: a
-	// non-SPD Gram matrix in CholQR, a zero or linearly dependent column in a
-	// Gram-Schmidt panel, a non-finite factor.
+	// zero or linearly dependent column in a Gram-Schmidt panel, a
+	// non-finite factor.
 	ErrBreakdown = hazard.ErrBreakdown
 	// ErrOverflow reports fp16 overflow in the simulated neural engine — the
 	// §3.5 catastrophe that column scaling exists to prevent.

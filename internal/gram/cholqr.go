@@ -68,8 +68,8 @@ func CholQR2(a *dense.M32) (q, r *dense.M32, err error) {
 	return q, r, nil
 }
 
-// CholQRPanel adapts CholQR to the Panel interface for ablations. Cholesky
-// breakdown surfaces as an error wrapping hazard.ErrBreakdown.
+// CholQRPanel adapts CholQR to the Panel interface for the benchmark probe's
+// gram.cholqr_ms row; a Cholesky breakdown wraps hazard.ErrBreakdown.
 type CholQRPanel struct{}
 
 // Name implements Panel.

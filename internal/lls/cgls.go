@@ -146,7 +146,7 @@ func CGLS(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 		}
 		beta := gamma / gamma1
 		for i := range p {
-			p[i] = s[i] + beta*p[i]
+			p[i] = s[i] + float64(beta*p[i])
 		}
 	}
 	if !out.Converged && bestNorm < out.GradNorms[len(out.GradNorms)-1] {

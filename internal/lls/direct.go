@@ -7,9 +7,12 @@
 //     direct solver of Figure 9;
 //   - CGLS with the RGSQRF R factor as right preconditioner (Algorithm 3),
 //     the paper's novel refinement that recovers double-precision accuracy;
-//   - preconditioned LSQR and classical QR-based iterative refinement as
-//     the alternatives discussed in Sections 2.2 and 3.2.3;
+//   - preconditioned LSQR, the alternative Section 2.2 discusses, which
+//     converges where CGLS diverges on fp16 and bf16 factors of inputs with
+//     κ ≥ 1e6 and arithmetic or clustered spectra;
 //   - the normal-equations/Cholesky method as the cautionary baseline.
+//
+// A product that feeds an add is float64(x*y) + z, never fused on any port.
 package lls
 
 import (

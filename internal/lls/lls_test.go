@@ -171,37 +171,6 @@ func TestLSQRMatchesCGLS(t *testing.T) {
 	}
 }
 
-func TestRefineQRConverges(t *testing.T) {
-	// Classical residual-correction refinement improves the solution by
-	// several orders of magnitude but stalls at the accuracy floor of the
-	// float32 correction solve — the limitation that motivates the paper's
-	// CGLS approach. Ask for a tolerance above that floor and check both
-	// the convergence and the stall.
-	p := problem(8, 400, 100, 1e2, matgen.Arithmetic, 0.2)
-	f := factor(t, p.A, rgs.Options{Cutoff: 32})
-	sol, err := SolveWithFactor(f, p.A, p.B, SolveOptions{Method: MethodRefine, Tol: 1e-5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sol.Converged {
-		t.Fatalf("refinement did not converge in %d iterations (grads %v)", sol.Iterations, sol.GradNorms[:min(5, len(sol.GradNorms))])
-	}
-	if opt := accuracy.LLSOptimality(p.A, sol.X, p.B); opt > 1e-4 {
-		t.Errorf("refined optimality %g", opt)
-	}
-	// The stall: demanding double-precision accuracy must NOT converge,
-	// while CGLS on the same problem does. This is the paper's motivation
-	// for the Krylov refinement.
-	stall := RefineQR(f, p.A, p.B, 1e-12, 100)
-	if stall.Converged {
-		t.Error("classical refinement unexpectedly reached double precision")
-	}
-	cg := CGLS(p.A, p.B, dense.ToF64(f.R), 1e-12, 100)
-	if !cg.Converged {
-		t.Error("CGLS should reach double precision where refinement stalls")
-	}
-}
-
 func TestNormalEquations(t *testing.T) {
 	// Well-conditioned: fine in float64.
 	p := problem(9, 200, 40, 10, matgen.Arithmetic, 0.1)

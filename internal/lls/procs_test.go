@@ -44,7 +44,6 @@ func TestRefinementBitsIndependentOfProcs(t *testing.T) {
 	run := func() map[string]uint64 {
 		cg := CGLS(a, b.Col(0), r64, 0, 0)
 		ls := LSQR(a, b.Col(1), r64, 0, 0)
-		rq := RefineQR(f, a, b.Col(2), 0, 30)
 		ms, err := SolveMultiWithFactor(f, a, b, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -56,7 +55,6 @@ func TestRefinementBitsIndependentOfProcs(t *testing.T) {
 		return map[string]uint64{
 			"CGLS":                      bitsHash(cg.X, cg.GradNorms),
 			"LSQR":                      bitsHash(ls.X, ls.GradNorms),
-			"RefineQR":                  bitsHash(rq.X, rq.GradNorms),
 			"SolveMultiWithFactor":      bitsHash(ms.X.Data),
 			"SolveMultiWithFactor LSQR": bitsHash(ml.X.Data),
 		}

@@ -4,63 +4,10 @@ import (
 	"fmt"
 	"math"
 
-	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
 	"tcqr/internal/rgs"
 )
-
-// RefineQR performs classical iterative refinement for least squares (the
-// "iterative refinement in the literature" of Section 3.2.3, in its simple
-// residual-correction form): starting from the low-precision direct
-// solution, repeatedly compute the residual in float64 and solve for a
-// correction with the same float32 QR factors. It converges when
-// κ(A)·ε_half ≪ 1 but, unlike the Krylov refinement, stalls once the
-// correction equation itself is too inaccurate — which is why the paper
-// prefers CGLS.
-func RefineQR(f *rgs.Result, a *dense.M64, b []float64, tol float64, maxIter int) *IterResult {
-	m, n := a.Rows, a.Cols
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
-	x := make([]float64, n)
-	res := make([]float64, m)
-	grad := make([]float64, n)
-	r32 := make([]float32, m)
-	out := &IterResult{X: x}
-	var grad0 float64
-	for k := 0; k <= maxIter; k++ {
-		// res = b − A·x, gradient g = Aᵀ·res, both in float64.
-		copy(res, b)
-		blas.Gemv(blas.NoTrans, -1, a, x, 1, res)
-		blas.Gemv(blas.Trans, 1, a, res, 0, grad)
-		g := blas.Nrm2(grad)
-		out.GradNorms = append(out.GradNorms, g)
-		if k == 0 {
-			grad0 = g
-		}
-		if g <= tol*grad0 || grad0 == 0 {
-			out.Converged = true
-			break
-		}
-		if k == maxIter {
-			break
-		}
-		// Correction d = R⁻¹·Qᵀ·res with the float32 factors.
-		for i, v := range res {
-			r32[i] = float32(v)
-		}
-		d := DirectRGS(f, r32)
-		for i := range x {
-			x[i] += float64(d[i])
-		}
-		out.Iterations = k + 1
-	}
-	return out
-}
 
 // Method selects the refinement engine used by SolveWithFactor.
 type Method int
@@ -70,8 +17,9 @@ const (
 	MethodCGLS Method = iota
 	// MethodLSQR swaps in preconditioned LSQR.
 	MethodLSQR
-	// MethodRefine uses classical residual-correction refinement.
-	MethodRefine
+	// 2 was classical residual-correction refinement, retired; the
+	// tcqr.RefineMethod constants keep their numbers.
+	_
 	// MethodDirect returns the float32 direct solution without refinement
 	// (the "RGSQRF direct solver" of Figure 9).
 	MethodDirect
@@ -84,8 +32,6 @@ func (m Method) String() string {
 		return "RGSQRF+CGLS"
 	case MethodLSQR:
 		return "RGSQRF+LSQR"
-	case MethodRefine:
-		return "RGSQRF+IR"
 	case MethodDirect:
 		return "RGSQRF direct"
 	}
@@ -151,8 +97,6 @@ func refineColumn(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (
 			x[i] = float64(v)
 		}
 		return &IterResult{X: x, Converged: true}, nil
-	case MethodRefine:
-		return RefineQR(f, a, b, opts.Tol, opts.MaxIter), nil
 	case MethodLSQR:
 		return LSQR(a, b, f.R64(), opts.Tol, opts.MaxIter), nil
 	case MethodCGLS:

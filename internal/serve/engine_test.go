@@ -56,17 +56,32 @@ func TestEngineKindsThroughServe(t *testing.T) {
 }
 
 // TestUnknownEngineAndPanelNames: the wire 400 carries the same valid-name
-// list as the flags, straight from the tables.
+// list as the flags, straight from the tables. The retired "cholqr" panel and
+// "classical" method get it too: no other panel or method answers under the
+// name the client asked for.
 func TestUnknownEngineAndPanelNames(t *testing.T) {
 	s := New(Options{Workers: 1})
 	defer s.Close()
 	good := wireMat(16, 4, testMatrix(60, 16, 4, 1))
-	for field, want := range map[string]string{"engine": fmt.Sprint(tcsim.Kinds()), "panel": "[caqr householder cholqr mgs]"} {
+	factorize := func(field, name string) map[string]any {
+		return map[string]any{"matrix": good, "config": map[string]any{field: name}}
+	}
+	cases := []struct {
+		path string
+		body map[string]any
+		want string
+	}{
+		{"/v1/factorize", factorize("engine", "bogus"), fmt.Sprint(tcsim.Kinds())},
+		{"/v1/factorize", factorize("panel", "bogus"), "[caqr householder mgs]"},
+		{"/v1/factorize", factorize("panel", "cholqr"), `unknown panel "cholqr" (want one of [caqr householder mgs])`},
+		{"/v1/solve", map[string]any{"matrix": good, "b": make([]float64, 16), "options": map[string]any{"method": "classical"}},
+			`unknown method "classical" (want cgls, lsqr or none)`},
+	}
+	for _, tc := range cases {
 		var er envelope
-		code, _ := post(t, s.Handler(), "/v1/factorize",
-			map[string]any{"matrix": good, "config": map[string]any{field: "bogus"}}, &er)
-		if code != 400 || er.Error.Code != "bad_input" || !strings.Contains(er.Error.Message, want) {
-			t.Errorf("bogus %s: %d %q %q, want 400 bad_input listing %s", field, code, er.Error.Code, er.Error.Message, want)
+		code, _ := post(t, s.Handler(), tc.path, tc.body, &er)
+		if code != 400 || er.Error.Code != "bad_input" || !strings.Contains(er.Error.Message, tc.want) {
+			t.Errorf("%s %v: %d %q %q, want 400 bad_input listing %s", tc.path, tc.body, code, er.Error.Code, er.Error.Message, tc.want)
 		}
 	}
 }

@@ -550,10 +550,10 @@ func getFloat32s(dst []float32, src []byte) []byte {
 }
 
 // decodeSpillEntry validates and decodes one spill file. Any mismatch —
-// magic, version, a length, the checksum, the meta — is an error; the caller
-// quarantines the file. Nothing is allocated for a matrix until the lengths
-// the file declares, and the shapes its meta declares, have been shown to
-// add up to exactly the bytes that are there.
+// magic, version, a length, the checksum, the meta, a retired panel — is an
+// error; the caller quarantines the file. Nothing is allocated for a matrix
+// until the lengths the file declares, and the shapes its meta declares, have
+// been shown to add up to exactly the bytes that are there.
 func decodeSpillEntry(buf []byte) (*Entry, error) {
 	if len(buf) < spillHeaderLen+4 || string(buf[0:4]) != spillMagic {
 		return nil, fmt.Errorf("spill: bad magic")
@@ -578,6 +578,10 @@ func decodeSpillEntry(buf []byte) (*Entry, error) {
 	rows, cols, body := int64(meta.Rows), int64(meta.Cols), int64(bodyLen)
 	if meta.Key == "" || rows <= 0 || cols <= 0 {
 		return nil, fmt.Errorf("spill: invalid meta")
+	}
+	// A retired panel's factor: Factorize now runs its Config on CAQR.
+	if meta.Config.Panel.String() == "other" {
+		return nil, fmt.Errorf("spill: meta names no panel (%d)", int(meta.Config.Panel))
 	}
 	// Divisions, so the products below cannot overflow.
 	if rows > body/12/cols || cols > body/4/cols || spillBodyLen(rows, cols, meta.HasScales) != body {

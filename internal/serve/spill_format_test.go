@@ -146,6 +146,36 @@ func TestSpillFileWithPanelFlagRewarms(t *testing.T) {
 	}
 }
 
+// TestSpillRetiredPanelQuarantined: a v4 file whose meta names the retired
+// panel 2 (Cholesky QR, written by an older daemon) is quarantined at rewarm,
+// not served under a Config that Factorize would now run on another panel.
+// (MGS kept its number 3: TestSpillFileWithPanelFlagRewarms still resolves
+// an MGS file under its p3 key.)
+func TestSpillRetiredPanelQuarantined(t *testing.T) {
+	e := goldenSpillEntry()
+	e.Key = "mretired-e00-p2-c0-r00-h0"
+	e.Config.Panel = 2
+	file := spillBytes(t, e)
+	if _, err := decodeSpillEntry(file); err == nil {
+		t.Fatal("a spill file of panel 2 decodes")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, CacheDir: dir})
+	defer s.Close()
+	if st := s.spill.Stats(); st.Rewarmed != 0 || st.Quarantined != 1 {
+		t.Fatalf("rewarm stats %+v, want 0 rewarmed, 1 quarantined", st)
+	}
+	if _, ok := s.cache.Get(e.Key); ok {
+		t.Error("the retired panel's entry is in the cache")
+	}
+	if _, err := os.Stat(filepath.Join(dir, spillFileName(e.Key)+spillQuarExt)); err != nil {
+		t.Errorf("no quarantined file: %v", err)
+	}
+}
+
 // resealSpill recomputes the trailing checksum over data in place, so a
 // mutated file reaches the checks behind the checksum.
 func resealSpill(data []byte) {

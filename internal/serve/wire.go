@@ -67,7 +67,7 @@ type WireConfig struct {
 	// count), "bf16", "fp32".
 	Engine string `json:"engine,omitempty"`
 	// Panel selects the panel algorithm: "caqr" (default), "householder",
-	// "cholqr", "mgs".
+	// "mgs".
 	Panel string `json:"panel,omitempty"`
 	// Cutoff is the recursion cutoff width (0 = library default 128).
 	Cutoff int `json:"cutoff,omitempty"`
@@ -107,7 +107,8 @@ func (w WireConfig) config() (tcqr.Config, error) {
 // side; the factorization side rides in the request's config).
 type WireSolveOptions struct {
 	// Method selects the refinement engine: "cgls" (default), "lsqr",
-	// "classical", "none".
+	// "none". Any other name is 400 bad_input, never answered by another
+	// method under the name the client asked for.
 	Method string `json:"method,omitempty"`
 	// Tol is the relative convergence tolerance (0 = library default).
 	Tol float64 `json:"tol,omitempty"`
@@ -127,12 +128,10 @@ func (w WireSolveOptions) options() (tcqr.SolveOptions, error) {
 		opts.Method = tcqr.RefineCGLS
 	case "lsqr":
 		opts.Method = tcqr.RefineLSQR
-	case "classical":
-		opts.Method = tcqr.RefineClassical
 	case "none":
 		opts.Method = tcqr.RefineNone
 	default:
-		return opts, errBadInput(fmt.Sprintf("unknown method %q (want cgls, lsqr, classical or none)", w.Method))
+		return opts, errBadInput(fmt.Sprintf("unknown method %q (want cgls, lsqr or none)", w.Method))
 	}
 	if w.Tol < 0 || w.MaxIterations < 0 {
 		return opts, errBadInput("tol and max_iterations must be >= 0")

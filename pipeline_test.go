@@ -17,7 +17,7 @@ import (
 // TestMultiMatchesSinglePerMethod: a right-hand side gets the same answer
 // alone or in a block, under every refinement method, its hazards included.
 // The multi-RHS solver used to ignore opts.Method (always CGLS), so two
-// coalesced /v1/solve requests with method lsqr, classical or none came back
+// coalesced /v1/solve requests with method lsqr or none came back
 // different from the same request arriving alone. It also used to record
 // every column's refinement events into one shared list, so in the block
 // [Normal, 0] at an unreachable tolerance the zero column — which converges
@@ -44,7 +44,7 @@ func TestMultiMatchesSinglePerMethod(t *testing.T) {
 	}
 	diverged := false
 	for _, blk := range blocks {
-		for _, method := range []RefineMethod{RefineCGLS, RefineLSQR, RefineClassical, RefineNone} {
+		for _, method := range []RefineMethod{RefineCGLS, RefineLSQR, RefineNone} {
 			t.Run(fmt.Sprintf("%smethod=%d", blk.prefix, method), func(t *testing.T) {
 				opts := SolveOptions{Method: method, Tol: blk.tol}
 				multi, err := SolveLeastSquaresMultiWithFactor(f, a, blk.b, opts)

@@ -10,21 +10,19 @@ import (
 
 // RefineMethod selects how a least squares solution is refined to high
 // accuracy after the half-precision factorization.
-type RefineMethod int
+type RefineMethod = lls.Method
 
 const (
 	// RefineCGLS is Algorithm 3 of the paper: conjugate gradients on the
 	// preconditioned normal equations with R as right preconditioner.
 	// This is the default and reaches double-precision optimality.
-	RefineCGLS RefineMethod = iota
-	// RefineLSQR uses preconditioned LSQR instead (mathematically
-	// equivalent, more robust on extreme spectra).
-	RefineLSQR
-	// RefineClassical uses classical residual-correction iterative
-	// refinement (stalls at the float32 correction floor).
-	RefineClassical
+	RefineCGLS = lls.MethodCGLS
+	// RefineLSQR uses preconditioned LSQR instead. It converges where CGLS
+	// trips its divergence guard on fp16 and bf16 factors of inputs with
+	// κ ≥ 1e6 and arithmetic or clustered spectra.
+	RefineLSQR = lls.MethodLSQR
 	// RefineNone returns the float32 direct solution x = R⁻¹Qᵀb.
-	RefineNone
+	RefineNone = lls.MethodDirect
 )
 
 // LeastSquaresResult is the outcome of SolveLeastSquares.
@@ -63,24 +61,11 @@ type SolveOptions struct {
 	MaxIterations int
 }
 
-func (o SolveOptions) method() lls.Method {
-	switch o.Method {
-	case RefineLSQR:
-		return lls.MethodLSQR
-	case RefineClassical:
-		return lls.MethodRefine
-	case RefineNone:
-		return lls.MethodDirect
-	default:
-		return lls.MethodCGLS
-	}
-}
-
 // refine maps the public options onto the internal refiner's, recording
 // refinement hazards in rep.
 func (o SolveOptions) refine(rep *hazard.Report) lls.SolveOptions {
 	return lls.SolveOptions{
-		Method:  o.method(),
+		Method:  o.Method,
 		Tol:     o.Tol,
 		MaxIter: o.MaxIterations,
 		Hazards: rep,

@@ -47,8 +47,6 @@ func TestEngineLadderConstruction(t *testing.T) {
 		{"fp32-breakdown", Config{Engine: EngineFP32}, breakdown, []string{mgs, house}},
 		{"unscaled-overflow", Config{DisableColumnScaling: true}, overflow, []string{scaling, bf16, fp32}},
 		{"unscaled-breakdown", Config{DisableColumnScaling: true}, breakdown, []string{scaling, mgs, house, tcec, bf16, fp32}},
-		{"cholqr-breakdown", Config{Panel: PanelCholQR}, breakdown, []string{mgs, house, tcec, bf16, fp32}},
-		{"cholqr-overflow", Config{Panel: PanelCholQR}, overflow, []string{bf16, fp32}},
 		{"mgs-breakdown", Config{Panel: PanelMGS}, breakdown, []string{house, tcec, bf16, fp32}},
 		{"mgs-overflow", Config{Panel: PanelMGS}, overflow, []string{bf16, fp32}},
 		{"householder-breakdown", Config{Panel: PanelHouseholder}, breakdown, []string{tcec, bf16, fp32}},

@@ -71,28 +71,25 @@ const (
 	PanelCAQR PanelAlgorithm = iota
 	// PanelHouseholder is the blocked Householder (cuSOLVER SGEQRF) panel.
 	PanelHouseholder
-	// PanelCholQR is Cholesky QR (Gram matrix + Potrf), the related-work
-	// baseline of §3.6. It is all BLAS-3, but its Syrk and right Trsm do
-	// not run on the packed GEMM, so it is the slowest panel here: about
-	// 15 ms on a 2048×128 panel against CAQR's 2.7 ms (the benchmark probe's
-	// gram.cholqr_ms and gram.caqr_ms, 2-vCPU AVX-512 host). It breaks down
-	// once κ(A)² overwhelms float32.
-	PanelCholQR
+	// 2 was the Cholesky QR panel, retired. Cache keys and spill files carry
+	// int(Panel), so MGS keeps 3.
+	_
 	// PanelMGS is the plain single-tile modified Gram-Schmidt panel.
 	PanelMGS
 )
 
+// panelNames holds each panel's wire/flag/metrics name; the retired value 2
+// has none.
 var panelNames = [...]string{
 	PanelCAQR:        "caqr",
 	PanelHouseholder: "householder",
-	PanelCholQR:      "cholqr",
 	PanelMGS:         "mgs",
 }
 
 // String returns the wire/flag/metrics name of the panel algorithm, "other"
 // for a value outside the enum.
 func (p PanelAlgorithm) String() string {
-	if p < 0 || int(p) >= len(panelNames) {
+	if p < 0 || int(p) >= len(panelNames) || panelNames[p] == "" {
 		return "other"
 	}
 	return panelNames[p]
@@ -103,12 +100,16 @@ func ParsePanel(name string) (PanelAlgorithm, error) {
 	if name == "" {
 		return PanelCAQR, nil
 	}
+	var known []string
 	for p, n := range panelNames {
 		if n == name {
 			return PanelAlgorithm(p), nil
 		}
+		if n != "" {
+			known = append(known, n)
+		}
 	}
-	return PanelCAQR, fmt.Errorf("unknown panel %q (want one of %v)", name, panelNames)
+	return PanelCAQR, fmt.Errorf("unknown panel %q (want one of %v)", name, known)
 }
 
 // Engine selects the simulated device the split GEMMs run on. Its String
@@ -165,8 +166,6 @@ func (c Config) gramPanel() gram.Panel {
 	switch c.Panel {
 	case PanelHouseholder:
 		return &gram.HouseholderPanel{}
-	case PanelCholQR:
-		return gram.CholQRPanel{}
 	case PanelMGS:
 		return gram.MGSPanel{}
 	}

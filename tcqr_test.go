@@ -4,10 +4,12 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tcqr/internal/accuracy"
 	"tcqr/internal/dense"
+	"tcqr/internal/lls"
 	"tcqr/internal/matgen"
 )
 
@@ -147,7 +149,7 @@ func TestSolveMethods(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := matgen.WithCond(rng, 400, 100, 1e2, matgen.Geometric)
 	p := matgen.NewLLSProblem(rng, a, 0.1)
-	for _, m := range []RefineMethod{RefineCGLS, RefineLSQR, RefineClassical, RefineNone} {
+	for _, m := range []RefineMethod{RefineCGLS, RefineLSQR, RefineNone} {
 		sol, err := SolveLeastSquares(p.A, p.B, SolveOptions{QR: Config{Cutoff: 32}, Method: m, Tol: 1e-6})
 		if err != nil {
 			t.Fatalf("method %d: %v", m, err)
@@ -161,6 +163,39 @@ func TestSolveMethods(t *testing.T) {
 			t.Errorf("method %d: optimality %g", m, sol.Optimality)
 		}
 	}
+}
+
+// TestLSQRConvergesWhereCGLSDiverges pins why RefineLSQR exists: on a bf16
+// factor of a clustered-spectrum input at κ = 1e6 (the measured class: fp16
+// and bf16 factors, κ ≥ 1e6, arithmetic or clustered spectra) CGLS trips its
+// divergence guard within a few iterations, while LSQR converges to within
+// 10× of float64 Householder's ‖Aᵀr‖.
+func TestLSQRConvergesWhereCGLSDiverges(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	a := matgen.WithCond(rng, 1024, 128, 1e6, matgen.Cluster2)
+	b := matgen.NewLLSProblem(rng, a, 0).B
+	f, err := Factorize(ToFloat32(a), Config{Engine: EngineBF16, Cutoff: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	householder := accuracy.LLSOptimality(a, lls.DirectQR(a.Clone(), append([]float64(nil), b...)), b)
+	cg, err := SolveLeastSquaresWithFactor(f, a, b, SolveOptions{Method: RefineCGLS})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(cg.Hazards, func(h Hazard) bool { return h.Kind == HazardDivergence }) {
+		t.Errorf("CGLS: %d iterations, ‖Aᵀr‖ %.3g, hazards %v; want a divergence", cg.Iterations, cg.Optimality, cg.Hazards)
+	}
+	ls, err := SolveLeastSquaresWithFactor(f, a, b, SolveOptions{Method: RefineLSQR})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ls.Converged || ls.Optimality > 10*householder {
+		t.Errorf("LSQR: converged %v in %d iterations at ‖Aᵀr‖ %.3g, want converged within 10× of Householder's %.3g",
+			ls.Converged, ls.Iterations, ls.Optimality, householder)
+	}
+	t.Logf("CGLS %d iterations at %.3g; LSQR %d at %.3g; Householder %.3g",
+		cg.Iterations, cg.Optimality, ls.Iterations, ls.Optimality, householder)
 }
 
 func TestLowRank(t *testing.T) {
@@ -367,7 +402,7 @@ func TestSolveLeastSquaresMulti(t *testing.T) {
 }
 
 func TestPanelNamesRoundTrip(t *testing.T) {
-	for _, p := range []PanelAlgorithm{PanelCAQR, PanelHouseholder, PanelCholQR, PanelMGS} {
+	for _, p := range []PanelAlgorithm{PanelCAQR, PanelHouseholder, PanelMGS} {
 		if got, err := ParsePanel(p.String()); err != nil || got != p {
 			t.Errorf("ParsePanel(%q) = %v, %v; want %v", p.String(), got, err, p)
 		}
@@ -378,8 +413,19 @@ func TestPanelNamesRoundTrip(t *testing.T) {
 	if _, err := ParsePanel("lu"); err == nil {
 		t.Error("unknown panel name accepted")
 	}
-	if got := PanelAlgorithm(99).String(); got != "other" {
-		t.Errorf("out-of-range panel prints %q, want other", got)
+	for _, p := range []PanelAlgorithm{2, 99} {
+		if got := p.String(); got != "other" {
+			t.Errorf("panel %d prints %q, want other", int(p), got)
+		}
+	}
+	// 2 was the retired Cholesky QR panel: MGS keeps 3, so its cache keys and
+	// spill files keep their names.
+	if PanelMGS != 3 {
+		t.Errorf("PanelMGS = %d, want 3", int(PanelMGS))
+	}
+	const want = `unknown panel "cholqr" (want one of [caqr householder mgs])`
+	if _, err := ParsePanel("cholqr"); err == nil || err.Error() != want {
+		t.Errorf(`ParsePanel("cholqr") = %v, want %s`, err, want)
 	}
 }
 
