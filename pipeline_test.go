@@ -22,7 +22,8 @@ import (
 // every column's refinement events into one shared list, so in the block
 // [Normal, 0] at an unreachable tolerance the zero column — which converges
 // at once and records nothing alone — carried its batchmate's CGLS
-// divergence.
+// divergence. Method 2, classical refinement until it was retired, is
+// refused alone and in a block alike rather than answered by another method.
 func TestMultiMatchesSinglePerMethod(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const m, n = 512, 64
@@ -42,12 +43,20 @@ func TestMultiMatchesSinglePerMethod(t *testing.T) {
 		{"", normal, 0},
 		{"normal+zero/", mixed, 1e-30},
 	}
+	const retired = RefineMethod(2)
 	diverged := false
 	for _, blk := range blocks {
-		for _, method := range []RefineMethod{RefineCGLS, RefineLSQR, RefineNone} {
+		for _, method := range []RefineMethod{RefineCGLS, RefineLSQR, retired, RefineNone} {
 			t.Run(fmt.Sprintf("%smethod=%d", blk.prefix, method), func(t *testing.T) {
 				opts := SolveOptions{Method: method, Tol: blk.tol}
 				multi, err := SolveLeastSquaresMultiWithFactor(f, a, blk.b, opts)
+				if method == retired {
+					_, serr := SolveLeastSquaresWithFactor(f, a, blk.b.Col(0), opts)
+					if err == nil || serr == nil || err.Error() != serr.Error() {
+						t.Fatalf("multi error %v, single error %v; want the same refusal", err, serr)
+					}
+					return
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
