@@ -1,9 +1,13 @@
 package tcqr
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"tcqr/internal/accuracy"
@@ -317,5 +321,74 @@ func TestUpdateSolveWithFactor(t *testing.T) {
 	}
 	if math.Sqrt(diff/norm) > 1e-6 {
 		t.Errorf("update-backed solve diverges from refactorize-backed solve: rel %g", math.Sqrt(diff/norm))
+	}
+}
+
+// updateBitsHash is FNV-1a over the Float32bits of x, little-endian.
+func updateBitsHash(x []float32) uint64 {
+	h := fnv.New64a()
+	var b [4]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint32(b[:], math.Float32bits(v))
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestUpdateBitsGolden pins the bits of Q′ and R′ along a three-step chain
+// per shape — downdate k rows, append k rows, downdate k rows — from the
+// default factorization of an m×n matrix. The shapes put the downdate's
+// Q₁·M product in every regime its row strips can take: fewer surviving rows
+// than one strip (200×48), balanced strips (2048×128 and 4096×256), a ragged
+// last strip (1000×37, 777×100), and a width so narrow that a strip's
+// product would leave the packed GEMM for the reference kernel (2048×4).
+// The hashes were recorded before the downdate computed Q′ strip by strip,
+// so they prove the strips changed no bit.
+func TestUpdateBitsGolden(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("hashes recorded on amd64; other ports may fuse multiply-adds in the Go loops")
+	}
+	golden := map[string][3][2]uint64{
+		"200x48-k8":    {{0x221f9a3cd92d63b8, 0xff32949f53c8820}, {0xf15be36f68c7ffc0, 0x246d4a3928115d60}, {0xdc98cc5ffd63b71f, 0x76ceb6f4a807eaa3}},
+		"2048x128-k16": {{0xdc44e17764c91b02, 0x80ac17aa236ec400}, {0xa2118fc667d19aed, 0xc3e267d0ed0f8ee5}, {0x225490be52d1a90b, 0xf962718f9af8ad20}},
+		"4096x256-k64": {{0x64e06a18f54caa5b, 0x39f70ad002531afd}, {0x454561420a01ae86, 0x743becbe81223890}, {0x1e68e752454b2be, 0xbd2fdeeada87d104}},
+		"1000x37-k5":   {{0x72d81261971372c8, 0x25619b3f9c7cffcf}, {0xec71c2107f0cb25b, 0x7fda1fb52f9e0f75}, {0xa719d5dd7112972a, 0xbd1ac3cf77b41507}},
+		"777x100-k1":   {{0x8675859f1783b700, 0xa20b8828eb5d5221}, {0x91570307a0579ac8, 0x631ebb71a7cd817c}, {0xd2b86d1f3a1bbc1b, 0xddddb0085edfb305}},
+		"2048x4-k2":    {{0xd550798473a5d447, 0xfaefd6e5c5552a6e}, {0xec425cce490aa9c4, 0x7bc0e978befec800}, {0xd1ad7f3f72f67fd7, 0x92b2a690a8a96a2d}},
+	}
+	for i, c := range []struct{ m, n, k int }{
+		{200, 48, 8},
+		{2048, 128, 16},
+		{4096, 256, 64},
+		{1000, 37, 5},
+		{777, 100, 1},
+		{2048, 4, 2},
+	} {
+		name := fmt.Sprintf("%dx%d-k%d", c.m, c.n, c.k)
+		t.Run(name, func(t *testing.T) {
+			f, err := Factorize(testMatrix(int64(700+i), c.m, c.n, 100), Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := randBlock(int64(800+i), c.k, c.n, 1)
+			steps := []func(*Factorization) (*Factorization, error){
+				func(f *Factorization) (*Factorization, error) { return UpdateRemoveRows(f, c.k, Config{}) },
+				func(f *Factorization) (*Factorization, error) { return UpdateAppendRows(f, v, Config{}) },
+				func(f *Factorization) (*Factorization, error) { return UpdateRemoveRows(f, c.k, Config{}) },
+			}
+			var got [3][2]uint64
+			for s, step := range steps {
+				if f, err = step(f); err != nil {
+					t.Fatalf("step %d: %v", s, err)
+				}
+				if len(f.Hazards) != 0 {
+					t.Fatalf("step %d took the recovery ladder: %v", s, f.Hazards)
+				}
+				got[s] = [2]uint64{updateBitsHash(f.Q.Data), updateBitsHash(f.R.Data)}
+			}
+			if want := golden[name]; got != want {
+				t.Errorf("update bits moved: got %#x, want %#x", got, want)
+			}
+		})
 	}
 }
