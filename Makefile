@@ -21,24 +21,25 @@ build:
 # optional tooling; the lint target must not depend on a network fetch). The
 # arm64 vet type-checks every *_other.go fallback of the amd64 assembly (and
 # the tests beside them), which no native build compiles; it needs no arm64
-# machine. The arm64 listing after it holds internal/blas and internal/lls to
-# one rounding per product on every port: the blas Go loops are the fallback
-# and the oracle of the vector kernels, the lls refinement's bits are recorded
-# hashes, and the arm64 compiler fuses an unconverted x*y + z, so a blas or
-# lls function (each generic instantiation, in whichever package compiles it)
-# must hold no FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. The build
-# cache replays the listing, so the step costs about 0.1 s when warm.
+# machine. The arm64 listing after it holds the root package, internal/blas
+# and internal/lls to one rounding per product on every port: the blas Go
+# loops are the fallback and the oracle of the vector kernels, the lls
+# refinement's and the update path's bits are recorded hashes, and the arm64
+# compiler fuses an unconverted x*y + z, so a tcqr, blas or lls function (each
+# generic instantiation, in whichever package compiles it) must hold no
+# FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. The build cache replays
+# the listing, so the step costs about 0.1 s when warm.
 lint: reach
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
-	@{ GOARCH=arm64 $(GO) build -gcflags=-S ./internal/... 2>&1 || echo "arm64 build of ./internal/... failed"; } | \
+	@{ GOARCH=arm64 $(GO) build -gcflags=-S . ./internal/... 2>&1 || echo "arm64 build of . ./internal/... failed"; } | \
 	awk '/^arm64 build of/ { bad = 1; print } \
 		/^[^ \t]/ && / STEXT / { sym = $$1 } \
-		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^tcqr\/internal\/(blas|lls)\./ && !seen[sym $$3]++ { \
+		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^(tcqr\.|tcqr\/internal\/(blas|lls)\.)/ && !seen[sym $$3]++ { \
 			bad = 1; print "fused multiply-add in " sym " at " $$3 ": " $$4 } \
-		END { if (bad) exit 1; print "internal/blas, internal/lls: no fused multiply-add in the arm64 listing" }'
+		END { if (bad) exit 1; print "tcqr, internal/blas, internal/lls: no fused multiply-add in the arm64 listing" }'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -64,7 +65,9 @@ reach:
 # Gemv is split between the caller and helpers only from two up, and its bits
 # and its zero allocations must not depend on that. So do the packed GEMM's
 # goldens, kernel-family, determinism and allocation tests: it splits the rows
-# of a small output between workers and packs op(B) on all of them. And the
+# of a small output between workers and packs op(B) on all of them. So do the
+# update path's golden and the downdate's allocation bound, whose Q′ is that
+# GEMM run in row strips. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
 # processors take them. The tile-tree workspaces go round a sync.Pool, the
@@ -77,6 +80,7 @@ check: lint check-benchmark
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 
 # benchmark/ is its own module, so `./...` from the root never compiles it:

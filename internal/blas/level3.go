@@ -52,16 +52,20 @@ func gemmHooked[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T],
 		}
 		return ov, uf
 	}
-	if useBlocked(m, n, k) {
+	if GemmPacked(m, n, k) {
 		return gemmBlocked(gemmKernel[T](), tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
 	}
 	return gemmSmall(tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
 }
 
-// useBlocked reports whether the packed kernel pays for itself. Very narrow
-// outputs waste micro-tile lanes on padding, and tiny products are dominated
-// by packing traffic; both go to the reference kernel.
-func useBlocked(m, n, k int) bool {
+// GemmPacked reports whether Gemm runs an m×n output of inner dimension k on
+// the packed kernel, which pays for itself only there: very narrow outputs
+// waste micro-tile lanes on padding, and tiny products are dominated by
+// packing traffic; both go to the reference kernel. The packed kernel gives a
+// row of C the same bits whichever rows surround it (see splitMC), so a
+// caller may compute a product in row strips and get the whole product's
+// bits, as long as every strip takes the packed kernel too.
+func GemmPacked(m, n, k int) bool {
 	return m >= scalarMR && n >= kernelNR && m*n*k >= gemmBlockedMinFlops
 }
 

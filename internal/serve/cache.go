@@ -123,7 +123,9 @@ func sameMatrix(a, b *tcqr.Matrix) bool {
 // factors: the refinement stage of every solve needs A at full precision,
 // so solve-by-key requests carry only the right-hand side. Entries are
 // immutable once published — an update never mutates an entry, it publishes
-// a new one under the next epoch key.
+// a new one under the next epoch key. No code writes an Entry.A (or its
+// factors) after publish, which is what lets a downdated epoch's A be a view
+// of its parent's storage (dropRows64).
 type Entry struct {
 	// Key is the entry's exact (epoch-versioned) cache key: the bare base
 	// key at epoch 0, base@N after N updates.
@@ -141,9 +143,11 @@ type Entry struct {
 }
 
 // sizeBytes estimates the resident size of the entry (A at 8 bytes/element,
-// Q and R at 4).
+// Q and R at 4). A counts the whole array it keeps alive: a downdated
+// epoch's A is a view that ends up to k·(n−1) elements short of its parent's
+// array, and the byte budget must not under-count it.
 func (e *Entry) sizeBytes() int64 {
-	n := int64(len(e.A.Data)) * 8
+	n := int64(cap(e.A.Data)) * 8
 	if e.F != nil {
 		n += int64(len(e.F.Q.Data))*4 + int64(len(e.F.R.Data))*4
 	}

@@ -124,13 +124,12 @@ func appendRows64(a, v *tcqr.Matrix) *tcqr.Matrix {
 	return out
 }
 
-// dropRows64 copies a without its trailing k rows.
+// dropRows64 returns a without its trailing k rows as a view of a's storage
+// (stride a.Stride), not a copy: no code writes an Entry.A after publish, so
+// the downdated epoch may share its parent's. Solves, spill encoding,
+// appendRows64 and cluster forwarding all read A through its stride.
 func dropRows64(a *tcqr.Matrix, k int) *tcqr.Matrix {
-	out := tcqr.NewMatrix(a.Rows-k, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		copy(out.Col(j), a.Data[j*a.Stride:j*a.Stride+out.Rows])
-	}
-	return out
+	return a.View(0, 0, a.Rows-k, a.Cols)
 }
 
 func absInt(n int) int {

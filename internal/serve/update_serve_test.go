@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -619,6 +620,77 @@ func TestUpdateBinaryFrame(t *testing.T) {
 	}
 }
 
+// TestDowndatedEpochSharesParentA: a downdate publishes its epoch's A as a
+// view of the parent's storage, not a copy. The view must behave as the tight
+// matrix it stands for: a by-key solve on it returns, bit for bit, what the
+// library returns on a tight copy, and its spill file rewarms to the same A
+// bits in a new daemon.
+func TestDowndatedEpochSharesParentA(t *testing.T) {
+	const m, n, k = 300, 16, 7
+	dir := t.TempDir()
+	data := testMatrix(910, m, n, 1)
+	s1 := New(Options{Workers: 2, CacheDir: dir})
+	h1 := s1.Handler()
+	var fr factorizeReply
+	if code, _ := post(t, h1, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 {
+		t.Fatalf("factorize: code=%d", code)
+	}
+	parent, ok := s1.Cache().Get(fr.Key)
+	if !ok {
+		t.Fatal("factorized entry missing")
+	}
+	var ur updateReply
+	if code, _ := post(t, h1, "/v1/update", map[string]any{"key": fr.Key, "remove_rows": k}, &ur); code != 200 || ur.Rows != m-k {
+		t.Fatalf("downdate: code=%d reply=%+v", code, ur)
+	}
+	down, ok := s1.Cache().Get(ur.Key)
+	if !ok {
+		t.Fatalf("downdated entry %q missing", ur.Key)
+	}
+	if down.A.Rows != m-k || &down.A.Data[0] != &parent.A.Data[0] || down.A.Stride != parent.A.Stride {
+		t.Fatalf("downdated A is %dx%d with stride %d and its own storage; want a %dx%d view of the parent's (stride %d)",
+			down.A.Rows, down.A.Cols, down.A.Stride, m-k, n, parent.A.Stride)
+	}
+	if got, want := down.sizeBytes(), int64(cap(parent.A.Data)*8+(m-k)*n*4+n*n*4); got != want {
+		t.Errorf("downdated entry counts %d bytes, want %d (the parent's whole array of A)", got, want)
+	}
+
+	tight := tcqr.FromColMajor(m-k, n, colMajorData(down.A))
+	b := make([]float64, m-k)
+	for i := range b {
+		b[i] = float64(i%5) - 2
+	}
+	opts, err := WireSolveOptions{}.options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := LibraryBackend{}.SolveWithFactor(down.F, tight, b, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sr solveReply
+	if code, _ := post(t, h1, "/v1/solve", map[string]any{"key": fr.Key, "b": b}, &sr); code != 200 || sr.Key != ur.Key {
+		t.Fatalf("by-key solve: code=%d key=%q, want %q", code, sr.Key, ur.Key)
+	}
+	for j := range want.X {
+		if math.Float64bits(sr.X[j]) != math.Float64bits(want.X[j]) {
+			t.Fatalf("x[%d] on the view is %v, on a tight copy %v", j, sr.X[j], want.X[j])
+		}
+	}
+	s1.spill.Flush()
+	s1.Close()
+
+	s2 := New(Options{Workers: 2, CacheDir: dir})
+	defer s2.Close()
+	back, ok := s2.Cache().Get(ur.Key)
+	if !ok {
+		t.Fatalf("downdated entry %q not rewarmed", ur.Key)
+	}
+	if d := sameEntryBits(back, down); d != "" {
+		t.Fatalf("rewarmed downdated entry: %s", d)
+	}
+}
+
 // --- content keys vs. series keys -------------------------------------------
 
 // TestContentKeyedRequestsIgnoreNewerEpochs: a request that carries its own
@@ -646,7 +718,7 @@ func TestContentKeyedRequestsIgnoreNewerEpochs(t *testing.T) {
 		newest  []float64 // its matrix
 	}{
 		{"same row count", []map[string]any{{"remove_rows": k}, {"append": wireMat(k, n, block)}},
-			m, stackData(m-k, n, dropRows64(tcqr.FromColMajor(m, n, data), k).Data, k, block)},
+			m, stackData(m-k, n, colMajorData(dropRows64(tcqr.FromColMajor(m, n, data), k)), k, block)},
 		{"changed row count", []map[string]any{{"append": wireMat(k, n, block)}},
 			m + k, stackData(m, n, data, k, block)},
 	}

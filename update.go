@@ -156,7 +156,7 @@ func appendOnce(f *Factorization, v *Matrix32, scale bool) (*Factorization, erro
 			continue // column already annihilated; H_j = I
 		}
 		alpha := rd.At(j, j)
-		mu := math.Sqrt(alpha*alpha + sigma)
+		mu := math.Sqrt(float64(alpha*alpha) + sigma)
 		beta := -mu
 		if alpha < 0 {
 			beta = mu
@@ -170,7 +170,7 @@ func appendOnce(f *Factorization, v *Matrix32, scale bool) (*Factorization, erro
 		rd.Set(j, j, beta)
 		for jj := j + 1; jj < n; jj++ {
 			wc := w.Col(jj)
-			t := tau[j] * (rd.At(j, jj) + blas.Dot(zj, wc))
+			t := float64(tau[j] * (rd.At(j, jj) + blas.Dot(zj, wc)))
 			rd.Set(j, jj, rd.At(j, jj)-t)
 			blas.Axpy(-t, zj, wc)
 		}
@@ -253,7 +253,7 @@ func appendOnce(f *Factorization, v *Matrix32, scale bool) (*Factorization, erro
 			for a := 0; a < b; a++ {
 				acc := 0.0
 				for l := a; l < b; l++ {
-					acc += tb.At(a, l) * s[l]
+					acc += float64(tb.At(a, l) * s[l])
 				}
 				tb.Set(a, b, acc)
 			}
@@ -356,16 +356,24 @@ func unscaleR(r *dense.Matrix[float64], scales []float64) {
 // zero.
 const downdateBreakdownTol = 32.0 / (1 << 24)
 
+// downdateStripRows is about how many rows of Q₁ the downdate widens and
+// multiplies at a time: two float64 strips of 256 rows by n columns (a
+// widened Q₁ strip and its product) take 512 KB at n = 128, a quarter of one
+// float64 copy of a 2048-row Q₁, and at 256 rows a strip is still two of the
+// packed GEMM's 128-row macro-tiles deep, one for each of two workers.
+const downdateStripRows = 256
+
 // downdateOnce removes the trailing k rows with k successive dchdd sweeps
 // and recovers Q′ = Q₁·(R·R′⁻¹).
 func downdateOnce(f *Factorization, k int) (*Factorization, error) {
 	m, n := f.Q.Rows, f.Q.Cols
-	qd := dense.ToF64(f.Q)
 	r0 := dense.ToF64(f.R) // pristine R for the Q recovery solve
 	rd := r0.Clone()       // downdated in place to R′
 
-	// The removed rows in the coordinates of the unscaled A: B = Q₂·R.
-	q2 := qd.View(m-k, 0, k, n)
+	// The removed rows in the coordinates of the unscaled A: B = Q₂·R. Only
+	// these k rows of Q are widened whole; Q₁ is widened a strip at a time
+	// below.
+	q2 := dense.ToF64(f.Q.View(m-k, 0, k, n))
 	b := dense.New[float64](k, n)
 	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, q2, r0, 0, b)
 
@@ -392,7 +400,7 @@ func downdateOnce(f *Factorization, k int) (*Factorization, error) {
 		for ii := n - 1; ii >= 0; ii-- {
 			sc := alpha + math.Abs(s[ii])
 			a, x := alpha/sc, s[ii]/sc
-			nrm := math.Sqrt(a*a + x*x)
+			nrm := math.Sqrt(float64(a*a) + float64(x*x))
 			cs[ii] = a / nrm
 			sn[ii] = x / nrm
 			alpha = sc * nrm
@@ -401,8 +409,8 @@ func downdateOnce(f *Factorization, k int) (*Factorization, error) {
 			col := rd.Col(j)
 			xx := 0.0
 			for ii := j; ii >= 0; ii-- {
-				t := cs[ii]*xx + sn[ii]*col[ii]
-				col[ii] = cs[ii]*col[ii] - sn[ii]*xx
+				t := float64(cs[ii]*xx) + float64(sn[ii]*col[ii])
+				col[ii] = float64(cs[ii]*col[ii]) - float64(sn[ii]*xx)
 				xx = t
 			}
 		}
@@ -426,15 +434,56 @@ func downdateOnce(f *Factorization, k int) (*Factorization, error) {
 	// Q′ = Q₁·M with M·R′ = R.
 	msolve := r0 // overwritten by Trsm
 	blas.Trsm(blas.Right, blas.Upper, blas.NoTrans, blas.NonUnit, 1, rd, msolve)
-	q1 := qd.View(0, 0, m-k, n)
-	qn := dense.New[float64](m-k, n)
-	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, q1, msolve, 0, qn)
-
-	nf := &Factorization{Q: dense.ToF32(qn), R: dense.ToF32(rd)}
-	if !hazard.MatrixFinite(nf.Q) || !hazard.MatrixFinite(nf.R) {
+	nf := &Factorization{Q: dense.New[float32](m-k, n), R: dense.ToF32(rd)}
+	if !recoverQStrips(nf.Q, f.Q, msolve) || !hazard.MatrixFinite(nf.R) {
 		return nil, fmt.Errorf("tcqr: downdated factors are non-finite: %w", ErrNonFinite)
 	}
 	return nf, nil
+}
+
+// recoverQStrips writes Q′ = Q₁·M, Q₁ the leading qn.Rows rows of q, into
+// the float32 qn, reporting whether every element is finite. It runs the
+// product in balanced row strips of about downdateStripRows rows: each strip
+// of Q₁ is widened into the first half of one two-strip float64 workspace,
+// multiplied into the second half and narrowed straight into Q′, with the
+// finite check riding along (x − x is 0 for finite x, NaN otherwise). The
+// widening is exact and the packed GEMM gives a row the same bits whichever
+// strip it is in, so Q′ is the whole product's, bit for bit — provided every
+// strip takes the packed kernel the whole product takes; where a strip would
+// not, the product runs as one strip.
+func recoverQStrips(qn, q *Matrix32, msolve *dense.Matrix[float64]) bool {
+	rows, n := qn.Rows, qn.Cols
+	h := rows
+	if ns := (rows + downdateStripRows - 1) / downdateStripRows; ns > 1 {
+		h = (rows + ns - 1) / ns
+		if last := rows - (ns-1)*h; !blas.GemmPacked(last, n, n) {
+			h = rows
+		}
+	}
+	ws := make([]float64, 2*h*n)
+	in := &dense.Matrix[float64]{Cols: n, Stride: h, Data: ws[:h*n]}
+	out := &dense.Matrix[float64]{Cols: n, Stride: h, Data: ws[h*n:]}
+	var bad float32
+	for i0 := 0; i0 < rows; i0 += h {
+		hh := min(h, rows-i0)
+		in.Rows, out.Rows = hh, hh
+		for j := 0; j < n; j++ {
+			dst := in.Col(j)
+			for i, x := range q.Col(j)[i0 : i0+hh] {
+				dst[i] = float64(x)
+			}
+		}
+		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, in, msolve, 0, out)
+		for j := 0; j < n; j++ {
+			dst := qn.Col(j)[i0 : i0+hh]
+			for i, x := range out.Col(j) {
+				v := float32(x)
+				dst[i] = v
+				bad += v - v
+			}
+		}
+	}
+	return bad == 0
 }
 
 // stackRows returns [a; v] in a fresh matrix.
