@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
@@ -188,7 +189,10 @@ func factorBits(f *tcqr.Factorization) []uint32 {
 // kernel chosen by shape, a knob outside the cache fingerprint) would let
 // two nodes hold different bits under one key. At 2048x256, wide enough to
 // split so the engine GEMMs run, the four engines' keys must hold four
-// different factors.
+// different factors. The same holds, hazards, engine_stats and refusals
+// included, on every panel, with the second pass, with and without column
+// scaling, for a column far beyond fp16's range, and along the fallback
+// ladder.
 func TestServedFactorsAreLibraryFactors(t *testing.T) {
 	s := New(Options{Workers: 2})
 	defer s.Close()
@@ -228,6 +232,83 @@ func TestServedFactorsAreLibraryFactors(t *testing.T) {
 					}
 				}
 				served = append(served, got)
+			}
+		}
+	}
+
+	// The axes on which the request's float64 matrix could part from its
+	// narrowing: the panel, the second pass, column scaling, a column far
+	// beyond fp16's range with scaling on and off, and a zero column that
+	// climbs the fallback ladder. Cutoff 16 makes the recursion split at
+	// 512x64, so every panel and engine runs.
+	const m, n = 512, 64
+	plain := testMatrix(95, m, n, 1)
+	huge := testMatrix(96, m, n, 1e30)
+	zero := testMatrix(97, m, n, 1)
+	clear(zero[5*m : 6*m])
+	cases := []struct {
+		name string
+		data []float64
+		cfg  map[string]any
+	}{
+		{"caqr", plain, map[string]any{"panel": "caqr"}},
+		{"householder", plain, map[string]any{"panel": "householder"}},
+		{"mgs", plain, map[string]any{"panel": "mgs"}},
+		{"reorthogonalize", plain, map[string]any{"reorthogonalize": true}},
+		{"unscaled", plain, map[string]any{"disable_column_scaling": true}},
+		{"1e30 column", huge, map[string]any{}},
+		{"1e30 column unscaled", huge, map[string]any{"disable_column_scaling": true}},
+		{"1e30 column unscaled fallback", huge, map[string]any{"disable_column_scaling": true, "on_hazard": "fallback"}},
+		{"zero column fallback", zero, map[string]any{"on_hazard": "fallback"}},
+	}
+	for _, tc := range cases {
+		for _, k := range tcsim.Kinds() {
+			wc := map[string]any{"engine": k.String(), "cutoff": 16}
+			maps.Copy(wc, tc.cfg)
+			cfgJSON, _ := json.Marshal(wc)
+			var cw WireConfig
+			if err := json.Unmarshal(cfgJSON, &cw); err != nil {
+				t.Fatal(err)
+			}
+			cfg, err := cw.config()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, werr := tcqr.Factorize(tcqr.ToFloat32(tcqr.FromColMajor(m, n, tc.data)), cfg)
+			var body json.RawMessage
+			code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, tc.data), "config": wc}, &body)
+			if werr != nil {
+				ae := classifyError(werr)
+				var er envelope
+				if err := json.Unmarshal(body, &er); err != nil {
+					t.Fatalf("%s %v: undecodable error body %q", tc.name, k, body)
+				}
+				if code != ae.status || er.Error.Code != ae.code || er.Error.Message != ae.msg {
+					t.Errorf("%s %v: served %d %s %q, library refused with %d %s %q",
+						tc.name, k, code, er.Error.Code, er.Error.Message, ae.status, ae.code, ae.msg)
+				}
+				continue
+			}
+			var fr factorizeResponse
+			if err := json.Unmarshal(body, &fr); err != nil || code != 200 || fr.Cached {
+				t.Fatalf("%s %v: status %d cached=%v (%v) %s, want a cold 200", tc.name, k, code, fr.Cached, err, body)
+			}
+			e, ok := s.cache.Get(fr.Key)
+			if !ok {
+				t.Fatalf("%s %v: key %q not cached", tc.name, k, fr.Key)
+			}
+			if !slices.Equal(factorBits(e.F), factorBits(want)) {
+				t.Errorf("%s %v: cached factor differs from tcqr.Factorize", tc.name, k)
+			}
+			ws := want.EngineStats
+			if st := fr.EngineStats; st != (wireEngineStats{ws.GemmCalls, ws.Flops, ws.Overflows, ws.Underflows}) {
+				t.Errorf("%s %v: engine_stats %+v, library ran %+v", tc.name, k, st, ws)
+			}
+			if fr.Reorthogonalized != want.Reorthogonalized {
+				t.Errorf("%s %v: reorthogonalized %v, library %v", tc.name, k, fr.Reorthogonalized, want.Reorthogonalized)
+			}
+			if !slices.Equal(fr.Hazards, wireHazards(want.Hazards)) {
+				t.Errorf("%s %v: hazards %+v, library reported %+v", tc.name, k, fr.Hazards, want.Hazards)
 			}
 		}
 	}
