@@ -67,10 +67,13 @@ reach:
 # goldens, kernel-family, determinism and allocation tests: it splits the rows
 # of a small output between workers and packs op(B) on all of them. So do the
 # update path's golden and the downdate's allocation bound, whose Q′ is that
-# GEMM run in row strips. And the
+# GEMM run in row strips, and the float64-input Factorize against its
+# narrowing's. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
-# processors take them. The tile-tree workspaces go round a sync.Pool, the
+# processors take them; nor may a served cold miss's, whose CAQR tiles run
+# there too: its factor is the library's, and its bytes stay under the
+# cold-frame gate. The tile-tree workspaces go round a sync.Pool, the
 # one piece of factorization state goroutines share, so concurrent panels of
 # different shapes run ten times under the race detector.
 check: lint check-benchmark
@@ -80,8 +83,9 @@ check: lint check-benchmark
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates' .
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|FactorizeEitherWidth' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
+	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|ServedFactorsAreLibraryFactors' ./internal/serve
 
 # benchmark/ is its own module, so `./...` from the root never compiles it:
 # vet and test it by name, or a rename in internal/ breaks the benchmark

@@ -236,7 +236,7 @@ func TestInputValidation(t *testing.T) {
 			t.Errorf("policy %v: Inf input: %v", pol, err)
 		}
 	}
-	if _, err := Factorize(nil, Config{}); !errors.Is(err, ErrEmpty) {
+	if _, err := Factorize((*Matrix32)(nil), Config{}); !errors.Is(err, ErrEmpty) {
 		t.Errorf("nil matrix: %v", err)
 	}
 	if _, err := Factorize(NewMatrix32(0, 4), Config{}); !errors.Is(err, ErrEmpty) {

@@ -33,8 +33,9 @@ import (
 // test, for example, asserts that N concurrent same-matrix solves reach
 // SolveMultiWithFactor exactly once.
 type Backend interface {
-	// Factorize computes the RGSQRF factorization (tcqr.Factorize).
-	Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error)
+	// Factorize computes the RGSQRF factorization (tcqr.Factorize) of the
+	// request's float64 matrix, which it factors as its float32 narrowing.
+	Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error)
 	// SolveWithFactor solves one right-hand side against a cached
 	// factorization (tcqr.SolveLeastSquaresWithFactor).
 	SolveWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b []float64, opts tcqr.SolveOptions) (*tcqr.LeastSquaresResult, error)
@@ -42,7 +43,7 @@ type Backend interface {
 	// against a cached factorization (tcqr.SolveLeastSquaresMultiWithFactor).
 	SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b *tcqr.Matrix, opts tcqr.SolveOptions) (*tcqr.MultiResult, error)
 	// LowRank computes a truncated QR-SVD approximation (tcqr.LowRank).
-	LowRank(a *tcqr.Matrix32, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error)
+	LowRank(a *tcqr.Matrix, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error)
 	// UpdateAppendRows appends a row block to a cached factorization, the
 	// append half of /v1/update (tcqr.UpdateAppendRows).
 	UpdateAppendRows(f *tcqr.Factorization, v *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error)
@@ -56,7 +57,7 @@ type Backend interface {
 type LibraryBackend struct{}
 
 // Factorize implements Backend.
-func (LibraryBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
+func (LibraryBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error) {
 	return tcqr.Factorize(a, cfg)
 }
 
@@ -71,7 +72,7 @@ func (LibraryBackend) SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Matrix
 }
 
 // LowRank implements Backend.
-func (LibraryBackend) LowRank(a *tcqr.Matrix32, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error) {
+func (LibraryBackend) LowRank(a *tcqr.Matrix, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error) {
 	return tcqr.LowRank(a, rank, cfg)
 }
 

@@ -460,7 +460,7 @@ func (c *FactorCache) factor(fl *flight, name string, cfg tcqr.Config) {
 		fl.err = err
 		return
 	}
-	f, err := c.backend.Factorize(tcqr.ToFloat32(fl.a), cfg)
+	f, err := c.backend.Factorize(fl.a, cfg)
 	if err != nil {
 		fl.err = err
 		return

@@ -148,12 +148,13 @@ func (m *cacheModel) reset() {
 // embedded nil Backend panics on the solve calls the cache never makes.
 type stubBackend struct{ Backend }
 
-func (stubBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
+func (stubBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error) {
+	q := tcqr.ToFloat32(a)
 	r := tcqr.NewMatrix32(a.Cols, a.Cols)
 	for j := 0; j < a.Cols; j++ {
-		copy(r.Col(j), a.Col(j))
+		copy(r.Col(j), q.Col(j))
 	}
-	return &tcqr.Factorization{Q: a, R: r}, nil
+	return &tcqr.Factorization{Q: q, R: r}, nil
 }
 
 // entryBits hashes everything a holder of e can read: the key, the epoch and
@@ -204,7 +205,7 @@ func runCacheModel(t *testing.T, rng *rand.Rand, maxEntries int, maxBytes int64,
 		return a
 	}
 	newEntry := func(key string, epoch uint64, a *tcqr.Matrix) *Entry {
-		f, _ := be.Factorize(tcqr.ToFloat32(a), cfg)
+		f, _ := be.Factorize(a, cfg)
 		return &Entry{Key: key, Epoch: epoch, A: a, F: f, Config: cfg}
 	}
 	// The model sizes an entry from the shape alone.
@@ -369,7 +370,7 @@ func runCacheModel(t *testing.T, rng *rand.Rand, maxEntries int, maxBytes int64,
 			}
 			op = "PublishUpdate " + old.Key
 			a := randMatrix(old.A.Rows + 1 + rng.Intn(3))
-			f, _ := be.Factorize(tcqr.ToFloat32(a), cfg)
+			f, _ := be.Factorize(a, cfg)
 			ne := c.PublishUpdate(old, a, f)
 			if ne.Key != versionedKey(base, old.Epoch+1) || ne.Epoch != old.Epoch+1 {
 				t.Fatalf("step %d (%s): published %s epoch %d", step, op, ne.Key, ne.Epoch)

@@ -133,7 +133,7 @@ type gatedBackend struct {
 	gate    chan struct{}
 }
 
-func (g *gatedBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
+func (g *gatedBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error) {
 	if a.Rows == g.held {
 		g.started <- struct{}{}
 		<-g.gate

@@ -127,7 +127,7 @@ type poisonBackend struct {
 	poisoned   atomic.Int64
 }
 
-func (b *poisonBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
+func (b *poisonBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error) {
 	if a.Rows == b.poisonRows {
 		b.poisoned.Add(1)
 		panic("poison matrix")

@@ -129,7 +129,7 @@ func TestServerSurvivesBackendPanic(t *testing.T) {
 // request reaches without a factor to update.
 type panicBackend struct{ LibraryBackend }
 
-func (panicBackend) Factorize(*tcqr.Matrix32, tcqr.Config) (*tcqr.Factorization, error) {
+func (panicBackend) Factorize(*tcqr.Matrix, tcqr.Config) (*tcqr.Factorization, error) {
 	panic("factorize exploded")
 }
 func (panicBackend) SolveWithFactor(*tcqr.Factorization, *tcqr.Matrix, []float64, tcqr.SolveOptions) (*tcqr.LeastSquaresResult, error) {
@@ -138,7 +138,7 @@ func (panicBackend) SolveWithFactor(*tcqr.Factorization, *tcqr.Matrix, []float64
 func (panicBackend) SolveMultiWithFactor(*tcqr.Factorization, *tcqr.Matrix, *tcqr.Matrix, tcqr.SolveOptions) (*tcqr.MultiResult, error) {
 	panic("multi-solve exploded")
 }
-func (panicBackend) LowRank(*tcqr.Matrix32, int, tcqr.Config) (*tcqr.LowRankApprox, error) {
+func (panicBackend) LowRank(*tcqr.Matrix, int, tcqr.Config) (*tcqr.LowRankApprox, error) {
 	panic("lowrank exploded")
 }
 

@@ -27,7 +27,7 @@ func (s *Server) serveLowRank(rc *reqScope, w http.ResponseWriter, r *http.Reque
 		lerr error
 	)
 	took, err := rc.onPool(ctx, func() {
-		res, lerr = s.backend.LowRank(tcqr.ToFloat32(a), req.Rank, cfg)
+		res, lerr = s.backend.LowRank(a, req.Rank, cfg)
 	})
 	if err != nil {
 		return err

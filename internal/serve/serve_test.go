@@ -21,6 +21,8 @@ import (
 
 	"tcqr"
 	"tcqr/internal/matgen"
+	"tcqr/internal/rgs"
+	"tcqr/internal/wirefmt"
 )
 
 // --- test plumbing ---------------------------------------------------------
@@ -133,7 +135,7 @@ type countingBackend struct {
 	solveGate chan struct{}
 }
 
-func (c *countingBackend) Factorize(a *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
+func (c *countingBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error) {
 	c.factorize.Add(1)
 	if c.gate != nil {
 		<-c.gate
@@ -157,7 +159,7 @@ func (c *countingBackend) SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Ma
 	return c.inner.SolveMultiWithFactor(f, a, b, opts)
 }
 
-func (c *countingBackend) LowRank(a *tcqr.Matrix32, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error) {
+func (c *countingBackend) LowRank(a *tcqr.Matrix, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error) {
 	c.lowRank.Add(1)
 	return c.inner.LowRank(a, rank, cfg)
 }
@@ -1195,6 +1197,69 @@ func TestErrorMapping(t *testing.T) {
 	h.ServeHTTP(rec, req)
 	if rec.Code != 405 {
 		t.Fatalf("GET /v1/solve: code=%d, want 405", rec.Code)
+	}
+}
+
+// TestBeyondFloat32IsOneBadInput: a matrix whose float64 elements are
+// finite but overflow float32 is refused the same way on every path that
+// factors it — factorize, an inline solve and low-rank, as JSON and as a
+// frame — with 400 bad_input and the message SolveLeastSquares gives:
+// "tcqr: " and the element rgs.CheckInput names, the first non-finite
+// float64 element before the first one the narrowing makes infinite. JSON
+// cannot carry a NaN, so the second matrix goes by frame only.
+func TestBeyondFloat32IsOneBadInput(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	const m, n = 16, 4
+	huge := testMatrix(62, m, n, 1)
+	huge[21] = 1e39
+	nanLater := testMatrix(63, m, n, 1)
+	nanLater[6] = -1e39
+	nanLater[40] = math.NaN()
+	b := make([]float64, m)
+	for _, tc := range []struct {
+		name string
+		data []float64
+		json bool
+	}{{"1e39", huge, true}, {"-1e39 then NaN", nanLater, false}} {
+		err := rgs.CheckInput(tcqr.FromColMajor(m, n, tc.data))
+		if err == nil {
+			t.Fatalf("%s: rgs.CheckInput accepts the matrix", tc.name)
+		}
+		want := "tcqr: " + err.Error()
+		if _, serr := tcqr.SolveLeastSquares(tcqr.FromColMajor(m, n, tc.data), b, tcqr.SolveOptions{}); serr == nil || serr.Error() != want {
+			t.Fatalf("%s: SolveLeastSquares says %v, want %q", tc.name, serr, want)
+		}
+		mat := wirefmt.MatrixSection(m, n, tc.data)
+		for _, p := range []struct {
+			path  string
+			meta  map[string]any
+			frame []byte
+		}{
+			{"/v1/factorize", map[string]any{"matrix": wireMat(m, n, tc.data)}, frameBody(t, map[string]any{}, mat)},
+			{"/v1/solve", map[string]any{"matrix": wireMat(m, n, tc.data), "b": b}, frameBody(t, map[string]any{}, mat, wirefmt.VectorSection(b))},
+			{"/v1/lowrank", map[string]any{"matrix": wireMat(m, n, tc.data), "rank": 2}, frameBody(t, map[string]any{"rank": 2}, mat)},
+		} {
+			recs := map[string]*httptest.ResponseRecorder{"frame": postFrame(t, h, p.path, p.frame, "")}
+			if tc.json {
+				body, jerr := json.Marshal(p.meta)
+				if jerr != nil {
+					t.Fatal(jerr)
+				}
+				recs["json"] = httptest.NewRecorder()
+				h.ServeHTTP(recs["json"], httptest.NewRequest(http.MethodPost, p.path, bytes.NewReader(body)))
+			}
+			for enc, rec := range recs {
+				var er envelope
+				if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+					t.Fatalf("%s %s %s: non-envelope body %q", tc.name, p.path, enc, rec.Body.String())
+				}
+				if rec.Code != 400 || er.Error.Code != "bad_input" || er.Error.Message != want {
+					t.Errorf("%s %s %s: %d %s %q, want 400 bad_input %q", tc.name, p.path, enc, rec.Code, er.Error.Code, er.Error.Message, want)
+				}
+			}
+		}
 	}
 }
 

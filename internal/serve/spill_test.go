@@ -23,7 +23,7 @@ import (
 func makeEntry(t testing.TB, seed uint64, m, n int, key string, epoch uint64) *Entry {
 	t.Helper()
 	a := tcqr.FromColMajor(m, n, testMatrix(seed, m, n, 1))
-	f, err := LibraryBackend{}.Factorize(tcqr.ToFloat32(a), tcqr.Config{})
+	f, err := LibraryBackend{}.Factorize(a, tcqr.Config{})
 	if err != nil {
 		t.Fatalf("factorize %dx%d: %v", m, n, err)
 	}

@@ -3,6 +3,7 @@ package tcqr
 import (
 	"fmt"
 
+	"tcqr/internal/dense"
 	"tcqr/internal/svd"
 )
 
@@ -27,10 +28,11 @@ type LowRankApprox struct {
 // matrix a (m×n, m >= n, r <= n) via RGSQRF + Jacobi SVD of R + truncation.
 // Per the paper, the fp16 roundoff of the QR stage is dwarfed by the
 // truncation error, so no refinement is needed — this is the cheapest
-// profitable use of the neural engine. Input validation and hazard handling
-// follow Factorize (typed errors under HazardFail, the recovery ladder
-// under HazardFallback).
-func LowRank(a *Matrix32, rank int, cfg Config) (*LowRankApprox, error) {
+// profitable use of the neural engine. a is either width, as for Factorize:
+// a float64 a is approximated exactly as ToFloat32(a) would be. Input
+// validation and hazard handling follow Factorize (typed errors under
+// HazardFail, the recovery ladder under HazardFallback).
+func LowRank[T float32 | float64](a *dense.Matrix[T], rank int, cfg Config) (*LowRankApprox, error) {
 	if rank < 1 {
 		return nil, fmt.Errorf("tcqr: rank %d < 1: %w", rank, ErrShape)
 	}

@@ -39,27 +39,23 @@ type Factorization struct {
 }
 
 // Factorize computes the RGSQRF factorization of a (m×n, m >= n) on the
-// simulated neural engine. The input is not modified.
+// simulated neural engine. The input is not modified. a is either width: a
+// float64 a (*Matrix) is factored exactly as its float32 narrowing
+// ToFloat32(a) would be, without that copy, because each rung of the ladder
+// factors a itself and rgs.Factor narrows, checks and scales it in one sweep
+// into the buffer that becomes Q. The first rung's sweep is the input check:
+// an input it rejects has no rung to fall back on.
 //
-// Inputs containing NaN or Inf are rejected with an error wrapping
-// ErrNonFinite; nil or zero-sized inputs with ErrEmpty; wide inputs with
-// ErrShape. Numerical hazards during the factorization — fp16 engine
-// overflow, panel breakdown — follow cfg.OnHazard: under HazardFail they
-// return errors wrapping ErrOverflow / ErrBreakdown / ErrNonFinite, under
-// HazardFallback the computation retries along the fallback ladder and
-// reports what happened in Factorization.Hazards. A recovered factorization
-// is exactly Factorize(a, c) for the Config c of the rung that produced it.
-func Factorize(a *Matrix32, cfg Config) (*Factorization, error) {
-	return factorize(a, cfg)
-}
-
-// factorize is Factorize on an input of either width: the ladder runner
-// behind Factorize and SolveLeastSquares. Each rung factors a itself, which
-// rgs.Factor narrows, checks and scales in one sweep into the buffer that
-// becomes Q, so a float64 a is factored exactly as its float32 narrowing
-// would be and is never copied whole. The first rung's sweep is the input
-// check: an input it rejects has no rung to fall back on.
-func factorize[T dense.Float](a *dense.Matrix[T], cfg Config) (*Factorization, error) {
+// Inputs containing NaN or Inf, or (float64) elements beyond the float32
+// range, are rejected with an error wrapping ErrNonFinite; nil or zero-sized
+// inputs with ErrEmpty; wide inputs with ErrShape. Numerical hazards during
+// the factorization — fp16 engine overflow, panel breakdown — follow
+// cfg.OnHazard: under HazardFail they return errors wrapping ErrOverflow /
+// ErrBreakdown / ErrNonFinite, under HazardFallback the computation retries
+// along the fallback ladder and reports what happened in
+// Factorization.Hazards. A recovered factorization is exactly
+// Factorize(a, c) for the Config c of the rung that produced it.
+func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorization, error) {
 	if a == nil || a.Cols == 0 || a.Rows < a.Cols {
 		// Empty or wide: the checks in the order callers have always seen
 		// them, finiteness before shape.

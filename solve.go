@@ -74,13 +74,13 @@ func (o SolveOptions) refine(rep *hazard.Report) lls.SolveOptions {
 
 // SolveLeastSquares solves min ‖Ax − b‖₂ for a tall full-column-rank A
 // using the paper's pipeline: narrow A to float32, factor it with the
-// neural-engine RGSQRF, then refine to double precision. The narrowing is
-// the factorization's own first sweep, so the factor is bit for bit
-// Factorize(ToFloat32(a), opts.QR) without a float32 copy of A. Malformed
+// neural-engine RGSQRF, then refine to double precision. The factor is
+// Factorize(a, opts.QR), whose first sweep is the narrowing, so it is bit for
+// bit Factorize(ToFloat32(a), opts.QR) without a float32 copy of A. Malformed
 // inputs (NaN/Inf or beyond the float32 range, empty, mismatched shapes)
 // return typed errors; factorization hazards follow opts.QR.OnHazard.
 func SolveLeastSquares(a *Matrix, b []float64, opts SolveOptions) (*LeastSquaresResult, error) {
-	f, err := factorize(a, opts.QR)
+	f, err := Factorize(a, opts.QR)
 	if err != nil {
 		return nil, err
 	}

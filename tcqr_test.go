@@ -2,6 +2,7 @@ package tcqr
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"tcqr/internal/dense"
 	"tcqr/internal/lls"
 	"tcqr/internal/matgen"
+	"tcqr/internal/tcsim"
 )
 
 func testMatrix(seed int64, m, n int, cond float64) *Matrix32 {
@@ -296,6 +298,78 @@ func TestEngineStatsAndOverflowPolicy(t *testing.T) {
 func TestFactorizeRejectsWide(t *testing.T) {
 	if _, err := Factorize(NewMatrix32(3, 5), Config{}); err == nil {
 		t.Error("wide input must be rejected")
+	}
+}
+
+// TestFactorizeEitherWidth: Factorize and LowRank take a float64 matrix
+// and return, bit for bit, what they return for its float32 narrowing —
+// factors, scales, hazards and engine statistics, or the same error — on
+// every engine and panel under both policies, a breakdown input included.
+func TestFactorizeEitherWidth(t *testing.T) {
+	if _, err := Factorize((*Matrix)(nil), Config{}); !errors.Is(err, ErrEmpty) {
+		t.Errorf("nil float64 matrix: %v, want ErrEmpty", err)
+	}
+	// elems lists the elements of each matrix column by column, then tail.
+	elems := func(tail []float32, ms ...*Matrix32) []float32 {
+		var out []float32
+		for _, m := range ms {
+			for j := range m.Cols {
+				out = append(out, m.Col(j)...)
+			}
+		}
+		return append(out, tail...)
+	}
+	rng := rand.New(rand.NewSource(39))
+	inputs := []struct {
+		name string
+		a    *Matrix
+	}{
+		{"conditioned", matgen.WithCond(rng, 256, 48, 1e3, matgen.Arithmetic)},
+		{"badly-scaled", matgen.BadlyScaled(rng, 256, 48, 8)},
+		{"zero-column", matgen.WithZeroColumns(rng, 256, 48, 7)},
+	}
+	breakdowns := 0
+	for _, in := range inputs {
+		a32 := ToFloat32(in.a)
+		for _, e := range tcsim.Kinds() {
+			for _, p := range []PanelAlgorithm{PanelCAQR, PanelHouseholder, PanelMGS} {
+				for _, pol := range []HazardPolicy{HazardFail, HazardFallback} {
+					c := Config{Engine: e, Panel: p, Cutoff: 16, OnHazard: pol}
+					name := fmt.Sprintf("%s/%v/%v/%v", in.name, e, p, pol)
+					got, gerr := Factorize(in.a, c)
+					want, werr := Factorize(a32, c)
+					if gerr != nil || werr != nil {
+						if gerr == nil || werr == nil || gerr.Error() != werr.Error() {
+							t.Errorf("%s: float64 input: %v; its narrowing: %v", name, gerr, werr)
+						}
+						breakdowns++
+						continue
+					}
+					if !bitsEqual(elems(got.ColumnScales, got.Q, got.R), elems(want.ColumnScales, want.Q, want.R)) {
+						t.Errorf("%s: factors differ from the narrowing's", name)
+					}
+					if !slices.Equal(got.Hazards, want.Hazards) || got.EngineStats != want.EngineStats ||
+						got.Reorthogonalized != want.Reorthogonalized {
+						t.Errorf("%s: hazards %v, stats %+v; the narrowing's %v, %+v",
+							name, got.Hazards, got.EngineStats, want.Hazards, want.EngineStats)
+					}
+				}
+			}
+		}
+		c := Config{Cutoff: 16, OnHazard: HazardFallback}
+		got, gerr := LowRank(in.a, 5, c)
+		want, werr := LowRank(a32, 5, c)
+		if gerr != nil || werr != nil {
+			t.Errorf("%s: LowRank: float64 input: %v; its narrowing: %v", in.name, gerr, werr)
+			continue
+		}
+		if !bitsEqual(elems(got.S, got.U, got.V), elems(want.S, want.U, want.V)) || got.Rank != want.Rank ||
+			!slices.Equal(got.Hazards, want.Hazards) {
+			t.Errorf("%s: LowRank of the float64 input differs from its narrowing's", in.name)
+		}
+	}
+	if breakdowns == 0 {
+		t.Error("no input broke down under HazardFail")
 	}
 }
 
