@@ -38,10 +38,14 @@ func OrthoError64(q *dense.M64) float64 {
 
 // LLSOptimality returns ‖Aᵀ(Ax − b)‖₂ — the paper's accuracy metric for
 // least squares solutions (Section 3.2.2) — evaluated in float64.
+// Its two working vectors come from one pooled slab, each written before it
+// is read, so it allocates nothing.
 func LLSOptimality(a *dense.M64, x, b []float64) float64 {
-	r := append([]float64(nil), b...)
+	slab := blas.GetScratch(len(b) + a.Cols)
+	defer blas.PutScratch(slab)
+	r, g := (*slab)[:len(b)], (*slab)[len(b):]
+	copy(r, b)
 	blas.Gemv(blas.NoTrans, 1, a, x, -1, r) // r = A·x − b
-	g := make([]float64, a.Cols)
 	blas.Gemv(blas.Trans, 1, a, r, 0, g)
 	return blas.Nrm2(g)
 }

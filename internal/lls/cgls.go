@@ -70,14 +70,22 @@ func CGLS(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 		maxIter = DefaultMaxIter
 	}
 
+	// The working vectors are carved from one pooled slab of undefined
+	// contents, so each is written before it is read; only what the result
+	// holds is allocated.
+	slab := blas.GetScratch(2*m + 4*n)
+	defer blas.PutScratch(slab)
+	w := *slab
+	res, q := take(&w, m), take(&w, m) // residual r_k = b − A·x; q = A·t
+	s, p, bestX, t := take(&w, n), take(&w, n), take(&w, n), take(&w, n)
+
 	x := make([]float64, n)
-	res := append([]float64(nil), b...) // residual r_k = b − A·x
-	s := make([]float64, n)             // preconditioned gradient R⁻ᵀ·Aᵀ·r
-	blas.Gemv(blas.Trans, 1, a, res, 0, s)
+	copy(res, b)
+	blas.Gemv(blas.Trans, 1, a, res, 0, s) // preconditioned gradient R⁻ᵀ·Aᵀ·r
 	if r != nil {
 		blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, r, s)
 	}
-	p := append([]float64(nil), s...)
+	copy(p, s)
 	gamma := dot64(s, s)
 	norms0 := sqrt(gamma)
 	// GradNorms has room for DefaultMaxIter iterations, as LSQR's has: sized
@@ -93,14 +101,12 @@ func CGLS(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 	// conjugacy and can diverge exponentially. We keep the best solution
 	// seen and bail out when the gradient norm has grown well past it
 	// (divergence) or has stopped improving for a full window (stagnation).
-	bestX := append([]float64(nil), x...)
+	copy(bestX, x)
 	bestNorm := norms0
 	sinceImproved := 0
 
-	t := make([]float64, n) // t = R⁻¹·p
-	q := make([]float64, m) // q = A·t
 	for k := 0; k < maxIter; k++ {
-		copy(t, p)
+		copy(t, p) // t = R⁻¹·p
 		if r != nil {
 			blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, t)
 		}
@@ -153,6 +159,14 @@ func CGLS(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 		copy(x, bestX)
 	}
 	return out
+}
+
+// take cuts the first k elements off *w as a vector of capacity k, so no
+// append can reach the vector cut after it.
+func take(w *[]float64, k int) []float64 {
+	v := (*w)[:k:k]
+	*w = (*w)[k:]
+	return v
 }
 
 func dot64(x, y []float64) float64 { return blas.Dot(x, y) }

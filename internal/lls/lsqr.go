@@ -28,9 +28,14 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 		maxIter = DefaultMaxIter
 	}
 
-	tmpM := make([]float64, m)
-	tmpN := make([]float64, n)
-	tmpT := make([]float64, n) // R⁻¹·v inside applyB
+	// The working vectors are carved from one pooled slab of undefined
+	// contents, as CGLS's are: each is written before it is read.
+	slab := blas.GetScratch(2*m + 5*n)
+	defer blas.PutScratch(slab)
+	ws := *slab
+	u, tmpM := take(&ws, m), take(&ws, m)
+	v, w, y, tmpN := take(&ws, n), take(&ws, n), take(&ws, n), take(&ws, n)
+	tmpT := take(&ws, n) // R⁻¹·v inside applyB
 
 	applyB := func(v []float64, out []float64) { // out = A·R⁻¹·v
 		copy(tmpT, v)
@@ -46,7 +51,7 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 		}
 	}
 
-	u := append([]float64(nil), b...)
+	copy(u, b)
 	beta := blas.Nrm2(u)
 	// GradNorms has room for DefaultMaxIter iterations, so up to there what
 	// LSQR allocates does not grow with how many it runs (maxIter comes off
@@ -58,7 +63,6 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 		return out
 	}
 	blas.Scal(1/beta, u)
-	v := make([]float64, n)
 	applyBT(u, v)
 	alpha := blas.Nrm2(v)
 	if alpha == 0 {
@@ -68,8 +72,8 @@ func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *It
 	}
 	blas.Scal(1/alpha, v)
 
-	w := append([]float64(nil), v...)
-	y := make([]float64, n)
+	copy(w, v)
+	clear(y)
 	phiBar, rhoBar := beta, alpha
 	grad0 := alpha * beta // ‖Bᵀb‖ estimate
 	out.GradNorms = append(out.GradNorms, grad0)

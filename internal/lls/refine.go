@@ -51,19 +51,10 @@ type SolveOptions struct {
 	Hazards *hazard.Report
 }
 
-// Solution is the result of refining one right-hand side over an RGSQRF
-// factorization.
-type Solution struct {
-	X          []float64
-	Iterations int
-	Converged  bool
-	GradNorms  []float64
-}
-
 // SolveWithFactor refines min ‖Ax − b‖ to double precision with the
 // selected method over a precomputed float32 RGSQRF factorization f of A
 // (one QR amortized over many right-hand sides).
-func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*Solution, error) {
+func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*IterResult, error) {
 	if f.Q.Rows != a.Rows || f.Q.Cols != a.Cols {
 		return nil, fmt.Errorf("lls: factorization is %dx%d but A is %dx%d: %w", f.Q.Rows, f.Q.Cols, a.Rows, a.Cols, hazard.ErrShape)
 	}
@@ -73,11 +64,7 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 	if err := hazard.CheckVec("b", b); err != nil {
 		return nil, fmt.Errorf("lls: %w", err)
 	}
-	res, err := refineColumn(f, a, b, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Solution{X: res.X, Iterations: res.Iterations, Converged: res.Converged, GradNorms: res.GradNorms}, nil
+	return refineColumn(f, a, b, opts)
 }
 
 // refineColumn is the one per-column refiner: it solves min ‖Ax − b‖ for a

@@ -566,9 +566,13 @@ func TestBinaryErrorsUseJSONEnvelope(t *testing.T) {
 
 // TestBinaryCacheHitSolveAllocs gates the zero-copy promise: a binary
 // cache-hit solve must never allocate more objects than its JSON twin, must
-// stay under an absolute per-request object ceiling, and must allocate well
-// under half the heap bytes of the JSON path (which pays to parse and print
-// every float — its cost shows up as bytes, not object count).
+// stay under absolute per-request object and byte ceilings, and must
+// allocate well under the heap bytes of the JSON path (which pays to parse
+// and print every float — its cost shows up as bytes, not object count). At
+// 256×64 the refinement allocates only what it returns, its working vectors
+// and the optimality check's coming from a pooled slab: 60 objects and about
+// 13.2 KB per binary request, against 69 and 21.9 KB when it allocated them
+// afresh.
 func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 	s := New(Options{Workers: 1})
 	h := s.Handler()
@@ -622,8 +626,15 @@ func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 	if binAllocs > jsonAllocs {
 		t.Fatalf("binary solve allocates %.0f objects/request vs %.0f for JSON; the pooled path has regressed", binAllocs, jsonAllocs)
 	}
-	const ceiling = 150
-	if binAllocs > ceiling {
+	// The race runtime drops a quarter of sync.Pool.Puts, so a race build
+	// allocates a few pooled buffers and slabs afresh per request (64–66
+	// objects at this shape) and is held to a ceiling of its own.
+	const byteCeiling = 16 << 10
+	ceiling := 64
+	if raceEnabled {
+		ceiling = 80
+	}
+	if binAllocs > float64(ceiling) {
 		t.Fatalf("binary cache-hit solve allocates %.0f objects/request, above the %d gate", binAllocs, ceiling)
 	}
 	// The shared solve compute allocates the same on both paths, so the
@@ -631,15 +642,18 @@ func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 	// request to parse and print the floats at this shape, the pooled
 	// zero-copy frame path pays nearly nothing. Require the full wire-sized
 	// margin so a regression that re-introduces per-request body buffers or
-	// per-element encode work trips the gate. Race builds skip this one
-	// assertion (not the alloc-count gates above): the race runtime
+	// per-element encode work trips the gate, and hold the binary request
+	// under a byte ceiling so one that allocates the refinement's working
+	// vectors afresh again trips it too. Race builds skip these two byte
+	// assertions (not the alloc-count gates above): the race runtime
 	// deliberately drops a quarter of sync.Pool.Puts, so the pooled frame
-	// buffers this margin measures are randomly re-allocated and the gap
-	// narrows to the threshold ± scheduler noise.
+	// buffers and scratch slabs they measure are randomly re-allocated.
 	if raceEnabled {
-		t.Logf("race build: skipping pooled-byte margin (race mode drops 1/4 of Pool.Puts)")
+		t.Logf("race build: skipping the pooled-byte margin and ceiling (race mode drops 1/4 of Pool.Puts)")
 	} else if binBytes+3000 >= jsonBytes {
 		t.Fatalf("binary cache-hit solve allocates %d heap bytes/request vs %d for JSON; the zero-copy path has regressed", binBytes, jsonBytes)
+	} else if binBytes > byteCeiling {
+		t.Fatalf("binary cache-hit solve allocates %d heap bytes/request, above the %d-byte gate", binBytes, byteCeiling)
 	}
 }
 
