@@ -66,7 +66,9 @@ reach:
 # and its zero allocations must not depend on that; nor may CGLS's and LSQR's
 # allocation count, which is what they return (their working vectors come
 # from a pooled slab), or their bits when every slab they take is poisoned
-# with NaN. So do the packed GEMM's
+# with NaN, or CGLS's recorded bits: its X and GradNorms on one trajectory
+# per way a run ends, and its X on the workloads' solves, which a change to
+# when CGLS stops must leave as they are. So do the packed GEMM's
 # goldens, kernel-family, determinism and allocation tests: it splits the rows
 # of a small output between workers and packs op(B) on all of them. So do the
 # update path's golden and the downdate's allocation bound, whose Q′ is that
@@ -84,7 +86,7 @@ check: lint check-benchmark
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
-	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison' ./internal/blas ./internal/lls
+	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
 	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|FactorizeEitherWidth' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
