@@ -15,6 +15,7 @@ import (
 	"tcqr/internal/lls"
 	"tcqr/internal/matgen"
 	"tcqr/internal/rgs"
+	"tcqr/internal/tcsim"
 )
 
 // bitsHash is FNV-1a over the Float64bits of each slice in turn.
@@ -34,11 +35,15 @@ func bitsHash(xs ...[]float64) uint64 {
 // check write every vector they carve from a scratch slab before they read
 // it, so a slab whose contents are NaN gives the bits a fresh zeroed one
 // gives. Each solve runs first on the pool as it is, then with every slab
-// poisoned: CGLS on the four trajectories internal/lls pins (converged,
+// poisoned: CGLS on the five endings internal/lls pins (converged, settled,
 // diverged, stagnated, best iterate x₀) with the LLSOptimality of each
 // answer, LSQR, SolveMultiWithFactor under both methods, and a
 // HazardFallback solve of a zero-column input, whose refinement never
-// improves on x₀ and returns the copy it set aside.
+// improves on x₀ and returns the copy it set aside. Two of the endings run
+// twice: the κ 1e3 and κ 1e6 default-factor inputs that once diverged and
+// stagnated now both settle, and the bf16 factors of a κ 1e6 Cluster2 and a
+// κ 1e6 geometric input still diverge and stagnate, so the guard's and the
+// window's restores of the best iterate are read from poisoned slabs too.
 func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	fac := func(a *dense.M64, opts rgs.Options) *rgs.Result {
 		f, err := rgs.Factor(dense.ToF32(a), opts)
@@ -47,44 +52,60 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 		}
 		return f
 	}
-	problem := func(seed int64, cond float64) (*dense.M64, []float64) {
+	problem := func(seed int64, cond float64, dist matgen.Dist, resNorm float64) (*dense.M64, []float64) {
 		rng := rand.New(rand.NewSource(seed))
-		p := matgen.NewLLSProblem(rng, matgen.WithCond(rng, 300, 60, cond, matgen.Geometric), 0.1)
+		p := matgen.NewLLSProblem(rng, matgen.WithCond(rng, 300, 60, cond, dist), resNorm)
 		return p.A, p.B
 	}
-	convA, convB := problem(71, 1e3)
-	stagA, stagB := problem(72, 1e6)
-	rng := rand.New(rand.NewSource(70))
-	divA := matgen.WithCond(rng, 300, 60, 1e3, matgen.Geometric)
-	divB := matgen.Normal(rng, 300, 1).Col(0)
-	rng = rand.New(rand.NewSource(65))
+	normalB := func(seed int64, cond float64) (*dense.M64, []float64) {
+		rng := rand.New(rand.NewSource(seed))
+		return matgen.WithCond(rng, 300, 60, cond, matgen.Geometric), matgen.Normal(rng, 300, 1).Col(0)
+	}
+	bf16 := rgs.Options{Engine: tcsim.KindBF16.New(false), Cutoff: 32}
+	convA, convB := problem(71, 1e3, matgen.Geometric, 0.1)
+	settleA, settleB := normalB(70, 1e3)
+	settle6A, settle6B := problem(72, 1e6, matgen.Geometric, 0.1)
+	divA, divB := problem(70, 1e6, matgen.Cluster2, 0)
+	stagA, stagB := normalB(72, 1e6)
+	rng := rand.New(rand.NewSource(65))
 	zeroA := matgen.WithZeroColumns(rng, 256, 64, 5)
 	zeroB := matgen.Normal(rng, 256, 1).Col(0)
 	block := matgen.Normal(rand.New(rand.NewSource(73)), 300, 3)
-	divF := fac(divA, rgs.Options{})
+	settleF := fac(settleA, rgs.Options{})
+	converged := func(r *lls.IterResult) bool { return r.Converged }
+	settled := func(r *lls.IterResult) bool { return r.Settled }
+	diverged := func(r *lls.IterResult) bool { return r.Diverged }
+	stagnated := func(r *lls.IterResult) bool { return r.Stagnated }
 	cgls := []struct {
-		name string
-		a    *dense.M64
-		b    []float64
-		f    *rgs.Result
+		name  string
+		a     *dense.M64
+		b     []float64
+		f     *rgs.Result
+		ended func(*lls.IterResult) bool
 	}{
-		{"converges", convA, convB, fac(convA, rgs.Options{Cutoff: 32})},
-		{"diverges", divA, divB, divF},
-		{"stagnates", stagA, stagB, fac(stagA, rgs.Options{Cutoff: 32})},
-		{"best is x0", zeroA, zeroB, fac(zeroA, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}})},
+		{"converges", convA, convB, fac(convA, rgs.Options{Cutoff: 32}), converged},
+		{"settles", settleA, settleB, settleF, settled},
+		{"settles at κ 1e6", settle6A, settle6B, fac(settle6A, rgs.Options{Cutoff: 32}), settled},
+		{"diverges", divA, divB, fac(divA, bf16), diverged},
+		{"stagnates", stagA, stagB, fac(stagA, bf16), stagnated},
+		{"best is x0", zeroA, zeroB, fac(zeroA, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}), stagnated},
 	}
 
 	run := func() map[string]uint64 {
 		got := map[string]uint64{}
 		for _, tc := range cgls {
 			res := lls.CGLS(tc.a, tc.b, tc.f.R64(), 0, 0)
+			if !tc.ended(res) {
+				t.Errorf("CGLS %s: ran %d iterations (converged %v, settled %v, diverged %v, stagnated %v), not the ending it covers",
+					tc.name, res.Iterations, res.Converged, res.Settled, res.Diverged, res.Stagnated)
+			}
 			got["CGLS "+tc.name] = bitsHash(res.X, res.GradNorms)
 			got["LLSOptimality "+tc.name] = math.Float64bits(accuracy.LLSOptimality(tc.a, res.X, tc.b))
 			res = lls.LSQR(tc.a, tc.b, tc.f.R64(), 0, 0)
 			got["LSQR "+tc.name] = bitsHash(res.X, res.GradNorms)
 		}
 		for _, method := range []lls.Method{lls.MethodCGLS, lls.MethodLSQR} {
-			ms, err := lls.SolveMultiWithFactor(divF, divA, block, lls.SolveOptions{Method: method})
+			ms, err := lls.SolveMultiWithFactor(settleF, settleA, block, lls.SolveOptions{Method: method})
 			if err != nil {
 				t.Fatal(err)
 			}

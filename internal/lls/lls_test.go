@@ -7,6 +7,8 @@ import (
 
 	"tcqr/internal/accuracy"
 	"tcqr/internal/dense"
+	"tcqr/internal/gram"
+	"tcqr/internal/hazard"
 	"tcqr/internal/matgen"
 	"tcqr/internal/rgs"
 	"tcqr/internal/tcsim"
@@ -272,6 +274,62 @@ func TestCGLSZeroRHS(t *testing.T) {
 	for _, v := range res.X {
 		if v != 0 {
 			t.Fatal("zero rhs must give zero solution")
+		}
+	}
+}
+
+// TestNoProgressNeverSettles: a run whose gradient norm never improves on
+// ‖s_0‖ ends Stagnated, with x₀ and a hazard, whatever the caller's tol. The
+// settle rule needs a best that is a later iterate and sits within
+// SettleBand of the float64 floor, so neither a loose tol nor an infinite
+// ‖s_0‖ puts x₀ inside its band. The runs: an A scaled to 1e100 without a
+// preconditioner, whose ‖A·t‖² overflows, so every step is α = 0 and every
+// gradient norm equals ‖s_0‖, at tol 0.5; a b scaled to 1e200, whose ‖s_0‖
+// is +Inf and whose later gradient norms are NaN, at the default tol and at
+// tol 0.5; and the zero-column input the Householder rung factors, whose
+// gradient norms are all NaN, at tol 0.5.
+func TestNoProgressNeverSettles(t *testing.T) {
+	scaled := func(v []float64, by float64) {
+		for i := range v {
+			v[i] *= by
+		}
+	}
+	p := problem(71, 300, 60, 1e3, matgen.Geometric, 0.1)
+	r64 := factor(t, p.A, rgs.Options{Cutoff: 32}).R64()
+	bigA := p.A.Clone()
+	scaled(bigA.Data, 1e100)
+	bigB := append([]float64(nil), p.B...)
+	scaled(bigB, 1e200)
+	rng := rand.New(rand.NewSource(65))
+	zero := matgen.WithZeroColumns(rng, 256, 64, 5)
+	zeroB := matgen.Normal(rng, 256, 1).Col(0)
+	zeroR := factor(t, zero, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}).R64()
+	for _, tc := range []struct {
+		name string
+		a    *dense.M64
+		b    []float64
+		r    *dense.M64
+		tol  float64
+	}{
+		{"overflowing step at tol 0.5", bigA, p.B, nil, 0.5},
+		{"infinite s0 at the default tol", p.A, bigB, r64, 0},
+		{"infinite s0 at tol 0.5", p.A, bigB, r64, 0.5},
+		{"zero columns at tol 0.5", zero, zeroB, zeroR, 0.5},
+	} {
+		var hz hazard.Report
+		res := RefineCGLS(tc.a, tc.b, tc.r, SolveOptions{Tol: tc.tol, Hazards: &hz})
+		if !res.Stagnated || res.Settled || res.Iterations != StagnationWindow {
+			t.Errorf("%s: ran %d iterations (settled %v, stagnated %v), want a full stagnation window",
+				tc.name, res.Iterations, res.Settled, res.Stagnated)
+		}
+		for i, v := range res.X {
+			if v != 0 {
+				t.Errorf("%s: x[%d] = %g, want the x₀ = 0 no iterate improved on", tc.name, i, v)
+				break
+			}
+		}
+		if ev := hz.Events(); len(ev) != 1 || ev[0].Kind != hazard.KindStagnation || ev[0].Action != "keep best iterate" {
+			t.Errorf("%s: hazards %v, want one stagnation kept at the best iterate", tc.name, ev)
 		}
 	}
 }
