@@ -5,7 +5,7 @@ GO ?= go
 # The tests that hold the library pipeline to one of each stage; named so
 # they can run under -race on their own (the multi-RHS path refines its
 # columns concurrently, each into a hazard.Report of its own).
-PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestCoalescedSolveHonoursMethod|TestCoalescedSolveCarriesOnlyItsOwnHazards|TestSolveOnHazardOptionChangesNothing
+PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestServedSolvesAreLibrarySolves|TestSolveOnHazardOptionChangesNothing
 
 # The tests that hold the daemon to one cold-factorization path: a served
 # factor is tcqr.Factorize's, bit for bit, and no flag selects another.
@@ -101,11 +101,12 @@ check-benchmark:
 
 # Tier-2 verification: the full suite under the race detector (the packed
 # GEMM parallelizes over C tiles; this is the gate for it), then the pool's
-# and the coalescer's scheduling-sensitive tests three more times: a
-# precondition that can tear shows up as a flake, and one pass hides a flake.
+# scheduling-sensitive tests — queueing, drain, deadlines in the queue —
+# three more times: a precondition that can tear shows up as a flake, and
+# one pass hides a flake.
 check-race: lint
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'Coalesc|Pool|AwaitIdle' ./internal/serve
+	$(GO) test -race -count=3 -run 'Pool|AwaitIdle|Drain|Deadline' ./internal/serve
 
 # Short native-fuzz smoke of the format round trips, the packed GEMM golden
 # property, the tc-ec split/GEMM error-bound properties, the TSQR-vs-serial

@@ -2,29 +2,26 @@
 // API over the tcqr library's "factor once, apply many times" pipeline.
 //
 //	POST /v1/factorize  — factor a matrix (content-hash cached, singleflight)
-//	POST /v1/solve      — least squares against a cached factorization;
-//	                      same-matrix solves that queue behind busy workers
-//	                      coalesce into one multi-RHS call
+//	POST /v1/solve      — least squares against a cached factorization
 //	POST /v1/update     — append rows to (or downdate rows from) a cached
 //	                      factorization incrementally, publishing a new
 //	                      epoch key@N while in-flight solves keep theirs
 //	POST /v1/lowrank    — truncated QR-SVD low-rank approximation
 //	GET  /healthz       — liveness (503 while draining)
-//	GET  /statz         — cache / coalescer / pool / timing / hazard counters
+//	GET  /statz         — cache / pool / timing / hazard counters
 //	GET  /metrics       — Prometheus text exposition of every counter,
 //	                      gauge, and latency histogram
 //
 // Responses carry a Server-Timing header (decode, key, queue, factorize,
 // solve, encode, …) and serialize every numerical hazard the fallback ladder detected or
-// recovered from. SIGINT/SIGTERM drain gracefully: in-flight and parked
+// recovered from. SIGINT/SIGTERM drain gracefully: in-flight and queued
 // requests complete, new ones get 503.
 //
 // Usage:
 //
 //	tcqrd [-addr :8723] [-workers N] [-queue 64] [-cache 32]
 //	      [-cache-max-bytes 0] [-cache-dir path] [-spill-max-bytes 0]
-//	      [-max-batch 32] [-deadline 30s]
-//	      [-drain-timeout 10s] [-addr-file path]
+//	      [-deadline 30s] [-drain-timeout 10s] [-addr-file path]
 //	      [-log-level info] [-debug-addr host:port]
 //	      [-stream-ttl 2m] [-max-stream-sessions 16]
 //	      [-node-id a] [-peers a=h:p,b=h:p,...] [-replicas 2]
@@ -99,7 +96,6 @@ func main() {
 		cacheBytes   = flag.Int64("cache-max-bytes", 0, "factorization cache byte budget on top of the entry cap (0 = entries only)")
 		cacheDir     = flag.String("cache-dir", "", "persist factorizations to this directory (write-behind spill; rewarm on restart; empty disables)")
 		spillBytes   = flag.Int64("spill-max-bytes", 0, "on-disk byte budget of -cache-dir, oldest files deleted first (0 = unbounded)")
-		maxBatch     = flag.Int("max-batch", 32, "max solves coalesced into one multi-RHS call while they wait for a worker (1 forbids batching)")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 		drainTimeout = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown budget")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening")
@@ -184,7 +180,6 @@ func main() {
 		CacheMaxBytes:     *cacheBytes,
 		CacheDir:          *cacheDir,
 		SpillMaxBytes:     *spillBytes,
-		MaxBatch:          *maxBatch,
 		DefaultDeadline:   *deadline,
 		Logger:            logger,
 		StreamTTL:         *streamTTL,
@@ -204,7 +199,7 @@ func main() {
 		}
 	}
 	info(logger, "listening", "addr", bound, "workers", *workers, "queue", *queue,
-		"cache", *cacheEntries, "max_batch", *maxBatch,
+		"cache", *cacheEntries,
 		"kernels", cpufeat.Kernels())
 
 	if *debugAddr != "" {

@@ -47,8 +47,8 @@ func TestFlagsMatchUsageComment(t *testing.T) {
 		os.Exit(0)
 	}
 	registered := registeredFlags(t)
-	if len(registered) != 22 {
-		t.Fatalf("%d flags parsed from -h output, want 22: %v", len(registered), registered)
+	if len(registered) != 21 {
+		t.Fatalf("%d flags parsed from -h output, want 21: %v", len(registered), registered)
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)

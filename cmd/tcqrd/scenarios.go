@@ -19,9 +19,9 @@ import (
 const faultSmokeSpec = "seed=7;serve.cache.factorize=error@every=2"
 
 // smokeScenarios is the smoke: what runSmoke starts and drives, top to
-// bottom. Solves coalesce while they wait for a worker, so the api row runs
-// one worker, which apiChecks holds with a slow factorize before it sends
-// its burst; every other row runs the default worker count. The restart row
+// bottom. The api row runs one worker, which apiChecks holds with a slow
+// factorize before it sends a burst of solves, so they answer from the queue;
+// every other row runs the default worker count. The restart row
 // is a new process on the api row's -cache-dir, under the same update checks:
 // they must find the series at the epoch they left it.
 var smokeScenarios = []scenario{
@@ -45,7 +45,7 @@ var clusterFlags = []string{"-node-id", "$id", "-peers", "$peers",
 	"-probe-interval", clusterProbe.String(), "-drain-timeout", "2s"}
 
 // apiChecks drives the API contract: factorize (cold, then cached),
-// concurrent solves that must coalesce, both wire encodings, a
+// concurrent solves queued behind a busy worker, both wire encodings, a
 // hazard-triggering matrix under both policies, malformed inputs, a chunked
 // upload, and the introspection endpoints.
 func apiChecks(s *smoker, ds []*daemon) {
@@ -64,18 +64,16 @@ func apiChecks(s *smoker, ds []*daemon) {
 	r = d.post("/v1/factorize", obj{"matrix": mat})
 	s.check(r.is(200) && r.Cached, "repeat factorize is a cache hit", r)
 
-	// A "method":"none" solve on the idle daemon: it must ride alone and come
-	// back unrefined. The coalesced pair below has to match it bit for bit.
+	// A "method":"none" solve on the idle daemon: it must come back
+	// unrefined. The queued pair below has to match it bit for bit.
 	noneBody := obj{"key": key, "b": mat.mulVec(ramp(n, 5, 0)), "options": obj{"method": "none"}}
 	alone := d.post("/v1/solve", noneBody)
-	s.check(alone.is(200) && alone.Batched == 1 && alone.Iterations == 0,
-		"solo method=none solve is unrefined", alone)
+	s.check(alone.is(200) && alone.Iterations == 0, "solo method=none solve is unrefined", alone)
 
-	// Coalescing. The daemon has no window to wait out: a batch gathers
-	// exactly while it waits for a worker, so the client makes the one worker
-	// busy. The slowest request it has — the cold 2048x256 tc-ec factorize,
-	// whose answer is checked further down — holds it, and once /statz shows
-	// that factorization running the solves sent next park behind it. The
+	// Queued solves. The client makes the one worker busy with the slowest
+	// request it has — the cold 2048x256 tc-ec factorize, whose answer is
+	// checked further down — and once /statz shows that factorization
+	// running the solves sent next queue behind it. The
 	// matrix is tall-skinny, and 256 columns is wide enough to split, so the
 	// projection GEMMs reach the engine: the engine a request names factors
 	// it at every shape.
@@ -97,10 +95,9 @@ func apiChecks(s *smoker, ds []*daemon) {
 		"pool.workers", z.Pool.Workers, "pool.in_flight", z.Pool.InFlight, zr)
 
 	// Eight solves by key against known right-hand sides plus the
-	// method=none solve twice, all parked behind the held worker: every
-	// column must come back accurate, the eight must share a multi-RHS call,
-	// and the pair must be one batch of two that matches the solo answer —
-	// the answer may not depend on who else rode in the batch.
+	// method=none solve twice, all queued behind the held worker: every
+	// answer must come back accurate, and the pair must match the solo
+	// answer — the answer may not depend on what else was in the queue.
 	outs := make([]*reply, 8)
 	pair := make([]*reply, 2)
 	var wg sync.WaitGroup
@@ -119,19 +116,14 @@ func apiChecks(s *smoker, ds []*daemon) {
 		}()
 	}
 	wg.Wait()
-	maxBatched := 0
 	for i, o := range outs {
 		s.check(o.is(200), fmt.Sprintf("concurrent solve %d succeeds", i), o)
 		s.check(maxAbsDiff(o.X, ramp(n, 5, float64(i))) < 1e-6, fmt.Sprintf("solve %d is accurate", i), o)
 		s.check(o.hdr.Get("Server-Timing") != "", fmt.Sprintf("solve %d carries Server-Timing", i), o)
-		maxBatched = max(maxBatched, o.Batched)
 	}
-	s.check(maxBatched >= 2, "concurrent same-key solves coalesced", "largest batch was", maxBatched,
-		"(solves batch while they wait for a worker: did the tall factorize finish before the burst arrived?)")
 	for i, o := range pair {
-		s.check(o.is(200) && o.Batched == 2 && o.Iterations == 0 && maxAbsDiff(o.X, alone.X) == 0,
-			fmt.Sprintf("coalesced method=none solve %d matches the solo answer", i), o,
-			"(batched=1 means the pair did not park behind the tall factorize together)")
+		s.check(o.is(200) && o.Iterations == 0 && maxAbsDiff(o.X, alone.X) == 0,
+			fmt.Sprintf("queued method=none solve %d matches the solo answer", i), o)
 	}
 
 	// Binary wire protocol (DESIGN.md §12): the same warm solve served as a
@@ -220,8 +212,7 @@ func apiChecks(s *smoker, ds []*daemon) {
 
 	// Introspection: /statz must reflect the traffic above.
 	zr, z = d.statz()
-	s.check(zr.is(200) && z.Cache.Hits >= 1 && z.Coalescer.MultiSolveCalls >= 1,
-		"statz reflects cache hits and coalesced calls", zr)
+	s.check(zr.is(200) && z.Cache.Hits >= 1, "statz reflects cache hits", zr)
 	for _, stage := range []string{"decode", "key", "queue", "factorize", "solve", "encode"} {
 		s.check(z.Timing[stage].Count >= 1, "statz timed the "+stage+" stage", zr)
 	}
@@ -255,7 +246,7 @@ func apiChecks(s *smoker, ds []*daemon) {
 		wantMetric{"metrics timed the key stage", "tcqrd_stage_duration_seconds_count", `stage="key"`, 0})
 	for _, family := range []string{
 		"tcqrd_requests_total", "tcqrd_responses_total", "tcqrd_cache_hits_total", "tcqrd_cache_key_collisions_total",
-		"tcqrd_stage_duration_seconds_bucket", "tcqrd_coalescer_batch_size_bucket",
+		"tcqrd_stage_duration_seconds_bucket",
 		"tcqrd_hazards_total", "tcqrd_engine_gemm_calls_total",
 		"tcqrd_wire_requests_total", "tcqrd_wire_responses_total", "tcqrd_stream_sessions",
 		"tcqrd_stream_begun_total", "tcqrd_stream_committed_total", "tcqrd_stream_appends_total",

@@ -248,7 +248,6 @@ type reply struct {
 	Blocks     int       `json:"blocks"`
 	X          []float64 `json:"x"`
 	Iterations int       `json:"iterations"`
-	Batched    int       `json:"batched"`
 	Session    string    `json:"session"`
 	TTLMS      int64     `json:"ttl_ms"`
 	Hazards    []struct {
@@ -273,9 +272,6 @@ type statz struct {
 		Hits     int64 `json:"hits"`
 		Rewarmed int64 `json:"rewarmed"`
 	} `json:"cache"`
-	Coalescer struct {
-		MultiSolveCalls int64 `json:"multi_solve_calls"`
-	} `json:"coalescer"`
 	Timing map[string]struct {
 		Count int64 `json:"count"`
 	} `json:"timing"`

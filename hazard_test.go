@@ -327,8 +327,8 @@ func assertFinite[T float32 | float64](t *testing.T, x []T, name string) {
 
 // TestSolveWithFactorPropagatesLadderHazards covers the serving subsystem's
 // cache-reuse contract: when a cached factorization was produced by ladder
-// recovery, every later SolveLeastSquaresWithFactor (and the multi-RHS
-// variant the request coalescer uses) must carry those recovery events in
+// recovery, every later SolveLeastSquaresWithFactor (and its multi-RHS
+// variant) must carry those recovery events in
 // its own Hazards — a client that only ever sees solve responses still
 // learns its factorization needed rescuing.
 func TestSolveWithFactorPropagatesLadderHazards(t *testing.T) {

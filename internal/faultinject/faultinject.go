@@ -15,8 +15,8 @@
 // the naming scheme <package>.<component>.<operation> (DESIGN.md §11):
 //
 //	serve.pool.enqueue     serve.pool.dequeue    serve.cache.factorize
-//	serve.coalesce.flush   serve.wire.decode     serve.wire.encode
-//	serve.stream.append    tcsim.gemm
+//	serve.wire.decode      serve.wire.encode     serve.stream.append
+//	tcsim.gemm
 //	tsqr.block.factor      tsqr.tree.reduce
 //	cluster.route          cluster.replicate     cluster.probe
 //	cluster.handoff
@@ -152,7 +152,7 @@ type observerEntry struct {
 //
 // Example:
 //
-//	seed=42;serve.cache.factorize=panic@every=3;serve.wire.decode=error@p=0.25;serve.coalesce.flush=delay(2ms)@once=5
+//	seed=42;serve.cache.factorize=panic@every=3;serve.wire.decode=error@p=0.25;serve.pool.dequeue=delay(2ms)@once=5
 //
 // An omitted seed defaults to 1. A rule with no conditions fires on every
 // hit. Arm returns an error (leaving the previous schedule in place) if the

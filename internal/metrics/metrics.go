@@ -48,10 +48,6 @@ var LatencyBuckets = []float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60,
 }
 
-// SizeBuckets is the default histogram layout for small cardinal quantities
-// (coalescer batch sizes, queue depths at sample time).
-var SizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
-
 var nameRe = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
 
 // kind discriminates the family types for rendering.

@@ -6,10 +6,6 @@
 //   - a content-hash-keyed LRU factorization cache with singleflight
 //     deduplication, so concurrent solves against the same matrix share one
 //     Factorize call (cache.go);
-//   - a request coalescer that batches solves waiting for a worker against
-//     the same cached factorization into a single multi-RHS call — the solo
-//     refinement run once per request, under one pool slot; the pool queue is
-//     the coalescing window, there is no timer (coalesce.go);
 //   - a bounded worker pool with admission control: queue-depth limit,
 //     per-request deadlines, typed backpressure errors, graceful drain
 //     (pool.go);
@@ -28,10 +24,10 @@ import (
 	"tcqr"
 )
 
-// Backend abstracts the six library calls the serving core makes, so tests
-// and benchmarks can count, delay, or fake them. The coalescing acceptance
-// test, for example, asserts that N concurrent same-matrix solves reach
-// SolveMultiWithFactor exactly once.
+// Backend abstracts the five library calls the serving core makes, so tests
+// and benchmarks can count, delay, or fake them. The singleflight test, for
+// example, asserts that N concurrent same-matrix factorizes reach Factorize
+// exactly once.
 type Backend interface {
 	// Factorize computes the RGSQRF factorization (tcqr.Factorize) of the
 	// request's float64 matrix, which it factors as its float32 narrowing.
@@ -39,9 +35,6 @@ type Backend interface {
 	// SolveWithFactor solves one right-hand side against a cached
 	// factorization (tcqr.SolveLeastSquaresWithFactor).
 	SolveWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b []float64, opts tcqr.SolveOptions) (*tcqr.LeastSquaresResult, error)
-	// SolveMultiWithFactor solves a coalesced block of right-hand sides
-	// against a cached factorization (tcqr.SolveLeastSquaresMultiWithFactor).
-	SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b *tcqr.Matrix, opts tcqr.SolveOptions) (*tcqr.MultiResult, error)
 	// LowRank computes a truncated QR-SVD approximation (tcqr.LowRank).
 	LowRank(a *tcqr.Matrix, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error)
 	// UpdateAppendRows appends a row block to a cached factorization, the
@@ -64,11 +57,6 @@ func (LibraryBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factoriz
 // SolveWithFactor implements Backend.
 func (LibraryBackend) SolveWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b []float64, opts tcqr.SolveOptions) (*tcqr.LeastSquaresResult, error) {
 	return tcqr.SolveLeastSquaresWithFactor(f, a, b, opts)
-}
-
-// SolveMultiWithFactor implements Backend.
-func (LibraryBackend) SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b *tcqr.Matrix, opts tcqr.SolveOptions) (*tcqr.MultiResult, error) {
-	return tcqr.SolveLeastSquaresMultiWithFactor(f, a, b, opts)
 }
 
 // LowRank implements Backend.

@@ -3,10 +3,8 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 
 	"tcqr/internal/wirefmt"
@@ -15,14 +13,14 @@ import (
 // Serving benchmarks at the ISSUE's acceptance shape (1024×256): the cold
 // path (factorize + solve), the cache-hit path (solve against a warm
 // factorization — the "factor once, apply many times" payoff the cache
-// exists for), and the coalesced path at increasing client concurrency.
+// exists for) over JSON and over binary frames.
 
 const benchRows, benchCols = 1024, 256
 
 // benchServer returns a server plus pre-marshaled factorize and solve
 // request bodies for the benchmark matrix.
-func benchServer(maxBatch int) (*Server, http.Handler, []byte, []byte) {
-	s := New(Options{MaxBatch: maxBatch})
+func benchServer() (*Server, http.Handler, []byte, []byte) {
+	s := New(Options{})
 	h := s.Handler()
 	data := testMatrix(1234, benchRows, benchCols, 1)
 	x := make([]float64, benchCols)
@@ -103,7 +101,7 @@ func benchPostFrame(b *testing.B, h http.Handler, path string, body []byte) {
 // cache is emptied every iteration, so each solve pays for a fresh
 // factorization.
 func BenchmarkServeColdFactorizeSolve1024x256(b *testing.B) {
-	s, h, fbody, sbody := benchServer(1)
+	s, h, fbody, sbody := benchServer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Cache().Reset()
@@ -116,7 +114,7 @@ func BenchmarkServeColdFactorizeSolve1024x256(b *testing.B) {
 // reuses the factorization cached in benchServer. The ISSUE acceptance bar
 // is ≥5× lower latency than the cold benchmark above.
 func BenchmarkServeCacheHitSolve1024x256(b *testing.B) {
-	_, h, _, sbody := benchServer(1)
+	_, h, _, sbody := benchServer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPost(b, h, "/v1/solve", sbody)
@@ -127,60 +125,11 @@ func BenchmarkServeCacheHitSolve1024x256(b *testing.B) {
 // cache-hit benchmark above: zero-copy b decode, pooled buffers, frame
 // response. The ISSUE acceptance bar is well under 1ms/op at this shape.
 func BenchmarkServeCacheHitSolveBinary1024x256(b *testing.B) {
-	_, h, _, sbody := benchServer(1)
+	_, h, _, sbody := benchServer()
 	frame := benchBinSolveBody(sbody)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchPostFrame(b, h, "/v1/solve", frame)
-	}
-}
-
-// BenchmarkServeCoalescedSolve measures one wave of `clients` concurrent
-// same-key solves per iteration: the first arrivals take the idle workers and
-// the rest share one multi-RHS call behind them, so ns/op is the latency of
-// serving the whole wave.
-func BenchmarkServeCoalescedSolve(b *testing.B) {
-	for _, clients := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			_, h, _, sbody := benchServer(clients)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						benchPost(b, h, "/v1/solve", sbody)
-					}()
-				}
-				wg.Wait()
-			}
-		})
-	}
-}
-
-// BenchmarkServeCoalescedSolveBinary is the binary-frame twin of the wave
-// benchmark: every client ships (and receives) frames, so the wave's cost is
-// pure batching plus the multi-RHS solve with no JSON float work. Run with
-// -cpu 1,4,8 to observe how the hot path scales with cores.
-func BenchmarkServeCoalescedSolveBinary(b *testing.B) {
-	for _, clients := range []int{1, 8, 64} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			_, h, _, sbody := benchServer(clients)
-			frame := benchBinSolveBody(sbody)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						benchPostFrame(b, h, "/v1/solve", frame)
-					}()
-				}
-				wg.Wait()
-			}
-		})
 	}
 }
 

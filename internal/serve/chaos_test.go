@@ -14,7 +14,7 @@ import (
 
 // This file is the chaos/soak battery: many concurrent clients against a
 // seeded fault schedule spanning every failpoint layer — panics inside
-// Factorize, slow coalescer flushes, wire decode errors, pool dequeue
+// Factorize, slow pool enqueues, wire decode errors, pool dequeue
 // panics. The invariants are structural, not value-level: no request hangs,
 // no response is lost, every status is one the API promises, the response
 // and error counters account for exactly the traffic sent, and the server
@@ -43,13 +43,11 @@ func TestChaosBattery(t *testing.T) {
 	s := New(Options{
 		Workers:    4,
 		QueueDepth: 512,
-		MaxBatch:   8,
 	})
 	defer s.Close()
 	h := s.Handler()
 	arm(t, "seed=1337"+
 		";serve.cache.factorize=panic@p=0.25"+
-		";serve.coalesce.flush=delay(300us)@p=0.2"+
 		";serve.wire.decode=error@p=0.08"+
 		";serve.pool.dequeue=panic@p=0.03"+
 		";serve.pool.enqueue=delay(50us)@p=0.1")
@@ -199,7 +197,7 @@ func TestMetamorphicNoSilentGarbage(t *testing.T) {
 		"", // no faults: the baseline behaviour the fault runs must degrade to, never diverge from
 		"seed=1;tcsim.gemm=corrupt@p=0.5",
 		"seed=2;serve.cache.factorize=error@p=0.5",
-		"seed=3;tcsim.gemm=delay(20us)@p=0.2;serve.coalesce.flush=delay(100us)@p=0.5",
+		"seed=3;tcsim.gemm=delay(20us)@p=0.2;serve.pool.dequeue=delay(100us)@p=0.5",
 	}
 	legalCodes := map[string]bool{
 		"bad_input": true, "numerical_hazard": true, "internal": true,

@@ -242,11 +242,6 @@ func (s *solveSpy) SolveWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b []fl
 	return s.LibraryBackend.SolveWithFactor(f, a, b, opts)
 }
 
-func (s *solveSpy) SolveMultiWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b *tcqr.Matrix, opts tcqr.SolveOptions) (*tcqr.MultiResult, error) {
-	s.note(a)
-	return s.LibraryBackend.SolveMultiWithFactor(f, a, b, opts)
-}
-
 // TestInlineSolveIsNeverAnsweredFromAnotherMatrix is the collision through
 // the API: the cache holds another matrix under the key the request's matrix
 // hashes to, and /v1/solve must still factor and refine against the matrix

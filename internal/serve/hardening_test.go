@@ -135,9 +135,6 @@ func (panicBackend) Factorize(*tcqr.Matrix, tcqr.Config) (*tcqr.Factorization, e
 func (panicBackend) SolveWithFactor(*tcqr.Factorization, *tcqr.Matrix, []float64, tcqr.SolveOptions) (*tcqr.LeastSquaresResult, error) {
 	panic("solve exploded")
 }
-func (panicBackend) SolveMultiWithFactor(*tcqr.Factorization, *tcqr.Matrix, *tcqr.Matrix, tcqr.SolveOptions) (*tcqr.MultiResult, error) {
-	panic("multi-solve exploded")
-}
 func (panicBackend) LowRank(*tcqr.Matrix, int, tcqr.Config) (*tcqr.LowRankApprox, error) {
 	panic("lowrank exploded")
 }

@@ -35,7 +35,6 @@ type serverMetrics struct {
 	hotWireRespBinary *metrics.Counter
 
 	stageSeconds *metrics.HistogramVec // by stage (stageNames)
-	batchSize    *metrics.Histogram    // coalesced batch sizes
 
 	// Chunked-upload session lifecycle counters. begun = committed + aborted
 	// + reaped + currently-open is the leak invariant the hardening and chaos
@@ -76,7 +75,7 @@ type hotCounters struct {
 }
 
 // newServerMetrics registers the daemon's families in reg and wires the
-// stats-snapshot families (pool, cache, coalescer, uptime) as live gauge
+// stats-snapshot families (pool, cache, uptime) as live gauge
 // functions over s, so a scrape always reads current values without a
 // second bookkeeping path.
 func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
@@ -90,8 +89,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			"Failed requests, by wire error code.", "code"),
 		stageSeconds: reg.HistogramVec("tcqrd_stage_duration_seconds",
 			"Per-request pipeline stage latency.", metrics.LatencyBuckets, "stage"),
-		batchSize: reg.Histogram("tcqrd_coalescer_batch_size",
-			"Solve requests per coalesced flush.", metrics.SizeBuckets),
 		hazards: reg.CounterVec("tcqrd_hazards_total",
 			"Numerical hazards detected, by kind.", "kind"),
 		recoveries: reg.CounterVec("tcqrd_hazard_recoveries_total",
@@ -229,19 +226,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	reg.GaugeFunc("tcqrd_spill_bytes",
 		"Bytes currently in the disk spill tier.",
 		func() float64 { return float64(spillStats().BytesOnDisk) })
-
-	reg.CounterFunc("tcqrd_coalescer_batches_total",
-		"Coalesced batch flushes (each issues one backend call).",
-		func() int64 { return s.coal.Stats().Batches })
-	reg.CounterFunc("tcqrd_coalescer_batched_requests_total",
-		"Solve requests that rode in batches of size > 1.",
-		func() int64 { return s.coal.Stats().BatchedRequests })
-	reg.CounterFunc("tcqrd_coalescer_multi_solve_total",
-		"Batch flushes executed as one multi-RHS solve.",
-		func() int64 { return s.coal.Stats().MultiSolveCalls })
-	reg.CounterFunc("tcqrd_coalescer_single_solve_total",
-		"Batch flushes executed as a plain single solve.",
-		func() int64 { return s.coal.Stats().SingleSolveCalls })
 
 	m.unobserve = tcsim.RegisterGemmObserver(func(engine string, mm, nn, kk int) {
 		flops := 2 * int64(mm) * int64(nn) * int64(kk)

@@ -67,7 +67,6 @@ func TestMetricsEndpointExposesTraffic(t *testing.T) {
 		`tcqrd_factorize_panel_total{panel="caqr"} 1`,
 		"# TYPE tcqrd_stage_duration_seconds histogram",
 		"# TYPE tcqrd_hazards_total counter",
-		"# TYPE tcqrd_coalescer_batch_size histogram",
 		"tcqrd_pool_completed_total",
 		"tcqrd_uptime_seconds",
 	} {
@@ -91,7 +90,7 @@ func TestMetricsEndpointExposesTraffic(t *testing.T) {
 // polling /statz and /metrics. Run under -race this is the proof that the
 // stats views never interleave with writers (the PR's snapshotting fix).
 func TestStatzUnderLoad(t *testing.T) {
-	s := New(Options{Workers: 4, MaxBatch: 8})
+	s := New(Options{Workers: 4})
 	defer s.Close()
 	h := s.Handler()
 	m, n := 48, 6
@@ -254,20 +253,5 @@ func TestServerTimingHeaderContract(t *testing.T) {
 	}
 	if st := rec.Header().Get("Server-Timing"); st != "" {
 		t.Fatalf("405 response carries Server-Timing %q, want none", st)
-	}
-}
-
-// TestCoalescerBatchSizeHistogram checks the batch-size histogram sees every
-// flush.
-func TestCoalescerBatchSizeHistogram(t *testing.T) {
-	s := New(Options{Workers: 1})
-	defer s.Close()
-	h := s.Handler()
-	driveTraffic(t, h, 32, 4)
-	if n := s.metrics.batchSize.Count(); n != 1 {
-		t.Fatalf("batch size histogram saw %d flushes, want 1", n)
-	}
-	if got := s.metrics.batchSize.Sum(); got != 1 {
-		t.Fatalf("batch size sum = %g, want 1 (one solo solve)", got)
 	}
 }

@@ -42,10 +42,6 @@ type Options struct {
 	// SpillMaxBytes bounds the spill tier's on-disk footprint; oldest files
 	// are deleted first (0 = unbounded). Ignored without CacheDir.
 	SpillMaxBytes int64
-	// MaxBatch caps a coalesced batch: same-factorization solves that arrive
-	// while one of them waits for a worker share its multi-RHS call, up to
-	// this many (0 = 32; 1 forbids batching).
-	MaxBatch int
 	// DefaultDeadline bounds each request when the client sends no
 	// deadline_ms (0 = 30s).
 	DefaultDeadline time.Duration
@@ -78,7 +74,7 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Server is the serving core: cache + coalescer + pool behind an
+// Server is the serving core: cache + pool behind an
 // http.Handler. Create with New, mount Handler, call BeginDrain / AwaitIdle
 // around shutdown, and Close when retiring the server (it detaches the
 // process-global engine-GEMM observer).
@@ -87,7 +83,6 @@ type Server struct {
 	backend  Backend
 	cache    *FactorCache
 	spill    *SpillTier
-	coal     *Coalescer
 	pool     *Pool
 	streams  *streamRegistry
 	cluster  *cluster.Node
@@ -110,9 +105,6 @@ func New(opts Options) *Server {
 	}
 	if opts.CacheEntries <= 0 {
 		opts.CacheEntries = 32
-	}
-	if opts.MaxBatch <= 0 {
-		opts.MaxBatch = 32
 	}
 	if opts.DefaultDeadline <= 0 {
 		opts.DefaultDeadline = 30 * time.Second
@@ -167,12 +159,7 @@ func New(opts Options) *Server {
 			}
 		}
 	}
-	s.coal = NewCoalescer(opts.MaxBatch, s.backend, func(fn func()) error {
-		_, err := s.pool.Do(context.Background(), fn)
-		return err
-	})
 	s.metrics = newServerMetrics(opts.Registry, s)
-	s.coal.onFlush = func(size int) { s.metrics.batchSize.Observe(float64(size)) }
 	s.streams.reaped = func(n int) { s.metrics.streamReaped.Add(int64(n)) }
 	go s.streamReaper(s.reaperStop)
 	return s
@@ -181,10 +168,6 @@ func New(opts Options) *Server {
 // Cache exposes the factorization cache (benchmarks reset it to measure the
 // cold path).
 func (s *Server) Cache() *FactorCache { return s.cache }
-
-// CoalescerStats exposes the coalescer counters (tests assert one multi-RHS
-// call per batch through them).
-func (s *Server) CoalescerStats() CoalescerStats { return s.coal.Stats() }
 
 // Metrics exposes the server's metrics registry (the same one /metrics
 // renders).
@@ -204,8 +187,8 @@ func (s *Server) Close() {
 }
 
 // BeginDrain flips the server to draining: /healthz turns 503, new compute
-// requests are rejected (admitted ones complete: a parked coalesced batch is
-// already a pool task, which AwaitIdle waits out), and every open
+// requests are rejected (admitted ones complete: each is a pool task, queued
+// or running, which AwaitIdle waits out), and every open
 // chunked-upload session is reaped (a begin-without-commit client gets
 // unknown_stream and must restart against the replacement instance). On a
 // cluster node the drain is cluster-aware: peers probing the 503 healthz mark
@@ -274,8 +257,8 @@ type reqScope struct {
 
 	// binReq/frameResp record the negotiated encodings (see codec.go);
 	// bodyBuf is the pooled frame buffer a decoded request still views,
-	// recycled by finish (a solve abandoned on deadline drops it instead: its
-	// batch may still read the zero-copy right-hand side).
+	// recycled by finish (a solve abandoned on deadline drops it instead: a
+	// worker may still read the zero-copy right-hand side).
 	binReq    bool
 	frameResp bool
 	bodyBuf   *[]byte
@@ -288,7 +271,6 @@ type reqScope struct {
 
 	key         string
 	rows, cols  int
-	batched     int
 	errCode     string
 	hazardKinds []string
 }
@@ -412,9 +394,6 @@ func (rc *reqScope) logRequest(status int, stages string) {
 	}
 	if rc.rows > 0 {
 		attrs = append(attrs, slog.Int("rows", rc.rows), slog.Int("cols", rc.cols))
-	}
-	if rc.batched > 0 {
-		attrs = append(attrs, slog.Int("batched", rc.batched))
 	}
 	if stages != "" {
 		attrs = append(attrs, slog.String("stages", stages))

@@ -27,9 +27,6 @@ const (
 	// backend Factorize call; panics here exercise the singleflight
 	// poison-recovery path.
 	siteCacheFactorize = "serve.cache.factorize"
-	// siteCoalesceFlush fires at the head of every batch flush; delay
-	// faults simulate slow flushes, error faults fail the whole batch.
-	siteCoalesceFlush = "serve.coalesce.flush"
 	// siteWireDecode fires inside request-body decoding; error faults
 	// surface as 400 bad_input, exactly like a real decode failure.
 	siteWireDecode = "serve.wire.decode"
@@ -58,7 +55,7 @@ const (
 // and the one the library evaluates under a request — tcsim.SiteGemm delays
 // or corrupts an engine GEMM result.
 var faultSites = []string{
-	sitePoolEnqueue, sitePoolDequeue, siteCacheFactorize, siteCoalesceFlush,
+	sitePoolEnqueue, sitePoolDequeue, siteCacheFactorize,
 	siteWireDecode, siteWireEncode, siteStreamAppend, siteUpdateApply,
 	siteSpillWrite, siteSpillLoad,
 	cluster.SiteRoute, cluster.SiteReplicate, cluster.SiteProbe, cluster.SiteHandoff,

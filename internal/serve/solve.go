@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 
+	"tcqr"
 	"tcqr/internal/hazard"
 )
 
@@ -12,7 +13,7 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 	// Over the binary protocol the right-hand side is a zero-copy view into
 	// the pooled frame buffer: no per-request copy of b on the cache-hit fast
 	// path. The buffer is released after the response unless the solve was
-	// abandoned on deadline (the detached batch still reads the view).
+	// abandoned on deadline (a task already dequeued still reads the view).
 	var req solveRequest
 	if aerr := rc.decodeRequest(r, &req); aerr != nil {
 		return aerr
@@ -87,30 +88,36 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 		return err
 	}
 
-	out := s.coal.Submit(ctx, entry, opts, req.B)
-	if out.err != nil {
-		if errors.Is(out.err, ErrDeadline) {
-			// The request abandoned its batch, but the batch still runs and
-			// will read every waiter's b — including our zero-copy view into
-			// the pooled frame buffer. Leak the buffer to the collector
-			// rather than recycling memory a flusher is about to read.
+	var (
+		res  *tcqr.LeastSquaresResult
+		serr error
+	)
+	took, err := rc.onPool(ctx, func() {
+		res, serr = s.backend.SolveWithFactor(entry.F, entry.A, req.B, opts)
+	})
+	if err != nil {
+		if errors.Is(err, ErrDeadline) {
+			// A worker that dequeued the task in the instant the deadline
+			// fired still runs it, and reads b — our zero-copy view into the
+			// pooled frame buffer. Leak the buffer to the collector rather
+			// than recycle memory the solve may be about to read.
 			rc.bodyBuf = nil
 		}
-		return out.err
+		return err
 	}
-	rc.stages.add(stageQueue, out.queueWait)
-	rc.stages.add(stageSolve, out.solveTime)
-	rc.batched = out.batched
+	rc.stages.add(stageSolve, took)
+	if serr != nil {
+		return serr
+	}
 	return rc.ok(w, &solveResponse{
-		X: out.x,
+		X: res.X,
 		solveMeta: solveMeta{
-			Iterations: out.iterations,
-			Converged:  out.converged,
-			Optimality: out.optimality,
+			Iterations: res.Iterations,
+			Converged:  res.Converged,
+			Optimality: res.Optimality,
 			Key:        entry.Key,
 			Cached:     src == SourceHit,
-			Batched:    out.batched,
-			Hazards:    rc.noteHazards(out.hazards),
+			Hazards:    rc.noteHazards(res.Hazards),
 		},
 	})
 }

@@ -498,7 +498,7 @@ func TestSpillChaosSoak(t *testing.T) {
 		";serve.spill.write=error@p=0.2"+
 		";serve.update.apply=error@p=0.15"+
 		";serve.cache.factorize=error@p=0.05")
-	s1 := New(Options{Workers: 4, CacheEntries: 8, CacheDir: dir, MaxBatch: 4})
+	s1 := New(Options{Workers: 4, CacheEntries: 8, CacheDir: dir})
 	h1 := s1.Handler()
 
 	var fr factorizeReply

@@ -35,7 +35,6 @@ type statzResponse struct {
 	Requests      map[string]int64       `json:"requests"`
 	Errors        map[string]int64       `json:"errors"`
 	Cache         CacheStats             `json:"cache"`
-	Coalescer     CoalescerStats         `json:"coalescer"`
 	Pool          PoolStats              `json:"pool"`
 	Timing        map[string]statzTiming `json:"timing"`
 	Hazards       map[string]int64       `json:"hazards"`
@@ -71,7 +70,6 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Cache = s.cache.Stats()
-	resp.Coalescer = s.coal.Stats()
 	resp.Pool = s.pool.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

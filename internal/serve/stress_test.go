@@ -8,7 +8,7 @@ import (
 
 // TestStress64ConcurrentClients hammers one server with 64 concurrent
 // clients over a handful of overlapping matrices, mixing cold factorizes,
-// cache hits, singleflight followers, coalesced solves and deliberate bad
+// cache hits, singleflight followers, queued solves and deliberate bad
 // requests. It is the -race gate for the whole subsystem: the assertion is
 // mostly "nothing tears, every response is one of the statuses the API
 // promises, and every solution that comes back is correct".
@@ -22,12 +22,11 @@ func TestStress64ConcurrentClients(t *testing.T) {
 	s := New(Options{
 		Workers:    4,
 		QueueDepth: 256,
-		MaxBatch:   16,
 	})
 	h := s.Handler()
 
 	// Pre-build the shared matrix set; clients overlap on these, so the
-	// cache, singleflight and coalescer all see contention.
+	// cache, singleflight and pool all see contention.
 	type fixture struct {
 		data []float64
 		mat  map[string]any
@@ -104,6 +103,6 @@ func TestStress64ConcurrentClients(t *testing.T) {
 	if cs.Misses > int64(matrices) {
 		t.Fatalf("cache missed %d times for %d distinct matrices (singleflight broken?)", cs.Misses, matrices)
 	}
-	t.Logf("stress: solved=%d factored=%d rejected=%d cache=%+v coalescer=%+v",
-		solved.Load(), factored.Load(), rejected.Load(), cs, s.CoalescerStats())
+	t.Logf("stress: solved=%d factored=%d rejected=%d cache=%+v",
+		solved.Load(), factored.Load(), rejected.Load(), cs)
 }

@@ -391,7 +391,7 @@ func TestEvictedEntryStaysReadableUntilReleased(t *testing.T) {
 // nothing hangs, and when the dust settles the cache's books balance — the
 // index holds what the counters say entered and has not yet left.
 func TestConcurrentSolveUpdateEvictRefcounts(t *testing.T) {
-	s := New(Options{Workers: 4, CacheEntries: 2, MaxBatch: 4})
+	s := New(Options{Workers: 4, CacheEntries: 2})
 	defer s.Close()
 	h := s.Handler()
 	m, n, k := 48, 8, 6
@@ -475,7 +475,7 @@ func TestConcurrentSolveUpdateEvictRefcounts(t *testing.T) {
 // solution is that epoch's solution. A torn read (factors from one epoch, A
 // from another) would fail the accuracy check. Run under -race.
 func TestEpochConsistencyUnderConcurrentUpdates(t *testing.T) {
-	s := New(Options{Workers: 4, MaxBatch: 4})
+	s := New(Options{Workers: 4})
 	defer s.Close()
 	h := s.Handler()
 	m, n, k := 48, 8, 6

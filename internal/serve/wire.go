@@ -234,15 +234,13 @@ type solveResponse struct {
 	solveMeta
 }
 
-// solveMeta is solveResponse without its bulk payload. Batched reports how
-// many concurrent requests shared the underlying multi-RHS call (1 = solo).
+// solveMeta is solveResponse without its bulk payload.
 type solveMeta struct {
 	Iterations int          `json:"iterations"`
 	Converged  bool         `json:"converged"`
 	Optimality float64      `json:"optimality"`
 	Key        string       `json:"key"`
 	Cached     bool         `json:"cached"`
-	Batched    int          `json:"batched"`
 	Hazards    []WireHazard `json:"hazards,omitempty"`
 }
 

@@ -130,8 +130,8 @@ type MultiResult struct {
 
 // SolveLeastSquaresMultiWithFactor reuses an existing factorization of A for
 // a block of right-hand sides: the batched analogue of
-// SolveLeastSquaresWithFactor, and the call a request coalescer makes for
-// solves that share a cached factorization. Every column runs the same
+// SolveLeastSquaresWithFactor, for a library caller that holds many
+// right-hand sides against one factorization. Every column runs the same
 // per-column refinement a single solve runs (opts.Method, Tol and
 // MaxIterations), concurrently, so column j equals
 // SolveLeastSquaresWithFactor on B[:,j] bit for bit, its hazards included:
