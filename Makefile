@@ -21,14 +21,19 @@ build:
 # optional tooling; the lint target must not depend on a network fetch). The
 # arm64 vet type-checks every *_other.go fallback of the amd64 assembly (and
 # the tests beside them), which no native build compiles; it needs no arm64
-# machine. The arm64 listing after it holds the root package, internal/blas
-# and internal/lls to one rounding per product on every port: the blas Go
-# loops are the fallback and the oracle of the vector kernels, the lls
-# refinement's and the update path's bits are recorded hashes, and the arm64
-# compiler fuses an unconverted x*y + z, so a tcqr, blas or lls function (each
-# generic instantiation, in whichever package compiles it) must hold no
-# FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. The build cache replays
-# the listing, so the step costs about 0.1 s when warm.
+# machine. The arm64 listing after it holds the numerical path to one
+# rounding per product on every port: the root package, internal/blas (whose
+# Go loops are the fallback and the oracle of the vector kernels),
+# internal/lls, and the packages under the factorization (dense, accuracy,
+# chol, tcsim, gram, rgs, house, f16, bf16, tsqr, lu), whose bits and those of
+# the refinement and the update path are recorded hashes. The arm64 compiler
+# fuses an unconverted x*y + z, so a function of those packages (each generic
+# instantiation, in whichever package compiles it) must hold no
+# FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. Left out: svd (the
+# low-rank path's Jacobi sweeps, refereed by tolerance, not by bits), matgen
+# (test inputs), and perfmodel, metrics and experiments (timing models,
+# histograms and table formatting, no factor or solve). The build cache
+# replays the listing, so the step costs about 0.1 s when warm.
 lint: reach
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
@@ -37,9 +42,9 @@ lint: reach
 	@{ GOARCH=arm64 $(GO) build -gcflags=-S . ./internal/... 2>&1 || echo "arm64 build of . ./internal/... failed"; } | \
 	awk '/^arm64 build of/ { bad = 1; print } \
 		/^[^ \t]/ && / STEXT / { sym = $$1 } \
-		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^(tcqr\.|tcqr\/internal\/(blas|lls)\.)/ && !seen[sym $$3]++ { \
+		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^(tcqr\.|tcqr\/internal\/(blas|lls|dense|accuracy|chol|tcsim|gram|rgs|house|f16|bf16|tsqr|lu)\.)/ && !seen[sym $$3]++ { \
 			bad = 1; print "fused multiply-add in " sym " at " $$3 ": " $$4 } \
-		END { if (bad) exit 1; print "tcqr, internal/blas, internal/lls: no fused multiply-add in the arm64 listing" }'
+		END { if (bad) exit 1; print "tcqr and internal/{blas,lls,dense,accuracy,chol,tcsim,gram,rgs,house,f16,bf16,tsqr,lu}: no fused multiply-add in the arm64 listing" }'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -63,7 +68,10 @@ reach:
 # neither again). The level-2 bit-identity and allocation tests and the
 # refinement's run once more at one, two and four processors: the float64
 # Gemv is split between the caller and helpers only from two up, and its bits
-# and its zero allocations must not depend on that; nor may CGLS's and LSQR's
+# and its zero allocations must not depend on that; nor may those of the
+# triangular solve on the float32 R the refinement applies, which must be the
+# solve's on R's float64 widening (TestTrsvWideBitIdentical); nor may
+# SolveWithFactor's bits per method; nor may CGLS's and LSQR's
 # allocation count, which is what they return (their working vectors come
 # from a pooled slab), or their bits when every slab they take is poisoned
 # with NaN, or CGLS's recorded bits: its X and GradNorms on one trajectory
@@ -113,8 +121,9 @@ check-race: lint
 # equivalence, and the serving decode paths (FuzzRequestDecode fuzzes every
 # endpoint's request through both the frame and the JSON decoder, so it gets
 # twenty seconds; FuzzSpillDecode the spill-file loader), and the vector
-# level-2 kernels against the Go loops, bit for bit, and the content hash's
-# view-equals-clone invariant.
+# level-2 kernels against the Go loops, bit for bit, the triangular solve on
+# a float32 triangle against the solve on its float64 widening, bit for bit,
+# and the content hash's view-equals-clone invariant.
 # internal/blas, internal/serve and internal/tcsim hold several targets each,
 # so those runs name their target; the single-target packages keep the
 # unambiguous -fuzz=. form. A spill file is hundreds of bytes and the
@@ -126,6 +135,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/bf16
 	$(GO) test -run '^$$' -fuzz '^FuzzGemmPackedVsReference$$' -fuzztime 10s ./internal/blas
 	$(GO) test -run '^$$' -fuzz '^FuzzLevel2VectorVsGeneric$$' -fuzztime 10s ./internal/blas
+	$(GO) test -run '^$$' -fuzz '^FuzzTrsvWide$$' -fuzztime 10s ./internal/blas
 	$(GO) test -run '^$$' -fuzz . -fuzztime 10s ./internal/wirefmt
 	$(GO) test -run '^$$' -fuzz '^FuzzTcEcSplitRoundTrip$$' -fuzztime 10s ./internal/tcsim
 	$(GO) test -run '^$$' -fuzz '^FuzzGemmTcEcVsFP32$$' -fuzztime 10s ./internal/tcsim

@@ -169,13 +169,18 @@ func colUpdate[T dense.Float](y, x []T, t T) {
 }
 
 // Trsv solves op(A)·x = b in place (x ← op(A)⁻¹·x) for a triangular A.
+// A may be narrower than x: a float32 A under a float64 x is how the
+// refinement applies a float32 R. Each element of A is widened to x's
+// precision as it is loaded, and that widening is exact, so the result is
+// Trsv on the float64 copy of A, bit for bit, without the copy. A float64 A
+// under a float32 x panics.
 //
 // The two cases on the refinement hot path — Upper/NoTrans back-substitution
 // and Upper/Trans forward elimination, both run twice per CGLS iteration —
-// go through trsvUpperNoTransF64 / trsvUpperTransF64 in float64 on an AVX2
-// host, and through the Go loops trsvUpperNoTrans / trsvUpperTrans otherwise,
-// with the same bits.
-func Trsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T], x []T) {
+// go through trsvUpperNoTransF64 / trsvUpperTransF64 for a float64 x on an
+// AVX2 host, and through the Go loops trsvUpperNoTrans / trsvUpperTrans
+// otherwise, with the same bits.
+func Trsv[A, T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[A], x []T) {
 	n := a.Rows
 	if a.Cols != n {
 		panic("blas: trsv requires a square matrix")
@@ -183,7 +188,10 @@ func Trsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 	if len(x) != n {
 		panic("blas: trsv vector length mismatch")
 	}
-	a64, vector := any(a).(*dense.M64)
+	x64, vector := any(x).([]float64)
+	if _, a64 := any(a).(*dense.M64); a64 && !vector {
+		panic("blas: trsv of a float64 matrix on a float32 vector")
+	}
 	vector = vector && useVectorLevel2
 	// Four effective cases; op(Upper)ᵀ behaves like Lower and vice versa.
 	forward := (uplo == Lower) == (tA == NoTrans)
@@ -192,51 +200,61 @@ func Trsv[T dense.Float](uplo Uplo, tA Transpose, diag Diag, a *dense.Matrix[T],
 		for j := 0; j < n; j++ {
 			col := a.Col(j)
 			if diag == NonUnit {
-				x[j] /= col[j]
+				x[j] /= T(col[j])
 			}
 			xj := x[j]
 			if xj == 0 {
 				continue
 			}
 			for i := j + 1; i < n; i++ {
-				x[i] -= T(col[i] * xj)
+				x[i] -= T(T(col[i]) * xj)
 			}
 		}
 	case tA == NoTrans && vector: // upper, backward substitution
-		trsvUpperNoTransF64(diag, a64, any(x).([]float64))
+		trsvUpperNoTransF64(diag, a, x64)
 	case tA == NoTrans:
 		trsvUpperNoTrans(diag, a, x)
 	case forward && vector: // A upper, solving Aᵀx = b forward
-		trsvUpperTransF64(diag, a64, any(x).([]float64))
+		trsvUpperTransF64(diag, a, x64)
 	case forward:
 		trsvUpperTrans(diag, a, x)
 	default: // A lower, solving Aᵀx = b backward, by dot products along columns
 		for j := n - 1; j >= 0; j-- {
 			col := a.Col(j)
-			x[j] -= Dot(col[j+1:], x[j+1:])
+			x[j] -= dotWiden(col[j+1:], x[j+1:])
 			if diag == NonUnit {
-				x[j] /= col[j]
+				x[j] /= T(col[j])
 			}
 		}
 	}
+}
+
+// dotWiden is Dot with each element of a widened to x's precision as it is
+// loaded: the same sequential sum, so on a float64 a it is Dot.
+func dotWiden[A, T dense.Float](a []A, x []T) T {
+	var s T
+	for i, v := range a {
+		s += T(T(v) * x[i])
+	}
+	return s
 }
 
 // trsvUpperNoTrans is backward substitution for an upper triangular A, one
 // column sweep at a time from the last: x[j] is solved, then its column
 // leaves the head x[0:j]. A zero component's column is skipped, as in
 // gemvNoTrans.
-func trsvUpperNoTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
+func trsvUpperNoTrans[A, T dense.Float](diag Diag, a *dense.Matrix[A], x []T) {
 	for j := a.Rows - 1; j >= 0; j-- {
 		col := a.Col(j)
 		if diag == NonUnit {
-			x[j] /= col[j]
+			x[j] /= T(col[j])
 		}
 		xj := x[j]
 		if xj == 0 {
 			continue
 		}
 		for i, v := range col[:j] {
-			x[i] -= T(v * xj)
+			x[i] -= T(T(v) * xj)
 		}
 	}
 }
@@ -244,26 +262,26 @@ func trsvUpperNoTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
 // trsvUpperTrans is forward elimination for Aᵀx = b with A upper triangular:
 // x[j] loses the sequential dot product of its column with the solved head
 // x[0:j], as in gemvTrans.
-func trsvUpperTrans[T dense.Float](diag Diag, a *dense.Matrix[T], x []T) {
+func trsvUpperTrans[A, T dense.Float](diag Diag, a *dense.Matrix[A], x []T) {
 	for j := 0; j < a.Rows; j++ {
 		col := a.Col(j)
-		x[j] -= Dot(col[:j], x[:j])
+		x[j] -= dotWiden(col[:j], x[:j])
 		if diag == NonUnit {
-			x[j] /= col[j]
+			x[j] /= T(col[j])
 		}
 	}
 }
 
 // trsvUpperNoTransF64 is trsvUpperNoTrans with AVX2: eight columns j, j−1,
 // …, j−7 per block, from the last column down. The corner solves the block's
-// eight components in Go in reference order; gemvN8F64 then folds the eight
+// eight components in Go in reference order; gemvN8 then folds the eight
 // column updates into one pass over the head x[0:j−7], with the columns
 // walked by a negative stride and coefficients −x_k, since y + a·(−x) is
 // y − a·x bit for bit. A zero component (the reference skips its column) or
 // a NaN result hands the head rows to the Go loop, and the n mod 8 columns
 // left at the front run the reference loop. Every loop in Go here has the
 // reference's shape, so where two NaNs meet the same one survives.
-func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
+func trsvUpperNoTransF64[A dense.Float](diag Diag, a *dense.Matrix[A], x []float64) {
 	j := a.Rows - 1
 	for ; j >= 7; j -= 8 {
 		lo := j - 7
@@ -272,7 +290,7 @@ func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
 		for k := range xs {
 			col := a.Col(j - k)
 			if diag == NonUnit {
-				x[j-k] /= col[j-k]
+				x[j-k] /= float64(col[j-k])
 			}
 			xk := x[j-k]
 			xs[k], coef[k] = xk, -xk
@@ -281,12 +299,12 @@ func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
 				continue
 			}
 			for i := lo; i < j-k; i++ {
-				x[i] -= float64(col[i] * xk)
+				x[i] -= float64(float64(col[i]) * xk)
 			}
 		}
 		done := 0
 		if !zero && lo >= 4 {
-			done = gemvN8F64(lo, &a.Data[j*a.Stride], -a.Stride, &coef, &x[0])
+			done = gemvN8(lo, &a.Data[j*a.Stride], -a.Stride, &coef, &x[0])
 		}
 		for k, xk := range xs {
 			if xk == 0 {
@@ -294,44 +312,44 @@ func trsvUpperNoTransF64(diag Diag, a *dense.M64, x []float64) {
 			}
 			col := a.Col(j - k)
 			for i := done; i < lo; i++ {
-				x[i] -= float64(col[i] * xk)
+				x[i] -= float64(float64(col[i]) * xk)
 			}
 		}
 	}
 	for ; j >= 0; j-- {
 		col := a.Col(j)
 		if diag == NonUnit {
-			x[j] /= col[j]
+			x[j] /= float64(col[j])
 		}
 		xj := x[j]
 		if xj == 0 {
 			continue
 		}
 		for i := 0; i < j; i++ {
-			x[i] -= float64(col[i] * xj)
+			x[i] -= float64(float64(col[i]) * xj)
 		}
 	}
 }
 
 // trsvUpperTransF64 is trsvUpperTrans with AVX2: eight columns j…j+7 per
-// block. gemvT8F64 computes their dot products with the solved head x[0:j],
+// block. gemvT8 computes their dot products with the solved head x[0:j],
 // each the reference's sequential sum from +0 (which never reaches −0, so
 // adding it to a zeroed y is exact); the corner continues each sum over the
 // block's own components in Go in reference order. A NaN among the eight
 // sums hands them to the Go loop, and the n mod 8 columns left at the end run
 // the reference loop, all in the reference's shape as in
 // trsvUpperNoTransF64.
-func trsvUpperTransF64(diag Diag, a *dense.M64, x []float64) {
+func trsvUpperTransF64[A dense.Float](diag Diag, a *dense.Matrix[A], x []float64) {
 	n := a.Rows
 	j := 0
 	for ; j+8 <= n; j += 8 {
 		var s [8]float64
-		if j > 0 && !gemvT8F64(j, &a.Data[j*a.Stride], a.Stride, &x[0], 1, &s[0]) {
+		if j > 0 && !gemvT8(j, &a.Data[j*a.Stride], a.Stride, &x[0], &s) {
 			for k := range s {
 				col := a.Col(j + k)
 				var sk float64
 				for i := 0; i < j; i++ {
-					sk += float64(col[i] * x[i])
+					sk += float64(float64(col[i]) * x[i])
 				}
 				s[k] = sk
 			}
@@ -339,11 +357,11 @@ func trsvUpperTransF64(diag Diag, a *dense.M64, x []float64) {
 		for k, sk := range s {
 			col := a.Col(j + k)
 			for i := j; i < j+k; i++ {
-				sk += float64(col[i] * x[i])
+				sk += float64(float64(col[i]) * x[i])
 			}
 			x[j+k] -= sk
 			if diag == NonUnit {
-				x[j+k] /= col[j+k]
+				x[j+k] /= float64(col[j+k])
 			}
 		}
 	}
@@ -351,13 +369,32 @@ func trsvUpperTransF64(diag Diag, a *dense.M64, x []float64) {
 		col := a.Col(j)
 		var s float64
 		for i := 0; i < j; i++ {
-			s += float64(col[i] * x[i])
+			s += float64(float64(col[i]) * x[i])
 		}
 		x[j] -= s
 		if diag == NonUnit {
-			x[j] /= col[j]
+			x[j] /= float64(col[j])
 		}
 	}
+}
+
+// gemvN8 is gemvN8F64 on the columns that start at a, or gemvN8Wide when a
+// is float32.
+func gemvN8[A dense.Float](rows int, a *A, stride int, coef *[8]float64, y *float64) int {
+	if a32, ok := any(a).(*float32); ok {
+		return gemvN8Wide(rows, a32, stride, coef, y)
+	}
+	return gemvN8F64(rows, any(a).(*float64), stride, coef, y)
+}
+
+// gemvT8 stores in s the eight sequential dot products of x with the columns
+// that start at a, through gemvT8F64, or gemvT8Wide when a is float32, and
+// reports false, storing nothing, if one of them is NaN. s must be zero.
+func gemvT8[A dense.Float](rows int, a *A, stride int, x *float64, s *[8]float64) bool {
+	if a32, ok := any(a).(*float32); ok {
+		return gemvT8Wide(rows, a32, stride, x, 1, &s[0])
+	}
+	return gemvT8F64(rows, any(a).(*float64), stride, x, 1, &s[0])
 }
 
 // Trmv computes x ← op(A)·x for a triangular A.

@@ -6,9 +6,11 @@ import "tcqr/internal/cpufeat"
 
 // AVX2 kernels for the level-2 loops the solvers spend their time in: the
 // two float64 matrix-vector products of a refinement iteration (CGLS, LSQR)
-// and its two float64 triangular solves (Upper NoTrans and Upper Trans Trsv,
-// whose head updates and head dot products are gemvN8F64, walking eight
-// columns backwards by a negative stride, and gemvT8F64), and the float32
+// and its two triangular solves (Upper NoTrans and Upper Trans Trsv on a
+// float64 x, whose head updates and head dot products are gemvN8F64, walking
+// eight columns backwards by a negative stride, and gemvT8F64; for the
+// float32 R a refinement applies, gemvN8Wide and gemvT8Wide, which widen
+// each element as they load it), and the float32
 // transposed product and column update of Gemv and Ger, which the Go loop of
 // gram.MGS calls (the MGS tile of the CAQR panel has a fused kernel of its
 // own, tile_amd64.go, held to the same rules and to that loop's bits). The
@@ -62,6 +64,18 @@ func gemvN8F64(rows int, a *float64, stride int, coef *[8]float64, y *float64) (
 //
 //go:noescape
 func gemvT8F64(rows int, a *float64, stride int, x *float64, alpha float64, y *float64) (ok bool)
+
+// gemvN8Wide is gemvN8F64 on a float32 a, each element widened to float64,
+// exactly, as it is loaded: the bits of gemvN8F64 on the float64 copy of a,
+// from half the bytes.
+//
+//go:noescape
+func gemvN8Wide(rows int, a *float32, stride int, coef *[8]float64, y *float64) (done int)
+
+// gemvT8Wide is gemvT8F64 on a float32 a, widened as gemvN8Wide widens it.
+//
+//go:noescape
+func gemvT8Wide(rows int, a *float32, stride int, x *float64, alpha float64, y *float64) (ok bool)
 
 // gemvT8F32 is gemvT8F64 in float32.
 //

@@ -289,47 +289,37 @@ func trsvSameBits(t *testing.T, what string, tA Transpose, diag Diag, a *dense.M
 	}
 }
 
-func BenchmarkTrsvUpperTrans(b *testing.B) {
-	n := 256
-	a := dense.New[float64](n, n)
-	rng := rand.New(rand.NewSource(3))
-	for j := 0; j < n; j++ {
-		col := a.Col(j)
-		for i := 0; i <= j; i++ {
-			col[i] = rng.NormFloat64()
-		}
-		col[j] = 2
-	}
-	x := make([]float64, n)
-	b.SetBytes(int64(n) * int64(n) * 8 / 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 1
-		}
-		Trsv(Upper, Trans, NonUnit, a, x)
-	}
-}
+func BenchmarkTrsvUpperTrans(b *testing.B)   { benchTrsvUpper(b, Trans, 3) }
+func BenchmarkTrsvUpperNoTrans(b *testing.B) { benchTrsvUpper(b, NoTrans, 4) }
 
-func BenchmarkTrsvUpperNoTrans(b *testing.B) {
-	n := 256
-	a := dense.New[float64](n, n)
-	rng := rand.New(rand.NewSource(4))
-	for j := 0; j < n; j++ {
-		col := a.Col(j)
-		for i := 0; i <= j; i++ {
-			col[i] = rng.NormFloat64()
+// benchTrsvUpper times the refinement's triangular solve on the upper
+// triangles of the workloads' 256- and 512-column factors, held in float64
+// (f64) and in float32, widened as it is loaded (f32, the R a refinement
+// applies); SetBytes counts the triangle's bytes.
+func benchTrsvUpper(b *testing.B, tA Transpose, seed int64) {
+	for _, n := range []int{256, 512} {
+		a := dense.New[float64](n, n)
+		rng := rand.New(rand.NewSource(seed))
+		for j := 0; j < n; j++ {
+			col := a.Col(j)
+			for i := 0; i <= j; i++ {
+				col[i] = float64(float32(rng.NormFloat64()))
+			}
+			col[j] = 2
 		}
-		col[j] = 2
-	}
-	x := make([]float64, n)
-	b.SetBytes(int64(n) * int64(n) * 8 / 2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 1
+		x := make([]float64, n)
+		run := func(b *testing.B, bytes int64, solve func()) {
+			b.SetBytes(int64(n) * int64(n) * bytes / 2)
+			for i := 0; i < b.N; i++ {
+				for j := range x {
+					x[j] = 1
+				}
+				solve()
+			}
 		}
-		Trsv(Upper, NoTrans, NonUnit, a, x)
+		a32 := dense.ToF32(a)
+		b.Run(fmt.Sprintf("%d/f64", n), func(b *testing.B) { run(b, 8, func() { Trsv(Upper, tA, NonUnit, a, x) }) })
+		b.Run(fmt.Sprintf("%d/f32", n), func(b *testing.B) { run(b, 4, func() { Trsv(Upper, tA, NonUnit, a32, x) }) })
 	}
 }
 

@@ -624,9 +624,10 @@ func TestGemmBatchBitIdentical(t *testing.T) {
 // TestLevel2NoAllocs holds the dispatch to zero allocations: the type switch
 // must not box a slice and the hand-back windows must stay on the stack, on
 // a whole matrix and on a view alike. The split Gemv (split-size matrices and
-// views) and the vector Trsv are held to it at two processors or more:
-// testing.AllocsPerRun runs at one, where nothing splits, so they are counted
-// by allocsPerCall, helpers included.
+// views) and the vector Trsv, on a float64 and on a float32 triangle, are
+// held to it at two processors or more: testing.AllocsPerRun runs at one,
+// where nothing splits, so they are counted by allocsPerCall, helpers
+// included.
 func TestLevel2NoAllocs(t *testing.T) {
 	level2NoAllocs[float32](t)
 	level2NoAllocs[float64](t)
@@ -659,10 +660,14 @@ func TestLevel2NoAllocs(t *testing.T) {
 	for i := 0; i < tri.Rows; i++ {
 		tri.Set(i, i, 2)
 	}
+	tri32 := dense.ToF32(tri)
 	x := make([]float64, tri.Rows)
 	for _, tA := range []Transpose{NoTrans, Trans} {
 		if n := allocsPerCall(100, func() { Trsv(Upper, tA, NonUnit, tri, x) }); n != 0 {
 			t.Errorf("trsv %v: %v allocs per call, want 0", tA, n)
+		}
+		if n := allocsPerCall(100, func() { Trsv(Upper, tA, NonUnit, tri32, x) }); n != 0 {
+			t.Errorf("trsv %v on a float32 triangle: %v allocs per call, want 0", tA, n)
 		}
 	}
 }

@@ -94,14 +94,14 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	run := func() map[string]uint64 {
 		got := map[string]uint64{}
 		for _, tc := range cgls {
-			res := lls.CGLS(tc.a, tc.b, tc.f.R64(), 0, 0)
+			res := lls.CGLS(tc.a, tc.b, tc.f.R, 0, 0)
 			if !tc.ended(res) {
 				t.Errorf("CGLS %s: ran %d iterations (converged %v, settled %v, diverged %v, stagnated %v), not the ending it covers",
 					tc.name, res.Iterations, res.Converged, res.Settled, res.Diverged, res.Stagnated)
 			}
 			got["CGLS "+tc.name] = bitsHash(res.X, res.GradNorms)
 			got["LLSOptimality "+tc.name] = math.Float64bits(accuracy.LLSOptimality(tc.a, res.X, tc.b))
-			res = lls.LSQR(tc.a, tc.b, tc.f.R64(), 0, 0)
+			res = lls.LSQR(tc.a, tc.b, tc.f.R, 0, 0)
 			got["LSQR "+tc.name] = bitsHash(res.X, res.GradNorms)
 		}
 		for _, method := range []lls.Method{lls.MethodCGLS, lls.MethodLSQR} {

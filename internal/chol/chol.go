@@ -34,7 +34,7 @@ func Potrf[T dense.Float](a *dense.Matrix[T]) error {
 		d := float64(colJ[j])
 		for k := 0; k < j; k++ {
 			v := float64(a.At(j, k))
-			d -= v * v
+			d -= float64(v * v)
 		}
 		if d <= 0 || math.IsNaN(d) {
 			return fmt.Errorf("%w (column %d, pivot %g)", ErrNotPositiveDefinite, j, d)

@@ -14,11 +14,11 @@ func NormFro[T Float](m *Matrix[T]) float64 {
 			}
 			if scale < x {
 				r := scale / x
-				ssq = 1 + ssq*r*r
+				ssq = 1 + float64(ssq*r*r)
 				scale = x
 			} else {
 				r := x / scale
-				ssq += r * r
+				ssq += float64(r * r)
 			}
 		}
 	}
@@ -99,7 +99,7 @@ func Norm2Est[T Float](m *Matrix[T], iters int) float64 {
 func nrm2(x []float64) float64 {
 	var s float64
 	for _, v := range x {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }

@@ -20,16 +20,16 @@ func randMat[T dense.Float](rng *rand.Rand, r, c int) *dense.Matrix[T] {
 // backwardError returns ‖A - QR‖_F / ‖A‖_F in float64.
 func backwardError[T dense.Float](a, q, r *dense.Matrix[T]) float64 {
 	qr := dense.New[float64](a.Rows, a.Cols)
-	var q64, r64 *dense.M64
+	var q64, rw *dense.M64
 	switch any(T(0)).(type) {
 	case float32:
 		q64 = dense.ToF64(any(q).(*dense.M32))
-		r64 = dense.ToF64(any(r).(*dense.M32))
+		rw = dense.ToF64(any(r).(*dense.M32))
 	default:
 		q64 = any(q).(*dense.M64).Clone()
-		r64 = any(r).(*dense.M64).Clone()
+		rw = any(r).(*dense.M64).Clone()
 	}
-	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, q64, r64, 0, qr)
+	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, q64, rw, 0, qr)
 	var a64 *dense.M64
 	switch any(T(0)).(type) {
 	case float32:

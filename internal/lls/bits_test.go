@@ -30,7 +30,8 @@ const (
 // default iteration cap.
 type cglsTrajectory struct {
 	name   string
-	a, r   *dense.M64
+	a      *dense.M64
+	r      *dense.M32
 	b      []float64
 	tol    float64
 	ending cglsEnding
@@ -51,12 +52,12 @@ type cglsTrajectory struct {
 // is NaN, none improves on ‖s_0‖, and CGLS returns the x₀ it copied aside.
 func cglsTrajectories(t *testing.T) []cglsTrajectory {
 	t.Helper()
-	fac := func(a *dense.M64, opts rgs.Options) *dense.M64 {
+	fac := func(a *dense.M64, opts rgs.Options) *dense.M32 {
 		f, err := rgs.Factor(dense.ToF32(a), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return f.R64()
+		return f.R
 	}
 	bf16 := rgs.Options{Engine: tcsim.KindBF16.New(false), Cutoff: 32}
 	conv := problem(71, 300, 60, 1e3, matgen.Geometric, 0.1)

@@ -76,12 +76,16 @@ const DefaultTol = 1e-14
 const DefaultMaxIter = 200
 
 // CGLS solves min ‖A·R⁻¹·y − b‖, x = R⁻¹·y, by conjugate gradients on the
-// preconditioned normal equations — Algorithm 3 of the paper. A and b are
-// in float64; r is the upper-triangular preconditioner (pass nil for plain,
-// unpreconditioned CGLS). With R from an RGSQRF factorization, A·R⁻¹ is
-// within O(κ(A)·ε_half) of orthogonal, so convergence takes a handful of
-// iterations and the final accuracy is that of the float64 iteration — this
-// is how the half-precision factorization reaches double-precision results.
+// preconditioned normal equations — Algorithm 3 of the paper. A, b and the
+// iteration are in float64; r is the upper-triangular preconditioner, the
+// factorization's float32 R as it stands (pass nil for plain,
+// unpreconditioned CGLS). The triangular solves widen each element of r as
+// they load it, which is exact, so no float64 copy of R is made and the
+// iteration is the one a float64 copy would run, bit for bit. With R from an
+// RGSQRF factorization, A·R⁻¹ is within O(κ(A)·ε_half) of orthogonal, so
+// convergence takes a handful of iterations and the final accuracy is that
+// of the float64 iteration — this is how the half-precision factorization
+// reaches double-precision results.
 //
 // Iteration stops when ‖s_k‖ <= tol·‖s_0‖ (s is the preconditioned
 // gradient) or after maxIter iterations, and early, returning the best
@@ -89,7 +93,7 @@ const DefaultMaxIter = 200
 // past DivergenceGuard times the best), settling (SettleWindow iterations
 // without a new best once the best is within the settle band) and
 // stagnation (StagnationWindow iterations without a new best).
-func CGLS(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *IterResult {
+func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult {
 	m, n := a.Rows, a.Cols
 	if len(b) != m {
 		panic(fmt.Sprintf("lls: rhs length %d, want %d", len(b), m))

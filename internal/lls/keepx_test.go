@@ -53,13 +53,12 @@ func TestWorkloadSolvesKeepX(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			r64 := dense.ToF64(f.R)
 			b := matgen.Normal(rng, tc.m, tc.rhs)
 			h := fnv.New64a()
 			var buf [8]byte
 			iters := 0
 			for j := 0; j < tc.rhs; j++ {
-				res := lls.CGLS(a, b.Col(j), r64, 0, 0)
+				res := lls.CGLS(a, b.Col(j), f.R, 0, 0)
 				iters += res.Iterations
 				for _, v := range res.X {
 					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))

@@ -142,7 +142,7 @@ func TestCGLSPreconditioningHelps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pre := CGLS(p.A, p.B, dense.ToF64(f.R), 1e-12, 500)
+	pre := CGLS(p.A, p.B, f.R, 1e-12, 500)
 	plain := CGLS(p.A, p.B, nil, 1e-12, 500)
 	if !pre.Converged {
 		t.Fatal("preconditioned CGLS did not converge")
@@ -160,9 +160,8 @@ func TestLSQRMatchesCGLS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r64 := dense.ToF64(f.R)
-	c := CGLS(p.A, p.B, r64, 1e-13, 200)
-	l := LSQR(p.A, p.B, r64, 1e-13, 200)
+	c := CGLS(p.A, p.B, f.R, 1e-13, 200)
+	l := LSQR(p.A, p.B, f.R, 1e-13, 200)
 	if !c.Converged || !l.Converged {
 		t.Fatalf("convergence: cgls=%v lsqr=%v", c.Converged, l.Converged)
 	}
@@ -295,7 +294,7 @@ func TestNoProgressNeverSettles(t *testing.T) {
 		}
 	}
 	p := problem(71, 300, 60, 1e3, matgen.Geometric, 0.1)
-	r64 := factor(t, p.A, rgs.Options{Cutoff: 32}).R64()
+	r := factor(t, p.A, rgs.Options{Cutoff: 32}).R
 	bigA := p.A.Clone()
 	scaled(bigA.Data, 1e100)
 	bigB := append([]float64(nil), p.B...)
@@ -303,17 +302,17 @@ func TestNoProgressNeverSettles(t *testing.T) {
 	rng := rand.New(rand.NewSource(65))
 	zero := matgen.WithZeroColumns(rng, 256, 64, 5)
 	zeroB := matgen.Normal(rng, 256, 1).Col(0)
-	zeroR := factor(t, zero, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}).R64()
+	zeroR := factor(t, zero, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}).R
 	for _, tc := range []struct {
 		name string
 		a    *dense.M64
 		b    []float64
-		r    *dense.M64
+		r    *dense.M32
 		tol  float64
 	}{
 		{"overflowing step at tol 0.5", bigA, p.B, nil, 0.5},
-		{"infinite s0 at the default tol", p.A, bigB, r64, 0},
-		{"infinite s0 at tol 0.5", p.A, bigB, r64, 0.5},
+		{"infinite s0 at the default tol", p.A, bigB, r, 0},
+		{"infinite s0 at tol 0.5", p.A, bigB, r, 0.5},
 		{"zero columns at tol 0.5", zero, zeroB, zeroR, 0.5},
 	} {
 		var hz hazard.Report
@@ -395,12 +394,11 @@ func TestCGLSOperatorWithDensePreconditioner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r64 := dense.ToF64(f.R)
 	b := make([]float64, rows)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	pre := CGLS(a, b, r64, 1e-12, 200)
+	pre := CGLS(a, b, f.R, 1e-12, 200)
 	plain := CGLS(a, b, nil, 1e-12, 2000)
 	if !pre.Converged {
 		t.Fatal("preconditioned CGLS did not converge")

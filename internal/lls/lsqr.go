@@ -13,10 +13,11 @@ import (
 // equivalent to CGLS but numerically more stable on very ill-conditioned
 // systems (Section 2.2): it converges where CGLS trips its divergence guard
 // on fp16 and bf16 factors of inputs with κ ≥ 1e6 and arithmetic or
-// clustered spectra. Pass r == nil for the unpreconditioned solver. Stopping
-// mirrors CGLS: the estimate of ‖Bᵀr_k‖ must fall to tol times its initial
-// value.
-func LSQR(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *IterResult {
+// clustered spectra. A, b and the iteration are in float64, and r is the
+// factorization's float32 R, applied as CGLS applies it; pass r == nil for
+// the unpreconditioned solver. Stopping mirrors CGLS: the estimate of
+// ‖Bᵀr_k‖ must fall to tol times its initial value.
+func LSQR(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult {
 	m, n := a.Rows, a.Cols
 	if len(b) != m {
 		panic(fmt.Sprintf("lls: rhs length %d, want %d", len(b), m))

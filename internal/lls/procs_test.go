@@ -41,10 +41,9 @@ func TestRefinementBitsIndependentOfProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r64 := f.R64()
 	run := func() map[string]uint64 {
-		cg := CGLS(a, b.Col(0), r64, 0, 0)
-		ls := LSQR(a, b.Col(1), r64, 0, 0)
+		cg := CGLS(a, b.Col(0), f.R, 0, 0)
+		ls := LSQR(a, b.Col(1), f.R, 0, 0)
 		ms, err := SolveMultiWithFactor(f, a, b, SolveOptions{})
 		if err != nil {
 			t.Fatal(err)
@@ -91,19 +90,18 @@ func TestLSQRAllocationsDoNotGrow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r64 := f.R64()
 	methods := []struct {
 		name  string
-		solve func(a *dense.M64, b []float64, r *dense.M64, tol float64, maxIter int) *IterResult
+		solve func(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult
 	}{{"LSQR", LSQR}, {"CGLS", CGLS}}
 	for _, m := range methods {
 		allocs := map[int]float64{}
 		for _, iters := range []int{5, 50} {
 			// A tolerance no iteration reaches: the run takes exactly iters.
-			if res := m.solve(p.A, p.B, r64, 1e-300, iters); res.Iterations != iters {
+			if res := m.solve(p.A, p.B, f.R, 1e-300, iters); res.Iterations != iters {
 				t.Fatalf("%s ran %d iterations, want %d", m.name, res.Iterations, iters)
 			}
-			allocs[iters] = testing.AllocsPerRun(5, func() { m.solve(p.A, p.B, r64, 1e-300, iters) })
+			allocs[iters] = testing.AllocsPerRun(5, func() { m.solve(p.A, p.B, f.R, 1e-300, iters) })
 		}
 		if raceEnabled {
 			continue
@@ -122,7 +120,7 @@ func TestLSQRAllocationsDoNotGrow(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("bits recorded on amd64; other ports may fuse multiply-adds in the Go loops")
 	}
-	res := LSQR(p.A, p.B, r64, 1e-300, 50)
+	res := LSQR(p.A, p.B, f.R, 1e-300, 50)
 	if h, want := bitsHash(res.X, res.GradNorms), uint64(0x2e3c60b40e6fb079); h != want {
 		t.Errorf("LSQR bits %016x, recorded %016x", h, want)
 	}

@@ -85,9 +85,9 @@ func refineColumn(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (
 		}
 		return &IterResult{X: x, Converged: true}, nil
 	case MethodLSQR:
-		return LSQR(a, b, f.R64(), opts.Tol, opts.MaxIter), nil
+		return LSQR(a, b, f.R, opts.Tol, opts.MaxIter), nil
 	case MethodCGLS:
-		return RefineCGLS(a, b, f.R64(), opts), nil
+		return RefineCGLS(a, b, f.R, opts), nil
 	}
 	return nil, fmt.Errorf("lls: unknown method %d", opts.Method)
 }
@@ -98,9 +98,9 @@ func refineColumn(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (
 // iterate too but records nothing: it stopped at the float64 floor, within
 // the settle band (see SettleBand), which is where a healthy refinement
 // ends. It never re-solves, so its answer is CGLS's whatever the caller's
-// hazard policy. r64 is the float64 preconditioner.
-func RefineCGLS(a *dense.M64, b []float64, r64 *dense.M64, opts SolveOptions) *IterResult {
-	res := CGLS(a, b, r64, opts.Tol, opts.MaxIter)
+// hazard policy. r is the factorization's float32 R, the preconditioner.
+func RefineCGLS(a *dense.M64, b []float64, r *dense.M32, opts SolveOptions) *IterResult {
+	res := CGLS(a, b, r, opts.Tol, opts.MaxIter)
 	if !res.Stagnated && !res.Diverged {
 		return res
 	}

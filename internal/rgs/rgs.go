@@ -23,7 +23,6 @@ package rgs
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
@@ -83,7 +82,9 @@ var (
 )
 
 // Result is a computed factorization A = Q·R with Q m×n orthonormal and R
-// n×n upper triangular.
+// n×n upper triangular, both in float32. It holds nothing derived from them:
+// the refinement preconditions with R as it stands, widening each element as
+// it loads it, so a solved factorization is as large as an unsolved one.
 type Result struct {
 	Q *dense.M32
 	R *dense.M32
@@ -93,22 +94,6 @@ type Result struct {
 	ColumnScales []float32
 	// Reorthogonalized records whether the second pass ran.
 	Reorthogonalized bool
-
-	// r64 memoizes the float64 widening of R (see R64).
-	r64 atomic.Pointer[dense.M64]
-}
-
-// R64 returns R widened to float64, converting on first use and caching the
-// result. Every refinement solve preconditions with R in float64; for a
-// served factorization the n×n widening would otherwise be recomputed (and
-// reallocated) on each solve of a cached factor. R must not be mutated after
-// the first call. Safe for concurrent use.
-func (f *Result) R64() *dense.M64 {
-	if r := f.r64.Load(); r != nil {
-		return r
-	}
-	f.r64.CompareAndSwap(nil, dense.ToF64(f.R))
-	return f.r64.Load()
 }
 
 // Factor computes the RGSQRF factorization of a (m×n, m >= n) inside the

@@ -723,8 +723,8 @@ func postSpiedFrame(t *testing.T, h http.Handler, frame []byte) (*httptest.Respo
 // buffer of exactly its size, and the cached matrix keeps that buffer: a
 // cold 4096×128 solve allocates at most 1.9× its 4 MiB matrix payload. About
 // 1.6× is what it needs: the frame (1×) and the buffer that becomes Q (0.5×),
-// into which the factorization narrows the frame's float64 matrix, then R,
-// its float64 widening and the refinement's vectors; the panel factors in
+// into which the factorization narrows the frame's float64 matrix, then R
+// and the refinement's vectors; the panel factors in
 // that buffer and its tile-tree workspace is pooled. It was 2.1× with a
 // float32 copy of the matrix handed to the backend, and 6.3× with the read
 // buffer regrown and the matrix copied out of it. A frame the pool will

@@ -142,8 +142,10 @@ type Entry struct {
 	prev, next *Entry
 }
 
-// sizeBytes estimates the resident size of the entry (A at 8 bytes/element,
-// Q and R at 4). A counts the whole array it keeps alive: a downdated
+// sizeBytes is the resident size of the entry's arrays: A at 8 bytes per
+// element, Q and R at 4. It holds from the first solve on as before it: a
+// solve refines with the float32 R as it stands and attaches nothing to the
+// factorization. A counts the whole array it keeps alive: a downdated
 // epoch's A is a view that ends up to k·(n−1) elements short of its parent's
 // array, and the byte budget must not under-count it.
 func (e *Entry) sizeBytes() int64 {

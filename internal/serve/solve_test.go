@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -112,5 +114,34 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	}
 	if div := s.metrics.hazards.Snapshot()["divergence"]; div != wantDiv {
 		t.Errorf("tcqrd_hazards_total{kind=divergence} = %d, want %d (one per diverging request)", div, wantDiv)
+	}
+}
+
+// TestFirstSolveAttachesNothing: a cached entry is as large after its first
+// solve as before it, so the bytes sizeBytes counts are the bytes it holds.
+// The first SolveWithFactor on a fresh 1024×256 factor allocates X, GradNorms,
+// the result and at most the refinement's pooled slab, far below the 8n²
+// bytes a float64 copy of R would take (512 KiB here; it was 14 % of a
+// serve-hit entry, and no byte budget saw it).
+func TestFirstSolveAttachesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	const m, n = 1024, 256
+	a := matgen.WithCond(rng, m, n, 1e3, matgen.Geometric)
+	b := matgen.Normal(rng, m, 1).Col(0)
+	f, err := tcqr.Factorize(a, tcqr.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := (LibraryBackend{}).SolveWithFactor(f, a, b, tcqr.SolveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("first solve on a fresh %dx%d factor: %d bytes allocated", m, n, got)
+	if got >= 8*n*n {
+		t.Errorf("the first solve on a fresh %dx%d factor allocated %d bytes, at least the %d of a float64 copy of R", m, n, got, 8*n*n)
 	}
 }

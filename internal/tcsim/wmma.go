@@ -21,7 +21,7 @@ func MmaFragment(d, c *[FragmentDim][FragmentDim]float32, a, b *[FragmentDim][Fr
 		for j := 0; j < FragmentDim; j++ {
 			acc := c[i][j]
 			for k := 0; k < FragmentDim; k++ {
-				acc += f16.ToFloat32Fast(a[i][k]) * f16.ToFloat32Fast(b[k][j])
+				acc += float32(f16.ToFloat32Fast(a[i][k]) * f16.ToFloat32Fast(b[k][j]))
 			}
 			d[i][j] = acc
 		}

@@ -3,7 +3,6 @@ package tcqr
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"tcqr/internal/accuracy"
 	"tcqr/internal/dense"
@@ -31,11 +30,6 @@ type Factorization struct {
 	// factorization and, under HazardFallback, every recovery taken (scaling,
 	// panel and engine retries). Empty for a clean run.
 	Hazards []Hazard
-
-	// view memoizes the internal solver view (see inner): the view itself
-	// caches derived data — notably R widened to float64 — that must persist
-	// across solves reusing this factorization.
-	view atomic.Pointer[rgs.Result]
 }
 
 // Factorize computes the RGSQRF factorization of a (m×n, m >= n) on the
@@ -249,16 +243,8 @@ func (f *Factorization) OrthogonalityError() float64 {
 	return accuracy.OrthoError(f.Q)
 }
 
-// inner reconstructs the internal factorization view used to reuse a public
-// Factorization with the internal solvers. The view is built once and
-// cached: it carries the memoized float64 widening of R, so repeated solves
-// against the same factorization (the serving cache-hit path) skip the n×n
-// conversion. Q and R must not be mutated after the first solve.
+// inner is the internal factorization view of f, the form the internal
+// solvers take. It shares f's Q and R and derives nothing from them.
 func (f *Factorization) inner() *rgs.Result {
-	if r := f.view.Load(); r != nil {
-		return r
-	}
-	r := &rgs.Result{Q: f.Q, R: f.R, ColumnScales: f.ColumnScales, Reorthogonalized: f.Reorthogonalized}
-	f.view.CompareAndSwap(nil, r)
-	return f.view.Load()
+	return &rgs.Result{Q: f.Q, R: f.R, ColumnScales: f.ColumnScales, Reorthogonalized: f.Reorthogonalized}
 }
