@@ -3,8 +3,8 @@
 GO ?= go
 
 # The tests that hold the library pipeline to one of each stage; named so
-# they can run under -race on their own (the multi-RHS path refines its
-# columns concurrently, each into a hazard.Report of its own).
+# they can run under -race on their own (the multi-RHS path runs the
+# single-RHS solve on its columns concurrently).
 PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestServedSolvesAreLibrarySolves|TestSolveOnHazardOptionChangesNothing
 
 # The tests that hold the daemon to one cold-factorization path: a served
@@ -71,7 +71,8 @@ reach:
 # and its zero allocations must not depend on that; nor may those of the
 # triangular solve on the float32 R the refinement applies, which must be the
 # solve's on R's float64 widening (TestTrsvWideBitIdentical); nor may
-# SolveWithFactor's bits per method; nor may CGLS's and LSQR's
+# SolveWithFactor's bits per method, alone or run column by column in the
+# block solve; nor may CGLS's and LSQR's
 # allocation count, which is what they return (their working vectors come
 # from a pooled slab), or their bits when every slab they take is poisoned
 # with NaN, or CGLS's recorded bits: its X and GradNorms on one trajectory
@@ -96,7 +97,7 @@ check: lint check-benchmark
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|FactorizeEitherWidth' .
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|FactorizeEitherWidth|MultiBitsIndependentOfProcs' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|ServedFactorsAreLibraryFactors' ./internal/serve
 

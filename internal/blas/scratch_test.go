@@ -37,7 +37,7 @@ func bitsHash(xs ...[]float64) uint64 {
 // gives. Each solve runs first on the pool as it is, then with every slab
 // poisoned: CGLS on the five endings internal/lls pins (converged, settled,
 // diverged, stagnated, best iterate x₀) with the LLSOptimality of each
-// answer, LSQR, SolveMultiWithFactor under both methods, and a
+// answer, LSQR, SolveLeastSquaresMultiWithFactor under both methods, and a
 // HazardFallback solve of a zero-column input, whose refinement never
 // improves on x₀ and returns the copy it set aside. Two of the endings run
 // twice: the κ 1e3 and κ 1e6 default-factor inputs that once diverged and
@@ -61,7 +61,7 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		return matgen.WithCond(rng, 300, 60, cond, matgen.Geometric), matgen.Normal(rng, 300, 1).Col(0)
 	}
-	bf16 := rgs.Options{Engine: tcsim.KindBF16.New(false), Cutoff: 32}
+	bf16 := rgs.Options{Engine: tcsim.KindBF16.New(), Cutoff: 32}
 	convA, convB := problem(71, 1e3, matgen.Geometric, 0.1)
 	settleA, settleB := normalB(70, 1e3)
 	settle6A, settle6B := problem(72, 1e6, matgen.Geometric, 0.1)
@@ -72,44 +72,43 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	zeroB := matgen.Normal(rng, 256, 1).Col(0)
 	block := matgen.Normal(rand.New(rand.NewSource(73)), 300, 3)
 	settleF := fac(settleA, rgs.Options{})
-	converged := func(r *lls.IterResult) bool { return r.Converged }
-	settled := func(r *lls.IterResult) bool { return r.Settled }
-	diverged := func(r *lls.IterResult) bool { return r.Diverged }
-	stagnated := func(r *lls.IterResult) bool { return r.Stagnated }
+	settleT, err := tcqr.Factorize(settleA, tcqr.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cgls := []struct {
 		name  string
 		a     *dense.M64
 		b     []float64
 		f     *rgs.Result
-		ended func(*lls.IterResult) bool
+		ended lls.Stop
 	}{
-		{"converges", convA, convB, fac(convA, rgs.Options{Cutoff: 32}), converged},
-		{"settles", settleA, settleB, settleF, settled},
-		{"settles at κ 1e6", settle6A, settle6B, fac(settle6A, rgs.Options{Cutoff: 32}), settled},
-		{"diverges", divA, divB, fac(divA, bf16), diverged},
-		{"stagnates", stagA, stagB, fac(stagA, bf16), stagnated},
-		{"best is x0", zeroA, zeroB, fac(zeroA, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}), stagnated},
+		{"converges", convA, convB, fac(convA, rgs.Options{Cutoff: 32}), lls.StopConverged},
+		{"settles", settleA, settleB, settleF, lls.StopSettled},
+		{"settles at κ 1e6", settle6A, settle6B, fac(settle6A, rgs.Options{Cutoff: 32}), lls.StopSettled},
+		{"diverges", divA, divB, fac(divA, bf16), lls.StopDiverged},
+		{"stagnates", stagA, stagB, fac(stagA, bf16), lls.StopStagnated},
+		{"best is x0", zeroA, zeroB, fac(zeroA, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}), lls.StopStagnated},
 	}
 
 	run := func() map[string]uint64 {
 		got := map[string]uint64{}
 		for _, tc := range cgls {
 			res := lls.CGLS(tc.a, tc.b, tc.f.R, 0, 0)
-			if !tc.ended(res) {
-				t.Errorf("CGLS %s: ran %d iterations (converged %v, settled %v, diverged %v, stagnated %v), not the ending it covers",
-					tc.name, res.Iterations, res.Converged, res.Settled, res.Diverged, res.Stagnated)
+			if res.Stop != tc.ended {
+				t.Errorf("CGLS %s: ran %d iterations (%v), not the ending it covers", tc.name, res.Iterations, res.Stop)
 			}
 			got["CGLS "+tc.name] = bitsHash(res.X, res.GradNorms)
 			got["LLSOptimality "+tc.name] = math.Float64bits(accuracy.LLSOptimality(tc.a, res.X, tc.b))
 			res = lls.LSQR(tc.a, tc.b, tc.f.R, 0, 0)
 			got["LSQR "+tc.name] = bitsHash(res.X, res.GradNorms)
 		}
-		for _, method := range []lls.Method{lls.MethodCGLS, lls.MethodLSQR} {
-			ms, err := lls.SolveMultiWithFactor(settleF, settleA, block, lls.SolveOptions{Method: method})
+		for _, method := range []tcqr.RefineMethod{tcqr.RefineCGLS, tcqr.RefineLSQR} {
+			ms, err := tcqr.SolveLeastSquaresMultiWithFactor(settleT, settleA, block, tcqr.SolveOptions{Method: method})
 			if err != nil {
 				t.Fatal(err)
 			}
-			got["SolveMultiWithFactor "+method.String()] = bitsHash(ms.X.Data)
+			got["SolveLeastSquaresMultiWithFactor "+method.String()] = bitsHash(ms.X.Data, ms.Optimality)
 		}
 		res, err := tcqr.SolveLeastSquares(zeroA, zeroB, tcqr.SolveOptions{QR: tcqr.Config{Cutoff: 32, OnHazard: tcqr.HazardFallback}})
 		if err != nil {

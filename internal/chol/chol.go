@@ -1,8 +1,7 @@
-// Package chol implements the Cholesky factorization and solve used by the
-// normal-equations least squares baseline (Section 2.2 of the paper: solve
-// AᵀA·x = AᵀB via AᵀA = L·Lᵀ). The paper uses this method only as the
-// cautionary unstable baseline; it is included so the accuracy comparison
-// can be reproduced.
+// Package chol implements the Cholesky factorization G = L·Lᵀ of a Gram
+// matrix G = AᵀA, the step of CholeskyQR (internal/gram's CholQR) that
+// breaks down once κ(A)² overwhelms the working precision — the
+// condition-squaring the paper contrasts RGSQRF with.
 package chol
 
 import (
@@ -52,11 +51,4 @@ func Potrf[T dense.Float](a *dense.Matrix[T]) error {
 		blas.Scal(1/l, tail)
 	}
 	return nil
-}
-
-// PotrsVec solves A·x = b in place given the Cholesky factor L from Potrf
-// (stored in the lower triangle of l): forward then backward substitution.
-func PotrsVec[T dense.Float](l *dense.Matrix[T], x []T) {
-	blas.Trsv(blas.Lower, blas.NoTrans, blas.NonUnit, l, x)
-	blas.Trsv(blas.Lower, blas.Trans, blas.NonUnit, l, x)
 }

@@ -50,29 +50,6 @@ func TestPotrfReconstruction(t *testing.T) {
 	}
 }
 
-func TestPotrsSolve(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n := 24
-	g := spdMatrix(rng, n)
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n)
-	blas.Gemv(blas.NoTrans, 1, g, xTrue, 0, b)
-
-	l := g.Clone()
-	if err := Potrf(l); err != nil {
-		t.Fatal(err)
-	}
-	PotrsVec(l, b)
-	for i := range b {
-		if math.Abs(b[i]-xTrue[i]) > 1e-8 {
-			t.Fatalf("x[%d] = %v, want %v", i, b[i], xTrue[i])
-		}
-	}
-}
-
 func TestPotrfRejectsIndefinite(t *testing.T) {
 	g := dense.New[float64](2, 2)
 	g.Set(0, 0, 1)

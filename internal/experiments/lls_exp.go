@@ -91,7 +91,7 @@ func Fig8(sc Scale) *Fig8Result {
 		out.Rows = append(out.Rows, Fig8Row{
 			Panel:        p,
 			Iterations:   sol.Iterations,
-			Converged:    sol.Converged,
+			Converged:    sol.Converged(),
 			Optimality:   accuracy.LLSOptimality(prob.A, sol.X, prob.B),
 			RGSQRFCGLSMs: times.RGSQRFCGLS * 1e3,
 			SCuSolveMs:   times.SCuSolve * 1e3,

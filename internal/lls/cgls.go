@@ -8,32 +8,49 @@ import (
 	"tcqr/internal/dense"
 )
 
+// Stop names why an iterative solve ended. A settled, diverged or stagnated
+// CGLS run returns its best iterate; only a diverged or stagnated one is a
+// hazard (see SolveWithFactor).
+type Stop uint8
+
+const (
+	StopExhausted Stop = iota // the iteration cap, or a zero step
+	StopConverged             // the gradient norm fell to tol times its first
+	StopSettled               // at the float64 floor: see SettleWindow and SettleBand
+	StopDiverged              // the gradient norm grew past DivergenceGuard times its best
+	StopStagnated             // StagnationWindow iterations without a new best
+)
+
+// String names the stop reason in one lower-case word.
+func (s Stop) String() string {
+	switch s {
+	case StopExhausted:
+		return "exhausted"
+	case StopConverged:
+		return "converged"
+	case StopSettled:
+		return "settled"
+	case StopDiverged:
+		return "diverged"
+	case StopStagnated:
+		return "stagnated"
+	}
+	return fmt.Sprintf("Stop(%d)", int(s))
+}
+
 // IterResult reports the outcome of an iterative solve.
 type IterResult struct {
 	X          []float64
 	Iterations int
-	Converged  bool
+	Stop       Stop
 	// GradNorms[k] is the preconditioned gradient norm ‖s_k‖ after k
 	// iterations (GradNorms[0] is the initial norm), for convergence-rate
 	// plots.
 	GradNorms []float64
-	// Stagnated reports that the iteration stopped because the gradient
-	// norm made no progress for StagnationWindow consecutive iterations —
-	// the preconditioner is too weak (or the numerical floor was reached)
-	// and further Krylov steps are wasted work. X holds the best iterate.
-	Stagnated bool
-	// Diverged reports that the iteration was cut off because the gradient
-	// norm grew past DivergenceGuard times the best seen — the loss of
-	// conjugacy past the numerical floor. X holds the best iterate.
-	Diverged bool
-	// Settled reports that the iteration stopped because its best gradient
-	// norm, reached by a later iterate than x₀, was already within the settle
-	// band (see SettleBand) and SettleWindow iterations in a row found no
-	// better one: the answer had settled at the float64 floor. X holds the
-	// best iterate. Unlike Stagnated and Diverged it is no hazard; Converged
-	// stays false because tol was not reached.
-	Settled bool
 }
+
+// Converged reports whether the solve met its tolerance.
+func (r *IterResult) Converged() bool { return r.Stop == StopConverged }
 
 // StagnationWindow is the number of consecutive iterations without any
 // improvement of the best gradient norm after which CGLS declares
@@ -94,19 +111,8 @@ const DefaultMaxIter = 200
 // without a new best once the best is within the settle band) and
 // stagnation (StagnationWindow iterations without a new best).
 func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult {
+	op, out, tol, maxIter := prepare(a, b, r, tol, maxIter)
 	m, n := a.Rows, a.Cols
-	if len(b) != m {
-		panic(fmt.Sprintf("lls: rhs length %d, want %d", len(b), m))
-	}
-	if r != nil && (r.Rows != n || r.Cols != n) {
-		panic(fmt.Sprintf("lls: preconditioner is %dx%d, want %dx%d", r.Rows, r.Cols, n, n))
-	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
 
 	// The working vectors are carved from one pooled slab of undefined
 	// contents, so each is written before it is read; only what the result
@@ -117,20 +123,15 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 	res, q := take(&w, m), take(&w, m) // residual r_k = b − A·x; q = A·t
 	s, p, bestX, t := take(&w, n), take(&w, n), take(&w, n), take(&w, n)
 
-	x := make([]float64, n)
+	x := out.X
 	copy(res, b)
-	blas.Gemv(blas.Trans, 1, a, res, 0, s) // preconditioned gradient R⁻ᵀ·Aᵀ·r
-	if r != nil {
-		blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, r, s)
-	}
+	op.applyT(res, s) // preconditioned gradient R⁻ᵀ·Aᵀ·r
 	copy(p, s)
-	gamma := dot64(s, s)
-	norms0 := sqrt(gamma)
-	// GradNorms has room for DefaultMaxIter iterations, as LSQR's has: sized
-	// once, not grown by append as the iteration runs.
-	out := &IterResult{X: x, GradNorms: append(make([]float64, 0, min(maxIter, DefaultMaxIter)+1), norms0)}
+	gamma := blas.Dot(s, s)
+	norms0 := math.Sqrt(gamma)
+	out.GradNorms = append(out.GradNorms, norms0)
 	if norms0 == 0 {
-		out.Converged = true
+		out.Stop = StopConverged
 		return out
 	}
 
@@ -149,25 +150,18 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 	settleBand := min(SettleBand*tol, SettleBand*DefaultTol) * norms0
 
 	for k := 0; k < maxIter; k++ {
-		copy(t, p) // t = R⁻¹·p
-		if r != nil {
-			blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, t)
-		}
-		blas.Gemv(blas.NoTrans, 1, a, t, 0, q)
-		delta := dot64(q, q)
+		op.apply(p, t, q) // t = R⁻¹·p, q = A·t
+		delta := blas.Dot(q, q)
 		if delta == 0 {
 			break
 		}
 		alpha := gamma / delta
 		blas.Axpy(alpha, t, x)
 		blas.Axpy(-alpha, q, res)
-		blas.Gemv(blas.Trans, 1, a, res, 0, s)
-		if r != nil {
-			blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, r, s)
-		}
+		op.applyT(res, s)
 		gamma1 := gamma
-		gamma = dot64(s, s)
-		norms := sqrt(gamma)
+		gamma = blas.Dot(s, s)
+		norms := math.Sqrt(gamma)
 		out.GradNorms = append(out.GradNorms, norms)
 		out.Iterations = k + 1
 		if norms < bestNorm {
@@ -178,25 +172,19 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 			sinceImproved++
 		}
 		if norms <= tol*norms0 {
-			out.Converged = true
+			out.Stop = StopConverged
 			break
 		}
 		if norms > DivergenceGuard*bestNorm {
-			// Numerical floor reached; restore the best iterate.
-			out.Diverged = true
-			copy(x, bestX)
+			out.Stop = StopDiverged // numerical floor reached
 			break
 		}
 		if sinceImproved >= SettleWindow && bestNorm < norms0 && bestNorm <= settleBand {
-			// The answer has settled at the float64 floor: keep the best.
-			out.Settled = true
-			copy(x, bestX)
+			out.Stop = StopSettled // the answer has settled at the float64 floor
 			break
 		}
 		if sinceImproved >= StagnationWindow {
-			// A full window without progress: stop and keep the best.
-			out.Stagnated = true
-			copy(x, bestX)
+			out.Stop = StopStagnated // a full window without progress
 			break
 		}
 		beta := gamma / gamma1
@@ -204,10 +192,66 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 			p[i] = s[i] + float64(beta*p[i])
 		}
 	}
-	if !out.Converged && bestNorm < out.GradNorms[len(out.GradNorms)-1] {
+	// A guard keeps the best iterate; so does a cap or a zero step past it.
+	switch out.Stop {
+	case StopDiverged, StopSettled, StopStagnated:
 		copy(x, bestX)
+	case StopExhausted:
+		if bestNorm < out.GradNorms[len(out.GradNorms)-1] {
+			copy(x, bestX)
+		}
 	}
 	return out
+}
+
+// operator is B = A·R⁻¹, the preconditioned matrix CGLS and LSQR iterate
+// on; a nil r is no preconditioner.
+type operator struct {
+	a *dense.M64
+	r *dense.M32
+}
+
+// prepare checks CGLS's and LSQR's arguments, resolves tol and maxIter, and
+// allocates X and GradNorms with room for DefaultMaxIter iterations: sized
+// once, not grown by append, and never by maxIter, which comes off the wire.
+func prepare(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) (operator, *IterResult, float64, int) {
+	m, n := a.Rows, a.Cols
+	if len(b) != m {
+		panic(fmt.Sprintf("lls: rhs length %d, want %d", len(b), m))
+	}
+	if r != nil && (r.Rows != n || r.Cols != n) {
+		panic(fmt.Sprintf("lls: preconditioner is %dx%d, want %dx%d", r.Rows, r.Cols, n, n))
+	}
+	if tol <= 0 {
+		tol = DefaultTol
+	}
+	if maxIter <= 0 {
+		maxIter = DefaultMaxIter
+	}
+	out := &IterResult{X: make([]float64, n), GradNorms: make([]float64, 0, min(maxIter, DefaultMaxIter)+1)}
+	return operator{a, r}, out, tol, maxIter
+}
+
+// solve overwrites v with R⁻¹·v.
+func (op operator) solve(v []float64) {
+	if op.r != nil {
+		blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, op.r, v)
+	}
+}
+
+// apply sets t = R⁻¹·v and out = B·v = A·t.
+func (op operator) apply(v, t, out []float64) {
+	copy(t, v)
+	op.solve(t)
+	blas.Gemv(blas.NoTrans, 1, op.a, t, 0, out)
+}
+
+// applyT sets out = Bᵀ·u = R⁻ᵀ·Aᵀ·u.
+func (op operator) applyT(u, out []float64) {
+	blas.Gemv(blas.Trans, 1, op.a, u, 0, out)
+	if op.r != nil {
+		blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, op.r, out)
+	}
 }
 
 // take cuts the first k elements off *w as a vector of capacity k, so no
@@ -217,7 +261,3 @@ func take(w *[]float64, k int) []float64 {
 	*w = (*w)[k:]
 	return v
 }
-
-func dot64(x, y []float64) float64 { return blas.Dot(x, y) }
-
-func sqrt(x float64) float64 { return math.Sqrt(x) }

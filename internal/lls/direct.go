@@ -9,8 +9,7 @@
 //     the paper's novel refinement that recovers double-precision accuracy;
 //   - preconditioned LSQR, the alternative Section 2.2 discusses, which
 //     converges where CGLS diverges on fp16 and bf16 factors of inputs with
-//     κ ≥ 1e6 and arithmetic or clustered spectra;
-//   - the normal-equations/Cholesky method as the cautionary baseline.
+//     κ ≥ 1e6 and arithmetic or clustered spectra.
 //
 // A product that feeds an add is float64(x*y) + z, never fused on any port.
 package lls
@@ -19,7 +18,6 @@ import (
 	"fmt"
 
 	"tcqr/internal/blas"
-	"tcqr/internal/chol"
 	"tcqr/internal/dense"
 	"tcqr/internal/house"
 	"tcqr/internal/rgs"
@@ -58,21 +56,4 @@ func DirectRGS(f *rgs.Result, b []float32) []float32 {
 	blas.Gemv(blas.Trans, 1, f.Q, b, 0, x)
 	blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, f.R, x)
 	return x
-}
-
-// NormalEquations solves min ‖Ax − b‖ by Cholesky on AᵀA. It squares the
-// condition number and is expected to fail (ErrNotPositiveDefinite) once
-// κ(A)² exceeds the working precision — included as the Section 2.2
-// baseline.
-func NormalEquations[T dense.Float](a *dense.Matrix[T], b []T) ([]T, error) {
-	n := a.Cols
-	g := dense.New[T](n, n)
-	blas.Syrk(blas.Lower, blas.Trans, 1, a, 0, g)
-	x := make([]T, n)
-	blas.Gemv(blas.Trans, 1, a, b, 0, x)
-	if err := chol.Potrf(g); err != nil {
-		return nil, fmt.Errorf("lls: normal equations: %w", err)
-	}
-	chol.PotrsVec(g, x)
-	return x, nil
 }

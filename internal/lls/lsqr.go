@@ -1,7 +1,6 @@
 package lls
 
 import (
-	"fmt"
 	"math"
 
 	"tcqr/internal/blas"
@@ -15,19 +14,12 @@ import (
 // on fp16 and bf16 factors of inputs with κ ≥ 1e6 and arithmetic or
 // clustered spectra. A, b and the iteration are in float64, and r is the
 // factorization's float32 R, applied as CGLS applies it; pass r == nil for
-// the unpreconditioned solver. Stopping mirrors CGLS: the estimate of
-// ‖Bᵀr_k‖ must fall to tol times its initial value.
+// the unpreconditioned solver. It converges when the estimate of ‖Bᵀr_k‖
+// falls to tol times its initial value and is otherwise exhausted by the cap
+// or a zero step: it has none of CGLS's guards.
 func LSQR(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult {
+	op, out, tol, maxIter := prepare(a, b, r, tol, maxIter)
 	m, n := a.Rows, a.Cols
-	if len(b) != m {
-		panic(fmt.Sprintf("lls: rhs length %d, want %d", len(b), m))
-	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if maxIter <= 0 {
-		maxIter = DefaultMaxIter
-	}
 
 	// The working vectors are carved from one pooled slab of undefined
 	// contents, as CGLS's are: each is written before it is read.
@@ -36,38 +28,17 @@ func LSQR(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 	ws := *slab
 	u, tmpM := take(&ws, m), take(&ws, m)
 	v, w, y, tmpN := take(&ws, n), take(&ws, n), take(&ws, n), take(&ws, n)
-	tmpT := take(&ws, n) // R⁻¹·v inside applyB
-
-	applyB := func(v []float64, out []float64) { // out = A·R⁻¹·v
-		copy(tmpT, v)
-		if r != nil {
-			blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, tmpT)
-		}
-		blas.Gemv(blas.NoTrans, 1, a, tmpT, 0, out)
-	}
-	applyBT := func(u []float64, out []float64) { // out = R⁻ᵀ·Aᵀ·u
-		blas.Gemv(blas.Trans, 1, a, u, 0, out)
-		if r != nil {
-			blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, r, out)
-		}
-	}
+	tmpT := take(&ws, n) // R⁻¹·v inside op.apply
 
 	copy(u, b)
-	beta := blas.Nrm2(u)
-	// GradNorms has room for DefaultMaxIter iterations, so up to there what
-	// LSQR allocates does not grow with how many it runs (maxIter comes off
-	// the wire, so it does not size an allocation).
-	out := &IterResult{X: make([]float64, n), GradNorms: make([]float64, 0, min(maxIter, DefaultMaxIter)+1)}
-	if beta == 0 {
-		out.Converged = true
-		out.GradNorms = append(out.GradNorms, 0)
-		return out
+	beta, alpha := blas.Nrm2(u), 0.0
+	if beta != 0 {
+		blas.Scal(1/beta, u)
+		op.applyT(u, v)
+		alpha = blas.Nrm2(v)
 	}
-	blas.Scal(1/beta, u)
-	applyBT(u, v)
-	alpha := blas.Nrm2(v)
-	if alpha == 0 {
-		out.Converged = true
+	if alpha == 0 { // b = 0 or Bᵀb = 0: x = 0 is the answer
+		out.Stop = StopConverged
 		out.GradNorms = append(out.GradNorms, 0)
 		return out
 	}
@@ -81,7 +52,7 @@ func LSQR(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 
 	for k := 0; k < maxIter; k++ {
 		// β·u = B·v − α·u
-		applyB(v, tmpM)
+		op.apply(v, tmpT, tmpM)
 		for i := range u {
 			u[i] = tmpM[i] - float64(alpha*u[i])
 		}
@@ -90,7 +61,7 @@ func LSQR(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 			blas.Scal(1/beta, u)
 		}
 		// α·v = Bᵀ·u − β·v
-		applyBT(u, tmpN)
+		op.applyT(u, tmpN)
 		for i := range v {
 			v[i] = tmpN[i] - float64(beta*v[i])
 		}
@@ -114,14 +85,15 @@ func LSQR(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 		grad := phiBar * alpha * math.Abs(c) // ‖Bᵀ·r_k‖ estimate
 		out.GradNorms = append(out.GradNorms, grad)
 		out.Iterations = k + 1
-		if grad <= tol*grad0 || alpha == 0 || beta == 0 {
-			out.Converged = grad <= tol*grad0
+		if grad <= tol*grad0 {
+			out.Stop = StopConverged
+			break
+		}
+		if alpha == 0 || beta == 0 {
 			break
 		}
 	}
 	copy(out.X, y)
-	if r != nil {
-		blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, r, out.X)
-	}
+	op.solve(out.X)
 	return out
 }

@@ -38,7 +38,7 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// SolveOptions configures SolveWithFactor and SolveMultiWithFactor.
+// SolveOptions configures SolveWithFactor.
 type SolveOptions struct {
 	// Method selects the refinement engine (default CGLS).
 	Method Method
@@ -53,7 +53,12 @@ type SolveOptions struct {
 
 // SolveWithFactor refines min ‖Ax − b‖ to double precision with the
 // selected method over a precomputed float32 RGSQRF factorization f of A
-// (one QR amortized over many right-hand sides).
+// (one QR amortized over many right-hand sides). A CGLS run that stagnates
+// or diverges keeps its best iterate (CGLS's own guard) and records one event
+// in opts.Hazards. A run that settles keeps its best iterate too but records
+// nothing: it stopped at the float64 floor, within the settle band (see
+// SettleBand), which is where a healthy refinement ends. It never re-solves,
+// so its answer is the method's whatever the caller's hazard policy.
 func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*IterResult, error) {
 	if f.Q.Rows != a.Rows || f.Q.Cols != a.Cols {
 		return nil, fmt.Errorf("lls: factorization is %dx%d but A is %dx%d: %w", f.Q.Rows, f.Q.Cols, a.Rows, a.Cols, hazard.ErrShape)
@@ -64,14 +69,6 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 	if err := hazard.CheckVec("b", b); err != nil {
 		return nil, fmt.Errorf("lls: %w", err)
 	}
-	return refineColumn(f, a, b, opts)
-}
-
-// refineColumn is the one per-column refiner: it solves min ‖Ax − b‖ for a
-// single validated right-hand side with opts.Method over the factorization
-// f. SolveWithFactor runs it once, SolveMultiWithFactor once per column, so
-// a right-hand side gets the same answer alone or in a block.
-func refineColumn(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*IterResult, error) {
 	switch opts.Method {
 	case MethodDirect:
 		b32 := make([]float32, len(b))
@@ -83,43 +80,30 @@ func refineColumn(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (
 		for i, v := range x32 {
 			x[i] = float64(v)
 		}
-		return &IterResult{X: x, Converged: true}, nil
+		return &IterResult{X: x, Stop: StopConverged}, nil
 	case MethodLSQR:
 		return LSQR(a, b, f.R, opts.Tol, opts.MaxIter), nil
-	case MethodCGLS:
-		return RefineCGLS(a, b, f.R, opts), nil
+	case MethodCGLS: // below, which records its guards' events
+	default:
+		return nil, fmt.Errorf("lls: unknown method %d", opts.Method)
 	}
-	return nil, fmt.Errorf("lls: unknown method %d", opts.Method)
-}
-
-// RefineCGLS runs the Algorithm 3 CGLS refinement with hazard detection: a
-// run that stagnates or diverges keeps its best iterate (CGLS's own guard)
-// and records one event in opts.Hazards. A run that settles keeps its best
-// iterate too but records nothing: it stopped at the float64 floor, within
-// the settle band (see SettleBand), which is where a healthy refinement
-// ends. It never re-solves, so its answer is CGLS's whatever the caller's
-// hazard policy. r is the factorization's float32 R, the preconditioner.
-func RefineCGLS(a *dense.M64, b []float64, r *dense.M32, opts SolveOptions) *IterResult {
-	res := CGLS(a, b, r, opts.Tol, opts.MaxIter)
-	if !res.Stagnated && !res.Diverged {
-		return res
+	res := CGLS(a, b, f.R, opts.Tol, opts.MaxIter)
+	kind := hazard.KindStagnation
+	switch res.Stop {
+	case StopDiverged:
+		kind = hazard.KindDivergence
+	case StopStagnated:
+	default:
+		return res, nil
 	}
-	kind, errName := hazard.KindStagnation, "stagnated"
-	if res.Diverged {
-		kind, errName = hazard.KindDivergence, "diverged"
-	}
-	detail := fmt.Sprintf("CGLS %s after %d iterations (grad %.3g, best %.3g)",
-		errName, res.Iterations, res.GradNorms[len(res.GradNorms)-1], minNorm(res.GradNorms))
-	opts.Hazards.Record(hazard.Event{Kind: kind, Stage: "cgls", Detail: detail, Action: "keep best iterate"})
-	return res
-}
-
-func minNorm(norms []float64) float64 {
-	best := math.Inf(1)
-	for _, v := range norms {
+	best := math.Inf(1) // the least of GradNorms, which a NaN never is
+	for _, v := range res.GradNorms {
 		if v < best {
 			best = v
 		}
 	}
-	return best
+	detail := fmt.Sprintf("CGLS %s after %d iterations (grad %.3g, best %.3g)",
+		res.Stop, res.Iterations, res.GradNorms[len(res.GradNorms)-1], best)
+	opts.Hazards.Record(hazard.Event{Kind: kind, Stage: "cgls", Detail: detail, Action: "keep best iterate"})
+	return res, nil
 }

@@ -77,7 +77,7 @@ func TestSolveWithFactorBitsGolden(t *testing.T) {
 			rng := rand.New(rand.NewSource(tc.seed))
 			a := matgen.WithCond(rng, tc.m, tc.n, tc.cond, matgen.Geometric)
 			b := matgen.Normal(rng, tc.m, 1).Col(0)
-			f, err := rgs.Factor(a, rgs.Options{Engine: tc.engine.New(false)})
+			f, err := rgs.Factor(a, rgs.Options{Engine: tc.engine.New()})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -47,7 +47,7 @@ func TestEngineKindsThroughServe(t *testing.T) {
 		if diff := sameEntryBits(got, e); diff != "" {
 			t.Errorf("spill round trip under %+v: %s", cfg, diff)
 		}
-		if got := engineLabel(k.New(false).Name()); got != k.Label() {
+		if got := engineLabel(k.New().Name()); got != k.Label() {
 			t.Errorf("engineLabel(%v) = %q, want %q", k, got, k.Label())
 		}
 	}

@@ -32,16 +32,16 @@ var kinds = [...]struct {
 	roundoff float64
 	// fp16Range marks engines whose operands saturate past 65504.
 	fp16Range bool
-	new       func(trackSpecials bool) Counted
+	new       func() Counted
 }{
 	KindTC: {"fp16", "tc", "TC-GEMM", "fp16 tensorcore", 0x1p-11, true,
-		func(t bool) Counted { return &TensorCore{TrackSpecials: t} }},
+		func() Counted { return &TensorCore{TrackSpecials: true} }},
 	KindTCEC: {"tc-ec", "tc-ec", "TCEC-GEMM", "error-corrected tensorcore", 0x1p-22, true,
-		func(t bool) Counted { return &TCEC{TrackSpecials: t} }},
+		func() Counted { return &TCEC{TrackSpecials: true} }},
 	KindBF16: {"bf16", "bf16", "BF16-GEMM", "bfloat16", 0x1p-8, false,
-		func(t bool) Counted { return &BFloat16{TrackSpecials: t} }},
+		func() Counted { return &BFloat16{TrackSpecials: true} }},
 	KindFP32: {"fp32", "fp32", "SGEMM", "fp32", 0x1p-24, false,
-		func(bool) Counted { return &FP32{} }},
+		func() Counted { return &FP32{} }},
 }
 
 // Kinds lists every engine kind in escalation order; printed with %v it is
@@ -108,8 +108,10 @@ type Counted interface {
 	Stats() Stats
 }
 
-// New builds a fresh engine of this kind.
-func (k Kind) New(trackSpecials bool) Counted { return kinds[k].new(trackSpecials) }
+// New builds a fresh engine of this kind that counts its overflows and
+// underflows (TrackSpecials); the count rides in the rounding pass and
+// changes no rounded value.
+func (k Kind) New() Counted { return kinds[k].new() }
 
 // Recovery lists the engines to retry on, in order, after a failure on k:
 // every later kind, except that after an fp16 overflow the kinds sharing

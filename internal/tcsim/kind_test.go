@@ -16,7 +16,7 @@ func TestKindTable(t *testing.T) {
 		if got, err := ParseKind(k.String()); err != nil || got != k {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
 		}
-		if got, ok := KindNamed(k.New(false).Name()); !ok || got != k {
+		if got, ok := KindNamed(k.New().Name()); !ok || got != k {
 			t.Errorf("KindNamed(%v.New().Name()) = %v, %v", k, got, ok)
 		}
 		if !labels[k.Label()] {

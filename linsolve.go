@@ -76,7 +76,7 @@ func SolveLinearSystem(a *Matrix, b []float64, cfg Config) (*LinearSolveResult, 
 // the factors are finite and classifying failures with the typed hazard
 // errors.
 func luFactor(a32 *Matrix32, cfg Config) (*lu.Factorization, error) {
-	engine := cfg.Engine.New(true)
+	engine := cfg.Engine.New()
 	f, err := lu.Factor(a32, lu.Options{Engine: engine})
 	overflows := engine.Stats().Overflows
 	if err != nil {

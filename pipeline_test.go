@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -87,5 +88,42 @@ func TestMultiMatchesSinglePerMethod(t *testing.T) {
 	}
 	if !diverged {
 		t.Fatal("no column diverged; the normal+zero block needs one that records a hazard")
+	}
+}
+
+// TestMultiBitsIndependentOfProcs runs the block solve under CGLS and LSQR at
+// GOMAXPROCS 1, 2 and 4 on a 4096×128 problem, the size from which blas
+// shares a float64 Gemv between the caller and parked helpers: how many
+// columns refine at once and who computes an element of a product change
+// with the count, and X and the optimality must not.
+func TestMultiBitsIndependentOfProcs(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	a := matgen.WithCond(rng, 4096, 128, 1e4, matgen.Geometric)
+	b := matgen.Normal(rng, 4096, 3)
+	f, err := Factorize(ToFloat32(a), Config{Cutoff: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	want := map[RefineMethod][]float64{}
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, method := range []RefineMethod{RefineCGLS, RefineLSQR} {
+			res, err := SolveLeastSquaresMultiWithFactor(f, a, b, SolveOptions{Method: method})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := append(res.X.Data, res.Optimality...)
+			if want[method] == nil {
+				want[method] = got
+				continue
+			}
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want[method][i]) {
+					t.Errorf("%v at GOMAXPROCS %d: element %d is %v, at 1 %v", method, procs, i, v, want[method][i])
+					break
+				}
+			}
+		}
 	}
 }

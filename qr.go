@@ -83,7 +83,7 @@ func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorizat
 // events — the hazard layer needs them to classify failures, and counting is
 // fused into the GEMM packing pass so it is nearly free.
 func factorizeOnce[T dense.Float](a *dense.Matrix[T], cfg Config, rep *hazard.Report) (*Factorization, error) {
-	engine := cfg.Engine.New(true)
+	engine := cfg.Engine.New()
 	res, err := rgs.Factor(a, rgs.Options{
 		Engine:          engine,
 		Panel:           cfg.gramPanel(),

@@ -2,6 +2,8 @@ package tcqr
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 
 	"tcqr/internal/accuracy"
 	"tcqr/internal/hazard"
@@ -98,7 +100,7 @@ func SolveLeastSquaresWithFactor(f *Factorization, a *Matrix, b []float64, opts 
 	return &LeastSquaresResult{
 		X:             sol.X,
 		Iterations:    sol.Iterations,
-		Converged:     sol.Converged,
+		Converged:     sol.Converged(),
 		Optimality:    accuracy.LLSOptimality(a, sol.X, b),
 		Factorization: f,
 		Hazards:       f.withHazards(rep.Events()),
@@ -128,31 +130,56 @@ type MultiResult struct {
 	Hazards [][]Hazard
 }
 
-// SolveLeastSquaresMultiWithFactor reuses an existing factorization of A for
-// a block of right-hand sides: the batched analogue of
-// SolveLeastSquaresWithFactor, for a library caller that holds many
-// right-hand sides against one factorization. Every column runs the same
-// per-column refinement a single solve runs (opts.Method, Tol and
-// MaxIterations), concurrently, so column j equals
-// SolveLeastSquaresWithFactor on B[:,j] bit for bit, its hazards included:
-// the factorization's, then those of column j's own refinement.
+// SolveLeastSquaresMultiWithFactor is SolveLeastSquaresWithFactor for a
+// block of right-hand sides over one factorization of A: it runs that solve
+// on every column of B concurrently, so column j is its answer for B[:,j] bit
+// for bit, hazards included, and returns the first error in column order.
 func SolveLeastSquaresMultiWithFactor(f *Factorization, a *Matrix, b *Matrix, opts SolveOptions) (*MultiResult, error) {
-	sol, err := lls.SolveMultiWithFactor(f.inner(), a, b, opts.refine(nil))
-	if err != nil {
-		return nil, fmt.Errorf("tcqr: %w", err)
+	if b == nil || b.Rows != a.Rows {
+		rows := -1
+		if b != nil {
+			rows = b.Rows
+		}
+		return nil, fmt.Errorf("tcqr: lls: B has %d rows but A has %d: %w", rows, a.Rows, ErrShape)
 	}
-	optimality := make([]float64, b.Cols)
-	hazards := make([][]Hazard, b.Cols)
-	for j := range optimality {
-		optimality[j] = accuracy.LLSOptimality(a, sol.X.Col(j), b.Col(j))
-		hazards[j] = f.withHazards(sol.Hazards[j])
+	if f.Q.Rows != a.Rows || f.Q.Cols != a.Cols {
+		return nil, fmt.Errorf("tcqr: lls: factorization is %dx%d but A is %dx%d: %w", f.Q.Rows, f.Q.Cols, a.Rows, a.Cols, ErrShape)
 	}
-	return &MultiResult{
-		X:             sol.X,
-		Iterations:    sol.Iterations,
-		Converged:     sol.Converged,
-		Optimality:    optimality,
+	if err := hazard.CheckMatrix("B", b); err != nil {
+		return nil, fmt.Errorf("tcqr: lls: %w", err)
+	}
+	nrhs := b.Cols
+	out := &MultiResult{
+		X:             NewMatrix(a.Cols, nrhs),
+		Iterations:    make([]int, nrhs),
+		Converged:     make([]bool, nrhs),
+		Optimality:    make([]float64, nrhs),
 		Factorization: f,
-		Hazards:       hazards,
-	}, nil
+		Hazards:       make([][]Hazard, nrhs),
+	}
+	errs := make([]error, nrhs)
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+	var wg sync.WaitGroup
+	for j := range nrhs {
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			sol, err := SolveLeastSquaresWithFactor(f, a, b.Col(j), opts)
+			if err != nil {
+				errs[j] = err
+				return
+			}
+			copy(out.X.Col(j), sol.X)
+			out.Iterations[j], out.Converged[j] = sol.Iterations, sol.Converged
+			out.Optimality[j], out.Hazards[j] = sol.Optimality, sol.Hazards
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }

@@ -473,6 +473,11 @@ func TestSolveLeastSquaresMulti(t *testing.T) {
 	if res.Factorization == nil || res.Factorization.Q == nil {
 		t.Error("shared factorization missing")
 	}
+	// A block whose rows are not A's is a shape error.
+	_, err = SolveLeastSquaresMultiWithFactor(f, a, NewMatrix(3, 2), SolveOptions{})
+	if want := "tcqr: lls: B has 3 rows but A has 384: " + ErrShape.Error(); !errors.Is(err, ErrShape) || err.Error() != want {
+		t.Errorf("row mismatch: error %v, want %s", err, want)
+	}
 }
 
 func TestPanelNamesRoundTrip(t *testing.T) {
