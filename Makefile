@@ -89,9 +89,13 @@ reach:
 # there too: its factor is the library's, and its bytes stay under the
 # cold-frame gate. The tile-tree workspaces go round a sync.Pool, the
 # one piece of factorization state goroutines share, so concurrent panels of
-# different shapes run ten times under the race detector.
+# different shapes run ten times under the race detector. The metrics
+# registry runs under it too: a labeled family's With takes its read lock,
+# then its write lock on a miss, and a histogram's sum and max are CAS
+# loops, concurrent code the tier-1 pass runs without the detector.
 check: lint check-benchmark
 	$(GO) test ./...
+	$(GO) test -race ./internal/metrics
 	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram

@@ -32,32 +32,8 @@ func (r *Registry) WriteText(w io.Writer) error {
 		if f.help != "" {
 			fmt.Fprintf(bw, "# HELP %s %s\n", f.name, escapeHelp(f.help))
 		}
-		switch f.kind {
-		case kindCounter:
-			fmt.Fprintf(bw, "# TYPE %s counter\n", f.name)
-			if f.counter != nil {
-				fmt.Fprintf(bw, "%s %d\n", f.name, f.counter.Value())
-			} else {
-				writeCounterVec(bw, f.name, f.cvec)
-			}
-		case kindCounterFunc:
-			fmt.Fprintf(bw, "# TYPE %s counter\n", f.name)
-			fmt.Fprintf(bw, "%s %d\n", f.name, f.cfn())
-		case kindGauge:
-			fmt.Fprintf(bw, "# TYPE %s gauge\n", f.name)
-			if f.gfn != nil {
-				fmt.Fprintf(bw, "%s %s\n", f.name, formatFloat(f.gfn()))
-			} else {
-				writeGaugeVec(bw, f.name, f.gvec)
-			}
-		case kindHistogram:
-			fmt.Fprintf(bw, "# TYPE %s histogram\n", f.name)
-			if f.hist != nil {
-				writeHistogram(bw, f.name, "", f.hist)
-			} else {
-				writeHistogramVec(bw, f.name, f.hvec)
-			}
-		}
+		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.typ)
+		f.write(bw)
 	}
 	return bw.Flush()
 }
@@ -71,50 +47,6 @@ func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 	w.Header().Set("Content-Type", TextContentType)
 	_ = r.WriteText(w)
-}
-
-func writeCounterVec(w io.Writer, name string, v *CounterVec) {
-	for _, s := range sortedSeries(v.labels, func() map[string]int64 {
-		v.mu.RLock()
-		defer v.mu.RUnlock()
-		out := make(map[string]int64, len(v.series))
-		for k, c := range v.series {
-			out[k] = c.Value()
-		}
-		return out
-	}()) {
-		fmt.Fprintf(w, "%s{%s} %d\n", name, s.labelString, s.value)
-	}
-}
-
-func writeGaugeVec(w io.Writer, name string, v *GaugeVec) {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.series))
-	vals := make(map[string]float64, len(v.series))
-	for k, g := range v.series {
-		keys = append(keys, k)
-		vals[k] = g.Value()
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s{%s} %s\n", name, labelString(v.labels, strings.Split(k, "\x1f")), formatFloat(vals[k]))
-	}
-}
-
-func writeHistogramVec(w io.Writer, name string, v *HistogramVec) {
-	v.mu.RLock()
-	keys := make([]string, 0, len(v.series))
-	hists := make(map[string]*Histogram, len(v.series))
-	for k, h := range v.series {
-		keys = append(keys, k)
-		hists[k] = h
-	}
-	v.mu.RUnlock()
-	sort.Strings(keys)
-	for _, k := range keys {
-		writeHistogram(w, name, labelString(v.labels, strings.Split(k, "\x1f")), hists[k])
-	}
 }
 
 // writeHistogram renders one histogram series. labels is the pre-rendered
@@ -140,27 +72,6 @@ func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
 	}
 	fmt.Fprintf(w, "%s_sum{%s} %s\n", name, labels, formatFloat(h.Sum()))
 	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.Count())
-}
-
-type renderedSeries struct {
-	labelString string
-	value       int64
-}
-
-func sortedSeries(labels []string, values map[string]int64) []renderedSeries {
-	keys := make([]string, 0, len(values))
-	for k := range values {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]renderedSeries, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, renderedSeries{
-			labelString: labelString(labels, strings.Split(k, "\x1f")),
-			value:       values[k],
-		})
-	}
-	return out
 }
 
 // labelString renders `name="value"` pairs with Prometheus escaping.

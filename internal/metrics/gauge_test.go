@@ -30,24 +30,9 @@ func TestGaugeVecSeries(t *testing.T) {
 	if v.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", v.Len())
 	}
-	snap := v.Snapshot()
-	if snap["n1"] != 1 || snap["n2"] != 0 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-}
-
-func TestGaugeVecCardinalityBound(t *testing.T) {
-	v := newGaugeVec("test_bounded", []string{"id"})
-	v.maxSeries = 3
-	for i := 0; i < 20; i++ {
-		v.With(string(rune('a' + i))).Set(float64(i))
-	}
-	// 3 real series plus the shared overflow bucket.
-	if v.Len() > 4 {
-		t.Fatalf("Len = %d, want <= 4", v.Len())
-	}
-	if _, ok := v.Snapshot()[OverflowLabel]; !ok {
-		t.Fatalf("overflow series missing: %v", v.Snapshot())
+	series := v.Series()
+	if series["n1"].Value() != 1 || series["n2"].Value() != 0 {
+		t.Fatalf("n1 = %v, n2 = %v, want 1 and 0", series["n1"].Value(), series["n2"].Value())
 	}
 }
 

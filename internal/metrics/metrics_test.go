@@ -36,19 +36,49 @@ func TestCounterAndVec(t *testing.T) {
 	}
 }
 
+// TestCounterVecCardinalityBound feeds each labeled family form ten times
+// its series cap of distinct label values: it must hold DefaultMaxSeries
+// series plus the one OverflowLabel series, which takes every excess write.
 func TestCounterVecCardinalityBound(t *testing.T) {
-	r := NewRegistry()
-	v := r.CounterVec("errors_total", "errs", "detail")
-	for i := 0; i < 10*DefaultMaxSeries; i++ {
-		v.With(fmt.Sprintf("hostile-detail-%d", i)).Inc()
-	}
-	if n := v.Len(); n > DefaultMaxSeries+1 {
-		t.Fatalf("cardinality %d grew past the bound %d", n, DefaultMaxSeries+1)
-	}
-	snap := v.Snapshot()
-	if snap[OverflowLabel] != int64(10*DefaultMaxSeries-DefaultMaxSeries) {
-		t.Fatalf("overflow series holds %d, want the %d excess increments",
-			snap[OverflowLabel], 10*DefaultMaxSeries-DefaultMaxSeries)
+	const writes = 10 * DefaultMaxSeries
+	for _, tc := range []struct {
+		form string
+		// fill makes writes series writes, the ith with value i, and
+		// returns the family's series count and its overflow series' value.
+		fill         func(r *Registry) (series int, overflow float64)
+		wantOverflow float64
+	}{
+		{"counter", func(r *Registry) (int, float64) {
+			v := r.CounterVec("errors_total", "errs", "detail")
+			for i := 0; i < writes; i++ {
+				v.With(fmt.Sprintf("hostile-detail-%d", i)).Inc()
+			}
+			return v.Len(), float64(v.Snapshot()[OverflowLabel])
+		}, writes - DefaultMaxSeries}, // every excess increment
+		{"gauge", func(r *Registry) (int, float64) {
+			v := r.GaugeVec("peer_state", "state", "peer")
+			for i := 0; i < writes; i++ {
+				v.With(fmt.Sprintf("peer-%d", i)).Set(float64(i))
+			}
+			return v.Len(), v.Series()[OverflowLabel].Value()
+		}, writes - 1}, // the last excess Set
+		{"histogram", func(r *Registry) (int, float64) {
+			v := r.HistogramVec("stage_seconds", "stages", []float64{1}, "stage")
+			for i := 0; i < writes; i++ {
+				v.With(fmt.Sprintf("stage-%d", i)).Observe(float64(i))
+			}
+			return v.Len(), float64(v.Series()[OverflowLabel].Count())
+		}, writes - DefaultMaxSeries}, // every excess observation
+	} {
+		t.Run(tc.form, func(t *testing.T) {
+			series, overflow := tc.fill(NewRegistry())
+			if series != DefaultMaxSeries+1 {
+				t.Errorf("%d series, want the cap %d plus the overflow series", series, DefaultMaxSeries)
+			}
+			if overflow != tc.wantOverflow {
+				t.Errorf("overflow series reads %g, want %g", overflow, tc.wantOverflow)
+			}
+		})
 	}
 }
 
@@ -89,6 +119,15 @@ func TestHistogramQuantileEdgeCases(t *testing.T) {
 	h.Observe(math.NaN()) // must not corrupt state
 	if h.Count() != 1 {
 		t.Fatalf("NaN observation was counted")
+	}
+	// A rank in the +Inf bucket reads twice the last finite bound, clamped
+	// by the observed max.
+	for _, c := range []struct{ v, want float64 }{{3, 3}, {10, 4}} {
+		h := newHistogram([]float64{1, 2})
+		h.Observe(c.v)
+		if q := h.Quantile(0.99); q != c.want {
+			t.Errorf("observing %g: p99 = %g, want %g", c.v, q, c.want)
+		}
 	}
 }
 

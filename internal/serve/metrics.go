@@ -300,7 +300,8 @@ func engineLabel(name string) string {
 	return "other"
 }
 
-// flopsBucket classifies a GEMM call by decade of floating-point operations,
+// flopsBucket classifies a GEMM call into two-decade buckets of
+// floating-point operations (<1e6, 1e6-1e8, 1e8-1e10, >=1e10),
 // giving the shape-mix view the paper's per-kernel accounting cares about
 // without unbounded (m,n,k) label explosion.
 func flopsBucket(flops int64) string {
