@@ -19,11 +19,12 @@ import (
 type cglsEnding int
 
 const (
-	endConverged cglsEnding = iota // ‖s_k‖ reached tol·‖s_0‖
-	endDiverged                    // the divergence guard restored the best iterate
-	endSettled                     // a settle window near tol; the best is a later iterate
-	endStagnated                   // a window without progress; the best is a later iterate
-	endBestIsX0                    // a window without progress; the best is x₀ = 0
+	endConverged    cglsEnding = iota // ‖s_k‖ reached tol·‖s_0‖
+	endDiverged                       // the divergence guard restored the best iterate
+	endSettled                        // a settle window near tol; the best is a later iterate
+	endGuardSettled                   // the divergence guard tripped with the best in the settle band
+	endStagnated                      // a window without progress; the best is a later iterate
+	endBestIsX0                       // a window without progress; the best is x₀ = 0
 )
 
 // cglsTrajectory is one CGLS run: min ‖A·x − b‖ preconditioned by r, at the
@@ -42,9 +43,12 @@ type cglsTrajectory struct {
 // A with a standard normal b, the default factorization and the default
 // tolerance, which the float64 iteration cannot reach; its best gradient
 // lands within SettleBand of it, and SettleWindow iterations later CGLS
-// returns the iterate the divergence guard restored when it ran on. The
-// diverging one is a bf16 factor of a κ 1e6 Cluster2 A with a consistent b,
-// whose gradient blows up before any window closes. The stagnating one is a
+// returns the iterate the divergence guard restored when it ran on. A κ 1e3
+// arithmetic A with a standard normal b reaches the band too, but its
+// gradient blows up before the window closes: the guard trips inside the
+// band, and the run settles there. The diverging one is a bf16 factor of a
+// κ 1e6 Cluster2 A with a consistent b, whose gradient blows up before any
+// window closes, far above the band. The stagnating one is a
 // bf16 factor of a κ 1e6 geometric A: its best stalls near 3e-3 of ‖s_0‖,
 // far above the band, so only StagnationWindow ends it. The one whose best
 // iterate is x₀ is the zero-column input a HazardFallback solve refactors on
@@ -64,6 +68,9 @@ func cglsTrajectories(t *testing.T) []cglsTrajectory {
 	rng := rand.New(rand.NewSource(70))
 	settle := matgen.WithCond(rng, 300, 60, 1e3, matgen.Geometric)
 	settleB := matgen.Normal(rng, 300, 1).Col(0)
+	rng = rand.New(rand.NewSource(71))
+	guard := matgen.WithCond(rng, 300, 60, 1e3, matgen.Arithmetic)
+	guardB := matgen.Normal(rng, 300, 1).Col(0)
 	div := problem(70, 300, 60, 1e6, matgen.Cluster2, 0)
 	rng = rand.New(rand.NewSource(72))
 	stag := matgen.WithCond(rng, 300, 60, 1e6, matgen.Geometric)
@@ -74,6 +81,7 @@ func cglsTrajectories(t *testing.T) []cglsTrajectory {
 	return []cglsTrajectory{
 		{"converges", conv.A, fac(conv.A, rgs.Options{Cutoff: 32}), conv.B, 0, endConverged},
 		{"settles", settle, fac(settle, rgs.Options{}), settleB, 0, endSettled},
+		{"settles on the guard", guard, fac(guard, rgs.Options{}), guardB, 0, endGuardSettled},
 		{"diverges", div.A, fac(div.A, bf16), div.B, 0, endDiverged},
 		{"stagnates", stag, fac(stag, bf16), stagB, 0, endStagnated},
 		{"best is x0", zero, fac(zero, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}), zeroB, 0, endBestIsX0},
@@ -88,11 +96,12 @@ func cglsTrajectories(t *testing.T) []cglsTrajectory {
 // whether it returned the same answer.
 func TestCGLSBitsGolden(t *testing.T) {
 	want := map[string]struct{ x, grads, optimality uint64 }{
-		"converges":  {0x22dcd827bb45db1c, 0x332a3a9e4d9bea55, 0x3cdff34da16ebef3},
-		"settles":    {0x0c4784c01ef01d1f, 0x2d3a06850e1dc6da, 0x3d201b254fd1dc80},
-		"diverges":   {0xccf49b7101e60e13, 0x116cbc4694b1827b, 0x3ea6ac1f858dabc6},
-		"stagnates":  {0x40eafb6f26153acb, 0xbc34dca4fadeae39, 0x3f6fe7d9e4902fe3},
-		"best is x0": {0x7da144b97d054b25, 0x2174cd6c73216a90, 0x405ff775a7ff2571},
+		"converges":            {0x22dcd827bb45db1c, 0x332a3a9e4d9bea55, 0x3cdff34da16ebef3},
+		"settles":              {0x0c4784c01ef01d1f, 0x2d3a06850e1dc6da, 0x3d201b254fd1dc80},
+		"settles on the guard": {0xe98a917db54d3b60, 0xff9833a37a13615d, 0x3d3297017527cda7},
+		"diverges":             {0xccf49b7101e60e13, 0x116cbc4694b1827b, 0x3ea6ac1f858dabc6},
+		"stagnates":            {0x40eafb6f26153acb, 0xbc34dca4fadeae39, 0x3f6fe7d9e4902fe3},
+		"best is x0":           {0x7da144b97d054b25, 0x2174cd6c73216a90, 0x405ff775a7ff2571},
 	}
 	for _, tc := range cglsTrajectories(t) {
 		res := CGLS(tc.a, tc.b, tc.r, tc.tol, 0)
@@ -110,6 +119,9 @@ func TestCGLSBitsGolden(t *testing.T) {
 			ended = res.Stop == StopDiverged
 		case endSettled:
 			ended = res.Stop == StopSettled && best > 0
+		case endGuardSettled:
+			last := res.GradNorms[len(res.GradNorms)-1]
+			ended = res.Stop == StopSettled && best > 0 && last > DivergenceGuard*res.GradNorms[best]
 		case endStagnated:
 			ended = res.Stop == StopStagnated && best > 0
 		case endBestIsX0:

@@ -17,7 +17,7 @@ const (
 	StopExhausted Stop = iota // the iteration cap, or a zero step
 	StopConverged             // the gradient norm fell to tol times its first
 	StopSettled               // at the float64 floor: see SettleWindow and SettleBand
-	StopDiverged              // the gradient norm grew past DivergenceGuard times its best
+	StopDiverged              // the gradient norm grew past DivergenceGuard times a best outside the settle band
 	StopStagnated             // StagnationWindow iterations without a new best
 )
 
@@ -109,7 +109,10 @@ const DefaultMaxIter = 200
 // iterate, on one of three guards checked in this order: divergence (‖s_k‖
 // past DivergenceGuard times the best), settling (SettleWindow iterations
 // without a new best once the best is within the settle band) and
-// stagnation (StagnationWindow iterations without a new best).
+// stagnation (StagnationWindow iterations without a new best). A run whose
+// best is within the settle band when the divergence guard trips stops as
+// settled: it has reached the float64 floor, which is where a healthy
+// refinement ends.
 func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult {
 	op, out, tol, maxIter := prepare(a, b, r, tol, maxIter)
 	m, n := a.Rows, a.Cols
@@ -175,11 +178,17 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 			out.Stop = StopConverged
 			break
 		}
+		inBand := bestNorm < norms0 && bestNorm <= settleBand
 		if norms > DivergenceGuard*bestNorm {
-			out.Stop = StopDiverged // numerical floor reached
+			// Past the floor CG loses conjugacy; a best already in the band
+			// is the settled answer, so the blow-up is no hazard.
+			out.Stop = StopDiverged
+			if inBand {
+				out.Stop = StopSettled
+			}
 			break
 		}
-		if sinceImproved >= SettleWindow && bestNorm < norms0 && bestNorm <= settleBand {
+		if sinceImproved >= SettleWindow && inBand {
 			out.Stop = StopSettled // the answer has settled at the float64 floor
 			break
 		}

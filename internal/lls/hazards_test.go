@@ -25,6 +25,8 @@ func TestRefinementHazardEvents(t *testing.T) {
 	want := map[string][]hazard.Event{
 		"converges": nil,
 		"settles":   nil,
+		// The guard trips with the best in the settle band: a settle, no event.
+		"settles on the guard": nil,
 		"diverges": {{Kind: hazard.KindDivergence, Stage: "cgls",
 			Detail: "CGLS diverged after 5 iterations (grad 0.000288, best 9.56e-07)", Action: "keep best iterate"}},
 		"stagnates":               stagnation("CGLS stagnated after 73 iterations (grad 0.0277, best 0.0213)"),
