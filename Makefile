@@ -3,16 +3,17 @@
 GO ?= go
 
 # The tests that hold the library pipeline to one of each stage; named so
-# they can run under -race on their own (the multi-RHS path runs the
-# single-RHS solve on its columns concurrently).
-PIPELINE_TESTS = TestMultiMatchesSinglePerMethod|TestServedSolvesAreLibrarySolves|TestSolveOnHazardOptionChangesNothing
+# they can run under -race on their own (a served solve is the library's
+# single-RHS solve, and the daemon runs concurrent ones over one factor).
+PIPELINE_TESTS = TestServedSolvesAreLibrarySolves|TestSolveOnHazardOptionChangesNothing
 
 # The tests that hold the daemon to one cold-factorization path: a served
 # factor is tcqr.Factorize's, bit for bit, and no flag selects another.
 ONE_PATH_TESTS = TestServedFactorsAreLibraryFactors|TestFlagsMatchUsageComment
 
 .PHONY: build check check-race check-deep check-exhaustive check-benchmark \
-	lint reach fuzz chaos cluster-soak bench serve serve-smoke clean
+	check-run-patterns lint reach fuzz chaos cluster-soak bench serve \
+	serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -71,8 +72,8 @@ reach:
 # and its zero allocations must not depend on that; nor may those of the
 # triangular solve on the float32 R the refinement applies, which must be the
 # solve's on R's float64 widening (TestTrsvWideBitIdentical); nor may
-# SolveWithFactor's bits per method, alone or run column by column in the
-# block solve; nor may CGLS's and LSQR's
+# SolveWithFactor's bits per method, alone or on three columns solved at
+# once over one factor; nor may CGLS's and LSQR's
 # allocation count, which is what they return (their working vectors come
 # from a pooled slab), or their bits when every slab they take is poisoned
 # with NaN, or CGLS's recorded bits: its X and GradNorms on one trajectory
@@ -93,17 +94,25 @@ reach:
 # registry runs under it too: a labeled family's With takes its read lock,
 # then its write lock on a miss, and a histogram's sum and max are CAS
 # loops, concurrent code the tier-1 pass runs without the detector.
-check: lint check-benchmark
+check: lint check-benchmark check-run-patterns
 	$(GO) test ./...
 	$(GO) test -race ./internal/metrics
-	$(GO) test -race -run '$(PIPELINE_TESTS)' . ./internal/serve
+	$(GO) test -race -run '$(PIPELINE_TESTS)' ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|FactorizeEitherWidth|MultiBitsIndependentOfProcs' .
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|FactorizeEitherWidth' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|ServedFactorsAreLibraryFactors' ./internal/serve
+
+# `go test -run` passes silently when its pattern selects nothing, so a test
+# renamed or deleted out from under a line of check would empty that gate
+# unseen. Every alternative of every -run pattern in check's dry run must
+# match a test in its line's packages (scripts/check_run_patterns.sh).
+check-run-patterns:
+	@$(MAKE) -s --no-print-directory -n -o lint -o check-benchmark -o check-run-patterns check | \
+		sh scripts/check_run_patterns.sh
 
 # benchmark/ is its own module, so `./...` from the root never compiles it:
 # vet and test it by name, or a rename in internal/ breaks the benchmark

@@ -1,27 +1,23 @@
 // Command tcqr is a small driver around the public tcqr API: it runs one of
-// six operations on a matrix on the simulated neural engine and reports the
+// four operations on a matrix on the simulated neural engine and reports the
 // accuracy metrics the paper uses:
 //
-//	qr        RGSQRF factorization: backward error, orthogonality, engine work
-//	solve     least squares by RGSQRF + refinement (Algorithm 3)
-//	linsolve  square linear system by TC-LU + iterative refinement
-//	ortho     orthonormal basis with re-orthogonalization (Section 3.3)
-//	lowrank   truncated QR-SVD approximation (Section 3.4)
-//	cond      condition-number estimate from the QR-SVD spectrum
+//	qr       RGSQRF factorization: backward error, orthogonality, engine work
+//	solve    least squares by RGSQRF + refinement (Algorithm 3)
+//	ortho    orthonormal basis with re-orthogonalization (Section 3.3)
+//	lowrank  truncated QR-SVD approximation (Section 3.4)
 //
 // The matrix is either generated (-gen with -m/-n/-cond/-dist) or read
-// from a CSV file of rows (-in file.csv). For solve and linsolve, the
-// right-hand side is the last CSV column or a generated consistent system.
+// from a CSV file of rows (-in file.csv). For solve, the right-hand side is
+// the last CSV column or a generated least squares problem.
 //
 // Examples:
 //
-//	tcqr -op qr       -gen -m 2048 -n 512 -cond 1e4 -dist geometric
-//	tcqr -op solve    -gen -m 4096 -n 512 -cond 1e6 -dist cluster2
-//	tcqr -op linsolve -gen -m 512 -n 512 -cond 1e3
-//	tcqr -op ortho    -gen -m 2048 -n 256 -cond 1e6
-//	tcqr -op lowrank  -gen -m 8192 -n 256 -rank 32
-//	tcqr -op cond     -gen -m 400 -n 400 -cond 1e5
-//	tcqr -op solve    -in data.csv
+//	tcqr -op qr      -gen -m 2048 -n 512 -cond 1e4 -dist geometric
+//	tcqr -op solve   -gen -m 4096 -n 512 -cond 1e6 -dist cluster2
+//	tcqr -op ortho   -gen -m 2048 -n 256 -cond 1e6
+//	tcqr -op lowrank -gen -m 8192 -n 256 -rank 32
+//	tcqr -op solve   -in data.csv
 package main
 
 import (
@@ -40,7 +36,7 @@ import (
 )
 
 func main() {
-	op := flag.String("op", "qr", "operation: qr, solve, linsolve, ortho, lowrank, cond")
+	op := flag.String("op", "qr", "operation: qr, solve, ortho, lowrank")
 	gen := flag.Bool("gen", false, "generate a random matrix instead of reading CSV")
 	in := flag.String("in", "", "CSV input (rows of the matrix; for solve, last column is b)")
 	m := flag.Int("m", 2048, "rows (with -gen)")
@@ -92,28 +88,12 @@ func main() {
 		default:
 			fatalf("unknown distribution %q", *dist)
 		}
-		switch *op {
-		case "solve":
-			prob := matgen.NewLLSProblem(rng, a, 0.1)
-			b = prob.B
-		case "linsolve":
-			if *m != *n {
-				fatalf("linsolve needs a square matrix (-m == -n)")
-			}
-			x := make([]float64, *n)
-			for i := range x {
-				x[i] = rng.NormFloat64()
-			}
-			b = make([]float64, *m)
-			for j := 0; j < *n; j++ {
-				for i := 0; i < *m; i++ {
-					b[i] += a.At(i, j) * x[j]
-				}
-			}
+		if *op == "solve" {
+			b = matgen.NewLLSProblem(rng, a, 0.1).B
 		}
 	case *in != "":
 		var err error
-		a, b, err = readCSV(*in, *op == "solve" || *op == "linsolve")
+		a, b, err = readCSV(*in, *op == "solve")
 		if err != nil {
 			fatalf("reading %s: %v", *in, err)
 		}
@@ -148,22 +128,6 @@ func main() {
 		fmt.Printf("optimality ‖Aᵀ(Ax−b)‖:  %.3e\n", sol.Optimality)
 		fmt.Printf("residual ‖Ax−b‖:        %.3e\n", accuracy.ResidualNorm(a, sol.X, b))
 		printHazards(sol.Hazards)
-	case "linsolve":
-		if b == nil {
-			fatalf("linsolve needs a right-hand side (last CSV column)")
-		}
-		res, err := tcqr.SolveLinearSystem(a, b, cfg)
-		check(err)
-		fmt.Printf("linear solve of %dx%d system (TC-LU + iterative refinement)\n", a.Rows, a.Cols)
-		fmt.Printf("refinement iterations: %d (converged: %v)\n", res.Iterations, res.Converged)
-		if len(res.ResidualNorms) > 0 {
-			fmt.Printf("final residual ‖b−Ax‖:  %.3e\n", res.ResidualNorms[len(res.ResidualNorms)-1])
-		}
-		fmt.Printf("elimination growth:     %.3g\n", res.GrowthFactor)
-	case "cond":
-		kappa, err := tcqr.ConditionNumber(a32, cfg)
-		check(err)
-		fmt.Printf("estimated condition number κ₂(A) of %dx%d: %.4g\n", a.Rows, a.Cols, kappa)
 	case "lowrank":
 		lr, err := tcqr.LowRank(a32, *rank, cfg)
 		check(err)

@@ -142,6 +142,14 @@ func TestMalformedInputExitsNonZero(t *testing.T) {
 		t.Errorf("stderr should name the flag and list %s, got: %q", fmt.Sprint(tcsim.Kinds()), msg)
 	}
 
+	// Removed operations: the LU solve and the condition estimate.
+	for _, op := range []string{"linsolve", "cond"} {
+		code, msg = runMain(t, "-op", op, "-gen", "-m", "8", "-n", "8")
+		if code == 0 || !strings.Contains(msg, "unknown operation") {
+			t.Errorf("-op %s exited %d with %q; want non-zero and unknown operation", op, code, msg)
+		}
+	}
+
 	// Healthy runs exit 0: every table engine by its flag name, and the
 	// default.
 	for _, k := range tcsim.Kinds() {

@@ -59,15 +59,15 @@ func main() {
 		fmt.Printf("%-6d  %-12.3e  %5.1fx\n", rank, lr.Error(a), float64(original)/float64(compressed))
 	}
 
-	// The spectrum itself shows the five modes standing above the noise
-	// floor.
-	s, err := tcqr.SingularValues(a, tcqr.Config{})
+	// The spectrum itself, the full-rank approximation's S, shows the five
+	// modes standing above the noise floor.
+	full, err := tcqr.LowRank(a, a.Cols, tcqr.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nleading singular values: ")
 	for i := 0; i < 8; i++ {
-		fmt.Printf("%.3g ", s[i])
+		fmt.Printf("%.3g ", full.S[i])
 	}
 	fmt.Println("...")
 }

@@ -3,9 +3,9 @@ package tcqr
 import "tcqr/internal/hazard"
 
 // Typed sentinel errors for every failure mode the library detects. Errors
-// returned by Factorize, SolveLeastSquares, LowRank, SolveLinearSystem and
-// friends wrap these, so callers can classify failures with errors.Is
-// regardless of how deep in the stack the hazard tripped.
+// returned by Factorize, SolveLeastSquares, LowRank and the updates wrap
+// these, so callers can classify failures with errors.Is regardless of how
+// deep in the stack the hazard tripped.
 var (
 	// ErrNonFinite reports a NaN or Inf in an input (or, after the fallback
 	// ladder was exhausted, in an output).
@@ -13,8 +13,7 @@ var (
 	// ErrEmpty reports a nil input or one with zero rows or columns.
 	ErrEmpty = hazard.ErrEmpty
 	// ErrShape reports dimensions the algorithm cannot accept (m < n for the
-	// tall-skinny factorizations, mismatched right-hand sides, non-square
-	// linear systems).
+	// tall-skinny factorizations, mismatched right-hand sides).
 	ErrShape = hazard.ErrShape
 	// ErrBreakdown reports a numerical breakdown inside a factorization: a
 	// zero or linearly dependent column in a Gram-Schmidt panel, a
@@ -26,7 +25,7 @@ var (
 )
 
 // HazardPolicy decides what a detected numerical hazard does to a
-// factorization, update or linear solve; it is set via Config.OnHazard, the
+// factorization or update; it is set via Config.OnHazard, the
 // one hazard knob (a least squares solve takes it from SolveOptions.QR).
 type HazardPolicy = hazard.Policy
 

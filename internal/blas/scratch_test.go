@@ -2,6 +2,7 @@ package blas_test
 
 import (
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math"
 	"math/rand"
@@ -37,9 +38,9 @@ func bitsHash(xs ...[]float64) uint64 {
 // gives. Each solve runs first on the pool as it is, then with every slab
 // poisoned: CGLS on the five endings internal/lls pins (converged, settled,
 // diverged, stagnated, best iterate x₀) with the LLSOptimality of each
-// answer, LSQR, SolveLeastSquaresMultiWithFactor under both methods, and a
-// HazardFallback solve of a zero-column input, whose refinement never
-// improves on x₀ and returns the copy it set aside. Two of the endings run
+// answer, LSQR, SolveLeastSquaresWithFactor on each column of a block under
+// both methods, and a HazardFallback solve of a zero-column input, whose
+// refinement never improves on x₀ and returns the copy it set aside. Two of the endings run
 // twice: the κ 1e3 and κ 1e6 default-factor inputs that once diverged and
 // stagnated now both settle, and the bf16 factors of a κ 1e6 Cluster2 and a
 // κ 1e6 geometric input still diverge and stagnate, so the guard's and the
@@ -104,11 +105,13 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 			got["LSQR "+tc.name] = bitsHash(res.X, res.GradNorms)
 		}
 		for _, method := range []tcqr.RefineMethod{tcqr.RefineCGLS, tcqr.RefineLSQR} {
-			ms, err := tcqr.SolveLeastSquaresMultiWithFactor(settleT, settleA, block, tcqr.SolveOptions{Method: method})
-			if err != nil {
-				t.Fatal(err)
+			for j := range block.Cols {
+				sol, err := tcqr.SolveLeastSquaresWithFactor(settleT, settleA, block.Col(j), tcqr.SolveOptions{Method: method})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[fmt.Sprintf("SolveLeastSquaresWithFactor %v column %d", method, j)] = bitsHash(sol.X, []float64{sol.Optimality})
 			}
-			got["SolveLeastSquaresMultiWithFactor "+method.String()] = bitsHash(ms.X.Data, ms.Optimality)
 		}
 		res, err := tcqr.SolveLeastSquares(zeroA, zeroB, tcqr.SolveOptions{QR: tcqr.Config{Cutoff: 32, OnHazard: tcqr.HazardFallback}})
 		if err != nil {

@@ -201,6 +201,12 @@ func TestSolveWithFactorReuse(t *testing.T) {
 	if _, err := SolveWithFactor(f, dense.New[float64](10, 5), make([]float64, 10), SolveOptions{}); err == nil {
 		t.Error("shape mismatch not rejected")
 	}
+	// Method 2, classical refinement until it was retired, is refused, not
+	// answered by another method.
+	const want = "lls: unknown method 2"
+	if _, err := SolveWithFactor(f, p.A, p.B, SolveOptions{Method: 2}); err == nil || err.Error() != want {
+		t.Errorf("method 2: error %v, want %s", err, want)
+	}
 }
 
 func TestSolveEngineMatters(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 
 	"tcqr/internal/accuracy"
@@ -32,11 +33,15 @@ func bitsHash(xs ...[]float64) uint64 {
 // and 4 on a 4096×128 problem, the size from which blas shares a
 // float64 Gemv between the caller and parked helpers: X and GradNorms must
 // have the same bits at each, because the split changes who computes an
-// element of a product and never how.
+// element of a product and never how. Three more columns are solved at
+// once through SolveWithFactor under each method, as a server solves
+// concurrent requests over one cached factor: how many refine together
+// changes with the count, and their X, GradNorms and LLSOptimality must not.
 func TestRefinementBitsIndependentOfProcs(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	a := matgen.WithCond(rng, 4096, 128, 1e4, matgen.Geometric)
 	b := matgen.Normal(rng, 4096, 2)
+	block := matgen.Normal(rng, 4096, 3)
 	f, err := rgs.Factor(dense.ToF32(a), rgs.Options{Cutoff: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -44,10 +49,30 @@ func TestRefinementBitsIndependentOfProcs(t *testing.T) {
 	run := func() map[string]uint64 {
 		cg := CGLS(a, b.Col(0), f.R, 0, 0)
 		ls := LSQR(a, b.Col(1), f.R, 0, 0)
-		return map[string]uint64{
+		got := map[string]uint64{
 			"CGLS": bitsHash(cg.X, cg.GradNorms),
 			"LSQR": bitsHash(ls.X, ls.GradNorms),
 		}
+		for _, method := range []Method{MethodCGLS, MethodLSQR} {
+			cols := make([][]float64, block.Cols)
+			var wg sync.WaitGroup
+			for j := range cols {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					res, err := SolveWithFactor(f, a, block.Col(j), SolveOptions{Method: method})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					opt := accuracy.LLSOptimality(a, res.X, block.Col(j))
+					cols[j] = append(append(res.X, res.GradNorms...), opt)
+				}()
+			}
+			wg.Wait()
+			got["concurrent "+method.String()] = bitsHash(cols...)
+		}
+		return got
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want map[string]uint64

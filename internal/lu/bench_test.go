@@ -3,7 +3,6 @@ package lu
 import (
 	"testing"
 
-	"tcqr/internal/blas"
 	"tcqr/internal/tcsim"
 )
 
@@ -24,26 +23,5 @@ func BenchmarkFactor(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-func BenchmarkSolveRefined(b *testing.B) {
-	a64, a := randSquare(2, 256)
-	xTrue := make([]float64, 256)
-	for i := range xTrue {
-		xTrue[i] = float64(i%7) - 3
-	}
-	rhs := make([]float64, 256)
-	blas.Gemv(blas.NoTrans, 1, a64, xTrue, 0, rhs)
-	f, err := Factor(a, Options{Engine: &tcsim.TensorCore{}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := SolveRefined(f, a64, rhs, 1e-12, 0)
-		if !res.Converged {
-			b.Fatal("did not converge")
-		}
 	}
 }

@@ -1,20 +1,12 @@
-// Package lu implements blocked LU factorization with partial pivoting and
-// a mixed-precision linear solver, the paper's closest related work
-// (Haidar et al. [21-23]: TensorCore-accelerated LU with iterative
-// refinement). It exists for two reasons:
-//
-//  1. as the comparison point the paper positions itself against — same
-//     compensate-low-precision-with-refinement idea, LU instead of QR,
-//     linear systems instead of least squares;
-//  2. to make the §3.5 footnote executable: QR's column scaling bounds
-//     every intermediate quantity (orthogonal transformations preserve
-//     column norms), whereas "LU factorization does not guarantee this" —
-//     Gaussian elimination has a growth factor up to 2^(n-1), so an LU run
-//     on a half-precision engine can overflow mid-factorization even when
-//     every input element is ±1.
-//
-// The trailing-matrix update (where the flops are) runs through a
-// tcsim.Engine, so LU gets the same TensorCore treatment as the QR.
+// Package lu implements blocked LU factorization with partial pivoting,
+// its trailing-matrix update (where the flops are) run through a
+// tcsim.Engine, and the elimination growth factor. It exists for the
+// `growth` experiment (internal/experiments), which makes the §3.5 footnote
+// executable: QR's column scaling bounds every intermediate quantity
+// (orthogonal transformations preserve column norms), whereas "LU
+// factorization does not guarantee this" — Gaussian elimination has a
+// growth factor up to 2^(n-1), so an LU run on a half-precision engine can
+// overflow mid-factorization even when every input element is ±1.
 package lu
 
 import (
@@ -154,22 +146,6 @@ func abs32(x float32) float32 {
 		return -x
 	}
 	return x
-}
-
-// Solve overwrites x (initially b) with A⁻¹·b using the factorization:
-// apply P, then the two triangular solves.
-func (f *Factorization) Solve(x []float32) {
-	n := f.LU.Rows
-	if len(x) != n {
-		panic(fmt.Sprintf("lu: rhs length %d, want %d", len(x), n))
-	}
-	for k := 0; k < n; k++ {
-		if p := f.Pivots[k]; p != k {
-			x[k], x[p] = x[p], x[k]
-		}
-	}
-	blas.Trsv(blas.Lower, blas.NoTrans, blas.Unit, f.LU, x)
-	blas.Trsv(blas.Upper, blas.NoTrans, blas.NonUnit, f.LU, x)
 }
 
 // GrowthFactor returns max|U| / max|A|, the elimination growth that §3.5

@@ -97,31 +97,6 @@ func TestPartialPivoting(t *testing.T) {
 	}
 }
 
-func TestSolve(t *testing.T) {
-	a64, a := randSquare(3, 64)
-	rng := rand.New(rand.NewSource(4))
-	xTrue := make([]float64, 64)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, 64)
-	blas.Gemv(blas.NoTrans, 1, a64, xTrue, 0, b)
-	b32 := make([]float32, 64)
-	for i, v := range b {
-		b32[i] = float32(v)
-	}
-	f, err := Factor(a, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Solve(b32)
-	for i := range xTrue {
-		if math.Abs(float64(b32[i])-xTrue[i]) > 1e-3 {
-			t.Fatalf("x[%d] = %v, want %v", i, b32[i], xTrue[i])
-		}
-	}
-}
-
 func TestSingularDetection(t *testing.T) {
 	a := dense.New[float32](3, 3)
 	a.Set(0, 0, 1)
@@ -132,37 +107,6 @@ func TestSingularDetection(t *testing.T) {
 	}
 	if _, err := Factor(dense.New[float32](2, 3), Options{}); err == nil {
 		t.Fatal("non-square input must be rejected")
-	}
-}
-
-func TestSolveRefinedReachesDouble(t *testing.T) {
-	a64, a := randSquare(5, 128)
-	rng := rand.New(rand.NewSource(6))
-	xTrue := make([]float64, 128)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, 128)
-	blas.Gemv(blas.NoTrans, 1, a64, xTrue, 0, b)
-
-	// TensorCore trailing updates — the related-work configuration.
-	f, err := Factor(a, Options{Engine: &tcsim.TensorCore{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := SolveRefined(f, a64, b, 1e-12, 0)
-	if !res.Converged {
-		t.Fatalf("refinement did not converge: residuals %v", res.ResidualNorms)
-	}
-	for i := range xTrue {
-		if math.Abs(res.X[i]-xTrue[i]) > 1e-9 {
-			t.Fatalf("x[%d] off by %g", i, math.Abs(res.X[i]-xTrue[i]))
-		}
-	}
-	// The TC factorization alone is far less accurate: the first residual
-	// (from the unrefined x₀ = 0 baseline) shrinks by many orders.
-	if res.Iterations < 1 {
-		t.Error("expected at least one refinement step")
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 // unlabeled counter, counter func and gauge func; a two-label counter vec
 // pushed past its series cap; a gauge vec with a label value that needs
 // escaping; unlabeled and labeled histograms; labeled families with no
-// series; HELP text that needs escaping and a family with none.
+// series; HELP text that needs escaping and a family with none. Every line
+// of the golden file must pass validateExposition.
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a_total", "first line\nsecond \\ line").Add(7)
@@ -57,6 +58,7 @@ func TestExpositionGolden(t *testing.T) {
 	if got := sb.String(); got != string(want) {
 		t.Errorf("exposition differs from testdata/exposition.golden:\n%s", got)
 	}
+	validateExposition(t, string(want))
 
 	snap := over.Snapshot()
 	if len(snap) != DefaultMaxSeries+1 || snap["x00,y"] != 5 || snap["x63,y"] != 1 ||

@@ -184,18 +184,43 @@ func TestPrometheusTextFormat(t *testing.T) {
 	validateExposition(t, text)
 }
 
+// sampleLine is the grammar of a sample line of the Prometheus text format:
+// a metric name, optional labels, and a Go float (signed, with an optional
+// signed exponent), ±Inf or NaN.
+var sampleLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? ([+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[+-]Inf|NaN)$`)
+
+// TestSampleLineGrammar: every value formatFloat writes is a sample value
+// the grammar accepts, a negative exponent and -Inf included, and the
+// grammar refuses what is no number.
+func TestSampleLineGrammar(t *testing.T) {
+	for _, v := range []float64{0, 7, -3, 1.5, -0.5, 2.5e-7, 1e21, -1.25e-300, math.Inf(1), math.Inf(-1), math.NaN()} {
+		if line := "x " + formatFloat(v); !sampleLine.MatchString(line) {
+			t.Errorf("%q (%v) refused", line, v)
+		}
+	}
+	for _, line := range []string{"c_gauge 2.5e-07", "x -Inf", `x{a="b"} -Inf`, "x +Inf", "x 1e+06", "x .5"} {
+		if !sampleLine.MatchString(line) {
+			t.Errorf("%q refused", line)
+		}
+	}
+	for _, line := range []string{"x 1e", "x Inf", "x --1", "x 1.2.3", "x e5", "x -", "x 1e-", "x +-1", "x 1 2", "x"} {
+		if sampleLine.MatchString(line) {
+			t.Errorf("%q accepted", line)
+		}
+	}
+}
+
 // validateExposition checks the structural invariants of the Prometheus text
 // format: HELP/TYPE precede samples of their family, sample lines match the
 // grammar, and histogram cumulative buckets are monotonic.
 func validateExposition(t *testing.T, text string) {
 	t.Helper()
-	sample := regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^{}]*\})? (-?[0-9.eE+]+|\+Inf|NaN)$`)
 	var lastCum = map[string]int64{}
 	for _, line := range strings.Split(strings.TrimRight(text, "\n"), "\n") {
 		if strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
 			continue
 		}
-		m := sample.FindStringSubmatch(line)
+		m := sampleLine.FindStringSubmatch(line)
 		if m == nil {
 			t.Errorf("malformed sample line %q", line)
 			continue

@@ -59,8 +59,15 @@ func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorizat
 		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
-	f, err := withConfigFallback(cfg, "factorize", rep, engineLadder, func(c Config) (*Factorization, error) {
-		return factorizeOnce(a, c, rep)
+	try := func(c Config) func() (*Factorization, error) {
+		return func() (*Factorization, error) { return factorizeOnce(a, c, rep) }
+	}
+	f, err := withFallback(cfg.OnHazard, "factorize", rep, try(cfg), func(err error) []attempt {
+		var out []attempt
+		for _, r := range engineLadder(cfg, err) {
+			out = append(out, attempt{r.action, try(r.cfg)})
+		}
+		return out
 	})
 	var in *rgs.InputError
 	if errors.As(err, &in) {
@@ -132,9 +139,9 @@ func factorizeOnce[T dense.Float](a *dense.Matrix[T], cfg Config, rep *hazard.Re
 
 // attempt is one rung of a recovery ladder as withFallback runs it: the
 // action string recorded when it is tried, and the closure that tries it.
-type attempt[T any] struct {
+type attempt struct {
 	action string
-	try    func() (T, error)
+	try    func() (*Factorization, error)
 }
 
 // withFallback is the one ladder runner (factorization, update and downdate
@@ -142,8 +149,8 @@ type attempt[T any] struct {
 // ladder(err) in order until one succeeds, recording every retry in rep
 // under stage. The ladder is built from the first failure — the panel and
 // engine rungs depend on whether it was an overflow.
-func withFallback[T any](policy HazardPolicy, stage string, rep *hazard.Report,
-	first func() (T, error), ladder func(error) []attempt[T]) (T, error) {
+func withFallback(policy HazardPolicy, stage string, rep *hazard.Report,
+	first func() (*Factorization, error), ladder func(error) []attempt) (*Factorization, error) {
 	out, err := first()
 	if err == nil || policy != HazardFallback {
 		return out, err
@@ -162,33 +169,20 @@ func withFallback[T any](policy HazardPolicy, stage string, rep *hazard.Report,
 	return out, err
 }
 
-// rung is one step of a configuration ladder: a modified configuration and
+// rung is one step of the Factorize ladder: a modified configuration and
 // the action string recorded when it is tried.
 type rung struct {
 	cfg    Config
 	action string
 }
 
-// withConfigFallback is withFallback over configurations: try runs on cfg
-// and then on each rung of ladder(cfg, err).
-func withConfigFallback[T any](cfg Config, stage string, rep *hazard.Report,
-	ladder func(Config, error) []rung, try func(Config) (T, error)) (T, error) {
-	return withFallback(cfg.OnHazard, stage, rep,
-		func() (T, error) { return try(cfg) },
-		func(err error) []attempt[T] {
-			var out []attempt[T]
-			for _, r := range ladder(cfg, err) {
-				out = append(out, attempt[T]{r.action, func() (T, error) { return try(r.cfg) }})
-			}
-			return out
-		})
-}
-
 // engineLadder builds the Factorize recovery sequence for cfg given the
 // error that tripped the fallback. Rungs accumulate: each keeps what the
 // rungs before it changed. Column scaling goes back on if it was off; after a
 // breakdown (not an overflow, which no panel causes) each panel sturdier
-// than cfg.Panel follows; then the engine rungs, on the last of those panels.
+// than cfg.Panel follows; then, on the last of those panels, each engine of
+// cfg.Engine's recovery order (tcsim.Kind.Recovery, which skips the
+// fp16-range engines after an fp16 overflow).
 func engineLadder(cfg Config, err error) []rung {
 	if errors.As(err, new(*rgs.InputError)) {
 		return nil // no configuration factors a non-finite input
@@ -204,14 +198,6 @@ func engineLadder(cfg Config, err error) []rung {
 			out = append(out, rung{cfg, "retry with " + p.String() + " panel"})
 		}
 	}
-	return append(out, engineRungs(cfg, err)...)
-}
-
-// engineRungs is the engine half of the ladder: cfg on each engine of
-// cfg.Engine's recovery order (tcsim.Kind.Recovery, which skips the
-// fp16-range engines after an fp16 overflow).
-func engineRungs(cfg Config, err error) []rung {
-	var out []rung
 	for _, k := range cfg.Engine.Recovery(errors.Is(err, ErrOverflow)) {
 		cfg.Engine = k
 		out = append(out, rung{cfg, "retry with " + k.RungName() + " engine"})

@@ -2,8 +2,6 @@ package tcqr
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"tcqr/internal/accuracy"
 	"tcqr/internal/hazard"
@@ -103,83 +101,7 @@ func SolveLeastSquaresWithFactor(f *Factorization, a *Matrix, b []float64, opts 
 		Converged:     sol.Converged(),
 		Optimality:    accuracy.LLSOptimality(a, sol.X, b),
 		Factorization: f,
-		Hazards:       f.withHazards(rep.Events()),
+		// The factorization's hazards, then this right-hand side's.
+		Hazards: append(append([]Hazard(nil), f.Hazards...), rep.Events()...),
 	}, nil
-}
-
-// withHazards lists the factorization's hazards followed by the refinement
-// events of one right-hand side.
-func (f *Factorization) withHazards(events []Hazard) []Hazard {
-	return append(append([]Hazard(nil), f.Hazards...), events...)
-}
-
-// MultiResult is the outcome of SolveLeastSquaresMultiWithFactor: column j of X
-// minimizes ‖A·X[:,j] − B[:,j]‖, with the same per-column figures a
-// LeastSquaresResult reports for a single right-hand side.
-type MultiResult struct {
-	X          *Matrix
-	Iterations []int
-	Converged  []bool
-	Optimality []float64
-	// Factorization is the shared RGSQRF factor (one QR amortized over
-	// all right-hand sides — the economics behind Figure 8's pipeline).
-	Factorization *Factorization
-	// Hazards[j] lists the factorization's hazards followed by column j's
-	// refinement hazards — what SolveLeastSquaresWithFactor reports for
-	// B[:,j] alone.
-	Hazards [][]Hazard
-}
-
-// SolveLeastSquaresMultiWithFactor is SolveLeastSquaresWithFactor for a
-// block of right-hand sides over one factorization of A: it runs that solve
-// on every column of B concurrently, so column j is its answer for B[:,j] bit
-// for bit, hazards included, and returns the first error in column order.
-func SolveLeastSquaresMultiWithFactor(f *Factorization, a *Matrix, b *Matrix, opts SolveOptions) (*MultiResult, error) {
-	if b == nil || b.Rows != a.Rows {
-		rows := -1
-		if b != nil {
-			rows = b.Rows
-		}
-		return nil, fmt.Errorf("tcqr: lls: B has %d rows but A has %d: %w", rows, a.Rows, ErrShape)
-	}
-	if f.Q.Rows != a.Rows || f.Q.Cols != a.Cols {
-		return nil, fmt.Errorf("tcqr: lls: factorization is %dx%d but A is %dx%d: %w", f.Q.Rows, f.Q.Cols, a.Rows, a.Cols, ErrShape)
-	}
-	if err := hazard.CheckMatrix("B", b); err != nil {
-		return nil, fmt.Errorf("tcqr: lls: %w", err)
-	}
-	nrhs := b.Cols
-	out := &MultiResult{
-		X:             NewMatrix(a.Cols, nrhs),
-		Iterations:    make([]int, nrhs),
-		Converged:     make([]bool, nrhs),
-		Optimality:    make([]float64, nrhs),
-		Factorization: f,
-		Hazards:       make([][]Hazard, nrhs),
-	}
-	errs := make([]error, nrhs)
-	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var wg sync.WaitGroup
-	for j := range nrhs {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			sol, err := SolveLeastSquaresWithFactor(f, a, b.Col(j), opts)
-			if err != nil {
-				errs[j] = err
-				return
-			}
-			copy(out.X.Col(j), sol.X)
-			out.Iterations[j], out.Converged[j] = sol.Iterations, sol.Converged
-			out.Optimality[j], out.Hazards[j] = sol.Optimality, sol.Hazards
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -165,6 +165,16 @@ func TestSolveMethods(t *testing.T) {
 			t.Errorf("method %d: optimality %g", m, sol.Optimality)
 		}
 	}
+	// Method 2, classical refinement until it was retired, is refused, not
+	// answered by another method.
+	f, err := Factorize(ToFloat32(p.A), Config{Cutoff: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "tcqr: lls: unknown method 2"
+	if _, err := SolveLeastSquaresWithFactor(f, p.A, p.B, SolveOptions{Method: 2}); err == nil || err.Error() != want {
+		t.Errorf("method 2: error %v, want %s", err, want)
+	}
 }
 
 // TestLSQRConvergesWhereCGLSDiverges pins why RefineLSQR exists: on a bf16
@@ -239,20 +249,15 @@ func TestLowRank(t *testing.T) {
 	if lr2, err := LowRank(a, 1000, Config{Cutoff: 32}); err != nil || lr2.Rank != 64 {
 		t.Errorf("rank clamp: %v %d", err, lr2.Rank)
 	}
-}
-
-func TestSingularValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := ToFloat32(matgen.WithCond(rng, 256, 32, 100, matgen.Geometric))
-	s, err := SingularValues(a, Config{Cutoff: 16})
+	// The full-rank approximation's S is the whole spectrum: its endpoints
+	// are the generator's σ₁ = 1 and σ_n = 1/κ.
+	g := ToFloat32(matgen.WithCond(rand.New(rand.NewSource(7)), 256, 32, 100, matgen.Geometric))
+	spec, err := LowRank(g, g.Cols, Config{Cutoff: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s) != 32 {
-		t.Fatalf("%d singular values", len(s))
-	}
-	if math.Abs(float64(s[0])-1) > 1e-2 || math.Abs(float64(s[31])-0.01) > 1e-3 {
-		t.Errorf("spectrum endpoints %v %v", s[0], s[31])
+	if s := spec.S; len(s) != 32 || math.Abs(float64(s[0])-1) > 1e-2 || math.Abs(float64(s[31])-0.01) > 1e-3 {
+		t.Errorf("spectrum of %d values, endpoints %v %v; want 32 from 1 to 0.01", len(s), s[0], s[len(s)-1])
 	}
 }
 
@@ -393,93 +398,6 @@ func TestEngineBF16(t *testing.T) {
 	}
 }
 
-func TestSolveLinearSystem(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	n := 128
-	a := matgen.Normal(rng, n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, a.At(i, i)+float64(n)/4) // diagonally dominant
-	}
-	xTrue := make([]float64, n)
-	for i := range xTrue {
-		xTrue[i] = rng.NormFloat64()
-	}
-	b := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			b[i] += a.At(i, j) * xTrue[j]
-		}
-	}
-	res, err := SolveLinearSystem(a, b, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatalf("did not converge: %v", res.ResidualNorms)
-	}
-	for i := range xTrue {
-		if math.Abs(res.X[i]-xTrue[i]) > 1e-9 {
-			t.Fatalf("x[%d] off by %g", i, math.Abs(res.X[i]-xTrue[i]))
-		}
-	}
-	if res.GrowthFactor <= 0 {
-		t.Error("growth factor missing")
-	}
-	// FP32 engine converges in fewer (or equal) refinement steps.
-	resFP, err := SolveLinearSystem(a, b, Config{Engine: EngineFP32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resFP.Iterations > res.Iterations {
-		t.Errorf("FP32 LU (%d iters) should not need more refinement than TC (%d)", resFP.Iterations, res.Iterations)
-	}
-	// BFloat16 engine also reaches double precision, with more iterations
-	// than FP16 (coarser factors precondition worse).
-	resBF, err := SolveLinearSystem(a, b, Config{Engine: EngineBF16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resBF.Converged {
-		t.Error("BF16 LU+IR did not converge")
-	}
-	if resBF.Iterations < res.Iterations {
-		t.Errorf("BF16 (%d iters) should need at least as many as FP16 (%d)", resBF.Iterations, res.Iterations)
-	}
-}
-
-func TestSolveLeastSquaresMulti(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := matgen.WithCond(rng, 384, 96, 1e2, matgen.Arithmetic)
-	b := matgen.Normal(rng, 384, 4)
-	f, err := Factorize(ToFloat32(a), Config{Cutoff: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SolveLeastSquaresMultiWithFactor(f, a, b, SolveOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.X.Rows != 96 || res.X.Cols != 4 {
-		t.Fatalf("X shape %dx%d", res.X.Rows, res.X.Cols)
-	}
-	for j := 0; j < 4; j++ {
-		if !res.Converged[j] {
-			t.Errorf("rhs %d unconverged after %d iters", j, res.Iterations[j])
-		}
-		if opt := accuracy.LLSOptimality(a, res.X.Col(j), b.Col(j)); opt > 1e-9 {
-			t.Errorf("rhs %d optimality %g", j, opt)
-		}
-	}
-	if res.Factorization == nil || res.Factorization.Q == nil {
-		t.Error("shared factorization missing")
-	}
-	// A block whose rows are not A's is a shape error.
-	_, err = SolveLeastSquaresMultiWithFactor(f, a, NewMatrix(3, 2), SolveOptions{})
-	if want := "tcqr: lls: B has 3 rows but A has 384: " + ErrShape.Error(); !errors.Is(err, ErrShape) || err.Error() != want {
-		t.Errorf("row mismatch: error %v, want %s", err, want)
-	}
-}
-
 func TestPanelNamesRoundTrip(t *testing.T) {
 	for _, p := range []PanelAlgorithm{PanelCAQR, PanelHouseholder, PanelMGS} {
 		if got, err := ParsePanel(p.String()); err != nil || got != p {
@@ -505,25 +423,5 @@ func TestPanelNamesRoundTrip(t *testing.T) {
 	const want = `unknown panel "cholqr" (want one of [caqr householder mgs])`
 	if _, err := ParsePanel("cholqr"); err == nil || err.Error() != want {
 		t.Errorf(`ParsePanel("cholqr") = %v, want %s`, err, want)
-	}
-}
-
-func TestConditionNumber(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := ToFloat32(matgen.WithCond(rng, 512, 64, 1e3, matgen.Geometric))
-	kappa, err := ConditionNumber(a, Config{Cutoff: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kappa < 0.8e3 || kappa > 1.3e3 {
-		t.Errorf("κ estimate %g, want ≈1e3", kappa)
-	}
-	// Rank-deficient input reports an error.
-	z := NewMatrix32(10, 3)
-	for i := 0; i < 10; i++ {
-		z.Set(i, 0, 1)
-	}
-	if _, err := ConditionNumber(z, Config{}); err == nil {
-		t.Error("rank-deficient matrix should error")
 	}
 }

@@ -55,8 +55,8 @@ func UpdateAppendRows(f *Factorization, v *Matrix32, cfg Config) (*Factorization
 	}
 	return recoverUpdate(cfg, "update",
 		func() (*Factorization, error) { return appendOnce(f, v, false) },
-		func(error) []attempt[*Factorization] {
-			return []attempt[*Factorization]{
+		func(error) []attempt {
+			return []attempt{
 				{"retry update with column scaling", func() (*Factorization, error) {
 					return appendOnce(f, v, true)
 				}},
@@ -90,8 +90,8 @@ func UpdateRemoveRows(f *Factorization, k int, cfg Config) (*Factorization, erro
 	}
 	return recoverUpdate(cfg, "downdate",
 		func() (*Factorization, error) { return downdateOnce(f, k) },
-		func(error) []attempt[*Factorization] {
-			return []attempt[*Factorization]{
+		func(error) []attempt {
+			return []attempt{
 				{"refactorize remaining rows from scratch", func() (*Factorization, error) {
 					return Factorize(reconstructRows(f, m-k), cfg)
 				}},
@@ -104,7 +104,7 @@ func UpdateRemoveRows(f *Factorization, k int, cfg Config) (*Factorization, erro
 // events followed by those of the rung that produced it (a refactorize rung
 // brings the full factorization ladder's).
 func recoverUpdate(cfg Config, stage string, first func() (*Factorization, error),
-	ladder func(error) []attempt[*Factorization]) (*Factorization, error) {
+	ladder func(error) []attempt) (*Factorization, error) {
 	rep := &hazard.Report{}
 	nf, err := withFallback(cfg.OnHazard, stage, rep, first, ladder)
 	if err != nil {
