@@ -12,10 +12,10 @@
 #	make -s -n check | sh scripts/check_run_patterns.sh
 set -euf
 
-status=0
+status=0 lines=0
 while IFS= read -r line; do
 	case $line in
-	*" test "*"-run "*) ;;
+	*" test "*"-run "*) lines=$((lines + 1)) ;;
 	*) continue ;;
 	esac
 	eval "set -- $line"
@@ -58,4 +58,8 @@ while IFS= read -r line; do
 		fi
 	done
 done
+if [ "$lines" -eq 0 ]; then
+	echo "check-run-patterns: read no go test line with -run"
+	status=1
+fi
 exit $status
