@@ -82,13 +82,17 @@ reach:
 # goldens, kernel-family, determinism and allocation tests: it splits the rows
 # of a small output between workers and packs op(B) on all of them. So do the
 # update path's golden and the downdate's allocation bound, whose Q′ is that
-# GEMM run in row strips, and the float64-input Factorize against its
-# narrowing's. And the
+# GEMM run in row strips, and the append's allocation count, whose
+# compact-WY blocks run that GEMM too, and the float64-input Factorize
+# against its narrowing's. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
 # processors take them; nor may a served cold miss's, whose CAQR tiles run
 # there too: its factor is the library's, and its bytes stay under the
-# cold-frame gate. The tile-tree workspaces go round a sync.Pool, the
+# cold-frame gate; nor may a served cache-hit solve's object count. The pool
+# recycles its tasks and deadline timers across goroutines, so its
+# queueing, deadline and cache-hit allocation tests run once more under the
+# race detector. The tile-tree workspaces go round a sync.Pool, the
 # one piece of factorization state goroutines share, so concurrent panels of
 # different shapes run ten times under the race detector. The metrics
 # registry runs under it too: a labeled family's With takes its read lock,
@@ -102,9 +106,10 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|FactorizeEitherWidth' .
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
-	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|ServedFactorsAreLibraryFactors' ./internal/serve
+	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
+	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs' ./internal/serve
 
 # `go test -run` passes silently when its pattern selects nothing, so a test
 # renamed or deleted out from under a line of check would empty that gate

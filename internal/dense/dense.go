@@ -60,14 +60,24 @@ func (m *Matrix[T]) Col(j int) []T { return m.Data[j*m.Stride : j*m.Stride+m.Row
 // View returns the r×c submatrix whose top-left corner is (i, j). The view
 // shares storage with m.
 func (m *Matrix[T]) View(i, j, r, c int) *Matrix[T] {
-	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > m.Rows || j+c > m.Cols {
-		panic(fmt.Sprintf("dense: view [%d:%d, %d:%d] out of bounds of %dx%d", i, i+r, j, j+c, m.Rows, m.Cols))
+	v := new(Matrix[T])
+	v.SetView(m, i, j, r, c)
+	return v
+}
+
+// SetView re-points m at the r×c submatrix of src whose top-left corner is
+// (i, j), sharing src's storage: View without the allocation, for a loop
+// that moves one view across a matrix.
+func (m *Matrix[T]) SetView(src *Matrix[T], i, j, r, c int) {
+	if i < 0 || j < 0 || r < 0 || c < 0 || i+r > src.Rows || j+c > src.Cols {
+		panic(fmt.Sprintf("dense: view [%d:%d, %d:%d] out of bounds of %dx%d", i, i+r, j, j+c, src.Rows, src.Cols))
 	}
-	if r == 0 || c == 0 {
-		return &Matrix[T]{Rows: r, Cols: c, Stride: m.Stride}
+	var data []T
+	if r > 0 && c > 0 {
+		off := i + j*src.Stride
+		data = src.Data[off : off+(c-1)*src.Stride+r]
 	}
-	off := i + j*m.Stride
-	return &Matrix[T]{Rows: r, Cols: c, Stride: m.Stride, Data: m.Data[off : off+(c-1)*m.Stride+r]}
+	*m = Matrix[T]{Rows: r, Cols: c, Stride: src.Stride, Data: data}
 }
 
 // Clone returns a freshly allocated deep copy with a tight stride.

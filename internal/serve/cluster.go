@@ -51,14 +51,18 @@ type route struct {
 // forward is the route stage of every keyed endpoint. It returns true when
 // the response has been written (a relayed peer answer); false means the
 // caller serves locally. The forwarded frame is req through the same encoder
-// that writes responses, plus a forward section; req must already have
-// passed the endpoint's validation — a peer is never sent what this node
-// would have rejected.
-func (s *Server) forward(w http.ResponseWriter, rc *reqScope, ctx context.Context, rt route, req any) bool {
+// that writes responses, plus a forward section carrying what is left of the
+// request's deadline; req must already have passed the endpoint's validation
+// — a peer is never sent what this node would have rejected. A routed
+// request is the one place the deadline becomes a context: the peer calls
+// take one.
+func (s *Server) forward(w http.ResponseWriter, rc *reqScope, rt route, req any) bool {
 	cands, routed := s.clusterRoute(rc, rt)
 	if !routed {
 		return false
 	}
+	ctx, cancel := context.WithDeadline(rc.ctx, rc.deadline)
+	defer cancel()
 	frame, err := encodeFrame(req, forwardSection(s.cluster, ctx, len(cands)))
 	if err != nil {
 		s.cluster.NoteServedLocalFallback()

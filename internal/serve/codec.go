@@ -43,6 +43,11 @@ func isFrameRequest(r *http.Request) bool {
 	if ct == "" {
 		return false
 	}
+	// The bare type, which is what frame clients send, needs no parse (a
+	// parse allocates its parameter map).
+	if strings.EqualFold(ct, wirefmt.ContentType) {
+		return true
+	}
 	mt, _, err := mime.ParseMediaType(ct)
 	if err != nil {
 		return strings.EqualFold(strings.TrimSpace(ct), wirefmt.ContentType)
@@ -91,11 +96,31 @@ type bulkField struct {
 // section.
 type frameLayout struct {
 	meta any
-	bulk []bulkField
+	// bulk[:nbulk] are the bulk sections. A fixed array, not a slice: the
+	// layout is stated per request and per response, and a slice literal
+	// would be a heap allocation each time.
+	bulk  [maxBulk]bulkField
+	nbulk int
 	// deadline is the request's deadline_ms, which a peer forward's remaining
 	// budget tightens (nil: the endpoint is never forwarded).
 	deadline *int64
 }
+
+// maxBulk is the most bulk sections a body type has (lowRankResponse: u, s,
+// v).
+const maxBulk = 3
+
+// layout states a frame: meta, then the bulk sections in order.
+func layout(meta any, deadline *int64, bulk ...bulkField) frameLayout {
+	l := frameLayout{meta: meta, deadline: deadline, nbulk: len(bulk)}
+	if copy(l.bulk[:], bulk) < len(bulk) {
+		panic("serve: a frame layout states more than maxBulk bulk sections")
+	}
+	return l
+}
+
+// fields returns the layout's bulk sections in order.
+func (l *frameLayout) fields() []bulkField { return l.bulk[:l.nbulk] }
 
 // framed is implemented by the body types that carry bulk payloads.
 type framed interface{ frame() frameLayout }
@@ -112,7 +137,7 @@ func layoutOf(v any) frameLayout {
 func (l frameLayout) String() string {
 	var sb strings.Builder
 	sb.WriteString("[JSON meta")
-	for _, f := range l.bulk {
+	for _, f := range l.fields() {
 		sb.WriteString(", " + f.name)
 		if f.optional {
 			sb.WriteByte('?')
@@ -241,7 +266,7 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 	if aerr := decodeJSON(bytes.NewReader(metaBytes), l.meta); aerr != nil {
 		return false, aerr
 	}
-	for _, f := range l.bulk {
+	for _, f := range l.fields() {
 		if m, vec := f.get(); m != nil || len(vec) != 0 {
 			return false, errBadInput(fmt.Sprintf("%s frame metadata must not carry the %q field; send it as a binary section", endpoint, f.name))
 		}
@@ -251,7 +276,7 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 	if n := len(rest); n > 0 && rest[n-1].Tag == wirefmt.TagForward {
 		rest, fwd = rest[:n-1], &rest[n-1]
 	}
-	for _, f := range l.bulk {
+	for _, f := range l.fields() {
 		switch {
 		case len(rest) > 0 && rest[0].Tag == f.tag():
 			if f.mat != nil {
@@ -333,19 +358,19 @@ func encodeFrame(v any, tail ...wirefmt.Section) (*[]byte, error) {
 	)
 	// The bulk payloads leave v while the metadata is marshaled, so that a
 	// request — which is its own metadata — renders without them.
-	for i, f := range l.bulk {
+	for i, f := range l.fields() {
 		held[i].m, held[i].vec = f.get()
 		f.set(nil, nil)
 	}
 	metaJSON, err := json.Marshal(l.meta)
-	for i, f := range l.bulk {
+	for i, f := range l.fields() {
 		f.set(held[i].m, held[i].vec)
 	}
 	if err != nil {
 		return nil, err
 	}
 	secs := append(scratch[:0], wirefmt.JSONSection(metaJSON))
-	for i, f := range l.bulk {
+	for i, f := range l.fields() {
 		m := held[i].m
 		switch {
 		case f.vec != nil:

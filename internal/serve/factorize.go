@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"time"
@@ -9,17 +8,18 @@ import (
 	"tcqr"
 )
 
-// requestContext derives the request's compute deadline: the client's
-// deadline_ms when given, the server default otherwise, whichever is
-// sooner.
-func (s *Server) requestContext(r *http.Request, deadlineMS int64) (context.Context, context.CancelFunc) {
-	d := s.opts.DefaultDeadline
+// startDeadline sets the request's compute deadline, counted from now: the
+// client's deadline_ms when given, the server default otherwise, whichever
+// is sooner. It is the one deadline of the request: the pool wait ends at
+// it, and a peer forward carries what is left of it.
+func (rc *reqScope) startDeadline(deadlineMS int64) {
+	d := rc.s.opts.DefaultDeadline
 	if deadlineMS > 0 {
 		if cd := time.Duration(deadlineMS) * time.Millisecond; cd < d {
 			d = cd
 		}
 	}
-	return context.WithTimeout(r.Context(), d)
+	rc.deadline = time.Now().Add(d)
 }
 
 // resolveMatrix validates an uploaded matrix against the size cap.
@@ -49,13 +49,13 @@ func (rc *reqScope) contentKey(a *tcqr.Matrix, cfg tcqr.Config) string {
 // factorEntry runs GetOrFactor through the pool, charging queue and key (a
 // hit) or factorize (anything else) stage time plus the panel counter for
 // factorizations actually performed.
-func (s *Server) factorEntry(ctx context.Context, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
+func (s *Server) factorEntry(rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config) (*Entry, Source, error) {
 	var (
 		entry *Entry
 		src   Source
 		ferr  error
 	)
-	took, err := rc.onPool(ctx, func() {
+	took, err := rc.onPool(func() {
 		entry, src, ferr = s.cache.GetOrFactor(key, a, cfg)
 	})
 	if err != nil {
@@ -91,21 +91,20 @@ func (s *Server) serveFactorize(rc *reqScope, w http.ResponseWriter, r *http.Req
 	if err != nil {
 		return err
 	}
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
+	rc.startDeadline(req.DeadlineMS)
 	key := rc.contentKey(a, cfg)
 	rc.key = key
-	if s.forward(w, rc, ctx, route{path: "/v1/factorize", key: key}, &req) {
+	if s.forward(w, rc, route{path: "/v1/factorize", key: key}, &req) {
 		return nil
 	}
-	return s.factorizeReply(w, rc, ctx, key, a, cfg, req.Config)
+	return s.factorizeReply(w, rc, key, a, cfg, req.Config)
 }
 
 // factorizeReply is the shared tail of the one-shot and the streamed
 // factorize: factor (or find) the entry under key, re-home a fresh one to
 // the key's owners, and answer with the factorizeResponse.
-func (s *Server) factorizeReply(w http.ResponseWriter, rc *reqScope, ctx context.Context, key string, a *tcqr.Matrix, cfg tcqr.Config, wcfg WireConfig) error {
-	entry, src, err := s.factorEntry(ctx, rc, key, a, cfg)
+func (s *Server) factorizeReply(w http.ResponseWriter, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config, wcfg WireConfig) error {
+	entry, src, err := s.factorEntry(rc, key, a, cfg)
 	if err != nil {
 		return err
 	}

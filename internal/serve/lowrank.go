@@ -20,13 +20,12 @@ func (s *Server) serveLowRank(rc *reqScope, w http.ResponseWriter, r *http.Reque
 	if err != nil {
 		return err
 	}
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
+	rc.startDeadline(req.DeadlineMS)
 	var (
 		res  *tcqr.LowRankApprox
 		lerr error
 	)
-	took, err := rc.onPool(ctx, func() {
+	took, err := rc.onPool(func() {
 		res, lerr = s.backend.LowRank(a, req.Rank, cfg)
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,8 +38,9 @@ type PoolStats struct {
 
 // Pool is a bounded worker pool with admission control: a fixed number of
 // workers drain a fixed-depth queue, submissions past the depth are
-// rejected immediately with ErrQueueFull, and tasks whose context expires
-// while still queued are skipped (ErrDeadline) rather than run late. This
+// rejected immediately with ErrQueueFull, and tasks whose submitter stopped
+// waiting (deadline or cancellation) while they were still queued are
+// skipped (ErrDeadline) rather than run late. This
 // is the only place compute concurrency is created, so GOMAXPROCS-heavy
 // GEMM work cannot be oversubscribed by accepting unbounded requests.
 type Pool struct {
@@ -55,11 +57,44 @@ type Pool struct {
 type poolTask struct {
 	fn        func()
 	enqueued  time.Time
-	wait      time.Duration // queue wait, written by the worker before fn
+	wait, ran time.Duration // queue wait and fn's run time, written by the worker
 	cancelled atomic.Bool
-	done      chan struct{} // closed after fn returns (or the task is skipped)
-	skipped   bool
-	panicErr  error // set by the worker when fn panicked; surfaced by Do
+	// done has one slot: the worker sends on it once fn returns (or the task
+	// is skipped) and never touches the task again, so the submitter that
+	// receives owns the task outright and recycles it.
+	done     chan struct{}
+	skipped  bool
+	panicErr error // set by the worker when fn panicked; surfaced by run
+}
+
+// Tasks and deadline timers are recycled across requests, so a cache-hit
+// solve allocates neither. A task goes back only from the submitter that
+// received its completion; one abandoned on a deadline or a cancellation is
+// left to the collector, because a worker may still hold it. A timer goes
+// back stopped and drained, so it never fires into a later wait.
+var (
+	taskPool  = sync.Pool{New: func() any { return &poolTask{done: make(chan struct{}, 1)} }}
+	timerPool sync.Pool
+)
+
+func getTimer(d time.Duration) *time.Timer {
+	if tm, ok := timerPool.Get().(*time.Timer); ok {
+		tm.Reset(d)
+		return tm
+	}
+	return time.NewTimer(d)
+}
+
+func putTimer(tm *time.Timer) {
+	if !tm.Stop() {
+		// It fired: its value was either received or still waits in the
+		// channel.
+		select {
+		case <-tm.C:
+		default:
+		}
+	}
+	timerPool.Put(tm)
 }
 
 // NewPool starts workers goroutines draining a queue of depth queueDepth.
@@ -88,7 +123,7 @@ func (p *Pool) worker() {
 // observe queued==0 && inFlight==0 while a dequeued task is about to run —
 // happens first, as two bare atomic adds with nothing between them that
 // could panic. Everything after it runs under a deferred recovery that
-// restores the counters, closes t.done, and keeps the worker goroutine
+// restores the counters, signals t.done, and keeps the worker goroutine
 // alive no matter what unwinds — a panicking task fn or a fault injected at
 // the dequeue site. There is therefore no instant at which a dequeued task
 // is counted in neither gauge, and no panic between dequeue and completion
@@ -107,7 +142,7 @@ func (p *Pool) runOne(t *poolTask) {
 			p.completed.Add(1)
 		}
 		p.inFlight.Add(-1)
-		close(t.done)
+		t.done <- struct{}{}
 	}()
 	if err := faultinject.Fire(sitePoolDequeue); err != nil {
 		t.panicErr = err
@@ -117,8 +152,10 @@ func (p *Pool) runOne(t *poolTask) {
 		t.skipped = true
 		return
 	}
-	t.wait = time.Since(t.enqueued)
+	t0 := time.Now()
+	t.wait = t0.Sub(t.enqueued)
 	t.fn()
+	t.ran = time.Since(t0)
 }
 
 // Do submits fn and blocks until it has run, the queue rejects it, or ctx
@@ -130,37 +167,65 @@ func (p *Pool) runOne(t *poolTask) {
 // discarded, so fn must not assume it never runs once Do has returned an
 // error.
 func (p *Pool) Do(ctx context.Context, fn func()) (time.Duration, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, ErrDeadline
+	// ctx's Done channel closes at its deadline too, so it needs no timer.
+	wait, _, err := p.run(ctx.Done(), time.Time{}, fn)
+	return wait, err
+}
+
+// run is Do on the request pipeline's terms: the wait ends when cancel is
+// closed or at deadline (zero: none), whichever comes first, with no context
+// built for either. It returns fn's queue wait and run time.
+func (p *Pool) run(cancel <-chan struct{}, deadline time.Time, fn func()) (wait, ran time.Duration, err error) {
+	select {
+	case <-cancel:
+		return 0, 0, ErrDeadline
+	default:
+	}
+	var expire <-chan time.Time
+	if !deadline.IsZero() {
+		d := time.Until(deadline)
+		if d <= 0 {
+			return 0, 0, ErrDeadline
+		}
+		tm := getTimer(d)
+		defer putTimer(tm)
+		expire = tm.C
 	}
 	if err := faultinject.Fire(sitePoolEnqueue); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	t := &poolTask{fn: fn, enqueued: time.Now(), done: make(chan struct{})}
+	t := taskPool.Get().(*poolTask)
+	t.fn, t.enqueued = fn, time.Now()
 	p.queued.Add(1)
 	select {
 	case p.tasks <- t:
 	default:
 		p.queued.Add(-1)
 		p.rejFull.Add(1)
-		return 0, ErrQueueFull
+		t.fn = nil
+		taskPool.Put(t)
+		return 0, 0, ErrQueueFull
 	}
 	select {
 	case <-t.done:
-		if t.skipped {
-			return 0, ErrDeadline
+		wait, ran, skipped, err := t.wait, t.ran, t.skipped, t.panicErr
+		*t = poolTask{done: t.done}
+		taskPool.Put(t)
+		switch {
+		case skipped:
+			return 0, 0, ErrDeadline
+		case err != nil:
+			return 0, 0, err
 		}
-		if t.panicErr != nil {
-			return 0, t.panicErr
-		}
-		return t.wait, nil
-	case <-ctx.Done():
-		// Mark the task dead; if a worker picked it up in this instant the
-		// work completes anyway and we still report the deadline — the
-		// client has gone.
-		t.cancelled.Store(true)
-		return 0, ErrDeadline
+		return wait, ran, nil
+	case <-cancel:
+	case <-expire:
 	}
+	// Mark the task dead; if a worker picked it up in this instant the work
+	// completes anyway and we still report the deadline — the client has
+	// gone. The task is not recycled: the worker may still hold it.
+	t.cancelled.Store(true)
+	return 0, 0, ErrDeadline
 }
 
 // AwaitIdle blocks until the queue is empty and no task is running, or ctx

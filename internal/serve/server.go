@@ -255,6 +255,13 @@ type reqScope struct {
 	stages   stageClock
 	start    time.Time
 
+	// ctx is the client's context (done when the client goes away) and
+	// deadline the request's compute deadline (startDeadline; zero until an
+	// endpoint sets it). A pool wait ends at whichever comes first; a
+	// context carrying both is built only for a peer forward.
+	ctx      context.Context
+	deadline time.Time
+
 	// binReq/frameResp record the negotiated encodings (see codec.go);
 	// bodyBuf is the pooled frame buffer a decoded request still views,
 	// recycled by finish (a solve abandoned on deadline drops it instead: a
@@ -263,6 +270,9 @@ type reqScope struct {
 	frameResp bool
 	bodyBuf   *[]byte
 	respCT    string // response Content-Type; empty selects application/json
+	// timing backs the Server-Timing header value, so setting it allocates
+	// only the rendered string.
+	timing [1]string
 
 	// forwarded marks a request that arrived with the cluster loop-guard
 	// header: a peer routed it here, so it is served locally, never
@@ -283,6 +293,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 		endpoint: endpoint,
 		method:   r.Method,
 		start:    time.Now(),
+		ctx:      r.Context(),
 	}
 	rc.binReq = isFrameRequest(r)
 	rc.frameResp = wantsFrameResponse(r, rc.binReq)
@@ -307,7 +318,13 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 		return rc, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 			msg: fmt.Sprintf("request body of %d bytes exceeds the server's %d-byte cap", r.ContentLength, s.opts.MaxBodyBytes)}
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	// A frame body of declared length needs no reader cap on top: the check
+	// above held the declaration to the cap, and readBody reads exactly that
+	// many bytes. A JSON body, or one of unknown length, is read to its end,
+	// so it keeps the cap.
+	if !rc.binReq || r.ContentLength < 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
+	}
 	return rc, nil
 }
 
@@ -339,20 +356,49 @@ func (rc *reqScope) fail(w http.ResponseWriter, e *apiError) {
 	rc.finish(w, e.status, append(body, '\n'))
 }
 
+// The two Content-Type values of the daemon's own responses. finish assigns
+// them to the header map as they are: the map's values are only ever read or
+// replaced (a Clone copies them), so every response can share them.
+var (
+	jsonContentType  = []string{"application/json"}
+	frameContentType = []string{wirefmt.ContentType}
+)
+
+// statusLabels holds the responses counter's label of every three-digit
+// status, so counting a response allocates nothing.
+var statusLabels = func() (l [600]string) {
+	for code := 100; code < len(l); code++ {
+		l[code] = strconv.Itoa(code)
+	}
+	return l
+}()
+
+func statusLabel(code int) string {
+	if code >= 100 && code < len(statusLabels) {
+		return statusLabels[code]
+	}
+	return strconv.Itoa(code)
+}
+
 // finish folds the request's stage clock into the latency histograms, emits
 // the Server-Timing header, writes the response, logs the request, and —
 // nothing reads the request after this — recycles its frame buffer.
 func (rc *reqScope) finish(w http.ResponseWriter, status int, body []byte) {
 	rc.stages.observe(rc.s.metrics.stageSeconds)
-	rc.s.metrics.responses.With(strconv.Itoa(status)).Inc()
-	ct := rc.respCT
-	if ct == "" {
-		ct = "application/json"
+	rc.s.metrics.responses.With(statusLabel(status)).Inc()
+	h := w.Header()
+	switch rc.respCT {
+	case "", jsonContentType[0]:
+		h["Content-Type"] = jsonContentType
+	case frameContentType[0]:
+		h["Content-Type"] = frameContentType
+	default:
+		h.Set("Content-Type", rc.respCT)
 	}
-	w.Header().Set("Content-Type", ct)
 	st := rc.stages.header()
 	if st != "" {
-		w.Header().Set("Server-Timing", st)
+		rc.timing[0] = st
+		h["Server-Timing"] = rc.timing[:]
 	}
 	w.WriteHeader(status)
 	_, _ = w.Write(body)

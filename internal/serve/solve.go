@@ -22,8 +22,7 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 	if err != nil {
 		return err
 	}
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
+	rc.startDeadline(req.DeadlineMS)
 
 	var (
 		entry *Entry
@@ -42,7 +41,7 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 		// Route before the local lookup: a non-owner without the entry
 		// forwards to the owners; exhausted candidates fall through to the
 		// local (404) answer as the served_local_fallback outcome.
-		if s.forward(w, rc, ctx, route{path: "/v1/solve", key: req.Key, keyOnly: true}, &req) {
+		if s.forward(w, rc, route{path: "/v1/solve", key: req.Key, keyOnly: true}, &req) {
 			return nil
 		}
 		e, found := s.cache.Get(req.Key)
@@ -60,11 +59,11 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 			return cerr
 		}
 		key := rc.contentKey(a, cfg)
-		if s.forward(w, rc, ctx, route{path: "/v1/solve", key: key}, &req) {
+		if s.forward(w, rc, route{path: "/v1/solve", key: key}, &req) {
 			return nil
 		}
 		var ferr error
-		entry, src, ferr = s.factorEntry(ctx, rc, key, a, cfg)
+		entry, src, ferr = s.factorEntry(rc, key, a, cfg)
 		if ferr != nil {
 			return ferr
 		}
@@ -92,7 +91,7 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 		res  *tcqr.LeastSquaresResult
 		serr error
 	)
-	took, err := rc.onPool(ctx, func() {
+	took, err := rc.onPool(func() {
 		res, serr = s.backend.SolveWithFactor(entry.F, entry.A, req.B, opts)
 	})
 	if err != nil {

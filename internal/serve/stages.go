@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"strconv"
 	"time"
 
@@ -78,19 +77,16 @@ func (c *stageClock) observe(h *metrics.HistogramVec) {
 }
 
 // onPool runs fn on a pool worker and returns how long it ran, charging the
-// queue wait on the way. When Do gives up first (a deadline while fn is
+// queue wait on the way. The wait ends at the request's deadline or when its
+// client goes away. When the pool gives up first (a deadline while fn is
 // already running) fn still finishes on the worker, which is why the
-// durations travel back through Do rather than being charged from inside fn.
-func (rc *reqScope) onPool(ctx context.Context, fn func()) (time.Duration, error) {
-	var took time.Duration
-	wait, err := rc.s.pool.Do(ctx, func() {
-		t0 := time.Now()
-		fn()
-		took = time.Since(t0)
-	})
+// durations travel back from the worker rather than being charged from
+// inside fn.
+func (rc *reqScope) onPool(fn func()) (time.Duration, error) {
+	wait, ran, err := rc.s.pool.run(rc.ctx.Done(), rc.deadline, fn)
 	if err != nil {
 		return 0, err
 	}
 	rc.stages.add(stageQueue, wait)
-	return took, nil
+	return ran, nil
 }

@@ -307,15 +307,14 @@ func (s *Server) serveStreamCommit(rc *reqScope, w http.ResponseWriter, r *http.
 	}
 	a := ss.assemble()
 	rc.rows, rc.cols = a.Rows, a.Cols
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
+	rc.startDeadline(req.DeadlineMS)
 	// From here the streamed matrix is indistinguishable from a one-shot
 	// upload: same key derivation, same cache/pool pipeline,
 	// same replica fan-out, same response envelope. Only routing differs: the
 	// commit always runs locally — sessions are node-local state.
 	key := rc.contentKey(a, ss.cfg)
 	rc.key = key
-	return s.factorizeReply(w, rc, ctx, key, a, ss.cfg, ss.wcfg)
+	return s.factorizeReply(w, rc, key, a, ss.cfg, ss.wcfg)
 }
 
 func (s *Server) serveStreamAbort(rc *reqScope, w http.ResponseWriter, r *http.Request) error {

@@ -35,12 +35,11 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 			return aerr
 		}
 	}
-	ctx, cancel := s.requestContext(r, req.DeadlineMS)
-	defer cancel()
+	rc.startDeadline(req.DeadlineMS)
 	// Updates must run where the series lives (the epoch chain is node-local
 	// state): a node without it routes to the base key's owners exactly like
 	// a by-key solve it cannot answer.
-	if s.forward(w, rc, ctx, route{path: "/v1/update", key: req.Key, keyOnly: true}, &req) {
+	if s.forward(w, rc, route{path: "/v1/update", key: req.Key, keyOnly: true}, &req) {
 		return nil
 	}
 	old, berr := s.cache.BeginUpdate(req.Key)
@@ -67,7 +66,7 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 	if v64 != nil {
 		v = tcqr.ToFloat32(v64)
 	}
-	took, err := rc.onPool(ctx, func() {
+	took, err := rc.onPool(func() {
 		// Failpoint: an injected error here aborts the update after the
 		// series was latched — the recovery path that must leave the
 		// current epoch published and the series unlocked.

@@ -192,8 +192,7 @@ type factorizeRequest struct {
 }
 
 func (r *factorizeRequest) frame() frameLayout {
-	return frameLayout{meta: r, deadline: &r.DeadlineMS,
-		bulk: []bulkField{{name: "matrix", mat: &r.Matrix}}}
+	return layout(r, &r.DeadlineMS, bulkField{name: "matrix", mat: &r.Matrix})
 }
 
 // factorizeResponse reports the cached factorization. Key addresses it in
@@ -222,8 +221,8 @@ type solveRequest struct {
 }
 
 func (r *solveRequest) frame() frameLayout {
-	return frameLayout{meta: r, deadline: &r.DeadlineMS,
-		bulk: []bulkField{{name: "matrix", mat: &r.Matrix, optional: true}, {name: "b", vec: &r.B}}}
+	return layout(r, &r.DeadlineMS,
+		bulkField{name: "matrix", mat: &r.Matrix, optional: true}, bulkField{name: "b", vec: &r.B})
 }
 
 // solveResponse is one least squares solution: x, then the metadata (which
@@ -245,7 +244,7 @@ type solveMeta struct {
 }
 
 func (r *solveResponse) frame() frameLayout {
-	return frameLayout{meta: &r.solveMeta, bulk: []bulkField{{name: "x", vec: &r.X}}}
+	return layout(&r.solveMeta, nil, bulkField{name: "x", vec: &r.X})
 }
 
 // updateRequest is the body of POST /v1/update: an incremental mutation of
@@ -262,8 +261,7 @@ type updateRequest struct {
 }
 
 func (r *updateRequest) frame() frameLayout {
-	return frameLayout{meta: r, deadline: &r.DeadlineMS,
-		bulk: []bulkField{{name: "append", mat: &r.Append, optional: true}}}
+	return layout(r, &r.DeadlineMS, bulkField{name: "append", mat: &r.Append, optional: true})
 }
 
 // updateResponse reports the newly published epoch. Subsequent solves by
@@ -302,7 +300,7 @@ type streamAppendRequest struct {
 }
 
 func (r *streamAppendRequest) frame() frameLayout {
-	return frameLayout{meta: r, bulk: []bulkField{{name: "block", mat: &r.Block}}}
+	return layout(r, nil, bulkField{name: "block", mat: &r.Block})
 }
 
 // streamAppendResponse acknowledges one accepted block with the session's
@@ -340,8 +338,7 @@ type lowRankRequest struct {
 }
 
 func (r *lowRankRequest) frame() frameLayout {
-	return frameLayout{meta: r, deadline: &r.DeadlineMS,
-		bulk: []bulkField{{name: "matrix", mat: &r.Matrix}}}
+	return layout(r, &r.DeadlineMS, bulkField{name: "matrix", mat: &r.Matrix})
 }
 
 // lowRankResponse carries the truncated SVD factors, then the metadata (the
@@ -361,8 +358,8 @@ type lowRankMeta struct {
 }
 
 func (r *lowRankResponse) frame() frameLayout {
-	return frameLayout{meta: &r.lowRankMeta,
-		bulk: []bulkField{{name: "u", mat: &r.U}, {name: "s", vec: &r.S}, {name: "v", mat: &r.V}}}
+	return layout(&r.lowRankMeta, nil,
+		bulkField{name: "u", mat: &r.U}, bulkField{name: "s", vec: &r.S}, bulkField{name: "v", mat: &r.V})
 }
 
 // errorBody is the uniform error envelope: every non-2xx response carries

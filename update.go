@@ -236,6 +236,8 @@ func appendOnce(f *Factorization, v *Matrix32, scale bool) (*Factorization, erro
 	s := make([]float64, nb)
 	nq := dense.New[float32](m+k, n)
 	qFinite := true
+	// The per-block views, allocated once and re-pointed at each block.
+	var zv, ztv, tv, qv, pv, uv, rv dense.Matrix[float32]
 	for j0 := 0; j0 < n; j0 += nb {
 		j1 := j0 + nb
 		if j1 > n {
@@ -265,15 +267,18 @@ func appendOnce(f *Factorization, v *Matrix32, scale bool) (*Factorization, erro
 				rb.Set(k+a, b, 0)
 			}
 		}
-		zv := z32.View(0, j0, k, cb)
-		ztv := rb.View(0, 0, k, cb)
-		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, zv, rb.View(k, 0, cb, cb), 0, ztv)
-		qv := ub.View(0, k, m+k, cb)
+		zv.SetView(z32, 0, j0, k, cb)
+		ztv.SetView(rb, 0, 0, k, cb)
+		tv.SetView(rb, k, 0, cb, cb)
+		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, &zv, &tv, 0, &ztv)
+		qv.SetView(ub, 0, k, m+k, cb)
 		for c := 0; c < cb; c++ {
 			copy(qv.Col(c), f.Q.Col(j0+c))
 		}
-		pv := py.View(0, 0, m+k, cb)
-		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, ub.View(0, 0, m+k, k+cb), rb.View(0, 0, k+cb, cb), 0, pv)
+		uv.SetView(ub, 0, 0, m+k, k+cb)
+		rv.SetView(rb, 0, 0, k+cb, cb)
+		pv.SetView(py, 0, 0, m+k, cb)
+		blas.Gemm(blas.NoTrans, blas.NoTrans, 1, &uv, &rv, 0, &pv)
 		// Column j0+c of Q′ is final: [Q_blk; 0] − P, narrowed with its
 		// canonicalization sign. The finite check rides along while the
 		// column is cache-hot (v − v is 0 for finite v, NaN otherwise)
@@ -300,7 +305,7 @@ func appendOnce(f *Factorization, v *Matrix32, scale bool) (*Factorization, erro
 			}
 		}
 		if j1 < n {
-			blas.Gemm(blas.NoTrans, blas.Trans, -1, pv, zv, 1, bt)
+			blas.Gemm(blas.NoTrans, blas.Trans, -1, &pv, &zv, 1, bt)
 		}
 	}
 	nf := &Factorization{Q: nq, R: dense.ToF32(rd)}
