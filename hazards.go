@@ -34,12 +34,15 @@ const (
 	// result into a typed error: the computation stops at the first
 	// breakdown, overflow, or non-finite value instead of returning garbage.
 	HazardFail = hazard.Fail
-	// HazardFallback enables the recovery ladder: a failed factorization is
-	// refactored whole with column scaling, then after a breakdown on the MGS
-	// and Householder panels, then on the later engines of the recovery order
-	// (after an fp16 overflow: bfloat16, then plain FP32). Every recovery is
-	// recorded in the result's Hazards, and a recovered factorization is the
-	// plain Factorize of the configuration its last recovery names.
+	// HazardFallback enables the recovery ladder, Factorize's and the only
+	// one: a failed factorization is refactored whole with column scaling,
+	// then after a breakdown on the MGS and Householder panels, then on the
+	// later engines of the recovery order (after an fp16 overflow: bfloat16,
+	// then plain FP32). Every recovery is recorded in the result's Hazards,
+	// and a recovered factorization is the plain Factorize of the
+	// configuration its last recovery names. A downdate that breaks down
+	// records one event and returns Factorize of the remaining rows; an
+	// append has no recovery and fails alike under either policy.
 	// Refinement has no rung: CGLS stagnation or divergence keeps the best
 	// iterate and is recorded under either policy.
 	HazardFallback = hazard.Fallback

@@ -14,10 +14,10 @@ import (
 // with its rows split between workers — and GemmBatch to zero heap
 // allocations per call at one, two and four processors, the parked helpers
 // included. testing.AllocsPerRun would pin GOMAXPROCS to 1, where the caller
-// runs every task itself, so allocsPerCall counts with runtime.MemStats, after
-// fillParkCaches has put the runtime's own parking records in steady state.
-// (Not under -race: the detector's runtime allocates when goroutines hand work
-// to each other.)
+// runs every task itself, so allocsPerCall counts with runtime.MemStats,
+// after roundtest.ParkCaches has put the runtime's own parking records in
+// steady state. (Not under -race: the detector's runtime allocates when
+// goroutines hand work to each other.)
 func TestGemmAllocationFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(14))

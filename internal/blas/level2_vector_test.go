@@ -7,9 +7,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"tcqr/internal/dense"
+	"tcqr/internal/roundtest"
 )
 
 // The tests in this file hold the AVX2 level-2 kernels (level2_amd64.s) to
@@ -675,12 +675,12 @@ func TestLevel2NoAllocs(t *testing.T) {
 // allocsPerCall is testing.AllocsPerRun at the current GOMAXPROCS: the mean
 // number of heap allocations, anywhere in the process, per call of f after a
 // warm-up that starts the helpers and fills the job free lists, and
-// fillParkCaches.
+// roundtest.ParkCaches.
 func allocsPerCall(runs int, f func()) uint64 {
 	for i := 0; i < 10; i++ {
 		f()
 	}
-	fillParkCaches()
+	roundtest.ParkCaches()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -688,38 +688,6 @@ func allocsPerCall(runs int, f func()) uint64 {
 	}
 	runtime.ReadMemStats(&after)
 	return (after.Mallocs - before.Mallocs) / uint64(runs)
-}
-
-// fillParkCaches puts the runtime's goroutine-parking records in steady state
-// at the current GOMAXPROCS, so that an allocation test which parks
-// goroutines counts the code's allocations and not the runtime's. A goroutine
-// that parks on a channel takes a record (a sudog) from its processor's cache,
-// which holds at most 128, or from the central cache, and the runtime
-// allocates one only when both are empty. A GC empties the central cache and
-// a GOMAXPROCS change the caches of the processors it removes; until the
-// records in circulation exceed what the other processors' caches can hold,
-// callers that park on one processor and resume on another keep the runtime
-// allocating. This parks twice that many goroutines at once and releases
-// them, which leaves as many records in circulation; nothing between it and
-// the measurement may start a GC.
-func fillParkCaches() {
-	runtime.GC()
-	n := 256 * runtime.GOMAXPROCS(0)
-	var started, done sync.WaitGroup
-	started.Add(n)
-	done.Add(n)
-	release := make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func() {
-			started.Done()
-			<-release
-			done.Done()
-		}()
-	}
-	started.Wait()
-	time.Sleep(time.Millisecond) // every goroutine reaches its receive
-	close(release)
-	done.Wait()
 }
 
 func level2NoAllocs[T dense.Float](t *testing.T) {

@@ -119,8 +119,7 @@ type registry struct {
 
 	seq    atomic.Int64
 	mu     sync.Mutex
-	events []Event // bounded at maxEvents; counters keep going past it
-	counts map[string]int64
+	events []Event // bounded at maxEvents; seq keeps counting past it
 }
 
 // maxEvents bounds the replay log so a soak run cannot grow it without
@@ -176,9 +175,6 @@ func Disarm() {
 	armMu.Unlock()
 }
 
-// Armed reports whether a fault schedule is installed.
-func Armed() bool { return armed.Load() != nil }
-
 // Sites returns the armed site names in sorted order (nil when disarmed).
 func Sites() []string {
 	r := armed.Load()
@@ -203,31 +199,6 @@ func Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Event(nil), r.events...)
-}
-
-// Counts returns per-site firing counts of the currently armed schedule.
-func Counts() map[string]int64 {
-	r := armed.Load()
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.counts))
-	for k, v := range r.counts {
-		out[k] = v
-	}
-	return out
-}
-
-// InjectedTotal returns the total number of firings across all sites of the
-// currently armed schedule.
-func InjectedTotal() int64 {
-	r := armed.Load()
-	if r == nil {
-		return 0
-	}
-	return r.seq.Load()
 }
 
 // RegisterObserver adds fn to the firing observer list and returns an
@@ -365,7 +336,6 @@ func (r *registry) record(ev Event) {
 	if len(r.events) < maxEvents {
 		r.events = append(r.events, ev)
 	}
-	r.counts[ev.Site]++
 	r.mu.Unlock()
 }
 
@@ -382,7 +352,7 @@ func notifyObservers(ev Event) {
 // --- spec parsing -----------------------------------------------------------
 
 func parseSpec(spec string) (*registry, error) {
-	r := &registry{seed: 1, rules: make(map[string]*rule), counts: make(map[string]int64)}
+	r := &registry{seed: 1, rules: make(map[string]*rule)}
 	var clauses []string // site clauses, parsed after the seed is known
 	for _, term := range strings.Split(spec, ";") {
 		term = strings.TrimSpace(term)

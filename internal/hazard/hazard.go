@@ -144,7 +144,7 @@ func (e Event) String() string {
 // Report accumulates hazard events. The zero value is ready to use; its
 // methods are safe on a nil receiver, so hazard-oblivious callers can simply
 // pass nil, and safe for concurrent use, although every recorder today runs
-// on the goroutine that owns the Report (a ladder runner, or one refined
+// on the goroutine that owns the Report (Factorize's ladder, or one refined
 // column).
 type Report struct {
 	mu     sync.Mutex

@@ -10,6 +10,8 @@
 // value at each of the eight vector lanes, for fuzz targets) and Sweep (a
 // 2²²-pattern stride of the float32 bit space in tier-1, all 2³² patterns on
 // request). Bench times the same two sides at the slab sizes the GEMM hooks.
+//
+// ParkCaches and MedianMallocs count allocations for the allocation tests.
 package roundtest
 
 import (

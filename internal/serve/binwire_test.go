@@ -21,6 +21,7 @@ import (
 
 	"tcqr/internal/cluster"
 	"tcqr/internal/matgen"
+	"tcqr/internal/roundtest"
 	"tcqr/internal/wirefmt"
 )
 
@@ -585,7 +586,10 @@ func TestBinaryErrorsUseJSONEnvelope(t *testing.T) {
 // with a normal b, whose refinement settles: 42 objects (one that ran on to
 // the divergence guard and recorded a hazard for the reply to carry cost 9
 // more). Both gates are the count plus 2, so that hazard, or any one of the
-// pipeline's allocations back per request, fails them.
+// pipeline's allocations back per request, fails them. Objects are counted by
+// roundtest.MedianMallocs at the test's own GOMAXPROCS (testing.AllocsPerRun
+// pins one), so make check's -cpu 1,2,4 line gates them at each: 42 at one,
+// two and four processors.
 func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 	const m, n = 256, 64
 	converging := testMatrix(14, m, n, 1)
@@ -658,19 +662,20 @@ func checkCacheHitSolveAllocs(t *testing.T, data, b []float64, m, n, ceiling int
 		runtime.ReadMemStats(&after)
 		return (after.TotalAlloc - before.TotalAlloc) / iters
 	}
-	jsonAllocs := testing.AllocsPerRun(50, func() { solveOnce("application/json", jsonBody) })
-	binAllocs := testing.AllocsPerRun(50, func() { solveOnce(wirefmt.ContentType, binBody) })
+	jsonAllocs := roundtest.MedianMallocs(func() { solveOnce("application/json", jsonBody) })
+	binAllocs := roundtest.MedianMallocs(func() { solveOnce(wirefmt.ContentType, binBody) })
 	jsonBytes := heapBytes("application/json", jsonBody)
 	binBytes := heapBytes(wirefmt.ContentType, binBody)
-	t.Logf("per request: json=%.0f allocs / %d B, binary=%.0f allocs / %d B", jsonAllocs, jsonBytes, binAllocs, binBytes)
+	t.Logf("per request at %d procs: json=%d allocs / %d B, binary=%d allocs / %d B",
+		runtime.GOMAXPROCS(0), jsonAllocs, jsonBytes, binAllocs, binBytes)
 	// Both encodings share the solve compute, so binary's object count can
 	// never exceed JSON's; JSON's per-float decode/print cost shows up as
 	// heap bytes, where the pooled zero-copy path must win by a wide margin.
 	if binAllocs > jsonAllocs {
-		t.Fatalf("binary solve allocates %.0f objects/request vs %.0f for JSON; the pooled path has regressed", binAllocs, jsonAllocs)
+		t.Fatalf("binary solve allocates %d objects/request vs %d for JSON; the pooled path has regressed", binAllocs, jsonAllocs)
 	}
-	if binAllocs > float64(ceiling) {
-		t.Fatalf("binary cache-hit solve allocates %.0f objects/request, above the %d gate", binAllocs, ceiling)
+	if binAllocs > uint64(ceiling) {
+		t.Fatalf("binary cache-hit solve allocates %d objects/request, above the %d gate", binAllocs, ceiling)
 	}
 	// The shared solve compute allocates the same on both paths, so the
 	// json-binary gap isolates the wire layer: JSON pays several KiB per

@@ -33,19 +33,19 @@ func arm(t *testing.T, spec string) {
 // worker must survive, and AwaitIdle must still terminate — before the
 // runOne restructure, an unwind in that window killed the worker with the
 // queued counter already decremented and t.done never closed, stranding
-// both Do and AwaitIdle.
+// both run and AwaitIdle.
 func TestPoolDequeuePanicCannotStrandAwaitIdle(t *testing.T) {
 	p := NewPool(1, 8)
 	arm(t, "seed=1;serve.pool.dequeue=panic@once=1")
 
-	_, err := p.Do(context.Background(), func() {})
+	_, _, err := p.run(nil, time.Time{}, func() {})
 	if err == nil || !strings.Contains(err.Error(), "panic in pool task") {
-		t.Fatalf("Do with injected dequeue panic: err=%v, want recovered panic error", err)
+		t.Fatalf("run with injected dequeue panic: err=%v, want recovered panic error", err)
 	}
 
 	// The single worker must have survived to run this.
-	if _, err := p.Do(context.Background(), func() {}); err != nil {
-		t.Fatalf("Do after injected panic: %v (worker died?)", err)
+	if _, _, err := p.run(nil, time.Time{}, func() {}); err != nil {
+		t.Fatalf("run after injected panic: %v (worker died?)", err)
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
@@ -62,9 +62,9 @@ func TestPoolDequeuePanicCannotStrandAwaitIdle(t *testing.T) {
 func TestPoolDequeueErrorSurfacesToSubmitter(t *testing.T) {
 	p := NewPool(1, 8)
 	arm(t, "seed=1;serve.pool.dequeue=error@once=1")
-	_, err := p.Do(context.Background(), func() { t.Error("task fn ran despite injected dequeue error") })
+	_, _, err := p.run(nil, time.Time{}, func() { t.Error("task fn ran despite injected dequeue error") })
 	if err == nil || !strings.Contains(err.Error(), "injected") {
-		t.Fatalf("Do: err=%v, want injected error", err)
+		t.Fatalf("run: err=%v, want injected error", err)
 	}
 	if st := p.Stats(); st.Queued != 0 || st.InFlight != 0 {
 		t.Fatalf("counters: %+v, want idle", st)
@@ -224,7 +224,7 @@ func TestFaultSpecRejectedCleanly(t *testing.T) {
 		faultinject.Disarm()
 		t.Fatal("bad action accepted")
 	}
-	if faultinject.Armed() {
+	if faultinject.Sites() != nil {
 		t.Fatal("failed Arm left a schedule armed")
 	}
 }

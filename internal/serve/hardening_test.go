@@ -75,14 +75,14 @@ func TestWireMatrixShapeMismatchRejected(t *testing.T) {
 
 func TestPoolSurvivesPanic(t *testing.T) {
 	p := NewPool(1, 4)
-	_, err := p.Do(context.Background(), func() { panic("boom") })
+	_, _, err := p.run(nil, time.Time{}, func() { panic("boom") })
 	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("Do with panicking fn: err=%v, want panic error", err)
+		t.Fatalf("run with panicking fn: err=%v, want panic error", err)
 	}
 	// The worker must have survived and keep serving.
 	ran := false
-	if _, err := p.Do(context.Background(), func() { ran = true }); err != nil || !ran {
-		t.Fatalf("Do after panic: err=%v ran=%v", err, ran)
+	if _, _, err := p.run(nil, time.Time{}, func() { ran = true }); err != nil || !ran {
+		t.Fatalf("run after panic: err=%v ran=%v", err, ran)
 	}
 	st := p.Stats()
 	if st.InFlight != 0 || st.Queued != 0 {
@@ -156,7 +156,7 @@ func TestAwaitIdleWaitsForDequeuedTask(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, _ = p.Do(context.Background(), func() {
+				_, _, _ = p.run(nil, time.Time{}, func() {
 					entered.Add(1)
 					<-release
 					time.Sleep(50 * time.Microsecond)

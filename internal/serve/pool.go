@@ -158,23 +158,14 @@ func (p *Pool) runOne(t *poolTask) {
 	t.ran = time.Since(t0)
 }
 
-// Do submits fn and blocks until it has run, the queue rejects it, or ctx
-// expires while it is still queued. It returns the time fn spent waiting in
-// the queue. If fn panics, the panic is recovered and returned as the error
-// (the worker survives). After a queue-full rejection fn is never run;
-// after a ctx-expiry ErrDeadline, however, a worker that dequeued the task
-// in the same instant may still run fn to completion — its result is
-// discarded, so fn must not assume it never runs once Do has returned an
-// error.
-func (p *Pool) Do(ctx context.Context, fn func()) (time.Duration, error) {
-	// ctx's Done channel closes at its deadline too, so it needs no timer.
-	wait, _, err := p.run(ctx.Done(), time.Time{}, fn)
-	return wait, err
-}
-
-// run is Do on the request pipeline's terms: the wait ends when cancel is
-// closed or at deadline (zero: none), whichever comes first, with no context
-// built for either. It returns fn's queue wait and run time.
+// run submits fn and blocks until it has run, the queue rejects it, or the
+// wait ends: when cancel is closed or at deadline (zero: none), whichever
+// comes first, with no context built for either. It returns fn's queue wait
+// and run time. If fn panics, the panic is recovered and returned as the
+// error (the worker survives). After a queue-full rejection fn is never run;
+// after an ErrDeadline, however, a worker that dequeued the task in the same
+// instant may still run fn to completion — its result is discarded, so fn
+// must not assume it never runs once run has returned an error.
 func (p *Pool) run(cancel <-chan struct{}, deadline time.Time, fn func()) (wait, ran time.Duration, err error) {
 	select {
 	case <-cancel:

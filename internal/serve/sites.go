@@ -17,7 +17,7 @@ import (
 // (internal/tsqr, which only the benchmark's kernel probe runs) but no daemon
 // can fire them, so CheckFaultSites rejects them like a typo.
 const (
-	// sitePoolEnqueue fires in Pool.Do before a task enters the queue;
+	// sitePoolEnqueue fires in Pool.run before a task enters the queue;
 	// error faults surface as 500s from the submitting request.
 	sitePoolEnqueue = "serve.pool.enqueue"
 	// sitePoolDequeue fires in the worker between dequeuing a task and

@@ -5,12 +5,11 @@ package tcsim
 import (
 	"math/rand"
 	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
+	"tcqr/internal/roundtest"
 )
 
 // TestEngineGemmAllocationFree: after pool warmup, an engine GEMM call must
@@ -18,7 +17,7 @@ import (
 // freshly allocated matrix copies, and the packed GEMM's tasks run on the
 // caller and parked helpers, not on goroutines started per call. It counts
 // with runtime.MemStats at one, two and four processors (testing.AllocsPerRun
-// would pin one, where no helper is involved), after fillParkCaches. Skipped
+// would pin one, where no helper is involved), after roundtest.ParkCaches. Skipped
 // under -race: the detector's instrumentation allocates.
 func TestEngineGemmAllocationFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -33,7 +32,7 @@ func TestEngineGemmAllocationFree(t *testing.T) {
 			for i := 0; i < 10; i++ { // warm the pools
 				e.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
 			}
-			fillParkCaches()
+			roundtest.ParkCaches()
 			const runs = 40
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -46,31 +45,4 @@ func TestEngineGemmAllocationFree(t *testing.T) {
 			}
 		}
 	}
-}
-
-// fillParkCaches puts the runtime's goroutine-parking records in steady state
-// at the current GOMAXPROCS, as internal/blas's test helper of the same name
-// does: a goroutine that parks on a channel takes a record from its
-// processor's cache (at most 128) or the central one, and the runtime
-// allocates one only when both are empty; a GC empties the central cache. It
-// parks 256 goroutines per processor at once and releases them, which leaves
-// more records in circulation than the other processors' caches can hold.
-func fillParkCaches() {
-	runtime.GC()
-	n := 256 * runtime.GOMAXPROCS(0)
-	var started, done sync.WaitGroup
-	started.Add(n)
-	done.Add(n)
-	release := make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func() {
-			started.Done()
-			<-release
-			done.Done()
-		}()
-	}
-	started.Wait()
-	time.Sleep(time.Millisecond) // every goroutine reaches its receive
-	close(release)
-	done.Wait()
 }

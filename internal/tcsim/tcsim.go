@@ -154,11 +154,3 @@ func (c *counters) Stats() Stats {
 		Underflow: atomic.LoadInt64(&c.stats.Underflow),
 	}
 }
-
-// ResetStats zeroes the counters.
-func (c *counters) ResetStats() {
-	atomic.StoreInt64(&c.stats.Calls, 0)
-	atomic.StoreInt64(&c.stats.Flops, 0)
-	atomic.StoreInt64(&c.stats.Overflows, 0)
-	atomic.StoreInt64(&c.stats.Underflow, 0)
-}

@@ -59,16 +59,18 @@ func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorizat
 		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
-	try := func(c Config) func() (*Factorization, error) {
-		return func() (*Factorization, error) { return factorizeOnce(a, c, rep) }
-	}
-	f, err := withFallback(cfg.OnHazard, "factorize", rep, try(cfg), func(err error) []attempt {
-		var out []attempt
+	f, err := factorizeOnce(a, cfg, rep)
+	if err != nil && cfg.OnHazard == HazardFallback {
+		// The ladder is built from the first failure (the panel and engine
+		// rungs depend on whether it was an overflow); each rung is recorded,
+		// with the latest failure, before it runs.
 		for _, r := range engineLadder(cfg, err) {
-			out = append(out, attempt{r.action, try(r.cfg)})
+			rep.Record(hazard.Event{Kind: classify(err), Stage: "factorize", Detail: err.Error(), Action: r.action})
+			if f, err = factorizeOnce(a, r.cfg, rep); err == nil {
+				break
+			}
 		}
-		return out
-	})
+	}
 	var in *rgs.InputError
 	if errors.As(err, &in) {
 		return nil, fmt.Errorf("tcqr: %w", in.Err)
@@ -137,40 +139,9 @@ func factorizeOnce[T dense.Float](a *dense.Matrix[T], cfg Config, rep *hazard.Re
 	}, nil
 }
 
-// attempt is one rung of a recovery ladder as withFallback runs it: the
-// action string recorded when it is tried, and the closure that tries it.
-type attempt struct {
-	action string
-	try    func() (*Factorization, error)
-}
-
-// withFallback is the one ladder runner (factorization, update and downdate
-// recovery): it runs first and, under HazardFallback, each rung of
-// ladder(err) in order until one succeeds, recording every retry in rep
-// under stage. The ladder is built from the first failure — the panel and
-// engine rungs depend on whether it was an overflow.
-func withFallback(policy HazardPolicy, stage string, rep *hazard.Report,
-	first func() (*Factorization, error), ladder func(error) []attempt) (*Factorization, error) {
-	out, err := first()
-	if err == nil || policy != HazardFallback {
-		return out, err
-	}
-	for _, r := range ladder(err) {
-		rep.Record(hazard.Event{
-			Kind:   classify(err),
-			Stage:  stage,
-			Detail: err.Error(),
-			Action: r.action,
-		})
-		if out, err = r.try(); err == nil {
-			break
-		}
-	}
-	return out, err
-}
-
-// rung is one step of the Factorize ladder: a modified configuration and
-// the action string recorded when it is tried.
+// rung is one step of the Factorize ladder, the library's one recovery
+// ladder: a modified configuration and the action string recorded when it is
+// tried.
 type rung struct {
 	cfg    Config
 	action string

@@ -6,9 +6,9 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sync"
 	"testing"
-	"time"
+
+	"tcqr/internal/roundtest"
 )
 
 // TestDowndateAllocatesStripsNotCopies pins what a downdate allocates: the
@@ -57,9 +57,10 @@ func TestDowndateAllocatesStripsNotCopies(t *testing.T) {
 // compact-WY loop re-points its seven per-block operand views instead of
 // allocating them per block, so a 2048×128 append of 16 rows (eight blocks)
 // makes 32 objects, against 82 when each block took fresh views. The gate is
-// 40. It counts with runtime.ReadMemStats at the test's GOMAXPROCS, not with
-// testing.AllocsPerRun, which pins one processor: make check runs it at one,
-// two and four, where the GEMM under the loop shares its rows with workers.
+// 40. It counts with roundtest.MedianMallocs at the test's GOMAXPROCS, not
+// with testing.AllocsPerRun, which pins one processor: make check runs it at
+// one, two and four, where the GEMM under the loop shares its rows with
+// workers.
 func TestAppendAllocatesViewsOnce(t *testing.T) {
 	const m, n, k = 2048, 128, 16
 	f, err := Factorize(testMatrix(91, m, n, 100), Config{})
@@ -75,45 +76,7 @@ func TestAppendAllocatesViewsOnce(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		up()
 	}
-	fillParkCaches()
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	up()
-	counts := make([]uint64, 11)
-	for i := range counts {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		up()
-		runtime.ReadMemStats(&after)
-		counts[i] = after.Mallocs - before.Mallocs
+	if got := roundtest.MedianMallocs(up); got > 40 {
+		t.Errorf("a %dx%d append of %d rows allocated %d objects, want at most 40", m, n, k, got)
 	}
-	slices.Sort(counts)
-	if got := counts[len(counts)/2]; got > 40 {
-		t.Errorf("a %dx%d append of %d rows allocated %d objects, want at most 40 (all: %v)", m, n, k, got, counts)
-	}
-}
-
-// fillParkCaches puts the runtime's goroutine-parking records in steady
-// state at the current GOMAXPROCS, as the allocation tests of internal/gram
-// do: a goroutine that parks on a channel takes a record from its
-// processor's cache or the central one, and the runtime allocates one only
-// when both are empty, which a GC or a GOMAXPROCS change brings about.
-// Parking 256 goroutines per processor once leaves enough in circulation.
-func fillParkCaches() {
-	runtime.GC()
-	n := 256 * runtime.GOMAXPROCS(0)
-	var started, done sync.WaitGroup
-	started.Add(n)
-	done.Add(n)
-	release := make(chan struct{})
-	for i := 0; i < n; i++ {
-		go func() {
-			started.Done()
-			<-release
-			done.Done()
-		}()
-	}
-	started.Wait()
-	time.Sleep(time.Millisecond) // every goroutine reaches its receive
-	close(release)
-	done.Wait()
 }
