@@ -97,10 +97,13 @@ reach:
 # different shapes run ten times under the race detector. The metrics
 # registry runs under it too: a labeled family's With takes its read lock,
 # then its write lock on a miss, and a histogram's sum and max are CAS
-# loops, concurrent code the tier-1 pass runs without the detector.
+# loops, concurrent code the tier-1 pass runs without the detector. So does
+# the cluster tier: its probe loop, its handoff loop and Replicate's
+# goroutines share peer state.
 check: lint check-benchmark check-run-patterns
 	$(GO) test ./...
 	$(GO) test -race ./internal/metrics
+	$(GO) test -race ./internal/cluster
 	$(GO) test -race -run '$(PIPELINE_TESTS)' ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram

@@ -156,9 +156,6 @@ func New(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// SelfID returns this node's member id.
-func (n *Node) SelfID() string { return n.self.ID }
-
 // Replicas returns the configured ownership fan-out.
 func (n *Node) Replicas() int { return n.replica }
 

@@ -12,14 +12,9 @@
 // 3rd hit of serve.cache.factorize panicked".
 //
 // Sites are plain strings owned by the package they instrument, following
-// the naming scheme <package>.<component>.<operation> (DESIGN.md §11):
-//
-//	serve.pool.enqueue     serve.pool.dequeue    serve.cache.factorize
-//	serve.wire.decode      serve.wire.encode     serve.stream.append
-//	tcsim.gemm
-//	tsqr.block.factor      tsqr.tree.reduce
-//	cluster.route          cluster.replicate     cluster.probe
-//	cluster.handoff
+// the naming scheme <package>.<component>.<operation> (DESIGN.md §11). The
+// sites a daemon can fire are listed once, in internal/serve's faultSites,
+// the list serve.CheckFaultSites holds tcqrd's -fault-spec to.
 //
 // The package deliberately depends on nothing in the repository (std only),
 // so any layer — engine simulator, TSQR tree, serving pool — can thread

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -19,7 +18,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"tcqr/internal/cluster"
 	"tcqr/internal/matgen"
 	"tcqr/internal/roundtest"
 	"tcqr/internal/wirefmt"
@@ -232,16 +230,9 @@ func TestBinaryLowRankFrame(t *testing.T) {
 // TestForwardFrameRoundTrip pins the encoder/decoder pair on the peer-forward
 // path: for every forwarded request shape, the frame bytes are the ones the
 // per-endpoint encode*Forward functions produced before the encoder was
-// unified (goldens captured at that commit; forward section: no deadline,
-// 2 attempts, origin n0), decoding the frame gives the request back, and a
-// forward section with a budget tightens the request's deadline.
+// unified (goldens captured at that commit, less the forward section those
+// frames ended with), and decoding the frame gives the request back.
 func TestForwardFrameRoundTrip(t *testing.T) {
-	node, err := cluster.New(cluster.Config{SelfID: "n0", Replicas: 1, Members: []cluster.Member{
-		{ID: "n0", Addr: "127.0.0.1:1"}, {ID: "n1", Addr: "127.0.0.1:2"}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer node.Close()
 	mat := func() *WireMatrix { return &WireMatrix{Rows: 3, Cols: 2, Data: []float64{1, 2, 3, 4, 5, 6}} }
 	cfg := WireConfig{Engine: "fp32", Panel: "mgs", Cutoff: 64, Reorthogonalize: true, OnHazard: "fallback"}
 	b := []float64{0.5, -1.5, 2.25}
@@ -252,34 +243,28 @@ func TestForwardFrameRoundTrip(t *testing.T) {
 		endpoint string
 		req      any
 		fresh    func() any
-		deadline func(any) *int64
 		golden   string
 	}{
 		{"factorize", "factorize",
 			&factorizeRequest{Matrix: mat(), Config: cfg, DeadlineMS: 1500},
 			func() any { return new(factorizeRequest) },
-			func(v any) *int64 { return &v.(*factorizeRequest).DeadlineMS },
-			"54435146010300000001000000000000010000000000000000000000850000007b226d6174726978223a6e756c6c2c22636f6e666967223a7b22656e67696e65223a2266703332222c2270616e656c223a226d6773222c226375746f6666223a36342c2272656f7274686f676f6e616c697a65223a747275652c226f6e5f68617a617264223a2266616c6c6261636b227d2c22646561646c696e655f6d73223a313530307d00000002000000030000000200000030000000000000000000f03f00000000000000400000000000000840000000000000104000000000000014400000000000001840040000000000000002000000020000006e30000000000000"},
+			"5443514601020000e800000000000000010000000000000000000000850000007b226d6174726978223a6e756c6c2c22636f6e666967223a7b22656e67696e65223a2266703332222c2270616e656c223a226d6773222c226375746f6666223a36342c2272656f7274686f676f6e616c697a65223a747275652c226f6e5f68617a617264223a2266616c6c6261636b227d2c22646561646c696e655f6d73223a313530307d00000002000000030000000200000030000000000000000000f03f00000000000000400000000000000840000000000000104000000000000014400000000000001840"},
 		{"solve_by_key", "solve",
 			&solveRequest{Key: "m3x2-abc@4", B: b, Options: opts, DeadlineMS: 900},
 			func() any { return new(solveRequest) },
-			func(v any) *int64 { return &v.(*solveRequest).DeadlineMS },
-			"5443514601030000d800000000000000010000000000000000000000750000007b226b6579223a226d3378322d6162634034222c22636f6e666967223a7b7d2c2262223a6e756c6c2c226f7074696f6e73223a7b226d6574686f64223a226c737172222c22746f6c223a31652d392c226d61785f697465726174696f6e73223a377d2c22646561646c696e655f6d73223a3930307d00000003000000030000000000000018000000000000000000e03f000000000000f8bf0000000000000240040000000000000002000000020000006e30000000000000"},
+			"5443514601020000c000000000000000010000000000000000000000750000007b226b6579223a226d3378322d6162634034222c22636f6e666967223a7b7d2c2262223a6e756c6c2c226f7074696f6e73223a7b226d6574686f64223a226c737172222c22746f6c223a31652d392c226d61785f697465726174696f6e73223a377d2c22646561646c696e655f6d73223a3930307d00000003000000030000000000000018000000000000000000e03f000000000000f8bf0000000000000240"},
 		{"solve_by_matrix", "solve",
 			&solveRequest{Matrix: mat(), Config: cfg, B: b, Options: opts},
 			func() any { return new(solveRequest) },
-			func(v any) *int64 { return &v.(*solveRequest).DeadlineMS },
-			"54435146010400004801000000000000010000000000000000000000a70000007b22636f6e666967223a7b22656e67696e65223a2266703332222c2270616e656c223a226d6773222c226375746f6666223a36342c2272656f7274686f676f6e616c697a65223a747275652c226f6e5f68617a617264223a2266616c6c6261636b227d2c2262223a6e756c6c2c226f7074696f6e73223a7b226d6574686f64223a226c737172222c22746f6c223a31652d392c226d61785f697465726174696f6e73223a377d7d0002000000030000000200000030000000000000000000f03f0000000000000040000000000000084000000000000010400000000000001440000000000000184003000000030000000000000018000000000000000000e03f000000000000f8bf0000000000000240040000000000000002000000020000006e30000000000000"},
+			"54435146010300003001000000000000010000000000000000000000a70000007b22636f6e666967223a7b22656e67696e65223a2266703332222c2270616e656c223a226d6773222c226375746f6666223a36342c2272656f7274686f676f6e616c697a65223a747275652c226f6e5f68617a617264223a2266616c6c6261636b227d2c2262223a6e756c6c2c226f7074696f6e73223a7b226d6574686f64223a226c737172222c22746f6c223a31652d392c226d61785f697465726174696f6e73223a377d7d0002000000030000000200000030000000000000000000f03f0000000000000040000000000000084000000000000010400000000000001440000000000000184003000000030000000000000018000000000000000000e03f000000000000f8bf0000000000000240"},
 		{"update_append", "update",
 			&updateRequest{Key: "m3x2-abc", Append: &WireMatrix{Rows: 1, Cols: 2, Data: []float64{7, 8}}, DeadlineMS: 250},
 			func() any { return new(updateRequest) },
-			func(v any) *int64 { return &v.(*updateRequest).DeadlineMS },
-			"54435146010300008000000000000000010000000000000000000000240000007b226b6579223a226d3378322d616263222c22646561646c696e655f6d73223a3235307d00000000020000000100000002000000100000000000000000001c400000000000002040040000000000000002000000020000006e30000000000000"},
+			"54435146010200006800000000000000010000000000000000000000240000007b226b6579223a226d3378322d616263222c22646561646c696e655f6d73223a3235307d00000000020000000100000002000000100000000000000000001c400000000000002040"},
 		{"update_downdate", "update",
 			&updateRequest{Key: "m3x2-abc@2", RemoveRows: 1},
 			func() any { return new(updateRequest) },
-			func(v any) *int64 { return &v.(*updateRequest).DeadlineMS },
-			"54435146010200006000000000000000010000000000000000000000240000007b226b6579223a226d3378322d6162634032222c2272656d6f76655f726f7773223a317d00000000040000000000000002000000020000006e30000000000000"},
+			"54435146010100004800000000000000010000000000000000000000240000007b226b6579223a226d3378322d6162634032222c2272656d6f76655f726f7773223a317d00000000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -287,7 +272,7 @@ func TestForwardFrameRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			buf, err := encodeFrame(tc.req, forwardSection(node, context.Background(), 2))
+			buf, err := encodeFrame(tc.req)
 			if err != nil {
 				t.Fatalf("encode: %v", err)
 			}
@@ -308,28 +293,6 @@ func TestForwardFrameRoundTrip(t *testing.T) {
 				t.Errorf("decode(encode(req)) = %s, want %s", gj, want)
 			}
 
-			// A 400 ms forward budget folds into the deadline: it tightens a
-			// looser or absent one and leaves a tighter one alone.
-			buf, err = encodeFrame(tc.req, wirefmt.ForwardSection(400, 1, "n0"))
-			if err != nil {
-				t.Fatalf("encode with budget: %v", err)
-			}
-			frame = *buf
-			got = tc.fresh()
-			if _, aerr := decodeFrame(tc.endpoint, frame, got); aerr != nil {
-				t.Fatalf("decode with budget: %s", aerr.msg)
-			}
-			folded := *tc.deadline(tc.req)
-			if folded == 0 || folded > 400 {
-				folded = 400
-			}
-			if d := *tc.deadline(got); d != folded {
-				t.Errorf("folded deadline = %d ms, want %d", d, folded)
-			}
-			*tc.deadline(got) = *tc.deadline(tc.req)
-			if gj, _ := json.Marshal(got); !bytes.Equal(gj, want) {
-				t.Errorf("budgeted decode changed more than the deadline: %s, want %s", gj, want)
-			}
 		})
 	}
 

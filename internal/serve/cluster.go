@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"math"
 	"net/http"
 	"time"
 
@@ -12,9 +11,8 @@ import (
 )
 
 // This file is the serve side of the cluster tier (DESIGN.md §14): the
-// route-or-serve-local decision for keyed requests, the forward section a
-// peer-bound frame ends with, response relay, and the replica fan-out after
-// a local miss.
+// route-or-serve-local decision for keyed requests, the peer-bound frame,
+// response relay, and the replica fan-out after a local miss.
 // internal/cluster deals in opaque frames and peer state; this file owns the
 // request vocabulary, so the split keeps the import direction one-way.
 //
@@ -51,11 +49,11 @@ type route struct {
 // forward is the route stage of every keyed endpoint. It returns true when
 // the response has been written (a relayed peer answer); false means the
 // caller serves locally. The forwarded frame is req through the same encoder
-// that writes responses, plus a forward section carrying what is left of the
-// request's deadline; req must already have passed the endpoint's validation
-// — a peer is never sent what this node would have rejected. A routed
-// request is the one place the deadline becomes a context: the peer calls
-// take one.
+// that writes responses, an ordinary client frame whose deadline_ms is what
+// is left of the request's deadline; req must already have passed the
+// endpoint's validation — a peer is never sent what this node would have
+// rejected. A routed request is the one place the deadline becomes a
+// context: the peer calls take one.
 func (s *Server) forward(w http.ResponseWriter, rc *reqScope, rt route, req any) bool {
 	cands, routed := s.clusterRoute(rc, rt)
 	if !routed {
@@ -63,7 +61,8 @@ func (s *Server) forward(w http.ResponseWriter, rc *reqScope, rt route, req any)
 	}
 	ctx, cancel := context.WithDeadline(rc.ctx, rc.deadline)
 	defer cancel()
-	frame, err := encodeFrame(req, forwardSection(s.cluster, ctx, len(cands)))
+	*layoutOf(req).deadline = max(1, time.Until(rc.deadline).Milliseconds())
+	frame, err := encodeFrame(req)
 	if err != nil {
 		s.cluster.NoteServedLocalFallback()
 		return false
@@ -198,7 +197,7 @@ func (s *Server) clusterReplicate(key string, a *tcqr.Matrix, wcfg WireConfig) {
 			buf, err := encodeFrame(&factorizeRequest{
 				Matrix: &WireMatrix{Rows: a.Rows, Cols: a.Cols, Data: colMajorData(a)},
 				Config: wcfg,
-			}, forwardSection(n, context.Background(), 1))
+			})
 			if err != nil {
 				return
 			}
@@ -222,24 +221,4 @@ func colMajorData(a *tcqr.Matrix) []float64 {
 		copy(out[j*a.Rows:(j+1)*a.Rows], a.Data[j*a.Stride:j*a.Stride+a.Rows])
 	}
 	return out
-}
-
-// forwardSection stamps the remaining deadline budget and attempt count into
-// a TagForward section (the receiver folds the deadline into its own).
-func forwardSection(n *cluster.Node, ctx context.Context, attempts int) wirefmt.Section {
-	var deadlineMS uint32
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		if ms > math.MaxUint32 {
-			ms = math.MaxUint32
-		}
-		deadlineMS = uint32(ms)
-	}
-	if attempts > wirefmt.MaxForwardAttempts {
-		attempts = wirefmt.MaxForwardAttempts
-	}
-	return wirefmt.ForwardSection(deadlineMS, uint8(attempts), n.SelfID())
 }

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sort"
 	"strings"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"tcqr/internal/cluster"
 	"tcqr/internal/metrics"
+	"tcqr/internal/wirefmt"
 )
 
 // --- multi-node harness ----------------------------------------------------
@@ -193,12 +195,14 @@ func clusterMat(seed uint64, m, n int) map[string]any {
 // settle waits for async cluster machinery (replica fan-out, probes).
 func settle() { time.Sleep(6 * harnessProbe) }
 
-func assertInvariant(t *testing.T, n *cluster.Node) {
-	t.Helper()
-	st := n.Stats()
+// assertInvariant checks node i's forward accounting: every routed request
+// ended in exactly one of served_remote and served_local_fallback.
+func (h *clusterHarness) assertInvariant(i int) {
+	h.t.Helper()
+	st := h.nodes[i].Stats()
 	if st.Routed != st.ServedRemote+st.ServedLocalFallback {
-		t.Errorf("%s accounting: routed=%d != served_remote=%d + served_local_fallback=%d",
-			n.SelfID(), st.Routed, st.ServedRemote, st.ServedLocalFallback)
+		h.t.Errorf("%s accounting: routed=%d != served_remote=%d + served_local_fallback=%d",
+			h.members[i].ID, st.Routed, st.ServedRemote, st.ServedLocalFallback)
 	}
 }
 
@@ -233,7 +237,7 @@ func TestClusterForwardsToOwner(t *testing.T) {
 	if !sawLocal || !sawRemote {
 		t.Fatalf("routing did not exercise both decisions (local=%v remote=%v): suspicious ring", sawLocal, sawRemote)
 	}
-	assertInvariant(t, h.nodes[0])
+	h.assertInvariant(0)
 	st := h.nodes[0].Stats()
 	if st.ServedRemote == 0 || st.ServedLocalFallback != 0 {
 		t.Errorf("stats = %+v: want remote serves and no fallbacks on a healthy cluster", st)
@@ -318,7 +322,7 @@ func TestClusterUpdateValidatesBeforeRouting(t *testing.T) {
 		t.Errorf("valid append via non-owner: status %d rows %d epoch %d served by %q; want 200, %d rows, epoch 1, n1",
 			code, ur.Rows, ur.Epoch, hdr.Get(cluster.ServedByHeader), m+1)
 	}
-	assertInvariant(t, h.nodes[0])
+	h.assertInvariant(0)
 }
 
 func TestClusterForwardedRequestIsNotReforwarded(t *testing.T) {
@@ -354,6 +358,63 @@ func TestClusterForwardedRequestIsNotReforwarded(t *testing.T) {
 		return
 	}
 	t.Fatal("no seed produced a key owned by n1; ring distribution broken")
+}
+
+// TestClusterForwardCarriesRemainingDeadline: a forward is an ordinary
+// client frame, and what is left of the coordinator's deadline rides in its
+// deadline_ms. The peer is a fake that reads the frame's JSON metadata with
+// wirefmt and encoding/json, so the check does not lean on the daemon's own
+// decoder.
+func TestClusterForwardCarriesRemainingDeadline(t *testing.T) {
+	seen := make(chan *int64, 1)
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/solve" {
+			return // a health probe: 200
+		}
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("peer read: %v", err)
+		}
+		secs, err := wirefmt.Decode(body, nil)
+		if err != nil || len(secs) == 0 || secs[0].Tag != wirefmt.TagJSON {
+			t.Errorf("forwarded body is not a frame led by JSON metadata: %v", err)
+		}
+		var meta struct {
+			DeadlineMS *int64 `json:"deadline_ms"`
+		}
+		if len(secs) > 0 {
+			if err := json.Unmarshal(secs[0].Raw, &meta); err != nil {
+				t.Errorf("forwarded metadata: %v", err)
+			}
+		}
+		seen <- meta.DeadlineMS
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte(`{}`))
+	}))
+	defer peer.Close()
+	// Two members at two replicas: the peer owns every key.
+	node, err := cluster.New(cluster.Config{SelfID: "n0", Replicas: 2, Members: []cluster.Member{
+		{ID: "n0", Addr: "127.0.0.1:1"}, {ID: "n1", Addr: peer.Listener.Addr().String()}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer node.Close()
+	s := New(Options{Workers: 1, Cluster: node, DefaultDeadline: 300 * time.Millisecond})
+	defer s.Close()
+
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/solve",
+		strings.NewReader(`{"key":"m3x2-abc","b":[1,2,3]}`)))
+	if rec.Code != http.StatusOK || rec.Header().Get(cluster.ServedByHeader) != "n1" {
+		t.Fatalf("by-key solve: status %d served by %q, want 200 from n1", rec.Code, rec.Header().Get(cluster.ServedByHeader))
+	}
+	d := <-seen
+	if d == nil {
+		t.Fatal("the forwarded frame carries no deadline_ms")
+	}
+	if *d < 1 || *d > 300 {
+		t.Errorf("forwarded deadline_ms = %d, want within [1, 300]: what is left of the 300 ms default", *d)
+	}
 }
 
 func TestClusterFallbackThenLocalHit(t *testing.T) {
@@ -400,7 +461,7 @@ func TestClusterFallbackThenLocalHit(t *testing.T) {
 	if got := h.nodes[0].Stats().Routed; got != routedBefore {
 		t.Errorf("local hit was routed (%d -> %d)", routedBefore, got)
 	}
-	assertInvariant(t, h.nodes[0])
+	h.assertInvariant(0)
 }
 
 func TestClusterReplicationConverges(t *testing.T) {
@@ -433,8 +494,8 @@ func TestClusterReplicationConverges(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range h.nodes {
-		assertInvariant(t, n)
+	for i := range h.nodes {
+		h.assertInvariant(i)
 	}
 }
 
@@ -463,9 +524,9 @@ func TestClusterSolveByKeySurvivesPrimaryOwnerLoss(t *testing.T) {
 			t.Errorf("solve key via survivor n%d after primary loss: status %d", node, code)
 		}
 	}
-	for i, n := range h.nodes {
+	for i := range h.nodes {
 		if !h.dead[i] {
-			assertInvariant(t, n)
+			h.assertInvariant(i)
 		}
 	}
 }
@@ -563,7 +624,7 @@ func TestClusterChaosSoak(t *testing.T) {
 	}
 
 	for _, node := range []int{0, 1} {
-		assertInvariant(t, h.nodes[node])
+		h.assertInvariant(node)
 		st := h.nodes[node].Stats()
 		if st.HandoffDropped != 0 {
 			t.Errorf("n%d dropped %d handoff hints", node, st.HandoffDropped)

@@ -101,8 +101,9 @@ type frameLayout struct {
 	// would be a heap allocation each time.
 	bulk  [maxBulk]bulkField
 	nbulk int
-	// deadline is the request's deadline_ms, which a peer forward's remaining
-	// budget tightens (nil: the endpoint is never forwarded).
+	// deadline is the request's deadline_ms, which a peer forward sets to
+	// what is left of the request's deadline (nil: the endpoint is never
+	// forwarded).
 	deadline *int64
 }
 
@@ -235,9 +236,8 @@ func readBody(r *http.Request) (*[]byte, error) {
 	return buf, err
 }
 
-// decodeFrame maps a frame — [JSON meta, bulk sections…] plus the trailing
-// forward section a peer appends (see cluster.go) — onto v, following v's
-// own layout. The metadata is decoded under the same strict contract, and
+// decodeFrame maps a frame — [JSON meta, bulk sections…] — onto v, following
+// v's own layout. The metadata is decoded under the same strict contract, and
 // through the same failpoint, as a JSON body. It reports whether v now views
 // body (see bulkField.vec): the caller must then keep body alive until
 // nothing can read v.
@@ -272,10 +272,6 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 		}
 	}
 	rest := secs[1:]
-	var fwd *wirefmt.Section
-	if n := len(rest); n > 0 && rest[n-1].Tag == wirefmt.TagForward {
-		rest, fwd = rest[:n-1], &rest[n-1]
-	}
 	for _, f := range l.fields() {
 		switch {
 		case len(rest) > 0 && rest[0].Tag == f.tag():
@@ -296,13 +292,6 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 	}
 	if len(rest) != 0 {
 		return false, errBadInput(fmt.Sprintf("%s frame needs %v sections", endpoint, l))
-	}
-	// A forwarded request must not outlive the coordinator waiting on it: the
-	// forward section's remaining budget tightens the request's own deadline.
-	if fwd != nil && fwd.A != 0 && l.deadline != nil {
-		if *l.deadline == 0 || int64(fwd.A) < *l.deadline {
-			*l.deadline = int64(fwd.A)
-		}
 	}
 	return aliased, nil
 }
@@ -345,9 +334,9 @@ func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 }
 
 // encodeFrame writes v as one frame in a pooled buffer (release it with
-// wirefmt.PutBuffer): the JSON metadata section, v's bulk sections in layout
-// order — an absent optional one is skipped — then tail.
-func encodeFrame(v any, tail ...wirefmt.Section) (*[]byte, error) {
+// wirefmt.PutBuffer): the JSON metadata section, then v's bulk sections in
+// layout order — an absent optional one is skipped.
+func encodeFrame(v any) (*[]byte, error) {
 	l := layoutOf(v)
 	var (
 		scratch [wirefmt.MaxSections]wirefmt.Section
@@ -386,7 +375,6 @@ func encodeFrame(v any, tail ...wirefmt.Section) (*[]byte, error) {
 			return nil, fmt.Errorf("serve: %T frame needs its %s section", v, f.name)
 		}
 	}
-	secs = append(secs, tail...)
 	n, err := wirefmt.FrameLen(secs...)
 	if err != nil {
 		return nil, err

@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
@@ -102,8 +101,7 @@ func (o *Options) panel() gram.Panel {
 
 var defaultPanel = &gram.CAQRPanel{}
 
-// Stats reports the shape and per-stage wall timings of one factorization,
-// feeding the serving layer's tcqrd_tsqr_* histogram families.
+// Stats reports the shape of one factorization.
 type Stats struct {
 	// Blocks is the number of leaf row blocks of the canonical partition.
 	Blocks int
@@ -113,15 +111,6 @@ type Stats struct {
 	Workers int
 	// BlockRows is the effective canonical chunk height.
 	BlockRows int
-	// BlockFactor holds the wall time of each leaf block factorization,
-	// indexed by block.
-	BlockFactor []time.Duration
-	// Reduce is the wall time of the R reduction tree (zero when
-	// Blocks == 1).
-	Reduce time.Duration
-	// Recover is the wall time of sign canonicalization plus explicit-Q
-	// recovery.
-	Recover time.Duration
 }
 
 // Result is a computed factorization A = Q·R with Q m×n orthonormal, R n×n
@@ -171,10 +160,9 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	bounds[nb] = m
 
 	res := &Result{Stats: Stats{
-		Blocks:      nb,
-		Workers:     workers,
-		BlockRows:   rb,
-		BlockFactor: make([]time.Duration, nb),
+		Blocks:    nb,
+		Workers:   workers,
+		BlockRows: rb,
 	}}
 
 	// Stage 1: factor every leaf block concurrently (bounded).
@@ -182,9 +170,7 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	leafR := make([]*dense.M32, nb)
 	errs := make([]error, nb)
 	runBounded(workers, nb, func(i int) {
-		t0 := time.Now()
 		q, r, err := safeFactor(SiteBlockFactor, panel, a.View(bounds[i], 0, bounds[i+1]-bounds[i], n))
-		res.BlockFactor[i] = time.Since(t0)
 		if err != nil {
 			errs[i] = fmt.Errorf("tsqr: block %d (rows %d:%d): %w", i, bounds[i], bounds[i+1], err)
 			return
@@ -197,9 +183,7 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 
 	if nb == 1 {
 		// Single chunk: no tree. Canonicalize signs directly on the factors.
-		t0 := time.Now()
 		canonicalizeSigns(leafQ[0], leafR[0])
-		res.Recover = time.Since(t0)
 		res.Q, res.R = leafQ[0], leafR[0]
 		return res, nil
 	}
@@ -209,7 +193,6 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	// an odd trailing R passes through unchanged. The tree shape is a pure
 	// function of nb, so the reduction is deterministic no matter how the
 	// node factorizations are scheduled.
-	t0 := time.Now()
 	type treeNode struct {
 		q    *dense.M32 // 2n×n node factor; nil for a passthrough node
 		pass bool
@@ -250,7 +233,6 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	}
 	rootR := cur[0]
 	res.Levels = len(tree)
-	res.Reduce = time.Since(t0)
 
 	// Stage 3: sign-canonicalize the root R and recover the explicit Q by
 	// composing each tree node's factor down to its leaves. The downstream
@@ -258,7 +240,6 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 	// canonicalization; at a node with 2n×n factor Qk and downstream
 	// transform T, the left child inherits Qk[0:n,:]·T and the right child
 	// Qk[n:2n,:]·T. Finally Q_block_i = leafQ_i·T_i in one batched GEMM.
-	t0 = time.Now()
 	signs := canonicalizeR(rootR)
 	rootT := dense.New[float32](n, n)
 	for j := 0; j < n; j++ {
@@ -303,7 +284,6 @@ func Factor(a *dense.M32, opts Options) (*Result, error) {
 		outBlocks[i] = q.View(bounds[i], 0, bounds[i+1]-bounds[i], n)
 	}
 	blas.GemmBatch(blas.NoTrans, blas.NoTrans, 1, leafQ, trans, 0, outBlocks)
-	res.Recover = time.Since(t0)
 
 	res.Q, res.R = q, rootR
 	return res, nil

@@ -56,9 +56,6 @@ func TestTSQRReconstructs(t *testing.T) {
 	if res.Levels != 3 { // 7 -> 4 -> 2 -> 1
 		t.Errorf("Levels = %d, want 3", res.Levels)
 	}
-	if len(res.BlockFactor) != res.Blocks {
-		t.Errorf("len(BlockFactor) = %d, want %d", len(res.BlockFactor), res.Blocks)
-	}
 	checkFactors(t, a, res)
 }
 

@@ -62,8 +62,6 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 					t.Fatalf("vector view has %d elements for length %d", len(v), s.A)
 				}
 				rebuilt[i] = VectorSection(v)
-			case TagForward:
-				rebuilt[i] = ForwardSection(s.A, uint8(s.B), string(s.Raw))
 			default:
 				t.Fatalf("Decode returned unknown tag %d", s.Tag)
 			}

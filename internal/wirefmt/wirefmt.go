@@ -18,9 +18,7 @@
 // little-endian host can expose them as []float64 views of the frame buffer
 // without copying. Section tags: TagJSON carries request/response metadata
 // as UTF-8 JSON (a=0, b=0); TagMatrix carries a column-major a×b float64
-// matrix; TagVector carries a float64 vector of length a (b=0); TagForward
-// carries peer-forward routing metadata for the cluster tier (a=deadline ms,
-// b=attempt budget, payload=origin node id). The frame
+// matrix; TagVector carries a float64 vector of length a (b=0). The frame
 // length field covers the whole frame including the header, and decoding is
 // strict: bad magic, unknown versions or tags, dimension/length mismatches,
 // trailing bytes, and nonzero padding are all errors — never panics.
@@ -63,19 +61,7 @@ const (
 	TagMatrix Tag = 2
 	// TagVector is a float64 vector; A=len, B=0.
 	TagVector Tag = 3
-	// TagForward marks a peer-forwarded request in the cluster tier:
-	// A=remaining deadline budget in milliseconds (0 = none), B=remaining
-	// forward attempt budget (≤ MaxForwardAttempts), Raw=origin node id
-	// (UTF-8, ≤ MaxForwardOrigin bytes). A receiving node serves such a
-	// request locally and never re-forwards it (the routing loop guard).
-	TagForward Tag = 4
 )
-
-// MaxForwardAttempts bounds the attempt budget a forward section may carry.
-const MaxForwardAttempts = 255
-
-// MaxForwardOrigin bounds the origin node-id payload of a forward section.
-const MaxForwardOrigin = 256
 
 // Section is one frame section. On decode, Raw aliases the frame buffer
 // (valid only while the buffer is); on encode, exactly one of Raw (TagJSON)
@@ -100,13 +86,6 @@ func MatrixSection(rows, cols int, data []float64) Section {
 // VectorSection wraps a float64 vector payload for encoding.
 func VectorSection(data []float64) Section {
 	return Section{Tag: TagVector, A: uint32(len(data)), F64: data}
-}
-
-// ForwardSection wraps peer-forward routing metadata for encoding:
-// the remaining deadline budget in milliseconds, the remaining forward
-// attempt budget, and the origin node id.
-func ForwardSection(deadlineMS uint32, attempts uint8, origin string) Section {
-	return Section{Tag: TagForward, A: deadlineMS, B: uint32(attempts), Raw: []byte(origin)}
 }
 
 // Float64s returns the section payload as float64s. On a little-endian host
@@ -150,14 +129,6 @@ func (s *Section) payloadLen() (int, error) {
 			return 0, fmt.Errorf("wirefmt: vector section length %d but %d elements", s.A, len(s.F64))
 		}
 		return 8 * len(s.F64), nil
-	case TagForward:
-		if s.B > MaxForwardAttempts {
-			return 0, fmt.Errorf("wirefmt: forward section attempt budget %d exceeds %d", s.B, MaxForwardAttempts)
-		}
-		if len(s.Raw) > MaxForwardOrigin {
-			return 0, fmt.Errorf("wirefmt: forward section origin of %d bytes exceeds %d", len(s.Raw), MaxForwardOrigin)
-		}
-		return len(s.Raw), nil
 	}
 	return 0, fmt.Errorf("wirefmt: unknown section tag %d", s.Tag)
 }
@@ -326,13 +297,6 @@ func Decode(buf []byte, scratch []Section) ([]Section, error) {
 			if uint64(a)*8 != uint64(plen) {
 				return nil, formatErr("section %d: vector of %d needs %d payload bytes, header says %d",
 					i, a, uint64(a)*8, plen)
-			}
-		case TagForward:
-			if b > MaxForwardAttempts {
-				return nil, formatErr("section %d: forward attempt budget %d exceeds %d", i, b, MaxForwardAttempts)
-			}
-			if plen > MaxForwardOrigin {
-				return nil, formatErr("section %d: forward origin of %d bytes exceeds %d", i, plen, MaxForwardOrigin)
 			}
 		default:
 			return nil, formatErr("section %d: unknown tag %d", i, tag)

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"math"
 	"testing"
+	"unsafe"
 )
 
 func mustFrame(t *testing.T, secs ...Section) []byte {
@@ -160,6 +161,7 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"truncated":      good[:len(good)-4],
 		"trailing":       append(append([]byte(nil), good...), 0),
 		"unknown tag":    mutate(good, 16, 99),
+		"tag 4":          mutate(good, 16, 4),
 		"vector dim b":   mutate(good, 24, 1),
 		"payload len":    mutate(good, 28, 8),
 		"json with dims": func() []byte { b := mustFrame(t, JSONSection([]byte("{}"))); return mutate(b, 20, 1) }(),
@@ -203,5 +205,68 @@ func TestAppendFrameValidation(t *testing.T) {
 	}
 	if _, err := AppendFrame(nil, secs...); err == nil {
 		t.Error("too many sections accepted")
+	}
+}
+
+// TestFloat64sUnalignedFallback pins down the element-wise decode fallback:
+// a payload that is not 8-byte aligned must still produce bit-identical
+// floats to the zero-copy path, just via copying. Real frames are always
+// aligned (GetBuffer guarantees it); the fallback exists for callers that
+// hand Decode an arbitrary slice.
+func TestFloat64sUnalignedFallback(t *testing.T) {
+	vals := []float64{0, 1.5, -2.25, math.Pi, math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.MaxFloat64, math.Float64frombits(0x7FF8000000000001)}
+	frame, err := AppendFrame(nil, JSONSection(nil), VectorSection(vals))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Shift the whole frame by one byte so every payload lands misaligned.
+	shifted := make([]byte, len(frame)+1)
+	copy(shifted[1:], frame)
+	secs, err := Decode(shifted[1:], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vec := FindSection(secs, TagVector)
+	if vec == nil {
+		t.Fatal("no vector section")
+	}
+	if uintptr(unsafe.Pointer(&vec.Raw[0]))%8 == 0 {
+		t.Fatal("test did not achieve a misaligned payload")
+	}
+	got := vec.Float64s()
+	if len(got) != len(vals) {
+		t.Fatalf("decoded %d floats, want %d", len(got), len(vals))
+	}
+	// Bit-identical, not approximately equal: the fallback must preserve
+	// NaN payloads, signed zeros, infinities and subnormals exactly.
+	for i := range vals {
+		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+			t.Errorf("element %d: bits %016x, want %016x",
+				i, math.Float64bits(got[i]), math.Float64bits(vals[i]))
+		}
+	}
+
+	// Control: the same frame decoded from its aligned origin yields the
+	// same bits through the zero-copy path.
+	aligned, err := Decode(frame, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl := FindSection(aligned, TagVector).Float64s()
+	for i := range vals {
+		if math.Float64bits(ctrl[i]) != math.Float64bits(got[i]) {
+			t.Errorf("aligned/unaligned mismatch at %d: %016x vs %016x",
+				i, math.Float64bits(ctrl[i]), math.Float64bits(got[i]))
+		}
+	}
+
+	// The fallback returns a copy — mutating it must not write through to
+	// the frame buffer (the zero-copy path aliases by contract; the fallback
+	// must not half-alias).
+	got[0] = 42
+	if reDecoded := vec.Float64s(); reDecoded[0] != vals[0] {
+		t.Errorf("fallback aliased the frame buffer: re-decode saw %v", reDecoded[0])
 	}
 }
