@@ -117,9 +117,13 @@ check: lint check-benchmark check-run-patterns
 # `go test -run` passes silently when its pattern selects nothing, so a test
 # renamed or deleted out from under a line of check would empty that gate
 # unseen. Every alternative of every -run pattern in check's dry run must
-# match a test in its line's packages (scripts/check_run_patterns.sh).
+# match a test in its line's packages (scripts/check_run_patterns.sh). The
+# dry run of check-deep is read too: its chaos, cluster-soak, race and tc-ec
+# lines name their tests the same way, and a deleted soak left behind as an
+# alternative there would select nothing and pass.
 check-run-patterns:
-	@$(MAKE) -s --no-print-directory -n -o lint -o check-benchmark -o check-run-patterns check | \
+	@{ $(MAKE) -s --no-print-directory -n -o lint -o check-benchmark -o check-run-patterns check; \
+		$(MAKE) -s --no-print-directory -n -o lint -o check-benchmark -o serve-smoke check-deep; } | \
 		sh scripts/check_run_patterns.sh
 
 # benchmark/ is its own module, so `./...` from the root never compiles it:
@@ -173,7 +177,7 @@ fuzz:
 # then a restart that must quarantine exactly the torn files and rewarm the
 # rest). See DESIGN.md §11 and §15.
 chaos:
-	$(GO) test -race -run 'TestChaosBattery|TestMetamorphicNoSilentGarbage|TestStreamChaosSoak|TestSpillChaosSoak' -v ./internal/serve
+	$(GO) test -race -run 'TestChaosBattery|TestMetamorphicNoSilentGarbage|TestSpillChaosSoak' -v ./internal/serve
 
 # Cluster-tier soak under the race detector: a seeded (deterministic)
 # 3-node in-process cluster with every cluster.* failpoint armed, one node

@@ -12,6 +12,10 @@
 //	GET  /metrics       — Prometheus text exposition of every counter,
 //	                      gauge, and latency histogram
 //
+// A matrix enters in one request, as JSON or as one binary frame (DESIGN.md
+// §12, §13): /v1/factorize, or inline in /v1/solve and /v1/lowrank. Rows
+// that arrive after it are appended with /v1/update.
+//
 // Responses carry a Server-Timing header (decode, key, queue, factorize,
 // solve, encode, …) and serialize every numerical hazard the fallback ladder detected or
 // recovered from. SIGINT/SIGTERM drain gracefully: in-flight and queued
@@ -23,7 +27,6 @@
 //	      [-cache-max-bytes 0] [-cache-dir path] [-spill-max-bytes 0]
 //	      [-deadline 30s] [-drain-timeout 10s] [-addr-file path]
 //	      [-log-level info] [-debug-addr host:port]
-//	      [-stream-ttl 2m] [-max-stream-sessions 16]
 //	      [-node-id a] [-peers a=h:p,b=h:p,...] [-replicas 2]
 //	      [-probe-interval 1s] [-fault-spec schedule]
 //	tcqrd [-smoke] [-version]
@@ -103,9 +106,6 @@ func main() {
 		debugAddr    = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (empty disables)")
 		smoke        = flag.Bool("smoke", false, "run the end-to-end smoke (starts the daemons it needs from this binary, checks the API, update, restart, fault and cluster contracts) and exit")
 
-		streamTTL      = flag.Duration("stream-ttl", 0, "idle deadline of a chunked-upload session before it is reaped (0 = default 2m)")
-		streamSessions = flag.Int("max-stream-sessions", 0, "max concurrently open chunked-upload sessions (0 = default 16)")
-
 		nodeID        = flag.String("node-id", "", "this node's cluster member id (required with -peers)")
 		peers         = flag.String("peers", "", "static cluster membership as id=host:port,... including this node (empty = single-node)")
 		replicas      = flag.Int("replicas", 0, "replica owners per key (0 = default 2; clamped to member count)")
@@ -174,18 +174,16 @@ func main() {
 	}
 
 	srv := serve.New(serve.Options{
-		Workers:           *workers,
-		QueueDepth:        *queue,
-		CacheEntries:      *cacheEntries,
-		CacheMaxBytes:     *cacheBytes,
-		CacheDir:          *cacheDir,
-		SpillMaxBytes:     *spillBytes,
-		DefaultDeadline:   *deadline,
-		Logger:            logger,
-		StreamTTL:         *streamTTL,
-		MaxStreamSessions: *streamSessions,
-		Registry:          reg,
-		Cluster:           node,
+		Workers:         *workers,
+		QueueDepth:      *queue,
+		CacheEntries:    *cacheEntries,
+		CacheMaxBytes:   *cacheBytes,
+		CacheDir:        *cacheDir,
+		SpillMaxBytes:   *spillBytes,
+		DefaultDeadline: *deadline,
+		Logger:          logger,
+		Registry:        reg,
+		Cluster:         node,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -47,8 +47,8 @@ func TestFlagsMatchUsageComment(t *testing.T) {
 		os.Exit(0)
 	}
 	registered := registeredFlags(t)
-	if len(registered) != 21 {
-		t.Fatalf("%d flags parsed from -h output, want 21: %v", len(registered), registered)
+	if len(registered) != 19 {
+		t.Fatalf("%d flags parsed from -h output, want 19: %v", len(registered), registered)
 	}
 
 	file, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
@@ -130,7 +130,7 @@ func TestMetricAbove(t *testing.T) {
 tcqrd_requests_total{endpoint="solve"} 3
 tcqrd_requests_total{endpoint="factorize"} 0
 tcqrd_requests_total_extra 7
-tcqrd_stream_sessions 0
+tcqrd_draining 0
 tcqrd_wire_requests_total{endpoint="solve",encoding="binary"} 2
 tcqrd_wire_requests_total{endpoint="solve",encoding="json"} 0
 tcqrd_build_info{version="v1 (devel)",goversion="go1.22"} 1
@@ -147,8 +147,8 @@ tcqrd_stage_duration_seconds_sum{stage="solve"} 1.5e-3
 		{"tcqrd_requests_total", `endpoint="factorize"`, 0, false},
 		{"tcqrd_requests", "", 0, false}, // a prefix of a family is not the family
 		{"tcqrd_requests_total_extra", "", 6, true},
-		{"tcqrd_stream_sessions", "", 0, false},
-		{"tcqrd_stream_sessions", "", -1, true},
+		{"tcqrd_draining", "", 0, false},
+		{"tcqrd_draining", "", -1, true},
 		{"tcqrd_wire_requests_total", `encoding="binary"`, 1, true},
 		{"tcqrd_wire_requests_total", `encoding="json"`, 0, false},
 		{"tcqrd_wire_requests_total", `encoding="frame"`, -1, false},
@@ -158,11 +158,6 @@ tcqrd_stage_duration_seconds_sum{stage="solve"} 1.5e-3
 	} {
 		if got := metricLabelAbove(expo, tc.family, tc.label, tc.min); got != tc.want {
 			t.Errorf("metricLabelAbove(%s, %q, %g) = %v, want %v", tc.family, tc.label, tc.min, got, tc.want)
-		}
-		if tc.label == "" {
-			if got := metricAbove(expo, tc.family, tc.min); got != tc.want {
-				t.Errorf("metricAbove(%s, %g) = %v, want %v", tc.family, tc.min, got, tc.want)
-			}
 		}
 	}
 	if got := metricValues(expo, "tcqrd_requests_total", ""); len(got) != 2 || got[0] != 3 || got[1] != 0 {

@@ -46,8 +46,9 @@ var clusterFlags = []string{"-node-id", "$id", "-peers", "$peers",
 
 // apiChecks drives the API contract: factorize (cold, then cached),
 // concurrent solves queued behind a busy worker, both wire encodings, a
-// hazard-triggering matrix under both policies, malformed inputs, a chunked
-// upload, and the introspection endpoints.
+// hazard-triggering matrix under both policies, malformed inputs, a tall
+// matrix sent as one frame and then as JSON, and the introspection
+// endpoints.
 func apiChecks(s *smoker, ds []*daemon) {
 	d := ds[0]
 	r := d.get("/healthz")
@@ -177,38 +178,21 @@ func apiChecks(s *smoker, ds []*daemon) {
 	r = d.post("/v1/factorize", obj{"matrix": smokeMatrix(2, 4, 1)})
 	s.check(r.fails(400, "bad_input"), "wide matrix returns 400 bad_input", r)
 
-	// Chunked upload (DESIGN.md §13): stream a tall-skinny matrix as three
-	// binary row-block frames, commit, and verify the key is exactly what a
-	// one-shot upload of the same matrix gets — then solve against it.
+	// A tall matrix in one request (DESIGN.md §13): a binary /v1/factorize
+	// carries it as one matrix section, a JSON upload of the same matrix is
+	// a cache hit on the same key, and a solve by that key is accurate.
 	const tm, tn = 2048, 16
 	tall := smokeMatrix(tm, tn, 1)
-	r = d.post("/v1/factorize/stream/begin", obj{"cols": tn})
-	s.check(r.is(200) && r.Session != "" && r.TTLMS > 0, "stream begin mints a session", r)
-	session, row := r.Session, 0
-	for ci, h := range []int{1024, 512, 512} {
-		blk := make([]float64, 0, h*tn)
-		for j := 0; j < tn; j++ {
-			blk = append(blk, tall.Data[j*tm+row:j*tm+row+h]...)
-		}
-		row += h
-		r = d.postFrame("/v1/factorize/stream/append", "application/json", obj{"session": session},
-			wirefmt.MatrixSection(h, tn, blk))
-		s.check(r.err == nil, fmt.Sprintf("chunk %d encodes as a frame", ci), r)
-		s.check(r.is(200) && r.Rows == row && r.Blocks == ci+1, fmt.Sprintf("binary append %d accepted", ci), r)
-	}
-	r = d.post("/v1/factorize/stream/commit", obj{"session": session})
-	s.check(r.is(200) && r.Key != "" && r.Rows == tm && !r.Cached,
-		"stream commit factorizes the assembled matrix", r)
-	streamedKey := r.Key
+	r = d.postFrame("/v1/factorize", "application/json", obj{}, wirefmt.MatrixSection(tm, tn, tall.Data))
+	s.check(r.err == nil && r.is(200) && r.Key != "" && r.Rows == tm && !r.Cached,
+		"binary factorize of a tall matrix", r)
+	tallKey := r.Key
 	r = d.post("/v1/factorize", obj{"matrix": tall})
-	s.check(r.is(200) && r.Cached && r.Key == streamedKey,
-		"one-shot upload of the streamed matrix is a cache hit on the same key", r, "streamed as", streamedKey)
-	r = d.post("/v1/solve", obj{"key": streamedKey, "b": tall.mulVec(ramp(tn, 3, 1))})
+	s.check(r.is(200) && r.Cached && r.Key == tallKey,
+		"JSON upload of the same matrix is a cache hit on the same key", r, "sent as a frame to", tallKey)
+	r = d.post("/v1/solve", obj{"key": tallKey, "b": tall.mulVec(ramp(tn, 3, 1))})
 	s.check(r.is(200) && maxAbsDiff(r.X, ramp(tn, 3, 1)) < 1e-5,
-		"solve against the streamed factorization is accurate", r)
-	// A committed session is consumed: the id must no longer resolve.
-	r = d.post("/v1/factorize/stream/commit", obj{"session": session})
-	s.check(r.fails(404, "unknown_stream"), "committed session is consumed", r)
+		"solve against the tall factorization is accurate", r)
 
 	// Introspection: /statz must reflect the traffic above.
 	zr, z = d.statz()
@@ -248,17 +232,10 @@ func apiChecks(s *smoker, ds []*daemon) {
 		"tcqrd_requests_total", "tcqrd_responses_total", "tcqrd_cache_hits_total", "tcqrd_cache_key_collisions_total",
 		"tcqrd_stage_duration_seconds_bucket",
 		"tcqrd_hazards_total", "tcqrd_engine_gemm_calls_total",
-		"tcqrd_wire_requests_total", "tcqrd_wire_responses_total", "tcqrd_stream_sessions",
-		"tcqrd_stream_begun_total", "tcqrd_stream_committed_total", "tcqrd_stream_appends_total",
+		"tcqrd_wire_requests_total", "tcqrd_wire_responses_total",
 	} {
 		s.check(strings.Contains(text, family), "metrics exposes "+family, "family missing from exposition")
 	}
-	s.check(metricAbove(text, "tcqrd_stream_begun_total", 0) && metricAbove(text, "tcqrd_stream_committed_total", 0) &&
-		metricAbove(text, "tcqrd_stream_appends_total", 2), "metrics counted the chunked upload lifecycle",
-		"stream begun/committed/appends counters do not reflect the upload")
-	// The one session was committed and proven consumed; none may linger.
-	sessions := metricValues(text, "tcqrd_stream_sessions", "")
-	s.check(len(sessions) == 1 && sessions[0] == 0, "tcqrd_stream_sessions == 0", sessions)
 }
 
 // updateChecks drives the incremental-update contract: factorize, append

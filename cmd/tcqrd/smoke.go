@@ -245,11 +245,8 @@ type reply struct {
 	Epoch      uint64    `json:"epoch"`
 	Rows       int       `json:"rows"`
 	Cols       int       `json:"cols"`
-	Blocks     int       `json:"blocks"`
 	X          []float64 `json:"x"`
 	Iterations int       `json:"iterations"`
-	Session    string    `json:"session"`
-	TTLMS      int64     `json:"ttl_ms"`
 	Hazards    []struct {
 		Action string `json:"action"`
 	} `json:"hazards"`
@@ -376,11 +373,6 @@ func metricLabelAbove(exposition, name, labelSub string, min float64) bool {
 		}
 	}
 	return false
-}
-
-// metricAbove is metricLabelAbove over every sample of the family.
-func metricAbove(exposition, name string, min float64) bool {
-	return metricLabelAbove(exposition, name, "", min)
 }
 
 // metricValues returns the value of every sample line of the named family

@@ -9,9 +9,8 @@
 //   - a bounded worker pool with admission control: queue-depth limit,
 //     per-request deadlines, typed backpressure errors, graceful drain
 //     (pool.go);
-//   - HTTP handlers for /v1/factorize (and its /stream/* upload), /v1/solve,
-//     /v1/update, /v1/lowrank, /healthz, /statz and /metrics: one request
-//     pipeline behind a JSON and a binary-frame codec (server.go, codec.go,
+//   - HTTP handlers for /v1/factorize, /v1/solve, /v1/update, /v1/lowrank,
+//     /healthz, /statz and /metrics: one request pipeline behind a JSON and a binary-frame codec (server.go, codec.go,
 //     wire.go, stages.go), a handler file per endpoint family;
 //   - a write-behind disk spill tier with restart rewarm (spill.go) and the
 //     cluster routing seam (cluster.go).

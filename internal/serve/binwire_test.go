@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -788,14 +789,16 @@ func TestColdFrameSolveAllocBytes(t *testing.T) {
 }
 
 // TestFrameLayoutTableMatchesDesignDoc holds DESIGN.md §12's per-endpoint
-// section table to the layouts the code states: every row below is rendered
-// from the request and response types themselves and must appear in the
-// document verbatim.
+// section table to the layouts the code states, both ways: every row below is
+// rendered from the request and response types themselves and must appear in
+// the document verbatim, and every endpoint row of §12's table must name a
+// path below, so a row left behind by a deleted endpoint fails too.
 func TestFrameLayoutTableMatchesDesignDoc(t *testing.T) {
 	doc, err := os.ReadFile("../../DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
+	stated := map[string]bool{}
 	for _, ep := range []struct {
 		path      string
 		req, resp any
@@ -804,14 +807,188 @@ func TestFrameLayoutTableMatchesDesignDoc(t *testing.T) {
 		{"/v1/solve", new(solveRequest), new(solveResponse)},
 		{"/v1/update", new(updateRequest), new(updateResponse)},
 		{"/v1/lowrank", new(lowRankRequest), new(lowRankResponse)},
-		{"/v1/factorize/stream/begin", new(streamBeginRequest), new(streamBeginResponse)},
-		{"/v1/factorize/stream/append", new(streamAppendRequest), new(streamAppendResponse)},
-		{"/v1/factorize/stream/commit", new(streamCommitRequest), new(factorizeResponse)},
-		{"/v1/factorize/stream/abort", new(streamAbortRequest), new(streamAbortResponse)},
 	} {
+		stated[ep.path] = true
 		row := fmt.Sprintf("| `%s` | `%v` | `%v` |", ep.path, layoutOf(ep.req), layoutOf(ep.resp))
 		if !bytes.Contains(doc, []byte(row)) {
 			t.Errorf("DESIGN.md §12 lacks the row the code states:\n%s", row)
 		}
 	}
+	_, sec, ok := strings.Cut(string(doc), "\n## 12. ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §12")
+	}
+	sec, _, _ = strings.Cut(sec, "\n## ")
+	for _, line := range strings.Split(sec, "\n") {
+		path, ok := strings.CutPrefix(strings.TrimSpace(line), "| `/v1/")
+		if !ok {
+			continue
+		}
+		path, _, _ = strings.Cut(path, "`")
+		if !stated["/v1/"+path] {
+			t.Errorf("DESIGN.md §12 has a row for /v1/%s, an endpoint whose layout no code states:\n%s", path, line)
+		}
+	}
+}
+
+// TestDefaultBodyCapAdmitsElementCap: under default Options the element cap,
+// not the body cap, decides which matrices a binary /v1/factorize takes. A
+// frame carrying the largest matrix MaxElements admits is 64 MiB of floats
+// plus its section headers and metadata, so the body cap leaves room for
+// them: 8 Mi×1 factors, and 8 Mi+1 rows are refused as too_large by the
+// element check.
+func TestDefaultBodyCapAdmitsElementCap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("a 64 MiB factorization is too slow under the race detector")
+	}
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	column := func(m int) []float64 {
+		c := make([]float64, m)
+		for i := range c {
+			c[i] = float64(1 + i%7)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		rows int
+		code int
+	}{
+		{s.opts.MaxElements, 200},
+		{s.opts.MaxElements + 1, 413},
+	} {
+		body := frameBody(t, map[string]any{}, wirefmt.MatrixSection(tc.rows, 1, column(tc.rows)))
+		rec := postFrame(t, h, "/v1/factorize", body, "application/json")
+		if rec.Code != tc.code {
+			t.Fatalf("%d×1 frame of %d bytes: status %d, want %d: %s", tc.rows, len(body), rec.Code, tc.code, rec.Body.String())
+		}
+		if tc.code == 200 {
+			continue
+		}
+		var env envelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+			t.Fatal(err)
+		}
+		if env.Error.Code != "too_large" || !strings.Contains(env.Error.Message, "elements") {
+			t.Fatalf("%d×1 frame: error %+v, want too_large from the element cap", tc.rows, env.Error)
+		}
+	}
+}
+
+// FuzzRequestDecode throws the same raw bytes at both decoders of every
+// endpoint's request: the frame decode and the strict JSON decode. Whatever
+// the request type and codec, decoding must never panic, and every rejection
+// must be a client-class apiError — a hostile body can never take the 500
+// path. Every matrix an accepted body carries must either pass matrix(), the
+// gate every handler applies before anything else sees it, with a consistent
+// shape, or be rejected by it as bad input. An accepted frame must also have bound each
+// required bulk section and must survive re-encoding unchanged.
+func FuzzRequestDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte("not a frame"))
+	valid, _ := wirefmt.AppendFrame(nil,
+		wirefmt.JSONSection([]byte(`{"config":{"engine":"fp32"}}`)),
+		wirefmt.MatrixSection(3, 2, []float64{1, 2, 3, 4, 5, 6}))
+	f.Add(valid)
+	noMatrix, _ := wirefmt.AppendFrame(nil, wirefmt.JSONSection([]byte(`{"key":"k"}`)))
+	f.Add(noMatrix)
+	inMeta, _ := wirefmt.AppendFrame(nil,
+		wirefmt.JSONSection([]byte(`{"matrix":{"rows":1,"cols":1,"data":[1]}}`)),
+		wirefmt.MatrixSection(1, 1, []float64{1}))
+	f.Add(inMeta)
+	vecNotMat, _ := wirefmt.AppendFrame(nil,
+		wirefmt.JSONSection([]byte(`{"key":"k"}`)),
+		wirefmt.VectorSection([]float64{1, 2}))
+	f.Add(vecNotMat)
+	if len(valid) > 8 {
+		f.Add(valid[:len(valid)-3]) // truncated bulk section
+		f.Add(valid[:9])            // truncated header
+	}
+	for _, body := range []string{
+		`{"matrix":{"rows":3,"cols":2,"data":[1,1,1,1,2,3]},"config":{"engine":"tc-ec","cutoff":8},"deadline_ms":50}`,
+		`{"key":"k","b":[1,2,3],"options":{"method":"lsqr","tol":1e-12,"on_hazard":"fallback"}}`,
+		`{"key":"k@1","append":{"rows":1,"cols":2,"data":[1,4]}}`,
+		`{"key":"k","remove_rows":1}`,
+		`{"matrix":{"rows":3,"cols":2,"data":[1,1,1,1,2,3]},"rank":1}`,
+		`{"matrix":{"rows":2,"cols":2,"data":[1,0,0,1]},"config":{"panel":"mgs"}}`,
+		`{"key":"k","append":{"rows":1,"cols":2,"data":[1,2]},"remove_rows":1}`,
+		`{"key":"k","deadline_ms":5}`,
+		`{"matrix":{"rows":4294967296,"cols":4294967296,"data":[]}}`,
+		`{"matrix":{"rows":2,"cols":-1,"data":[1,2]}}`,
+		`{"b":[1e400]}`,
+		`{"key":"k","unknown":1}`,
+		`{"key":"k"} {}`,
+	} {
+		f.Add([]byte(body))
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for endpoint, newReq := range map[string]func() any{
+			"factorize": func() any { return new(factorizeRequest) },
+			"solve":     func() any { return new(solveRequest) },
+			"update":    func() any { return new(updateRequest) },
+			"lowrank":   func() any { return new(lowRankRequest) },
+		} {
+			jreq := newReq()
+			checkDecoded(t, endpoint+" json", jreq, decodeJSON(bytes.NewReader(body), jreq), false)
+			req := newReq()
+			_, aerr := decodeFrame(endpoint, body, req)
+			if !checkDecoded(t, endpoint+" frame", req, aerr, true) {
+				continue
+			}
+			frame, err := encodeFrame(req)
+			if err != nil {
+				t.Fatalf("%s: accepted request does not re-encode: %v", endpoint, err)
+			}
+			again := newReq()
+			if _, aerr := decodeFrame(endpoint, *frame, again); aerr != nil {
+				t.Fatalf("%s: re-encoded request rejected: %s", endpoint, aerr.msg)
+			}
+			// Compared as frames: float payloads may hold NaNs, which no
+			// value comparison calls equal.
+			if frame2, err := encodeFrame(again); err != nil || !bytes.Equal(*frame, *frame2) {
+				t.Fatalf("%s: round trip changed the request (%v):\n got %+v\nwant %+v", endpoint, err, again, req)
+			}
+		}
+	})
+}
+
+// checkDecoded holds one decode of a fuzzed body to the decoders' contract
+// and reports whether req was accepted: a rejection is client-class, and each
+// matrix an accepted request carries passes matrix() with a consistent shape
+// or fails it as bad input. A frame must also bind every required matrix
+// section (sections); JSON leaves a missing one to the handler's matrix().
+func checkDecoded(t *testing.T, label string, req any, aerr *apiError, sections bool) bool {
+	t.Helper()
+	if aerr != nil {
+		if aerr.status < 400 || aerr.status >= 500 {
+			t.Fatalf("%s: decode rejection carries server-class status %d (%s)", label, aerr.status, aerr.msg)
+		}
+		return false
+	}
+	for _, fld := range layoutOf(req).bulk {
+		if fld.mat == nil {
+			continue
+		}
+		m, _ := fld.get()
+		if m == nil {
+			if sections && !fld.optional {
+				t.Fatalf("%s: accepted frame without its %s section", label, fld.name)
+			}
+			continue
+		}
+		blk, err := m.matrix()
+		if err != nil {
+			if st := classifyError(err).status; st != 400 {
+				t.Fatalf("%s: %s rejected with status %d, want 400: %v", label, fld.name, st, err)
+			}
+			continue
+		}
+		if blk.Rows <= 0 || blk.Cols <= 0 || len(m.Data) != blk.Rows*blk.Cols {
+			t.Fatalf("%s: validated %s has inconsistent shape %dx%d with %d elements",
+				label, fld.name, blk.Rows, blk.Cols, len(m.Data))
+		}
+	}
+	return true
 }

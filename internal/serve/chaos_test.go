@@ -249,180 +249,3 @@ func TestMetamorphicNoSilentGarbage(t *testing.T) {
 		s.Close()
 	}
 }
-
-// TestStreamChaosSoak is the chunked-upload soak: 64 concurrent clients each
-// run full begin/append/commit conversations over tall-skinny matrices,
-// while a seeded schedule injects faults into the cold factorization
-// (serve.cache.factorize), the append handler (serve.stream.append) and the
-// request decoder (serve.wire.decode). The invariants: every request gets
-// exactly one legal response, a 200 commit is a real factorization (solvable
-// by key to the right answer), no stream session leaks — open sessions drain
-// to zero and the lifecycle counters balance — and the server drains to idle.
-// Run under -race.
-func TestStreamChaosSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stream chaos soak skipped in -short mode")
-	}
-	const (
-		clients  = 64
-		iters    = 4
-		matrices = 5
-		m, n     = 96, 8
-	)
-	s := New(Options{Workers: 4, QueueDepth: 512})
-	defer s.Close()
-	h := s.Handler()
-	// 96x8 sits below the recursion cutoff, so tcsim.gemm never fires here;
-	// serve.cache.factorize is the site every cold commit reaches. 0.37 keeps
-	// the per-commit failure rate this soak has always run at: one fault
-	// among 6 leaves at 0.05 and 5 tree nodes at 0.03, 1 - 0.95^6 * 0.97^5.
-	arm(t, "seed=777"+
-		";serve.cache.factorize=error@p=0.37"+
-		";serve.stream.append=error@p=0.05"+
-		";serve.wire.decode=error@p=0.03")
-
-	type fixture struct {
-		mat    []float64
-		chunks []map[string]any
-		x      []float64
-		b      []float64
-	}
-	fixtures := make([]fixture, matrices)
-	for i := range fixtures {
-		data := testMatrix(uint64(7000+i), m, n, 1)
-		x := make([]float64, n)
-		for j := range x {
-			x[j] = float64(i+1) + float64(j)/8
-		}
-		fixtures[i] = fixture{
-			mat:    data,
-			chunks: rowChunks(t, m, n, data, 32, 32, 32),
-			x:      x,
-			b:      matVecData(m, n, data, x),
-		}
-	}
-
-	var (
-		mu       sync.Mutex
-		byStatus = map[int]int64{}
-		requests int64
-		solved   int64 // 200 commits whose key then solved to the right answer
-	)
-	note := func(code int) {
-		mu.Lock()
-		byStatus[code]++
-		requests++
-		mu.Unlock()
-	}
-
-	var wg sync.WaitGroup
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for it := 0; it < iters; it++ {
-				fx := &fixtures[(c+it)%matrices]
-				var br streamBeginReply
-				code, _ := post(t, h, "/v1/factorize/stream/begin", map[string]any{"cols": n}, &br)
-				note(code)
-				if code != 200 {
-					if !legalChaosStatus[code] {
-						t.Errorf("client %d iter %d: begin status %d", c, it, code)
-					}
-					continue
-				}
-				alive := true
-				for bi, blk := range fx.chunks {
-					code, _ := post(t, h, "/v1/factorize/stream/append",
-						map[string]any{"session": br.Session, "block": blk}, nil)
-					note(code)
-					if !legalChaosStatus[code] {
-						t.Errorf("client %d iter %d: append %d status %d", c, it, bi, code)
-					}
-					// An injected append fault leaves the session intact;
-					// retry the chunk once like a real client would.
-					if code == 500 {
-						code, _ = post(t, h, "/v1/factorize/stream/append",
-							map[string]any{"session": br.Session, "block": blk}, nil)
-						note(code)
-					}
-					if code != 200 {
-						alive = false
-						break
-					}
-				}
-				if !alive {
-					// Give up on this conversation; abort releases the session
-					// (it may already be gone — both outcomes are legal).
-					code, _ := post(t, h, "/v1/factorize/stream/abort", map[string]any{"session": br.Session}, nil)
-					note(code)
-					if code != 200 && code != 404 && !legalChaosStatus[code] {
-						t.Errorf("client %d iter %d: abort status %d", c, it, code)
-					}
-					continue
-				}
-				var fr factorizeReply
-				code, _ = post(t, h, "/v1/factorize/stream/commit", map[string]any{"session": br.Session}, &fr)
-				note(code)
-				if !legalChaosStatus[code] {
-					t.Errorf("client %d iter %d: commit status %d", c, it, code)
-				}
-				if code != 200 {
-					continue
-				}
-				// A 200 commit is a real factorization: solve by key.
-				var sr solveReply
-				code, _ = post(t, h, "/v1/solve", map[string]any{"key": fr.Key, "b": fx.b}, &sr)
-				note(code)
-				if code == 200 {
-					if d := maxDiff(sr.X, fx.x); d > 1e-5 {
-						t.Errorf("client %d iter %d: 200 solve with wrong answer (err %g)", c, it, d)
-					} else {
-						mu.Lock()
-						solved++
-						mu.Unlock()
-					}
-				} else if !legalChaosStatus[code] {
-					t.Errorf("client %d iter %d: solve status %d", c, it, code)
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-
-	// No lost responses.
-	var total int64
-	for _, v := range byStatus {
-		total += v
-	}
-	if total != requests {
-		t.Fatalf("observed %d responses for %d requests", total, requests)
-	}
-	// The schedule actually fired.
-	if len(faultinject.Events()) == 0 {
-		t.Fatal("fault schedule never fired")
-	}
-	// Cold factorizations actually served traffic (faults did not turn
-	// every commit into a 500).
-	if misses := s.cache.Stats().Misses; misses == 0 || solved == 0 {
-		t.Fatalf("cache misses %d, commits solved by key %d: want both > 0", misses, solved)
-	}
-
-	// No leaked sessions: everything begun was committed, aborted, or is
-	// reaped by drain; the gauge reads zero afterwards.
-	s.BeginDrain()
-	if open := s.streams.len(); open != 0 {
-		t.Fatalf("%d stream sessions still open after drain", open)
-	}
-	begun := s.metrics.streamBegun.Value()
-	ended := s.metrics.streamCommitted.Value() + s.metrics.streamAborted.Value() + s.metrics.streamReaped.Value()
-	if begun != ended {
-		t.Fatalf("session leak: begun %d, ended %d (committed %d aborted %d reaped %d)",
-			begun, ended, s.metrics.streamCommitted.Value(), s.metrics.streamAborted.Value(), s.metrics.streamReaped.Value())
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := s.AwaitIdle(ctx); err != nil {
-		t.Fatalf("AwaitIdle after stream chaos: %v (pool stats %+v)", err, s.pool.Stats())
-	}
-}

@@ -78,7 +78,7 @@ func wantsFrameResponse(r *http.Request, frameReq bool) bool {
 type bulkField struct {
 	name string // JSON member name
 	// mat is a matrix section. Matrices outlive the request (factorization
-	// cache, upload session, published epoch) and a pooled frame buffer must
+	// cache, published epoch) and a pooled frame buffer must
 	// not, so decoding copies the section out of one — and lets the matrix
 	// keep a buffer the pool will never see again (decodeFrame's adopt rule).
 	mat **WireMatrix

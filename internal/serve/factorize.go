@@ -97,19 +97,13 @@ func (s *Server) serveFactorize(rc *reqScope, w http.ResponseWriter, r *http.Req
 	if s.forward(w, rc, route{path: "/v1/factorize", key: key}, &req) {
 		return nil
 	}
-	return s.factorizeReply(w, rc, key, a, cfg, req.Config)
-}
-
-// factorizeReply is the shared tail of the one-shot and the streamed
-// factorize: factor (or find) the entry under key, re-home a fresh one to
-// the key's owners, and answer with the factorizeResponse.
-func (s *Server) factorizeReply(w http.ResponseWriter, rc *reqScope, key string, a *tcqr.Matrix, cfg tcqr.Config, wcfg WireConfig) error {
 	entry, src, err := s.factorEntry(rc, key, a, cfg)
 	if err != nil {
 		return err
 	}
+	// A fresh factorization is re-homed to the key's owners.
 	if src == SourceMiss {
-		s.clusterReplicate(key, a, wcfg)
+		s.clusterReplicate(key, a, req.Config)
 	}
 	// The entry's own key addresses it from here on: key itself, unless that
 	// name was another matrix's (a salted name, or none for an uncached one).

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"tcqr"
-	"tcqr/internal/wirefmt"
 )
 
 // --- overflow-safe matrix validation ---------------------------------------
@@ -220,95 +219,5 @@ func TestSolveKeyWithConfigRejected(t *testing.T) {
 	var sr solveReply
 	if code, _ := post(t, h, "/v1/solve", map[string]any{"key": fr.Key, "b": make([]float64, m)}, &sr); code != 200 {
 		t.Fatalf("key-only solve after rejection: code=%d", code)
-	}
-}
-
-// --- stream session hygiene -------------------------------------------------
-
-// TestStreamAbandonedSessionsReaped is the regression test for chunked-upload
-// session leaks: sessions are deadline-bounded (a begin-without-commit client
-// cannot park row blocks forever), the drain path reaps everything that is
-// still open, and because binary appends copy row data out of the pooled
-// frame buffer inside the handler, an abandoned session can never hold a
-// wirefmt pool buffer hostage.
-func TestStreamAbandonedSessionsReaped(t *testing.T) {
-	// Expiry runs on the clock the test hands the registry, not the wall
-	// clock: the TTL is long enough that the background reaper never fires.
-	const ttl = time.Hour
-	s := New(Options{Workers: 1, StreamTTL: ttl})
-	defer s.Close()
-	h := s.Handler()
-	t0 := time.Now() // every session below expires after t0+ttl
-
-	// Three sessions: one abandoned mid-upload (with a binary append, so the
-	// pooled-buffer path is exercised), one abandoned right after begin, one
-	// kept alive by an append past the others' expiry.
-	begin := func() string {
-		t.Helper()
-		var br streamBeginReply
-		if code, _ := post(t, h, "/v1/factorize/stream/begin", map[string]any{"cols": 2}, &br); code != 200 {
-			t.Fatalf("begin status %d", code)
-		}
-		return br.Session
-	}
-	abandonedMid, abandonedFresh, live := begin(), begin(), begin()
-
-	body := frameBody(t, map[string]any{"session": abandonedMid},
-		wirefmt.MatrixSection(2, 2, []float64{1, 2, 3, 4}))
-	if rec := postFrame(t, h, "/v1/factorize/stream/append", body, "application/json"); rec.Code != 200 {
-		t.Fatalf("binary append status %d: %s", rec.Code, rec.Body.String())
-	}
-	if code, _ := post(t, h, "/v1/factorize/stream/append",
-		map[string]any{"session": live, "block": wireMat(2, 2, []float64{1, 2, 3, 4})}, nil); code != 200 {
-		t.Fatalf("live append status %d", code)
-	}
-
-	// An append at t0+ttl finds the live session still open and moves its
-	// deadline to t0+2·ttl; the sweep at t0+1.5·ttl then expires exactly the
-	// abandoned two.
-	if _, aerr := s.streams.append(live, 1, 2, []float64{5, 6}, s.opts.MaxElements, t0.Add(ttl)); aerr != nil {
-		t.Fatalf("live append at t0+ttl: %v", aerr)
-	}
-	if n := s.streams.reapExpired(t0.Add(3 * ttl / 2)); n != 2 || s.streams.len() != 1 {
-		t.Fatalf("sweep at t0+1.5·ttl reaped %d, %d still open; want 2 and 1", n, s.streams.len())
-	}
-	if got := s.metrics.streamReaped.Value(); got != 2 {
-		t.Errorf("reaped counter = %d, want 2", got)
-	}
-	for _, id := range []string{abandonedMid, abandonedFresh} {
-		var env envelope
-		code, _ := post(t, h, "/v1/factorize/stream/append",
-			map[string]any{"session": id, "block": wireMat(1, 2, []float64{0, 0})}, &env)
-		if code != 404 || env.Error.Code != "unknown_stream" {
-			t.Errorf("append to reaped session: status %d code %q, want 404 unknown_stream", code, env.Error.Code)
-		}
-	}
-
-	// The surviving session still commits: reaping is per-session, not global.
-	var fr factorizeReply
-	if code, _ := post(t, h, "/v1/factorize/stream/commit", map[string]any{"session": live}, &fr); code != 200 {
-		t.Fatalf("live session commit status %d", code)
-	}
-
-	// Drain reaps whatever is open and rejects new begins.
-	leftover := begin()
-	s.BeginDrain()
-	if got := s.streams.len(); got != 0 {
-		t.Fatalf("%d sessions open after BeginDrain, want 0", got)
-	}
-	var env envelope
-	if code, _ := post(t, h, "/v1/factorize/stream/commit", map[string]any{"session": leftover}, &env); code != 503 {
-		t.Errorf("commit while draining: status %d, want 503", code)
-	}
-	if code, _ := post(t, h, "/v1/factorize/stream/begin", map[string]any{"cols": 2}, &env); code != 503 || env.Error.Code != "draining" {
-		t.Errorf("begin while draining: status %d code %q, want 503 draining", code, env.Error.Code)
-	}
-
-	// Lifecycle accounting closes: every begun session ended exactly one way.
-	begun := s.metrics.streamBegun.Value()
-	ended := s.metrics.streamCommitted.Value() + s.metrics.streamAborted.Value() + s.metrics.streamReaped.Value()
-	if begun != ended || begun != 4 {
-		t.Errorf("session accounting: begun %d, ended %d (committed %d aborted %d reaped %d)",
-			begun, ended, s.metrics.streamCommitted.Value(), s.metrics.streamAborted.Value(), s.metrics.streamReaped.Value())
 	}
 }

@@ -36,15 +36,6 @@ type serverMetrics struct {
 
 	stageSeconds *metrics.HistogramVec // by stage (stageNames)
 
-	// Chunked-upload session lifecycle counters. begun = committed + aborted
-	// + reaped + currently-open is the leak invariant the hardening and chaos
-	// tests check.
-	streamBegun     *metrics.Counter
-	streamCommitted *metrics.Counter
-	streamAborted   *metrics.Counter
-	streamReaped    *metrics.Counter
-	streamAppends   *metrics.Counter
-
 	// Update endpoint counters: epochs applied by operation, aborted
 	// updates, and the net row churn (|Δrows| summed over updates).
 	updateApplied *metrics.CounterVec // by op: append/downdate
@@ -105,16 +96,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			"Requests received, by API endpoint and wire encoding.", "endpoint", "encoding"),
 		wireResponses: reg.CounterVec("tcqrd_wire_responses_total",
 			"Successful responses written, by wire encoding.", "encoding"),
-		streamBegun: reg.Counter("tcqrd_stream_begun_total",
-			"Chunked-upload sessions opened."),
-		streamCommitted: reg.Counter("tcqrd_stream_committed_total",
-			"Chunked-upload sessions consumed by a commit (successful or not)."),
-		streamAborted: reg.Counter("tcqrd_stream_aborted_total",
-			"Chunked-upload sessions aborted by the client."),
-		streamReaped: reg.Counter("tcqrd_stream_reaped_total",
-			"Chunked-upload sessions reaped on expiry or drain."),
-		streamAppends: reg.Counter("tcqrd_stream_appends_total",
-			"Row blocks accepted into chunked-upload sessions."),
 		updateApplied: reg.CounterVec("tcqrd_update_applied_total",
 			"Incremental factorization updates published, by operation.", "op"),
 		updateFailed: reg.Counter("tcqrd_update_failed_total",
@@ -136,10 +117,6 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 			}
 			return 0
 		})
-
-	reg.GaugeFunc("tcqrd_stream_sessions",
-		"Chunked-upload sessions currently open.",
-		func() float64 { return float64(s.streams.len()) })
 
 	reg.GaugeFunc("tcqrd_pool_queue_depth",
 		"Tasks waiting in the admission queue.",

@@ -45,17 +45,11 @@ type Options struct {
 	// DefaultDeadline bounds each request when the client sends no
 	// deadline_ms (0 = 30s).
 	DefaultDeadline time.Duration
-	// MaxBodyBytes caps request bodies (0 = 64 MiB).
+	// MaxBodyBytes caps request bodies (0 = 64 MiB + 64 KiB: a frame
+	// carrying the largest matrix the default MaxElements admits).
 	MaxBodyBytes int64
 	// MaxElements caps rows*cols of an uploaded matrix (0 = 8Mi elements).
 	MaxElements int
-	// StreamTTL is the idle deadline of a chunked-upload session: a session
-	// with no append or commit for this long is reaped, and its buffered row
-	// blocks released (0 = 2m).
-	StreamTTL time.Duration
-	// MaxStreamSessions caps concurrently open chunked-upload sessions;
-	// begins past the cap are rejected with 429 (0 = 16).
-	MaxStreamSessions int
 	// Backend routes compute; nil = LibraryBackend. Tests install counting
 	// or delaying backends here.
 	Backend Backend
@@ -84,15 +78,13 @@ type Server struct {
 	cache    *FactorCache
 	spill    *SpillTier
 	pool     *Pool
-	streams  *streamRegistry
 	cluster  *cluster.Node
 	start    time.Time
 	draining atomic.Bool
 	metrics  *serverMetrics
 	log      *slog.Logger
 
-	reaperStop chan struct{}
-	closeOnce  sync.Once
+	closeOnce sync.Once
 }
 
 // New builds a Server from opts, filling in defaults for zero fields.
@@ -110,16 +102,13 @@ func New(opts Options) *Server {
 		opts.DefaultDeadline = 30 * time.Second
 	}
 	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = 64 << 20
+		// 64 MiB is 8 Mi float64 elements; the 64 KiB on top holds a frame's
+		// section headers and JSON metadata, so the element cap, not the
+		// body cap, is what refuses a matrix.
+		opts.MaxBodyBytes = 64<<20 + 64<<10
 	}
 	if opts.MaxElements <= 0 {
 		opts.MaxElements = 8 << 20
-	}
-	if opts.StreamTTL <= 0 {
-		opts.StreamTTL = 2 * time.Minute
-	}
-	if opts.MaxStreamSessions <= 0 {
-		opts.MaxStreamSessions = 16
 	}
 	if opts.Backend == nil {
 		opts.Backend = LibraryBackend{}
@@ -128,14 +117,12 @@ func New(opts Options) *Server {
 		opts.Registry = metrics.NewRegistry()
 	}
 	s := &Server{
-		opts:       opts,
-		backend:    opts.Backend,
-		pool:       NewPool(opts.Workers, opts.QueueDepth),
-		streams:    newStreamRegistry(opts.StreamTTL, opts.MaxStreamSessions),
-		cluster:    opts.Cluster,
-		start:      time.Now(),
-		log:        opts.Logger,
-		reaperStop: make(chan struct{}),
+		opts:    opts,
+		backend: opts.Backend,
+		pool:    NewPool(opts.Workers, opts.QueueDepth),
+		cluster: opts.Cluster,
+		start:   time.Now(),
+		log:     opts.Logger,
 	}
 	s.cache = NewFactorCache(opts.CacheEntries, s.backend)
 	s.cache.SetByteBudget(opts.CacheMaxBytes)
@@ -160,8 +147,6 @@ func New(opts Options) *Server {
 		}
 	}
 	s.metrics = newServerMetrics(opts.Registry, s)
-	s.streams.reaped = func(n int) { s.metrics.streamReaped.Add(int64(n)) }
-	go s.streamReaper(s.reaperStop)
 	return s
 }
 
@@ -173,12 +158,11 @@ func (s *Server) Cache() *FactorCache { return s.cache }
 // renders).
 func (s *Server) Metrics() *metrics.Registry { return s.metrics.reg }
 
-// Close detaches the server's engine-GEMM observer and stops the stream
-// session reaper. Call when retiring a Server whose process keeps running
-// (tests, embedders); idempotent.
+// Close detaches the server's engine-GEMM observer and closes the spill
+// tier. Call when retiring a Server whose process keeps running (tests,
+// embedders); idempotent.
 func (s *Server) Close() {
 	s.closeOnce.Do(func() {
-		close(s.reaperStop)
 		if s.spill != nil {
 			s.spill.Close()
 		}
@@ -188,16 +172,13 @@ func (s *Server) Close() {
 
 // BeginDrain flips the server to draining: /healthz turns 503, new compute
 // requests are rejected (admitted ones complete: each is a pool task, queued
-// or running, which AwaitIdle waits out), and every open
-// chunked-upload session is reaped (a begin-without-commit client gets
-// unknown_stream and must restart against the replacement instance). On a
-// cluster node the drain is cluster-aware: peers probing the 503 healthz mark
-// this node down and stop forwarding to it, and the node's queued handoff
-// hints get an immediate flush attempt (see also cluster.Node.DrainHandoff
-// for a blocking flush at shutdown). Idempotent.
+// or running, which AwaitIdle waits out). On a cluster node the drain is
+// cluster-aware: peers probing the 503 healthz mark this node down and stop
+// forwarding to it, and the node's queued handoff hints get an immediate
+// flush attempt (see also cluster.Node.DrainHandoff for a blocking flush at
+// shutdown). Idempotent.
 func (s *Server) BeginDrain() {
 	s.draining.Store(true)
-	s.streams.reapAll()
 	if s.cluster != nil {
 		s.cluster.BeginLeave()
 	}
@@ -207,16 +188,11 @@ func (s *Server) BeginDrain() {
 // ctx expires. Call after the HTTP server has stopped accepting requests.
 func (s *Server) AwaitIdle(ctx context.Context) error { return s.pool.AwaitIdle(ctx) }
 
-// Handler returns the HTTP API: POST /v1/factorize, /v1/factorize/stream/
-// {begin,append,commit,abort}, /v1/solve, /v1/update, /v1/lowrank; GET
-// /healthz, /statz, /metrics.
+// Handler returns the HTTP API: POST /v1/factorize, /v1/solve, /v1/update,
+// /v1/lowrank; GET /healthz, /statz, /metrics.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/factorize", s.endpoint("factorize", s.serveFactorize))
-	mux.HandleFunc("/v1/factorize/stream/begin", s.endpoint("stream_begin", s.serveStreamBegin))
-	mux.HandleFunc("/v1/factorize/stream/append", s.endpoint("stream_append", s.serveStreamAppend))
-	mux.HandleFunc("/v1/factorize/stream/commit", s.endpoint("stream_commit", s.serveStreamCommit))
-	mux.HandleFunc("/v1/factorize/stream/abort", s.endpoint("stream_abort", s.serveStreamAbort))
 	mux.HandleFunc("/v1/solve", s.endpoint("solve", s.serveSolve))
 	mux.HandleFunc("/v1/update", s.endpoint("update", s.serveUpdate))
 	mux.HandleFunc("/v1/lowrank", s.endpoint("lowrank", s.serveLowRank))
@@ -347,11 +323,7 @@ func (rc *reqScope) fail(w http.ResponseWriter, e *apiError) {
 	rc.s.metrics.errors.With(e.code).Inc()
 	body, _ := json.Marshal(errorBody{Error: errorDetail{Code: e.code, Message: e.msg}})
 	if e.status == http.StatusTooManyRequests || e.status == http.StatusServiceUnavailable {
-		ra := "1"
-		if e.retryAfter > 0 {
-			ra = strconv.Itoa(e.retryAfter)
-		}
-		w.Header().Set("Retry-After", ra)
+		w.Header().Set("Retry-After", "1")
 	}
 	rc.finish(w, e.status, append(body, '\n'))
 }

@@ -33,10 +33,6 @@ const (
 	// siteWireEncode fires before response encoding; error faults surface
 	// as 500s after compute succeeded.
 	siteWireEncode = "serve.wire.encode"
-	// siteStreamAppend fires in the chunked-upload append handler after the
-	// session is resolved but before the row block is accepted; error faults
-	// surface as 500s and leave the session intact for a client retry.
-	siteStreamAppend = "serve.stream.append"
 	// siteUpdateApply fires inside /v1/update between latching the series
 	// and computing the updated factorization; error faults abort the
 	// update (the current epoch stays published, the series unlocks).
@@ -56,7 +52,7 @@ const (
 // or corrupts an engine GEMM result.
 var faultSites = []string{
 	sitePoolEnqueue, sitePoolDequeue, siteCacheFactorize,
-	siteWireDecode, siteWireEncode, siteStreamAppend, siteUpdateApply,
+	siteWireDecode, siteWireEncode, siteUpdateApply,
 	siteSpillWrite, siteSpillLoad,
 	cluster.SiteRoute, cluster.SiteReplicate, cluster.SiteProbe, cluster.SiteHandoff,
 	tcsim.SiteGemm,

@@ -275,60 +275,6 @@ type updateResponse struct {
 	Hazards []WireHazard `json:"hazards,omitempty"`
 }
 
-// streamBeginRequest opens a chunked-upload session (POST
-// /v1/factorize/stream/begin): the column count and factorization config are
-// fixed up front so every appended row block can be validated against them
-// and the commit needs no further negotiation.
-type streamBeginRequest struct {
-	Cols   int        `json:"cols"`
-	Config WireConfig `json:"config"`
-}
-
-// streamBeginResponse returns the minted session id and its idle TTL: the
-// session is reaped if no append or commit arrives within ttl_ms.
-type streamBeginResponse struct {
-	Session string `json:"session"`
-	TTLMS   int64  `json:"ttl_ms"`
-}
-
-// streamAppendRequest adds one row block (POST /v1/factorize/stream/append).
-// Over JSON the block rides in the body; over the binary protocol it is a
-// matrix section and the metadata carries only the session id.
-type streamAppendRequest struct {
-	Session string      `json:"session"`
-	Block   *WireMatrix `json:"block,omitempty"`
-}
-
-func (r *streamAppendRequest) frame() frameLayout {
-	return layout(r, nil, bulkField{name: "block", mat: &r.Block})
-}
-
-// streamAppendResponse acknowledges one accepted block with the session's
-// accumulated shape.
-type streamAppendResponse struct {
-	Session string `json:"session"`
-	Rows    int    `json:"rows"`
-	Blocks  int    `json:"blocks"`
-}
-
-// streamCommitRequest finalizes a session (POST /v1/factorize/stream/commit):
-// the assembled matrix is factored through the standard pipeline and the
-// response is the same factorizeResponse a one-shot upload would get.
-type streamCommitRequest struct {
-	Session    string `json:"session"`
-	DeadlineMS int64  `json:"deadline_ms,omitempty"`
-}
-
-// streamAbortRequest discards a session (POST /v1/factorize/stream/abort).
-type streamAbortRequest struct {
-	Session string `json:"session"`
-}
-
-type streamAbortResponse struct {
-	Session string `json:"session"`
-	Aborted bool   `json:"aborted"`
-}
-
 // lowRankRequest is the body of POST /v1/lowrank.
 type lowRankRequest struct {
 	Matrix     *WireMatrix `json:"matrix"`
@@ -370,8 +316,8 @@ type errorBody struct {
 
 type errorDetail struct {
 	// Code is a stable machine-readable class: bad_input, unknown_key,
-	// unknown_stream, numerical_hazard, overloaded, draining, deadline,
-	// too_large, method_not_allowed, not_found, internal.
+	// numerical_hazard, overloaded, draining, deadline, too_large,
+	// method_not_allowed, not_found, internal.
 	Code    string `json:"code"`
 	Message string `json:"message"`
 }
@@ -383,10 +329,6 @@ type apiError struct {
 	status int
 	code   string
 	msg    string
-	// retryAfter, when > 0, overrides the Retry-After header on 429/503
-	// responses (seconds). Only the stream-begin 429 sets it, to when the
-	// earliest open session expires.
-	retryAfter int
 }
 
 func (e *apiError) Error() string { return e.msg }

@@ -4,7 +4,7 @@
 # `go test -run` with a pattern that matches nothing passes silently, so a
 # test renamed or deleted out from under a gate would leave that gate empty.
 # The script reads `go test` command lines on stdin (the Makefile pipes in
-# the dry run of `make check`). For each line with a -run pattern it lists the
+# the dry runs of `make check` and `make check-deep`). For each line with a -run pattern it lists the
 # tests of the line's packages once with `go test -list`, then requires every
 # top-level alternative of the pattern to match the name of at least one
 # test, example or fuzz target among them.
