@@ -26,8 +26,9 @@ build:
 # rounding per product on every port: the root package, internal/blas (whose
 # Go loops are the fallback and the oracle of the vector kernels),
 # internal/lls, and the packages under the factorization (dense, accuracy,
-# chol, tcsim, gram, rgs, house, f16, bf16, tsqr, lu), whose bits and those of
-# the refinement and the update path are recorded hashes. The arm64 compiler
+# chol, tcsim, gram, rgs, house, f16, bf16, tsqr, lu) and the update path's R
+# kernels (qrupdate), whose bits and those of the refinement and the update
+# path are recorded hashes. The arm64 compiler
 # fuses an unconverted x*y + z, so a function of those packages (each generic
 # instantiation, in whichever package compiles it) must hold no
 # FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. Left out: svd (the
@@ -43,9 +44,9 @@ lint: reach
 	@{ GOARCH=arm64 $(GO) build -gcflags=-S . ./internal/... 2>&1 || echo "arm64 build of . ./internal/... failed"; } | \
 	awk '/^arm64 build of/ { bad = 1; print } \
 		/^[^ \t]/ && / STEXT / { sym = $$1 } \
-		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^(tcqr\.|tcqr\/internal\/(blas|lls|dense|accuracy|chol|tcsim|gram|rgs|house|f16|bf16|tsqr|lu)\.)/ && !seen[sym $$3]++ { \
+		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^(tcqr\.|tcqr\/internal\/(blas|lls|dense|accuracy|chol|tcsim|gram|rgs|house|f16|bf16|tsqr|lu|qrupdate)\.)/ && !seen[sym $$3]++ { \
 			bad = 1; print "fused multiply-add in " sym " at " $$3 ": " $$4 } \
-		END { if (bad) exit 1; print "tcqr and internal/{blas,lls,dense,accuracy,chol,tcsim,gram,rgs,house,f16,bf16,tsqr,lu}: no fused multiply-add in the arm64 listing" }'
+		END { if (bad) exit 1; print "tcqr and internal/{blas,lls,dense,accuracy,chol,tcsim,gram,rgs,house,f16,bf16,tsqr,lu,qrupdate}: no fused multiply-add in the arm64 listing" }'
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -81,7 +82,8 @@ reach:
 # when CGLS stops must leave as they are. So do the packed GEMM's
 # goldens, kernel-family, determinism and allocation tests: it splits the rows
 # of a small output between workers and packs op(B) on all of them. So do the
-# update path's golden and the downdate's allocation bound, whose Q′ is that
+# update path's goldens, the library's and its R kernels', and the downdate's
+# allocation bound, whose Q′ is that
 # GEMM run in row strips, and the append's allocation count, whose
 # compact-WY blocks run that GEMM too, and the float64-input Factorize
 # against its narrowing's. And the
@@ -109,7 +111,7 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth' .
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|RKernelBits' . ./internal/qrupdate
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
 	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs' ./internal/serve

@@ -65,11 +65,11 @@ func apiChecks(s *smoker, ds []*daemon) {
 	r = d.post("/v1/factorize", obj{"matrix": mat})
 	s.check(r.is(200) && r.Cached, "repeat factorize is a cache hit", r)
 
-	// A "method":"none" solve on the idle daemon: it must come back
-	// unrefined. The queued pair below has to match it bit for bit.
-	noneBody := obj{"key": key, "b": mat.mulVec(ramp(n, 5, 0)), "options": obj{"method": "none"}}
-	alone := d.post("/v1/solve", noneBody)
-	s.check(alone.is(200) && alone.Iterations == 0, "solo method=none solve is unrefined", alone)
+	// A "method":"cgls" solve on the idle daemon: the queued pair below has
+	// to match it bit for bit.
+	cglsBody := obj{"key": key, "b": mat.mulVec(ramp(n, 5, 0)), "options": obj{"method": "cgls"}}
+	alone := d.post("/v1/solve", cglsBody)
+	s.check(alone.is(200) && alone.Iterations > 0, "solo method=cgls solve is refined", alone)
 
 	// Queued solves. The client makes the one worker busy with the slowest
 	// request it has — the cold 2048x256 tc-ec factorize, whose answer is
@@ -96,7 +96,7 @@ func apiChecks(s *smoker, ds []*daemon) {
 		"pool.workers", z.Pool.Workers, "pool.in_flight", z.Pool.InFlight, zr)
 
 	// Eight solves by key against known right-hand sides plus the
-	// method=none solve twice, all queued behind the held worker: every
+	// method=cgls solve twice, all queued behind the held worker: every
 	// answer must come back accurate, and the pair must match the solo
 	// answer — the answer may not depend on what else was in the queue.
 	outs := make([]*reply, 8)
@@ -113,7 +113,7 @@ func apiChecks(s *smoker, ds []*daemon) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pair[i] = d.post("/v1/solve", noneBody)
+			pair[i] = d.post("/v1/solve", cglsBody)
 		}()
 	}
 	wg.Wait()
@@ -123,8 +123,8 @@ func apiChecks(s *smoker, ds []*daemon) {
 		s.check(o.hdr.Get("Server-Timing") != "", fmt.Sprintf("solve %d carries Server-Timing", i), o)
 	}
 	for i, o := range pair {
-		s.check(o.is(200) && o.Iterations == 0 && maxAbsDiff(o.X, alone.X) == 0,
-			fmt.Sprintf("queued method=none solve %d matches the solo answer", i), o)
+		s.check(o.is(200) && o.Iterations == alone.Iterations && maxAbsDiff(o.X, alone.X) == 0,
+			fmt.Sprintf("queued method=cgls solve %d matches the solo answer", i), o)
 	}
 
 	// Binary wire protocol (DESIGN.md §12): the same warm solve served as a

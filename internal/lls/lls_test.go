@@ -288,7 +288,7 @@ func TestNoProgressNeverSettles(t *testing.T) {
 		{"zero columns at tol 0.5", zero, zeroB, zeroR, 0.5},
 	} {
 		var hz hazard.Report
-		// CGLS reads only R; Q gives SolveWithFactor the factorization's shape.
+		// CGLS reads only R (nil: unpreconditioned); the Q is never read.
 		f := &rgs.Result{Q: dense.New[float32](tc.a.Rows, tc.a.Cols), R: tc.r}
 		res, err := SolveWithFactor(f, tc.a, tc.b, SolveOptions{Tol: tc.tol, Hazards: &hz})
 		if err != nil {

@@ -53,15 +53,17 @@ type SolveOptions struct {
 
 // SolveWithFactor refines min ‖Ax − b‖ to double precision with the
 // selected method over a precomputed float32 RGSQRF factorization f of A
-// (one QR amortized over many right-hand sides). A CGLS run that stagnates
-// or diverges keeps its best iterate (CGLS's own guard) and records one event
-// in opts.Hazards. A run that settles keeps its best iterate too but records
-// nothing: it stopped at the float64 floor, within the settle band (see
-// SettleBand), which is where a healthy refinement ends. It never re-solves,
-// so its answer is the method's whatever the caller's hazard policy.
+// (one QR amortized over many right-hand sides). CGLS and LSQR read A and
+// f.R alone; MethodDirect needs f.Q too, and is ErrShape without it. A CGLS
+// run that stagnates or diverges keeps its best iterate (CGLS's own guard)
+// and records one event in opts.Hazards. A run that settles keeps its best
+// iterate too but records nothing: it stopped at the float64 floor, within
+// the settle band (see SettleBand), which is where a healthy refinement
+// ends. It never re-solves, so its answer is the method's whatever the
+// caller's hazard policy.
 func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*IterResult, error) {
-	if f.Q.Rows != a.Rows || f.Q.Cols != a.Cols {
-		return nil, fmt.Errorf("lls: factorization is %dx%d but A is %dx%d: %w", f.Q.Rows, f.Q.Cols, a.Rows, a.Cols, hazard.ErrShape)
+	if a.Rows < a.Cols || f.R != nil && f.R.Cols != a.Cols {
+		return nil, fmt.Errorf("lls: the factorization's R does not fit the %dx%d A: %w", a.Rows, a.Cols, hazard.ErrShape)
 	}
 	if len(b) != a.Rows {
 		return nil, fmt.Errorf("lls: rhs length %d, want %d: %w", len(b), a.Rows, hazard.ErrShape)
@@ -71,6 +73,9 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 	}
 	switch opts.Method {
 	case MethodDirect:
+		if f.Q == nil || f.Q.Rows != a.Rows {
+			return nil, fmt.Errorf("lls: the direct solve needs the factorization's Q for A's %d rows: %w", a.Rows, hazard.ErrShape)
+		}
 		b32 := make([]float32, len(b))
 		for i, v := range b {
 			b32[i] = float32(v)

@@ -1,11 +1,13 @@
 package lls
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
+	"tcqr/internal/hazard"
 	"tcqr/internal/matgen"
 	"tcqr/internal/rgs"
 	"tcqr/internal/tcsim"
@@ -97,5 +99,37 @@ func TestSolveWithFactorBitsGolden(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSolveWithFactorWithoutQ: CGLS and LSQR read only A and R, so a factor
+// without its Q (the daemon's cached form) gives them the bits the full
+// factor gives, and the direct solve, which needs Q, answers the typed shape
+// error instead of dereferencing it.
+func TestSolveWithFactorWithoutQ(t *testing.T) {
+	rng := rand.New(rand.NewSource(119))
+	a := matgen.WithCond(rng, 512, 64, 1e3, matgen.Geometric)
+	b := matgen.Normal(rng, 512, 1).Col(0)
+	f, err := rgs.Factor(a, rgs.Options{Engine: tcsim.KindTC.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rOnly := &rgs.Result{R: f.R}
+	for _, method := range []Method{MethodCGLS, MethodLSQR} {
+		want, err := SolveWithFactor(f, a, b, SolveOptions{Method: method})
+		if err != nil {
+			t.Fatalf("%v with Q: %v", method, err)
+		}
+		got, err := SolveWithFactor(rOnly, a, b, SolveOptions{Method: method})
+		if err != nil {
+			t.Fatalf("%v without Q: %v", method, err)
+		}
+		if bitsHash(got.X) != bitsHash(want.X) || got.Iterations != want.Iterations {
+			t.Errorf("%v: without Q X %#016x in %d iterations, with Q %#016x in %d",
+				method, bitsHash(got.X), got.Iterations, bitsHash(want.X), want.Iterations)
+		}
+	}
+	if _, err := SolveWithFactor(rOnly, a, b, SolveOptions{Method: MethodDirect}); !errors.Is(err, hazard.ErrShape) {
+		t.Errorf("direct solve without Q: %v, want an error wrapping ErrShape", err)
 	}
 }

@@ -21,9 +21,10 @@ package serve
 
 import (
 	"tcqr"
+	"tcqr/internal/qrupdate"
 )
 
-// Backend abstracts the five library calls the serving core makes, so tests
+// Backend abstracts the five numerical calls the serving core makes, so tests
 // and benchmarks can count, delay, or fake them. The singleflight test, for
 // example, asserts that N concurrent same-matrix factorizes reach Factorize
 // exactly once.
@@ -36,16 +37,18 @@ type Backend interface {
 	SolveWithFactor(f *tcqr.Factorization, a *tcqr.Matrix, b []float64, opts tcqr.SolveOptions) (*tcqr.LeastSquaresResult, error)
 	// LowRank computes a truncated QR-SVD approximation (tcqr.LowRank).
 	LowRank(a *tcqr.Matrix, rank int, cfg tcqr.Config) (*tcqr.LowRankApprox, error)
-	// UpdateAppendRows appends a row block to a cached factorization, the
-	// append half of /v1/update (tcqr.UpdateAppendRows).
-	UpdateAppendRows(f *tcqr.Factorization, v *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error)
-	// UpdateRemoveRows downdates the trailing k rows (tcqr.UpdateRemoveRows).
-	UpdateRemoveRows(f *tcqr.Factorization, k int, cfg tcqr.Config) (*tcqr.Factorization, error)
+	// UpdateAppendRows returns R′ of [A; V] given R of A, the append half
+	// of /v1/update (qrupdate.AppendR): no Q is read or formed.
+	UpdateAppendRows(r, v *tcqr.Matrix32) (*tcqr.Matrix32, error)
+	// UpdateRemoveRows returns R′ of a without its trailing k rows given R
+	// of a (qrupdate.DowndateR).
+	UpdateRemoveRows(r *tcqr.Matrix32, a *tcqr.Matrix, k int) (*tcqr.Matrix32, error)
 }
 
-// LibraryBackend routes every call straight to package tcqr; it is the
-// production backend. Every cold factorization is tcqr.Factorize under the
-// request's Config, so a cache key names one factor on every node.
+// LibraryBackend routes every call straight to package tcqr, the updates to
+// internal/qrupdate; it is the production backend. Every cold factorization
+// is tcqr.Factorize under the request's Config, so a cache key names one
+// factor on every node.
 type LibraryBackend struct{}
 
 // Factorize implements Backend.
@@ -64,11 +67,12 @@ func (LibraryBackend) LowRank(a *tcqr.Matrix, rank int, cfg tcqr.Config) (*tcqr.
 }
 
 // UpdateAppendRows implements Backend.
-func (LibraryBackend) UpdateAppendRows(f *tcqr.Factorization, v *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
-	return tcqr.UpdateAppendRows(f, v, cfg)
+func (LibraryBackend) UpdateAppendRows(r, v *tcqr.Matrix32) (*tcqr.Matrix32, error) {
+	return qrupdate.AppendR(r, v)
 }
 
-// UpdateRemoveRows implements Backend.
-func (LibraryBackend) UpdateRemoveRows(f *tcqr.Factorization, k int, cfg tcqr.Config) (*tcqr.Factorization, error) {
-	return tcqr.UpdateRemoveRows(f, k, cfg)
+// UpdateRemoveRows implements Backend. It sweeps a's trailing k rows narrowed
+// to float32, widened back: the rows the append that added them factored.
+func (LibraryBackend) UpdateRemoveRows(r *tcqr.Matrix32, a *tcqr.Matrix, k int) (*tcqr.Matrix32, error) {
+	return qrupdate.DowndateR(r, tcqr.ToFloat32(a.View(a.Rows-k, 0, k, a.Cols)))
 }

@@ -121,7 +121,8 @@ func sameMatrix(a, b *tcqr.Matrix) bool {
 
 // Entry is one cached factorization together with the float64 matrix it
 // factors: the refinement stage of every solve needs A at full precision,
-// so solve-by-key requests carry only the right-hand side. Entries are
+// so solve-by-key requests carry only the right-hand side. The factor has no
+// Q: CGLS and LSQR read A and R alone, as Algorithm 3 does. Entries are
 // immutable once published — an update never mutates an entry, it publishes
 // a new one under the next epoch key. No code writes an Entry.A (or its
 // factors) after publish, which is what lets a downdated epoch's A be a view
@@ -143,15 +144,15 @@ type Entry struct {
 }
 
 // sizeBytes is the resident size of the entry's arrays: A at 8 bytes per
-// element, Q and R at 4. It holds from the first solve on as before it: a
-// solve refines with the float32 R as it stands and attaches nothing to the
-// factorization. A counts the whole array it keeps alive: a downdated
-// epoch's A is a view that ends up to k·(n−1) elements short of its parent's
-// array, and the byte budget must not under-count it.
+// element, R and the column scales at 4. It holds from the first solve on as
+// before it: a solve refines with the float32 R as it stands and attaches
+// nothing to the factorization. A counts the whole array it keeps alive: a
+// downdated epoch's A is a view that ends up to k·(n−1) elements short of
+// its parent's array, and the byte budget must not under-count it.
 func (e *Entry) sizeBytes() int64 {
 	n := int64(cap(e.A.Data)) * 8
 	if e.F != nil {
-		n += int64(len(e.F.Q.Data))*4 + int64(len(e.F.R.Data))*4
+		n += int64(len(e.F.R.Data))*4 + int64(len(e.F.ColumnScales))*4
 	}
 	return n
 }
@@ -467,6 +468,7 @@ func (c *FactorCache) factor(fl *flight, name string, cfg tcqr.Config) {
 		fl.err = err
 		return
 	}
+	f.Q = nil // refinement reads A and R alone, so no entry keeps Q
 	fl.entry = &Entry{Key: name, A: fl.a, F: f, Config: cfg}
 	fl.entry.bytes = fl.entry.sizeBytes()
 }
@@ -499,9 +501,10 @@ func (c *FactorCache) BeginUpdate(key string) (*Entry, error) {
 // the target of every subsequent bare-key lookup, while requests that
 // already resolved old keep reading it. old's spill file outlives it: the
 // spill writer deletes it once the new entry's file is durable (spill.go).
-// Returns the new entry.
+// The entry takes f without its Q. Returns the new entry.
 func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factorization) *Entry {
 	base := baseKey(old.Key)
+	f.Q = nil
 	ne := &Entry{
 		Key:    versionedKey(base, old.Epoch+1),
 		Epoch:  old.Epoch + 1,

@@ -158,10 +158,10 @@ func (stubBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorizati
 }
 
 // entryBits hashes everything a holder of e can read: the key, the epoch and
-// the bit patterns of A, Q, R and the column scales.
+// the bit patterns of A, R and the column scales.
 func entryBits(e *Entry) uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%d|%x|%x|%x", e.Key, e.Epoch, e.A.Hash64(), e.F.Q.Hash64(), e.F.R.Hash64())
+	fmt.Fprintf(h, "%s|%d|%x|%x", e.Key, e.Epoch, e.A.Hash64(), e.F.R.Hash64())
 	for _, s := range e.F.ColumnScales {
 		fmt.Fprintf(h, "|%x", math.Float32bits(s))
 	}
@@ -208,9 +208,9 @@ func runCacheModel(t *testing.T, rng *rand.Rand, maxEntries int, maxBytes int64,
 		f, _ := be.Factorize(a, cfg)
 		return &Entry{Key: key, Epoch: epoch, A: a, F: f, Config: cfg}
 	}
-	// The model sizes an entry from the shape alone.
+	// The model sizes an entry from the shape alone: A and R, no Q.
 	modelOf := func(e *Entry) *modelEntry {
-		return &modelEntry{key: e.Key, epoch: e.Epoch, bytes: int64(e.A.Rows*n*8 + e.A.Rows*n*4 + n*n*4), real: e}
+		return &modelEntry{key: e.Key, epoch: e.Epoch, bytes: int64(e.A.Rows*n*8 + n*n*4), real: e}
 	}
 
 	var mats []*tcqr.Matrix

@@ -76,7 +76,7 @@ func TestUnknownEngineAndPanelNames(t *testing.T) {
 		{"/v1/factorize", factorize("panel", "bogus"), "[caqr householder mgs]"},
 		{"/v1/factorize", factorize("panel", "cholqr"), `unknown panel "cholqr" (want one of [caqr householder mgs])`},
 		{"/v1/solve", map[string]any{"matrix": good, "b": make([]float64, 16), "options": map[string]any{"method": "classical"}},
-			`unknown method "classical" (want cgls, lsqr or none)`},
+			`unknown method "classical" (want cgls or lsqr)`},
 	}
 	for _, tc := range cases {
 		var er envelope
@@ -164,15 +164,13 @@ func TestRewarmQuarantinesV1SpillFile(t *testing.T) {
 	}
 }
 
-// factorBits flattens the numerical identity of a factorization — Q, R and
-// the column scales — to its float32 bit patterns.
+// factorBits flattens the numerical identity of a cached factor — R and the
+// column scales; an entry keeps no Q — to its float32 bit patterns.
 func factorBits(f *tcqr.Factorization) []uint32 {
 	var out []uint32
-	for _, m := range []*tcqr.Matrix32{f.Q, f.R} {
-		for j := 0; j < m.Cols; j++ {
-			for _, x := range m.Data[j*m.Stride : j*m.Stride+m.Rows] {
-				out = append(out, math.Float32bits(x))
-			}
+	for j := 0; j < f.R.Cols; j++ {
+		for _, x := range f.R.Col(j) {
+			out = append(out, math.Float32bits(x))
 		}
 	}
 	for _, x := range f.ColumnScales {

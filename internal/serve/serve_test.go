@@ -145,12 +145,12 @@ func (c *countingBackend) LowRank(a *tcqr.Matrix, rank int, cfg tcqr.Config) (*t
 	return c.inner.LowRank(a, rank, cfg)
 }
 
-func (c *countingBackend) UpdateAppendRows(f *tcqr.Factorization, v *tcqr.Matrix32, cfg tcqr.Config) (*tcqr.Factorization, error) {
-	return c.inner.UpdateAppendRows(f, v, cfg)
+func (c *countingBackend) UpdateAppendRows(r, v *tcqr.Matrix32) (*tcqr.Matrix32, error) {
+	return c.inner.UpdateAppendRows(r, v)
 }
 
-func (c *countingBackend) UpdateRemoveRows(f *tcqr.Factorization, k int, cfg tcqr.Config) (*tcqr.Factorization, error) {
-	return c.inner.UpdateRemoveRows(f, k, cfg)
+func (c *countingBackend) UpdateRemoveRows(r *tcqr.Matrix32, a *tcqr.Matrix, k int) (*tcqr.Matrix32, error) {
+	return c.inner.UpdateRemoveRows(r, a, k)
 }
 
 // waitFor polls cond every millisecond and fails the test with what() if it
@@ -564,8 +564,9 @@ func TestSolveDeadlineExpiresInQueueNeverRuns(t *testing.T) {
 // TestCoalescedSolveHonoursMethod: a response must not depend on what else
 // was queued with it. The name dates from the request coalescer, whose batched
 // path refined every column with CGLS whatever the request said. N concurrent
-// "method":"none" solves queued behind held workers must each answer with no
-// refinement and bit for bit as the same request served alone.
+// "method":"cgls" solves queued behind held workers must each answer bit for
+// bit as the same request served alone: a CGLS answer depends only on the
+// factor, b, the method and the tolerances.
 func TestCoalescedSolveHonoursMethod(t *testing.T) {
 	const clients = 3
 	be := &countingBackend{inner: LibraryBackend{}}
@@ -583,7 +584,7 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 		xTrue[j] = float64(j+1) / 10
 	}
 	body := map[string]any{"key": fr.Key, "b": matVecData(m, n, data, xTrue),
-		"options": map[string]any{"method": "none"}}
+		"options": map[string]any{"method": "cgls"}}
 
 	// The solo answer, from a server with nothing else in flight.
 	solo := New(Options{Workers: 2})
@@ -595,8 +596,8 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 	if code, _ := post(t, solo.Handler(), "/v1/solve", body, &want); code != 200 {
 		t.Fatalf("solo solve: code=%d", code)
 	}
-	if want.Iterations != 0 {
-		t.Fatalf("solo method=none ran %d refinement iterations, want 0", want.Iterations)
+	if want.Iterations == 0 {
+		t.Fatal("solo CGLS solve ran no refinement iteration")
 	}
 
 	release := holdWorkers(t, s, be)
@@ -605,8 +606,8 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 		func() string { return fmt.Sprintf("%d solves to queue: pool=%+v", clients, s.pool.Stats()) })
 	release()
 	for i, r := range solves() {
-		if r.Iterations != 0 {
-			t.Errorf("solve %d: queued method=none ran %d refinement iterations, want 0", i, r.Iterations)
+		if r.Iterations != want.Iterations {
+			t.Errorf("solve %d: queued CGLS solve ran %d refinement iterations, solo %d", i, r.Iterations, want.Iterations)
 		}
 		if len(r.X) != len(want.X) {
 			t.Fatalf("solve %d: %d unknowns, want %d", i, len(r.X), len(want.X))

@@ -16,12 +16,13 @@ import (
 
 // TestServedSolvesAreLibrarySolves: a served solve is
 // tcqr.SolveLeastSquaresWithFactor on the cached factor, whatever the method,
-// the right-hand side or the wire encoding. For CGLS, LSQR and none, over a
+// the right-hand side or the wire encoding. For CGLS and LSQR, over a
 // normal b, a b whose refinement diverges at tol 1e-30 and a zero b, the
 // JSON and the binary reply carry the library's x, iterations, converged and
 // optimality bit for bit, and its hazards; "on_hazard":"fallback" answers as
 // no on_hazard does; and tcqrd_hazards_total{kind="divergence"} counts
-// exactly the requests whose refinement diverged.
+// exactly the requests whose refinement diverged. Method "none", the
+// unrefined R⁻¹Qᵀb, needs the Q no cached factor keeps, so it answers 400.
 func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const m, n = 512, 64
@@ -52,7 +53,7 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	methods := []struct {
 		wire string
 		lib  tcqr.RefineMethod
-	}{{"cgls", tcqr.RefineCGLS}, {"lsqr", tcqr.RefineLSQR}, {"none", tcqr.RefineNone}}
+	}{{"cgls", tcqr.RefineCGLS}, {"lsqr", tcqr.RefineLSQR}}
 
 	wantDiv, cglsDiverged := int64(0), false
 	for _, mt := range methods {
@@ -114,6 +115,12 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	}
 	if div := s.metrics.hazards.Snapshot()["divergence"]; div != wantDiv {
 		t.Errorf("tcqrd_hazards_total{kind=divergence} = %d, want %d (one per diverging request)", div, wantDiv)
+	}
+	var er envelope
+	body := map[string]any{"key": fr.Key, "b": normal, "options": map[string]any{"method": "none"}}
+	if code, _ := post(t, h, "/v1/solve", body, &er); code != 400 || er.Error.Code != "bad_input" ||
+		er.Error.Message != `unknown method "none" (want cgls or lsqr)` {
+		t.Errorf(`method "none": %d %s %q, want 400 bad_input`, code, er.Error.Code, er.Error.Message)
 	}
 }
 

@@ -36,7 +36,7 @@ import (
 //
 //	magic "TCQS" | version u8 | reserved u8×3 | meta length u64 |
 //	body length u64 | JSON spillMeta, zero-padded to 8 |
-//	A float64[rows·cols] | Q float32[rows·cols] | R float32[cols·cols] |
+//	A float64[rows·cols] | R float32[cols·cols] |
 //	column scales float32[cols] if has_scales | crc32 (IEEE) u32
 //
 // The matrices are column-major at the width they have in memory, every
@@ -53,8 +53,8 @@ const (
 	// version and the factor cache refactorizes on demand. v1 spelled the
 	// engine as booleans, v2 held a retired second kernel's factors under
 	// keys that now denote RGSQRF factors, v3 wrapped a wirefmt frame of
-	// float64 sections.
-	spillVersion   = 4
+	// float64 sections, v4 held Q between A and R.
+	spillVersion   = 5
 	spillHeaderLen = 24
 	spillExt       = ".tcqs"
 	spillQuarExt   = ".quarantine"
@@ -438,7 +438,7 @@ func spillFileName(key string) string {
 // spillBodyLen is the byte length of the matrices of a rows×cols entry. The
 // caller has bounded rows·cols and cols·cols, so the sum cannot overflow.
 func spillBodyLen(rows, cols int64, hasScales bool) int64 {
-	n := 8*rows*cols + 4*rows*cols + 4*cols*cols
+	n := 8*rows*cols + 4*cols*cols
 	if hasScales {
 		n += 4 * cols
 	}
@@ -484,7 +484,7 @@ func putFloat32s(b []byte, run []float32) {
 // it allocates — the meta and one spillChunk buffer — does not grow with the
 // entry. bufio.Writer keeps the first write error and returns it from Flush.
 func encodeSpillEntry(w io.Writer, e *Entry) (int64, error) {
-	a, q, r := e.A, e.F.Q, e.F.R
+	a, r := e.A, e.F.R
 	meta := spillMeta{
 		Key:              e.Key,
 		Epoch:            e.Epoch,
@@ -514,9 +514,6 @@ func encodeSpillEntry(w io.Writer, e *Entry) (int64, error) {
 	bw.Write(zero[:pad8(metaLen)-metaLen])
 	for j := 0; j < a.Cols; j++ {
 		putFloats(bw, a.Col(j), 8, putFloat64s)
-	}
-	for j := 0; j < q.Cols; j++ {
-		putFloats(bw, q.Col(j), 4, putFloat32s)
 	}
 	for j := 0; j < r.Cols; j++ {
 		putFloats(bw, r.Col(j), 4, putFloat32s)
@@ -584,17 +581,15 @@ func decodeSpillEntry(buf []byte) (*Entry, error) {
 		return nil, fmt.Errorf("spill: meta names no panel (%d)", int(meta.Config.Panel))
 	}
 	// Divisions, so the products below cannot overflow.
-	if rows > body/12/cols || cols > body/4/cols || spillBodyLen(rows, cols, meta.HasScales) != body {
+	if rows > body/8/cols || cols > body/4/cols || spillBodyLen(rows, cols, meta.HasScales) != body {
 		return nil, fmt.Errorf("spill: meta declares a %dx%d entry, the body holds %d bytes", rows, cols, body)
 	}
 	a := tcqr.NewMatrix(meta.Rows, meta.Cols)
 	f := &tcqr.Factorization{
-		Q:                tcqr.NewMatrix32(meta.Rows, meta.Cols),
 		R:                tcqr.NewMatrix32(meta.Cols, meta.Cols),
 		Reorthogonalized: meta.Reorthogonalized,
 	}
 	rest := getFloat64s(a.Data, buf[size-4-body:size-4])
-	rest = getFloat32s(f.Q.Data, rest)
 	rest = getFloat32s(f.R.Data, rest)
 	if meta.HasScales {
 		f.ColumnScales = make([]float32, meta.Cols)

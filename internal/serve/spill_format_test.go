@@ -18,19 +18,17 @@ import (
 	"tcqr"
 )
 
-// goldenSpillEntry is the entry testdata/entry_v4.tcqs holds: written out by
+// goldenSpillEntry is the entry testdata/entry_v5.tcqs holds: written out by
 // formula, not factorized, so the file pins the layout and nothing else.
 // Every field of the meta is off its zero value and each section holds a bit
 // pattern only a bitwise copy preserves.
 func goldenSpillEntry() *Entry {
 	const m, n = 5, 3
 	a := tcqr.NewMatrix(m, n)
-	q := tcqr.NewMatrix32(m, n)
 	r := tcqr.NewMatrix32(n, n)
 	for j := 0; j < n; j++ {
 		for i := 0; i < m; i++ {
 			a.Set(i, j, float64(i+1)/float64(j+3))
-			q.Set(i, j, float32(i-j)/7)
 		}
 		for i := 0; i <= j; i++ {
 			r.Set(i, j, float32(i+2*j+1)/3)
@@ -38,26 +36,26 @@ func goldenSpillEntry() *Entry {
 	}
 	a.Set(0, 1, math.Copysign(0, -1))
 	a.Set(4, 2, math.Float64frombits(0x7ff0000000000001)) // signalling NaN
-	q.Set(1, 1, math.Float32frombits(1))                  // smallest subnormal
+	r.Set(1, 2, math.Float32frombits(1))                  // smallest subnormal
 	r.Set(0, 2, math.Float32frombits(0x7fa00001))         // signalling NaN
 	return &Entry{
 		Key:   "mgolden-e20-p1-c64-r11-h1@7",
 		Epoch: 7,
 		A:     a,
-		F: &tcqr.Factorization{Q: q, R: r, Reorthogonalized: true,
+		F: &tcqr.Factorization{R: r, Reorthogonalized: true,
 			ColumnScales: []float32{0.5, 2, 1024}},
 		Config: tcqr.Config{Engine: tcqr.EngineBF16, Panel: tcqr.PanelHouseholder,
 			Cutoff: 64, ReOrthogonalize: true, DisableColumnScaling: true, OnHazard: tcqr.HazardFallback},
 	}
 }
 
-// TestSpillGoldenV4: the committed file decodes to the expected bits and the
-// expected entry encodes to the committed bytes, so the v4 layout cannot
+// TestSpillGoldenV5: the committed file decodes to the expected bits and the
+// expected entry encodes to the committed bytes, so the v5 layout cannot
 // drift without this file changing (a layout change is a new spillVersion and
 // a new golden); and no single corrupted byte of it — header, meta, padding,
 // body or checksum — decodes.
-func TestSpillGoldenV4(t *testing.T) {
-	const path = "testdata/entry_v4.tcqs"
+func TestSpillGoldenV5(t *testing.T) {
+	const path = "testdata/entry_v5.tcqs"
 	want := goldenSpillEntry()
 	file, err := os.ReadFile(path)
 	if err != nil {
@@ -82,39 +80,29 @@ func TestSpillGoldenV4(t *testing.T) {
 	}
 }
 
-// panelFlagSpillFile is a spill file an earlier build's daemon wrote for an
-// 8x3 factorize under {"engine":"tc-ec","panel":"mgs","cutoff":2,
-// "reorthogonalize":true,"on_hazard":"fallback"}. Its meta's config carries
-// the panel-engine flag, false, as every file of those builds does; today's
-// Config no longer has the field.
-const panelFlagSpillFile = "testdata/entry_v4_panelflag.tcqs"
+// v4SpillFile is a TCQS v4 file an earlier build's daemon wrote for an 8x3
+// factorize under {"engine":"tc-ec","panel":"mgs","cutoff":2,
+// "reorthogonalize":true,"on_hazard":"fallback"}: A, Q and R, its meta's
+// config carrying the retired panel-engine flag.
+const v4SpillFile = "testdata/entry_v4_panelflag.tcqs"
 
-// TestSpillFileWithPanelFlagRewarms: a server started on a directory holding
-// that file rewarms it under its stored key, holding the factor
-// tcqr.Factorize computes today bit for bit, and the same factorize request
-// resolves to that key as a cache hit.
-func TestSpillFileWithPanelFlagRewarms(t *testing.T) {
+// TestSpillV4FileQuarantinedKeyRefactorizes: v5 dropped Q from the layout
+// and there is no legacy reader, so a server started on a directory holding
+// a v4 file quarantines it and rewarms nothing; the same factorize request
+// then refactorizes on demand, under the key the file was stored as, and
+// the factor it caches is tcqr.Factorize's.
+func TestSpillV4FileQuarantinedKeyRefactorizes(t *testing.T) {
 	const key = "m91ffb5cf2cf1084e-e10-p3-c2-r10-h1"
-	file, err := os.ReadFile(panelFlagSpillFile)
+	file, err := os.ReadFile(v4SpillFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var meta struct{ Config map[string]json.RawMessage }
+	if file[4] != 4 {
+		t.Fatalf("%s is TCQS v%d, want v4", v4SpillFile, file[4])
+	}
+	var meta spillMeta
 	if err := json.Unmarshal(file[spillHeaderLen:spillHeaderLen+binary.LittleEndian.Uint64(file[8:16])], &meta); err != nil {
 		t.Fatal(err)
-	}
-	today, err := json.Marshal(tcqr.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var retired []string
-	for name, v := range meta.Config {
-		if !bytes.Contains(today, []byte(`"`+name+`":`)) && string(v) == "false" {
-			retired = append(retired, name)
-		}
-	}
-	if len(retired) != 1 || len(meta.Config) != bytes.Count(today, []byte(`":`))+1 {
-		t.Fatalf("%s: config %v, want today's fields plus one retired false flag", panelFlagSpillFile, meta.Config)
 	}
 	dir := t.TempDir()
 	if err := os.WriteFile(filepath.Join(dir, spillFileName(key)), file, 0o644); err != nil {
@@ -122,35 +110,41 @@ func TestSpillFileWithPanelFlagRewarms(t *testing.T) {
 	}
 	s := New(Options{Workers: 1, CacheDir: dir})
 	defer s.Close()
-	if st := s.spill.Stats(); st.Rewarmed != 1 || st.Quarantined != 0 {
-		t.Fatalf("rewarm stats %+v, want 1 rewarmed, 0 quarantined", st)
+	if st := s.spill.Stats(); st.Rewarmed != 0 || st.Quarantined != 1 {
+		t.Fatalf("rewarm stats %+v, want 0 rewarmed, 1 quarantined", st)
+	}
+	if _, ok := s.cache.Get(key); ok {
+		t.Fatalf("key %s rewarmed from a v4 file", key)
+	}
+	// The file's A: its body opens with the meta's rows×cols float64s.
+	a := tcqr.NewMatrix(meta.Rows, meta.Cols)
+	getFloat64s(a.Data, file[spillHeaderLen+pad8(int64(binary.LittleEndian.Uint64(file[8:16]))):])
+	var fr factorizeReply
+	code, _ := post(t, s.Handler(), "/v1/factorize", map[string]any{
+		"matrix": wireMat(a.Rows, a.Cols, colMajorData(a)),
+		"config": map[string]any{"engine": "tc-ec", "panel": "mgs", "cutoff": 2, "reorthogonalize": true, "on_hazard": "fallback"},
+	}, &fr)
+	if code != 200 || fr.Key != key || fr.Cached {
+		t.Fatalf("factorize of the file's matrix: %d key %q cached=%v, want 200 %s refactorized", code, fr.Key, fr.Cached, key)
 	}
 	e, ok := s.cache.Get(key)
 	if !ok {
-		t.Fatalf("key %s not rewarmed", key)
+		t.Fatalf("key %s not cached after the factorize", key)
 	}
-	want, err := tcqr.Factorize(tcqr.ToFloat32(e.A), e.Config)
+	want, err := tcqr.Factorize(tcqr.ToFloat32(a), meta.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(factorBits(e.F), factorBits(want)) || e.F.Reorthogonalized != want.Reorthogonalized {
-		t.Error("the rewarmed factor differs from tcqr.Factorize under the stored config")
-	}
-	var fr factorizeReply
-	code, _ := post(t, s.Handler(), "/v1/factorize", map[string]any{
-		"matrix": wireMat(e.A.Rows, e.A.Cols, colMajorData(e.A)),
-		"config": map[string]any{"engine": "tc-ec", "panel": "mgs", "cutoff": 2, "reorthogonalize": true, "on_hazard": "fallback"},
-	}, &fr)
-	if code != 200 || fr.Key != key || !fr.Cached {
-		t.Errorf("factorize of the file's matrix: %d key %q cached=%v, want 200 %s cached", code, fr.Key, fr.Cached, key)
+	if !slices.Equal(factorBits(e.F), factorBits(want)) || e.F.Q != nil {
+		t.Error("the refactorized entry is not tcqr.Factorize's R without Q")
 	}
 }
 
-// TestSpillRetiredPanelQuarantined: a v4 file whose meta names the retired
+// TestSpillRetiredPanelQuarantined: a file whose meta names the retired
 // panel 2 (Cholesky QR, written by an older daemon) is quarantined at rewarm,
 // not served under a Config that Factorize would now run on another panel.
-// (MGS kept its number 3: TestSpillFileWithPanelFlagRewarms still resolves
-// an MGS file under its p3 key.)
+// (MGS kept its number 3: TestSpillV4FileQuarantinedKeyRefactorizes still
+// resolves an MGS matrix under its p3 key.)
 func TestSpillRetiredPanelQuarantined(t *testing.T) {
 	e := goldenSpillEntry()
 	e.Key = "mretired-e00-p2-c0-r00-h0"
@@ -197,10 +191,9 @@ func FuzzSpillDecode(f *testing.F) {
 		metaLen := int(binary.LittleEndian.Uint64(valid[8:16]))
 		bodyAt := spillHeaderLen + int(pad8(int64(metaLen)))
 		aEnd := bodyAt + 8*e.A.Rows*e.A.Cols
-		qEnd := aEnd + 4*e.A.Rows*e.A.Cols
-		rEnd := qEnd + 4*e.A.Cols*e.A.Cols
-		// Truncations at every field boundary.
-		for _, cut := range []int{0, 4, 8, 16, spillHeaderLen, spillHeaderLen + metaLen, bodyAt, aEnd, qEnd, rEnd, len(valid) - 4, len(valid) - 1} {
+		rEnd := aEnd + 4*e.A.Cols*e.A.Cols
+		// Truncations at every field boundary, and inside R.
+		for _, cut := range []int{0, 4, 8, 16, spillHeaderLen, spillHeaderLen + metaLen, bodyAt, aEnd, aEnd + 4, rEnd, len(valid) - 4, len(valid) - 1} {
 			f.Add(valid[:cut])
 			torn := bytes.Clone(valid[:cut])
 			resealSpill(torn)
@@ -231,11 +224,11 @@ func FuzzSpillDecode(f *testing.F) {
 		resealSpill(huge)
 		f.Add(huge)
 	}
-	panelFlag, err := os.ReadFile(panelFlagSpillFile)
+	v4, err := os.ReadFile(v4SpillFile)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(panelFlag)
+	f.Add(v4)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sealed := bytes.Clone(data)
@@ -328,13 +321,13 @@ func within(t *testing.T, what string, f func()) {
 }
 
 // TestSpillEncodeReturnsTheWriteError: wherever the file stops accepting
-// bytes — before the first, inside A, Q, R or the scales, or at the checksum —
+// bytes — before the first, inside A, R or the scales, or at the checksum —
 // encodeSpillEntry returns that error instead of retrying.
 func TestSpillEncodeReturnsTheWriteError(t *testing.T) {
 	e := makeEntry(t, 6, 2048, 24, "mfull", 0) // 393 KB of A: several chunks a section
 	e.F.ColumnScales = make([]float32, 24)
 	total := len(spillBytes(t, e))
-	aEnd := total - 4 - 4*24 - 4*24*24 - 4*2048*24
+	aEnd := total - 4 - 4*24 - 4*24*24
 	disk := errors.New("no space left on device")
 	for _, room := range []int{0, 10, spillChunk - 1, spillChunk, aEnd - 3, aEnd + 5, total - 4 - 4*24 - 1, total - 4 - 2, total - 4, total - 1} {
 		within(t, "encodeSpillEntry", func() {

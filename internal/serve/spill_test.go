@@ -47,7 +47,7 @@ func spillBytes(t testing.TB, e *Entry) []byte {
 }
 
 // sameEntryBits reports the first difference between two entries' identity,
-// shapes or bit patterns (A by Float64bits; Q, R and the column scales by
+// shapes or bit patterns (A by Float64bits; R and the column scales by
 // Float32bits, so NaN payloads and signed zeros count), or "".
 func sameEntryBits(got, want *Entry) string {
 	if got.Key != want.Key || got.Epoch != want.Epoch {
@@ -68,7 +68,7 @@ func sameEntryBits(got, want *Entry) string {
 		}
 	}
 	if !slices.Equal(factorBits(got.F), factorBits(want.F)) {
-		return "Q, R or the column scales not bit-identical"
+		return "R or the column scales not bit-identical"
 	}
 	return ""
 }
@@ -98,7 +98,7 @@ func TestSpillEntryRoundTrip(t *testing.T) {
 	}
 	// Values a float conversion would not carry: a signalling-NaN payload
 	// and a negative zero in a float32 factor.
-	e.F.Q.Set(3, 2, math.Float32frombits(0x7fa00001))
+	e.F.R.Set(2, 3, math.Float32frombits(0x7fa00001))
 	e.F.R.Set(0, 5, float32(math.Copysign(0, -1)))
 	buf := spillBytes(t, e)
 	got, err := decodeSpillEntry(buf)
@@ -121,7 +121,7 @@ func TestSpillEntryRoundTrip(t *testing.T) {
 
 	big := makeEntry(t, 2, 2048, 128, "mbig", 0)
 	m, n := int64(2048), int64(128)
-	matrices := 8*m*n + 4*m*n + 4*n*n + 4*int64(len(big.F.ColumnScales))
+	matrices := 8*m*n + 4*n*n + 4*int64(len(big.F.ColumnScales))
 	if over := int64(len(spillBytes(t, big))) - matrices; over < 0 || over > 512 {
 		t.Errorf("2048x128 file carries %d bytes of header, meta and checksum beyond its matrices, want 0..512", over)
 	}

@@ -6,12 +6,13 @@ import (
 
 	"tcqr"
 	"tcqr/internal/faultinject"
+	"tcqr/internal/qrupdate"
 )
 
 // serveUpdate is POST /v1/update: an incremental mutation of the cached
 // factorization behind a key — append a row block or downdate trailing rows
-// — published as the next epoch of the key's series. The update runs on the
-// library's O(n²·(k+n)) update path, not a refactorization; in-flight
+// — published as the next epoch of the key's series. The update touches R
+// alone, at O(k·n²) (internal/qrupdate), not a refactorization; in-flight
 // solves keep reading the epoch they resolved (entries are immutable).
 func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Request) error {
 	var req updateRequest
@@ -47,6 +48,10 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 		return errUnknownKey(req.Key)
 	}
 	// Shape checks against the epoch being updated, before any compute.
+	if k := req.RemoveRows; k > 0 && old.A.Rows-k < old.A.Cols {
+		s.cache.AbortUpdate(old)
+		return errBadInput(fmt.Sprintf("removing %d of %d rows leaves fewer rows than the %d columns", k, old.A.Rows, old.A.Cols))
+	}
 	if v64 != nil {
 		if v64.Cols != old.A.Cols {
 			s.cache.AbortUpdate(old)
@@ -70,14 +75,23 @@ func (s *Server) serveUpdate(rc *reqScope, w http.ResponseWriter, r *http.Reques
 		// Failpoint: an injected error here aborts the update after the
 		// series was latched — the recovery path that must leave the
 		// current epoch published and the series unlocked.
-		uerr = faultinject.Fire(siteUpdateApply)
-		if uerr == nil {
-			if v != nil {
-				nf, uerr = s.backend.UpdateAppendRows(old.F, v, old.Config)
-			} else {
-				nf, uerr = s.backend.UpdateRemoveRows(old.F, req.RemoveRows, old.Config)
+		var nr *tcqr.Matrix32
+		switch uerr = faultinject.Fire(siteUpdateApply); {
+		case uerr != nil:
+		case v != nil:
+			nr, uerr = s.backend.UpdateAppendRows(old.F.R, v)
+		default:
+			nr, uerr = s.backend.UpdateRemoveRows(old.F.R, old.A, req.RemoveRows)
+			if uerr != nil && old.Config.OnHazard == tcqr.HazardFallback {
+				// As in the library: factorize the remaining rows, A's own.
+				ev := qrupdate.FallbackEvent(uerr)
+				if nf, uerr = s.backend.Factorize(dropRows64(old.A, req.RemoveRows), old.Config); uerr == nil {
+					nf.Hazards = append([]tcqr.Hazard{ev}, nf.Hazards...)
+				}
+				return
 			}
 		}
+		nf = &tcqr.Factorization{R: nr}
 	})
 	if err == nil {
 		rc.stages.add(stageUpdate, took)

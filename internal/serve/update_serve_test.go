@@ -150,8 +150,8 @@ func TestUpdateValidation(t *testing.T) {
 			"append": wireMat(4, n-1, testMatrix(312, 4, n-1, 1))}, 400, "bad_input"},
 		{"grows past cap", map[string]any{"key": fr.Key,
 			"append": wireMat(512, n, testMatrix(313, 512, n, 1))}, 413, "too_large"},
-		// The library refuses to downdate below the column count; the typed
-		// shape error must map to bad_input, and the epoch must not advance.
+		// A downdate below the column count is refused before any compute
+		// as bad_input, and the epoch must not advance.
 		{"removes too many rows", map[string]any{"key": fr.Key, "remove_rows": m - n + 1}, 400, "bad_input"},
 	}
 	for _, tc := range cases {
@@ -333,11 +333,11 @@ func TestEvictedEntryStaysReadableUntilReleased(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nf, err := be.UpdateRemoveRows(old.F, 4, old.Config)
+			r, err := be.UpdateRemoveRows(old.F.R, old.A, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.PublishUpdate(old, dropRows64(old.A, 4), nf)
+			c.PublishUpdate(old, dropRows64(old.A, 4), &tcqr.Factorization{R: r})
 			if cs := c.Stats(); cs.Retired != 1 {
 				t.Fatalf("stats after the superseding update: %+v", cs)
 			}
@@ -651,7 +651,7 @@ func TestDowndatedEpochSharesParentA(t *testing.T) {
 		t.Fatalf("downdated A is %dx%d with stride %d and its own storage; want a %dx%d view of the parent's (stride %d)",
 			down.A.Rows, down.A.Cols, down.A.Stride, m-k, n, parent.A.Stride)
 	}
-	if got, want := down.sizeBytes(), int64(cap(parent.A.Data)*8+(m-k)*n*4+n*n*4); got != want {
+	if got, want := down.sizeBytes(), int64(cap(parent.A.Data)*8+n*n*4); got != want {
 		t.Errorf("downdated entry counts %d bytes, want %d (the parent's whole array of A)", got, want)
 	}
 

@@ -106,9 +106,10 @@ func (w WireConfig) config() (tcqr.Config, error) {
 // WireSolveOptions is the JSON form of tcqr.SolveOptions (the refinement
 // side; the factorization side rides in the request's config).
 type WireSolveOptions struct {
-	// Method selects the refinement engine: "cgls" (default), "lsqr",
-	// "none". Any other name is 400 bad_input, never answered by another
-	// method under the name the client asked for.
+	// Method selects the refinement engine: "cgls" (default) or "lsqr".
+	// Any other name is 400 bad_input, never answered by another method
+	// under the name the client asked for; "none", the unrefined R⁻¹Qᵀb,
+	// is one of them, because a cached factor holds no Q.
 	Method string `json:"method,omitempty"`
 	// Tol is the relative convergence tolerance (0 = library default).
 	Tol float64 `json:"tol,omitempty"`
@@ -128,10 +129,8 @@ func (w WireSolveOptions) options() (tcqr.SolveOptions, error) {
 		opts.Method = tcqr.RefineCGLS
 	case "lsqr":
 		opts.Method = tcqr.RefineLSQR
-	case "none":
-		opts.Method = tcqr.RefineNone
 	default:
-		return opts, errBadInput(fmt.Sprintf("unknown method %q (want cgls, lsqr or none)", w.Method))
+		return opts, errBadInput(fmt.Sprintf("unknown method %q (want cgls or lsqr)", w.Method))
 	}
 	if w.Tol < 0 || w.MaxIterations < 0 {
 		return opts, errBadInput("tol and max_iterations must be >= 0")

@@ -2,43 +2,32 @@ package tcqr
 
 import (
 	"fmt"
-	"math"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
+	"tcqr/internal/qrupdate"
 )
 
-// This file implements incremental QR: appending rows to an existing
-// factorization (update) and removing trailing rows (downdate) without the
-// full O(mn²) refactorization — the "online least squares" workload from
-// ROADMAP item 5.
+// This file implements incremental QR with an explicit Q: appending rows
+// (update) and removing trailing rows (downdate) without the O(mn²)
+// refactorization. Each runs internal/qrupdate's R kernel — all the daemon
+// runs, since its factor is A and R — and adds the Q half, which goes with
+// recoverQStrips once no caller reads an updated Q.
 //
-// Append: with A = Q·R and a new row block V (k×n),
+// Append: [A; V] = [Q 0; 0 I]·[R; V] and [R; V] = Q̂·R′ (qrupdate.Append,
+// structured Householder at O(kn²) in float64). Q′ applies the same
+// reflectors to [Q 0; 0 I] in compact-WY blocks at O(m·n·k), never forming
+// Q̂, whose dense product with Q would cost as much as refactorizing. Both
+// narrow to float32 at the end, inside the serial factorization's
+// mixed-precision error budget (Yang/Fox/Sanders). Off the fp16 engine
+// there is nothing for column scaling to repair, so an append has no
+// recovery ladder.
 //
-//	[A]   [Q 0] [R]          [R]
-//	[V] = [0 I]·[V]   and    [V] = Q̂·R′  (structured Householder),
-//
-// so [A;V] = ([Q 0;0 I]·Q̂)·R′ = [Q·Q̂₁; Q̂₂]·R′. Each Householder
-// reflector for column j only touches row j of R and the k appended rows
-// (everything below the diagonal of the R block is already zero), so
-// annihilating V costs O(kn²) instead of O((m+k)n²), and the explicit-Q
-// contract is met by applying the same structured reflectors to [Q 0; 0 I]
-// in compact-WY blocks at O(m·n·k) — never forming Q̂, whose dense product
-// with Q would cost the same O(m·n²) as refactorizing. All interior
-// arithmetic runs in float64 and narrows to the device precision at the end,
-// so the update sits inside the mixed-precision error budget of the serial
-// factorization (Yang/Fox/Sanders bound the blocked Householder step it
-// runs). Off the fp16 engine there is nothing for column scaling to repair,
-// so an append has no recovery ladder.
-//
-// Downdate: LINPACK dchdd-style. Removing row b from A downdates the
-// Cholesky view R′ᵀR′ = RᵀR − bᵀb: solve Rᵀa = b, α² = 1 − ‖a‖² (breakdown
-// when ≤ 0 — the removed rows carry all the remaining column mass), then a
-// backward sweep of Givens rotations maps [R; 0] to [R′; *]. Q is recovered
-// as Q′ = A′·R′⁻¹ = Q₁·(R·R′⁻¹) via a triangular solve plus one GEMM. A
-// downdate that breaks down is recovered, under HazardFallback, by Factorize
-// of the remaining rows: the library's one recovery ladder is Factorize's.
+// Downdate: qrupdate.Downdate's dchdd sweep over B = Q₂·R, then
+// Q′ = Q₁·(R·R′⁻¹) by a triangular solve and one GEMM. A breakdown is
+// recovered, under HazardFallback, by Factorize of the remaining rows: the
+// library's one recovery ladder is Factorize's.
 
 // UpdateAppendRows returns the factorization of [A; V] given f = Q·R of A
 // and a new row block v (k×n, n = f.R.Cols). The inputs are not modified;
@@ -93,8 +82,7 @@ func UpdateRemoveRows(f *Factorization, k int, cfg Config) (*Factorization, erro
 	if err == nil || cfg.OnHazard != HazardFallback {
 		return nf, err
 	}
-	ev := hazard.Event{Kind: classify(err), Stage: "downdate", Detail: err.Error(),
-		Action: "refactorize remaining rows from scratch"}
+	ev := qrupdate.FallbackEvent(err)
 	if nf, err = Factorize(reconstructRows(f, m-k), cfg); err != nil {
 		return nil, err
 	}
@@ -102,73 +90,19 @@ func UpdateRemoveRows(f *Factorization, k int, cfg Config) (*Factorization, erro
 	return nf, nil
 }
 
-// appendOnce is the append: the structured bordered Householder in float64.
+// appendOnce is the append: qrupdate's annihilation, then the Q half.
 func appendOnce(f *Factorization, v *Matrix32) (*Factorization, error) {
 	n := f.R.Cols
 	k := v.Rows
-	rd := dense.ToF64(f.R) // becomes R′
-	w := dense.ToF64(v)    // appended block, annihilated in place
+	rd, z, tau, flip := qrupdate.Append(f.R, v)
 
-	// Annihilate W column by column. Reflector j is H = I − τ·u·uᵀ with
-	// u = [e_j; z_j]: it touches only row j of the R block plus the k
-	// appended rows, because rows j+1..n−1 of column j are already zero.
-	z := dense.New[float64](k, n)
-	tau := make([]float64, n)
-	for j := 0; j < n; j++ {
-		wj := w.Col(j)
-		sigma := blas.Dot(wj, wj)
-		if sigma == 0 {
-			continue // column already annihilated; H_j = I
-		}
-		alpha := rd.At(j, j)
-		mu := math.Sqrt(float64(alpha*alpha) + sigma)
-		beta := -mu
-		if alpha < 0 {
-			beta = mu
-		}
-		v0 := alpha - beta
-		tau[j] = (beta - alpha) / beta
-		zj := z.Col(j)
-		for i, x := range wj {
-			zj[i] = x / v0
-		}
-		rd.Set(j, j, beta)
-		for jj := j + 1; jj < n; jj++ {
-			wc := w.Col(jj)
-			t := float64(tau[j] * (rd.At(j, jj) + blas.Dot(zj, wc)))
-			rd.Set(j, jj, rd.At(j, jj)-t)
-			blas.Axpy(-t, zj, wc)
-		}
-	}
-
-	// Canonicalize R′ to a non-negative diagonal (the TSQR convention) now —
-	// the annihilation is complete, so the sign of each Q′ column is known
-	// before the Q update runs and can be folded into the narrowing below.
-	flip := make([]bool, n)
-	for j := 0; j < n; j++ {
-		if rd.At(j, j) < 0 {
-			flip[j] = true
-			for jj := j; jj < n; jj++ {
-				rd.Set(j, jj, -rd.At(j, jj))
-			}
-		}
-	}
-
-	// Q′ = [Q 0; 0 I_k]·H_0⋯H_{n−1}, restricted to the first n columns.
-	// Forming Q̂ = H_0⋯H_{n−1}·[I_n; 0] and multiplying would cost an
-	// O(m·n²) GEMM — the same order as refactorizing, which is why the
-	// explicit product was the whole update's bottleneck. Instead apply the
-	// reflectors in compact-WY blocks: u_j = [e_j; z_j] is zero outside
-	// position j and the k appended coordinates, so a block of nb reflectors
-	// is I − U·T·Uᵀ with U = [E_blk; Z_blk]. Right-multiplying touches only
-	// the block's own Q columns (read and written exactly once, as
-	// P = [Q_blk; 0]·T + B·(Z_blk·T) and Q′_blk = [Q_blk; 0] − P) plus the
-	// k-column tail block B — the only live state across blocks. Every
-	// product has inner dimension k or nb, so the whole Q update is
-	// O((m+k)·n·(k+nb)). The reflector generation above stays float64; this
-	// application runs in float32 — the accumulation depth per element is
-	// only k+nb, so its rounding sits well inside the float32 factor
-	// quality, and it halves memory traffic while doubling SIMD width.
+	// Q′ = [Q 0; 0 I_k]·H_0⋯H_{n−1}, first n columns, in compact-WY blocks:
+	// u_j = [e_j; z_j], so a block of nb reflectors is I − U·T·Uᵀ with
+	// U = [E_blk; Z_blk]. Right-multiplying touches only the block's own Q
+	// columns (P = [Q_blk; 0]·T + B·(Z_blk·T), Q′_blk = [Q_blk; 0] − P) and the
+	// k-column tail block B, the only state across blocks: O((m+k)·n·(k+nb))
+	// in all. It runs in float32, where each element's accumulation depth is
+	// only k+nb.
 	m := f.Q.Rows
 	z32 := dense.New[float32](k, n)
 	for j := 0; j < n; j++ {
@@ -181,12 +115,9 @@ func appendOnce(f *Factorization, v *Matrix32) (*Factorization, error) {
 	if nb > n {
 		nb = n
 	}
-	// ub = [B | Q_blk]: the persistent tail block B (starts as [0; I_k],
-	// updated in place through its column view) shares one GEMM operand with
-	// the block's Q columns (refilled each block, bottom k rows permanently
-	// zero), so P = B·(Z_blk·T) + [Q_blk; 0]·T is a single product against
-	// rb = [Z_blk·T; T] instead of two. B leads so the operand view stays
-	// contiguous when the last block is narrower than nb.
+	// ub = [B | Q_blk] (B starts as [0; I_k]; Q_blk's bottom k rows stay
+	// zero), so P is one product with rb = [Z_blk·T; T]. B leads, so the view
+	// stays contiguous when the last block is narrower than nb.
 	ub := dense.New[float32](m+k, k+nb)
 	bt := ub.View(0, 0, m+k, k)
 	for c := 0; c < k; c++ {
@@ -277,12 +208,6 @@ func appendOnce(f *Factorization, v *Matrix32) (*Factorization, error) {
 	return nf, nil
 }
 
-// downdateBreakdownTol is the α² floor below which a downdate is declared
-// broken down: the float32 factors carry O(2⁻²⁴) relative error, so a
-// residual mass within a small multiple of that is indistinguishable from
-// zero.
-const downdateBreakdownTol = 32.0 / (1 << 24)
-
 // downdateStripRows is about how many rows of Q₁ the downdate widens and
 // multiplies at a time: two float64 strips of 256 rows by n columns (a
 // widened Q₁ strip and its product) take 512 KB at n = 128, a quarter of one
@@ -290,8 +215,8 @@ const downdateBreakdownTol = 32.0 / (1 << 24)
 // packed GEMM's 128-row macro-tiles deep, one for each of two workers.
 const downdateStripRows = 256
 
-// downdateOnce removes the trailing k rows with k successive dchdd sweeps
-// and recovers Q′ = Q₁·(R·R′⁻¹).
+// downdateOnce removes the trailing k rows with qrupdate's dchdd sweeps over
+// B = Q₂·R and recovers Q′ = Q₁·(R·R′⁻¹).
 func downdateOnce(f *Factorization, k int) (*Factorization, error) {
 	m, n := f.Q.Rows, f.Q.Cols
 	r0 := dense.ToF64(f.R) // pristine R for the Q recovery solve
@@ -303,59 +228,8 @@ func downdateOnce(f *Factorization, k int) (*Factorization, error) {
 	q2 := dense.ToF64(f.Q.View(m-k, 0, k, n))
 	b := dense.New[float64](k, n)
 	blas.Gemm(blas.NoTrans, blas.NoTrans, 1, q2, r0, 0, b)
-
-	s := make([]float64, n)
-	cs := make([]float64, n)
-	sn := make([]float64, n)
-	for i := 0; i < k; i++ {
-		for j := 0; j < n; j++ {
-			s[j] = b.At(i, j)
-		}
-		// Solve Rᵀa = b for the current (already downdated) R.
-		blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, rd, s)
-		norm2 := blas.Dot(s, s)
-		// Breakdown when α² = 1 − ‖a‖² is non-positive — or merely inside
-		// the noise floor of the float32 factors (O(2⁻²⁴) relative error):
-		// an α² that small cannot be distinguished from zero, and the
-		// rotations it generates would be garbage. !(… > tol) also catches
-		// NaN.
-		if !(1-norm2 > downdateBreakdownTol) {
-			return nil, fmt.Errorf("tcqr: downdate breakdown at removed row %d (‖a‖² = %g): %w",
-				i, norm2, ErrBreakdown)
-		}
-		alpha := math.Sqrt(1 - norm2)
-		for ii := n - 1; ii >= 0; ii-- {
-			sc := alpha + math.Abs(s[ii])
-			a, x := alpha/sc, s[ii]/sc
-			nrm := math.Sqrt(float64(a*a) + float64(x*x))
-			cs[ii] = a / nrm
-			sn[ii] = x / nrm
-			alpha = sc * nrm
-		}
-		for j := 0; j < n; j++ {
-			col := rd.Col(j)
-			xx := 0.0
-			for ii := j; ii >= 0; ii-- {
-				t := float64(cs[ii]*xx) + float64(sn[ii]*col[ii])
-				col[ii] = float64(cs[ii]*col[ii]) - float64(sn[ii]*xx)
-				xx = t
-			}
-		}
-	}
-	// Canonicalize R′ to a non-negative diagonal (row sign flips — absorbed
-	// by the Q recovery below) and reject a singular diagonal before the
-	// triangular solve divides by it.
-	for j := 0; j < n; j++ {
-		if rd.At(j, j) == 0 {
-			return nil, fmt.Errorf("tcqr: downdated R is singular at column %d: %w", j, ErrBreakdown)
-		}
-	}
-	for i := 0; i < n; i++ {
-		if rd.At(i, i) < 0 {
-			for j := i; j < n; j++ {
-				rd.Set(i, j, -rd.At(i, j))
-			}
-		}
+	if err := qrupdate.Downdate(rd, b); err != nil {
+		return nil, fmt.Errorf("tcqr: %w", err)
 	}
 
 	// Q′ = Q₁·M with M·R′ = R.
