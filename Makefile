@@ -86,7 +86,12 @@ reach:
 # allocation bound, whose Q′ is that
 # GEMM run in row strips, and the append's allocation count, whose
 # compact-WY blocks run that GEMM too, and the float64-input Factorize
-# against its narrowing's. And the
+# against its narrowing's. So do the factorization's input sweep and its
+# finiteness scan of Q, which run in column chunks on the same runner from
+# 32768 elements up: Factor's bits from either source width, the error
+# naming the first offender, and FactorizeR against Factorize with its
+# allocation gate. FactorizeR's pooled workspace is shared between
+# goroutines, so its concurrent calls run under the race detector too. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
 # processors take them; nor may a served cold miss's, whose CAQR tiles run
@@ -111,7 +116,9 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|RKernelBits' . ./internal/qrupdate
+	$(GO) test -cpu 1,2,4 -run 'Float64SourceMatchesNarrowing|SweepNamesFirstOffender|FactorInIgnoresWorkspace|FiniteScansEveryColumn' ./internal/rgs
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|RKernelBits' . ./internal/qrupdate
+	$(GO) test -race -run 'TestFactorizeRConcurrent|TestFactorizeRKeepsNoWorkspace' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
 	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs' ./internal/serve

@@ -45,17 +45,17 @@ func (g *batchJob[T]) RunTask(i int) {
 }
 
 var (
-	batchJobs32 = make(freeList[batchJob[float32]], 8)
-	batchJobs64 = make(freeList[batchJob[float64]], 8)
+	batchJobs32 = make(FreeList[batchJob[float32]], 8)
+	batchJobs64 = make(FreeList[batchJob[float64]], 8)
 )
 
 func getBatchJob[T dense.Float]() *batchJob[T] {
 	var z T
 	switch any(z).(type) {
 	case float32:
-		return any(batchJobs32.get()).(*batchJob[T])
+		return any(batchJobs32.Get()).(*batchJob[T])
 	case float64:
-		return any(batchJobs64.get()).(*batchJob[T])
+		return any(batchJobs64.Get()).(*batchJob[T])
 	default:
 		return new(batchJob[T])
 	}
@@ -67,8 +67,8 @@ func putBatchJob[T dense.Float](j *batchJob[T]) {
 	*j = batchJob[T]{}
 	switch j := any(j).(type) {
 	case *batchJob[float32]:
-		batchJobs32.put(j)
+		batchJobs32.Put(j)
 	case *batchJob[float64]:
-		batchJobs64.put(j)
+		batchJobs64.Put(j)
 	}
 }

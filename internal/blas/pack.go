@@ -72,8 +72,8 @@ func (pb *packBuf[T]) growB(n int) []T {
 var (
 	packPool32 = sync.Pool{New: func() any { return new(packBuf[float32]) }}
 	packPool64 = sync.Pool{New: func() any { return new(packBuf[float64]) }}
-	gemmJobs32 = make(freeList[gemmJob[float32]], 8)
-	gemmJobs64 = make(freeList[gemmJob[float64]], 8)
+	gemmJobs32 = make(FreeList[gemmJob[float32]], 8)
+	gemmJobs64 = make(FreeList[gemmJob[float64]], 8)
 )
 
 func getPackBuf[T dense.Float]() *packBuf[T] {
@@ -102,9 +102,9 @@ func getGemmJob[T dense.Float]() *gemmJob[T] {
 	var z T
 	switch any(z).(type) {
 	case float32:
-		return any(gemmJobs32.get()).(*gemmJob[T])
+		return any(gemmJobs32.Get()).(*gemmJob[T])
 	case float64:
-		return any(gemmJobs64.get()).(*gemmJob[T])
+		return any(gemmJobs64.Get()).(*gemmJob[T])
 	default:
 		return new(gemmJob[T])
 	}
@@ -116,9 +116,9 @@ func putGemmJob[T dense.Float](j *gemmJob[T]) {
 	*j = gemmJob[T]{}
 	switch j := any(j).(type) {
 	case *gemmJob[float32]:
-		gemmJobs32.put(j)
+		gemmJobs32.Put(j)
 	case *gemmJob[float64]:
-		gemmJobs64.put(j)
+		gemmJobs64.Put(j)
 	}
 }
 

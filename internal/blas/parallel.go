@@ -47,10 +47,10 @@ func (j *rangeJob) RunTask(t int) {
 }
 
 // TaskRunner is the work interface of runTasks. It is an interface rather
-// than a func value so pooled job structs (gemvJob, gemmJob, batchJob, and
-// the CAQR tile tree's levels in internal/gram) can be dispatched without any
-// per-call closure allocation; parallelRange, whose callers pass a closure
-// anyway, allocates its rangeJob.
+// than a func value so pooled job structs (gemvJob, gemmJob, batchJob, the
+// CAQR tile tree's levels in internal/gram, and internal/rgs's column
+// sweeps) can be dispatched without any per-call closure allocation;
+// parallelRange, whose callers pass a closure anyway, allocates its rangeJob.
 type TaskRunner interface {
 	RunTask(task int)
 }
@@ -73,7 +73,7 @@ type gemvJob struct {
 	chunk int // rows (NoTrans) or columns (Trans) per chunk, a multiple of eight
 }
 
-var gemvJobs = make(freeList[gemvJob], 8)
+var gemvJobs = make(FreeList[gemvJob], 8)
 
 // gemvSplitMin is the smallest A, in elements, whose float64 Gemv is split.
 // The 4096×128 row of BenchmarkGemv64Shapes (serve-cold-tall's A, 4 MB,
@@ -117,11 +117,11 @@ func gemvSplit(tA Transpose, r, c int) (chunk, helpers int) {
 // whole matrix, so the bits depend neither on the chunking nor on who runs
 // which chunk.
 func gemvParallel(tA Transpose, alpha float64, a *dense.M64, x, y []float64, chunk, nHelpers int) {
-	job := gemvJobs.get()
+	job := gemvJobs.Get()
 	job.tA, job.alpha, job.a, job.x, job.y, job.chunk = tA, alpha, *a, x, y, chunk
 	runTasks((len(y)+chunk-1)/chunk, nHelpers, job)
 	*job = gemvJob{}
-	gemvJobs.put(job)
+	gemvJobs.Put(job)
 }
 
 func (j *gemvJob) RunTask(c int) {
@@ -136,15 +136,17 @@ func (j *gemvJob) RunTask(c int) {
 	}
 }
 
-// freeList recycles pooled job structs, as many as callers use at once, up to
-// its capacity. Every list here holds eight: a job is in use only for one
-// call, so eight covers up to eight concurrent callers, and a job released
-// past that is left to the GC. It is a buffered channel and not a sync.Pool
-// because a pool is emptied by every GC cycle, and a caller that allocates
-// between its calls would then allocate a job again after each cycle.
-type freeList[J any] chan *J
+// FreeList recycles pooled job structs, as many as callers use at once, up to
+// its capacity; internal/rgs pools its column sweeps in one too. Every list
+// holds eight: a job is in use only for one call, so eight covers up to eight
+// concurrent callers, and a job released past that is left to the GC. It is
+// a buffered channel and not a sync.Pool because a pool is emptied by every
+// GC cycle, and a caller that allocates between its calls would then allocate
+// a job again after each cycle.
+type FreeList[J any] chan *J
 
-func (f freeList[J]) get() *J {
+// Get returns a recycled job, or a new zero one when the list is empty.
+func (f FreeList[J]) Get() *J {
 	select {
 	case j := <-f:
 		return j
@@ -153,7 +155,8 @@ func (f freeList[J]) get() *J {
 	}
 }
 
-func (f freeList[J]) put(j *J) {
+// Put recycles j unless the list is full.
+func (f FreeList[J]) Put(j *J) {
 	select {
 	case f <- j:
 	default: // the list is full
@@ -182,7 +185,7 @@ type taskJob struct {
 }
 
 var (
-	taskJobs = make(freeList[taskJob], 8)
+	taskJobs = make(FreeList[taskJob], 8)
 	// wake is unbuffered, so a non-blocking send reaches a helper only if one
 	// is parked in its receive: a busy helper is skipped, never waited for.
 	wake           = make(chan *taskJob)
@@ -199,7 +202,7 @@ func runTasks(n, nHelpers int, r TaskRunner) {
 		}
 		return
 	}
-	job := taskJobs.get()
+	job := taskJobs.Get()
 	if job.fin == nil {
 		job.fin = make(chan struct{}, 1)
 	}
@@ -263,6 +266,6 @@ func (j *taskJob) work() (last bool) {
 func (j *taskJob) release() {
 	if j.refs.Add(-1) == 0 {
 		j.r = nil
-		taskJobs.put(j)
+		taskJobs.Put(j)
 	}
 }

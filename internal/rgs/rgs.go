@@ -23,6 +23,7 @@ package rgs
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
@@ -110,6 +111,15 @@ type Result struct {
 // error wrapping hazard.ErrBreakdown. Recovery is the caller's:
 // tcqr.Factorize refactors the whole input on a sturdier configuration.
 func Factor[T dense.Float](a *dense.Matrix[T], opts Options) (*Result, error) {
+	return FactorIn(nil, a, opts)
+}
+
+// FactorIn is Factor in the caller's workspace: the buffer that becomes Q is
+// work[:m·n], whose contents are overwritten unread, or a new one when work
+// holds fewer than m·n elements. The result is Factor's, bit for bit; only Q
+// shares storage with work, so a caller that reuses work for the next
+// factorization must be done with this Q.
+func FactorIn[T dense.Float](work []float32, a *dense.Matrix[T], opts Options) (*Result, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		return nil, fmt.Errorf("rgs: matrix is %dx%d; RGSQRF requires m >= n: %w", m, n, hazard.ErrShape)
@@ -117,7 +127,12 @@ func Factor[T dense.Float](a *dense.Matrix[T], opts Options) (*Result, error) {
 	if n == 0 {
 		return &Result{Q: dense.New[float32](m, 0), R: dense.New[float32](0, 0)}, nil
 	}
-	w := dense.New[float32](m, n)
+	var w *dense.M32
+	if cap(work) >= m*n {
+		w = dense.NewFromColMajor(m, n, work[:m*n])
+	} else {
+		w = dense.New[float32](m, n)
+	}
 	scales, ok := load(w, a, !opts.DisableScaling)
 	if !ok {
 		return nil, &InputError{CheckInput(a)}
@@ -205,14 +220,30 @@ func CheckInput[T dense.Float](a *dense.Matrix[T]) error {
 // column is in cache: a float32 column is read where it is, a float64 one is
 // narrowed into w first; the column is checked, and written to w once, scaled
 // by columnScale's power of two when scale is set. It returns the applied
-// scales (nil without scaling), and false at the first column holding an
-// element that is not finite in float32.
+// scales (nil without scaling), and false when a column holds an element that
+// is not finite in float32. The columns are independent, so they are swept in
+// chunks on the blas task runner (sweepJob); which column an error names is
+// CheckInput's to find.
 func load[T dense.Float](w *dense.M32, a *dense.Matrix[T], scale bool) ([]float32, bool) {
 	var scales []float32
 	if scale {
 		scales = make([]float32, a.Cols)
 	}
-	for j := range a.Cols {
+	job := sweepJobs.Get()
+	job.w, job.scales = *w, scales
+	switch a := any(a).(type) {
+	case *dense.M32:
+		job.a32, job.kind = *a, sweepLoad32
+	case *dense.M64:
+		job.a64, job.kind = *a, sweepLoad64
+	}
+	return scales, job.run()
+}
+
+// loadCols is load's sweep over columns [lo, hi); false at the first column
+// that is not finite in float32.
+func loadCols[T dense.Float](w *dense.M32, a *dense.Matrix[T], scales []float32, lo, hi int) bool {
+	for j := lo; j < hi; j++ {
 		dst := w.Col(j)
 		src, ok := any(a.Col(j)).([]float32)
 		if !ok {
@@ -222,10 +253,10 @@ func load[T dense.Float](w *dense.M32, a *dense.Matrix[T], scale bool) ([]float3
 			src = dst
 		}
 		if hazard.CheckVec("A", src) != nil {
-			return nil, false
+			return false
 		}
 		s := float32(1)
-		if scale {
+		if scales != nil {
 			s = columnScale(src)
 			scales[j] = s
 		}
@@ -233,7 +264,81 @@ func load[T dense.Float](w *dense.M32, a *dense.Matrix[T], scale bool) ([]float3
 			blas.ScalTo(s, src, dst) // by 1, a copy: every element is finite
 		}
 	}
-	return scales, true
+	return true
+}
+
+// Finite reports whether every element of q is finite, as
+// hazard.MatrixFinite does, scanning its columns in chunks on the blas task
+// runner: the check tcqr.Factorize makes of every Q it computes.
+func Finite(q *dense.M32) bool {
+	job := sweepJobs.Get()
+	job.w, job.kind = *q, sweepFinite
+	return job.run()
+}
+
+// A sweep of fewer than sweepSplitMin elements runs on the caller alone,
+// where waking a helper would cost about as much as the sweep; a larger one
+// is split into sweepChunks column chunks, enough that a helper which starts
+// late still takes a share.
+const sweepSplitMin, sweepChunks = 1 << 15, 8
+
+type sweepKind int
+
+const (
+	sweepLoad32 sweepKind = iota // load from a32
+	sweepLoad64                  // load from a64
+	sweepFinite                  // Finite(w)
+)
+
+// sweepJob is one load or Finite call on the blas task runner: task t sweeps
+// columns [t·chunk, t·chunk+chunk) of w and sets bad if one is not finite.
+// The matrices are held by value, as blas's Gemv job holds its A: keeping the
+// caller's pointer would make it escape.
+type sweepJob struct {
+	kind   sweepKind
+	w, a32 dense.M32
+	a64    dense.M64
+	scales []float32
+	chunk  int
+	bad    atomic.Bool
+}
+
+var sweepJobs = make(blas.FreeList[sweepJob], 8)
+
+// run sweeps j's columns, recycles j, and reports whether every column
+// passed. Each column gets the same loop whichever task takes it, so neither
+// the bits nor the answer depend on the chunking.
+func (j *sweepJob) run() bool {
+	n, tasks := j.w.Cols, 1
+	if j.w.Rows*n >= sweepSplitMin {
+		tasks = min(n, sweepChunks)
+	}
+	j.chunk = (n + tasks - 1) / tasks
+	j.bad.Store(false)
+	blas.ParallelTasks((n+j.chunk-1)/j.chunk, j)
+	ok := !j.bad.Load()
+	j.w, j.a32, j.a64, j.scales = dense.M32{}, dense.M32{}, dense.M64{}, nil
+	sweepJobs.Put(j)
+	return ok
+}
+
+func (j *sweepJob) RunTask(t int) {
+	lo := t * j.chunk
+	hi := min(lo+j.chunk, j.w.Cols)
+	var ok bool
+	switch j.kind {
+	case sweepLoad32:
+		ok = loadCols(&j.w, &j.a32, j.scales, lo, hi)
+	case sweepLoad64:
+		ok = loadCols(&j.w, &j.a64, j.scales, lo, hi)
+	default:
+		var cols dense.M32
+		cols.SetView(&j.w, 0, lo, j.w.Rows, hi-lo)
+		ok = hazard.MatrixFinite(&cols)
+	}
+	if !ok {
+		j.bad.Store(true)
+	}
 }
 
 // columnScale returns the power of two that brings the largest magnitude of

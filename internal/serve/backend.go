@@ -29,8 +29,10 @@ import (
 // example, asserts that N concurrent same-matrix factorizes reach Factorize
 // exactly once.
 type Backend interface {
-	// Factorize computes the RGSQRF factorization (tcqr.Factorize) of the
-	// request's float64 matrix, which it factors as its float32 narrowing.
+	// Factorize computes the RGSQRF factorization of the request's float64
+	// matrix, which it factors as its float32 narrowing, and returns it
+	// without Q (tcqr.FactorizeR): refinement reads A and R alone, so no
+	// entry keeps Q.
 	Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error)
 	// SolveWithFactor solves one right-hand side against a cached
 	// factorization (tcqr.SolveLeastSquaresWithFactor).
@@ -47,13 +49,13 @@ type Backend interface {
 
 // LibraryBackend routes every call straight to package tcqr, the updates to
 // internal/qrupdate; it is the production backend. Every cold factorization
-// is tcqr.Factorize under the request's Config, so a cache key names one
-// factor on every node.
+// is tcqr.FactorizeR under the request's Config, whose R is tcqr.Factorize's,
+// so a cache key names one factor on every node.
 type LibraryBackend struct{}
 
 // Factorize implements Backend.
 func (LibraryBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error) {
-	return tcqr.Factorize(a, cfg)
+	return tcqr.FactorizeR(a, cfg)
 }
 
 // SolveWithFactor implements Backend.

@@ -468,7 +468,6 @@ func (c *FactorCache) factor(fl *flight, name string, cfg tcqr.Config) {
 		fl.err = err
 		return
 	}
-	f.Q = nil // refinement reads A and R alone, so no entry keeps Q
 	fl.entry = &Entry{Key: name, A: fl.a, F: f, Config: cfg}
 	fl.entry.bytes = fl.entry.sizeBytes()
 }
@@ -501,10 +500,9 @@ func (c *FactorCache) BeginUpdate(key string) (*Entry, error) {
 // the target of every subsequent bare-key lookup, while requests that
 // already resolved old keep reading it. old's spill file outlives it: the
 // spill writer deletes it once the new entry's file is durable (spill.go).
-// The entry takes f without its Q. Returns the new entry.
+// Returns the new entry.
 func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factorization) *Entry {
 	base := baseKey(old.Key)
-	f.Q = nil
 	ne := &Entry{
 		Key:    versionedKey(base, old.Epoch+1),
 		Epoch:  old.Epoch + 1,

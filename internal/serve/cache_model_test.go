@@ -143,18 +143,20 @@ func (m *cacheModel) reset() {
 
 // --- the driver -------------------------------------------------------------
 
-// stubBackend factors nothing: Q is the narrowed input and R its leading
-// block. The cache never looks inside a factorization, only at its size. The
-// embedded nil Backend panics on the solve calls the cache never makes.
+// stubBackend factors nothing: R is the narrowed input's leading block and,
+// as from every Backend, there is no Q. The cache never looks inside a
+// factorization, only at its size. The embedded nil Backend panics on the
+// solve calls the cache never makes.
 type stubBackend struct{ Backend }
 
 func (stubBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorization, error) {
-	q := tcqr.ToFloat32(a)
 	r := tcqr.NewMatrix32(a.Cols, a.Cols)
 	for j := 0; j < a.Cols; j++ {
-		copy(r.Col(j), q.Col(j))
+		for i := range r.Col(j) {
+			r.Col(j)[i] = float32(a.At(i, j))
+		}
 	}
-	return &tcqr.Factorization{Q: q, R: r}, nil
+	return &tcqr.Factorization{R: r}, nil
 }
 
 // entryBits hashes everything a holder of e can read: the key, the epoch and

@@ -89,9 +89,14 @@ func TestUnknownEngineAndPanelNames(t *testing.T) {
 
 // legacySpillFile renders e in the layout TCQS v1–v3 shared: a 20-byte
 // header (magic, version, crc32 and length of the payload) ahead of a
-// wirefmt frame of the meta and A, Q, R as float64 matrix sections.
+// wirefmt frame of the meta and A, Q, R as float64 matrix sections. An entry
+// holds no Q, so the file's factors are tcqr.Factorize's of e.A.
 func legacySpillFile(t *testing.T, version byte, meta []byte, e *Entry) []byte {
 	t.Helper()
+	qr, err := tcqr.Factorize(e.A, e.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f64 := func(m *tcqr.Matrix32) []float64 {
 		out := make([]float64, 0, m.Rows*m.Cols)
 		for j := 0; j < m.Cols; j++ {
@@ -105,8 +110,8 @@ func legacySpillFile(t *testing.T, version byte, meta []byte, e *Entry) []byte {
 	file, err := wirefmt.AppendFrame(make([]byte, headerLen),
 		wirefmt.JSONSection(meta),
 		wirefmt.MatrixSection(e.A.Rows, e.A.Cols, colMajorData(e.A)),
-		wirefmt.MatrixSection(e.F.Q.Rows, e.F.Q.Cols, f64(e.F.Q)),
-		wirefmt.MatrixSection(e.F.R.Rows, e.F.R.Cols, f64(e.F.R)))
+		wirefmt.MatrixSection(qr.Q.Rows, qr.Q.Cols, f64(qr.Q)),
+		wirefmt.MatrixSection(qr.R.Rows, qr.R.Cols, f64(qr.R)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package tcqr
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"tcqr/internal/accuracy"
 	"tcqr/internal/dense"
@@ -50,6 +51,41 @@ type Factorization struct {
 // Factorization.Hazards. A recovered factorization is exactly
 // Factorize(a, c) for the Config c of the rung that produced it.
 func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorization, error) {
+	return factorize(a, cfg, nil)
+}
+
+// FactorizeR is Factorize for a caller that reads R and not Q, as the
+// paper's Algorithm 3 refines with A and R alone: it runs the same ladder and
+// returns the same R, ColumnScales, Reorthogonalized, EngineStats and
+// Hazards, or the same error, bit for bit, with Q nil. The m×n float32
+// buffer that would have become Q comes from a pool and goes back to it once
+// the factors have been checked finite, so a warm FactorizeR allocates little
+// beyond R. Every method that reads Q — BackwardError, OrthogonalityError,
+// UpdateAppendRows, UpdateRemoveRows, and a solve with RefineNone — needs
+// Factorize's result instead.
+func FactorizeR[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorization, error) {
+	if a == nil || a.Cols == 0 || a.Rows < a.Cols {
+		return factorize(a, cfg, nil)
+	}
+	work := workspaces.Get().(*[]float32)
+	defer workspaces.Put(work)
+	if n := a.Rows * a.Cols; cap(*work) < n {
+		*work = make([]float32, n)
+	}
+	f, err := factorize(a, cfg, *work)
+	if f != nil {
+		f.Q = nil
+	}
+	return f, err
+}
+
+// workspaces holds the buffers FactorizeR factors in. It is a sync.Pool, as
+// the CAQR panel's tile trees are, so the collector reclaims a buffer that
+// has gone unused for two cycles, such as one sized for a rare large matrix.
+var workspaces = sync.Pool{New: func() any { return new([]float32) }}
+
+// factorize is Factorize, each rung factoring in work (rgs.FactorIn).
+func factorize[T float32 | float64](a *dense.Matrix[T], cfg Config, work []float32) (*Factorization, error) {
 	if a == nil || a.Cols == 0 || a.Rows < a.Cols {
 		// Empty or wide: the checks in the order callers have always seen
 		// them, finiteness before shape.
@@ -59,14 +95,14 @@ func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorizat
 		return nil, fmt.Errorf("tcqr: matrix is %dx%d; RGSQRF requires m >= n: %w", a.Rows, a.Cols, ErrShape)
 	}
 	rep := &hazard.Report{}
-	f, err := factorizeOnce(a, cfg, rep)
+	f, err := factorizeOnce(a, cfg, rep, work)
 	if err != nil && cfg.OnHazard == HazardFallback {
 		// The ladder is built from the first failure (the panel and engine
 		// rungs depend on whether it was an overflow); each rung is recorded,
 		// with the latest failure, before it runs.
 		for _, r := range engineLadder(cfg, err) {
 			rep.Record(hazard.Event{Kind: classify(err), Stage: "factorize", Detail: err.Error(), Action: r.action})
-			if f, err = factorizeOnce(a, r.cfg, rep); err == nil {
+			if f, err = factorizeOnce(a, r.cfg, rep, work); err == nil {
 				break
 			}
 		}
@@ -83,17 +119,17 @@ func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorizat
 }
 
 // factorizeOnce runs one rung of the factorization ladder: build the engine
-// and panel for cfg, factor, collect statistics, and verify the factors are
-// finite. The engine runs the split GEMMs, so its counters cover all of the
-// factorization's engine work. Engine overflow with finite factors is
-// recorded as a detection-only event; overflow followed by a failure or
+// and panel for cfg, factor in work, collect statistics, and verify the
+// factors are finite. The engine runs the split GEMMs, so its counters cover
+// all of the factorization's engine work. Engine overflow with finite factors
+// is recorded as a detection-only event; overflow followed by a failure or
 // non-finite factors becomes an error wrapping ErrOverflow, and non-finite
 // factors are refused either way. Engines always track overflow/underflow
 // events — the hazard layer needs them to classify failures, and counting is
 // fused into the GEMM packing pass so it is nearly free.
-func factorizeOnce[T dense.Float](a *dense.Matrix[T], cfg Config, rep *hazard.Report) (*Factorization, error) {
+func factorizeOnce[T dense.Float](a *dense.Matrix[T], cfg Config, rep *hazard.Report, work []float32) (*Factorization, error) {
 	engine := cfg.Engine.New()
-	res, err := rgs.Factor(a, rgs.Options{
+	res, err := rgs.FactorIn(work, a, rgs.Options{
 		Engine:          engine,
 		Panel:           cfg.gramPanel(),
 		Cutoff:          cfg.Cutoff,
@@ -110,7 +146,7 @@ func factorizeOnce[T dense.Float](a *dense.Matrix[T], cfg Config, rep *hazard.Re
 		}
 		return nil, err
 	}
-	if !hazard.MatrixFinite(res.Q) || !hazard.MatrixFinite(res.R) {
+	if !rgs.Finite(res.Q) || !hazard.MatrixFinite(res.R) {
 		if stats.Overflows > 0 {
 			return nil, fmt.Errorf("tcqr: factors are non-finite after %d fp16 overflow events: %w: %w",
 				stats.Overflows, ErrOverflow, ErrNonFinite)
