@@ -96,7 +96,8 @@ reach:
 # kernel, its bits and its allocation count must not depend on how many
 # processors take them; nor may a served cold miss's, whose CAQR tiles run
 # there too: its factor is the library's, and its bytes stay under the
-# cold-frame gate; nor may a served cache-hit solve's object count. The pool
+# cold-frame gate; nor may a served cache-hit solve's object count, nor a
+# JSON solve's bytes, whose body buffer is pooled per processor. The pool
 # recycles its tasks and deadline timers across goroutines, so its
 # queueing, deadline and cache-hit allocation tests run once more under the
 # race detector. The tile-tree workspaces go round a sync.Pool, the
@@ -120,7 +121,7 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|RKernelBits' . ./internal/qrupdate
 	$(GO) test -race -run 'TestFactorizeRConcurrent|TestFactorizeRKeepsNoWorkspace' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
-	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
+	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|JSONSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
 	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs' ./internal/serve
 
 # `go test -run` passes silently when its pattern selects nothing, so a test

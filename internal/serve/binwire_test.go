@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"slices"
@@ -287,7 +288,7 @@ func TestForwardFrameRoundTrip(t *testing.T) {
 				t.Errorf("encodeFrame changed the request: %s, was %s", after, want)
 			}
 			got := tc.fresh()
-			if _, aerr := decodeFrame(tc.endpoint, frame, got); aerr != nil {
+			if _, aerr := (&reqScope{endpoint: tc.endpoint}).decodeFrame(frame, got); aerr != nil {
 				t.Fatalf("decode: %s", aerr.msg)
 			}
 			if gj, _ := json.Marshal(got); !bytes.Equal(gj, want) {
@@ -543,16 +544,17 @@ func TestBinaryErrorsUseJSONEnvelope(t *testing.T) {
 // and the optimality check's coming from a pooled slab, and the request
 // pipeline allocates a fixed few: no per-request context or timer, a
 // recycled pool task, fixed-size frame layouts and shared header values. Two
-// inputs: one whose refinement converges (42 objects and about 12.0 KB per
-// binary request; 58 with a per-request deadline context, a fresh pool task
-// and per-response header slices, 69 and 21.9 KB when the working vectors
-// were allocated afresh too), and the workloads' class, a κ 1e3 geometric A
-// with a normal b, whose refinement settles: 42 objects (one that ran on to
-// the divergence guard and recorded a hazard for the reply to carry cost 9
-// more). Both gates are the count plus 2, so that hazard, or any one of the
-// pipeline's allocations back per request, fails them. Objects are counted by
+// inputs: one whose refinement converges (41 objects and about 11.8 KB per
+// binary request; 42 with a reader allocated for the frame's JSON metadata,
+// 58 with a per-request deadline context, a fresh pool task and per-response
+// header slices, 69 and 21.9 KB when the working vectors were allocated
+// afresh too), and the workloads' class, a κ 1e3 geometric A with a normal
+// b, whose refinement settles: 41 objects (one that ran on to the divergence
+// guard and recorded a hazard for the reply to carry cost 9 more). Both
+// gates are the count plus 2, so that hazard, or any one of the pipeline's
+// allocations back per request, fails them. Objects are counted by
 // roundtest.MedianMallocs at the test's own GOMAXPROCS (testing.AllocsPerRun
-// pins one), so make check's -cpu 1,2,4 line gates them at each: 42 at one,
+// pins one), so make check's -cpu 1,2,4 line gates them at each: 41 at one,
 // two and four processors.
 func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 	const m, n = 256, 64
@@ -573,8 +575,8 @@ func TestBinaryCacheHitSolveAllocs(t *testing.T) {
 		data, b []float64
 		ceiling int
 	}{
-		{"converges", converging, bStep, 44},
-		{"settles", settling, settlingB, 44},
+		{"converges", converging, bStep, 43},
+		{"settles", settling, settlingB, 43},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -792,6 +794,95 @@ func TestColdFrameSolveAllocBytes(t *testing.T) {
 	}
 }
 
+// discardResponse is a ResponseWriter that keeps only the status, so a test
+// counting the daemon's allocations does not count a recorder's copy of the
+// body.
+type discardResponse struct {
+	h    http.Header
+	code int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.h }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+
+// TestJSONSolveAllocBytes holds a JSON solve by key with a 2048-element b to
+// at most 3× b's 16 KB of heap on the daemon side: the request, its header map
+// and the response writer are built before counting. The body is read into a
+// pooled buffer, b is parsed straight into a slice of exactly its length, and
+// only the metadata, {"key":…}, goes through encoding/json; the rest is the
+// solve's, which returns an x of 16. It reads 21.2 KB (1.29× b) and 23
+// objects at one, two and four processors; it read 193 KB (11.8×) and 45
+// objects when encoding/json decoded the whole body, its read buffer doubling
+// to the body's 41 KB and the slice regrown step by step to b's length, and
+// the body's pooled buffer was made afresh each time (GetBuffer).
+func TestJSONSolveAllocBytes(t *testing.T) {
+	s := New(Options{Workers: 1})
+	defer s.Close()
+	h := s.Handler()
+	const m, n = 2048, 16
+	rec := postFrame(t, h, "/v1/factorize", frameBody(t, map[string]any{}, wirefmt.MatrixSection(m, n, testMatrix(53, m, n, 1))), "application/json")
+	var fr factorizeReply
+	if err := json.Unmarshal(rec.Body.Bytes(), &fr); err != nil || rec.Code != 200 {
+		t.Fatalf("factorize: code=%d %v", rec.Code, err)
+	}
+	rng := rand.New(rand.NewSource(53))
+	b := make([]float64, m)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	body, err := json.Marshal(map[string]any{"key": fr.Key, "b": b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Twelve more requests for roundtest.MedianMallocs, which solves twelve
+	// times.
+	const warm, iters = 12, 9
+	reqs := make([]*http.Request, 0, warm+iters+12)
+	resps := make([]*discardResponse, 0, cap(reqs))
+	for len(reqs) < cap(reqs) {
+		reqs = append(reqs, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
+		resps = append(resps, &discardResponse{h: http.Header{}})
+	}
+	next := 0
+	solve := func() {
+		w := resps[next]
+		h.ServeHTTP(w, reqs[next])
+		if w.code != 200 {
+			t.Fatalf("solve %d: code=%d", next, w.code)
+		}
+		next++
+	}
+	// Warm the pools with the collector held off and gate the median
+	// request, as TestColdFrameSolveAllocBytes does.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < warm; i++ {
+		solve()
+	}
+	perReq := make([]uint64, iters)
+	for i := range perReq {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		solve()
+		runtime.ReadMemStats(&after)
+		perReq[i] = after.TotalAlloc - before.TotalAlloc
+	}
+	slices.Sort(perReq)
+	median := perReq[iters/2]
+	objects := roundtest.MedianMallocs(solve)
+	const bBytes = 8 * m
+	t.Logf("JSON solve by key, %d-element b: %d bytes (%.2fx b) and %d objects per request at %d procs",
+		m, median, float64(median)/bBytes, objects, runtime.GOMAXPROCS(0))
+	// Race builds skip the byte gate: the race runtime drops a quarter of
+	// sync.Pool.Puts, so the pooled body buffer is randomly reallocated.
+	if raceEnabled {
+		t.Logf("race build: skipping the byte gate (race mode drops 1/4 of Pool.Puts)")
+	} else if median > 3*bBytes {
+		t.Fatalf("JSON solve allocates %d bytes per request, %.2fx its %d-byte b; the gate is 3x",
+			median, float64(median)/bBytes, bBytes)
+	}
+}
+
 // TestFrameLayoutTableMatchesDesignDoc holds DESIGN.md §12's per-endpoint
 // section table to the layouts the code states, both ways: every row below is
 // rendered from the request and response types themselves and must appear in
@@ -880,14 +971,18 @@ func TestDefaultBodyCapAdmitsElementCap(t *testing.T) {
 	}
 }
 
-// FuzzRequestDecode throws the same raw bytes at both decoders of every
-// endpoint's request: the frame decode and the strict JSON decode. Whatever
-// the request type and codec, decoding must never panic, and every rejection
+// FuzzRequestDecode throws the same raw bytes at every decoder of every
+// endpoint's request: the frame decode, the JSON decode the daemon runs
+// (decodeJSONBody, which parses bulk members itself) and the strict JSON
+// decode of the whole body it stands in for (decodeJSON). Whatever the
+// request type and codec, decoding must never panic, and every rejection
 // must be a client-class apiError — a hostile body can never take the 500
-// path. Every matrix an accepted body carries must either pass matrix(), the
+// path. The two JSON decodes must both accept or both reject, and an accepted
+// body must decode to the same request through both, floats compared by their
+// bits. Every matrix an accepted body carries must either pass matrix(), the
 // gate every handler applies before anything else sees it, with a consistent
-// shape, or be rejected by it as bad input. An accepted frame must also have bound each
-// required bulk section and must survive re-encoding unchanged.
+// shape, or be rejected by it as bad input. An accepted frame must also have
+// bound each required bulk section and must survive re-encoding unchanged.
 func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a frame"))
@@ -923,8 +1018,39 @@ func FuzzRequestDecode(f *testing.F) {
 		`{"b":[1e400]}`,
 		`{"key":"k","unknown":1}`,
 		`{"key":"k"} {}`,
+		// The JSON decode's canonical form and where bodies leave it.
+		" \t\n{ \r\n\"key\" :\t\"k\" ,\n \"b\" : [ 1 ,\t2.5 ,\r-3 ] , \"options\" : { \"method\" : \"lsqr\" } }\n ",
+		"{\"matrix\" : { \"rows\" : 1 , \"cols\" : 1 , \"data\" : [ 4 ] } , \"b\":[ ]}",
+		`{"key":"k","b":null}`,
+		`{"key":"k","b":[]}`,
+		`{"key":"k","b":[1],"b":[2,3]}`,
+		`{"key":"k","b":[1,null,2]}`,
+		`{"key":"k","B":[1,2]}`,
+		`{"key":"k","\u0062":[1,2]}`,
+		`{"ke\u0079":"k","b":[1]}`,
+		`{"matrix":{"data":[1,2,3,4],"cols":2,"rows":2},"b":[1,2],"config":{"engine":"fp32"}}`,
+		`{"append":{"cols":2,"data":[1,4],"rows":1},"key":"k"}`,
+		`{"key":"k","append":{"rows":1,"cols":2,"data":[1,4],"extra":1}}`,
+		`{"key":"k","append":{"rows":1,"rows":1,"data":[1,4]}}`,
+		`{"matrix":{"rows":1,"cols":1,"data":[1]},"matrix":{"rows":1,"cols":1,"data":[2]},"b":[1]}`,
+		`{"matrix":{"rowſ":2,"cols":1,"data":[1,2]},"b":[1,2]}`,
+		`{"key":"k","b":[1]}]`,
+		`{"key":"k","b":[1]} x`,
+		`{"key":"k","b":[1],}`,
+		`{"key":"k","b":[1,]}`,
+		`{"key":"k","config":{"engine":"fp32"},"config":{"panel":"mgs"},"b":[1]}`,
+		`{"key":"k","config":{"engine":"fp32"]},"b":[1]}`,
+		`{"key":"k\"","b":[1]}`,
+		`{"key":"a","key":"b","key":"c","key":"d","key":"e","key":"f","key":"g","key":"h","key":"i","b":[1]}`,
 	} {
 		f.Add([]byte(body))
+	}
+	for _, num := range []string{"-0", "1E+2", "1e-400", "1e400", "01", "1.", ".5", "+1", "-", "NaN", "0x1p3", "1_0", "-0.0e-0", "1e", "1e+"} {
+		f.Add([]byte(`{"key":"k","b":[1,` + num + `]}`))
+		f.Add([]byte(`{"matrix":{"rows":1,"cols":1,"data":[` + num + `]},"rank":1}`))
+	}
+	for _, dim := range []string{"2.0", "1e2", "9223372036854775808", "-0", "-1"} {
+		f.Add([]byte(`{"matrix":{"rows":` + dim + `,"cols":1,"data":[1,2]},"b":[1,2]}`))
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -934,10 +1060,19 @@ func FuzzRequestDecode(f *testing.F) {
 			"update":    func() any { return new(updateRequest) },
 			"lowrank":   func() any { return new(lowRankRequest) },
 		} {
+			rc := &reqScope{endpoint: endpoint}
+			ref := newReq()
+			refOK := checkDecoded(t, endpoint+" whole json", ref, rc.decodeJSON(body, ref), false)
 			jreq := newReq()
-			checkDecoded(t, endpoint+" json", jreq, decodeJSON(bytes.NewReader(body), jreq), false)
+			// decodeJSONBody writes the metadata over the body it is given.
+			if checkDecoded(t, endpoint+" json", jreq, rc.decodeJSONBody(bytes.Clone(body), jreq), false) != refOK {
+				t.Fatalf("%s: the JSON decode accepts %q where the whole-body decode's answer is %v", endpoint, body, refOK)
+			}
+			if refOK && !sameRequest(jreq, ref) {
+				t.Fatalf("%s: the JSON decode of %q is\n%+v\nthe whole-body decode's\n%+v", endpoint, body, jreq, ref)
+			}
 			req := newReq()
-			_, aerr := decodeFrame(endpoint, body, req)
+			_, aerr := rc.decodeFrame(body, req)
 			if !checkDecoded(t, endpoint+" frame", req, aerr, true) {
 				continue
 			}
@@ -946,7 +1081,7 @@ func FuzzRequestDecode(f *testing.F) {
 				t.Fatalf("%s: accepted request does not re-encode: %v", endpoint, err)
 			}
 			again := newReq()
-			if _, aerr := decodeFrame(endpoint, *frame, again); aerr != nil {
+			if _, aerr := rc.decodeFrame(*frame, again); aerr != nil {
 				t.Fatalf("%s: re-encoded request rejected: %s", endpoint, aerr.msg)
 			}
 			// Compared as frames: float payloads may hold NaNs, which no
@@ -956,6 +1091,46 @@ func FuzzRequestDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameRequest reports whether two decoded requests are identical, their
+// bulk floats compared by bits (reflect.DeepEqual calls -0 and 0 equal).
+func sameRequest(a, b any) bool {
+	la, lb := layoutOf(a), layoutOf(b)
+	fa, fb := la.fields(), lb.fields()
+	var held [maxBulk][2]struct {
+		m   *WireMatrix
+		vec []float64
+	}
+	same := true
+	for i := range fa {
+		ma, va := fa[i].get()
+		mb, vb := fb[i].get()
+		same = same && (ma == nil) == (mb == nil) && sameBits(va, vb) &&
+			(ma == nil || ma.Rows == mb.Rows && ma.Cols == mb.Cols && sameBits(ma.Data, mb.Data))
+		held[i][0].m, held[i][0].vec = ma, va
+		held[i][1].m, held[i][1].vec = mb, vb
+		fa[i].set(nil, nil)
+		fb[i].set(nil, nil)
+	}
+	same = same && reflect.DeepEqual(a, b)
+	for i := range fa {
+		fa[i].set(held[i][0].m, held[i][0].vec)
+		fb[i].set(held[i][1].m, held[i][1].vec)
+	}
+	return same
+}
+
+func sameBits(x, y []float64) bool {
+	if (x == nil) != (y == nil) || len(x) != len(y) {
+		return false
+	}
+	for i := range x {
+		if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkDecoded holds one decode of a fuzzed body to the decoders' contract

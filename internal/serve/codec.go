@@ -3,10 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -170,15 +172,17 @@ func (f bulkField) set(m *WireMatrix, vec []float64) {
 	}
 }
 
-// decodeJSON decodes a JSON document strictly: unknown fields and trailing
-// data are errors, and the reader is size-capped by the caller.
-func decodeJSON(r io.Reader, v any) *apiError {
+// decodeJSON decodes the JSON document b strictly: unknown fields and
+// trailing data are errors. It reads b through rc's reader, so a decode
+// allocates only what encoding/json does.
+func (rc *reqScope) decodeJSON(b []byte, v any) *apiError {
 	// Failpoint: an injected decode error surfaces as 400 bad_input,
 	// indistinguishable from a real malformed body.
 	if err := faultinject.Fire(siteWireDecode); err != nil {
 		return errBadInput("malformed JSON body: " + err.Error())
 	}
-	dec := json.NewDecoder(r)
+	rc.rd.Reset(b)
+	dec := json.NewDecoder(&rc.rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return errBadInput("malformed JSON body: " + err.Error())
@@ -189,24 +193,34 @@ func decodeJSON(r io.Reader, v any) *apiError {
 	return nil
 }
 
-// decodeRequest is the decode stage of every endpoint: it fills v from the
-// request body in whichever encoding admit negotiated. A frame body is read
-// into a pooled buffer; when v ends up viewing it (a vector section) the
-// buffer is parked on rc until the response is written, otherwise it is
+// decodeRequest is the decode stage of every endpoint: it reads the body
+// into a pooled buffer and fills v from it in whichever encoding admit
+// negotiated. When v ends up viewing the buffer (a frame's vector section)
+// the buffer is parked on rc until the response is written, otherwise it is
 // recycled here — a no-op for a buffer too large to pool, which is what lets
 // a matrix section keep one (decodeFrame).
 func (rc *reqScope) decodeRequest(r *http.Request, v any) *apiError {
 	t0 := time.Now()
 	defer func() { rc.stages.add(stageDecode, time.Since(t0)) }()
-	if !rc.binReq {
-		return decodeJSON(r.Body, v)
-	}
 	body, err := readBody(r)
 	if err != nil {
 		wirefmt.PutBuffer(body)
-		return errBadInput("reading frame body: " + err.Error())
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
+				msg: fmt.Sprintf("request body exceeds the server's %d-byte cap", tooLarge.Limit)}
+		}
+		return errBadInput("reading request body: " + err.Error())
 	}
-	aliased, aerr := decodeFrame(rc.endpoint, *body, v)
+	var (
+		aliased bool
+		aerr    *apiError
+	)
+	if rc.binReq {
+		aliased, aerr = rc.decodeFrame(*body, v)
+	} else {
+		aerr = rc.decodeJSONBody(*body, v)
+	}
 	if aerr == nil && aliased {
 		rc.bodyBuf = body
 	} else {
@@ -249,7 +263,7 @@ func readBody(r *http.Request) (*[]byte, error) {
 // frame: headers, metadata, b) is less than the matrix again, and for the
 // frames this is for (one big matrix and a vector) under one percent.
 // Anything smaller keeps the copy and the pool.
-func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError) {
+func (rc *reqScope) decodeFrame(body []byte, v any) (aliased bool, _ *apiError) {
 	var scratch [wirefmt.MaxSections]wirefmt.Section
 	secs, err := wirefmt.Decode(body, scratch[:0])
 	if err != nil {
@@ -263,12 +277,12 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 	if len(metaBytes) == 0 {
 		metaBytes = []byte("{}")
 	}
-	if aerr := decodeJSON(bytes.NewReader(metaBytes), l.meta); aerr != nil {
+	if aerr := rc.decodeJSON(metaBytes, l.meta); aerr != nil {
 		return false, aerr
 	}
 	for _, f := range l.fields() {
 		if m, vec := f.get(); m != nil || len(vec) != 0 {
-			return false, errBadInput(fmt.Sprintf("%s frame metadata must not carry the %q field; send it as a binary section", endpoint, f.name))
+			return false, errBadInput(fmt.Sprintf("%s frame metadata must not carry the %q field; send it as a binary section", rc.endpoint, f.name))
 		}
 	}
 	rest := secs[1:]
@@ -287,13 +301,364 @@ func decodeFrame(endpoint string, body []byte, v any) (aliased bool, _ *apiError
 			}
 			rest = rest[1:]
 		case !f.optional:
-			return false, errBadInput(fmt.Sprintf("%s frame needs %v sections", endpoint, l))
+			return false, errBadInput(fmt.Sprintf("%s frame needs %v sections", rc.endpoint, l))
 		}
 	}
 	if len(rest) != 0 {
-		return false, errBadInput(fmt.Sprintf("%s frame needs %v sections", endpoint, l))
+		return false, errBadInput(fmt.Sprintf("%s frame needs %v sections", rc.endpoint, l))
 	}
 	return aliased, nil
+}
+
+// decodeJSONBody maps a JSON body onto v the way decodeFrame maps a frame,
+// following v's layout: one walk of the top-level object parses each bulk
+// member straight into float64s, the other members are gathered, verbatim
+// and in order, into a metadata object that decodeJSON decodes under the
+// strict contract, and the bulk values are bound as a frame's sections are.
+// A bulk member is taken off the walk only in its canonical form
+// (splitJSON); a body that departs from it anywhere is decoded whole by
+// decodeJSON, the reference, so what is accepted, and what it decodes to, is
+// exactly what encoding/json gives for the whole body. The metadata object
+// is written over body.
+func (rc *reqScope) decodeJSONBody(body []byte, v any) *apiError {
+	l := layoutOf(v)
+	var bulk [maxBulk]bulkJSON
+	meta, ok := splitJSON(body, &l, &bulk)
+	if !ok {
+		return rc.decodeJSON(body, v)
+	}
+	if aerr := rc.decodeJSON(meta, l.meta); aerr != nil {
+		return aerr
+	}
+	for i, f := range l.fields() {
+		if bulk[i].seen {
+			f.set(bulk[i].m, bulk[i].vec)
+		}
+	}
+	return nil
+}
+
+// bulkJSON is one bulk member taken off a JSON body by splitJSON.
+type bulkJSON struct {
+	seen bool
+	m    *WireMatrix
+	vec  []float64
+}
+
+// maxMetaMembers bounds the metadata members splitJSON gathers: a request
+// type has at most four metadata fields, and a body with more members than
+// this is decoded whole.
+const maxMetaMembers = 8
+
+// splitJSON walks body, a JSON object, once: it parses l's bulk members
+// into bulk, indexed as l.fields(), and returns the object without them,
+// written over the front of body. It reports false, with body untouched,
+// when body is not one object with every bulk member in canonical form:
+//
+//   - no member name is written with escapes;
+//   - a bulk member's name is exactly the layout's (a name that differs
+//     only in case, which encoding/json would also match, is not), and the
+//     member appears once;
+//   - a vector is an array of JSON numbers, a matrix an object with exactly
+//     rows, cols and data, in any order, each number in JSON's grammar and
+//     accepted by strconv.ParseFloat (data) or strconv.Atoi (rows, cols),
+//     the calls encoding/json makes for a float64 and an int.
+//
+// Metadata members are passed over, not checked: decodeJSON checks the
+// object they are gathered into, which is valid exactly when they are.
+func splitJSON(body []byte, l *frameLayout, bulk *[maxBulk]bulkJSON) ([]byte, bool) {
+	var spans [maxMetaMembers]struct{ from, to int }
+	members := 0
+	s := jsonScan{b: body}
+	if !s.next('{') {
+		return nil, false
+	}
+	for closed := s.next('}'); !closed; {
+		s.space()
+		start := s.i
+		name, ok := s.name()
+		if !ok || !s.next(':') {
+			return nil, false
+		}
+		s.space()
+		k := -1
+		for i, f := range l.fields() {
+			if string(name) == f.name {
+				k = i
+			} else if bytes.EqualFold(name, []byte(f.name)) {
+				return nil, false
+			}
+		}
+		switch {
+		case k < 0:
+			if members == len(spans) || !s.skip() {
+				return nil, false
+			}
+			spans[members].from, spans[members].to = start, s.i
+			members++
+		case bulk[k].seen:
+			return nil, false
+		case l.bulk[k].mat != nil:
+			bulk[k].m, ok = s.matrix()
+			bulk[k].seen = ok
+		default:
+			bulk[k].vec, ok = s.floats()
+			bulk[k].seen = ok
+		}
+		if !ok {
+			return nil, false
+		}
+		if closed = s.next('}'); !closed && !s.next(',') {
+			return nil, false
+		}
+	}
+	// What decodeJSON's trailing-data check (json.Decoder.More) lets through:
+	// nothing but space, or a closing bracket.
+	s.space()
+	if s.i < len(s.b) && s.b[s.i] != '}' && s.b[s.i] != ']' {
+		return nil, false
+	}
+	// Each member moves down or stays: before it in body stand the opening
+	// brace and, for each member gathered ahead of it, that member and a
+	// comma, which is what stands before it in meta.
+	meta := append(body[:0], '{')
+	for i, sp := range spans[:members] {
+		if i > 0 {
+			meta = append(meta, ',')
+		}
+		meta = append(meta, body[sp.from:sp.to]...)
+	}
+	return append(meta, '}'), true
+}
+
+// jsonScan reads a JSON text from b at i. A method that returns false has
+// found something it does not take, and leaves i anywhere.
+type jsonScan struct {
+	b []byte
+	i int
+}
+
+// space passes over JSON whitespace.
+func (s *jsonScan) space() {
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case ' ', '\t', '\n', '\r':
+			s.i++
+		default:
+			return
+		}
+	}
+}
+
+// next passes over whitespace and then c, and reports whether c was there.
+func (s *jsonScan) next(c byte) bool {
+	s.space()
+	if s.i < len(s.b) && s.b[s.i] == c {
+		s.i++
+		return true
+	}
+	return false
+}
+
+// name passes over whitespace, then reads a string without escapes and
+// returns what is between its quotes.
+func (s *jsonScan) name() ([]byte, bool) {
+	if !s.next('"') {
+		return nil, false
+	}
+	start := s.i
+	for j := start; j < len(s.b); j++ {
+		switch s.b[j] {
+		case '"':
+			s.i = j + 1
+			return s.b[start:j], true
+		case '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// skip passes over one value: a string to its closing quote, an object or
+// array to the bracket that closes it, anything else to the next comma,
+// bracket or space. On a valid value it stops exactly where the value ends.
+func (s *jsonScan) skip() bool {
+	start, depth := s.i, 0
+	for s.i < len(s.b) {
+		switch s.b[s.i] {
+		case '"':
+			if !s.str() {
+				return false
+			}
+			if depth == 0 {
+				return true
+			}
+			continue
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth == 0 {
+				return s.i > start
+			}
+			if depth--; depth == 0 {
+				s.i++
+				return true
+			}
+		case ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return s.i > start
+			}
+		}
+		s.i++
+	}
+	return false
+}
+
+// str passes over a string, escapes and all.
+func (s *jsonScan) str() bool {
+	for j := s.i + 1; j < len(s.b); j++ {
+		switch s.b[j] {
+		case '\\':
+			j++
+		case '"':
+			s.i = j + 1
+			return true
+		}
+	}
+	return false
+}
+
+// number passes over whitespace, then reads one number in JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its text. What
+// follows it is the caller's to check: "01" reads as 0 followed by 1.
+func (s *jsonScan) number() ([]byte, bool) {
+	s.space()
+	b, j := s.b, s.i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(b) && b[j] == '0':
+		j++
+	case j < len(b) && '1' <= b[j] && b[j] <= '9':
+		j = digits(b, j)
+	default:
+		return nil, false
+	}
+	if j < len(b) && b[j] == '.' {
+		if j = digits(b, j+1); b[j-1] == '.' {
+			return nil, false
+		}
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		j++
+		if j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		k := j
+		if j = digits(b, j); j == k {
+			return nil, false
+		}
+	}
+	tok := b[s.i:j]
+	s.i = j
+	return tok, true
+}
+
+// digits returns the index of the first byte at or after j in b that is not
+// a decimal digit.
+func digits(b []byte, j int) int {
+	for j < len(b) && '0' <= b[j] && b[j] <= '9' {
+		j++
+	}
+	return j
+}
+
+// floats reads an array of numbers into a slice of exactly its length
+// (empty, not nil, for [], as encoding/json decodes it).
+func (s *jsonScan) floats() ([]float64, bool) {
+	if !s.next('[') {
+		return nil, false
+	}
+	s.space()
+	// Size the slice by the array's commas. Anything in it but numbers fails
+	// the parse below, so a miscount cannot be accepted.
+	end := bytes.IndexByte(s.b[s.i:], ']')
+	if end < 0 {
+		return nil, false
+	}
+	n := 0
+	if end > 0 {
+		n = bytes.Count(s.b[s.i:s.i+end], []byte{','}) + 1
+	}
+	out := make([]float64, n)
+	for k := range out {
+		if k > 0 && !s.next(',') {
+			return nil, false
+		}
+		tok, ok := s.number()
+		if !ok {
+			return nil, false
+		}
+		f, err := strconv.ParseFloat(string(tok), 64)
+		if err != nil {
+			return nil, false
+		}
+		out[k] = f
+	}
+	return out, s.next(']')
+}
+
+// matrix reads an object of exactly rows, cols and data, in any order.
+func (s *jsonScan) matrix() (*WireMatrix, bool) {
+	if !s.next('{') {
+		return nil, false
+	}
+	var (
+		m    WireMatrix
+		seen [3]bool
+	)
+	for k := 0; k < len(seen); k++ {
+		if k > 0 && !s.next(',') {
+			return nil, false
+		}
+		name, ok := s.name()
+		if !ok || !s.next(':') {
+			return nil, false
+		}
+		var at int
+		switch string(name) {
+		case "rows":
+			at = 0
+			m.Rows, ok = s.int()
+		case "cols":
+			at = 1
+			m.Cols, ok = s.int()
+		case "data":
+			at = 2
+			m.Data, ok = s.floats()
+		default:
+			return nil, false
+		}
+		if !ok || seen[at] {
+			return nil, false
+		}
+		seen[at] = true
+	}
+	if !s.next('}') {
+		return nil, false
+	}
+	return &m, true
+}
+
+// int reads a number that strconv.Atoi takes: an integer in int's range.
+func (s *jsonScan) int() (int, bool) {
+	tok, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	v, err := strconv.Atoi(string(tok))
+	return v, err == nil
 }
 
 // ok encodes v (timed as the encode stage) in the negotiated encoding — v's

@@ -315,7 +315,7 @@ func TestInlineSolveIsNeverAnsweredFromAnotherMatrix(t *testing.T) {
 	}
 }
 
-// TestDeclaredLengthOverCapAllocatesNothing: the frame decoder sizes its
+// TestDeclaredLengthOverCapAllocatesNothing: readBody sizes its
 // buffer from Content-Length, so a length over the body cap must be refused
 // on the declaration, before any buffer exists. (It used to allocate the
 // declared 8 GiB and then answer 400 for the two bytes that arrived.)
@@ -341,17 +341,28 @@ func TestDeclaredLengthOverCapAllocatesNothing(t *testing.T) {
 		}
 	}
 	// A body of unknown length is capped as it is read, from the pool's
-	// default buffer up.
+	// default buffer up, and running past the cap is the same 413 as
+	// declaring a length over it, in either codec.
 	s2 := New(Options{Workers: 1, MaxBodyBytes: 1 << 10})
 	defer s2.Close()
-	req := httptest.NewRequest(http.MethodPost, "/v1/solve", struct{ *bytes.Reader }{bytes.NewReader(make([]byte, 1<<16))})
-	req.Header.Set("Content-Type", wirefmt.ContentType)
-	if req.ContentLength != -1 {
-		t.Fatalf("test plumbing: ContentLength = %d, want unknown", req.ContentLength)
-	}
-	rec := httptest.NewRecorder()
-	s2.Handler().ServeHTTP(rec, req)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("oversized body of unknown length: code=%d body=%q", rec.Code, rec.Body.String())
+	jsonBody := []byte(`{"key":"k","b":[` + strings.Repeat("1,", 1<<12) + `1]}`)
+	for _, tc := range []struct {
+		contentType string
+		body        []byte
+	}{
+		{wirefmt.ContentType, make([]byte, 1<<16)},
+		{"application/json", jsonBody},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", struct{ *bytes.Reader }{bytes.NewReader(tc.body)})
+		req.Header.Set("Content-Type", tc.contentType)
+		if req.ContentLength != -1 {
+			t.Fatalf("test plumbing: ContentLength = %d, want unknown", req.ContentLength)
+		}
+		rec := httptest.NewRecorder()
+		s2.Handler().ServeHTTP(rec, req)
+		var env envelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != http.StatusRequestEntityTooLarge || env.Error.Code != "too_large" {
+			t.Fatalf("%s: oversized body of unknown length answered %d %q, want 413 too_large", tc.contentType, rec.Code, rec.Body.String())
+		}
 	}
 }

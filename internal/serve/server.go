@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -249,6 +250,9 @@ type reqScope struct {
 	// timing backs the Server-Timing header value, so setting it allocates
 	// only the rendered string.
 	timing [1]string
+	// rd is the reader decodeJSON hands encoding/json, kept here so that a
+	// decode does not allocate one.
+	rd bytes.Reader
 
 	// forwarded marks a request that arrived with the cluster loop-guard
 	// header: a peer routed it here, so it is served locally, never
@@ -287,18 +291,17 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, endpoint string, 
 	if s.draining.Load() {
 		return rc, ErrDraining
 	}
-	// A declared length over the cap is refused on the declaration: the frame
-	// decoder sizes its buffer from it, and the reader below only caps what
-	// is read.
+	// A declared length over the cap is refused on the declaration: readBody
+	// sizes its buffer from it, and the reader below only caps what is read.
 	if r.ContentLength > s.opts.MaxBodyBytes {
 		return rc, &apiError{status: http.StatusRequestEntityTooLarge, code: "too_large",
 			msg: fmt.Sprintf("request body of %d bytes exceeds the server's %d-byte cap", r.ContentLength, s.opts.MaxBodyBytes)}
 	}
-	// A frame body of declared length needs no reader cap on top: the check
-	// above held the declaration to the cap, and readBody reads exactly that
-	// many bytes. A JSON body, or one of unknown length, is read to its end,
-	// so it keeps the cap.
-	if !rc.binReq || r.ContentLength < 0 {
+	// A body of declared length needs no reader cap on top: the check above
+	// held the declaration to the cap, and readBody reads exactly that many
+	// bytes. A body of unknown length is read to its end, so it keeps the
+	// cap.
+	if r.ContentLength < 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes)
 	}
 	return rc, nil

@@ -31,3 +31,16 @@ func TestBufferPoolRoundTripAllocatesNothing(t *testing.T) {
 		t.Errorf("a GetBuffer/PutBuffer round trip allocates %.1f times, want 0", allocs)
 	}
 }
+
+// TestBufferPoolKeepsABufferOverItsDefault: a body over the pool's 16 KB
+// default, a JSON right-hand side of 2048 floats say, gets a recycled buffer
+// once one of its size has gone round. (It was made afresh every time while
+// GetBuffer put back the smaller buffer it drew first.)
+func TestBufferPoolKeepsABufferOverItsDefault(t *testing.T) {
+	const n = 40 << 10
+	round := func() { PutBuffer(GetBuffer(n)) }
+	round()
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a warm %d-byte GetBuffer/PutBuffer round trip allocates %.1f times, want 0", n, allocs)
+	}
+}

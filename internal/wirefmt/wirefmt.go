@@ -338,11 +338,18 @@ var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 16<<10); return &
 // heap allocations of this size class always are), so frames decoded in place
 // support zero-copy float views. Reslice or grow *b as needed and release b
 // itself with PutBuffer: the pool keeps the pointer, so a buffer goes round
-// without a new slice header each time.
+// without a new slice header each time. A buffer too large to pool is made
+// without touching the pool. A pooled buffer smaller than sizeHint is
+// dropped, not put back: put back, it would sit in the pool's per-processor
+// slot, be drawn first by the next request of the same size, and be too
+// small again, so that request's buffer would be made afresh every time.
 func GetBuffer(sizeHint int) *[]byte {
+	if sizeHint > maxPooledBuf {
+		nb := make([]byte, 0, sizeHint)
+		return &nb
+	}
 	b := bufPool.Get().(*[]byte)
 	if cap(*b) < sizeHint {
-		bufPool.Put(b)
 		nb := make([]byte, 0, sizeHint)
 		return &nb
 	}
