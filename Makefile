@@ -82,7 +82,8 @@ reach:
 # when CGLS stops must leave as they are. So do the packed GEMM's
 # goldens, kernel-family, determinism and allocation tests: it splits the rows
 # of a small output between workers and packs op(B) on all of them. So do the
-# update path's goldens, the library's and its R kernels', and the downdate's
+# update path's goldens, the library's and its R kernels' (and what those
+# kernels allocate: their working copies are pooled), and the downdate's
 # allocation bound, whose Q′ is that
 # GEMM run in row strips, and the append's allocation count, whose
 # compact-WY blocks run that GEMM too, and the float64-input Factorize
@@ -100,9 +101,10 @@ reach:
 # JSON solve's bytes, whose body buffer is pooled per processor. The pool
 # recycles its tasks and deadline timers across goroutines, so its
 # queueing, deadline and cache-hit allocation tests run once more under the
-# race detector. The tile-tree workspaces go round a sync.Pool, the
-# one piece of factorization state goroutines share, so concurrent panels of
-# different shapes run ten times under the race detector. The metrics
+# race detector, and so does the spill tier's reference model, whose
+# writer shares the tier's logs and counters with a scrape's Stats. The
+# tile-tree workspaces go round a sync.Pool, the one piece of factorization
+# state goroutines share, so concurrent panels of different shapes run ten times under the race detector. The metrics
 # registry runs under it too: a labeled family's With takes its read lock,
 # then its write lock on a miss, and a histogram's sum and max are CAS
 # loops, concurrent code the tier-1 pass runs without the detector. So does
@@ -118,11 +120,11 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
 	$(GO) test -cpu 1,2,4 -run 'Float64SourceMatchesNarrowing|SweepNamesFirstOffender|FactorInIgnoresWorkspace|FiniteScansEveryColumn' ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|RKernelBits' . ./internal/qrupdate
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|RKernelBits|RKernelsAllocate' . ./internal/qrupdate
 	$(GO) test -race -run 'TestFactorizeRConcurrent|TestFactorizeRKeepsNoWorkspace' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|JSONSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
-	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs' ./internal/serve
+	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs|SpillMatchesReferenceModel' ./internal/serve
 
 # `go test -run` passes silently when its pattern selects nothing, so a test
 # renamed or deleted out from under a line of check would empty that gate

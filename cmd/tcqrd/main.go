@@ -40,12 +40,12 @@
 // routing. README.md has a 3-node localhost quickstart.
 //
 // -cache-dir turns on the write-behind persistence tier: every published
-// factorization (initial or updated epoch) spills to a checksummed file
-// under the directory, and a restarted daemon rewarms its cache from the
-// valid ones (torn files are quarantined) — by-key solves hit immediately
-// instead of stampeding cold factorizes. -spill-max-bytes bounds the
-// directory; -cache-max-bytes bounds resident memory alongside the -cache
-// entry cap.
+// factorization (initial or updated epoch) spills to a checksummed record in
+// its series' log under the directory, and a restarted daemon rewarms its
+// cache from the valid ones (torn records are quarantined) — by-key solves
+// hit immediately instead of stampeding cold factorizes. -spill-max-bytes
+// bounds the directory; -cache-max-bytes bounds resident memory alongside
+// the -cache entry cap.
 //
 // -log-level selects the structured (slog) logging threshold: debug, info,
 // warn, error, or off (per-request records log at info, client errors at

@@ -21,12 +21,21 @@ import (
 func Append(r, v *dense.Matrix[float32]) (rd, z *dense.Matrix[float64], tau []float64, flip []bool) {
 	n, k := r.Cols, v.Rows
 	rd = dense.ToF64(r) // becomes R′
-	w := dense.ToF64(v) // appended block, annihilated in place
-
-	// Reflector j touches only row j of R and the k appended rows: rows
-	// j+1..n−1 of column j are already zero.
 	z = dense.New[float64](k, n)
 	tau = make([]float64, n)
+	flip = make([]bool, n)
+	appendIn(rd, dense.ToF64(v), z, tau, flip)
+	return rd, z, tau, flip
+}
+
+// appendIn is Append in the caller's storage: rd holds R and becomes R′, w
+// holds V and is annihilated in place. z.Col(j) and tau[j] are written before
+// they are read, and left as they were for a column already annihilated;
+// flip, when not nil, records the rows negated.
+func appendIn(rd, w, z *dense.Matrix[float64], tau []float64, flip []bool) {
+	n := rd.Cols
+	// Reflector j touches only row j of R and the k appended rows: rows
+	// j+1..n−1 of column j are already zero.
 	for j := 0; j < n; j++ {
 		wj := w.Col(j)
 		sigma := blas.Dot(wj, wj)
@@ -55,22 +64,43 @@ func Append(r, v *dense.Matrix[float32]) (rd, z *dense.Matrix[float64], tau []fl
 	}
 
 	// Canonicalize R′ to a non-negative diagonal (the TSQR convention).
-	flip = make([]bool, n)
 	for j := 0; j < n; j++ {
 		if rd.At(j, j) < 0 {
-			flip[j] = true
+			if flip != nil {
+				flip[j] = true
+			}
 			for jj := j; jj < n; jj++ {
 				rd.Set(j, jj, -rd.At(j, jj))
 			}
 		}
 	}
-	return rd, z, tau, flip
 }
 
 // AppendR is Append's R′, narrowed; it fails only past the float32 range.
+// Its float64 working copies come from blas's scratch pool, as FactorizeR's
+// workspace comes from a pool, so the float32 R′ is all a warm call keeps.
 func AppendR(r, v *dense.Matrix[float32]) (*dense.Matrix[float32], error) {
-	rd, _, _, _ := Append(r, v)
+	n, k := r.Cols, v.Rows
+	work := blas.GetScratch(n*n + 2*k*n + n)
+	defer blas.PutScratch(work)
+	ws := *work
+	rd := widenInto(r, ws[:n*n])
+	w := widenInto(v, ws[n*n:n*n+k*n])
+	z := dense.NewFromColMajor(k, n, ws[n*n+k*n:n*n+2*k*n])
+	appendIn(rd, w, z, ws[n*n+2*k*n:], nil)
 	return narrow(rd, nil)
+}
+
+// widenInto widens m into buf, which it must fit, as a tight matrix.
+func widenInto(m *dense.Matrix[float32], buf []float64) *dense.Matrix[float64] {
+	out := dense.NewFromColMajor(m.Rows, m.Cols, buf)
+	for j := 0; j < m.Cols; j++ {
+		dst := out.Col(j)
+		for i, x := range m.Col(j) {
+			dst[i] = float64(x)
+		}
+	}
+	return out
 }
 
 // Downdate removes rows (k×n, in the unscaled A's coordinates) from the
@@ -80,7 +110,12 @@ func AppendR(r, v *dense.Matrix[float32]) (*dense.Matrix[float32], error) {
 // mass), then maps [R; 0] to [R′; *] by Givens rotations, diagonal ≥ 0.
 func Downdate(rd, rows *dense.Matrix[float64]) error {
 	n := rd.Cols
-	s, cs, sn := make([]float64, n), make([]float64, n), make([]float64, n)
+	return downdateIn(rd, rows, make([]float64, n), make([]float64, n), make([]float64, n))
+}
+
+// downdateIn is Downdate in the caller's working n-vectors s, cs and sn.
+func downdateIn(rd, rows *dense.Matrix[float64], s, cs, sn []float64) error {
+	n := rd.Cols
 	for i := 0; i < rows.Rows; i++ {
 		for j := 0; j < n; j++ {
 			s[j] = rows.At(i, j)
@@ -128,10 +163,16 @@ func Downdate(rd, rows *dense.Matrix[float64]) error {
 	return nil
 }
 
-// DowndateR is Downdate on the widenings of r and rows, narrowed.
+// DowndateR is Downdate on the widenings of r and rows, narrowed. Its
+// working copies come from the scratch pool, as AppendR's do.
 func DowndateR(r, rows *dense.Matrix[float32]) (*dense.Matrix[float32], error) {
-	rd := dense.ToF64(r)
-	return narrow(rd, Downdate(rd, dense.ToF64(rows)))
+	n, k := r.Cols, rows.Rows
+	work := blas.GetScratch(n*n + k*n + 3*n)
+	defer blas.PutScratch(work)
+	ws := *work
+	rd := widenInto(r, ws[:n*n])
+	s := ws[n*n+k*n:]
+	return narrow(rd, downdateIn(rd, widenInto(rows, ws[n*n:n*n+k*n]), s[:n], s[n:2*n], s[2*n:3*n]))
 }
 
 func narrow(rd *dense.Matrix[float64], err error) (*dense.Matrix[float32], error) {

@@ -637,7 +637,13 @@ func checkCacheHitSolveAllocs(t *testing.T, data, b []float64, m, n, ceiling int
 	// Both encodings share the solve compute, so binary's object count can
 	// never exceed JSON's; JSON's per-float decode/print cost shows up as
 	// heap bytes, where the pooled zero-copy path must win by a wide margin.
-	if binAllocs > jsonAllocs {
+	// Race builds skip this comparison (not the ceiling below): the two
+	// counts sit a few objects apart, and the race runtime's dropped
+	// sync.Pool.Puts add a few at random, more to the binary path, which
+	// draws more pooled buffers (binary read 44-49 objects, JSON 48-55).
+	if raceEnabled {
+		t.Logf("race build: skipping binary <= JSON objects (race mode drops 1/4 of Pool.Puts)")
+	} else if binAllocs > jsonAllocs {
 		t.Fatalf("binary solve allocates %d objects/request vs %d for JSON; the pooled path has regressed", binAllocs, jsonAllocs)
 	}
 	if binAllocs > uint64(ceiling) {

@@ -498,9 +498,9 @@ func (c *FactorCache) BeginUpdate(key string) (*Entry, error) {
 // PublishUpdate atomically publishes the updated factorization as the next
 // epoch of old's series and drops old from the index: the new entry becomes
 // the target of every subsequent bare-key lookup, while requests that
-// already resolved old keep reading it. old's spill file outlives it: the
-// spill writer deletes it once the new entry's file is durable (spill.go).
-// Returns the new entry.
+// already resolved old keep reading it. The new entry is spilled as an
+// update of old's epoch: a delta record on the series' log when old is its
+// last record (spill.go). Returns the new entry.
 func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factorization) *Entry {
 	base := baseKey(old.Key)
 	ne := &Entry{
@@ -523,7 +523,7 @@ func (c *FactorCache) PublishUpdate(old *Entry, a *tcqr.Matrix, f *tcqr.Factoriz
 	c.mu.Unlock()
 	c.upd.Broadcast()
 	if c.spill != nil {
-		c.spill.Enqueue(ne)
+		c.spill.EnqueueUpdate(ne, old.Epoch)
 	}
 	return ne
 }
@@ -611,7 +611,7 @@ func (c *FactorCache) insertLocked(e *Entry) {
 		c.removeLocked(victim)
 		c.evicted++
 		if c.spill != nil {
-			c.spill.Remove(victim.Key)
+			c.spill.Remove(victim)
 		}
 	}
 }

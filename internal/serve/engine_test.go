@@ -40,7 +40,7 @@ func TestEngineKindsThroughServe(t *testing.T) {
 		}
 
 		e.Config = cfg
-		got, err := decodeSpillEntry(spillBytes(t, e))
+		got, err := decodeWhole(spillBytes(t, e))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", cfg, err)
 		}

@@ -174,8 +174,11 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		return s.spill.Stats()
 	}
 	reg.CounterFunc("tcqrd_spill_writes_total",
-		"Factorization entries durably spilled to the disk tier.",
+		"Records (a fresh base or an update's delta) durably spilled to the disk tier.",
 		func() int64 { return spillStats().Writes })
+	reg.CounterFunc("tcqrd_spill_written_bytes_total",
+		"Bytes of the records durably spilled to the disk tier.",
+		func() int64 { return spillStats().WrittenBytes })
 	reg.CounterFunc("tcqrd_spill_write_errors_total",
 		"Failed spill writes (the entry stayed cache-only).",
 		func() int64 { return spillStats().WriteErrors })
@@ -183,10 +186,10 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		"Spill operations shed because the write-behind queue was full.",
 		func() int64 { return spillStats().Dropped })
 	reg.CounterFunc("tcqrd_spill_removes_total",
-		"Spill files deleted because their entry was evicted or retired.",
+		"Spill logs deleted because their series' entry was evicted.",
 		func() int64 { return spillStats().Removes })
 	reg.CounterFunc("tcqrd_spill_evictions_total",
-		"Spill files deleted to stay under the on-disk byte budget.",
+		"Spill logs deleted to stay under the on-disk byte budget.",
 		func() int64 { return spillStats().Evictions })
 	reg.CounterFunc("tcqrd_spill_loads_total",
 		"Spill files read during restart rewarm.",
@@ -195,7 +198,7 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		"Spill files that failed to load during rewarm.",
 		func() int64 { return spillStats().LoadErrors })
 	reg.CounterFunc("tcqrd_spill_quarantined_total",
-		"Corrupt spill files set aside as .quarantine during rewarm.",
+		"Corrupt spill files and torn log tails set aside as .quarantine during rewarm.",
 		func() int64 { return spillStats().Quarantined })
 	reg.GaugeFunc("tcqrd_spill_files",
 		"Files currently in the disk spill tier.",

@@ -69,6 +69,7 @@ func TestMetricsEndpointExposesTraffic(t *testing.T) {
 		"# TYPE tcqrd_hazards_total counter",
 		"tcqrd_pool_completed_total",
 		"tcqrd_uptime_seconds",
+		"tcqrd_spill_written_bytes_total 0", // no -cache-dir: the spill families render zeros
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

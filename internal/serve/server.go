@@ -138,11 +138,11 @@ func New(opts Options) *Server {
 			s.cache.attachSpill(sp)
 			// Rewarm synchronously, before the first request: a bounced
 			// daemon serves by-key cache hits immediately instead of
-			// stampeding cold factorizes. A file the cache declines (a stale
-			// epoch beside a newer one) would be declined at every restart.
+			// stampeding cold factorizes. A log the cache declines would be
+			// declined at every restart.
 			for _, e := range sp.Rewarm() {
 				if !s.cache.AdoptRewarmed(e) {
-					sp.Remove(e.Key)
+					sp.Remove(e)
 				}
 			}
 		}

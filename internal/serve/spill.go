@@ -10,7 +10,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -25,45 +24,64 @@ import (
 // goroutine; eviction enqueues a removal. The request path never waits on
 // disk.
 //
-// Invariant: a series' newest durable epoch is deleted only after a newer
-// epoch's rename succeeded. Retiring epoch N therefore queues nothing; the
-// writer deletes N's file once N+1's is in place, so a write that is shed,
-// fails, or is cut short by a crash leaves the series at its last durable
-// epoch instead of with no file at all. A crash between that rename and the
-// delete leaves both; rewarm adopts the newer and deletes the other.
-//
-// One entry is one file, <dir>/<n>.tcqs, little-endian throughout:
+// One series is one append-only log, <dir>/<base key>.tcqs: a base record,
+// then delta records, each checksummed on its own, little-endian throughout.
+// A base record holds a whole entry:
 //
 //	magic "TCQS" | version u8 | reserved u8×3 | meta length u64 |
 //	body length u64 | JSON spillMeta, zero-padded to 8 |
 //	A float64[rows·cols] | R float32[cols·cols] |
 //	column scales float32[cols] if has_scales | crc32 (IEEE) u32
 //
-// The matrices are column-major at the width they have in memory, every
-// shape comes from the meta, and the checksum covers every byte before it.
-// This file owns the layout: encodeSpillEntry and decodeSpillEntry are its
-// only writer and reader. Files are written to a .tmp sibling and atomically
-// renamed into place, so a crash mid-write leaves a tmp orphan (swept at
-// rewarm), never a half-written .tcqs — but a power loss after rename can
-// still leave a torn file (no fsync), which is why every load is checksummed
-// and torn files are quarantined, never served.
+// A delta record holds one update of the epoch before it:
+//
+//	magic "TCQD" | flags u8 | reserved u8×3 | epoch u64 | parent epoch u64 |
+//	rows appended u64 | rows removed u64 |
+//	appended rows of A float64[appended·cols] | R float32[cols·cols] |
+//	column scales float32[cols] if flags say so | crc32 (IEEE) u32
+//
+// An update never rewrites A's surviving rows, so the row counts fix A's
+// change; R, the scales and the flags are stored, not recomputed, so a
+// rewarm replays no arithmetic. The matrices are column-major at the width
+// they have in memory, every shape comes from the base's meta, and each
+// checksum covers its record's bytes before it. This file owns the layout:
+// spillEncoder writes it and decodeSpillLog reads it.
+//
+// Invariant: a series' newest durable epoch is lost only once a newer one
+// is durable. An update whose parent is the log's last record appends a
+// delta; anything else — a first publish, an update after a shed or failed
+// write — writes a fresh base to a .tmp sibling and renames it over the log,
+// as does compaction: once the deltas after the base would outweigh it, so
+// a rewarm never reads more than twice an entry's bytes. A crash mid-append
+// leaves a torn last record (no fsync), and rewarm sets that tail aside as
+// <name>.quarantine and truncates the log to its last good record: only
+// that epoch is lost. A torn base is quarantined whole, never served.
 const (
-	spillMagic = "TCQS"
+	spillMagic      = "TCQS"
+	spillDeltaMagic = "TCQD"
 	// There is no legacy reader: rewarm quarantines a file of any other
 	// version and the factor cache refactorizes on demand. v1 spelled the
 	// engine as booleans, v2 held a retired second kernel's factors under
 	// keys that now denote RGSQRF factors, v3 wrapped a wirefmt frame of
-	// float64 sections, v4 held Q between A and R.
-	spillVersion   = 5
-	spillHeaderLen = 24
-	spillExt       = ".tcqs"
-	spillQuarExt   = ".quarantine"
+	// float64 sections, v4 held Q between A and R, v5 was one whole entry
+	// per epoch, named by its versioned key.
+	spillVersion        = 6
+	spillHeaderLen      = 24
+	spillDeltaHeaderLen = 40
+	spillExt            = ".tcqs"
+	spillQuarExt        = ".quarantine"
 	// spillChunk is the writer's one buffer: bytes collect in it and reach
 	// the file and the running checksum a chunk at a time.
 	spillChunk = 64 << 10
 )
 
-// spillMeta is the JSON part of a spill file. The meta — not the file
+// Delta record flags.
+const (
+	spillFlagReortho = 1 << iota
+	spillFlagScales
+)
+
+// spillMeta is the JSON part of a base record. The meta — not the file
 // name — is authoritative for the entry's identity and for every shape.
 type spillMeta struct {
 	Key              string      `json:"key"`
@@ -77,21 +95,24 @@ type spillMeta struct {
 
 // SpillStats is a snapshot of the spill tier counters.
 type SpillStats struct {
-	// Writes counts entries durably spilled (tmp written, renamed).
+	// Writes counts records durably spilled: fresh bases (tmp written,
+	// renamed) and deltas appended to a series' log.
 	Writes int64 `json:"writes"`
+	// WrittenBytes counts the bytes of those records.
+	WrittenBytes int64 `json:"written_bytes"`
 	// WriteErrors counts failed spill attempts (the entry stays cache-only).
 	WriteErrors int64 `json:"write_errors"`
 	// Dropped counts enqueue attempts shed because the write-behind queue
 	// was full (write-behind never blocks the serving path).
 	Dropped int64 `json:"dropped"`
-	// Removes counts files deleted because their entry was evicted, or
-	// superseded by a durable newer epoch.
+	// Removes counts logs deleted because their series' entry was evicted.
 	Removes int64 `json:"removes"`
-	// Evictions counts files deleted to keep the tier under -spill-max-bytes.
+	// Evictions counts logs deleted to keep the tier under -spill-max-bytes.
 	Evictions int64 `json:"evictions"`
 	// Loads / LoadErrors / Quarantined / Rewarmed describe the restart
-	// rewarm pass: files read, files that failed to read, corrupt files set
-	// aside as <name>.quarantine, and entries handed to the cache.
+	// rewarm pass: files read, files that failed to read, corrupt files and
+	// torn log tails set aside as <name>.quarantine, and entries handed to
+	// the cache.
 	Loads       int64 `json:"loads"`
 	LoadErrors  int64 `json:"load_errors"`
 	Quarantined int64 `json:"quarantined"`
@@ -103,33 +124,40 @@ type SpillStats struct {
 
 // spillOp is one unit of write-behind work.
 type spillOp struct {
-	entry     *Entry        // write this entry (nil for remove/flush)
-	removeKey string        // delete this key's file
-	flush     chan struct{} // closed once every prior op has been processed
+	entry  *Entry        // write this entry (nil for remove/flush)
+	update bool          // entry updates epoch parent of its series
+	parent uint64        // the epoch entry was updated from
+	remove *Entry        // delete this entry's series log, unless newer
+	flush  chan struct{} // closed once every prior op has been processed
 }
 
-// spillFile tracks one on-disk file for budget accounting.
-type spillFile struct {
+// spillLog is the tier's account of one series' log file.
+type spillLog struct {
 	name  string
-	size  int64
-	seq   int64 // insertion order; lowest evicts first under the byte budget
-	epoch uint64
+	size  int64  // bytes of its good records
+	base  int64  // bytes of its base record
+	seq   int64  // order of its last write; lowest evicts first under the byte budget
+	epoch uint64 // epoch of its last good record
+	rows  int    // A's rows at that epoch
+	cols  int
 }
 
 // SpillTier is the write-behind disk tier behind a FactorCache.
 type SpillTier struct {
 	dir      string
 	maxBytes int64
+	enc      *spillEncoder // the writer goroutine's alone
 
 	queue chan spillOp
 	stop  chan struct{}
 	wg    sync.WaitGroup
 
 	mu          sync.Mutex
-	files       map[string]spillFile // key -> file
+	files       map[string]*spillLog // base key -> its series' log
 	seq         int64
 	bytesOnDisk int64
 	writes      int64
+	written     int64
 	writeErrs   int64
 	dropped     int64
 	removes     int64
@@ -142,41 +170,53 @@ type SpillTier struct {
 
 // NewSpillTier opens (creating if needed) the spill directory and starts
 // the write-behind worker. maxBytes bounds the on-disk footprint (0 =
-// unbounded); the oldest files are deleted first when over.
+// unbounded); the oldest logs are deleted first when over.
 func NewSpillTier(dir string, maxBytes int64) (*SpillTier, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("spill: %w", err)
-	}
-	sp := &SpillTier{
-		dir:      dir,
-		maxBytes: maxBytes,
-		queue:    make(chan spillOp, 64),
-		stop:     make(chan struct{}),
-		files:    make(map[string]spillFile),
+	sp, err := newSpillTier(dir, maxBytes, 64)
+	if err != nil {
+		return nil, err
 	}
 	sp.wg.Add(1)
 	go sp.worker()
 	return sp, nil
 }
 
-// Enqueue schedules e for spilling. Never blocks: a full queue sheds the
-// write (counted in Dropped) rather than stalling publication.
-func (sp *SpillTier) Enqueue(e *Entry) {
-	select {
-	case sp.queue <- spillOp{entry: e}:
-	default:
-		sp.mu.Lock()
-		sp.dropped++
-		sp.mu.Unlock()
+// newSpillTier is NewSpillTier without the worker: a queue of depth ops
+// that nothing drains until the caller says so.
+func newSpillTier(dir string, maxBytes int64, depth int) (*SpillTier, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("spill: %w", err)
 	}
+	return &SpillTier{
+		dir:      dir,
+		maxBytes: maxBytes,
+		enc:      newSpillEncoder(),
+		queue:    make(chan spillOp, depth),
+		stop:     make(chan struct{}),
+		files:    make(map[string]*spillLog),
+	}, nil
 }
 
-// Remove schedules deletion of key's spill file (entry evicted, or declined
-// at rewarm). Called under the cache lock, so it must not touch the disk
-// itself.
-func (sp *SpillTier) Remove(key string) {
+// Enqueue schedules e for spilling as a fresh base of its series' log (a
+// first publish). Never blocks: a full queue sheds the write (counted in
+// Dropped) rather than stalling publication.
+func (sp *SpillTier) Enqueue(e *Entry) { sp.enqueue(spillOp{entry: e}) }
+
+// EnqueueUpdate schedules e, published as an update of epoch parent, for
+// spilling: a delta record when parent is its log's last record, a fresh
+// base otherwise. Never blocks, as Enqueue.
+func (sp *SpillTier) EnqueueUpdate(e *Entry, parent uint64) {
+	sp.enqueue(spillOp{entry: e, update: true, parent: parent})
+}
+
+// Remove schedules deletion of e's series log (e evicted, or declined at
+// rewarm), unless the log already holds a newer epoch than e's. Called under
+// the cache lock, so it must not touch the disk itself.
+func (sp *SpillTier) Remove(e *Entry) { sp.enqueue(spillOp{remove: e}) }
+
+func (sp *SpillTier) enqueue(op spillOp) {
 	select {
-	case sp.queue <- spillOp{removeKey: key}:
+	case sp.queue <- op:
 	default:
 		sp.mu.Lock()
 		sp.dropped++
@@ -211,17 +251,18 @@ func (sp *SpillTier) Stats() SpillStats {
 	sp.mu.Lock()
 	defer sp.mu.Unlock()
 	return SpillStats{
-		Writes:      sp.writes,
-		WriteErrors: sp.writeErrs,
-		Dropped:     sp.dropped,
-		Removes:     sp.removes,
-		Evictions:   sp.evictions,
-		Loads:       sp.loads,
-		LoadErrors:  sp.loadErrs,
-		Quarantined: sp.quarantined,
-		Rewarmed:    sp.rewarmed,
-		Files:       len(sp.files),
-		BytesOnDisk: sp.bytesOnDisk,
+		Writes:       sp.writes,
+		WrittenBytes: sp.written,
+		WriteErrors:  sp.writeErrs,
+		Dropped:      sp.dropped,
+		Removes:      sp.removes,
+		Evictions:    sp.evictions,
+		Loads:        sp.loads,
+		LoadErrors:   sp.loadErrs,
+		Quarantined:  sp.quarantined,
+		Rewarmed:     sp.rewarmed,
+		Files:        len(sp.files),
+		BytesOnDisk:  sp.bytesOnDisk,
 	}
 }
 
@@ -232,14 +273,20 @@ func (sp *SpillTier) worker() {
 		case op := <-sp.queue:
 			sp.process(op)
 		case <-sp.stop:
-			for {
-				select {
-				case op := <-sp.queue:
-					sp.process(op)
-				default:
-					return
-				}
-			}
+			sp.drain()
+			return
+		}
+	}
+}
+
+// drain processes the ops already queued.
+func (sp *SpillTier) drain() {
+	for {
+		select {
+		case op := <-sp.queue:
+			sp.process(op)
+		default:
+			return
 		}
 	}
 }
@@ -248,31 +295,115 @@ func (sp *SpillTier) process(op spillOp) {
 	switch {
 	case op.flush != nil:
 		close(op.flush)
-	case op.removeKey != "":
+	case op.remove != nil:
+		base := baseKey(op.remove.Key)
 		sp.mu.Lock()
-		f, ok := sp.files[op.removeKey]
-		if ok {
-			delete(sp.files, op.removeKey)
-			sp.bytesOnDisk -= f.size
+		lg := sp.files[base]
+		gone := lg != nil && lg.epoch <= op.remove.Epoch
+		if gone {
+			sp.dropLocked(base, lg)
 			sp.removes++
 		}
 		sp.mu.Unlock()
-		if ok {
-			os.Remove(filepath.Join(sp.dir, f.name))
+		if gone {
+			os.Remove(filepath.Join(sp.dir, lg.name))
 		}
 	case op.entry != nil:
-		sp.write(op.entry)
+		sp.write(op)
 	}
 }
 
-// write streams one entry to its file, then enforces the byte budget.
-func (sp *SpillTier) write(e *Entry) {
-	final := filepath.Join(sp.dir, spillFileName(e.Key))
+// dropLocked forgets base's log lg. sp.mu must be held.
+func (sp *SpillTier) dropLocked(base string, lg *spillLog) {
+	delete(sp.files, base)
+	sp.bytesOnDisk -= lg.size
+}
+
+// write spills op's entry to its series' log — a delta record when the log
+// takes it, a fresh base otherwise — then enforces the byte budget. A first
+// publish of an epoch the log holds, or has moved past, writes nothing.
+func (sp *SpillTier) write(op spillOp) {
+	e := op.entry
+	base := baseKey(e.Key)
+	sp.mu.Lock()
+	lg := sp.files[base]
+	sp.mu.Unlock()
+	if lg != nil && !op.update && lg.epoch >= e.Epoch {
+		return
+	}
+	var (
+		n        int64
+		err      error
+		replaced bool
+		name     string
+	)
+	delta := lg.takes(op)
+	if delta {
+		n, err = sp.appendDelta(lg, e)
+	} else {
+		if name = spillFileName(base); lg != nil {
+			name = lg.name
+		}
+		n, replaced, err = sp.writeBase(name, e)
+	}
+
+	var victims []string
+	sp.mu.Lock()
+	switch {
+	case err != nil:
+		// A failed append leaves the log at its last good record: the next
+		// update of the series names the failed epoch as its parent, so it
+		// is a base, which replaces whatever the append left past it.
+		sp.writeErrs++
+		if replaced && lg != nil {
+			sp.dropLocked(base, lg) // the failpoint tore the new base over the log
+		}
+	default:
+		sp.writes++
+		sp.written += n
+		if delta {
+			lg.size += n
+		} else {
+			if lg != nil {
+				sp.bytesOnDisk -= lg.size
+			}
+			lg = &spillLog{name: name, size: n, base: n, cols: e.A.Cols}
+			sp.files[base] = lg
+		}
+		sp.bytesOnDisk += n
+		sp.seq++
+		lg.seq, lg.epoch, lg.rows = sp.seq, e.Epoch, e.A.Rows
+		victims = sp.overBudgetLocked(base)
+	}
+	sp.mu.Unlock()
+	for _, v := range victims {
+		os.Remove(filepath.Join(sp.dir, v))
+	}
+}
+
+// takes reports whether op's entry goes onto lg as a delta record: it
+// updates lg's last record, moves A's row count, and leaves the records after
+// the base no heavier than the base (past that, the log compacts to a fresh
+// base).
+func (lg *spillLog) takes(op spillOp) bool {
+	e := op.entry
+	if lg == nil || !op.update || op.parent != lg.epoch || e.Epoch != lg.epoch+1 ||
+		e.A.Cols != lg.cols || e.A.Rows == lg.rows {
+		return false
+	}
+	added := int64(max(e.A.Rows-lg.rows, 0))
+	return lg.size-lg.base+spillDeltaLen(added, int64(lg.cols), len(e.F.ColumnScales) > 0) <= lg.base
+}
+
+// writeBase writes e as the base record of a fresh log, to a .tmp sibling
+// renamed over name. replaced reports that name now holds this write's
+// bytes: true on success, and when the failpoint left a torn file there.
+func (sp *SpillTier) writeBase(name string, e *Entry) (n int64, replaced bool, err error) {
+	final := filepath.Join(sp.dir, name)
 	tmp := final + ".tmp"
-	var size int64
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err == nil {
-		size, err = encodeSpillEntry(f, e)
+		n, err = sp.enc.base(f, e)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
@@ -282,81 +413,79 @@ func (sp *SpillTier) write(e *Entry) {
 		// data blocks hit disk) by leaving a torn file at the final name —
 		// exactly what the checksummed rewarm pass must quarantine.
 		if err = faultinject.Fire(siteSpillWrite); err != nil {
-			os.Truncate(tmp, size/2)
-			os.Rename(tmp, final)
-		} else {
-			err = os.Rename(tmp, final)
+			os.Truncate(tmp, n/2)
+			replaced = os.Rename(tmp, final) == nil
+		} else if err = os.Rename(tmp, final); err == nil {
+			replaced = true
 		}
 	}
 	if err != nil {
 		os.Remove(tmp) // no-op after the failpoint's rename
 	}
-	sp.mu.Lock()
-	if err != nil {
-		sp.writeErrs++
-		sp.mu.Unlock()
-		return
-	}
-	sp.writes++
-	if old, ok := sp.files[e.Key]; ok {
-		sp.bytesOnDisk -= old.size
-	}
-	sp.seq++
-	sp.files[e.Key] = spillFile{name: spillFileName(e.Key), size: size, seq: sp.seq, epoch: e.Epoch}
-	sp.bytesOnDisk += size
-	// e is durable: only now do the older epochs of its series go.
-	victims := make([]spillFile, 0, 2) // the usual one predecessor stays off the heap
-	base := baseKey(e.Key)
-	for k, f := range sp.files {
-		if f.epoch < e.Epoch && baseKey(k) == base {
-			delete(sp.files, k)
-			sp.bytesOnDisk -= f.size
-			sp.removes++
-			victims = append(victims, f)
-		}
-	}
-	victims = append(victims, sp.overBudgetLocked(e.Key)...)
-	sp.mu.Unlock()
-	for _, v := range victims {
-		os.Remove(filepath.Join(sp.dir, v.name))
-	}
+	return n, replaced, err
 }
 
-// overBudgetLocked pops oldest files (never keep's own) until the tier fits
-// the byte budget, returning the files to delete. sp.mu must be held.
-func (sp *SpillTier) overBudgetLocked(keep string) []spillFile {
+// appendDelta appends e's delta record to lg's file, after its last good
+// record.
+func (sp *SpillTier) appendDelta(lg *spillLog, e *Entry) (int64, error) {
+	f, err := os.OpenFile(filepath.Join(sp.dir, lg.name), os.O_WRONLY, 0)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.Seek(lg.size, io.SeekStart)
+	var n int64
+	if err == nil {
+		n, err = sp.enc.delta(f, e, lg.epoch, lg.rows)
+	}
+	if err == nil {
+		// Failpoint: the crash model of writeBase, for an append: the
+		// record is left torn at the log's end.
+		if err = faultinject.Fire(siteSpillWrite); err != nil {
+			f.Truncate(lg.size + n/2)
+		}
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return n, err
+}
+
+// overBudgetLocked pops the oldest logs (never keep's own) until the tier
+// fits the byte budget, returning the file names to delete. sp.mu must be
+// held.
+func (sp *SpillTier) overBudgetLocked(keep string) []string {
 	if sp.maxBytes <= 0 {
 		return nil
 	}
-	var victims []spillFile
+	var victims []string
 	for sp.bytesOnDisk > sp.maxBytes {
 		oldKey, oldSeq := "", int64(-1)
-		for k, f := range sp.files {
+		for k, lg := range sp.files {
 			if k == keep {
 				continue
 			}
-			if oldSeq < 0 || f.seq < oldSeq {
-				oldKey, oldSeq = k, f.seq
+			if oldSeq < 0 || lg.seq < oldSeq {
+				oldKey, oldSeq = k, lg.seq
 			}
 		}
 		if oldSeq < 0 {
 			return victims
 		}
-		f := sp.files[oldKey]
-		delete(sp.files, oldKey)
-		sp.bytesOnDisk -= f.size
+		lg := sp.files[oldKey]
+		sp.dropLocked(oldKey, lg)
 		sp.evictions++
-		victims = append(victims, f)
+		victims = append(victims, lg.name)
 	}
 	return victims
 }
 
-// Rewarm loads every checksum-valid spill file into entries ready for
-// FactorCache.AdoptRewarmed, quarantines corrupt ones (renamed to
-// <name>.quarantine so the next restart does not retry them), and sweeps
-// tmp orphans. Runs synchronously at daemon startup, before serving.
-// Entries are returned oldest-epoch-last so the cache adopts the newest
-// epoch of each series as current; the caller Removes the ones it declines.
+// Rewarm loads the newest good epoch of every series log into entries ready
+// for FactorCache.AdoptRewarmed, quarantines logs whose base is corrupt
+// (renamed to <name>.quarantine so the next restart does not retry them),
+// sets a torn or corrupt tail aside in <name>.quarantine and truncates the
+// log to its last good record, and sweeps tmp orphans. Runs synchronously
+// at daemon startup, before serving; the caller Removes the entries it
+// declines.
 func (sp *SpillTier) Rewarm() []*Entry {
 	names, err := os.ReadDir(sp.dir)
 	if err != nil {
@@ -385,9 +514,15 @@ func (sp *SpillTier) Rewarm() []*Entry {
 			continue
 		}
 		buf, err := os.ReadFile(path)
-		var e *Entry
+		var (
+			e              *Entry
+			good, baseSize int64
+		)
 		if err == nil {
-			e, err = decodeSpillEntry(buf)
+			e, good, baseSize, err = decodeSpillLog(buf)
+		}
+		if err == nil && name != spillFileName(baseKey(e.Key)) {
+			err = fmt.Errorf("spill: %s holds series %s", name, baseKey(e.Key))
 		}
 		if err != nil {
 			sp.mu.Lock()
@@ -397,24 +532,30 @@ func (sp *SpillTier) Rewarm() []*Entry {
 			os.Rename(path, path+spillQuarExt)
 			continue
 		}
-		size := int64(len(buf))
+		tail := good < int64(len(buf))
+		if tail {
+			// A log whose tail cannot be cut is skipped like a read error: the
+			// next write would append after the tail.
+			os.WriteFile(path+spillQuarExt, buf[good:], 0o644) // for inspection; nothing reads it
+			if err := os.Truncate(path, good); err != nil {
+				sp.mu.Lock()
+				sp.loadErrs++
+				sp.mu.Unlock()
+				continue
+			}
+		}
 		sp.mu.Lock()
+		if tail {
+			sp.quarantined++
+		}
 		sp.seq++
-		sp.files[e.Key] = spillFile{name: name, size: size, seq: sp.seq, epoch: e.Epoch}
-		sp.bytesOnDisk += size
+		sp.files[baseKey(e.Key)] = &spillLog{name: name, size: good, base: baseSize, seq: sp.seq,
+			epoch: e.Epoch, rows: e.A.Rows, cols: e.A.Cols}
+		sp.bytesOnDisk += good
 		sp.rewarmed++
 		sp.mu.Unlock()
 		out = append(out, e)
 	}
-	// Newest epoch of each series first, so AdoptRewarmed publishes it and
-	// skips stale siblings.
-	sort.Slice(out, func(i, j int) bool {
-		bi, bj := baseKey(out[i].Key), baseKey(out[j].Key)
-		if bi != bj {
-			return bi < bj
-		}
-		return out[i].Epoch > out[j].Epoch
-	})
 	return out
 }
 
@@ -435,14 +576,22 @@ func spillFileName(key string) string {
 	return b.String() + spillExt
 }
 
-// spillBodyLen is the byte length of the matrices of a rows×cols entry. The
-// caller has bounded rows·cols and cols·cols, so the sum cannot overflow.
+// spillBodyLen is the byte length of the matrices of a rows×cols base
+// record. The caller has bounded rows·cols and cols·cols, so the sum cannot
+// overflow.
 func spillBodyLen(rows, cols int64, hasScales bool) int64 {
 	n := 8*rows*cols + 4*cols*cols
 	if hasScales {
 		n += 4 * cols
 	}
 	return n
+}
+
+// spillDeltaLen is the byte length of a delta record that appends added
+// rows to a log of cols columns, checksum included. The caller has bounded
+// added·cols and cols·cols.
+func spillDeltaLen(added, cols int64, hasScales bool) int64 {
+	return spillDeltaHeaderLen + spillBodyLen(added, cols, hasScales) + 4
 }
 
 // pad8 rounds n up to a multiple of 8.
@@ -480,11 +629,67 @@ func putFloat32s(b []byte, run []float32) {
 	}
 }
 
-// encodeSpillEntry streams e's spill file to w and returns its length. What
-// it allocates — the meta and one spillChunk buffer — does not grow with the
-// entry. bufio.Writer keeps the first write error and returns it from Flush.
-func encodeSpillEntry(w io.Writer, e *Entry) (int64, error) {
-	a, r := e.A, e.F.R
+// crcWriter passes bytes on to w and folds the ones w took into a running
+// crc32 (IEEE).
+type crcWriter struct {
+	w   io.Writer
+	crc uint32
+}
+
+func (c *crcWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
+	return n, err
+}
+
+// spillEncoder streams records through one spillChunk buffer and a running
+// checksum, both reused from record to record: what a write allocates does
+// not grow with the entry, and once warm it holds no chunk. One goroutine
+// uses an encoder at a time (the tier's writer). bufio.Writer keeps the first
+// write error and returns it from Flush.
+type spillEncoder struct {
+	bw  *bufio.Writer
+	out crcWriter
+}
+
+func newSpillEncoder() *spillEncoder {
+	enc := new(spillEncoder)
+	enc.bw = bufio.NewWriterSize(&enc.out, spillChunk)
+	return enc
+}
+
+// begin points the encoder at w with a fresh checksum.
+func (enc *spillEncoder) begin(w io.Writer) *bufio.Writer {
+	enc.out = crcWriter{w: w}
+	enc.bw.Reset(&enc.out)
+	return enc.bw
+}
+
+// end flushes the record and appends its checksum, returning n, the
+// record's length, or the first write error.
+func (enc *spillEncoder) end(n int64) (int64, error) {
+	if err := enc.bw.Flush(); err != nil {
+		return 0, err
+	}
+	var sum [4]byte
+	binary.LittleEndian.PutUint32(sum[:], enc.out.crc)
+	if _, err := enc.out.w.Write(sum[:]); err != nil {
+		return 0, err
+	}
+	return n, nil
+}
+
+// factors streams R column by column, then the column scales.
+func (enc *spillEncoder) factors(f *tcqr.Factorization) {
+	for j := 0; j < f.R.Cols; j++ {
+		putFloats(enc.bw, f.R.Col(j), 4, putFloat32s)
+	}
+	putFloats(enc.bw, f.ColumnScales, 4, putFloat32s)
+}
+
+// base streams e as a base record to w and returns its length.
+func (enc *spillEncoder) base(w io.Writer, e *Entry) (int64, error) {
+	a := e.A
 	meta := spillMeta{
 		Key:              e.Key,
 		Epoch:            e.Epoch,
@@ -501,8 +706,7 @@ func encodeSpillEntry(w io.Writer, e *Entry) (int64, error) {
 	metaLen := int64(len(mj))
 	bodyLen := spillBodyLen(int64(a.Rows), int64(a.Cols), meta.HasScales)
 
-	crc := crc32.NewIEEE()
-	bw := bufio.NewWriterSize(io.MultiWriter(w, crc), spillChunk)
+	bw := enc.begin(w)
 	var hdr [spillHeaderLen]byte
 	copy(hdr[0:4], spillMagic)
 	hdr[4] = spillVersion
@@ -515,19 +719,37 @@ func encodeSpillEntry(w io.Writer, e *Entry) (int64, error) {
 	for j := 0; j < a.Cols; j++ {
 		putFloats(bw, a.Col(j), 8, putFloat64s)
 	}
-	for j := 0; j < r.Cols; j++ {
-		putFloats(bw, r.Col(j), 4, putFloat32s)
+	enc.factors(e.F)
+	return enc.end(spillHeaderLen + pad8(metaLen) + bodyLen + 4)
+}
+
+// delta streams e as a delta record on top of epoch parent, whose A had
+// parentRows rows, to w and returns its length. e.A keeps the parent's
+// first min(parentRows, e.A.Rows) rows, as every update does.
+func (enc *spillEncoder) delta(w io.Writer, e *Entry, parent uint64, parentRows int) (int64, error) {
+	a := e.A
+	added, removed := max(a.Rows-parentRows, 0), max(parentRows-a.Rows, 0)
+	var flags byte
+	if e.F.Reorthogonalized {
+		flags |= spillFlagReortho
 	}
-	putFloats(bw, e.F.ColumnScales, 4, putFloat32s)
-	if err := bw.Flush(); err != nil {
-		return 0, err
+	if len(e.F.ColumnScales) > 0 {
+		flags |= spillFlagScales
 	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return 0, err
+	bw := enc.begin(w)
+	var hdr [spillDeltaHeaderLen]byte
+	copy(hdr[0:4], spillDeltaMagic)
+	hdr[4] = flags
+	binary.LittleEndian.PutUint64(hdr[8:16], e.Epoch)
+	binary.LittleEndian.PutUint64(hdr[16:24], parent)
+	binary.LittleEndian.PutUint64(hdr[24:32], uint64(added))
+	binary.LittleEndian.PutUint64(hdr[32:40], uint64(removed))
+	bw.Write(hdr[:])
+	for j := 0; j < a.Cols && added > 0; j++ {
+		putFloats(bw, a.Col(j)[parentRows:], 8, putFloat64s)
 	}
-	return spillHeaderLen + pad8(metaLen) + bodyLen + 4, nil
+	enc.factors(e.F)
+	return enc.end(spillDeltaLen(int64(added), int64(a.Cols), flags&spillFlagScales != 0))
 }
 
 // getFloat64s fills dst from the little-endian bit patterns at the head of
@@ -546,54 +768,123 @@ func getFloat32s(dst []float32, src []byte) []byte {
 	return src[4*len(dst):]
 }
 
-// decodeSpillEntry validates and decodes one spill file. Any mismatch —
-// magic, version, a length, the checksum, the meta, a retired panel — is an
-// error; the caller quarantines the file. Nothing is allocated for a matrix
-// until the lengths the file declares, and the shapes its meta declares, have
-// been shown to add up to exactly the bytes that are there.
-func decodeSpillEntry(buf []byte) (*Entry, error) {
+// rowBlock is a run of A's rows as a log stores them: column-major at byte
+// offset at, ld rows to a column, of which the leading n are A's.
+type rowBlock struct{ at, ld, n int64 }
+
+// decodeSpillLog validates and decodes a series log: its base record, then
+// each delta record on top, up to the first that does not check out — torn,
+// a bad checksum, not the update of the record before it. It returns the
+// entry at the last good record, the bytes of the good records and those of
+// the base alone. An error means the base is bad and the caller quarantines
+// the file; bytes past good are a tail the caller sets aside. Nothing is
+// allocated for a matrix until the lengths the file declares, and the shapes
+// its meta declares, have been shown to fit in the bytes that are there.
+func decodeSpillLog(buf []byte) (e *Entry, good, baseLen int64, err error) {
+	meta, baseLen, err := decodeSpillBase(buf)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	rows, cols := int64(meta.Rows), int64(meta.Cols)
+	blocks := []rowBlock{{at: baseLen - 4 - spillBodyLen(rows, cols, meta.HasScales), ld: rows, n: rows}}
+	factorsAt := blocks[0].at + 8*rows*cols
+	epoch, reortho, scales := meta.Epoch, meta.Reorthogonalized, meta.HasScales
+	for good = baseLen; good < int64(len(buf)); {
+		rec := buf[good:]
+		if len(rec) < spillDeltaHeaderLen+4 || string(rec[0:4]) != spillDeltaMagic ||
+			rec[4]&^(spillFlagReortho|spillFlagScales) != 0 || rec[5]|rec[6]|rec[7] != 0 {
+			break
+		}
+		recEpoch := binary.LittleEndian.Uint64(rec[8:16])
+		parent := binary.LittleEndian.Uint64(rec[16:24])
+		added := binary.LittleEndian.Uint64(rec[24:32])
+		removed := binary.LittleEndian.Uint64(rec[32:40])
+		// Divisions, so no product below can overflow.
+		if parent != epoch || recEpoch != epoch+1 || recEpoch == 0 || (added == 0) == (removed == 0) ||
+			added > uint64(len(rec))/8/uint64(cols) || removed > uint64(rows-cols) {
+			break
+		}
+		hasScales := rec[4]&spillFlagScales != 0
+		n := spillDeltaLen(int64(added), cols, hasScales)
+		if n > int64(len(rec)) || crc32.ChecksumIEEE(rec[:n-4]) != binary.LittleEndian.Uint32(rec[n-4:]) {
+			break
+		}
+		if added > 0 {
+			blocks = append(blocks, rowBlock{at: good + spillDeltaHeaderLen, ld: int64(added), n: int64(added)})
+			rows += int64(added)
+		}
+		for k := int64(removed); k > 0; {
+			last := &blocks[len(blocks)-1]
+			cut := min(k, last.n)
+			last.n -= cut
+			k -= cut
+			if last.n == 0 {
+				blocks = blocks[:len(blocks)-1]
+			}
+		}
+		rows -= int64(removed)
+		factorsAt = good + spillDeltaHeaderLen + 8*int64(added)*cols
+		epoch, reortho, scales = recEpoch, rec[4]&spillFlagReortho != 0, hasScales
+		good += n
+	}
+
+	a := tcqr.NewMatrix(int(rows), meta.Cols)
+	for j := int64(0); j < cols; j++ {
+		col := a.Col(int(j))
+		for _, b := range blocks {
+			getFloat64s(col[:b.n], buf[b.at+8*j*b.ld:])
+			col = col[b.n:]
+		}
+	}
+	f := &tcqr.Factorization{R: tcqr.NewMatrix32(meta.Cols, meta.Cols), Reorthogonalized: reortho}
+	rest := getFloat32s(f.R.Data, buf[factorsAt:])
+	if scales {
+		f.ColumnScales = make([]float32, meta.Cols)
+		getFloat32s(f.ColumnScales, rest)
+	}
+	key := versionedKey(baseKey(meta.Key), epoch)
+	if epoch == meta.Epoch {
+		key = meta.Key
+	}
+	return &Entry{Key: key, Epoch: epoch, A: a, F: f, Config: meta.Config}, good, baseLen, nil
+}
+
+// decodeSpillBase validates the base record at the head of buf — magic,
+// version, lengths, checksum, meta, a retired panel — and returns its meta
+// and length.
+func decodeSpillBase(buf []byte) (meta spillMeta, n int64, err error) {
 	if len(buf) < spillHeaderLen+4 || string(buf[0:4]) != spillMagic {
-		return nil, fmt.Errorf("spill: bad magic")
+		return meta, 0, fmt.Errorf("spill: bad magic")
 	}
 	if buf[4] != spillVersion {
-		return nil, fmt.Errorf("spill: unsupported version %d", buf[4])
+		return meta, 0, fmt.Errorf("spill: unsupported version %d", buf[4])
 	}
 	size := int64(len(buf))
 	metaLen := binary.LittleEndian.Uint64(buf[8:16])
 	bodyLen := binary.LittleEndian.Uint64(buf[16:24])
 	if metaLen > uint64(size) || bodyLen > uint64(size) ||
-		spillHeaderLen+pad8(int64(metaLen))+int64(bodyLen)+4 != size {
-		return nil, fmt.Errorf("spill: torn file: %d bytes, header says %d of meta and %d of body", size, metaLen, bodyLen)
+		spillHeaderLen+pad8(int64(metaLen))+int64(bodyLen)+4 > size {
+		return meta, 0, fmt.Errorf("spill: torn base: %d bytes, header says %d of meta and %d of body", size, metaLen, bodyLen)
 	}
-	if crc := crc32.ChecksumIEEE(buf[:size-4]); crc != binary.LittleEndian.Uint32(buf[size-4:]) {
-		return nil, fmt.Errorf("spill: checksum mismatch")
+	body := int64(bodyLen)
+	n = spillHeaderLen + pad8(int64(metaLen)) + body + 4
+	if crc := crc32.ChecksumIEEE(buf[:n-4]); crc != binary.LittleEndian.Uint32(buf[n-4:]) {
+		return meta, 0, fmt.Errorf("spill: checksum mismatch")
 	}
-	var meta spillMeta
 	if err := json.Unmarshal(buf[spillHeaderLen:spillHeaderLen+int64(metaLen)], &meta); err != nil {
-		return nil, fmt.Errorf("spill: meta: %w", err)
+		return meta, 0, fmt.Errorf("spill: meta: %w", err)
 	}
-	rows, cols, body := int64(meta.Rows), int64(meta.Cols), int64(bodyLen)
-	if meta.Key == "" || rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("spill: invalid meta")
+	rows, cols := int64(meta.Rows), int64(meta.Cols)
+	if meta.Key == "" || rows <= 0 || cols <= 0 || rows < cols {
+		return meta, 0, fmt.Errorf("spill: invalid meta")
 	}
 	// A retired panel's factor: Factorize now runs its Config on CAQR.
 	if meta.Config.Panel.String() == "other" {
-		return nil, fmt.Errorf("spill: meta names no panel (%d)", int(meta.Config.Panel))
+		return meta, 0, fmt.Errorf("spill: meta names no panel (%d)", int(meta.Config.Panel))
 	}
 	// Divisions, so the products below cannot overflow.
 	if rows > body/8/cols || cols > body/4/cols || spillBodyLen(rows, cols, meta.HasScales) != body {
-		return nil, fmt.Errorf("spill: meta declares a %dx%d entry, the body holds %d bytes", rows, cols, body)
+		return meta, 0, fmt.Errorf("spill: meta declares a %dx%d entry, the body holds %d bytes", rows, cols, body)
 	}
-	a := tcqr.NewMatrix(meta.Rows, meta.Cols)
-	f := &tcqr.Factorization{
-		R:                tcqr.NewMatrix32(meta.Cols, meta.Cols),
-		Reorthogonalized: meta.Reorthogonalized,
-	}
-	rest := getFloat64s(a.Data, buf[size-4-body:size-4])
-	rest = getFloat32s(f.R.Data, rest)
-	if meta.HasScales {
-		f.ColumnScales = make([]float32, meta.Cols)
-		getFloat32s(f.ColumnScales, rest)
-	}
-	return &Entry{Key: meta.Key, Epoch: meta.Epoch, A: a, F: f, Config: meta.Config}, nil
+	return meta, n, nil
 }

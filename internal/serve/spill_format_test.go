@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
 	"slices"
+	"sort"
 	"syscall"
 	"testing"
 	"time"
@@ -18,10 +20,11 @@ import (
 	"tcqr"
 )
 
-// goldenSpillEntry is the entry testdata/entry_v5.tcqs holds: written out by
-// formula, not factorized, so the file pins the layout and nothing else.
-// Every field of the meta is off its zero value and each section holds a bit
-// pattern only a bitwise copy preserves.
+// goldenSpillEntry is the entry testdata/entry_v5.tcqs holds, and the base
+// of testdata/entry_v6.tcqs: written out by formula, not factorized, so the
+// files pin the layout and nothing else. Every field of the meta is off its
+// zero value and each section holds a bit pattern only a bitwise copy
+// preserves.
 func goldenSpillEntry() *Entry {
 	const m, n = 5, 3
 	a := tcqr.NewMatrix(m, n)
@@ -49,34 +52,99 @@ func goldenSpillEntry() *Entry {
 	}
 }
 
-// TestSpillGoldenV5: the committed file decodes to the expected bits and the
-// expected entry encodes to the committed bytes, so the v5 layout cannot
-// drift without this file changing (a layout change is a new spillVersion and
-// a new golden); and no single corrupted byte of it — header, meta, padding,
-// body or checksum — decodes.
-func TestSpillGoldenV5(t *testing.T) {
-	const path = "testdata/entry_v5.tcqs"
-	want := goldenSpillEntry()
+// goldenSpillChain is the series testdata/entry_v6.tcqs logs: the golden
+// entry at epoch 7, an append of two rows (epoch 8, no scales, not
+// reorthogonalized) and a downdate of four (epoch 9, scales again), each
+// update's R written out by formula too.
+func goldenSpillChain() []*Entry {
+	e7 := goldenSpillEntry()
+	n := e7.A.Cols
+	v := tcqr.NewMatrix(2, n)
+	for j := 0; j < n; j++ {
+		v.Set(0, j, float64(j)-1.5)
+		v.Set(1, j, 1/float64(j+7))
+	}
+	v.Set(1, 0, math.Copysign(0, -1))
+	factor := func(seed float32, reortho bool, scales []float32) *tcqr.Factorization {
+		r := tcqr.NewMatrix32(n, n)
+		for j := 0; j < n; j++ {
+			for i := 0; i <= j; i++ {
+				r.Set(i, j, seed+float32(i-j)/7)
+			}
+		}
+		r.Set(0, 1, math.Float32frombits(0x80000001)) // negative subnormal
+		return &tcqr.Factorization{R: r, Reorthogonalized: reortho, ColumnScales: scales}
+	}
+	e8 := updated(e7, 0, v, factor(2, false, nil))
+	e9 := updated(e8, 4, nil, factor(-3, true, []float32{4, 0.25, 8}))
+	return []*Entry{e7, e8, e9}
+}
+
+// TestSpillGoldenV6: the committed log — a base record and two delta
+// records — decodes to the expected bits at its last epoch, and the expected
+// series encodes to the committed bytes, so the v6 layout cannot drift
+// without this file changing (a layout change is a new spillVersion and a new
+// golden). No single corrupted byte of it decodes as the whole log: one in
+// the base fails the file, one in a delta record makes that record the tail
+// and leaves the series at the epoch before it, bit for bit.
+func TestSpillGoldenV6(t *testing.T) {
+	const path = "testdata/entry_v6.tcqs"
+	chain := goldenSpillChain()
 	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeSpillEntry(file)
+	got, err := decodeWhole(file)
 	if err != nil {
 		t.Fatalf("decode %s: %v", path, err)
 	}
-	if diff := sameEntryBits(got, want); diff != "" {
+	if diff := sameEntryBits(got, chain[2]); diff != "" {
 		t.Fatalf("%s: %s", path, diff)
 	}
-	if enc := spillBytes(t, want); !bytes.Equal(enc, file) {
-		t.Fatalf("the golden entry encodes to %d bytes that differ from %s (%d bytes)", len(enc), path, len(file))
+	if enc := spillLogBytes(t, chain...); !bytes.Equal(enc, file) {
+		t.Fatalf("the golden series encodes to %d bytes that differ from %s (%d bytes)", len(enc), path, len(file))
 	}
+	// Where each record starts: the base at 0, delta d at ends[d-1].
+	ends := []int{len(spillLogBytes(t, chain[0])), len(spillLogBytes(t, chain[:2]...)), len(file)}
 	for i := range file {
 		bad := bytes.Clone(file)
 		bad[i] ^= 0x10
-		if _, err := decodeSpillEntry(bad); err == nil {
-			t.Errorf("byte %d of %d corrupted, still decodes", i, len(file))
+		e, good, _, err := decodeSpillLog(bad)
+		switch d := sort.SearchInts(ends, i+1); {
+		case d == 0 && err == nil:
+			t.Errorf("byte %d of the base corrupted, the log still decodes", i)
+		case d > 0 && (err != nil || good != int64(ends[d-1])):
+			t.Errorf("byte %d of record %d corrupted: good prefix %d (%v), want %d", i, d, good, err, ends[d-1])
+		case d > 0:
+			if diff := sameEntryBits(e, chain[d-1]); diff != "" {
+				t.Errorf("byte %d of record %d corrupted: %s", i, d, diff)
+			}
 		}
+	}
+}
+
+// TestSpillV5FileQuarantined: a TCQS v5 file — one whole entry per epoch,
+// which an older daemon wrote — is quarantined at rewarm, not read as a log.
+func TestSpillV5FileQuarantined(t *testing.T) {
+	file, err := os.ReadFile("testdata/entry_v5.tcqs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if file[4] != 5 {
+		t.Fatalf("entry_v5.tcqs is TCQS v%d, want v5", file[4])
+	}
+	e := goldenSpillEntry()
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, spillFileName(baseKey(e.Key))), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Options{Workers: 1, CacheDir: dir})
+	defer s.Close()
+	if st := s.spill.Stats(); st.Rewarmed != 0 || st.Quarantined != 1 || st.Files != 0 {
+		t.Fatalf("rewarm stats %+v, want 0 rewarmed, 1 quarantined", st)
+	}
+	if _, ok := s.cache.Get(baseKey(e.Key)); ok {
+		t.Fatal("a v5 file rewarmed")
 	}
 }
 
@@ -150,7 +218,7 @@ func TestSpillRetiredPanelQuarantined(t *testing.T) {
 	e.Key = "mretired-e00-p2-c0-r00-h0"
 	e.Config.Panel = 2
 	file := spillBytes(t, e)
-	if _, err := decodeSpillEntry(file); err == nil {
+	if _, err := decodeWhole(file); err == nil {
 		t.Fatal("a spill file of panel 2 decodes")
 	}
 	dir := t.TempDir()
@@ -178,10 +246,10 @@ func resealSpill(data []byte) {
 	}
 }
 
-// FuzzSpillDecode: arbitrary bytes — as they are, and with a checksum that
-// vouches for them — never panic decodeSpillEntry and never make it allocate
-// more than a small multiple of what it was given, and whatever it accepts
-// survives encode → decode bit for bit.
+// FuzzSpillDecode: arbitrary bytes — as they are, and with a trailing
+// checksum that vouches for them — never panic decodeSpillLog and never make
+// it allocate more than a small multiple of what it was given, and whatever
+// it accepts survives encode → decode bit for bit.
 func FuzzSpillDecode(f *testing.F) {
 	plain := makeEntry(f, 3, 6, 2, "mfuzz", 0)
 	scaled := goldenSpillEntry()
@@ -224,6 +292,31 @@ func FuzzSpillDecode(f *testing.F) {
 		resealSpill(huge)
 		f.Add(huge)
 	}
+	// Log-shaped inputs: the golden log whole, its last record torn at its
+	// header and inside it, a bad record checksum, and under a checksum that
+	// vouches for them a record naming a wrong parent, one appending more rows
+	// than the file holds and one removing more than A can spare; and a
+	// record after compaction (a fresh base at epoch 8, then epoch 9's delta).
+	chain := goldenSpillChain()
+	log := spillLogBytes(f, chain...)
+	last := len(spillLogBytes(f, chain[:2]...))
+	f.Add(log)
+	for _, cut := range []int{last + 1, last + spillDeltaHeaderLen, len(log) - 4, len(log) - 1} {
+		f.Add(log[:cut])
+	}
+	badSum := bytes.Clone(log)
+	badSum[len(badSum)-1] ^= 1
+	f.Add(badSum)
+	for _, field := range []struct {
+		at int
+		v  uint64
+	}{{16, 7}, {24, 1 << 40}, {32, 6}} {
+		bad := bytes.Clone(log)
+		binary.LittleEndian.PutUint64(bad[last+field.at:], field.v)
+		resealSpill(bad[last:])
+		f.Add(bad)
+	}
+	f.Add(spillLogBytes(f, chain[1:]...))
 	v4, err := os.ReadFile(v4SpillFile)
 	if err != nil {
 		f.Fatal(err)
@@ -236,17 +329,21 @@ func FuzzSpillDecode(f *testing.F) {
 		for _, file := range [][]byte{data, sealed} {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			e, err := decodeSpillEntry(file)
+			e, good, _, err := decodeSpillLog(file)
 			runtime.ReadMemStats(&after)
-			// The matrices are at most the body; the meta's JSON decode and
-			// the fuzz worker's own goroutines account for the constant.
+			// The matrices are at most the records; the meta's JSON decode,
+			// the row-block list and the fuzz worker's own goroutines account
+			// for the constant.
 			if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*uint64(len(file))+1<<20 {
 				t.Fatalf("decoding %d bytes allocated %d", len(file), grew)
 			}
 			if err != nil {
 				continue
 			}
-			again, err := decodeSpillEntry(spillBytes(t, e))
+			if good > int64(len(file)) {
+				t.Fatalf("%d good bytes of %d", good, len(file))
+			}
+			again, err := decodeWhole(spillBytes(t, e))
 			if err != nil {
 				t.Fatalf("an accepted file does not survive re-encoding: %v", err)
 			}
@@ -257,34 +354,59 @@ func FuzzSpillDecode(f *testing.F) {
 	})
 }
 
-// TestSpillWriteAllocatesAChunkNotAnEntry: what one write allocates is the
-// meta and the fixed chunk buffer, whatever the entry's size.
+// TestSpillWriteAllocatesAChunkNotAnEntry: the tier's writer streams every
+// record through the one buffer it was made with, so a base write allocates
+// its meta, file handle and log record, a delta write less, and neither a
+// chunk nor anything that grows with the entry.
 func TestSpillWriteAllocatesAChunkNotAnEntry(t *testing.T) {
 	sp, err := NewSpillTier(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sp.Close()
-	perWrite := func(e *Entry) uint64 {
-		const runs = 8
+	const runs = 8
+	perWrite := func(ops []spillOp) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			sp.write(e)
+		for _, op := range ops {
+			sp.write(op)
 		}
 		runtime.ReadMemStats(&after)
 		if st := sp.Stats(); st.WriteErrors != 0 {
 			t.Fatalf("spill writes failed: %+v", st)
 		}
-		return (after.TotalAlloc - before.TotalAlloc) / runs
+		return (after.TotalAlloc - before.TotalAlloc) / uint64(len(ops))
 	}
-	small := perWrite(makeEntry(t, 4, 256, 16, "msmall", 0))
-	big := perWrite(makeEntry(t, 5, 2048, 128, "mbig", 0))
-	t.Logf("bytes allocated per write: 2048x128 %d, 256x16 %d", big, small)
-	if big > 256<<10 {
-		t.Errorf("a 2048x128 write allocates %d bytes, want under 256 KiB (the file is 3.2 MB)", big)
+	// bases publishes runs copies of e as fresh series.
+	bases := func(e *Entry) []spillOp {
+		ops := make([]spillOp, runs)
+		for i := range ops {
+			c := *e
+			c.Key = fmt.Sprintf("%s-%d", e.Key, i)
+			ops[i] = spillOp{entry: &c}
+		}
+		return ops
 	}
-	if big > small+4<<10 {
+	small := perWrite(bases(makeEntry(t, 4, 256, 16, "msmall", 0)))
+	bigEntry := makeEntry(t, 5, 2048, 128, "mbig", 0)
+	big := perWrite(bases(bigEntry))
+	// Then runs updates of the last series, sixteen rows apiece.
+	prev := &Entry{Key: bigEntry.Key + fmt.Sprintf("-%d", runs-1), A: bigEntry.A, F: bigEntry.F}
+	updates := make([]spillOp, runs)
+	for i := range updates {
+		next := updated(prev, 0, tcqr.FromColMajor(16, 128, testMatrix(uint64(60+i), 16, 128, 1)), bigEntry.F)
+		updates[i] = spillOp{entry: next, update: true, parent: prev.Epoch}
+		prev = next
+	}
+	delta := perWrite(updates)
+	if st := sp.Stats(); st.Files != 2*runs || st.Writes != 3*runs {
+		t.Fatalf("tier after the writes: %+v, want %d logs and the updates as deltas", st, 2*runs)
+	}
+	t.Logf("bytes allocated per write: 2048x128 base %d, 256x16 base %d, 16-row delta %d", big, small, delta)
+	if big > 4<<10 || delta > 1<<10 {
+		t.Errorf("a 2048x128 base write allocates %d bytes, a delta %d: want under 4 KiB and 1 KiB, no chunk", big, delta)
+	}
+	if big > small+1<<10 {
 		t.Errorf("a 2048x128 write allocates %d bytes, a 256x16 write %d: the writer's allocation grows with the entry", big, small)
 	}
 }
@@ -321,25 +443,39 @@ func within(t *testing.T, what string, f func()) {
 }
 
 // TestSpillEncodeReturnsTheWriteError: wherever the file stops accepting
-// bytes — before the first, inside A, R or the scales, or at the checksum —
-// encodeSpillEntry returns that error instead of retrying.
+// bytes — before the first, inside A, R or the scales, or at the checksum, of
+// a base or a delta record — the encoder returns that error instead of
+// retrying, and its next record is written whole.
 func TestSpillEncodeReturnsTheWriteError(t *testing.T) {
 	e := makeEntry(t, 6, 2048, 24, "mfull", 0) // 393 KB of A: several chunks a section
 	e.F.ColumnScales = make([]float32, 24)
 	total := len(spillBytes(t, e))
 	aEnd := total - 4 - 4*24 - 4*24*24
 	disk := errors.New("no space left on device")
+	enc := newSpillEncoder() // one encoder throughout: an error must not stick to it
 	for _, room := range []int{0, 10, spillChunk - 1, spillChunk, aEnd - 3, aEnd + 5, total - 4 - 4*24 - 1, total - 4 - 2, total - 4, total - 1} {
-		within(t, "encodeSpillEntry", func() {
-			n, err := encodeSpillEntry(&fullAfter{room: room, err: disk}, e)
+		within(t, "the base encoder", func() {
+			n, err := enc.base(&fullAfter{room: room, err: disk}, e)
 			if !errors.Is(err, disk) || n != 0 {
-				t.Errorf("a writer full after %d of %d bytes: encodeSpillEntry returned (%d, %v), want (0, %v)", room, total, n, err, disk)
+				t.Errorf("a writer full after %d of %d bytes: the base encoder returned (%d, %v), want (0, %v)", room, total, n, err, disk)
 			}
 		})
 	}
-	within(t, "encodeSpillEntry", func() {
-		if n, err := encodeSpillEntry(&fullAfter{room: total}, e); err != nil || n != int64(total) {
+	next := updated(e, 0, tcqr.FromColMajor(3000, 24, testMatrix(8, 3000, 24, 1)), e.F) // 576 KB appended
+	deltaLen := int(spillDeltaLen(3000, 24, true))
+	for _, room := range []int{0, spillDeltaHeaderLen, spillChunk + 1, deltaLen - 5, deltaLen - 1} {
+		within(t, "the delta encoder", func() {
+			if n, err := enc.delta(&fullAfter{room: room, err: disk}, next, e.Epoch, e.A.Rows); !errors.Is(err, disk) || n != 0 {
+				t.Errorf("a writer full after %d of a %d-byte delta: (%d, %v), want (0, %v)", room, deltaLen, n, err, disk)
+			}
+		})
+	}
+	within(t, "the encoders", func() {
+		if n, err := enc.base(&fullAfter{room: total}, e); err != nil || n != int64(total) {
 			t.Errorf("a writer with room for all %d bytes: (%d, %v)", total, n, err)
+		}
+		if n, err := enc.delta(&fullAfter{room: deltaLen}, next, e.Epoch, e.A.Rows); err != nil || n != int64(deltaLen) {
+			t.Errorf("a writer with room for all %d bytes of the delta: (%d, %v)", deltaLen, n, err)
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 
@@ -32,11 +31,11 @@ func makeEntry(t testing.TB, seed uint64, m, n int, key string, epoch uint64) *E
 	return e
 }
 
-// spillBytes renders e's spill file in memory.
+// spillBytes renders e as the base record of a fresh log, in memory.
 func spillBytes(t testing.TB, e *Entry) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	n, err := encodeSpillEntry(&buf, e)
+	n, err := newSpillEncoder().base(&buf, e)
 	if err != nil {
 		t.Fatalf("encode %s: %v", e.Key, err)
 	}
@@ -44,6 +43,46 @@ func spillBytes(t testing.TB, e *Entry) []byte {
 		t.Fatalf("encode %s: reported %d bytes, wrote %d", e.Key, n, buf.Len())
 	}
 	return buf.Bytes()
+}
+
+// spillLogBytes renders the log a tier writes for a series published as
+// chain[0] and updated through the rest in turn: a base record, then one
+// delta record per update.
+func spillLogBytes(t testing.TB, chain ...*Entry) []byte {
+	t.Helper()
+	buf := bytes.NewBuffer(spillBytes(t, chain[0]))
+	enc := newSpillEncoder()
+	for i, e := range chain[1:] {
+		prev := chain[i]
+		at := buf.Len()
+		n, err := enc.delta(buf, e, prev.Epoch, prev.A.Rows)
+		if err != nil || n != int64(buf.Len()-at) {
+			t.Fatalf("delta %s: reported %d bytes, wrote %d (%v)", e.Key, n, buf.Len()-at, err)
+		}
+	}
+	return buf.Bytes()
+}
+
+// decodeWhole decodes buf as a log that is good to its last byte.
+func decodeWhole(buf []byte) (*Entry, error) {
+	e, good, _, err := decodeSpillLog(buf)
+	if err == nil && good != int64(len(buf)) {
+		err = fmt.Errorf("spill: %d bytes past the last good record", int64(len(buf))-good)
+	}
+	return e, err
+}
+
+// updated returns the entry an update of e publishes: A with its trailing
+// remove rows dropped, then the rows of add stacked under it, and the
+// factor f.
+func updated(e *Entry, remove int, add *tcqr.Matrix, f *tcqr.Factorization) *Entry {
+	a := dropRows64(e.A, remove)
+	if add != nil {
+		a = appendRows64(a, add)
+	}
+	ne := &Entry{Key: versionedKey(baseKey(e.Key), e.Epoch+1), Epoch: e.Epoch + 1, A: a, F: f, Config: e.Config}
+	ne.bytes = ne.sizeBytes()
+	return ne
 }
 
 // sameEntryBits reports the first difference between two entries' identity,
@@ -101,7 +140,7 @@ func TestSpillEntryRoundTrip(t *testing.T) {
 	e.F.R.Set(2, 3, math.Float32frombits(0x7fa00001))
 	e.F.R.Set(0, 5, float32(math.Copysign(0, -1)))
 	buf := spillBytes(t, e)
-	got, err := decodeSpillEntry(buf)
+	got, err := decodeWhole(buf)
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -126,7 +165,8 @@ func TestSpillEntryRoundTrip(t *testing.T) {
 		t.Errorf("2048x128 file carries %d bytes of header, meta and checksum beyond its matrices, want 0..512", over)
 	}
 
-	// Every corruption class must fail closed, never half-decode.
+	// Every corruption class must fail closed, never half-decode. (A byte
+	// past the base is a log tail that rewarm sets aside.)
 	for _, tc := range []struct {
 		name string
 		mut  func(b []byte) []byte
@@ -139,7 +179,7 @@ func TestSpillEntryRoundTrip(t *testing.T) {
 		{"one byte long", func(b []byte) []byte { return append(b, 0) }},
 		{"header only", func(b []byte) []byte { return b[:spillHeaderLen] }},
 	} {
-		if _, err := decodeSpillEntry(tc.mut(bytes.Clone(buf))); err == nil {
+		if _, err := decodeWhole(tc.mut(bytes.Clone(buf))); err == nil {
 			t.Errorf("%s corruption decoded cleanly", tc.name)
 		}
 	}
@@ -157,7 +197,7 @@ func TestSpillWriteRemoveRewarm(t *testing.T) {
 	e2 := makeEntry(t, 11, 32, 8, "mkey2-e00-p0-c0-r00-h0", 0)
 	sp.Enqueue(e1)
 	sp.Enqueue(e2)
-	sp.Remove(e1.Key)
+	sp.Remove(e1)
 	sp.Flush()
 	st := sp.Stats()
 	if st.Writes != 2 || st.Removes != 1 || st.Files != 1 {
@@ -273,12 +313,27 @@ func TestServerRewarmServesWithoutRefactorize(t *testing.T) {
 		t.Fatalf("update: code=%d reply=%+v", code, ur)
 	}
 	s1.spill.Flush()
+	var statz statzResponse
+	if code := get(t, h1, "/statz", &statz); code != 200 {
+		t.Fatalf("statz: code=%d", code)
+	}
 	s1.Close()
 
-	// Epoch 0 was retired when epoch 1 published, so exactly one file — the
-	// newest epoch — survives on disk.
-	if names := spillFiles(t, dir, "*"+spillExt); len(names) != 1 || !strings.Contains(names[0], "@1") {
-		t.Fatalf("on-disk files after update: %v, want just the @1 epoch", names)
+	// The series is one log, named by its base key: epoch 0's base record
+	// and epoch 1's delta, every byte of it counted as written.
+	names := spillFiles(t, dir, "*"+spillExt)
+	if len(names) != 1 || filepath.Base(names[0]) != spillFileName(base) {
+		t.Fatalf("on-disk files after update: %v, want the one log %s", names, spillFileName(base))
+	}
+	buf, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := decodeWhole(buf); err != nil || e.Key != base+"@1" {
+		t.Fatalf("the log decodes to %v, %v; want epoch 1", e, err)
+	}
+	if sz := statz.Spill; sz.Writes != 2 || sz.WrittenBytes != int64(len(buf)) || sz.BytesOnDisk != int64(len(buf)) {
+		t.Fatalf("/statz spill %+v, want 2 writes of the log's %d bytes", sz, len(buf))
 	}
 
 	be := &countingBackend{inner: LibraryBackend{}}
@@ -379,12 +434,12 @@ func TestServerRewarmQuarantinesTornFile(t *testing.T) {
 	}
 }
 
-// TestSpillKeepsPredecessorUntilSuccessorIsDurable: the spill file of epoch N
-// is deleted only after epoch N+1's file is in place. With the write of
-// epoch 1 failing (the failpoint tears it, as a crash would), a restart must
-// rewarm epoch 0 and serve the bare key from it; it rewarmed nothing when
-// the removal of epoch 0 was queued ahead of the write. The clean path still
-// ends with one file per series.
+// TestSpillKeepsPredecessorUntilSuccessorIsDurable: epoch N stays durable
+// until epoch N+1 is. With the write of epoch 1's delta record failing (the
+// failpoint tears it at the log's end, as a crash would), a restart must set
+// the torn record aside and rewarm epoch 0 from the record before it,
+// serving the bare key; only the torn epoch is lost. The clean path ends with
+// one log per series: epoch 0's base and epoch 1's delta, nothing deleted.
 func TestSpillKeepsPredecessorUntilSuccessorIsDurable(t *testing.T) {
 	m, n, k := 64, 16, 8
 	data := testMatrix(940, m, n, 1)
@@ -411,19 +466,40 @@ func TestSpillKeepsPredecessorUntilSuccessorIsDurable(t *testing.T) {
 		s1.Close()
 		return fr.Key, st
 	}
+	baseLen := func(buf []byte) int64 {
+		_, n, err := decodeSpillBase(buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
 
 	dir := t.TempDir()
 	arm(t, "seed=5;serve.spill.write=error@once=2")
 	base, st := run(dir)
 	faultinject.Disarm()
 	if st.Writes != 1 || st.WriteErrors != 1 || st.Removes != 0 || st.Files != 1 {
-		t.Fatalf("spill stats after the failed epoch-1 write: %+v, want epoch 0's file kept", st)
+		t.Fatalf("spill stats after the failed epoch-1 write: %+v, want epoch 0's record kept", st)
+	}
+	torn, err := os.ReadFile(filepath.Join(dir, spillFileName(base)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := baseLen(torn)
+	if int64(len(torn)) <= good {
+		t.Fatalf("the failpoint left a %d-byte log, its base is %d: no torn record", len(torn), good)
 	}
 	be := &countingBackend{inner: LibraryBackend{}}
 	s2 := New(Options{Workers: 2, Backend: be, CacheDir: dir})
 	defer s2.Close()
 	if cs := s2.Cache().Stats(); cs.Rewarmed != 1 || cs.Entries != 1 {
 		t.Fatalf("cache after rewarm: %+v, want the last durable epoch", cs)
+	}
+	if st := s2.spill.Stats(); st.Quarantined != 1 || st.LoadErrors != 0 || st.BytesOnDisk != good {
+		t.Fatalf("rewarm stats %+v, want the torn record set aside and %d bytes kept", st, good)
+	}
+	if q, err := os.ReadFile(filepath.Join(dir, spillFileName(base)+spillQuarExt)); err != nil || !bytes.Equal(q, torn[good:]) {
+		t.Fatalf("the quarantined tail is not the torn record (%v)", err)
 	}
 	var sr solveReply
 	code, _ := post(t, s2.Handler(), "/v1/solve",
@@ -438,47 +514,70 @@ func TestSpillKeepsPredecessorUntilSuccessorIsDurable(t *testing.T) {
 	clean := t.TempDir()
 	_, st = run(clean)
 	names := spillFiles(t, clean, "*"+spillExt)
-	if st.Writes != 2 || st.Removes != 1 || st.Files != 1 || len(names) != 1 || !strings.Contains(names[0], "@1") {
-		t.Fatalf("clean path: stats %+v files %v, want just the @1 epoch", st, names)
+	if st.Writes != 2 || st.Removes != 0 || st.Files != 1 || len(names) != 1 || filepath.Base(names[0]) != spillFileName(base) {
+		t.Fatalf("clean path: stats %+v files %v, want one log of two records", st, names)
+	}
+	buf, err := os.ReadFile(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e, err := decodeWhole(buf); err != nil || e.Key != base+"@1" || st.BytesOnDisk != int64(len(buf)) || st.WrittenBytes != int64(len(buf)) {
+		t.Fatalf("clean log: %d bytes decode to %v (%v); stats %+v", len(buf), e, err, st)
+	}
+	if delta := int64(len(buf)) - baseLen(buf); delta != spillDeltaLen(int64(k), int64(n), false) {
+		t.Fatalf("epoch 1 spilled %d bytes, want a %d-row delta of %d", delta, k, spillDeltaLen(int64(k), int64(n), false))
 	}
 }
 
-// TestRewarmRemovesStaleSiblings: a crash between epoch 1's rename and epoch
-// 0's delete leaves both files. Rewarm adopts the newer, and deletes the
-// older with its byte accounting instead of re-reading and declining it at
-// every restart.
-func TestRewarmRemovesStaleSiblings(t *testing.T) {
+// TestRewarmSetsTornTailAside: a crash mid-append leaves a log whose last
+// record is cut short. Rewarm adopts the epoch before it, moves the torn
+// bytes to <name>.quarantine and truncates the log, so its byte accounting is
+// the good records' and the next restart does not read and set aside the
+// same tail again; the next update appends after the last good record.
+func TestRewarmSetsTornTailAside(t *testing.T) {
 	dir := t.TempDir()
 	base := "mstale-e00-p0-c0-r00-h0"
-	var sizes [2]int64
-	for epoch := range sizes {
-		e := makeEntry(t, uint64(950+epoch), 32+epoch, 8, versionedKey(base, uint64(epoch)), uint64(epoch))
-		buf := spillBytes(t, e)
-		if err := os.WriteFile(filepath.Join(dir, spillFileName(e.Key)), buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		sizes[epoch] = int64(len(buf))
+	e0 := makeEntry(t, 950, 40, 8, base, 0)
+	e1 := updated(e0, 0, tcqr.FromColMajor(3, 8, testMatrix(951, 3, 8, 1)), makeEntry(t, 952, 43, 8, "", 0).F)
+	e2 := updated(e1, 5, nil, makeEntry(t, 953, 38, 8, "", 0).F)
+	full := spillLogBytes(t, e0, e1, e2)
+	good := int64(len(spillLogBytes(t, e0, e1)))
+	path := filepath.Join(dir, spillFileName(base))
+	if err := os.WriteFile(path, full[:len(full)-7], 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	s1 := New(Options{Workers: 1, CacheDir: dir})
 	s1.spill.Flush()
 	st := s1.spill.Stats()
-	cs := s1.Cache().Stats()
+	e, ok := s1.Cache().Get(base)
+	if st.Loads != 1 || st.Rewarmed != 1 || st.Quarantined != 1 || st.LoadErrors != 0 || !ok {
+		t.Fatalf("first restart: spill %+v, want 1 load, 1 rewarmed, 1 tail quarantined", st)
+	}
+	if diff := sameEntryBits(e, e1); diff != "" {
+		t.Fatalf("rewarmed entry: %s, want epoch 1", diff)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() != good || st.BytesOnDisk != good || st.Files != 1 {
+		t.Fatalf("log after rewarm: %v (%v), stats %+v; want %d bytes on disk and accounted", fi, err, st, good)
+	}
+	if q, err := os.ReadFile(path + spillQuarExt); err != nil || !bytes.Equal(q, full[good:len(full)-7]) {
+		t.Fatalf("quarantined tail: %d bytes (%v), want the %d torn ones", len(q), err, len(full)-7-int(good))
+	}
+	// The next update continues the log from epoch 1.
+	s1.Cache().PublishUpdate(e, e2.A, e2.F)
+	s1.spill.Flush()
 	s1.Close()
-	if st.Loads != 2 || cs.Rewarmed != 1 || cs.Entries != 1 {
-		t.Fatalf("first restart: spill %+v cache %+v, want 2 loads and the newer epoch adopted", st, cs)
-	}
-	if st.Files != 1 || st.BytesOnDisk != sizes[1] {
-		t.Fatalf("stale sibling still accounted: %+v, want 1 file of %d bytes", st, sizes[1])
-	}
-	if names := spillFiles(t, dir, "*"+spillExt); len(names) != 1 || !strings.Contains(names[0], "@1") {
-		t.Fatalf("on-disk files after rewarm: %v, want just the @1 epoch", names)
+	if buf, err := os.ReadFile(path); err != nil || !bytes.Equal(buf, full) {
+		t.Fatalf("the log after epoch 2 is not base + two deltas (%v)", err)
 	}
 
 	s2 := New(Options{Workers: 1, CacheDir: dir})
 	defer s2.Close()
-	if st := s2.spill.Stats(); st.Loads != 1 || st.Rewarmed != 1 {
-		t.Fatalf("second restart re-read the stale file: %+v", st)
+	if st := s2.spill.Stats(); st.Loads != 1 || st.Rewarmed != 1 || st.Quarantined != 0 {
+		t.Fatalf("second restart set a tail aside again: %+v", st)
+	}
+	if e, ok := s2.Cache().Get(base); !ok || sameEntryBits(e, e2) != "" {
+		t.Fatalf("second restart did not rewarm epoch 2")
 	}
 }
 
@@ -545,26 +644,26 @@ func TestSpillChaosSoak(t *testing.T) {
 	s1.Close()
 	faultinject.Disarm()
 
-	// Decode the surviving files ourselves to establish ground truth, then
+	// Decode the surviving logs ourselves to establish ground truth, then
 	// restart and demand the server agrees with the disk.
 	type truth struct {
 		epoch uint64
 		a     *tcqr.Matrix
 	}
-	newest := map[string]truth{} // base key -> newest epoch on disk
+	newest := map[string]truth{} // base key -> newest good epoch on disk
 	torn := 0
 	for _, name := range spillFiles(t, dir, "*"+spillExt) {
 		buf, err := os.ReadFile(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		e, err := decodeSpillEntry(buf)
-		if err != nil {
-			// A file the injected crashes tore: rewarm must quarantine it.
+		e, good, _, err := decodeSpillLog(buf)
+		if err != nil || good < int64(len(buf)) {
+			// A base or a last record the injected crashes tore: rewarm
+			// must quarantine it.
 			torn++
-			continue
 		}
-		if tr, ok := newest[baseKey(e.Key)]; !ok || e.Epoch > tr.epoch {
+		if err == nil {
 			newest[baseKey(e.Key)] = truth{epoch: e.Epoch, a: e.A}
 		}
 	}
@@ -577,11 +676,11 @@ func TestSpillChaosSoak(t *testing.T) {
 	defer s2.Close()
 	h2 := s2.Handler()
 	st := s2.spill.Stats()
-	if st.Loads != st.LoadErrors+st.Rewarmed || st.LoadErrors != st.Quarantined {
-		t.Fatalf("rewarm accounting does not balance: %+v", st)
+	if st.Loads != st.LoadErrors+st.Rewarmed || st.Rewarmed != int64(len(newest)) {
+		t.Fatalf("rewarm accounting does not balance: %+v, %d good logs on disk", st, len(newest))
 	}
 	if st.Quarantined != int64(torn) {
-		t.Fatalf("rewarm quarantined %d files, the disk held %d torn ones: %+v", st.Quarantined, torn, st)
+		t.Fatalf("rewarm quarantined %d files and tails, the disk held %d torn ones: %+v", st.Quarantined, torn, st)
 	}
 	for bk, tr := range newest {
 		key := versionedKey(bk, tr.epoch)

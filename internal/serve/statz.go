@@ -35,6 +35,7 @@ type statzResponse struct {
 	Requests      map[string]int64       `json:"requests"`
 	Errors        map[string]int64       `json:"errors"`
 	Cache         CacheStats             `json:"cache"`
+	Spill         SpillStats             `json:"spill"`
 	Pool          PoolStats              `json:"pool"`
 	Timing        map[string]statzTiming `json:"timing"`
 	Hazards       map[string]int64       `json:"hazards"`
@@ -70,6 +71,9 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.Cache = s.cache.Stats()
+	if s.spill != nil {
+		resp.Spill = s.spill.Stats()
+	}
 	resp.Pool = s.pool.Stats()
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
