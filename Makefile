@@ -80,8 +80,11 @@ reach:
 # with NaN, or CGLS's recorded bits: its X and GradNorms on one trajectory
 # per way a run ends, and its X on the workloads' solves, which a change to
 # when CGLS stops must leave as they are. So do the packed GEMM's
-# goldens, kernel-family, determinism and allocation tests: it splits the rows
-# of a small output between workers and packs op(B) on all of them. So do the
+# goldens, kernel-family, determinism and allocation tests, with the
+# exact-product family's (its tiles against mul+add, its routing, the
+# binary16 declaration of the hooks that select it, and the bfloat16 case that
+# must not): it splits the rows of a small output between workers and packs
+# op(B) on all of them. So do the
 # update path's goldens, the library's and its R kernels' (and what those
 # kernels allocate: their working copies are pooled), and the downdate's
 # allocation bound, whose Q′ is that
@@ -91,7 +94,8 @@ reach:
 # finiteness scan of Q, which run in column chunks on the same runner from
 # 32768 elements up: Factor's bits from either source width, the error
 # naming the first offender, and FactorizeR against Factorize with its
-# allocation gate. FactorizeR's pooled workspace is shared between
+# allocation gate, and SolveLeastSquares, which factors with FactorizeR
+# unless its method needs Q, with its own. FactorizeR's pooled workspace is shared between
 # goroutines, so its concurrent calls run under the race detector too. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
@@ -118,9 +122,9 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
-	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc' ./internal/blas ./internal/tcsim ./internal/rgs
+	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc|ExactProduct|BF16ProductsNotExact|Binary16Hooks' ./internal/blas ./internal/tcsim ./internal/rgs
 	$(GO) test -cpu 1,2,4 -run 'Float64SourceMatchesNarrowing|SweepNamesFirstOffender|FactorInIgnoresWorkspace|FiniteScansEveryColumn' ./internal/rgs
-	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|RKernelBits|RKernelsAllocate' . ./internal/qrupdate
+	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|SolveLeastSquaresAllocBytes|SolveLeastSquaresRefineNoneKeepsQ|RKernelBits|RKernelsAllocate' . ./internal/qrupdate
 	$(GO) test -race -run 'TestFactorizeRConcurrent|TestFactorizeRKeepsNoWorkspace' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|JSONSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve

@@ -16,6 +16,21 @@ import "tcqr/internal/cpufeat"
 // (AVX-512F). Both round every product (VMULPS, then VADDPS): a fused
 // multiply-add would give other bits wherever a product is inexact.
 //
+// One exception, where no product is inexact: the exact-product twin of the
+// ZMM tile (tile32x4F32FMA, one VFMADD231PS per product), which the packed
+// GEMM takes only when both operands' pack hooks round to binary16
+// (PackHook.Binary16). A finite nonzero binary16 value is s·2^e with an
+// integer |s| < 2¹¹ and −24 ≤ e, and |x| ≤ 65504 < 2¹⁶, so a product of two
+// is an integer of at most 22 bits times 2^(e₁+e₂): its magnitude lies in
+// [2⁻⁴⁸, 2³²], inside binary32's normal range, and its significand fits in
+// 24 bits. The product is therefore exact, round(a·b) = a·b, and
+// round(c + a·b), the fused operation, equals round(c + round(a·b)), the
+// mul+add. Zeros, infinities and NaNs give the same result either way (an
+// exact ±0 product, ∞·0 the default NaN, a NaN operand absorbing), and the
+// tile refuses any NaN result as the others do. bfloat16 keeps mul+add: its
+// products span binary32's whole exponent range and can underflow or
+// overflow it, where the fused and the separate operations differ.
+//
 // A full tile is stored by the kernel: α and β are applied in registers with
 // writeTile's operations (a product rounded, then a sum), so a stored result
 // is writeTile's bits. The kernel stores nothing when any result of the tile
@@ -38,6 +53,12 @@ func tile16x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode 
 //
 //go:noescape
 func tile32x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) (ok bool)
+
+// tile32x4F32FMA is tile32x4F32 with a fused multiply-add per product: its
+// bits only for operands whose products are exact, binary16 ones.
+//
+//go:noescape
+func tile32x4F32FMA(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) (ok bool)
 
 // gemmKernel8x4F64 accumulates an 8×4 float64 tile over kb packed quads.
 //

@@ -140,24 +140,102 @@ y16nan:
 	VZEROUPPER
 	RET
 
+// The ZMM tiles' prologue: the arguments into registers, eight +0
+// accumulators. A zero kb jumps straight to the write-back.
+#define Z32START \
+	MOVQ   kb+0(FP), CX; \
+	MOVQ   ap+8(FP), SI; \
+	MOVQ   bp+16(FP), DI; \
+	MOVQ   c+24(FP), R8; \
+	MOVQ   ldc+32(FP), R9; \
+	MOVQ   mode+48(FP), DX; \
+	VPXORD Z0, Z0, Z0; \
+	VPXORD Z1, Z1, Z1; \
+	VPXORD Z2, Z2, Z2; \
+	VPXORD Z3, Z3, Z3; \
+	VPXORD Z4, Z4, Z4; \
+	VPXORD Z5, Z5, Z5; \
+	VPXORD Z6, Z6, Z6; \
+	VPXORD Z7, Z7, Z7; \
+	TESTQ  CX, CX; \
+	JZ     z32sum
+
+// The ZMM tiles' write-back, from the label z32sum on (labels are local to
+// each TEXT): α and β applied with writeTile's operations, a product rounded
+// and then a sum, the NaN refusal, the store.
+#define Z32FINISH \
+z32sum: \
+	COLUMNS; \
+	TESTQ        DX, DX; \
+	JZ           z32store; \
+	VBROADCASTSS alpha+40(FP), Z8; \
+	VMULPS       Z8, Z0, Z0; \
+	VMULPS       Z8, Z1, Z1; \
+	VMULPS       Z8, Z2, Z2; \
+	VMULPS       Z8, Z3, Z3; \
+	VMULPS       Z8, Z4, Z4; \
+	VMULPS       Z8, Z5, Z5; \
+	VMULPS       Z8, Z6, Z6; \
+	VMULPS       Z8, Z7, Z7; \
+	CMPQ         DX, $2; \
+	JE           z32check; \
+	JA           z32axpby; \
+	VADDPS       (R8), Z0, Z0; \
+	VADDPS       64(R8), Z1, Z1; \
+	VADDPS       (R10), Z2, Z2; \
+	VADDPS       64(R10), Z3, Z3; \
+	VADDPS       (R11), Z4, Z4; \
+	VADDPS       64(R11), Z5, Z5; \
+	VADDPS       (R12), Z6, Z6; \
+	VADDPS       64(R12), Z7, Z7; \
+	JMP          z32check; \
+z32axpby: \
+	VBROADCASTSS beta+44(FP), Z9; \
+	VMULPS       (R8), Z9, Z10; \
+	VADDPS       Z10, Z0, Z0; \
+	VMULPS       64(R8), Z9, Z10; \
+	VADDPS       Z10, Z1, Z1; \
+	VMULPS       (R10), Z9, Z10; \
+	VADDPS       Z10, Z2, Z2; \
+	VMULPS       64(R10), Z9, Z10; \
+	VADDPS       Z10, Z3, Z3; \
+	VMULPS       (R11), Z9, Z10; \
+	VADDPS       Z10, Z4, Z4; \
+	VMULPS       64(R11), Z9, Z10; \
+	VADDPS       Z10, Z5, Z5; \
+	VMULPS       (R12), Z9, Z10; \
+	VADDPS       Z10, Z6, Z6; \
+	VMULPS       64(R12), Z9, Z10; \
+	VADDPS       Z10, Z7, Z7; \
+z32check: \
+	VCMPPS   $3, Z1, Z0, K1; \
+	VCMPPS   $3, Z3, Z2, K2; \
+	VCMPPS   $3, Z5, Z4, K3; \
+	VCMPPS   $3, Z7, Z6, K4; \
+	KORW     K2, K1, K1; \
+	KORW     K4, K3, K3; \
+	KORTESTW K3, K1; \
+	JNZ      z32nan; \
+z32store: \
+	VMOVUPS Z0, (R8); \
+	VMOVUPS Z1, 64(R8); \
+	VMOVUPS Z2, (R10); \
+	VMOVUPS Z3, 64(R10); \
+	VMOVUPS Z4, (R11); \
+	VMOVUPS Z5, 64(R11); \
+	VMOVUPS Z6, (R12); \
+	VMOVUPS Z7, 64(R12); \
+	MOVB    $1, ok+56(FP); \
+	VZEROUPPER; \
+	RET; \
+z32nan: \
+	MOVB $0, ok+56(FP); \
+	VZEROUPPER; \
+	RET
+
 // func tile32x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) (ok bool)
 TEXT ·tile32x4F32(SB), NOSPLIT, $0-57
-	MOVQ   kb+0(FP), CX
-	MOVQ   ap+8(FP), SI
-	MOVQ   bp+16(FP), DI
-	MOVQ   c+24(FP), R8
-	MOVQ   ldc+32(FP), R9
-	MOVQ   mode+48(FP), DX
-	VPXORD Z0, Z0, Z0
-	VPXORD Z1, Z1, Z1
-	VPXORD Z2, Z2, Z2
-	VPXORD Z3, Z3, Z3
-	VPXORD Z4, Z4, Z4
-	VPXORD Z5, Z5, Z5
-	VPXORD Z6, Z6, Z6
-	VPXORD Z7, Z7, Z7
-	TESTQ  CX, CX
-	JZ     z32sum
+	Z32START
 
 z32mul:
 	VMOVUPS      (SI), Z8
@@ -187,78 +265,37 @@ z32mul:
 	DECQ         CX
 	JNZ          z32mul
 
-z32sum:
-	COLUMNS
-	TESTQ        DX, DX
-	JZ           z32store
-	VBROADCASTSS alpha+40(FP), Z8
-	VMULPS       Z8, Z0, Z0
-	VMULPS       Z8, Z1, Z1
-	VMULPS       Z8, Z2, Z2
-	VMULPS       Z8, Z3, Z3
-	VMULPS       Z8, Z4, Z4
-	VMULPS       Z8, Z5, Z5
-	VMULPS       Z8, Z6, Z6
-	VMULPS       Z8, Z7, Z7
-	CMPQ         DX, $2
-	JE           z32check
-	JA           z32axpby
-	VADDPS       (R8), Z0, Z0
-	VADDPS       64(R8), Z1, Z1
-	VADDPS       (R10), Z2, Z2
-	VADDPS       64(R10), Z3, Z3
-	VADDPS       (R11), Z4, Z4
-	VADDPS       64(R11), Z5, Z5
-	VADDPS       (R12), Z6, Z6
-	VADDPS       64(R12), Z7, Z7
-	JMP          z32check
+	Z32FINISH
 
-z32axpby:
-	VBROADCASTSS beta+44(FP), Z9
-	VMULPS       (R8), Z9, Z10
-	VADDPS       Z10, Z0, Z0
-	VMULPS       64(R8), Z9, Z10
-	VADDPS       Z10, Z1, Z1
-	VMULPS       (R10), Z9, Z10
-	VADDPS       Z10, Z2, Z2
-	VMULPS       64(R10), Z9, Z10
-	VADDPS       Z10, Z3, Z3
-	VMULPS       (R11), Z9, Z10
-	VADDPS       Z10, Z4, Z4
-	VMULPS       64(R11), Z9, Z10
-	VADDPS       Z10, Z5, Z5
-	VMULPS       (R12), Z9, Z10
-	VADDPS       Z10, Z6, Z6
-	VMULPS       64(R12), Z9, Z10
-	VADDPS       Z10, Z7, Z7
+// func tile32x4F32FMA(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) (ok bool)
+//
+// tile32x4F32 with one fused multiply-add per product (VFMADD231PS): for
+// binary16 operands only, whose products are exact in binary32
+// (kernel_amd64.go). The write-back is tile32x4F32's.
+TEXT ·tile32x4F32FMA(SB), NOSPLIT, $0-57
+	Z32START
 
-z32check:
-	VCMPPS   $3, Z1, Z0, K1
-	VCMPPS   $3, Z3, Z2, K2
-	VCMPPS   $3, Z5, Z4, K3
-	VCMPPS   $3, Z7, Z6, K4
-	KORW     K2, K1, K1
-	KORW     K4, K3, K3
-	KORTESTW K3, K1
-	JNZ      z32nan
+z32fma:
+	VMOVUPS      (SI), Z8
+	VMOVUPS      64(SI), Z9
+	VBROADCASTSS (DI), Z10
+	VFMADD231PS  Z10, Z8, Z0
+	VFMADD231PS  Z10, Z9, Z1
+	VBROADCASTSS 4(DI), Z10
+	VFMADD231PS  Z10, Z8, Z2
+	VFMADD231PS  Z10, Z9, Z3
+	VBROADCASTSS 8(DI), Z10
+	VFMADD231PS  Z10, Z8, Z4
+	VFMADD231PS  Z10, Z9, Z5
+	VBROADCASTSS 12(DI), Z10
+	VFMADD231PS  Z10, Z8, Z6
+	VFMADD231PS  Z10, Z9, Z7
+	ADDQ         $128, SI
+	ADDQ         $16, DI
+	DECQ         CX
+	JNZ          z32fma
 
-z32store:
-	VMOVUPS Z0, (R8)
-	VMOVUPS Z1, 64(R8)
-	VMOVUPS Z2, (R10)
-	VMOVUPS Z3, 64(R10)
-	VMOVUPS Z4, (R11)
-	VMOVUPS Z5, 64(R11)
-	VMOVUPS Z6, (R12)
-	VMOVUPS Z7, 64(R12)
-	MOVB    $1, ok+56(FP)
-	VZEROUPPER
-	RET
-
-z32nan:
-	MOVB $0, ok+56(FP)
-	VZEROUPPER
-	RET
+	Z32FINISH
 
 // func gemmKernel8x4F64(kb int, ap, bp, out *float64)
 //

@@ -16,6 +16,10 @@ func tile32x4F32(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode 
 	panic("blas: AVX kernel called on non-amd64 platform")
 }
 
+func tile32x4F32FMA(kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) bool {
+	panic("blas: AVX kernel called on non-amd64 platform")
+}
+
 func gemmKernel8x4F64(kb int, ap, bp, out *float64) {
 	panic("blas: AVX kernel called on non-amd64 platform")
 }

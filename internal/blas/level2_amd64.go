@@ -18,8 +18,13 @@ import "tcqr/internal/cpufeat"
 // level2.go on every input, and it rests on three rules.
 //
 // Rounding: multiply and add stay separate instructions, never FMA, so each
-// product is rounded where the Go loop rounds it. (The Go loops themselves —
-// every Go loop of this package — write T(x*y) + z, not x*y + z: the
+// product is rounded where the Go loop rounds it. The package's one fused
+// kernel is the GEMM's exact-product tile (kernel_amd64.go), which runs only
+// on binary16 operands: a product of two binary16 values has at most 22
+// significant bits and lies in [2⁻⁴⁸, 2³²], so it is exact in binary32, and
+// fusing it into its sum rounds nothing the Go loop does not. The level-2
+// operands are unrounded, so these kernels never fuse. (The Go loops
+// themselves — every Go loop of this package — write T(x*y) + z, not x*y + z: the
 // conversion keeps a compiler that fuses multiply-adds, as the arm64 one
 // does, from changing what the oracle means. make lint fails on a fused
 // instruction in the package's arm64 listing.)

@@ -53,7 +53,7 @@ func gemmHooked[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T],
 		return ov, uf
 	}
 	if GemmPacked(m, n, k) {
-		return gemmBlocked(gemmKernel[T](), tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
+		return gemmBlocked(hookedKernel(hookA, hookB), tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
 	}
 	return gemmSmall(tA, tB, alpha, a, b, beta, c, m, n, k, hookA, hookB, count)
 }

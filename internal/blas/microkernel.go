@@ -50,17 +50,21 @@ func microKernel4x4[T dense.Float](kb int, ap, bp []T, alpha, beta T, c []T, ldc
 }
 
 // kernel names one micro-kernel family of the packed GEMM, chosen per call
-// (gemmKernel) from the element type and the CPU (internal/cpufeat, once at
-// init). Every family gives each C element the same bits: its k terms
-// accumulate from +0 in ascending order, each product rounded and then each
-// sum. Only the tile height and the speed differ.
+// (gemmKernel) from the element type, the CPU (internal/cpufeat, once at
+// init) and the pack hooks. Every family gives each C element the same bits:
+// its k terms accumulate from +0 in ascending order, each product rounded and
+// then each sum. Only the tile height and the speed differ. The exact-product
+// family fuses each product into its sum, which is the same thing only where
+// every product is exact (kernel_amd64.go), so only binary16 operands take
+// it.
 type kernel uint8
 
 const (
-	kernelGo  kernel = iota // microKernel4x4: portable, the fallback and the oracle
-	kernelF64               // gemmKernel8x4F64: 8×4 float64, VMULPD+VADDPD
-	kernelYMM               // tile16x4F32: 16×4 float32, VMULPS+VADDPS
-	kernelZMM               // tile32x4F32: 32×4 float32, VMULPS+VADDPS
+	kernelGo     kernel = iota // microKernel4x4: portable, the fallback and the oracle
+	kernelF64                  // gemmKernel8x4F64: 8×4 float64, VMULPD+VADDPD
+	kernelYMM                  // tile16x4F32: 16×4 float32, VMULPS+VADDPS
+	kernelZMM                  // tile32x4F32: 32×4 float32, VMULPS+VADDPS
+	kernelZMMFMA               // tile32x4F32FMA: 32×4 float32, VFMADD231PS, binary16 operands only
 )
 
 // mr is the number of rows of C in one of the family's tiles; packAPanel cuts
@@ -71,7 +75,7 @@ func (k kernel) mr() int {
 		return 8
 	case kernelYMM:
 		return 16
-	case kernelZMM:
+	case kernelZMM, kernelZMMFMA:
 		return 32
 	}
 	return scalarMR
@@ -90,6 +94,17 @@ func gemmKernel[T dense.Float]() kernel {
 		}
 	}
 	return kernelGo
+}
+
+// hookedKernel picks the family for a packed GEMM in T whose operands are
+// rounded by hookA and hookB: gemmKernel's, or the exact-product twin of the
+// ZMM family when both hooks round to binary16. Other families have no twin.
+func hookedKernel[T dense.Float](hookA, hookB *PackHook[T]) kernel {
+	kern := gemmKernel[T]()
+	if kern == kernelZMM && hookA != nil && hookA.Binary16 && hookB != nil && hookB.Binary16 {
+		return kernelZMMFMA
+	}
+	return kern
 }
 
 // Write-back modes of the float32 tile kernels. tileAdd, tileScale and
@@ -133,19 +148,22 @@ func microTileF32(kern kernel, kb int, ap, bp []float32, alpha, beta float32, c 
 		case beta == 0:
 			mode = tileScale
 		}
-		if tileF32(mr, kb, &ap[0], &bp[0], &c[0], ldc, alpha, beta, mode) {
+		if tileF32(kern, kb, &ap[0], &bp[0], &c[0], ldc, alpha, beta, mode) {
 			return
 		}
 	}
 	var acc [maxMR * kernelNR]float32
-	tileF32(mr, kb, &ap[0], &bp[0], &acc[0], mr, 0, 0, tileAcc)
+	tileF32(kern, kb, &ap[0], &bp[0], &acc[0], mr, 0, 0, tileAcc)
 	writeTile(acc[:], mr, alpha, beta, c, ldc, rows, cols, first)
 }
 
-// tileF32 calls the float32 tile kernel of height mr.
-func tileF32(mr, kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) bool {
-	if mr == 32 {
+// tileF32 calls the float32 tile kernel of the family kern.
+func tileF32(kern kernel, kb int, ap, bp, c *float32, ldc int, alpha, beta float32, mode int) bool {
+	switch kern {
+	case kernelZMM:
 		return tile32x4F32(kb, ap, bp, c, ldc, alpha, beta, mode)
+	case kernelZMMFMA:
+		return tile32x4F32FMA(kb, ap, bp, c, ldc, alpha, beta, mode)
 	}
 	return tile16x4F32(kb, ap, bp, c, ldc, alpha, beta, mode)
 }

@@ -45,6 +45,14 @@ type PackHook[T dense.Float] struct {
 	// overflow/underflow statistics. Zero padding introduced by packing
 	// never contributes to either count.
 	RoundCount func(panel []T) (overflow, underflow int64)
+	// Binary16 declares that Round and RoundCount leave every element a
+	// binary16 value (±Inf and NaN included). Every product of two such
+	// values is exact in float32, so a GEMM whose operands both carry such a
+	// hook may fuse each product into its sum without changing a bit, and
+	// the packed GEMM then takes the exact-product kernel family
+	// (kernel_amd64.go). A hook whose results binary16 cannot all hold, as
+	// bfloat16's, leaves it false.
+	Binary16 bool
 }
 
 // packBuf holds the per-worker scratch of the packed kernel: the packed A

@@ -269,8 +269,9 @@ func concurrentCall(tA Transpose, a, b, c *dense.M32, hooked, batch bool) {
 }
 
 // f16Hook rounds packed panels through binary16 like the TensorCore engine's
-// hook.
-var f16Hook = PackHook[float32]{Round: f16.RoundInPlace, RoundCount: f16.RoundInPlaceCount}
+// hook and, like it, declares so: a hooked float32 GEMM runs the
+// exact-product family where the host has one.
+var f16Hook = PackHook[float32]{Round: f16.RoundInPlace, RoundCount: f16.RoundInPlaceCount, Binary16: true}
 
 // specialsMat32 is a normal matrix with an eighth of its entries replaced by
 // values that overflow binary16 (past 65504) or flush to zero in it.

@@ -672,18 +672,11 @@ func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 	if err != nil {
 		return err
 	}
-	var body []byte
+	encode := encodeJSON
 	if rc.frameResp {
-		var frame *[]byte
-		if frame, err = encodeFrame(v); err == nil {
-			defer wirefmt.PutBuffer(frame)
-			body = *frame
-		}
-	} else {
-		var buf bytes.Buffer
-		err = json.NewEncoder(&buf).Encode(v)
-		body = buf.Bytes()
+		encode = encodeFrame
 	}
+	out, err := encode(v)
 	if err != nil {
 		return &apiError{status: http.StatusInternalServerError, code: "internal", msg: err.Error()}
 	}
@@ -694,8 +687,29 @@ func (rc *reqScope) ok(w http.ResponseWriter, v any) error {
 	} else {
 		rc.s.metrics.hotWireRespJSON.Inc()
 	}
-	rc.finish(w, http.StatusOK, body)
+	rc.finish(w, http.StatusOK, *out)
+	wirefmt.PutBuffer(out)
 	return nil
+}
+
+// encodeJSON writes v's JSON document, as json.Encoder writes it (HTML
+// escaped, one trailing newline), into a pooled buffer (release it with
+// wirefmt.PutBuffer).
+func encodeJSON(v any) (*[]byte, error) {
+	buf := wirefmt.GetBuffer(0)
+	if err := json.NewEncoder((*byteSink)(buf)).Encode(v); err != nil {
+		wirefmt.PutBuffer(buf)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// byteSink is an io.Writer that appends to the slice it points at.
+type byteSink []byte
+
+func (s *byteSink) Write(p []byte) (int, error) {
+	*s = append(*s, p...)
+	return len(p), nil
 }
 
 // encodeFrame writes v as one frame in a pooled buffer (release it with

@@ -26,7 +26,9 @@ type BFloat16 struct {
 
 // bfHook rounds packed GEMM panels through bfloat16. The RoundCount wrapper
 // is a package-level closure, allocated once at init, so the hot path stays
-// allocation-free.
+// allocation-free. It does not declare Binary16: a product of two bfloat16
+// values can underflow or overflow binary32, so its GEMMs round each product
+// before the sum.
 var bfHook = blas.PackHook[float32]{
 	Round: bf16.RoundInPlace,
 	RoundCount: func(panel []float32) (overflow, underflow int64) {

@@ -75,13 +75,15 @@ func SplitF32(x float32) (hi, lo float32) {
 // Zero padding stays zero, so packed tails never contribute. A package-level
 // value so the hot path never allocates a closure. The correction passes
 // never track specials, so RoundCount only has to preserve the rounding
-// behaviour.
+// behaviour. lo' is a binary16 value like hi, so every pass multiplies
+// binary16 by binary16 and takes the exact-product kernels.
 var loHook = blas.PackHook[float32]{
 	Round: f16.ResidualInPlace,
 	RoundCount: func(panel []float32) (overflow, underflow int64) {
 		f16.ResidualInPlace(panel)
 		return 0, 0
 	},
+	Binary16: true,
 }
 
 // Gemm implements Engine with the error-corrected TensorCore semantics:

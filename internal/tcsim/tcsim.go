@@ -9,13 +9,16 @@
 //   - both GEMM operands are converted to IEEE binary16 with
 //     round-to-nearest-even (values above 65504 in magnitude become ±Inf);
 //   - products of binary16 operands are formed exactly (an 11×11-bit
-//     significand product fits in binary32's 24-bit significand);
+//     significand product fits in binary32's 24-bit significand, and its
+//     magnitude, in [2⁻⁴⁸, 2³²], in binary32's normal range);
 //   - accumulation happens in binary32.
 //
 // The simulator reproduces this bit-for-bit by rounding the operands through
 // binary16 (see internal/f16) and then running a float32 GEMM, whose
 // products are exact and whose additions round in binary32 — the same
 // pipeline as the hardware, with a fixed deterministic accumulation order.
+// Because the products are exact, the GEMM may fuse each into its sum
+// (blas.PackHook.Binary16): the same bits at the host's multiply-add rate.
 //
 // Engines (one Kind each; the table in kind.go is the repository's only
 // copy of their names, roundoffs and recovery order):
@@ -88,10 +91,13 @@ type TensorCore struct {
 }
 
 // tcHook rounds packed GEMM panels through binary16. A package-level value
-// so the hot path never allocates a closure.
+// so the hot path never allocates a closure. It declares its results
+// binary16, so a GEMM of two such panels forms every product exactly and the
+// packed GEMM may fuse them into the float32 sums without changing a bit.
 var tcHook = blas.PackHook[float32]{
 	Round:      f16.RoundInPlace,
 	RoundCount: f16.RoundInPlaceCount,
+	Binary16:   true,
 }
 
 // Gemm implements Engine with TensorCore semantics: both operands are

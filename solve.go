@@ -37,7 +37,11 @@ type LeastSquaresResult struct {
 	// evaluated in float64.
 	Optimality float64
 	// Factorization is the RGSQRF factor used (reusable via
-	// SolveLeastSquaresWithFactor for further right-hand sides).
+	// SolveLeastSquaresWithFactor for further right-hand sides). From
+	// SolveLeastSquares it holds R and no Q (FactorizeR's result), unless the
+	// method is RefineNone, whose direct solve needs Q: reusing an R-only
+	// factor with RefineCGLS or RefineLSQR works, with RefineNone it is an
+	// ErrShape error.
 	Factorization *Factorization
 	// Hazards lists every numerical hazard detected across the pipeline —
 	// factorization hazards first (with the recoveries of Config.OnHazard),
@@ -74,13 +78,21 @@ func (o SolveOptions) refine(rep *hazard.Report) lls.SolveOptions {
 
 // SolveLeastSquares solves min ‖Ax − b‖₂ for a tall full-column-rank A
 // using the paper's pipeline: narrow A to float32, factor it with the
-// neural-engine RGSQRF, then refine to double precision. The factor is
-// Factorize(a, opts.QR), whose first sweep is the narrowing, so it is bit for
-// bit Factorize(ToFloat32(a), opts.QR) without a float32 copy of A. Malformed
-// inputs (NaN/Inf or beyond the float32 range, empty, mismatched shapes)
-// return typed errors; factorization hazards follow opts.QR.OnHazard.
+// neural-engine RGSQRF, then refine to double precision. The refinement
+// (Algorithm 3) reads A, b and R alone, so the factor is FactorizeR(a,
+// opts.QR): Factorize's R, ColumnScales and hazards bit for bit, with no Q
+// (its m×n buffer is pooled). RefineNone's direct solve x = R⁻¹Qᵀb reads Q,
+// so that method factors with Factorize(a, opts.QR). Either way the first
+// sweep is the narrowing, so the factor is that of ToFloat32(a) without a
+// float32 copy of A. Malformed inputs (NaN/Inf or beyond the float32 range,
+// empty, mismatched shapes) return typed errors; factorization hazards
+// follow opts.QR.OnHazard.
 func SolveLeastSquares(a *Matrix, b []float64, opts SolveOptions) (*LeastSquaresResult, error) {
-	f, err := Factorize(a, opts.QR)
+	factorize := FactorizeR[float64]
+	if opts.Method == RefineNone {
+		factorize = Factorize[float64]
+	}
+	f, err := factorize(a, opts.QR)
 	if err != nil {
 		return nil, err
 	}
