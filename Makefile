@@ -22,31 +22,34 @@ build:
 # optional tooling; the lint target must not depend on a network fetch). The
 # arm64 vet type-checks every *_other.go fallback of the amd64 assembly (and
 # the tests beside them), which no native build compiles; it needs no arm64
-# machine. The arm64 listing after it holds the numerical path to one
-# rounding per product on every port: the root package, internal/blas (whose
-# Go loops are the fallback and the oracle of the vector kernels),
-# internal/lls, and the packages under the factorization (dense, accuracy,
-# chol, tcsim, gram, rgs, house, f16, bf16, tsqr, lu) and the update path's R
-# kernels (qrupdate), whose bits and those of the refinement and the update
-# path are recorded hashes. The arm64 compiler
-# fuses an unconverted x*y + z, so a function of those packages (each generic
-# instantiation, in whichever package compiles it) must hold no
-# FMADD/FMSUB/FNMADD/FNMSUB; the fix is T(x*y) + z. Left out: svd (the
-# low-rank path's Jacobi sweeps, refereed by tolerance, not by bits), matgen
-# (test inputs), and perfmodel, metrics and experiments (timing models,
-# histograms and table formatting, no factor or solve). The build cache
-# replays the listing, so the step costs about 0.1 s when warm.
+# machine. The listings after it, for arm64, ppc64le and s390x, hold the
+# numerical path to one rounding per product on every port: the root
+# package, internal/blas (whose Go loops are the fallback and the oracle of
+# the vector kernels), internal/lls, and the packages under the
+# factorization (dense, accuracy, chol, tcsim, gram, rgs, house, f16, bf16,
+# tsqr, lu) and the update path's R kernels (qrupdate), whose bits and those
+# of the refinement and the update path are recorded hashes. The compilers
+# of those three ports fuse an unconverted x*y + z, so a function of those
+# packages (each generic instantiation, in whichever package compiles it)
+# must hold no FMADD/FMSUB/FNMADD/FNMSUB (or their single-precision S
+# forms); the fix is T(x*y) + z. Left out: svd (the low-rank path's Jacobi
+# sweeps, refereed by tolerance, not by bits), matgen (test inputs), and
+# perfmodel, metrics and experiments (timing models, histograms and table
+# formatting, no factor or solve). The build cache replays the listings, so
+# the step costs under a second when warm.
 lint: reach
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
-	@{ GOARCH=arm64 $(GO) build -gcflags=-S . ./internal/... 2>&1 || echo "arm64 build of . ./internal/... failed"; } | \
-	awk '/^arm64 build of/ { bad = 1; print } \
+	@for arch in arm64 ppc64le s390x; do \
+	{ GOARCH=$$arch $(GO) build -gcflags=-S . ./internal/... 2>&1 || echo "$$arch build of . ./internal/... failed"; } | \
+	awk -v arch=$$arch '$$1 == arch && $$2 == "build" { bad = 1; print } \
 		/^[^ \t]/ && / STEXT / { sym = $$1 } \
 		/FMADD|FMSUB|FNMADD|FNMSUB/ && sym ~ /^(tcqr\.|tcqr\/internal\/(blas|lls|dense|accuracy|chol|tcsim|gram|rgs|house|f16|bf16|tsqr|lu|qrupdate)\.)/ && !seen[sym $$3]++ { \
-			bad = 1; print "fused multiply-add in " sym " at " $$3 ": " $$4 } \
-		END { if (bad) exit 1; print "tcqr and internal/{blas,lls,dense,accuracy,chol,tcsim,gram,rgs,house,f16,bf16,tsqr,lu,qrupdate}: no fused multiply-add in the arm64 listing" }'
+			bad = 1; print "fused multiply-add in " sym " at " $$3 " (" arch "): " $$4 } \
+		END { if (bad) exit 1; print "tcqr and internal/{blas,lls,dense,accuracy,chol,tcsim,gram,rgs,house,f16,bf16,tsqr,lu,qrupdate}: no fused multiply-add in the " arch " listing" }' || exit 1; \
+	done
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \
@@ -94,9 +97,11 @@ reach:
 # finiteness scan of Q, which run in column chunks on the same runner from
 # 32768 elements up: Factor's bits from either source width, the error
 # naming the first offender, and FactorizeR against Factorize with its
-# allocation gate, and SolveLeastSquares, which factors with FactorizeR
-# unless its method needs Q, with its own. FactorizeR's pooled workspace is shared between
-# goroutines, so its concurrent calls run under the race detector too. And the
+# allocation gates (one alternates two shapes, as a daemon serving two
+# workloads does, and gates the worst call), and SolveLeastSquares, which
+# factors with FactorizeR unless its method needs Q, with its own.
+# FactorizeR's pooled workspace is shared between goroutines, so its
+# concurrent calls run under the race detector too. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
 # processors take them; nor may a served cold miss's, whose CAQR tiles run
@@ -107,8 +112,9 @@ reach:
 # queueing, deadline and cache-hit allocation tests run once more under the
 # race detector, and so does the spill tier's reference model, whose
 # writer shares the tier's logs and counters with a scrape's Stats. The
-# tile-tree workspaces go round a sync.Pool, the one piece of factorization
-# state goroutines share, so concurrent panels of different shapes run ten times under the race detector. The metrics
+# tile-tree workspaces go round a free list, and a tree laid out for one
+# shape is laid out again for the next in the same memory, so concurrent
+# panels of different shapes run ten times under the race detector. The metrics
 # registry runs under it too: a labeled family's With takes its read lock,
 # then its write lock on a miss, and a histogram's sum and max are CAS
 # loops, concurrent code the tier-1 pass runs without the detector. So does

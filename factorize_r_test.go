@@ -164,7 +164,7 @@ func TestFactorizeRNonFiniteFactors(t *testing.T) {
 }
 
 // TestFactorizeRKeepsNoWorkspace: the buffer a FactorizeR factored in goes
-// back to the pool, and nothing in its result shares it. A second FactorizeR
+// back to the free list, and nothing in its result shares it. A second FactorizeR
 // of the same shape, which takes that buffer, leaves the first result's
 // bits as they were.
 func TestFactorizeRKeepsNoWorkspace(t *testing.T) {

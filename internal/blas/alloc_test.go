@@ -1,5 +1,3 @@
-//go:build !race
-
 package blas
 
 import (
@@ -16,8 +14,7 @@ import (
 // included. testing.AllocsPerRun would pin GOMAXPROCS to 1, where the caller
 // runs every task itself, so allocsPerCall counts with runtime.MemStats,
 // after roundtest.ParkCaches has put the runtime's own parking records in
-// steady state. (Not under -race: the detector's runtime allocates when
-// goroutines hand work to each other.)
+// steady state.
 func TestGemmAllocationFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(14))
@@ -48,10 +45,9 @@ func TestGemmAllocationFree(t *testing.T) {
 // TestGemmPackedBBounded: a wide output whose op(B) is larger than gemmBMax in
 // one k-slab is packed a block of columns at a time, so the shared buffer
 // holds at most max(gemmBMax, kc·nc) elements instead of growing with n, and
-// the blocks change no bit and no count. Pooled buffers never shrink, so the
-// pools are emptied (two GCs) before the call whose allocations are counted.
-// (Here, not beside the determinism tests: under -race sync.Pool drops
-// buffers at random, so the bytes a call allocates say nothing.)
+// the blocks change no bit and no count. A pooled job's workspace never
+// shrinks, so the free list is emptied before the call whose allocations are
+// counted, which then makes its workspace afresh.
 func TestGemmPackedBBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer func(v int) { gemmBMax = v }(gemmBMax)
@@ -66,8 +62,7 @@ func TestGemmPackedBBounded(t *testing.T) {
 
 		gemmBMax = 16 * 48 // one slab of op(B) is 16·2000
 		got := c0.Clone()
-		runtime.GC()
-		runtime.GC()
+		gemmJobs32.free = nil
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		ov, uf := GemmHooked(NoTrans, NoTrans, 1.25, a, b, 0.5, got, &f16Hook, &f16Hook, true)
@@ -76,8 +71,8 @@ func TestGemmPackedBBounded(t *testing.T) {
 		if ov != wantOv || uf != wantUf {
 			t.Errorf("counted %d overflows, %d underflows; the operands hold %d, %d", ov, uf, wantOv, wantUf)
 		}
-		// Packed op(A) (32·16) and op(B) (16·48) plus the pooled structs: a
-		// few KB. One slab of the whole op(B) alone would be 125 KB.
+		// Packed op(A) (32·16) and op(B) (16·48) plus the job: a few KB. One
+		// slab of the whole op(B) alone would be 125 KB.
 		if bytes := after.TotalAlloc - before.TotalAlloc; bytes > 16<<10 {
 			t.Errorf("a %dx%d·%dx%d GEMM allocated %d bytes, want at most 16 KiB", m, k, k, n, bytes)
 		}

@@ -28,7 +28,7 @@ type batchJob[T dense.Float] struct {
 	as, bs, cs  []*dense.Matrix[T]
 }
 
-func (g *batchJob[T]) RunTask(i int) {
+func (g *batchJob[T]) RunTask(_, i int) {
 	m, n, k := checkGemm(g.tA, g.tB, g.as[i], g.bs[i], g.cs[i])
 	if m == 0 || n == 0 {
 		return
@@ -45,8 +45,8 @@ func (g *batchJob[T]) RunTask(i int) {
 }
 
 var (
-	batchJobs32 = make(FreeList[batchJob[float32]], 8)
-	batchJobs64 = make(FreeList[batchJob[float64]], 8)
+	batchJobs32 FreeList[batchJob[float32]]
+	batchJobs64 FreeList[batchJob[float64]]
 )
 
 func getBatchJob[T dense.Float]() *batchJob[T] {

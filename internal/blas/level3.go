@@ -41,10 +41,10 @@ func gemmHooked[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T],
 		// Degenerate product: no packing happens, but engines that track
 		// fp16 specials still expect both operands to be inspected.
 		if count {
-			pb := getPackBuf[T]()
-			oa, ua := hookCountOnly(hookA, a, pb)
-			ob, ub := hookCountOnly(hookB, b, pb)
-			putPackBuf(pb)
+			job := getGemmJob[T]()
+			oa, ua := hookCountOnly(hookA, a, job)
+			ob, ub := hookCountOnly(hookB, b, job)
+			putGemmJob(job)
 			ov, uf = oa+ob, ua+ub
 		}
 		if m > 0 && n > 0 {
@@ -69,13 +69,13 @@ func GemmPacked(m, n, k int) bool {
 	return m >= scalarMR && n >= kernelNR && m*n*k >= gemmBlockedMinFlops
 }
 
-// hookCountOnly runs a hook's RoundCount over a scratch copy of every column
-// of src purely for its counts, leaving src untouched.
-func hookCountOnly[T dense.Float](h *PackHook[T], src *dense.Matrix[T], pb *packBuf[T]) (ov, uf int64) {
+// hookCountOnly runs a hook's RoundCount over a copy of every column of src,
+// in g's workspace, purely for its counts, leaving src untouched.
+func hookCountOnly[T dense.Float](h *PackHook[T], src *dense.Matrix[T], g *gemmJob[T]) (ov, uf int64) {
 	if h == nil || h.RoundCount == nil || src.Rows == 0 || src.Cols == 0 {
 		return 0, 0
 	}
-	scratch := pb.growA(src.Rows)
+	scratch := grow(&g.bufA, src.Rows)
 	for j := 0; j < src.Cols; j++ {
 		copy(scratch, src.Col(j))
 		o, u := h.RoundCount(scratch)
@@ -85,19 +85,19 @@ func hookCountOnly[T dense.Float](h *PackHook[T], src *dense.Matrix[T], pb *pack
 	return ov, uf
 }
 
-// gemmSmall runs the reference kernel, applying hooks (if any) to pooled
-// tight copies of the operands first. Serial: at these sizes goroutine
-// fan-out costs more than it saves.
+// gemmSmall runs the reference kernel, applying hooks (if any) to tight
+// copies of the operands in a pooled job's workspace first. Serial: at these
+// sizes goroutine fan-out costs more than it saves.
 func gemmSmall[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], beta T, c *dense.Matrix[T], m, n, k int, hookA, hookB *PackHook[T], count bool) (ov, uf int64) {
 	if hookA == nil && hookB == nil {
 		gemmCols(tA, tB, alpha, a, b, beta, c, 0, n, k, m)
 		return 0, 0
 	}
-	pb := getPackBuf[T]()
-	ra, oa, ua := hookedCopy(hookA, a, pb.growA(a.Rows*a.Cols), &pb.am, count)
-	rb, ob, ub := hookedCopy(hookB, b, pb.growB(b.Rows*b.Cols), &pb.bm, count)
+	job := getGemmJob[T]()
+	ra, oa, ua := hookedCopy(hookA, a, grow(&job.bufA, a.Rows*a.Cols), &job.am, count)
+	rb, ob, ub := hookedCopy(hookB, b, grow(&job.bufB, b.Rows*b.Cols), &job.bm, count)
 	gemmCols(tA, tB, alpha, ra, rb, beta, c, 0, n, k, m)
-	putPackBuf(pb)
+	putGemmJob(job)
 	return oa + ob, ua + ub
 }
 
@@ -155,6 +155,17 @@ type gemmJob[T dense.Float] struct {
 	nPad              int // jn rounded up to kernelNR
 	s0, s1            int
 	packCols, packPer int // columns per packing task, packing tasks per slab
+	workers           int // who may run tasks: the caller and workers−1 helpers
+	aLen              int // packed op(A) per worker: gemmMC rounded up to maxMR, times kc
+
+	// The workspace, which a pooled job keeps from call to call and only
+	// grows: bufB holds bp, bufA the workers' packed op(A) panels, worker w's
+	// at [w·aLen, w·aLen+aLen). So what a call allocates depends on the
+	// calls the job served before it, not on how its tasks overlapped.
+	// gemmSmall, hookCountOnly and syrkDiag make their copies in them too,
+	// gemmSmall with the headers am and bm.
+	bufA, bufB []T
+	am, bm     dense.Matrix[T]
 }
 
 // gemmBMax is the most elements of packed op(B) held at once, unless one
@@ -171,11 +182,11 @@ var gemmBMax = 1 << 20
 // R12 is 32 tasks and a 64×64 op(B) is one, which the caller packs alone.
 const packTaskElems = 1 << 14
 
-func (g *gemmJob[T]) RunTask(t int) {
+func (g *gemmJob[T]) RunTask(w, t int) {
 	if g.packing {
 		g.packB(t)
 	} else {
-		g.tile(t)
+		g.tile(w, t)
 	}
 }
 
@@ -199,14 +210,13 @@ func (g *gemmJob[T]) packB(t int) {
 	}
 }
 
-func (g *gemmJob[T]) tile(t int) {
+func (g *gemmJob[T]) tile(w, t int) {
 	mr := g.kern.mr()
 	icIdx, jcIdx := t%g.mTiles, t/g.mTiles
 	i0, j := icIdx*g.mc, jcIdx*g.nc
 	ib, jb := min(g.mc, g.m-i0), min(g.nc, g.jn-j)
 	aPanels := (ib + mr - 1) / mr
-	pb := getPackBuf[T]()
-	bufA := pb.growA(aPanels * mr * g.kc)
+	bufA := g.bufA[w*g.aLen : (w+1)*g.aLen]
 	for s := g.s0; s < g.s1; s++ {
 		p0, kb, bp := g.slab(s)
 		aa := bufA[:aPanels*mr*kb]
@@ -218,7 +228,6 @@ func (g *gemmJob[T]) tile(t int) {
 		}
 		gemmMacro(g.kern, aa, bp[j*kb:], g.alpha, g.beta, g.c, i0, ib, g.j0+j, jb, kb, p0 == 0)
 	}
-	putPackBuf(pb)
 }
 
 // round applies a hook to a packed panel, adding its counts to the job's
@@ -245,36 +254,41 @@ func gemmBlocked[T dense.Float](kern kernel, tA, tB Transpose, alpha T, a, b *de
 		a: a, b: b, c: c, m: m, n: n, k: k,
 		nc: max(nr, gemmNC/nr*nr), kc: gemmKC,
 		hookA: hookA, hookB: hookB, count: count,
+		workers: maxWorkers(), bufA: job.bufA, bufB: job.bufB,
 	}
 	block := n
 	if job.kc*((n+nr-1)/nr*nr) > gemmBMax {
 		block = max(job.nc, gemmBMax/job.kc/job.nc*job.nc)
 	}
 	nTiles := (block + job.nc - 1) / job.nc
-	job.mc = splitMC(m, nTiles, kern.mr(), maxWorkers())
+	job.mc = splitMC(m, nTiles, kern.mr(), job.workers)
 	job.mTiles = (m + job.mc - 1) / job.mc
 	job.packCols = max(nr, packTaskElems/job.kc/nr*nr)
+	job.aLen = (gemmMC + maxMR - 1) / maxMR * maxMR * job.kc
+	grow(&job.bufA, job.workers*job.aLen)
 	slabs := (k + job.kc - 1) / job.kc
-	pb := getPackBuf[T]()
 	for j0 := 0; j0 < n; j0 += block {
 		job.j0, job.jn = j0, min(block, n-j0)
 		job.nPad = (job.jn + nr - 1) / nr * nr
 		job.packPer = (job.jn + job.packCols - 1) / job.packCols
 		group := max(1, gemmBMax/(job.kc*job.nPad))
-		job.bp = pb.growB(min(group, slabs) * job.kc * job.nPad)
+		job.bp = grow(&job.bufB, min(group, slabs)*job.kc*job.nPad)
 		for s0 := 0; s0 < slabs; s0 += group {
 			job.s0, job.s1 = s0, min(slabs, s0+group)
 			job.packing = true
-			ParallelTasks((job.s1-job.s0)*job.packPer, job)
+			job.run((job.s1 - job.s0) * job.packPer)
 			job.packing = false
-			ParallelTasks(job.mTiles*((job.jn+job.nc-1)/job.nc), job)
+			job.run(job.mTiles * ((job.jn + job.nc - 1) / job.nc))
 		}
 	}
 	ov, uf := job.ov, job.uf
-	putPackBuf(pb)
 	putGemmJob(job)
 	return ov, uf
 }
+
+// run runs n tasks of the current phase as ParallelTasks does, on at most
+// the workers the job has panels for.
+func (g *gemmJob[T]) run(n int) { runTasks(n, min(g.workers, n)-1, g) }
 
 // splitMC returns the macro-tile height for an m-row output with nTiles
 // macro-tile columns on workers workers: gemmMC, unless that leaves a worker
@@ -348,8 +362,8 @@ func syrkDiag[T dense.Float](uplo Uplo, t Transpose, alpha T, a *dense.Matrix[T]
 		}
 		return
 	}
-	pb := getPackBuf[T]()
-	buf := pb.growA(jb * k)
+	job := getGemmJob[T]()
+	buf := grow(&job.bufA, jb*k)
 	for l := 0; l < k; l++ {
 		src := a.Col(l)
 		for r := 0; r < jb; r++ {
@@ -369,7 +383,7 @@ func syrkDiag[T dense.Float](uplo Uplo, t Transpose, alpha T, a *dense.Matrix[T]
 			}
 		}
 	}
-	putPackBuf(pb)
+	putGemmJob(job)
 }
 
 // diagRange returns the in-block row range [lo, hi) of a diagonal block

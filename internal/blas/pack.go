@@ -1,10 +1,6 @@
 package blas
 
-import (
-	"sync"
-
-	"tcqr/internal/dense"
-)
+import "tcqr/internal/dense"
 
 // Micro-tile dimensions of the register-blocked inner kernels. Every kernel
 // computes mr rows by kernelNR = 4 columns of C; mr is the family's (kernel.mr:
@@ -55,55 +51,18 @@ type PackHook[T dense.Float] struct {
 	Binary16 bool
 }
 
-// packBuf holds the per-worker scratch of the packed kernel: the packed A
-// and B slabs plus reusable matrix headers for the small-problem hooked
-// path. Buffers are pooled so steady-state GEMM calls allocate nothing.
-type packBuf[T dense.Float] struct {
-	a, b   []T
-	am, bm dense.Matrix[T]
-}
-
-func (pb *packBuf[T]) growA(n int) []T {
-	if cap(pb.a) < n {
-		pb.a = make([]T, n)
-	}
-	return pb.a[:n]
-}
-
-func (pb *packBuf[T]) growB(n int) []T {
-	if cap(pb.b) < n {
-		pb.b = make([]T, n)
-	}
-	return pb.b[:n]
-}
-
 var (
-	packPool32 = sync.Pool{New: func() any { return new(packBuf[float32]) }}
-	packPool64 = sync.Pool{New: func() any { return new(packBuf[float64]) }}
-	gemmJobs32 = make(FreeList[gemmJob[float32]], 8)
-	gemmJobs64 = make(FreeList[gemmJob[float64]], 8)
+	gemmJobs32 FreeList[gemmJob[float32]]
+	gemmJobs64 FreeList[gemmJob[float64]]
 )
 
-func getPackBuf[T dense.Float]() *packBuf[T] {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		return any(packPool32.Get()).(*packBuf[T])
-	case float64:
-		return any(packPool64.Get()).(*packBuf[T])
-	default:
-		return new(packBuf[T])
+// grow returns (*s)[:n], making *s anew when it is shorter: a gemmJob's
+// workspace only grows.
+func grow[T dense.Float](s *[]T, n int) []T {
+	if cap(*s) < n {
+		*s = make([]T, n)
 	}
-}
-
-func putPackBuf[T dense.Float](pb *packBuf[T]) {
-	var z T
-	switch any(z).(type) {
-	case float32:
-		packPool32.Put(any(pb).(*packBuf[float32]))
-	case float64:
-		packPool64.Put(any(pb).(*packBuf[float64]))
-	}
+	return (*s)[:n]
 }
 
 func getGemmJob[T dense.Float]() *gemmJob[T] {
@@ -118,10 +77,10 @@ func getGemmJob[T dense.Float]() *gemmJob[T] {
 	}
 }
 
-// putGemmJob clears j, so a pooled job holds no caller's matrices, and
-// recycles it.
+// putGemmJob clears all of j but its workspace, so a pooled job holds no
+// caller's matrices, and recycles it.
 func putGemmJob[T dense.Float](j *gemmJob[T]) {
-	*j = gemmJob[T]{}
+	*j = gemmJob[T]{bufA: j.bufA, bufB: j.bufB}
 	switch j := any(j).(type) {
 	case *gemmJob[float32]:
 		gemmJobs32.Put(j)

@@ -2,6 +2,7 @@ package blas
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 
 	"tcqr/internal/dense"
@@ -41,7 +42,7 @@ type rangeJob struct {
 	n, size int
 }
 
-func (j *rangeJob) RunTask(t int) {
+func (j *rangeJob) RunTask(_, t int) {
 	lo := t * j.size
 	j.fn(lo, min(lo+j.size, j.n))
 }
@@ -51,8 +52,11 @@ func (j *rangeJob) RunTask(t int) {
 // CAQR tile tree's levels in internal/gram, and internal/rgs's column
 // sweeps) can be dispatched without any per-call closure allocation;
 // parallelRange, whose callers pass a closure anyway, allocates its rangeJob.
+// worker says who runs the task: 0 is the caller, and the helpers a call
+// wakes are 1, 2, … in the order they join it, so no two tasks that run at
+// once share a number and a runner may keep scratch per worker.
 type TaskRunner interface {
-	RunTask(task int)
+	RunTask(worker, task int)
 }
 
 // ParallelTasks runs tasks 0..n-1 of r, each exactly once, on the caller and
@@ -73,7 +77,7 @@ type gemvJob struct {
 	chunk int // rows (NoTrans) or columns (Trans) per chunk, a multiple of eight
 }
 
-var gemvJobs = make(FreeList[gemvJob], 8)
+var gemvJobs FreeList[gemvJob]
 
 // gemvSplitMin is the smallest A, in elements, whose float64 Gemv is split.
 // The 4096×128 row of BenchmarkGemv64Shapes (serve-cold-tall's A, 4 MB,
@@ -124,7 +128,7 @@ func gemvParallel(tA Transpose, alpha float64, a *dense.M64, x, y []float64, chu
 	gemvJobs.Put(job)
 }
 
-func (j *gemvJob) RunTask(c int) {
+func (j *gemvJob) RunTask(_, c int) {
 	lo := c * j.chunk
 	hi := min(lo+j.chunk, len(j.y))
 	if j.tA == NoTrans {
@@ -136,30 +140,47 @@ func (j *gemvJob) RunTask(c int) {
 	}
 }
 
-// FreeList recycles pooled job structs, as many as callers use at once, up to
-// its capacity; internal/rgs pools its column sweeps in one too. Every list
-// holds eight: a job is in use only for one call, so eight covers up to eight
-// concurrent callers, and a job released past that is left to the GC. It is
-// a buffered channel and not a sync.Pool because a pool is emptied by every
-// GC cycle, and a caller that allocates between its calls would then allocate
-// a job again after each cycle.
-type FreeList[J any] chan *J
+// FreeList recycles what a caller draws for one call and puts back: the
+// runner's job structs and the numerical core's workspaces (the GEMM's packed
+// operands, which its pooled gemmJob owns; the CAQR panel's tile trees;
+// FactorizeR's m×n buffer; the refinement's scratch slabs). It keeps up to
+// freeListCap, one per concurrent caller; one put back past that is left to
+// the GC. Get returns the one put back last, so a caller that runs alone
+// draws the same one every call, sized by its own earlier calls and warm in
+// cache, whichever processor it runs on; and a GC cycle, which empties a pool
+// of the sync package, leaves a list as it is. So a warm call allocates the
+// same every time. The price is residence: a list keeps up to freeListCap ×
+// the largest item it has held, and in tcqrd an item grows with the
+// request, whose size MaxElements bounds. The zero FreeList is empty and
+// ready to use.
+type FreeList[J any] struct {
+	mu   sync.Mutex
+	free []*J
+}
 
-// Get returns a recycled job, or a new zero one when the list is empty.
-func (f FreeList[J]) Get() *J {
-	select {
-	case j := <-f:
-		return j
-	default:
+const freeListCap = 8
+
+// Get returns the item put back last, or a new zero one when the list is
+// empty.
+func (f *FreeList[J]) Get() *J {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.free)
+	if n == 0 {
 		return new(J)
 	}
+	j := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return j
 }
 
 // Put recycles j unless the list is full.
-func (f FreeList[J]) Put(j *J) {
-	select {
-	case f <- j:
-	default: // the list is full
+func (f *FreeList[J]) Put(j *J) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if len(f.free) < freeListCap {
+		f.free = append(f.free, j)
 	}
 }
 
@@ -176,16 +197,17 @@ func (f FreeList[J]) Put(j *J) {
 // runner r is touched only by whoever claimed a task, and every claimed task
 // has finished before the caller returns, so the caller may recycle r at once.
 type taskJob struct {
-	r    TaskRunner
-	n    int
-	next atomic.Int64 // the next task to claim
-	left atomic.Int64 // tasks not yet finished
-	refs atomic.Int32
-	fin  chan struct{} // the helper that finishes the last task wakes the caller
+	r       TaskRunner
+	n       int
+	next    atomic.Int64 // the next task to claim
+	left    atomic.Int64 // tasks not yet finished
+	refs    atomic.Int32
+	helpers atomic.Int32  // the helpers that have joined, which numbers them
+	fin     chan struct{} // the helper that finishes the last task wakes the caller
 }
 
 var (
-	taskJobs = make(FreeList[taskJob], 8)
+	taskJobs FreeList[taskJob]
 	// wake is unbuffered, so a non-blocking send reaches a helper only if one
 	// is parked in its receive: a busy helper is skipped, never waited for.
 	wake           = make(chan *taskJob)
@@ -198,7 +220,7 @@ var (
 func runTasks(n, nHelpers int, r TaskRunner) {
 	if nHelpers <= 0 {
 		for t := 0; t < n; t++ {
-			r.RunTask(t)
+			r.RunTask(0, t)
 		}
 		return
 	}
@@ -210,6 +232,7 @@ func runTasks(n, nHelpers int, r TaskRunner) {
 	job.next.Store(0)
 	job.left.Store(int64(n))
 	job.refs.Store(1)
+	job.helpers.Store(0)
 	for h := helpersStarted.Load(); h < int32(nHelpers); h = helpersStarted.Load() {
 		if helpersStarted.CompareAndSwap(h, h+1) {
 			go helper()
@@ -233,7 +256,7 @@ func runTasks(n, nHelpers int, r TaskRunner) {
 		// the global queue, which an idle processor takes from without one.
 		runtime.Gosched()
 	}
-	if !job.work() {
+	if !job.work(0) {
 		<-job.fin // a helper holds the last task
 	}
 	job.release()
@@ -241,22 +264,22 @@ func runTasks(n, nHelpers int, r TaskRunner) {
 
 func helper() {
 	for job := range wake {
-		if job.work() {
+		if job.work(int(job.helpers.Add(1))) {
 			job.fin <- struct{}{}
 		}
 		job.release()
 	}
 }
 
-// work runs tasks until none is left to claim and reports whether it
-// finished the last one.
-func (j *taskJob) work() (last bool) {
+// work runs tasks as worker w until none is left to claim and reports
+// whether it finished the last one.
+func (j *taskJob) work(w int) (last bool) {
 	for {
 		t := int(j.next.Add(1)) - 1
 		if t >= j.n {
 			return false
 		}
-		j.r.RunTask(t)
+		j.r.RunTask(w, t)
 		if j.left.Add(-1) == 0 {
 			return true
 		}

@@ -2,14 +2,14 @@ package blas
 
 import (
 	"math"
-	"sync"
+	"slices"
 )
 
-// scratchPool holds the float64 slabs the refinement and its accuracy check
+// scratchSlabs holds the float64 slabs the refinement and its accuracy check
 // carve their working vectors from, so a solve allocates only what it
 // returns. It keeps the *[]float64 it hands out, so a put needs no new slice
 // header.
-var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+var scratchSlabs FreeList[[]float64]
 
 // poisonScratch makes GetScratch fill every slab it hands out with NaN. Only
 // tests set it: a vector read before it is written then shows in the bits.
@@ -19,11 +19,8 @@ var poisonScratch bool
 // undefined, so a caller writes each element before it reads it. Hand the
 // slab back with PutScratch once nothing views it.
 func GetScratch(n int) *[]float64 {
-	s := scratchPool.Get().(*[]float64)
-	if cap(*s) < n {
-		*s = make([]float64, n)
-	}
-	*s = (*s)[:n]
+	s := scratchSlabs.Get()
+	*s = slices.Grow((*s)[:0], n)[:n]
 	if poisonScratch {
 		for i := range *s {
 			(*s)[i] = math.NaN()
@@ -32,5 +29,5 @@ func GetScratch(n int) *[]float64 {
 	return s
 }
 
-// PutScratch returns a slab from GetScratch to the pool.
-func PutScratch(s *[]float64) { scratchPool.Put(s) }
+// PutScratch returns a slab from GetScratch to the free list.
+func PutScratch(s *[]float64) { scratchSlabs.Put(s) }

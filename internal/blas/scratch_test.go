@@ -35,7 +35,7 @@ func bitsHash(xs ...[]float64) uint64 {
 // TestPoisonedScratchKeepsRefinementBits: the refinement and its accuracy
 // check write every vector they carve from a scratch slab before they read
 // it, so a slab whose contents are NaN gives the bits a fresh zeroed one
-// gives. Each solve runs first on the pool as it is, then with every slab
+// gives. Each solve runs first on the free list as it is, then with every slab
 // poisoned: CGLS on the five endings internal/lls pins (converged, settled,
 // diverged, stagnated, best iterate x₀) with the LLSOptimality of each
 // answer, LSQR, SolveLeastSquaresWithFactor on each column of a block under
@@ -124,7 +124,7 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	blas.PoisonScratch(t)
 	for name, h := range run() {
 		if h != want[name] {
-			t.Errorf("%s: bits %#016x from poisoned scratch, %#016x from the pool as it was", name, h, want[name])
+			t.Errorf("%s: bits %#016x from poisoned scratch, %#016x from the free list as it was", name, h, want[name])
 		}
 	}
 }

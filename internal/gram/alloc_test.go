@@ -1,5 +1,3 @@
-//go:build !race
-
 package gram
 
 import (
@@ -11,15 +9,11 @@ import (
 
 // TestCAQRPanelAllocationsIndependentOfHeight: a CAQR panel allocates per
 // call — its factors and the views of its width reduction; the tile trees'
-// workspace comes from a pool — and nothing per tile, per tree level or per
-// column split, so a 1024×32 panel (one level of four tiles) and an
+// workspace comes from a free list — and nothing per tile, per tree level or
+// per column split, so a 1024×32 panel (one level of four tiles) and an
 // 8192×128 one (four leaves of two levels, 32 and then 4 tiles) allocate as
 // often. Each shape is counted by roundtest.MedianMallocs at two processors,
 // where the tiles and the batched products run on the parked helpers too.
-// It holds the collector off, whose cycles would empty the GEMM's pack
-// buffer pools against the larger panel only because its garbage starts
-// more of them. (Not under -race: the detector's runtime allocates when
-// goroutines hand work to each other.)
 func TestCAQRPanelAllocationsIndependentOfHeight(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	allocs := map[string]uint64{}

@@ -3,7 +3,7 @@ package gram
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
@@ -131,8 +131,11 @@ func (p *CAQRPanel) Factor(a *dense.M32) (q, r *dense.M32, err error) {
 
 // trees holds tile-tree workspaces between panel calls: the panels of one
 // factorization, and of the factorizations after it, take the one a call
-// before them put back, laid out already for the leaf shape they share.
-var trees = sync.Pool{New: func() any { return new(tileTree) }}
+// before them put back, laid out already for the leaf shape they share, or
+// in memory large enough to lay out theirs. One list for every shape: request
+// shapes come from outside the program, so a list per shape would be as many
+// lists as shapes ever seen.
+var trees blas.FreeList[tileTree]
 
 // factorInto is the CAQR panel in place. Breakdown — a zero or dependent
 // column anywhere in the tile tree, or a non-finite factor — is reported as an
@@ -141,10 +144,10 @@ func (p *CAQRPanel) factorInto(w, r *dense.M32) error {
 	if w.Rows < w.Cols {
 		return fmt.Errorf("gram: CAQR panel requires m >= n, got %dx%d: %w", w.Rows, w.Cols, hazard.ErrShape)
 	}
-	t := trees.Get().(*tileTree)
+	t := trees.Get()
 	defer trees.Put(t)
 	if rb := p.rowBlock(); t.rb != rb {
-		*t = tileTree{rb: rb} // laid out at the first leaf
+		t.rb, t.m = rb, 0 // laid out again at the first leaf
 	}
 	// Width reduction mirrors the outer RGSQRF on fp32 GEMMs, which writes
 	// no block below R's diagonal. The tile tree never fails: breakdown shows
@@ -216,7 +219,8 @@ func view(a *dense.M32, i, j, r, c int) dense.M32 {
 // after it: per tree level the contiguous tile copies and the stacked R
 // factors, the level's headers and GemmBatch arguments, and one MGS work area
 // that each level and the base case use in turn. Nothing in it is allocated
-// per tile, and it is laid out again only when the leaf shape changes.
+// per tile; it is laid out again when the leaf shape changes, in the memory
+// it has when that is large enough.
 type tileTree struct {
 	rb     int
 	m, n   int // the leaf shape the memory is laid out for
@@ -253,19 +257,20 @@ func (t *tileTree) plan(m, n int) (levels, floats, work, tiles int) {
 	return levels, floats, max(work, mgsWork(m, n)), tiles
 }
 
-// layout sizes the memory for m×n leaves: one allocation per slice, however
-// many levels and tiles the tree has.
+// layout lays the memory out for m×n leaves: at most one allocation per
+// slice, however many levels and tiles the tree has, and none when the slice
+// is already large enough.
 func (t *tileTree) layout(m, n int) {
 	if t.m == m && t.n == n {
 		return
 	}
 	levels, floats, work, tiles := t.plan(m, n)
 	t.m, t.n = m, n
-	t.floats = make([]float32, max(1, floats+work))
+	t.floats = slices.Grow(t.floats[:0], floats+work)[:floats+work]
 	t.work = t.floats[floats:]
-	t.levels = make([]tileLevel, max(1, levels))
-	t.mats = make([]dense.M32, max(1, 3*tiles))
-	t.ptrs = make([]*dense.M32, max(1, 3*tiles))
+	t.levels = slices.Grow(t.levels[:0], levels)[:levels]
+	t.mats = slices.Grow(t.mats[:0], 3*tiles)[:3*tiles]
+	t.ptrs = slices.Grow(t.ptrs[:0], 3*tiles)[:3*tiles]
 	rb, f, h := max(t.rb, n), 0, 0
 	for d := 0; m > rb+n; m, d = m/rb*n, d+1 {
 		nt := m / rb
@@ -329,7 +334,7 @@ func (lv *tileLevel) tileRows(i int) int {
 
 // RunTask factors tile i of the level: panel rows into the tile copy, R_i
 // into block i of the stack, on its own part of the MGS work area.
-func (lv *tileLevel) RunTask(i int) {
+func (lv *tileLevel) RunTask(_, i int) {
 	n := lv.w.Cols
 	per := mgsWork(lv.rb, n)
 	mgsTile(&lv.rows[i], &lv.tiles[i], &lv.blocks[i], lv.work[i*per:i*per+mgsWork(lv.tileRows(i), n)])

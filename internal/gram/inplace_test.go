@@ -96,9 +96,11 @@ func TestPanelsInPlaceBitIdentical(t *testing.T) {
 	}
 }
 
-// TestTileTreePoolConcurrentShapes: the tile-tree workspaces go round a
-// pool, so goroutines factoring different shapes and row blocks at once must
-// each get the bits of the serial factorization, whichever tree they draw.
+// TestTileTreePoolConcurrentShapes: the tile-tree workspaces go round a free
+// list, and a tree laid out for one shape is laid out again for the next in
+// the same memory, so goroutines factoring different shapes and row blocks
+// at once must each get the bits of the serial factorization, whichever
+// tree they draw.
 // make check runs it under the race detector, ten times.
 func TestTileTreePoolConcurrentShapes(t *testing.T) {
 	shapes := []struct{ m, n, rb int }{{1000, 96, 0}, {600, 32, 0}, {1024, 64, 128}, {777, 40, 0}, {300, 32, 64}}

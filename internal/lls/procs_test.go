@@ -97,8 +97,7 @@ func TestRefinementBitsIndependentOfProcs(t *testing.T) {
 // their working vectors come from a pooled slab; so a warm run of 50
 // iterations allocates what a run of 5 does, at most 3 objects. The
 // LLSOptimality of the answer allocates nothing. LSQR's X and GradNorms keep
-// the bits recorded before the copy became one scratch vector. (The counts
-// are not taken under -race: the detector drops a quarter of sync.Pool.Puts.)
+// the bits recorded before the copy became one scratch vector.
 func TestLSQRAllocationsDoNotGrow(t *testing.T) {
 	p := problem(62, 300, 60, 1e6, matgen.Geometric, 0.1)
 	f, err := rgs.Factor(dense.ToF32(p.A), rgs.Options{Cutoff: 32})
@@ -118,9 +117,6 @@ func TestLSQRAllocationsDoNotGrow(t *testing.T) {
 			}
 			allocs[iters] = testing.AllocsPerRun(5, func() { m.solve(p.A, p.B, f.R, 1e-300, iters) })
 		}
-		if raceEnabled {
-			continue
-		}
 		if allocs[5] != allocs[50] {
 			t.Errorf("%s allocates %v times in 5 iterations and %v in 50", m.name, allocs[5], allocs[50])
 		}
@@ -129,7 +125,7 @@ func TestLSQRAllocationsDoNotGrow(t *testing.T) {
 		}
 	}
 	x := make([]float64, p.A.Cols)
-	if n := testing.AllocsPerRun(5, func() { accuracy.LLSOptimality(p.A, x, p.B) }); n != 0 && !raceEnabled {
+	if n := testing.AllocsPerRun(5, func() { accuracy.LLSOptimality(p.A, x, p.B) }); n != 0 {
 		t.Errorf("LLSOptimality allocates %v times", n)
 	}
 	if runtime.GOARCH != "amd64" {

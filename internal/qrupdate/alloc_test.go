@@ -1,5 +1,3 @@
-//go:build !race
-
 package qrupdate
 
 import (
@@ -17,9 +15,8 @@ import (
 
 // TestRKernelsAllocateOnlyR: a warm AppendR or DowndateR keeps only the
 // float32 R′ it returns; the float64 working copies of R and of the row
-// block come from the scratch pool. The median of seven calls with the
-// collector held off counts, so a pool refill does not. (Not under -race:
-// the detector drops a quarter of sync.Pool puts.)
+// block come from the scratch free list. The median of seven calls with the
+// collector held off counts.
 func TestRKernelsAllocateOnlyR(t *testing.T) {
 	const m, n, k = 2048, 128, 16
 	rng := rand.New(rand.NewSource(5))

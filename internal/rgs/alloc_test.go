@@ -1,5 +1,3 @@
-//go:build !race
-
 package rgs
 
 import (
@@ -15,15 +13,12 @@ import (
 
 // TestFactorAllocBytes: Factor works in one m×n float32 buffer, the Q it
 // returns — its sweep narrows and scales into it, the panels factor in it,
-// and their tile-tree workspace is pooled — so a warm 2048×512 factorization
-// with the default options allocates at most 1.2 × 4·(mn + n²) bytes, Q and R
-// and a little more, from a float32 input and from a float64 one alike. Each
-// source counts the median of seven calls after three warm ones, with the
-// collector held off, as the CAQR panel's allocation test does: a GC cycle
-// empties the pools, and so does the change of GOMAXPROCS between -cpu runs,
-// after which a pooled tree or pack buffer left in one processor's private
-// slot is out of reach of the others until each has its own. (Not under
-// -race: the detector drops a quarter of sync.Pool.Puts.)
+// and their tile-tree workspace and the GEMM's come from free lists — so a
+// warm 2048×512 factorization with the default options allocates at most
+// 1.2 × 4·(mn + n²) bytes, Q and R and a little more, from a float32 input
+// and from a float64 one alike. Each source counts the median of seven calls
+// after three warm ones, with the collector held off, as the CAQR panel's
+// allocation test does.
 func TestFactorAllocBytes(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const m, n = 2048, 512

@@ -303,7 +303,7 @@ type sweepJob struct {
 	bad    atomic.Bool
 }
 
-var sweepJobs = make(blas.FreeList[sweepJob], 8)
+var sweepJobs blas.FreeList[sweepJob]
 
 // run sweeps j's columns, recycles j, and reports whether every column
 // passed. Each column gets the same loop whichever task takes it, so neither
@@ -322,7 +322,7 @@ func (j *sweepJob) run() bool {
 	return ok
 }
 
-func (j *sweepJob) RunTask(t int) {
+func (j *sweepJob) RunTask(_, t int) {
 	lo := t * j.chunk
 	hi := min(lo+j.chunk, j.w.Cols)
 	var ok bool

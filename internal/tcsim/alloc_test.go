@@ -1,5 +1,3 @@
-//go:build !race
-
 package tcsim
 
 import (
@@ -12,13 +10,13 @@ import (
 	"tcqr/internal/roundtest"
 )
 
-// TestEngineGemmAllocationFree: after pool warmup, an engine GEMM call must
-// not allocate — operand rounding happens in pooled pack buffers, not in
-// freshly allocated matrix copies, and the packed GEMM's tasks run on the
-// caller and parked helpers, not on goroutines started per call. It counts
-// with runtime.MemStats at one, two and four processors (testing.AllocsPerRun
-// would pin one, where no helper is involved), after roundtest.ParkCaches. Skipped
-// under -race: the detector's instrumentation allocates.
+// TestEngineGemmAllocationFree: after warmup, an engine GEMM call must not
+// allocate — operand rounding happens in the pooled GEMM job's packed
+// panels, not in freshly allocated matrix copies, and the packed GEMM's
+// tasks run on the caller and parked helpers, not on goroutines started per
+// call. It counts with runtime.MemStats at one, two and four processors
+// (testing.AllocsPerRun would pin one, where no helper is involved), after
+// roundtest.ParkCaches.
 func TestEngineGemmAllocationFree(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	rng := rand.New(rand.NewSource(31))
@@ -29,7 +27,7 @@ func TestEngineGemmAllocationFree(t *testing.T) {
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		for _, e := range engines {
-			for i := 0; i < 10; i++ { // warm the pools
+			for i := 0; i < 10; i++ { // warm the free lists
 				e.Gemm(blas.NoTrans, blas.NoTrans, 1, a, b, 0, c)
 			}
 			roundtest.ParkCaches()

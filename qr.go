@@ -3,9 +3,10 @@ package tcqr
 import (
 	"errors"
 	"fmt"
-	"sync"
+	"slices"
 
 	"tcqr/internal/accuracy"
+	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
 	"tcqr/internal/rgs"
@@ -58,20 +59,18 @@ func Factorize[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorizat
 // paper's Algorithm 3 refines with A and R alone: it runs the same ladder and
 // returns the same R, ColumnScales, Reorthogonalized, EngineStats and
 // Hazards, or the same error, bit for bit, with Q nil. The m×n float32
-// buffer that would have become Q comes from a pool and goes back to it once
-// the factors have been checked finite, so a warm FactorizeR allocates little
-// beyond R. Every method that reads Q — BackwardError, OrthogonalityError,
+// buffer that would have become Q comes from a free list and goes back to it
+// once the factors have been checked finite, so a warm FactorizeR allocates
+// little beyond R. Every method that reads Q — BackwardError, OrthogonalityError,
 // UpdateAppendRows, UpdateRemoveRows, and a solve with RefineNone — needs
 // Factorize's result instead.
 func FactorizeR[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factorization, error) {
 	if a == nil || a.Cols == 0 || a.Rows < a.Cols {
 		return factorize(a, cfg, nil)
 	}
-	work := workspaces.Get().(*[]float32)
+	work := workspaces.Get()
 	defer workspaces.Put(work)
-	if n := a.Rows * a.Cols; cap(*work) < n {
-		*work = make([]float32, n)
-	}
+	*work = slices.Grow((*work)[:0], a.Rows*a.Cols)
 	f, err := factorize(a, cfg, *work)
 	if f != nil {
 		f.Q = nil
@@ -79,10 +78,10 @@ func FactorizeR[T float32 | float64](a *dense.Matrix[T], cfg Config) (*Factoriza
 	return f, err
 }
 
-// workspaces holds the buffers FactorizeR factors in. It is a sync.Pool, as
-// the CAQR panel's tile trees are, so the collector reclaims a buffer that
-// has gone unused for two cycles, such as one sized for a rare large matrix.
-var workspaces = sync.Pool{New: func() any { return new([]float32) }}
+// workspaces holds the buffers FactorizeR factors in, on a free list like
+// every workspace of the numerical core. A buffer grows to the largest matrix
+// its callers have factored and stays that size.
+var workspaces blas.FreeList[[]float32]
 
 // factorize is Factorize, each rung factoring in work (rgs.FactorIn).
 func factorize[T float32 | float64](a *dense.Matrix[T], cfg Config, work []float32) (*Factorization, error) {

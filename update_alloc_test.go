@@ -1,5 +1,3 @@
-//go:build !race
-
 package tcqr
 
 import (
@@ -16,11 +14,9 @@ import (
 // in (the pristine R, overwritten by the recovery's solve, and R′ itself),
 // and one two-strip float64 workspace for Q′ = Q₁·M — no float64 copy of Q,
 // of Q₁·M or of its narrowing. 64 KB covers the rest: the k removed rows of
-// Q and B = Q₂·R in float64, the rotations, and the GEMM's pooled buffers.
+// Q and B = Q₂·R in float64, the rotations, and the GEMM's pooled jobs.
 // The median of seven calls with the collector held off counts, as the
-// allocation tests of internal/gram do, so a pool refill does not. (Not
-// under -race: the detector drops a quarter of sync.Pool puts, so the GEMM's
-// pack buffers are allocated afresh.)
+// allocation tests of internal/gram do.
 func TestDowndateAllocatesStripsNotCopies(t *testing.T) {
 	const m, n, k = 2064, 128, 16
 	f, err := Factorize(testMatrix(91, m, n, 100), Config{})
