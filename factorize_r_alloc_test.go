@@ -60,10 +60,7 @@ func TestSolveLeastSquaresAllocBytes(t *testing.T) {
 		}
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	// Ten warm calls, as when the pack buffers sat in per-processor pools
-	// that five calls at GOMAXPROCS 4 did not all grow to the largest packed
-	// op(B) here (2048×256, 2 MiB). A free list hands a caller that runs
-	// alone the GEMM workspace its own last call grew, so one would do.
+	// Warm calls, so the free lists hold workspaces grown to this shape.
 	for i := 0; i < 10; i++ {
 		f()
 	}

@@ -78,3 +78,39 @@ func TestGemmPackedBBounded(t *testing.T) {
 		}
 	})
 }
+
+// TestFreeListKeepsOnePerProcessor: a free list keeps at least one item per
+// processor, so GOMAXPROCS concurrent callers (tcqrd's default number of
+// factorizations at once) all put their workspaces back and draw them again
+// without making new ones; at GOMAXPROCS 2 it still keeps freeListCap.
+func TestFreeListKeepsOnePerProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{2, 16} {
+		runtime.GOMAXPROCS(procs)
+		var f FreeList[int]
+		want := max(freeListCap, procs)
+		for i := 0; i < want+1; i++ {
+			f.Put(new(int))
+		}
+		if len(f.free) != want {
+			t.Errorf("GOMAXPROCS %d: a list kept %d of %d items, want %d", procs, len(f.free), want+1, want)
+		}
+	}
+}
+
+// TestGemmPanelsFitTheCall: a GEMM's op(A) panels are sized by the call,
+// one per macro-tile worker and no deeper than k, not one gemmMC·gemmKC
+// panel per processor, so a small product on many processors leaves its
+// pooled job holding about op(A)'s own size.
+func TestGemmPanelsFitTheCall(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	const m, n, k = 64, 64, 40
+	rng := rand.New(rand.NewSource(17))
+	a, b, c := randMatT[float64](rng, m, k), randMatT[float64](rng, k, n), randMatT[float64](rng, m, n)
+	gemmJobs64.free = nil
+	Gemm(NoTrans, NoTrans, 1, a, b, 0, c)
+	job := gemmJobs64.Get()
+	if limit := (m + 8*maxMR) * k; cap(job.bufA) > limit {
+		t.Errorf("a %dx%d·%dx%d GEMM at GOMAXPROCS 8 keeps %d elements of op(A) panels, want at most %d", m, k, k, n, cap(job.bufA), limit)
+	}
+}

@@ -2,6 +2,7 @@ package blas
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"tcqr/internal/dense"
@@ -75,10 +76,10 @@ func hookCountOnly[T dense.Float](h *PackHook[T], src *dense.Matrix[T], g *gemmJ
 	if h == nil || h.RoundCount == nil || src.Rows == 0 || src.Cols == 0 {
 		return 0, 0
 	}
-	scratch := grow(&g.bufA, src.Rows)
+	g.bufA = slices.Grow(g.bufA[:0], src.Rows)[:src.Rows]
 	for j := 0; j < src.Cols; j++ {
-		copy(scratch, src.Col(j))
-		o, u := h.RoundCount(scratch)
+		copy(g.bufA, src.Col(j))
+		o, u := h.RoundCount(g.bufA)
 		ov += o
 		uf += u
 	}
@@ -94,8 +95,10 @@ func gemmSmall[T dense.Float](tA, tB Transpose, alpha T, a, b *dense.Matrix[T], 
 		return 0, 0
 	}
 	job := getGemmJob[T]()
-	ra, oa, ua := hookedCopy(hookA, a, grow(&job.bufA, a.Rows*a.Cols), &job.am, count)
-	rb, ob, ub := hookedCopy(hookB, b, grow(&job.bufB, b.Rows*b.Cols), &job.bm, count)
+	job.bufA = slices.Grow(job.bufA[:0], a.Rows*a.Cols)[:a.Rows*a.Cols]
+	job.bufB = slices.Grow(job.bufB[:0], b.Rows*b.Cols)[:b.Rows*b.Cols]
+	ra, oa, ua := hookedCopy(hookA, a, job.bufA, &job.am, count)
+	rb, ob, ub := hookedCopy(hookB, b, job.bufB, &job.bm, count)
 	gemmCols(tA, tB, alpha, ra, rb, beta, c, 0, n, k, m)
 	putGemmJob(job)
 	return oa + ob, ua + ub
@@ -150,18 +153,19 @@ type gemmJob[T dense.Float] struct {
 	count        bool
 	ov, uf       int64 // atomic
 
-	bp                []T // packed op(B) of the block in slabs [s0, s1); slab s at (s−s0)·kc·nPad
 	j0, jn            int // the block: columns [j0, j0+jn) of op(B) and C
 	nPad              int // jn rounded up to kernelNR
 	s0, s1            int
 	packCols, packPer int // columns per packing task, packing tasks per slab
-	workers           int // who may run tasks: the caller and workers−1 helpers
-	aLen              int // packed op(A) per worker: gemmMC rounded up to maxMR, times kc
+	workers           int // who may run tile tasks: the caller and workers−1 helpers
+	aLen              int // packed op(A) per worker: mc rounded up to mr, times min(kc, k)
 
 	// The workspace, which a pooled job keeps from call to call and only
-	// grows: bufB holds bp, bufA the workers' packed op(A) panels, worker w's
-	// at [w·aLen, w·aLen+aLen). So what a call allocates depends on the
-	// calls the job served before it, not on how its tasks overlapped.
+	// grows: bufB holds the packed op(B) of the block in slabs [s0, s1), slab
+	// s at (s−s0)·kc·nPad, and bufA one packed op(A) panel per tile worker,
+	// worker w's at [w·aLen, w·aLen+aLen). So what a call allocates depends
+	// on the calls the job served before it, not on how its tasks overlapped,
+	// and a job holds no more panels than its largest call had tiles.
 	// gemmSmall, hookCountOnly and syrkDiag make their copies in them too,
 	// gemmSmall with the headers am and bm.
 	bufA, bufB []T
@@ -196,7 +200,7 @@ func (g *gemmJob[T]) slab(s int) (p0, kb int, bp []T) {
 	p0 = s * g.kc
 	kb = min(g.kc, g.k-p0)
 	off := (s - g.s0) * g.kc * g.nPad
-	return p0, kb, g.bp[off : off+kb*g.nPad]
+	return p0, kb, g.bufB[off : off+kb*g.nPad]
 }
 
 func (g *gemmJob[T]) packB(t int) {
@@ -254,41 +258,41 @@ func gemmBlocked[T dense.Float](kern kernel, tA, tB Transpose, alpha T, a, b *de
 		a: a, b: b, c: c, m: m, n: n, k: k,
 		nc: max(nr, gemmNC/nr*nr), kc: gemmKC,
 		hookA: hookA, hookB: hookB, count: count,
-		workers: maxWorkers(), bufA: job.bufA, bufB: job.bufB,
+		bufA: job.bufA, bufB: job.bufB,
 	}
 	block := n
 	if job.kc*((n+nr-1)/nr*nr) > gemmBMax {
 		block = max(job.nc, gemmBMax/job.kc/job.nc*job.nc)
 	}
 	nTiles := (block + job.nc - 1) / job.nc
-	job.mc = splitMC(m, nTiles, kern.mr(), job.workers)
+	mr, procs := kern.mr(), maxWorkers()
+	job.mc = splitMC(m, nTiles, mr, procs)
 	job.mTiles = (m + job.mc - 1) / job.mc
 	job.packCols = max(nr, packTaskElems/job.kc/nr*nr)
-	job.aLen = (gemmMC + maxMR - 1) / maxMR * maxMR * job.kc
-	grow(&job.bufA, job.workers*job.aLen)
+	job.workers = min(procs, job.mTiles*nTiles)
+	job.aLen = (job.mc + mr - 1) / mr * mr * min(job.kc, k)
+	job.bufA = slices.Grow(job.bufA[:0], job.workers*job.aLen)[:job.workers*job.aLen]
 	slabs := (k + job.kc - 1) / job.kc
 	for j0 := 0; j0 < n; j0 += block {
 		job.j0, job.jn = j0, min(block, n-j0)
 		job.nPad = (job.jn + nr - 1) / nr * nr
 		job.packPer = (job.jn + job.packCols - 1) / job.packCols
 		group := max(1, gemmBMax/(job.kc*job.nPad))
-		job.bp = grow(&job.bufB, min(group, slabs)*job.kc*job.nPad)
+		bLen := min(group, slabs) * job.kc * job.nPad
+		job.bufB = slices.Grow(job.bufB[:0], bLen)[:bLen]
 		for s0 := 0; s0 < slabs; s0 += group {
 			job.s0, job.s1 = s0, min(slabs, s0+group)
 			job.packing = true
-			job.run((job.s1 - job.s0) * job.packPer)
+			ParallelTasks((job.s1-job.s0)*job.packPer, job)
 			job.packing = false
-			job.run(job.mTiles * ((job.jn + job.nc - 1) / job.nc))
+			tiles := job.mTiles * ((job.jn + job.nc - 1) / job.nc)
+			runTasks(tiles, min(job.workers, tiles)-1, job) // no more workers than panels
 		}
 	}
 	ov, uf := job.ov, job.uf
 	putGemmJob(job)
 	return ov, uf
 }
-
-// run runs n tasks of the current phase as ParallelTasks does, on at most
-// the workers the job has panels for.
-func (g *gemmJob[T]) run(n int) { runTasks(n, min(g.workers, n)-1, g) }
 
 // splitMC returns the macro-tile height for an m-row output with nTiles
 // macro-tile columns on workers workers: gemmMC, unless that leaves a worker
@@ -363,7 +367,8 @@ func syrkDiag[T dense.Float](uplo Uplo, t Transpose, alpha T, a *dense.Matrix[T]
 		return
 	}
 	job := getGemmJob[T]()
-	buf := grow(&job.bufA, jb*k)
+	job.bufA = slices.Grow(job.bufA[:0], jb*k)[:jb*k]
+	buf := job.bufA
 	for l := 0; l < k; l++ {
 		src := a.Col(l)
 		for r := 0; r < jb; r++ {

@@ -56,15 +56,6 @@ var (
 	gemmJobs64 FreeList[gemmJob[float64]]
 )
 
-// grow returns (*s)[:n], making *s anew when it is shorter: a gemmJob's
-// workspace only grows.
-func grow[T dense.Float](s *[]T, n int) []T {
-	if cap(*s) < n {
-		*s = make([]T, n)
-	}
-	return (*s)[:n]
-}
-
 func getGemmJob[T dense.Float]() *gemmJob[T] {
 	var z T
 	switch any(z).(type) {

@@ -143,16 +143,22 @@ func (j *gemvJob) RunTask(_, c int) {
 // FreeList recycles what a caller draws for one call and puts back: the
 // runner's job structs and the numerical core's workspaces (the GEMM's packed
 // operands, which its pooled gemmJob owns; the CAQR panel's tile trees;
-// FactorizeR's m×n buffer; the refinement's scratch slabs). It keeps up to
-// freeListCap, one per concurrent caller; one put back past that is left to
-// the GC. Get returns the one put back last, so a caller that runs alone
-// draws the same one every call, sized by its own earlier calls and warm in
-// cache, whichever processor it runs on; and a GC cycle, which empties a pool
-// of the sync package, leaves a list as it is. So a warm call allocates the
-// same every time. The price is residence: a list keeps up to freeListCap ×
-// the largest item it has held, and in tcqrd an item grows with the
-// request, whose size MaxElements bounds. The zero FreeList is empty and
-// ready to use.
+// FactorizeR's m×n buffer; the refinement's scratch slabs). Get returns the
+// one put back last, so a caller that runs alone draws the same one every
+// call, sized by its own earlier calls and warm in cache, whichever processor
+// it runs on; and a GC cycle, which empties a pool of the sync package,
+// leaves a list as it is. So a warm call allocates the same every time.
+//
+// A list keeps max(freeListCap, GOMAXPROCS) items, one per concurrent caller
+// (tcqrd runs GOMAXPROCS factorizations at once by default); one put back
+// past that is left to the GC. It makes an item only when it is empty, so it
+// never holds more than were drawn at once, each as large as the largest it
+// has held. In tcqrd a workspace grows with the request, whose size
+// MaxElements bounds, except a GEMM job's op(A) panels: besides its op(B)
+// slab (gemmBMax elements unless one slab is larger), a job holds one panel of
+// up to gemmMC·gemmKC elements per worker, min(GOMAXPROCS, macro-tiles) of
+// them, so on P processors a GEMM list may keep of the order of P² panels.
+// The zero FreeList is empty and ready to use.
 type FreeList[J any] struct {
 	mu   sync.Mutex
 	free []*J
@@ -179,7 +185,7 @@ func (f *FreeList[J]) Get() *J {
 func (f *FreeList[J]) Put(j *J) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.free) < freeListCap {
+	if n := len(f.free); n < freeListCap || n < runtime.GOMAXPROCS(0) {
 		f.free = append(f.free, j)
 	}
 }
