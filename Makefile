@@ -87,7 +87,9 @@ reach:
 # exact-product family's (its tiles against mul+add, its routing, the
 # binary16 declaration of the hooks that select it, and the bfloat16 case that
 # must not): it splits the rows of a small output between workers and packs
-# op(B) on all of them. So do the
+# op(B) on all of them. So does the float64 Householder R a hot cache entry
+# is upgraded to (house.R32's golden), whose blocked updates run that GEMM.
+# So do the
 # update path's goldens, the library's and its R kernels' (and what those
 # kernels allocate: their working copies are pooled), and the downdate's
 # allocation bound, whose Q′ is that
@@ -111,7 +113,9 @@ reach:
 # recycles its tasks and deadline timers across goroutines, so its
 # queueing, deadline and cache-hit allocation tests run once more under the
 # race detector, and so does the spill tier's reference model, whose
-# writer shares the tier's logs and counters with a scrape's Stats. The
+# writer shares the tier's logs and counters with a scrape's Stats, and so
+# do concurrent solves that cross a key's upgrade budget while an update, an
+# eviction or a Reset races the upgrade they queue. The
 # tile-tree workspaces go round a free list, and a tree laid out for one
 # shape is laid out again for the next in the same memory, so concurrent
 # panels of different shapes run ten times under the race detector. The metrics
@@ -128,13 +132,13 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
-	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc|ExactProduct|BF16ProductsNotExact|Binary16Hooks' ./internal/blas ./internal/tcsim ./internal/rgs
+	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc|ExactProduct|BF16ProductsNotExact|Binary16Hooks' ./internal/blas ./internal/tcsim ./internal/rgs ./internal/house
 	$(GO) test -cpu 1,2,4 -run 'Float64SourceMatchesNarrowing|SweepNamesFirstOffender|FactorInIgnoresWorkspace|FiniteScansEveryColumn' ./internal/rgs
 	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|SolveLeastSquaresAllocBytes|SolveLeastSquaresRefineNoneKeepsQ|RKernelBits|RKernelsAllocate' . ./internal/qrupdate
 	$(GO) test -race -run 'TestFactorizeRConcurrent|TestFactorizeRKeepsNoWorkspace' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|JSONSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
-	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs|SpillMatchesReferenceModel' ./internal/serve
+	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs|SpillMatchesReferenceModel|UpgradeRaces' ./internal/serve
 
 # `go test -run` passes silently when its pattern selects nothing, so a test
 # renamed or deleted out from under a line of check would empty that gate

@@ -21,10 +21,11 @@ package serve
 
 import (
 	"tcqr"
+	"tcqr/internal/house"
 	"tcqr/internal/qrupdate"
 )
 
-// Backend abstracts the five numerical calls the serving core makes, so tests
+// Backend abstracts the six numerical calls the serving core makes, so tests
 // and benchmarks can count, delay, or fake them. The singleflight test, for
 // example, asserts that N concurrent same-matrix factorizes reach Factorize
 // exactly once.
@@ -45,12 +46,18 @@ type Backend interface {
 	// UpdateRemoveRows returns R′ of a without its trailing k rows given R
 	// of a (qrupdate.DowndateR).
 	UpdateRemoveRows(r *tcqr.Matrix32, a *tcqr.Matrix, k int) (*tcqr.Matrix32, error)
+	// HouseholderR returns the R of a's float64 Householder QR with a
+	// positive diagonal, narrowed to float32 (house.R32): the upgrade a hot
+	// cache entry earns (FactorCache.Upgrade).
+	HouseholderR(a *tcqr.Matrix) (*tcqr.Matrix32, error)
 }
 
 // LibraryBackend routes every call straight to package tcqr, the updates to
 // internal/qrupdate; it is the production backend. Every cold factorization
 // is tcqr.FactorizeR under the request's Config, whose R is tcqr.Factorize's,
-// so a cache key names one factor on every node.
+// so a cache key names one factor on every node until a node upgrades the
+// key's entry to the float64 Householder R (FactorCache.Upgrade), which each
+// node does on its own traffic.
 type LibraryBackend struct{}
 
 // Factorize implements Backend.
@@ -77,4 +84,9 @@ func (LibraryBackend) UpdateAppendRows(r, v *tcqr.Matrix32) (*tcqr.Matrix32, err
 // to float32, widened back: the rows the append that added them factored.
 func (LibraryBackend) UpdateRemoveRows(r *tcqr.Matrix32, a *tcqr.Matrix, k int) (*tcqr.Matrix32, error) {
 	return qrupdate.DowndateR(r, tcqr.ToFloat32(a.View(a.Rows-k, 0, k, a.Cols)))
+}
+
+// HouseholderR implements Backend.
+func (LibraryBackend) HouseholderR(a *tcqr.Matrix) (*tcqr.Matrix32, error) {
+	return house.R32(a)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"tcqr"
 	"tcqr/internal/faultinject"
@@ -124,7 +125,8 @@ func sameMatrix(a, b *tcqr.Matrix) bool {
 // so solve-by-key requests carry only the right-hand side. The factor has no
 // Q: CGLS and LSQR read A and R alone, as Algorithm 3 does. Entries are
 // immutable once published — an update never mutates an entry, it publishes
-// a new one under the next epoch key. No code writes an Entry.A (or its
+// a new one under the next epoch key, and an upgrade publishes a new one in
+// its place (FactorCache.Upgrade). No code writes an Entry.A (or its
 // factors) after publish, which is what lets a downdated epoch's A be a view
 // of its parent's storage (dropRows64).
 type Entry struct {
@@ -137,6 +139,16 @@ type Entry struct {
 	F      *tcqr.Factorization
 	Config tcqr.Config
 	bytes  int64
+	// upgraded marks an entry whose R is the float64 Householder R an
+	// upgrade published in place of the cold factor's; it is not upgraded
+	// again.
+	upgraded bool
+
+	// The serving core's bookkeeping, never read by a solve: the refinement
+	// iterations the entry's solves have spent, and whether its one upgrade
+	// is queued or done (upgrade.go).
+	iters     atomic.Int64
+	upgrading atomic.Bool
 
 	// Intrusive exact-LRU list links: the index's own bookkeeping, guarded
 	// by the cache mutex and never read by an entry's holders.
@@ -187,6 +199,8 @@ type CacheStats struct {
 	// KeyCollisions counts content-keyed lookups that found their name held
 	// by a different matrix and moved on to the next salted name.
 	KeyCollisions int64 `json:"key_collisions"`
+	// Upgraded counts entries replaced by their float64 Householder upgrade.
+	Upgraded int64 `json:"upgraded"`
 }
 
 // FactorCache is a content-hash-keyed exact-LRU cache of factorizations
@@ -224,6 +238,7 @@ type FactorCache struct {
 	retired  int64
 	rewarmed int64
 	collided int64
+	upgraded int64
 	inflight map[string]*flight
 }
 
@@ -266,6 +281,22 @@ func (l *lruList) remove(e *Entry) {
 		l.tail = e.prev
 	}
 	e.prev, e.next = nil, nil
+}
+
+// replace puts ne in old's place.
+func (l *lruList) replace(old, ne *Entry) {
+	ne.prev, ne.next = old.prev, old.next
+	if ne.prev != nil {
+		ne.prev.next = ne
+	} else {
+		l.head = ne
+	}
+	if ne.next != nil {
+		ne.next.prev = ne
+	} else {
+		l.tail = ne
+	}
+	old.prev, old.next = nil, nil
 }
 
 func (l *lruList) moveFront(e *Entry) {
@@ -679,5 +710,6 @@ func (c *FactorCache) Stats() CacheStats {
 		Retired:            c.retired,
 		Rewarmed:           c.rewarmed,
 		KeyCollisions:      c.collided,
+		Upgraded:           c.upgraded,
 	}
 }

@@ -159,6 +159,27 @@ func (stubBackend) Factorize(a *tcqr.Matrix, cfg tcqr.Config) (*tcqr.Factorizati
 	return &tcqr.Factorization{R: r}, nil
 }
 
+// HouseholderR is Factorize's R doubled: a different R of the same shape.
+func (b stubBackend) HouseholderR(a *tcqr.Matrix) (*tcqr.Matrix32, error) {
+	f, _ := b.Factorize(a, tcqr.Config{})
+	for i := range f.R.Data {
+		f.R.Data[i] *= 2
+	}
+	return f.R, nil
+}
+
+// upgrade is Upgrade's effect: a resident, unlatched, not yet upgraded
+// entry keeps its place, key, epoch and bytes and is now served by ne.
+func (m *cacheModel) upgrade(old, ne *Entry) bool {
+	me := m.find(old.Key)
+	if old.upgraded || me == nil || me.real != old || m.updating[baseKey(old.Key)] {
+		return false
+	}
+	me.real = ne
+	m.stats.Upgraded++
+	return true
+}
+
 // entryBits hashes everything a holder of e can read: the key, the epoch and
 // the bit patterns of A, R and the column scales.
 func entryBits(e *Entry) uint64 {
@@ -172,8 +193,9 @@ func entryBits(e *Entry) uint64 {
 
 // TestCacheMatchesReferenceModel runs seeded random operations — content-keyed
 // GetOrFactor (one time in five with a matrix the key was not derived from: a
-// collision), Get by bare and by versioned key, BeginUpdate followed later
-// by PublishUpdate or AbortUpdate, Reset, and restarts (Reset, then
+// collision), Get by bare and by versioned key, Upgrade of a held or a
+// resident entry, BeginUpdate followed later by PublishUpdate or
+// AbortUpdate, Reset, and restarts (Reset, then
 // AdoptRewarmed in the spill tier's newest-first order, stale siblings
 // included) — against FactorCache and the model above, under an entry bound,
 // a byte bound, and both. After every step the two must agree on Stats, on
@@ -182,7 +204,9 @@ func entryBits(e *Entry) uint64 {
 // series are latched; GetOrFactor must answer with an entry that holds the
 // matrix it was handed, under the name the model expects, a bare key must
 // resolve the newest resident epoch of its series, and every entry a caller
-// still holds must hash as it did when the caller got it.
+// still holds must hash as it did when the caller got it. An upgrade never
+// changes an entry's key, epoch, A or bytes, and never puts an evicted or
+// superseded entry back.
 func TestCacheMatchesReferenceModel(t *testing.T) {
 	for _, tc := range []struct {
 		seed       int64
@@ -325,7 +349,7 @@ func runCacheModel(t *testing.T, rng *rand.Rand, maxEntries int, maxBytes int64,
 				t.Fatalf("step %d (%s): answered from %q holding %dx%d, want %q", step, op, e.Key, e.A.Rows, e.A.Cols, name)
 			}
 			hold(e)
-		case r < 52:
+		case r < 46:
 			key := versionedKey(base, uint64(rng.Intn(int(topEpoch[i])+2)))
 			op = "Get " + key
 			e, ok := c.Get(key)
@@ -339,6 +363,30 @@ func runCacheModel(t *testing.T, rng *rand.Rand, maxEntries int, maxBytes int64,
 			}
 			if ok {
 				hold(e)
+			}
+		case r < 52:
+			var old *Entry
+			switch {
+			case rng.Intn(2) == 0 && len(holding) > 0:
+				old = holding[rng.Intn(len(holding))].e
+			case len(m.lru) > 0:
+				old = m.lru[rng.Intn(len(m.lru))].real
+			default:
+				continue
+			}
+			op = "Upgrade " + old.Key
+			outcome := c.Upgrade(old)
+			c.mu.Lock()
+			ne := c.entries[old.Key]
+			c.mu.Unlock()
+			if published := m.upgrade(old, ne); published != (outcome == upgradePublished) {
+				t.Fatalf("step %d (%s): %s; the model says published=%v", step, op, outcome, published)
+			}
+			if outcome == upgradePublished {
+				if ne == old || !ne.upgraded || ne.Key != old.Key || ne.Epoch != old.Epoch || ne.A != old.A || ne.bytes != old.bytes {
+					t.Fatalf("step %d (%s): published %+v in place of %+v", step, op, ne, old)
+				}
+				hold(ne)
 			}
 		case r < 66:
 			if m.updating[base] {
@@ -424,7 +472,7 @@ func runCacheModel(t *testing.T, rng *rand.Rand, maxEntries int, maxBytes int64,
 		}
 		check(step, op)
 	}
-	if m.stats.Evictions == 0 || m.stats.Retired == 0 || m.stats.Rewarmed == 0 || m.stats.Hits == 0 || m.stats.KeyCollisions == 0 {
+	if m.stats.Evictions == 0 || m.stats.Retired == 0 || m.stats.Rewarmed == 0 || m.stats.Hits == 0 || m.stats.KeyCollisions == 0 || m.stats.Upgraded == 0 {
 		t.Fatalf("the run exercised too little: %+v", m.stats)
 	}
 }

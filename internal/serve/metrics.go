@@ -42,6 +42,14 @@ type serverMetrics struct {
 	updateFailed  *metrics.Counter
 	updateRows    *metrics.Counter
 
+	// Factor upgrades (upgrade.go): outcomes, the time
+	// of the tasks that ran, and the refinement iterations of every solve
+	// by the provenance of the R it refined with.
+	upgrades       *metrics.CounterVec // by outcome
+	upgradeSeconds *metrics.Histogram
+	itersRGSQRF    *metrics.Histogram
+	itersHouse64   *metrics.Histogram
+
 	hazards    *metrics.CounterVec // by hazard kind
 	recoveries *metrics.CounterVec // by fallback-ladder action
 	panels     *metrics.CounterVec // by requested panel algorithm
@@ -105,6 +113,18 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 	}
 	m.hotWireRespJSON = m.wireResponses.With(encJSON)
 	m.hotWireRespBinary = m.wireResponses.With(encBinary)
+
+	m.upgrades = reg.CounterVec("tcqrd_factor_upgrades_total",
+		"Upgrades of a hot cache entry to the float64 Householder R, by outcome: published in the entry's place, dropped (queue full or the entry moved on), or failed (no usable R).", "outcome")
+	for _, o := range []string{upgradePublished, upgradeDropped, upgradeFailed} {
+		m.upgrades.With(o) // every outcome scrapes, at 0 until it happens
+	}
+	m.upgradeSeconds = reg.Histogram("tcqrd_factor_upgrade_seconds",
+		"Time of each factor upgrade task that ran, the float64 Householder factorization included.", metrics.LatencyBuckets)
+	iters := reg.HistogramVec("tcqrd_refine_iterations",
+		"Refinement iterations per served solve, by the provenance of the cached R: rgsqrf (the cold factor) or house64 (upgraded).",
+		[]float64{1, 2, 4, 8, 12, 16, 24, 32, 64, 128, 256}, "factor")
+	m.itersRGSQRF, m.itersHouse64 = iters.With(factorRGSQRF), iters.With(factorHouse64)
 
 	reg.GaugeFunc("tcqrd_uptime_seconds",
 		"Seconds since the server started.",
@@ -220,6 +240,15 @@ func newServerMetrics(reg *metrics.Registry, s *Server) *serverMetrics {
 		m.faultInjected.With(ev.Site, ev.Action.String()).Inc()
 	})
 	return m
+}
+
+// refineIterations is the iteration histogram of an R of the given
+// provenance.
+func (m *serverMetrics) refineIterations(upgraded bool) *metrics.Histogram {
+	if upgraded {
+		return m.itersHouse64
+	}
+	return m.itersRGSQRF
 }
 
 func (m *serverMetrics) endpointCounters(ep string) hotCounters {

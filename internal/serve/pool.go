@@ -219,6 +219,23 @@ func (p *Pool) run(cancel <-chan struct{}, deadline time.Time, fn func()) (wait,
 	return 0, 0, ErrDeadline
 }
 
+// submit queues fn to run with no one waiting for it and no deadline: the
+// server's own background work (an entry's upgrade) goes through the queue
+// bound like every request, and is refused with ErrQueueFull when the queue
+// is full. The refusal is the caller's to count; it is not a 429. A panic
+// in fn is recovered by the worker and goes nowhere, so fn handles its own.
+func (p *Pool) submit(fn func()) error {
+	t := &poolTask{fn: fn, enqueued: time.Now(), done: make(chan struct{}, 1)}
+	p.queued.Add(1)
+	select {
+	case p.tasks <- t:
+		return nil
+	default:
+		p.queued.Add(-1)
+		return ErrQueueFull
+	}
+}
+
 // AwaitIdle blocks until the queue is empty and no task is running, or ctx
 // expires. Stop submitting first (Server.BeginDrain refuses new requests at
 // admission) so the queue can only shrink.

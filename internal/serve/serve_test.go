@@ -123,6 +123,7 @@ type countingBackend struct {
 	factorize atomic.Int64
 	solve     atomic.Int64
 	lowRank   atomic.Int64
+	upgrade   atomic.Int64
 	// gate, when non-nil, blocks Factorize until released (admission tests).
 	gate chan struct{}
 }
@@ -151,6 +152,11 @@ func (c *countingBackend) UpdateAppendRows(r, v *tcqr.Matrix32) (*tcqr.Matrix32,
 
 func (c *countingBackend) UpdateRemoveRows(r *tcqr.Matrix32, a *tcqr.Matrix, k int) (*tcqr.Matrix32, error) {
 	return c.inner.UpdateRemoveRows(r, a, k)
+}
+
+func (c *countingBackend) HouseholderR(a *tcqr.Matrix) (*tcqr.Matrix32, error) {
+	c.upgrade.Add(1)
+	return c.inner.HouseholderR(a)
 }
 
 // waitFor polls cond every millisecond and fails the test with what() if it
@@ -467,12 +473,24 @@ func TestSolveOnHazardOptionChangesNothing(t *testing.T) {
 	}
 
 	solo := make([]solveReply, len(bodies))
-	for i, body := range bodies {
-		if code, _ := post(t, h, "/v1/solve", body, &solo[i]); code != 200 {
-			t.Fatalf("solo solve %d: code=%d", i, code)
+	soloSolves := func(what string) {
+		t.Helper()
+		for i, body := range bodies {
+			if code, _ := post(t, h, "/v1/solve", body, &solo[i]); code != 200 {
+				t.Fatalf("solo solve %d: code=%d", i, code)
+			}
 		}
+		same(what, solo[1], solo[0])
 	}
-	same("solo on_hazard=fallback", solo[1], solo[0])
+	soloSolves("solo on_hazard=fallback")
+	// The two solves took the key past its upgrade budget (about 14
+	// iterations at 256×32), so the factor moves under the key: the queued
+	// solves are held to solo solves on the upgraded factor.
+	awaitIdle(t, s)
+	soloSolves("solo on_hazard=fallback, upgraded")
+	if st := s.cache.Stats(); st.Upgraded != 1 {
+		t.Fatalf("%d upgrades published, want 1", st.Upgraded)
+	}
 
 	release := holdWorkers(t, s, be)
 	got := make([]solveReply, len(bodies))

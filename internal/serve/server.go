@@ -263,6 +263,11 @@ type reqScope struct {
 	rows, cols  int
 	errCode     string
 	hazardKinds []string
+	// iterations and factor describe a solve's refinement: its iteration
+	// count and the provenance of the R it refined with (factor is empty
+	// for every other request).
+	iterations int
+	factor     string
 }
 
 // admit is the common front door of the compute endpoints: method check,
@@ -401,12 +406,13 @@ func (rc *reqScope) logRequest(status int, stages string) {
 	if !lg.Enabled(ctx, level) {
 		return
 	}
-	attrs := []slog.Attr{
+	attrs := make([]slog.Attr, 0, 12)
+	attrs = append(attrs,
 		slog.String("endpoint", rc.endpoint),
 		slog.String("method", rc.method),
 		slog.Int("status", status),
 		slog.Duration("duration", time.Since(rc.start)),
-	}
+	)
 	if rc.errCode != "" {
 		attrs = append(attrs, slog.String("code", rc.errCode))
 	}
@@ -415,6 +421,9 @@ func (rc *reqScope) logRequest(status int, stages string) {
 	}
 	if rc.rows > 0 {
 		attrs = append(attrs, slog.Int("rows", rc.rows), slog.Int("cols", rc.cols))
+	}
+	if rc.factor != "" {
+		attrs = append(attrs, slog.Int("iterations", rc.iterations), slog.String("factor", rc.factor))
 	}
 	if stages != "" {
 		attrs = append(attrs, slog.String("stages", stages))

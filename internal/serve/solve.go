@@ -93,6 +93,11 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 	)
 	took, err := rc.onPool(func() {
 		res, serr = s.backend.SolveWithFactor(entry.F, entry.A, req.B, opts)
+		// Noted on the worker, so an upgrade it queues is in the pool before
+		// this task leaves it, and AwaitIdle after the response waits for it.
+		if serr == nil {
+			s.noteSolve(entry, res.Iterations)
+		}
 	})
 	if err != nil {
 		if errors.Is(err, ErrDeadline) {
@@ -108,6 +113,7 @@ func (s *Server) serveSolve(rc *reqScope, w http.ResponseWriter, r *http.Request
 	if serr != nil {
 		return serr
 	}
+	rc.iterations, rc.factor = res.Iterations, entry.provenance()
 	return rc.ok(w, &solveResponse{
 		X: res.X,
 		solveMeta: solveMeta{

@@ -381,9 +381,8 @@ func TestSpillWriteAllocatesAChunkNotAnEntry(t *testing.T) {
 	bases := func(e *Entry) []spillOp {
 		ops := make([]spillOp, runs)
 		for i := range ops {
-			c := *e
-			c.Key = fmt.Sprintf("%s-%d", e.Key, i)
-			ops[i] = spillOp{entry: &c}
+			c := &Entry{Key: fmt.Sprintf("%s-%d", e.Key, i), Epoch: e.Epoch, A: e.A, F: e.F, Config: e.Config}
+			ops[i] = spillOp{entry: c}
 		}
 		return ops
 	}

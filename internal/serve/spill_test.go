@@ -152,9 +152,8 @@ func TestSpillEntryRoundTrip(t *testing.T) {
 	wide := tcqr.NewMatrix(e.A.Rows+5, e.A.Cols)
 	view := wide.View(2, 0, e.A.Rows, e.A.Cols)
 	view.CopyFrom(e.A)
-	strided := *e
-	strided.A = view
-	if !bytes.Equal(spillBytes(t, &strided), buf) {
+	strided := &Entry{Key: e.Key, Epoch: e.Epoch, A: view, F: e.F, Config: e.Config}
+	if !bytes.Equal(spillBytes(t, strided), buf) {
 		t.Errorf("a strided A spills to different bytes than its tight copy")
 	}
 
@@ -365,6 +364,53 @@ func TestServerRewarmServesWithoutRefactorize(t *testing.T) {
 	// The rewarmed series keeps updating where it left off.
 	if code, _ := post(t, h2, "/v1/update", map[string]any{"key": base, "remove_rows": k}, &ur); code != 200 || ur.Epoch != 2 {
 		t.Fatalf("update after rewarm: code=%d reply=%+v", code, ur)
+	}
+}
+
+// TestUpgradeIsNotSpilled: an upgrade is derived work. A key solved past
+// its budget is upgraded in the cache and the spill log gains no record for
+// it; a daemon restarted on the directory rewarms the cold R, bit for bit,
+// with no factorization, and the key earns its upgrade again.
+func TestUpgradeIsNotSpilled(t *testing.T) {
+	dir := t.TempDir()
+	m, n := 96, 16
+	data := testMatrix(920, m, n, 1)
+	s1 := New(Options{Workers: 2, CacheDir: dir})
+	h1 := s1.Handler()
+	var fr factorizeReply
+	if code, _ := post(t, h1, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, data)}, &fr); code != 200 {
+		t.Fatalf("factorize: code=%d", code)
+	}
+	cold, _ := s1.cache.Get(fr.Key)
+	solveUntilUpgraded := func(s *Server) {
+		t.Helper()
+		for i := 0; s.cache.Stats().Upgraded == 0; i++ {
+			if i == 50 {
+				t.Fatal("50 solves and no upgrade published")
+			}
+			if code, _ := post(t, s.Handler(), "/v1/solve", map[string]any{"key": fr.Key, "b": testMatrix(uint64(i), m, 1, 1)}, nil); code != 200 {
+				t.Fatalf("solve %d: code=%d", i, code)
+			}
+			awaitIdle(t, s)
+		}
+	}
+	solveUntilUpgraded(s1)
+	s1.spill.Flush()
+	if st := s1.spill.Stats(); st.Writes != 1 {
+		t.Fatalf("spill after the upgrade: %+v, want the factorize's one write", st)
+	}
+	s1.Close()
+
+	be := &countingBackend{inner: LibraryBackend{}}
+	s2 := New(Options{Workers: 2, Backend: be, CacheDir: dir})
+	defer s2.Close()
+	e, ok := s2.cache.Get(fr.Key)
+	if !ok || e.upgraded || e.F.R.Hash64() != cold.F.R.Hash64() {
+		t.Fatalf("rewarmed %v (upgraded=%v): want the cold R", ok, ok && e.upgraded)
+	}
+	solveUntilUpgraded(s2)
+	if f, u := be.factorize.Load(), be.upgrade.Load(); f != 0 || u != 1 {
+		t.Fatalf("after the restart: %d factorizations, %d upgrades; want 0 and 1", f, u)
 	}
 }
 
