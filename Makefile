@@ -82,7 +82,8 @@ reach:
 # from a pooled slab), or their bits when every slab they take is poisoned
 # with NaN, or CGLS's recorded bits: its X and GradNorms on one trajectory
 # per way a run ends, and its X on the workloads' solves, which a change to
-# when CGLS stops must leave as they are. So do the packed GEMM's
+# when CGLS stops must leave as they are, and the stop rule's battery (how
+# 432 solves end, and their X). So do the packed GEMM's
 # goldens, kernel-family, determinism and allocation tests, with the
 # exact-product family's (its tiles against mul+add, its routing, the
 # binary16 declaration of the hooks that select it, and the bfloat16 case that
@@ -103,7 +104,9 @@ reach:
 # workloads does, and gates the worst call), and SolveLeastSquares, which
 # factors with FactorizeR unless its method needs Q, with its own.
 # FactorizeR's pooled workspace is shared between goroutines, so its
-# concurrent calls run under the race detector too. And the
+# concurrent calls run under the race detector too, and so do concurrent
+# first solves over one factorization, which race to store its estimate of
+# ‖A‖₂. And the
 # CAQR panel's: its tiles run as tasks on the same runner, and its MGS tile
 # kernel, its bits and its allocation count must not depend on how many
 # processors take them; nor may a served cold miss's, whose CAQR tiles run
@@ -131,11 +134,11 @@ check: lint check-benchmark check-run-patterns
 	$(GO) test -race -run '$(PIPELINE_TESTS)' ./internal/serve
 	$(GO) test -race -run '$(ONE_PATH_TESTS)' ./internal/serve ./cmd/tcqrd
 	$(GO) test -race -count=10 -run 'TestTileTreePoolConcurrentShapes' ./internal/gram
-	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX' ./internal/blas ./internal/lls
+	$(GO) test -cpu 1,2,4 -run 'BitIdentical|NoAllocs|Procs|Allocations|Poison|Golden|KeepX|StopRuleBattery' ./internal/blas ./internal/lls
 	$(GO) test -cpu 1,2,4 -run 'Golden|Determinism|Kernel|Alloc|ExactProduct|BF16ProductsNotExact|Binary16Hooks' ./internal/blas ./internal/tcsim ./internal/rgs ./internal/house
 	$(GO) test -cpu 1,2,4 -run 'Float64SourceMatchesNarrowing|SweepNamesFirstOffender|FactorInIgnoresWorkspace|FiniteScansEveryColumn' ./internal/rgs
 	$(GO) test -cpu 1,2,4 -run 'UpdateBits|DowndateAllocates|AppendAllocates|FactorizeEitherWidth|FactorizeR|SolveLeastSquaresAllocBytes|SolveLeastSquaresRefineNoneKeepsQ|RKernelBits|RKernelsAllocate' . ./internal/qrupdate
-	$(GO) test -race -run 'TestFactorizeRConcurrent|TestFactorizeRKeepsNoWorkspace' .
+	$(GO) test -race -run 'TestFactorizeRConcurrent|TestFactorizeRKeepsNoWorkspace|TestSolveNormMemo' .
 	$(GO) test -cpu 1,2,4 -run 'BitIdentical|Alloc|Procs' ./internal/gram
 	$(GO) test -cpu 1,2,4 -run 'ColdFrameSolveAlloc|JSONSolveAlloc|CacheHitSolveAllocs|ServedFactorsAreLibraryFactors' ./internal/serve
 	$(GO) test -race -run 'Pool|Deadline|CacheHitSolveAllocs|SpillMatchesReferenceModel|UpgradeRaces' ./internal/serve

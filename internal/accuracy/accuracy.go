@@ -4,7 +4,9 @@
 //
 //   - backward error ‖A − Q̂R̂‖/‖A‖ (Figure 3),
 //   - orthogonality ‖I − Q̂ᵀQ̂‖ (Figure 4),
-//   - least squares optimality ‖Aᵀ(Ax̂ − b)‖ (Figure 9).
+//   - least squares optimality ‖Aᵀ(Ax̂ − b)‖ (Figure 9),
+//
+// and the bounds those metrics are read against (LLSAttainable).
 package accuracy
 
 import (
@@ -48,6 +50,23 @@ func LLSOptimality(a *dense.M64, x, b []float64) float64 {
 	blas.Gemv(blas.NoTrans, 1, a, x, -1, r) // r = A·x − b
 	blas.Gemv(blas.Trans, 1, a, r, 0, g)
 	return blas.Nrm2(g)
+}
+
+// unit64 is the unit roundoff of float64, u₆₄ = 2⁻⁵³.
+const unit64 = 0x1p-53
+
+// LLSAttainable returns the attainable ‖Aᵀr‖₂ of a float64 least squares
+// solve, u₆₄·‖A‖₂·(‖A‖₂·‖x‖₂ + ‖r‖₂), given ‖A‖₂ (or an estimate of it),
+// the solution's ‖x‖₂ and its residual's ‖r‖₂ = ‖b − A·x‖₂. Source: Higham,
+// Accuracy and Stability of Numerical Algorithms (2nd ed.), §20: a backward
+// stable solver's x̂ is the exact solution for A + ΔA and b + Δb with
+// ‖ΔA‖ ≤ c·u·‖A‖ and ‖Δb‖ ≤ c·u·‖b‖, so ‖Aᵀr̂‖ ≤ c·u·‖A‖·(‖A‖‖x̂‖ + ‖r̂‖)
+// to first order (‖b‖ ≤ ‖A‖‖x̂‖ + ‖r̂‖), and forming Aᵀ(b − A·x̂) in float64
+// commits an error of the same size. No float64 solve, however it refines,
+// can be trusted to do better; the constant c is 1 here. A NaN argument
+// gives NaN, which no norm is at or below.
+func LLSAttainable(normA, normX, normR float64) float64 {
+	return unit64 * normA * (float64(normA*normX) + normR)
 }
 
 // ResidualNorm returns ‖Ax − b‖₂ in float64.

@@ -40,11 +40,13 @@ func bitsHash(xs ...[]float64) uint64 {
 // diverged, stagnated, best iterate x₀) with the LLSOptimality of each
 // answer, LSQR, SolveLeastSquaresWithFactor on each column of a block under
 // both methods, and a HazardFallback solve of a zero-column input, whose
-// refinement never improves on x₀ and returns the copy it set aside. Two of the endings run
-// twice: the κ 1e3 and κ 1e6 default-factor inputs that once diverged and
-// stagnated now both settle, and the bf16 factors of a κ 1e6 Cluster2 and a
-// κ 1e6 geometric input still diverge and stagnate, so the guard's and the
-// window's restores of the best iterate are read from poisoned slabs too.
+// refinement never improves on x₀ and returns the copy it set aside. The
+// settled ending runs twice, at κ 1e3 and on the fp16 factor of the κ 1e6
+// geometric input whose bf16 factor stagnates, and the bf16 factor of a κ 1e6
+// Cluster2 input diverges, so the settle rule's, the guard's and the window's
+// restores of the best iterate are read from poisoned slabs. (The κ 1e6
+// input with a consistent b that settled here before CGLS read the
+// attainable floor now stagnates: its best stays 26× above the floor.)
 func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	fac := func(a *dense.M64, opts rgs.Options) *rgs.Result {
 		f, err := rgs.Factor(dense.ToF32(a), opts)
@@ -65,7 +67,6 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	bf16 := rgs.Options{Engine: tcsim.KindBF16.New(), Cutoff: 32}
 	convA, convB := problem(71, 1e3, matgen.Geometric, 0.1)
 	settleA, settleB := normalB(70, 1e3)
-	settle6A, settle6B := problem(72, 1e6, matgen.Geometric, 0.1)
 	divA, divB := problem(70, 1e6, matgen.Cluster2, 0)
 	stagA, stagB := normalB(72, 1e6)
 	rng := rand.New(rand.NewSource(65))
@@ -86,7 +87,7 @@ func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	}{
 		{"converges", convA, convB, fac(convA, rgs.Options{Cutoff: 32}), lls.StopConverged},
 		{"settles", settleA, settleB, settleF, lls.StopSettled},
-		{"settles at κ 1e6", settle6A, settle6B, fac(settle6A, rgs.Options{Cutoff: 32}), lls.StopSettled},
+		{"settles at κ 1e6", stagA, stagB, fac(stagA, rgs.Options{Cutoff: 32}), lls.StopSettled},
 		{"diverges", divA, divB, fac(divA, bf16), lls.StopDiverged},
 		{"stagnates", stagA, stagB, fac(stagA, bf16), lls.StopStagnated},
 		{"best is x0", zeroA, zeroB, fac(zeroA, rgs.Options{Cutoff: 32, Panel: &gram.HouseholderPanel{}}), lls.StopStagnated},

@@ -3,6 +3,7 @@ package gram
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 
 	"tcqr/internal/blas"
@@ -217,18 +218,21 @@ func view(a *dense.M32, i, j, r, c int) dense.M32 {
 // and reused by every leaf of that shape (every leaf of a power-of-two width
 // has the same one), in this panel call and, through trees, in the calls
 // after it: per tree level the contiguous tile copies and the stacked R
-// factors, the level's headers and GemmBatch arguments, and one MGS work area
-// that each level and the base case use in turn. Nothing in it is allocated
-// per tile; it is laid out again when the leaf shape changes, in the memory
-// it has when that is large enough.
+// factors, the level's headers and GemmBatch arguments, and the MGS work,
+// one area per worker that can run a level's tiles at once (each as large as
+// the tallest tile needs), which each level and the base case use in turn.
+// Nothing in it is allocated per tile; it is laid out again when the leaf
+// shape changes or GOMAXPROCS grows past what it was laid out for, in the
+// memory it has when that is large enough.
 type tileTree struct {
-	rb     int
-	m, n   int // the leaf shape the memory is laid out for
-	floats []float32
-	work   []float32 // the MGS work area, the tail of floats
-	levels []tileLevel
-	mats   []dense.M32
-	ptrs   []*dense.M32
+	rb      int
+	m, n    int // the leaf shape the memory is laid out for
+	workers int // the GOMAXPROCS it is laid out for
+	floats  []float32
+	work    []float32 // the MGS work areas, the tail of floats
+	levels  []tileLevel
+	mats    []dense.M32
+	ptrs    []*dense.M32
 }
 
 // tileLevel is one level of the tree: the panel w cut into nt tiles of rb
@@ -240,32 +244,40 @@ type tileLevel struct {
 	blocks         []dense.M32 // block i of the stack: R_i, then Q2_i
 	stack          dense.M32
 	tileData, work []float32
+	per            int // the stride of the workers' MGS areas in work
 	as, bs, cs     []*dense.M32
 }
 
 // plan walks the levels of an m×n tree and reports what they need: levels,
-// floats of tiles and stacks, the MGS work area and the tiles.
-func (t *tileTree) plan(m, n int) (levels, floats, work, tiles int) {
+// floats of tiles and stacks, the MGS work (areas of per floats, one per
+// worker up to the most tiles a level has, or the base case's if larger)
+// and the tiles.
+func (t *tileTree) plan(m, n, workers int) (levels, floats, work, per, tiles int) {
 	rb := max(t.rb, n)
+	areas := 0
 	for ; m > rb+n; m = m / rb * n {
 		nt := m / rb
 		levels++
 		tiles += nt
 		floats += m*n + nt*n*n
-		work = max(work, nt*mgsWork(rb, n)+(m-nt*rb)*blas.MGSTileWork(1))
+		per = max(per, mgsWork(m-(nt-1)*rb, n)) // the last tile takes the remainder
+		areas = max(areas, min(nt, workers))
 	}
-	return levels, floats, max(work, mgsWork(m, n)), tiles
+	return levels, floats, max(areas*per, mgsWork(m, n)), per, tiles
 }
 
 // layout lays the memory out for m×n leaves: at most one allocation per
 // slice, however many levels and tiles the tree has, and none when the slice
-// is already large enough.
+// is already large enough. blas.ParallelTasks numbers the workers of a level
+// below min(GOMAXPROCS, tiles), so a tree laid out for as many processors
+// as there are now has an area for each.
 func (t *tileTree) layout(m, n int) {
-	if t.m == m && t.n == n {
+	workers := runtime.GOMAXPROCS(0)
+	if t.m == m && t.n == n && t.workers >= workers {
 		return
 	}
-	levels, floats, work, tiles := t.plan(m, n)
-	t.m, t.n = m, n
+	levels, floats, work, per, tiles := t.plan(m, n, workers)
+	t.m, t.n, t.workers = m, n, workers
 	t.floats = slices.Grow(t.floats[:0], floats+work)[:floats+work]
 	t.work = t.floats[floats:]
 	t.levels = slices.Grow(t.levels[:0], levels)[:levels]
@@ -286,7 +298,7 @@ func (t *tileTree) layout(m, n int) {
 			lv.blocks[i] = view(&lv.stack, i*n, 0, n, n)
 			lv.as[i], lv.bs[i], lv.cs[i] = &lv.tiles[i], &lv.blocks[i], &lv.rows[i]
 		}
-		lv.work = t.work
+		lv.work, lv.per = t.work, per
 	}
 }
 
@@ -333,11 +345,10 @@ func (lv *tileLevel) tileRows(i int) int {
 }
 
 // RunTask factors tile i of the level: panel rows into the tile copy, R_i
-// into block i of the stack, on its own part of the MGS work area.
-func (lv *tileLevel) RunTask(_, i int) {
-	n := lv.w.Cols
-	per := mgsWork(lv.rb, n)
-	mgsTile(&lv.rows[i], &lv.tiles[i], &lv.blocks[i], lv.work[i*per:i*per+mgsWork(lv.tileRows(i), n)])
+// into block i of the stack, on the MGS work area of the worker running it.
+func (lv *tileLevel) RunTask(worker, i int) {
+	area := lv.work[worker*lv.per:]
+	mgsTile(&lv.rows[i], &lv.tiles[i], &lv.blocks[i], area[:mgsWork(lv.tileRows(i), lv.w.Cols)])
 }
 
 // HouseholderPanel adapts blocked Householder QR (the cuSOLVER SGEQRF

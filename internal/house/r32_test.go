@@ -6,10 +6,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"tcqr"
+	"tcqr/internal/accuracy"
 	"tcqr/internal/house"
 	"tcqr/internal/matgen"
 )
@@ -18,20 +18,30 @@ import (
 // factor upgrade: on every shape, condition number and spectrum below, CGLS
 // preconditioned with R32's R is held to FactorizeR's R on the same
 // right-hand sides. It takes no more iterations and ends with ‖Aᵀr‖ at most
-// twice FactorizeR's, except below the float64 floor u·κ·‖b‖ (‖A‖₂ = 1
-// here, so κ‖b‖ bounds ‖x‖ and the floor bounds u·‖A‖²·‖x‖, what a
-// backward-stable solve leaves in ‖Aᵀr‖). There, where a run stops is where
-// rounding stopped it: a run that ends below the floor on a divergence or
-// stagnation event is not held to the iteration count, ‖Aᵀr‖ below the floor
-// is not held to the factor of two, and neither is a run that converged,
-// when FactorizeR's did too (both met the tolerance; the last step lands
-// where it lands). The κ 1e6 rows are logged: there FactorizeR's
-// refinement can run out of iterations.
+// twice FactorizeR's, except at the float64 floor of a measured ‖Aᵀr‖:
+// √n times accuracy.LLSAttainable of R32's answer, u·‖A‖·(‖A‖·‖x‖ + ‖r‖)
+// with ‖A‖₂ = 1 here, what a backward-stable solve leaves in ‖Aᵀr‖. The √n
+// is LLSOptimality's own rounding: it forms A·x − b and Aᵀr with inner
+// products of length n and m, whose errors grow like √n·u in the
+// probabilistic analysis (Higham and Mary, SIAM J. Sci. Comput. 41(5),
+// 2019); measured values of converged κ 1e1 runs land at up to 11 times the
+// bound. (With the bound alone, 3 κ ≥ 1e5 arithmetic solves, at 1.5–4.0
+// times it, would be held to the factor of two and miss it.) The same 12 of
+// the 48 solves lean on this carve-out as on the u·κ·‖b‖ it replaces, which
+// was 2.9–685 times the bound. There, where a run stops is where
+// rounding stopped it: a run that ends at or below the floor on a stop other
+// than convergence (settled at the floor, or a divergence or stagnation
+// event) is not held to the iteration count, ‖Aᵀr‖ below the floor is not
+// held to the factor of two, and neither is a run that converged, when
+// FactorizeR's did too (both met the tolerance; the last step lands where it
+// lands). The κ 1e6 rows are logged: there FactorizeR's refinement can run
+// out of iterations. The test logs how many of its 48 solves meet the
+// literal rule, no more iterations and ‖Aᵀr‖ within 2×, with no exception.
 func TestR32PreconditionsNoWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a battery of 24 factorizations at up to 1024x256")
 	}
-	const u = 0x1p-53
+	literal, solves := 0, 0
 	for _, sh := range []struct{ m, n int }{{512, 128}, {1024, 256}} {
 		for _, cond := range []float64{1e1, 1e3, 1e5, 1e6} {
 			for _, dist := range []matgen.Dist{matgen.Geometric, matgen.Arithmetic, matgen.Cluster2} {
@@ -59,14 +69,16 @@ func TestR32PreconditionsNoWorse(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						floor := u * cond * norm2(b)
+						floor := math.Sqrt(float64(sh.n)) * accuracy.LLSAttainable(1, norm2(got.X), accuracy.ResidualNorm(a, got.X, b))
 						if cond == 1e6 {
 							t.Logf("rhs %d: FactorizeR %d it, ‖Aᵀr‖ %.2g; R32 %d it, ‖Aᵀr‖ %.2g (floor %.2g)",
 								k, was.Iterations, was.Optimality, got.Iterations, got.Optimality, floor)
 						}
-						floorStop := got.Optimality <= floor && slices.ContainsFunc(got.Hazards, func(h tcqr.Hazard) bool {
-							return h.Kind == tcqr.HazardDivergence || h.Kind == tcqr.HazardStagnation
-						})
+						solves++
+						if got.Iterations <= was.Iterations && got.Optimality <= 2*was.Optimality {
+							literal++
+						}
+						floorStop := got.Optimality <= floor && !got.Converged
 						if got.Iterations > was.Iterations && !floorStop {
 							t.Errorf("rhs %d: %d CGLS iterations on R32's R, %d on FactorizeR's", k, got.Iterations, was.Iterations)
 						}
@@ -79,6 +91,7 @@ func TestR32PreconditionsNoWorse(t *testing.T) {
 			}
 		}
 	}
+	t.Logf("%d of %d solves meet the literal rule (no more iterations, ‖Aᵀr‖ within 2×)", literal, solves)
 }
 
 func norm2(v []float64) float64 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"tcqr/internal/accuracy"
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 )
@@ -16,8 +17,8 @@ type Stop uint8
 const (
 	StopExhausted Stop = iota // the iteration cap, or a zero step
 	StopConverged             // the gradient norm fell to tol times its first
-	StopSettled               // at the float64 floor: see SettleWindow and SettleBand
-	StopDiverged              // the gradient norm grew past DivergenceGuard times a best outside the settle band
+	StopSettled               // at the attainable float64 floor, then an iteration without a new best
+	StopDiverged              // the gradient norm grew past DivergenceGuard times the best, short of the floor
 	StopStagnated             // StagnationWindow iterations without a new best
 )
 
@@ -61,29 +62,6 @@ const StagnationWindow = 30
 // CGLS declares divergence and restores the best iterate.
 const DivergenceGuard = 100.0
 
-// SettleWindow is the number of consecutive iterations without a new best
-// gradient norm after which CGLS stops as settled, once the best is within
-// the settle band. It was chosen on a battery of 1152 solves
-// (the workloads' four shapes; the tc, tc-ec, bf16 and fp32 engines; κ 1e1,
-// 1e3, 1e5 and 1e6; geometric, arithmetic and Cluster2 spectra; two seeds;
-// two normal b and one consistent b). There a window of 2 made 2 of the 288
-// κ 1e3 answers worse, by up to 1.9× in ‖Aᵀr‖, and windows of 3 to 6 made
-// none worse. 4 keeps one iteration of margin over 3 and still cuts the κ
-// 1e3 iterations by 30 % (3: 35 %, 6: 23 %).
-const SettleWindow = 4
-
-// SettleBand sets the settle band: SettleWindow stops a run only once its
-// best gradient norm is at most SettleBand·min(tol, DefaultTol)·‖s_0‖ and
-// below ‖s_0‖. DefaultTol stands for the float64 floor, so a looser tol
-// never widens the band past 1e-12·‖s_0‖: from tol 1e-12 up a run that
-// reaches the band has converged first, and the rule never fires. On the
-// battery (run at DefaultTol), the window without the band also stopped
-// slow-progress runs (κ ≥ 1e5, best still 7e-7 to 4e-2 of ‖s_0‖ at a
-// four-iteration plateau) and made 110 of the 576 κ 1e5 and 1e6 answers
-// more than 2× worse, up to 3e8×. With the band at 100 it changed 14 of
-// those answers, and each got better.
-const SettleBand = 100.0
-
 // DefaultTol is the relative convergence tolerance on the preconditioned
 // gradient used when a caller passes tol <= 0.
 const DefaultTol = 1e-14
@@ -107,13 +85,24 @@ const DefaultMaxIter = 200
 // Iteration stops when ‖s_k‖ <= tol·‖s_0‖ (s is the preconditioned
 // gradient) or after maxIter iterations, and early, returning the best
 // iterate, on one of three guards checked in this order: divergence (‖s_k‖
-// past DivergenceGuard times the best), settling (SettleWindow iterations
-// without a new best once the best is within the settle band) and
-// stagnation (StagnationWindow iterations without a new best). A run whose
-// best is within the settle band when the divergence guard trips stops as
-// settled: it has reached the float64 floor, which is where a healthy
-// refinement ends.
+// past DivergenceGuard times the best), settling (see below) and stagnation
+// (StagnationWindow iterations without a new best).
+//
+// A run settles at the float64 floor. Once an iterate's unpreconditioned
+// gradient ‖Aᵀ·res_k‖ falls to accuracy.LLSAttainable(ν, ‖x_k‖, ‖res_k‖),
+// the attainable ‖Aᵀr‖ of any float64 solve, the first iteration without a
+// new best ends the run as StopSettled: past the floor CG loses conjugacy,
+// and the best iterate is the answer. ν estimates ‖A‖₂ = ‖R‖₂ (NormEst);
+// CGLS computes it from r (from a when r is nil), and SolveWithFactor takes
+// it from its options when the caller has it. A run that reached the floor
+// when the divergence guard trips stops as settled too: that is where a
+// healthy refinement ends.
 func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult {
+	return cgls(a, b, r, operator{a, r}.norm(), tol, maxIter)
+}
+
+// cgls is CGLS with ν, the estimate of ‖A‖₂ its floor reads, given.
+func cgls(a *dense.M64, b []float64, r *dense.M32, nu, tol float64, maxIter int) *IterResult {
 	op, out, tol, maxIter := prepare(a, b, r, tol, maxIter)
 	m, n := a.Rows, a.Cols
 
@@ -138,19 +127,15 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 		return out
 	}
 
-	// Best-iterate tracking: once the preconditioned gradient reaches the
-	// numerical floor of the float64 iteration, further CG steps lose
-	// conjugacy and can diverge exponentially. We keep the best solution
-	// seen and bail out when the gradient norm has grown well past it
-	// (divergence), has stopped improving near the tolerance (settled) or
-	// has stopped improving for a full window (stagnation).
+	// Best-iterate tracking: once the gradient reaches the float64 floor,
+	// further CG steps lose conjugacy and can diverge exponentially. We keep
+	// the best solution seen and bail out when the gradient norm has grown
+	// well past it (divergence), has stopped improving at the floor
+	// (settled) or has stopped improving for a full window (stagnation).
 	copy(bestX, x)
 	bestNorm := norms0
 	sinceImproved := 0
-	// SettleBand above the float64 floor, or above tol when a caller asks
-	// for less; SettleBand*DefaultTol folds to exactly 1e-12, so at tol
-	// 1e-12 the band is tol·‖s_0‖ itself.
-	settleBand := min(SettleBand*tol, SettleBand*DefaultTol) * norms0
+	atFloor := false // sticky: some iterate's ‖Aᵀ·res_k‖ reached the floor
 
 	for k := 0; k < maxIter; k++ {
 		op.apply(p, t, q) // t = R⁻¹·p, q = A·t
@@ -161,7 +146,12 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 		alpha := gamma / delta
 		blas.Axpy(alpha, t, x)
 		blas.Axpy(-alpha, q, res)
-		op.applyT(res, s)
+		if atFloor {
+			op.applyT(res, s)
+		} else {
+			grad := op.gradT(res, s)
+			atFloor = grad <= accuracy.LLSAttainable(nu, blas.Nrm2(x), blas.Nrm2(res))
+		}
 		gamma1 := gamma
 		gamma = blas.Dot(s, s)
 		norms := math.Sqrt(gamma)
@@ -178,17 +168,16 @@ func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *It
 			out.Stop = StopConverged
 			break
 		}
-		inBand := bestNorm < norms0 && bestNorm <= settleBand
 		if norms > DivergenceGuard*bestNorm {
-			// Past the floor CG loses conjugacy; a best already in the band
-			// is the settled answer, so the blow-up is no hazard.
+			// Past the floor CG loses conjugacy; a run that reached the
+			// floor has its answer, so the blow-up is no hazard.
 			out.Stop = StopDiverged
-			if inBand {
+			if atFloor {
 				out.Stop = StopSettled
 			}
 			break
 		}
-		if sinceImproved >= SettleWindow && inBand {
+		if atFloor && sinceImproved > 0 {
 			out.Stop = StopSettled // the answer has settled at the float64 floor
 			break
 		}
@@ -258,9 +247,80 @@ func (op operator) apply(v, t, out []float64) {
 // applyT sets out = Bᵀ·u = R⁻ᵀ·Aᵀ·u.
 func (op operator) applyT(u, out []float64) {
 	blas.Gemv(blas.Trans, 1, op.a, u, 0, out)
+	op.solveT(out)
+}
+
+// gradT is applyT that also returns ‖Aᵀ·u‖, the norm of the vector it forms
+// before the R⁻ᵀ solve: one more pass over n elements, none over A.
+func (op operator) gradT(u, out []float64) float64 {
+	blas.Gemv(blas.Trans, 1, op.a, u, 0, out)
+	g := blas.Nrm2(out)
+	op.solveT(out)
+	return g
+}
+
+// solveT overwrites v with R⁻ᵀ·v.
+func (op operator) solveT(v []float64) {
 	if op.r != nil {
-		blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, op.r, out)
+		blas.Trsv(blas.Upper, blas.Trans, blas.NonUnit, op.r, v)
 	}
+}
+
+// norm estimates ‖A‖₂: NormEst of R, or of A itself when there is no
+// preconditioner.
+func (op operator) norm() float64 {
+	if op.r != nil {
+		return NormEst(op.r)
+	}
+	return normEst(op.a, false)
+}
+
+// NormEst estimates ‖R‖₂ of an upper-triangular R, which is ‖A‖₂ when R is
+// the R of A's QR factorization: one step of the power method on RᵀR from
+// e_j, j the column of R with the largest norm, ‖Rᵀ·R·e_j‖/‖R·e_j‖. The
+// estimate lies between that column's norm and ‖R‖₂ (0.75–0.80 of ‖A‖₂ on
+// the κ 1e3 geometric inputs at the benchmark's shapes), so a floor read
+// with it errs low. It reads the triangle twice, accumulates in float64 and
+// allocates nothing; R depends on the factorization alone, so a caller that
+// solves many right-hand sides computes it once.
+func NormEst(r *dense.M32) float64 { return normEst(r, true) }
+
+// normEst is NormEst for any matrix; upper says that a is upper triangular,
+// so that only the first j+1 elements of its column j are read.
+func normEst[T dense.Float](a *dense.Matrix[T], upper bool) float64 {
+	height := func(j int) int {
+		if upper {
+			return min(j+1, a.Rows)
+		}
+		return a.Rows
+	}
+	top, jmax := 0.0, -1
+	for j := 0; j < a.Cols; j++ {
+		var ss float64
+		for _, v := range a.Col(j)[:height(j)] {
+			ss += float64(float64(v) * float64(v))
+		}
+		if ss > top {
+			top, jmax = ss, j
+		}
+	}
+	if jmax < 0 {
+		return 0
+	}
+	top = math.Sqrt(top)
+	w := a.Col(jmax)[:height(jmax)]
+	// ‖Rᵀ·w‖/‖w‖ as the norm of Rᵀ·(w/‖w‖), one element at a time.
+	var ss float64
+	for i := 0; i < a.Cols; i++ {
+		col := a.Col(i)[:min(height(i), len(w))]
+		var d float64
+		for l, v := range col {
+			d += float64(float64(v) * float64(w[l]))
+		}
+		d /= top
+		ss += float64(d * d)
+	}
+	return math.Sqrt(ss)
 }
 
 // take cuts the first k elements off *w as a vector of capacity k, so no

@@ -251,9 +251,9 @@ func TestCGLSZeroRHS(t *testing.T) {
 
 // TestNoProgressNeverSettles: a run whose gradient norm never improves on
 // ‖s_0‖ ends StopStagnated, with x₀ and a hazard, whatever the caller's tol. The
-// settle rule needs a best that is a later iterate and sits within
-// SettleBand of the float64 floor, so neither a loose tol nor an infinite
-// ‖s_0‖ puts x₀ inside its band. The runs: an A scaled to 1e100 without a
+// settle rule needs an iterate whose gradient reaches the attainable float64
+// floor, and a step that never moves x (α = 0) or a NaN gradient never
+// does, whatever the tol. The runs: an A scaled to 1e100 without a
 // preconditioner, whose ‖A·t‖² overflows, so every step is α = 0 and every
 // gradient norm equals ‖s_0‖, at tol 0.5; a b scaled to 1e200, whose ‖s_0‖
 // is +Inf and whose later gradient norms are NaN, at the default tol and at

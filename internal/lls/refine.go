@@ -46,6 +46,10 @@ type SolveOptions struct {
 	Tol float64
 	// MaxIter caps refinement iterations (default DefaultMaxIter).
 	MaxIter int
+	// NormA is the estimate of ‖A‖₂ CGLS's floor reads (0: NormEst of the
+	// factorization's R). It depends on R alone, so a caller that solves
+	// many right-hand sides over one factorization computes it once.
+	NormA float64
 	// Hazards, when non-nil, receives an event for every detected
 	// refinement hazard (stagnation, divergence).
 	Hazards *hazard.Report
@@ -57,10 +61,10 @@ type SolveOptions struct {
 // f.R alone; MethodDirect needs f.Q too, and is ErrShape without it. A CGLS
 // run that stagnates or diverges keeps its best iterate (CGLS's own guard)
 // and records one event in opts.Hazards. A run that settles keeps its best
-// iterate too but records nothing: it stopped at the float64 floor, within
-// the settle band (see SettleBand), which is where a healthy refinement
-// ends. It never re-solves, so its answer is the method's whatever the
-// caller's hazard policy.
+// iterate too but records nothing: it stopped at the attainable float64
+// floor (see CGLS), which is where a healthy refinement ends. It never
+// re-solves, so its answer is the method's whatever the caller's hazard
+// policy.
 func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions) (*IterResult, error) {
 	if a.Rows < a.Cols || f.R != nil && f.R.Cols != a.Cols {
 		return nil, fmt.Errorf("lls: the factorization's R does not fit the %dx%d A: %w", a.Rows, a.Cols, hazard.ErrShape)
@@ -92,7 +96,11 @@ func SolveWithFactor(f *rgs.Result, a *dense.M64, b []float64, opts SolveOptions
 	default:
 		return nil, fmt.Errorf("lls: unknown method %d", opts.Method)
 	}
-	res := CGLS(a, b, f.R, opts.Tol, opts.MaxIter)
+	nu := opts.NormA
+	if nu <= 0 {
+		nu = operator{a, f.R}.norm()
+	}
+	res := cgls(a, b, f.R, nu, opts.Tol, opts.MaxIter)
 	kind := hazard.KindStagnation
 	switch res.Stop {
 	case StopDiverged:

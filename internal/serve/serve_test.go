@@ -483,9 +483,19 @@ func TestSolveOnHazardOptionChangesNothing(t *testing.T) {
 		same(what, solo[1], solo[0])
 	}
 	soloSolves("solo on_hazard=fallback")
-	// The two solves took the key past its upgrade budget (about 14
+	// Solves by the key take it past its upgrade budget (about 14
 	// iterations at 256×32), so the factor moves under the key: the queued
-	// solves are held to solo solves on the upgraded factor.
+	// solves are held to solo solves on the upgraded factor. The pair above
+	// spent 12 iterations on the cold factor (18 when CGLS confirmed its best
+	// for four iterations, not one), under the budget, so both of its solves
+	// ran on the cold factor, and one more solve crosses it.
+	awaitIdle(t, s)
+	if st := s.cache.Stats(); st.Upgraded != 0 {
+		t.Fatalf("%d upgrades published after %d iterations, want none: the pair crossed the budget", st.Upgraded, solo[0].Iterations+solo[1].Iterations)
+	}
+	if code, _ := post(t, h, "/v1/solve", bodies[0], nil); code != 200 {
+		t.Fatalf("solve across the budget: code=%d", code)
+	}
 	awaitIdle(t, s)
 	soloSolves("solo on_hazard=fallback, upgraded")
 	if st := s.cache.Stats(); st.Upgraded != 1 {
@@ -644,20 +654,23 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 // TestCoalescedSolveCarriesOnlyItsOwnHazards: a request reports the hazards
 // of its own refinement, not those of requests queued with it. The name dates
 // from the request coalescer, under which a zero b batched with a diverging b
-// carried the other column's divergence. Here a b whose CGLS diverges at an
-// unreachable tolerance and a zero b, which converges at once and records
-// nothing alone, queue together behind held workers. Every reply must equal
+// carried the other column's divergence. Here a b whose CGLS diverges and a
+// zero b, which converges at once and records nothing alone, queue together
+// behind held workers. The diverging b is consistent with a κ 1e6 Cluster2 A
+// factored by the bf16 engine at cutoff 32, whose CGLS blows up before it
+// reaches the float64 floor. (A κ 1e3 A at tol 1e-30 used to serve: CGLS now
+// stops it at the floor, as settled, with no event.) Every reply must equal
 // the same request served alone — x, iterations, optimality and hazards — and
 // tcqrd_hazards_total counts the one diverging request once.
 func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const m, n = 512, 64
-	a := matgen.WithCond(rng, m, n, 1e3, matgen.Geometric)
-	opts := map[string]any{"tol": 1e-30}
-	bs := [][]float64{matgen.Normal(rng, m, 1).Col(0), make([]float64, m)}
+	a := matgen.WithCond(rng, m, n, 1e6, matgen.Cluster2)
+	bs := [][]float64{matgen.NewLLSProblem(rng, a, 0).B, make([]float64, m)}
 	factorize := func(h http.Handler) string {
 		var fr factorizeReply
-		if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, a.Data)}, &fr); code != 200 {
+		body := map[string]any{"matrix": wireMat(m, n, a.Data), "config": map[string]any{"engine": "bf16", "cutoff": 32}}
+		if code, _ := post(t, h, "/v1/factorize", body, &fr); code != 200 {
 			t.Fatalf("factorize: code=%d", code)
 		}
 		return fr.Key
@@ -668,7 +681,7 @@ func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
 	key := factorize(solo.Handler())
 	want := make([]solveReply, len(bs))
 	for i, b := range bs {
-		if code, _ := post(t, solo.Handler(), "/v1/solve", map[string]any{"key": key, "b": b, "options": opts}, &want[i]); code != 200 {
+		if code, _ := post(t, solo.Handler(), "/v1/solve", map[string]any{"key": key, "b": b}, &want[i]); code != 200 {
 			t.Fatalf("solo solve %d: code=%d", i, code)
 		}
 	}
@@ -688,7 +701,7 @@ func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
 		wg.Add(1)
 		go func(i int, b []float64) {
 			defer wg.Done()
-			if code, _ := post(t, h, "/v1/solve", map[string]any{"key": key, "b": b, "options": opts}, &got[i]); code != 200 {
+			if code, _ := post(t, h, "/v1/solve", map[string]any{"key": key, "b": b}, &got[i]); code != 200 {
 				t.Errorf("queued solve %d: code=%d", i, code)
 			}
 		}(i, b)

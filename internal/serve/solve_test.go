@@ -19,35 +19,46 @@ import (
 // TestServedSolvesAreLibrarySolves: a served solve is
 // tcqr.SolveLeastSquaresWithFactor on the cached factor, whatever the method,
 // the right-hand side or the wire encoding. For CGLS and LSQR, over a
-// normal b, a b whose refinement diverges at tol 1e-30 and a zero b, the
-// JSON and the binary reply carry the library's x, iterations, converged and
-// optimality bit for bit, and its hazards; "on_hazard":"fallback" answers as
-// no on_hazard does; and tcqrd_hazards_total{kind="divergence"} counts
-// exactly the requests whose refinement diverged, on the cold factor and on
-// the upgrade the solves earn the key. Method "none", the
-// unrefined R⁻¹Qᵀb, needs the Q no cached factor keeps, so it answers 400.
+// normal b, a b whose refinement diverges and a zero b, the JSON and the
+// binary reply carry the library's x, iterations, converged and optimality
+// bit for bit, and its hazards; "on_hazard":"fallback" answers as no
+// on_hazard does; and tcqrd_hazards_total{kind="divergence"} counts exactly
+// the requests whose refinement diverged, on the cold factors and on the
+// upgrades the solves earn the keys. The diverging b has a key of its own: a
+// κ 1e6 Cluster2 A with a consistent b, factored by the bf16 engine at
+// cutoff 32, on which CGLS blows up before it reaches the float64 floor. (A
+// κ 1e3 A at tol 1e-30 used to serve: CGLS now stops it at the floor, as
+// settled, with no event.) Method "none", the unrefined R⁻¹Qᵀb, needs the Q
+// no cached factor keeps, so it answers 400.
 func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const m, n = 512, 64
 	a := matgen.WithCond(rng, m, n, 1e3, matgen.Geometric)
 	normal := matgen.Normal(rng, m, 1).Col(0)
+	divA := matgen.WithCond(rng, m, n, 1e6, matgen.Cluster2)
+	divB := matgen.NewLLSProblem(rng, divA, 0).B
 	s := New(Options{Workers: 2})
 	defer s.Close()
 	h := s.Handler()
-	var fr factorizeReply
-	if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, a.Data)}, &fr); code != 200 {
-		t.Fatalf("factorize: code=%d", code)
+	factorize := func(a *tcqr.Matrix, cfg map[string]any) string {
+		var fr factorizeReply
+		if code, _ := post(t, h, "/v1/factorize", map[string]any{"matrix": wireMat(m, n, a.Data), "config": cfg}, &fr); code != 200 {
+			t.Fatalf("factorize: code=%d", code)
+		}
+		return fr.Key
 	}
+	key := factorize(a, nil)
+	divKey := factorize(divA, map[string]any{"engine": "bf16", "cutoff": 32})
 	sameBits := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
 
 	cases := []struct {
 		name string
+		key  string
 		b    []float64
-		tol  float64
 	}{
-		{"normal", normal, 0},
-		{"diverges", normal, 1e-30},
-		{"zero", make([]float64, m), 0},
+		{"normal", key, normal},
+		{"diverges", divKey, divB},
+		{"zero", key, make([]float64, m)},
 	}
 	methods := []struct {
 		wire string
@@ -55,16 +66,17 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	}{{"cgls", tcqr.RefineCGLS}, {"lsqr", tcqr.RefineLSQR}}
 
 	// A solve by key refines with the factor its key holds when it runs.
-	// These solves take the key past its upgrade budget (about 29
+	// These solves take each key past its upgrade budget (about 29
 	// iterations at 512×64), so each is held to the library's solve on the
 	// entry the cache holds once the pool is idle: the upgraded one from the
-	// solve that crossed the budget on.
-	current := func() *Entry {
+	// solve that crossed the budget on. The diverging key's CGLS solves, the
+	// first on it, spend 20 iterations, so they all run on the bf16 factor.
+	current := func(key string) *Entry {
 		t.Helper()
 		awaitIdle(t, s)
-		e, ok := s.cache.Get(fr.Key)
+		e, ok := s.cache.Get(key)
 		if !ok {
-			t.Fatalf("key %q not cached", fr.Key)
+			t.Fatalf("key %q not cached", key)
 		}
 		return e
 	}
@@ -72,15 +84,15 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	for _, mt := range methods {
 		for _, c := range cases {
 			for _, onHazard := range []string{"", "fallback"} {
-				opts := map[string]any{"method": mt.wire, "tol": c.tol}
+				opts := map[string]any{"method": mt.wire}
 				if onHazard != "" {
 					opts["on_hazard"] = onHazard
 				}
 				for _, enc := range []string{"json", "binary"} {
 					what := fmt.Sprintf("%s %s on_hazard=%q %s", mt.wire, c.name, onHazard, enc)
-					e := current()
+					e := current(c.key)
 					upgraded = upgraded || e.upgraded
-					want, err := tcqr.SolveLeastSquaresWithFactor(e.F, e.A, c.b, tcqr.SolveOptions{Method: mt.lib, Tol: c.tol})
+					want, err := tcqr.SolveLeastSquaresWithFactor(e.F, e.A, c.b, tcqr.SolveOptions{Method: mt.lib})
 					if err != nil {
 						t.Fatalf("%s: library solve: %v", what, err)
 					}
@@ -97,12 +109,12 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 					)
 					if enc == "json" {
 						var sr solveResponse
-						if code, _ := post(t, h, "/v1/solve", map[string]any{"key": fr.Key, "b": c.b, "options": opts}, &sr); code != 200 {
+						if code, _ := post(t, h, "/v1/solve", map[string]any{"key": c.key, "b": c.b, "options": opts}, &sr); code != 200 {
 							t.Fatalf("%s: code=%d", what, code)
 						}
 						x, meta = sr.X, sr.solveMeta
 					} else {
-						rec := postFrame(t, h, "/v1/solve", frameBody(t, map[string]any{"key": fr.Key, "options": opts}, wirefmt.VectorSection(c.b)), "")
+						rec := postFrame(t, h, "/v1/solve", frameBody(t, map[string]any{"key": c.key, "options": opts}, wirefmt.VectorSection(c.b)), "")
 						if rec.Code != 200 {
 							t.Fatalf("%s: code=%d body=%q", what, rec.Code, rec.Body.String())
 						}
@@ -129,13 +141,13 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 		t.Fatal("the key was never upgraded: no solve ran on the upgraded factor")
 	}
 	if !cglsDiverged {
-		t.Fatal("CGLS at tol 1e-30 recorded no divergence: the diverging case exercises nothing")
+		t.Fatal("CGLS recorded no divergence: the diverging case exercises nothing")
 	}
 	if div := s.metrics.hazards.Snapshot()["divergence"]; div != wantDiv {
 		t.Errorf("tcqrd_hazards_total{kind=divergence} = %d, want %d (one per diverging request)", div, wantDiv)
 	}
 	var er envelope
-	body := map[string]any{"key": fr.Key, "b": normal, "options": map[string]any{"method": "none"}}
+	body := map[string]any{"key": key, "b": normal, "options": map[string]any{"method": "none"}}
 	if code, _ := post(t, h, "/v1/solve", body, &er); code != 400 || er.Error.Code != "bad_input" ||
 		er.Error.Message != `unknown method "none" (want cgls or lsqr)` {
 		t.Errorf(`method "none": %d %s %q, want 400 bad_input`, code, er.Error.Code, er.Error.Message)

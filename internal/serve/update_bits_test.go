@@ -36,13 +36,15 @@ func xBitsHash(x []float64) uint64 {
 // downdate started sweeping the narrowed removed rows of A instead of
 // B = Q₂·R: R′ moved within rounding, and CGLS takes 9 iterations where it
 // took 8 (0xb1c5d71dffd62907 before), to an optimality of 6.1e-14 either way.
+// Both solves now take 6 iterations, not 9, to the same x: CGLS stops one
+// iteration past its best at the float64 floor instead of four.
 func TestServedUpdateBits(t *testing.T) {
 	const (
 		m, n, k    = 2048, 128, 16
 		appendX    = 0x4eda9a0d466602cb
-		appendIter = 9
+		appendIter = 6
 		downX      = 0x0c34a657a0900b0f
-		downIter   = 9
+		downIter   = 6
 	)
 	rng := rand.New(rand.NewSource(2048))
 	a := matgen.WithCond(rng, m, n, 1e3, matgen.Geometric)

@@ -106,9 +106,9 @@ func (c *FactorCache) Upgrade(old *Entry) string {
 	if err != nil {
 		return upgradeFailed
 	}
-	f := *old.F
-	f.R = r
-	ne := &Entry{Key: old.Key, Epoch: old.Epoch, A: old.A, F: &f, Config: old.Config, bytes: old.bytes, upgraded: true}
+	f := &tcqr.Factorization{R: r, ColumnScales: old.F.ColumnScales, Reorthogonalized: old.F.Reorthogonalized,
+		EngineStats: old.F.EngineStats, Hazards: old.F.Hazards}
+	ne := &Entry{Key: old.Key, Epoch: old.Epoch, A: old.A, F: f, Config: old.Config, bytes: old.bytes, upgraded: true}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	s := c.series[baseKey(old.Key)]

@@ -3,12 +3,15 @@ package tcqr
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
+	"sync/atomic"
 
 	"tcqr/internal/accuracy"
 	"tcqr/internal/blas"
 	"tcqr/internal/dense"
 	"tcqr/internal/hazard"
+	"tcqr/internal/lls"
 	"tcqr/internal/rgs"
 	"tcqr/internal/tcsim"
 )
@@ -32,6 +35,13 @@ type Factorization struct {
 	// factorization and, under HazardFallback, every recovery taken (scaling,
 	// panel and engine retries). Empty for a clean run.
 	Hazards []Hazard
+
+	// normA memoizes lls.NormEst of normR, the estimate of ‖A‖₂ that CGLS's
+	// stop rule reads (as Float64bits). It depends on R alone, so the first
+	// solve over f computes it and the rest, concurrent ones included, read
+	// it; a caller that gives f another R gets a fresh estimate.
+	normA atomic.Uint64
+	normR atomic.Pointer[Matrix32]
 }
 
 // Factorize computes the RGSQRF factorization of a (m×n, m >= n) on the
@@ -233,6 +243,20 @@ func (f *Factorization) BackwardError(a *Matrix32) float64 {
 // OrthogonalityError returns ‖I − QᵀQ‖_F in float64 (the Figure 4 metric).
 func (f *Factorization) OrthogonalityError() float64 {
 	return accuracy.OrthoError(f.Q)
+}
+
+// normEst returns lls.NormEst(f.R), computed once per R. Solves that race
+// on the first call compute the same value, and each stores the estimate
+// before the R it belongs to, so a reader that sees f.R in normR reads its
+// estimate.
+func (f *Factorization) normEst() float64 {
+	if f.normR.Load() == f.R {
+		return math.Float64frombits(f.normA.Load())
+	}
+	nu := lls.NormEst(f.R)
+	f.normA.Store(math.Float64bits(nu))
+	f.normR.Store(f.R)
+	return nu
 }
 
 // inner is the internal factorization view of f, the form the internal

@@ -66,14 +66,19 @@ type SolveOptions struct {
 }
 
 // refine maps the public options onto the internal refiner's, recording
-// refinement hazards in rep.
-func (o SolveOptions) refine(rep *hazard.Report) lls.SolveOptions {
-	return lls.SolveOptions{
+// refinement hazards in rep; CGLS's stop rule reads f's memoized estimate
+// of ‖A‖₂.
+func (o SolveOptions) refine(f *Factorization, rep *hazard.Report) lls.SolveOptions {
+	opts := lls.SolveOptions{
 		Method:  o.Method,
 		Tol:     o.Tol,
 		MaxIter: o.MaxIterations,
 		Hazards: rep,
 	}
+	if o.Method == RefineCGLS && f.R != nil {
+		opts.NormA = f.normEst()
+	}
+	return opts
 }
 
 // SolveLeastSquares solves min ‖Ax − b‖₂ for a tall full-column-rank A
@@ -103,7 +108,7 @@ func SolveLeastSquares(a *Matrix, b []float64, opts SolveOptions) (*LeastSquares
 // new right-hand side (one QR amortized over many solves).
 func SolveLeastSquaresWithFactor(f *Factorization, a *Matrix, b []float64, opts SolveOptions) (*LeastSquaresResult, error) {
 	rep := &hazard.Report{}
-	sol, err := lls.SolveWithFactor(f.inner(), a, b, opts.refine(rep))
+	sol, err := lls.SolveWithFactor(f.inner(), a, b, opts.refine(f, rep))
 	if err != nil {
 		return nil, fmt.Errorf("tcqr: %w", err)
 	}
