@@ -44,9 +44,7 @@ func bitsHash(xs ...[]float64) uint64 {
 // settled ending runs twice, at κ 1e3 and on the fp16 factor of the κ 1e6
 // geometric input whose bf16 factor stagnates, and the bf16 factor of a κ 1e6
 // Cluster2 input diverges, so the settle rule's, the guard's and the window's
-// restores of the best iterate are read from poisoned slabs. (The κ 1e6
-// input with a consistent b that settled here before CGLS read the
-// attainable floor now stagnates: its best stays 26× above the floor.)
+// restores of the best iterate are read from poisoned slabs.
 func TestPoisonedScratchKeepsRefinementBits(t *testing.T) {
 	fac := func(a *dense.M64, opts rgs.Options) *rgs.Result {
 		f, err := rgs.Factor(dense.ToF32(a), opts)

@@ -11,6 +11,7 @@ import (
 	"tcqr"
 	"tcqr/internal/accuracy"
 	"tcqr/internal/house"
+	"tcqr/internal/lls"
 	"tcqr/internal/matgen"
 )
 
@@ -18,30 +19,32 @@ import (
 // factor upgrade: on every shape, condition number and spectrum below, CGLS
 // preconditioned with R32's R is held to FactorizeR's R on the same
 // right-hand sides. It takes no more iterations and ends with ‖Aᵀr‖ at most
-// twice FactorizeR's, except at the float64 floor of a measured ‖Aᵀr‖:
-// √n times accuracy.LLSAttainable of R32's answer, u·‖A‖·(‖A‖·‖x‖ + ‖r‖)
-// with ‖A‖₂ = 1 here, what a backward-stable solve leaves in ‖Aᵀr‖. The √n
-// is LLSOptimality's own rounding: it forms A·x − b and Aᵀr with inner
-// products of length n and m, whose errors grow like √n·u in the
-// probabilistic analysis (Higham and Mary, SIAM J. Sci. Comput. 41(5),
-// 2019); measured values of converged κ 1e1 runs land at up to 11 times the
-// bound. (With the bound alone, 3 κ ≥ 1e5 arithmetic solves, at 1.5–4.0
-// times it, would be held to the factor of two and miss it.) The same 12 of
-// the 48 solves lean on this carve-out as on the u·κ·‖b‖ it replaces, which
-// was 2.9–685 times the bound. There, where a run stops is where
-// rounding stopped it: a run that ends at or below the floor on a stop other
-// than convergence (settled at the floor, or a divergence or stagnation
-// event) is not held to the iteration count, ‖Aᵀr‖ below the floor is not
-// held to the factor of two, and neither is a run that converged, when
-// FactorizeR's did too (both met the tolerance; the last step lands where it
-// lands). The κ 1e6 rows are logged: there FactorizeR's refinement can run
-// out of iterations. The test logs how many of its 48 solves meet the
-// literal rule, no more iterations and ‖Aᵀr‖ within 2×, with no exception.
+// twice FactorizeR's, except at the float64 floor of a measured ‖Aᵀr‖: the
+// lesser of u·κ·‖b‖ and √n times accuracy.LLSAttainable of R32's answer,
+// u·‖A‖·(‖A‖·‖x‖ + ‖r‖) with ‖A‖₂ = 1 here, what a backward-stable solve
+// leaves in ‖Aᵀr‖. The √n is LLSOptimality's own rounding: it forms A·x − b
+// and Aᵀr with inner products of length n and m, whose errors grow like
+// √n·u in the probabilistic analysis (Higham and Mary, SIAM J. Sci. Comput.
+// 41(5), 2019); measured values of converged κ 1e1 runs land at up to 11
+// times the bound, and with the bound alone 3 κ ≥ 1e5 arithmetic solves, at
+// 1.5–4.0 times it, would be held to the factor of two and miss it. u·κ·‖b‖
+// bounds u·‖A‖²·‖x‖ (κ‖b‖ bounds ‖x‖ when ‖A‖₂ = 1), and taking the lesser
+// keeps every solve's floor at or below it. There, where a run stops is
+// where rounding stopped it: a run that ends at or below the floor without
+// converging and before the iteration cap (settled at the floor, or on a
+// divergence or stagnation event) is not held to the iteration count,
+// ‖Aᵀr‖ below the floor is not held to the factor of two, and neither is a
+// run that converged, when FactorizeR's did too (both met the tolerance; the
+// last step lands where it lands). The κ 1e6 rows are logged: there
+// FactorizeR's refinement can run out of iterations. The test logs how many
+// of its 48 solves meet the literal rule, no more iterations and ‖Aᵀr‖
+// within 2×, with no exception (36), and how many lean on the floor (4).
 func TestR32PreconditionsNoWorse(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a battery of 24 factorizations at up to 1024x256")
 	}
-	literal, solves := 0, 0
+	const u = 0x1p-53
+	literal, solves, atFloor := 0, 0, 0
 	for _, sh := range []struct{ m, n int }{{512, 128}, {1024, 256}} {
 		for _, cond := range []float64{1e1, 1e3, 1e5, 1e6} {
 			for _, dist := range []matgen.Dist{matgen.Geometric, matgen.Arithmetic, matgen.Cluster2} {
@@ -69,20 +72,24 @@ func TestR32PreconditionsNoWorse(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						floor := math.Sqrt(float64(sh.n)) * accuracy.LLSAttainable(1, norm2(got.X), accuracy.ResidualNorm(a, got.X, b))
+						floor := min(u*cond*norm2(b), math.Sqrt(float64(sh.n))*accuracy.LLSAttainable(1, norm2(got.X), accuracy.ResidualNorm(a, got.X, b)))
 						if cond == 1e6 {
 							t.Logf("rhs %d: FactorizeR %d it, ‖Aᵀr‖ %.2g; R32 %d it, ‖Aᵀr‖ %.2g (floor %.2g)",
 								k, was.Iterations, was.Optimality, got.Iterations, got.Optimality, floor)
 						}
 						solves++
-						if got.Iterations <= was.Iterations && got.Optimality <= 2*was.Optimality {
+						fewer, within := got.Iterations <= was.Iterations, got.Optimality <= 2*was.Optimality
+						if fewer && within {
 							literal++
 						}
-						floorStop := got.Optimality <= floor && !got.Converged
-						if got.Iterations > was.Iterations && !floorStop {
+						floorStop := got.Optimality <= floor && !got.Converged && got.Iterations < lls.DefaultMaxIter
+						if !fewer && floorStop || !within && got.Optimality <= floor {
+							atFloor++
+						}
+						if !fewer && !floorStop {
 							t.Errorf("rhs %d: %d CGLS iterations on R32's R, %d on FactorizeR's", k, got.Iterations, was.Iterations)
 						}
-						if !(got.Optimality <= 2*was.Optimality) && got.Optimality > floor && !(got.Converged && was.Converged) {
+						if !within && got.Optimality > floor && !(got.Converged && was.Converged) {
 							t.Errorf("rhs %d: ‖Aᵀr‖ %.3g on R32's R, more than twice FactorizeR's %.3g and above the floor %.3g",
 								k, got.Optimality, was.Optimality, floor)
 						}
@@ -91,7 +98,7 @@ func TestR32PreconditionsNoWorse(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d of %d solves meet the literal rule (no more iterations, ‖Aᵀr‖ within 2×)", literal, solves)
+	t.Logf("%d of %d solves meet the literal rule (no more iterations, ‖Aᵀr‖ within 2×); %d lean on the floor", literal, solves, atFloor)
 }
 
 func norm2(v []float64) float64 {

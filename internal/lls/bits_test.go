@@ -45,10 +45,8 @@ type cglsTrajectory struct {
 // the attainable floor, and the first iteration after its best ends the run
 // with that best. Settling on the guard needs the first iteration past the
 // best at the floor to blow the gradient up more than DivergenceGuard times
-// in one step. The κ 1e3 arithmetic input that once did so took three steps
-// after its best, and now settles on the iteration after it; of 8 640
-// 300×60 runs over three spectra, κ 1e1 to 1e6 and three engines none
-// jumped past 43×. A κ 1e4 arithmetic A with a standard normal b (seed 42)
+// in one step, which is rare: of 8 640 300×60 runs over three spectra, κ 1e1
+// to 1e6 and three engines none jumped past 43×. A κ 1e4 arithmetic A with a standard normal b (seed 42)
 // jumps 105× right after its best, so the guard trips at the floor and the
 // run settles there. The diverging one is a bf16 factor of a κ 1e6 Cluster2
 // A with a consistent b, whose gradient blows up before it reaches the
@@ -151,7 +149,7 @@ func TestCGLSBitsGolden(t *testing.T) {
 // meets its tol before its gradient reaches the attainable float64 floor, so
 // no run settles. Each trajectory keeps the default tolerance's run up to
 // where its own tol stops it: a looser tol ends it sooner by convergence or
-// not at all, as it did before the settle rule. The stagnating one, whose
+// not at all. The stagnating one, whose
 // best stays near 3e-3 of ‖s_0‖, must still run its full stagnation window
 // at tol 1e-3.
 func TestLooseTolNeverSettles(t *testing.T) {

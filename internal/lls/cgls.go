@@ -92,9 +92,11 @@ const DefaultMaxIter = 200
 // gradient ‖Aᵀ·res_k‖ falls to accuracy.LLSAttainable(ν, ‖x_k‖, ‖res_k‖),
 // the attainable ‖Aᵀr‖ of any float64 solve, the first iteration without a
 // new best ends the run as StopSettled: past the floor CG loses conjugacy,
-// and the best iterate is the answer. ν estimates ‖A‖₂ = ‖R‖₂ (NormEst);
-// CGLS computes it from r (from a when r is nil), and SolveWithFactor takes
-// it from its options when the caller has it. A run that reached the floor
+// and the best iterate is the answer. Until then the gate costs three norms
+// per iteration, ‖Aᵀ·res_k‖ and ‖x_k‖ of length n and ‖res_k‖ of length m.
+// ν estimates ‖A‖₂ = ‖R‖₂ (NormEst); CGLS computes it from r (from a when r
+// is nil, two passes over A), and SolveWithFactor takes it from its options
+// when the caller has it. A run that reached the floor
 // when the divergence guard trips stops as settled too: that is where a
 // healthy refinement ends.
 func CGLS(a *dense.M64, b []float64, r *dense.M32, tol float64, maxIter int) *IterResult {

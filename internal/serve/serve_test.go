@@ -486,9 +486,8 @@ func TestSolveOnHazardOptionChangesNothing(t *testing.T) {
 	// Solves by the key take it past its upgrade budget (about 14
 	// iterations at 256×32), so the factor moves under the key: the queued
 	// solves are held to solo solves on the upgraded factor. The pair above
-	// spent 12 iterations on the cold factor (18 when CGLS confirmed its best
-	// for four iterations, not one), under the budget, so both of its solves
-	// ran on the cold factor, and one more solve crosses it.
+	// spent 12 iterations on the cold factor, under the budget, so both of
+	// its solves ran on the cold factor, and one more solve crosses it.
 	awaitIdle(t, s)
 	if st := s.cache.Stats(); st.Upgraded != 0 {
 		t.Fatalf("%d upgrades published after %d iterations, want none: the pair crossed the budget", st.Upgraded, solo[0].Iterations+solo[1].Iterations)
@@ -654,19 +653,26 @@ func TestCoalescedSolveHonoursMethod(t *testing.T) {
 // TestCoalescedSolveCarriesOnlyItsOwnHazards: a request reports the hazards
 // of its own refinement, not those of requests queued with it. The name dates
 // from the request coalescer, under which a zero b batched with a diverging b
-// carried the other column's divergence. Here a b whose CGLS diverges and a
-// zero b, which converges at once and records nothing alone, queue together
-// behind held workers. The diverging b is consistent with a κ 1e6 Cluster2 A
-// factored by the bf16 engine at cutoff 32, whose CGLS blows up before it
-// reaches the float64 floor. (A κ 1e3 A at tol 1e-30 used to serve: CGLS now
-// stops it at the floor, as settled, with no event.) Every reply must equal
-// the same request served alone — x, iterations, optimality and hazards — and
+// carried the other column's divergence. Here a b whose CGLS diverges, the
+// same b at tol 1e-6, which converges after three iterations with no event,
+// and a zero b, which converges at once and records nothing alone, queue
+// together behind held workers. The diverging b is consistent with a κ 1e6
+// Cluster2 A factored by the bf16 engine at cutoff 32, whose CGLS blows up
+// before it reaches the float64 floor. Every reply must equal the same
+// request served alone — x, iterations, optimality and hazards — and
 // tcqrd_hazards_total counts the one diverging request once.
 func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const m, n = 512, 64
 	a := matgen.WithCond(rng, m, n, 1e6, matgen.Cluster2)
-	bs := [][]float64{matgen.NewLLSProblem(rng, a, 0).B, make([]float64, m)}
+	divB := matgen.NewLLSProblem(rng, a, 0).B
+	reqs := []struct {
+		b   []float64
+		tol float64
+	}{{divB, 0}, {divB, 1e-6}, {make([]float64, m), 0}}
+	body := func(key string, i int) map[string]any {
+		return map[string]any{"key": key, "b": reqs[i].b, "options": map[string]any{"tol": reqs[i].tol}}
+	}
 	factorize := func(h http.Handler) string {
 		var fr factorizeReply
 		body := map[string]any{"matrix": wireMat(m, n, a.Data), "config": map[string]any{"engine": "bf16", "cutoff": 32}}
@@ -679,14 +685,15 @@ func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
 	solo := New(Options{Workers: 2})
 	defer solo.Close()
 	key := factorize(solo.Handler())
-	want := make([]solveReply, len(bs))
-	for i, b := range bs {
-		if code, _ := post(t, solo.Handler(), "/v1/solve", map[string]any{"key": key, "b": b}, &want[i]); code != 200 {
+	want := make([]solveReply, len(reqs))
+	for i := range reqs {
+		if code, _ := post(t, solo.Handler(), "/v1/solve", body(key, i), &want[i]); code != 200 {
 			t.Fatalf("solo solve %d: code=%d", i, code)
 		}
 	}
-	if len(want[0].Hazards) == 0 || len(want[1].Hazards) != 0 {
-		t.Fatalf("solo hazards %v and %v: want the first b to diverge and the zero b to record nothing", want[0].Hazards, want[1].Hazards)
+	if len(want[0].Hazards) == 0 || len(want[1].Hazards) != 0 || !want[1].Converged || len(want[2].Hazards) != 0 {
+		t.Fatalf("solo hazards %v, %v and %v (tol 1e-6 converged: %v): want the first b to diverge and the others to record nothing",
+			want[0].Hazards, want[1].Hazards, want[2].Hazards, want[1].Converged)
 	}
 
 	be := &countingBackend{inner: LibraryBackend{}}
@@ -695,19 +702,19 @@ func TestCoalescedSolveCarriesOnlyItsOwnHazards(t *testing.T) {
 	h := s.Handler()
 	factorize(h)
 	release := holdWorkers(t, s, be)
-	got := make([]solveReply, len(bs))
+	got := make([]solveReply, len(reqs))
 	var wg sync.WaitGroup
-	for i, b := range bs {
+	for i := range reqs {
 		wg.Add(1)
-		go func(i int, b []float64) {
+		go func(i int) {
 			defer wg.Done()
-			if code, _ := post(t, h, "/v1/solve", map[string]any{"key": key, "b": b}, &got[i]); code != 200 {
+			if code, _ := post(t, h, "/v1/solve", body(key, i), &got[i]); code != 200 {
 				t.Errorf("queued solve %d: code=%d", i, code)
 			}
-		}(i, b)
+		}(i)
 	}
-	waitFor(t, func() bool { return s.pool.Stats().Queued == int64(len(bs)) },
-		func() string { return fmt.Sprintf("%d solves to queue: pool=%+v", len(bs), s.pool.Stats()) })
+	waitFor(t, func() bool { return s.pool.Stats().Queued == int64(len(reqs)) },
+		func() string { return fmt.Sprintf("%d solves to queue: pool=%+v", len(reqs), s.pool.Stats()) })
 	release()
 	wg.Wait()
 	for i, r := range got {

@@ -18,18 +18,19 @@ import (
 
 // TestServedSolvesAreLibrarySolves: a served solve is
 // tcqr.SolveLeastSquaresWithFactor on the cached factor, whatever the method,
-// the right-hand side or the wire encoding. For CGLS and LSQR, over a
-// normal b, a b whose refinement diverges and a zero b, the JSON and the
-// binary reply carry the library's x, iterations, converged and optimality
-// bit for bit, and its hazards; "on_hazard":"fallback" answers as no
-// on_hazard does; and tcqrd_hazards_total{kind="divergence"} counts exactly
-// the requests whose refinement diverged, on the cold factors and on the
-// upgrades the solves earn the keys. The diverging b has a key of its own: a
-// κ 1e6 Cluster2 A with a consistent b, factored by the bf16 engine at
-// cutoff 32, on which CGLS blows up before it reaches the float64 floor. (A
-// κ 1e3 A at tol 1e-30 used to serve: CGLS now stops it at the floor, as
-// settled, with no event.) Method "none", the unrefined R⁻¹Qᵀb, needs the Q
-// no cached factor keeps, so it answers 400.
+// the right-hand side, the tolerance or the wire encoding. For CGLS and
+// LSQR, over a normal b at the default tolerance and at tol 1e-6 (which
+// stops both methods iterations earlier, so a server that dropped the wire's
+// tol would answer differently), a b whose refinement diverges and a zero b,
+// the JSON and the binary reply carry the library's x, iterations, converged
+// and optimality bit for bit, and its hazards; "on_hazard":"fallback"
+// answers as no on_hazard does; and tcqrd_hazards_total{kind="divergence"}
+// counts exactly the requests whose refinement diverged, on the cold factors
+// and on the upgrades the solves earn the keys. The diverging b has a key of
+// its own: a κ 1e6 Cluster2 A with a consistent b, factored by the bf16
+// engine at cutoff 32, on which CGLS blows up before it reaches the float64
+// floor. Method "none", the unrefined R⁻¹Qᵀb, needs the Q no cached factor
+// keeps, so it answers 400.
 func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	const m, n = 512, 64
@@ -55,10 +56,12 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 		name string
 		key  string
 		b    []float64
+		tol  float64
 	}{
-		{"normal", key, normal},
-		{"diverges", divKey, divB},
-		{"zero", key, make([]float64, m)},
+		{"normal", key, normal, 0},
+		{"normal tol 1e-6", key, normal, 1e-6},
+		{"diverges", divKey, divB, 0},
+		{"zero", key, make([]float64, m), 0},
 	}
 	methods := []struct {
 		wire string
@@ -84,7 +87,7 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 	for _, mt := range methods {
 		for _, c := range cases {
 			for _, onHazard := range []string{"", "fallback"} {
-				opts := map[string]any{"method": mt.wire}
+				opts := map[string]any{"method": mt.wire, "tol": c.tol}
 				if onHazard != "" {
 					opts["on_hazard"] = onHazard
 				}
@@ -92,9 +95,18 @@ func TestServedSolvesAreLibrarySolves(t *testing.T) {
 					what := fmt.Sprintf("%s %s on_hazard=%q %s", mt.wire, c.name, onHazard, enc)
 					e := current(c.key)
 					upgraded = upgraded || e.upgraded
-					want, err := tcqr.SolveLeastSquaresWithFactor(e.F, e.A, c.b, tcqr.SolveOptions{Method: mt.lib})
+					want, err := tcqr.SolveLeastSquaresWithFactor(e.F, e.A, c.b, tcqr.SolveOptions{Method: mt.lib, Tol: c.tol})
 					if err != nil {
 						t.Fatalf("%s: library solve: %v", what, err)
+					}
+					if c.tol != 0 {
+						def, err := tcqr.SolveLeastSquaresWithFactor(e.F, e.A, c.b, tcqr.SolveOptions{Method: mt.lib})
+						if err != nil {
+							t.Fatalf("%s: library solve at the default tol: %v", what, err)
+						}
+						if def.Iterations == want.Iterations {
+							t.Fatalf("%s: %d iterations at tol %g and at the default: the tol case exercises nothing", what, want.Iterations, c.tol)
+						}
 					}
 					wantHaz := wireHazards(want.Hazards)
 					diverged := slices.ContainsFunc(want.Hazards, func(h tcqr.Hazard) bool { return h.Kind == tcqr.HazardDivergence })

@@ -34,10 +34,8 @@ func xBitsHash(x []float64) uint64 {
 // daemon's factor dropped Q: the annihilation is the same code, so R′ did
 // not move by a bit. The downdate's was re-recorded when the served
 // downdate started sweeping the narrowed removed rows of A instead of
-// B = Q₂·R: R′ moved within rounding, and CGLS takes 9 iterations where it
-// took 8 (0xb1c5d71dffd62907 before), to an optimality of 6.1e-14 either way.
-// Both solves now take 6 iterations, not 9, to the same x: CGLS stops one
-// iteration past its best at the float64 floor instead of four.
+// B = Q₂·R (0xb1c5d71dffd62907 before): R′ moved within rounding, and its
+// CGLS solve reaches an optimality of 6.1e-14 either way.
 func TestServedUpdateBits(t *testing.T) {
 	const (
 		m, n, k    = 2048, 128, 16

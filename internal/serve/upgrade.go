@@ -106,6 +106,8 @@ func (c *FactorCache) Upgrade(old *Entry) string {
 	if err != nil {
 		return upgradeFailed
 	}
+	// A Factorization is not copied (its memoized ‖A‖₂ estimate is atomic):
+	// TestUpgradeCarriesEveryField holds this list to its fields.
 	f := &tcqr.Factorization{R: r, ColumnScales: old.F.ColumnScales, Reorthogonalized: old.F.Reorthogonalized,
 		EngineStats: old.F.EngineStats, Hazards: old.F.Hazards}
 	ne := &Entry{Key: old.Key, Epoch: old.Epoch, A: old.A, F: f, Config: old.Config, bytes: old.bytes, upgraded: true}

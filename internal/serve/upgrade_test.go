@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -27,6 +28,25 @@ func TestUpgradeBudget(t *testing.T) {
 		if got := upgradeBudget(c.m, c.n); math.Abs(got-c.want) > 0.05 {
 			t.Errorf("upgradeBudget(%d, %d) = %.2f, want %.1f", c.m, c.n, got, c.want)
 		}
+	}
+}
+
+// TestUpgradeCarriesEveryField: Upgrade builds the upgraded entry's
+// Factorization field by field, since a Factorization is not copied (its
+// memoized estimate of ‖A‖₂ is atomic), so every field it has must be one
+// Upgrade knows of: Q, which a cached factor does not keep, R, which it
+// replaces, and the four it carries over. A field added to
+// tcqr.Factorization fails this test until Upgrade carries it too.
+func TestUpgradeCarriesEveryField(t *testing.T) {
+	known := []string{"Q", "R", "ColumnScales", "Reorthogonalized", "EngineStats", "Hazards"}
+	var fields []string
+	for _, f := range reflect.VisibleFields(reflect.TypeFor[tcqr.Factorization]()) {
+		if f.IsExported() {
+			fields = append(fields, f.Name)
+		}
+	}
+	if !slices.Equal(fields, known) {
+		t.Errorf("tcqr.Factorization has fields %v, Upgrade knows of %v", fields, known)
 	}
 }
 
@@ -61,8 +81,7 @@ func TestHotKeyUpgrade(t *testing.T) {
 	hot := &tcqr.Factorization{R: r32, ColumnScales: cold.F.ColumnScales, Hazards: cold.F.Hazards}
 	bytesBefore := s.cache.Stats().Bytes
 
-	// The budget is 26.1 iterations at 256×64. About five solves cross it
-	// (three when CGLS confirmed its best for four iterations, not one), so
+	// The budget is 26.1 iterations at 256×64. About five solves cross it, so
 	// forty solves without an upgrade is a fault.
 	budget := upgradeBudget(m, n)
 	spent, before, after := 0, 0, 0
@@ -241,7 +260,7 @@ func TestUpgradeOfHardInputs(t *testing.T) {
 // series comes back, and the series stays at the update's epoch), and the
 // index, the recency list and the byte count agree. make check runs it under
 // the race detector. The budget at 64×8 is 3.6 iterations and each solve
-// takes 2 or 3, as it did before CGLS read the float64 floor, so the second
+// takes 2 or 3, so the second
 // of the six solves crosses it.
 func TestUpgradeRacesUpdateEvictionReset(t *testing.T) {
 	const m, n, solvers = 64, 8, 6

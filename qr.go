@@ -39,7 +39,10 @@ type Factorization struct {
 	// normA memoizes lls.NormEst of normR, the estimate of ‖A‖₂ that CGLS's
 	// stop rule reads (as Float64bits). It depends on R alone, so the first
 	// solve over f computes it and the rest, concurrent ones included, read
-	// it; a caller that gives f another R gets a fresh estimate.
+	// it; a caller that gives f another R gets a fresh estimate. Two atomics
+	// rather than one pointer to an (R, estimate) pair, so that no solve
+	// allocates for it. They make a Factorization noCopy under go vet: build
+	// a new one rather than copy *f.
 	normA atomic.Uint64
 	normR atomic.Pointer[Matrix32]
 }
